@@ -1,9 +1,10 @@
 """Benchmark: price-check throughput, serial vs pipelined.
 
 The Table-1 question asked of our own engine: checks/sec at 1/8/64
-concurrent users, serial baseline vs the pipelined engine.  Emits
-``BENCH_throughput.json`` next to the repo root (the same report the
-``repro throughput`` CLI command writes).
+concurrent users — one engine run per level, its event-loop makespan
+(pipelined) against the summed fetch durations of the same run (the
+serial cost).  Emits ``BENCH_throughput.json`` next to the repo root
+(the same report the ``repro throughput`` CLI command writes).
 
 Acceptance shape: the pipelined engine must beat serial at every
 level, and at full scale (30 IPCs, 64 users) by at least 5×.
@@ -35,7 +36,7 @@ def test_throughput(benchmark, scale, strict):
         )
 
     for level in report["levels"]:
-        # identical work in both modes: the speedup is pure scheduling
+        # one run read two ways: the speedup is pure scheduling
         assert level["serial"]["rows"] == level["pipelined"]["rows"]
         assert level["serial"]["checks"] == level["pipelined"]["checks"]
         assert level["speedup"] > 1.0

@@ -24,11 +24,8 @@ Gives the library a tool-shaped front door:
   one shard vs many) and emit ``BENCH_storage.json``;
 * ``cryptobench`` — benchmark the secure k-means crypto (naive vs
   fastexp, 1 vs N workers) and emit ``BENCH_crypto.json``;
-* ``parsebench``  — benchmark the single-pass Tags-Path extraction
-  engine against the legacy per-candidate walk (with the in-run
-  fast==legacy lockstep check) and emit ``BENCH_parse.json``;
 * ``bench``       — run the whole benchmark suite (any subset of
-  throughput/storage/crypto/scale/parse), merge the reports into
+  throughput/storage/crypto/scale), merge the reports into
   ``BENCH_all.json``, and evaluate every regression gate in one exit
   code;
 * ``metrics``     — run a telemetry-on deployment and emit its
@@ -290,33 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "speedup (test group, 1 worker) exceeds X "
                                   "and the naive/fast lockstep check held")
 
-    parsebench = sub.add_parser(
-        "parsebench",
-        help="benchmark Tags-Path extraction: legacy per-candidate walk "
-             "vs the single-pass indexed engine",
-    )
-    parsebench.add_argument("--scale", default="default",
-                            choices=("smoke", "default"),
-                            help="smoke = reduced CI instance")
-    parsebench.add_argument("--layouts", type=int, default=None,
-                            help="distinct store layouts in the corpus")
-    parsebench.add_argument("--vantages", type=int, default=None,
-                            help="fetched pages per recorded path")
-    parsebench.add_argument("--duplicate-fraction", type=float, default=None,
-                            metavar="F",
-                            help="fraction of vantages with byte-identical "
-                                 "pages (the memo's common case)")
-    parsebench.add_argument("--repeats", type=int, default=None,
-                            help="best-of repeats per timed pass")
-    parsebench.add_argument("--seed", type=int, default=None)
-    parsebench.add_argument("--out", default="BENCH_parse.json",
-                            help="where to write the JSON report")
-    parsebench.add_argument("--require-speedup", type=float, default=None,
-                            metavar="X",
-                            help="exit 1 unless the fast engine beats the "
-                                 "legacy walk by more than X and the "
-                                 "fast/legacy lockstep check held")
-
     bench = sub.add_parser(
         "bench",
         help="run the unified benchmark suite, gate every regression",
@@ -326,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="smoke = reduced CI instance")
     bench.add_argument("--include", nargs="+", default=None,
                        choices=("throughput", "storage", "crypto", "scale",
-                                "parse", "mesh"),
-                       help="benchmarks to run (default: the five sim "
+                                "mesh"),
+                       help="benchmarks to run (default: the four sim "
                             "benchmarks; 'mesh' spawns real processes)")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--out", default="BENCH_all.json",
@@ -350,11 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--require-scaling", type=float, default=3.0,
                        metavar="X",
                        help="top fleet must scale by at least X")
-    bench.add_argument("--require-parse-speedup", type=float, default=3.0,
-                       metavar="X",
-                       help="the fast extraction engine must beat the "
-                            "legacy walk by more than X (lockstep must "
-                            "also hold)")
 
     def add_telemetry_run_args(p, requests=24, users=12):
         p.add_argument("--chaos", default="lossy", metavar="PROFILE",
@@ -1096,70 +1061,6 @@ def _cmd_cryptobench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_parsebench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workloads.parsebench import ParseBenchConfig, run_parsebench
-
-    config = (
-        ParseBenchConfig.smoke_scale()
-        if args.scale == "smoke"
-        else ParseBenchConfig()
-    )
-    if args.layouts is not None:
-        config.n_layouts = args.layouts
-    if args.vantages is not None:
-        config.n_vantages = args.vantages
-    if args.duplicate_fraction is not None:
-        config.duplicate_fraction = args.duplicate_fraction
-    if args.repeats is not None:
-        config.repeats = args.repeats
-    if args.seed is not None:
-        config.seed = args.seed
-
-    report = run_parsebench(config)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    ext = report["extraction"]
-    print(f"extraction: {ext['page_path_pairs']} page/path pairs over "
-          f"{ext['recorded_paths']} recorded paths")
-    print(f"{'mode':>8} {'seconds':>10}")
-    print(f"{'legacy':>8} {ext['legacy_s']:>10.4f}")
-    print(f"{'fast':>8} {ext['fast_s']:>10.4f}")
-    stats = ext["stats"]
-    print(f"speedup: {ext['speedup']:.2f}x  "
-          f"(pages parsed {stats['pages_parsed']}, "
-          f"memo hits {stats['memo_hits']}, "
-          f"candidates pruned {stats['candidates_pruned']}, "
-          f"LCS cells {stats['lcs_cells']})")
-    cur = report["currency"]
-    print(f"currency: {cur['cold_per_sec']}/s cold, "
-          f"{cur['warm_per_sec']}/s memoized")
-    det = report["detector"]
-    print(f"detector: streaming {det['speedup']:.2f}x vs batch "
-          f"recompute over {det['n_rows']} rows "
-          f"(reports identical: {det['reports_identical']})")
-    lockstep = "ok" if report["lockstep_ok"] else "BROKEN"
-    print(f"fast/legacy lockstep: {lockstep}")
-    print(f"report written to {args.out}")
-
-    if args.require_speedup is not None:
-        if not report["lockstep_ok"]:
-            print("FAIL: fast and legacy extraction diverged "
-                  "(lockstep broken)")
-            return 1
-        gate = report["gate_speedup"]
-        if gate <= args.require_speedup:
-            print(f"FAIL: extraction speedup {gate:.2f}x is not above "
-                  f"{args.require_speedup:.2f}x")
-            return 1
-        print(f"OK: extraction speedup {gate:.2f}x > "
-              f"{args.require_speedup:.2f}x (lockstep ok)")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -1177,7 +1078,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         index_speedup=args.require_index_speedup,
         crypto_speedup=args.require_crypto_speedup,
         scaling_speedup=args.require_scaling,
-        parse_speedup=args.require_parse_speedup,
     )
     print(f"benchmark suite: scale={config.scale} "
           f"include={','.join(config.include)}")
@@ -1418,7 +1318,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scalebench": _cmd_scalebench,
         "storagebench": _cmd_storagebench,
         "cryptobench": _cmd_cryptobench,
-        "parsebench": _cmd_parsebench,
         "bench": _cmd_bench,
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,

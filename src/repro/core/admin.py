@@ -40,29 +40,9 @@ class AdminConsole:
     # -- attach / detach ---------------------------------------------------
     def attach_measurement_server(self, name: str) -> MeasurementServer:
         """Set up, probe, and (only then) register a new server."""
-        sheriff = self._sheriff
-        server = MeasurementServer(
-            name=name,
-            coordinator=sheriff.coordinator,
-            db=sheriff.db,
-            rates=sheriff.world.rates,
-            ipcs=sheriff.ipcs,
-            overlay=sheriff.overlay,
-            clock=sheriff.world.clock,
-            diffstore=sheriff.diffstore,
-            quorum=getattr(sheriff, "quorum", 1),
-            engine=getattr(sheriff, "engine", None),
-            pipelined=getattr(sheriff, "pipelined", True),
-            telemetry=getattr(sheriff, "telemetry", None),
-        )
-        self.probe(server)
-        sheriff.measurement_servers[name] = server
-        sheriff.distributor.register_server(
-            name,
-            url=f"10.250.0.{len(sheriff.measurement_servers)}",
-            port=80,
-            now=sheriff.world.clock.now,
-        )
+        server = self._sheriff.build_measurement_server(name)
+        self.probe(server)  # a machine that fails never joins
+        self._sheriff.enlist_measurement_server(server)
         return server
 
     def detach_measurement_server(self, name: str) -> None:

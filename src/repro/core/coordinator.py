@@ -105,9 +105,9 @@ class Coordinator:
         transport_label: str = "sim",
     ) -> None:
         self.whitelist = whitelist
-        #: which messaging backend the deployment runs over ("sim",
-        #: "socket", "direct"); stamped on journey spans so a trace
-        #: reads the same in sim and mesh runs
+        #: which messaging backend the deployment runs over ("sim" or
+        #: "socket"); stamped on journey spans so a trace reads the
+        #: same in sim and mesh runs
         self.transport_label = transport_label
         self.distributor = distributor
         self.overlay = overlay

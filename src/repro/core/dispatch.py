@@ -54,8 +54,8 @@ class ServerRecord:
     jobs: int = 0
     timestamp: Optional[float] = None
     registered_at: float = 0.0
-    #: which Transport backend serves this endpoint ("sim", "socket",
-    #: "direct") — the server list is transport-aware so a mesh panel
+    #: which Transport backend serves this endpoint ("sim" or
+    #: "socket") — the server list is transport-aware so a mesh panel
     #: can tell real processes from simulated hosts at a glance
     transport: str = "sim"
 

@@ -2,9 +2,8 @@
 
 The paper's deployment fans each check out to ~30 IPCs plus PPCs "at
 the same time" (Sect. 3.2), and Table 1 shows the architecture is sized
-by how many such fan-outs it can keep in flight.  The original
-reproduction executed the whole fan-out as a blocking serial loop; this
-module adds the concurrency model on top of the same computation:
+by how many such fan-outs it can keep in flight.  This module is the
+concurrency model on top of the Measurement server's fan-out:
 
 * every fetch a job performs becomes a task on a bounded per-server
   :class:`WorkerPool` scheduled on a :class:`repro.net.events.EventLoop`
@@ -21,9 +20,9 @@ module adds the concurrency model on top of the same computation:
 Determinism: the engine never decides *what* is fetched or in which
 order — the Measurement server performs the fan-out eagerly in the
 canonical serial order, so every RNG stream (world, faults, latency) is
-consumed identically whether the run is serial or pipelined.  The
-engine only decides *when* each fetch lands on the simulated timeline,
-which is what the throughput benchmark measures.
+consumed identically however many workers the pools have.  The engine
+only decides *when* each fetch lands on the simulated timeline, which is
+what the throughput benchmark measures.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ class JobHandle:
         #: sum of the simulated durations of every fetch this job made —
         #: the job's cost on a one-fetch-at-a-time (serial) backend
         self.service_seconds = 0.0
-        #: engine-loop time the job was submitted / finished (pipelined
-        #: runs only; serial handles complete instantly)
+        #: engine-loop time the job was submitted / finished
         self.submitted_at = 0.0
         self.finished_at: Optional[float] = None
         self.error: Optional[BaseException] = None
@@ -327,14 +325,6 @@ class PriceCheckEngine:
             )
             self._pools[server_name] = pool
         return pool
-
-    def observe_serial_check(self, server_name: str, seconds: float) -> None:
-        """Account one serial-mode check (no engine scheduling): the
-        Measurement server reports its summed service time here so the
-        latency histogram covers both execution modes."""
-        self._m_submitted.inc(server=server_name)
-        self._m_completed.inc(server=server_name, state=DONE)
-        self._m_latency.observe(seconds, server=server_name, mode="serial")
 
     # -- the unified job lifecycle (submit → poll → result) ---------------
     def submit(self, job: EngineJob) -> JobHandle:

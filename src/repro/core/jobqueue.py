@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.coordinator import Coordinator
-from repro.core.engine import JobHandle
+from repro.core.engine import JobHandle, PriceCheckEngine
 from repro.core.errors import (
     ConfigurationError,
     JobDeadLettered,
@@ -234,8 +234,8 @@ class QueuedMeasurementTier:
         self,
         coordinator: Coordinator,
         server_lookup: Callable[[str], Any],
+        engine: PriceCheckEngine,
         db: Any = None,
-        engine: Any = None,
         clock: Any = None,
         max_depth: int = 256,
         steal_threshold: Optional[int] = 16,
@@ -252,7 +252,6 @@ class QueuedMeasurementTier:
         self.transport_label = transport_label
         self.db = db
         self.engine = engine
-        self.clock = clock
         self.max_depth = max_depth
         self.steal_threshold = steal_threshold
         #: retry_after schedule for shed jobs: deterministic (no RNG —
@@ -321,11 +320,7 @@ class QueuedMeasurementTier:
         )
 
     def _now(self) -> float:
-        if self.engine is not None:
-            return self.engine.now
-        if self.clock is not None:
-            return self.clock.now
-        return 0.0
+        return self.engine.now
 
     def _log(self, kind: str, job_id: str, **detail: object) -> None:
         if self.events is not None:
@@ -430,11 +425,8 @@ class QueuedMeasurementTier:
 
     def _backlog(self, name: str) -> int:
         """A server's load: engine fetch tasks in flight + queued jobs."""
-        load = self.queue.depth_on(name)
-        if self.engine is not None:
-            pool = self.engine.pool_for(name)
-            load += pool.busy + pool.queued
-        return load
+        pool = self.engine.pool_for(name)
+        return self.queue.depth_on(name) + pool.busy + pool.queued
 
     def _steal_target(self, owner: str) -> Optional[str]:
         """A strictly less loaded online server, if the imbalance pays.

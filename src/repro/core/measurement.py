@@ -121,14 +121,12 @@ class MeasurementServer:
         ipcs: Sequence["InfrastructureProxyClient"],
         overlay: PeerOverlay,
         clock: Clock,
+        engine: PriceCheckEngine,
         diffstore: Optional[DiffStorage] = None,
         quorum: int = 1,
-        engine: Optional[PriceCheckEngine] = None,
-        pipelined: bool = True,
         latency_model: Optional[LatencyModel] = None,
         telemetry=None,
         transport_label: str = "sim",
-        use_fast_extract: bool = True,
     ) -> None:
         self.name = name
         #: which messaging backend carried this server's traffic;
@@ -145,13 +143,12 @@ class MeasurementServer:
         #: must return a page; below it the job is reported failed
         #: instead of producing a one-sided comparison
         self.quorum = max(1, quorum)
-        #: the shared pipelined engine (None = every job completes
-        #: instantly in simulated time, the pre-engine behavior)
+        #: the deployment's shared engine: places every fetch of every
+        #: job on the simulated timeline and owns the page cache
         self.engine = engine
-        self.pipelined = pipelined and engine is not None
         #: per-server latency model with a *dedicated* RNG: duration
-        #: draws must never perturb the world/fault RNG streams, or
-        #: serial and pipelined runs would diverge
+        #: draws must never perturb the world/fault RNG streams, or the
+        #: worker-pool size would shape the rows
         self._latency = (
             latency_model
             if latency_model is not None
@@ -164,13 +161,9 @@ class MeasurementServer:
             ip=f"10.250.1.{sum(name.encode()) % 200 + 1}",
         )
         #: telemetry is observational only — spans read the sim clock
-        #: and never consume any RNG stream, so serial and pipelined
-        #: runs stay byte-identical with tracing on or off
+        #: and never consume any RNG stream, so runs stay
+        #: byte-identical with tracing on or off
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: escape hatch mirroring the crypto fast path: False falls back
-        #: to the legacy per-candidate Tags-Path walk (the executable
-        #: reference the equivalence tests compare against)
-        self.use_fast_extract = use_fast_extract
         self.jobs_processed = 0
         self.stats = MeasurementStats()
         #: live job handles of the unified submit/poll/result API
@@ -199,9 +192,7 @@ class MeasurementServer:
             city=city, ua_os=ua[0], ua_browser=ua[1],
             used_doppelganger=used_doppelganger,
         )
-        text = extract_price_text(
-            html, job.tags_path, use_fast_extract=self.use_fast_extract
-        )
+        text = extract_price_text(html, job.tags_path)
         if text is None:
             return ResultRow(
                 original_text=None, detected_amount=None, detected_currency=None,
@@ -396,32 +387,17 @@ class MeasurementServer:
         """Run the fan-out and return the handle tracking its delivery.
 
         The fetches themselves execute eagerly in the canonical serial
-        order — that is what keeps every RNG stream identical between
-        serial and pipelined runs — while the *timing* of each fetch is
-        delegated to the engine's worker pool (``engine.submit``), so
-        concurrent jobs overlap on the simulated timeline.
+        order — that is what keeps every RNG stream independent of the
+        worker-pool size — while the *timing* of each fetch is delegated
+        to the engine's worker pool (``engine.submit``), so concurrent
+        jobs overlap on the simulated timeline.  A fan-out that failed
+        (quorum not met) is terminal the moment the engine sees it.
         """
         result, tasks, error = self._execute(job)
-        if error is None and self.pipelined and self.engine is not None:
-            handle = self.engine.submit(EngineJob(
-                job_id=job.job_id, server_name=self.name,
-                tasks=tasks, result=result,
-            ))
-        else:
-            # serial mode (or a failed job): everything lands at once
-            handle = JobHandle(job.job_id, self.name)
-            handle._result = result
-            handle.error = error
-            handle.service_seconds = sum(d for d, _ in tasks)
-            handle.rows_arrived = handle.total_rows
-            handle.state = "failed" if error is not None else "done"
-            if error is None and self.engine is not None:
-                # account the check in the latency histogram under
-                # mode="serial" — the pipelined path records its own
-                # observation when the engine finishes the handle
-                self.engine.observe_serial_check(
-                    self.name, handle.service_seconds
-                )
+        handle = self.engine.submit(EngineJob(
+            job_id=job.job_id, server_name=self.name,
+            tasks=tasks, result=result, error=error,
+        ))
         self._handles[job.job_id] = handle
         return handle
 
@@ -445,15 +421,7 @@ class MeasurementServer:
         if h.error is not None:
             self._handles.pop(h.job_id, None)
             raise h.error
-        if self.engine is not None:
-            batch, finished = self.engine.poll(h)
-        else:
-            available = h.rows_arrived - h.rows_delivered
-            batch = h._result.rows[
-                h.rows_delivered : h.rows_delivered + min(8, available)
-            ]
-            h.rows_delivered += len(batch)
-            finished = h.finished and h.rows_delivered >= h.total_rows
+        batch, finished = self.engine.poll(h)
         if finished:
             del self._handles[h.job_id]  # 'request finish'
         return list(batch), finished
@@ -466,13 +434,7 @@ class MeasurementServer:
         """
         h = self._resolve(handle)
         self._handles.pop(h.job_id, None)
-        if self.engine is not None:
-            result = self.engine.result(h)
-        else:
-            h.rows_delivered = h.total_rows
-            if h.error is not None:
-                raise h.error
-            result = h._result
+        result = self.engine.result(h)
         assert result is not None
         return result
 
@@ -486,12 +448,7 @@ class MeasurementServer:
         clock), so simultaneous checks of the same product reuse the
         page instead of re-fetching.
         """
-        cache = self.engine.cache if self.engine is not None else None
-        if cache is None or not cache.enabled:
-            fetch, retries = ipc.fetch_with_retry(
-                job.url, timeout_slowdown=self.PROXY_SLOWDOWN_TIMEOUT
-            )
-            return fetch, retries, False
+        cache = self.engine.cache  # get/put are no-ops while disabled
         key = (job.url, ipc.ipc_id, "fresh")
         cached = cache.get(key, self.clock.now)
         if cached is not None:

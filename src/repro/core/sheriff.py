@@ -34,11 +34,10 @@ from repro.core.dispatch import RequestDistributor
 from repro.core.engine import PageCache, PriceCheckEngine
 from repro.core.jobapi import SheriffJobs
 from repro.core.jobqueue import QueuedMeasurementTier
-from repro.core.measurement import MeasurementServer
+from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.pricecheck import PriceCheckResult
 from repro.core.tagspath import bind_extraction_telemetry
 from repro.core.whitelist import Whitelist
-from repro.core.measurement import MeasurementStats
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
 from repro.crypto.secure_kmeans import KMeansCoordinator
 from repro.currency.rates import ExchangeRateProvider
@@ -131,7 +130,6 @@ class PriceSheriff:
         retry_budget: int = 3,
         quorum: int = 1,
         backoff: Optional[BackoffPolicy] = None,
-        pipelined: bool = True,
         max_fetch_workers: int = 8,
         page_cache_ttl: float = 0.0,
         telemetry: Optional[Telemetry] = None,
@@ -141,7 +139,6 @@ class PriceSheriff:
         queue_depth: int = 256,
         queue_steal_threshold: Optional[int] = 16,
         transport: Union[Transport, str, None] = None,
-        use_fast_extract: bool = True,
     ) -> None:
         self.world = world
         #: the observability plane: a metrics registry threaded through
@@ -156,15 +153,11 @@ class PriceSheriff:
         #: the shared pipelined engine: one event loop for the whole
         #: deployment, one bounded worker pool per Measurement server,
         #: and the (default-off) short-TTL page cache
-        self.pipelined = pipelined
         self.engine = PriceCheckEngine(
             max_workers=max_fetch_workers,
             cache=PageCache(ttl=page_cache_ttl),
         )
         self.engine.bind_telemetry(self.telemetry)
-        #: single-pass Tags-Path extraction (False = legacy per-candidate
-        #: re-walk; the escape hatch every Measurement server inherits)
-        self.use_fast_extract = use_fast_extract
         if metrics.enabled:
             bind_extraction_telemetry(self.telemetry)
         if faults is None and chaos_profile is not None:
@@ -186,19 +179,15 @@ class PriceSheriff:
             self.db = DatabaseServer(backend=db_backend)
         #: the messaging plane every component speaks (the Transport
         #: redesign): ``"sim"`` (default — deterministic, in-process),
-        #: ``"socket"`` (real asyncio TCP, mesh-shaped), ``"direct"``
-        #: (legacy direct method calls, no envelopes), or a prebuilt
+        #: ``"socket"`` (real asyncio TCP, mesh-shaped), or a prebuilt
         #: :class:`~repro.net.transport.Transport` instance.  The sim
         #: transport owns a private latency RNG stream and carries no
-        #: fault plan, so enabling it never perturbs chaos RNG draws.
+        #: fault plan, so it never perturbs chaos RNG draws.
         self.transport = self._make_transport(transport)
-        self.transport_label = (
-            self.transport.label if self.transport is not None else "direct"
-        )
-        if self.transport is not None:
-            if metrics.enabled:
-                self.transport.bind_telemetry(self.telemetry)
-            self.transport.bind("db", database_rpc_handler(self.db))
+        self.transport_label = self.transport.label
+        if metrics.enabled:
+            self.transport.bind_telemetry(self.telemetry)
+        self.transport.bind("db", database_rpc_handler(self.db))
         self.diffstore = DiffStorage()
         # A crawling back-end can share the PPC network of the live
         # deployment by passing the live overlay (Sect. 7.1).
@@ -260,8 +249,8 @@ class PriceSheriff:
             self.job_queue = QueuedMeasurementTier(
                 coordinator=self.coordinator,
                 server_lookup=self.measurement_server,
+                engine=self.engine,
                 db=self.db,
-                engine=self.engine if pipelined else None,
                 clock=world.clock,
                 max_depth=queue_depth,
                 steal_threshold=queue_steal_threshold,
@@ -275,17 +264,15 @@ class PriceSheriff:
     # -- transport plumbing --------------------------------------------------
     def _make_transport(
         self, transport: Union[Transport, str, None]
-    ) -> Optional[Transport]:
+    ) -> Transport:
         if isinstance(transport, Transport):
             return transport
-        if transport is None or transport == "sim":
+        if transport in (None, "sim"):
             return SimTransport(clock=self.world.clock)
         if transport == "socket":
             from repro.net.socket_transport import SocketTransport
 
             return SocketTransport()
-        if transport == "direct":
-            return None
         raise ValueError(f"unknown transport {transport!r}")
 
     def _server_rpc(self, name: str):
@@ -310,17 +297,14 @@ class PriceSheriff:
 
         return handle
 
-    def _db_handle_for(self, client_name: str):
-        """What a component holds as "the database": the real server in
-        direct mode, a transport-backed client otherwise."""
-        if self.transport is None:
-            return self.db
+    def _db_handle_for(self, client_name: str) -> DatabaseClient:
+        """What a component holds as "the database": a client that
+        reaches the ``db`` endpoint over the transport."""
         return DatabaseClient(self.transport, src=client_name, dst="db")
 
     def shutdown(self) -> None:
         """Release transport resources (socket servers, loop threads)."""
-        if self.transport is not None:
-            self.transport.close()
+        self.transport.close()
 
     @property
     def jobs(self) -> SheriffJobs:
@@ -337,10 +321,14 @@ class PriceSheriff:
         return self.measurement_server(server_name)
 
     # -- elasticity: attach/detach Measurement servers ----------------------
-    def add_measurement_server(self, name: str) -> MeasurementServer:
-        if self.transport is not None:
-            self.transport.bind(name, self._server_rpc(name))
-        server = MeasurementServer(
+    def build_measurement_server(self, name: str) -> MeasurementServer:
+        """Construct (but do not enlist) a server wired to this deployment.
+
+        The one place a :class:`MeasurementServer` is built: first
+        start, supervised restart and the admin console's attach all
+        get the same collaborators.
+        """
+        return MeasurementServer(
             name=name,
             coordinator=self.coordinator,
             db=self._db_handle_for(name),
@@ -348,26 +336,33 @@ class PriceSheriff:
             ipcs=self.ipcs,
             overlay=self.overlay,
             clock=self.world.clock,
+            engine=self.engine,
             diffstore=self.diffstore,
             quorum=self.quorum,
-            engine=self.engine,
-            pipelined=self.pipelined,
             telemetry=self.telemetry,
             transport_label=self.transport_label,
-            use_fast_extract=self.use_fast_extract,
         )
+
+    def enlist_measurement_server(self, server: MeasurementServer) -> None:
+        """Bind a built server as a transport endpoint and register it
+        with the request distribution protocol."""
+        name = server.name
+        self.transport.bind(name, self._server_rpc(name))
         self.measurement_servers[name] = server
         self.distributor.register_server(
             name, url=f"10.250.0.{len(self.measurement_servers)}", port=80,
             now=self.world.clock.now, transport=self.transport_label,
         )
+
+    def add_measurement_server(self, name: str) -> MeasurementServer:
+        server = self.build_measurement_server(name)
+        self.enlist_measurement_server(server)
         return server
 
     def remove_measurement_server(self, name: str) -> None:
         self.distributor.remove_server(name)  # refuses while jobs pending
         self.measurement_servers.pop(name, None)
-        if self.transport is not None:
-            self.transport.unbind(name)
+        self.transport.unbind(name)
 
     def restart_measurement_server(self, name: str) -> MeasurementServer:
         """Replace a Measurement server with a fresh process (self-healing).
@@ -387,25 +382,9 @@ class PriceSheriff:
         record = self.distributor.server(name)  # raises UnknownServer
         if record.jobs > 0:
             self.coordinator.handle_server_failure(name)
-        fresh = MeasurementServer(
-            name=name,
-            coordinator=self.coordinator,
-            db=self._db_handle_for(name),
-            rates=self.world.rates,
-            ipcs=self.ipcs,
-            overlay=self.overlay,
-            clock=self.world.clock,
-            diffstore=self.diffstore,
-            quorum=self.quorum,
-            engine=self.engine,
-            pipelined=self.pipelined,
-            telemetry=self.telemetry,
-            transport_label=self.transport_label,
-            use_fast_extract=self.use_fast_extract,
-        )
+        fresh = self.build_measurement_server(name)
         self.measurement_servers[name] = fresh
-        if self.transport is not None:
-            self.transport.restart_endpoint(name)
+        self.transport.restart_endpoint(name)
         if self.faults is not None:
             self.faults.end_flap(name)
         self.distributor.heartbeat(name, self.world.clock.now)

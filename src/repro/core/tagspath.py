@@ -16,18 +16,14 @@ the simplified example "does not capture the complexity involved in
 extracting a product price when the HTML code includes multiple product
 prices and when the result varies between remote page requests".
 
-Two result-identical implementations coexist:
-
-* the **legacy** path (``use_fast_extract=False``) re-flattens the
-  document per candidate and runs the full LCS DP — the executable
-  reference the property tests compare against;
-* the **fast** path builds an :class:`ExtractionIndex` in the same
-  single pass as the parse (signature → candidates plus a closing-event
-  position index, so each candidate's bottom-up path is a slice), prunes
-  candidates whose shared suffix already cannot win, strips the common
-  prefix/suffix before any DP, and memoizes whole
-  ``(html, path) → text`` extractions so identical pages fetched from
-  different vantages parse and match once.
+Extraction builds an :class:`ExtractionIndex` in the same single pass as
+the parse (signature → candidates plus a closing-event position index,
+so each candidate's bottom-up path is a slice), prunes candidates whose
+shared suffix already cannot win, strips the common prefix/suffix before
+any DP, and memoizes whole ``(html, path) → text`` extractions so
+identical pages fetched from different vantages parse and match once.
+The per-candidate re-walk it replaced lives on as the test oracle
+``tests/oracles/tagspath_legacy.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from repro.web.html import (
     HTMLParseError,
     ParseObserver,
     VOID_TAGS,
-    iter_elements,
     parse,
 )
 
@@ -77,7 +72,7 @@ class TagsPath:
 
 
 class ExtractionStats:
-    """Process-local counters for the fast extraction path.
+    """Process-local counters for the extraction path.
 
     Always maintained (plain int adds); :func:`bind_extraction_telemetry`
     additionally mirrors each increment into ``sheriff_extract_*``
@@ -106,8 +101,8 @@ class ExtractionStats:
         }
 
 
-#: module-wide stats for the fast path (the extractor is a pure function
-#: shared by every measurement server in the process)
+#: module-wide stats (the extractor is a pure function shared by every
+#: measurement server in the process)
 EXTRACTION_STATS = ExtractionStats()
 
 _m_pages = None
@@ -145,7 +140,7 @@ def unbind_extraction_telemetry() -> None:
 
 
 # ---------------------------------------------------------------------------
-# path construction (shared by both implementations)
+# path construction
 
 
 def _truncate(closings: List[str]) -> List[str]:
@@ -225,25 +220,6 @@ def _common_suffix(a: Tuple[str, ...], b: Tuple[str, ...]) -> int:
     return n
 
 
-def _similarity(recorded: Tuple[str, ...], candidate: Tuple[str, ...]) -> float:
-    """Score a candidate's path against the recorded one.
-
-    The entries nearest the target (the path's *suffix*, since paths run
-    bottom-of-document → target) encode the element's local context —
-    e.g. ``…, div.product, div.description`` for the real product price
-    versus ``…, div.item`` for a related-products decoy.  Those entries
-    are the discriminative ones, so the shared suffix dominates the
-    score; the normalized LCS over the full path breaks ties among
-    candidates with equal local context.
-    """
-    longest = max(len(recorded), len(candidate))
-    if longest == 0:
-        return 1.0
-    lcs = _lcs_length(recorded, candidate) / longest
-    suffix = _common_suffix(recorded, candidate)
-    return suffix + lcs
-
-
 def _lcs_length_stripped(
     a: Tuple[str, ...], b: Tuple[str, ...], suffix: int
 ) -> int:
@@ -286,10 +262,10 @@ class ExtractionIndex(ParseObserver):
     tag, ``own`` the position of its own close (``None`` for void
     tags).  A candidate's bottom-up Tags Path is then two list slices
     (the closes after its own, then the closes between its open and its
-    own, both reversed) — O(path length) instead of the legacy
-    O(document) re-flatten per candidate.  ``by_signature`` maps each
-    signature to its elements in document (pre-)order, preserving the
-    legacy first-best tie-break.
+    own, both reversed) — O(path length) instead of an O(document)
+    re-flatten per candidate.  ``by_signature`` maps each signature to
+    its elements in document (pre-)order, so the first best-scoring
+    candidate wins ties.
     """
 
     __slots__ = ("close_sigs", "by_signature", "_spans")
@@ -362,7 +338,7 @@ class ExtractionIndex(ParseObserver):
             # The normalized LCS term is at most 1.0, so a candidate
             # whose shared suffix cannot reach the incumbent strictly
             # loses — and, with candidates visited in document order,
-            # skipping it cannot change the legacy tie-break either.
+            # skipping it cannot change the first-best tie-break either.
             if suffix + 1.0 <= best_score:
                 EXTRACTION_STATS.candidates_pruned += 1
                 if _m_pruned is not None:
@@ -386,31 +362,16 @@ class ExtractionIndex(ParseObserver):
 def extract_price_element(
     root: Element,
     path: TagsPath,
-    use_fast_extract: bool = True,
     index: Optional[ExtractionIndex] = None,
 ) -> Optional[Element]:
     """Locate the element the Tags Path points at in a (variant) page.
 
-    With ``use_fast_extract=False`` this runs the legacy per-candidate
-    re-walk + full LCS; the fast path builds (or reuses, via ``index``)
-    an :class:`ExtractionIndex` and is result-identical by property
-    test.
+    Builds (or reuses, via ``index``) an :class:`ExtractionIndex` over
+    the parsed tree.
     """
-    if use_fast_extract:
-        if index is None:
-            index = ExtractionIndex.from_root(root)
-        return index.extract(path)
-    candidates = [e for e in iter_elements(root) if e.signature() == path.target]
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    best, best_score = None, -1.0
-    for candidate in candidates:
-        score = _similarity(path.entries, _path_for(root, candidate))
-        if score > best_score:
-            best, best_score = candidate, score
-    return best
+    if index is None:
+        index = ExtractionIndex.from_root(root)
+    return index.extract(path)
 
 
 _MEMO_MISS = object()
@@ -422,50 +383,38 @@ def clear_extraction_memo() -> None:
     _extraction_memo.clear()
 
 
-def extract_price_text(
-    html: str, path: TagsPath, use_fast_extract: bool = True
-) -> Optional[str]:
+def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
     """Parse a fetched page and pull out the price string, if locatable.
 
-    The fast path memoizes whole extractions keyed by the exact page
-    text and path: vantages that saw an identical page (the common case
-    — only a minority of checks actually differ) cost one dict probe
-    instead of a parse + match.
+    Whole extractions are memoized keyed by the exact page text and
+    path: vantages that saw an identical page (the common case — only a
+    minority of checks actually differ) cost one dict probe instead of a
+    parse + match.
     """
-    if use_fast_extract:
-        cached = _extraction_memo.get((html, path), _MEMO_MISS)
-        if cached is not _MEMO_MISS:
-            _extraction_memo.move_to_end((html, path))
-            EXTRACTION_STATS.memo_hits += 1
-            if _m_memo_hits is not None:
-                _m_memo_hits.inc()
-            return cached
-        index = ExtractionIndex()
-        try:
-            parse(html, observer=index)
-        except HTMLParseError:
-            index = None
-        EXTRACTION_STATS.pages_parsed += 1
-        if _m_pages is not None:
-            _m_pages.inc()
-        if index is None:
+    cached = _extraction_memo.get((html, path), _MEMO_MISS)
+    if cached is not _MEMO_MISS:
+        _extraction_memo.move_to_end((html, path))
+        EXTRACTION_STATS.memo_hits += 1
+        if _m_memo_hits is not None:
+            _m_memo_hits.inc()
+        return cached
+    index = ExtractionIndex()
+    try:
+        parse(html, observer=index)
+    except HTMLParseError:
+        index = None
+    EXTRACTION_STATS.pages_parsed += 1
+    if _m_pages is not None:
+        _m_pages.inc()
+    if index is None:
+        text = None
+    else:
+        element = index.extract(path)
+        if element is None:
             text = None
         else:
-            element = index.extract(path)
-            if element is None:
-                text = None
-            else:
-                text = element.text().strip() or None
-        _extraction_memo[(html, path)] = text
-        if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
-            _extraction_memo.popitem(last=False)
-        return text
-    try:
-        root = parse(html)
-    except HTMLParseError:
-        return None
-    element = extract_price_element(root, path, use_fast_extract=False)
-    if element is None:
-        return None
-    text = element.text().strip()
-    return text or None
+            text = element.text().strip() or None
+    _extraction_memo[(html, path)] = text
+    if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
+        _extraction_memo.popitem(last=False)
+    return text

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from typing import Any, Dict, List
 
@@ -61,7 +60,6 @@ class MeasurementWorker:
             n_measurement_servers=n_servers,
             ipc_sites=DEFAULT_IPC_SITES[:n_ipcs],
             dispatch_policy="round_robin",
-            pipelined=True,
             max_fetch_workers=max_fetch_workers,
             page_cache_ttl=page_cache_ttl,
         )
@@ -70,8 +68,6 @@ class MeasurementWorker:
             store = stores[spec.domain]
             for product in store.catalog.products:
                 self.urls.append(store.product_url(product.product_id))
-        rng = random.Random(seed + 97)
-        del rng  # reserved for future per-worker jitter; keep draws stable
         self.addons = [
             self.sheriff.install_addon(
                 self.world.make_browser(USER_COUNTRIES[i % len(USER_COUNTRIES)])

@@ -18,8 +18,8 @@ Two properties matter more than features:
   telemetry is off;
 * **determinism-neutral** — instruments never consult an RNG, never
   read wall clocks, and never change control flow, so the tier-1
-  serial==pipelined equivalence holds with telemetry on or off (pinned
-  by ``tests/obs/test_telemetry_determinism.py``).
+  row-identity properties hold with telemetry on or off (pinned by
+  ``tests/obs/test_telemetry_determinism.py``).
 
 A process-wide default registry exists for scripts
 (:func:`get_default_registry`); deployments inject their own instance

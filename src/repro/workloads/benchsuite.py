@@ -22,10 +22,6 @@ disagree about a regression:
   than ``crypto_speedup`` *and* the naive/fast lockstep must hold;
 * ``scale`` — checks/sec at the largest fleet must be at least
   ``scaling_speedup`` times the single-server baseline;
-* ``parse`` — the single-pass extraction engine must beat the legacy
-  per-candidate Tags-Path walk by more than ``parse_speedup`` *and* the
-  fast/legacy lockstep (same element, same text, same detected price)
-  must hold;
 * ``mesh`` — the multi-process wall-clock run must complete every check
   and sustain at least ``mesh_min_checks_per_sec`` checks/sec.  Opt-in
   (not in the default ``include``): it spawns real worker processes.
@@ -42,13 +38,13 @@ __all__ = ["BenchSuiteConfig", "run_benchsuite"]
 
 #: every benchmark the suite knows, in run order
 ALL_BENCHMARKS: Tuple[str, ...] = (
-    "throughput", "storage", "crypto", "scale", "parse", "mesh",
+    "throughput", "storage", "crypto", "scale", "mesh",
 )
 
 #: what a bare suite run includes — "mesh" is opt-in because it spawns
 #: real OS processes (CI runs it in the dedicated mesh-smoke job)
 DEFAULT_BENCHMARKS: Tuple[str, ...] = (
-    "throughput", "storage", "crypto", "scale", "parse",
+    "throughput", "storage", "crypto", "scale",
 )
 
 
@@ -65,7 +61,6 @@ class BenchSuiteConfig:
     index_speedup: Optional[float] = 5.0
     crypto_speedup: Optional[float] = 3.0
     scaling_speedup: Optional[float] = 3.0
-    parse_speedup: Optional[float] = 3.0
     #: mesh run shape + gate (wall-clock floor; generous on purpose —
     #: the gate catches hangs and lost checks, not scheduler noise)
     mesh_workers: int = 2
@@ -213,33 +208,6 @@ def _run_scale(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
     return report
 
 
-def _run_parse(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
-    from repro.workloads.parsebench import ParseBenchConfig, run_parsebench
-
-    bench_config = (
-        ParseBenchConfig.smoke_scale()
-        if config.scale == "smoke"
-        else ParseBenchConfig()
-    )
-    if config.seed is not None:
-        bench_config.seed = config.seed
-    report = run_parsebench(bench_config)
-    if config.parse_speedup is not None:
-        gates.append(_gate(
-            "parse_speedup",
-            report["gate_speedup"],
-            config.parse_speedup, "gt",
-            "single-pass extraction engine vs legacy Tags-Path walk",
-        ))
-        gates.append(_gate(
-            "parse_lockstep",
-            1.0 if report["lockstep_ok"] else 0.0,
-            1.0, "ge",
-            "fast and legacy extraction agreed on every element and price",
-        ))
-    return report
-
-
 def _run_mesh(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
     from repro.workloads.throughput import ThroughputConfig, run_mesh_throughput
 
@@ -272,7 +240,6 @@ _RUNNERS = {
     "storage": _run_storage,
     "crypto": _run_crypto,
     "scale": _run_scale,
-    "parse": _run_parse,
     "mesh": _run_mesh,
 }
 

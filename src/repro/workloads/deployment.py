@@ -71,9 +71,8 @@ class DeploymentConfig:
     chaos_seed: int = 0
     #: minimum vantage points per price check before the job is failed
     quorum: int = 1
-    #: pipelined price-check engine knobs (rows are identical either
-    #: way; these only shape the simulated timeline / cache behavior)
-    pipelined: bool = True
+    #: price-check engine knobs (rows are identical whatever their
+    #: value; these only shape the simulated timeline / cache behavior)
     max_fetch_workers: int = 8
     page_cache_ttl: float = 0.0
     #: enable the telemetry plane (metrics registry + sim-clock tracer);
@@ -102,14 +101,9 @@ class DeploymentConfig:
     #: backlog imbalance (in jobs) that triggers a work steal between
     #: Measurement servers; None disables stealing entirely
     queue_steal_threshold: Optional[int] = 16
-    #: single-pass Tags-Path extraction with the whole-page memo
-    #: (False = the legacy per-candidate re-walk; rows are identical
-    #: either way, pinned by the extraction equivalence tests)
-    use_fast_extract: bool = True
     #: messaging backend between components: "sim" (deterministic,
-    #: in-process — the Tier-1 default), "socket" (real asyncio TCP on
-    #: the loopback; the row-identity property holds, tested), or
-    #: "direct" (legacy direct method calls, no envelopes)
+    #: in-process — the Tier-1 default) or "socket" (real asyncio TCP
+    #: on the loopback; the row-identity property holds, tested)
     transport: str = "sim"
 
     @classmethod
@@ -223,8 +217,7 @@ class DeploymentConfig:
                 f"page_cache_ttl must be >= 0, got {self.page_cache_ttl!r}"
             )
         for name in (
-            "enable_doppelgangers", "pipelined", "telemetry",
-            "supervised", "job_queue", "use_fast_extract",
+            "enable_doppelgangers", "telemetry", "supervised", "job_queue",
         ):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidConfig(
@@ -238,9 +231,9 @@ class DeploymentConfig:
                 f"{sorted(CHAOS_PROFILES)} or null, got "
                 f"{self.chaos_profile!r}"
             )
-        if self.transport not in ("sim", "socket", "direct"):
+        if self.transport not in ("sim", "socket"):
             raise InvalidConfig(
-                f"transport must be 'sim', 'socket', or 'direct', got "
+                f"transport must be 'sim' or 'socket', got "
                 f"{self.transport!r}"
             )
         if self.db_backend not in (None, "memory", "sqlite"):
@@ -444,7 +437,6 @@ class LiveDeployment:
             chaos_profile=cfg.chaos_profile,
             chaos_seed=cfg.chaos_seed,
             quorum=cfg.quorum,
-            pipelined=cfg.pipelined,
             max_fetch_workers=cfg.max_fetch_workers,
             page_cache_ttl=cfg.page_cache_ttl,
             telemetry=Telemetry() if cfg.telemetry else None,
@@ -454,7 +446,6 @@ class LiveDeployment:
             queue_depth=cfg.queue_depth,
             queue_steal_threshold=cfg.queue_steal_threshold,
             transport=cfg.transport,
-            use_fast_extract=cfg.use_fast_extract,
         )
         self.population = Population(
             self.sheriff, self.content_web,

@@ -148,7 +148,6 @@ def _build_fleet(
         n_measurement_servers=n_servers,
         ipc_sites=config.ipc_sites,
         dispatch_policy="round_robin",
-        pipelined=True,
         max_fetch_workers=config.max_fetch_workers,
         telemetry=Telemetry(metrics_only=True),
         db_shards=n_servers,

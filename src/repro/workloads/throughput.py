@@ -7,12 +7,13 @@ paper's deployment) plus PPCs, so the fetch fan-out dominates; the
 pipelined engine overlaps those fetches on per-server worker pools
 while the serial baseline performs one fetch at a time.
 
-Both modes execute the *same* fetches with the same seed — the rows
-produced are byte-identical — and differ only in how the fetch
-durations pack onto the simulated timeline:
+Each level is ONE engine run read two ways — the same fetches, the same
+rows — differing only in how the fetch durations pack onto the simulated
+timeline:
 
 * **serial** — one fetch in flight globally; elapsed time is the sum of
-  every fetch duration (the pre-engine execution model);
+  every fetch duration (``Σ handle.service_seconds``), what the run
+  would have cost with no overlap at all;
 * **pipelined** — each server's bounded worker pool runs fetches
   concurrently and jobs from concurrent users overlap; elapsed time is
   the event-loop makespan.
@@ -24,7 +25,6 @@ default) and returns a JSON-ready report; the CLI command
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,10 +52,9 @@ class ThroughputConfig:
     ipc_sites: Sequence[Tuple[str, str, float]] = DEFAULT_IPC_SITES
     n_servers: int = 4
     n_stores: int = 8
-    #: per-server fetch worker pool size (pipelined mode)
+    #: per-server fetch worker pool size
     max_fetch_workers: int = 16
-    #: page-cache TTL in simulated seconds (applies to both modes, so
-    #: rows stay identical; 0 disables)
+    #: page-cache TTL in simulated seconds (0 disables)
     page_cache_ttl: float = 30.0
 
     @classmethod
@@ -71,8 +70,7 @@ class ThroughputConfig:
 
 
 def _build_deployment(
-    config: ThroughputConfig, pipelined: bool,
-    telemetry: Optional[Telemetry] = None,
+    config: ThroughputConfig, telemetry: Optional[Telemetry] = None,
 ) -> Tuple[SheriffWorld, PriceSheriff, List[str]]:
     """A fresh seeded world + sheriff + product URL roster.
 
@@ -89,7 +87,6 @@ def _build_deployment(
         n_measurement_servers=config.n_servers,
         ipc_sites=config.ipc_sites,
         dispatch_policy="round_robin",
-        pipelined=pipelined,
         max_fetch_workers=config.max_fetch_workers,
         page_cache_ttl=config.page_cache_ttl,
         telemetry=telemetry,
@@ -102,18 +99,20 @@ def _build_deployment(
     return world, sheriff, urls
 
 
-def _run_mode(
-    config: ThroughputConfig, n_users: int, pipelined: bool,
+def _run_level(
+    config: ThroughputConfig, n_users: int,
     telemetry: Optional[Telemetry] = None,
-) -> Dict[str, object]:
-    """Run ``total_checks`` checks at one concurrency level, one mode.
+) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Run ``total_checks`` checks at one concurrency level.
 
-    With a :class:`Telemetry` attached, the report entry additionally
+    Returns the ``(serial, pipelined)`` report entries of the one run:
+    they share every count and differ in ``elapsed_s`` — the summed
+    fetch durations versus the engine-loop makespan.  With a
+    :class:`Telemetry` attached, the pipelined entry additionally
     carries the p50/p95/p99 per-check latency read back from the
     ``sheriff_check_latency_seconds`` histogram.
     """
-    world, sheriff, urls = _build_deployment(config, pipelined, telemetry)
-    rng = random.Random(config.seed + 97)
+    world, sheriff, urls = _build_deployment(config, telemetry)
     addons = [
         sheriff.install_addon(
             world.make_browser(USER_COUNTRIES[i % len(USER_COUNTRIES)])
@@ -138,34 +137,38 @@ def _run_mode(
             rows_total += len(result.rows)
             completed += 1
         issued += wave_size
-    elapsed = (sheriff.engine.now - start) if pipelined else service_seconds
-    elapsed = max(elapsed, 1e-9)
-    stats = sheriff.measurement_stats()
-    entry: Dict[str, object] = {
-        "mode": "pipelined" if pipelined else "serial",
-        "users": n_users,
-        "checks": completed,
-        "rows": rows_total,
-        "elapsed_s": round(elapsed, 3),
-        "checks_per_sec": round(completed / elapsed, 4),
-        "cache_hits": sheriff.engine.cache.hits,
-        "cache_misses": sheriff.engine.cache.misses,
-        "batched_writes": sheriff.db.batched_writes,
-        "peak_workers": max(
-            (p.peak_busy for p in sheriff.engine._pools.values()), default=0
-        ),
-    }
+
+    def entry(mode: str, elapsed: float, peak_workers: int) -> Dict[str, object]:
+        elapsed = max(elapsed, 1e-9)
+        return {
+            "mode": mode,
+            "users": n_users,
+            "checks": completed,
+            "rows": rows_total,
+            "elapsed_s": round(elapsed, 3),
+            "checks_per_sec": round(completed / elapsed, 4),
+            "cache_hits": sheriff.engine.cache.hits,
+            "cache_misses": sheriff.engine.cache.misses,
+            "batched_writes": sheriff.db.batched_writes,
+            "peak_workers": peak_workers,
+        }
+
+    serial = entry("serial", service_seconds, 0)
+    overlapped = entry(
+        "pipelined", sheriff.engine.now - start,
+        max((p.peak_busy for p in sheriff.engine._pools.values()), default=0),
+    )
     latency = sheriff.telemetry.registry.get("sheriff_check_latency_seconds")
     if latency is not None:
-        entry["latency_percentiles"] = {
+        overlapped["latency_percentiles"] = {
             name: None if value is None else round(value, 4)
             for name, value in latency.percentiles().items()
         }
-    return entry
+    return serial, overlapped
 
 
 def run_throughput(config: Optional[ThroughputConfig] = None) -> Dict[str, object]:
-    """Sweep the levels in both modes; return the BENCH report dict.
+    """Sweep the levels; return the BENCH report dict.
 
     Every run carries a metrics-only telemetry plane so the report can
     quote per-check latency percentiles from the engine's histogram;
@@ -175,21 +178,16 @@ def run_throughput(config: Optional[ThroughputConfig] = None) -> Dict[str, objec
     config = config if config is not None else ThroughputConfig()
     levels = []
     for n_users in config.levels:
-        serial = _run_mode(
-            config, n_users, pipelined=False,
-            telemetry=Telemetry(metrics_only=True),
+        serial, overlapped = _run_level(
+            config, n_users, telemetry=Telemetry(metrics_only=True),
         )
-        pipelined = _run_mode(
-            config, n_users, pipelined=True,
-            telemetry=Telemetry(metrics_only=True),
-        )
-        speedup = pipelined["checks_per_sec"] / max(serial["checks_per_sec"], 1e-9)
+        speedup = overlapped["checks_per_sec"] / max(serial["checks_per_sec"], 1e-9)
         levels.append(
             {
                 "users": n_users,
                 "checks": serial["checks"],
                 "serial": serial,
-                "pipelined": pipelined,
+                "pipelined": overlapped,
                 "speedup": round(speedup, 2),
             }
         )
@@ -211,7 +209,7 @@ def run_mesh_throughput(
     n_workers: int = 2,
     concurrency: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Run the pipelined engine across ``n_workers`` OS processes.
+    """Run the engine across ``n_workers`` OS processes.
 
     Unlike the sim sweep above, this measures **wall-clock** checks/sec:
     each worker process builds its own seeded world and serves
@@ -251,7 +249,7 @@ def run_mesh_throughput(
 def traced_run(
     config: Optional[ThroughputConfig] = None, n_users: Optional[int] = None
 ) -> Telemetry:
-    """One pipelined run with the full telemetry plane (spans included).
+    """One run with the full telemetry plane (spans included).
 
     Returns the :class:`Telemetry` whose tracer holds every job's span
     tree and whose registry holds the run's metrics — the CI perf-smoke
@@ -259,10 +257,9 @@ def traced_run(
     """
     config = config if config is not None else ThroughputConfig()
     telemetry = Telemetry()
-    _run_mode(
+    _run_level(
         config,
         n_users if n_users is not None else config.levels[-1],
-        pipelined=True,
         telemetry=telemetry,
     )
     return telemetry
@@ -275,7 +272,7 @@ def measure_telemetry_overhead(
 
     The simulated timeline is identical with telemetry on or off by
     construction, so the honest cost measure is host wall-clock time:
-    best-of-``repeats`` for one pipelined run at the top concurrency
+    best-of-``repeats`` for one run at the top concurrency
     level, telemetry off vs fully on — metrics, span tracing (the
     per-job journey chain included), and the flight recorder, the same
     plane ``repro journey`` reads.  The CI perf-smoke gates on
@@ -288,8 +285,7 @@ def measure_telemetry_overhead(
         best = float("inf")
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            _run_mode(config, n_users, pipelined=True,
-                      telemetry=make_telemetry())
+            _run_level(config, n_users, telemetry=make_telemetry())
             best = min(best, time.perf_counter() - t0)
         return best
 

@@ -37,6 +37,25 @@ class TestAttach:
         for name in ("ms-0", "ms-1"):
             sheriff.distributor.server(name).jobs = 0
 
+    def test_attached_server_is_wired_like_a_built_in_one(self, console,
+                                                          sheriff):
+        """Attach goes through the sheriff's one builder: the server
+        reaches the database over the transport, is a transport
+        endpoint, and the supervisor's heal action can restart it."""
+        from repro.core.database import DatabaseClient
+
+        server = console.attach_measurement_server("ms-new")
+        assert type(server.db) is DatabaseClient
+        assert type(server.db) is type(sheriff.measurement_server("ms-0").db)
+        assert server.engine is sheriff.engine
+        assert "ms-new" in sheriff.transport.endpoints()
+        assert sheriff.distributor.server("ms-new").transport == "sim"
+
+        fresh = sheriff.restart_measurement_server("ms-new")
+        assert fresh is not server
+        assert sheriff.measurement_server("ms-new") is fresh
+        assert sheriff.transport.call("ms-0", "ms-new", "ping") == "pong"
+
     def test_broken_machine_rejected(self, console, sheriff, monkeypatch):
         """A machine whose extraction pipeline is broken never joins."""
         from repro.core import measurement as m
@@ -49,6 +68,7 @@ class TestAttach:
         assert "ms-broken" not in sheriff.measurement_servers
         names = {s.name for s in sheriff.distributor.servers()}
         assert "ms-broken" not in names
+        assert "ms-broken" not in sheriff.transport.endpoints()
 
     def test_broken_rate_table_fails_probe(self, sheriff):
         """Self-test catches a server whose converter is wrong."""

@@ -7,14 +7,41 @@ This PR removes the wrappers outright — the unified surface
 (:mod:`repro.core.jobapi` and ``bind_telemetry``) is the only one.
 These tests pin the removal: the old names neither exist nor are
 referenced anywhere under ``src/``.
+
+PR 12 collapsed the price-check mode lattice the same way: the
+``pipelined`` / ``use_fast_extract`` switches and ``transport="direct"``
+are pinned absent below.
 """
 
+import dataclasses
+import inspect
+import pathlib
+import re
+
+import pytest
+
+from repro.cli import main
 from repro.core.database import DatabaseServer
 from repro.core.engine import PageCache
+from repro.core.errors import InvalidConfig
 from repro.core.measurement import MeasurementServer
+from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.core.tagspath import extract_price_element, extract_price_text
 from repro.net.faults import chaos_plan
 from repro.net.p2p import PeerOverlay
 from repro.storage import ShardedDatabase
+from repro.workloads.deployment import DeploymentConfig
+
+
+def _source_offenders(pattern):
+    """``file:line: text`` of every line under src/ the regex matches."""
+    root = pathlib.Path(__file__).resolve().parents[2] / "src"
+    return [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in root.rglob("*.py")
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
 
 
 class TestLifecycleWrappersRemoved:
@@ -43,19 +70,57 @@ class TestBindMetricsAliasesRemoved:
 def test_deprecated_names_absent_from_source():
     """No definition or call of the removed entry points survives
     anywhere under src/."""
-    import pathlib
-    import re
-
-    root = pathlib.Path(__file__).resolve().parents[2] / "src"
-    offenders = []
-    pattern = re.compile(
+    assert _source_offenders(re.compile(
         r"(def |\.)(handle_price_check|start_price_check|bind_metrics)\("
+    )) == []
+
+
+class TestModeLatticeCollapsed:
+    """One production path per price check: the ``pipelined`` and
+    ``use_fast_extract`` switches and ``transport="direct"`` are gone,
+    not merely defaulted."""
+
+    REMOVED = ("pipelined", "use_fast_extract")
+
+    def test_no_such_parameter_or_field(self):
+        for fn in (
+            PriceSheriff.__init__, MeasurementServer.__init__,
+            extract_price_text, extract_price_element,
+        ):
+            params = inspect.signature(fn).parameters
+            assert not set(self.REMOVED) & set(params), fn
+        fields = {f.name for f in dataclasses.fields(DeploymentConfig)}
+        assert not set(self.REMOVED) & fields
+
+    @pytest.mark.parametrize(
+        "data", [{"pipelined": True}, {"use_fast_extract": False}]
     )
-    for path in root.rglob("*.py"):
-        for i, line in enumerate(path.read_text().splitlines(), 1):
-            if pattern.search(line):
-                offenders.append(f"{path.name}:{i}: {line.strip()}")
-    assert offenders == []
+    def test_config_rejects_the_old_keys_by_name(self, data):
+        (key,) = data
+        with pytest.raises(InvalidConfig, match=key):
+            DeploymentConfig.from_dict(data)
+
+    def test_direct_transport_rejected(self):
+        with pytest.raises(ValueError, match="direct"):
+            PriceSheriff(
+                SheriffWorld.create(seed=1), whitelist_domains=[],
+                transport="direct",
+            )
+        with pytest.raises(InvalidConfig, match="direct"):
+            DeploymentConfig(transport="direct").validate()
+
+    @pytest.mark.parametrize(
+        "argv", [["parsebench"], ["bench", "--include", "parse"],
+                 ["bench", "--require-parse-speedup", "3"]],
+    )
+    def test_parsebench_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"use_fast_extract|observe_serial_check|\bpipelined\s*[=:]"
+        )) == []
 
 
 class TestSimNetworkSurfaceRetired:
@@ -80,9 +145,6 @@ class TestSimNetworkSurfaceRetired:
 def test_no_simnetwork_import_outside_net_layer():
     """No component imports SimNetwork/Host except the transport layer
     itself — the Transport seam is the only way to send a message."""
-    import pathlib
-    import re
-
     root = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
     offenders = []
     pattern = re.compile(r"\b(SimNetwork|(?<!_)Host)\b")

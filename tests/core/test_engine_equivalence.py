@@ -1,12 +1,14 @@
-"""Serial vs pipelined equivalence: same seed ⇒ byte-identical rows.
+"""Concurrency shapes the timeline, never the rows.
 
 The engine's core determinism claim: the Measurement server performs
 the fan-out eagerly in canonical order, so every RNG stream (world,
-faults, latency) is consumed identically whether the run is serial or
-pipelined — the engine only packs the fetch durations onto the
+faults, latency) is consumed identically whether each server's pool has
+one fetch worker (fetches land one at a time — serial) or eight
+(pipelined) — the engine only packs the fetch durations onto the
 simulated timeline.  Two fresh worlds with the same seed and the same
 ``FaultPlan`` must therefore produce identical ``PriceCheckResult``
-rows, identical database contents, and identical fault-event logs.
+rows, identical database contents, and identical fault-event logs, and
+differ only in the engine-loop makespan.
 """
 
 import random
@@ -49,7 +51,7 @@ def _build_world(seed):
     return world
 
 
-def _run(pipelined, chaos_profile=None, seed=7, page_cache_ttl=0.0, repeat=False):
+def _run(max_fetch_workers, chaos_profile=None, seed=7, page_cache_ttl=0.0, repeat=False):
     """One full deployment run; returns everything comparable.
 
     ``repeat=True`` checks each URL twice so the page cache (when
@@ -59,7 +61,7 @@ def _run(pipelined, chaos_profile=None, seed=7, page_cache_ttl=0.0, repeat=False
     sheriff = PriceSheriff(
         world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
         chaos_profile=chaos_profile, chaos_seed=11,
-        pipelined=pipelined, page_cache_ttl=page_cache_ttl,
+        max_fetch_workers=max_fetch_workers, page_cache_ttl=page_cache_ttl,
     )
     user = sheriff.install_addon(world.make_browser("ES", "Madrid"))
     for city in ("Barcelona", "Valencia", "Madrid"):
@@ -86,13 +88,14 @@ def _run(pipelined, chaos_profile=None, seed=7, page_cache_ttl=0.0, repeat=False
         "faults": fault_log,
         "db": sheriff.db.sp_all_responses(),
         "cache_hits": sheriff.engine.cache.hits,
+        "makespan": sheriff.engine.now,
     }
 
 
 @pytest.mark.parametrize("chaos_profile", [None, "lossy", "chaos_monkey"])
 def test_serial_and_pipelined_runs_are_identical(chaos_profile):
-    serial = _run(pipelined=False, chaos_profile=chaos_profile)
-    pipelined = _run(pipelined=True, chaos_profile=chaos_profile)
+    serial = _run(max_fetch_workers=1, chaos_profile=chaos_profile)
+    pipelined = _run(max_fetch_workers=8, chaos_profile=chaos_profile)
 
     # identical outcomes: every check succeeds/fails the same way with
     # the exact same ResultRow values in the exact same order
@@ -103,17 +106,19 @@ def test_serial_and_pipelined_runs_are_identical(chaos_profile):
     # identical persisted rows, ids included (batched writes preserve
     # the row _id sequence of the serial inserts)
     assert serial["db"] == pipelined["db"]
+    # ...and the worker count did change something: the timeline
+    assert pipelined["makespan"] < serial["makespan"]
 
 
 def test_page_cache_keeps_modes_identical():
-    """With the cache serving real hits, both modes still agree exactly.
+    """With the cache serving real hits, 1 and 8 workers still agree.
 
-    The cache is consulted in the same eager canonical order in both
-    modes, so a hit (and the fetch it skips) happens at the same point
-    of every RNG stream either way.
+    The cache is consulted in the same eager canonical order whatever
+    the pool size, so a hit (and the fetch it skips) happens at the same
+    point of every RNG stream either way.
     """
-    serial = _run(pipelined=False, page_cache_ttl=3600.0, repeat=True)
-    pipelined = _run(pipelined=True, page_cache_ttl=3600.0, repeat=True)
+    serial = _run(max_fetch_workers=1, page_cache_ttl=3600.0, repeat=True)
+    pipelined = _run(max_fetch_workers=8, page_cache_ttl=3600.0, repeat=True)
 
     assert pipelined["cache_hits"] > 0
     assert serial["cache_hits"] == pipelined["cache_hits"]
@@ -122,5 +127,5 @@ def test_page_cache_keeps_modes_identical():
 
 
 def test_at_least_one_chaos_run_logs_faults():
-    run = _run(pipelined=True, chaos_profile="chaos_monkey")
+    run = _run(max_fetch_workers=8, chaos_profile="chaos_monkey")
     assert len(run["faults"]) >= 1

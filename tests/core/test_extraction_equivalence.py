@@ -1,16 +1,17 @@
-"""The fast extraction engine is result-identical to the legacy path.
+"""The extraction engine is result-identical to the legacy oracle.
 
 Three layers of the claim, mirroring the crypto lockstep suite:
 
-* **element** — on the same parsed tree, fast and legacy extraction
+* **element** — on the same parsed tree, the production extractor and
+  the legacy per-candidate walk (``tests/oracles/tagspath_legacy.py``)
   pick the *same object* (identity, not just equal text), whichever
   store layout, product, or remote nonce produced the page;
 * **text / price** — ``extract_price_text`` and the downstream
   ``detect_price`` agree, memo on or off;
 * **rows** — a full deployment produces byte-identical database rows
-  with ``use_fast_extract`` on or off (runs on whatever
-  ``REPRO_DB_BACKEND`` the CI matrix selects, and queued as well as
-  direct dispatch).
+  with the oracle patched in for the production extractor (runs on
+  whatever ``REPRO_DB_BACKEND`` the CI matrix selects, and queued as
+  well as direct dispatch).
 """
 
 import random
@@ -38,6 +39,8 @@ from repro.web.catalog import make_catalog
 from repro.web.html import find_all, parse
 from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
+
+from tests.oracles import tagspath_legacy
 
 _GEODB = GeoDatabase()
 _RATES = ExchangeRateProvider()
@@ -82,8 +85,8 @@ def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
     remote = store.fetch(product.path, _ctx(remote_nonce))
     root = parse(remote.html)
 
-    legacy_el = extract_price_element(root, path, use_fast_extract=False)
-    fast_el = extract_price_element(root, path, use_fast_extract=True)
+    legacy_el = tagspath_legacy.extract_price_element(root, path)
+    fast_el = extract_price_element(root, path)
     assert fast_el is legacy_el
 
     # the index built during the parse agrees with the one built by
@@ -93,8 +96,7 @@ def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
     assert observer.extract(path).text() == legacy_el.text()
 
     clear_extraction_memo()
-    legacy_text = extract_price_text(remote.html, path,
-                                     use_fast_extract=False)
+    legacy_text = tagspath_legacy.extract_price_text(remote.html, path)
     fast_text = extract_price_text(remote.html, path)
     memo_text = extract_price_text(remote.html, path)  # memo hit
     assert fast_text == legacy_text
@@ -123,8 +125,7 @@ class TestIndex:
         path = build_tags_path(root, find_all(root, tag="p")[0])
         missing = type(path)(entries=path.entries, target="span.absent")
         assert index.extract(missing) is None
-        assert extract_price_element(root, missing,
-                                     use_fast_extract=False) is None
+        assert tagspath_legacy.extract_price_element(root, missing) is None
 
 
 class TestMemo:
@@ -156,8 +157,8 @@ class TestMemo:
         clear_extraction_memo()
         assert extract_price_text("<html><div></html>", path) is None
         assert extract_price_text("<html><div></html>", path) is None
-        assert extract_price_text(
-            "<html><div></html>", path, use_fast_extract=False
+        assert tagspath_legacy.extract_price_text(
+            "<html><div></html>", path
         ) is None
 
 
@@ -193,7 +194,7 @@ class TestTelemetry:
 class TestDeploymentRowIdentity:
     """Same seeded workload, rows identical fast vs legacy extraction."""
 
-    def _results(self, use_fast_extract, job_queue):
+    def _results(self, job_queue):
         from repro.workloads.deployment import (
             DeploymentConfig,
             LiveDeployment,
@@ -202,14 +203,17 @@ class TestDeploymentRowIdentity:
         clear_extraction_memo()
         config = DeploymentConfig.test_scale()
         config.n_requests = 30
-        config.use_fast_extract = use_fast_extract
         config.job_queue = job_queue
         dataset = LiveDeployment(config).run()
         return [(r.job_id, r.domain, r.rows) for r in dataset.results]
 
     @pytest.mark.parametrize("job_queue", [False, True])
-    def test_rows_identical(self, job_queue):
-        fast = self._results(True, job_queue=job_queue)
-        legacy = self._results(False, job_queue=job_queue)
+    def test_rows_identical(self, job_queue, monkeypatch):
+        fast = self._results(job_queue)
+        monkeypatch.setattr(
+            "repro.core.measurement.extract_price_text",
+            tagspath_legacy.extract_price_text,
+        )
+        legacy = self._results(job_queue)
         assert len(fast) > 0
         assert fast == legacy

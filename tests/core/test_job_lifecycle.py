@@ -12,9 +12,6 @@ Measurement servers, and the queued measurement tier all implement
 import pytest
 
 from repro.core.errors import UnknownJob
-from repro.core.sheriff import PriceSheriff
-
-from .conftest import SMALL_IPC_SITES
 
 
 def _first_product_url(world, domain="uniform.example"):
@@ -98,20 +95,6 @@ class TestPipelining:
         peaks = [p.peak_busy for p in sheriff.engine._pools.values() if p.peak_busy]
         assert peaks
         assert all(1 < peak <= sheriff.engine.max_workers for peak in peaks)
-
-    def test_serial_mode_completes_at_submit(self, world):
-        sheriff = PriceSheriff(
-            world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
-            pipelined=False,
-        )
-        addon = sheriff.install_addon(world.make_browser("ES", "Madrid"))
-        pending = addon.submit_price_check(_first_product_url(world))
-        handle = pending.handle
-        assert handle.state == "done"
-        assert handle.rows_arrived == handle.total_rows
-        assert sheriff.engine.now == 0.0
-        result = addon.collect(pending)
-        assert len(result.rows) == handle.total_rows
 
 
 class TestBatchedPersistence:

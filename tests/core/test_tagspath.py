@@ -18,6 +18,8 @@ from repro.web.html import Element, find_all, parse, render
 from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
 
+from tests.oracles import tagspath_legacy
+
 
 def paper_example():
     """The simplified page of Fig. 4."""
@@ -202,12 +204,12 @@ class TestDeepPageTruncation:
         doc, decoy, wanted = self._deep_page()
         path = build_tags_path(doc, wanted)
         html = render(doc)
-        for use_fast_extract in (False, True):
-            found = extract_price_element(
-                parse(html), path, use_fast_extract=use_fast_extract
-            )
+        for extract in (
+            tagspath_legacy.extract_price_element, extract_price_element,
+        ):
+            found = extract(parse(html), path)
             assert found is not None
             assert found.text() == "$2.00"
             assert found.signature() == wanted.signature()
         assert extract_price_text(html, path) == "$2.00"
-        assert extract_price_text(html, path, use_fast_extract=False) == "$2.00"
+        assert tagspath_legacy.extract_price_text(html, path) == "$2.00"

@@ -1,10 +1,9 @@
 """Row identity across transports: the API redesign's core guarantee.
 
 The same seeded workload must land byte-identical database rows whether
-the measurement tier talks to the database directly (legacy), through
-:class:`SimTransport` (the Tier-1 default), or through
-:class:`SocketTransport` (real loopback TCP) — and on either storage
-backend.  If this holds, swapping transports in a deployment config can
+the measurement tier reaches the database through :class:`SimTransport`
+(the Tier-1 default) or through :class:`SocketTransport` (real loopback
+TCP) — and on either storage backend.  If this holds, swapping transports in a deployment config can
 never change what the watchdog records, only how the bytes move.
 """
 
@@ -15,8 +14,6 @@ import pytest
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.workloads.stores import build_named_stores, uniform_store_specs
-
-TRANSPORTS = ("direct", "sim", "socket")
 
 
 def run_workload(transport, db_backend, n_checks=3):
@@ -65,17 +62,11 @@ def canonical(rows):
 
 @pytest.mark.parametrize("db_backend", ["memory", "sqlite"])
 class TestRowIdentity:
-    def test_sim_transport_matches_direct(self, db_backend):
-        direct = run_workload("direct", db_backend)
+    def test_socket_transport_matches_sim(self, db_backend):
         sim = run_workload("sim", db_backend)
-        assert sim == direct
-        assert len(direct["responses"]) > 0
-
-    def test_socket_transport_matches_direct(self, db_backend):
-        direct = run_workload("direct", db_backend)
         socket = run_workload("socket", db_backend)
-        assert socket == direct
-        assert len(direct["responses"]) > 0
+        assert socket == sim
+        assert len(sim["responses"]) > 0
 
 
 def test_transport_label_reaches_spans_and_registry():

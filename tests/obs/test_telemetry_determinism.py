@@ -1,10 +1,10 @@
 """Telemetry must be purely observational.
 
-The engine's determinism claim (serial == pipelined, byte-identical
-rows) has to survive the telemetry plane: instruments never consume an
-RNG stream, never read wall clocks, and never change control flow, so a
-run with metrics + tracing enabled produces exactly the rows, fault
-log, and database contents of an uninstrumented run.
+The engine's determinism claim (one fetch worker per pool == eight,
+byte-identical rows) has to survive the telemetry plane: instruments
+never consume an RNG stream, never read wall clocks, and never change
+control flow, so a run with metrics + tracing enabled produces exactly
+the rows, fault log, and database contents of an uninstrumented run.
 """
 
 import random
@@ -44,12 +44,12 @@ def _build_world(seed):
     return world
 
 
-def _run(pipelined, telemetry, chaos_profile="chaos_monkey", seed=7):
+def _run(telemetry, max_fetch_workers=8, chaos_profile="chaos_monkey", seed=7):
     world = _build_world(seed)
     sheriff = PriceSheriff(
         world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
         chaos_profile=chaos_profile, chaos_seed=11,
-        pipelined=pipelined, telemetry=telemetry,
+        max_fetch_workers=max_fetch_workers, telemetry=telemetry,
     )
     user = sheriff.install_addon(world.make_browser("ES", "Madrid"))
     for city in ("Barcelona", "Valencia"):
@@ -75,25 +75,28 @@ def _run(pipelined, telemetry, chaos_profile="chaos_monkey", seed=7):
     }
 
 
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_rows_identical_with_telemetry_on_and_off(pipelined):
-    _, off = _run(pipelined, telemetry=None)
-    _, on = _run(pipelined, telemetry=Telemetry())
+@pytest.mark.parametrize("overlapped", [False, True])
+def test_rows_identical_with_telemetry_on_and_off(overlapped):
+    workers = 8 if overlapped else 1  # one worker: fetches land one at a time
+    _, off = _run(telemetry=None, max_fetch_workers=workers)
+    _, on = _run(telemetry=Telemetry(), max_fetch_workers=workers)
     assert off["outcomes"] == on["outcomes"]
     assert off["faults"] == on["faults"]
     assert off["db"] == on["db"]
 
 
 def test_serial_equals_pipelined_with_telemetry_on():
-    _, serial = _run(pipelined=False, telemetry=Telemetry())
-    _, pipelined = _run(pipelined=True, telemetry=Telemetry())
+    """Concurrency shapes the timeline, never the rows — traced or not."""
+    serial_sheriff, serial = _run(telemetry=Telemetry(), max_fetch_workers=1)
+    sheriff, pipelined = _run(telemetry=Telemetry(), max_fetch_workers=8)
     assert serial["outcomes"] == pipelined["outcomes"]
     assert serial["faults"] == pipelined["faults"]
     assert serial["db"] == pipelined["db"]
+    assert sheriff.engine.now < serial_sheriff.engine.now
 
 
 def test_metrics_mirror_the_run():
-    sheriff, run = _run(pipelined=True, telemetry=Telemetry())
+    sheriff, run = _run(telemetry=Telemetry())
     registry = sheriff.telemetry.registry
     n_ok = sum(1 for o in run["outcomes"] if o[0] == "ok")
 
@@ -121,18 +124,8 @@ def test_metrics_mirror_the_run():
         assert family in exposition
 
 
-def test_serial_mode_latency_is_recorded():
-    sheriff, run = _run(pipelined=False, telemetry=Telemetry())
-    latency = sheriff.telemetry.registry.get("sheriff_check_latency_seconds")
-    n_ok = sum(1 for o in run["outcomes"] if o[0] == "ok")
-    assert latency.total_count() >= n_ok
-    assert all(
-        labels["mode"] == "serial" for labels, _ in latency.labels_series()
-    )
-
-
 def test_traces_cover_every_attempted_check():
-    sheriff, run = _run(pipelined=True, telemetry=Telemetry())
+    sheriff, run = _run(telemetry=Telemetry())
     tracer = sheriff.telemetry.tracer
     assert len(tracer.trace_ids()) == len(run["outcomes"])
     trace_id = tracer.trace_ids()[0]
