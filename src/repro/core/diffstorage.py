@@ -50,16 +50,30 @@ class DiffStorage:
         self.naive_chars_seen += len(html)
         ref = self._reference[job_id]
         new = html.splitlines(keepends=True)
-        matcher = difflib.SequenceMatcher(a=ref, b=new, autojunk=False)
-        ops: List[_Op] = []
+        # Pages of one job share most of their leading and trailing
+        # lines; only the middles pay for the quadratic matcher.
+        shortest = min(len(ref), len(new))
+        head = 0
+        while head < shortest and ref[head] == new[head]:
+            head += 1
+        tail = 0
+        while tail < shortest - head and ref[-1 - tail] == new[-1 - tail]:
+            tail += 1
+        middle = new[head:len(new) - tail]
+        matcher = difflib.SequenceMatcher(
+            a=ref[head:len(ref) - tail], b=middle, autojunk=False
+        )
+        ops: List[_Op] = [("equal", 0, head, ())] if head else []
         size = 0
         for tag, i1, i2, j1, j2 in matcher.get_opcodes():
             if tag == "equal":
-                ops.append(("equal", i1, i2, ()))
+                ops.append(("equal", head + i1, head + i2, ()))
             else:
-                replacement = tuple(new[j1:j2])
-                ops.append((tag, i1, i2, replacement))
+                replacement = tuple(middle[j1:j2])
+                ops.append((tag, head + i1, head + i2, replacement))
                 size += sum(len(line) for line in replacement)
+        if tail:
+            ops.append(("equal", len(ref) - tail, len(ref), ()))
         self._diffs[(job_id, proxy_id)] = _StoredDiff(ops=tuple(ops), size_chars=size)
         return size
 

@@ -16,13 +16,15 @@ the simplified example "does not capture the complexity involved in
 extracting a product price when the HTML code includes multiple product
 prices and when the result varies between remote page requests".
 
-Extraction builds an :class:`ExtractionIndex` in the same single pass as
-the parse (signature → candidates plus a closing-event position index,
-so each candidate's bottom-up path is a slice), prunes candidates whose
-shared suffix already cannot win, strips the common prefix/suffix before
-any DP, and memoizes whole ``(html, path) → text`` extractions so
-identical pages fetched from different vantages parse and match once.
-The per-candidate re-walk it replaced lives on as the test oracle
+Extraction is one flat scan over the classified token stream of
+:func:`repro.web.html.tokenize` — no :class:`Element` is built for a
+vantage page.  The scan keeps the tag stack, the closing-event
+signatures and integer spans for the elements matching the path's target
+(so each candidate's bottom-up path is two slices), prunes candidates
+whose shared suffix already cannot win, strips the common prefix/suffix
+before any DP, and memoizes whole ``(html, path) → text`` extractions so
+identical pages fetched from different vantages scan and match once.
+The tree-walking extractor it replaced lives on as the test oracle
 ``tests/oracles/tagspath_legacy.py``.
 """
 
@@ -35,9 +37,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.web.html import (
     Element,
     HTMLParseError,
-    ParseObserver,
+    T_CLOSE,
+    T_OPEN,
+    T_SELF,
+    T_TEXT,
+    Token,
     VOID_TAGS,
-    parse,
+    clear_token_memo,
+    tokenize,
 )
 
 #: cap on recorded path length; pages deeper than this keep both ends —
@@ -250,146 +257,137 @@ def _lcs_length_stripped(
 
 
 # ---------------------------------------------------------------------------
-# the single-pass extraction index
+# the flat scan
+
+#: closing-event and text spans of one candidate: ``start`` closes
+#: preceded its open tag, its own close is number ``own`` (``None`` for
+#: a void tag), and its text is ``texts[text_lo:text_hi]``
+_Span = Tuple[int, Optional[int], int, int]
 
 
-class ExtractionIndex(ParseObserver):
-    """Per-document index built in one DOM walk (or during the parse).
+def _scan(html: str, target: str) -> Tuple[List[str], List[str], List[_Span]]:
+    """One pass over the token stream; no tree is built.
 
-    Records, in document order, the signature of every closing event
-    (``close_sigs``) and, per element, the closing-event position span
-    ``(start, own)`` — ``start`` is how many closes preceded its open
-    tag, ``own`` the position of its own close (``None`` for void
-    tags).  A candidate's bottom-up Tags Path is then two list slices
-    (the closes after its own, then the closes between its open and its
-    own, both reversed) — O(path length) instead of an O(document)
-    re-flatten per candidate.  ``by_signature`` maps each signature to
-    its elements in document (pre-)order, so the first best-scoring
-    candidate wins ties.
+    Returns the signature of every closing event in document order
+    (``close_sigs``), the text lines seen inside candidates, and one
+    :data:`_Span` per element whose signature equals ``target``, in
+    document (pre-)order so the first best-scoring candidate wins ties.
+    Raises :class:`HTMLParseError` exactly when :func:`parse` would.
     """
+    stack: List[Token] = []  # the open tags
+    close_sigs: List[str] = []
+    texts: List[str] = []
+    spans: List[Optional[_Span]] = []
+    pending: List[Tuple[int, int, int]] = []  # open candidates: slot, start, text_lo
+    rooted = False  # a root has closed; only read while the stack is empty
+    for token in tokenize(html):
+        kind, tag, payload, _ = token
+        if kind == T_CLOSE:
+            if not stack or stack[-1][1] != tag:
+                raise HTMLParseError(f"closing </{tag}> does not match the open tag")
+            sig = stack.pop()[2]
+            if sig == target:
+                slot, start, text_lo = pending.pop()
+                spans[slot] = (start, len(close_sigs), text_lo, len(texts))
+            close_sigs.append(sig)
+            rooted = True
+        elif kind == T_TEXT:
+            if not stack:
+                raise HTMLParseError("text outside the document root")
+            if pending:
+                texts.extend(payload)
+        elif not stack and rooted:
+            raise HTMLParseError("multiple root elements")
+        elif kind == T_OPEN:
+            if payload == target:
+                pending.append((len(spans), len(close_sigs), len(texts)))
+                spans.append(None)  # keeps its pre-order slot until it closes
+            stack.append(token)
+        else:  # a leaf: void, or a self-closed tag that still counts as a close
+            rooted = True
+            own = len(close_sigs) if kind == T_SELF else None
+            if payload == target:
+                spans.append((len(close_sigs), own, len(texts), len(texts)))
+            if own is not None:
+                close_sigs.append(payload)
+    if stack:
+        raise HTMLParseError(f"unclosed tag <{stack[-1][1]}>")
+    if not rooted:
+        raise HTMLParseError("empty document")
+    return close_sigs, texts, spans
 
-    __slots__ = ("close_sigs", "by_signature", "_spans")
 
-    def __init__(self) -> None:
-        self.close_sigs: List[str] = []
-        self.by_signature: Dict[str, List[Element]] = {}
-        self._spans: Dict[int, Tuple[int, Optional[int]]] = {}
+def _span_path(close_sigs: List[str], span: _Span) -> Tuple[str, ...]:
+    """A candidate's bottom-up closing-tag path, as two slices."""
+    start, own = span[0], span[1]
+    if own is None:
+        closings = close_sigs[start:]
+        closings.reverse()
+    else:
+        closings = close_sigs[own + 1:]
+        closings.reverse()
+        between = close_sigs[start:own]
+        between.reverse()
+        closings.extend(between)
+    return tuple(_truncate(closings))
 
-    # -- construction (ParseObserver protocol) --------------------------
-    def enter(self, element: Element) -> None:
-        self.by_signature.setdefault(element.signature(), []).append(element)
-        self._spans[id(element)] = (len(self.close_sigs), None)
 
-    def exit(self, element: Element) -> None:
-        key = id(element)
-        self._spans[key] = (self._spans[key][0], len(self.close_sigs))
-        self.close_sigs.append(element.signature())
-
-    @classmethod
-    def from_root(cls, root: Element) -> "ExtractionIndex":
-        """Build the index from an already-parsed tree in one walk."""
-        index = cls()
-        stack: List[Tuple[Element, bool]] = [(root, False)]
-        while stack:
-            element, closing = stack.pop()
-            if closing:
-                index.exit(element)
-                continue
-            index.enter(element)
-            if element.tag not in VOID_TAGS:
-                stack.append((element, True))
-            for child in reversed(element.children):
-                if isinstance(child, Element):
-                    stack.append((child, False))
-        return index
-
-    # -- queries ---------------------------------------------------------
-    def path_for(self, element: Element) -> Tuple[str, ...]:
-        """The element's bottom-up closing-tag path, as two slices."""
-        span = self._spans.get(id(element))
-        if span is None:
-            raise TagsPathError("selected element is not part of the document")
-        start, own = span
-        sigs = self.close_sigs
-        if own is None:
-            closings = sigs[start:]
-            closings.reverse()
+def _best_span(
+    close_sigs: List[str], spans: List[_Span], recorded: Tuple[str, ...]
+) -> Optional[_Span]:
+    """Best-scoring candidate for the path (document-order ties win)."""
+    if len(spans) <= 1:
+        return spans[0] if spans else None
+    best: Optional[_Span] = None
+    best_score = -1.0
+    for span in spans:
+        candidate_path = _span_path(close_sigs, span)
+        suffix = _common_suffix(recorded, candidate_path)
+        # The normalized LCS term is at most 1.0, so a candidate
+        # whose shared suffix cannot reach the incumbent strictly
+        # loses — and, with candidates visited in document order,
+        # skipping it cannot change the first-best tie-break either.
+        if suffix + 1.0 <= best_score:
+            EXTRACTION_STATS.candidates_pruned += 1
+            if _m_pruned is not None:
+                _m_pruned.inc()
+            continue
+        longest = max(len(recorded), len(candidate_path))
+        if longest == 0:
+            score = 1.0
         else:
-            closings = sigs[own + 1:]
-            closings.reverse()
-            between = sigs[start:own]
-            between.reverse()
-            closings.extend(between)
-        return tuple(_truncate(closings))
-
-    def extract(self, path: TagsPath) -> Optional[Element]:
-        """Best-scoring candidate for the path (document-order ties win)."""
-        candidates = self.by_signature.get(path.target)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        recorded = path.entries
-        best: Optional[Element] = None
-        best_score = -1.0
-        for candidate in candidates:
-            candidate_path = self.path_for(candidate)
-            suffix = _common_suffix(recorded, candidate_path)
-            # The normalized LCS term is at most 1.0, so a candidate
-            # whose shared suffix cannot reach the incumbent strictly
-            # loses — and, with candidates visited in document order,
-            # skipping it cannot change the first-best tie-break either.
-            if suffix + 1.0 <= best_score:
-                EXTRACTION_STATS.candidates_pruned += 1
-                if _m_pruned is not None:
-                    _m_pruned.inc()
-                continue
-            longest = max(len(recorded), len(candidate_path))
-            if longest == 0:
-                score = 1.0
-            else:
-                lcs = _lcs_length_stripped(recorded, candidate_path, suffix)
-                score = suffix + lcs / longest
-            if score > best_score:
-                best, best_score = candidate, score
-        return best
+            lcs = _lcs_length_stripped(recorded, candidate_path, suffix)
+            score = suffix + lcs / longest
+        if score > best_score:
+            best, best_score = span, score
+    return best
 
 
 # ---------------------------------------------------------------------------
-# extraction entry points
+# the extraction entry point
 
-
-def extract_price_element(
-    root: Element,
-    path: TagsPath,
-    index: Optional[ExtractionIndex] = None,
-) -> Optional[Element]:
-    """Locate the element the Tags Path points at in a (variant) page.
-
-    Builds (or reuses, via ``index``) an :class:`ExtractionIndex` over
-    the parsed tree.
-    """
-    if index is None:
-        index = ExtractionIndex.from_root(root)
-    return index.extract(path)
-
+#: pages longer than this are extracted every time and never memoised,
+#: so the memo holds at most EXTRACTION_MEMO_MAX × this many characters
+#: of (untrusted) page text
+EXTRACTION_MEMO_PAGE_MAX = 64 * 1024
 
 _MEMO_MISS = object()
 _extraction_memo: "OrderedDict[Tuple[str, TagsPath], Optional[str]]" = OrderedDict()
 
 
 def clear_extraction_memo() -> None:
-    """Forget memoized (page, path) → text extractions (benches, tests)."""
+    """Forget memoized extractions and token classifications (benches, tests)."""
     _extraction_memo.clear()
+    clear_token_memo()
 
 
 def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
-    """Parse a fetched page and pull out the price string, if locatable.
+    """Scan a fetched page and pull out the price string, if locatable.
 
     Whole extractions are memoized keyed by the exact page text and
     path: vantages that saw an identical page (the common case — only a
     minority of checks actually differ) cost one dict probe instead of a
-    parse + match.
+    scan + match.
     """
     cached = _extraction_memo.get((html, path), _MEMO_MISS)
     if cached is not _MEMO_MISS:
@@ -398,23 +396,20 @@ def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
         if _m_memo_hits is not None:
             _m_memo_hits.inc()
         return cached
-    index = ExtractionIndex()
-    try:
-        parse(html, observer=index)
-    except HTMLParseError:
-        index = None
     EXTRACTION_STATS.pages_parsed += 1
     if _m_pages is not None:
         _m_pages.inc()
-    if index is None:
-        text = None
+    text = None
+    try:
+        close_sigs, texts, spans = _scan(html, path.target)
+    except HTMLParseError:
+        pass
     else:
-        element = index.extract(path)
-        if element is None:
-            text = None
-        else:
-            text = element.text().strip() or None
-    _extraction_memo[(html, path)] = text
-    if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
-        _extraction_memo.popitem(last=False)
+        span = _best_span(close_sigs, spans, path.entries)
+        if span is not None:
+            text = " ".join(texts[span[2]:span[3]]).strip() or None
+    if len(html) <= EXTRACTION_MEMO_PAGE_MAX:
+        _extraction_memo[(html, path)] = text
+        if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
+            _extraction_memo.popitem(last=False)
     return text

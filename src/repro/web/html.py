@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Tags that never take children or a closing tag.
 VOID_TAGS = frozenset({"img", "br", "meta", "link", "input", "hr"})
@@ -65,8 +65,12 @@ class Element:
         role across page variants; this is what Tags Path entries match
         on.
         """
-        cls = self.attrs.get("class", "")
-        return f"{self.tag}.{cls}" if cls else self.tag
+        return _signature(self.tag, self.attrs)
+
+
+def _signature(tag: str, attrs: Dict[str, str]) -> str:
+    cls = attrs.get("class", "")
+    return f"{tag}.{cls}" if cls else tag
 
 
 def _render_attrs(attrs: Dict[str, str]) -> str:
@@ -103,86 +107,116 @@ _TOKEN_RE = re.compile(r"<[^>]*>|[^<]+")
 _TAG_RE = re.compile(r"^<\s*(/)?\s*([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^>]*?)?)\s*(/)?\s*>$")
 _ATTR_RE = re.compile(r'([a-zA-Z][a-zA-Z0-9_:-]*)\s*=\s*"([^"]*)"')
 
+#: kinds of classified token — the first field of a :data:`Token`
+T_TEXT, T_OPEN, T_VOID, T_SELF, T_CLOSE = range(5)
 
-class ParseObserver:
-    """Receives enter/exit events while :func:`parse` builds the tree.
+#: ``(kind, tag, payload, attrs)``.  The payload is the element's
+#: signature for ``T_OPEN`` / ``T_VOID`` (never closed) / ``T_SELF`` (a
+#: self-closed non-void tag), and the tuple of stripped non-empty lines
+#: for ``T_TEXT``.
+Token = Tuple[int, Optional[str], Union[str, Tuple[str, ...], None], Optional[Dict[str, str]]]
 
-    ``enter`` fires at each element's open tag (pre-order, the same
-    order :func:`iter_elements` yields); ``exit`` fires at its closing
-    tag — after every descendant's exit — and never fires for
-    :data:`VOID_TAGS`.  A self-closed non-void tag gets ``enter``
-    followed immediately by ``exit``.  This lets callers build
-    per-document indexes (e.g. the Tags-Path extraction index) in the
-    same single pass as the parse instead of re-walking the tree.
+#: what doctypes, comments and blank text classify as; never in a stream
+_SKIP: Token = (-1, None, None, None)
+
+#: Bounds of the raw-token → :data:`Token` memo.  Pages from peer proxies
+#: are untrusted, so it is capped in bytes as well as entries: a longer
+#: token is classified every time and never stored, and a full memo is
+#: cleared (tag and whitespace tokens repeat across the pages of one
+#: check, so it refills within a page or two).
+TOKEN_MEMO_KEY_MAX = 256
+TOKEN_MEMO_MAX = 4096
+
+_token_memo: Dict[str, Token] = {}
+
+
+def clear_token_memo() -> None:
+    """Forget every memoised token classification (benches, tests)."""
+    _token_memo.clear()
+
+
+def _classify(raw: str) -> Token:
+    """Classify one raw token, memoising it when it is short enough."""
+    if raw[0] != "<":
+        # One text token may span several rendered lines; split them
+        # back into the per-line text nodes the serializer emitted (it
+        # joins on "\n" only) so that parse(render(x)) round-trips.
+        lines = tuple(filter(None, map(str.strip, raw.split("\n"))))
+        token = (T_TEXT, None, lines, None) if lines else _SKIP
+    elif raw.startswith("<!"):
+        token = _SKIP  # doctype / comment
+    else:
+        match = _TAG_RE.match(raw)
+        if match is None:
+            raise HTMLParseError(f"malformed tag token {raw!r}")
+        closing, tag, attr_text, self_closing = match.groups()
+        tag = tag.lower()
+        if closing:
+            token = (T_CLOSE, tag, None, None)
+        else:
+            attrs = dict(_ATTR_RE.findall(attr_text or ""))
+            kind = T_VOID if tag in VOID_TAGS else T_SELF if self_closing else T_OPEN
+            token = (kind, tag, _signature(tag, attrs), attrs)
+    if len(raw) <= TOKEN_MEMO_KEY_MAX:
+        if len(_token_memo) >= TOKEN_MEMO_MAX:
+            _token_memo.clear()
+        _token_memo[raw] = token
+    return token
+
+
+def tokenize(html: str) -> List[Token]:
+    """The document as classified tokens — the one grammar every reader shares.
+
+    :func:`parse` builds an :class:`Element` tree from the stream; the
+    Measurement server's Tags-Path extraction scans it without building
+    one.  Doctypes, comments and blank text are dropped; a malformed
+    tag raises :class:`HTMLParseError` here; balance and root checks are
+    the consumer's.
     """
+    memo_get = _token_memo.get
+    return [
+        token
+        for raw in _TOKEN_RE.findall(html)
+        if (token := memo_get(raw) or _classify(raw)) is not _SKIP
+    ]
 
-    def enter(self, element: Element) -> None:  # pragma: no cover
-        raise NotImplementedError
 
-    def exit(self, element: Element) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-def parse(html: str, observer: Optional[ParseObserver] = None) -> Element:
+def parse(html: str) -> Element:
     """Parse HTML text into an :class:`Element` tree.
 
     Returns the single root element (conventionally ``<html>``).  The
     parser tolerates a doctype prelude and surrounding whitespace; any
     structural error (unbalanced tags, text outside the root) raises
-    :class:`HTMLParseError`.  An optional :class:`ParseObserver` sees
-    every element enter/exit during the parse itself; on a parse error
-    the observer may have seen a prefix of the document and its state
-    must be discarded.
+    :class:`HTMLParseError`.
     """
     root: Optional[Element] = None
     stack: List[Element] = []
-    for raw in _TOKEN_RE.findall(html):
-        if raw.startswith("<"):
-            if raw.startswith("<!"):
-                continue  # doctype / comment
-            match = _TAG_RE.match(raw)
-            if match is None:
-                raise HTMLParseError(f"malformed tag token {raw!r}")
-            closing, tag, attr_text, self_closing = match.groups()
-            tag = tag.lower()
-            if closing:
-                if not stack or stack[-1].tag != tag:
-                    opened = stack[-1].tag if stack else None
-                    raise HTMLParseError(
-                        f"closing </{tag}> does not match open <{opened}>"
-                    )
-                element = stack.pop()
-                if observer is not None:
-                    observer.exit(element)
-                if not stack:
-                    root = element
-            else:
-                attrs = dict(_ATTR_RE.findall(attr_text or ""))
-                element = Element(tag=tag, attrs=attrs)
-                if stack:
-                    stack[-1].append(element)
-                elif root is not None:
-                    raise HTMLParseError("multiple root elements")
-                if observer is not None:
-                    observer.enter(element)
-                if tag not in VOID_TAGS and not self_closing:
-                    stack.append(element)
-                else:
-                    if observer is not None and tag not in VOID_TAGS:
-                        observer.exit(element)
-                    if not stack and root is None:
-                        root = element
+    for kind, tag, payload, attrs in tokenize(html):
+        if kind == T_TEXT:
+            if not stack:
+                raise HTMLParseError(
+                    f"text outside the document root: {payload[0]!r}"
+                )
+            stack[-1].children.extend(payload)
+        elif kind == T_CLOSE:
+            if not stack or stack[-1].tag != tag:
+                opened = stack[-1].tag if stack else None
+                raise HTMLParseError(
+                    f"closing </{tag}> does not match open <{opened}>"
+                )
+            element = stack.pop()
+            if not stack:
+                root = element
         else:
-            # One text token may span several rendered lines; split them
-            # back into the per-line text nodes the serializer emitted so
-            # that parse(render(x)) round-trips exactly.
-            lines = [line.strip() for line in raw.splitlines()]
-            for text in lines:
-                if not text:
-                    continue
-                if not stack:
-                    raise HTMLParseError(f"text outside the document root: {text!r}")
-                stack[-1].append(text)
+            element = Element(tag=tag, attrs=dict(attrs))
+            if stack:
+                stack[-1].append(element)
+            elif root is not None:
+                raise HTMLParseError("multiple root elements")
+            if kind == T_OPEN:
+                stack.append(element)
+            elif not stack:
+                root = element
     if stack:
         raise HTMLParseError(f"unclosed tag <{stack[-1].tag}>")
     if root is None:

@@ -26,7 +26,7 @@ from repro.core.engine import PageCache
 from repro.core.errors import InvalidConfig
 from repro.core.measurement import MeasurementServer
 from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.core.tagspath import extract_price_element, extract_price_text
+from repro.core.tagspath import extract_price_text
 from repro.net.faults import chaos_plan
 from repro.net.p2p import PeerOverlay
 from repro.storage import ShardedDatabase
@@ -85,7 +85,7 @@ class TestModeLatticeCollapsed:
     def test_no_such_parameter_or_field(self):
         for fn in (
             PriceSheriff.__init__, MeasurementServer.__init__,
-            extract_price_text, extract_price_element,
+            extract_price_text,
         ):
             params = inspect.signature(fn).parameters
             assert not set(self.REMOVED) & set(params), fn

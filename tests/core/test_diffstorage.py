@@ -66,6 +66,22 @@ class TestAccounting:
         assert store.diff_count() == 2
 
 
+@pytest.mark.parametrize("ref_lines, new_lines, stored", [
+    (["h", "a", "t"], ["h", "b", "t"], "b\n"),       # shared head and tail
+    (["a", "a"], ["a", "a", "a"], "a\n"),             # head may not overlap tail
+    (["a", "a", "a"], ["a", "a"], ""),                # ... in either direction
+    (["h", "t"], ["h", "x", "y", "t"], "x\ny\n"),     # empty reference middle
+    (["a", "b"], ["c", "d"], "c\nd"),                 # nothing shared
+])
+def test_common_head_and_tail_are_not_stored(ref_lines, new_lines, stored):
+    """Only the differing middle is diffed and paid for; the outer
+    ``equal`` runs are re-based so that restore() stays exact."""
+    store = DiffStorage()
+    store.store_reference("j", "\n".join(ref_lines))
+    assert store.store_response("j", "p", "\n".join(new_lines)) == len(stored)
+    assert store.restore("j", "p") == "\n".join(new_lines)
+
+
 @given(
     base=st.lists(st.sampled_from(["x", "y", "z", "price 10", "ad"]),
                   min_size=1, max_size=30),

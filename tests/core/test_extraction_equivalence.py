@@ -2,12 +2,12 @@
 
 Three layers of the claim, mirroring the crypto lockstep suite:
 
-* **element** — on the same parsed tree, the production extractor and
-  the legacy per-candidate walk (``tests/oracles/tagspath_legacy.py``)
-  pick the *same object* (identity, not just equal text), whichever
-  store layout, product, or remote nonce produced the page;
+* **candidate** — the flat scan's spans give, for every element of a
+  page, the same bottom-up path and text as the tree-walking oracle
+  (``tests/oracles/tagspath_legacy.py``) reads off the parsed tree;
 * **text / price** — ``extract_price_text`` and the downstream
-  ``detect_price`` agree, memo on or off;
+  ``detect_price`` agree with the oracle, whichever store layout,
+  product, or remote nonce produced the page, memo on or off;
 * **rows** — a full deployment produces byte-identical database rows
   with the oracle patched in for the production extractor (runs on
   whatever ``REPRO_DB_BACKEND`` the CI matrix selects, and queued as
@@ -22,12 +22,14 @@ from hypothesis import strategies as st
 
 from repro.core.tagspath import (
     EXTRACTION_MEMO_MAX,
+    EXTRACTION_MEMO_PAGE_MAX,
     EXTRACTION_STATS,
-    ExtractionIndex,
+    _path_for,
+    _scan,
+    _span_path,
     bind_extraction_telemetry,
     build_tags_path,
     clear_extraction_memo,
-    extract_price_element,
     extract_price_text,
     unbind_extraction_telemetry,
 )
@@ -36,6 +38,7 @@ from repro.currency.rates import ExchangeRateProvider
 from repro.net.geo import GeoDatabase
 from repro.obs import Telemetry
 from repro.web.catalog import make_catalog
+from repro.web import html as html_mod
 from repro.web.html import find_all, parse
 from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
@@ -83,17 +86,6 @@ def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
                                            remote_nonce):
     store, product, path = _recorded_check(layout_seed, product_index)
     remote = store.fetch(product.path, _ctx(remote_nonce))
-    root = parse(remote.html)
-
-    legacy_el = tagspath_legacy.extract_price_element(root, path)
-    fast_el = extract_price_element(root, path)
-    assert fast_el is legacy_el
-
-    # the index built during the parse agrees with the one built by
-    # walking the finished tree
-    observer = ExtractionIndex()
-    parse(remote.html, observer=observer)
-    assert observer.extract(path).text() == legacy_el.text()
 
     clear_extraction_memo()
     legacy_text = tagspath_legacy.extract_price_text(remote.html, path)
@@ -110,21 +102,27 @@ def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
 
 class TestIndex:
     def test_paths_match_legacy_builder(self):
-        """index.path_for == _path_for for every element of a page."""
-        from repro.core.tagspath import _path_for
-
+        """The path and text read off a flat span == what the tree gives,
+        for every element of a page."""
         store, product, _ = _recorded_check(layout_seed=7, product_index=2)
-        root = parse(store.fetch(product.path, _ctx(3)).html)
-        index = ExtractionIndex.from_root(root)
+        html = store.fetch(product.path, _ctx(3)).html
+        root = parse(html)
+        by_signature = {}
         for element in find_all(root):
-            assert index.path_for(element) == _path_for(root, element)
+            by_signature.setdefault(element.signature(), []).append(element)
+        for signature, elements in by_signature.items():
+            close_sigs, texts, spans = _scan(html, signature)
+            assert len(spans) == len(elements)
+            for element, span in zip(elements, spans):
+                assert _span_path(close_sigs, span) == _path_for(root, element)
+                assert " ".join(texts[span[2]:span[3]]) == element.text()
 
     def test_missing_target_returns_none(self):
-        root = parse("<html><body><p>no price</p></body></html>")
-        index = ExtractionIndex.from_root(root)
+        html = "<html><body><p>no price</p></body></html>"
+        root = parse(html)
         path = build_tags_path(root, find_all(root, tag="p")[0])
         missing = type(path)(entries=path.entries, target="span.absent")
-        assert index.extract(missing) is None
+        assert extract_price_text(html, missing) is None
         assert tagspath_legacy.extract_price_element(root, missing) is None
 
 
@@ -151,6 +149,39 @@ class TestMemo:
             html = store.fetch(product.path, _ctx(nonce)).html
             extract_price_text(html, path)
         assert len(_extraction_memo) <= EXTRACTION_MEMO_MAX
+
+    def test_hostile_pages_cannot_grow_either_memo(self):
+        """PPC pages are untrusted: neither memo may hold more than its
+        entry cap times its per-entry size cap, whatever is fed in."""
+        from repro.core.tagspath import _extraction_memo
+
+        _, _, path = _recorded_check(layout_seed=3, product_index=1)
+        clear_extraction_memo()
+        assert not html_mod._token_memo
+        long_tokens = "".join(
+            f'<div class="{n:0{html_mod.TOKEN_MEMO_KEY_MAX}d}">' for n in range(10_000)
+        )
+        extract_price_text(long_tokens, path)
+        assert not html_mod._token_memo  # too long to keep, every one
+        short_tokens = "".join(f"<i{n}>" for n in range(10_000))
+        extract_price_text(short_tokens, path)
+        assert 0 < len(html_mod._token_memo) <= html_mod.TOKEN_MEMO_MAX
+        assert all(
+            len(raw) <= html_mod.TOKEN_MEMO_KEY_MAX for raw in html_mod._token_memo
+        )
+        small = "<html><body>x</body></html>"
+        oversized = "<html><body>" + "x" * EXTRACTION_MEMO_PAGE_MAX + "</body></html>"
+        extract_price_text(small, path)
+        extract_price_text(oversized, path)
+        assert min(len(long_tokens), len(short_tokens)) > EXTRACTION_MEMO_PAGE_MAX
+        assert list(_extraction_memo) == [(small, path)]
+
+    def test_clearing_the_extraction_memo_clears_the_token_memo(self):
+        _, _, path = _recorded_check(layout_seed=3, product_index=1)
+        extract_price_text("<html><body>x</body></html>", path)
+        assert html_mod._token_memo
+        clear_extraction_memo()
+        assert not html_mod._token_memo
 
     def test_unparseable_page_memoized_as_none(self):
         _, _, path = _recorded_check(layout_seed=3, product_index=1)

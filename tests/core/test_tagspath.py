@@ -8,7 +8,6 @@ from repro.core.tagspath import (
     MAX_PATH_ENTRIES,
     TagsPathError,
     build_tags_path,
-    extract_price_element,
     extract_price_text,
 )
 from repro.currency.rates import ExchangeRateProvider
@@ -66,9 +65,10 @@ class TestExtractionOnSamePage:
     def test_single_candidate_shortcut(self):
         doc, price = paper_example()
         path = build_tags_path(doc, price)
-        found = extract_price_element(parse(render(doc)), path)
+        html = render(doc)
+        found = tagspath_legacy.extract_price_element(parse(html), path)
         assert found is not None
-        assert found.text() == "$10.00"
+        assert found.text() == "$10.00" == extract_price_text(html, path)
 
     def test_no_candidate(self):
         doc, price = paper_example()
@@ -204,12 +204,9 @@ class TestDeepPageTruncation:
         doc, decoy, wanted = self._deep_page()
         path = build_tags_path(doc, wanted)
         html = render(doc)
-        for extract in (
-            tagspath_legacy.extract_price_element, extract_price_element,
-        ):
-            found = extract(parse(html), path)
-            assert found is not None
-            assert found.text() == "$2.00"
-            assert found.signature() == wanted.signature()
+        found = tagspath_legacy.extract_price_element(parse(html), path)
+        assert found is not None
+        assert found.text() == "$2.00"
+        assert found.signature() == wanted.signature()
         assert extract_price_text(html, path) == "$2.00"
         assert tagspath_legacy.extract_price_text(html, path) == "$2.00"

@@ -1,10 +1,10 @@
 """The legacy per-candidate Tags-Path walk (test oracle).
 
-Re-flattens the whole document for every candidate element and runs the
-full LCS DP — O(document) per candidate where the production
-:class:`~repro.core.tagspath.ExtractionIndex` takes two list slices.
-The extraction equivalence suites assert the production extractor picks
-the same element and returns the same text on every page.
+Parses the page into a tree, re-flattens the whole document for every
+candidate element and runs the full LCS DP — O(document) per candidate
+where the production flat scan of :mod:`repro.core.tagspath` takes two
+list slices and builds no tree.  The extraction equivalence suites
+assert the production extractor returns the same text on every page.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ exception.
 
 import random
 import string
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tagspath import (
     TagsPath,
+    _scan,
     build_tags_path,
-    extract_price_element,
     extract_price_text,
 )
 from repro.currency.detect import (
@@ -27,6 +28,8 @@ from repro.currency.detect import (
 )
 from repro.net.faults import FaultPlan
 from repro.web.html import HTMLParseError, find_all, parse
+
+from tests.oracles import tagspath_legacy
 
 _price_chars = st.text(
     alphabet=string.ascii_letters + string.digits + " .,€$¥£+-()'<>/",
@@ -78,6 +81,38 @@ def test_extract_price_text_never_crashes(html):
                     target="span.price")
     out = extract_price_text(html, path)
     assert out is None or isinstance(out, str)
+
+
+_tag_soup = st.lists(
+    st.sampled_from([
+        "<html>", "</html>", "<div>", "</div>", '<span class="price">',
+        "</span>", "<br>", "</br>", "<p/>", "<img/>", "<!-- x -->", "<1>",
+        "< div >", "</div class=\"x\">", "<SPAN CLASS=\"price\">", "$9.99",
+        " ", "\n", "a\u2028b", "<",
+    ]),
+    max_size=14,
+).map("".join)
+
+
+@given(html=st.one_of(_html_soup, _tag_soup))
+@settings(max_examples=600, deadline=None)
+def test_parse_and_flat_scan_share_one_grammar(html):
+    """parse() raises HTMLParseError exactly when the flat scan gives up
+    for a parse reason — two consumers, one grammar — and on the pages
+    both accept, the scan extracts what the tree-walking oracle does."""
+    outcomes = []
+    for consume in (parse, lambda page: _scan(page, "span.price")):
+        try:
+            consume(html)
+        except HTMLParseError:
+            outcomes.append("error")
+        else:
+            outcomes.append("ok")
+    assert outcomes[0] == outcomes[1]
+    path = TagsPath(entries=("html", "div"), target="span.price")
+    assert extract_price_text(html, path) == tagspath_legacy.extract_price_text(
+        html, path
+    )
 
 
 @given(
@@ -197,6 +232,21 @@ def test_randomly_mangled_page_never_crashes(seed):
     assert out is None or isinstance(out, str)
 
 
+def test_pathological_pages_extract_in_bounded_time():
+    """Untrusted pages must not crash the Measurement server: a winning
+    element enclosing 5k-deep nesting (the tree's recursive text walk
+    raised RecursionError) and a 1 MB single text node both come back as
+    a string or None, quickly."""
+    deep = ("<html><body>" + "<div>" * 5000 + "$1" + "</div>" * 5000
+            + "</body></html>")
+    huge = '<html><body><span class="price">' + "9" * 1_000_000 + "</span></body></html>"
+    started = time.perf_counter()
+    assert extract_price_text(deep, TagsPath(entries=("html",), target="body")) == "$1"
+    assert extract_price_text("<div>" * 5000, _PRICE_PATH) is None
+    assert extract_price_text(huge, _PRICE_PATH) == "9" * 1_000_000
+    assert time.perf_counter() - started < 5.0
+
+
 @given(
     amount=st.floats(min_value=0.01, max_value=99_999,
                      allow_nan=False, allow_infinity=False),
@@ -207,12 +257,11 @@ def test_tags_path_roundtrip_on_clean_page(amount, code):
     """Recording a Tags Path for the price element and replaying it on
     the same page lands on the same element with the same text."""
     price_text = format_price(amount, code, style="iso_space")
-    root = parse(_store_page(price_text))
+    html = _store_page(price_text)
+    root = parse(html)
     target = find_all(root, tag="span", cls="price")[0]
     path = build_tags_path(root, target)
-    found = extract_price_element(root, path)
-    assert found is not None
-    assert found.text().strip() == target.text().strip() == price_text
+    assert extract_price_text(html, path) == target.text().strip() == price_text
 
 
 def test_tags_path_survives_page_variant():
@@ -226,6 +275,4 @@ def test_tags_path_survives_page_variant():
         '<div class="product"><span class="price">EUR 10.00</span></div>'
         "</div></body></html>"
     )
-    found = extract_price_element(parse(variant), path)
-    assert found is not None
-    assert found.text().strip() == "EUR 10.00"
+    assert extract_price_text(variant, path) == "EUR 10.00"

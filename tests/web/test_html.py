@@ -114,11 +114,18 @@ class TestQueries:
 
 _tags = st.sampled_from(["div", "span", "p", "section", "li"])
 _classes = st.sampled_from(["", "price", "item", "nav", "x y"])
+#: code points ``str.splitlines()`` breaks on but the serializer never
+#: emits as a line break; they may sit inside a text node (the parser
+#: strips them from its ends, like any whitespace)
+_LINE_BREAK_LOOKALIKES = "\u2028\u2029\x0b\x0c\x1c\x1d\x1e\x85"
 _texts = st.text(
-    alphabet=st.characters(whitelist_categories=("L", "N"), max_codepoint=0x7F),
+    alphabet=st.one_of(
+        st.characters(whitelist_categories=("L", "N"), max_codepoint=0x7F),
+        st.sampled_from(_LINE_BREAK_LOOKALIKES),
+    ),
     min_size=1,
     max_size=12,
-)
+).filter(lambda text: text == text.strip())
 
 
 @st.composite
@@ -143,3 +150,10 @@ def test_parse_render_roundtrip_property(element):
     root = Element("html", children=[Element("body", children=[element])])
     html = render(root)
     assert render(parse(html)) == html
+
+
+def test_text_splits_on_the_serializers_newline_only():
+    """U+2028 and friends are text, not line breaks: the recorded
+    selection text and the re-parsed text must be the same node."""
+    element = Element("p", {}, ["a\u2028b\x0bc\x85d"])
+    assert parse(render(element)).children == element.children
