@@ -22,10 +22,8 @@ Gives the library a tool-shaped front door:
   + a farmed workload + graceful drain;
 * ``storagebench`` — benchmark the storage engines (scan vs index,
   one shard vs many) and emit ``BENCH_storage.json``;
-* ``cryptobench`` — benchmark the secure k-means crypto (naive vs
-  fastexp, 1 vs N workers) and emit ``BENCH_crypto.json``;
 * ``bench``       — run the whole benchmark suite (any subset of
-  throughput/storage/crypto/scale), merge the reports into
+  throughput/storage/scale), merge the reports into
   ``BENCH_all.json``, and evaluate every regression gate in one exit
   code;
 * ``metrics``     — run a telemetry-on deployment and emit its
@@ -257,36 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="exit 1 unless every engine's indexed "
                                    "path beats the scan by more than X")
 
-    cryptobench = sub.add_parser(
-        "cryptobench",
-        help="benchmark the secure k-means crypto: naive vs fastexp, "
-             "1 vs N workers",
-    )
-    cryptobench.add_argument("--scale", default="default",
-                             choices=("smoke", "default"),
-                             help="smoke = reduced CI instance")
-    cryptobench.add_argument("--clients", type=int, default=None,
-                             help="encrypted client profiles")
-    cryptobench.add_argument("--dims", type=int, default=None,
-                             help="profile dimensionality m")
-    cryptobench.add_argument("--clusters", type=int, default=None,
-                             help="number of centroids k")
-    cryptobench.add_argument("--groups", nargs="+", default=None,
-                             choices=("test", "bench256", "rfc3526"),
-                             help="group parameter sets to sweep")
-    cryptobench.add_argument("--workers", type=int, nargs="+", default=None,
-                             help="worker-process counts to sweep")
-    cryptobench.add_argument("--repeats", type=int, default=None,
-                             help="best-of repeats per timed pass")
-    cryptobench.add_argument("--seed", type=int, default=None)
-    cryptobench.add_argument("--out", default="BENCH_crypto.json",
-                             help="where to write the JSON report")
-    cryptobench.add_argument("--require-speedup", type=float, default=None,
-                             metavar="X",
-                             help="exit 1 unless the encrypt+distance "
-                                  "speedup (test group, 1 worker) exceeds X "
-                                  "and the naive/fast lockstep check held")
-
     bench = sub.add_parser(
         "bench",
         help="run the unified benchmark suite, gate every regression",
@@ -295,9 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("smoke", "default"),
                        help="smoke = reduced CI instance")
     bench.add_argument("--include", nargs="+", default=None,
-                       choices=("throughput", "storage", "crypto", "scale",
-                                "mesh"),
-                       help="benchmarks to run (default: the four sim "
+                       choices=("throughput", "storage", "scale", "mesh"),
+                       help="benchmarks to run (default: the three sim "
                             "benchmarks; 'mesh' spawns real processes)")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--out", default="BENCH_all.json",
@@ -313,10 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="X",
                        help="every engine's index must beat the scan by "
                             "more than X")
-    bench.add_argument("--require-crypto-speedup", type=float, default=3.0,
-                       metavar="X",
-                       help="fastexp must beat naive by more than X "
-                            "(lockstep must also hold)")
     bench.add_argument("--require-scaling", type=float, default=3.0,
                        metavar="X",
                        help="top fleet must scale by at least X")
@@ -990,77 +953,6 @@ def _cmd_storagebench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cryptobench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workloads.cryptobench import (
-        PHASES,
-        CryptoBenchConfig,
-        run_cryptobench,
-    )
-
-    config = (
-        CryptoBenchConfig.smoke_scale()
-        if args.scale == "smoke"
-        else CryptoBenchConfig()
-    )
-    if args.clients is not None:
-        config.n_clients = args.clients
-    if args.dims is not None:
-        config.m = args.dims
-    if args.clusters is not None:
-        config.k = args.clusters
-    if args.groups is not None:
-        config.groups = tuple(args.groups)
-    if args.workers is not None:
-        config.worker_counts = tuple(args.workers)
-    if args.repeats is not None:
-        config.repeats = args.repeats
-    if args.seed is not None:
-        config.seed = args.seed
-
-    report = run_cryptobench(config)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    print(f"{'group':>8} {'workers':>7} {'phase':>9} "
-          f"{'naive s':>9} {'fast s':>9} {'speedup':>8}")
-    for group_report in report["groups"]:
-        for row in group_report["workers"]:
-            for phase in (*PHASES, "total"):
-                print(
-                    f"{group_report['group']:>8} {row['n_workers']:>7} "
-                    f"{phase:>9} "
-                    f"{row['naive'][f'{phase}_s']:>9.3f} "
-                    f"{row['fast'][f'{phase}_s']:>9.3f} "
-                    f"{row['speedup'][phase]:>7.2f}x"
-                )
-    lockstep = "ok" if report["lockstep_ok"] else "BROKEN"
-    print(f"naive/fast lockstep: {lockstep}")
-    print(f"report written to {args.out}")
-
-    if args.require_speedup is not None:
-        gate = report["gate_speedup"]
-        if not report["lockstep_ok"]:
-            print("FAIL: naive and fast paths diverged (lockstep broken)")
-            return 1
-        if gate is None:
-            print("FAIL: no test-group single-worker row to gate on")
-            return 1
-        if gate <= args.require_speedup:
-            print(
-                f"FAIL: encrypt+distance speedup {gate:.2f}x is not above "
-                f"{args.require_speedup:.2f}x"
-            )
-            return 1
-        print(
-            f"OK: encrypt+distance speedup {gate:.2f}x > "
-            f"{args.require_speedup:.2f}x (lockstep ok)"
-        )
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -1076,7 +968,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         throughput_speedup=args.require_throughput_speedup,
         max_telemetry_overhead=args.max_telemetry_overhead,
         index_speedup=args.require_index_speedup,
-        crypto_speedup=args.require_crypto_speedup,
         scaling_speedup=args.require_scaling,
     )
     print(f"benchmark suite: scale={config.scale} "
@@ -1317,7 +1208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "mesh": _cmd_mesh,
         "scalebench": _cmd_scalebench,
         "storagebench": _cmd_storagebench,
-        "cryptobench": _cmd_cryptobench,
         "bench": _cmd_bench,
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,

@@ -21,7 +21,11 @@ from typing import Dict, Optional
 
 from repro.crypto.elgamal import Ciphertext
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
-from repro.crypto.secure_kmeans import KMeansAggregator, KMeansCoordinator
+from repro.crypto.secure_kmeans import (
+    KMeansAggregator,
+    KMeansCoordinator,
+    iterate_until_stable,
+)
 
 
 class NoDoppelgangerAssigned(LookupError):
@@ -65,18 +69,12 @@ class Aggregator:
         """Iterate assign/update until the mapping stabilizes.
 
         Returns the peer→cluster mapping (which is exactly what the
-        Aggregator is allowed to learn).
+        Aggregator is allowed to learn).  Both parties' worker pools are
+        shut down by the time this returns or raises.
         """
         if self._kmeans is None or self._kmeans.n_clients == 0:
             raise RuntimeError("no encrypted profiles collected")
-        coordinator = self._kmeans.coordinator
-        n = self._kmeans.n_clients
-        for _ in range(max_iterations):
-            _, changed = self._kmeans.assign_all()
-            for cluster, (aggregate, cardinality) in self._kmeans.aggregate_clusters().items():
-                coordinator.update_centroid(cluster, aggregate, cardinality)
-            if changed / n <= halt_threshold:
-                break
+        iterate_until_stable(self._kmeans, halt_threshold, max_iterations)
         self.peer_cluster = dict(self._kmeans.assignments)
         return dict(self.peer_cluster)
 

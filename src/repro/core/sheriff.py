@@ -541,7 +541,12 @@ class PriceSheriff:
                 crypto_coordinator.scheme, crypto_coordinator.public_keys,
                 reference_domains, self.world.rng, quantization,
             )
-            self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
+            try:
+                self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
+            except ValueError:
+                # a malformed ciphertext costs its sender a cluster, not
+                # everyone else the round
+                continue
 
         if initial_centroids is None:
             initial_centroids = self._sparse_random_centroids(

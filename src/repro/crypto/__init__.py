@@ -12,9 +12,9 @@ Implements, from scratch:
 * :mod:`repro.crypto.fe` — the inner-product functional encryption of
   Abdalla et al. [13] (function keys for dot products);
 * :mod:`repro.crypto.fastexp` — fixed-base comb-table exponentiation
-  and Montgomery batch inversion, the fast path under everything above
-  (``use_fastexp=False`` on the schemes restores the naive arithmetic,
-  bit-identically);
+  and Montgomery batch inversion, the one arithmetic under everything
+  above (the textbook formulas it must match bit for bit are the test
+  oracle ``tests/oracles/crypto_naive.py``);
 * :mod:`repro.crypto.secure_kmeans` — the Coordinator/Aggregator
   two-phase clustering protocol with additive masking, so the
   Coordinator learns only centroids and cluster cardinalities while the

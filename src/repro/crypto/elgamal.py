@@ -11,12 +11,12 @@ the plaintexts — the homomorphism the centroid-update phase (Fig. 18)
 relies on.
 
 Every exponentiation here is against a *fixed* base — the generator
-``g`` or a public key ``h_i`` — so by default the scheme routes through
-the windowed comb tables of :mod:`repro.crypto.fastexp` (several times
-faster than built-in ``pow``, bit-identical results).  Pass
-``use_fastexp=False`` to force the naive textbook path; the lockstep
-tests prove both produce the same ciphertext bytes for the same RNG
-stream.
+``g`` or a public key ``h_i`` — so the scheme routes through the
+windowed comb tables of :mod:`repro.crypto.fastexp` (several times
+faster than built-in ``pow``, bit-identical results).  The textbook
+formulas above live on as ``tests/oracles/crypto_naive.py``; the
+lockstep tests prove this module produces the same ciphertext bytes as
+that oracle for the same RNG stream.
 """
 
 from __future__ import annotations
@@ -45,18 +45,15 @@ class Ciphertext:
 class VectorElGamal:
     """Keyed encrypt/decrypt/homomorphic-combine over integer vectors."""
 
-    def __init__(
-        self, group: SchnorrGroup, dimensions: int, use_fastexp: bool = True
-    ) -> None:
+    def __init__(self, group: SchnorrGroup, dimensions: int) -> None:
         if dimensions < 1:
             raise ValueError("need at least one dimension")
         self.group = group
         self.dimensions = dimensions
-        self.use_fastexp = use_fastexp
         # per-scheme handle cache so hot paths skip the global LRU lookup
         self._tables: Dict[int, fastexp.FixedBaseTable] = {}
 
-    # -- fast/naive exponentiation seams ------------------------------------
+    # -- fixed-base tables ----------------------------------------------------
     def _powers(self, base: int) -> fastexp.FixedBaseTable:
         table = self._tables.get(base)
         if table is None:
@@ -64,15 +61,9 @@ class VectorElGamal:
             self._tables[base] = table
         return table
 
-    def _exp(self, base: int, exponent: int) -> int:
-        """base^exponent via the comb table or the naive path."""
-        if self.use_fastexp:
-            return self._powers(base).pow(exponent)
-        return self.group.exp(base, exponent)
-
     def gexp(self, exponent: int) -> int:
-        """g^exponent through the scheme's exponentiation strategy."""
-        return self._exp(self.group.g, exponent)
+        """g^exponent through the generator's comb table."""
+        return self._powers(self.group.g).pow(exponent)
 
     # -- keys ---------------------------------------------------------------
     def keygen(self, rng: random.Random) -> Tuple[List[int], List[int]]:
@@ -94,14 +85,7 @@ class VectorElGamal:
                 f"{len(plaintext)} plaintext / {len(public)} keys"
             )
         r = self.group.random_exponent(rng)
-        if not self.use_fastexp:
-            alpha = self.gexp(r)
-            betas = tuple(
-                self.group.mul(self._exp(h, r), self.gexp(c))
-                for h, c in zip(public, plaintext)
-            )
-            return Ciphertext(alpha=alpha, betas=betas)
-        # hot path: hoist the table handles and fold the mod-mul inline —
+        # hoist the table handles and fold the mod-mul inline —
         # per-component dispatch overhead otherwise rivals the arithmetic
         p = self.group.p
         powers = self._powers
@@ -132,14 +116,6 @@ class VectorElGamal:
         if len(public) != self.dimensions or ct.dimensions != self.dimensions:
             raise ValueError("public key / ciphertext dimension mismatch")
         r = self.group.random_exponent(rng)
-        if not self.use_fastexp:
-            mul = self.group.mul
-            alpha = mul(ct.alpha, self.gexp(r))
-            betas = [mul(b, self._exp(h, r)) for b, h in zip(ct.betas, public)]
-            if add_at:
-                for index, value in add_at.items():
-                    betas[index] = mul(betas[index], self.gexp(value))
-            return Ciphertext(alpha=alpha, betas=tuple(betas))
         p = self.group.p
         powers = self._powers
         gpow = powers(self.group.g).pow
@@ -166,12 +142,12 @@ class VectorElGamal:
     ) -> List[int]:
         """Decrypt several components of one ciphertext in a batch.
 
-        The fast path exponentiates α through one ephemeral comb table
-        (the base is shared by every component) and unmasks all the
+        Exponentiates α through one ephemeral comb table (the base is
+        shared by every component) and unmasks all the
         γ_i = β_i / α^{x_i} with a single Montgomery batch inversion,
         instead of one full inversion per component.
         """
-        if not self.use_fastexp or len(indices) < 2:
+        if len(indices) < 2:
             return [
                 self.decrypt_component(secret, ct, i, bound) for i in indices
             ]

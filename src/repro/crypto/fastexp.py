@@ -34,10 +34,11 @@ protocol run rather than once per worker per call.  Per-ciphertext bases
 built-in ``pow`` when too few exponentiations are expected to amortize
 the build.
 
-Everything here is bit-compatible with the naive path: for any base and
-exponent, ``FixedBaseTable.pow(e) == pow(base, e % q, p)``.  The
-``use_fastexp=False`` escape hatch on the schemes above this layer
-switches back to raw ``pow`` wholesale.
+Everything here is bit-compatible with built-in ``pow``: for any base
+and exponent, ``FixedBaseTable.pow(e) == pow(base, e % q, p)``.  The
+schemes above this layer have no other arithmetic; the raw-``pow``
+textbook versions they are checked against live in
+``tests/oracles/crypto_naive.py``.
 """
 
 from __future__ import annotations

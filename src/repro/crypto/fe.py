@@ -9,8 +9,8 @@ logarithm of γ" (App. 10.4).
 Negative coordinates in ``s`` (the distance protocol uses −2·b_i) are
 handled by reduction modulo the group order — which is exactly what
 makes the textbook evaluation slow: ``β^{-2b mod q}`` is a full-width
-exponentiation even though ``b`` is a tiny centroid coordinate.  The
-fast path (default) splits ``s`` by sign and computes
+exponentiation even though ``b`` is a tiny centroid coordinate.  So
+evaluation splits ``s`` by sign and computes
 ``γ = (Π_{s_i>0} β_i^{s_i}) / (Π_{s_i<0} β_i^{-s_i} · α^f)`` instead:
 every β-exponent stays as small as the protocol data it encodes, and
 the whole denominator costs one inversion.  When one ciphertext is
@@ -19,8 +19,9 @@ distance phase scores every centroid against the same masked client),
 the shared base α gets an ephemeral comb table and the per-vector
 denominators are inverted together with one Montgomery batch pass.
 
-``use_fastexp=False`` restores the verbatim textbook evaluation; both
-paths return identical group elements.
+The verbatim textbook evaluation lives on as
+``tests/oracles/crypto_naive.py``; the lockstep tests prove both return
+identical group elements.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from repro.crypto.group import SchnorrGroup
 class InnerProductFE:
     """Derive function keys and evaluate dot products on ciphertexts."""
 
-    def __init__(self, group: SchnorrGroup, use_fastexp: bool = True) -> None:
+    def __init__(self, group: SchnorrGroup) -> None:
         self.group = group
-        self.use_fastexp = use_fastexp
 
     def function_key(self, secret: Sequence[int], s: Sequence[int]) -> int:
         """f = Σ x_i · s_i (mod q) — derived by the key holder."""
@@ -47,12 +47,6 @@ class InnerProductFE:
         return sum(x * si for x, si in zip(secret, s)) % self.group.q
 
     # -- evaluation -----------------------------------------------------------
-    def _eval_naive(self, ct: Ciphertext, s: Sequence[int], f: int) -> int:
-        numerator = 1
-        for beta, si in zip(ct.betas, s):
-            numerator = self.group.mul(numerator, self.group.exp(beta, si))
-        return self.group.div(numerator, self.group.exp(ct.alpha, f))
-
     def _split_products(self, ct: Ciphertext, s: Sequence[int]) -> tuple:
         """(Π_{s_i>0} β_i^{s_i}, Π_{s_i<0} β_i^{-s_i}) with small exponents."""
         p = self.group.p
@@ -75,8 +69,6 @@ class InnerProductFE:
         """γ = Π β_i^{s_i} / α^f, i.e. g^{⟨c, s⟩} as a group element."""
         if len(s) != ct.dimensions:
             raise ValueError("function vector / ciphertext dimension mismatch")
-        if not self.use_fastexp:
-            return self._eval_naive(ct, s, f)
         group = self.group
         num, den = self._split_products(ct, s)
         den = den * pow(ct.alpha, f % group.q, group.p) % group.p
@@ -98,10 +90,6 @@ class InnerProductFE:
         """
         if len(s_vectors) != len(f_keys):
             raise ValueError("function vector / key count mismatch")
-        if not self.use_fastexp:
-            return [
-                self._eval_naive(ct, s, f) for s, f in zip(s_vectors, f_keys)
-            ]
         group = self.group
         p = group.p
         atab = fastexp.ephemeral_table(p, group.q, ct.alpha, len(f_keys))

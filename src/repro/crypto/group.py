@@ -136,7 +136,8 @@ TEST_GROUP = _make_test_group()
 
 #: 256-bit benchmark group: the result of
 #: ``SchnorrGroup.generate(256, random.Random(2017))`` pinned as a
-#: constant so ``repro cryptobench`` never pays the safe-prime search.
+#: constant so the ``cluster_round`` wall-clock workload (``bench/``)
+#: never pays the safe-prime search.
 _BENCH_P_256 = int(
     "D077C6C03E223C53ECFE22E02915B7608EDD4EFB43013B48A402118D1042020F", 16
 )

@@ -41,10 +41,14 @@ forked once, inherit the fixed-base exponentiation tables and BSGS
 contexts copy-on-write, and survive across phases and iterations, so a
 multi-iteration run no longer pays pool startup per phase per iteration.
 Both parties are context managers; ``close()`` (or ``with``) shuts the
-pools down deterministically.
+pools down deterministically.  Pools only ever start inside
+:func:`iterate_until_stable` — the one assign → aggregate → update loop,
+shared by :func:`run_secure_kmeans` and
+``repro.core.aggregator.Aggregator.run_clustering`` — which closes both
+parties' pools on the way out, so no caller leaks forked children.
 
-Fast-path crypto (default; ``use_fastexp=False`` restores the naive
-textbook arithmetic, bit-for-bit and RNG-draw-for-draw identical):
+The arithmetic (bit-for-bit and RNG-draw-for-draw identical to the
+textbook protocol kept as ``tests/oracles/crypto_naive.py``):
 
 * all fixed-base exponentiations route through comb tables
   (:mod:`repro.crypto.fastexp`);
@@ -153,17 +157,15 @@ class KMeansCoordinator:
         value_bound: int,
         rng: random.Random,
         n_workers: int = 1,
-        use_fastexp: bool = True,
     ) -> None:
         self.group = group
         self.m = m
         self.t = m + 2
         self.value_bound = value_bound
         self.n_workers = n_workers
-        self.use_fastexp = use_fastexp
-        self.scheme = VectorElGamal(group, self.t, use_fastexp=use_fastexp)
+        self.scheme = VectorElGamal(group, self.t)
         self._secret, self.public_keys = self.scheme.keygen(rng)
-        self._fe = InnerProductFE(group, use_fastexp=use_fastexp)
+        self._fe = InnerProductFE(group)
         self.centroids: List[List[int]] = []
         self.pool = WorkerPool(n_workers)
         self._m_phase = None
@@ -214,25 +216,18 @@ class KMeansCoordinator:
         nothing to it.
         """
         started = time.perf_counter()
-        s_vectors, f_keys = self._function_data()
+        shared = (self.group.p, self.group.q, self.group.g,
+                  *self._function_data())
         if self.n_workers <= 1 or len(masked) < 2:
-            out = dict(
-                _distance_chunk(
-                    (self.group.p, self.group.q, self.group.g,
-                     s_vectors, f_keys, list(masked), self.use_fastexp)
-                )
-            )
-            self._observe_phase("distance", time.perf_counter() - started)
-            return out
-        chunks = _split(list(masked), self.n_workers)
-        args = [
-            (self.group.p, self.group.q, self.group.g,
-             s_vectors, f_keys, chunk, self.use_fastexp)
-            for chunk in chunks
-            if chunk
-        ]
+            partials = [_distance_chunk((*shared, list(masked)))]
+        else:
+            partials = self.pool.map(_distance_chunk, [
+                (*shared, chunk)
+                for chunk in _split(list(masked), self.n_workers)
+                if chunk
+            ])
         out: Dict[int, List[int]] = {}
-        for partial in self.pool.map(_distance_chunk, args):
+        for partial in partials:
             out.update(partial)
         self._observe_phase("distance", time.perf_counter() - started)
         return out
@@ -255,6 +250,11 @@ class KMeansCoordinator:
         return centroid
 
 
+def _is_element(value, p: int) -> bool:
+    """Whether an untrusted ciphertext component is a unit of Z_p."""
+    return type(value) is int and 0 < value < p
+
+
 class KMeansAggregator:
     """Holds encrypted points; learns distances and the mapping only."""
 
@@ -264,14 +264,12 @@ class KMeansAggregator:
         coordinator: KMeansCoordinator,
         rng: random.Random,
         n_workers: int = 1,
-        use_fastexp: bool = True,
     ) -> None:
         self.group = group
         self.coordinator = coordinator
         self._rng = rng
         self.n_workers = n_workers
-        self.use_fastexp = use_fastexp
-        self.scheme = VectorElGamal(group, coordinator.t, use_fastexp=use_fastexp)
+        self.scheme = VectorElGamal(group, coordinator.t)
         self._ciphertexts: Dict[str, Ciphertext] = {}
         self._order: List[str] = []
         self.assignments: Dict[str, int] = {}
@@ -299,8 +297,23 @@ class KMeansAggregator:
 
     # -- intake ---------------------------------------------------------------
     def submit(self, client_id: str, ciphertext: Ciphertext) -> None:
+        """Hold one peer's ciphertext; refuse anything but group elements.
+
+        Ciphertexts come from other users' browsers.  An α or β_i that
+        is not an ``int`` in ``[1, p-1]`` (0 has no inverse, a string
+        has no arithmetic) would abort the distance phase for every
+        peer, so it is turned away here and the round goes on without
+        its sender.
+        """
         if ciphertext.dimensions != self.coordinator.t:
             raise ValueError("ciphertext dimensionality mismatch")
+        p = self.group.p
+        if not (_is_element(ciphertext.alpha, p)
+                and all(_is_element(beta, p) for beta in ciphertext.betas)):
+            raise ValueError(
+                f"ciphertext from peer {client_id!r} refused: every "
+                "element must be an int in [1, p-1]"
+            )
         if client_id not in self._ciphertexts:
             self._order.append(client_id)
         self._ciphertexts[client_id] = ciphertext
@@ -313,23 +326,17 @@ class KMeansAggregator:
     def _mask(self, ct: Ciphertext) -> Tuple[Ciphertext, int]:
         """Re-randomize and add ν to coordinate 1; returns (masked, ν).
 
-        Fast path: multiply the re-randomization straight into the
-        ciphertext (``α·g^r``, ``β_i·h_i^r``, ``β_1·g^ν``) through the
-        fixed-base tables — 1 + t table exponentiations instead of the
-        naive path's full encryption of a mostly-zero mask vector
-        (1 + 2t raw ones).  Identical output, identical RNG draws
-        (ν then r) either way.
+        Multiplies the re-randomization straight into the ciphertext
+        (``α·g^r``, ``β_i·h_i^r``, ``β_1·g^ν``) through the fixed-base
+        tables — 1 + t table exponentiations instead of the textbook's
+        full encryption of a mostly-zero mask vector (1 + 2t raw ones).
+        Identical output, identical RNG draws (ν then r).
         """
         nu = self.group.random_exponent(self._rng)
-        public = self.coordinator.public_keys
-        if self.use_fastexp:
-            masked = self.scheme.rerandomize(
-                public, ct, self._rng, add_at={0: nu}
-            )
-            return masked, nu
-        mask_plain = [nu] + [0] * (self.coordinator.t - 1)
-        mask_ct = self.scheme.encrypt(public, mask_plain, self._rng)
-        return self.scheme.add(ct, mask_ct), nu
+        masked = self.scheme.rerandomize(
+            self.coordinator.public_keys, ct, self._rng, add_at={0: nu}
+        )
+        return masked, nu
 
     def mask_all(self) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], List[int]]:
         """Mask every held ciphertext; returns (masked batch, ν list)."""
@@ -344,11 +351,9 @@ class KMeansAggregator:
         return masked_batch, nus
 
     def _unmask_factors(self, nus: Sequence[int]) -> List[int]:
-        """The per-client g^{-ν} factors, batch-inverted on the fast path."""
-        if self.use_fastexp:
-            g_nus = [self.scheme.gexp(nu) for nu in nus]
-            return fastexp.batch_invert(self.group.p, g_nus)
-        return [self.group.inv(self.group.gexp(nu)) for nu in nus]
+        """The per-client g^{-ν} factors, inverted in one batch."""
+        g_nus = [self.scheme.gexp(nu) for nu in nus]
+        return fastexp.batch_invert(self.group.p, g_nus)
 
     def choose_clusters(
         self, gamma_map: Dict[int, List[int]], nus: Sequence[int]
@@ -421,9 +426,9 @@ def _split(items: list, n: int) -> List[list]:
 
 
 def _distance_chunk(args) -> List[Tuple[int, List[int]]]:
-    p, q, g, s_vectors, f_keys, chunk, use_fastexp = args
+    p, q, g, s_vectors, f_keys, chunk = args
     group = SchnorrGroup(p=p, q=q, g=g)
-    fe = InnerProductFE(group, use_fastexp=use_fastexp)
+    fe = InnerProductFE(group)
     out = []
     for idx, alpha, betas in chunk:
         ct = Ciphertext(alpha=alpha, betas=tuple(betas))
@@ -456,6 +461,42 @@ def _phase_histogram(registry):
     )
 
 
+# -- the protocol loop ---------------------------------------------------------
+
+def iterate_until_stable(
+    aggregator: KMeansAggregator,
+    halt_threshold: float,
+    max_iterations: int,
+) -> Tuple[bool, List[float]]:
+    """Assign → aggregate → update until the mapping stabilizes.
+
+    The one home of the two-phase loop: stops once the fraction of
+    clients whose cluster changed is at most ``halt_threshold``, or
+    after ``max_iterations``.  Returns ``(converged, seconds per
+    iteration)``; assignments and centroids are left on the two parties.
+    Both parties' worker pools are shut down on the way out, whether the
+    loop finished or raised.
+    """
+    coordinator = aggregator.coordinator
+    n_clients = aggregator.n_clients
+    iteration_seconds: List[float] = []
+    converged = False
+    try:
+        for _ in range(max_iterations):
+            started = time.perf_counter()
+            _, changed = aggregator.assign_all()
+            for cluster, (aggregate, cardinality) in aggregator.aggregate_clusters().items():
+                coordinator.update_centroid(cluster, aggregate, cardinality)
+            iteration_seconds.append(time.perf_counter() - started)
+            if changed / n_clients <= halt_threshold:
+                converged = True
+                break
+    finally:
+        aggregator.close()
+        coordinator.close()
+    return converged, iteration_seconds
+
+
 # -- top-level driver --------------------------------------------------------
 
 @dataclass
@@ -483,7 +524,6 @@ def run_secure_kmeans(
     halt_threshold: float = 0.02,
     max_iterations: int = 15,
     n_workers: int = 1,
-    use_fastexp: bool = True,
     telemetry=None,
 ) -> SecureKMeansResult:
     """Run the full protocol over a set of client profiles.
@@ -493,10 +533,8 @@ def run_secure_kmeans(
     to a deterministic sample of the client points — chosen by the
     Aggregator's RNG, mirroring a Forgy initialization.
 
-    ``use_fastexp=False`` switches every party to the naive textbook
-    arithmetic; the result (and the RNG draw sequence) is identical
-    either way.  Pass a :class:`repro.obs.Telemetry` to record the
-    ``sheriff_crypto_*`` counters and per-phase latency histograms.
+    Pass a :class:`repro.obs.Telemetry` to record the ``sheriff_crypto_*``
+    counters and per-phase latency histograms.
     """
     if not points:
         raise ValueError("no client points")
@@ -510,9 +548,9 @@ def run_secure_kmeans(
     m = dims.pop()
 
     coordinator = KMeansCoordinator(group, m=m, value_bound=value_bound, rng=rng,
-                                    n_workers=n_workers, use_fastexp=use_fastexp)
+                                    n_workers=n_workers)
     aggregator = KMeansAggregator(group, coordinator, rng=rng,
-                                  n_workers=n_workers, use_fastexp=use_fastexp)
+                                  n_workers=n_workers)
     if telemetry is not None:
         from repro.crypto.obs import bind_crypto_telemetry
 
@@ -520,46 +558,31 @@ def run_secure_kmeans(
         coordinator.bind_telemetry(telemetry)
         aggregator.bind_telemetry(telemetry)
 
-    try:
-        # Clients encrypt and go offline.
-        encrypt_started = time.perf_counter()
-        for client_id, point in points.items():
-            client = ProfileClient(client_id, point, value_bound)
-            aggregator.submit(
-                client_id, client.encrypt_profile(coordinator.scheme,
-                                                  coordinator.public_keys, rng)
-            )
-        aggregator._observe_phase("encrypt",
-                                  time.perf_counter() - encrypt_started)
-
-        if initial_centroids is None:
-            ids = sorted(points)
-            chosen = rng.sample(ids, min(k, len(ids)))
-            initial_centroids = [list(points[c]) for c in chosen]
-            while len(initial_centroids) < k:
-                initial_centroids.append(list(points[rng.choice(ids)]))
-        coordinator.set_centroids(initial_centroids)
-
-        iteration_seconds: List[float] = []
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            started = time.perf_counter()
-            _, changed = aggregator.assign_all()
-            for cluster, (aggregate, cardinality) in aggregator.aggregate_clusters().items():
-                coordinator.update_centroid(cluster, aggregate, cardinality)
-            iteration_seconds.append(time.perf_counter() - started)
-            if changed / len(points) <= halt_threshold:
-                converged = True
-                break
-
-        return SecureKMeansResult(
-            centroids=[list(c) for c in coordinator.centroids],
-            assignments=dict(aggregator.assignments),
-            iterations=iterations,
-            converged=converged,
-            iteration_seconds=iteration_seconds,
+    # Clients encrypt and go offline.
+    encrypt_started = time.perf_counter()
+    for client_id, point in points.items():
+        client = ProfileClient(client_id, point, value_bound)
+        aggregator.submit(
+            client_id, client.encrypt_profile(coordinator.scheme,
+                                              coordinator.public_keys, rng)
         )
-    finally:
-        aggregator.close()
-        coordinator.close()
+    aggregator._observe_phase("encrypt", time.perf_counter() - encrypt_started)
+
+    if initial_centroids is None:
+        ids = sorted(points)
+        chosen = rng.sample(ids, min(k, len(ids)))
+        initial_centroids = [list(points[c]) for c in chosen]
+        while len(initial_centroids) < k:
+            initial_centroids.append(list(points[rng.choice(ids)]))
+    coordinator.set_centroids(initial_centroids)
+
+    converged, iteration_seconds = iterate_until_stable(
+        aggregator, halt_threshold, max_iterations
+    )
+    return SecureKMeansResult(
+        centroids=[list(c) for c in coordinator.centroids],
+        assignments=dict(aggregator.assignments),
+        iterations=len(iteration_seconds),
+        converged=converged,
+        iteration_seconds=iteration_seconds,
+    )

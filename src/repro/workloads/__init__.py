@@ -15,8 +15,6 @@
   temporal study, the Alexa-400 sweep;
 * :mod:`repro.workloads.perfmodel` — the Table 1 queueing model of the
   old and new back-end architectures;
-* :mod:`repro.workloads.cryptobench` — the Fig. 8(c) crypto benchmark:
-  naive vs fastexp arithmetic, 1 vs N workers, per protocol phase;
 * :mod:`repro.workloads.journey` — the seeded forced-steal drill behind
   ``repro journey`` / ``repro slo``: one run whose jobs are provably
   admitted, queued, stolen, and persisted under full telemetry;
@@ -40,7 +38,6 @@ from repro.workloads.crawlstudy import (
     temporal_study,
 )
 from repro.workloads.perfmodel import PerformanceModel, PerfRow, run_table1
-from repro.workloads.cryptobench import CryptoBenchConfig, run_cryptobench
 
 __all__ = [
     "ContentWeb",
@@ -59,6 +56,4 @@ __all__ = [
     "PerformanceModel",
     "PerfRow",
     "run_table1",
-    "CryptoBenchConfig",
-    "run_cryptobench",
 ]

@@ -1,12 +1,12 @@
 """The unified benchmark suite: every benchmark, one report, one verdict.
 
-``repro bench`` grew out of four separate CI steps — ``throughput``,
-``storagebench``, ``cryptobench``, ``scalebench`` — each with its own
-output file and its own pass/fail flag.  This module runs any subset of
-them with one config, merges their reports into a single
+``repro bench`` grew out of separate CI steps — ``throughput``,
+``storagebench``, ``scalebench`` — each with its own output file and
+its own pass/fail flag.  This module runs any subset of them with one
+config, merges their reports into a single
 ``BENCH_all.json``, and evaluates every regression gate in one place,
 so "did performance regress anywhere?" is one exit code instead of
-four scattered ones.
+several scattered ones.
 
 The gates mirror the standalone CLI verbs exactly (same keys, same
 comparison direction), so a suite run and the individual runs can never
@@ -18,8 +18,6 @@ disagree about a regression:
   cost at most that fraction of wall time;
 * ``storage`` — every engine's indexed path must beat the scan by more
   than ``index_speedup``;
-* ``crypto`` — the fastexp path must beat naive arithmetic by more
-  than ``crypto_speedup`` *and* the naive/fast lockstep must hold;
 * ``scale`` — checks/sec at the largest fleet must be at least
   ``scaling_speedup`` times the single-server baseline;
 * ``mesh`` — the multi-process wall-clock run must complete every check
@@ -38,13 +36,13 @@ __all__ = ["BenchSuiteConfig", "run_benchsuite"]
 
 #: every benchmark the suite knows, in run order
 ALL_BENCHMARKS: Tuple[str, ...] = (
-    "throughput", "storage", "crypto", "scale", "mesh",
+    "throughput", "storage", "scale", "mesh",
 )
 
 #: what a bare suite run includes — "mesh" is opt-in because it spawns
 #: real OS processes (CI runs it in the dedicated mesh-smoke job)
 DEFAULT_BENCHMARKS: Tuple[str, ...] = (
-    "throughput", "storage", "crypto", "scale",
+    "throughput", "storage", "scale",
 )
 
 
@@ -59,7 +57,6 @@ class BenchSuiteConfig:
     throughput_speedup: Optional[float] = 1.0
     max_telemetry_overhead: Optional[float] = None
     index_speedup: Optional[float] = 5.0
-    crypto_speedup: Optional[float] = 3.0
     scaling_speedup: Optional[float] = 3.0
     #: mesh run shape + gate (wall-clock floor; generous on purpose —
     #: the gate catches hangs and lost checks, not scheduler noise)
@@ -160,33 +157,6 @@ def _run_storage(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
     return report
 
 
-def _run_crypto(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
-    from repro.workloads.cryptobench import CryptoBenchConfig, run_cryptobench
-
-    bench_config = (
-        CryptoBenchConfig.smoke_scale()
-        if config.scale == "smoke"
-        else CryptoBenchConfig()
-    )
-    if config.seed is not None:
-        bench_config.seed = config.seed
-    report = run_cryptobench(bench_config)
-    if config.crypto_speedup is not None:
-        gates.append(_gate(
-            "crypto_speedup",
-            report["gate_speedup"],
-            config.crypto_speedup, "gt",
-            "fastexp vs naive encrypt+distance (test group, 1 worker)",
-        ))
-        gates.append(_gate(
-            "crypto_lockstep",
-            1.0 if report["lockstep_ok"] else 0.0,
-            1.0, "ge",
-            "naive and fast paths produced bit-identical centroids",
-        ))
-    return report
-
-
 def _run_scale(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
     from repro.workloads.scalebench import ScaleBenchConfig, run_scalebench
 
@@ -238,7 +208,6 @@ def _run_mesh(config: BenchSuiteConfig, gates: List[Dict[str, Any]]):
 _RUNNERS = {
     "throughput": _run_throughput,
     "storage": _run_storage,
-    "crypto": _run_crypto,
     "scale": _run_scale,
     "mesh": _run_mesh,
 }

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.aggregator import Aggregator, NoDoppelgangerAssigned
+from repro.crypto.elgamal import Ciphertext
 from repro.crypto.group import TEST_GROUP
 from repro.crypto.secure_kmeans import KMeansCoordinator, ProfileClient
 
@@ -70,6 +71,41 @@ class TestClustering:
         aggregator.run_clustering(max_iterations=3)
         assert [0, 0, 0, 0] in coordinator.centroids
         assert [10, 10, 10, 10] in coordinator.centroids
+
+
+class TestHostilePeer:
+    def test_refused_at_intake_and_round_proceeds(self, roles):
+        coordinator, aggregator, rng = roles
+        submit_profiles(coordinator, aggregator, rng, {
+            "low-1": [0, 1, 0, 1], "low-2": [1, 0, 1, 0],
+            "high-1": [9, 10, 9, 10], "high-2": [10, 9, 10, 9],
+        })
+        with pytest.raises(ValueError, match="'mallory'"):
+            aggregator.submit_encrypted_profile(
+                "mallory", Ciphertext(alpha=0, betas=(0,) * coordinator.t)
+            )
+        assert aggregator.n_profiles == 4
+        coordinator.set_centroids([[0, 0, 0, 0], [10, 10, 10, 10]])
+        mapping = aggregator.run_clustering(max_iterations=4)
+        assert "mallory" not in mapping
+        assert mapping["low-1"] == mapping["low-2"] != mapping["high-1"]
+
+    def test_deployment_round_skips_the_refused_addon(self, world, sheriff):
+        addons = [
+            sheriff.install_addon(world.make_browser("ES", "Madrid"))
+            for _ in range(5)
+        ]
+        mallory = addons[2]
+        mallory.encrypted_profile = lambda scheme, *args, **kwargs: Ciphertext(
+            alpha=0, betas=(0,) * scheme.dimensions
+        )
+        outcome = sheriff.run_doppelganger_clustering(
+            ["news.example", "blog.example"], k=2, max_iterations=2
+        )
+        assert set(outcome.mapping) == {
+            a.peer_id for a in addons if a is not mallory
+        }
+        assert not sheriff.aggregator.has_doppelganger_for(mallory.peer_id)
 
 
 class TestDoppelgangerIdService:

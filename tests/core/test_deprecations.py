@@ -10,7 +10,8 @@ referenced anywhere under ``src/``.
 
 PR 12 collapsed the price-check mode lattice the same way: the
 ``pipelined`` / ``use_fast_extract`` switches and ``transport="direct"``
-are pinned absent below.
+are pinned absent below.  PR 14 did the same to the crypto layer's
+``use_fastexp`` switch and the ``cryptobench`` verb that timed it.
 """
 
 import dataclasses
@@ -27,9 +28,17 @@ from repro.core.errors import InvalidConfig
 from repro.core.measurement import MeasurementServer
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.tagspath import extract_price_text
+from repro.crypto.elgamal import VectorElGamal
+from repro.crypto.fe import InnerProductFE
+from repro.crypto.secure_kmeans import (
+    KMeansAggregator,
+    KMeansCoordinator,
+    run_secure_kmeans,
+)
 from repro.net.faults import chaos_plan
 from repro.net.p2p import PeerOverlay
 from repro.storage import ShardedDatabase
+from repro.workloads.benchsuite import BenchSuiteConfig
 from repro.workloads.deployment import DeploymentConfig
 
 
@@ -78,7 +87,7 @@ def test_deprecated_names_absent_from_source():
 class TestModeLatticeCollapsed:
     """One production path per price check: the ``pipelined`` and
     ``use_fast_extract`` switches and ``transport="direct"`` are gone,
-    not merely defaulted."""
+    not merely defaulted; so is the crypto layer's ``use_fastexp``."""
 
     REMOVED = ("pipelined", "use_fast_extract")
 
@@ -91,6 +100,12 @@ class TestModeLatticeCollapsed:
             assert not set(self.REMOVED) & set(params), fn
         fields = {f.name for f in dataclasses.fields(DeploymentConfig)}
         assert not set(self.REMOVED) & fields
+        for fn in (
+            VectorElGamal.__init__, InnerProductFE.__init__,
+            KMeansCoordinator.__init__, KMeansAggregator.__init__,
+            run_secure_kmeans,
+        ):
+            assert "use_fastexp" not in inspect.signature(fn).parameters, fn
 
     @pytest.mark.parametrize(
         "data", [{"pipelined": True}, {"use_fast_extract": False}]
@@ -117,9 +132,28 @@ class TestModeLatticeCollapsed:
         with pytest.raises(SystemExit):
             main(argv)
 
+    @pytest.mark.parametrize(
+        "argv", [["cryptobench"], ["bench", "--include", "crypto"],
+                 ["bench", "--require-crypto-speedup", "3"]],
+    )
+    def test_cryptobench_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+    def test_cryptobench_not_exported(self):
+        import repro.workloads
+
+        for name in ("CryptoBenchConfig", "run_cryptobench", "cryptobench"):
+            assert not hasattr(repro.workloads, name)
+            assert name not in repro.workloads.__all__
+        assert "crypto_speedup" not in {
+            f.name for f in dataclasses.fields(BenchSuiteConfig)
+        }
+
     def test_identifiers_absent_from_source(self):
         assert _source_offenders(re.compile(
             r"use_fast_extract|observe_serial_check|\bpipelined\s*[=:]"
+            r"|use_fastexp|cryptobench"
         )) == []
 
 

@@ -1,18 +1,25 @@
-"""Lockstep proof: the fast crypto path is bit-identical to the naive one.
+"""Lockstep proof: the crypto layer is bit-identical to the textbook.
 
-``use_fastexp=True`` (the default) must be a pure performance change:
-for a fixed seed, both paths must produce byte-identical ciphertexts,
-identical assignments and centroids, and — the strictest check — consume
-the random stream draw-for-draw, so that mixing fast and naive parties
-mid-protocol can never diverge.  Worker pools must not perturb any of
-this, and must leave no stray child processes behind.
+``src/repro/crypto/`` has one arithmetic — comb tables, sign-split FE
+evaluation, batch inversion, re-randomization masks.  The textbook
+formulas it replaced live in ``tests/oracles/crypto_naive.py``, written
+against raw ``pow`` only.  For a fixed seed both must produce
+byte-identical keys and ciphertexts, identical assignments and
+centroids, and — the strictest check — consume the random stream
+draw-for-draw, so a peer running the textbook can never diverge from one
+running this code.  Worker pools must not perturb any of this, and must
+leave no stray child processes behind.
 """
 
+import inspect
 import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.aggregator import Aggregator
+from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.crypto.dlog import clear_dlog_cache
 from repro.crypto.elgamal import VectorElGamal
 from repro.crypto.fastexp import clear_fastexp_cache
@@ -21,8 +28,10 @@ from repro.crypto.group import TEST_GROUP
 from repro.crypto.secure_kmeans import (
     KMeansAggregator,
     KMeansCoordinator,
+    ProfileClient,
     run_secure_kmeans,
 )
+from tests.oracles import crypto_naive
 
 
 @pytest.fixture(autouse=True)
@@ -41,21 +50,38 @@ def _points(n=14, m=5, bound=20, seed=99):
     }
 
 
+def test_oracle_shares_no_arithmetic_with_the_layer_it_checks():
+    """Nothing in the oracle's namespace comes from fastexp, or from
+    dlog (which rides on fastexp), and it never asks for a comb table."""
+    for name, value in vars(crypto_naive).items():
+        origin = (
+            value.__name__ if inspect.ismodule(value)
+            else getattr(value, "__module__", "")
+        )
+        assert origin not in ("repro.crypto.fastexp", "repro.crypto.dlog"), name
+    assert "powers_of" not in inspect.getsource(crypto_naive)
+
+
 class TestSchemeLockstep:
     def test_encrypt_bit_identical_and_same_rng_draws(self):
         plaintext = [3, 1, 0, 17, 4]
-        results = []
-        for use_fastexp in (False, True):
-            rng = random.Random(42)
-            scheme = VectorElGamal(TEST_GROUP, 5, use_fastexp=use_fastexp)
-            secret, public = scheme.keygen(rng)
-            ct = scheme.encrypt(public, plaintext, rng)
-            results.append((secret, public, ct, rng.getstate()))
-        assert results[0] == results[1]
+        rng = random.Random(42)
+        scheme = VectorElGamal(TEST_GROUP, 5)
+        secret, public = scheme.keygen(rng)
+        ct = scheme.encrypt(public, plaintext, rng)
+
+        oracle_rng = random.Random(42)
+        oracle_keys = crypto_naive.keygen(TEST_GROUP, 5, oracle_rng)
+        oracle_ct = crypto_naive.encrypt(
+            TEST_GROUP, oracle_keys[1], plaintext, oracle_rng
+        )
+        assert (secret, public, ct, rng.getstate()) == (
+            *oracle_keys, oracle_ct, oracle_rng.getstate()
+        )
 
     def test_rerandomize_equals_add_of_mask_encryption(self):
         rng = random.Random(7)
-        scheme = VectorElGamal(TEST_GROUP, 4, use_fastexp=True)
+        scheme = VectorElGamal(TEST_GROUP, 4)
         _, public = scheme.keygen(rng)
         ct = scheme.encrypt(public, [5, 0, 2, 9], rng)
 
@@ -63,18 +89,16 @@ class TestSchemeLockstep:
         fast = scheme.rerandomize(public, ct, rng_a, add_at={0: 77})
 
         rng_b = random.Random(13)
-        r = TEST_GROUP.random_exponent(rng_b)
-        mask = scheme.encrypt(public, [77, 0, 0, 0], _FixedDraw(r))
-        naive = scheme.add(ct, mask)
+        mask = crypto_naive.encrypt(TEST_GROUP, public, [77, 0, 0, 0], rng_b)
+        naive = crypto_naive.add(TEST_GROUP, ct, mask)
 
-        assert fast == naive
+        assert fast == naive == scheme.add(ct, mask)
         assert rng_a.getstate() == rng_b.getstate()
 
     def test_fe_eval_matches_naive(self):
         rng = random.Random(5)
-        fast = InnerProductFE(TEST_GROUP, use_fastexp=True)
-        naive = InnerProductFE(TEST_GROUP, use_fastexp=False)
-        scheme = VectorElGamal(TEST_GROUP, 6, use_fastexp=True)
+        fe = InnerProductFE(TEST_GROUP)
+        scheme = VectorElGamal(TEST_GROUP, 6)
         secret, public = scheme.keygen(rng)
         ct = scheme.encrypt(public, [4, 1, 0, 7, 2, 3], rng)
         s_vectors = [
@@ -82,68 +106,119 @@ class TestSchemeLockstep:
             [1, 0, 0, 0, 0, 0],
             [0, -1, 5, -5, 1, 0],
         ]
-        f_keys = [fast.function_key(secret, s) for s in s_vectors]
-        for s, f in zip(s_vectors, f_keys):
-            assert fast.eval_element(ct, s, f) == naive.eval_element(ct, s, f)
-        assert fast.eval_elements(ct, s_vectors, f_keys) == [
-            naive.eval_element(ct, s, f) for s, f in zip(s_vectors, f_keys)
+        f_keys = [fe.function_key(secret, s) for s in s_vectors]
+        assert f_keys == [
+            crypto_naive.function_key(TEST_GROUP, secret, s) for s in s_vectors
         ]
+        naive = [
+            crypto_naive.eval_element(TEST_GROUP, ct, s, f)
+            for s, f in zip(s_vectors, f_keys)
+        ]
+        assert [
+            fe.eval_element(ct, s, f) for s, f in zip(s_vectors, f_keys)
+        ] == naive
+        assert fe.eval_elements(ct, s_vectors, f_keys) == naive
 
     def test_decrypt_components_matches_naive(self):
         rng = random.Random(11)
         plaintext = [6, 0, 13, 2, 21]
-        outs = []
-        for use_fastexp in (False, True):
-            r = random.Random(11)
-            scheme = VectorElGamal(TEST_GROUP, 5, use_fastexp=use_fastexp)
-            secret, public = scheme.keygen(r)
-            ct = scheme.encrypt(public, plaintext, r)
-            outs.append(scheme.decrypt(secret, ct, bound=30))
-        assert outs[0] == outs[1] == plaintext
+        scheme = VectorElGamal(TEST_GROUP, 5)
+        secret, public = scheme.keygen(rng)
+        ct = scheme.encrypt(public, plaintext, rng)
+        naive = crypto_naive.decrypt_components(
+            TEST_GROUP, secret, ct, range(5), bound=30
+        )
+        assert scheme.decrypt(secret, ct, bound=30) == naive == plaintext
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        plaintext=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+        s_seed=st.integers(0, 2**16),
+        n_vectors=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_operation_equals_the_textbook(
+        self, plaintext, s_seed, n_vectors, seed
+    ):
+        """encrypt / rerandomize(add_at=) / eval_elements /
+        decrypt_components equal the oracle and draw the same numbers."""
+        t = len(plaintext)
+        s_rng = random.Random(s_seed)
+        s_vectors = [
+            [s_rng.randint(-9, 9) for _ in range(t)] for _ in range(n_vectors)
+        ]
+        add_at = {s_rng.randrange(t): s_rng.randint(0, 10**6)}
 
-class _FixedDraw:
-    """An 'rng' that replays one predetermined exponent draw."""
+        rng = random.Random(seed)
+        scheme = VectorElGamal(TEST_GROUP, t)
+        fe = InnerProductFE(TEST_GROUP)
+        secret, public = scheme.keygen(rng)
+        ct = scheme.encrypt(public, plaintext, rng)
+        masked = scheme.rerandomize(public, ct, rng, add_at=add_at)
+        f_keys = [fe.function_key(secret, s) for s in s_vectors]
+        elements = fe.eval_elements(masked, s_vectors, f_keys)
+        decrypted = scheme.decrypt_components(secret, ct, range(t), bound=40)
 
-    def __init__(self, value):
-        self._value = value
+        o_rng = random.Random(seed)
+        o_secret, o_public = crypto_naive.keygen(TEST_GROUP, t, o_rng)
+        o_ct = crypto_naive.encrypt(TEST_GROUP, o_public, plaintext, o_rng)
+        o_masked = crypto_naive.rerandomize(
+            TEST_GROUP, o_public, o_ct, o_rng, add_at=add_at
+        )
+        o_elements = [
+            crypto_naive.eval_element(
+                TEST_GROUP, o_masked, s,
+                crypto_naive.function_key(TEST_GROUP, o_secret, s),
+            )
+            for s in s_vectors
+        ]
+        o_decrypted = crypto_naive.decrypt_components(
+            TEST_GROUP, o_secret, o_ct, range(t), bound=40
+        )
 
-    def randrange(self, *args):
-        return self._value
+        assert (secret, public, ct, masked) == (o_secret, o_public, o_ct, o_masked)
+        assert elements == o_elements
+        assert decrypted == o_decrypted == plaintext
+        assert rng.getstate() == o_rng.getstate()
 
 
 class TestProtocolLockstep:
-    def _run(self, use_fastexp, n_workers=1):
+    def _run(self, n_workers=1, rng=None):
         return run_secure_kmeans(
-            _points(), k=3, value_bound=20, rng=random.Random(2017),
-            use_fastexp=use_fastexp, n_workers=n_workers,
+            _points(), k=3, value_bound=20,
+            rng=rng if rng is not None else random.Random(2017),
+            n_workers=n_workers,
+        )
+
+    def _oracle(self, rng=None):
+        return crypto_naive.secure_kmeans(
+            _points(), k=3, value_bound=20, group=TEST_GROUP,
+            rng=rng if rng is not None else random.Random(2017),
         )
 
     def test_fast_and_naive_agree_exactly(self):
-        naive = self._run(False)
-        fast = self._run(True)
-        assert naive.assignments == fast.assignments
-        assert naive.centroids == fast.centroids
-        assert naive.iterations == fast.iterations
-        assert naive.converged == fast.converged
+        fast = self._run()
+        centroids, assignments, iterations, converged = self._oracle()
+        assert assignments == fast.assignments
+        assert centroids == fast.centroids
+        assert iterations == fast.iterations
+        assert converged == fast.converged
 
     def test_rng_stream_consumed_identically(self):
-        states = []
-        for use_fastexp in (False, True):
-            rng = random.Random(2017)
-            run_secure_kmeans(
-                _points(), k=3, value_bound=20, rng=rng,
-                use_fastexp=use_fastexp,
-            )
-            states.append(rng.getstate())
-        assert states[0] == states[1]
+        rng, oracle_rng = random.Random(2017), random.Random(2017)
+        self._run(rng=rng)
+        self._oracle(rng=oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
 
     def test_worker_pool_does_not_change_results(self):
-        single = self._run(True, n_workers=1)
-        pooled = self._run(True, n_workers=2)
-        assert single.assignments == pooled.assignments
-        assert single.centroids == pooled.centroids
-        assert single.iterations == pooled.iterations
+        single = self._run(n_workers=1)
+        rng, oracle_rng = random.Random(2017), random.Random(2017)
+        pooled = self._run(n_workers=2, rng=rng)
+        centroids, assignments, iterations, _ = self._oracle(rng=oracle_rng)
+        assert single.assignments == pooled.assignments == assignments
+        assert single.centroids == pooled.centroids == centroids
+        assert single.iterations == pooled.iterations == iterations
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestPoolHygiene:
@@ -153,6 +228,48 @@ class TestPoolHygiene:
             _points(n=8, m=4), k=2, value_bound=20,
             rng=random.Random(1), n_workers=2,
         )
+        assert multiprocessing.active_children() == []
+
+    def test_deployment_rounds_leave_no_stray_children(self):
+        """``run_doppelganger_clustering`` goes through
+        ``Aggregator.run_clustering``, which used to keep its own copy
+        of the loop and never closed either party's pool."""
+        world = SheriffWorld.create(seed=1)
+        sheriff = PriceSheriff(world, n_measurement_servers=1, ipc_sites=[])
+        for _ in range(6):
+            sheriff.install_addon(world.make_browser("ES", "Madrid"))
+        multiprocessing.active_children()  # reap any leftovers first
+        for _ in range(2):  # the second round replaces the first's parties
+            outcome = sheriff.run_doppelganger_clustering(
+                ["news.example", "blog.example"], k=2, max_iterations=2,
+                n_workers=2,
+            )
+            assert len(outcome.mapping) == 6
+            assert multiprocessing.active_children() == []
+
+    def test_failed_round_still_reaps_workers(self, monkeypatch):
+        rng = random.Random(3)
+        coordinator = KMeansCoordinator(
+            TEST_GROUP, m=4, value_bound=20, rng=rng, n_workers=2
+        )
+        aggregator = Aggregator(group=TEST_GROUP, rng=rng)
+        aggregator.begin_collection(coordinator, n_workers=2)
+        for peer_id, point in _points(n=6, m=4).items():
+            aggregator.submit_encrypted_profile(
+                peer_id,
+                ProfileClient(peer_id, point, 20).encrypt_profile(
+                    coordinator.scheme, coordinator.public_keys, rng
+                ),
+            )
+        coordinator.set_centroids([[0] * 4, [20] * 4])
+
+        def boom(*args):
+            raise RuntimeError("update phase failed")
+
+        monkeypatch.setattr(coordinator, "update_centroid", boom)
+        multiprocessing.active_children()
+        with pytest.raises(RuntimeError, match="update phase failed"):
+            aggregator.run_clustering()
         assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent_and_reaps_workers(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.crypto.elgamal import Ciphertext
 from repro.crypto.secure_kmeans import (
     KMeansAggregator,
     KMeansCoordinator,
@@ -51,6 +52,64 @@ class TestClientValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ProfileClient("x", [-1, 0], value_bound=100)
+
+
+class TestHostileCiphertexts:
+    """Ciphertexts come from other users' browsers: anything that is not
+    a vector of group elements is refused at ``submit``, by peer name,
+    instead of aborting the distance phase for everyone."""
+
+    T = 5  # m + 2
+
+    @pytest.fixture
+    def parties(self):
+        rng = random.Random(5)
+        coordinator = KMeansCoordinator(TEST_GROUP, m=3, value_bound=10, rng=rng)
+        return coordinator, KMeansAggregator(TEST_GROUP, coordinator, rng=rng), rng
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0, 0),                  # no inverse: used to kill batch_invert
+        (TEST_GROUP.p, 7),       # ≡ 0 mod p
+        (-3, 7),
+        ("x", 7),
+        (7, 0),
+        (7, TEST_GROUP.p + 1),
+        (7, 2.0),
+        (7, None),
+        (True, 7),
+    ], ids=["zero", "alpha-p", "alpha-negative", "alpha-str", "beta-zero",
+            "beta-above-p", "beta-float", "beta-none", "alpha-bool"])
+    def test_bad_element_refused_at_submit(self, parties, alpha, beta):
+        _, aggregator, _ = parties
+        with pytest.raises(ValueError, match="'mallory'"):
+            aggregator.submit(
+                "mallory", Ciphertext(alpha=alpha, betas=(7,) * (self.T - 1) + (beta,))
+            )
+        assert aggregator.n_clients == 0
+
+    def test_boundary_elements_accepted(self, parties):
+        _, aggregator, _ = parties
+        p = TEST_GROUP.p
+        aggregator.submit("edge", Ciphertext(alpha=1, betas=(p - 1,) * self.T))
+        assert aggregator.n_clients == 1
+
+    def test_round_completes_without_the_refused_peer(self, parties):
+        coordinator, aggregator, rng = parties
+        points = {"lo-1": [0, 1, 0], "lo-2": [1, 0, 1],
+                  "hi-1": [9, 10, 9], "hi-2": [10, 9, 10]}
+        for peer_id, point in points.items():
+            aggregator.submit(
+                peer_id,
+                ProfileClient(peer_id, point, 10).encrypt_profile(
+                    coordinator.scheme, coordinator.public_keys, rng
+                ),
+            )
+        with pytest.raises(ValueError):
+            aggregator.submit("mallory", Ciphertext(alpha=0, betas=(0,) * self.T))
+        coordinator.set_centroids([[0, 0, 0], [10, 10, 10]])
+        mapping, _ = aggregator.assign_all()
+        assert set(mapping) == set(points)
+        assert mapping["lo-1"] == mapping["lo-2"] != mapping["hi-1"] == mapping["hi-2"]
 
 
 class TestProtocol:

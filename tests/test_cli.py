@@ -158,33 +158,3 @@ class TestBench:
             "--out", str(out_file),
         ]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-
-class TestCryptobench:
-    def test_smoke_run_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_crypto.json"
-        assert main([
-            "cryptobench", "--scale", "smoke",
-            "--clients", "6", "--dims", "4", "--clusters", "2",
-            "--workers", "1", "--repeats", "1",
-            "--out", str(out),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "lockstep: ok" in printed
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["lockstep_ok"] is True
-        assert report["gate_speedup"] is not None
-
-    def test_require_speedup_gate_can_fail(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_crypto.json"
-        # an impossible bar: the gate must trip and exit non-zero
-        assert main([
-            "cryptobench", "--scale", "smoke",
-            "--clients", "6", "--dims", "4", "--clusters", "2",
-            "--workers", "1", "--repeats", "1",
-            "--require-speedup", "1000000",
-            "--out", str(out),
-        ]) == 1
-        assert "FAIL" in capsys.readouterr().out
