@@ -11,7 +11,7 @@ domain-level view the add-on donates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.web.internet import parse_url
@@ -19,16 +19,24 @@ from repro.web.internet import parse_url
 
 @dataclass(frozen=True)
 class HistoryEntry:
+    """One visit.  Constructed, compared and printed as ``(time, url)``."""
+
     time: float
     url: str
+    #: the URL's domain, parsed once here: the per-domain counts below
+    #: read it for every entry on every call
+    domain: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def domain(self) -> str:
-        return parse_url(self.url)[0]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "domain", parse_url(self.url)[0])
 
 
 class BrowserHistory:
-    """Ordered visit log with domain-level aggregation and snapshots."""
+    """Ordered visit log with domain-level aggregation and snapshots.
+
+    Each entry parses its URL once, when it is added; the per-domain
+    views scan the log comparing those stored domains.
+    """
 
     def __init__(self) -> None:
         self._entries: List[HistoryEntry] = []

@@ -54,6 +54,10 @@ from repro.net.transport import (
 
 __all__ = ["SocketTransport"]
 
+#: how long ``close()`` lets serving tasks and in-flight calls wind down
+#: by themselves before it cancels the ones still running a handler
+CLOSE_GRACE_SECONDS = 1.0
+
 
 @dataclass
 class _Endpoint:
@@ -237,10 +241,17 @@ class SocketTransport(Transport):
         for conn in self._conns.values():
             conn.writer.close()
         self._conns.clear()
+        # With both ends of every connection closed, serving tasks read
+        # EOF and return, and in-flight calls fail as NetworkError, by
+        # themselves.  Cancelling them instead makes the done-callback of
+        # asyncio's stream server log a CancelledError traceback per
+        # connection, so only what outlives the grace period is cancelled.
         current = asyncio.current_task()
-        for task in asyncio.all_tasks(self._loop):
-            if task is not current:
-                task.cancel()
+        pending = [t for t in asyncio.all_tasks(self._loop) if t is not current]
+        if pending:
+            _, pending = await asyncio.wait(pending, timeout=CLOSE_GRACE_SECONDS)
+        for task in pending:
+            task.cancel()
         await asyncio.sleep(0)
 
     # -- server side -------------------------------------------------------
@@ -283,10 +294,13 @@ class SocketTransport(Transport):
                                 error_message=str(exc),
                             )
                         )
-                    writer.write(frame)
-                    if self._telemetry:
-                        self._telemetry.sent(len(frame) - 4)
-                    await writer.drain()
+                    try:
+                        writer.write(frame)
+                        if self._telemetry:
+                            self._telemetry.sent(len(frame) - 4)
+                        await writer.drain()
+                    except (ConnectionError, OSError):
+                        break  # the peer, or close(), hung up mid-call
                 finally:
                     ep.active -= 1
                     if ep.active == 0 and ep.idle is not None:

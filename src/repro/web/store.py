@@ -1,6 +1,6 @@
 """The simulated e-commerce retailer.
 
-An :class:`EStore` renders genuine HTML product pages.  Everything the
+An :class:`EStore` serves genuine HTML product pages.  Everything the
 paper identifies as making price extraction non-trivial is reproduced:
 
 * multiple prices on the same page (a "related products" strip and a
@@ -16,6 +16,21 @@ paper identifies as making price extraction non-trivial is reproduced:
 * first-party session cookies and embedded third-party trackers;
 * server-side state per identified client (pages viewed per product),
   which is exactly the state the doppelganger machinery protects.
+
+A page is a skeleton plus three holes.  The first request for a product
+builds the page's :class:`~repro.web.html.Element` tree once, with a
+marker where the ad copy, the product's price text and the related
+strip go, serializes it and keeps the four strings around the markers
+(:class:`_PageSkeleton`): head, header, nav, product block, footer and
+tracker pixels are fixed from then on, as are the store's domain and
+``price_class`` and the catalog's other products with their
+``div.item`` markup.  Every request then samples the related strip and
+the banner, quotes and formats the prices — ``pricing``,
+``price_style`` and ``display_decimals`` are read each time, so setting
+them on a live store works — and joins seven strings.  The page is
+byte for byte what building and serializing the whole tree per request
+produces; ``tests/oracles/store_page_tree.py`` is that version and
+``tests/web/test_store_page_identity.py`` holds the two together.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ import random
 import secrets
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.currency.codes import CURRENCIES
@@ -55,6 +71,33 @@ class StoreResponse:
     quote: Optional[PriceQuote] = None
     displayed_amount: Optional[float] = None
     displayed_currency: Optional[str] = None
+
+
+# The related strip is written straight to text, in the serializer's
+# layout for html > body > div.main > div.related > div.item:
+_ITEM_PAD = "  " * 4
+#: what follows an item's price text
+_ITEM_CLOSE = f"</span>\n{_ITEM_PAD}</div>"
+#: what precedes ``</div>`` of a strip that has items (it closes on a
+#: line of its own; an empty strip stays ``<div class="related"></div>``)
+_STRIP_CLOSE_PAD = "\n" + "  " * 3
+
+
+@dataclass(frozen=True)
+class _PageSkeleton:
+    """The request-independent text of one product page, cut at its holes.
+
+    A page is ``to_banner`` + ad copy + ``to_price`` + price text +
+    ``to_related`` + related strip + ``tail``.
+    """
+
+    to_banner: str
+    to_price: str
+    to_related: str
+    tail: str
+    #: every other product of the catalog with its ``div.item`` markup
+    #: up to the price text
+    related_pool: Tuple[Tuple[Product, str], ...]
 
 
 class EStore:
@@ -121,6 +164,9 @@ class EStore:
         self.server_state: Dict[str, Counter] = {}
         self.request_log: List[Tuple[float, str, str]] = []
 
+        # Page skeletons, compiled at the first request for a product.
+        self._pages: Dict[Product, _PageSkeleton] = {}
+
     # -- currency --------------------------------------------------------
     def display_currency(self, ctx: RequestContext) -> str:
         if self.currency_strategy == "geo":
@@ -184,42 +230,33 @@ class EStore:
         )
         return format_price(amount, code, style=self.price_style, decimals=decimals)
 
-    def _banner(self, rng: random.Random) -> Element:
-        banner = Element("div", {"class": "banner"})
+    def _related_text(
+        self, page: _PageSkeleton, ctx: RequestContext, rng: random.Random
+    ) -> str:
+        """What goes between ``<div class="related">`` and its ``</div>``."""
+        lo, hi = self._related_count_range
+        count = min(len(page.related_pool), rng.randint(lo, hi))
+        parts: List[str] = []
+        for other, to_price in rng.sample(page.related_pool, count):
+            quote = self.pricing.quote(other, ctx)
+            amount, code = self.displayed_price(quote, ctx)
+            parts += (to_price, self._price_text(amount, code), _ITEM_CLOSE)
+        if parts:
+            parts.append(_STRIP_CLOSE_PAD)
+        return "".join(parts)
+
+    def _banner_text(self, rng: random.Random) -> str:
+        """The ad copy of this request's banner."""
         if rng.random() < self._banner_has_price_prob:
             # An ad that itself contains a price — a decoy for extraction.
             deal = rng.choice(list(self.catalog))
             code = self._geodb.country(self.country_code).currency
             text = self._price_text(round(deal.base_price_eur * 0.8, 2), code)
-            banner.append(Element("span", {"class": "ad-copy"}, [f"Deal of the hour: {text}"]))
-        else:
-            banner.append(Element("span", {"class": "ad-copy"}, [f"ad-{rng.randint(1000, 9999)}"]))
-        return banner
+            return f"Deal of the hour: {text}"
+        return f"ad-{rng.randint(1000, 9999)}"
 
-    def _related_strip(self, product: Product, ctx: RequestContext, rng: random.Random) -> Element:
-        related = Element("div", {"class": "related"})
-        others = [p for p in self.catalog if p.product_id != product.product_id]
-        lo, hi = self._related_count_range
-        count = min(len(others), rng.randint(lo, hi))
-        for other in rng.sample(others, count):
-            quote = self.pricing.quote(other, ctx)
-            amount, code = self.displayed_price(quote, ctx)
-            item = Element("div", {"class": "item"})
-            item.append(Element("span", {"class": "name"}, [other.name]))
-            item.append(Element("span", {"class": self.price_class}, [self._price_text(amount, code)]))
-            related.append(item)
-        return related
-
-    def render_product_page(
-        self, product: Product, ctx: RequestContext
-    ) -> Tuple[str, PriceQuote, float, str]:
-        """Build the HTML for a product page under this request context."""
-        quote = self.pricing.quote(product, ctx)
-        amount, code = self.displayed_price(quote, ctx)
-        # Per-request variation RNG (ads, related products).
-        rng = stable_rng("page", self.domain, product.product_id, ctx.time,
-                         ctx.client_key, ctx.request_nonce)
-
+    def _page_tree(self, product: Product, hole: str) -> Element:
+        """The product page with ``hole`` where request-dependent text goes."""
         head = Element("head")
         head.append(Element("title", children=[f"{product.name} — {self.domain}"]))
         head.append(Element("meta", {"charset": "utf-8"}))
@@ -228,14 +265,15 @@ class EStore:
         for i in range(self._nav_items):
             nav.append(Element("a", {"href": f"/cat/{i}"}, [f"Category {i}"]))
 
+        banner = Element("div", {"class": "banner"},
+                         [Element("span", {"class": "ad-copy"}, [hole])])
+
         product_div = Element("div", {"class": "product", "id": f"p-{product.product_id}"})
         product_div.append(Element("h1", {"class": "title"}, [product.name]))
         product_div.append(
             Element("img", {"src": f"/img/{product.product_id}.jpg", "alt": product.name})
         )
-        product_div.append(
-            Element("span", {"class": self.price_class}, [self._price_text(amount, code)])
-        )
+        product_div.append(Element("span", {"class": self.price_class}, [hole]))
         product_div.append(
             Element("div", {"class": "description"},
                     [f"{product.name} in category {product.category}."])
@@ -243,7 +281,7 @@ class EStore:
 
         main = Element("div", {"class": "main"})
         main.append(product_div)
-        main.append(self._related_strip(product, ctx, rng))
+        main.append(Element("div", {"class": "related"}, [hole]))
 
         footer = Element("div", {"class": "footer"})
         footer.append(Element("span", {"class": "copyright"}, [f"© {self.domain}"]))
@@ -254,10 +292,57 @@ class EStore:
         body = Element("body")
         body.extend([Element("div", {"class": "header"},
                              [Element("span", {"class": "logo"}, [self.domain])]),
-                     nav, self._banner(rng), main, footer])
+                     nav, banner, main, footer])
+        return Element("html", children=[head, body])
 
-        doc = Element("html", children=[head, body])
-        return render(doc), quote, amount, code
+    def _compile_page(self, product: Product) -> _PageSkeleton:
+        """Serialize everything about a product page that no request changes."""
+        # Cut the document at a marker that occurs nowhere else in it, so
+        # no product name, domain or tracker string passes for a hole.
+        marker = "\x00"
+        while True:
+            pieces = render(self._page_tree(product, marker)).split(marker)
+            if len(pieces) == 4:
+                break
+            marker += "\x00"
+        # The strip's items are written per request, as the serializer
+        # would write them; only the part before the price is fixed.
+        pool = tuple(
+            (other,
+             f'\n{_ITEM_PAD}<div class="item">'
+             f'\n{_ITEM_PAD}  <span class="name">{other.name}</span>'
+             f'\n{_ITEM_PAD}  <span class="{self.price_class}">')
+            for other in self.catalog
+            if other.product_id != product.product_id
+        )
+        return _PageSkeleton(*pieces, pool)
+
+    def render_product_page(
+        self, product: Product, ctx: RequestContext
+    ) -> Tuple[str, PriceQuote, float, str]:
+        """Build the HTML for a product page under this request context."""
+        quote = self.pricing.quote(product, ctx)
+        amount, code = self.displayed_price(quote, ctx)
+        page = self._pages.get(product)
+        if page is None:
+            page = self._pages[product] = self._compile_page(product)
+        # Per-request variation RNG: the related strip draws first, then
+        # the banner.
+        rng = stable_rng("page", self.domain, product.product_id, ctx.time,
+                         ctx.client_key, ctx.request_nonce)
+        price = self._price_text(amount, code)
+        related = self._related_text(page, ctx, rng)
+        banner = self._banner_text(rng)
+        html = "".join((page.to_banner, banner, page.to_price, price,
+                        page.to_related, related, page.tail))
+        return html, quote, amount, code
+
+    @cached_property
+    def _home_page(self) -> str:
+        return render(Element("html", children=[
+            Element("head", children=[Element("title", children=[self.domain])]),
+            Element("body", children=[Element("div", {"class": "home"}, [self.domain])]),
+        ]))
 
     # -- the HTTP-ish entry point -------------------------------------------
     def fetch(self, path: str, ctx: RequestContext) -> StoreResponse:
@@ -287,12 +372,8 @@ class EStore:
         if "sid" not in ctx.first_party_cookies:
             set_cookies["sid"] = secrets.token_hex(8)
         if not path.startswith("/product/"):
-            html = render(Element("html", children=[
-                Element("head", children=[Element("title", children=[self.domain])]),
-                Element("body", children=[Element("div", {"class": "home"}, [self.domain])]),
-            ]))
             return StoreResponse(
-                url=f"http://{self.domain}{path}", status=200, html=html,
+                url=f"http://{self.domain}{path}", status=200, html=self._home_page,
                 set_cookies=set_cookies, tracker_domains=self.tracker_domains,
             )
         product = self.catalog.get(path[len("/product/"):])

@@ -3,8 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
+import pytest
+
 from repro.browser.cookies import CookieJar
-from repro.browser.history import BrowserHistory
+from repro.browser.history import BrowserHistory, HistoryEntry
 
 
 class TestCookieJar:
@@ -75,6 +79,42 @@ class TestCookieJar:
         dup.set("a.com", "sid", "2")
         assert jar.value("a.com", "sid") == "1"
 
+    @pytest.mark.parametrize("derive", [
+        lambda jar: jar.snapshot(),
+        lambda jar: jar.copy()._jar,
+        lambda jar: CookieJar(jar.snapshot())._jar,
+    ], ids=["snapshot", "copy", "constructor"])
+    def test_snapshot_and_jar_never_alias(self, derive):
+        """Mutating either side, at either level, leaves the other unchanged."""
+        contents = {"a.com": {"sid": "1", "pref": "x"}, "b.com": {"k": "v"}}
+        jar = CookieJar(contents)
+        snap = derive(jar)
+        assert snap == contents
+        # the jar changes: cookie level, then domain level
+        jar.set("a.com", "sid", "2")
+        jar.delete("a.com", "pref")
+        jar.delete("b.com")
+        jar.set("new.com", "n", "1")
+        assert snap == contents
+        # the snapshot changes: cookie level, then domain level
+        jar.restore(contents)
+        snap = derive(jar)
+        snap["a.com"]["sid"] = "tampered"
+        del snap["a.com"]["pref"]
+        del snap["b.com"]
+        snap["new.com"] = {"n": "1"}
+        assert jar.snapshot() == contents
+
+    def test_restore_does_not_adopt_the_callers_dicts(self):
+        state = {"a.com": {"sid": "1"}}
+        jar = CookieJar()
+        jar.restore(state)
+        jar.set("a.com", "sid", "2")
+        jar.set("b.com", "k", "v")
+        assert state == {"a.com": {"sid": "1"}}
+        state["a.com"]["sid"] = "tampered"
+        assert jar.value("a.com", "sid") == "2"
+
     @given(
         st.dictionaries(
             st.sampled_from(["a.com", "b.com", "c.com"]),
@@ -113,6 +153,21 @@ class TestHistory:
         history.add(1.0, "http://shop.com/about")
         assert history.product_visits_to("shop.com") == 1
         assert history.visits_to("shop.com") == 2
+
+    def test_entry_is_a_frozen_time_url_value(self):
+        """The domain is parsed once at creation and is not part of the value."""
+        entry = HistoryEntry(time=1.0, url="https://shop.com/product/p-1")
+        assert entry.domain == "shop.com"
+        assert entry == HistoryEntry(1.0, "https://shop.com/product/p-1")
+        assert hash(entry) == hash(HistoryEntry(1.0, "https://shop.com/product/p-1"))
+        assert entry != HistoryEntry(1.0, "https://shop.com/product/p-2")
+        assert repr(entry) == (
+            "HistoryEntry(time=1.0, url='https://shop.com/product/p-1')"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.url = "http://other.com/"
+        with pytest.raises(TypeError):
+            HistoryEntry(1.0, "http://shop.com/", "shop.com")
 
     def test_snapshot_restore(self):
         history = BrowserHistory()

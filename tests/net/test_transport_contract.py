@@ -187,3 +187,56 @@ class TestShutdown:
         assert "result" in outcome or "error" in outcome
         with pytest.raises(NetworkError):
             transport.call("client", "server", "echo", 1)
+
+
+class TestSocketCloseIsQuiet:
+    """``close()`` winds connections down instead of cancelling them:
+    asyncio's stream server logs a traceback for every serving task that
+    ends cancelled or with an unhandled exception."""
+
+    @staticmethod
+    def _transport_logging_to(contexts):
+        t = SocketTransport(max_frame_bytes=SMALL_FRAME, connect_timeout=1.0)
+        t._loop.call_soon_threadsafe(
+            t._loop.set_exception_handler,
+            lambda loop, context: contexts.append(context),
+        )
+        t.bind("server", conformance_handler)
+        t.bind("other", conformance_handler)
+        t.register_client("client")
+        return t
+
+    def test_close_with_live_connections_logs_nothing(self, caplog):
+        contexts = []
+        transport = self._transport_logging_to(contexts)
+        assert transport.call("client", "server", "echo", 1) == 1
+        assert transport.call("client", "other", "echo", 2) == 2
+        started = time.perf_counter()
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            transport.close()
+        assert contexts == []
+        assert [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")] == []
+        # idle connections end at EOF, well inside the grace period
+        assert time.perf_counter() - started < 0.5
+
+    def test_close_mid_call_logs_nothing(self, caplog):
+        contexts = []
+        transport = self._transport_logging_to(contexts)
+        outcome = {}
+
+        def straggler():
+            try:
+                outcome["result"] = transport.call("client", "server", "slow")
+            except NetworkError as exc:
+                outcome["error"] = exc
+
+        t = threading.Thread(target=straggler)
+        t.start()
+        time.sleep(0.05)
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            transport.close()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert "error" in outcome  # its connection was closed under it
+        assert contexts == []
+        assert [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")] == []
