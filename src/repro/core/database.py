@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.errors import ConnectionPoolExhausted, UnknownTable
@@ -246,6 +247,33 @@ DB_RPC_METHODS = (
 )
 
 
+def _pack_rows(rows: Sequence[Dict[str, Any]]) -> Any:
+    """A row batch as it crosses the wire: column-wise — the keys once,
+    then one value list per row — when every row has the same string
+    keys, the plain list otherwise.  ``cols`` is sorted because the codec
+    sorts keys, so :func:`_unpack_rows` rebuilds exactly the dicts the
+    plain list would have decoded to."""
+    rows = list(rows)
+    if not rows:
+        return rows
+    keys = rows[0].keys()
+    # itemgetter of one column returns the value, not a 1-tuple
+    if len(keys) < 2 or not all(type(key) is str for key in keys):
+        return rows
+    if any(row.keys() != keys for row in rows):
+        return rows
+    cols = sorted(keys)
+    return {"cols": cols, "rows": list(map(itemgetter(*cols), rows))}
+
+
+def _unpack_rows(batch: Any) -> List[Dict[str, Any]]:
+    """The row dicts of a batch :func:`_pack_rows` sent, either form."""
+    if isinstance(batch, dict):
+        cols = batch["cols"]
+        return [dict(zip(cols, values)) for values in batch["rows"]]
+    return batch
+
+
 def database_rpc_handler(db) -> Callable[[str, Any], Any]:
     """Expose a database (single server or sharded router) as a
     :class:`~repro.net.transport.Transport` endpoint handler.
@@ -255,8 +283,8 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
     methods raise ``UnknownTable``-style ``KeyError`` which the
     transport maps to a ``RemoteCallError``.
 
-    Calls are serialized by a lock: the socket transport services
-    requests from a worker-thread pool, and the storage engines (like
+    Calls are serialized by a lock: the socket transport serves every
+    connection from its own thread, and the storage engines (like
     the real single-writer MySQL node they model) expect one statement
     at a time.
     """
@@ -275,10 +303,10 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
                 return conn.sp_record_response(**kwargs)
             if method == "sp_record_responses":
                 return conn.sp_record_responses(
-                    kwargs["job_id"], kwargs["rows"]
+                    kwargs["job_id"], _unpack_rows(kwargs["rows"])
                 )
             if method == "sp_responses_for_job":
-                return conn.sp_responses_for_job(kwargs["job_id"])
+                return _pack_rows(conn.sp_responses_for_job(kwargs["job_id"]))
             if method == "count":
                 return conn.count(kwargs["table"])
             if method == "shard_last_writes":
@@ -341,11 +369,11 @@ class DatabaseClient:
         self, job_id: str, rows: List[Dict[str, Any]]
     ) -> List[int]:
         return self._call(
-            "sp_record_responses", {"job_id": job_id, "rows": list(rows)}
+            "sp_record_responses", {"job_id": job_id, "rows": _pack_rows(rows)}
         )
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:
-        return self._call("sp_responses_for_job", {"job_id": job_id})
+        return _unpack_rows(self._call("sp_responses_for_job", {"job_id": job_id}))
 
     def count(self, table: str) -> int:
         return self._call("count", {"table": table})

@@ -179,7 +179,7 @@ class PriceSheriff:
             self.db = DatabaseServer(backend=db_backend)
         #: the messaging plane every component speaks (the Transport
         #: redesign): ``"sim"`` (default — deterministic, in-process),
-        #: ``"socket"`` (real asyncio TCP, mesh-shaped), or a prebuilt
+        #: ``"socket"`` (real TCP on blocking sockets, mesh-shaped), or a prebuilt
         #: :class:`~repro.net.transport.Transport` instance.  The sim
         #: transport owns a private latency RNG stream and carries no
         #: fault plan, so it never perturbs chaos RNG draws.
@@ -303,7 +303,7 @@ class PriceSheriff:
         return DatabaseClient(self.transport, src=client_name, dst="db")
 
     def shutdown(self) -> None:
-        """Release transport resources (socket servers, loop threads)."""
+        """Release transport resources (listeners, serving threads)."""
         self.transport.close()
 
     @property

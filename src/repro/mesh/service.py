@@ -90,8 +90,8 @@ class MeshService:
     def serve(self, transport, announce: bool = True) -> int:
         """Bind on ``transport`` and return the listening port.
 
-        Non-blocking — the socket transport serves from its own loop
-        thread; pair with :meth:`wait` to keep the main thread alive.
+        Non-blocking — the socket transport serves from its own
+        threads; pair with :meth:`wait` to keep the main thread alive.
         When ``announce`` is true a ready line is printed to stdout for
         the launcher to parse::
 

@@ -9,7 +9,9 @@ addresses, a peerjs-style overlay in :mod:`repro.net.p2p`, and — since
 the transport redesign — one :class:`~repro.net.transport.Transport`
 interface with two backends: the deterministic
 :class:`~repro.net.transport.SimTransport` (Tier-1 default) and the
-real-socket :class:`~repro.net.socket_transport.SocketTransport`.
+real-socket :class:`~repro.net.socket_transport.SocketTransport`
+(blocking TCP sockets, one serving thread per connection, bounded
+against peers that stall or send garbage).
 
 ``SimNetwork`` and ``Host`` are implementation details of the sim
 backend and are deliberately *not* re-exported here any more; code

@@ -5,10 +5,11 @@ envelopes — :class:`Request` or :class:`Response` — serialised by the
 *same* JSON codec regardless of transport.  The sim transport carries
 the encoded text through :class:`~repro.net.sim.SimNetwork`; the socket
 transport frames the same bytes with a 4-byte big-endian length prefix
-on a TCP stream.  Routing both paths through one codec is what makes
-the row-identity property cheap to guarantee: any payload that survives
-``encode`` → ``decode`` is normalised identically (tuples become lists,
-dict keys become strings) no matter which transport delivered it.
+on a blocking TCP socket (:func:`read_frame`).  Routing both paths
+through one codec is what makes the row-identity property cheap to
+guarantee: any payload that survives ``encode`` → ``decode`` is
+normalised identically (tuples become lists, dict keys become strings)
+no matter which transport delivered it.
 
 Wire format (socket mode)::
 
@@ -21,13 +22,21 @@ The length counts the JSON body only.  Frames above
 :class:`FrameTooLarge` before writing, the receiver drops the
 connection — so an oversized payload fails identically through either
 transport.
+
+Frames arrive from peers this process does not control, so
+:func:`decode` answers every byte string with an envelope or a
+:class:`ProtocolError` — never ``RecursionError``, ``OverflowError`` or
+the interpreter's int-digit-limit ``ValueError`` — and
+:func:`read_frame` gives a frame a deadline from its first byte.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import struct
 from dataclasses import dataclass, field
+from time import monotonic
 from typing import Any, Optional, Tuple, Union
 
 __all__ = [
@@ -41,6 +50,7 @@ __all__ = [
     "encode",
     "from_wire",
     "pack_frame",
+    "read_frame",
     "split_frame",
     "to_wire",
 ]
@@ -134,7 +144,7 @@ def from_wire(obj: Any) -> Envelope:
     if not isinstance(obj, dict):
         raise ProtocolError(f"envelope must be an object, got {type(obj).__name__}")
     version = obj.get("v")
-    if version != PROTOCOL_VERSION:
+    if type(version) is not int or version != PROTOCOL_VERSION:  # True == 1
         raise ProtocolError(f"protocol version {version!r} != {PROTOCOL_VERSION}")
     kind = obj.get("type")
     try:
@@ -155,7 +165,7 @@ def from_wire(obj: Any) -> Envelope:
                 error_kind=None if ok else str(obj.get("error_kind") or "remote"),
                 error_message="" if ok else str(obj.get("error_message") or ""),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed {kind} envelope: {exc}") from exc
     raise ProtocolError(f"unknown envelope type {kind!r}")
 
@@ -174,15 +184,20 @@ def encode(msg: Envelope) -> bytes:
         raise ProtocolError(f"payload is not JSON-representable: {exc}") from exc
 
 
-def decode(data: Union[bytes, str]) -> Envelope:
-    """Parse codec output (or a corrupted imitation of it)."""
+def decode(data: Union[bytes, bytearray, str]) -> Envelope:
+    """Parse codec output (or a hostile imitation of it).
+
+    ``ValueError`` covers bad UTF-8, bad JSON and an integer literal
+    above the interpreter's digit limit; ``RecursionError`` is what a
+    body of 200 000 ``[`` raises inside the JSON scanner.
+    """
     try:
-        if isinstance(data, bytes):
+        if not isinstance(data, str):
             data = data.decode("utf-8")
         return from_wire(json.loads(data))
     except ProtocolError:
         raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
 
 
@@ -208,17 +223,45 @@ def split_frame(header: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
     return length
 
 
-async def read_frame(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> Envelope:
-    """Read one length-prefixed envelope from an asyncio stream reader.
+def _fill(sock: socket.socket, view: memoryview, give_up_at: float) -> None:
+    """``recv_into`` until ``view`` is full, re-arming the socket timeout
+    with what is left of the frame deadline before every read."""
+    while len(view):
+        left = give_up_at - monotonic()
+        if left <= 0:
+            raise socket.timeout("frame deadline passed")
+        sock.settimeout(left)
+        got = sock.recv_into(view)
+        if not got:
+            raise ConnectionError("peer closed the connection mid-frame")
+        view = view[got:]
 
-    Raises :class:`ProtocolError` subclasses on malformed input and
-    lets ``IncompleteReadError``/``ConnectionError`` propagate so the
-    transport can map them onto ``NetworkError``.
+
+def read_frame(
+    sock: socket.socket, max_frame_bytes: int, frame_timeout: float
+) -> Tuple[Envelope, int]:
+    """Read one length-prefixed envelope from a blocking socket.
+
+    Returns the envelope and the length of its JSON body (what the byte
+    counters report).  The wait for the first byte is the socket's own
+    timeout — none on an idle served connection, the call deadline on a
+    client; from that byte on the whole frame has ``frame_timeout``
+    seconds to arrive, however slowly the peer trickles it.
+
+    Raises :class:`ProtocolError` subclasses on malformed input and lets
+    ``socket.timeout``/``ConnectionError``/``OSError`` propagate so the
+    transport can map them onto ``NetworkTimeout``/``NetworkError``.
     """
-    header = await reader.readexactly(_HEADER.size)
-    length = split_frame(header, max_frame_bytes)
-    body = await reader.readexactly(length)
-    return decode(body)
+    header = bytearray(_HEADER.size)
+    view = memoryview(header)
+    got = sock.recv_into(view)
+    if not got:
+        raise ConnectionError("peer closed the connection")
+    give_up_at = monotonic() + frame_timeout
+    _fill(sock, view[got:], give_up_at)
+    body = bytearray(split_frame(header, max_frame_bytes))
+    _fill(sock, memoryview(body), give_up_at)
+    return decode(body), len(body)
 
 
 def frame_sizes(msg: Envelope) -> Tuple[int, int]:

@@ -1,22 +1,31 @@
-"""Real-socket transport: asyncio streams, length-prefixed JSON frames.
+"""Real-socket transport: blocking sockets, length-prefixed JSON frames.
 
 The second :class:`~repro.net.transport.Transport` backend.  Each bound
-endpoint is an asyncio TCP server on the loopback (or a configured
-interface); calls travel as the same
-:class:`~repro.net.protocol.Request`/``Response`` envelopes the sim
-transport uses, framed with a 4-byte big-endian length prefix.  All
-asyncio machinery lives on a private event loop in a daemon thread so
-the rest of the system keeps its synchronous call shape —
-``transport.call`` blocks the calling thread exactly like
-``SimNetwork.request`` blocks the sim.
+endpoint is a TCP listener on the loopback (or a configured interface)
+with one acceptor thread and one serving thread per connection; calls
+travel as the same :class:`~repro.net.protocol.Request`/``Response``
+envelopes the sim transport uses, framed with a 4-byte big-endian length
+prefix.  ``transport.call`` blocks the calling thread exactly like
+``SimNetwork.request`` blocks the sim: it writes the request on the
+pooled ``(src, dst)`` socket and reads the reply there itself, while the
+serving thread that read the request runs the handler inline and writes
+the reply — a round trip is two thread hand-offs.
 
 Failure mapping (the contract the conformance suite pins):
 
-* connect refused / reset / peer gone → :class:`NetworkError`
+* connect refused / reset / peer gone / undecodable or desynchronised
+  reply → :class:`NetworkError`
 * connect or read deadline passed → :class:`NetworkTimeout`
 * remote handler raised → :class:`RemoteCallError`
 * frame above the size limit → :class:`FrameTooLarge` (sender-side,
   before any bytes move — identical to the sim path)
+
+Server-side bounds (a connection costs a thread, and peers are not
+trusted): a frame must be complete within ``call_timeout`` of its first
+byte and a reply taken within ``call_timeout``; an endpoint serves at
+most :data:`MAX_CONNECTIONS` connections and closes what arrives above
+that; a frame that is not a well-formed ``Request`` ends its connection
+without a reply.
 
 Reconnects reuse :class:`~repro.net.faults.BackoffPolicy`, the same
 capped-exponential-with-jitter schedule the dispatch retry path uses.
@@ -24,10 +33,9 @@ capped-exponential-with-jitter schedule the dispatch retry path uses.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import itertools
 import random
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,36 +62,55 @@ from repro.net.transport import (
 
 __all__ = ["SocketTransport"]
 
-#: how long ``close()`` lets serving tasks and in-flight calls wind down
-#: by themselves before it cancels the ones still running a handler
+#: how long ``close()`` (or ``take_offline``/``unbind``/``drain``) waits for
+#: a thread still inside a handler before leaving it to finish as a daemon
 CLOSE_GRACE_SECONDS = 1.0
+
+#: connections one endpoint serves at a time — each costs a thread, so
+#: the acceptor closes whatever arrives above this
+MAX_CONNECTIONS = 64
 
 
 @dataclass
 class _Endpoint:
-    """One bound server: acceptor, address, and in-flight accounting."""
+    """One bound server: listener, serving threads, in-flight accounting."""
 
     name: str
     handler: Handler
     port: int = 0
-    server: Optional[asyncio.AbstractServer] = None
-    conns: Set[asyncio.StreamWriter] = field(default_factory=set)
+    listener: Optional[socket.socket] = None
+    acceptor: Optional[threading.Thread] = None
+    conns: Dict[socket.socket, threading.Thread] = field(default_factory=dict)
     active: int = 0
     draining: bool = False
-    idle: Optional[asyncio.Event] = None
+    #: guards every field above; notified when ``active`` falls to 0
+    cond: threading.Condition = field(default_factory=threading.Condition)
 
 
 @dataclass
 class _Conn:
-    """One pooled client connection (serialised by its lock)."""
+    """The pooled client connection of one ``(src, dst)`` pair; ``lock``
+    is held for a whole round trip and by whoever replaces ``sock``."""
 
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    lock: asyncio.Lock
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    sock: Optional[socket.socket] = None
+
+    def drop(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            sock.close()
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake whichever thread is blocked on ``sock``; that thread closes it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed or never connected
 
 
 class SocketTransport(Transport):
-    """Transport over real TCP sockets on a private asyncio loop."""
+    """Transport over real TCP sockets, one thread per served connection."""
 
     label = "socket"
 
@@ -95,7 +122,6 @@ class SocketTransport(Transport):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         backoff: Optional[BackoffPolicy] = None,
         reconnect_attempts: int = 3,
-        handler_workers: int = 8,
         rng_seed: str = "socket-transport",
     ) -> None:
         self.host = host
@@ -111,48 +137,41 @@ class SocketTransport(Transport):
         self._peers: Dict[str, Tuple[str, int]] = {}
         self._clients: Set[str] = set()
         self._conns: Dict[Tuple[str, str], _Conn] = {}
+        self._lock = threading.Lock()  # guards _conns and _closed
         self._call_ids = itertools.count(1)
         self._closed = False
         self._telemetry = None
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=handler_workers, thread_name_prefix="transport-handler"
-        )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="socket-transport", daemon=True
-        )
-        self._thread.start()
-
-    # -- loop plumbing -----------------------------------------------------
-    def _run(self, coro, timeout: Optional[float] = None):
-        if self._closed:
-            raise NetworkError("transport is closed")
-        fut = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return fut.result(timeout)
-        except concurrent.futures.TimeoutError:
-            fut.cancel()
-            raise NetworkTimeout("transport call abandoned (loop unresponsive)") from None
-        except concurrent.futures.CancelledError:
-            raise NetworkError("transport closed mid-call") from None
 
     # -- endpoint management ----------------------------------------------
+    def _endpoint(self, name: str) -> _Endpoint:
+        if self._closed:
+            raise NetworkError("transport is closed")
+        try:
+            return self._endpoints[name]
+        except KeyError:
+            raise NetworkError(f"unknown host {name!r}") from None
+
     def bind(self, name: str, handler: Handler, location: Optional[Location] = None) -> None:
+        if self._closed:
+            raise NetworkError("transport is closed")
         if name in self._endpoints or name in self._clients:
             raise ValueError(f"duplicate endpoint name {name!r}")
         ep = _Endpoint(name=name, handler=handler)
+        self._listen(ep, port=0)
         self._endpoints[name] = ep
-        self._run(self._start_server(ep, port=0))
         self._peers[name] = (self.host, ep.port)
 
-    async def _start_server(self, ep: _Endpoint, port: int) -> None:
-        ep.idle = asyncio.Event()
-        ep.idle.set()
-        ep.draining = False
-        ep.server = await asyncio.start_server(
-            lambda r, w: self._serve_conn(ep, r, w), self.host, port
-        )
-        ep.port = ep.server.sockets[0].getsockname()[1]
+    def _listen(self, ep: _Endpoint, port: int) -> None:
+        listener = socket.create_server((self.host, port))  # SO_REUSEADDR on POSIX
+        with ep.cond:
+            ep.port = listener.getsockname()[1]
+            ep.draining = False
+            ep.listener = listener
+            ep.acceptor = threading.Thread(
+                target=self._accept_loop, args=(ep, listener),
+                name=f"socket-transport-accept-{ep.name}", daemon=True,
+            )
+            ep.acceptor.start()
 
     def register_client(self, name: str, location: Optional[Location] = None) -> None:
         if name in self._endpoints:
@@ -178,209 +197,193 @@ class SocketTransport(Transport):
         self._clients.discard(name)
         self._peers.pop(name, None)
         if ep is not None:
-            self._run(self._stop_server(ep, abort_conns=True))
+            self._join(self._stop(ep))
 
     def take_offline(self, name: str) -> None:
-        ep = self._endpoints.get(name)
-        if ep is None:
-            raise NetworkError(f"unknown host {name!r}")
-        self._run(self._stop_server(ep, abort_conns=True))
-
-    async def _stop_server(self, ep: _Endpoint, abort_conns: bool) -> None:
-        if ep.server is not None:
-            ep.server.close()
-            await ep.server.wait_closed()
-            ep.server = None
-        if abort_conns:
-            for writer in list(ep.conns):
-                writer.close()
-            ep.conns.clear()
+        self._join(self._stop(self._endpoint(name)))
 
     def restart_endpoint(self, name: str) -> None:
-        """Rebind the endpoint's acceptor on its original port."""
-        ep = self._endpoints.get(name)
-        if ep is None:
-            raise NetworkError(f"unknown host {name!r}")
-        if ep.server is not None:
-            return
-        self._run(self._start_server(ep, port=ep.port))
+        """Rebind the endpoint's listener on its original port."""
+        ep = self._endpoint(name)
+        if ep.listener is None:
+            self._listen(ep, port=ep.port)
 
     def drain(self, name: str, timeout: float = 10.0) -> None:
         """Graceful shutdown: stop accepting, finish in-flight calls."""
-        ep = self._endpoints.get(name)
-        if ep is None:
-            raise NetworkError(f"unknown host {name!r}")
-        self._run(self._drain_async(ep), timeout=timeout + 5.0)
+        ep = self._endpoint(name)
+        with ep.cond:
+            ep.draining = True
+        self._stop(ep, conns=False)
+        with ep.cond:
+            ep.cond.wait_for(lambda: ep.active == 0, timeout)
+        self._join(self._stop(ep))
 
-    async def _drain_async(self, ep: _Endpoint) -> None:
-        ep.draining = True
-        await self._stop_server(ep, abort_conns=False)
-        if ep.idle is not None:
-            await ep.idle.wait()
-        for writer in list(ep.conns):
-            writer.close()
-        ep.conns.clear()
+    def _stop(self, ep: _Endpoint, conns: bool = True) -> List[threading.Thread]:
+        """Stop listening and, with ``conns``, hang up on every served
+        connection; returns the serving threads that are now ending."""
+        with ep.cond:
+            listener, ep.listener = ep.listener, None
+            acceptor, ep.acceptor = ep.acceptor, None
+            serving = dict(ep.conns) if conns else {}
+        if listener is not None:
+            _shutdown(listener)  # accept() returns at once with an error
+            self._join([acceptor])
+            listener.close()
+        for sock in serving:
+            _shutdown(sock)
+        return list(serving.values())
+
+    @staticmethod
+    def _join(threads: List[threading.Thread]) -> None:
+        give_up_at = time.monotonic() + CLOSE_GRACE_SECONDS
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, give_up_at - time.monotonic()))
 
     def close(self) -> None:
-        if self._closed:
-            return
-        try:
-            self._run(self._close_async(), timeout=10.0)
-        except NetworkError:
-            pass
-        self._closed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._pool.shutdown(wait=False)
-        if not self._loop.is_running() and not self._loop.is_closed():
-            self._loop.close()
-
-    async def _close_async(self) -> None:
-        for ep in self._endpoints.values():
-            await self._stop_server(ep, abort_conns=True)
-        for conn in self._conns.values():
-            conn.writer.close()
-        self._conns.clear()
-        # With both ends of every connection closed, serving tasks read
-        # EOF and return, and in-flight calls fail as NetworkError, by
-        # themselves.  Cancelling them instead makes the done-callback of
-        # asyncio's stream server log a CancelledError traceback per
-        # connection, so only what outlives the grace period is cancelled.
-        current = asyncio.current_task()
-        pending = [t for t in asyncio.all_tasks(self._loop) if t is not current]
-        if pending:
-            _, pending = await asyncio.wait(pending, timeout=CLOSE_GRACE_SECONDS)
-        for task in pending:
-            task.cancel()
-        await asyncio.sleep(0)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pooled = list(self._conns.values())
+        threads = [t for ep in self._endpoints.values() for t in self._stop(ep)]
+        # With both ends of every connection shut down, serving threads read
+        # EOF and in-flight calls fail as NetworkError by themselves: quietly.
+        for conn in pooled:
+            sock = conn.sock
+            if sock is not None:
+                _shutdown(sock)
+        for conn in pooled:
+            if conn.lock.acquire(timeout=CLOSE_GRACE_SECONDS):
+                conn.drop()
+                conn.lock.release()
+        self._join(threads)
 
     # -- server side -------------------------------------------------------
-    async def _serve_conn(
-        self, ep: _Endpoint, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        ep.conns.add(writer)
+    def _accept_loop(self, ep: _Endpoint, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if ep.listener is not listener:
+                    return  # offline, drained, unbound or closed
+                time.sleep(0.05)  # ECONNABORTED, EMFILE: still listening
+                continue
+            with ep.cond:
+                # threads leave ``conns`` here, not by themselves, so that
+                # ``_stop`` never misses one that is still on its way out
+                for done in [s for s, t in ep.conns.items() if not t.is_alive()]:
+                    del ep.conns[done]
+                if ep.listener is not listener or len(ep.conns) >= MAX_CONNECTIONS:
+                    sock.close()
+                    continue
+                thread = ep.conns[sock] = threading.Thread(
+                    target=self._serve_conn, args=(ep, sock),
+                    name=f"socket-transport-serve-{ep.name}", daemon=True,
+                )
+                thread.start()
+
+    def _serve_conn(self, ep: _Endpoint, sock: socket.socket) -> None:
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                try:
-                    envelope = await read_frame(reader, self.max_frame_bytes)
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    ProtocolError,
-                    OSError,
-                ):
-                    break
+                sock.settimeout(None)  # an idle pooled connection is legitimate
+                envelope, nbytes = read_frame(sock, self.max_frame_bytes, self.call_timeout)
                 if not isinstance(envelope, Request):
                     break
-                if ep.draining and ep.active == 0:
-                    break
-                ep.active += 1
-                if ep.idle is not None:
-                    ep.idle.clear()
+                with ep.cond:
+                    if ep.draining and ep.active == 0:
+                        break
+                    ep.active += 1
                 try:
                     if self._telemetry:
-                        self._telemetry.received(len(pack_frame(envelope)) - 4)
-                    resp = await self._loop.run_in_executor(
-                        self._pool, serve_request, ep.handler, envelope
-                    )
+                        self._telemetry.received(nbytes)
+                    resp = serve_request(ep.handler, envelope)
                     try:
                         frame = pack_frame(resp, self.max_frame_bytes)
-                    except FrameTooLarge as exc:
-                        frame = pack_frame(
-                            Response(
-                                envelope.call_id,
-                                ok=False,
-                                error_kind="network",
-                                error_message=str(exc),
-                            )
-                        )
-                    try:
-                        writer.write(frame)
-                        if self._telemetry:
-                            self._telemetry.sent(len(frame) - 4)
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break  # the peer, or close(), hung up mid-call
+                    except ProtocolError as exc:  # too large, or not JSON
+                        frame = pack_frame(Response(
+                            envelope.call_id, ok=False,
+                            error_kind="network", error_message=str(exc),
+                        ))
+                    sock.settimeout(self.call_timeout)
+                    sock.sendall(frame)
+                    if self._telemetry:
+                        self._telemetry.sent(len(frame) - 4)
                 finally:
-                    ep.active -= 1
-                    if ep.active == 0 and ep.idle is not None:
-                        ep.idle.set()
+                    with ep.cond:
+                        ep.active -= 1
+                        if ep.active == 0:
+                            ep.cond.notify_all()
+        except (ProtocolError, OSError):
+            pass  # a hostile or departed peer, or close(): hang up silently
         finally:
-            ep.conns.discard(writer)
-            writer.close()
+            sock.close()
 
     # -- client side -------------------------------------------------------
-    async def _connect(self, src: str, dst: str) -> _Conn:
-        key = (src, dst)
-        conn = self._conns.get(key)
-        if conn is not None and not conn.writer.is_closing():
-            return conn
-        host, port = self._peers.get(dst, (None, None))
-        if host is None:
+    def _connect(self, src: str, dst: str) -> socket.socket:
+        address = self._peers.get(dst)
+        if address is None:
             raise NetworkError(f"unknown host {dst!r}")
         last_error: Optional[BaseException] = None
         for attempt in range(self.reconnect_attempts):
             if attempt > 0:
                 if self._telemetry:
                     self._telemetry.reconnected()
-                await asyncio.sleep(self.backoff.delay(attempt, self._rng))
+                time.sleep(self.backoff.delay(attempt, self._rng))
+            if self._closed:
+                raise NetworkError("transport closed mid-call")
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), self.connect_timeout
-                )
-            except asyncio.TimeoutError as exc:
+                sock = socket.create_connection(address, timeout=self.connect_timeout)
+            except socket.timeout as exc:
                 raise NetworkTimeout(
                     f"connect {src!r} → {dst!r} timed out after {self.connect_timeout:g}s"
                 ) from exc
-            except (ConnectionError, OSError) as exc:
+            except OSError as exc:
                 last_error = exc
                 continue
-            conn = _Conn(reader=reader, writer=writer, lock=asyncio.Lock())
-            self._conns[key] = conn
-            return conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
         raise NetworkError(f"host {dst!r} is offline ({last_error})")
 
-    async def _call_async(
-        self, req: Request, frame: bytes, timeout: float
-    ) -> Response:
-        attempts = 2  # one transparent retry if a pooled conn went stale
-        for attempt in range(attempts):
-            conn = await self._connect(req.src, req.dst)
-            async with conn.lock:
+    def _round_trip(self, req: Request, frame: bytes, timeout: float) -> Tuple[Response, int]:
+        key = (req.src, req.dst)
+        with self._lock:
+            conn = self._conns.get(key)
+            if conn is None:
+                conn = self._conns[key] = _Conn()
+        with conn.lock:
+            for attempt in range(2):  # one transparent retry if a pooled conn went stale
+                if conn.sock is None:
+                    conn.sock = self._connect(req.src, req.dst)
                 try:
-                    conn.writer.write(frame)
-                    await conn.writer.drain()
-                    envelope = await asyncio.wait_for(
-                        read_frame(conn.reader, self.max_frame_bytes), timeout
-                    )
-                except asyncio.TimeoutError as exc:
-                    conn.writer.close()
-                    self._conns.pop((req.src, req.dst), None)
+                    conn.sock.settimeout(max(timeout, 1e-9))  # 0 would mean non-blocking
+                    conn.sock.sendall(frame)
+                    envelope, nbytes = read_frame(conn.sock, self.max_frame_bytes, timeout)
+                except socket.timeout as exc:
+                    conn.drop()
                     raise NetworkTimeout(
                         f"call {req.src!r} → {req.dst!r} {req.method!r} "
                         f"timed out after {timeout:g}s"
                     ) from exc
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    OSError,
-                ) as exc:
-                    conn.writer.close()
-                    self._conns.pop((req.src, req.dst), None)
-                    if attempt + 1 < attempts:
+                except ProtocolError as exc:
+                    conn.drop()
+                    raise NetworkError(f"corrupt frame from {req.dst!r}: {exc}") from exc
+                except OSError as exc:
+                    conn.drop()
+                    if attempt == 0:
                         if self._telemetry:
                             self._telemetry.reconnected()
                         continue
                     raise NetworkError(
                         f"connection {req.src!r} → {req.dst!r} lost: {exc}"
                     ) from exc
-            if not isinstance(envelope, Response) or envelope.call_id != req.call_id:
-                conn.writer.close()
-                self._conns.pop((req.src, req.dst), None)
-                raise NetworkError(
-                    f"desynchronised reply on {req.src!r} → {req.dst!r}"
-                )
-            return envelope
+                if not isinstance(envelope, Response) or envelope.call_id != req.call_id:
+                    conn.drop()
+                    raise NetworkError(
+                        f"desynchronised reply on {req.src!r} → {req.dst!r}"
+                    )
+                return envelope, nbytes
         raise NetworkError(f"call {req.src!r} → {req.dst!r} failed")  # pragma: no cover
 
     def call(
@@ -409,10 +412,7 @@ class SocketTransport(Transport):
         if self._telemetry:
             self._telemetry.sent(len(frame) - 4)
         try:
-            resp = self._run(
-                self._call_async(req, frame, deadline),
-                timeout=deadline + self.connect_timeout * self.reconnect_attempts + 10.0,
-            )
+            resp, nbytes = self._round_trip(req, frame, deadline)
         except NetworkTimeout:
             if self._telemetry:
                 self._telemetry.failed("timeout")
@@ -423,7 +423,7 @@ class SocketTransport(Transport):
             raise
         elapsed = time.perf_counter() - started
         if self._telemetry:
-            self._telemetry.received(len(pack_frame(resp)) - 4)
+            self._telemetry.received(nbytes)
             self._telemetry.observed_call(method, elapsed)
         if not resp.ok:
             if self._telemetry:

@@ -14,8 +14,9 @@ envelopes, so the same component code can run over
   the discrete-event clock.  Tier-1 tests run here; behaviour is
   byte-for-byte what direct ``SimNetwork.request`` gave, plus the
   shared JSON codec on every payload.
-* :class:`~repro.net.socket_transport.SocketTransport` — real asyncio
-  TCP streams speaking the same length-prefixed JSON frames, for
+* :class:`~repro.net.socket_transport.SocketTransport` — real TCP on
+  blocking sockets (the caller's thread does the I/O, one serving thread
+  per connection) speaking the same length-prefixed JSON frames, for
   multi-process mesh deployments.
 
 Both implementations emit identically-labelled ``sheriff_transport_*``

@@ -83,7 +83,7 @@ class SqliteBackend(StorageBackend):
         self.path = path
         # cross-thread access only happens through the transport's RPC
         # handler, which serializes calls; sqlite's own affinity check
-        # would otherwise reject the handler pool's worker threads
+        # would otherwise reject the transport's serving threads
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")

@@ -102,8 +102,9 @@ class DeploymentConfig:
     #: Measurement servers; None disables stealing entirely
     queue_steal_threshold: Optional[int] = 16
     #: messaging backend between components: "sim" (deterministic,
-    #: in-process — the Tier-1 default) or "socket" (real asyncio TCP
-    #: on the loopback; the row-identity property holds, tested)
+    #: in-process — the Tier-1 default) or "socket" (real TCP on the
+    #: loopback, blocking sockets and one serving thread per
+    #: connection; the row-identity property holds, tested)
     transport: str = "sim"
 
     @classmethod

@@ -99,3 +99,70 @@ class TestConnectionPool:
         db.insert("requests", {})
         db.scan("requests")
         assert db.query_count == before + 2
+
+
+class TestRowBatchOnTheWire:
+    """``sp_record_responses`` / ``sp_responses_for_job`` ship a batch
+    column-wise; what arrives must be what the plain list would have
+    decoded to — values, key order and all."""
+
+    @staticmethod
+    def through_codec(payload):
+        from repro.net.protocol import Request, decode, encode
+
+        return decode(encode(Request(1, "a", "db", "m", payload))).payload
+
+    def rows(self, n=3):
+        return [
+            {"proxy_id": f"ipc-{i}", "amount": i / 4, "error": None,
+             "low_confidence": bool(i % 2), "where": ("ES", "Madrid")}
+            for i in range(n)
+        ]
+
+    def test_uniform_rows_cross_column_wise_and_come_back_identical(self):
+        from repro.core.database import _pack_rows, _unpack_rows
+
+        packed = _pack_rows(self.rows())
+        assert packed["cols"] == sorted(self.rows()[0])
+        assert len(packed["rows"]) == 3
+        plain = self.through_codec(self.rows())
+        rebuilt = _unpack_rows(self.through_codec(packed))
+        assert rebuilt == plain
+        assert [list(row) for row in rebuilt] == [list(row) for row in plain]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{"only": 1}, {"only": 2}],
+            [{"a": 1, "b": 2}, {"a": 1}],
+            [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+            [{"a": 1, 2: "int key"}],
+        ],
+        ids=["empty", "one-column", "ragged", "other-keys", "non-string-key"],
+    )
+    def test_anything_else_stays_a_plain_list(self, rows):
+        from repro.core.database import _pack_rows, _unpack_rows
+
+        assert _pack_rows(rows) == rows
+        assert _unpack_rows(rows) == rows
+
+    def test_client_and_handler_agree_through_a_transport(self):
+        from repro.core.database import DatabaseClient, database_rpc_handler
+        from repro.net.transport import SimTransport
+
+        server = DatabaseServer()
+        transport = SimTransport()
+        transport.bind("db", database_rpc_handler(server))
+        transport.register_client("m0")
+        client = DatabaseClient(transport, src="m0")
+        written = [
+            dict(proxy_id=f"ipc-{i}", kind="IPC", amount_eur=1.5 * i, error=None)
+            for i in range(4)
+        ]
+        ids = client.sp_record_responses("j1", written)
+        assert len(ids) == 4
+        assert client.sp_responses_for_job("j1") == self.through_codec(
+            server.sp_responses_for_job("j1")
+        )
+        assert client.sp_responses_for_job("no-such-job") == []

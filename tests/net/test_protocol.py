@@ -16,6 +16,7 @@ from repro.net.protocol import (
     frame_sizes,
     from_wire,
     pack_frame,
+    read_frame,
     split_frame,
     to_wire,
 )
@@ -99,6 +100,30 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             decode(b"\xff\xfenot json")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 200_000,  # RecursionError inside the JSON scanner
+            b'{"v":1,"type":"request","id":1e999,"src":"a","dst":"b","method":"m"}',
+            b'{"v":1,"type":"response","id":1e999,"ok":true}',  # OverflowError
+            b'{"v":1,"type":"response","id":' + b"9" * 5000 + b',"ok":true}',
+        ],
+        ids=["deep-nesting", "infinite-request-id", "infinite-response-id", "huge-id"],
+    )
+    def test_decode_hostile_frame_raises_protocol_error(self, body):
+        """Nothing but ProtocolError may leave ``decode``: the serving
+        thread and ``SocketTransport.call`` catch exactly that."""
+        with pytest.raises(ProtocolError):
+            decode(body)
+        with pytest.raises(ProtocolError):
+            decode(bytearray(body))
+
+    def test_boolean_is_not_a_protocol_version(self):
+        wire = to_wire(make_request())
+        wire["v"] = True  # True == 1 == PROTOCOL_VERSION
+        with pytest.raises(ProtocolError):
+            from_wire(wire)
+
 
 class TestFraming:
     def test_pack_split_round_trip(self):
@@ -123,6 +148,19 @@ class TestFraming:
     def test_truncated_header_rejected(self):
         with pytest.raises(ProtocolError):
             split_frame(b"\x00\x01")
+
+    def test_read_frame_returns_envelope_and_body_length(self):
+        import socket
+
+        req = make_request()
+        frame = pack_frame(req)
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.sendall(frame + frame[:3])
+            assert read_frame(ours, MAX_FRAME_BYTES, 5.0) == (req, len(frame) - 4)
+            theirs.close()
+            with pytest.raises(ConnectionError):  # EOF inside the next header
+                read_frame(ours, MAX_FRAME_BYTES, 5.0)
 
     def test_frame_sizes_accounts_header(self):
         req = make_request()
