@@ -30,6 +30,7 @@ See ``examples/`` for runnable walkthroughs and ``benchmarks/`` for the
 per-table/figure reproduction harnesses.
 """
 
+from repro.core.config import SheriffConfig
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.addon import SheriffAddon
 from repro.core.database import DatabaseServer
@@ -70,6 +71,7 @@ __all__ = [
     # deployment facade
     "PriceSheriff",
     "Sheriff",
+    "SheriffConfig",
     "SheriffWorld",
     "SheriffAddon",
     # job lifecycle (the JobAPI protocol and its implementations)

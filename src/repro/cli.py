@@ -47,6 +47,7 @@ without writing Python.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 from typing import Optional, Sequence
@@ -94,41 +95,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     from repro.net.faults import CHAOS_PROFILES
 
+    def add_deployment_args(p, chaos_flag="--chaos", **chaos_kwargs):
+        """The flags every verb that runs a LiveDeployment shares.  Each
+        ``dest`` is the DeploymentConfig field it sets and each default
+        is None — "not typed" — so `_deployment_config` can tell a flag
+        from its absence."""
+        p.add_argument(chaos_flag, dest="chaos_profile", default=None,
+                       help="named fault-injection profile "
+                            "('none' = clean network)", **chaos_kwargs)
+        p.add_argument("--seed", dest="chaos_seed", type=int, default=None,
+                       help="seed of the fault plan's RNG")
+        p.add_argument("--requests", dest="n_requests", type=int,
+                       default=None, help="price checks to attempt")
+        p.add_argument("--users", dest="n_users", type=int, default=None,
+                       help="size of the simulated population")
+
     chaos = sub.add_parser(
         "chaos", help="deployment run under fault injection"
     )
-    chaos.add_argument("--profile", default="lossy",
-                       choices=sorted(CHAOS_PROFILES),
-                       help="named fault-injection profile")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed of the fault plan's RNG")
-    chaos.add_argument("--requests", type=int, default=60,
-                       help="price checks to attempt")
-    chaos.add_argument("--users", type=int, default=30,
-                       help="size of the simulated population")
-    chaos.add_argument("--quorum", type=int, default=1,
+    add_deployment_args(chaos, "--profile", choices=sorted(CHAOS_PROFILES))
+    chaos.add_argument("--quorum", type=int, default=None,
                        help="minimum vantage points per accepted result")
-    chaos.add_argument("--supervised", action="store_true",
+    chaos.add_argument("--supervised", action="store_true", default=None,
                        help="run under the self-healing operations layer")
 
     supervise = sub.add_parser(
         "supervise",
         help="supervised chaos run: heal, audit, and report the verdict",
     )
-    supervise.add_argument("--chaos", default="chaos_monkey",
-                           choices=sorted(CHAOS_PROFILES),
-                           help="named fault-injection profile")
-    supervise.add_argument("--seed", type=int, default=0,
-                           help="seed of the fault plan's RNG")
-    supervise.add_argument("--requests", type=int, default=60,
-                           help="price checks to attempt")
-    supervise.add_argument("--users", type=int, default=30,
-                           help="size of the simulated population")
-    supervise.add_argument("--audit-out", default=None, metavar="JSONL",
+    add_deployment_args(supervise, choices=sorted(CHAOS_PROFILES))
+    supervise.add_argument("--audit-out", dest="audit_path", default=None,
+                           metavar="JSONL",
                            help="persist the ops audit trail to this file")
     supervise.add_argument("--config", default=None, metavar="JSON",
                            help="load the DeploymentConfig from this JSON "
-                                "file (CLI flags override it)")
+                                "file (flags typed on the command line "
+                                "override it)")
 
     throughput = sub.add_parser(
         "throughput",
@@ -284,29 +286,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="X",
                        help="top fleet must scale by at least X")
 
-    def add_telemetry_run_args(p, requests=24, users=12):
-        p.add_argument("--chaos", default="lossy", metavar="PROFILE",
-                       help="chaos profile of the instrumented run "
-                            "('none' = clean network)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed of the fault plan's RNG")
-        p.add_argument("--requests", type=int, default=requests,
-                       help="price checks to attempt")
-        p.add_argument("--users", type=int, default=users,
-                       help="size of the simulated population")
-
     metrics = sub.add_parser(
         "metrics",
         help="run a telemetry-on deployment, emit Prometheus exposition",
     )
-    add_telemetry_run_args(metrics)
+    add_deployment_args(metrics, metavar="PROFILE")
     metrics.add_argument("--out", default=None,
                          help="write the exposition here instead of stdout")
 
     trace = sub.add_parser(
         "trace", help="render one price check's span timeline"
     )
-    add_telemetry_run_args(trace)
+    add_deployment_args(trace, metavar="PROFILE")
     trace.add_argument("--job", type=int, default=-1, metavar="N",
                        help="which traced job to render (index into the "
                             "run's trace list; default: the last one)")
@@ -355,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     panel = sub.add_parser(
         "panel", help="live operator panels from a metrics snapshot"
     )
-    add_telemetry_run_args(panel)
+    add_deployment_args(panel, metavar="PROFILE")
 
     return parser
 
@@ -529,36 +520,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.admin import AdminConsole
-    from repro.workloads.deployment import DeploymentConfig, LiveDeployment
-
-    config = DeploymentConfig.test_scale()
-    config.n_users = args.users
-    config.n_requests = args.requests
-    config.chaos_profile = args.profile
-    config.chaos_seed = args.seed
-    config.quorum = args.quorum
-    config.supervised = args.supervised
-    print(f"chaos drill: profile={args.profile!r} seed={args.seed} "
-          f"requests={args.requests} users={args.users} quorum={args.quorum}"
-          + (" [supervised]" if args.supervised else ""))
-    dataset = LiveDeployment(config).run()
-    print(f"attempted          {dataset.n_attempted}")
-    print(f"result pages       {len(dataset.results)}")
-    print(f"explicit failures  {dataset.n_explicit_failures}")
-    print(f"resolution rate    {dataset.resolution_rate:.1%}")
-    console = AdminConsole(dataset.sheriff)
-    print()
-    print(console.faults_panel())
-    print()
-    print(console.servers_panel())
-    if dataset.supervisor is not None:
-        print()
-        print(console.ops_panel(dataset.supervisor))
-    return 0
-
-
 def _load_config_json(path: str, parse):
     """Load a run config from a JSON file through a validating parser.
 
@@ -585,26 +546,82 @@ def _load_config_json(path: str, parse):
         return None
 
 
-def _cmd_supervise(args: argparse.Namespace) -> int:
-    from repro.core.monitoring import ops_panel
-    from repro.workloads.deployment import DeploymentConfig, LiveDeployment
+def _deployment_config(args: argparse.Namespace, **verb_defaults):
+    """The DeploymentConfig a verb runs: typed flag > ``--config`` file >
+    verb default (over ``DeploymentConfig.test_scale()``).
 
-    if args.config is not None:
+    A flag's ``dest`` is the config field it sets, so whatever the
+    namespace holds under a field's name — and is not None, i.e. was
+    typed — is applied.  Returns None after printing the reason when
+    the file or the resulting config is invalid.
+    """
+    from repro.core.errors import InvalidConfig
+    from repro.workloads.deployment import DeploymentConfig
+
+    if getattr(args, "config", None) is not None:
         config = _load_config_json(args.config, DeploymentConfig.from_dict)
         if config is None:
-            return 1
+            return None
     else:
-        config = DeploymentConfig.test_scale()
-    config.n_users = args.users
-    config.n_requests = args.requests
-    config.chaos_profile = (
-        None if args.chaos in (None, "none") else args.chaos
+        config = dataclasses.replace(
+            DeploymentConfig.test_scale(), **verb_defaults
+        )
+    typed = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config)
+        if getattr(args, f.name, None) is not None
+    }
+    if typed.get("chaos_profile") == "none":
+        typed["chaos_profile"] = None
+    try:
+        return dataclasses.replace(config, **typed).validate()
+    except InvalidConfig as exc:
+        print(f"FAIL: invalid config: {exc}")
+        return None
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.core.admin import AdminConsole
+    from repro.workloads.deployment import LiveDeployment
+
+    config = _deployment_config(
+        args, n_users=30, n_requests=60, chaos_profile="lossy",
     )
-    config.chaos_seed = args.seed
-    config.supervised = True
-    config.audit_path = args.audit_out
-    print(f"supervised run: chaos={args.chaos!r} seed={args.seed} "
-          f"requests={args.requests} users={args.users}")
+    if config is None:
+        return 1
+    print(f"chaos drill: profile={config.chaos_profile or 'none'!r} "
+          f"seed={config.chaos_seed} requests={config.n_requests} "
+          f"users={config.n_users} quorum={config.quorum}"
+          + (" [supervised]" if config.supervised else ""))
+    dataset = LiveDeployment(config).run()
+    print(f"attempted          {dataset.n_attempted}")
+    print(f"result pages       {len(dataset.results)}")
+    print(f"explicit failures  {dataset.n_explicit_failures}")
+    print(f"resolution rate    {dataset.resolution_rate:.1%}")
+    console = AdminConsole(dataset.sheriff)
+    print()
+    print(console.faults_panel())
+    print()
+    print(console.servers_panel())
+    if dataset.supervisor is not None:
+        print()
+        print(console.ops_panel(dataset.supervisor))
+    return 0
+
+
+def _cmd_supervise(args: argparse.Namespace) -> int:
+    from repro.core.monitoring import ops_panel
+    from repro.workloads.deployment import LiveDeployment
+
+    config = _deployment_config(
+        args, n_users=30, n_requests=60, chaos_profile="chaos_monkey",
+    )
+    if config is None:
+        return 1
+    config.supervised = True  # what the verb is, whatever the file says
+    print(f"supervised run: chaos={config.chaos_profile or 'none'!r} "
+          f"seed={config.chaos_seed} requests={config.n_requests} "
+          f"users={config.n_users}")
     dataset = LiveDeployment(config).run()
     supervisor = dataset.supervisor
     heal = dataset.heal_report
@@ -619,8 +636,8 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     print("audit trail:")
     for kind, count in sorted(supervisor.audit.counts().items()):
         print(f"  {kind:<26} {count}")
-    if args.audit_out:
-        print(f"audit trail persisted to {args.audit_out}")
+    if config.audit_path:
+        print(f"audit trail persisted to {config.audit_path}")
 
     pending = dataset.sheriff.distributor.pending_jobs
     converged = heal is not None and heal.converged
@@ -657,7 +674,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
     if args.ipcs is not None:
         config.ipc_sites = DEFAULT_IPC_SITES[: args.ipcs]
     if args.servers is not None:
-        config.n_servers = args.servers
+        config.n_measurement_servers = args.servers
     if args.workers is not None:
         config.max_fetch_workers = args.workers
     if args.cache_ttl is not None:
@@ -762,6 +779,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 def _cmd_mesh(args: argparse.Namespace) -> int:
     import json
 
+    from repro.clients.ipc import DEFAULT_IPC_SITES
     from repro.mesh import MeshLauncher, WorkerSpec
 
     print(f"mesh: launching {args.servers} worker process(es)")
@@ -769,7 +787,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
         n_workers=args.servers,
         spec=WorkerSpec(
             seed=args.seed, n_stores=args.stores,
-            n_ipcs=args.ipcs, n_users=args.users,
+            ipc_sites=DEFAULT_IPC_SITES[: args.ipcs], n_users=args.users,
         ),
     )
     try:
@@ -1121,14 +1139,15 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _telemetry_drill(args: argparse.Namespace):
-    """A small telemetry-on deployment for metrics/trace/panel."""
-    from repro.workloads.deployment import DeploymentConfig, LiveDeployment
+    """A small telemetry-on deployment for metrics/trace/panel (None,
+    after the reason is printed, when the flags make no valid config)."""
+    from repro.workloads.deployment import LiveDeployment
 
-    config = DeploymentConfig.test_scale()
-    config.n_requests = args.requests
-    config.n_users = args.users
-    config.chaos_profile = None if args.chaos in (None, "none") else args.chaos
-    config.chaos_seed = args.seed
+    config = _deployment_config(
+        args, n_users=12, n_requests=24, chaos_profile="lossy",
+    )
+    if config is None:
+        return None
     config.telemetry = True
     # a short cache TTL so the cache hit/miss series carry data
     config.page_cache_ttl = 60.0
@@ -1137,6 +1156,8 @@ def _telemetry_drill(args: argparse.Namespace):
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     dataset = _telemetry_drill(args)
+    if dataset is None:
+        return 1
     exposition = dataset.sheriff.telemetry.registry.render_exposition()
     if args.out:
         with open(args.out, "w") as fh:
@@ -1151,6 +1172,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import render_trace
 
     dataset = _telemetry_drill(args)
+    if dataset is None:
+        return 1
     tracer = dataset.sheriff.telemetry.tracer
     trace_ids = tracer.trace_ids()
     if not trace_ids:
@@ -1178,6 +1201,8 @@ def _cmd_panel(args: argparse.Namespace) -> int:
     )
 
     dataset = _telemetry_drill(args)
+    if dataset is None:
+        return 1
     sheriff = dataset.sheriff
     registry = sheriff.telemetry.registry
     print(pipeline_panel(registry))

@@ -20,6 +20,8 @@
 * :mod:`repro.core.engine` — the pipelined price-check engine (worker
   pools, page cache, job handles);
 * :mod:`repro.core.errors` — the typed :class:`SheriffError` hierarchy;
+* :mod:`repro.core.config` — :class:`SheriffConfig`, the one declaration
+  of every deployment knob;
 * :mod:`repro.core.sheriff` — the facade that wires a full deployment.
 """
 
@@ -36,6 +38,7 @@ from repro.core.aggregator import Aggregator
 from repro.core.measurement import MeasurementServer, PriceCheckJob
 from repro.core.addon import SheriffAddon
 from repro.core.detector import PriceVariationReport, analyze_rows
+from repro.core.config import SheriffConfig
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.admin import AdminConsole, ProbeFailed
 from repro.core.persistence import load_results, save_results
@@ -67,6 +70,7 @@ __all__ = [
     "PriceVariationReport",
     "analyze_rows",
     "PriceSheriff",
+    "SheriffConfig",
     "SheriffWorld",
     "AdminConsole",
     "ProbeFailed",

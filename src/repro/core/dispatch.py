@@ -32,10 +32,14 @@ from repro.core.errors import (
 from repro.obs.metrics import NULL_REGISTRY
 
 __all__ = [
+    "DISPATCH_POLICIES",
     "NoServerAvailable",
     "RequestDistributor",
     "ServerRecord",
 ]
+
+#: how the Coordinator picks a server for a new request
+DISPATCH_POLICIES = ("least_jobs", "round_robin")
 
 
 @dataclass
@@ -84,7 +88,7 @@ class RequestDistributor:
         heartbeat_timeout: float = 30.0,
         metrics=None,
     ) -> None:
-        if policy not in ("least_jobs", "round_robin"):
+        if policy not in DISPATCH_POLICIES:
             raise DispatchConfigError(f"unknown dispatch policy {policy!r}")
         self.policy = policy
         self.heartbeat_timeout = heartbeat_timeout

@@ -291,7 +291,7 @@ class PriceCheckEngine:
         self._m_latency = self.metrics.histogram(
             "sheriff_check_latency_seconds",
             "Per-check latency on the simulated timeline",
-            labelnames=("server", "mode"),
+            labelnames=("server",),
         )
         self._m_busy = self.metrics.gauge(
             "sheriff_engine_workers_busy",
@@ -413,7 +413,7 @@ class PriceCheckEngine:
         self._m_completed.inc(server=handle.server_name, state=handle.state)
         self._m_latency.observe(
             handle.finished_at - handle.submitted_at,
-            server=handle.server_name, mode="pipelined",
+            server=handle.server_name,
         )
         self._m_clock.set(self.now)
 

@@ -14,19 +14,26 @@ Typical use (see ``examples/quickstart.py``)::
     addon = sheriff.install_addon(browser)
     result = addon.check_price("http://store.example/product/p-1")
     print(result.render_result_page())
+
+The deployment's knobs are the fields of
+:class:`~repro.core.config.SheriffConfig`: pass one
+(``PriceSheriff(world, config)``), keyword overrides of the defaults
+(``PriceSheriff(world, quorum=2, job_queue=True)``), or both.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.browser.browser import Browser
 from repro.browser.fingerprint import UserAgent
-from repro.clients.ipc import DEFAULT_IPC_SITES, build_default_ipcs
+from repro.clients.ipc import build_default_ipcs
 from repro.core.addon import SheriffAddon
 from repro.core.aggregator import Aggregator
+from repro.core.config import SheriffConfig
 from repro.core.coordinator import Coordinator
 from repro.core.database import DatabaseClient, DatabaseServer, database_rpc_handler
 from repro.core.diffstorage import DiffStorage
@@ -43,7 +50,7 @@ from repro.crypto.secure_kmeans import KMeansCoordinator
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.anonymity import AnonymityNetwork
 from repro.net.events import Clock
-from repro.net.faults import BackoffPolicy, FaultPlan, chaos_plan
+from repro.net.faults import FaultPlan, chaos_plan
 from repro.net.geo import GeoDatabase
 from repro.net.p2p import PeerOverlay, make_peer_id
 from repro.net.transport import SimTransport, Transport
@@ -117,73 +124,87 @@ class PriceSheriff:
     def __init__(
         self,
         world: SheriffWorld,
+        config: Optional[SheriffConfig] = None,
+        *,
         whitelist_domains: Optional[Sequence[str]] = None,
-        n_measurement_servers: int = 2,
-        ipc_sites: Sequence[Tuple[str, str, float]] = DEFAULT_IPC_SITES,
-        dispatch_policy: str = "least_jobs",
         crypto_group: Optional[SchnorrGroup] = None,
-        max_ppcs_per_request: int = 5,
         overlay: Optional[PeerOverlay] = None,
         faults: Optional[FaultPlan] = None,
-        chaos_profile: Optional[str] = None,
-        chaos_seed: int = 0,
-        retry_budget: int = 3,
-        quorum: int = 1,
-        backoff: Optional[BackoffPolicy] = None,
-        max_fetch_workers: int = 8,
-        page_cache_ttl: float = 0.0,
-        telemetry: Optional[Telemetry] = None,
-        db_backend: Optional[str] = None,
-        db_shards: int = 1,
-        job_queue: bool = False,
-        queue_depth: int = 256,
-        queue_steal_threshold: Optional[int] = 16,
+        telemetry: Union[Telemetry, bool, None] = None,
         transport: Union[Transport, str, None] = None,
+        **overrides: Any,
     ) -> None:
+        """Stand the deployment up from ``config``.
+
+        The named keywords are the collaborators — built objects, not
+        values; ``overrides`` are :class:`SheriffConfig` fields replaced
+        on (a copy of) ``config``, so ``PriceSheriff(world, quorum=2)``
+        needs no config object.  ``telemetry`` / ``transport`` take the
+        ready object or, like any other override, the field's value.
+        """
+        if telemetry is not None and not isinstance(telemetry, Telemetry):
+            overrides["telemetry"], telemetry = telemetry, None
+        if transport is not None and not isinstance(transport, Transport):
+            overrides["transport"], transport = transport, None
+        config = dataclasses.replace(
+            config if config is not None else SheriffConfig(), **overrides
+        ).validate()
         self.world = world
+        self.config = config
         #: the observability plane: a metrics registry threaded through
         #: every hot path plus a sim-clock tracer.  Defaults to the
         #: null telemetry — all instrument calls become no-ops — and is
         #: purely observational either way: it never consumes an RNG
         #: stream or advances a clock, so runs are byte-identical with
         #: telemetry on or off (tested).
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        if telemetry is None:
+            telemetry = Telemetry() if config.telemetry else NULL_TELEMETRY
+        self.telemetry = telemetry
         self.telemetry.bind_clock(world.clock)
         metrics = self.telemetry.registry
         #: the shared pipelined engine: one event loop for the whole
         #: deployment, one bounded worker pool per Measurement server,
         #: and the (default-off) short-TTL page cache
         self.engine = PriceCheckEngine(
-            max_workers=max_fetch_workers,
-            cache=PageCache(ttl=page_cache_ttl),
+            max_workers=config.max_fetch_workers,
+            cache=PageCache(ttl=config.page_cache_ttl),
         )
         self.engine.bind_telemetry(self.telemetry)
         if metrics.enabled:
             bind_extraction_telemetry(self.telemetry)
-        if faults is None and chaos_profile is not None:
-            faults = chaos_plan(chaos_profile, seed=chaos_seed)
+        if faults is None and config.chaos_profile is not None:
+            faults = chaos_plan(config.chaos_profile, seed=config.chaos_seed)
         #: the chaos schedule every layer below consults (None = clean)
         self.faults = faults
         if faults is not None and metrics.enabled:
             faults.bind_telemetry(self.telemetry)
-        self.quorum = quorum
+        self.quorum = config.quorum
         if whitelist_domains is None:
             # default: sanction every e-commerce store currently online
             whitelist_domains = [s.domain for s in world.internet.stores()]
         self.whitelist = Whitelist(whitelist_domains)
         #: the Database layer: one server (the paper's deployment) or a
         #: domain-sharded router over several, on either storage engine
-        if db_shards > 1:
-            self.db = ShardedDatabase(n_shards=db_shards, backend=db_backend)
+        if config.db_shards > 1:
+            self.db = ShardedDatabase(
+                n_shards=config.db_shards, backend=config.db_backend
+            )
         else:
-            self.db = DatabaseServer(backend=db_backend)
+            self.db = DatabaseServer(backend=config.db_backend)
         #: the messaging plane every component speaks (the Transport
         #: redesign): ``"sim"`` (default — deterministic, in-process),
         #: ``"socket"`` (real TCP on blocking sockets, mesh-shaped), or a prebuilt
         #: :class:`~repro.net.transport.Transport` instance.  The sim
         #: transport owns a private latency RNG stream and carries no
         #: fault plan, so it never perturbs chaos RNG draws.
-        self.transport = self._make_transport(transport)
+        if transport is not None:
+            self.transport = transport
+        elif config.transport == "socket":
+            from repro.net.socket_transport import SocketTransport
+
+            self.transport = SocketTransport()
+        else:
+            self.transport = SimTransport(clock=world.clock)
         self.transport_label = self.transport.label
         if metrics.enabled:
             self.transport.bind_telemetry(self.telemetry)
@@ -198,7 +219,7 @@ class PriceSheriff:
             self.db.bind_telemetry(self.telemetry)
             self.overlay.bind_telemetry(self.telemetry)
         self.distributor = RequestDistributor(
-            policy=dispatch_policy, metrics=metrics
+            policy=config.dispatch_policy, metrics=metrics
         )
         self.dopp_manager = DoppelgangerManager(
             internet=world.internet,
@@ -214,10 +235,9 @@ class PriceSheriff:
             geodb=world.geodb,
             clock=world.clock,
             dopp_manager=self.dopp_manager,
-            max_ppcs_per_request=max_ppcs_per_request,
+            max_ppcs_per_request=config.max_ppcs_per_request,
             faults=faults,
-            retry_budget=retry_budget,
-            backoff=backoff,
+            retry_budget=config.retry_budget,
             metrics=metrics,
             transport_label=self.transport_label,
         )
@@ -235,25 +255,25 @@ class PriceSheriff:
             ecosystem=world.ecosystem,
             clock=world.clock,
             geodb=world.geodb,
-            sites=ipc_sites,
+            sites=config.ipc_sites,
             faults=faults,
         )
         self.measurement_servers: Dict[str, MeasurementServer] = {}
-        for i in range(n_measurement_servers):
+        for i in range(config.n_measurement_servers):
             self.add_measurement_server(f"ms-{i}")
         #: the queued measurement tier (None = direct dispatch): a
         #: bounded work-stealing outbox between the Coordinator and the
         #: Measurement servers, with admission control and dead letters
         self.job_queue: Optional[QueuedMeasurementTier] = None
-        if job_queue:
+        if config.job_queue:
             self.job_queue = QueuedMeasurementTier(
                 coordinator=self.coordinator,
                 server_lookup=self.measurement_server,
                 engine=self.engine,
                 db=self.db,
                 clock=world.clock,
-                max_depth=queue_depth,
-                steal_threshold=queue_steal_threshold,
+                max_depth=config.queue_depth,
+                steal_threshold=config.queue_steal_threshold,
                 backoff=self.coordinator.backoff,
                 telemetry=self.telemetry if metrics.enabled else None,
                 transport_label=self.transport_label,
@@ -262,19 +282,6 @@ class PriceSheriff:
         self.addons: List[SheriffAddon] = []
 
     # -- transport plumbing --------------------------------------------------
-    def _make_transport(
-        self, transport: Union[Transport, str, None]
-    ) -> Transport:
-        if isinstance(transport, Transport):
-            return transport
-        if transport in (None, "sim"):
-            return SimTransport(clock=self.world.clock)
-        if transport == "socket":
-            from repro.net.socket_transport import SocketTransport
-
-            return SocketTransport()
-        raise ValueError(f"unknown transport {transport!r}")
-
     def _server_rpc(self, name: str):
         """RPC surface of one Measurement server endpoint.
 

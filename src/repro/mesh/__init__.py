@@ -11,8 +11,10 @@ actually operated — separate processes speaking the wire protocol of
 * :mod:`repro.mesh.worker` — a measurement worker process: builds its
   own seeded world + sheriff and serves ``check_price`` over the wire.
 * :mod:`repro.mesh.launch` — the parent-side launcher: spawns N worker
-  processes from a :class:`~repro.workloads.deployment.DeploymentConfig`-style
-  spec, handshakes, farms out checks, and shuts the fleet down.
+  processes from a :class:`~repro.mesh.launch.WorkerSpec` (a
+  :class:`~repro.core.config.SheriffConfig` plus the cell's seed, stores
+  and users, handed over as JSON), handshakes, farms out checks, and
+  shuts the fleet down.
 
 ``repro mesh --servers N`` (CLI) and ``repro throughput --mesh`` are
 the entry points; the latter emits wall-clock checks/sec next to the

@@ -16,17 +16,21 @@ SIGTERM (the workers' signal handler finishes in-flight work and exits
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.clients.ipc import DEFAULT_IPC_SITES
+from repro.core.config import knob
 from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.sim import NetworkError
 from repro.net.socket_transport import SocketTransport
+from repro.workloads.cell import CellConfig
 
 __all__ = ["MeshLauncher", "MeshReport", "WorkerSpec"]
 
@@ -35,28 +39,19 @@ READY_TIMEOUT_S = 90.0
 
 
 @dataclass
-class WorkerSpec:
-    """The workload shape every worker process builds."""
+class WorkerSpec(CellConfig):
+    """The cell every worker process builds: a whole deployment config
+    plus its seeded world, handed across the process boundary as JSON."""
 
-    seed: int = 2017
-    n_stores: int = 4
-    n_servers: int = 2
-    n_ipcs: int = 10
-    n_users: int = 8
-    max_fetch_workers: int = 16
+    ipc_sites: Tuple[Tuple[str, str, float], ...] = DEFAULT_IPC_SITES[:10]
     page_cache_ttl: float = 30.0
+    n_stores: int = 4
+    n_users: int = knob(8, ge=1)
 
     def argv(self, name: str) -> List[str]:
         return [
             sys.executable, "-m", "repro.mesh.worker",
-            "--name", name,
-            "--seed", str(self.seed),
-            "--stores", str(self.n_stores),
-            "--servers", str(self.n_servers),
-            "--ipcs", str(self.n_ipcs),
-            "--users", str(self.n_users),
-            "--fetch-workers", str(self.max_fetch_workers),
-            "--cache-ttl", str(self.page_cache_ttl),
+            "--name", name, json.dumps(self.to_dict()),
         ]
 
 
@@ -116,7 +111,7 @@ class MeshLauncher:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.spec = spec if spec is not None else WorkerSpec()
+        self.spec = (spec if spec is not None else WorkerSpec()).validate()
         self.call_timeout = call_timeout
         self.transport = SocketTransport(call_timeout=call_timeout)
         self.transport.register_client(self.CLIENT)

@@ -7,10 +7,11 @@ farms a workload's checks across N such processes — the multi-core
 scale-out the single-process sim cannot give — and each check runs the
 exact same engine code the Tier-1 suite proves row-identical.
 
-Run directly (the launcher does this)::
+Run directly (the launcher does this; the one positional argument is
+the :class:`~repro.mesh.launch.WorkerSpec` as JSON, every
+:class:`~repro.core.config.SheriffConfig` knob included)::
 
-    python -m repro.mesh.worker --name w0 --seed 2017 --stores 4 \
-        --servers 2 --ipcs 10 --users 8
+    python -m repro.mesh.worker --name w0 '{"seed": 2017, "n_stores": 4}'
 
 prints ``MESH-READY name=w0 port=<p> pid=<pid>`` once serving, then
 blocks until SIGTERM (graceful drain) or a ``mesh.shutdown`` call.
@@ -22,58 +23,24 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.clients.ipc import DEFAULT_IPC_SITES
-from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.mesh.launch import WorkerSpec
 from repro.mesh.service import MeshService
 from repro.net.socket_transport import SocketTransport
-from repro.workloads.stores import build_named_stores, uniform_store_specs
+from repro.workloads.cell import build_cell
 
-__all__ = ["MeasurementWorker", "main"]
-
-#: countries worker users rotate through (same roster as the
-#: throughput workload, so mesh checks exercise the same geography)
-USER_COUNTRIES = ("ES", "US", "GB", "DE", "FR", "JP", "CA", "IT")
+__all__ = ["MeasurementWorker", "main", "worker_from_argv"]
 
 
 class MeasurementWorker:
     """One worker cell: seeded world + sheriff + addon roster."""
 
-    def __init__(
-        self,
-        name: str,
-        seed: int = 2017,
-        n_stores: int = 4,
-        n_servers: int = 2,
-        n_ipcs: int = 10,
-        n_users: int = 8,
-        max_fetch_workers: int = 16,
-        page_cache_ttl: float = 30.0,
-    ) -> None:
+    def __init__(self, name: str, spec: WorkerSpec) -> None:
         self.name = name
-        self.world = SheriffWorld.create(seed=seed)
-        specs = uniform_store_specs(n_stores, seed=seed + 3)
-        stores = build_named_stores(self.world, specs)
-        self.sheriff = PriceSheriff(
-            self.world,
-            n_measurement_servers=n_servers,
-            ipc_sites=DEFAULT_IPC_SITES[:n_ipcs],
-            dispatch_policy="round_robin",
-            max_fetch_workers=max_fetch_workers,
-            page_cache_ttl=page_cache_ttl,
+        self.world, self.sheriff, self.urls, self.addons = build_cell(
+            spec, spec.n_users
         )
-        self.urls: List[str] = []
-        for spec in specs:
-            store = stores[spec.domain]
-            for product in store.catalog.products:
-                self.urls.append(store.product_url(product.product_id))
-        self.addons = [
-            self.sheriff.install_addon(
-                self.world.make_browser(USER_COUNTRIES[i % len(USER_COUNTRIES)])
-            )
-            for i in range(n_users)
-        ]
         self.checks_done = 0
         self.rows_total = 0
         self.service = MeshService(
@@ -127,31 +94,21 @@ class MeasurementWorker:
         self.sheriff.shutdown()
 
 
-def main(argv=None) -> int:
+def worker_from_argv(argv=None) -> MeasurementWorker:
+    """The worker a ``WorkerSpec.argv(name)`` command line describes."""
     parser = argparse.ArgumentParser(
         prog="repro.mesh.worker",
         description="One mesh measurement worker process (internal).",
     )
     parser.add_argument("--name", required=True)
-    parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--stores", type=int, default=4)
-    parser.add_argument("--servers", type=int, default=2)
-    parser.add_argument("--ipcs", type=int, default=10)
-    parser.add_argument("--users", type=int, default=8)
-    parser.add_argument("--fetch-workers", type=int, default=16)
-    parser.add_argument("--cache-ttl", type=float, default=30.0)
+    parser.add_argument("spec", type=json.loads,
+                        help="the WorkerSpec as a JSON object")
     args = parser.parse_args(argv)
-    worker = MeasurementWorker(
-        name=args.name,
-        seed=args.seed,
-        n_stores=args.stores,
-        n_servers=args.servers,
-        n_ipcs=args.ipcs,
-        n_users=args.users,
-        max_fetch_workers=args.fetch_workers,
-        page_cache_ttl=args.cache_ttl,
-    )
-    worker.serve_forever(SocketTransport())
+    return MeasurementWorker(args.name, WorkerSpec.from_dict(args.spec))
+
+
+def main(argv=None) -> int:
+    worker_from_argv(argv).serve_forever(SocketTransport())
     return 0
 
 

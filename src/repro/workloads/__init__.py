@@ -10,6 +10,9 @@
   reported behaviour;
 * :mod:`repro.workloads.deployment` — the live-deployment simulation
   (Sect. 6) and the Fig. 5 adoption model;
+* :mod:`repro.workloads.cell` — one measurement cell (seeded honest
+  stores + sheriff + users) from a config: what the sim benchmarks
+  sweep and each mesh worker serves;
 * :mod:`repro.workloads.crawlstudy` — the systematic study drivers
   (Sect. 7): multi-country crawls, the four-country case studies, the
   temporal study, the Alexa-400 sweep;

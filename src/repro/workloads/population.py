@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.addon import SheriffAddon
+from repro.core.config import Config, knob
 from repro.core.sheriff import PriceSheriff
 from repro.workloads.alexa import ContentWeb
 
@@ -35,13 +36,13 @@ TAIL_WEIGHT_TOTAL = 474.0  # requests outside the top-10 countries
 
 
 @dataclass
-class PopulationConfig:
-    n_users: int = 150
+class PopulationConfig(Config):
+    n_users: int = knob(150, ge=1)
     seed: int = 5
     history_visits: Tuple[int, int] = (15, 80)
-    donate_fraction: float = 459 / 1265
+    donate_fraction: float = knob(459 / 1265, ge=0, le=1)
     login_domains: Tuple[str, ...] = ("amazon.com",)
-    login_fraction: float = 0.25
+    login_fraction: float = knob(0.25, ge=0, le=1)
     #: floors guaranteeing enough PPCs where the case studies need them
     min_users_per_country: Dict[str, int] = field(
         default_factory=lambda: {"ES": 12, "FR": 10, "DE": 8, "GB": 14}

@@ -27,38 +27,30 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
-from repro.core.errors import InvalidConfig
-from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.core.config import knob
 from repro.net.events import SECONDS_PER_DAY
 from repro.obs import Telemetry
-from repro.workloads.stores import build_named_stores, uniform_store_specs
-from repro.workloads.throughput import USER_COUNTRIES
+from repro.workloads.cell import CellConfig, build_cell
 
 __all__ = ["ScaleBenchConfig", "run_scalebench"]
 
 
 @dataclass
-class ScaleBenchConfig:
+class ScaleBenchConfig(CellConfig):
     """Knobs of one scaling-sweep run."""
 
-    seed: int = 2017
+    job_queue: bool = True
     #: Measurement-server fleet sizes to sweep (same workload each)
-    server_counts: Tuple[int, ...] = (1, 2, 4, 8)
+    server_counts: Tuple[int, ...] = knob((1, 2, 4, 8), ge=1, min_len=1)
     #: price checks executed per fleet size
-    total_checks: int = 64
+    total_checks: int = knob(64, ge=1)
     #: concurrent submitters per wave (waves of this many checks are
     #: submitted together, then collected together)
-    n_users: int = 16
-    ipc_sites: Sequence[Tuple[str, str, float]] = DEFAULT_IPC_SITES
-    n_stores: int = 8
-    max_fetch_workers: int = 16
-    #: queue-tier admission limit and work-steal imbalance threshold
-    queue_depth: int = 256
-    queue_steal_threshold: Optional[int] = 16
+    n_users: int = knob(16, ge=1)
     #: population levels of the 1k → 1M projection sweep
     users_levels: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
     #: offered load per active user (the deployment saw >5700 checks
@@ -81,97 +73,21 @@ class ScaleBenchConfig:
             users_levels=(1_000, 100_000, 1_000_000),
         )
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScaleBenchConfig":
-        """Build from a JSON-loaded dict; unknown keys raise
-        :class:`~repro.core.errors.InvalidConfig`."""
-        if not isinstance(data, dict):
-            raise InvalidConfig(
-                f"scalebench config must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InvalidConfig(
-                f"unknown scalebench config key(s): {', '.join(unknown)}"
-            )
-        kwargs: Dict[str, Any] = dict(data)
-        for name in ("server_counts", "users_levels", "burst_hours"):
-            if name in kwargs:
-                value = kwargs[name]
-                if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    for v in value
-                ):
-                    raise InvalidConfig(
-                        f"{name} must be a list of integers, got {value!r}"
-                    )
-                kwargs[name] = tuple(value)
-        if "ipc_sites" in kwargs:
-            kwargs["ipc_sites"] = tuple(
-                tuple(site) for site in kwargs["ipc_sites"]
-            )
-        config = cls(**kwargs)
-        if not config.server_counts:
-            raise InvalidConfig("server_counts must not be empty")
-        if any(n < 1 for n in config.server_counts):
-            raise InvalidConfig(
-                f"server_counts must all be >= 1, got "
-                f"{config.server_counts!r}"
-            )
-        if config.total_checks < 1 or config.n_users < 1:
-            raise InvalidConfig(
-                "total_checks and n_users must both be >= 1"
-            )
-        if config.queue_depth < 1:
-            raise InvalidConfig(
-                f"queue_depth must be >= 1, got {config.queue_depth}"
-            )
-        return config
 
-
-def _build_fleet(
-    config: ScaleBenchConfig, n_servers: int
-) -> Tuple[SheriffWorld, PriceSheriff, List[str]]:
-    """A fresh seeded world with the queue tier over ``n_servers``.
+def _run_level(config: ScaleBenchConfig, n_servers: int) -> Dict[str, object]:
+    """Run the full workload against one fleet size.
 
     The database is sharded to match the fleet (one shard per server),
     so result collection exercises the scatter-gather read path the
     sharded deployment actually runs.
     """
-    world = SheriffWorld.create(seed=config.seed)
-    specs = uniform_store_specs(config.n_stores, seed=config.seed + 3)
-    stores = build_named_stores(world, specs)
-    sheriff = PriceSheriff(
-        world,
-        n_measurement_servers=n_servers,
-        ipc_sites=config.ipc_sites,
-        dispatch_policy="round_robin",
-        max_fetch_workers=config.max_fetch_workers,
+    _, sheriff, urls, addons = build_cell(
+        dataclasses.replace(
+            config, n_measurement_servers=n_servers, db_shards=n_servers
+        ),
+        config.n_users,
         telemetry=Telemetry(metrics_only=True),
-        db_shards=n_servers,
-        job_queue=True,
-        queue_depth=config.queue_depth,
-        queue_steal_threshold=config.queue_steal_threshold,
     )
-    urls: List[str] = []
-    for spec in specs:
-        store = stores[spec.domain]
-        for product in store.catalog.products:
-            urls.append(store.product_url(product.product_id))
-    return world, sheriff, urls
-
-
-def _run_level(config: ScaleBenchConfig, n_servers: int) -> Dict[str, object]:
-    """Run the full workload against one fleet size."""
-    world, sheriff, urls = _build_fleet(config, n_servers)
-    addons = [
-        sheriff.install_addon(
-            world.make_browser(USER_COUNTRIES[i % len(USER_COUNTRIES)])
-        )
-        for i in range(config.n_users)
-    ]
     completed = 0
     rows_total = 0
     job_ids: List[str] = []
@@ -317,13 +233,7 @@ def run_scalebench(
             "measurement-tier scaling (checks/sec vs server count, "
             "queued dispatch)"
         ),
-        "config": {
-            **asdict(config),
-            "ipc_sites": len(config.ipc_sites),
-            "server_counts": list(config.server_counts),
-            "users_levels": list(config.users_levels),
-            "burst_hours": list(config.burst_hours),
-        },
+        "config": {**config.to_dict(), "ipc_sites": len(config.ipc_sites)},
         "levels": levels,
         "scaling": {
             "baseline_servers": baseline["servers"],

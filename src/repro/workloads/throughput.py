@@ -25,37 +25,29 @@ default) and returns a JSON-ready report; the CLI command
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
-from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.core.config import knob
 from repro.obs import Telemetry
-from repro.workloads.stores import build_named_stores, uniform_store_specs
-
-#: countries users are drawn from (round robin), a coarse cut of the
-#: deployment's geography (Sect. 6.1)
-USER_COUNTRIES: Tuple[str, ...] = ("ES", "US", "GB", "DE", "FR", "JP", "CA", "IT")
+from repro.workloads.cell import CellConfig, build_cell
 
 
 @dataclass
-class ThroughputConfig:
-    """Knobs of one benchmark run."""
+class ThroughputConfig(CellConfig):
+    """Knobs of one benchmark run; the IPC fleet every check fans out
+    to defaults to the paper's 30."""
 
-    seed: int = 2017
-    #: concurrent-user levels to sweep
-    levels: Tuple[int, ...] = (1, 8, 64)
-    #: price checks executed per level (each level reuses a fresh world)
-    total_checks: int = 64
-    #: the IPC fleet every check fans out to (default: the paper's 30)
-    ipc_sites: Sequence[Tuple[str, str, float]] = DEFAULT_IPC_SITES
-    n_servers: int = 4
-    n_stores: int = 8
-    #: per-server fetch worker pool size
-    max_fetch_workers: int = 16
+    n_measurement_servers: int = 4
     #: page-cache TTL in simulated seconds (0 disables)
     page_cache_ttl: float = 30.0
+    #: concurrent-user levels to sweep
+    levels: Tuple[int, ...] = knob((1, 8, 64), ge=1, min_len=1)
+    #: price checks executed per level (each level reuses a fresh world)
+    total_checks: int = knob(64, ge=1)
 
     @classmethod
     def smoke_scale(cls) -> "ThroughputConfig":
@@ -64,39 +56,9 @@ class ThroughputConfig:
             levels=(1, 8),
             total_checks=16,
             ipc_sites=DEFAULT_IPC_SITES[:10],
-            n_servers=2,
+            n_measurement_servers=2,
             n_stores=4,
         )
-
-
-def _build_deployment(
-    config: ThroughputConfig, telemetry: Optional[Telemetry] = None,
-) -> Tuple[SheriffWorld, PriceSheriff, List[str]]:
-    """A fresh seeded world + sheriff + product URL roster.
-
-    Dispatch is round robin so a wave of concurrent submissions spreads
-    over every Measurement server's worker pool (least-jobs degenerates
-    here: the simulated submit reports completion eagerly, so pending
-    counts never differentiate the servers).
-    """
-    world = SheriffWorld.create(seed=config.seed)
-    specs = uniform_store_specs(config.n_stores, seed=config.seed + 3)
-    stores = build_named_stores(world, specs)
-    sheriff = PriceSheriff(
-        world,
-        n_measurement_servers=config.n_servers,
-        ipc_sites=config.ipc_sites,
-        dispatch_policy="round_robin",
-        max_fetch_workers=config.max_fetch_workers,
-        page_cache_ttl=config.page_cache_ttl,
-        telemetry=telemetry,
-    )
-    urls: List[str] = []
-    for spec in specs:
-        store = stores[spec.domain]
-        for product in store.catalog.products:
-            urls.append(store.product_url(product.product_id))
-    return world, sheriff, urls
 
 
 def _run_level(
@@ -112,13 +74,7 @@ def _run_level(
     carries the p50/p95/p99 per-check latency read back from the
     ``sheriff_check_latency_seconds`` histogram.
     """
-    world, sheriff, urls = _build_deployment(config, telemetry)
-    addons = [
-        sheriff.install_addon(
-            world.make_browser(USER_COUNTRIES[i % len(USER_COUNTRIES)])
-        )
-        for i in range(n_users)
-    ]
+    _, sheriff, urls, addons = build_cell(config, n_users, telemetry)
     completed = 0
     service_seconds = 0.0
     rows_total = 0
@@ -193,11 +149,7 @@ def run_throughput(config: Optional[ThroughputConfig] = None) -> Dict[str, objec
         )
     return {
         "benchmark": "price-check throughput (checks/sec, serial vs pipelined)",
-        "config": {
-            **asdict(config),
-            "ipc_sites": len(config.ipc_sites),
-            "levels": list(config.levels),
-        },
+        "config": {**config.to_dict(), "ipc_sites": len(config.ipc_sites)},
         "levels": levels,
         "max_speedup": max(level["speedup"] for level in levels),
         "speedup_at_top_level": levels[-1]["speedup"],
@@ -224,13 +176,8 @@ def run_mesh_throughput(
 
     config = config if config is not None else ThroughputConfig()
     spec = WorkerSpec(
-        seed=config.seed,
-        n_stores=config.n_stores,
-        n_servers=config.n_servers,
-        n_ipcs=len(config.ipc_sites),
         n_users=max(config.levels),
-        max_fetch_workers=config.max_fetch_workers,
-        page_cache_ttl=config.page_cache_ttl,
+        **{f.name: getattr(config, f.name) for f in dataclasses.fields(CellConfig)},
     )
     launcher = MeshLauncher(n_workers=n_workers, spec=spec)
     try:

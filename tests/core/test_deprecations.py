@@ -22,6 +22,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core.config import SheriffConfig
 from repro.core.database import DatabaseServer
 from repro.core.engine import PageCache
 from repro.core.errors import InvalidConfig
@@ -35,7 +36,7 @@ from repro.crypto.secure_kmeans import (
     KMeansCoordinator,
     run_secure_kmeans,
 )
-from repro.net.faults import chaos_plan
+from repro.net.faults import BackoffPolicy, chaos_plan
 from repro.net.p2p import PeerOverlay
 from repro.storage import ShardedDatabase
 from repro.workloads.benchsuite import BenchSuiteConfig
@@ -98,8 +99,22 @@ class TestModeLatticeCollapsed:
         ):
             params = inspect.signature(fn).parameters
             assert not set(self.REMOVED) & set(params), fn
-        fields = {f.name for f in dataclasses.fields(DeploymentConfig)}
-        assert not set(self.REMOVED) & fields
+        # the sheriff's knobs arrive as **overrides of SheriffConfig, so
+        # its field list is the accepted keyword list
+        for config in (SheriffConfig, DeploymentConfig):
+            fields = {f.name for f in dataclasses.fields(config)}
+            assert not {*self.REMOVED, "backoff"} & fields, config
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"pipelined": True}, {"use_fast_extract": False},
+         {"backoff": BackoffPolicy()}],
+    )
+    def test_sheriff_rejects_the_old_keywords(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            PriceSheriff(
+                SheriffWorld.create(seed=1), whitelist_domains=[], **kwargs
+            )
         for fn in (
             VectorElGamal.__init__, InnerProductFE.__init__,
             KMeansCoordinator.__init__, KMeansAggregator.__init__,

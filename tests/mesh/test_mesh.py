@@ -1,11 +1,18 @@
 """Mesh tests: service skeleton semantics and a real-process smoke run."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.clients.ipc import DEFAULT_IPC_SITES
+from repro.core.errors import InvalidConfig
 from repro.mesh.launch import MeshLauncher, MeshReport, WorkerSpec
 from repro.mesh.service import MeshService
+from repro.mesh.worker import worker_from_argv
 from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.sim import NetworkError
+from tests.core.test_config import KNOBS, assert_knob_reached, non_default
 
 
 class TestMeshService:
@@ -57,15 +64,58 @@ class TestMeshService:
         assert service.wait(timeout=0.1)
 
 
+#: a cell small enough to build in-process once per knob
+TINY_SPEC = WorkerSpec(
+    n_stores=1, n_users=2, n_measurement_servers=1,
+    ipc_sites=DEFAULT_IPC_SITES[:4],
+)
+
+
 class TestWorkerSpec:
     def test_argv_round_trips_the_shape(self):
-        spec = WorkerSpec(seed=5, n_stores=3, n_ipcs=7)
+        spec = WorkerSpec(seed=5, n_stores=3, ipc_sites=DEFAULT_IPC_SITES[:7])
         argv = spec.argv("w9")
-        assert "-m" in argv and "repro.mesh.worker" in argv
-        assert argv[argv.index("--name") + 1] == "w9"
-        assert argv[argv.index("--seed") + 1] == "5"
-        assert argv[argv.index("--stores") + 1] == "3"
-        assert argv[argv.index("--ipcs") + 1] == "7"
+        assert argv[1:3] == ["-m", "repro.mesh.worker"]
+        # the whole spec is the one argument after --name NAME
+        assert argv[3:5] == ["--name", "w9"] and len(argv) == 6
+        assert WorkerSpec.from_dict(json.loads(argv[5])) == spec
+
+    def test_defaults_are_the_mesh_cell(self):
+        spec = WorkerSpec()
+        assert spec.n_measurement_servers == 2
+        assert spec.ipc_sites == DEFAULT_IPC_SITES[:10]
+        assert spec.dispatch_policy == "round_robin"
+        assert spec.max_fetch_workers == 16
+        assert spec.page_cache_ttl == 30.0
+
+    @pytest.mark.parametrize("name", KNOBS)
+    def test_every_knob_reaches_the_worker_sheriff(self, name):
+        """spec → argv() → the worker's argument parser → an in-process
+        MeasurementWorker: what the launcher set is what the process
+        builds (``job_queue`` included — the case ``mesh_load`` needs)."""
+        value = non_default(TINY_SPEC, name)
+        argv = dataclasses.replace(TINY_SPEC, **{name: value}).argv("w0")
+        worker = worker_from_argv(argv[3:])
+        try:
+            assert worker.name == "w0"
+            assert_knob_reached(worker.sheriff, name, value)
+            assert worker.check_price({"index": 0})["rows"] > 0
+        finally:
+            worker.sheriff.shutdown()
+
+    def test_worker_rejects_a_bad_spec_by_name(self):
+        with pytest.raises(InvalidConfig, match="unknown workerspec config.*n_ipcs"):
+            worker_from_argv(["--name", "w0", '{"n_ipcs": 7}'])
+        with pytest.raises(InvalidConfig, match="quorum"):
+            MeshLauncher(n_workers=1, spec=WorkerSpec(quorum=0))
+
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--stores", "--servers", "--ipcs", "--users",
+                 "--fetch-workers", "--cache-ttl"],
+    )
+    def test_per_knob_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            worker_from_argv(["--name", "w0", flag, "3", "{}"])
 
 
 class TestMeshReport:
@@ -86,7 +136,9 @@ class TestMeshSmoke:
     def test_two_process_fleet(self):
         launcher = MeshLauncher(
             n_workers=2,
-            spec=WorkerSpec(n_stores=2, n_servers=2, n_ipcs=6, n_users=4),
+            spec=WorkerSpec(
+                n_stores=2, ipc_sites=DEFAULT_IPC_SITES[:6], n_users=4
+            ),
         )
         try:
             hellos = launcher.start()
@@ -112,7 +164,9 @@ class TestMeshSmoke:
         multi-process echo of the row-identity guarantee."""
         launcher = MeshLauncher(
             n_workers=2,
-            spec=WorkerSpec(n_stores=2, n_servers=2, n_ipcs=6, n_users=4),
+            spec=WorkerSpec(
+                n_stores=2, ipc_sites=DEFAULT_IPC_SITES[:6], n_users=4
+            ),
         )
         try:
             launcher.start()

@@ -105,9 +105,6 @@ def test_metrics_mirror_the_run():
 
     latency = registry.get("sheriff_check_latency_seconds")
     assert latency.total_count() >= n_ok
-    assert all(
-        labels["mode"] == "pipelined" for labels, _ in latency.labels_series()
-    )
 
     # the fault counter is bumped at the same point the event log is
     # appended, so the two can never drift

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import main
+from repro.workloads.deployment import DeploymentConfig
 
 
 class TestDemo:
@@ -84,6 +88,53 @@ class TestSupervise:
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):
             main(["supervise", "--chaos", "mayhem"])
+
+
+class TestSuperviseConfigFile:
+    """``--config FILE``: typed flag > file > verb default."""
+
+    @pytest.fixture
+    def config_file(self, tmp_path):
+        config = DeploymentConfig.test_scale()
+        config.n_users = 12
+        config.n_requests = 5
+        config.chaos_profile = "lossy"
+        config.chaos_seed = 9
+        config.audit_path = str(tmp_path / "audit.jsonl")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config.to_dict()))
+        return path, config
+
+    def test_file_alone_is_what_runs(self, config_file, capsys):
+        path, config = config_file
+        assert main(["supervise", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "chaos='lossy' seed=9 requests=5 users=12" in out
+        # 5 requests + the 3 spotlight checks, not the verb's 60
+        assert "attempted          8" in out
+        assert f"audit trail persisted to {config.audit_path}" in out
+        assert pathlib.Path(config.audit_path).read_text()
+
+    def test_typed_flag_overrides_the_file(self, config_file, capsys):
+        path, _ = config_file
+        assert main(["supervise", "--config", str(path), "--seed", "4"]) == 0
+        assert ("chaos='lossy' seed=4 requests=5 users=12"
+                in capsys.readouterr().out)
+
+    def test_invalid_file_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_users": 12, "quorum": 0}))
+        assert main(["supervise", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: invalid config" in out and "quorum" in out
+        path.write_text(json.dumps({"n_usres": 12}))
+        assert main(["supervise", "--config", str(path)]) == 1
+        assert "unknown deployment config key(s): n_usres" in capsys.readouterr().out
+        # nested sections are range-checked by the same declaration
+        path.write_text(json.dumps({"population": {"persona_boost": "big"}}))
+        assert main(["supervise", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: invalid config" in out and "population: persona_boost" in out
 
 
 class TestJourney:

@@ -12,6 +12,7 @@ from repro.workloads.deployment import (
     adoption_series,
 )
 from repro.workloads.population import PopulationConfig
+from tests.core.test_config import KNOBS, assert_knob_reached, non_default
 
 
 @pytest.fixture(scope="module")
@@ -124,16 +125,25 @@ class TestConfigSerialization:
         with pytest.raises(InvalidConfig):
             DeploymentConfig.from_dict(data)
 
-    def test_queue_knobs_reach_the_sheriff(self):
+    @pytest.mark.parametrize("name", KNOBS)
+    def test_every_knob_reaches_the_sheriff(self, name):
         cfg = DeploymentConfig.test_scale()
-        cfg.n_requests = 4
-        cfg.duration_days = 2.0
+        value = non_default(cfg, name)
+        setattr(cfg, name, value)
+        deployment = LiveDeployment(cfg)
+        try:
+            assert_knob_reached(deployment.sheriff, name, value)
+        finally:
+            deployment.sheriff.shutdown()
+
+    def test_queue_depth_reaches_the_tier(self):
+        cfg = DeploymentConfig.test_scale()
         cfg.job_queue = True
         cfg.queue_depth = 64
-        deployment = LiveDeployment(cfg)
-        tier = deployment.sheriff.job_queue
-        assert tier is not None
+        cfg.queue_steal_threshold = None
+        tier = LiveDeployment(cfg).sheriff.job_queue
         assert tier.max_depth == 64
+        assert tier.steal_threshold is None
 
     def test_direct_deployment_has_no_tier(self, dataset):
         assert dataset.sheriff.job_queue is None
