@@ -20,9 +20,9 @@ Two classic techniques cut this down:
   reuse of the table build.
 * **Montgomery batch inversion** (:func:`batch_invert`) — n modular
   inverses for the price of one inversion plus 3(n−1) multiplications.
-  A single inversion is as expensive as a full exponentiation
-  (``pow(a, p-2, p)``), so unmasking a whole client batch this way is
-  a large constant-factor win.
+  A single inversion (``pow(a, -1, p)``, extended Euclid) costs as much
+  as some fifty multiplications at 256 bits, so unmasking a whole client
+  batch this way is a constant-factor win.
 
 Tables for truly fixed bases (``g``, the ``h_i``) live in a module-level
 LRU cache (:func:`fixed_base`) so that (a) every scheme object sharing a
@@ -222,7 +222,7 @@ def batch_invert(p: int, values: Sequence[int]) -> List[int]:
     """Montgomery's trick: invert every value mod p with one inversion.
 
     Computes prefix products left-to-right, inverts the grand total
-    once (``pow(·, p-2, p)``), then peels inverses off right-to-left.
+    once (``pow(·, -1, p)``), then peels inverses off right-to-left.
     3(n−1) multiplications + 1 inversion instead of n inversions.
     """
     n = len(values)
@@ -236,7 +236,7 @@ def batch_invert(p: int, values: Sequence[int]) -> List[int]:
             raise ZeroDivisionError("cannot invert 0 mod p")
         prefix[i] = acc
         acc = acc * v % p
-    inv_acc = pow(acc, p - 2, p)
+    inv_acc = pow(acc, -1, p)
     out = [0] * n
     for i in range(n - 1, -1, -1):
         out[i] = prefix[i] * inv_acc % p

@@ -82,7 +82,11 @@ class SchnorrGroup:
         return (a * b) % self.p
 
     def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+        """a^-1 mod p by extended Euclid (``pow(a, -1, p)``): the same
+        value Fermat's ``a^(p-2)`` gives, at a fraction of the cost."""
+        if a % self.p == 0:
+            raise ZeroDivisionError("cannot invert 0 mod p")
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -55,7 +55,7 @@ textbook protocol kept as ``tests/oracles/crypto_naive.py``):
 * the mask is a cheap re-randomization — ``α·g^r``, ``β_i·h_i^r``,
   ``β_1·g^ν`` — instead of a full encryption of a mostly-zero vector;
 * the per-client ``g^ν`` unmask factors are inverted together with one
-  Montgomery batch inversion instead of one ``pow(·, p-2, p)`` each.
+  Montgomery batch inversion instead of one ``pow(·, -1, p)`` each.
 """
 
 from __future__ import annotations

@@ -244,8 +244,8 @@ def read_frame(
 
     Returns the envelope and the length of its JSON body (what the byte
     counters report).  The wait for the first byte is the socket's own
-    timeout — none on an idle served connection, the call deadline on a
-    client; from that byte on the whole frame has ``frame_timeout``
+    timeout — the idle bound on a served connection, the call deadline on
+    a client; from that byte on the whole frame has ``frame_timeout``
     seconds to arrive, however slowly the peer trickles it.
 
     Raises :class:`ProtocolError` subclasses on malformed input and lets

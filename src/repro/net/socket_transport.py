@@ -22,10 +22,13 @@ Failure mapping (the contract the conformance suite pins):
 
 Server-side bounds (a connection costs a thread, and peers are not
 trusted): a frame must be complete within ``call_timeout`` of its first
-byte and a reply taken within ``call_timeout``; an endpoint serves at
-most :data:`MAX_CONNECTIONS` connections and closes what arrives above
-that; a frame that is not a well-formed ``Request`` ends its connection
-without a reply.
+byte and a reply taken within ``call_timeout``; a connection that sends
+nothing for ``call_timeout`` is hung up on (a peer that connects and
+never speaks looks like an idle pooled connection, so both go: the
+honest client's next call finds the socket stale, reconnects once and
+is answered); an endpoint serves at most :data:`MAX_CONNECTIONS`
+connections and closes what arrives above that; a frame that is not a
+well-formed ``Request`` ends its connection without a reply.
 
 Reconnects reuse :class:`~repro.net.faults.BackoffPolicy`, the same
 capped-exponential-with-jitter schedule the dispatch retry path uses.
@@ -287,7 +290,8 @@ class SocketTransport(Transport):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                sock.settimeout(None)  # an idle pooled connection is legitimate
+                # idle bound: silent peers must not hold the endpoint's threads
+                sock.settimeout(self.call_timeout)
                 envelope, nbytes = read_frame(sock, self.max_frame_bytes, self.call_timeout)
                 if not isinstance(envelope, Request):
                     break
@@ -316,7 +320,7 @@ class SocketTransport(Transport):
                         if ep.active == 0:
                             ep.cond.notify_all()
         except (ProtocolError, OSError):
-            pass  # a hostile or departed peer, or close(): hang up silently
+            pass  # a hostile, idle or departed peer, or close(): hang up silently
         finally:
             sock.close()
 

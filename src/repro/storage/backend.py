@@ -13,6 +13,12 @@ Contract notes:
 
 * ``_id`` is one monotonically increasing sequence shared by all
   tables, starting at 1 — exactly the original dict-of-lists behavior;
+  an engine whose rows outlive the process (a sqlite file) continues
+  after the largest ``_id`` it holds when it is opened again;
+* ``insert_many`` is all-or-nothing on every engine: every row is
+  prepared before the first is stored, so a batch that raises leaves
+  the table, the indexes and the id sequence as they were and a retry
+  cannot store its first rows twice;
 * ``scan``/``lookup`` return fresh dict copies in insertion order, so
   callers can never mutate stored rows through a result set;
 * ``lookup(table, column, value)`` is the index path: for the declared
@@ -91,8 +97,9 @@ class StorageBackend:
         raise NotImplementedError
 
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        """Store a batch of rows in one call; returns their ``_id``\\ s."""
-        return [self.insert(table, row) for row in rows]
+        """Store a batch of rows in one call, all of them or none;
+        returns their ``_id``\\ s."""
+        raise NotImplementedError
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         """Remove rows by ``_id``; returns how many were deleted."""

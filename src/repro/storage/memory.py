@@ -11,7 +11,6 @@ sqlite engine.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -38,7 +37,8 @@ class MemoryBackend(StorageBackend):
             table: {column: defaultdict(list) for column in columns}
             for table, columns in INDEXED_COLUMNS.items()
         }
-        self._ids = itertools.count(1)
+        #: the ``_id`` the next stored row gets (one sequence, all tables)
+        self._next_id = 1
 
     # -- internals --------------------------------------------------------
     def _table(self, table: str) -> List[Dict[str, Any]]:
@@ -65,23 +65,26 @@ class MemoryBackend(StorageBackend):
     def insert(self, table: str, row: Dict[str, Any]) -> int:
         target = self._table(table)
         row = dict(row)
-        row_id = next(self._ids)
-        row["_id"] = row_id
+        row_id = row["_id"] = self._next_id
+        self._next_id += 1
         target.append(row)
         self._index_row(table, row)
         return row_id
 
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
         target = self._table(table)
-        ids: List[int] = []
-        for row in rows:
+        # build, then extend: a row that cannot be copied fails the whole
+        # batch with the table, the indexes and the id sequence untouched
+        fresh: List[Dict[str, Any]] = []
+        for row_id, row in enumerate(rows, self._next_id):
             row = dict(row)
-            row_id = next(self._ids)
             row["_id"] = row_id
-            target.append(row)
+            fresh.append(row)
+        self._next_id += len(fresh)
+        target.extend(fresh)
+        for row in fresh:
             self._index_row(table, row)
-            ids.append(row_id)
-        return ids
+        return [row["_id"] for row in fresh]
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         target = self._table(table)

@@ -5,7 +5,9 @@ reproduction's equivalent on :mod:`sqlite3` (in the standard library,
 so nothing to install).  Each logical table is a real SQL table with
 
 * an ``_id INTEGER PRIMARY KEY`` fed from a Python-side sequence shared
-  across tables — identical to the memory engine's id stream;
+  across tables — identical to the memory engine's id stream, and
+  continued from the largest stored ``_id`` when a database file is
+  reopened;
 * one native column per declared secondary index
   (``responses.job_id``, ``requests.domain``, ``requests.user_id``),
   each covered by a ``CREATE INDEX`` B-tree, so the hot ``sp_*``
@@ -15,6 +17,15 @@ so nothing to install).  Each logical table is a real SQL table with
   back byte-identical to what the memory engine returns (pinned by
   ``tests/storage/test_backend_equivalence.py``).
 
+The engine works on result sets, not rows.  A read is one ``SELECT``
+whose ``data`` texts are joined into one JSON array and decoded by one
+``json.loads``; the Python walk that restores tagged tuples runs only
+when the tag occurs in that text (a price check's response rows never
+carry it).  A write prepares every row of the batch first — copy,
+``_id``, index values, JSON text — and lands them with one
+``executemany`` and one ``commit``, so a batch is stored whole or not at
+all and a failed batch consumes no ids.
+
 File-backed databases run in WAL journal mode (readers never block the
 writer — the deployment story of App. 10.2.1); the default is a private
 in-memory database, which keeps the tier-1 suite hermetic.
@@ -22,11 +33,11 @@ in-memory database, which keeps the tier-1 suite hermetic.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sqlite3
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.backend import (
     INDEXED_COLUMNS,
@@ -39,6 +50,17 @@ __all__ = ["SqliteBackend"]
 
 #: JSON tag marking a tuple (JSON itself only has arrays)
 _TUPLE_TAG = "__tuple__"
+
+#: rows a ``scan`` decodes per ``json.loads``, so a full-table read never
+#: holds a second copy of the table as one string
+_SCAN_CHUNK = 512
+
+#: the value types the tuple tagging has to look inside
+_CONTAINERS = (tuple, list, dict)
+
+#: the stored text of a row; compact separators, as every existing
+#: database file has them
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _jsonable(value: Any) -> Any:
@@ -60,6 +82,16 @@ def _from_jsonable(value: Any) -> Any:
     if isinstance(value, list):
         return [_from_jsonable(v) for v in value]
     return value
+
+
+def _decode(texts: Iterable[str]) -> List[Dict[str, Any]]:
+    """The rows of a result set's ``data`` texts: one JSON pass, and the
+    tuple-restoring walk only if some text mentions the tag at all."""
+    text = "[" + ",".join(texts) + "]"
+    rows = json.loads(text)
+    if _TUPLE_TAG in text:
+        return _from_jsonable(rows)
+    return rows
 
 
 def _index_value(row: Dict[str, Any], column: str) -> Any:
@@ -87,61 +119,74 @@ class SqliteBackend(StorageBackend):
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._ids = itertools.count(1)
+        #: table -> its INSERT statement (one text per table, so sqlite3's
+        #: statement cache compiles each once)
+        self._insert_sql: Dict[str, str] = {}
+        last_id = 0
         for table in TABLES:
-            index_cols = "".join(
-                f", {column}" for column in INDEXED_COLUMNS.get(table, ())
-            )
+            columns = INDEXED_COLUMNS.get(table, ())
+            index_cols = "".join(f", {column}" for column in columns)
             self._conn.execute(
                 f"CREATE TABLE IF NOT EXISTS {table} "
                 f"(_id INTEGER PRIMARY KEY{index_cols}, data TEXT NOT NULL)"
             )
-            for column in INDEXED_COLUMNS.get(table, ()):
+            for column in columns:
                 self._conn.execute(
                     f"CREATE INDEX IF NOT EXISTS idx_{table}_{column} "
                     f"ON {table}({column})"
                 )
+            marks = ", ".join("?" * (2 + len(columns)))
+            self._insert_sql[table] = (
+                f"INSERT INTO {table} (_id{index_cols}, data) VALUES ({marks})"
+            )
+            (stored,) = self._conn.execute(
+                f"SELECT MAX(_id) FROM {table}"
+            ).fetchone()
+            last_id = max(last_id, stored or 0)
         self._conn.commit()
+        #: the ``_id`` the next stored row gets; a reopened file continues
+        #: after the largest id any table holds
+        self._next_id = last_id + 1
 
     # -- internals --------------------------------------------------------
-    def _columns(self, table: str) -> Sequence[str]:
+    def _prepare(
+        self, table: str, rows: Iterable[Dict[str, Any]]
+    ) -> List[Tuple[Any, ...]]:
+        """The INSERT parameters of ``rows`` — ``(_id, index values…,
+        data)`` each, ids counted on from ``_next_id`` — touching neither
+        the sequence nor the database, so a row that cannot be encoded
+        fails its whole batch before the first statement runs."""
         self._check_table(table)
-        return INDEXED_COLUMNS.get(table, ())
+        columns = INDEXED_COLUMNS.get(table, ())
+        params = []
+        for row_id, row in enumerate(rows, self._next_id):
+            row = dict(row)
+            row["_id"] = row_id
+            indexed = [_index_value(row, column) for column in columns]
+            for value in row.values():
+                # isinstance, so a namedtuple or an OrderedDict is walked too
+                if isinstance(value, _CONTAINERS):
+                    row = _jsonable(row)
+                    break
+            params.append((row_id, *indexed, _encode(row)))
+        return params
 
-    def _encode_row(self, row: Dict[str, Any]) -> str:
-        return json.dumps(_jsonable(row), separators=(",", ":"))
-
-    @staticmethod
-    def _decode_row(data: str) -> Dict[str, Any]:
-        return _from_jsonable(json.loads(data))
-
-    def _insert_one(self, table: str, columns: Sequence[str],
-                    row: Dict[str, Any]) -> int:
-        row = dict(row)
-        row_id = next(self._ids)
-        row["_id"] = row_id
-        placeholders = ", ".join("?" * (2 + len(columns)))
-        names = "_id" + "".join(f", {c}" for c in columns) + ", data"
-        values = [row_id]
-        values.extend(_index_value(row, c) for c in columns)
-        values.append(self._encode_row(row))
-        self._conn.execute(
-            f"INSERT INTO {table} ({names}) VALUES ({placeholders})", values
-        )
-        return row_id
+    def _store(self, table: str, params: List[Tuple[Any, ...]]) -> None:
+        """One statement, one commit; all of ``params`` or none of it."""
+        with self._conn:  # commits, or rolls back whatever made it leave
+            self._conn.executemany(self._insert_sql[table], params)
+        self._next_id += len(params)
 
     # -- writes -----------------------------------------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:
-        columns = self._columns(table)
-        row_id = self._insert_one(table, columns, row)
-        self._conn.commit()
-        return row_id
+        params = self._prepare(table, (row,))
+        self._store(table, params)
+        return params[0][0]
 
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        columns = self._columns(table)
-        ids = [self._insert_one(table, columns, row) for row in rows]
-        self._conn.commit()
-        return ids
+        params = self._prepare(table, rows)
+        self._store(table, params)
+        return [row_params[0] for row_params in params]
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         self._check_table(table)
@@ -161,15 +206,14 @@ class SqliteBackend(StorageBackend):
         where: Optional[Callable[[Dict[str, Any]], bool]] = None,
     ) -> List[Dict[str, Any]]:
         self._check_table(table)
-        rows = [
-            self._decode_row(data)
-            for (data,) in self._conn.execute(
-                f"SELECT data FROM {table} ORDER BY _id"
-            )
-        ]
-        if where is None:
-            return rows
-        return [r for r in rows if where(r)]
+        cursor = self._conn.execute(f"SELECT data FROM {table} ORDER BY _id")
+        rows: List[Dict[str, Any]] = []
+        while True:
+            chunk = cursor.fetchmany(_SCAN_CHUNK)
+            if not chunk:
+                return rows
+            decoded = _decode(chain.from_iterable(chunk))
+            rows.extend(decoded if where is None else filter(where, decoded))
 
     def lookup(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
         if column not in INDEXED_COLUMNS.get(table, ()):
@@ -181,13 +225,10 @@ class SqliteBackend(StorageBackend):
             return []
         if isinstance(value, bool):
             value = int(value)
-        return [
-            self._decode_row(data)
-            for (data,) in self._conn.execute(
-                f"SELECT data FROM {table} WHERE {column} = ? ORDER BY _id",
-                (value,),
-            )
-        ]
+        return _decode(chain.from_iterable(self._conn.execute(
+            f"SELECT data FROM {table} WHERE {column} = ? ORDER BY _id",
+            (value,),
+        )))
 
     def group_count(self, table: str, column: str) -> Counter:
         if column not in INDEXED_COLUMNS.get(table, ()):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.crypto.group import (
+    BENCH_GROUP_256,
     RFC3526_GROUP_2048,
     SchnorrGroup,
     TEST_GROUP,
@@ -62,6 +63,16 @@ class TestGroupOperations:
         g = TEST_GROUP
         a = g.gexp(12345)
         assert g.mul(a, g.inv(a)) == 1
+
+    def test_inverse_is_fermats_value_and_refuses_zero(self):
+        """Extended Euclid, bit-identical to ``a^(p-2)`` for any integer
+        that has an inverse; 0 has none (Fermat silently returned 0)."""
+        for g in (TEST_GROUP, BENCH_GROUP_256):
+            for a in (1, 2, g.p - 1, g.gexp(77), g.p + 3, -5):
+                assert g.inv(a) == pow(a, g.p - 2, g.p)
+            for zero in (0, g.p, -g.p):
+                with pytest.raises(ZeroDivisionError, match="cannot invert 0 mod p"):
+                    g.inv(zero)
 
     def test_div(self):
         g = TEST_GROUP

@@ -6,7 +6,8 @@ half on the way out):
 
 * the misbehaving connection is dropped — at once when the bytes already
   condemn it, within the frame deadline (``call_timeout``) when it just
-  stops talking;
+  stops talking, after the same period of silence when it never says
+  anything;
 * an honest client on its own connection is served before, during and
   after;
 * no thread dies with a traceback, nothing reaches stderr or the log,
@@ -114,12 +115,10 @@ class TestStalledFrames:
 
     def test_connect_and_never_send_is_an_idle_connection(self, endpoint):
         """Indistinguishable from an honest pooled connection between
-        calls, so it is kept — at the cost of one thread of the cap —
-        until ``close()`` hangs up on it."""
+        calls, so it gets what that gets: ``call_timeout`` of silence,
+        then the server hangs up without a word."""
         with dial(endpoint) as sock:
-            sock.settimeout(DEADLINE + SLACK)
-            with pytest.raises(socket.timeout):
-                sock.recv(1)
+            assert seconds_until_dropped(sock, DEADLINE + SLACK) >= DEADLINE / 2
             assert endpoint.call("honest", "server", "echo", 3) == 3
 
 
@@ -193,6 +192,38 @@ class TestConnectionCap:
         finally:
             for sock in held:
                 sock.close()
+
+
+class TestIdleConnections:
+    """Silence is bounded by ``call_timeout`` too: it frees the thread of
+    a peer that never speaks, and costs an honest pooled client one
+    reconnect on its next call."""
+
+    def test_silent_peers_at_the_cap_do_not_lock_the_endpoint_out(self, endpoint):
+        silent = [dial(endpoint) for _ in range(MAX_CONNECTIONS - 1)]  # + the honest one
+        try:
+            for sock in silent:
+                seconds_until_dropped(sock, DEADLINE + SLACK)
+            endpoint.register_client("late")
+            assert endpoint.call("late", "server", "echo", 65) == 65
+        finally:
+            for sock in silent:
+                sock.close()
+
+    def test_pooled_client_that_idled_past_it_reconnects_once(self, endpoint):
+        from types import SimpleNamespace
+
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        endpoint.bind_telemetry(SimpleNamespace(registry=registry))
+        assert endpoint.call("honest", "server", "echo", 6) == 6
+        time.sleep(DEADLINE + SLACK / 2)  # the server hangs up meanwhile
+        assert endpoint.call("honest", "server", "echo", 7) == 7
+        assert endpoint.call("honest", "server", "echo", 8) == 8
+        reconnects = registry.get("sheriff_transport_reconnects_total")
+        assert reconnects.value(transport="socket") == 1
+        assert registry.get("sheriff_transport_errors_total").total == 0
 
 
 class TestHostileServer:

@@ -7,13 +7,22 @@ operation must return the same value from both, and the final state
 exactly.  This is the contract that makes the storage engine — and the
 CI's ``REPRO_DB_BACKEND`` matrix — a deployment knob instead of a
 behavior change.
+
+The hypothesis property below it pins the same contract value by value
+(what the sqlite engine's result-set decode must not bend), and the
+format-stability tests pin the stored ``data`` text itself, so database
+files written before a change to the engine stay readable after it.
 """
 
 import random
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.database import DatabaseServer
+from repro.storage import MemoryBackend, SqliteBackend
+from repro.storage import sqlite as sqlite_engine
 from repro.storage.backend import TABLES
 
 
@@ -122,3 +131,144 @@ def test_full_deployment_workload_is_engine_identical():
         assert repr(mem.scan(table)) == repr(lite.scan(table))
     assert mem.query_count == lite.query_count
     assert mem.sp_requests_by_domain() == lite.sp_requests_by_domain()
+
+
+# -- value-level equivalence ---------------------------------------------------
+
+Price = namedtuple("Price", "amount currency")
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.floats(allow_nan=False),  # inf, -0.0, 5e-324 and 1.8e308 included
+    st.text(max_size=12),  # any unicode but lone surrogates
+    st.sampled_from(["__tuple__", "a __tuple__ b", '{"__tuple__":[1]}', "é€\u2028𝄞"]),
+    st.builds(Price, st.floats(allow_nan=False), st.sampled_from(["EUR", "USD"])),
+)
+#: a dict that is exactly ``{"__tuple__": …}`` is the tag itself
+_keys = st.text(max_size=6).filter(lambda key: key != "__tuple__")
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_rows = st.fixed_dictionaries(
+    {},
+    optional={
+        "job_id": st.sampled_from(["job-0", "job-1", "job-2"]),
+        "value": _values,
+        "other": _values,
+        "__tuple__": _values,
+    },
+)
+
+
+def _typed(value):
+    """``value`` with every node's type spelled out, so ``1 == 1.0 ==
+    True`` and ``(1,) == Price(1)`` cannot hide a difference (a namedtuple
+    comes back from JSON as the plain tuple it equals)."""
+    if isinstance(value, tuple):
+        return ("tuple", [_typed(v) for v in value])
+    if isinstance(value, list):
+        return ("list", [_typed(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", [(key, _typed(v)) for key, v in value.items()])
+    return (type(value).__name__, repr(value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    single=st.lists(_rows, max_size=4),
+    batch=st.lists(_rows, max_size=6),
+    doomed=st.sets(st.integers(min_value=1, max_value=10), max_size=4),
+)
+def test_any_row_reads_back_identically_from_both_engines(single, batch, doomed):
+    mem, lite = MemoryBackend(), SqliteBackend()
+
+    def both(call):
+        out_mem, out_lite = call(mem), call(lite)
+        assert _typed(out_mem) == _typed(out_lite)
+        return out_mem
+
+    try:
+        for row in single:
+            both(lambda b: b.insert("responses", row))
+        ids = both(lambda b: b.insert_many("responses", batch))
+        assert ids == list(range(len(single) + 1, len(single) + len(batch) + 1))
+        stored = both(lambda b: b.scan("responses"))
+        assert _typed([{**row, "_id": i + 1} for i, row in enumerate(single + batch)]) \
+            == _typed(stored)
+        for job in ("job-0", "job-1", "job-2", "__tuple__"):
+            both(lambda b: b.lookup("responses", "job_id", job))
+        both(lambda b: b.lookup("responses", "value", "__tuple__"))  # off-index
+        both(lambda b: b.delete_rows("responses", sorted(doomed)))
+        both(lambda b: b.scan("responses"))
+        assert both(lambda b: b.insert_many("requests", [])) == []
+        assert both(lambda b: b.insert("requests", {})) == len(single) + len(batch) + 1
+    finally:
+        lite.close()
+
+
+def test_scan_decodes_across_the_chunk_boundary():
+    """Two and a bit decode chunks, with tagged tuples only in the last:
+    the first chunks skip the tuple walk, the last one takes it."""
+    n = 2 * sqlite_engine._SCAN_CHUNK + 3
+    rows = [{"job_id": f"job-{i % 5}", "n": i} for i in range(n)]
+    rows[-2]["price"] = (12.5, "EUR")
+    mem, lite = MemoryBackend(), SqliteBackend()
+    assert mem.insert_many("responses", rows) == lite.insert_many("responses", rows)
+    assert repr(mem.scan("responses")) == repr(lite.scan("responses"))
+    assert [r["n"] for r in lite.scan("responses")] == list(range(n))
+    tail = lite.scan("responses", lambda r: r["n"] >= n - 4)
+    assert tail == mem.scan("responses", lambda r: r["n"] >= n - 4)
+    assert tail[-2]["price"] == (12.5, "EUR") and len(tail) == 4
+    lite.close()
+
+
+# -- format stability ----------------------------------------------------------
+
+#: (row as inserted, the exact ``data`` text every database file holds for it)
+STORED_FORMAT = [
+    (
+        {"job_id": "job-7", "proxy_id": "ipc-03", "amount": 1234.5, "currency": "EUR",
+         "low_confidence": False, "error": None, "original_text": "1.234,50 €"},
+        '{"job_id":"job-7","proxy_id":"ipc-03","amount":1234.5,"currency":"EUR",'
+        '"low_confidence":false,"error":null,"original_text":"1.234,50 \\u20ac","_id":1}',
+    ),
+    (
+        {"job_id": "job-7", "price": (12.5, "EUR"), "path": ["a", ("b", ("c",))]},
+        '{"job_id":"job-7","price":{"__tuple__":[12.5,"EUR"]},'
+        '"path":["a",{"__tuple__":["b",{"__tuple__":["c"]}]}],"_id":2}',
+    ),
+]
+
+
+def test_rows_written_by_an_older_engine_read_back():
+    """``data`` texts as the engine has always written them, put there by
+    raw SQL: an existing database file stays readable."""
+    lite = SqliteBackend()
+    for row_id, (_, text) in enumerate(STORED_FORMAT, 1):
+        lite._conn.execute(
+            "INSERT INTO responses (_id, job_id, data) VALUES (?, ?, ?)",
+            (row_id, "job-7", text),
+        )
+    lite._conn.commit()
+    expected = [{**row, "_id": i} for i, (row, _) in enumerate(STORED_FORMAT, 1)]
+    assert _typed(lite.lookup("responses", "job_id", "job-7")) == _typed(expected)
+    assert _typed(lite.scan("responses")) == _typed(expected)
+    lite.close()
+
+
+def test_stored_text_is_unchanged():
+    lite = SqliteBackend()
+    lite.insert("responses", STORED_FORMAT[0][0])
+    lite.insert_many("responses", [STORED_FORMAT[1][0]])
+    stored = [data for (data,) in lite._conn.execute(
+        "SELECT data FROM responses ORDER BY _id")]
+    assert stored == [text for _, text in STORED_FORMAT]
+    lite.close()

@@ -105,6 +105,52 @@ class TestBackendContract:
         assert isinstance(row["price"], tuple)
 
 
+class TestAtomicBatch:
+    """``insert_many`` stores the whole batch or nothing: a batch that
+    fails leaves the table, the indexes and the id sequence exactly as
+    they were, so the caller's retry cannot duplicate its first rows."""
+
+    GOOD = [{"job_id": "j", "n": 1}, {"job_id": "j", "n": 2}]
+
+    def _fails_whole(self, backend, bad_row, error):
+        backend.insert("responses", {"job_id": "j", "n": 0})
+        before = backend.scan("responses")
+        with pytest.raises(error):
+            backend.insert_many("responses", self.GOOD + [bad_row])
+        # an unrelated write commits whatever the failed batch left open
+        assert backend.insert("requests", {"domain": "a.example"}) == 2
+        assert backend.count("responses") == 1
+        assert backend.scan("responses") == before
+        assert backend.lookup("responses", "job_id", "j") == before
+        assert backend.group_count("requests", "domain") == {"a.example": 1}
+        # the retry of the good rows stores each once, on the next ids
+        assert backend.insert_many("responses", self.GOOD) == [3, 4]
+        assert [r["n"] for r in backend.lookup("responses", "job_id", "j")] \
+            == [0, 1, 2]
+        assert [r["_id"] for r in backend.scan("responses")] == [1, 3, 4]
+
+    def test_row_that_cannot_be_copied(self, backend):
+        self._fails_whole(backend, None, TypeError)
+
+    def test_row_that_cannot_be_encoded(self):
+        backend = SqliteBackend()
+        self._fails_whole(backend, {"bad": {1, 2}}, TypeError)
+        backend.close()
+
+    def test_row_the_statement_refuses(self):
+        """Fails inside ``executemany``, after two rows went in: the
+        transaction is rolled back, not left for the next commit."""
+        backend = SqliteBackend()
+        self._fails_whole(backend, {"job_id": 2**70}, OverflowError)
+        backend.close()
+
+    def test_empty_batch(self, backend):
+        assert backend.insert_many("responses", []) == []
+        assert backend.insert("responses", {"job_id": "j"}) == 1
+        with pytest.raises(UnknownTable):
+            backend.insert_many("nope", [])
+
+
 class TestSqliteEngine:
     def test_real_tables_and_indexes_exist(self):
         b = SqliteBackend()
@@ -144,6 +190,23 @@ class TestSqliteEngine:
         b.close()
         reopened = SqliteBackend(path=str(tmp_path / "sheriff.db"))
         assert reopened.count("requests") == 1
+        reopened.close()
+
+    def test_reopened_file_continues_the_id_sequence(self, tmp_path):
+        """One sequence over all tables, seeded from the largest stored
+        ``_id`` — not restarted at 1, which collides in the same table
+        and silently reuses a live id in another."""
+        path = str(tmp_path / "sheriff.db")
+        b = SqliteBackend(path=path)
+        assert b.insert("requests", {"domain": "a.example"}) == 1
+        assert b.insert_many("responses", [{"job_id": "j"}] * 2) == [2, 3]
+        b.close()
+        reopened = SqliteBackend(path=path)
+        assert reopened.insert("users", {"user_id": "u"}) == 4
+        assert reopened.insert("requests", {"domain": "b.example"}) == 5
+        assert reopened.insert_many("responses", [{"job_id": "j"}] * 2) == [6, 7]
+        assert [r["_id"] for r in reopened.lookup("responses", "job_id", "j")] \
+            == [2, 3, 6, 7]
         reopened.close()
 
 
