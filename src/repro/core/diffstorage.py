@@ -5,42 +5,147 @@ minimize the size of HTML code we store in the RDBMS by saving the full
 HTML page code reported by the user's add-on and just saving the
 difference for the HTML code responses from the IPCs and PPCs."
 
-Diffs are stored as ``SequenceMatcher`` opcodes against the reference
-page's line list, which makes reconstruction exact and lets us report
-the storage saving the optimization buys (an ablation benchmark).
+A job's vantage pages are one near-duplicate family: the same tags
+around differently filled text.  Each page is cut once by
+:func:`repro.web.html.split_tags` into *units* — a text slot and the tag
+that follows it, the last unit being the text after the last tag — and
+its tags are aligned to the reference's once per ``(job, skeleton)``:
+common head and tail, ``SequenceMatcher`` over what is left of the two
+*tag lists*.  Every later page of that skeleton costs one C-level
+comparison of its text slots with the reference's along the aligned
+runs.  Only the slots that differ are stored, units the alignment left
+out verbatim, and a slot that spans several lines as a line diff
+against the slot it replaces — so a page without tags costs what a
+line diff of the whole page costs.  Reconstruction is exact, and the
+ablation benchmark reports the saving.
+
+The reference is kept as its page text.  Its cut and the alignments
+live only while its job is the *open* one (the job stored to last):
+jobs may interleave, and losing that state costs a re-alignment, never
+correctness — a stored diff names reference units, which
+``split_tags`` gives again whenever they are needed.
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from operator import ne
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-# an opcode: (tag, ref_lo, ref_hi, replacement_lines)
-_Op = Tuple[str, int, int, Tuple[str, ...]]
+from repro.web.html import split_tags
+
+#: Above this many cells (``len(a) * len(b)`` after the common head and
+#: tail) two sequences are not matched and the middle is stored
+#: verbatim: the matcher is quadratic on repeated entries (2 000 equal
+#: lines cost it a second), and pages come from untrusted peers.
+ALIGN_CELLS_MAX = 250_000
+
+#: aligned stretches ``(a index, b index, length)``, in order
+_Blocks = List[Tuple[int, int, int]]
+
+#: a multi-line slot against the slot it replaces: ``(lo, hi)`` copies
+#: those lines of the old slot, a string is inserted as it is
+_LineOps = Tuple[Union[Tuple[int, int], str], ...]
 
 
-@dataclass
-class _StoredDiff:
-    ops: Tuple[_Op, ...]
+def _mismatch(xs, ys, limit: int) -> int:
+    """The first ``i < limit`` with ``xs[i] != ys[i]``, else ``limit``."""
+    return next(compress(range(limit), map(ne, xs, ys)), limit)
+
+
+def _matching_blocks(a: Sequence[str], b: Sequence[str]) -> _Blocks:
+    """Align ``a`` to ``b``: common head, matcher over the middle, common tail."""
+    shortest = min(len(a), len(b))
+    head = _mismatch(a, b, shortest)
+    tail = _mismatch(reversed(a), reversed(b), shortest - head)
+    blocks: _Blocks = [(0, 0, head)] if head else []
+    mid_a = a[head:len(a) - tail]
+    mid_b = b[head:len(b) - tail]
+    if mid_a and mid_b and len(mid_a) * len(mid_b) <= ALIGN_CELLS_MAX:
+        matcher = difflib.SequenceMatcher(a=mid_a, b=mid_b, autojunk=False)
+        blocks.extend(
+            (head + i, head + j, n) for i, j, n in matcher.get_matching_blocks() if n
+        )
+    if tail:
+        blocks.append((len(a) - tail, len(b) - tail, tail))
+    return blocks
+
+
+def _slot_diff(old: str, new: str) -> Tuple[Union[str, _LineOps], int]:
+    """What to store for a slot that differs, and its size in chars."""
+    old_lines = old.splitlines(keepends=True)
+    new_lines = new.splitlines(keepends=True)
+    if len(old_lines) > 1 or len(new_lines) > 1:
+        ops: List[Union[Tuple[int, int], str]] = []
+        size = done = 0
+        for i, j, n in _matching_blocks(old_lines, new_lines):
+            if j > done:
+                ops.append("".join(new_lines[done:j]))
+                size += len(ops[-1])
+            ops.append((i, i + n))
+            done = j + n
+        if done:  # some line is shared
+            if done < len(new_lines):
+                ops.append("".join(new_lines[done:]))
+                size += len(ops[-1])
+            return tuple(ops), size
+    return new, len(new)
+
+
+class _StoredDiff(NamedTuple):
+    #: ``(reference unit, length)`` of each aligned run — one tuple,
+    #: shared by every page of a skeleton in a job
+    runs: Tuple[Tuple[int, int], ...]
+    #: the page's own units before each run, verbatim
+    gaps: Tuple[str, ...]
+    #: reference slot → what replaces its text
+    subs: Tuple[Tuple[int, Union[str, _LineOps]], ...]
     size_chars: int
+
+
+class _OpenJob:
+    """The reference being diffed against, cut once, and its alignments."""
+
+    __slots__ = ("job_id", "tags", "texts", "alignments")
+
+    def __init__(self, job_id: str, reference: str) -> None:
+        parts = split_tags(reference)
+        self.job_id = job_id
+        #: a closing sentinel pairs the text after the last tag with the
+        #: other page's; no tag is the empty string
+        self.tags = parts[1::2] + [""]
+        self.texts = parts[::2]
+        #: skeleton → ``(runs to store, [(reference unit, page unit,
+        #: length, the reference's texts there)])``
+        self.alignments: Dict[str, Tuple[tuple, list]] = {}
+
+    def align(self, skeleton: str, tags: List[str]) -> Tuple[tuple, list]:
+        alignment = self.alignments.get(skeleton)
+        if alignment is None:
+            blocks = _matching_blocks(self.tags, tags + [""])
+            alignment = self.alignments[skeleton] = (
+                tuple((i, n) for i, _, n in blocks),
+                [(i, j, n, self.texts[i:i + n]) for i, j, n in blocks],
+            )
+        return alignment
 
 
 class DiffStorage:
     """Per-job reference page plus per-proxy diffs."""
 
     def __init__(self) -> None:
-        self._reference: Dict[str, List[str]] = {}
-        self._reference_size: Dict[str, int] = {}
+        self._reference: Dict[str, str] = {}
         self._diffs: Dict[Tuple[str, str], _StoredDiff] = {}
+        self._open: Optional[_OpenJob] = None
         #: what storing every page verbatim would have cost (ablation)
         self.naive_chars_seen = 0
 
     # -- writes ----------------------------------------------------------
     def store_reference(self, job_id: str, html: str) -> None:
         """Store the initiator's page verbatim (the diff baseline)."""
-        self._reference[job_id] = html.splitlines(keepends=True)
-        self._reference_size[job_id] = len(html)
+        self._reference[job_id] = html
+        self._open = _OpenJob(job_id, html)
         self.naive_chars_seen += len(html)
 
     def store_response(self, job_id: str, proxy_id: str, html: str) -> int:
@@ -48,39 +153,34 @@ class DiffStorage:
         if job_id not in self._reference:
             raise KeyError(f"no reference page stored for job {job_id!r}")
         self.naive_chars_seen += len(html)
-        ref = self._reference[job_id]
-        new = html.splitlines(keepends=True)
-        # Pages of one job share most of their leading and trailing
-        # lines; only the middles pay for the quadratic matcher.
-        shortest = min(len(ref), len(new))
-        head = 0
-        while head < shortest and ref[head] == new[head]:
-            head += 1
-        tail = 0
-        while tail < shortest - head and ref[-1 - tail] == new[-1 - tail]:
-            tail += 1
-        middle = new[head:len(new) - tail]
-        matcher = difflib.SequenceMatcher(
-            a=ref[head:len(ref) - tail], b=middle, autojunk=False
+        job = self._open
+        if job is None or job.job_id != job_id:
+            # cut the reference before the page: the extractor asks for
+            # this page's cut next
+            job = self._open = _OpenJob(job_id, self._reference[job_id])
+        parts = split_tags(html)
+        tags = parts[1::2]
+        texts = parts[::2]
+        runs, aligned = job.align("".join(tags), tags)
+        gaps: List[str] = []
+        subs: List[Tuple[int, Union[str, _LineOps]]] = []
+        size = end = 0
+        for ref_lo, lo, n, ref_texts in aligned:
+            gaps.append("".join(parts[2 * end:2 * lo]))
+            size += len(gaps[-1])
+            for k in compress(range(n), map(ne, ref_texts, texts[lo:lo + n])):
+                stored, cost = _slot_diff(ref_texts[k], texts[lo + k])
+                subs.append((ref_lo + k, stored))
+                size += cost
+            end = lo + n
+        self._diffs[(job_id, proxy_id)] = _StoredDiff(
+            runs=runs, gaps=tuple(gaps), subs=tuple(subs), size_chars=size
         )
-        ops: List[_Op] = [("equal", 0, head, ())] if head else []
-        size = 0
-        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-            if tag == "equal":
-                ops.append(("equal", head + i1, head + i2, ()))
-            else:
-                replacement = tuple(middle[j1:j2])
-                ops.append((tag, head + i1, head + i2, replacement))
-                size += sum(len(line) for line in replacement)
-        if tail:
-            ops.append(("equal", len(ref) - tail, len(ref), ()))
-        self._diffs[(job_id, proxy_id)] = _StoredDiff(ops=tuple(ops), size_chars=size)
         return size
 
     # -- reads --------------------------------------------------------------
     def reference(self, job_id: str) -> Optional[str]:
-        lines = self._reference.get(job_id)
-        return None if lines is None else "".join(lines)
+        return self._reference.get(job_id)
 
     def restore(self, job_id: str, proxy_id: str) -> str:
         """Reconstruct a proxy's full page from its stored diff."""
@@ -90,18 +190,25 @@ class DiffStorage:
         stored = self._diffs.get((job_id, proxy_id))
         if stored is None:
             raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
+        parts = list(split_tags(ref))
+        for slot, sub in stored.subs:
+            if not isinstance(sub, str):
+                old_lines = parts[2 * slot].splitlines(keepends=True)
+                sub = "".join(
+                    op if isinstance(op, str) else "".join(old_lines[op[0]:op[1]])
+                    for op in sub
+                )
+            parts[2 * slot] = sub
         out: List[str] = []
-        for tag, i1, i2, replacement in stored.ops:
-            if tag == "equal":
-                out.extend(ref[i1:i2])
-            else:
-                out.extend(replacement)
+        for gap, (ref_lo, n) in zip(stored.gaps, stored.runs):
+            out.append(gap)
+            out.extend(parts[2 * ref_lo:2 * (ref_lo + n)])
         return "".join(out)
 
     # -- accounting -----------------------------------------------------------
     def stored_chars(self) -> int:
         """Total characters actually stored (references + diffs)."""
-        return sum(self._reference_size.values()) + sum(
+        return sum(map(len, self._reference.values())) + sum(
             d.size_chars for d in self._diffs.values()
         )
 

@@ -61,6 +61,12 @@ __all__ = [
 #: one fetch timeline entry: (simulated duration, produced a result row)
 FetchTask = Tuple[float, bool]
 
+#: Longest extracted price text a row may carry.  A valid selection has
+#: at most ``MAX_SELECTION_LENGTH`` (25) characters; the element a Tags
+#: Path lands on in a peer's page can hold a megabyte, and whatever the
+#: row carries is written to the database.
+PRICE_TEXT_MAX = 256
+
 
 @dataclass
 class MeasurementStats:
@@ -198,6 +204,12 @@ class MeasurementServer:
                 original_text=None, detected_amount=None, detected_currency=None,
                 converted_value=None, amount_eur=None,
                 error="price not found on page", **base,
+            )
+        if len(text) > PRICE_TEXT_MAX:
+            return ResultRow(
+                original_text=text[:PRICE_TEXT_MAX], detected_amount=None,
+                detected_currency=None, converted_value=None, amount_eur=None,
+                error="price text too long", **base,
             )
         try:
             detected = detect_price(text)

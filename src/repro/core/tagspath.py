@@ -16,35 +16,43 @@ the simplified example "does not capture the complexity involved in
 extracting a product price when the HTML code includes multiple product
 prices and when the result varies between remote page requests".
 
-Extraction is one flat scan over the classified token stream of
-:func:`repro.web.html.tokenize` — no :class:`Element` is built for a
-vantage page.  The scan keeps the tag stack, the closing-event
-signatures and integer spans for the elements matching the path's target
-(so each candidate's bottom-up path is two slices), prunes candidates
-whose shared suffix already cannot win, strips the common prefix/suffix
-before any DP, and memoizes whole ``(html, path) → text`` extractions so
-identical pages fetched from different vantages scan and match once.
-The tree-walking extractor it replaced lives on as the test oracle
-``tests/oracles/tagspath_legacy.py``.
+Extraction reads the page's *skeleton*, not the page.  A check's ~35
+vantage pages are one near-duplicate family: the store fills the same
+few text holes differently for every visitor, so no two pages are
+byte-identical, yet a job sees about three distinct tag sequences (the
+related-products strip varies in length).  Everything the Tags Path is
+defined on — the tag stack, the closing-tag signatures, which candidate
+wins — depends on the tags alone.  So each page is cut once by
+:func:`repro.web.html.split_tags`, and one bounded LRU maps
+``(skeleton, path)`` to a *plan*: where the root opens and closes and
+which text slots the winning candidate spans.  A miss runs one flat scan
+over the tags (the tag stack, the closing-event signatures and integer
+spans for the elements matching the path's target, so each candidate's
+bottom-up path is two slices), prunes candidates whose shared suffix
+already cannot win and strips the common prefix/suffix before any DP —
+no :class:`Element` is built.  A hit checks *this* page's text outside
+the root and joins the candidate's slots: a handful of C-level calls, no
+per-tag Python.  The tree-walking extractor all this replaced lives on
+as the test oracle ``tests/oracles/tagspath_legacy.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.web.html import (
     Element,
     HTMLParseError,
+    SKIP,
     T_CLOSE,
     T_OPEN,
     T_SELF,
-    T_TEXT,
-    Token,
     VOID_TAGS,
+    classify,
     clear_token_memo,
-    tokenize,
+    split_tags,
 )
 
 #: cap on recorded path length; pages deeper than this keep both ends —
@@ -55,7 +63,7 @@ MAX_PATH_ENTRIES = 400
 _PATH_HEAD = MAX_PATH_ENTRIES // 2
 _PATH_TAIL = MAX_PATH_ENTRIES - _PATH_HEAD
 
-#: bound on the (page, path) → text extraction memo
+#: bound on the (skeleton, path) → plan extraction memo
 EXTRACTION_MEMO_MAX = 256
 
 
@@ -124,11 +132,11 @@ def bind_extraction_telemetry(telemetry) -> None:
     registry = telemetry.registry
     _m_pages = registry.counter(
         "sheriff_extract_pages_parsed_total",
-        "Pages parsed (memo misses) by the fast extraction path",
+        "Tag skeletons scanned and matched (extraction memo misses)",
     )
     _m_memo_hits = registry.counter(
         "sheriff_extract_memo_hits_total",
-        "Whole-extraction memo hits (identical page+path seen before)",
+        "Extraction memo hits (a page whose tag skeleton was seen before)",
     )
     _m_pruned = registry.counter(
         "sheriff_extract_candidates_pruned_total",
@@ -259,62 +267,69 @@ def _lcs_length_stripped(
 # ---------------------------------------------------------------------------
 # the flat scan
 
-#: closing-event and text spans of one candidate: ``start`` closes
-#: preceded its open tag, its own close is number ``own`` (``None`` for
-#: a void tag), and its text is ``texts[text_lo:text_hi]``
+#: one candidate, in closing events and tag positions: ``start`` closes
+#: preceded its open tag, its own close is number ``own`` (``None`` for a
+#: void tag), it opens at tag ``opened`` and closes at tag ``closed``
+#: (equal for a leaf) — so its text is text slots ``opened + 1 … closed``
 _Span = Tuple[int, Optional[int], int, int]
 
 
-def _scan(html: str, target: str) -> Tuple[List[str], List[str], List[_Span]]:
-    """One pass over the token stream; no tree is built.
+def _scan(
+    tags: Sequence[str], target: str
+) -> Tuple[List[str], List[_Span], Tuple[int, int]]:
+    """One pass over a page's tags; no tree is built.
 
     Returns the signature of every closing event in document order
-    (``close_sigs``), the text lines seen inside candidates, and one
-    :data:`_Span` per element whose signature equals ``target``, in
-    document (pre-)order so the first best-scoring candidate wins ties.
-    Raises :class:`HTMLParseError` exactly when :func:`parse` would.
+    (``close_sigs``), one :data:`_Span` per element whose signature
+    equals ``target``, in document (pre-)order so the first best-scoring
+    candidate wins ties, and the tag positions where the root opens and
+    closes.  Raises :class:`HTMLParseError` exactly when :func:`parse`
+    would on a page with these tags and no text outside the root — text
+    is the page's, not the skeleton's, and is checked per page.
     """
-    stack: List[Token] = []  # the open tags
+    stack: List[Tuple[str, str]] = []  # (tag, signature) of the open tags
     close_sigs: List[str] = []
-    texts: List[str] = []
     spans: List[Optional[_Span]] = []
-    pending: List[Tuple[int, int, int]] = []  # open candidates: slot, start, text_lo
-    rooted = False  # a root has closed; only read while the stack is empty
-    for token in tokenize(html):
-        kind, tag, payload, _ = token
+    pending: List[Tuple[int, int, int]] = []  # open candidates: slot, start, opened
+    root: Optional[Tuple[int, int]] = None  # only read while the stack is empty
+    root_open = 0
+    for position, raw in enumerate(tags):
+        token = classify(raw)
+        if token is SKIP:
+            continue
+        kind, tag, sig, _ = token
         if kind == T_CLOSE:
-            if not stack or stack[-1][1] != tag:
+            if not stack or stack[-1][0] != tag:
                 raise HTMLParseError(f"closing </{tag}> does not match the open tag")
-            sig = stack.pop()[2]
+            sig = stack.pop()[1]
             if sig == target:
-                slot, start, text_lo = pending.pop()
-                spans[slot] = (start, len(close_sigs), text_lo, len(texts))
+                slot, start, opened = pending.pop()
+                spans[slot] = (start, len(close_sigs), opened, position)
             close_sigs.append(sig)
-            rooted = True
-        elif kind == T_TEXT:
             if not stack:
-                raise HTMLParseError("text outside the document root")
-            if pending:
-                texts.extend(payload)
-        elif not stack and rooted:
+                root = (root_open, position)
+        elif not stack and root is not None:
             raise HTMLParseError("multiple root elements")
         elif kind == T_OPEN:
-            if payload == target:
-                pending.append((len(spans), len(close_sigs), len(texts)))
+            if sig == target:
+                pending.append((len(spans), len(close_sigs), position))
                 spans.append(None)  # keeps its pre-order slot until it closes
-            stack.append(token)
+            if not stack:
+                root_open = position
+            stack.append((tag, sig))
         else:  # a leaf: void, or a self-closed tag that still counts as a close
-            rooted = True
+            if not stack:
+                root = (position, position)
             own = len(close_sigs) if kind == T_SELF else None
-            if payload == target:
-                spans.append((len(close_sigs), own, len(texts), len(texts)))
+            if sig == target:
+                spans.append((len(close_sigs), own, position, position))
             if own is not None:
-                close_sigs.append(payload)
+                close_sigs.append(sig)
     if stack:
-        raise HTMLParseError(f"unclosed tag <{stack[-1][1]}>")
-    if not rooted:
+        raise HTMLParseError(f"unclosed tag <{stack[-1][0]}>")
+    if root is None:
         raise HTMLParseError("empty document")
-    return close_sigs, texts, spans
+    return close_sigs, spans, root
 
 
 def _span_path(close_sigs: List[str], span: _Span) -> Tuple[str, ...]:
@@ -366,50 +381,77 @@ def _best_span(
 # ---------------------------------------------------------------------------
 # the extraction entry point
 
-#: pages longer than this are extracted every time and never memoised,
+#: skeletons longer than this are scanned every time and never memoised,
 #: so the memo holds at most EXTRACTION_MEMO_MAX × this many characters
-#: of (untrusted) page text
+#: of (untrusted) page markup
 EXTRACTION_MEMO_PAGE_MAX = 64 * 1024
 
+#: What a skeleton tells about every page that has it, as slice bounds
+#: into that page's :func:`split_tags` list: the text before the root
+#: opens is ``parts[:head:2]``, the text after it closes
+#: ``parts[tail::2]``, the winning candidate's text ``parts[lo:hi:2]``.
+#: ``None``: the tags do not parse, or no candidate can hold text.
+_Plan = Optional[Tuple[int, int, int, int]]
+
 _MEMO_MISS = object()
-_extraction_memo: "OrderedDict[Tuple[str, TagsPath], Optional[str]]" = OrderedDict()
+_plans: "OrderedDict[Tuple[str, TagsPath], _Plan]" = OrderedDict()
+
+
+def _text_of(slots: List[str]) -> str:
+    """Consecutive text slots as an element's text: their stripped
+    non-empty lines joined by a space, like :func:`repro.web.html.text_of`."""
+    return " ".join(filter(None, map(str.strip, "\n".join(slots).split("\n"))))
 
 
 def clear_extraction_memo() -> None:
-    """Forget memoized extractions and token classifications (benches, tests)."""
-    _extraction_memo.clear()
+    """Forget memoized plans and token classifications (benches, tests)."""
+    _plans.clear()
     clear_token_memo()
 
 
-def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
-    """Scan a fetched page and pull out the price string, if locatable.
+def _make_plan(tags: Sequence[str], path: TagsPath) -> _Plan:
+    """Scan and match one skeleton (a memo miss)."""
+    try:
+        close_sigs, spans, (root_open, root_close) = _scan(tags, path.target)
+    except HTMLParseError:
+        return None
+    span = _best_span(close_sigs, spans, path.entries)
+    if span is None or span[2] == span[3]:
+        return None
+    return 2 * root_open + 1, 2 * root_close + 2, 2 * span[2] + 2, 2 * span[3] + 1
 
-    Whole extractions are memoized keyed by the exact page text and
-    path: vantages that saw an identical page (the common case — only a
-    minority of checks actually differ) cost one dict probe instead of a
-    scan + match.
+
+def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
+    """Pull the price string out of a fetched page, if locatable.
+
+    Scanning and matching are memoized per tag skeleton and path: the
+    vantage pages of one check differ in their text, hardly ever in
+    their tags, so all but the first page of a skeleton cost one cut,
+    one join, one dict probe and two slices.
     """
-    cached = _extraction_memo.get((html, path), _MEMO_MISS)
-    if cached is not _MEMO_MISS:
-        _extraction_memo.move_to_end((html, path))
+    parts = split_tags(html)
+    tags = parts[1::2]
+    key = ("".join(tags), path)
+    plan = _plans.get(key, _MEMO_MISS)
+    if plan is _MEMO_MISS:
+        EXTRACTION_STATS.pages_parsed += 1
+        if _m_pages is not None:
+            _m_pages.inc()
+        plan = _make_plan(tags, path)
+        if len(key[0]) <= EXTRACTION_MEMO_PAGE_MAX:
+            _plans[key] = plan
+            if len(_plans) > EXTRACTION_MEMO_MAX:
+                _plans.popitem(last=False)
+    else:
+        _plans.move_to_end(key)
         EXTRACTION_STATS.memo_hits += 1
         if _m_memo_hits is not None:
             _m_memo_hits.inc()
-        return cached
-    EXTRACTION_STATS.pages_parsed += 1
-    if _m_pages is not None:
-        _m_pages.inc()
-    text = None
-    try:
-        close_sigs, texts, spans = _scan(html, path.target)
-    except HTMLParseError:
-        pass
-    else:
-        span = _best_span(close_sigs, spans, path.entries)
-        if span is not None:
-            text = " ".join(texts[span[2]:span[3]]).strip() or None
-    if len(html) <= EXTRACTION_MEMO_PAGE_MAX:
-        _extraction_memo[(html, path)] = text
-        if len(_extraction_memo) > EXTRACTION_MEMO_MAX:
-            _extraction_memo.popitem(last=False)
-    return text
+    if plan is None:
+        return None
+    head, tail, lo, hi = plan
+    # Text outside the root is a parse error, and it is this page's, not
+    # the skeleton's.  A "<" there has no ">" after it and is dropped.
+    if "".join(parts[:head:2] + parts[tail::2]).replace("<", "").strip():
+        return None
+    return _text_of(parts[lo:hi:2]) or None

@@ -127,10 +127,19 @@ def _normalize(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
+#: how much of an oversized selection its error message quotes: the text
+#: may be a whole element of an untrusted page, and the message is
+#: stored with the row
+ERROR_QUOTE_MAX = 80
+
+
 def _validate(text: str) -> None:
     if len(text) > MAX_SELECTION_LENGTH:
+        quoted = repr(text[:ERROR_QUOTE_MAX])
+        if len(text) > ERROR_QUOTE_MAX:
+            quoted += f"… ({len(text)} characters)"
         raise CurrencyDetectionError(
-            f"selection longer than {MAX_SELECTION_LENGTH} characters: {text!r}"
+            f"selection longer than {MAX_SELECTION_LENGTH} characters: {quoted}"
         )
     if not any(ch.isdigit() for ch in text):
         raise CurrencyDetectionError(f"selection contains no digit: {text!r}")

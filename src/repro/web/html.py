@@ -11,6 +11,13 @@ The model is deliberately minimal (no entities, no comments inside
 content, no CDATA) because the simulated stores only emit what it
 supports; the parser is still defensive because remote pages differ
 between fetches.
+
+There is one grammar and one regex.  :func:`split_tags` cuts a page at
+its tags; :func:`tokenize` classifies the pieces for :func:`parse`, and
+the Measurement server's two per-page readers — Tags-Path extraction and
+DiffStorage — take the same cut and work on the tags alone (the page's
+*skeleton*), because the ~35 vantage pages of one check share their tags
+and differ in their text.
 """
 
 from __future__ import annotations
@@ -103,9 +110,35 @@ def _render_node(node: Node, indent: int) -> str:
     return f"{open_tag}\n{inner}\n{pad}</{node.tag}>"
 
 
-_TOKEN_RE = re.compile(r"<[^>]*>|[^<]+")
+#: the one regex of the grammar: a tag runs from ``<`` to the next ``>``
+_TAG_SPLIT = re.compile(r"(<[^>]*>)").split
 _TAG_RE = re.compile(r"^<\s*(/)?\s*([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^>]*?)?)\s*(/)?\s*>$")
 _ATTR_RE = re.compile(r'([a-zA-Z][a-zA-Z0-9_:-]*)\s*=\s*"([^"]*)"')
+
+#: the last page cut and its pieces.  One check hands each vantage page
+#: to DiffStorage and then to the Tags-Path extractor; the second reader
+#: finds the cut already made.  One page, so nothing to bound.
+_last_split: Tuple[str, List[str]] = ("", [""])
+
+
+def split_tags(html: str) -> List[str]:
+    """Cut a page at its tags: ``[text, tag, text, …, tag, text]``.
+
+    Odd entries are the raw tags in document order, even entries the
+    (possibly empty) text between them, and ``"".join`` of the list is
+    the page.  The odd entries joined are the page's *skeleton*; the
+    join is injective because every tag ends at its only ``>``.  Only
+    the last entry can hold a ``<`` (one with no ``>`` after it), which
+    the grammar drops.  The list is shared with the next caller that
+    asks for the same page: read it, never mutate it.
+    """
+    global _last_split
+    page, parts = _last_split
+    if page != html:
+        parts = _TAG_SPLIT(html)
+        _last_split = (html, parts)
+    return parts
+
 
 #: kinds of classified token — the first field of a :data:`Token`
 T_TEXT, T_OPEN, T_VOID, T_SELF, T_CLOSE = range(5)
@@ -117,7 +150,7 @@ T_TEXT, T_OPEN, T_VOID, T_SELF, T_CLOSE = range(5)
 Token = Tuple[int, Optional[str], Union[str, Tuple[str, ...], None], Optional[Dict[str, str]]]
 
 #: what doctypes, comments and blank text classify as; never in a stream
-_SKIP: Token = (-1, None, None, None)
+SKIP: Token = (-1, None, None, None)
 
 #: Bounds of the raw-token → :data:`Token` memo.  Pages from peer proxies
 #: are untrusted, so it is capped in bytes as well as entries: a longer
@@ -131,8 +164,19 @@ _token_memo: Dict[str, Token] = {}
 
 
 def clear_token_memo() -> None:
-    """Forget every memoised token classification (benches, tests)."""
+    """Forget every memoised token classification and the last page cut."""
+    global _last_split
     _token_memo.clear()
+    _last_split = ("", [""])
+
+
+def classify(raw: str) -> Token:
+    """Classify one non-empty entry of :func:`split_tags`.
+
+    A malformed tag raises :class:`HTMLParseError`; doctypes, comments
+    and blank text are :data:`SKIP`.
+    """
+    return _token_memo.get(raw) or _classify(raw)
 
 
 def _classify(raw: str) -> Token:
@@ -142,9 +186,9 @@ def _classify(raw: str) -> Token:
         # back into the per-line text nodes the serializer emitted (it
         # joins on "\n" only) so that parse(render(x)) round-trips.
         lines = tuple(filter(None, map(str.strip, raw.split("\n"))))
-        token = (T_TEXT, None, lines, None) if lines else _SKIP
+        token = (T_TEXT, None, lines, None) if lines else SKIP
     elif raw.startswith("<!"):
-        token = _SKIP  # doctype / comment
+        token = SKIP  # doctype / comment
     else:
         match = _TAG_RE.match(raw)
         if match is None:
@@ -168,16 +212,20 @@ def tokenize(html: str) -> List[Token]:
     """The document as classified tokens — the one grammar every reader shares.
 
     :func:`parse` builds an :class:`Element` tree from the stream; the
-    Measurement server's Tags-Path extraction scans it without building
-    one.  Doctypes, comments and blank text are dropped; a malformed
-    tag raises :class:`HTMLParseError` here; balance and root checks are
-    the consumer's.
+    Measurement server's Tags-Path extraction classifies the same
+    :func:`split_tags` entries without building one.  Doctypes, comments
+    and blank text are dropped; a malformed tag raises
+    :class:`HTMLParseError` here; balance and root checks are the
+    consumer's.
     """
+    parts = split_tags(html)
+    if "<" in parts[-1]:  # a "<" no ">" follows is dropped, not text
+        parts = parts[:-1] + [parts[-1].replace("<", "\n")]
     memo_get = _token_memo.get
     return [
         token
-        for raw in _TOKEN_RE.findall(html)
-        if (token := memo_get(raw) or _classify(raw)) is not _SKIP
+        for raw in parts
+        if raw and (token := memo_get(raw) or _classify(raw)) is not SKIP
     ]
 
 

@@ -2,12 +2,13 @@
 
 Three layers of the claim, mirroring the crypto lockstep suite:
 
-* **candidate** — the flat scan's spans give, for every element of a
-  page, the same bottom-up path and text as the tree-walking oracle
+* **candidate** — the skeleton scan's spans give, for every element of
+  a page, the same bottom-up path and text as the tree-walking oracle
   (``tests/oracles/tagspath_legacy.py``) reads off the parsed tree;
 * **text / price** — ``extract_price_text`` and the downstream
   ``detect_price`` agree with the oracle, whichever store layout,
-  product, or remote nonce produced the page, memo on or off;
+  product, or remote nonce produced the page, plan memo warm or cold
+  (``tests/core/test_page_family.py`` holds the memo to whole jobs);
 * **rows** — a full deployment produces byte-identical database rows
   with the oracle patched in for the production extractor (runs on
   whatever ``REPRO_DB_BACKEND`` the CI matrix selects, and queued as
@@ -25,8 +26,10 @@ from repro.core.tagspath import (
     EXTRACTION_MEMO_PAGE_MAX,
     EXTRACTION_STATS,
     _path_for,
+    _plans,
     _scan,
     _span_path,
+    _text_of,
     bind_extraction_telemetry,
     build_tags_path,
     clear_extraction_memo,
@@ -39,7 +42,7 @@ from repro.net.geo import GeoDatabase
 from repro.obs import Telemetry
 from repro.web.catalog import make_catalog
 from repro.web import html as html_mod
-from repro.web.html import find_all, parse
+from repro.web.html import find_all, parse, split_tags
 from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
 
@@ -102,20 +105,24 @@ def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
 
 class TestIndex:
     def test_paths_match_legacy_builder(self):
-        """The path and text read off a flat span == what the tree gives,
-        for every element of a page."""
+        """The path and text read off a skeleton span == what the tree
+        gives, for every element of a page."""
         store, product, _ = _recorded_check(layout_seed=7, product_index=2)
         html = store.fetch(product.path, _ctx(3)).html
         root = parse(html)
+        parts = split_tags(html)
         by_signature = {}
         for element in find_all(root):
             by_signature.setdefault(element.signature(), []).append(element)
         for signature, elements in by_signature.items():
-            close_sigs, texts, spans = _scan(html, signature)
+            close_sigs, spans, (root_open, root_close) = _scan(parts[1::2], signature)
+            assert parts[2 * root_open + 1] == "<html>"
+            assert parts[2 * root_close + 1] == "</html>"
             assert len(spans) == len(elements)
             for element, span in zip(elements, spans):
                 assert _span_path(close_sigs, span) == _path_for(root, element)
-                assert " ".join(texts[span[2]:span[3]]) == element.text()
+                slots = parts[2 * span[2] + 2:2 * span[3] + 1:2]
+                assert _text_of(slots) == element.text()
 
     def test_missing_target_returns_none(self):
         html = "<html><body><p>no price</p></body></html>"
@@ -140,21 +147,20 @@ class TestMemo:
         assert EXTRACTION_STATS.memo_hits == 1
 
     def test_memo_is_bounded(self):
-        store, product, path = _recorded_check(layout_seed=3,
-                                               product_index=1)
+        _, _, path = _recorded_check(layout_seed=3, product_index=1)
         clear_extraction_memo()
-        from repro.core.tagspath import _extraction_memo
-
-        for nonce in range(EXTRACTION_MEMO_MAX + 20):
-            html = store.fetch(product.path, _ctx(nonce)).html
-            extract_price_text(html, path)
-        assert len(_extraction_memo) <= EXTRACTION_MEMO_MAX
+        for n in range(EXTRACTION_MEMO_MAX + 20):
+            extract_price_text(f'<html><p class="c{n}">x</p></html>', path)
+        assert len(_plans) == EXTRACTION_MEMO_MAX
+        # least recently *used* goes first: a hit renews its entry
+        oldest = next(iter(_plans))
+        extract_price_text(oldest[0].replace(">", ">text ", 2), path)
+        extract_price_text("<html><b>one more</b></html>", path)
+        assert oldest in _plans and len(_plans) == EXTRACTION_MEMO_MAX
 
     def test_hostile_pages_cannot_grow_either_memo(self):
         """PPC pages are untrusted: neither memo may hold more than its
         entry cap times its per-entry size cap, whatever is fed in."""
-        from repro.core.tagspath import _extraction_memo
-
         _, _, path = _recorded_check(layout_seed=3, product_index=1)
         clear_extraction_memo()
         assert not html_mod._token_memo
@@ -169,19 +175,26 @@ class TestMemo:
         assert all(
             len(raw) <= html_mod.TOKEN_MEMO_KEY_MAX for raw in html_mod._token_memo
         )
+        # both skeletons are over the cap: scanned, never kept
+        assert min(len(long_tokens), len(short_tokens)) > EXTRACTION_MEMO_PAGE_MAX
+        assert not _plans
+        # text is not part of the key: a page of any size costs its
+        # skeleton, and shares the plan of the small page with its tags
         small = "<html><body>x</body></html>"
         oversized = "<html><body>" + "x" * EXTRACTION_MEMO_PAGE_MAX + "</body></html>"
         extract_price_text(small, path)
         extract_price_text(oversized, path)
-        assert min(len(long_tokens), len(short_tokens)) > EXTRACTION_MEMO_PAGE_MAX
-        assert list(_extraction_memo) == [(small, path)]
+        assert list(_plans) == [("<html><body></body></html>", path)]
 
     def test_clearing_the_extraction_memo_clears_the_token_memo(self):
         _, _, path = _recorded_check(layout_seed=3, product_index=1)
-        extract_price_text("<html><body>x</body></html>", path)
-        assert html_mod._token_memo
+        page = "<html><body>x</body></html>"
+        extract_price_text(page, path)
+        assert html_mod._token_memo and _plans
+        assert html_mod.split_tags(page) is html_mod.split_tags(page)
         clear_extraction_memo()
-        assert not html_mod._token_memo
+        assert not html_mod._token_memo and not _plans
+        assert html_mod._last_split == ("", [""])
 
     def test_unparseable_page_memoized_as_none(self):
         _, _, path = _recorded_check(layout_seed=3, product_index=1)

@@ -98,3 +98,63 @@ class TestResultConsistency:
         before = world.clock.now
         result = es_user.check_price(product_url(world))
         assert result.time == before
+
+
+class TestHostilePeerPage:
+    @staticmethod
+    def _check_with_price_text(world, sheriff, user, peer, text):
+        """One check in which ``peer`` answers with the honest page, every
+        price element refilled with ``text``; returns (result, its row)."""
+        import re
+
+        store = world.internet.site("uniform.example")
+        price_span = re.compile(f'(<span class="{store.price_class}">)[^<]*(</span>)')
+        endpoint = sheriff.overlay.get(peer.peer_id)
+        honest_handler = endpoint.handler
+
+        def refilled(message):
+            reply = honest_handler(message)
+            reply["html"] = price_span.sub(
+                lambda m: m.group(1) + text + m.group(2), reply["html"]
+            )
+            return reply
+
+        endpoint.handler = refilled
+        result = user.check_price(product_url(world))
+        return result, next(r for r in result.rows if r.proxy_id == peer.peer_id)
+
+    def test_oversized_price_node_is_capped_in_every_stored_field(
+        self, world, sheriff, es_user, es_peers
+    ):
+        """A PPC whose price element holds 1 MB of text used to land it in
+        the database twice: as ``original_text`` and again inside the
+        ``error`` message that quoted it."""
+        from repro.core.measurement import PRICE_TEXT_MAX
+
+        result, row = self._check_with_price_text(
+            world, sheriff, es_user, es_peers[0], "9" * 1_000_000
+        )
+        assert row.error == "price text too long"
+        assert row.original_text == "9" * PRICE_TEXT_MAX
+        assert not row.ok
+        stored = sheriff.db.sp_responses_for_job(result.job_id)
+        assert len(stored) == len(result.rows)
+        for record in stored:
+            for field, value in record.items():
+                if isinstance(value, str):
+                    assert len(value) <= PRICE_TEXT_MAX, (record["proxy_id"], field)
+        # everyone else's row is what it would have been
+        assert len(result.valid_rows()) == len(result.rows) - 1
+
+    def test_refused_text_is_quoted_up_to_a_bound(self, world, sheriff, es_user,
+                                                  es_peers):
+        """Text under the cap still reaches the detector, whose message
+        quotes a prefix of it — the row stays under the cap as a whole."""
+        from repro.core.measurement import PRICE_TEXT_MAX
+
+        _, row = self._check_with_price_text(
+            world, sheriff, es_user, es_peers[0], "7" * PRICE_TEXT_MAX
+        )
+        assert row.original_text == "7" * PRICE_TEXT_MAX
+        assert row.error.startswith("selection longer than 25 characters: '7777")
+        assert len(row.error) < PRICE_TEXT_MAX

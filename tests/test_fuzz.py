@@ -27,7 +27,16 @@ from repro.currency.detect import (
     parse_amount,
 )
 from repro.net.faults import FaultPlan
-from repro.web.html import HTMLParseError, find_all, parse
+from repro.web.html import (
+    SKIP,
+    T_TEXT,
+    HTMLParseError,
+    classify,
+    find_all,
+    parse,
+    split_tags,
+    tokenize,
+)
 
 from tests.oracles import tagspath_legacy
 
@@ -94,25 +103,46 @@ _tag_soup = st.lists(
 ).map("".join)
 
 
+def _accepts(consume, html):
+    try:
+        consume(html)
+    except HTMLParseError:
+        return False
+    return True
+
+
+def _skeleton_scan(html):
+    """What extraction does to a page, minus the memo and the match: scan
+    the tags, then refuse this page's text outside the root."""
+    parts = split_tags(html)
+    _, _, (root_open, root_close) = _scan(parts[1::2], "span.price")
+    outside = parts[:2 * root_open + 1:2] + parts[2 * root_close + 2::2]
+    if "".join(outside).replace("<", "").strip():
+        raise HTMLParseError("text outside the document root")
+
+
 @given(html=st.one_of(_html_soup, _tag_soup))
 @settings(max_examples=600, deadline=None)
 def test_parse_and_flat_scan_share_one_grammar(html):
-    """parse() raises HTMLParseError exactly when the flat scan gives up
-    for a parse reason — two consumers, one grammar — and on the pages
-    both accept, the scan extracts what the tree-walking oracle does."""
-    outcomes = []
-    for consume in (parse, lambda page: _scan(page, "span.price")):
-        try:
-            consume(html)
-        except HTMLParseError:
-            outcomes.append("error")
-        else:
-            outcomes.append("ok")
-    assert outcomes[0] == outcomes[1]
-    path = TagsPath(entries=("html", "div"), target="span.price")
-    assert extract_price_text(html, path) == tagspath_legacy.extract_price_text(
-        html, path
+    """parse() raises HTMLParseError exactly when the skeleton scan gives
+    up for a parse reason — two consumers, one grammar — and on the pages
+    both accept, the scan extracts what the tree-walking oracle does.
+    tokenize() and the scan classify the same split_tags entries: a tag
+    is malformed for both or for neither, and nothing but text separates
+    the token stream from the tags the scan reads."""
+    assert _accepts(parse, html) == _accepts(_skeleton_scan, html)
+    tags = split_tags(html)[1::2]
+    assert _accepts(tokenize, html) == _accepts(
+        lambda _: [classify(raw) for raw in tags], html
     )
+    if _accepts(tokenize, html):
+        assert [t for t in tokenize(html) if t[0] != T_TEXT] == [
+            t for t in map(classify, tags) if t is not SKIP
+        ]
+    path = TagsPath(entries=("html", "div"), target="span.price")
+    expected = tagspath_legacy.extract_price_text(html, path)
+    assert extract_price_text(html, path) == expected
+    assert extract_price_text(html, path) == expected  # its plan is now memoised
 
 
 @given(
