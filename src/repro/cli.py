@@ -13,19 +13,9 @@ Gives the library a tool-shaped front door:
 * ``supervise``   — run a supervised deployment under chaos and report
   the healing verdict: the ops panel, the heal report, and the audit
   trail; exits non-zero if the deployment did not converge;
-* ``throughput``  — benchmark serial vs pipelined price-check
-  execution and emit ``BENCH_throughput.json`` (add ``--mesh`` to also
-  run the engine across real worker processes and record wall-clock
-  checks/sec next to the sim numbers);
 * ``mesh``        — launch a real-process deployment: N measurement
   worker processes behind the socket transport, handshake + heartbeat
   + a farmed workload + graceful drain;
-* ``storagebench`` — benchmark the storage engines (scan vs index,
-  one shard vs many) and emit ``BENCH_storage.json``;
-* ``bench``       — run the whole benchmark suite (any subset of
-  throughput/storage/scale), merge the reports into
-  ``BENCH_all.json``, and evaluate every regression gate in one exit
-  code;
 * ``metrics``     — run a telemetry-on deployment and emit its
   Prometheus-style metrics exposition;
 * ``trace``       — same run, render one price check's span timeline
@@ -39,9 +29,8 @@ Gives the library a tool-shaped front door:
 * ``panel``       — the live operator view: pipeline health plus the
   Fig. 7 / Fig. 16 panels, all from a metrics snapshot.
 
-Everything except ``mesh`` (and ``throughput --mesh``) runs against the
-simulated world; the CLI exists so the reproduction can be driven
-without writing Python.
+Everything except ``mesh`` runs against the simulated world; the CLI
+exists so the reproduction can be driven without writing Python.
 """
 
 from __future__ import annotations
@@ -57,6 +46,14 @@ EXPERIMENT_CHOICES = (
     "fig2", "fig5", "fig8a", "fig8b", "fig8c", "fig9", "fig10", "fig11",
     "fig12", "fig13", "fig14-15", "sec75", "sec76", "all",
 )
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,159 +129,26 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "file (flags typed on the command line "
                                 "override it)")
 
-    throughput = sub.add_parser(
-        "throughput",
-        help="benchmark serial vs pipelined price-check throughput",
-    )
-    throughput.add_argument("--scale", default="default",
-                            choices=("smoke", "default"),
-                            help="smoke = reduced CI instance")
-    throughput.add_argument("--users", type=int, nargs="+", default=None,
-                            help="concurrency levels to sweep (overrides scale)")
-    throughput.add_argument("--checks", type=int, default=None,
-                            help="price checks per level")
-    throughput.add_argument("--ipcs", type=int, default=None,
-                            help="IPC fleet size (max 30)")
-    throughput.add_argument("--servers", type=int, default=None,
-                            help="number of Measurement servers")
-    throughput.add_argument("--workers", type=int, default=None,
-                            help="fetch workers per server (pipelined)")
-    throughput.add_argument("--cache-ttl", type=float, default=None,
-                            help="page cache TTL in simulated seconds")
-    throughput.add_argument("--seed", type=int, default=None)
-    throughput.add_argument("--out", default="BENCH_throughput.json",
-                            help="where to write the JSON report")
-    throughput.add_argument("--require-speedup", type=float, default=None,
-                            metavar="X",
-                            help="exit 1 unless the top-level speedup > X")
-    throughput.add_argument("--trace-out", default=None, metavar="JSONL",
-                            help="run one traced pipelined sweep and export "
-                                 "its span log to this JSONL file")
-    throughput.add_argument("--metrics-out", default=None, metavar="PROM",
-                            help="write the traced run's metrics exposition "
-                                 "to this file (implies a traced run)")
-    throughput.add_argument("--max-telemetry-overhead", type=float,
-                            default=None, metavar="FRACTION",
-                            help="measure telemetry-on vs telemetry-off "
-                                 "wall time; exit 1 if the overhead "
-                                 "fraction exceeds this bound")
-    throughput.add_argument("--mesh", action="store_true",
-                            help="also run the pipelined engine across "
-                                 "real worker processes and record "
-                                 "wall-clock checks/sec in the report")
-    throughput.add_argument("--mesh-workers", type=int, default=2,
-                            metavar="N",
-                            help="worker processes for the --mesh run")
-    throughput.add_argument("--require-mesh-rate", type=float, default=None,
-                            metavar="X",
-                            help="exit 1 unless the --mesh run completes "
-                                 "every check at >= X checks/sec wall")
-
     mesh = sub.add_parser(
         "mesh",
         help="launch a real-process deployment: worker processes behind "
              "the socket transport",
     )
-    mesh.add_argument("--servers", type=int, default=2, metavar="N",
+    mesh.add_argument("--servers", type=_positive_int, default=2, metavar="N",
                       help="worker processes to launch")
     mesh.add_argument("--checks", type=int, default=8,
                       help="price checks to farm across the fleet")
     mesh.add_argument("--concurrency", type=int, default=None,
                       help="concurrent in-flight calls (default: 4/worker)")
     mesh.add_argument("--seed", type=int, default=2017)
-    mesh.add_argument("--stores", type=int, default=2,
+    mesh.add_argument("--stores", type=_positive_int, default=2,
                       help="stores per worker's world")
     mesh.add_argument("--ipcs", type=int, default=6,
                       help="IPC fleet size per worker (max 30)")
-    mesh.add_argument("--users", type=int, default=4,
+    mesh.add_argument("--users", type=_positive_int, default=4,
                       help="browser addons per worker")
     mesh.add_argument("--out", default=None, metavar="JSON",
                       help="also write the mesh report as JSON")
-
-    scalebench = sub.add_parser(
-        "scalebench",
-        help="benchmark checks/sec scaling with the Measurement-server "
-             "fleet size (queued dispatch), plus a 1k-1M user projection",
-    )
-    scalebench.add_argument("--scale", default="default",
-                            choices=("smoke", "default"),
-                            help="smoke = reduced CI instance")
-    scalebench.add_argument("--servers", type=int, nargs="+", default=None,
-                            help="fleet sizes to sweep (e.g. 1 2 4 8)")
-    scalebench.add_argument("--checks", type=int, default=None,
-                            help="price checks per fleet size")
-    scalebench.add_argument("--users", type=int, default=None,
-                            help="concurrent submitters per wave")
-    scalebench.add_argument("--users-levels", type=int, nargs="+",
-                            default=None,
-                            help="population levels of the projection sweep")
-    scalebench.add_argument("--ipcs", type=int, default=None,
-                            help="IPC fleet size (max 30)")
-    scalebench.add_argument("--seed", type=int, default=None)
-    scalebench.add_argument("--config", default=None, metavar="JSON",
-                            help="load the ScaleBenchConfig from this JSON "
-                                 "file (CLI flags override it)")
-    scalebench.add_argument("--out", default="BENCH_scale.json",
-                            help="where to write the JSON report")
-    scalebench.add_argument("--require-scaling", type=float, default=None,
-                            metavar="X",
-                            help="exit 1 unless checks/sec at the largest "
-                                 "fleet is at least X times the baseline")
-
-    storagebench = sub.add_parser(
-        "storagebench",
-        help="benchmark storage engines: scan vs index, 1 vs N shards",
-    )
-    storagebench.add_argument("--scale", default="default",
-                              choices=("smoke", "default"),
-                              help="smoke = reduced CI instance")
-    storagebench.add_argument("--jobs", type=int, default=None,
-                              help="distinct jobs written")
-    storagebench.add_argument("--responses-per-job", type=int, default=None,
-                              help="response rows per job")
-    storagebench.add_argument("--queries", type=int, default=None,
-                              help="lookups timed per pass")
-    storagebench.add_argument("--backends", nargs="+", default=None,
-                              choices=("memory", "sqlite"),
-                              help="storage engines to compare")
-    storagebench.add_argument("--shards", type=int, nargs="+", default=None,
-                              help="shard counts to compare")
-    storagebench.add_argument("--seed", type=int, default=None)
-    storagebench.add_argument("--out", default="BENCH_storage.json",
-                              help="where to write the JSON report")
-    storagebench.add_argument("--require-index-speedup", type=float,
-                              default=None, metavar="X",
-                              help="exit 1 unless every engine's indexed "
-                                   "path beats the scan by more than X")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the unified benchmark suite, gate every regression",
-    )
-    bench.add_argument("--scale", default="smoke",
-                       choices=("smoke", "default"),
-                       help="smoke = reduced CI instance")
-    bench.add_argument("--include", nargs="+", default=None,
-                       choices=("throughput", "storage", "scale", "mesh"),
-                       help="benchmarks to run (default: the three sim "
-                            "benchmarks; 'mesh' spawns real processes)")
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--out", default="BENCH_all.json",
-                       help="where to write the merged JSON report")
-    bench.add_argument("--require-throughput-speedup", type=float,
-                       default=1.0, metavar="X",
-                       help="pipelined must beat serial by more than X")
-    bench.add_argument("--max-telemetry-overhead", type=float, default=None,
-                       metavar="FRACTION",
-                       help="also measure the full telemetry plane's "
-                            "wall-clock cost and gate it at this fraction")
-    bench.add_argument("--require-index-speedup", type=float, default=5.0,
-                       metavar="X",
-                       help="every engine's index must beat the scan by "
-                            "more than X")
-    bench.add_argument("--require-scaling", type=float, default=3.0,
-                       metavar="X",
-                       help="top fleet must scale by at least X")
 
     metrics = sub.add_parser(
         "metrics",
@@ -656,126 +520,6 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.clients.ipc import DEFAULT_IPC_SITES
-    from repro.workloads.throughput import ThroughputConfig, run_throughput
-
-    config = (
-        ThroughputConfig.smoke_scale()
-        if args.scale == "smoke"
-        else ThroughputConfig()
-    )
-    if args.users is not None:
-        config.levels = tuple(args.users)
-    if args.checks is not None:
-        config.total_checks = args.checks
-    if args.ipcs is not None:
-        config.ipc_sites = DEFAULT_IPC_SITES[: args.ipcs]
-    if args.servers is not None:
-        config.n_measurement_servers = args.servers
-    if args.workers is not None:
-        config.max_fetch_workers = args.workers
-    if args.cache_ttl is not None:
-        config.page_cache_ttl = args.cache_ttl
-    if args.seed is not None:
-        config.seed = args.seed
-
-    from repro.workloads.throughput import (
-        measure_telemetry_overhead,
-        traced_run,
-    )
-
-    report = run_throughput(config)
-    if args.max_telemetry_overhead is not None:
-        report["telemetry_overhead"] = measure_telemetry_overhead(config)
-    if args.mesh:
-        from repro.workloads.throughput import run_mesh_throughput
-
-        report["mesh"] = run_mesh_throughput(
-            config, n_workers=args.mesh_workers
-        )
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    print(f"{'users':>6} {'serial c/s':>12} {'pipelined c/s':>14} {'speedup':>8}")
-    for level in report["levels"]:
-        print(
-            f"{level['users']:>6} "
-            f"{level['serial']['checks_per_sec']:>12.4f} "
-            f"{level['pipelined']['checks_per_sec']:>14.4f} "
-            f"{level['speedup']:>7.2f}x"
-        )
-    top_pcts = report["levels"][-1]["pipelined"].get("latency_percentiles")
-    if top_pcts:
-        rendered = "  ".join(
-            f"{k}={v:.3f}s" for k, v in top_pcts.items() if v is not None
-        )
-        print(f"check latency at top level: {rendered}")
-    if args.mesh:
-        mesh = report["mesh"]
-        print(
-            f"mesh: {mesh['workers']} workers, "
-            f"{mesh['checks_completed']}/{mesh['checks_requested']} checks, "
-            f"{mesh['checks_per_sec_wall']:.2f} checks/s wall"
-        )
-    print(f"report written to {args.out}")
-
-    if args.trace_out or args.metrics_out:
-        telemetry = traced_run(config)
-        if args.trace_out:
-            with open(args.trace_out, "w") as fh:
-                n = telemetry.tracer.export_jsonl(fh)
-            print(f"{n} spans exported to {args.trace_out}")
-        if args.metrics_out:
-            with open(args.metrics_out, "w") as fh:
-                fh.write(telemetry.registry.render_exposition())
-            print(f"metrics exposition written to {args.metrics_out}")
-
-    if args.require_speedup is not None:
-        top = report["speedup_at_top_level"]
-        if top <= args.require_speedup:
-            print(
-                f"FAIL: top-level speedup {top:.2f}x is not above "
-                f"{args.require_speedup:.2f}x"
-            )
-            return 1
-        print(f"OK: top-level speedup {top:.2f}x > {args.require_speedup:.2f}x")
-    if args.max_telemetry_overhead is not None:
-        overhead = report["telemetry_overhead"]["overhead_fraction"]
-        if overhead > args.max_telemetry_overhead:
-            print(
-                f"FAIL: telemetry overhead {overhead:.1%} exceeds "
-                f"{args.max_telemetry_overhead:.1%}"
-            )
-            return 1
-        print(
-            f"OK: telemetry overhead {overhead:.1%} <= "
-            f"{args.max_telemetry_overhead:.1%}"
-        )
-    if args.require_mesh_rate is not None:
-        if not args.mesh:
-            print("FAIL: --require-mesh-rate needs --mesh")
-            return 1
-        mesh = report["mesh"]
-        incomplete = mesh["checks_completed"] < mesh["checks_requested"]
-        if incomplete or mesh["checks_per_sec_wall"] < args.require_mesh_rate:
-            print(
-                f"FAIL: mesh run "
-                f"{mesh['checks_completed']}/{mesh['checks_requested']} "
-                f"checks at {mesh['checks_per_sec_wall']:.2f} checks/s "
-                f"(need all checks at >= {args.require_mesh_rate:.2f})"
-            )
-            return 1
-        print(
-            f"OK: mesh sustained {mesh['checks_per_sec_wall']:.2f} "
-            f"checks/s wall >= {args.require_mesh_rate:.2f}"
-        )
-    return 0
-
-
 def _cmd_mesh(args: argparse.Namespace) -> int:
     import json
 
@@ -824,190 +568,6 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
         print("FAIL: lost checks or a worker exited non-zero")
         return 1
     print("OK: fleet served every check and drained cleanly")
-    return 0
-
-
-def _cmd_scalebench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.clients.ipc import DEFAULT_IPC_SITES
-    from repro.workloads.scalebench import ScaleBenchConfig, run_scalebench
-
-    if args.config is not None:
-        config = _load_config_json(args.config, ScaleBenchConfig.from_dict)
-        if config is None:
-            return 1
-    else:
-        config = (
-            ScaleBenchConfig.smoke_scale()
-            if args.scale == "smoke"
-            else ScaleBenchConfig()
-        )
-    if args.servers is not None:
-        config.server_counts = tuple(args.servers)
-    if args.checks is not None:
-        config.total_checks = args.checks
-    if args.users is not None:
-        config.n_users = args.users
-    if args.users_levels is not None:
-        config.users_levels = tuple(args.users_levels)
-    if args.ipcs is not None:
-        config.ipc_sites = DEFAULT_IPC_SITES[: args.ipcs]
-    if args.seed is not None:
-        config.seed = args.seed
-
-    report = run_scalebench(config)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    print(f"{'servers':>8} {'checks/s':>10} {'rows':>6} "
-          f"{'stolen':>7} {'shed':>5} {'dlq':>4}")
-    for level in report["levels"]:
-        queue = level["queue"]
-        print(
-            f"{level['servers']:>8} "
-            f"{level['checks_per_sec']:>10.4f} "
-            f"{level['rows']:>6} "
-            f"{sum(queue.get('steals', {}).values()):>7} "
-            f"{queue.get('shed', 0):>5} "
-            f"{queue.get('dead_letters', 0):>4}"
-        )
-    scaling = report["scaling"]
-    print(
-        f"scaling: {scaling['speedup']:.2f}x at "
-        f"{scaling['top_servers']} servers vs "
-        f"{scaling['baseline_servers']}"
-    )
-    print("projection (1 day at measured capacity):")
-    for level in report["projection"]["levels"]:
-        print(
-            f"  {level['users']:>9,} users: "
-            f"{level['arrivals_per_day']:>6} checks/day, "
-            f"shed {level['shed']}, "
-            f"p95 wait {level['p95_wait_s']:.3f}s, "
-            f"utilization {level['utilization']:.2%}"
-        )
-    print(f"report written to {args.out}")
-
-    if args.require_scaling is not None:
-        speedup = scaling["speedup"]
-        if speedup < args.require_scaling:
-            print(
-                f"FAIL: scaling {speedup:.2f}x at {scaling['top_servers']} "
-                f"servers is below {args.require_scaling:.2f}x"
-            )
-            return 1
-        print(
-            f"OK: scaling {speedup:.2f}x >= {args.require_scaling:.2f}x"
-        )
-    return 0
-
-
-def _cmd_storagebench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workloads.storagebench import (
-        StorageBenchConfig,
-        run_storagebench,
-    )
-
-    config = (
-        StorageBenchConfig.smoke_scale()
-        if args.scale == "smoke"
-        else StorageBenchConfig()
-    )
-    if args.jobs is not None:
-        config.n_jobs = args.jobs
-    if args.responses_per_job is not None:
-        config.responses_per_job = args.responses_per_job
-    if args.queries is not None:
-        config.n_queries = args.queries
-    if args.backends is not None:
-        config.backends = tuple(args.backends)
-    if args.shards is not None:
-        config.shard_counts = tuple(args.shards)
-    if args.seed is not None:
-        config.seed = args.seed
-
-    report = run_storagebench(config)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    print(f"{'backend':>8} {'rows':>7} {'scan us/q':>10} "
-          f"{'indexed us/q':>13} {'speedup':>8}")
-    for entry in report["scan_vs_index"]:
-        print(
-            f"{entry['backend']:>8} {entry['rows']:>7} "
-            f"{entry['scan_us_per_query']:>10.1f} "
-            f"{entry['indexed_us_per_query']:>13.1f} "
-            f"{entry['speedup']:>7.1f}x"
-        )
-    print()
-    print(f"{'shards':>6} {'query us/lookup':>16} {'vs single':>10} "
-          f"{'occupancy spread':>17}")
-    for entry in report["sharding"]:
-        print(
-            f"{entry['shards']:>6} "
-            f"{entry['query_us_per_lookup']:>16.1f} "
-            f"{entry['query_speedup_vs_single']:>9.2f}x "
-            f"{entry['occupancy_spread']:>16.2f}x"
-        )
-    print(f"report written to {args.out}")
-
-    if args.require_index_speedup is not None:
-        worst = report["min_index_speedup"]
-        if worst <= args.require_index_speedup:
-            print(
-                f"FAIL: index speedup {worst:.1f}x is not above "
-                f"{args.require_index_speedup:.1f}x"
-            )
-            return 1
-        print(
-            f"OK: every engine's index speedup > "
-            f"{args.require_index_speedup:.1f}x (worst {worst:.1f}x)"
-        )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workloads.benchsuite import BenchSuiteConfig, run_benchsuite
-
-    config = BenchSuiteConfig(
-        scale=args.scale,
-        include=(
-            tuple(args.include) if args.include is not None
-            else BenchSuiteConfig.include
-        ),
-        seed=args.seed,
-        throughput_speedup=args.require_throughput_speedup,
-        max_telemetry_overhead=args.max_telemetry_overhead,
-        index_speedup=args.require_index_speedup,
-        scaling_speedup=args.require_scaling,
-    )
-    print(f"benchmark suite: scale={config.scale} "
-          f"include={','.join(config.include)}")
-    report = run_benchsuite(config)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    print(f"{'gate':>22} {'value':>10} {'bound':>8} {'verdict':>8}")
-    for gate in report["gates"]:
-        value = "n/a" if gate["value"] is None else f"{gate['value']:.2f}"
-        sign = {"gt": ">", "ge": ">=", "le": "<="}[gate["comparison"]]
-        verdict = "ok" if gate["passed"] else "FAIL"
-        print(f"{gate['gate']:>22} {value:>10} "
-              f"{sign}{gate['bound']:>7.2f} {verdict:>8}")
-    print(f"merged report written to {args.out}")
-    if not report["all_passed"]:
-        failed = [g["gate"] for g in report["gates"] if not g["passed"]]
-        print(f"FAIL: regression gate(s) tripped: {', '.join(failed)}")
-        return 1
-    print("OK: every regression gate passed")
     return 0
 
 
@@ -1229,11 +789,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "watch": _cmd_watch,
         "chaos": _cmd_chaos,
         "supervise": _cmd_supervise,
-        "throughput": _cmd_throughput,
         "mesh": _cmd_mesh,
-        "scalebench": _cmd_scalebench,
-        "storagebench": _cmd_storagebench,
-        "bench": _cmd_bench,
         "metrics": _cmd_metrics,
         "trace": _cmd_trace,
         "journey": _cmd_journey,

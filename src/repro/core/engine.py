@@ -21,8 +21,7 @@ Determinism: the engine never decides *what* is fetched or in which
 order — the Measurement server performs the fan-out eagerly in the
 canonical serial order, so every RNG stream (world, faults, latency) is
 consumed identically however many workers the pools have.  The engine
-only decides *when* each fetch lands on the simulated timeline, which is
-what the throughput benchmark measures.
+only decides *when* each fetch lands on the simulated timeline.
 """
 
 from __future__ import annotations

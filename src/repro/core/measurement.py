@@ -67,6 +67,10 @@ FetchTask = Tuple[float, bool]
 #: row carries is written to the database.
 PRICE_TEXT_MAX = 256
 
+#: Longest location or user-agent field of a PPC reply a row may carry:
+#: they too are written to the database as the peer sent them.
+PPC_FIELD_MAX = 64
+
 
 @dataclass
 class MeasurementStats:
@@ -646,12 +650,20 @@ class MeasurementServer:
     @staticmethod
     def _valid_ppc_reply(reply) -> bool:
         """Schema check against corrupt replies: a usable observation
-        needs a page and a resolvable location (or an explicit error)."""
+        needs a page and a resolvable location (or an explicit error),
+        and every field a row keeps of it must be a short string or a
+        bool — the reply comes from a volunteer's machine."""
         if not isinstance(reply, dict):
             return False
         if "error" in reply:
             return True
-        return all(k in reply for k in ("html", "country", "region", "city"))
+        labels = [reply.get(k) for k in ("country", "region", "city")]
+        labels += [reply[k] for k in ("os", "browser") if k in reply]
+        return (
+            isinstance(reply.get("html"), str)
+            and all(isinstance(v, str) and len(v) <= PPC_FIELD_MAX for v in labels)
+            and isinstance(reply.get("used_doppelganger", False), bool)
+        )
 
     # -- persistence ---------------------------------------------------------------
     def _persist(self, job: PriceCheckJob, result: PriceCheckResult) -> None:

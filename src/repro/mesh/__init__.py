@@ -16,9 +16,8 @@ actually operated — separate processes speaking the wire protocol of
   and users, handed over as JSON), handshakes, farms out checks, and
   shuts the fleet down.
 
-``repro mesh --servers N`` (CLI) and ``repro throughput --mesh`` are
-the entry points; the latter emits wall-clock checks/sec next to the
-sim numbers in BENCH_throughput.json.
+``repro mesh --servers N`` (CLI) is the entry point; it prints the
+fleet's wall-clock checks/sec.
 """
 
 from repro.mesh.launch import MeshLauncher, MeshReport, WorkerSpec

@@ -57,7 +57,7 @@ class WorkerSpec(CellConfig):
 
 @dataclass
 class MeshReport:
-    """What one mesh run measured (the BENCH entry payload)."""
+    """What one mesh run measured (``repro mesh --out`` writes it)."""
 
     workers: int
     checks_requested: int

@@ -11,8 +11,8 @@
 * :mod:`repro.workloads.deployment` — the live-deployment simulation
   (Sect. 6) and the Fig. 5 adoption model;
 * :mod:`repro.workloads.cell` — one measurement cell (seeded honest
-  stores + sheriff + users) from a config: what the sim benchmarks
-  sweep and each mesh worker serves;
+  stores + sheriff + users) from a config: what each mesh worker
+  serves;
 * :mod:`repro.workloads.crawlstudy` — the systematic study drivers
   (Sect. 7): multi-country crawls, the four-country case studies, the
   temporal study, the Alexa-400 sweep;
@@ -20,10 +20,7 @@
   old and new back-end architectures;
 * :mod:`repro.workloads.journey` — the seeded forced-steal drill behind
   ``repro journey`` / ``repro slo``: one run whose jobs are provably
-  admitted, queued, stolen, and persisted under full telemetry;
-* :mod:`repro.workloads.benchsuite` — the unified benchmark suite
-  behind ``repro bench``: every benchmark, one merged report, every
-  regression gate in one exit code.
+  admitted, queued, stolen, and persisted under full telemetry.
 """
 
 from repro.workloads.alexa import ContentWeb, build_alexa_ecommerce

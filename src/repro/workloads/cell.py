@@ -1,19 +1,17 @@
 """A measurement cell: a seeded world of honest stores, a sheriff, users.
 
-The unit the sim benchmarks sweep (``throughput``, ``scalebench``) and
-the unit every mesh worker process serves — built by one function, so
+The unit every mesh worker process serves — built by one function, so
 the same seed gives the same stores, URL roster and rows everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.core.addon import SheriffAddon
 from repro.core.config import SheriffConfig, knob
 from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.obs import Telemetry
 from repro.workloads.stores import build_named_stores, uniform_store_specs
 
 __all__ = ["Cell", "CellConfig", "USER_COUNTRIES", "build_cell"]
@@ -45,15 +43,13 @@ class Cell(NamedTuple):
     addons: List[SheriffAddon]
 
 
-def build_cell(
-    config: CellConfig, n_users: int, telemetry: Optional[Telemetry] = None
-) -> Cell:
+def build_cell(config: CellConfig, n_users: int) -> Cell:
     """A fresh seeded world + sheriff + product URL roster + ``n_users``
     add-ons rotating through :data:`USER_COUNTRIES`."""
     world = SheriffWorld.create(seed=config.seed)
     specs = uniform_store_specs(config.n_stores, seed=config.seed + 3)
     stores = build_named_stores(world, specs)
-    sheriff = PriceSheriff(world, config, telemetry=telemetry)
+    sheriff = PriceSheriff(world, config)
     urls = [
         stores[spec.domain].product_url(product.product_id)
         for spec in specs

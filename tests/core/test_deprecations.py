@@ -12,6 +12,8 @@ PR 12 collapsed the price-check mode lattice the same way: the
 ``pipelined`` / ``use_fast_extract`` switches and ``transport="direct"``
 are pinned absent below.  PR 14 did the same to the crypto layer's
 ``use_fastexp`` switch and the ``cryptobench`` verb that timed it.
+PR 20 retired the rest of the pre-``bench/`` harness: the ``throughput``
+/ ``scalebench`` / ``storagebench`` / ``bench`` verbs and their modules.
 """
 
 import dataclasses
@@ -39,7 +41,6 @@ from repro.crypto.secure_kmeans import (
 from repro.net.faults import BackoffPolicy, chaos_plan
 from repro.net.p2p import PeerOverlay
 from repro.storage import ShardedDatabase
-from repro.workloads.benchsuite import BenchSuiteConfig
 from repro.workloads.deployment import DeploymentConfig
 
 
@@ -161,15 +162,43 @@ class TestModeLatticeCollapsed:
         for name in ("CryptoBenchConfig", "run_cryptobench", "cryptobench"):
             assert not hasattr(repro.workloads, name)
             assert name not in repro.workloads.__all__
-        assert "crypto_speedup" not in {
-            f.name for f in dataclasses.fields(BenchSuiteConfig)
-        }
 
     def test_identifiers_absent_from_source(self):
         assert _source_offenders(re.compile(
             r"use_fast_extract|observe_serial_check|\bpipelined\s*[=:]"
             r"|use_fastexp|cryptobench"
         )) == []
+
+
+class TestSimBenchRetired:
+    """``bench/`` is the only benchmark harness: the four sim-clock bench
+    verbs, their modules and the artefact they committed are gone."""
+
+    VERBS = ("throughput", "scalebench", "storagebench", "bench")
+    MODULES = ("throughput", "scalebench", "storagebench", "benchsuite")
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_is_an_argparse_error(self, verb):
+        with pytest.raises(SystemExit):
+            main([verb])
+
+    def test_modules_gone(self):
+        import repro.workloads
+
+        package_dir = pathlib.Path(repro.workloads.__file__).parent
+        for name in self.MODULES:
+            assert not hasattr(repro.workloads, name)
+            assert not (package_dir / f"{name}.py").exists()
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"run_throughput|run_scalebench|run_storagebench|run_benchsuite"
+            r"|BENCH_(throughput|scale|storage|all)\.json"
+        )) == []
+
+    def test_committed_artefact_gone(self):
+        root = pathlib.Path(__file__).resolve().parents[2]
+        assert not (root / "BENCH_throughput.json").exists()
 
 
 class TestSimNetworkSurfaceRetired:

@@ -10,6 +10,7 @@ and dead-lettering once the budget runs dry.
 
 import pytest
 
+from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.errors import (
     JobDeadLettered,
     QueueSaturated,
@@ -18,6 +19,7 @@ from repro.core.errors import (
 from repro.core.measurement import PriceCheckJob
 from repro.core.sheriff import PriceSheriff
 from repro.obs import Telemetry
+from repro.workloads.cell import CellConfig, build_cell
 
 from .conftest import SMALL_IPC_SITES
 
@@ -277,3 +279,40 @@ class TestObservability:
     def test_tier_rejects_degenerate_depth(self, world):
         with pytest.raises(ValueError):
             _queued_sheriff(world, queue_depth=0)
+
+
+class TestFleetScaling:
+    @staticmethod
+    def _run(n_servers):
+        """The same 8 seeded checks, in waves of 4, through a queued fleet
+        of ``n_servers`` Measurement servers over as many database shards."""
+        _, sheriff, urls, addons = build_cell(
+            CellConfig(
+                job_queue=True, n_measurement_servers=n_servers,
+                db_shards=n_servers, ipc_sites=DEFAULT_IPC_SITES[:6],
+                n_stores=2,
+            ),
+            n_users=4,
+        )
+        start = sheriff.engine.now
+        job_ids, rows = [], 0
+        for first in (0, 4):
+            wave = [
+                (addon, addon.submit_price_check(urls[first + u]))
+                for u, addon in enumerate(addons)
+            ]
+            for addon, pending in wave:
+                job_ids.append(pending.handle.job_id)
+                rows += len(addon.collect(pending).rows)
+        gathered = sum(len(r) for r in sheriff.jobs.gather(job_ids).values())
+        return sheriff.engine.now - start, rows, gathered, sheriff.job_queue.stats()
+
+    def test_larger_fleet_is_at_least_as_fast(self):
+        makespan_1, rows_1, gathered_1, stats_1 = self._run(1)
+        makespan_2, rows_2, gathered_2, stats_2 = self._run(2)
+        assert 0 < makespan_2 <= makespan_1
+        assert rows_1 == rows_2 > 0
+        # scatter-gather read-back finds every persisted row on any shard count
+        assert (gathered_1, gathered_2) == (rows_1, rows_2)
+        assert stats_1["dead_letters"] == stats_2["dead_letters"] == 0
+        assert stats_1["dispatched"] == stats_2["dispatched"] == 8

@@ -158,3 +158,51 @@ class TestHostilePeerPage:
         assert row.original_text == "7" * PRICE_TEXT_MAX
         assert row.error.startswith("selection longer than 25 characters: '7777")
         assert len(row.error) < PRICE_TEXT_MAX
+
+
+class TestHostilePeerReply:
+    """``_valid_ppc_reply`` is the last check before a volunteer's reply
+    becomes a stored row: presence of the fields is not enough."""
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            {"html": 123},
+            {"html": None},
+            {"country": "X" * 1_000_000},
+            {"country": {"a": [1, 2]}},
+            {"used_doppelganger": "yes" * 100_000},
+        ],
+        ids=["html-int", "html-none", "country-1mb", "country-dict",
+             "doppel-str"],
+    )
+    def test_bad_field_is_ppc_corrupt(
+        self, world, sheriff, es_user, es_peers, forged
+    ):
+        from repro.core.measurement import PRICE_TEXT_MAX
+
+        hostile = es_peers[0]
+        endpoint = sheriff.overlay.get(hostile.peer_id)
+        honest_handler = endpoint.handler
+        endpoint.handler = lambda message: {**honest_handler(message), **forged}
+
+        def corrupt_total():
+            return sum(
+                server.stats.ppc_corrupt
+                for server in sheriff.measurement_servers.values()
+            )
+
+        before = corrupt_total()
+        result = es_user.check_price(product_url(world))
+
+        assert corrupt_total() == before + 1
+        assert all(r.proxy_id != hostile.peer_id for r in result.rows)
+        assert any(r.kind == "PPC" for r in result.rows)
+        stored = sheriff.db.sp_responses_for_job(result.job_id)
+        assert len(stored) == len(result.rows)
+        for record in stored:
+            for field, value in record.items():
+                assert not isinstance(value, (dict, list, tuple, set)), (
+                    record["proxy_id"], field)
+                if isinstance(value, str):
+                    assert len(value) <= PRICE_TEXT_MAX, (record["proxy_id"], field)

@@ -57,6 +57,15 @@ class TestOtherCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag", ["--servers", "--stores", "--users"])
+    def test_mesh_zero_count_is_a_usage_error(self, flag, capsys):
+        """argparse refuses the count, so neither MeshLauncher nor
+        WorkerSpec.validate() gets to raise through the CLI."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mesh", flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestSupervise:
     def test_supervised_chaos_run_heals_and_exits_zero(self, capsys, tmp_path):
@@ -185,27 +194,3 @@ class TestSLO:
         assert "VIOLATED" in out
         assert "slo/check-latency" in out
 
-
-class TestBench:
-    def test_single_benchmark_merged_report(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_all.json"
-        assert main([
-            "bench", "--include", "storage", "--out", str(out_file),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "index_speedup" in printed
-        import json
-
-        report = json.loads(out_file.read_text())
-        assert report["included"] == ["storage"]
-        assert report["all_passed"] is True
-        assert report["benchmarks"]["storage"]["min_index_speedup"] > 5.0
-
-    def test_gate_failure_exits_nonzero(self, capsys, tmp_path):
-        out_file = tmp_path / "BENCH_all.json"
-        assert main([
-            "bench", "--include", "storage",
-            "--require-index-speedup", "1000000",
-            "--out", str(out_file),
-        ]) == 1
-        assert "FAIL" in capsys.readouterr().out
