@@ -11,10 +11,12 @@ Implements, from scratch:
   variant of ElGamal the paper builds on;
 * :mod:`repro.crypto.fe` — the inner-product functional encryption of
   Abdalla et al. [13] (function keys for dot products);
-* :mod:`repro.crypto.fastexp` — fixed-base comb-table exponentiation
-  and Montgomery batch inversion, the one arithmetic under everything
-  above (the textbook formulas it must match bit for bit are the test
-  oracle ``tests/oracles/crypto_naive.py``);
+* :mod:`repro.crypto.fastexp` — exponentiation in the three batch
+  shapes the protocol issues (one exponent × many fixed bases over comb
+  tables, one fresh base × many exponents, many bases × small signed
+  exponents) and Montgomery batch inversion, the one arithmetic under
+  everything above (the textbook formulas it must match bit for bit
+  are the test oracle ``tests/oracles/crypto_naive.py``);
 * :mod:`repro.crypto.secure_kmeans` — the Coordinator/Aggregator
   two-phase clustering protocol with additive masking, so the
   Coordinator learns only centroids and cluster cardinalities while the

@@ -10,13 +10,16 @@ bounded discrete log.  Multiplying two ciphertexts component-wise adds
 the plaintexts — the homomorphism the centroid-update phase (Fig. 18)
 relies on.
 
-Every exponentiation here is against a *fixed* base — the generator
-``g`` or a public key ``h_i`` — so the scheme routes through the
-windowed comb tables of :mod:`repro.crypto.fastexp` (several times
-faster than built-in ``pow``, bit-identical results).  The textbook
-formulas above live on as ``tests/oracles/crypto_naive.py``; the
-lockstep tests prove this module produces the same ciphertext bytes as
-that oracle for the same RNG stream.
+Encryption and re-randomization raise ``g`` and every ``h_i`` to one
+fresh ``r``: the digits of ``r`` are cut once and folded against the
+t + 1 comb tables (:func:`repro.crypto.fastexp.pow_bases`), and a
+``g^{c_i}`` whose ``c_i`` is a single digit is a table lookup.  Batch
+decryption raises one ``α`` to several secret keys: one squaring
+ladder over ``α`` shared by all of them
+(:class:`repro.crypto.fastexp.SharedExponents`).  The textbook formulas
+above live on as ``tests/oracles/crypto_naive.py``; the lockstep tests
+prove this module produces the same ciphertext bytes as that oracle for
+the same RNG stream.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ class VectorElGamal:
         """g^exponent through the generator's comb table."""
         return self._powers(self.group.g).pow(exponent)
 
+    def _shared_pows(self, public: Sequence[int], r: int) -> List[int]:
+        """``[g^r, h_1^r … h_t^r]`` with the digits of r cut once."""
+        powers = self._powers
+        return fastexp.pow_bases(
+            [powers(self.group.g), *map(powers, public)], r
+        )
+
     # -- keys ---------------------------------------------------------------
     def keygen(self, rng: random.Random) -> Tuple[List[int], List[int]]:
         """Return (secret key vector x, public key vector h)."""
@@ -85,16 +95,14 @@ class VectorElGamal:
                 f"{len(plaintext)} plaintext / {len(public)} keys"
             )
         r = self.group.random_exponent(rng)
-        # hoist the table handles and fold the mod-mul inline —
-        # per-component dispatch overhead otherwise rivals the arithmetic
         p = self.group.p
-        powers = self._powers
-        gpow = powers(self.group.g).pow
+        alpha, *h_pows = self._shared_pows(public, r)
+        # profile coordinates are mostly single comb digits: a lookup
+        gpow = self._powers(self.group.g).small_pow
         betas = tuple(
-            powers(h).pow(r) * gpow(c) % p
-            for h, c in zip(public, plaintext)
+            h_r * gpow(c) % p for h_r, c in zip(h_pows, plaintext)
         )
-        return Ciphertext(alpha=gpow(r), betas=betas)
+        return Ciphertext(alpha=alpha, betas=betas)
 
     def rerandomize(
         self,
@@ -117,14 +125,12 @@ class VectorElGamal:
             raise ValueError("public key / ciphertext dimension mismatch")
         r = self.group.random_exponent(rng)
         p = self.group.p
-        powers = self._powers
-        gpow = powers(self.group.g).pow
-        alpha = ct.alpha * gpow(r) % p
-        betas = [b * powers(h).pow(r) % p for b, h in zip(ct.betas, public)]
+        g_r, *h_pows = self._shared_pows(public, r)
+        betas = [b * h_r % p for b, h_r in zip(ct.betas, h_pows)]
         if add_at:
             for index, value in add_at.items():
-                betas[index] = betas[index] * gpow(value) % p
-        return Ciphertext(alpha=alpha, betas=tuple(betas))
+                betas[index] = betas[index] * self.gexp(value) % p
+        return Ciphertext(alpha=ct.alpha * g_r % p, betas=tuple(betas))
 
     # -- decryption ----------------------------------------------------------
     def decrypt_component(
@@ -142,18 +148,19 @@ class VectorElGamal:
     ) -> List[int]:
         """Decrypt several components of one ciphertext in a batch.
 
-        Exponentiates α through one ephemeral comb table (the base is
-        shared by every component) and unmasks all the
-        γ_i = β_i / α^{x_i} with a single Montgomery batch inversion,
-        instead of one full inversion per component.
+        Raises α to all the secret keys over one squaring ladder
+        (the base is shared by every component) and unmasks all
+        the γ_i = β_i / α^{x_i} with a single Montgomery batch
+        inversion, instead of one full inversion per component.
         """
         if len(indices) < 2:
             return [
                 self.decrypt_component(secret, ct, i, bound) for i in indices
             ]
         group = self.group
-        atab = fastexp.ephemeral_table(group.p, group.q, ct.alpha, len(indices))
-        alpha_pows = [atab.pow(secret[i]) for i in indices]
+        alpha_pows = fastexp.SharedExponents(
+            group.q, [secret[i] for i in indices]
+        ).pows(group.p, ct.alpha)
         inverses = fastexp.batch_invert(group.p, alpha_pows)
         return [
             discrete_log(group, group.mul(ct.betas[i], inv), bound)

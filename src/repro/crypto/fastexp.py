@@ -1,67 +1,83 @@
-"""Fast modular exponentiation for the secure k-means hot path.
+"""Modular exponentiation in the three shapes the secure k-means issues.
 
 The protocol of Sect. 3.8 / App. 10.4 spends essentially all of its
-time computing ``base^e mod p`` for a handful of *fixed* bases: the
-group generator ``g`` (every encryption, every mask, every unmask) and
-the Coordinator's public keys ``h_i`` (one per vector component, reused
-by every client).  CPython's built-in three-argument ``pow`` re-derives
-everything from scratch on each call — at RFC-3526 2048-bit parameters
-that is ~35 ms per exponentiation, and even at the 64-bit test group the
-interpreter overhead alone is ~20 µs.
+time on ``base^e mod p``, and it never asks for one exponentiation at a
+time.  A modular multiplication costs the same wherever it runs — at
+the 256-bit ``BENCH_GROUP_256`` of the ``cluster_round`` workload,
+0.42 µs as ``a * b % p`` and the same inside built-in ``pow``, which
+spends ≈307 of them on a 255-bit exponent (122 µs) — so the only thing
+to save is multiplications that the results of one batch can share.
+(All timings in this package's docstrings: microbenchmarks, best of 9,
+on the box that ran ISSUE 23's ``bench/`` pairs.)  The batches come in
+three shapes:
 
-Two classic techniques cut this down:
+1. **one exponent × many fixed bases** (:func:`pow_bases`).  An
+   encryption or a mask raises ``g`` and the t public keys ``h_i`` to
+   the *same* fresh ``r``.  Each long-lived base has a comb table
+   (:class:`FixedBaseTable`: ``base^(d · 2^{w·j})`` for every window
+   ``j`` and digit ``d < 2^w``, so an exponentiation is one
+   multiplication per non-zero digit — 43 at 256 bits — and no
+   squarings); the digits of ``r`` are cut once (:func:`cut_digits`)
+   and folded against every table.  26.5 µs → 20 µs per result; the
+   rest is the 43-multiplication floor.
+2. **one fresh base × many full-width exponents**
+   (:class:`SharedExponents`).  The Coordinator raises each masked
+   ``α`` to the k function keys ``f_k``, and each cluster aggregate's
+   ``α`` to the secret keys ``x_i``.  The base is new every time and
+   the exponents are not (one set per distance chunk), so all that
+   depends on the exponents alone is done once, and each base pays one
+   squaring ladder plus a few dozen multiplications per exponent
+   (k = 4: 493 µs → 212 µs; k = 16: 1975 → 520).
+3. **many bases × small signed exponents → k products**
+   (:class:`SignedProducts`).  ``Π_i β_i^{s_{k,i}}`` for the k centroid
+   function vectors, whose entries are as small as the profile data
+   (``−2·b_i``, ``Σ b_i²``).  Each ``β_i`` is squared up its own short
+   ladder once, and each rung is multiplied into the numerator or
+   denominator of every vector whose ``|s_{k,i}|`` has that bit set
+   (at k = 4, m = 16: ≈225 multiplications per ciphertext, 104 µs,
+   against 151 µs for one built-in ``pow`` per entry; the gap widens
+   with k); which rung goes where is planned once per chunk.
 
-* **fixed-base comb tables** (:class:`FixedBaseTable`) — precompute
-  ``base^(d · 2^{w·j})`` for every window position ``j`` and digit
-  ``d < 2^w``; an exponentiation then costs one table lookup and one
-  modular multiplication per non-zero window (⌈|q|/w⌉ of them) instead
-  of |q| squarings plus multiplications.  Measured speedup vs built-in
-  ``pow``: ~5x at 64-bit (w=8) and ~4.5x at 2048-bit (w=4), before any
-  reuse of the table build.
-* **Montgomery batch inversion** (:func:`batch_invert`) — n modular
-  inverses for the price of one inversion plus 3(n−1) multiplications.
-  A single inversion (``pow(a, -1, p)``, extended Euclid) costs as much
-  as some fifty multiplications at 256 bits, so unmasking a whole client
-  batch this way is a constant-factor win.
+Beside them, **Montgomery batch inversion** (:func:`batch_invert`): n
+inverses for one ``pow(·, -1, p)`` plus 3(n−1) multiplications.  An
+inversion is extended Euclid, not an exponentiation — 20 µs at 256
+bits, about fifty multiplications — so batching the per-centroid
+denominators of a whole chunk is a constant-factor win, no more.
 
-Tables for truly fixed bases (``g``, the ``h_i``) live in a module-level
-LRU cache (:func:`fixed_base`) so that (a) every scheme object sharing a
-group shares tables and (b) worker processes forked *after* the tables
-are built inherit them copy-on-write, paying the build cost once per
-protocol run rather than once per worker per call.  Per-ciphertext bases
-(a masked ``α`` evaluated against many centroids) use cheaper
-*ephemeral* tables via :func:`ephemeral_table`, which falls back to
-built-in ``pow`` when too few exponentiations are expected to amortize
-the build.
+Tables for long-lived bases (``g``, the ``h_i``) sit in a module-level
+LRU cache (:func:`fixed_base`), so every scheme object over one group
+shares them and worker processes forked after they are built inherit
+them copy-on-write.  The 18 ``h_i`` tables of a ``cluster_round`` op
+(keys are per round; 1.2 ms each) are ≈13 % of it and the comb folds of
+shape 1 ≈43 %; neither can be shared further.
 
-Everything here is bit-compatible with built-in ``pow``: for any base
-and exponent, ``FixedBaseTable.pow(e) == pow(base, e % q, p)``.  The
-schemes above this layer have no other arithmetic; the raw-``pow``
-textbook versions they are checked against live in
+Everything here is bit-compatible with built-in ``pow``:
+``FixedBaseTable.pow(e) == pow(base, e % q, p)`` and likewise for every
+batch entry point.  The schemes above this layer have no other
+arithmetic; the raw-``pow`` textbook they are checked against lives in
 ``tests/oracles/crypto_naive.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FixedBaseTable",
+    "SharedExponents",
+    "SignedProducts",
     "batch_invert",
     "clear_fastexp_cache",
-    "ephemeral_table",
+    "cut_digits",
     "fastexp_cache_info",
     "fixed_base",
+    "pow_bases",
 ]
 
 #: fixed-base tables cached per (modulus, base); LRU-bounded because
 #: public keys are per-protocol-run ephemera and would otherwise leak
 MAX_CACHED_TABLES = 256
-
-#: below this many expected uses an ephemeral table costs more to build
-#: than it saves (break-even is ~2 uses at 64-bit, ~4 at 2048-bit)
-EPHEMERAL_MIN_USES = 5
 
 
 class _Metrics:
@@ -90,11 +106,13 @@ def bind_instruments(pows=None, builds=None, tables=None, batch_inversions=None)
 
 
 def _default_window(qbits: int) -> int:
-    """Window width balancing table size against per-pow multiplications.
+    """Window width of a long-lived table: size against per-pow work.
 
     Wider windows mean fewer multiplications per exponentiation but a
-    2^w-per-window build cost and memory footprint; the sweet spots were
-    measured on CPython 3.11 (see module docstring).
+    2^w-per-window build cost and memory footprint.  At 256 bits a
+    48-user round uses each ``h_i`` table ≈190 times: build included,
+    w = 6 is 195 k multiplications over the 18 tables, w = 5 199 k,
+    w = 7 211 k.
     """
     if qbits <= 128:
         return 8
@@ -103,16 +121,31 @@ def _default_window(qbits: int) -> int:
     return 4
 
 
+def cut_digits(exponent: int, window: int) -> List[int]:
+    """Where the non-zero base-2^w digits of ``exponent`` sit in a comb
+    table's ``flat`` list (any table of that window width)."""
+    mask = (1 << window) - 1
+    positions = []
+    offset = 0
+    while exponent:
+        digit = exponent & mask
+        if digit:
+            positions.append(offset + digit)
+        exponent >>= window
+        offset += mask + 1
+    return positions
+
+
 class FixedBaseTable:
     """Windowed comb precomputation for one ``(base, p, q)`` triple.
 
-    ``rows[j][d] == base^(d · 2^{w·j}) mod p`` for window index ``j`` and
-    digit ``d``.  :meth:`pow` walks the exponent's base-2^w digits and
-    multiplies the matching entries — no squarings at all, and small
-    exponents touch only their few low windows.
+    ``flat[(j << w) + d] == base^(d · 2^{w·j}) mod p`` for window index
+    ``j`` and digit ``d``.  An exponentiation multiplies the entries
+    its digits point at — no squarings at all, and small exponents
+    touch only their few low windows.
     """
 
-    __slots__ = ("p", "q", "base", "window", "rows")
+    __slots__ = ("p", "q", "base", "window", "flat")
 
     def __init__(self, p: int, q: int, base: int, window: Optional[int] = None) -> None:
         self.p = p
@@ -120,43 +153,187 @@ class FixedBaseTable:
         self.base = base % p
         self.window = window if window is not None else _default_window(q.bit_length())
         w = self.window
-        n_windows = (q.bit_length() + w - 1) // w
-        rows: List[List[int]] = []
-        b_j = self.base  # base^(2^{w·j}), advanced as rows are built
-        for _ in range(n_windows):
-            row = [1] * (1 << w)
-            acc = 1
-            for d in range(1, 1 << w):
+        flat: List[int] = []
+        b_j = self.base  # base^(2^{w·j}), advanced as windows are built
+        for _ in range((q.bit_length() + w - 1) // w):
+            acc = b_j
+            flat.append(1)
+            flat.append(acc)
+            for _ in range((1 << w) - 2):
                 acc = acc * b_j % p
-                row[d] = acc
-            rows.append(row)
-            b_j = row[-1] * b_j % p  # b_j^(2^w - 1) · b_j = b_j^(2^w)
-        self.rows = rows
+                flat.append(acc)
+            b_j = acc * b_j % p  # b_j^(2^w - 1) · b_j = b_j^(2^w)
+        self.flat = flat
         if _METRICS.builds is not None:
             _METRICS.builds.inc()
 
     @property
     def n_windows(self) -> int:
-        return len(self.rows)
+        return len(self.flat) >> self.window
 
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod p`` with the exponent reduced mod q."""
-        e = exponent % self.q
+    def fold(self, positions: Sequence[int]) -> int:
+        """The product of the entries at ``positions`` (:func:`cut_digits`)."""
         p = self.p
-        rows = self.rows
-        mask = (1 << self.window) - 1
-        w = self.window
+        flat = self.flat
         result = 1
-        j = 0
-        while e:
-            d = e & mask
-            if d:
-                result = result * rows[j][d] % p
-            e >>= w
-            j += 1
+        for i in positions:
+            result = result * flat[i] % p
         if _METRICS.pows is not None:
             _METRICS.pows.inc()
         return result
+
+    def pow(self, exponent: int) -> int:
+        """``base^exponent mod p`` with the exponent reduced mod q."""
+        return self.fold(cut_digits(exponent % self.q, self.window))
+
+    def small_pow(self, exponent: int) -> int:
+        """:meth:`pow`, as a single lookup when the exponent is one digit."""
+        if exponent >> self.window == 0:
+            return self.flat[exponent]
+        return self.pow(exponent)
+
+
+def pow_bases(tables: Sequence[FixedBaseTable], exponent: int) -> List[int]:
+    """Shape 1: ``[t.pow(exponent) for t in tables]``, digits cut once.
+
+    The tables must share a group and a window width (those of
+    :func:`fixed_base` over one group do).
+    """
+    first = tables[0]
+    p, window = first.p, first.window
+    if any(t.p != p or t.window != window for t in tables):
+        raise ValueError("comb tables of different shapes cannot share digits")
+    positions = cut_digits(exponent % first.q, window)
+    return [table.fold(positions) for table in tables]
+
+
+class SharedExponents:
+    """Shape 2: a set of full-width exponents for one fresh base after another.
+
+    ``SharedExponents(q, es).pows(p, b) == [pow(b, e % q, p) for e in es]``.
+    Everything that depends only on the exponents is done here, once;
+    :meth:`pows` then pays for one base.  Two ways to share that base's
+    squarings, picked by multiplication count from ``len(es)`` and
+    ``q.bit_length()``:
+
+    * **sliding windows over one squaring ladder** (below 154 exponents
+      at 256 bits, 45 at 64; measured break-even ≈100 and ≈40, within
+      10 % either side).  The ladder ``b^(2^i)`` is |q| − 1 squarings.
+      Each exponent is cut into odd w-bit windows at whatever bit they
+      start.  From the largest window value down, the rungs under the
+      windows of value d multiply into a running product ``R``, and
+      after each value but 1 ``R`` multiplies into ``T``; then
+      ``T² · R = Π_d (Π rungs_d)^d`` — |q|/(w+1) + 2^{w−1} + 1
+      multiplications per exponent and no table of multiples.
+    * **a throwaway comb table** (beyond that): 2^w − 1 multiples per
+      window once, then one multiplication per window per exponent.
+    """
+
+    __slots__ = ("q", "window", "_top_bit", "_slides", "_positions")
+
+    def __init__(self, q: int, exponents: Sequence[int]) -> None:
+        self.q = q
+        qbits = q.bit_length()
+        n = len(exponents)
+        table_cost, table_window = min(
+            ((qbits + w - 1) // w * ((1 << w) - 1 + n), w) for w in range(1, 9)
+        )
+        slide_cost, slide_window = min(
+            (qbits + n * (qbits // (w + 1) + (1 << w - 1) + 1), w)
+            for w in range(1, 9)
+        )
+        reduced = [e % q for e in exponents]
+        self._top_bit = max((e.bit_length() for e in reduced), default=0) - 1
+        self._slides = self._positions = None
+        if slide_cost <= table_cost:
+            self.window = slide_window
+            self._slides = [
+                (values[:-1], values[-1])
+                for values in (_odd_windows(e, slide_window) for e in reduced)
+            ]
+        else:
+            self.window = table_window
+            self._positions = [cut_digits(e, table_window) for e in reduced]
+
+    def pows(self, p: int, base: int) -> List[int]:
+        if self._slides is None:
+            fold = FixedBaseTable(p, self.q, base, self.window).fold
+            return [fold(positions) for positions in self._positions]
+        rung = base % p
+        ladder = [rung]
+        for _ in range(self._top_bit):
+            rung = rung * rung % p
+            ladder.append(rung)
+        out = []
+        for larger, ones in self._slides:
+            running = total = 1
+            for rungs in larger:
+                for i in rungs:
+                    running = running * ladder[i] % p
+                total = total * running % p
+            for i in ones:
+                running = running * ladder[i] % p
+            out.append(total * total % p * running % p)
+        return out
+
+
+def _odd_windows(exponent: int, window: int) -> List[List[int]]:
+    """The bit offsets of the odd ``window``-bit windows of ``exponent``,
+    one list per window value, largest value (2^w − 1) first, 1 last."""
+    mask = (1 << window) - 1
+    by_value: List[List[int]] = [[] for _ in range(1 << window - 1)]
+    offset = 0
+    while exponent:
+        zeros = (exponent & -exponent).bit_length() - 1
+        offset += zeros
+        exponent >>= zeros
+        by_value[(exponent & mask) >> 1].append(offset)
+        exponent >>= window
+        offset += window
+    return by_value[::-1]
+
+
+class SignedProducts:
+    """Shape 3: k vectors of small signed exponents over the same t bases.
+
+    ``numerators[k] / denominators[k] == Π_i bases[i]^{vectors[k][i]}``
+    with ``numerators[k] = Π_{s>0} bases[i]^s`` and ``denominators[k] =
+    Π_{s<0} bases[i]^{-s}``, so no exponent is ever reduced mod q into
+    a full-width one and the caller divides once.  Each base is squared
+    up one short ladder, as long as the widest exponent in its column,
+    and each rung is multiplied into the accumulator of every vector
+    whose exponent has that bit set.  The plan — which rung into which
+    accumulator — is made here, once for every base tuple it is
+    :meth:`of`.
+    """
+
+    __slots__ = ("n_vectors", "_plan")
+
+    def __init__(self, vectors: Sequence[Sequence[int]]) -> None:
+        self.n_vectors = len(vectors)
+        # per base: the accumulator slots its own value goes into, then
+        # one slot list per squaring; slot 2k is vector k's numerator,
+        # 2k + 1 its denominator
+        self._plan: List[Tuple[List[int], List[List[int]]]] = []
+        for column in zip(*vectors):
+            width = max(abs(s) for s in column).bit_length()
+            rungs = [
+                [2 * k + (s < 0) for k, s in enumerate(column) if abs(s) >> bit & 1]
+                for bit in range(width)
+            ]
+            self._plan.append((rungs[0], rungs[1:]) if rungs else ([], []))
+
+    def of(self, p: int, bases: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """``(numerators, denominators)`` of the k products over ``bases``."""
+        accs = [1] * (2 * self.n_vectors)
+        for rung, (first, later) in zip(bases, self._plan):
+            for slot in first:
+                accs[slot] = accs[slot] * rung % p
+            for slots in later:
+                rung = rung * rung % p
+                for slot in slots:
+                    accs[slot] = accs[slot] * rung % p
+        return accs[0::2], accs[1::2]
 
 
 #: (p, base) → FixedBaseTable, most-recently-used last
@@ -190,32 +367,6 @@ def cached_table(p: int, base: int) -> Optional[FixedBaseTable]:
     if table is not None:
         _TABLE_CACHE.move_to_end((p, base % p))
     return table
-
-
-class _PowProxy:
-    """Built-in ``pow`` behind the :class:`FixedBaseTable` interface."""
-
-    __slots__ = ("p", "q", "base")
-
-    def __init__(self, p: int, q: int, base: int) -> None:
-        self.p = p
-        self.q = q
-        self.base = base % p
-
-    def pow(self, exponent: int) -> int:
-        return pow(self.base, exponent % self.q, self.p)
-
-
-def ephemeral_table(p: int, q: int, base: int, expected_uses: int):
-    """A throwaway exponentiation handle for a per-ciphertext base.
-
-    Builds a narrow (w=4) comb table when ``expected_uses`` will
-    amortize it, otherwise returns a thin built-in-``pow`` proxy.  Never
-    touches the module cache.
-    """
-    if expected_uses >= EPHEMERAL_MIN_USES:
-        return FixedBaseTable(p, q, base, window=4)
-    return _PowProxy(p, q, base)
 
 
 def batch_invert(p: int, values: Sequence[int]) -> List[int]:

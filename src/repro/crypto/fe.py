@@ -13,11 +13,19 @@ exponentiation even though ``b`` is a tiny centroid coordinate.  So
 evaluation splits ``s`` by sign and computes
 ``γ = (Π_{s_i>0} β_i^{s_i}) / (Π_{s_i<0} β_i^{-s_i} · α^f)`` instead:
 every β-exponent stays as small as the protocol data it encodes, and
-the whole denominator costs one inversion.  When one ciphertext is
-evaluated against many function vectors (:meth:`eval_elements` — the
-distance phase scores every centroid against the same masked client),
-the shared base α gets an ephemeral comb table and the per-vector
-denominators are inverted together with one Montgomery batch pass.
+the whole denominator costs one inversion.
+
+The distance phase scores every centroid against every masked client,
+so evaluation is a batch (:meth:`InnerProductFE.eval_elements_batch`)
+in two of the shapes of :mod:`repro.crypto.fastexp`: the k function
+vectors over one ciphertext's β_i share each β_i's squarings
+(``SignedProducts``; which bit of which ``s_{k,i}`` goes where is
+planned once for the whole batch), and the k function keys over one α
+share its squaring ladder (``SharedExponents``; their windows are cut
+once for the whole batch).  Every denominator of the batch is inverted
+in one Montgomery pass.  At the ``cluster_round`` shape (k = 4, m = 16,
+256 bits) that is ≈490 + ≈225 multiplications per ciphertext, 212 +
+104 µs, against 493 + 151 µs for one built-in ``pow`` per exponent.
 
 The verbatim textbook evaluation lives on as
 ``tests/oracles/crypto_naive.py``; the lockstep tests prove both return
@@ -47,32 +55,9 @@ class InnerProductFE:
         return sum(x * si for x, si in zip(secret, s)) % self.group.q
 
     # -- evaluation -----------------------------------------------------------
-    def _split_products(self, ct: Ciphertext, s: Sequence[int]) -> tuple:
-        """(Π_{s_i>0} β_i^{s_i}, Π_{s_i<0} β_i^{-s_i}) with small exponents."""
-        p = self.group.p
-        num = 1
-        den = 1
-        for beta, si in zip(ct.betas, s):
-            if si == 0:
-                continue
-            if si == 1:
-                num = num * beta % p
-            elif si > 0:
-                num = num * pow(beta, si, p) % p
-            elif si == -1:
-                den = den * beta % p
-            else:
-                den = den * pow(beta, -si, p) % p
-        return num, den
-
     def eval_element(self, ct: Ciphertext, s: Sequence[int], f: int) -> int:
         """γ = Π β_i^{s_i} / α^f, i.e. g^{⟨c, s⟩} as a group element."""
-        if len(s) != ct.dimensions:
-            raise ValueError("function vector / ciphertext dimension mismatch")
-        group = self.group
-        num, den = self._split_products(ct, s)
-        den = den * pow(ct.alpha, f % group.q, group.p) % group.p
-        return group.div(num, den)
+        return self.eval_elements(ct, [s], [f])[0]
 
     def eval_elements(
         self,
@@ -80,29 +65,42 @@ class InnerProductFE:
         s_vectors: Sequence[Sequence[int]],
         f_keys: Sequence[int],
     ) -> List[int]:
-        """Evaluate one ciphertext against many (s, f) pairs at once.
+        """Evaluate one ciphertext against many (s, f) pairs at once."""
+        return self.eval_elements_batch([ct], s_vectors, f_keys)[0]
 
-        The distance phase scores every centroid against the same
-        masked client ciphertext, so α is a shared base: it gets one
-        ephemeral comb table amortized over all ``len(f_keys)``
-        exponentiations, and the per-centroid denominators are unmasked
-        with a single Montgomery batch inversion.
+    def eval_elements_batch(
+        self,
+        cts: Sequence[Ciphertext],
+        s_vectors: Sequence[Sequence[int]],
+        f_keys: Sequence[int],
+    ) -> List[List[int]]:
+        """Evaluate many ciphertexts against the same (s, f) pairs.
+
+        ``out[n][k]`` is ciphertext n under function vector k.  The
+        plan over the ``s_vectors`` and the windows of the ``f_keys``
+        are made once; each ciphertext then pays one short squaring
+        ladder per β_i and one full one over its α.
         """
         if len(s_vectors) != len(f_keys):
             raise ValueError("function vector / key count mismatch")
-        group = self.group
-        p = group.p
-        atab = fastexp.ephemeral_table(p, group.q, ct.alpha, len(f_keys))
-        nums = []
-        dens = []
-        for s, f in zip(s_vectors, f_keys):
-            if len(s) != ct.dimensions:
-                raise ValueError("function vector / ciphertext dimension mismatch")
-            num, den = self._split_products(ct, s)
-            nums.append(num)
-            dens.append(den * atab.pow(f) % p)
-        inverses = fastexp.batch_invert(p, dens)
-        return [num * inv % p for num, inv in zip(nums, inverses)]
+        dimensions = {len(s) for s in s_vectors} | {ct.dimensions for ct in cts}
+        if len(dimensions) > 1:
+            raise ValueError("function vector / ciphertext dimension mismatch")
+        p = self.group.p
+        products = fastexp.SignedProducts(s_vectors)
+        key_pows = fastexp.SharedExponents(self.group.q, f_keys)
+        numerators: List[int] = []
+        denominators: List[int] = []
+        for ct in cts:
+            nums, dens = products.of(p, ct.betas)
+            numerators += nums
+            denominators += [
+                den * a_f % p for den, a_f in zip(dens, key_pows.pows(p, ct.alpha))
+            ]
+        inverses = fastexp.batch_invert(p, denominators)
+        k = len(f_keys)
+        elements = [num * inv % p for num, inv in zip(numerators, inverses)]
+        return [elements[n * k: (n + 1) * k] for n in range(len(cts))]
 
     def eval_dot_product(
         self, ct: Ciphertext, s: Sequence[int], f: int, bound: int

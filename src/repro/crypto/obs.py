@@ -30,7 +30,7 @@ def bind_crypto_telemetry(telemetry) -> None:
         ),
         builds=registry.counter(
             "sheriff_crypto_fastexp_table_builds_total",
-            "Comb table precomputations (fixed-base and ephemeral)",
+            "Comb table precomputations (cached and throwaway)",
         ),
         tables=registry.gauge(
             "sheriff_crypto_fastexp_tables",

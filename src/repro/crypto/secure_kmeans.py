@@ -50,12 +50,24 @@ parties' pools on the way out, so no caller leaks forked children.
 The arithmetic (bit-for-bit and RNG-draw-for-draw identical to the
 textbook protocol kept as ``tests/oracles/crypto_naive.py``):
 
-* all fixed-base exponentiations route through comb tables
-  (:mod:`repro.crypto.fastexp`);
+* every exponentiation is issued in one of the three batch shapes of
+  :mod:`repro.crypto.fastexp`: ``g`` and the ``h_i`` to one fresh ``r``
+  (encrypt, mask), one masked ``α`` to the k function keys (distance)
+  or one aggregate's ``α`` to the secret keys (update), and the
+  ``β_i`` of one ciphertext to the k centroid function vectors
+  (distance);
 * the mask is a cheap re-randomization — ``α·g^r``, ``β_i·h_i^r``,
-  ``β_1·g^ν`` — instead of a full encryption of a mostly-zero vector;
+  ``β_1·g^ν`` — instead of a full encryption of a mostly-zero vector,
+  and its ``g^ν`` is the element the unmasking inverts: computed once;
 * the per-client ``g^ν`` unmask factors are inverted together with one
   Montgomery batch inversion instead of one ``pow(·, -1, p)`` each.
+
+A peer whose ciphertext is well-formed but decrypts to nothing within
+the agreed bounds (random group elements, a profile outside
+``[0, Q]``) fails its own distance dlogs and is dropped from the round
+there — from the assignments, from every later aggregate and from the
+mapping — after ``bound // stride + 1`` giant steps per centroid.  It
+costs its sender a cluster, not everyone else the round.
 """
 
 from __future__ import annotations
@@ -68,7 +80,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import dlog as _dlog
 from repro.crypto import fastexp
-from repro.crypto.dlog import discrete_log
+from repro.crypto.dlog import DiscreteLogError, discrete_log
 from repro.crypto.elgamal import Ciphertext, VectorElGamal
 from repro.crypto.fe import InnerProductFE
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
@@ -216,8 +228,7 @@ class KMeansCoordinator:
         nothing to it.
         """
         started = time.perf_counter()
-        shared = (self.group.p, self.group.q, self.group.g,
-                  *self._function_data())
+        shared = (self.group, *self._function_data())
         if self.n_workers <= 1 or len(masked) < 2:
             partials = [_distance_chunk((*shared, list(masked)))]
         else:
@@ -323,85 +334,93 @@ class KMeansAggregator:
         return len(self._ciphertexts)
 
     # -- distance phase (Aggregator side) -------------------------------------
-    def _mask(self, ct: Ciphertext) -> Tuple[Ciphertext, int]:
-        """Re-randomize and add ν to coordinate 1; returns (masked, ν).
+    def _mask(self, ct: Ciphertext) -> Tuple[Ciphertext, int, int]:
+        """Re-randomize and add ν to coordinate 1; returns (masked, ν, g^ν).
 
         Multiplies the re-randomization straight into the ciphertext
         (``α·g^r``, ``β_i·h_i^r``, ``β_1·g^ν``) through the fixed-base
-        tables — 1 + t table exponentiations instead of the textbook's
+        tables — 2 + t table exponentiations instead of the textbook's
         full encryption of a mostly-zero mask vector (1 + 2t raw ones).
-        Identical output, identical RNG draws (ν then r).
+        Identical output, identical RNG draws (ν then r).  ``g^ν`` is
+        handed back because unmasking divides by that same element.
         """
         nu = self.group.random_exponent(self._rng)
+        g_nu = self.scheme.gexp(nu)
         masked = self.scheme.rerandomize(
-            self.coordinator.public_keys, ct, self._rng, add_at={0: nu}
+            self.coordinator.public_keys, ct, self._rng
         )
-        return masked, nu
+        betas = masked.betas
+        masked = Ciphertext(
+            alpha=masked.alpha,
+            betas=(betas[0] * g_nu % self.group.p, *betas[1:]),
+        )
+        return masked, nu, g_nu
 
     def mask_all(self) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], List[int]]:
-        """Mask every held ciphertext; returns (masked batch, ν list)."""
+        """Mask every held ciphertext; returns (masked batch, g^ν list)."""
         started = time.perf_counter()
         masked_batch: List[Tuple[int, int, Tuple[int, ...]]] = []
-        nus: List[int] = []
+        g_nus: List[int] = []
         for idx, client_id in enumerate(self._order):
-            masked, nu = self._mask(self._ciphertexts[client_id])
+            masked, _, g_nu = self._mask(self._ciphertexts[client_id])
             masked_batch.append((idx, masked.alpha, masked.betas))
-            nus.append(nu)
+            g_nus.append(g_nu)
         self._observe_phase("mask", time.perf_counter() - started)
-        return masked_batch, nus
-
-    def _unmask_factors(self, nus: Sequence[int]) -> List[int]:
-        """The per-client g^{-ν} factors, inverted in one batch."""
-        g_nus = [self.scheme.gexp(nu) for nu in nus]
-        return fastexp.batch_invert(self.group.p, g_nus)
+        return masked_batch, g_nus
 
     def choose_clusters(
-        self, gamma_map: Dict[int, List[int]], nus: Sequence[int]
+        self, gamma_map: Dict[int, List[int]], g_nus: Sequence[int]
     ) -> Tuple[Dict[str, int], int]:
-        """Unmask the γs, discrete-log, pick each client's nearest centroid."""
+        """Unmask the γs, discrete-log, pick each client's nearest centroid.
+
+        ``g_nus`` are the mask elements g^ν of :meth:`mask_all`.  A
+        client one of whose distances has no discrete log within the
+        bound leaves the round here.
+        """
         started = time.perf_counter()
         m = self.coordinator.m
         bound = m * self.coordinator.value_bound ** 2
-        unmask_factors = self._unmask_factors(nus)
+        unmask_factors = fastexp.batch_invert(self.group.p, g_nus)
         unmask_items = [
             (idx, unmask_factors[idx], gamma_map[idx])
             for idx in range(len(self._order))
         ]
         if self.n_workers <= 1 or len(unmask_items) < 2:
-            results = _unmask_chunk(
-                (self.group.p, self.group.q, self.group.g, bound, unmask_items)
-            )
+            results = _unmask_chunk((self.group, bound, unmask_items))
         else:
             # build the BSGS context in the parent before the workers
             # fork so every worker inherits it copy-on-write
             if not self.pool.started:
                 _dlog.prewarm(self.group, bound)
             chunks = _split(unmask_items, self.n_workers)
-            args = [
-                (self.group.p, self.group.q, self.group.g, bound, chunk)
-                for chunk in chunks
-                if chunk
-            ]
+            args = [(self.group, bound, chunk) for chunk in chunks if chunk]
             results = []
             for partial in self.pool.map(_unmask_chunk, args):
                 results.extend(partial)
 
         changed = 0
         new_assignments: Dict[str, int] = {}
+        undecryptable: List[str] = []
         for idx, cluster in results:
             client_id = self._order[idx]
+            if cluster is None:
+                undecryptable.append(client_id)
+                continue
             new_assignments[client_id] = cluster
             if self.assignments.get(client_id) != cluster:
                 changed += 1
+        for client_id in undecryptable:
+            self._order.remove(client_id)
+            del self._ciphertexts[client_id]
         self.assignments = new_assignments
         self._observe_phase("unmask", time.perf_counter() - started)
         return dict(new_assignments), changed
 
     def assign_all(self) -> Tuple[Dict[str, int], int]:
         """One client→cluster mapping pass; returns (mapping, n_changed)."""
-        masked_batch, nus = self.mask_all()
+        masked_batch, g_nus = self.mask_all()
         gamma_map = self.coordinator.distance_elements_batch(masked_batch)
-        return self.choose_clusters(gamma_map, nus)
+        return self.choose_clusters(gamma_map, g_nus)
 
     # -- update phase (Aggregator side) ---------------------------------------
     def aggregate_clusters(self) -> Dict[int, Tuple[Ciphertext, int]]:
@@ -426,27 +445,29 @@ def _split(items: list, n: int) -> List[list]:
 
 
 def _distance_chunk(args) -> List[Tuple[int, List[int]]]:
-    p, q, g, s_vectors, f_keys, chunk = args
-    group = SchnorrGroup(p=p, q=q, g=g)
+    group, s_vectors, f_keys, chunk = args
     fe = InnerProductFE(group)
-    out = []
-    for idx, alpha, betas in chunk:
-        ct = Ciphertext(alpha=alpha, betas=tuple(betas))
-        out.append((idx, fe.eval_elements(ct, s_vectors, f_keys)))
-    return out
+    cts = [Ciphertext(alpha=alpha, betas=tuple(betas)) for _, alpha, betas in chunk]
+    gammas = fe.eval_elements_batch(cts, s_vectors, f_keys)
+    return [(idx, gamma) for (idx, _, _), gamma in zip(chunk, gammas)]
 
 
-def _unmask_chunk(args) -> List[Tuple[int, int]]:
-    p, q, g, bound, chunk = args
-    group = SchnorrGroup(p=p, q=q, g=g)
+def _unmask_chunk(args) -> List[Tuple[int, Optional[int]]]:
+    """(client index, nearest cluster) per client; the cluster is
+    ``None`` when one of the client's distances is not within ``bound``."""
+    group, bound, chunk = args
+    p = group.p
     out = []
     for idx, g_nu_inv, gammas in chunk:
-        best_cluster, best_distance = 0, None
-        for cluster, gamma in enumerate(gammas):
-            d2 = discrete_log(group, group.mul(gamma, g_nu_inv), bound)
-            if best_distance is None or d2 < best_distance:
-                best_cluster, best_distance = cluster, d2
-        out.append((idx, best_cluster))
+        try:
+            distances = [
+                discrete_log(group, gamma * g_nu_inv % p, bound)
+                for gamma in gammas
+            ]
+            nearest = distances.index(min(distances))
+        except DiscreteLogError:
+            nearest = None
+        out.append((idx, nearest))
     return out
 
 
@@ -478,7 +499,6 @@ def iterate_until_stable(
     loop finished or raised.
     """
     coordinator = aggregator.coordinator
-    n_clients = aggregator.n_clients
     iteration_seconds: List[float] = []
     converged = False
     try:
@@ -488,7 +508,9 @@ def iterate_until_stable(
             for cluster, (aggregate, cardinality) in aggregator.aggregate_clusters().items():
                 coordinator.update_centroid(cluster, aggregate, cardinality)
             iteration_seconds.append(time.perf_counter() - started)
-            if changed / n_clients <= halt_threshold:
+            if not aggregator.n_clients:
+                break  # every peer was dropped as undecryptable
+            if changed / aggregator.n_clients <= halt_threshold:
                 converged = True
                 break
     finally:

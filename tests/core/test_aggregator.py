@@ -108,6 +108,37 @@ class TestHostilePeer:
         assert not sheriff.aggregator.has_doppelganger_for(mallory.peer_id)
 
 
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["inline", "pooled"])
+    def test_deployment_round_drops_the_undecryptable_addon(
+        self, world, sheriff, n_workers
+    ):
+        """Well-formed group elements that decrypt to nothing: ``submit``
+        takes them, the distance phase finds no discrete log, and that
+        used to end the round for every add-on."""
+        addons = [
+            sheriff.install_addon(world.make_browser("ES", "Madrid"))
+            for _ in range(5)
+        ]
+        mallory = addons[2]
+        group = sheriff.crypto_group
+        mallory.encrypted_profile = lambda scheme, *args, **kwargs: Ciphertext(
+            alpha=group.gexp(12345),
+            betas=tuple(group.gexp(1000 + i) for i in range(scheme.dimensions)),
+        )
+        outcome = sheriff.run_doppelganger_clustering(
+            ["news.example", "blog.example"], k=2, max_iterations=2,
+            n_workers=n_workers,
+        )
+        assert set(outcome.mapping) == {
+            a.peer_id for a in addons if a is not mallory
+        }
+        assert not sheriff.aggregator.has_doppelganger_for(mallory.peer_id)
+        assert all(
+            sheriff.aggregator.has_doppelganger_for(a.peer_id)
+            for a in addons if a is not mallory
+        )
+
+
 class TestDoppelgangerIdService:
     def test_id_served_after_setup(self, roles):
         _, aggregator, _ = roles

@@ -167,6 +167,7 @@ class TestModeLatticeCollapsed:
         assert _source_offenders(re.compile(
             r"use_fast_extract|observe_serial_check|\bpipelined\s*[=:]"
             r"|use_fastexp|cryptobench"
+            r"|ephemeral_table|_PowProxy|EPHEMERAL_MIN_USES"
         )) == []
 
 

@@ -1,16 +1,18 @@
 """Tests for fixed-base comb tables and Montgomery batch inversion."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import fastexp
+from repro.crypto.elgamal import VectorElGamal
 from repro.crypto.fastexp import (
     FixedBaseTable,
     batch_invert,
     cached_table,
     clear_fastexp_cache,
-    ephemeral_table,
     fastexp_cache_info,
     fixed_base,
 )
@@ -99,25 +101,6 @@ class TestTableCache:
         assert cached_table(group.p, b2) is None
 
 
-class TestEphemeralTable:
-    def test_below_threshold_uses_pow_proxy(self):
-        handle = ephemeral_table(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g, 1)
-        assert not isinstance(handle, FixedBaseTable)
-        assert handle.pow(42) == TEST_GROUP.gexp(42)
-
-    def test_at_threshold_builds_table(self):
-        handle = ephemeral_table(
-            TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g,
-            fastexp.EPHEMERAL_MIN_USES,
-        )
-        assert isinstance(handle, FixedBaseTable)
-        assert handle.pow(42) == TEST_GROUP.gexp(42)
-
-    def test_never_touches_module_cache(self):
-        ephemeral_table(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g, 100)
-        assert fastexp_cache_info()["entries"] == 0
-
-
 class TestBatchInvert:
     def test_matches_per_element_inversion(self):
         p = TEST_GROUP.p
@@ -181,6 +164,58 @@ class TestMetricsBinding:
             assert pows.count == 2
             assert inversions.count == 1
             assert tables.value == 1
+        finally:
+            fastexp.bind_instruments()
+
+    def test_seeded_round_keeps_the_counters_lit(self):
+        """The batch entry points still feed ``sheriff_crypto_fastexp_*``:
+        one ``pows`` per comb-table result (t + 1 for an encryption, one
+        more for a mask's g^ν, none for a single-digit g^c lookup), one
+        ``table_builds`` per table."""
+        from repro.crypto import (
+            clear_dlog_cache, run_secure_kmeans, unbind_crypto_telemetry,
+        )
+        from repro.obs import Telemetry
+
+        clear_dlog_cache()
+        rng = random.Random(99)
+        n, m, bound = 14, 5, 20
+        points = {
+            f"u{i}": [rng.randint(0, bound) for _ in range(m)] for i in range(n)
+        }
+        telemetry = Telemetry()
+        try:
+            result = run_secure_kmeans(
+                points, k=3, value_bound=bound, rng=random.Random(2017),
+                telemetry=telemetry,
+            )
+        finally:
+            unbind_crypto_telemetry()
+        value = lambda name: telemetry.registry.get(name).value()
+        t = m + 2
+        digit = 1 << fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g).window
+        wide = sum(sum(a * a for a in point) >= digit for point in points.values())
+        assert value("sheriff_crypto_fastexp_pows_total") == (
+            n * (t + 1) + wide + result.iterations * n * (t + 2)
+            + 1  # the giant stride g^m of the one baby-step table
+        )
+        # g's table predates the binding (keygen); the h_i are this run's
+        assert value("sheriff_crypto_fastexp_table_builds_total") == t
+        assert value("sheriff_crypto_fastexp_tables") == t + 1
+        assert value("sheriff_crypto_dlog_cache") == 1
+        assert value("sheriff_crypto_dlog_calls_total") > result.iterations * n * 3
+
+    def test_encrypt_counts_one_pow_per_table(self):
+        pows = _FakeCounter()
+        scheme = VectorElGamal(TEST_GROUP, 18)
+        _, public = scheme.keygen(random.Random(1))
+        fastexp.bind_instruments(pows=pows)
+        try:
+            scheme.encrypt(public, [3] * 18, random.Random(2))
+            assert pows.count == 19
+            scheme.rerandomize(public, scheme.encrypt(public, [0] * 18, random.Random(3)),
+                               random.Random(4))
+            assert pows.count == 3 * 19
         finally:
             fastexp.bind_instruments()
 

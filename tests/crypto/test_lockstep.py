@@ -24,7 +24,7 @@ from repro.crypto.dlog import clear_dlog_cache
 from repro.crypto.elgamal import VectorElGamal
 from repro.crypto.fastexp import clear_fastexp_cache
 from repro.crypto.fe import InnerProductFE
-from repro.crypto.group import TEST_GROUP
+from repro.crypto.group import BENCH_GROUP_256, TEST_GROUP
 from repro.crypto.secure_kmeans import (
     KMeansAggregator,
     KMeansCoordinator,
@@ -130,6 +130,32 @@ class TestSchemeLockstep:
         )
         assert scheme.decrypt(secret, ct, bound=30) == naive == plaintext
 
+    @pytest.mark.parametrize("k", [1, 4, 5, 40])
+    def test_batch_sizes_on_both_sides_of_the_old_threshold(self, k):
+        """``eval_elements`` over k function keys and
+        ``decrypt_components`` over k indices share one α each; below 5
+        uses that used to mean built-in ``pow``, from 5 a comb table."""
+        rng = random.Random(k)
+        t = max(k, 3)
+        plaintext = [rng.randint(0, 30) for _ in range(t)]
+        scheme = VectorElGamal(TEST_GROUP, t)
+        fe = InnerProductFE(TEST_GROUP)
+        secret, public = scheme.keygen(rng)
+        ct = scheme.encrypt(public, plaintext, rng)
+        s_vectors = [[rng.randint(-200, 200) for _ in range(t)] for _ in range(k)]
+        f_keys = [fe.function_key(secret, s) for s in s_vectors]
+        assert fe.eval_elements(ct, s_vectors, f_keys) == [
+            crypto_naive.eval_element(TEST_GROUP, ct, s, f)
+            for s, f in zip(s_vectors, f_keys)
+        ]
+        assert fe.eval_elements_batch([ct, ct], s_vectors, f_keys) == [
+            fe.eval_elements(ct, s_vectors, f_keys)
+        ] * 2
+        indices = list(range(t - k, t))
+        assert scheme.decrypt_components(secret, ct, indices, bound=30) == (
+            crypto_naive.decrypt_components(TEST_GROUP, secret, ct, indices, bound=30)
+        ) == plaintext[t - k:]
+
     @settings(max_examples=40, deadline=None)
     @given(
         plaintext=st.lists(st.integers(0, 40), min_size=1, max_size=5),
@@ -219,6 +245,45 @@ class TestProtocolLockstep:
         assert single.centroids == pooled.centroids == centroids
         assert single.iterations == pooled.iterations == iterations
         assert rng.getstate() == oracle_rng.getstate()
+
+
+class TestBenchShapedRound:
+    """The ``cluster_round`` shape of ``bench/`` — 48 users, m = 16,
+    k = 4, three iterations, the pinned 256-bit group — against the
+    textbook, so a drifted group element is named here and not later as
+    a ``rows_digest`` mismatch."""
+
+    @staticmethod
+    def _profiles():
+        rng = random.Random(2017)
+        return {
+            f"u{i:02d}": [
+                rng.randint(1, 100) if rng.random() < 0.25 else 0
+                for _ in range(16)
+            ]
+            for i in range(48)
+        }
+
+    @pytest.fixture(scope="class")
+    def textbook(self):
+        rng = random.Random(23)
+        return crypto_naive.secure_kmeans(
+            self._profiles(), k=4, value_bound=100, group=BENCH_GROUP_256,
+            rng=rng, max_iterations=3,
+        ), rng.getstate()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_equals_the_textbook(self, textbook, n_workers):
+        (centroids, assignments, iterations, converged), rng_state = textbook
+        rng = random.Random(23)
+        result = run_secure_kmeans(
+            self._profiles(), k=4, value_bound=100, group=BENCH_GROUP_256,
+            rng=rng, max_iterations=3, n_workers=n_workers,
+        )
+        assert result.assignments == assignments
+        assert result.centroids == centroids
+        assert (result.iterations, result.converged) == (iterations, converged)
+        assert rng.getstate() == rng_state
 
 
 class TestPoolHygiene:

@@ -10,6 +10,7 @@ from repro.crypto.secure_kmeans import (
     KMeansCoordinator,
     ProfileClient,
     centroid_function_vector,
+    iterate_until_stable,
     profile_to_plaintext,
     run_secure_kmeans,
 )
@@ -112,6 +113,90 @@ class TestHostileCiphertexts:
         assert mapping["lo-1"] == mapping["lo-2"] != mapping["hi-1"] == mapping["hi-2"]
 
 
+class TestUndecryptablePeer:
+    """A ciphertext can be well-formed — every element an int in
+    [1, p-1], so ``submit`` takes it — and still decrypt to nothing
+    within the agreed bounds.  Its sender loses its cluster; the round,
+    which used to die of ``DiscreteLogError`` for everyone, goes on."""
+
+    POINTS = {"lo-1": [0, 1, 0], "lo-2": [1, 0, 1], "lo-3": [1, 1, 0],
+              "hi-1": [9, 10, 9], "hi-2": [10, 9, 10], "hi-3": [9, 9, 10]}
+    CENTROIDS = [[0, 0, 0], [10, 10, 10]]
+
+    @staticmethod
+    def _random_elements(coordinator, rng):
+        group = coordinator.group
+        return Ciphertext(
+            alpha=group.gexp(rng.randrange(1, group.q)),
+            betas=tuple(group.gexp(rng.randrange(1, group.q))
+                        for _ in range(coordinator.t)),
+        )
+
+    @staticmethod
+    def _out_of_range_profile(coordinator, rng):
+        # an honest encryption of a point the client-side check refuses
+        return coordinator.scheme.encrypt(
+            coordinator.public_keys, profile_to_plaintext([500, 500, 500]), rng
+        )
+
+    def _parties(self, forge, n_workers):
+        rng = random.Random(5)
+        coordinator = KMeansCoordinator(
+            TEST_GROUP, m=3, value_bound=10, rng=rng, n_workers=n_workers
+        )
+        aggregator = KMeansAggregator(
+            TEST_GROUP, coordinator, rng=rng, n_workers=n_workers
+        )
+        peers = list(self.POINTS.items())
+        for peer_id, point in peers[:3]:
+            aggregator.submit(peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+                coordinator.scheme, coordinator.public_keys, rng))
+        aggregator.submit("mallory", forge(coordinator, rng))  # mid-order
+        for peer_id, point in peers[3:]:
+            aggregator.submit(peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+                coordinator.scheme, coordinator.public_keys, rng))
+        coordinator.set_centroids(self.CENTROIDS)
+        return coordinator, aggregator
+
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("forge", ["_random_elements", "_out_of_range_profile"])
+    def test_costs_its_sender_a_cluster_not_everyone_the_round(self, forge, n_workers):
+        coordinator, aggregator = self._parties(getattr(self, forge), n_workers)
+        converged, seconds = iterate_until_stable(
+            aggregator, halt_threshold=0.0, max_iterations=4
+        )
+        plain = lloyd_kmeans(
+            self.POINTS, k=2, initial_centroids=self.CENTROIDS,
+            max_iterations=4, halt_threshold=0.0, quantize=True,
+        )
+        assert "mallory" not in aggregator.assignments
+        assert aggregator.n_clients == len(self.POINTS)
+        assert aggregator.assignments == plain.assignments
+        assert coordinator.centroids == [list(map(int, c)) for c in plain.centroids]
+        assert (converged, len(seconds)) == (True, plain.iterations)
+
+    def test_dropped_before_any_aggregate(self):
+        coordinator, aggregator = self._parties(self._random_elements, 1)
+        mapping, _ = aggregator.assign_all()
+        assert set(mapping) == set(self.POINTS)
+        aggregates = aggregator.aggregate_clusters()
+        assert sum(cardinality for _, cardinality in aggregates.values()) == 6
+        for cluster, (aggregate, cardinality) in aggregates.items():
+            coordinator.update_centroid(cluster, aggregate, cardinality)  # no raise
+
+    def test_round_of_nothing_but_undecryptable_peers_ends(self):
+        rng = random.Random(8)
+        coordinator = KMeansCoordinator(TEST_GROUP, m=3, value_bound=10, rng=rng)
+        aggregator = KMeansAggregator(TEST_GROUP, coordinator, rng=rng)
+        for name in ("m1", "m2"):
+            aggregator.submit(name, self._random_elements(coordinator, rng))
+        coordinator.set_centroids(self.CENTROIDS)
+        converged, seconds = iterate_until_stable(aggregator, 0.02, 5)
+        assert (converged, len(seconds)) == (False, 1)
+        assert aggregator.assignments == {} and aggregator.n_clients == 0
+        assert coordinator.centroids == self.CENTROIDS
+
+
 class TestProtocol:
     def test_clusters_separable_data(self):
         points, anchors = clustered_points()
@@ -183,11 +268,12 @@ class TestPrivacyBoundaries:
             "a", client.encrypt_profile(coordinator.scheme, coordinator.public_keys, rng)
         )
         coordinator.set_centroids([[1, 2, 3]])
-        masked, nu = aggregator._mask(aggregator._ciphertexts["a"])
+        masked, nu, g_nu = aggregator._mask(aggregator._ciphertexts["a"])
+        assert g_nu == TEST_GROUP.gexp(nu)
         gammas = coordinator.distance_elements_batch([(0, masked.alpha, masked.betas)])
         # distance is 0, so unmasked element would be identity; masked is not
         assert gammas[0][0] != 1
-        unmasked = TEST_GROUP.div(gammas[0][0], TEST_GROUP.gexp(nu))
+        unmasked = TEST_GROUP.div(gammas[0][0], g_nu)
         assert unmasked == 1  # g^{d²} with d² = 0
 
     def test_aggregator_learns_correct_mapping(self):
