@@ -24,6 +24,15 @@ live only while its job is the *open* one (the job stored to last):
 jobs may interleave, and losing that state costs a re-alignment, never
 correctness — a stored diff names reference units, which
 ``split_tags`` gives again whenever they are needed.
+
+A page the caller knows to be byte-identical to one stored before — a
+page-cache hit, the same IPC page read by several checks of a burst —
+is stored as an *alias* of that earlier diff (:meth:`DiffStorage.
+store_alias`): no cut, no alignment, no diff against its own job's
+reference.  An alias holds the stored diff and the reference it was
+made against, never another alias, so ``restore`` gives the exact page
+even if the target's name is stored again later.  It costs 0 stored
+chars; ``naive_chars_seen`` still counts the page.
 """
 
 from __future__ import annotations
@@ -137,6 +146,9 @@ class DiffStorage:
     def __init__(self) -> None:
         self._reference: Dict[str, str] = {}
         self._diffs: Dict[Tuple[str, str], _StoredDiff] = {}
+        #: ``(job, proxy)`` → ``(reference, stored diff)`` it restores from;
+        #: a name is in ``_diffs`` or here, never in both
+        self._aliases: Dict[Tuple[str, str], Tuple[str, _StoredDiff]] = {}
         self._open: Optional[_OpenJob] = None
         #: what storing every page verbatim would have cost (ablation)
         self.naive_chars_seen = 0
@@ -173,10 +185,37 @@ class DiffStorage:
                 subs.append((ref_lo + k, stored))
                 size += cost
             end = lo + n
-        self._diffs[(job_id, proxy_id)] = _StoredDiff(
+        key = (job_id, proxy_id)
+        self._aliases.pop(key, None)
+        self._diffs[key] = _StoredDiff(
             runs=runs, gaps=tuple(gaps), subs=tuple(subs), size_chars=size
         )
         return size
+
+    def store_alias(
+        self, job_id: str, proxy_id: str, html: str, target: Tuple[str, str]
+    ) -> None:
+        """Store a proxy's page as the page already stored for ``target``.
+
+        The caller vouches that ``html`` is byte-identical to the page
+        stored under ``target = (job, proxy)``; an alias target resolves
+        to the diff it aliases.  Raises :class:`KeyError` when this job
+        has no reference or ``target`` is not stored here.
+        """
+        if job_id not in self._reference:
+            raise KeyError(f"no reference page stored for job {job_id!r}")
+        alias = self._aliases.get(target)
+        if alias is None:
+            diff = self._diffs.get(target)
+            if diff is None:
+                raise KeyError(f"no diff stored for {target!r}")
+            alias = (self._reference[target[0]], diff)
+        self.naive_chars_seen += len(html)
+        key = (job_id, proxy_id)
+        if self._diffs.get(key) is alias[1]:
+            return  # a re-run job reading its own stored page
+        self._diffs.pop(key, None)
+        self._aliases[key] = alias
 
     # -- reads --------------------------------------------------------------
     def reference(self, job_id: str) -> Optional[str]:
@@ -187,9 +226,13 @@ class DiffStorage:
         ref = self._reference.get(job_id)
         if ref is None:
             raise KeyError(f"no reference page stored for job {job_id!r}")
-        stored = self._diffs.get((job_id, proxy_id))
-        if stored is None:
-            raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
+        alias = self._aliases.get((job_id, proxy_id))
+        if alias is not None:
+            ref, stored = alias
+        else:
+            stored = self._diffs.get((job_id, proxy_id))
+            if stored is None:
+                raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
         parts = list(split_tags(ref))
         for slot, sub in stored.subs:
             if not isinstance(sub, str):
@@ -207,7 +250,8 @@ class DiffStorage:
 
     # -- accounting -----------------------------------------------------------
     def stored_chars(self) -> int:
-        """Total characters actually stored (references + diffs)."""
+        """Total characters actually stored (references + diffs; an
+        alias stores none)."""
         return sum(map(len, self._reference.values())) + sum(
             d.size_chars for d in self._diffs.values()
         )
@@ -218,3 +262,6 @@ class DiffStorage:
 
     def diff_count(self) -> int:
         return len(self._diffs)
+
+    def alias_count(self) -> int:
+        return len(self._aliases)

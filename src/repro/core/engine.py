@@ -15,7 +15,12 @@ concurrency model on top of the Measurement server's fan-out:
   progressive AJAX polls;
 * a short-TTL :class:`PageCache` keyed by ``(url, vantage,
   client-state)`` lets simultaneous checks of the same product reuse a
-  just-fetched page instead of re-fetching it.
+  just-fetched page instead of re-fetching it — and, since everything
+  the $heriff derives from a page is a function of its bytes, reuse
+  what the first check derived from it too: each :class:`CachedPage`
+  carries the name of the page's stored diff and the result rows read
+  from it, and they expire with it.  Entries are evicted oldest first
+  as new pages are put, so the cache holds one TTL window of pages.
 
 Determinism: the engine never decides *what* is fetched or in which
 order — the Measurement server performs the fan-out eagerly in the
@@ -26,7 +31,7 @@ only decides *when* each fetch lands on the simulated timeline.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -35,6 +40,7 @@ from repro.net.events import Clock, EventLoop
 from repro.obs.metrics import NULL_REGISTRY
 
 __all__ = [
+    "CachedPage",
     "EngineJob",
     "JobHandle",
     "PageCache",
@@ -163,6 +169,31 @@ class WorkerPool:
         self._sync_gauges()
 
 
+class CachedPage:
+    """One page-cache entry: a fetch and what was read from its page.
+
+    The Measurement server fills the two derived fields the first time
+    it reads the page and reuses them on every hit:
+
+    * ``stored_as`` — ``(diffstore, (job_id, proxy_id))`` of the first
+      stored diff of this page; a later reader in the same
+      :class:`~repro.core.diffstorage.DiffStorage` stores an alias of it
+      instead of diffing the page again.  ``None`` until a store
+      succeeded.
+    * ``rows`` — ``(path entries, path target, requested currency,
+      now) → ResultRow``: a row is a function of the page, the job's
+      Tags Path, the requested currency and the rates at ``now``.
+    """
+
+    __slots__ = ("stored_at", "fetch", "stored_as", "rows")
+
+    def __init__(self, stored_at: float, fetch: Any) -> None:
+        self.stored_at = stored_at
+        self.fetch = fetch
+        self.stored_as: Optional[Tuple[Any, Tuple[str, str]]] = None
+        self.rows: Dict[Tuple[Tuple[str, ...], str, str, float], Any] = {}
+
+
 class PageCache:
     """Short-TTL page cache keyed by ``(url, vantage, client-state)``.
 
@@ -173,11 +204,16 @@ class PageCache:
     always ``"fresh"``); a PPC's client state mutates with every serve
     (pollution budgets, doppelganger swaps), so no two PPC fetches share
     a key.  TTL is in simulated seconds; ``ttl=0`` disables the cache.
+
+    Entries sit in insertion order, which is age order (simulated time
+    never runs backwards): every :meth:`put` first evicts the expired
+    ones from the front, so the cache — and the diff names and rows its
+    entries carry — never outlives one TTL window of puts.
     """
 
     def __init__(self, ttl: float = 0.0) -> None:
         self.ttl = ttl
-        self._pages: Dict[Tuple[str, str, str], Tuple[float, Any]] = {}
+        self._pages: "OrderedDict[Tuple[str, str, str], CachedPage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self._hit_counter = None
@@ -204,31 +240,32 @@ class PageCache:
     def enabled(self) -> bool:
         return self.ttl > 0
 
-    def get(self, key: Tuple[str, str, str], now: float) -> Optional[Any]:
+    def get(self, key: Tuple[str, str, str], now: float) -> Optional[CachedPage]:
         if not self.enabled:
             return None
         entry = self._pages.get(key)
-        if entry is None:
-            self._count_miss()
-            return None
-        stored_at, page = entry
-        if now - stored_at > self.ttl:
-            del self._pages[key]
+        if entry is None or now - entry.stored_at > self.ttl:
             self._count_miss()
             return None
         self.hits += 1
         if self._hit_counter is not None:
             self._hit_counter.inc()
-        return page
+        return entry
 
-    def put(self, key: Tuple[str, str, str], page: Any, now: float) -> None:
+    def put(self, key: Tuple[str, str, str], fetch: Any, now: float) -> CachedPage:
+        """Cache a fresh fetch; returns its entry (kept only if enabled)."""
+        entry = CachedPage(now, fetch)
         if self.enabled:
-            self._pages[key] = (now, page)
+            self.purge_expired(now)
+            self._pages.pop(key, None)  # a re-put key moves to the back
+            self._pages[key] = entry
+        return entry
 
     def purge_expired(self, now: float) -> None:
-        dead = [k for k, (t, _) in self._pages.items() if now - t > self.ttl]
-        for k in dead:
-            del self._pages[k]
+        """Evict the expired entries: the oldest, from the front."""
+        pages = self._pages
+        while pages and now - next(iter(pages.values())).stored_at > self.ttl:
+            pages.popitem(last=False)
 
 
 @dataclass

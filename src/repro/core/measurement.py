@@ -18,6 +18,12 @@ Per the production note in Sect. 5, a per-proxy timeout bounds how long
 a slow (PlanetLab) node can hold up a job; in the simulation the
 slowdown factor stands in for wall-clock delay and responses from nodes
 whose slowdown exceeds the timeout budget are dropped the same way.
+
+An IPC page served by the engine's page cache is read once: the first
+check that reads it stores its diff and extracts its row, and every
+later check of the burst stores an alias of that diff and takes the
+same (frozen) row when its Tags Path, requested currency and ``now``
+match — steps 2-4 above, skipped for bytes already read.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.core.database import DatabaseServer
 from repro.core.diffstorage import DiffStorage
 from repro.core.engine import (
     CACHE_HIT_SECONDS,
+    CachedPage,
     EngineJob,
     JobHandle,
     PriceCheckEngine,
@@ -455,16 +462,16 @@ class MeasurementServer:
         return result
 
     # -- the fan-out --------------------------------------------------------------
-    def _fetch_page_cached(self, job: PriceCheckJob, ipc) -> Tuple[Any, int, bool]:
+    def _fetch_page_cached(self, job: PriceCheckJob, ipc) -> Tuple[CachedPage, int, bool]:
         """One IPC fetch through the engine's page cache.
 
-        Returns ``(fetch, retries, was_cache_hit)``.  Only IPC fetches
+        Returns ``(page, retries, was_cache_hit)``.  Only IPC fetches
         are cacheable — their client state is always ``"fresh"`` — and
         only within the cache TTL (simulated seconds on the world
         clock), so simultaneous checks of the same product reuse the
         page instead of re-fetching.
         """
-        cache = self.engine.cache  # get/put are no-ops while disabled
+        cache = self.engine.cache  # while disabled: get finds nothing, put keeps nothing
         key = (job.url, ipc.ipc_id, "fresh")
         cached = cache.get(key, self.clock.now)
         if cached is not None:
@@ -472,8 +479,40 @@ class MeasurementServer:
         fetch, retries = ipc.fetch_with_retry(
             job.url, timeout_slowdown=self.PROXY_SLOWDOWN_TIMEOUT
         )
-        cache.put(key, fetch, self.clock.now)
-        return fetch, retries, False
+        return cache.put(key, fetch, self.clock.now), retries, False
+
+    def _read_ipc_page(
+        self, job: PriceCheckJob, proxy_id: str, page: CachedPage
+    ) -> ResultRow:
+        """Store an IPC page and read its row, each at most once per page.
+
+        The first reader stores the page's diff and names it on the
+        cache entry; a later reader in the same diff store stores an
+        alias of it.  The row is taken from the entry when this job's
+        Tags Path, requested currency and ``now`` match an earlier
+        reader's.  A store that raised leaves no name, so the next
+        reader stores the page itself.
+        """
+        fetch = page.fetch
+        stored_as = page.stored_as
+        if stored_as is not None and stored_as[0] is self.diffstore:
+            self.diffstore.store_alias(job.job_id, proxy_id, fetch.html, stored_as[1])
+        else:
+            self.diffstore.store_response(job.job_id, proxy_id, fetch.html)
+            if stored_as is None:
+                page.stored_as = (self.diffstore, (job.job_id, proxy_id))
+        # the path by its fields: a tuple hashes in C, a dataclass in Python
+        path = job.tags_path
+        key = (path.entries, path.target, job.requested_currency, self.clock.now)
+        row = page.rows.get(key)
+        if row is None:
+            loc = fetch.location
+            row = page.rows[key] = self._row_from_page(
+                job, fetch.html, kind="IPC", proxy_id=proxy_id,
+                location_fields=(loc.country, loc.region, loc.city),
+                ua=(fetch.ua_os, fetch.ua_browser),
+            )
+        return row
 
     def _execute(
         self, job: PriceCheckJob
@@ -546,7 +585,7 @@ class MeasurementServer:
                 slowdown=min(ipc.slowdown, self.PROXY_SLOWDOWN_TIMEOUT),
             )
             try:
-                fetch, retries, cache_hit = self._fetch_page_cached(job, ipc)
+                page, retries, cache_hit = self._fetch_page_cached(job, ipc)
             except ProxyFetchError:
                 self.stats.ipc_failures += 1
                 tasks.append((duration, False))
@@ -557,17 +596,7 @@ class MeasurementServer:
                 duration = CACHE_HIT_SECONDS
             self.stats.ipc_fetches += 1
             self.stats.ipc_retries += retries
-            self.diffstore.store_response(job.job_id, ipc.ipc_id, fetch.html)
-            result.rows.append(
-                self._row_from_page(
-                    job, fetch.html, kind="IPC", proxy_id=ipc.ipc_id,
-                    location_fields=(
-                        fetch.location.country, fetch.location.region,
-                        fetch.location.city,
-                    ),
-                    ua=(fetch.ua_os, fetch.ua_browser),
-                )
-            )
+            result.rows.append(self._read_ipc_page(job, ipc.ipc_id, page))
             tasks.append((duration, True))
             self._fetch_span(tr, duration, "IPC", ipc.ipc_id, ok=True,
                              cache_hit=cache_hit)

@@ -542,6 +542,8 @@ class PriceSheriff:
             self.crypto_group, m=len(reference_domains),
             value_bound=quantization, rng=self.world.rng, n_workers=n_workers,
         )
+        if self.telemetry.registry.enabled:
+            crypto_coordinator.bind_telemetry(self.telemetry)
         self.aggregator.begin_collection(crypto_coordinator, n_workers=n_workers)
         for addon in participants:
             ciphertext = addon.encrypted_profile(

@@ -67,7 +67,11 @@ the agreed bounds (random group elements, a profile outside
 ``[0, Q]``) fails its own distance dlogs and is dropped from the round
 there — from the assignments, from every later aggregate and from the
 mapping — after ``bound // stride + 1`` giant steps per centroid.  It
-costs its sender a cluster, not everyone else the round.
+costs its sender a cluster, not everyone else the round.  A peer only
+*slightly* out of range passes the distance phase and can still push
+its cluster's coordinate sum out of the update phase's bound; that
+cluster keeps its previous centroid for the iteration
+(``KMeansCoordinator.centroids_kept``), and the round goes on.
 """
 
 from __future__ import annotations
@@ -179,8 +183,12 @@ class KMeansCoordinator:
         self._secret, self.public_keys = self.scheme.keygen(rng)
         self._fe = InnerProductFE(group)
         self.centroids: List[List[int]] = []
+        #: centroid updates whose sums did not decrypt within the bound
+        #: (the cluster kept its previous centroid that iteration)
+        self.centroids_kept = 0
         self.pool = WorkerPool(n_workers)
         self._m_phase = None
+        self._m_kept = None
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -194,8 +202,14 @@ class KMeansCoordinator:
         self.close()
 
     def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (phase latencies)."""
+        """Attach the deployment's telemetry plane (phase latencies,
+        kept centroids)."""
         self._m_phase = _phase_histogram(telemetry.registry)
+        self._m_kept = telemetry.registry.counter(
+            "sheriff_crypto_centroids_kept_total",
+            "Centroid updates whose sums did not decrypt within the bound "
+            "(the cluster kept its previous centroid)",
+        )
 
     def _observe_phase(self, phase: str, seconds: float) -> None:
         if self._m_phase is not None:
@@ -247,18 +261,33 @@ class KMeansCoordinator:
     def update_centroid(
         self, cluster_index: int, aggregate: Ciphertext, cardinality: int
     ) -> List[int]:
-        """Decrypt the aggregated sums, average, re-quantize, store."""
+        """Decrypt the aggregated sums, average, re-quantize, store.
+
+        A member slightly outside ``[0, Q]`` passes the distance phase
+        (its bound is ``m·Q²``) but can push a coordinate sum past
+        ``cardinality × Q``, where the sum has no discrete log.  An
+        aggregate cannot name its culprit, so the cluster keeps its
+        previous centroid for this iteration — counted in
+        ``centroids_kept`` — and the round goes on.
+        """
         if cardinality <= 0:
             return self.centroids[cluster_index]  # empty cluster: keep it
         started = time.perf_counter()
         bound = cardinality * self.value_bound
-        sums = self.scheme.decrypt_components(
-            self._secret, aggregate, range(2, self.t), bound
-        )
-        centroid = [int(round(s / cardinality)) for s in sums]
-        self.centroids[cluster_index] = centroid
+        try:
+            sums = self.scheme.decrypt_components(
+                self._secret, aggregate, range(2, self.t), bound
+            )
+        except DiscreteLogError:
+            self.centroids_kept += 1
+            if self._m_kept is not None:
+                self._m_kept.inc()
+        else:
+            self.centroids[cluster_index] = [
+                int(round(s / cardinality)) for s in sums
+            ]
         self._observe_phase("update", time.perf_counter() - started)
-        return centroid
+        return self.centroids[cluster_index]
 
 
 def _is_element(value, p: int) -> bool:

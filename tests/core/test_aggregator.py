@@ -7,7 +7,11 @@ import pytest
 from repro.core.aggregator import Aggregator, NoDoppelgangerAssigned
 from repro.crypto.elgamal import Ciphertext
 from repro.crypto.group import TEST_GROUP
-from repro.crypto.secure_kmeans import KMeansCoordinator, ProfileClient
+from repro.crypto.secure_kmeans import (
+    KMeansCoordinator,
+    ProfileClient,
+    profile_to_plaintext,
+)
 
 
 @pytest.fixture
@@ -137,6 +141,34 @@ class TestHostilePeer:
             sheriff.aggregator.has_doppelganger_for(a.peer_id)
             for a in addons if a is not mallory
         )
+
+
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["inline", "pooled"])
+    def test_slightly_out_of_range_peer_does_not_end_the_round(self, n_workers):
+        """``[11, 10, 10]`` at ``value_bound=10`` passes the distance
+        phase, then its cluster's sums do not decrypt: that cluster keeps
+        its centroid and ``run_clustering`` returns a full mapping."""
+        rng = random.Random(3)
+        coordinator = KMeansCoordinator(
+            TEST_GROUP, m=3, value_bound=10, rng=rng, n_workers=n_workers
+        )
+        aggregator = Aggregator(group=TEST_GROUP, rng=rng)
+        aggregator.begin_collection(coordinator, n_workers=n_workers)
+        points = {**{f"hi-{i}": [10, 10, 10] for i in range(5)},
+                  **{f"mid-{i}": [5, 5, 5] for i in range(5)}}
+        for peer_id, point in points.items():
+            aggregator.submit_encrypted_profile(
+                peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+                    coordinator.scheme, coordinator.public_keys, rng))
+        aggregator.submit_encrypted_profile("mallory", coordinator.scheme.encrypt(
+            coordinator.public_keys, profile_to_plaintext([11, 10, 10]), rng))
+        coordinator.set_centroids([[10, 10, 10], [5, 5, 5]])
+        mapping = aggregator.run_clustering(max_iterations=3)
+        assert set(mapping) == set(points) | {"mallory"}
+        assert {mapping[f"hi-{i}"] for i in range(5)} == {mapping["mallory"]}
+        assert {mapping[f"mid-{i}"] for i in range(5)} == {1 - mapping["mallory"]}
+        assert coordinator.centroids == [[10, 10, 10], [5, 5, 5]]
+        assert coordinator.centroids_kept >= 1
 
 
 class TestDoppelgangerIdService:

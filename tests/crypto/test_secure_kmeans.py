@@ -197,6 +197,66 @@ class TestUndecryptablePeer:
         assert coordinator.centroids == self.CENTROIDS
 
 
+class TestSlightlyOutOfRangePeer:
+    """An honest encryption of ``[11, 10, 10]`` at ``value_bound=10``
+    passes the distance phase (its bound is m·Q²) but pushes its
+    cluster's first coordinate sum to 61 > 6·10, which has no discrete
+    log within the update bound.  That used to raise out of
+    ``iterate_until_stable``; the cluster now keeps its centroid."""
+
+    CENTROIDS = [[10, 10, 10], [5, 5, 5]]
+
+    def _parties(self, n_workers, telemetry=None):
+        rng = random.Random(5)
+        coordinator = KMeansCoordinator(
+            TEST_GROUP, m=3, value_bound=10, rng=rng, n_workers=n_workers
+        )
+        if telemetry is not None:
+            coordinator.bind_telemetry(telemetry)
+        aggregator = KMeansAggregator(
+            TEST_GROUP, coordinator, rng=rng, n_workers=n_workers
+        )
+        for i in range(5):
+            for name, point in ((f"hi-{i}", [10, 10, 10]), (f"mid-{i}", [5, 5, 5])):
+                aggregator.submit(name, ProfileClient(name, point, 10).encrypt_profile(
+                    coordinator.scheme, coordinator.public_keys, rng))
+        aggregator.submit("mallory", coordinator.scheme.encrypt(
+            coordinator.public_keys, profile_to_plaintext([11, 10, 10]), rng))
+        coordinator.set_centroids(self.CENTROIDS)
+        return coordinator, aggregator
+
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["inline", "pooled"])
+    def test_its_cluster_keeps_the_centroid_and_the_round_ends(self, n_workers):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        coordinator, aggregator = self._parties(n_workers, telemetry)
+        converged, seconds = iterate_until_stable(
+            aggregator, halt_threshold=0.0, max_iterations=3
+        )
+        assert converged and len(seconds) == 2  # the mapping never moved
+        assert coordinator.centroids == self.CENTROIDS
+        assert aggregator.assignments == {
+            **{f"hi-{i}": 0 for i in range(5)},
+            **{f"mid-{i}": 1 for i in range(5)},
+            "mallory": 0,
+        }
+        # cluster 0 kept its centroid each iteration; cluster 1 updated
+        assert coordinator.centroids_kept == len(seconds)
+        kept = telemetry.registry.get("sheriff_crypto_centroids_kept_total")
+        assert kept.value() == len(seconds)
+        assert not aggregator.pool.started and not coordinator.pool.started
+
+    def test_the_update_keeps_only_the_cluster_that_does_not_decrypt(self):
+        coordinator, aggregator = self._parties(1)
+        coordinator.set_centroids([[9, 9, 9], [4, 4, 4]])
+        aggregator.assign_all()
+        for cluster, (aggregate, cardinality) in aggregator.aggregate_clusters().items():
+            coordinator.update_centroid(cluster, aggregate, cardinality)
+        assert coordinator.centroids == [[9, 9, 9], [5, 5, 5]]
+        assert coordinator.centroids_kept == 1
+
+
 class TestProtocol:
     def test_clusters_separable_data(self):
         points, anchors = clustered_points()
