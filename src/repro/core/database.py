@@ -15,6 +15,15 @@ and stored procedures.  This module models that server as a *facade*:
   whose acquisition statistics feed the Table-1 performance model,
   query accounting, and the telemetry instruments.
 
+Over a transport (:func:`database_rpc_handler` / :class:`DatabaseClient`)
+the two directions travel differently.  A written batch crosses
+column-wise (:func:`_pack_rows`, write-only).  A read crosses as the
+engine holds it: ``sp_responses_for_job_json`` hands the stored result
+set over as one JSON array, the codec splices it into the reply as
+:class:`~repro.net.protocol.RawJSON`, and the client's ``decode`` is the
+only parse — the server neither decodes nor re-encodes the rows, and
+they arrive with the key order in-process callers see.
+
 Horizontal scale is one level up: :class:`repro.storage.ShardedDatabase`
 routes jobs by domain across N of these servers behind the same
 ``sp_*`` surface.
@@ -29,6 +38,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.errors import ConnectionPoolExhausted, UnknownTable
+from repro.net.protocol import RawJSON
 from repro.storage.backend import TABLES, StorageBackend, make_backend
 
 __all__ = [
@@ -121,33 +131,40 @@ class DatabaseServer:
             if self._m_connections is not None:
                 self._m_connections.set(self._connections_in_use)
 
-    def _note_write_time(self, row: Dict[str, Any]) -> None:
-        stamp = row.get("time")
-        if isinstance(stamp, (int, float)):
-            if self.last_write_time is None or stamp > self.last_write_time:
-                self.last_write_time = float(stamp)
+    def _note_write_times(self, rows: Sequence[Dict[str, Any]]) -> None:
+        """Advance ``last_write_time`` to the newest ``time`` of rows the
+        engine has just stored — never of a write that failed."""
+        stamps = [
+            stamp for stamp in (row.get("time") for row in rows)
+            if isinstance(stamp, (int, float))
+        ]
+        if stamps:
+            newest = float(max(stamps))
+            if self.last_write_time is None or newest > self.last_write_time:
+                self.last_write_time = newest
 
     # -- generic table access -----------------------------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:
         self._count_query()
-        self._note_write_time(row)
-        return self.backend.insert(table, row)
+        row_id = self.backend.insert(table, row)
+        self._note_write_times((row,))
+        return row_id
 
     def insert_many(self, table: str, rows: List[Dict[str, Any]]) -> List[int]:
         """One round trip for a batch of rows (multi-row ``INSERT``).
 
         The pipelined engine lands a whole price check's responses in a
         single query instead of one per vantage point — the connection
-        is held once and ``query_count`` grows by one.
+        is held once and ``query_count`` grows by one.  A batch the
+        engine refuses counts as a query but not as a batched write.
         """
-        self.query_count += 1
+        self._count_query()
+        ids = self.backend.insert_many(table, rows)
         self.batched_writes += 1
-        if self._m_queries is not None:
-            self._m_queries.inc()
+        if self._m_batch_rows is not None:
             self._m_batch_rows.observe(len(rows))
-        for row in rows:
-            self._note_write_time(row)
-        return self.backend.insert_many(table, rows)
+        self._note_write_times(rows)
+        return ids
 
     def scan(
         self, table: str, where: Optional[Callable[[Dict[str, Any]], bool]] = None
@@ -155,14 +172,19 @@ class DatabaseServer:
         self._count_query()
         return self.backend.scan(table, where)
 
-    def lookup(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
-        """Equality lookup through the engine's secondary index."""
+    def _seek(self, read: Callable[[str, str, Any], Any], table: str,
+              column: str, value: Any) -> Any:
+        """One query through an engine read, counting the index hit."""
         self._count_query()
         hits_before = self.backend.index_hits
-        rows = self.backend.lookup(table, column, value)
+        result = read(table, column, value)
         if self.backend.index_hits > hits_before:
             self._count_index_hit()
-        return rows
+        return result
+
+    def lookup(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
+        """Equality lookup through the engine's secondary index."""
+        return self._seek(self.backend.lookup, table, column, value)
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         """Remove rows by ``_id`` (the PII audit's delete path)."""
@@ -213,6 +235,11 @@ class DatabaseServer:
         """Index seek on ``responses.job_id`` (was an O(n) scan)."""
         return self.lookup("responses", "job_id", job_id)
 
+    def sp_responses_for_job_json(self, job_id: str) -> str:
+        """:meth:`sp_responses_for_job` as one JSON array in wire form —
+        the same query, with the rows left as the engine holds them."""
+        return self._seek(self.backend.lookup_json, "responses", "job_id", job_id)
+
     def sp_requests_by_domain(self) -> Counter:
         self._count_query()
         self._count_index_hit()
@@ -248,11 +275,12 @@ DB_RPC_METHODS = (
 
 
 def _pack_rows(rows: Sequence[Dict[str, Any]]) -> Any:
-    """A row batch as it crosses the wire: column-wise — the keys once,
-    then one value list per row — when every row has the same string
-    keys, the plain list otherwise.  ``cols`` is sorted because the codec
-    sorts keys, so :func:`_unpack_rows` rebuilds exactly the dicts the
-    plain list would have decoded to."""
+    """A written row batch as it crosses the wire: column-wise — the keys
+    once, then one value list per row — when every row has the same
+    string keys, the plain list otherwise.  ``cols`` is sorted because
+    the codec sorts keys, so :func:`_unpack_rows` rebuilds exactly the
+    dicts the plain list would have decoded to.  Reads do not pack: they
+    travel as the stored texts (:class:`~repro.net.protocol.RawJSON`)."""
     rows = list(rows)
     if not rows:
         return rows
@@ -287,6 +315,10 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
     connection from its own thread, and the storage engines (like
     the real single-writer MySQL node they model) expect one statement
     at a time.
+
+    ``sp_responses_for_job`` is answered with the stored result set as
+    :class:`~repro.net.protocol.RawJSON`: the codec splices the array
+    into the reply, and the caller's ``decode`` is its only parse.
     """
     serial = threading.Lock()
 
@@ -306,7 +338,7 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
                     kwargs["job_id"], _unpack_rows(kwargs["rows"])
                 )
             if method == "sp_responses_for_job":
-                return _pack_rows(conn.sp_responses_for_job(kwargs["job_id"]))
+                return RawJSON(conn.sp_responses_for_job_json(kwargs["job_id"]))
             if method == "count":
                 return conn.count(kwargs["table"])
             if method == "shard_last_writes":
@@ -373,7 +405,9 @@ class DatabaseClient:
         )
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:
-        return _unpack_rows(self._call("sp_responses_for_job", {"job_id": job_id}))
+        """The rows as the server stored them: each row's keys in stored
+        order, tuples as lists."""
+        return self._call("sp_responses_for_job", {"job_id": job_id})
 
     def count(self, table: str) -> int:
         return self._call("count", {"table": table})

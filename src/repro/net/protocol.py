@@ -11,6 +11,16 @@ guarantee: any payload that survives ``encode`` → ``decode`` is
 normalised identically (tuples become lists, dict keys become strings)
 no matter which transport delivered it.
 
+"Canonical" means compact separators, ASCII escapes and sorted keys, so
+the byte count of an envelope is a function of its decoded value — the
+sender, the frame-size check and any re-encoder agree on it.  One
+envelope part is exempt from the key sort: an ``ok`` result handed over
+as :class:`RawJSON` — text already in the compact ASCII form, such as a
+stored result set — is written into the envelope verbatim, so a server
+never decodes and re-encodes what it only forwards.  Its keys keep the
+order they were stored in; its length is what the sorted re-encoding
+would give.  :func:`decode` is unchanged and parses every byte.
+
 Wire format (socket mode)::
 
     +----------------+----------------------------------+
@@ -44,6 +54,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "RawJSON",
     "Request",
     "Response",
     "decode",
@@ -64,6 +75,12 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+
+#: the canonical text of a JSON-ready value
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: what follows the result of a spliced ``ok`` response
+_RAW_TAIL = f',"type":"response","v":{PROTOCOL_VERSION}}}'
 
 
 class ProtocolError(ValueError):
@@ -108,6 +125,20 @@ class Response:
     error_message: str = field(default="")
 
 
+@dataclass(frozen=True)
+class RawJSON:
+    """An ``ok`` result that is already JSON text.
+
+    ``text`` must be one JSON value in the codec's compact ASCII form
+    (``json.dumps(value, separators=(",", ":"))``); :func:`encode` writes
+    it into the envelope unchecked, and the receiver's :func:`decode`
+    parses it like any other byte.  Anywhere else in an envelope it is
+    not JSON-representable.
+    """
+
+    text: str
+
+
 Envelope = Union[Request, Response]
 
 
@@ -139,34 +170,54 @@ def to_wire(msg: Envelope) -> dict:
     raise ProtocolError(f"not an envelope: {type(msg).__name__}")
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``obj[key]``, which must be exactly a ``kind``: checked, never
+    coerced — ``True`` is no id, ``7.9`` no id, ``"false"`` no ``ok``."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ProtocolError(f"malformed {obj.get('type')} envelope: no {key!r}")
+    if type(value) is not kind:
+        raise ProtocolError(
+            f"malformed {obj.get('type')} envelope: {key!r} is "
+            f"{type(value).__name__}, not {kind.__name__}"
+        )
+    return value
+
+
 def from_wire(obj: Any) -> Envelope:
-    """Parse a decoded JSON object back into a typed envelope."""
+    """Parse a decoded JSON object back into a typed envelope.
+
+    Every envelope field must arrive with its own JSON type: ``id`` an
+    integer, ``ok`` a boolean, names and error texts strings (a failure
+    may leave its error fields out).
+    """
     if not isinstance(obj, dict):
         raise ProtocolError(f"envelope must be an object, got {type(obj).__name__}")
     version = obj.get("v")
     if type(version) is not int or version != PROTOCOL_VERSION:  # True == 1
         raise ProtocolError(f"protocol version {version!r} != {PROTOCOL_VERSION}")
     kind = obj.get("type")
-    try:
-        if kind == "request":
-            return Request(
-                call_id=int(obj["id"]),
-                src=str(obj["src"]),
-                dst=str(obj["dst"]),
-                method=str(obj["method"]),
-                payload=obj.get("payload"),
-            )
-        if kind == "response":
-            ok = bool(obj["ok"])
-            return Response(
-                call_id=int(obj["id"]),
-                ok=ok,
-                result=obj.get("result"),
-                error_kind=None if ok else str(obj.get("error_kind") or "remote"),
-                error_message="" if ok else str(obj.get("error_message") or ""),
-            )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"malformed {kind} envelope: {exc}") from exc
+    if kind == "request":
+        return Request(
+            call_id=_field(obj, "id", int),
+            src=_field(obj, "src", str),
+            dst=_field(obj, "dst", str),
+            method=_field(obj, "method", str),
+            payload=obj.get("payload"),
+        )
+    if kind == "response":
+        call_id = _field(obj, "id", int)
+        if _field(obj, "ok", bool):
+            return Response(call_id, ok=True, result=obj.get("result"))
+        return Response(
+            call_id,
+            ok=False,
+            error_kind=_field(obj, "error_kind", str, "remote") or "remote",
+            error_message=_field(obj, "error_message", str, ""),
+        )
     raise ProtocolError(f"unknown envelope type {kind!r}")
 
 
@@ -175,11 +226,16 @@ def encode(msg: Envelope) -> bytes:
 
     ``sort_keys`` makes the encoding deterministic so byte counts (and
     the frame-size check) agree between the sender and any re-encoder.
+    A :class:`RawJSON` result goes in as it is, between the sorted
+    envelope keys around it.
     """
     try:
-        return json.dumps(
-            to_wire(msg), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        if isinstance(msg, Response) and msg.ok and isinstance(msg.result, RawJSON):
+            text = (f'{{"id":{_canonical(msg.call_id)},"ok":true,'
+                    f'"result":{msg.result.text}{_RAW_TAIL}')
+        else:
+            text = _canonical(to_wire(msg))
+        return text.encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"payload is not JSON-representable: {exc}") from exc
 

@@ -26,15 +26,19 @@ Contract notes:
   engine keeps per-value row lists, the sqlite engine real B-tree
   indexes); backends count ``index_hits``/``index_misses`` so the
   facade can expose the ratio as a metric;
+* ``lookup_json`` is ``lookup`` as one JSON array in wire form (tuples
+  become lists, compact ASCII text, each row's keys in stored order) —
+  what a remote reader receives without the rows being decoded here;
 * rows whose indexed column is missing or ``None`` are reachable by
   ``scan`` but not by ``lookup``/``group_count`` on that column.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import UnknownTable
 
@@ -63,9 +67,21 @@ __all__ = [
     "INDEXED_COLUMNS",
     "StorageBackend",
     "TABLES",
+    "compact_json",
     "indexable_scalar",
+    "join_json_arrays",
     "make_backend",
 ]
+
+#: a value as wire-form JSON text: compact separators, ASCII escapes,
+#: keys in their own order
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def join_json_arrays(arrays: Iterable[str]) -> str:
+    """One JSON array text holding the elements of ``arrays`` in order
+    (each a :func:`compact_json` array text, so an empty one is ``[]``)."""
+    return "[" + ",".join(text[1:-1] for text in arrays if text != "[]") + "]"
 
 
 def indexable_scalar(value: Any) -> bool:
@@ -118,6 +134,12 @@ class StorageBackend:
         """Equality lookup; resolves through the secondary index when
         ``column`` is declared in :data:`INDEXED_COLUMNS`."""
         raise NotImplementedError
+
+    def lookup_json(self, table: str, column: str, value: Any) -> str:
+        """The rows :meth:`lookup` returns, as one JSON array in wire
+        form; an engine that holds rows as text overrides this to skip
+        the decode."""
+        return compact_json(self.lookup(table, column, value))
 
     def group_count(self, table: str, column: str) -> Counter:
         """``GROUP BY column`` row counts (rows without the column are

@@ -16,10 +16,11 @@ horizontally while keeping every caller oblivious:
   procedures (``sp_requests_by_domain``, ``sp_all_responses``, …)
   scatter to every shard and merge.
 
-The router keeps a ``job_id -> shard`` map fed by ``sp_record_request``
-— the request row always lands before the job's responses (that is the
-Measurement server's write order) — so response writes and per-job
-lookups route without a scatter.
+The router keeps a ``job_id -> shard`` map.  A job's first write pins
+it: the request row's domain shard when the request comes first (the
+Measurement server's write order), the job id's own shard when a
+response does.  Every later write and per-job lookup of the job goes to
+the pinned shard without a scatter, whichever call the writes arrive in.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.errors import ConnectionPoolExhausted
+from repro.storage.backend import join_json_arrays
 
 __all__ = ["HashRing", "ShardedDatabase"]
 
@@ -99,7 +101,7 @@ class ShardedDatabase:
         #: mirroring the facade semantics callers already rely on
         self._connections_in_use = 0
         self.peak_connections = 0
-        #: job -> shard routing table (fed by sp_record_request)
+        #: job -> shard routing table (set by the job's first write)
         self._job_shard: Dict[str, str] = {}
         #: cross-shard stored procedures that had to scatter-gather
         self.scatter_queries = 0
@@ -135,18 +137,28 @@ class ShardedDatabase:
         return self.ring.node_for(key)
 
     def shard_for_job(self, job_id: str) -> Optional[str]:
-        """Where a known job's rows live (None before its request row)."""
+        """Where a known job's rows live (None before its first write)."""
         return self._job_shard.get(job_id)
 
+    def _pin(self, job_id: str, key: str) -> str:
+        """The shard the job is pinned to; a job's first write pins it to
+        the shard owning ``key``."""
+        shard_name = self._job_shard.get(job_id)
+        if shard_name is None:
+            shard_name = self._job_shard[job_id] = self.shard_for(key)
+        return shard_name
+
     def _route_row(self, table: str, row: Dict[str, Any]) -> str:
-        """Routing key precedence: domain, then known job, then job id."""
+        """Routing key precedence: the job's pinned shard (pinned by the
+        row's domain, else the job id), then domain, user id, table."""
         domain = row.get("domain")
-        if isinstance(domain, str) and domain:
-            return self.shard_for(domain)
+        if not (isinstance(domain, str) and domain):
+            domain = None
         job_id = row.get("job_id")
         if isinstance(job_id, str) and job_id:
-            known = self._job_shard.get(job_id)
-            return known if known is not None else self.shard_for(job_id)
+            return self._pin(job_id, domain or job_id)
+        if domain:
+            return self.shard_for(domain)
         user_id = row.get("user_id")
         if isinstance(user_id, str) and user_id:
             return self.shard_for(user_id)
@@ -260,20 +272,15 @@ class ShardedDatabase:
     def sp_record_request(
         self, job_id: str, user_id: str, url: str, domain: str, time: float
     ) -> int:
-        shard_name = self.shard_for(domain)
-        self._job_shard[job_id] = shard_name
+        shard_name = self._pin(job_id, domain)
         row_id = self.shards[shard_name].sp_record_request(
             job_id, user_id, url, domain, time
         )
         self._sync_occupancy(shard_name, "requests")
         return row_id
 
-    def _shard_for_job_write(self, job_id: str) -> str:
-        known = self._job_shard.get(job_id)
-        return known if known is not None else self.shard_for(job_id)
-
     def sp_record_response(self, job_id: str, **fields: Any) -> int:
-        shard_name = self._shard_for_job_write(job_id)
+        shard_name = self._pin(job_id, job_id)
         row_id = self.shards[shard_name].sp_record_response(job_id, **fields)
         self._sync_occupancy(shard_name, "responses")
         return row_id
@@ -281,7 +288,7 @@ class ShardedDatabase:
     def sp_record_responses(
         self, job_id: str, rows: List[Dict[str, Any]]
     ) -> List[int]:
-        shard_name = self._shard_for_job_write(job_id)
+        shard_name = self._pin(job_id, job_id)
         ids = self.shards[shard_name].sp_record_responses(job_id, rows)
         self._sync_occupancy(shard_name, "responses")
         return ids
@@ -296,6 +303,18 @@ class ShardedDatabase:
         for name in self.shard_names:
             rows.extend(self.shards[name].sp_responses_for_job(job_id))
         return rows
+
+    def sp_responses_for_job_json(self, job_id: str) -> str:
+        """:meth:`sp_responses_for_job` as one JSON array in wire form; a
+        scatter joins the shards' arrays in shard order."""
+        known = self._job_shard.get(job_id)
+        if known is not None:
+            return self.shards[known].sp_responses_for_job_json(job_id)
+        self.scatter_queries += 1
+        return join_json_arrays(
+            self.shards[name].sp_responses_for_job_json(job_id)
+            for name in self.shard_names
+        )
 
     def sp_requests_by_domain(self) -> Counter:
         self.scatter_queries += 1

@@ -18,13 +18,19 @@ so nothing to install).  Each logical table is a real SQL table with
   ``tests/storage/test_backend_equivalence.py``).
 
 The engine works on result sets, not rows.  A read is one ``SELECT``
-whose ``data`` texts are joined into one JSON array and decoded by one
-``json.loads``; the Python walk that restores tagged tuples runs only
-when the tag occurs in that text (a price check's response rows never
-carry it).  A write prepares every row of the batch first — copy,
-``_id``, index values, JSON text — and lands them with one
-``executemany`` and one ``commit``, so a batch is stored whole or not at
-all and a failed batch consumes no ids.
+whose ``data`` texts are joined into one JSON array.  ``lookup`` decodes
+that array with one ``json.loads``; the Python walk that restores tagged
+tuples runs only when the tag occurs in the text (a price check's
+response rows never carry it).  ``lookup_json`` — the read a remote
+reader's reply is spliced from — returns the joined array as it is,
+since a stored text already is the wire form of its row; only a text
+that mentions the tag is decoded, restored and re-encoded, so its
+tuples leave as lists.
+
+A write prepares every row of the batch first — copy, ``_id``, index
+values, JSON text — and lands them with one ``executemany`` and one
+``commit``, so a batch is stored whole or not at all and a failed batch
+consumes no ids.
 
 File-backed databases run in WAL journal mode (readers never block the
 writer — the deployment story of App. 10.2.1); the default is a private
@@ -43,6 +49,7 @@ from repro.storage.backend import (
     INDEXED_COLUMNS,
     TABLES,
     StorageBackend,
+    compact_json,
     indexable_scalar,
 )
 
@@ -57,10 +64,6 @@ _SCAN_CHUNK = 512
 
 #: the value types the tuple tagging has to look inside
 _CONTAINERS = (tuple, list, dict)
-
-#: the stored text of a row; compact separators, as every existing
-#: database file has them
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _jsonable(value: Any) -> Any:
@@ -84,10 +87,14 @@ def _from_jsonable(value: Any) -> Any:
     return value
 
 
-def _decode(texts: Iterable[str]) -> List[Dict[str, Any]]:
-    """The rows of a result set's ``data`` texts: one JSON pass, and the
-    tuple-restoring walk only if some text mentions the tag at all."""
-    text = "[" + ",".join(texts) + "]"
+def _array(texts: Iterable[str]) -> str:
+    """A result set's ``data`` texts as one JSON array text."""
+    return "[" + ",".join(texts) + "]"
+
+
+def _decode(text: str) -> List[Dict[str, Any]]:
+    """The rows of an :func:`_array` text: one JSON pass, and the
+    tuple-restoring walk only if some row mentions the tag at all."""
     rows = json.loads(text)
     if _TUPLE_TAG in text:
         return _from_jsonable(rows)
@@ -168,7 +175,7 @@ class SqliteBackend(StorageBackend):
                 if isinstance(value, _CONTAINERS):
                     row = _jsonable(row)
                     break
-            params.append((row_id, *indexed, _encode(row)))
+            params.append((row_id, *indexed, compact_json(row)))
         return params
 
     def _store(self, table: str, params: List[Tuple[Any, ...]]) -> None:
@@ -212,23 +219,36 @@ class SqliteBackend(StorageBackend):
             chunk = cursor.fetchmany(_SCAN_CHUNK)
             if not chunk:
                 return rows
-            decoded = _decode(chain.from_iterable(chunk))
+            decoded = _decode(_array(chain.from_iterable(chunk)))
             rows.extend(decoded if where is None else filter(where, decoded))
+
+    def _seek(self, table: str, column: str, value: Any) -> str:
+        """The stored rows whose indexed ``column`` equals ``value``, as
+        one array text: one ``SELECT`` through the column's index."""
+        self._check_table(table)
+        self.index_hits += 1
+        if value is None or not indexable_scalar(value):
+            return "[]"
+        if isinstance(value, bool):
+            value = int(value)
+        return _array(chain.from_iterable(self._conn.execute(
+            f"SELECT data FROM {table} WHERE {column} = ? ORDER BY _id",
+            (value,),
+        )))
 
     def lookup(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
         if column not in INDEXED_COLUMNS.get(table, ()):
             self.index_misses += 1
             return self.scan(table, lambda r: r.get(column) == value)
-        self._check_table(table)
-        self.index_hits += 1
-        if value is None or not indexable_scalar(value):
-            return []
-        if isinstance(value, bool):
-            value = int(value)
-        return _decode(chain.from_iterable(self._conn.execute(
-            f"SELECT data FROM {table} WHERE {column} = ? ORDER BY _id",
-            (value,),
-        )))
+        return _decode(self._seek(table, column, value))
+
+    def lookup_json(self, table: str, column: str, value: Any) -> str:
+        if column not in INDEXED_COLUMNS.get(table, ()):
+            return super().lookup_json(table, column, value)
+        text = self._seek(table, column, value)
+        if _TUPLE_TAG in text:
+            return compact_json(_decode(text))
+        return text
 
     def group_count(self, table: str, column: str) -> Counter:
         if column not in INDEXED_COLUMNS.get(table, ()):

@@ -69,6 +69,50 @@ class TestStoredProcedures:
         assert counts["u1"] == 2 and counts["u2"] == 1
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestFailedWrites:
+    """A write the engine refuses leaves ``last_write_time`` and
+    ``batched_writes`` where they were — otherwise the staleness probe
+    sees a shard whose every write fails as fresh."""
+
+    def test_unknown_table(self, backend):
+        db = DatabaseServer(backend=backend)
+        db.insert("requests", {"time": 10.0})
+        with pytest.raises(KeyError):
+            db.insert_many("nosuch", [{"time": 50.0}])
+        with pytest.raises(KeyError):
+            db.insert("nosuch", {"time": 60.0})
+        assert db.last_write_time == 10.0
+        assert db.batched_writes == 0
+        assert db.query_count == 3  # a refused write is still a round trip
+
+    def test_one_max_per_stored_batch(self, backend):
+        db = DatabaseServer(backend=backend)
+        db.insert_many("responses", [{"time": 3.0}, {"time": 7}, {"time": "x"}, {}])
+        assert db.last_write_time == 7.0
+        assert db.batched_writes == 1
+        db.insert_many("responses", [{"time": 5.0}])
+        assert db.last_write_time == 7.0
+
+    def test_sharded_staleness_view(self, backend):
+        from repro.storage import ShardedDatabase
+
+        db = ShardedDatabase(n_shards=2, backend=backend)
+        with pytest.raises(KeyError):
+            db.insert_many("nosuch", [{"domain": "a.example", "time": 50.0}])
+        assert db.shard_last_writes() == {"shard-00": None, "shard-01": None}
+        assert db.batched_writes == 0
+
+
+def test_sqlite_batch_with_an_unencodable_value_moves_nothing():
+    db = DatabaseServer(backend="sqlite")
+    with pytest.raises(TypeError):
+        db.insert_many("responses", [{"time": 70.0}, {"time": 71.0, "bad": object()}])
+    assert db.count("responses") == 0
+    assert db.last_write_time is None
+    assert db.batched_writes == 0
+
+
 class TestConnectionPool:
     def test_acquire_release(self):
         db = DatabaseServer(max_connections=1)
@@ -102,9 +146,10 @@ class TestConnectionPool:
 
 
 class TestRowBatchOnTheWire:
-    """``sp_record_responses`` / ``sp_responses_for_job`` ship a batch
-    column-wise; what arrives must be what the plain list would have
-    decoded to — values, key order and all."""
+    """``sp_record_responses`` ships its batch column-wise; what arrives
+    must be what the plain list would have decoded to — values, key
+    order and all.  (Reads cross as the stored text:
+    ``tests/core/test_result_set_wire.py``.)"""
 
     @staticmethod
     def through_codec(payload):

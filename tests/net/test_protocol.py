@@ -125,6 +125,61 @@ class TestCodec:
             from_wire(wire)
 
 
+class TestEnvelopeFieldTypes:
+    """Envelope fields are checked, never coerced: a coerced ``ok`` reads
+    a failure as a success and drops its error."""
+
+    FAILURE = {"v": 1, "type": "response", "id": 7, "ok": False,
+               "error_kind": "remote", "error_message": "boom"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("id", "7"), ("id", 7.9), ("id", True), ("id", None),
+            ("src", [1]), ("src", 3), ("dst", None), ("method", {"m": 1}),
+        ],
+    )
+    def test_request_field_of_the_wrong_type(self, field, value):
+        wire = to_wire(make_request())
+        wire[field] = value
+        with pytest.raises(ProtocolError):
+            from_wire(wire)
+        with pytest.raises(ProtocolError):
+            decode(json.dumps(wire))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ok", "false"), ("ok", 0), ("ok", None), ("id", "7"), ("id", 7.9),
+            ("id", False), ("error_kind", 5), ("error_kind", None),
+            ("error_message", ["boom"]), ("error_message", None),
+        ],
+    )
+    def test_response_field_of_the_wrong_type(self, field, value):
+        wire = dict(self.FAILURE, **{field: value})
+        with pytest.raises(ProtocolError):
+            from_wire(wire)
+
+    @pytest.mark.parametrize("field", ["id", "ok", "src"])
+    def test_missing_field(self, field):
+        wire = to_wire(make_request()) if field == "src" else dict(self.FAILURE)
+        del wire[field]
+        with pytest.raises(ProtocolError):
+            from_wire(wire)
+
+    def test_a_failure_may_leave_its_error_fields_out(self):
+        wire = {"v": 1, "type": "response", "id": 7, "ok": False}
+        assert from_wire(wire) == Response(7, ok=False, error_kind="remote")
+
+    def test_a_string_ok_is_not_read_as_success(self):
+        body = json.dumps(dict(self.FAILURE, id="7", ok="false")).encode()
+        with pytest.raises(ProtocolError):
+            decode(body)
+        assert decode(json.dumps(self.FAILURE)) == Response(
+            7, ok=False, error_kind="remote", error_message="boom"
+        )
+
+
 class TestFraming:
     def test_pack_split_round_trip(self):
         req = make_request()

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.net.protocol import PROTOCOL_VERSION, Request, Response, pack_frame
+from repro.net.protocol import PROTOCOL_VERSION, Request, Response, pack_frame, read_frame
 from repro.net.sim import NetworkError
 from repro.net.socket_transport import MAX_CONNECTIONS, SocketTransport
 
@@ -142,9 +142,15 @@ class TestCondemnedFrames:
             envelope().replace(b'"id": 1', b'"id": 1e999'),
             envelope().replace(b'"id": 1', b'"id": ' + b"9" * 5000),
             envelope(method=None, src=None).replace(b'"id": 1', b'"id": null'),
+            envelope(id="1"),
+            envelope(id=1.9),
+            envelope(id=True),
+            envelope(src=[1]),
+            envelope(method=5),
         ],
         ids=["wrong-version", "bool-version", "response", "not-json", "deep-nesting",
-             "infinite-id", "huge-id", "null-id"],
+             "infinite-id", "huge-id", "null-id", "string-id", "float-id", "bool-id",
+             "list-src", "int-method"],
     )
     def test_malformed_frame(self, endpoint, body):
         with dial(endpoint) as sock:
@@ -245,14 +251,41 @@ class TestHostileServer:
              "request", "wrong-call-id"],
     )
     def test_unusable_reply_is_a_network_error(self, endpoint, reply):
+        self.call_evil_server(endpoint, lambda request: reply)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{{"v":1,"type":"response","id":"{id}","ok":"false",'
+            '"error_kind":"remote","error_message":"boom"}}',
+            '{{"v":1,"type":"response","id":{id}.9,"ok":true,"result":1}}',
+            '{{"v":1,"type":"response","id":{id},"ok":1,"result":1}}',
+            '{{"v":1,"type":"response","id":{id},"ok":false,"error_kind":["remote"]}}',
+        ],
+        ids=["string-ok-and-id", "float-id", "int-ok", "list-error-kind"],
+    )
+    def test_reply_that_only_coerces_to_the_call_is_a_network_error(
+        self, endpoint, template
+    ):
+        """The caller's own id, in a type a lenient decoder would coerce:
+        ``"ok": "false"`` would read a failure as a success."""
+        def reply_for(request):
+            return frame(template.format(id=request.call_id).encode())
+
+        self.call_evil_server(endpoint, reply_for)
+
+    @staticmethod
+    def call_evil_server(endpoint, reply_for):
+        """``endpoint`` calls a server that answers its request with
+        ``reply_for(request)``; the call must raise ``NetworkError``."""
         listener = socket.create_server(("127.0.0.1", 0))
 
         def answer_once():
             conn, _ = listener.accept()
             with conn:
                 conn.settimeout(5.0)
-                conn.recv(65536)
-                conn.sendall(reply)
+                request, _ = read_frame(conn, MAX_FRAME, 5.0)
+                conn.sendall(reply_for(request))
 
         evil = threading.Thread(target=answer_once)
         evil.start()

@@ -1,5 +1,7 @@
 """The consistent-hash shard router behind the Database surface."""
 
+import json
+
 import pytest
 
 from repro.core.errors import ConnectionPoolExhausted
@@ -151,6 +153,35 @@ class TestShardedDatabase:
     def test_needs_at_least_one_shard(self):
         with pytest.raises(ValueError):
             ShardedDatabase(n_shards=0)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_jobs_first_write_pins_its_shard(self, backend):
+        """Responses written before the request row stay readable once
+        the request row lands, whatever shard its domain hashes to."""
+        db = ShardedDatabase(n_shards=4, backend=backend)
+        job_shard = db.shard_for("job-x")
+        domain = next(
+            f"shop-{i}.example" for i in range(100)
+            if db.shard_for(f"shop-{i}.example") != job_shard
+        )
+        db.sp_record_responses("job-x", [{"proxy_id": "ipc-0"}])
+        assert len(db.sp_responses_for_job("job-x")) == 1
+        db.sp_record_request("job-x", "user-1", f"http://{domain}/p", domain, 1.0)
+        db.sp_record_response("job-x", proxy_id="ipc-1")
+        db.insert("responses", {"job_id": "job-x", "proxy_id": "ipc-2"})
+        assert db.shard_for_job("job-x") == job_shard
+        rows = db.sp_responses_for_job("job-x")
+        assert [r["proxy_id"] for r in rows] == ["ipc-0", "ipc-1", "ipc-2"]
+        assert len(json.loads(db.sp_responses_for_job_json("job-x"))) == 3
+        assert db.shard_row_counts("requests")[job_shard] == 1
+        assert db.shard_row_counts("responses")[job_shard] == 3
+
+    def test_request_first_still_routes_by_domain(self):
+        db = ShardedDatabase(n_shards=4)
+        db.sp_record_request("job-y", "u", "http://a.example/p", "a.example", 0.0)
+        db.sp_record_responses("job-y", [{"n": 1}])
+        assert db.shard_for_job("job-y") == db.shard_for("a.example")
+        assert db.shard_row_counts()[db.shard_for("a.example")] == 1
 
     def test_sharded_on_sqlite(self):
         db = ShardedDatabase(n_shards=2, backend="sqlite")
