@@ -1,221 +1,87 @@
 """Command-line interface: ``python -m repro …``.
 
-Gives the library a tool-shaped front door:
-
-* ``demo``        — the quickstart price check on a small world;
-* ``reproduce``   — regenerate one (or all) tables/figures;
-* ``perf``        — print Table 1 from the performance model;
-* ``geoblock``    — scan a demo URL for geoblocking;
-* ``panels``      — render the Fig. 7 / Fig. 16 monitoring panels;
-* ``chaos``       — run a deployment under a named fault-injection
-  profile and report resolution/recovery counters (add
-  ``--supervised`` to run it under the self-healing layer);
-* ``supervise``   — run a supervised deployment under chaos and report
-  the healing verdict: the ops panel, the heal report, and the audit
-  trail; exits non-zero if the deployment did not converge;
-* ``mesh``        — launch a real-process deployment: N measurement
-  worker processes behind the socket transport, handshake + heartbeat
-  + a farmed workload + graceful drain;
-* ``metrics``     — run a telemetry-on deployment and emit its
-  Prometheus-style metrics exposition;
-* ``trace``       — same run, render one price check's span timeline
-  on the simulated clock (and optionally export span JSONL);
-* ``journey``     — run the seeded forced-steal drill and reconstruct
-  one job's end-to-end causal tree (admission → queue → steal → fetch
-  → persist) with critical-path analysis and its flight-recorder log;
-* ``slo``         — same drill under armed SLO burn-rate probes;
-  reports objective compliance and any pages (add ``--latency-fault``
-  to watch the latency budget burn);
-* ``panel``       — the live operator view: pipeline health plus the
-  Fig. 7 / Fig. 16 panels, all from a metrics snapshot.
-
-Everything except ``mesh`` runs against the simulated world; the CLI
-exists so the reproduction can be driven without writing Python.
+Every verb is one row of :data:`VERBS` — its name, help, flags and
+runner — and the parser, the dispatch and ``--help`` all read that
+table.  A flag that sets a config field names the field: its type,
+choices and range come from the field's declaration
+(:func:`repro.core.config.knob`) and are checked while the command line
+is parsed, so a bad value is a usage error (exit 2) before anything
+runs.  Everything except ``mesh`` runs against the simulated world; the
+CLI exists so the reproduction can be driven without writing Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import random
 import sys
-from typing import Optional, Sequence
+import typing
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-EXPERIMENT_CHOICES = (
-    "table1", "table2", "table3", "table4", "table5",
-    "fig2", "fig5", "fig8a", "fig8b", "fig8c", "fig9", "fig10", "fig11",
-    "fig12", "fig13", "fig14-15", "sec75", "sec76", "all",
-)
+from repro.clients.ipc import DEFAULT_IPC_SITES
+from repro.core.config import SheriffConfig, _check
+from repro.core.errors import InvalidConfig
+from repro.experiments import EXPERIMENTS, registry
+from repro.mesh.launch import WorkerSpec
+from repro.workloads.deployment import DeploymentConfig
+from repro.workloads.journey import JourneyConfig
 
-
-def _positive_int(text: str) -> int:
-    """argparse ``type=`` for a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+#: one flag: ``add_argument``'s positional names and keywords
+Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Price $heriff — SIGCOMM'17 reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _checked(hint: Any, bounds: Dict[str, Any]) -> Callable[[str], Any]:
+    """argparse ``type=`` for a value of annotation ``hint`` within
+    ``bounds``: the test :meth:`Config.validate` applies to a field.  A
+    choice that may be None reads ``none`` as None (``--chaos none`` is
+    the clean network)."""
+    base = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    none_is_a_choice = base is not hint and "choices" in bounds
 
-    demo = sub.add_parser("demo", help="run a demo price check")
-    demo.add_argument("--country", default="ES",
-                      help="initiator country (ISO code)")
-    demo.add_argument("--currency", default="EUR",
-                      help="currency the result page converts into")
-    demo.add_argument("--chaos", default=None, metavar="PROFILE",
-                      help="run the check under a named chaos profile")
-    demo.add_argument("--chaos-seed", type=int, default=0)
+    def parse(text: str) -> Any:
+        value = None if none_is_a_choice and text == "none" else base(text)
+        try:
+            return _check("", value, hint, bounds)
+        except InvalidConfig as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
-    reproduce = sub.add_parser("reproduce",
-                               help="regenerate a table/figure (or all)")
-    reproduce.add_argument("experiment", choices=EXPERIMENT_CHOICES)
-    reproduce.add_argument("--scale", default="test",
-                           choices=("test", "default", "paper"))
-    reproduce.add_argument("--out", default=None,
-                           help="also write a markdown report to this path")
-
-    sub.add_parser("perf", help="print Table 1 from the queueing model")
-
-    sub.add_parser("geoblock", help="demo geoblocking scan")
-
-    sub.add_parser("panels", help="render the admin monitoring panels")
-
-    watch = sub.add_parser("watch", help="demo watchdog monitoring run")
-    watch.add_argument("--days", type=int, default=12,
-                       help="how many daily cycles to simulate")
-
-    from repro.net.faults import CHAOS_PROFILES
-
-    def add_deployment_args(p, chaos_flag="--chaos", **chaos_kwargs):
-        """The flags every verb that runs a LiveDeployment shares.  Each
-        ``dest`` is the DeploymentConfig field it sets and each default
-        is None — "not typed" — so `_deployment_config` can tell a flag
-        from its absence."""
-        p.add_argument(chaos_flag, dest="chaos_profile", default=None,
-                       help="named fault-injection profile "
-                            "('none' = clean network)", **chaos_kwargs)
-        p.add_argument("--seed", dest="chaos_seed", type=int, default=None,
-                       help="seed of the fault plan's RNG")
-        p.add_argument("--requests", dest="n_requests", type=int,
-                       default=None, help="price checks to attempt")
-        p.add_argument("--users", dest="n_users", type=int, default=None,
-                       help="size of the simulated population")
-
-    chaos = sub.add_parser(
-        "chaos", help="deployment run under fault injection"
-    )
-    add_deployment_args(chaos, "--profile", choices=sorted(CHAOS_PROFILES))
-    chaos.add_argument("--quorum", type=int, default=None,
-                       help="minimum vantage points per accepted result")
-    chaos.add_argument("--supervised", action="store_true", default=None,
-                       help="run under the self-healing operations layer")
-
-    supervise = sub.add_parser(
-        "supervise",
-        help="supervised chaos run: heal, audit, and report the verdict",
-    )
-    add_deployment_args(supervise, choices=sorted(CHAOS_PROFILES))
-    supervise.add_argument("--audit-out", dest="audit_path", default=None,
-                           metavar="JSONL",
-                           help="persist the ops audit trail to this file")
-    supervise.add_argument("--config", default=None, metavar="JSON",
-                           help="load the DeploymentConfig from this JSON "
-                                "file (flags typed on the command line "
-                                "override it)")
-
-    mesh = sub.add_parser(
-        "mesh",
-        help="launch a real-process deployment: worker processes behind "
-             "the socket transport",
-    )
-    mesh.add_argument("--servers", type=_positive_int, default=2, metavar="N",
-                      help="worker processes to launch")
-    mesh.add_argument("--checks", type=int, default=8,
-                      help="price checks to farm across the fleet")
-    mesh.add_argument("--concurrency", type=int, default=None,
-                      help="concurrent in-flight calls (default: 4/worker)")
-    mesh.add_argument("--seed", type=int, default=2017)
-    mesh.add_argument("--stores", type=_positive_int, default=2,
-                      help="stores per worker's world")
-    mesh.add_argument("--ipcs", type=int, default=6,
-                      help="IPC fleet size per worker (max 30)")
-    mesh.add_argument("--users", type=_positive_int, default=4,
-                      help="browser addons per worker")
-    mesh.add_argument("--out", default=None, metavar="JSON",
-                      help="also write the mesh report as JSON")
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run a telemetry-on deployment, emit Prometheus exposition",
-    )
-    add_deployment_args(metrics, metavar="PROFILE")
-    metrics.add_argument("--out", default=None,
-                         help="write the exposition here instead of stdout")
-
-    trace = sub.add_parser(
-        "trace", help="render one price check's span timeline"
-    )
-    add_deployment_args(trace, metavar="PROFILE")
-    trace.add_argument("--job", type=int, default=-1, metavar="N",
-                       help="which traced job to render (index into the "
-                            "run's trace list; default: the last one)")
-    trace.add_argument("--out", default=None, metavar="JSONL",
-                       help="also export every span as JSON lines")
-
-    journey = sub.add_parser(
-        "journey",
-        help="reconstruct one job's end-to-end causal tree from the "
-             "seeded forced-steal drill",
-    )
-    journey.add_argument("job", nargs="?", default=None,
-                         help="job id to reconstruct (default: the first "
-                              "stolen job of the drill)")
-    journey.add_argument("--list", action="store_true",
-                         help="list the drill's job ids (stolen ones "
-                              "marked) and exit")
-    journey.add_argument("--seed", type=int, default=71,
-                         help="seed of the drill's world")
-    journey.add_argument("--latency-fault", action="store_true",
-                         help="run the drill under the injected latency "
-                              "fault (slow vantage points)")
-    journey.add_argument("--out", default=None, metavar="JSON",
-                         help="also export the journey record (spans, "
-                              "flight events, ticket) as JSON")
-
-    slo = sub.add_parser(
-        "slo",
-        help="run the drill under armed SLO burn-rate probes and report "
-             "objective compliance",
-    )
-    slo.add_argument("--seed", type=int, default=71,
-                     help="seed of the drill's world")
-    slo.add_argument("--latency-fault", action="store_true",
-                     help="inject the latency fault the burn-rate probe "
-                          "pages on")
-    slo.add_argument("--max-burn-rate", type=float, default=1.0,
-                     metavar="X",
-                     help="alerting multiple of the error-budget burn")
-    slo.add_argument("--out", default=None, metavar="JSON",
-                     help="write the SLO report as JSON")
-    slo.add_argument("--require-met", action="store_true",
-                     help="exit 1 unless every objective is met and no "
-                          "burn-rate alert fired")
-
-    panel = sub.add_parser(
-        "panel", help="live operator panels from a metrics snapshot"
-    )
-    add_deployment_args(panel, metavar="PROFILE")
-
-    return parser
+    parse.__name__ = base.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
-def _demo_world(chaos_profile=None, chaos_seed=0):
+def _flag(*names: str, **kwargs: Any) -> Flag:
+    """A flag that sets no config field: argparse keywords as written."""
+    return names, kwargs
+
+
+def _field(name: str, config: type, field: str, **kwargs: Any) -> Flag:
+    """A flag that sets ``config.<field>``.  Type, choices and range come
+    from the field's declaration; left off the command line it sets
+    nothing, so the verb default or a ``--config`` file holds."""
+    hint, bounds = {n: (h, b) for n, h, b in config._knobs()}[field]
+    if hint is bool:
+        kwargs["action"] = "store_true"
+    else:
+        kwargs["type"] = _checked(hint, bounds)
+        if "choices" in bounds:
+            kwargs.setdefault(
+                "metavar", "{" + ",".join(map(str, bounds["choices"])) + "}"
+            )
+    return (name,), dict(dest=field, default=argparse.SUPPRESS, **kwargs)
+
+
+def _typed(args: argparse.Namespace, config):
+    """``config`` with every field a flag on the command line set."""
+    return dataclasses.replace(config, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config)
+        if hasattr(args, f.name)
+    })
+
+
+def _demo_world(args: argparse.Namespace):
     from repro.core.sheriff import PriceSheriff, SheriffWorld
     from repro.web.catalog import make_catalog
     from repro.web.pricing import CountryMultiplierPricing
@@ -230,19 +96,17 @@ def _demo_world(chaos_profile=None, chaos_seed=0):
         geodb=world.geodb, rates=world.rates, currency_strategy="geo",
     )
     world.internet.register(store)
-    sheriff = PriceSheriff(world, n_measurement_servers=1,
-                           chaos_profile=chaos_profile,
-                           chaos_seed=chaos_seed)
+    sheriff = PriceSheriff(
+        world, _typed(args, SheriffConfig(n_measurement_servers=1))
+    )
     return world, sheriff, store
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.addon import PriceCheckFailed
+    from repro.core.admin import AdminConsole
 
-    world, sheriff, store = _demo_world(
-        chaos_profile=getattr(args, "chaos", None),
-        chaos_seed=getattr(args, "chaos_seed", 0),
-    )
+    world, sheriff, store = _demo_world(args)
     addon = sheriff.install_addon(world.make_browser(args.country))
     for _ in range(2):  # a couple of same-country peers
         sheriff.install_addon(world.make_browser(args.country))
@@ -255,52 +119,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"price check failed under chaos: {exc}")
         return 1
     print(result.render_result_page())
-    if getattr(args, "chaos", None):
-        from repro.core.admin import AdminConsole
-
+    if sheriff.faults is not None:
         print()
         print(AdminConsole(sheriff).faults_panel())
     return 0
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fig2_result_page, fig5_adoption, fig8_clustering, fig9_live_domains,
-        fig10_ratio, fig11_crawl, fig12_country_cases, fig13_peer_bias,
-        fig14_15_temporal, sec75_ab_stats, sec76_alexa400,
-        table1_performance, table2_countries, table3_extremes,
-        table4_country_rank, table5_percentages,
-    )
-
-    runners = {
-        "table1": lambda s: table1_performance.run(s),
-        "table2": lambda s: table2_countries.run(s),
-        "table3": lambda s: table3_extremes.run(s),
-        "table4": lambda s: table4_country_rank.run(s),
-        "table5": lambda s: table5_percentages.run(s),
-        "fig2": lambda s: fig2_result_page.run(s),
-        "fig5": lambda s: fig5_adoption.run(s),
-        "fig8a": lambda s: fig8_clustering.run_fig8a(s),
-        "fig8b": lambda s: fig8_clustering.run_fig8b(s),
-        "fig8c": lambda s: fig8_clustering.run_fig8c(s),
-        "fig9": lambda s: fig9_live_domains.run(s),
-        "fig10": lambda s: fig10_ratio.run(s),
-        "fig11": lambda s: fig11_crawl.run(s),
-        "fig12": lambda s: fig12_country_cases.run(s),
-        "fig13": lambda s: fig13_peer_bias.run(s),
-        "fig14-15": lambda s: fig14_15_temporal.run(s),
-        "sec75": lambda s: sec75_ab_stats.run(s),
-        "sec76": lambda s: sec76_alexa400.run(s),
-    }
-    selected = (
-        list(runners.items())
-        if args.experiment == "all"
-        else [(args.experiment, runners[args.experiment])]
-    )
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     sections = []
-    for name, runner in selected:
-        rendered = runner(args.scale).render()
-        if len(selected) > 1:
+    for name in names:
+        rendered = EXPERIMENTS[name](args.scale).render()
+        if len(names) > 1:
             print(f"\n=== {name} ===")
         print(rendered)
         sections.append((name, rendered))
@@ -309,13 +139,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
         path = write_markdown_report(sections, args.out, scale=args.scale)
         print(f"\nreport written to {path}")
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.experiments import table1_performance
-
-    print(table1_performance.run("test").render())
     return 0
 
 
@@ -344,19 +167,6 @@ def _cmd_geoblock(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_panels(args: argparse.Namespace) -> int:
-    from repro.core.admin import AdminConsole
-
-    world, sheriff, _ = _demo_world()
-    sheriff.install_addon(world.make_browser("ES", "Madrid"))
-    sheriff.install_addon(world.make_browser("FR", "Paris"))
-    console = AdminConsole(sheriff)
-    print(console.servers_panel())
-    print()
-    print(console.peers_panel())
-    return 0
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.core.watchdog import Watchdog
     from repro.web.pricing import CountryMultiplierPricing, PricingPolicy
@@ -369,7 +179,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 ).adjustments(product, ctx)
             return []
 
-    world, sheriff, store = _demo_world()
+    world, sheriff, store = _demo_world(args)
     store.pricing = TurnsBadOnDay8()
     monitor = sheriff.install_addon(world.make_browser("ES", "Madrid"))
     watchdog = Watchdog(monitor, world.geodb)
@@ -384,64 +194,37 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config_json(path: str, parse):
-    """Load a run config from a JSON file through a validating parser.
-
-    Returns None (after printing the reason) when the file is missing,
-    malformed JSON, or fails the parser's validation.
-    """
-    import json
-
-    from repro.core.errors import InvalidConfig
-
+def _deployment_config(
+    args: argparse.Namespace, **verb_defaults: Any
+) -> Optional[DeploymentConfig]:
+    """The DeploymentConfig a verb runs: typed flag > ``--config`` file >
+    verb default (over ``DeploymentConfig.test_scale()``).  None, after
+    the reason is printed, when the file cannot be read or is invalid."""
+    path = getattr(args, "config", None)
+    if path is None:
+        return _typed(args, dataclasses.replace(
+            DeploymentConfig.test_scale(), **verb_defaults
+        ))
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            config = DeploymentConfig.from_dict(json.load(fh))
     except OSError as exc:
         print(f"FAIL: cannot read config {path}: {exc}")
         return None
     except json.JSONDecodeError as exc:
         print(f"FAIL: config {path} is not valid JSON: {exc}")
         return None
-    try:
-        return parse(data)
     except InvalidConfig as exc:
         print(f"FAIL: invalid config {path}: {exc}")
         return None
+    return _typed(args, config)
 
 
-def _deployment_config(args: argparse.Namespace, **verb_defaults):
-    """The DeploymentConfig a verb runs: typed flag > ``--config`` file >
-    verb default (over ``DeploymentConfig.test_scale()``).
-
-    A flag's ``dest`` is the config field it sets, so whatever the
-    namespace holds under a field's name — and is not None, i.e. was
-    typed — is applied.  Returns None after printing the reason when
-    the file or the resulting config is invalid.
-    """
-    from repro.core.errors import InvalidConfig
-    from repro.workloads.deployment import DeploymentConfig
-
-    if getattr(args, "config", None) is not None:
-        config = _load_config_json(args.config, DeploymentConfig.from_dict)
-        if config is None:
-            return None
-    else:
-        config = dataclasses.replace(
-            DeploymentConfig.test_scale(), **verb_defaults
-        )
-    typed = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(config)
-        if getattr(args, f.name, None) is not None
-    }
-    if typed.get("chaos_profile") == "none":
-        typed["chaos_profile"] = None
-    try:
-        return dataclasses.replace(config, **typed).validate()
-    except InvalidConfig as exc:
-        print(f"FAIL: invalid config: {exc}")
-        return None
+def _print_outcome(dataset) -> None:
+    print(f"attempted          {dataset.n_attempted}")
+    print(f"result pages       {len(dataset.results)}")
+    print(f"explicit failures  {dataset.n_explicit_failures}")
+    print(f"resolution rate    {dataset.resolution_rate:.1%}")
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -451,25 +234,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config = _deployment_config(
         args, n_users=30, n_requests=60, chaos_profile="lossy",
     )
-    if config is None:
-        return 1
     print(f"chaos drill: profile={config.chaos_profile or 'none'!r} "
           f"seed={config.chaos_seed} requests={config.n_requests} "
-          f"users={config.n_users} quorum={config.quorum}"
-          + (" [supervised]" if config.supervised else ""))
+          f"users={config.n_users} quorum={config.quorum}")
     dataset = LiveDeployment(config).run()
-    print(f"attempted          {dataset.n_attempted}")
-    print(f"result pages       {len(dataset.results)}")
-    print(f"explicit failures  {dataset.n_explicit_failures}")
-    print(f"resolution rate    {dataset.resolution_rate:.1%}")
+    _print_outcome(dataset)
     console = AdminConsole(dataset.sheriff)
     print()
     print(console.faults_panel())
     print()
     print(console.servers_panel())
-    if dataset.supervisor is not None:
-        print()
-        print(console.ops_panel(dataset.supervisor))
     return 0
 
 
@@ -490,10 +264,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     supervisor = dataset.supervisor
     heal = dataset.heal_report
 
-    print(f"attempted          {dataset.n_attempted}")
-    print(f"result pages       {len(dataset.results)}")
-    print(f"explicit failures  {dataset.n_explicit_failures}")
-    print(f"resolution rate    {dataset.resolution_rate:.1%}")
+    _print_outcome(dataset)
     print()
     print(ops_panel(supervisor))
     print()
@@ -521,18 +292,14 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_mesh(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.clients.ipc import DEFAULT_IPC_SITES
-    from repro.mesh import MeshLauncher, WorkerSpec
+    from repro.mesh import MeshLauncher
 
     print(f"mesh: launching {args.servers} worker process(es)")
     launcher = MeshLauncher(
         n_workers=args.servers,
-        spec=WorkerSpec(
-            seed=args.seed, n_stores=args.stores,
-            ipc_sites=DEFAULT_IPC_SITES[: args.ipcs], n_users=args.users,
-        ),
+        spec=_typed(args, WorkerSpec(
+            n_stores=2, ipc_sites=DEFAULT_IPC_SITES[: args.ipcs], n_users=4,
+        )),
     )
     try:
         hellos = launcher.start()
@@ -585,14 +352,10 @@ def _journey_record(run, job_id: str):
 
 
 def _cmd_journey(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import render_trace
-    from repro.workloads.journey import JourneyConfig, run_journey
+    from repro.workloads.journey import run_journey
 
-    run = run_journey(JourneyConfig(
-        seed=args.seed, latency_fault=args.latency_fault,
-    ))
+    run = run_journey(_typed(args, JourneyConfig()))
     if args.list:
         for job_id in run.job_ids:
             marker = "  [stolen]" if job_id in run.stolen_job_ids else ""
@@ -644,16 +407,14 @@ def _cmd_journey(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
+    from repro.workloads.journey import run_slo_drill
 
-    from repro.workloads.journey import JourneyConfig, run_slo_drill
-
+    config = _typed(args, JourneyConfig())
     run, report, alerts = run_slo_drill(
-        JourneyConfig(seed=args.seed, latency_fault=args.latency_fault),
-        max_burn_rate=args.max_burn_rate,
+        config, max_burn_rate=args.max_burn_rate,
     )
-    print(f"SLO drill: seed={args.seed} "
-          f"latency_fault={args.latency_fault} "
+    print(f"SLO drill: seed={config.seed} "
+          f"latency_fault={config.latency_fault} "
           f"max_burn_rate={args.max_burn_rate:g}x")
     print()
     print(f"{'objective':>16} {'kind':>13} {'target':>7} {'compliance':>11} "
@@ -699,15 +460,12 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _telemetry_drill(args: argparse.Namespace):
-    """A small telemetry-on deployment for metrics/trace/panel (None,
-    after the reason is printed, when the flags make no valid config)."""
+    """A small telemetry-on deployment for metrics/trace/panel."""
     from repro.workloads.deployment import LiveDeployment
 
     config = _deployment_config(
         args, n_users=12, n_requests=24, chaos_profile="lossy",
     )
-    if config is None:
-        return None
     config.telemetry = True
     # a short cache TTL so the cache hit/miss series carry data
     config.page_cache_ttl = 60.0
@@ -716,8 +474,6 @@ def _telemetry_drill(args: argparse.Namespace):
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     dataset = _telemetry_drill(args)
-    if dataset is None:
-        return 1
     exposition = dataset.sheriff.telemetry.registry.render_exposition()
     if args.out:
         with open(args.out, "w") as fh:
@@ -731,10 +487,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import render_trace
 
-    dataset = _telemetry_drill(args)
-    if dataset is None:
-        return 1
-    tracer = dataset.sheriff.telemetry.tracer
+    tracer = _telemetry_drill(args).sheriff.telemetry.tracer
     trace_ids = tracer.trace_ids()
     if not trace_ids:
         print("no price check completed — nothing to trace")
@@ -753,50 +506,166 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_panel(args: argparse.Namespace) -> int:
-    from repro.core.monitoring import (
-        faults_panel,
-        peers_panel,
-        pipeline_panel,
-        servers_panel,
+    from repro.core.admin import AdminConsole
+    from repro.core.monitoring import peers_panel, pipeline_panel, servers_panel
+
+    sheriff = _telemetry_drill(args).sheriff
+    registry = sheriff.telemetry.registry
+    print("\n\n".join((
+        pipeline_panel(registry),
+        servers_panel(registry),
+        peers_panel(registry),
+        AdminConsole(sheriff).faults_panel(),
+    )))
+    return 0
+
+
+def _deployment_flags(chaos_flag: str = "--chaos") -> Tuple[Flag, ...]:
+    """The flags every verb that runs a LiveDeployment shares."""
+    return (
+        _field(chaos_flag, DeploymentConfig, "chaos_profile",
+               help="named fault-injection profile ('none' = clean network)"),
+        _field("--seed", DeploymentConfig, "chaos_seed",
+               help="seed of the fault plan's RNG"),
+        _field("--requests", DeploymentConfig, "n_requests",
+               help="price checks to attempt"),
+        _field("--users", DeploymentConfig, "n_users",
+               help="size of the simulated population"),
     )
 
-    dataset = _telemetry_drill(args)
-    if dataset is None:
-        return 1
-    sheriff = dataset.sheriff
-    registry = sheriff.telemetry.registry
-    print(pipeline_panel(registry))
-    print()
-    print(servers_panel(registry))
-    print()
-    print(peers_panel(registry))
-    print()
-    report = sheriff.fault_report()
-    report.pop("chaos_profile", None)
-    report.pop("faults_injected", None)
-    print(faults_panel(sheriff.faults, recovery=report))
-    return 0
+
+_DRILL_FLAGS: Tuple[Flag, ...] = (
+    _field("--seed", JourneyConfig, "seed", help="seed of the drill's world"),
+    _field("--latency-fault", JourneyConfig, "latency_fault",
+           help="run the drill under the injected latency fault (slow "
+                "vantage points) the burn-rate probe pages on"),
+)
+
+
+class Verb(NamedTuple):
+    """One ``repro`` verb."""
+
+    name: str
+    help: str
+    flags: Tuple[Flag, ...]
+    run: Callable[[argparse.Namespace], int]
+
+
+VERBS: Tuple[Verb, ...] = (
+    Verb("demo", "run a demo price check", (
+        _flag("--country", default="ES", help="initiator country (ISO code)"),
+        _flag("--currency", default="EUR",
+              help="currency the result page converts into"),
+        _field("--chaos", SheriffConfig, "chaos_profile",
+               help="run the check under a named chaos profile"),
+        _field("--chaos-seed", SheriffConfig, "chaos_seed"),
+    ), _cmd_demo),
+    Verb("reproduce", "regenerate a table/figure (or all)", (
+        _flag("experiment", choices=(*EXPERIMENTS, "all")),
+        _flag("--scale", default="test", choices=tuple(registry.SCALES)),
+        _flag("--out", default=None,
+              help="also write a markdown report to this path"),
+    ), _cmd_reproduce),
+    Verb("geoblock", "demo geoblocking scan", (), _cmd_geoblock),
+    Verb("watch", "demo watchdog monitoring run", (
+        _flag("--days", type=int, default=12,
+              help="how many daily cycles to simulate"),
+    ), _cmd_watch),
+    Verb("chaos", "deployment run under fault injection", (
+        *_deployment_flags("--profile"),
+        _field("--quorum", DeploymentConfig, "quorum",
+               help="minimum vantage points per accepted result"),
+    ), _cmd_chaos),
+    Verb("supervise",
+         "supervised chaos run: heal, audit, and report the verdict", (
+        *_deployment_flags(),
+        _field("--audit-out", DeploymentConfig, "audit_path", metavar="JSONL",
+               help="persist the ops audit trail to this file"),
+        _flag("--config", default=None, metavar="JSON",
+              help="load the DeploymentConfig from this JSON file (flags "
+                   "typed on the command line override it)"),
+    ), _cmd_supervise),
+    Verb("mesh",
+         "launch a real-process deployment: worker processes behind the "
+         "socket transport", (
+        _flag("--servers", type=_checked(int, {"ge": 1}), default=2,
+              metavar="N", help="worker processes to launch"),
+        _flag("--checks", type=_checked(int, {"ge": 0}), default=8,
+              help="price checks to farm across the fleet"),
+        _flag("--concurrency", type=_checked(int, {"ge": 1}), default=None,
+              help="concurrent in-flight calls (default: 4/worker)"),
+        _field("--seed", WorkerSpec, "seed"),
+        _field("--stores", WorkerSpec, "n_stores",
+               help="stores per worker's world"),
+        _flag("--ipcs", type=_checked(int, {"ge": 0, "le": len(DEFAULT_IPC_SITES)}),
+              default=6,
+              help=f"IPC fleet size per worker (max {len(DEFAULT_IPC_SITES)})"),
+        _field("--users", WorkerSpec, "n_users",
+               help="browser addons per worker"),
+        _flag("--out", default=None, metavar="JSON",
+              help="also write the mesh report as JSON"),
+    ), _cmd_mesh),
+    Verb("metrics",
+         "run a telemetry-on deployment, emit Prometheus exposition", (
+        *_deployment_flags(),
+        _flag("--out", default=None,
+              help="write the exposition here instead of stdout"),
+    ), _cmd_metrics),
+    Verb("trace", "render one price check's span timeline", (
+        *_deployment_flags(),
+        _flag("--job", type=int, default=-1, metavar="N",
+              help="which traced job to render (index into the run's trace "
+                   "list; default: the last one)"),
+        _flag("--out", default=None, metavar="JSONL",
+              help="also export every span as JSON lines"),
+    ), _cmd_trace),
+    Verb("journey",
+         "reconstruct one job's end-to-end causal tree from the seeded "
+         "forced-steal drill", (
+        _flag("job", nargs="?", default=None,
+              help="job id to reconstruct (default: the first stolen job "
+                   "of the drill)"),
+        _flag("--list", action="store_true",
+              help="list the drill's job ids (stolen ones marked) and exit"),
+        *_DRILL_FLAGS,
+        _flag("--out", default=None, metavar="JSON",
+              help="also export the journey record (spans, flight events, "
+                   "ticket) as JSON"),
+    ), _cmd_journey),
+    Verb("slo",
+         "run the drill under armed SLO burn-rate probes and report "
+         "objective compliance", (
+        *_DRILL_FLAGS,
+        _flag("--max-burn-rate", type=float, default=1.0, metavar="X",
+              help="alerting multiple of the error-budget burn"),
+        _flag("--out", default=None, metavar="JSON",
+              help="write the SLO report as JSON"),
+        _flag("--require-met", action="store_true",
+              help="exit 1 unless every objective is met and no burn-rate "
+                   "alert fired"),
+    ), _cmd_slo),
+    Verb("panel", "live operator panels from a metrics snapshot",
+         _deployment_flags(), _cmd_panel),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Price $heriff — SIGCOMM'17 reproduction toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb in VERBS:
+        verb_parser = sub.add_parser(verb.name, help=verb.help)
+        for names, kwargs in verb.flags:
+            verb_parser.add_argument(*names, **kwargs)
+        verb_parser.set_defaults(run=verb.run)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "demo": _cmd_demo,
-        "reproduce": _cmd_reproduce,
-        "perf": _cmd_perf,
-        "geoblock": _cmd_geoblock,
-        "panels": _cmd_panels,
-        "watch": _cmd_watch,
-        "chaos": _cmd_chaos,
-        "supervise": _cmd_supervise,
-        "mesh": _cmd_mesh,
-        "metrics": _cmd_metrics,
-        "trace": _cmd_trace,
-        "journey": _cmd_journey,
-        "slo": _cmd_slo,
-        "panel": _cmd_panel,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

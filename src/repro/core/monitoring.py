@@ -98,7 +98,7 @@ def servers_panel(source: Union[RequestDistributor, Registryish]) -> str:
 # -- Fig. 7 (robustness view): fault + recovery counters ----------------------
 
 def faults_panel(
-    source: Union[FaultPlan, Dict[str, object], None],
+    plan: Optional[FaultPlan],
     recovery: Optional[Dict[str, object]] = None,
 ) -> str:
     """Retry/failover counters for the robustness view of the Fig. 7
@@ -109,23 +109,18 @@ def faults_panel(
     same record the determinism tests replay, so the panel cannot
     drift from what was actually injected.  ``recovery`` carries the
     deployment's failover/retry counters (``PriceSheriff.fault_report``
-    shape).  A pre-built ``{counter: value}`` dict is still accepted
-    for backward compatibility.
+    shape); a counter the event log already gives is not repeated.
     """
-    rows: List[Dict[str, object]]
-    if source is None or isinstance(source, FaultPlan):
-        rows = [{
-            "Counter": "chaos_profile",
-            "Value": source.name if source is not None else "none",
-        }]
-        tally: _TallyCounter = _TallyCounter()
-        if source is not None:
-            tally.update(event.kind for event in source.event_log())
-        rows.append({"Counter": "faults_injected", "Value": sum(tally.values())})
-        for kind in sorted(tally):
-            rows.append({"Counter": f"faults_{kind}", "Value": tally[kind]})
-    else:
-        rows = [{"Counter": k, "Value": v} for k, v in source.items()]
+    rows: List[Dict[str, object]] = [{
+        "Counter": "chaos_profile",
+        "Value": plan.name if plan is not None else "none",
+    }]
+    tally: _TallyCounter = _TallyCounter()
+    if plan is not None:
+        tally.update(event.kind for event in plan.event_log())
+    rows.append({"Counter": "faults_injected", "Value": sum(tally.values())})
+    for kind in sorted(tally):
+        rows.append({"Counter": f"faults_{kind}", "Value": tally[kind]})
     if recovery:
         derived = {r["Counter"] for r in rows}
         rows.extend(

@@ -30,7 +30,6 @@ from repro.workloads.deployment import (
     DeploymentDataset,
     LiveDeployment,
 )
-from repro.workloads.population import PopulationConfig
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,8 @@ class Scale:
     """All size knobs for one preset."""
 
     name: str
-    # live deployment
-    n_users: int
-    n_requests: int
-    n_extra_pd_stores: int
-    n_uniform_stores: int
-    n_content_domains: int
-    ipc_sites: Tuple[Tuple[str, str, float], ...]
+    # live deployment (Sect. 6; its IPC fleet also serves the crawls)
+    live: DeploymentConfig
     # systematic crawl (Fig. 11)
     crawl_domains: int
     crawl_products: int
@@ -70,13 +64,10 @@ class Scale:
     alexa_days: int
 
 
-_ES_HEAVY_IPCS = DEFAULT_IPC_SITES[:10]
-
 SCALES: Dict[str, Scale] = {
     "test": Scale(
         name="test",
-        n_users=40, n_requests=80, n_extra_pd_stores=5, n_uniform_stores=10,
-        n_content_domains=40, ipc_sites=tuple(_ES_HEAVY_IPCS),
+        live=DeploymentConfig.test_scale(),
         crawl_domains=4, crawl_products=3, crawl_repetitions=2,
         case_products=3, case_repetitions=2,
         temporal_products=2, temporal_days=4, temporal_checks_per_day=2,
@@ -87,9 +78,7 @@ SCALES: Dict[str, Scale] = {
     ),
     "default": Scale(
         name="default",
-        n_users=150, n_requests=600, n_extra_pd_stores=20,
-        n_uniform_stores=60, n_content_domains=220,
-        ipc_sites=tuple(DEFAULT_IPC_SITES),
+        live=DeploymentConfig(n_content_domains=220),
         crawl_domains=24, crawl_products=8, crawl_repetitions=5,
         case_products=8, case_repetitions=6,
         temporal_products=8, temporal_days=20, temporal_checks_per_day=2,
@@ -100,9 +89,7 @@ SCALES: Dict[str, Scale] = {
     ),
     "paper": Scale(
         name="paper",
-        n_users=1265, n_requests=5700, n_extra_pd_stores=47,
-        n_uniform_stores=1900, n_content_domains=400,
-        ipc_sites=tuple(DEFAULT_IPC_SITES),
+        live=DeploymentConfig.paper_scale(),
         crawl_domains=24, crawl_products=30, crawl_repetitions=15,
         case_products=25, case_repetitions=15,
         temporal_products=30, temporal_days=20, temporal_checks_per_day=2,
@@ -140,17 +127,7 @@ def clear_caches() -> None:
 def live_dataset(scale_name: str = "default") -> DeploymentDataset:
     """The Sect. 6 live deployment run (cached per scale)."""
     if scale_name not in _live_cache:
-        s = scale(scale_name)
-        config = DeploymentConfig(
-            n_users=s.n_users,
-            n_requests=s.n_requests,
-            n_extra_pd_stores=s.n_extra_pd_stores,
-            n_uniform_stores=s.n_uniform_stores,
-            n_content_domains=s.n_content_domains,
-            ipc_sites=s.ipc_sites,
-            population=PopulationConfig(n_users=s.n_users, seed=2021),
-        )
-        _live_cache[scale_name] = LiveDeployment(config).run()
+        _live_cache[scale_name] = LiveDeployment(scale(scale_name).live).run()
     return _live_cache[scale_name]
 
 
@@ -158,9 +135,9 @@ def crawl_study(scale_name: str = "default") -> CrawlStudy:
     """The parallel crawling back-end over the live world (cached)."""
     if scale_name not in _study_cache:
         dataset = live_dataset(scale_name)
-        s = scale(scale_name)
         _study_cache[scale_name] = CrawlStudy(
-            dataset.world, dataset.sheriff, ipc_sites=s.ipc_sites,
+            dataset.world, dataset.sheriff,
+            ipc_sites=dataset.config.ipc_sites,
         )
     return _study_cache[scale_name]
 

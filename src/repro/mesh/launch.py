@@ -181,6 +181,10 @@ class MeshLauncher:
         self, total: int, concurrency: Optional[int] = None
     ) -> MeshReport:
         """Farm ``total`` checks across the fleet; measure wall clock."""
+        if total < 0:
+            raise ValueError(f"total must be >= 0, got {total}")
+        if concurrency is not None and concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         if not self.workers:
             raise NetworkError("mesh not started")
         concurrency = concurrency or min(total, 4 * len(self.workers)) or 1

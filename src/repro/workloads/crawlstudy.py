@@ -22,7 +22,7 @@ import random
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.browser.fingerprint import all_user_agents
 from repro.clients.crawler import SystematicCrawler
@@ -33,28 +33,25 @@ from repro.web.store import EStore
 
 
 class CrawlStudy:
-    """A crawling back-end attached to an existing deployment."""
+    """A crawling back-end attached to an existing deployment.
+
+    ``overrides`` are :class:`~repro.core.config.SheriffConfig` knobs of
+    the back-end, as ``PriceSheriff`` takes them.
+    """
 
     def __init__(
         self,
         world: SheriffWorld,
         live_sheriff: Optional[PriceSheriff] = None,
         seed: int = 71,
-        n_measurement_servers: int = 2,
-        ipc_sites=None,
-        # the paper's requests reached ~3 PPCs on average (max 5)
-        max_ppcs_per_request: int = 3,
+        **overrides: Any,
     ) -> None:
         self.world = world
-        kwargs = {}
-        if ipc_sites is not None:
-            kwargs["ipc_sites"] = ipc_sites
         self.backend = PriceSheriff(
             world,
-            n_measurement_servers=n_measurement_servers,
             overlay=live_sheriff.overlay if live_sheriff is not None else None,
-            max_ppcs_per_request=max_ppcs_per_request,
-            **kwargs,
+            # the paper's requests reached ~3 PPCs on average (max 5)
+            **{"max_ppcs_per_request": 3, **overrides},
         )
         self._rng = random.Random(seed)
 

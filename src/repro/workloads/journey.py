@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import SheriffConfig
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.obs import Telemetry
 from repro.workloads.stores import build_named_stores, uniform_store_specs
@@ -55,29 +56,31 @@ JOURNEY_IPC_SITES: Tuple[Tuple[str, str, float], ...] = (
 
 
 @dataclass
-class JourneyConfig:
-    """Knobs of one journey drill (defaults force at least one steal)."""
+class JourneyConfig(SheriffConfig):
+    """The deployment knobs, at the drill's values (they force at least
+    one steal), plus the drill's own.
 
+    ``job_queue=False`` routes submissions through the direct tier — the
+    equivalence baseline; ``telemetry=False`` runs with the null
+    telemetry — the row-identity (tracing on/off) check flips only that.
+    """
+
+    #: ``ms-0`` and ``ms-1``, which the drill takes down and brings back
+    n_measurement_servers: int = 2
+    ipc_sites: Tuple[Tuple[str, str, float], ...] = JOURNEY_IPC_SITES
+    dispatch_policy: str = "round_robin"
+    job_queue: bool = True
+    #: threshold 1 makes any depth imbalance eligible for a steal
+    queue_steal_threshold: Optional[int] = 1
+    telemetry: bool = True
     seed: int = 71
     store_seed: int = 74
     n_stores: int = 6
-    n_servers: int = 2
     n_initiators: int = 3
     waves: int = 3
-    #: threshold 1 makes any depth imbalance eligible for a steal
-    queue_steal_threshold: int = 1
     #: take ``ms-1`` down while each wave is admitted, bring it back
     #: before the drain — the forced-steal choreography
     disrupt: bool = True
-    #: ``False`` routes submissions through the direct tier instead of
-    #: the queued one — the equivalence baseline
-    use_queue: bool = True
-    #: ``False`` runs with the null telemetry: the row-identity
-    #: (tracing on/off) acceptance check flips only this knob
-    telemetry_enabled: bool = True
-    db_backend: Optional[str] = None
-    chaos_profile: Optional[str] = None
-    chaos_seed: int = 0
     #: inject a pure latency fault: every IPC vantage point becomes a
     #: chronically overloaded node (Sect. 5's PlanetLab pathology),
     #: stretching each fetch by ``fault_slowdown`` on the simulated
@@ -126,23 +129,15 @@ def run_journey(
     ipc_sites = (
         tuple(
             (country, city, config.fault_slowdown)
-            for country, city, _ in JOURNEY_IPC_SITES
+            for country, city, _ in config.ipc_sites
         )
         if config.latency_fault
-        else JOURNEY_IPC_SITES
+        else config.ipc_sites
     )
     sheriff = PriceSheriff(
-        world,
-        n_measurement_servers=config.n_servers,
+        world, config,
         ipc_sites=ipc_sites,
-        dispatch_policy="round_robin",
-        db_backend=config.db_backend,
-        db_shards=config.n_servers,
-        job_queue=config.use_queue,
-        queue_steal_threshold=config.queue_steal_threshold,
-        telemetry=Telemetry(enabled=config.telemetry_enabled),
-        chaos_profile=config.chaos_profile,
-        chaos_seed=config.chaos_seed,
+        db_shards=config.n_measurement_servers,
     )
     # same-country peers so PPC fan-out has volunteers to ask
     for city in ("Madrid", "Barcelona", "Valencia"):

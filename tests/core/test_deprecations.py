@@ -202,6 +202,35 @@ class TestSimBenchRetired:
         assert not (root / "BENCH_throughput.json").exists()
 
 
+class TestDuplicateVerbsRetired:
+    """Each verb and experiment is listed once: ``perf`` printed what
+    ``reproduce table1`` prints, ``panels`` a subset of ``panel``,
+    ``chaos --supervised`` a subset of ``supervise``, and
+    ``examples/reproduce_all.py`` what ``reproduce all`` prints."""
+
+    @pytest.mark.parametrize(
+        "argv", [["perf"], ["panels"], ["chaos", "--supervised"]],
+    )
+    def test_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    def test_second_lists_gone(self):
+        root = pathlib.Path(__file__).resolve().parents[2]
+        assert not (root / "examples" / "reproduce_all.py").exists()
+        assert _source_offenders(re.compile(
+            r"EXPERIMENT_CHOICES|_positive_int|_cmd_perf|_cmd_panels"
+        )) == []
+
+    def test_journey_config_redeclares_no_knob(self):
+        from repro.workloads.journey import JourneyConfig
+
+        fields = {f.name for f in dataclasses.fields(JourneyConfig)}
+        assert not {"n_servers", "use_queue", "telemetry_enabled"} & fields
+        assert issubclass(JourneyConfig, SheriffConfig)
+
+
 class TestSimNetworkSurfaceRetired:
     """PR 9 made Transport the only messaging surface: ``SimNetwork``
     and ``Host`` are net-internal carriers now, not exports."""

@@ -112,7 +112,7 @@ class TestDeterminism:
     def test_tracing_on_off_row_identical(self, backend):
         on = run_journey(JourneyConfig(db_backend=backend))
         off = run_journey(
-            JourneyConfig(db_backend=backend, telemetry_enabled=False)
+            JourneyConfig(db_backend=backend, telemetry=False)
         )
         assert not off.telemetry.enabled
         assert off.telemetry.tracer.spans_for(on.job_ids[0]) == []
@@ -131,7 +131,7 @@ class TestDeterminism:
             )
         )
         direct = run_journey(
-            JourneyConfig(db_backend=backend, disrupt=False, use_queue=False)
+            JourneyConfig(db_backend=backend, disrupt=False, job_queue=False)
         )
         assert queued.job_ids == direct.job_ids
         for job_id in queued.job_ids:

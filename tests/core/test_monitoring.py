@@ -1,7 +1,13 @@
 """Tests for the monitoring panels (Figs. 7 & 16)."""
 
 from repro.core.dispatch import RequestDistributor
-from repro.core.monitoring import peers_panel, render_table, servers_panel
+from repro.core.monitoring import (
+    faults_panel,
+    peers_panel,
+    render_table,
+    servers_panel,
+)
+from repro.net.faults import FaultPlan, FaultRule
 from repro.net.geo import GeoDatabase
 from repro.net.p2p import PeerOverlay
 
@@ -38,3 +44,44 @@ def test_peers_panel_matches_fig16():
     assert "SELF" in panel
     lines = panel.splitlines()
     assert any("peer-a" in line for line in lines)
+
+
+def _counters(panel):
+    """``{counter: value}`` of a faults panel, in row order."""
+    title, header, sep, *rows = panel.splitlines()
+    assert title == "Fault injection and recovery counters."
+    return dict(row.split() for row in rows)
+
+
+def test_faults_panel_tallies_the_event_log_and_merges_recovery():
+    plan = FaultPlan(
+        [FaultRule(kind="drop", probability=1.0),
+         FaultRule(kind="timeout", probability=1.0)],
+        name="drill",
+    )
+    plan.decide("coordinator", "peer-a")
+    plan.decide("coordinator", "peer-b")
+    plan.decide("coordinator", "peer-a", kinds=("timeout",))
+    panel = faults_panel(
+        plan,
+        # the event log's own counters are not repeated from the report
+        recovery={"chaos_profile": "stale", "faults_injected": 99,
+                  "failovers": 4, "retries": 2},
+    )
+    assert list(_counters(panel).items()) == [
+        ("chaos_profile", "drill"),
+        ("faults_injected", "3"),
+        ("faults_drop", "2"),
+        ("faults_timeout", "1"),
+        ("failovers", "4"),
+        ("retries", "2"),
+    ]
+
+
+def test_faults_panel_of_a_clean_run():
+    assert _counters(faults_panel(None)) == {
+        "chaos_profile": "none", "faults_injected": "0",
+    }
+    assert _counters(faults_panel(None, recovery={"failovers": 0})) == {
+        "chaos_profile": "none", "faults_injected": "0", "failovers": "0",
+    }

@@ -7,7 +7,7 @@ produces structurally sound output.
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import EXPERIMENTS, registry
 from repro.experiments import (
     ablations,
     fig2_result_page,
@@ -19,6 +19,7 @@ from repro.experiments import (
     fig12_country_cases,
     fig13_peer_bias,
     fig14_15_temporal,
+    sec72_prior_study,
     sec75_ab_stats,
     sec76_alexa400,
     table1_performance,
@@ -27,8 +28,24 @@ from repro.experiments import (
     table4_country_rank,
     table5_percentages,
 )
+from repro.workloads.deployment import DeploymentConfig
 
 SCALE = "test"
+
+
+class TestExperimentTable:
+    def test_reproduce_all_order(self):
+        assert list(EXPERIMENTS) == [
+            "table1", "table2", "table3", "table4", "table5",
+            "fig2", "fig5", "fig8a", "fig8b", "fig8c", "fig9", "fig10",
+            "fig11", "fig12", "fig13", "fig14-15", "sec75", "sec76",
+            "ablation-dispatch", "ablation-doppelganger",
+            "ablation-secure-kmeans", "ablation-diffstorage", "sec72",
+        ]
+
+    def test_live_preset_is_a_deployment_config(self):
+        assert registry.scale(SCALE).live == DeploymentConfig.test_scale()
+        assert registry.live_dataset(SCALE).config is registry.scale(SCALE).live
 
 
 class TestRegistry:
@@ -145,6 +162,18 @@ class TestFigures:
 
 
 class TestSections:
+    def test_sec72(self):
+        from repro.analysis.comparison import MIKIANS_2013_REPORTS
+
+        result = sec72_prior_study.run(SCALE)
+        domains = [c.domain for c in result.comparison.comparisons]
+        assert domains == [r.domain for r in MIKIANS_2013_REPORTS]
+        # the live roster still prices the [24] retailers differently
+        assert result.comparison.still_discriminating()
+        for c in result.comparison.still_discriminating():
+            assert c.current_ratio > 1.0 and c.relative_change is not None
+        assert "Relative change" in result.render()
+
     def test_sec75(self):
         result = sec75_ab_stats.run(SCALE)
         assert set(result.verdicts) == {"jcpenney.com", "chegg.com"}

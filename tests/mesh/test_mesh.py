@@ -130,6 +130,21 @@ class TestMeshReport:
         assert entry["checks_per_sec_wall"] == 8.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"total": -3}, "total"), ({"total": 4, "concurrency": 0}, "concurrency"),
+     ({"total": 4, "concurrency": -1}, "concurrency")],
+)
+def test_run_checks_refuses_a_bad_count(kwargs, match):
+    """Refused by name, before a thread pool is asked for no workers."""
+    launcher = MeshLauncher(n_workers=1)
+    try:
+        with pytest.raises(ValueError, match=match):
+            launcher.run_checks(**kwargs)
+    finally:
+        launcher.shutdown()
+
+
 class TestMeshSmoke:
     """End to end: real worker processes, real sockets, graceful drain."""
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import VERBS, _build_parser, _deployment_config, main
+from repro.experiments import EXPERIMENTS
 from repro.workloads.deployment import DeploymentConfig
 
 
@@ -38,7 +40,9 @@ class TestReproduce:
 
 class TestOtherCommands:
     def test_perf(self, capsys):
-        assert main(["perf"]) == 0
+        """Table 1 is a ``reproduce`` entry; the ``perf`` verb that
+        printed it too is gone (pinned in test_deprecations)."""
+        assert main(["reproduce", "table1", "--scale", "test"]) == 0
         assert "Max Daily Requests" in capsys.readouterr().out
 
     def test_geoblock(self, capsys):
@@ -48,23 +52,39 @@ class TestOtherCommands:
         assert "verdict: geoblocked" in out
 
     def test_panels(self, capsys):
-        assert main(["panels"]) == 0
+        """The Fig. 7 / Fig. 16 panels are part of ``panel``."""
+        assert main(["panel", "--requests", "4", "--users", "4"]) == 0
         out = capsys.readouterr().out
         assert "Available Sheriff servers" in out
         assert "Online peer proxies" in out
+        assert "Fault injection and recovery counters." in out
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("flag", ["--servers", "--stores", "--users"])
-    def test_mesh_zero_count_is_a_usage_error(self, flag, capsys):
-        """argparse refuses the count, so neither MeshLauncher nor
-        WorkerSpec.validate() gets to raise through the CLI."""
+    @pytest.mark.parametrize("flag, value, bound", [
+        pytest.param("--servers", "0", ">= 1", id="--servers"),
+        pytest.param("--stores", "0", ">= 1", id="--stores"),
+        pytest.param("--users", "0", ">= 1", id="--users"),
+        pytest.param("--checks", "-3", ">= 0", id="--checks=-3"),
+        pytest.param("--concurrency", "-1", ">= 1", id="--concurrency=-1"),
+        pytest.param("--ipcs", "-5", ">= 0", id="--ipcs=-5"),
+        pytest.param("--ipcs", "99", "<= 30", id="--ipcs=99"),
+    ])
+    def test_mesh_zero_count_is_a_usage_error(self, flag, value, bound,
+                                              monkeypatch, capsys):
+        """argparse refuses the count before a worker process spawns, so
+        neither MeshLauncher, WorkerSpec.validate() nor the thread pool
+        gets to raise through the CLI, and no count is bent to fit."""
+        from repro.mesh import MeshLauncher
+
+        monkeypatch.setattr(MeshLauncher, "start", None)  # must not run
         with pytest.raises(SystemExit) as exit_info:
-            main(["mesh", flag, "0"])
+            main(["mesh", flag, value])
         assert exit_info.value.code == 2
-        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert (f"argument {flag}: must be {bound}, got {value}"
+                in capsys.readouterr().err)
 
 
 class TestSupervise:
@@ -87,16 +107,79 @@ class TestSupervise:
         assert "OK: deployment healed" in capsys.readouterr().out
 
     def test_chaos_supervised_flag_prints_ops_panel(self, capsys):
+        """What ``chaos --supervised`` printed, ``supervise`` prints."""
         assert main([
-            "chaos", "--profile", "lossy", "--requests", "10",
-            "--users", "8", "--supervised",
+            "supervise", "--chaos", "lossy", "--requests", "10",
+            "--users", "8",
         ]) == 0
         out = capsys.readouterr().out
+        assert "chaos='lossy'" in out
         assert "Supervised components and healing state." in out
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(SystemExit):
             main(["supervise", "--chaos", "mayhem"])
+
+
+#: every verb that runs a LiveDeployment, with its chaos-profile flag
+DEPLOYMENT_VERBS = [("chaos", "--profile"), ("supervise", "--chaos"),
+                    ("metrics", "--chaos"), ("trace", "--chaos"),
+                    ("panel", "--chaos")]
+
+
+class TestDeploymentFlags:
+    """A flag that sets a DeploymentConfig field is checked against the
+    field's declaration while the command line is parsed: the same usage
+    error (exit 2, naming the flag) on every verb, before anything runs."""
+
+    @pytest.mark.parametrize("verb, chaos_flag", DEPLOYMENT_VERBS)
+    def test_bad_choice_is_a_usage_error(self, verb, chaos_flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, chaos_flag, "mayhem"])
+        assert exit_info.value.code == 2
+        assert (f"argument {chaos_flag}: must be one of"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("verb", [verb for verb, _ in DEPLOYMENT_VERBS])
+    def test_out_of_range_count_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--requests", "-4"])
+        assert exit_info.value.code == 2
+        assert ("argument --requests: must be >= 0, got -4"
+                in capsys.readouterr().err)
+
+    def test_none_is_the_clean_network(self):
+        args = _build_parser().parse_args(["chaos", "--profile", "none"])
+        config = _deployment_config(args, chaos_profile="lossy")
+        assert config.chaos_profile is None
+
+    def test_untyped_flags_leave_the_verb_default(self):
+        args = _build_parser().parse_args(["chaos", "--seed", "5"])
+        config = _deployment_config(args, n_users=30, chaos_profile="lossy")
+        assert (config.chaos_seed, config.n_users, config.chaos_profile) == (
+            5, 30, "lossy")
+
+
+class TestVerbTable:
+    """``VERBS`` is the one list of verbs: the parser reads it."""
+
+    def test_parser_lists_the_table(self):
+        (sub,) = [action for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == [verb.name for verb in VERBS]
+        assert len(VERBS) == 12
+
+    @pytest.mark.parametrize("verb", [verb.name for verb in VERBS])
+    def test_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro {verb}" in capsys.readouterr().out
+
+    def test_reproduce_takes_the_experiment_table(self):
+        parser = _build_parser()
+        for name in (*EXPERIMENTS, "all"):
+            assert parser.parse_args(["reproduce", name]).experiment == name
 
 
 class TestSuperviseConfigFile:

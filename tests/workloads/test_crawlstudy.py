@@ -122,3 +122,16 @@ class TestAlexaSweep:
 
         pct = within_country_percentages(results, ["ES"])
         assert all(v == 0.0 for by_c in pct.values() for v in by_c.values())
+
+
+class TestBackendConfig:
+    def test_overrides_are_sheriff_knobs(self, deployment):
+        world, live, _ = deployment
+        study = CrawlStudy(world, live, ipc_sites=TINY_IPCS, quorum=2)
+        config = study.backend.config
+        # the back-end's one own default: ~3 PPCs per request (Sect. 7.1)
+        assert config.max_ppcs_per_request == 3
+        assert (config.ipc_sites, config.quorum) == (TINY_IPCS, 2)
+        assert study.backend.overlay is live.overlay
+        with pytest.raises(TypeError, match="n_measurement_sever"):
+            CrawlStudy(world, live, n_measurement_sever=3)
