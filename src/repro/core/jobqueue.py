@@ -37,20 +37,20 @@ the add-on's ``PendingCheck.server`` may be the tier itself — clients
 cannot tell queued dispatch from direct dispatch (except when told to
 back off).
 
-Queue traffic is observable three times over: ``sheriff_queue_*``
-metrics (depth, enqueued, dispatched, steals by reason, shed,
-dead-lettered, wait-time histogram), a clock-stamped
-:class:`repro.net.events.EventLog` of
-``enqueue``/``dispatch``/``steal``/``shed``/``dead_letter`` events,
-and — with a full telemetry plane bound — the *job journey*: every
-lifecycle decision becomes a span in the job's trace (keyed by the job
-id) chained admission → queue_wait → steal/retry → dispatch, where the
-dispatch span parents the owning server's ``price_check`` fan-out, so
-one trace reconstructs the job end to end across servers.  A steal
-span carries a *link* to the journey stage it superseded, and the
-flight recorder mirrors every event per job for one-lookup
-post-mortems.  All of it is RNG-free and clock-neutral: journey
-tracing on or off, the rows are identical (property-tested).
+Queue traffic is observable through ``sheriff_queue_*`` metrics
+(depth, enqueued, dispatched, steals by reason, shed, dead-lettered,
+wait-time histogram) and — with a full telemetry plane bound — two
+per-job records.  The flight recorder (``telemetry.flights``) is the
+tier's one event log: every ``enqueue``/``dispatch``/``steal``/
+``shed``/``dead_letter`` decision, clock-stamped and sequence-numbered,
+for one-lookup post-mortems.  The *job journey* makes every lifecycle
+decision a span in the job's trace (keyed by the job id) chained
+admission → queue_wait → steal/retry → dispatch, where the dispatch
+span parents the owning server's ``price_check`` fan-out, so one trace
+reconstructs the job end to end across servers; a steal span carries a
+*link* to the journey stage it superseded.  All of it is RNG-free and
+clock-neutral: telemetry on or off, the rows are identical
+(property-tested).
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.core.errors import (
     UnknownJob,
     UnknownServer,
 )
-from repro.net.events import EventLog
 from repro.net.faults import BackoffPolicy
 from repro.obs.flightrecorder import NULL_FLIGHT_RECORDER
 from repro.obs.metrics import NULL_REGISTRY
@@ -236,13 +235,11 @@ class QueuedMeasurementTier:
         server_lookup: Callable[[str], Any],
         engine: PriceCheckEngine,
         db: Any = None,
-        clock: Any = None,
         max_depth: int = 256,
         steal_threshold: Optional[int] = 16,
         backoff: Optional[BackoffPolicy] = None,
         telemetry: Any = None,
         transport_label: str = "sim",
-        event_log: Optional[EventLog] = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"queue depth must be >= 1, got {max_depth}")
@@ -260,10 +257,6 @@ class QueuedMeasurementTier:
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.queue = JobQueue()
         self.dead_letters = DeadLetterStore()
-        self.events = (
-            event_log if event_log is not None
-            else (EventLog(clock) if clock is not None else None)
-        )
         self._handles: Dict[str, QueuedHandle] = {}
         self._shed_streak = 0
         self.shed_total = 0
@@ -321,11 +314,6 @@ class QueuedMeasurementTier:
 
     def _now(self) -> float:
         return self.engine.now
-
-    def _log(self, kind: str, job_id: str, **detail: object) -> None:
-        if self.events is not None:
-            self.events.record(kind, job_id, **detail)
-        self.flights.record(job_id, kind, **detail)
 
     def _journey_span(
         self, name: str, job_id: str, links=None, start=None, **attrs: object
@@ -393,8 +381,8 @@ class QueuedMeasurementTier:
             )
             self.shed_total += 1
             self._m_shed.inc()
-            self._log("shed", job.job_id, depth=self.queue.depth,
-                      retry_after=retry_after)
+            self.flights.record(job.job_id, "shed", depth=self.queue.depth,
+                                retry_after=retry_after)
             self._journey_span(
                 "shed", job.job_id, depth=self.queue.depth,
                 retry_after=retry_after,
@@ -409,7 +397,7 @@ class QueuedMeasurementTier:
         handle = QueuedHandle(job.job_id, owner)
         self._handles[job.job_id] = handle
         self._m_enqueued.inc(server=owner)
-        self._log("enqueue", job.job_id, server=owner, depth=self.queue.depth)
+        self.flights.record(job.job_id, "enqueue", server=owner, depth=self.queue.depth)
         self._journey_span(
             "admission", job.job_id, server=owner, depth=self.queue.depth,
         )
@@ -473,7 +461,7 @@ class QueuedMeasurementTier:
             )
             handle.state = "failed"
         self._m_dlq.inc()
-        self._log("dead_letter", job_id, reason=reason)
+        self.flights.record(job_id, "dead_letter", reason=reason)
         self._journey_span("dead_letter", job_id, reason=reason)
         self._journey.pop(job_id, None)
         self._sync_depth()
@@ -501,8 +489,8 @@ class QueuedMeasurementTier:
                 return True
             self.queue.move(queued, ticket.server_name)
             self._count_steal("offline")
-            self._log("steal", job_id, reason="offline",
-                      src=owner, dst=ticket.server_name)
+            self.flights.record(job_id, "steal", reason="offline",
+                                src=owner, dst=ticket.server_name)
             self._journey_span(
                 "steal", job_id,
                 links=[(job_id, prior)] if prior is not None else None,
@@ -517,8 +505,8 @@ class QueuedMeasurementTier:
                 self.coordinator.transfer_job(job_id, target)
                 self.queue.move(queued, target)
                 self._count_steal("imbalance")
-                self._log("steal", job_id, reason="imbalance",
-                          src=owner, dst=target)
+                self.flights.record(job_id, "steal", reason="imbalance",
+                                    src=owner, dst=target)
                 self._journey_span(
                     "steal", job_id,
                     links=[(job_id, prior)] if prior is not None else None,
@@ -546,7 +534,7 @@ class QueuedMeasurementTier:
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
         self._m_wait.observe(max(0.0, self._now() - queued.enqueued_at))
-        self._log("dispatch", job_id, server=owner)
+        self.flights.record(job_id, "dispatch", server=owner)
         self._sync_depth()
         return True
 
@@ -612,10 +600,6 @@ class QueuedMeasurementTier:
         return {job_id: self.db.sp_responses_for_job(job_id) for job_id in job_ids}
 
     # -- observability -----------------------------------------------------
-    @property
-    def pending_handles(self) -> List[str]:
-        return list(self._handles)
-
     def stats(self) -> Dict[str, object]:
         """Operator snapshot of the tier (panel/benchmark input)."""
         return {

@@ -186,12 +186,6 @@ class MeasurementServer:
         #: live job handles of the unified submit/poll/result API
         self._handles: Dict[str, JobHandle] = {}
 
-    @property
-    def pending_handles(self) -> int:
-        """Jobs submitted but not yet 'request finish'-ed — the ops
-        layer's per-server in-flight gauge."""
-        return len(self._handles)
-
     # -- price extraction + conversion on one page -----------------------------
     def _row_from_page(
         self,

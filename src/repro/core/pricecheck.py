@@ -67,10 +67,6 @@ class PriceCheckResult:
     vantage_expected: int = 0
     degraded: bool = False
 
-    @property
-    def vantage_reached(self) -> int:
-        return len(self.rows)
-
     # -- row access ----------------------------------------------------------
     def valid_rows(self) -> List[ResultRow]:
         return [r for r in self.rows if r.ok]

@@ -204,7 +204,7 @@ class PriceSheriff:
 
             self.transport = SocketTransport()
         else:
-            self.transport = SimTransport(clock=world.clock)
+            self.transport = SimTransport()
         self.transport_label = self.transport.label
         if metrics.enabled:
             self.transport.bind_telemetry(self.telemetry)
@@ -271,7 +271,6 @@ class PriceSheriff:
                 server_lookup=self.measurement_server,
                 engine=self.engine,
                 db=self.db,
-                clock=world.clock,
                 max_depth=config.queue_depth,
                 steal_threshold=config.queue_steal_threshold,
                 backoff=self.coordinator.backoff,
@@ -399,10 +398,6 @@ class PriceSheriff:
 
     def measurement_server(self, name: str) -> MeasurementServer:
         return self.measurement_servers[name]
-
-    def tick_heartbeats(self) -> None:
-        for name in self.measurement_servers:
-            self.distributor.heartbeat(name, self.world.clock.now)
 
     # -- chaos / robustness accounting --------------------------------------
     def measurement_stats(self) -> MeasurementStats:

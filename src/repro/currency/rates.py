@@ -86,12 +86,6 @@ class ExchangeRateProvider:
             self._rates["EUR"] = 1.0
         self._drift = drift
 
-    def supported(self) -> bool:
-        return bool(self._rates)
-
-    def has_currency(self, code: str) -> bool:
-        return code.upper() in self._rates
-
     def rate_per_eur(self, code: str, at_time: float = 0.0) -> float:
         """Units of ``code`` per one EUR at the given simulated time."""
         code = code.upper()

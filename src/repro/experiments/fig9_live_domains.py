@@ -34,12 +34,6 @@ class Fig9Result:
             return 0.0
         return self.n_domains_with_difference / self.n_domains_checked
 
-    def median_spread(self, domain: str) -> float:
-        for s in self.stats:
-            if s.domain == domain:
-                return s.spread_stats.median
-        raise KeyError(domain)
-
     def render(self) -> str:
         rows = [
             (

@@ -118,12 +118,6 @@ _temporal_cache: Dict[str, TemporalStudyResult] = {}
 _study_cache: Dict[str, CrawlStudy] = {}
 
 
-def clear_caches() -> None:
-    for cache in (_live_cache, _crawl_cache, _case_cache, _temporal_cache,
-                  _study_cache):
-        cache.clear()
-
-
 def live_dataset(scale_name: str = "default") -> DeploymentDataset:
     """The Sect. 6 live deployment run (cached per scale)."""
     if scale_name not in _live_cache:

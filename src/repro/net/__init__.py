@@ -13,10 +13,9 @@ real-socket :class:`~repro.net.socket_transport.SocketTransport`
 (blocking TCP sockets, one serving thread per connection, bounded
 against peers that stall or send garbage).
 
-``SimNetwork`` and ``Host`` are implementation details of the sim
-backend and are deliberately *not* re-exported here any more; code
-outside ``repro.net`` speaks :class:`Transport` only
-(``tests/core/test_deprecations.py`` pins this).
+:class:`Transport` is the only way components send each other a
+message; the sim backend holds its endpoints itself and draws each
+call's round trip from :class:`~repro.net.sim.LatencyModel`.
 """
 
 from repro.net.events import Clock, EventLoop

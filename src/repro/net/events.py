@@ -20,18 +20,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Generator, Iterable, List, Optional, Tuple
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -196,53 +186,6 @@ class EventLoop:
             self._processed += 1
             event.fn()
             count += 1
-
-
-@dataclass(frozen=True)
-class NetEvent:
-    """One clock-stamped network-visible event (queue traffic, etc.)."""
-
-    when: float
-    kind: str
-    subject: str
-    detail: Dict[str, object] = field(default_factory=dict)
-
-
-class EventLog:
-    """Bounded append-only log of :class:`NetEvent`s on a shared clock.
-
-    The measurement tier's job queue records its traffic here
-    (``enqueue``/``dispatch``/``steal``/``shed``/``dead_letter``), so
-    tests and operator tooling can replay exactly what the queue did
-    and when.  The log is read-only state: recording never touches any
-    RNG and never schedules work, so it is safe to consult from ops
-    probes (the restart-equivalence property).
-    """
-
-    def __init__(self, clock: Clock, capacity: Optional[int] = 4096) -> None:
-        self._clock = clock
-        self._events: Deque[NetEvent] = deque(maxlen=capacity)
-        self._counts: Counter = Counter()
-
-    def record(self, kind: str, subject: str, **detail: object) -> NetEvent:
-        event = NetEvent(self._clock.now, kind, subject, dict(detail))
-        self._events.append(event)
-        self._counts[kind] += 1
-        return event
-
-    @property
-    def events(self) -> List[NetEvent]:
-        return list(self._events)
-
-    def of_kind(self, kind: str) -> List[NetEvent]:
-        return [e for e in self._events if e.kind == kind]
-
-    def counts(self) -> Dict[str, int]:
-        """Per-kind totals over the log's whole lifetime (not capped)."""
-        return dict(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._events)
 
 
 def daily_ticks(start_day: float, n_days: int) -> Iterable[Tuple[int, float]]:

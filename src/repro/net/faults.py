@@ -5,14 +5,18 @@ never exercises: PlanetLab IPC hosts going dark mid-crawl, Measurement
 servers missing heartbeats and being marked offline, and flaky PPCs
 returning partial results (Sect. 3.4, 5).  This module makes those
 failures *first-class inputs*: a :class:`FaultPlan` is a seeded,
-deterministic schedule of per-host / per-edge faults that every layer of
-the request path consults —
+deterministic schedule of per-host / per-edge faults that the layers
+where the paper's failures happen consult —
 
-* :class:`repro.net.sim.SimNetwork` (message delivery),
 * :class:`repro.net.p2p.PeerOverlay` channels (PPC requests),
 * :class:`repro.clients.ipc.InfrastructureProxyClient` fetches,
 * the Coordinator's heartbeat/failover machinery
-  (:mod:`repro.core.dispatch`, :mod:`repro.core.coordinator`).
+  (:mod:`repro.core.dispatch`, :mod:`repro.core.coordinator`),
+* the add-on's job submission.
+
+The component transport (:mod:`repro.net.transport`) carries no plan: a
+Measurement server goes dark through the Coordinator's flap check, and
+its endpoint through ``take_offline``.
 
 Five fault kinds are supported:
 
@@ -44,7 +48,6 @@ ROLE_SERVER = "server"  # a Measurement server
 ROLE_IPC = "ipc"        # an Infrastructure Proxy Client
 ROLE_PPC = "ppc"        # a Peer Proxy Client
 ROLE_STATE = "state"    # doppelganger state fetch via the anonymity net
-ROLE_HOST = "host"      # a generic SimNetwork host
 
 FAULT_KINDS = ("drop", "timeout", "delay", "flap", "corrupt")
 
@@ -67,8 +70,8 @@ class FaultRule:
 
     ``src``/``dst`` are matched (``fnmatch``-style) against the edge's
     concrete endpoint names; ``dst`` additionally matches the
-    destination's *role* (``server`` / ``ipc`` / ``ppc`` / ``state`` /
-    ``host``) exactly, which is how profiles target "all peers" without
+    destination's *role* (``server`` / ``ipc`` / ``ppc`` / ``state``)
+    exactly, which is how profiles target "all peers" without
     knowing their opaque IDs.
     """
 

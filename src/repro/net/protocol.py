@@ -2,8 +2,8 @@
 
 Every message between $heriff components travels as one of two
 envelopes — :class:`Request` or :class:`Response` — serialised by the
-*same* JSON codec regardless of transport.  The sim transport carries
-the encoded text through :class:`~repro.net.sim.SimNetwork`; the socket
+*same* JSON codec regardless of transport.  The sim transport hands the
+encoded bytes to the destination's handler in-process; the socket
 transport frames the same bytes with a 4-byte big-endian length prefix
 on a blocking TCP socket (:func:`read_frame`).  Routing both paths
 through one codec is what makes the row-identity property cheap to

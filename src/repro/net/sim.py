@@ -1,21 +1,23 @@
-"""Message-passing network simulation with a geographic latency model.
+"""Latency model and network error types of the simulation.
 
-All traffic between $heriff components (add-on ↔ Coordinator ↔
-Measurement servers ↔ proxy clients) flows through a
-:class:`SimNetwork`.  Requests are delivered synchronously — the caller
-receives the response plus the simulated wall time the round trip took —
-which is what the price-check protocol needs: the initiator's add-on
-blocks on the result page, and measurement latency only matters in
-aggregate (Table 1), where it is fed into the queueing model.
+:class:`LatencyModel` turns a pair of locations into a one-way delay
+(same city, same country, international, with lognormal jitter).  Two
+places draw from it: :class:`~repro.net.transport.SimTransport`, for the
+simulated round trip of each component message, and
+:func:`fetch_duration`, for the wall time of one proxied page fetch —
+which is what the price-check protocol's timing needs: the initiator's
+add-on blocks on the result page, and measurement latency only matters
+in aggregate (Table 1), where it is fed into the queueing model.
+
+:class:`NetworkError` and :class:`NetworkTimeout` are the delivery
+failures both transports raise.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Optional
 
-from repro.net.faults import FaultPlan
 from repro.net.geo import Location
 
 
@@ -25,27 +27,6 @@ class NetworkError(RuntimeError):
 
 class NetworkTimeout(NetworkError):
     """The request was sent but no response arrived before the deadline."""
-
-
-@dataclass
-class Host:
-    """A named, geolocated endpoint with a request handler.
-
-    ``handler`` receives ``(payload)`` and returns the response payload.
-    ``slowdown`` models chronically overloaded nodes (the paper observes
-    some PlanetLab IPC hosts imposing extra delay, Sect. 5).
-    """
-
-    name: str
-    location: Location
-    handler: Optional[Callable[[Any], Any]] = None
-    online: bool = True
-    slowdown: float = 1.0
-
-    def handle(self, payload: Any) -> Any:
-        if self.handler is None:
-            raise NetworkError(f"host {self.name} has no handler")
-        return self.handler(payload)
 
 
 class LatencyModel:
@@ -104,122 +85,3 @@ def fetch_duration(
     else:
         one_way = model.latency(src, dst)
     return (2.0 * one_way + service_seconds) * max(1.0, slowdown)
-
-
-@dataclass
-class _Transfer:
-    """Record of one delivered request (for tests and monitoring)."""
-
-    src: str
-    dst: str
-    rtt: float
-
-
-class SimNetwork:
-    """Registry of hosts plus synchronous request delivery."""
-
-    def __init__(
-        self,
-        latency: Optional[LatencyModel] = None,
-        faults: Optional[FaultPlan] = None,
-        clock=None,
-    ) -> None:
-        self.latency_model = latency if latency is not None else LatencyModel()
-        self.faults = faults
-        #: optional sim clock; when present together with a fault plan,
-        #: delivery honors flap windows (``FaultPlan.host_down``), which
-        #: clock-less legacy constructions never consulted.
-        self.clock = clock
-        self._hosts: Dict[str, Host] = {}
-        self.transfers: List[_Transfer] = []
-
-    def install_fault_plan(self, faults: Optional[FaultPlan]) -> None:
-        """Attach (or clear) the chaos schedule consulted on delivery."""
-        self.faults = faults
-
-    # -- host management ---------------------------------------------------
-    def add_host(self, host: Host) -> Host:
-        if host.name in self._hosts:
-            raise ValueError(f"duplicate host name {host.name!r}")
-        self._hosts[host.name] = host
-        return host
-
-    def host(self, name: str) -> Host:
-        try:
-            return self._hosts[name]
-        except KeyError:
-            raise NetworkError(f"unknown host {name!r}") from None
-
-    def remove_host(self, name: str) -> None:
-        self._hosts.pop(name, None)
-
-    def hosts(self) -> List[Host]:
-        return list(self._hosts.values())
-
-    def restart_host(self, name: str) -> Host:
-        """Replace a host with a fresh online one (the ops restart action).
-
-        Models a process replacement: a *new* host object inherits the
-        old one's location, handler and chronic slowdown, and any flap
-        window the fault plan holds open is closed — a replaced process
-        answers its next heartbeat.  Carrying the handler (and keeping
-        ``self.faults`` installed network-side, where delivery faults
-        actually live) is what guarantees a restarted host still honors
-        the active chaos profile; an earlier version merely flipped the
-        ``online`` flag, which left any per-host hook on the stale
-        object.  RNG-free, like every supervised action.
-        """
-        old = self.host(name)
-        fresh = Host(
-            name=old.name,
-            location=old.location,
-            handler=old.handler,
-            online=True,
-            slowdown=old.slowdown,
-        )
-        self._hosts[name] = fresh
-        if self.faults is not None:
-            self.faults.end_flap(name)
-        return fresh
-
-    # -- traffic -------------------------------------------------------------
-    def rtt(self, src: str, dst: str) -> float:
-        """Round-trip latency between two registered hosts."""
-        a, b = self.host(src), self.host(dst)
-        one_way = self.latency_model.latency(a.location, b.location)
-        return 2.0 * one_way * max(a.slowdown, b.slowdown)
-
-    def request(self, src: str, dst: str, payload: Any) -> Tuple[Any, float]:
-        """Deliver ``payload`` from ``src`` to ``dst``; return (response, rtt).
-
-        Raises :class:`NetworkError` if the destination is offline, which
-        the dispatch protocol treats as a missed heartbeat.
-        """
-        target = self.host(dst)
-        self.host(src)  # validate the source exists too
-        if not target.online:
-            raise NetworkError(f"host {dst!r} is offline")
-        if (
-            self.faults is not None
-            and self.clock is not None
-            and self.faults.host_down(dst, self.clock.now, role="host")
-        ):
-            raise NetworkError(f"host {dst!r} is flapping (chaos window open)")
-        rtt = self.rtt(src, dst)
-        decision = (
-            self.faults.decide(src, dst, role="host")
-            if self.faults is not None
-            else None
-        )
-        if decision:
-            if decision.kind == "drop":
-                raise NetworkError(f"request {src!r} → {dst!r} was dropped")
-            if decision.kind == "timeout":
-                raise NetworkTimeout(f"request {src!r} → {dst!r} timed out")
-            if decision.kind == "delay":
-                rtt *= decision.delay_factor
-        response = target.handle(payload)
-        if decision and decision.kind == "corrupt" and isinstance(response, str):
-            response = self.faults.corrupt_text(response)
-        self.transfers.append(_Transfer(src=src, dst=dst, rtt=rtt))
-        return response, rtt

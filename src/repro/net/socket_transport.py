@@ -5,11 +5,11 @@ endpoint is a TCP listener on the loopback (or a configured interface)
 with one acceptor thread and one serving thread per connection; calls
 travel as the same :class:`~repro.net.protocol.Request`/``Response``
 envelopes the sim transport uses, framed with a 4-byte big-endian length
-prefix.  ``transport.call`` blocks the calling thread exactly like
-``SimNetwork.request`` blocks the sim: it writes the request on the
-pooled ``(src, dst)`` socket and reads the reply there itself, while the
-serving thread that read the request runs the handler inline and writes
-the reply — a round trip is two thread hand-offs.
+prefix.  ``transport.call`` blocks the calling thread as a sim call
+does: it writes the request on the pooled ``(src, dst)`` socket and
+reads the reply there itself, while the serving thread that read the
+request runs the handler inline and writes the reply — a round trip is
+two thread hand-offs.
 
 Failure mapping (the contract the conformance suite pins):
 
@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net.faults import BackoffPolicy
-from repro.net.geo import Location
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     FrameTooLarge,
@@ -125,7 +124,6 @@ class SocketTransport(Transport):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         backoff: Optional[BackoffPolicy] = None,
         reconnect_attempts: int = 3,
-        rng_seed: str = "socket-transport",
     ) -> None:
         self.host = host
         self.connect_timeout = connect_timeout
@@ -135,7 +133,7 @@ class SocketTransport(Transport):
             base=0.05, factor=2.0, cap=1.0, jitter=0.2
         )
         self.reconnect_attempts = reconnect_attempts
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random("socket-transport")
         self._endpoints: Dict[str, _Endpoint] = {}
         self._peers: Dict[str, Tuple[str, int]] = {}
         self._clients: Set[str] = set()
@@ -154,7 +152,7 @@ class SocketTransport(Transport):
         except KeyError:
             raise NetworkError(f"unknown host {name!r}") from None
 
-    def bind(self, name: str, handler: Handler, location: Optional[Location] = None) -> None:
+    def bind(self, name: str, handler: Handler) -> None:
         if self._closed:
             raise NetworkError("transport is closed")
         if name in self._endpoints or name in self._clients:
@@ -176,7 +174,9 @@ class SocketTransport(Transport):
             )
             ep.acceptor.start()
 
-    def register_client(self, name: str, location: Optional[Location] = None) -> None:
+    def register_client(self, name: str) -> None:
+        if self._closed:
+            raise NetworkError("transport is closed")
         if name in self._endpoints:
             raise ValueError(f"duplicate endpoint name {name!r}")
         self._clients.add(name)

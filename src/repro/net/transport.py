@@ -1,19 +1,16 @@
 """The Transport interface: one messaging API, two backends.
 
-Historically every component message went straight through
-:class:`~repro.net.sim.SimNetwork.request` (or an ad-hoc
-``host.handle``).  :class:`Transport` extracts that implicit surface
-into one explicit API —
+Every component message goes through
 
     ``transport.call(src, dst, method, payload)``
 
-— with typed :class:`~repro.net.protocol.Request`/``Response``
+with typed :class:`~repro.net.protocol.Request`/``Response``
 envelopes, so the same component code can run over
 
-* :class:`SimTransport` — the deterministic, fault-injectable path on
-  the discrete-event clock.  Tier-1 tests run here; behaviour is
-  byte-for-byte what direct ``SimNetwork.request`` gave, plus the
-  shared JSON codec on every payload.
+* :class:`SimTransport` — the deterministic in-process path: the
+  handler runs on the caller's thread and each call draws its
+  simulated round trip from a private latency stream.  Tier-1 tests
+  run here; every payload still crosses the shared JSON codec.
 * :class:`~repro.net.socket_transport.SocketTransport` — real TCP on
   blocking sockets (the caller's thread does the I/O, one serving thread
   per connection) speaking the same length-prefixed JSON frames, for
@@ -28,9 +25,8 @@ Grafana panel reads the same over either backend; only the
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.net.faults import FaultPlan
 from repro.net.geo import Location
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
@@ -40,9 +36,8 @@ from repro.net.protocol import (
     Response,
     decode,
     encode,
-    frame_sizes,
 )
-from repro.net.sim import Host, LatencyModel, NetworkError, NetworkTimeout, SimNetwork
+from repro.net.sim import LatencyModel, NetworkError, NetworkTimeout
 
 __all__ = [
     "Handler",
@@ -67,6 +62,10 @@ TRANSPORT_CALL_BUCKETS = (
     5.0,
     30.0,
 )
+
+#: the one site every sim endpoint sits at: a call's simulated round
+#: trip is twice one same-city latency draw
+_SITE = Location(country="US", region="CA", city="Mountain View", ip="10.0.0.1")
 
 
 class RemoteCallError(NetworkError):
@@ -183,12 +182,18 @@ class Transport:
     #: backend name; also the ``transport`` metric/span label value.
     label = "transport"
 
-    def bind(self, name: str, handler: Handler, location: Optional[Location] = None) -> None:
-        """Expose ``handler`` as the endpoint ``name``."""
+    def bind(self, name: str, handler: Handler) -> None:
+        """Expose ``handler`` as the endpoint ``name``.
+
+        A name already in use raises ``ValueError`` and leaves the
+        existing endpoint as it was; a closed transport raises
+        :class:`NetworkError`.
+        """
         raise NotImplementedError
 
-    def register_client(self, name: str, location: Optional[Location] = None) -> None:
-        """Declare a caller-only endpoint (no inbound handler)."""
+    def register_client(self, name: str) -> None:
+        """Declare a caller-only endpoint (no inbound handler); refused
+        like :meth:`bind` when ``name`` is bound or the transport closed."""
         raise NotImplementedError
 
     def unbind(self, name: str) -> None:
@@ -233,122 +238,88 @@ class Transport:
 
 
 class SimTransport(Transport):
-    """Deterministic transport over :class:`SimNetwork`.
+    """Deterministic in-process transport.
 
-    Each bound endpoint becomes a :class:`Host` whose handler speaks
-    the wire codec: requests are encoded to JSON text, carried by
-    ``SimNetwork.request`` (where latency, drops, timeouts, delays and
-    corruption apply exactly as before), and decoded back.  A corrupt
-    fault therefore mangles real JSON and surfaces as a protocol error,
-    just as it would on a socket.
+    Endpoints are a name → handler table (``None`` for a caller-only
+    endpoint) plus the set of names taken offline.  A call encodes its
+    request, runs the destination's handler on the caller's thread
+    against the decoded copy, and decodes the encoded reply, so payloads
+    are normalised by the codec exactly as on a socket.
 
-    Determinism: the latency model uses its own seeded RNG stream (named
-    by ``rng_seed``) so installing a transport alongside existing
-    components never perturbs their draws.
+    Each delivered call takes one draw from a private latency stream —
+    after the unknown-endpoint and offline checks, before the handler
+    runs — as its simulated round trip; ``timeout=`` is checked against
+    it.  The stream has its own fixed seed, so a transport never
+    perturbs any other component's draws.
     """
 
     label = "sim"
 
-    def __init__(
-        self,
-        clock=None,
-        network: Optional[SimNetwork] = None,
-        latency: Optional[LatencyModel] = None,
-        faults: Optional[FaultPlan] = None,
-        default_location: Optional[Location] = None,
-        rng_seed: str = "transport",
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
-        if network is not None:
-            self.network = network
-        else:
-            self.network = SimNetwork(
-                latency=latency
-                if latency is not None
-                else LatencyModel(rng=random.Random(f"{rng_seed}:latency")),
-                faults=faults,
-                clock=clock,
-            )
-        self.clock = clock if clock is not None else self.network.clock
+    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = max_frame_bytes
-        self._default_location = (
-            default_location
-            if default_location is not None
-            else Location(country="US", region="CA", city="Mountain View", ip="10.0.0.1")
-        )
-        self._handlers: Dict[str, Handler] = {}
+        self._handlers: Dict[str, Optional[Handler]] = {}
+        self._offline: Set[str] = set()
+        self._latency = LatencyModel(rng=random.Random("transport:latency"))
         self._call_ids = iter(range(1, 1 << 62))
         self._closed = False
         self._telemetry: Optional[_TransportTelemetry] = None
 
     # -- endpoint management ----------------------------------------------
-    def _wire_handler(self, name: str) -> Callable[[Any], Any]:
-        def handle(wire: Any) -> Any:
-            req = decode(wire)
-            if not isinstance(req, Request):
-                raise ProtocolError(f"endpoint {name!r} received a non-request frame")
-            resp = serve_request(self._handlers[name], req)
-            body = encode(resp)
-            if len(body) > self.max_frame_bytes:
-                resp = Response(
-                    req.call_id,
-                    ok=False,
-                    error_kind="network",
-                    error_message=(
-                        f"response of {len(body)} bytes exceeds frame limit "
-                        f"{self.max_frame_bytes}"
-                    ),
-                )
-                body = encode(resp)
-            return body.decode("utf-8")
-
-        return handle
-
-    def bind(self, name: str, handler: Handler, location: Optional[Location] = None) -> None:
+    def _add(self, name: str, handler: Optional[Handler]) -> None:
+        if self._closed:
+            raise NetworkError("transport is closed")
+        if name in self._handlers:
+            raise ValueError(f"duplicate endpoint name {name!r}")
         self._handlers[name] = handler
-        self.network.add_host(
-            Host(
-                name=name,
-                location=location if location is not None else self._default_location,
-                handler=self._wire_handler(name),
-            )
-        )
 
-    def register_client(self, name: str, location: Optional[Location] = None) -> None:
-        self.network.add_host(
-            Host(
-                name=name,
-                location=location if location is not None else self._default_location,
-            )
-        )
+    def bind(self, name: str, handler: Handler) -> None:
+        self._add(name, handler)
+
+    def register_client(self, name: str) -> None:
+        self._add(name, None)
+
+    def _known(self, name: str) -> str:
+        if name not in self._handlers:
+            raise NetworkError(f"unknown host {name!r}")
+        return name
 
     def endpoints(self) -> List[str]:
-        return [h.name for h in self.network.hosts()]
+        return list(self._handlers)
 
     def unbind(self, name: str) -> None:
         self._handlers.pop(name, None)
-        self.network.remove_host(name)
+        self._offline.discard(name)
 
     def take_offline(self, name: str) -> None:
-        self.network.host(name).online = False
+        self._offline.add(self._known(name))
 
     def restart_endpoint(self, name: str) -> None:
-        """Restart the endpoint's host and re-install its wire handler.
-
-        ``SimNetwork.restart_host`` replaces the host object with a
-        fresh one; re-installing the handler here keeps the transport
-        authoritative even if the old host's handler was detached.
-        """
-        host = self.network.restart_host(name)
-        if name in self._handlers:
-            host.handler = self._wire_handler(name)
+        self._offline.discard(self._known(name))
 
     def close(self) -> None:
         self._closed = True
-        for host in self.network.hosts():
-            host.online = False
 
     # -- calls ------------------------------------------------------------
+    def _reply(self, dst: str, wire: bytes) -> bytes:
+        """Deliver one encoded request to ``dst``; the encoded reply."""
+        handler = self._handlers[dst]
+        if handler is None:
+            raise NetworkError(f"host {dst} has no handler")
+        req = decode(wire)
+        resp = serve_request(handler, req)
+        body = encode(resp)
+        if len(body) > self.max_frame_bytes:
+            body = encode(Response(
+                req.call_id,
+                ok=False,
+                error_kind="network",
+                error_message=(
+                    f"response of {len(body)} bytes exceeds frame limit "
+                    f"{self.max_frame_bytes}"
+                ),
+            ))
+        return body
+
     def call(
         self,
         src: str,
@@ -372,11 +343,12 @@ class SimTransport(Transport):
         if self._telemetry:
             self._telemetry.sent(len(wire))
         try:
-            raw, rtt = self.network.request(src, dst, wire.decode("utf-8"))
-        except NetworkTimeout:
-            if self._telemetry:
-                self._telemetry.failed("timeout")
-            raise
+            self._known(dst)
+            self._known(src)
+            if dst in self._offline:
+                raise NetworkError(f"host {dst!r} is offline")
+            rtt = 2.0 * self._latency.latency(_SITE, _SITE)
+            raw = self._reply(dst, wire)
         except NetworkError:
             if self._telemetry:
                 self._telemetry.failed("network")
@@ -393,13 +365,8 @@ class SimTransport(Transport):
             if self._telemetry:
                 self._telemetry.failed("protocol")
             raise NetworkError(f"corrupt frame from {dst!r}: {exc}") from exc
-        if not isinstance(resp, Response):
-            if self._telemetry:
-                self._telemetry.failed("protocol")
-            raise NetworkError(f"endpoint {dst!r} answered with a non-response frame")
         if self._telemetry:
-            _, body = frame_sizes(resp)
-            self._telemetry.received(body)
+            self._telemetry.received(len(raw))
             self._telemetry.observed_call(method, rtt)
         if not resp.ok:
             if self._telemetry:

@@ -122,10 +122,6 @@ class Telemetry:
                 self.flights = FlightRecorder(clock)
         return self
 
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        return NULL_TELEMETRY
-
 
 #: the shared disabled instance every component defaults to
 NULL_TELEMETRY = Telemetry(enabled=False)

@@ -308,9 +308,6 @@ class Histogram(_Instrument):
         k = bisect_right(self.buckets, bound)
         return sum(state.bucket_counts[:k])
 
-    def total_sum(self) -> float:
-        return sum(s.sum for s in self._children.values())
-
     def quantile(self, q: float, **labels: object) -> Optional[float]:
         """Estimated q-quantile (q in [0, 1]) of one series, or of all
         series merged when the metric's labels are not specified."""
@@ -463,9 +460,6 @@ class _NullInstrument:
 
     def total_count(self) -> int:
         return 0
-
-    def total_sum(self) -> float:
-        return 0.0
 
     def count_le(self, bound: float, **labels: object) -> int:
         return 0

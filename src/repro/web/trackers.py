@@ -52,9 +52,6 @@ class Tracker:
         """The domain-visit profile the tracker holds for a cookie."""
         return Counter(self._profiles.get(cookie, Counter()))
 
-    def known_cookies(self) -> List[str]:
-        return list(self._profiles)
-
     def forget(self, cookie: str) -> None:
         self._profiles.pop(cookie, None)
 

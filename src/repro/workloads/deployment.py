@@ -118,10 +118,6 @@ class DeploymentDataset:
         return len({r.domain for r in self.results})
 
     @property
-    def n_products_checked(self) -> int:
-        return len({r.url for r in self.results})
-
-    @property
     def n_responses(self) -> int:
         return sum(len(r.rows) for r in self.results)
 

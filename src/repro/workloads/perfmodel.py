@@ -59,16 +59,6 @@ class PerfRow:
     response_minutes: float
     max_daily_requests: float
 
-    def as_tuple(self) -> Tuple[str, int, int, float, float, int]:
-        return (
-            self.version,
-            self.n_clients,
-            self.n_servers,
-            round(self.avg_parallel_tasks, 1),
-            round(self.response_minutes, 2),
-            int(round(self.max_daily_requests, -2)),
-        )
-
 
 class _Server:
     """One Measurement server instance in the model."""

@@ -14,6 +14,8 @@ are pinned absent below.  PR 14 did the same to the crypto layer's
 ``use_fastexp`` switch and the ``cryptobench`` verb that timed it.
 PR 20 retired the rest of the pre-``bench/`` harness: the ``throughput``
 / ``scalebench`` / ``storagebench`` / ``bench`` verbs and their modules.
+``SimTransport`` then absorbed the ``SimNetwork``/``Host`` carrier, and
+the flight recorder became the queue tier's only event log.
 """
 
 import dataclasses
@@ -232,8 +234,10 @@ class TestDuplicateVerbsRetired:
 
 
 class TestSimNetworkSurfaceRetired:
-    """PR 9 made Transport the only messaging surface: ``SimNetwork``
-    and ``Host`` are net-internal carriers now, not exports."""
+    """Transport is the only messaging surface, and ``SimTransport`` the
+    whole sim backend: the ``SimNetwork``/``Host`` carrier it rode on,
+    the transport parameters no caller set and the queue tier's second
+    event log are gone."""
 
     def test_simnetwork_not_exported(self):
         import repro.net
@@ -249,10 +253,34 @@ class TestSimNetworkSurfaceRetired:
         assert issubclass(SimTransport, Transport)
         assert issubclass(SocketTransport, Transport)
 
+    def test_carrier_and_queue_event_log_gone(self):
+        import repro.net.events
+        import repro.net.faults
+        import repro.net.sim
+
+        for name in ("SimNetwork", "Host", "_Transfer"):
+            assert not hasattr(repro.net.sim, name), name
+        for name in ("EventLog", "NetEvent"):
+            assert not hasattr(repro.net.events, name), name
+        assert not hasattr(repro.net.faults, "ROLE_HOST")
+
+    def test_transport_parameters_no_caller_set_gone(self):
+        from repro.core.jobqueue import QueuedMeasurementTier
+        from repro.net import SimTransport, SocketTransport, Transport
+
+        params = inspect.signature(SimTransport.__init__).parameters
+        assert list(params) == ["self", "max_frame_bytes"]
+        assert "rng_seed" not in inspect.signature(SocketTransport).parameters
+        for cls in (Transport, SimTransport, SocketTransport):
+            for method in (cls.bind, cls.register_client):
+                assert "location" not in inspect.signature(method).parameters
+        tier = inspect.signature(QueuedMeasurementTier).parameters
+        assert not {"clock", "event_log"} & set(tier)
+
 
 def test_no_simnetwork_import_outside_net_layer():
-    """No component imports SimNetwork/Host except the transport layer
-    itself — the Transport seam is the only way to send a message."""
+    """No component imports a SimNetwork/Host carrier — the Transport
+    seam is the only way to send a message."""
     root = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
     offenders = []
     pattern = re.compile(r"\b(SimNetwork|(?<!_)Host)\b")

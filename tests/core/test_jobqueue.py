@@ -40,6 +40,17 @@ def _addon(world, sheriff, city="Madrid"):
     return sheriff.install_addon(world.make_browser("ES", city))
 
 
+def _flight_events(sheriff, kind):
+    """The tier's ``kind`` decisions from the flight recorder, in the
+    order they were recorded."""
+    flights = sheriff.telemetry.flights
+    events = [
+        e for job_id in flights.jobs() for e in flights.events_for(job_id)
+        if e.kind == kind
+    ]
+    return sorted(events, key=lambda e: e.seq)
+
+
 class TestAdmissionAndDrain:
     def test_submit_enqueues_and_first_poll_drains_all(self, world):
         sheriff = _queued_sheriff(world)
@@ -60,15 +71,15 @@ class TestAdmissionAndDrain:
             assert result.rows
 
     def test_drain_follows_admission_order(self, world):
-        sheriff = _queued_sheriff(world)
+        sheriff = _queued_sheriff(world, telemetry=Telemetry())
         addon = _addon(world, sheriff)
         urls = _product_urls(world)
         wave = [addon.submit_price_check(url) for url in urls[:4]]
         tier = sheriff.job_queue
         tier.pump()
-        dispatches = [e.subject for e in tier.events.of_kind("dispatch")]
+        dispatches = [e.job_id for e in _flight_events(sheriff, "dispatch")]
         assert dispatches == [p.handle.job_id for p in wave]
-        enqueues = [e.subject for e in tier.events.of_kind("enqueue")]
+        enqueues = [e.job_id for e in _flight_events(sheriff, "enqueue")]
         assert enqueues == dispatches
 
     def test_submit_without_ticket_is_rejected(self, world):
@@ -142,7 +153,7 @@ class TestLoadShedding:
 
 class TestWorkStealing:
     def test_offline_owner_steal_consumes_retry_budget(self, world):
-        sheriff = _queued_sheriff(world)
+        sheriff = _queued_sheriff(world, telemetry=Telemetry())
         addon = _addon(world, sheriff)
         pending = addon.submit_price_check(_product_urls(world)[0])
         tier = sheriff.job_queue
@@ -155,13 +166,15 @@ class TestWorkStealing:
         record = sheriff.coordinator.jobs[pending.job_id]
         assert record.attempts == 2
         assert record.server_name != owner
-        steal = tier.events.of_kind("steal")[0]
+        steal = _flight_events(sheriff, "steal")[0]
         assert steal.detail == {
             "reason": "offline", "src": owner, "dst": record.server_name,
         }
 
     def test_imbalance_transfer_is_budget_free(self, world):
-        sheriff = _queued_sheriff(world, queue_steal_threshold=2)
+        sheriff = _queued_sheriff(
+            world, queue_steal_threshold=2, telemetry=Telemetry()
+        )
         addon = _addon(world, sheriff)
         urls = _product_urls(world)
         # pile every assignment onto ms-0 while ms-1 is down...
@@ -175,7 +188,7 @@ class TestWorkStealing:
         tier.pump()
         assert tier.steals.get("imbalance", 0) >= 1
         stolen = [
-            e for e in tier.events.of_kind("steal")
+            e for e in _flight_events(sheriff, "steal")
             if e.detail["reason"] == "imbalance"
         ]
         assert stolen and stolen[0].detail["dst"] == "ms-1"
@@ -217,7 +230,7 @@ class TestDeadLetters:
         entry = tier.dead_letters.for_job(pending.job_id)
         assert entry.url == url
         assert sheriff.coordinator.jobs[pending.job_id].failed
-        assert tier.events.of_kind("dead_letter")
+        assert [e.job_id for e in tier.dead_letters.entries] == [pending.job_id]
         # the handle is spent: a later poll is an UnknownJob
         with pytest.raises(UnknownJob):
             tier.poll(pending.handle)

@@ -25,7 +25,6 @@ from repro.net.faults import (
 )
 from repro.net.geo import Location
 from repro.net.p2p import PeerOverlay, make_peer_id
-from repro.net.sim import Host, NetworkError, NetworkTimeout, SimNetwork
 
 
 LOC = Location(ip="10.0.0.1", country="ES", region="Madrid", city="Madrid")
@@ -220,46 +219,6 @@ class TestChaosProfiles:
         plan = chaos_plan("none", seed=1)
         for _ in range(20):
             assert plan.decide("a", "b", role=ROLE_PPC) is CLEAN
-
-
-class TestSimNetworkIntegration:
-    def _net(self, plan):
-        net = SimNetwork(faults=plan)
-        net.add_host(Host(name="src", location=LOC, handler=lambda p: p))
-        net.add_host(Host(name="dst", location=LOC,
-                          handler=lambda p: f"page for {p}"))
-        return net
-
-    def test_drop_raises_network_error(self):
-        net = self._net(FaultPlan([FaultRule(kind="drop", probability=1.0)]))
-        with pytest.raises(NetworkError):
-            net.request("src", "dst", "q")
-
-    def test_timeout_raises_network_timeout(self):
-        net = self._net(FaultPlan([FaultRule(kind="timeout", probability=1.0)]))
-        with pytest.raises(NetworkTimeout):
-            net.request("src", "dst", "q")
-
-    def test_delay_inflates_rtt(self):
-        clean = self._net(None)
-        slow = self._net(
-            FaultPlan([FaultRule(kind="delay", probability=1.0,
-                                 delay_factor=10.0)])
-        )
-        _, rtt_clean = clean.request("src", "dst", "q")
-        _, rtt_slow = slow.request("src", "dst", "q")
-        # both nets share the latency seed, so the factor shows directly
-        assert rtt_slow > rtt_clean
-
-    def test_corrupt_mangles_string_response(self):
-        net = self._net(FaultPlan([FaultRule(kind="corrupt", probability=1.0)]))
-        response, _ = net.request("src", "dst", "q")
-        assert "truncated by fault injection" in response
-
-    def test_clean_plan_leaves_traffic_alone(self):
-        net = self._net(FaultPlan(seed=0))
-        response, _ = net.request("src", "dst", "q")
-        assert response == "page for q"
 
 
 class TestPeerChannelIntegration:

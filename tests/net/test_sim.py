@@ -1,24 +1,14 @@
-"""Tests for the message-passing network simulation."""
+"""Tests for the simulation's latency model."""
 
 import pytest
 
 from repro.net.geo import GeoDatabase
-from repro.net.sim import Host, LatencyModel, NetworkError, SimNetwork
+from repro.net.sim import LatencyModel
 
 
 @pytest.fixture
 def geodb():
     return GeoDatabase()
-
-
-def make_net(geodb):
-    net = SimNetwork(LatencyModel(jitter=0.0))
-    a = Host("a", geodb.make_location("ES", "Madrid"), handler=lambda p: ("echo", p))
-    b = Host("b", geodb.make_location("ES", "Madrid"), handler=lambda p: p * 2)
-    c = Host("c", geodb.make_location("FR", "Paris"), handler=lambda p: p)
-    for host in (a, b, c):
-        net.add_host(host)
-    return net
 
 
 class TestLatencyModel:
@@ -39,132 +29,3 @@ class TestLatencyModel:
         samples = [model.latency(a, b) for _ in range(50)]
         assert all(s > 0 for s in samples)
         assert len(set(samples)) > 1
-
-
-class TestSimNetwork:
-    def test_request_response(self, geodb):
-        net = make_net(geodb)
-        response, rtt = net.request("a", "b", 21)
-        assert response == 42
-        assert rtt == pytest.approx(2 * LatencyModel.SAME_CITY)
-
-    def test_international_rtt_larger(self, geodb):
-        net = make_net(geodb)
-        _, near = net.request("a", "b", 1)
-        _, far = net.request("a", "c", 1)
-        assert far > near
-
-    def test_offline_host_raises(self, geodb):
-        net = make_net(geodb)
-        net.host("b").online = False
-        with pytest.raises(NetworkError):
-            net.request("a", "b", 1)
-
-    def test_unknown_host_raises(self, geodb):
-        net = make_net(geodb)
-        with pytest.raises(NetworkError):
-            net.request("a", "zzz", 1)
-
-    def test_duplicate_host_rejected(self, geodb):
-        net = make_net(geodb)
-        with pytest.raises(ValueError):
-            net.add_host(Host("a", geodb.make_location("ES", "Madrid")))
-
-    def test_slowdown_scales_rtt(self, geodb):
-        net = make_net(geodb)
-        base = net.rtt("a", "b")
-        net.host("b").slowdown = 3.0
-        assert net.rtt("a", "b") == pytest.approx(3.0 * base)
-
-    def test_transfers_recorded(self, geodb):
-        net = make_net(geodb)
-        net.request("a", "b", 1)
-        net.request("a", "c", 1)
-        assert [(t.src, t.dst) for t in net.transfers] == [("a", "b"), ("a", "c")]
-
-    def test_host_without_handler(self, geodb):
-        net = make_net(geodb)
-        net.add_host(Host("mute", geodb.make_location("ES", "Madrid")))
-        with pytest.raises(NetworkError):
-            net.request("a", "mute", 1)
-
-
-class _StubClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-
-def make_faulty_net(geodb, faults, clock=None):
-    net = SimNetwork(LatencyModel(jitter=0.0), faults=faults, clock=clock)
-    a = Host("a", geodb.make_location("ES", "Madrid"), handler=lambda p: p)
-    b = Host("b", geodb.make_location("ES", "Madrid"), handler=lambda p: p * 2)
-    for host in (a, b):
-        net.add_host(host)
-    return net
-
-
-class TestRestartHostUnderChaos:
-    """The restart_host regression: a restarted host must still honor
-    the active chaos profile, and flap windows must actually bite."""
-
-    def _flap_plan(self):
-        from repro.net.faults import FaultPlan, FaultRule
-
-        return FaultPlan(
-            [FaultRule(kind="flap", probability=1.0, dst="b",
-                       flap_duration=90.0)],
-            seed=1,
-        )
-
-    def test_flap_window_blocks_delivery(self, geodb):
-        """With a clock attached, an open flap window fails requests —
-        the behaviour clock-less constructions silently lacked."""
-        clock = _StubClock(now=10.0)
-        net = make_faulty_net(geodb, self._flap_plan(), clock=clock)
-        with pytest.raises(NetworkError):
-            net.request("a", "b", 1)
-
-    def test_clockless_network_ignores_flaps(self, geodb):
-        """Backward compatibility: no clock, no flap enforcement (and no
-        extra RNG draws), exactly as legacy constructions behaved."""
-        net = make_faulty_net(geodb, self._flap_plan(), clock=None)
-        assert net.request("a", "b", 2)[0] == 4
-
-    def test_restart_closes_flap_window(self, geodb):
-        clock = _StubClock(now=10.0)
-        plan = self._flap_plan()
-        net = make_faulty_net(geodb, plan, clock=clock)
-        with pytest.raises(NetworkError):
-            net.request("a", "b", 1)
-        assert plan.flapping_hosts(clock.now) == ["b"]
-        net.restart_host("b")
-        assert plan.flapping_hosts(clock.now) == []
-
-    def test_restart_replaces_host_preserving_identity(self, geodb):
-        net = make_faulty_net(geodb, faults=None)
-        old = net.host("b")
-        old.online = False
-        old.slowdown = 3.0
-        fresh = net.restart_host("b")
-        assert fresh is not old
-        assert fresh is net.host("b")
-        assert fresh.online
-        assert fresh.slowdown == 3.0
-        assert fresh.handler is old.handler
-        assert fresh.location is old.location
-        assert net.request("a", "b", 5)[0] == 10
-
-    def test_restarted_host_still_honors_drop_rules(self, geodb):
-        """Delivery faults live network-side, so they survive the host
-        replacement — the bug was losing them with the old object."""
-        from repro.net.faults import FaultPlan, FaultRule
-
-        plan = FaultPlan(
-            [FaultRule(kind="drop", probability=1.0, dst="b")], seed=1
-        )
-        net = make_faulty_net(geodb, plan)
-        with pytest.raises(NetworkError):
-            net.request("a", "b", 1)
-        net.restart_host("b")
-        with pytest.raises(NetworkError):
-            net.request("a", "b", 1)

@@ -83,6 +83,22 @@ class TestCallContract:
             transport.call("nobody", "server", "echo", 1)
 
 
+class TestEndpointNames:
+    def test_duplicate_bind_leaves_the_original_handler(self, transport):
+        with pytest.raises(ValueError):
+            transport.bind("server", lambda method, payload: "usurper")
+        assert transport.call("client", "server", "echo", "mine") == "mine"
+
+    def test_client_and_server_names_are_exclusive(self, transport):
+        with pytest.raises(ValueError):
+            transport.bind("client", conformance_handler)
+        with pytest.raises(ValueError):
+            transport.register_client("server")
+        assert transport.call("client", "server", "echo", 1) == 1
+        with pytest.raises(NetworkError):
+            transport.call("server", "client", "echo", 1)
+
+
 class TestErrorTaxonomy:
     def test_remote_exception_maps_to_remote_call_error(self, transport):
         with pytest.raises(RemoteCallError) as err:
@@ -165,6 +181,13 @@ class TestShutdown:
         transport.close()
         with pytest.raises(NetworkError):
             transport.call("client", "server", "echo", 1)
+
+    def test_closed_transport_refuses_endpoints(self, transport):
+        transport.close()
+        with pytest.raises(NetworkError):
+            transport.bind("late", conformance_handler)
+        with pytest.raises(NetworkError):
+            transport.register_client("late-client")
 
     def test_clean_shutdown_mid_call(self, transport):
         """close() while a call is in flight neither hangs nor corrupts:
