@@ -26,6 +26,7 @@ from repro.crypto.secure_kmeans import (
     KMeansCoordinator,
     iterate_until_stable,
 )
+from repro.obs import NULL_TELEMETRY
 
 
 class NoDoppelgangerAssigned(LookupError):
@@ -36,9 +37,12 @@ class Aggregator:
     """Back-end role holding ciphertexts and the peer→cluster mapping."""
 
     def __init__(self, group: Optional[SchnorrGroup] = None,
-                 rng: Optional[random.Random] = None) -> None:
+                 rng: Optional[random.Random] = None,
+                 telemetry=NULL_TELEMETRY) -> None:
         self.group = group if group is not None else TEST_GROUP
         self._rng = rng if rng is not None else random.Random(1717)
+        #: handed to each round's KMeansAggregator (its phase latencies)
+        self._telemetry = telemetry
         self._kmeans: Optional[KMeansAggregator] = None
         self.peer_cluster: Dict[str, int] = {}
         self._cluster_dopp_id: Dict[int, str] = {}
@@ -48,7 +52,8 @@ class Aggregator:
                          n_workers: int = 1) -> None:
         """Start a clustering round against the given Coordinator role."""
         self._kmeans = KMeansAggregator(
-            self.group, crypto_coordinator, rng=self._rng, n_workers=n_workers
+            self.group, crypto_coordinator, rng=self._rng, n_workers=n_workers,
+            telemetry=self._telemetry,
         )
 
     def submit_encrypted_profile(self, peer_id: str, ciphertext: Ciphertext) -> None:

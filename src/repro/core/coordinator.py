@@ -37,8 +37,7 @@ from repro.core.whitelist import Whitelist
 from repro.net.faults import ROLE_SERVER, BackoffPolicy, FaultPlan
 from repro.net.geo import GeoDatabase, Location
 from repro.net.p2p import PeerOverlay
-from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.trace import NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 from repro.profiles.doppelganger import DoppelgangerManager
 from repro.web.internet import parse_url
 
@@ -101,7 +100,7 @@ class Coordinator:
         faults: Optional[FaultPlan] = None,
         retry_budget: int = 3,
         backoff: Optional[BackoffPolicy] = None,
-        metrics=None,
+        telemetry=NULL_TELEMETRY,
         transport_label: str = "sim",
     ) -> None:
         self.whitelist = whitelist
@@ -134,39 +133,33 @@ class Coordinator:
         self.jobs_reassigned = 0
         #: total simulated seconds callers were told to back off
         self.backoff_seconds = 0.0
-        self.tracer = NULL_TRACER
+        #: journey spans root here (the tracer is the deployment's once
+        #: its clock is bound)
+        self.tracer = telemetry.tracer
         #: job_id -> span_id of the job's latest Coordinator-side journey
         #: stage (assign / retry); the queue tier roots its chain here
         self.journey_spans: Dict[str, int] = {}
-        self._bind_registry(metrics if metrics is not None else NULL_REGISTRY)
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention)."""
-        self._bind_registry(telemetry.registry)
-        self.tracer = getattr(telemetry, "tracer", NULL_TRACER)
-
-    def _bind_registry(self, registry) -> None:
         #: telemetry: recovery counters + the per-server turnaround
         #: histogram (admission → completion report, world clock)
-        self.metrics = registry
-        self._m_recovery = self.metrics.counter(
+        registry = telemetry.registry
+        self._m_recovery = registry.counter(
             "sheriff_coordinator_recovery_total",
             "Failover / reassignment / terminal-failure events",
             labelnames=("event",),
         )
-        self._m_rejected = self.metrics.counter(
+        self._m_rejected = registry.counter(
             "sheriff_requests_rejected_total",
             "Price-check requests refused at admission",
         )
-        self._m_backoff = self.metrics.counter(
+        self._m_backoff = registry.counter(
             "sheriff_backoff_seconds_total",
             "Simulated seconds callers were told to back off",
         )
-        self._m_retry_budget = self.metrics.counter(
+        self._m_retry_budget = registry.counter(
             "sheriff_retry_budget_spent_total",
             "Server assignments consumed beyond each job's first",
         )
-        self._m_turnaround = self.metrics.histogram(
+        self._m_turnaround = registry.histogram(
             "sheriff_job_turnaround_seconds",
             "Admission-to-completion-report time per server (world clock)",
             labelnames=("server",),

@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Unio
 
 from repro.core.errors import ConnectionPoolExhausted, UnknownTable
 from repro.net.protocol import RawJSON
+from repro.obs import NULL_TELEMETRY
 from repro.storage.backend import TABLES, StorageBackend, make_backend
 
 __all__ = [
@@ -58,6 +59,7 @@ class DatabaseServer:
         self,
         max_connections: int = 32,
         backend: Union[StorageBackend, str, None] = None,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         #: the storage engine holding the rows ("memory" by default;
         #: "sqlite" or an engine instance; None consults REPRO_DB_BACKEND)
@@ -71,23 +73,10 @@ class DatabaseServer:
         #: rows' own ``time`` fields — no clock plumbing needed.  The
         #: ops layer's shard-staleness probe reads this.
         self.last_write_time: Optional[float] = None
-        self._m_queries = None
-        self._m_batch_rows = None
-        self._m_connections = None
-        self._m_index_hits = None
-
-    # -- telemetry ----------------------------------------------------------
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (the unified
-        ``bind_telemetry(telemetry)`` convention every component follows).
-
-        Instruments: query counters, the batch-size histogram, pool
-        occupancy, and the index-hit counter that proves the hot
-        ``sp_*`` queries resolve through secondary indexes.
-        """
-        self._bind_registry(telemetry.registry)
-
-    def _bind_registry(self, registry) -> None:
+        #: telemetry: query counters, the batch-size histogram, pool
+        #: occupancy, and the index-hit counter that proves the hot
+        #: ``sp_*`` queries resolve through secondary indexes
+        registry = telemetry.registry
         self._m_queries = registry.counter(
             "sheriff_db_queries_total", "Round trips to the Database server"
         )
@@ -106,12 +95,7 @@ class DatabaseServer:
 
     def _count_query(self) -> None:
         self.query_count += 1
-        if self._m_queries is not None:
-            self._m_queries.inc()
-
-    def _count_index_hit(self) -> None:
-        if self._m_index_hits is not None:
-            self._m_index_hits.inc()
+        self._m_queries.inc()
 
     # -- connection pool ----------------------------------------------------
     @contextmanager
@@ -122,14 +106,12 @@ class DatabaseServer:
             )
         self._connections_in_use += 1
         self.peak_connections = max(self.peak_connections, self._connections_in_use)
-        if self._m_connections is not None:
-            self._m_connections.set(self._connections_in_use)
+        self._m_connections.set(self._connections_in_use)
         try:
             yield self
         finally:
             self._connections_in_use -= 1
-            if self._m_connections is not None:
-                self._m_connections.set(self._connections_in_use)
+            self._m_connections.set(self._connections_in_use)
 
     def _note_write_times(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Advance ``last_write_time`` to the newest ``time`` of rows the
@@ -161,8 +143,7 @@ class DatabaseServer:
         self._count_query()
         ids = self.backend.insert_many(table, rows)
         self.batched_writes += 1
-        if self._m_batch_rows is not None:
-            self._m_batch_rows.observe(len(rows))
+        self._m_batch_rows.observe(len(rows))
         self._note_write_times(rows)
         return ids
 
@@ -179,7 +160,7 @@ class DatabaseServer:
         hits_before = self.backend.index_hits
         result = read(table, column, value)
         if self.backend.index_hits > hits_before:
-            self._count_index_hit()
+            self._m_index_hits.inc()
         return result
 
     def lookup(self, table: str, column: str, value: Any) -> List[Dict[str, Any]]:
@@ -242,12 +223,12 @@ class DatabaseServer:
 
     def sp_requests_by_domain(self) -> Counter:
         self._count_query()
-        self._count_index_hit()
+        self._m_index_hits.inc()
         return self.backend.group_count("requests", "domain")
 
     def sp_requests_by_user(self) -> Counter:
         self._count_query()
-        self._count_index_hit()
+        self._m_index_hits.inc()
         return self.backend.group_count("requests", "user_id")
 
     def sp_all_requests(self) -> List[Dict[str, Any]]:

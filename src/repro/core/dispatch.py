@@ -29,7 +29,7 @@ from repro.core.errors import (
     UnknownJob,
     UnknownServer,
 )
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs import NULL_TELEMETRY
 
 __all__ = [
     "DISPATCH_POLICIES",
@@ -86,7 +86,7 @@ class RequestDistributor:
         self,
         policy: str = "least_jobs",
         heartbeat_timeout: float = 30.0,
-        metrics=None,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         if policy not in DISPATCH_POLICIES:
             raise DispatchConfigError(f"unknown dispatch policy {policy!r}")
@@ -100,33 +100,24 @@ class RequestDistributor:
         self.failures = 0
         self.reassignments = 0
         self.offline_events = 0
-        self._bind_registry(metrics if metrics is not None else NULL_REGISTRY)
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention)."""
-        self._bind_registry(telemetry.registry)
-        for record in self._servers.values():  # backfill pre-bind servers
-            self._sync_gauges(record)
-
-    def _bind_registry(self, registry) -> None:
         #: telemetry: lifecycle counters plus the per-server gauges the
         #: Fig. 7 panel renders from
-        self.metrics = registry
-        self._m_lifecycle = self.metrics.counter(
+        registry = telemetry.registry
+        self._m_lifecycle = registry.counter(
             "sheriff_dispatch_jobs_total",
             "Job lifecycle events seen by the distributor",
             labelnames=("event",),
         )
-        self._m_offline = self.metrics.counter(
+        self._m_offline = registry.counter(
             "sheriff_dispatch_offline_events_total",
             "Servers marked offline (missed heartbeats or dead sends)",
         )
-        self._m_jobs = self.metrics.gauge(
+        self._m_jobs = registry.gauge(
             "sheriff_server_pending_jobs",
             "Pending jobs per Measurement server (Fig. 7)",
             labelnames=("server", "url", "port"),
         )
-        self._m_online = self.metrics.gauge(
+        self._m_online = registry.gauge(
             "sheriff_server_online",
             "1 = server online, 0 = offline (Fig. 7)",
             labelnames=("server", "url", "port"),

@@ -37,7 +37,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.pricecheck import PriceCheckResult
 from repro.net.events import Clock, EventLoop
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs import NULL_TELEMETRY
 
 __all__ = [
     "CachedPage",
@@ -119,9 +119,9 @@ class WorkerPool:
         self,
         loop: EventLoop,
         size: int,
-        name: str = "",
-        busy_gauge=None,
-        queue_gauge=None,
+        name: str,
+        busy_gauge,
+        queue_gauge,
     ) -> None:
         if size < 1:
             raise ValueError(f"worker pool needs at least 1 worker, got {size}")
@@ -137,9 +137,8 @@ class WorkerPool:
         self._queue_gauge = queue_gauge
 
     def _sync_gauges(self) -> None:
-        if self._busy_gauge is not None:
-            self._busy_gauge.set(self._busy, server=self.name)
-            self._queue_gauge.set(len(self._waiting), server=self.name)
+        self._busy_gauge.set(self._busy, server=self.name)
+        self._queue_gauge.set(len(self._waiting), server=self.name)
 
     @property
     def busy(self) -> int:
@@ -211,30 +210,17 @@ class PageCache:
     entries carry — never outlives one TTL window of puts.
     """
 
-    def __init__(self, ttl: float = 0.0) -> None:
+    def __init__(self, ttl: float = 0.0, telemetry=NULL_TELEMETRY) -> None:
         self.ttl = ttl
         self._pages: "OrderedDict[Tuple[str, str, str], CachedPage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._hit_counter = None
-        self._miss_counter = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Re-emit hit/miss counts as registry series (panel input)."""
-        self._bind_registry(telemetry.registry)
-
-    def _bind_registry(self, registry) -> None:
-        self._hit_counter = registry.counter(
+        self._hit_counter = telemetry.registry.counter(
             "sheriff_cache_hits_total", "Page-cache hits"
         )
-        self._miss_counter = registry.counter(
+        self._miss_counter = telemetry.registry.counter(
             "sheriff_cache_misses_total", "Page-cache misses"
         )
-
-    def _count_miss(self) -> None:
-        self.misses += 1
-        if self._miss_counter is not None:
-            self._miss_counter.inc()
 
     @property
     def enabled(self) -> bool:
@@ -245,11 +231,11 @@ class PageCache:
             return None
         entry = self._pages.get(key)
         if entry is None or now - entry.stored_at > self.ttl:
-            self._count_miss()
+            self.misses += 1
+            self._miss_counter.inc()
             return None
         self.hits += 1
-        if self._hit_counter is not None:
-            self._hit_counter.inc()
+        self._hit_counter.inc()
         return entry
 
     def put(self, key: Tuple[str, str, str], fetch: Any, now: float) -> CachedPage:
@@ -299,53 +285,40 @@ class PriceCheckEngine:
         loop: Optional[EventLoop] = None,
         max_workers: int = 8,
         cache: Optional[PageCache] = None,
-        metrics=None,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.loop = loop if loop is not None else EventLoop(Clock())
         self.max_workers = max_workers
         self.cache = cache if cache is not None else PageCache(ttl=0.0)
         self._pools: Dict[str, WorkerPool] = {}
         self.jobs_scheduled = 0
-        self._bind_registry(metrics if metrics is not None else NULL_REGISTRY)
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention)."""
-        self._bind_registry(telemetry.registry)
-
-    def _bind_registry(self, registry) -> None:
-        #: telemetry (a MetricsRegistry, or the shared null registry)
-        self.metrics = registry
-        self._m_submitted = self.metrics.counter(
+        registry = telemetry.registry
+        self._m_submitted = registry.counter(
             "sheriff_engine_jobs_submitted_total",
             "Jobs scheduled on the engine", labelnames=("server",),
         )
-        self._m_completed = self.metrics.counter(
+        self._m_completed = registry.counter(
             "sheriff_engine_jobs_completed_total",
             "Jobs that reached a terminal state",
             labelnames=("server", "state"),
         )
-        self._m_latency = self.metrics.histogram(
+        self._m_latency = registry.histogram(
             "sheriff_check_latency_seconds",
             "Per-check latency on the simulated timeline",
             labelnames=("server",),
         )
-        self._m_busy = self.metrics.gauge(
+        self._m_busy = registry.gauge(
             "sheriff_engine_workers_busy",
             "Fetch workers currently occupied", labelnames=("server",),
         )
-        self._m_queue = self.metrics.gauge(
+        self._m_queue = registry.gauge(
             "sheriff_engine_queue_depth",
             "Fetch tasks waiting for a worker", labelnames=("server",),
         )
-        self._m_clock = self.metrics.gauge(
+        self._m_clock = registry.gauge(
             "sheriff_engine_clock_seconds",
             "Current engine-loop simulated time",
         )
-        for pool in self._pools.values():  # rebind lazily created pools
-            pool._busy_gauge = self._m_busy if self.metrics.enabled else None
-            pool._queue_gauge = self._m_queue if self.metrics.enabled else None
-        if self.metrics.enabled:
-            self.cache._bind_registry(self.metrics)
 
     @property
     def now(self) -> float:
@@ -356,8 +329,7 @@ class PriceCheckEngine:
         if pool is None:
             pool = WorkerPool(
                 self.loop, self.max_workers, name=server_name,
-                busy_gauge=self._m_busy if self.metrics.enabled else None,
-                queue_gauge=self._m_queue if self.metrics.enabled else None,
+                busy_gauge=self._m_busy, queue_gauge=self._m_queue,
             )
             self._pools[server_name] = pool
         return pool

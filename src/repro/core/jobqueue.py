@@ -39,7 +39,7 @@ back off).
 
 Queue traffic is observable through ``sheriff_queue_*`` metrics
 (depth, enqueued, dispatched, steals by reason, shed, dead-lettered,
-wait-time histogram) and — with a full telemetry plane bound — two
+wait-time histogram) and — with telemetry on — two
 per-job records.  The flight recorder (``telemetry.flights``) is the
 tier's one event log: every ``enqueue``/``dispatch``/``steal``/
 ``shed``/``dead_letter`` decision, clock-stamped and sequence-numbered,
@@ -71,9 +71,7 @@ from repro.core.errors import (
     UnknownServer,
 )
 from repro.net.faults import BackoffPolicy
-from repro.obs.flightrecorder import NULL_FLIGHT_RECORDER
-from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.trace import NULL_TRACER
+from repro.obs import NULL_TELEMETRY
 
 __all__ = [
     "DeadLetter",
@@ -238,7 +236,7 @@ class QueuedMeasurementTier:
         max_depth: int = 256,
         steal_threshold: Optional[int] = 16,
         backoff: Optional[BackoffPolicy] = None,
-        telemetry: Any = None,
+        telemetry=NULL_TELEMETRY,
         transport_label: str = "sim",
     ) -> None:
         if max_depth < 1:
@@ -262,24 +260,12 @@ class QueuedMeasurementTier:
         self.shed_total = 0
         self.dispatched_total = 0
         self.steals: Dict[str, int] = {}
-        self.tracer = NULL_TRACER
-        self.flights = NULL_FLIGHT_RECORDER
+        self.tracer = telemetry.tracer
+        self.flights = telemetry.flights
         #: job_id -> span_id of the job's latest journey stage, the
         #: parent the next stage chains under
         self._journey: Dict[str, int] = {}
-        self._bind_registry(NULL_REGISTRY)
-        if telemetry is not None:
-            self.bind_telemetry(telemetry)
-
-    # -- telemetry --------------------------------------------------------
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention)."""
-        self._bind_registry(telemetry.registry)
-        self.tracer = getattr(telemetry, "tracer", NULL_TRACER)
-        self.flights = getattr(telemetry, "flights", NULL_FLIGHT_RECORDER)
-
-    def _bind_registry(self, registry) -> None:
-        self.metrics = registry
+        registry = telemetry.registry
         self._m_depth = registry.gauge(
             "sheriff_queue_depth",
             "Jobs waiting in the measurement tier's outbox, per server",

@@ -44,7 +44,7 @@ from repro.core.engine import (
 )
 from repro.core.errors import QuorumNotMet, UnknownJob
 from repro.core.pricecheck import PriceCheckResult, ResultRow
-from repro.core.tagspath import TagsPath, extract_price_text
+from repro.core.tagspath import EXTRACTION_STATS, TagsPath, extract_price_text
 from repro.currency.detect import Confidence, CurrencyDetectionError, detect_price
 from repro.currency.rates import ExchangeRateProvider, UnknownCurrencyError
 from repro.net.events import Clock
@@ -142,7 +142,7 @@ class MeasurementServer:
         diffstore: Optional[DiffStorage] = None,
         quorum: int = 1,
         latency_model: Optional[LatencyModel] = None,
-        telemetry=None,
+        telemetry=NULL_TELEMETRY,
         transport_label: str = "sim",
     ) -> None:
         self.name = name
@@ -180,7 +180,28 @@ class MeasurementServer:
         #: telemetry is observational only — spans read the sim clock
         #: and never consume any RNG stream, so runs stay
         #: byte-identical with tracing on or off
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry
+        registry = telemetry.registry
+        #: the extraction work of this server's fan-outs (the extractor
+        #: and its memo are process-wide: see :meth:`_execute`)
+        self._m_extract = {
+            "pages_parsed": registry.counter(
+                "sheriff_extract_pages_parsed_total",
+                "Tag skeletons scanned and matched (extraction memo misses)",
+            ),
+            "memo_hits": registry.counter(
+                "sheriff_extract_memo_hits_total",
+                "Extraction memo hits (a page whose tag skeleton was seen before)",
+            ),
+            "candidates_pruned": registry.counter(
+                "sheriff_extract_candidates_pruned_total",
+                "Candidates skipped because their shared suffix cannot win",
+            ),
+            "lcs_cells": registry.counter(
+                "sheriff_extract_lcs_cells_total",
+                "LCS DP cells evaluated after prefix/suffix stripping",
+            ),
+        }
         self.jobs_processed = 0
         self.stats = MeasurementStats()
         #: live job handles of the unified submit/poll/result API
@@ -523,13 +544,21 @@ class MeasurementServer:
         simulated instant — the paper's "at the same time" requirement —
         and carry their duration explicitly, because the fetches execute
         eagerly while the world clock is frozen.
+
+        The extractor counts its work in the process-wide
+        :data:`~repro.core.tagspath.EXTRACTION_STATS`; what they grew by
+        during the fan-out is this server's, and goes to its telemetry.
         """
         tr = self.telemetry.tracer
-        with tr.span(
-            "price_check", trace_id=job.job_id, job_id=job.job_id,
-            url=job.url, server=self.name, transport=self.transport_label,
-        ):
-            return self._execute_fanout(job, tr)
+        before = EXTRACTION_STATS.snapshot()
+        try:
+            with tr.span(
+                "price_check", trace_id=job.job_id, job_id=job.job_id,
+                url=job.url, server=self.name, transport=self.transport_label,
+            ):
+                return self._execute_fanout(job, tr)
+        finally:
+            EXTRACTION_STATS.add_since(before, self._m_extract)
 
     def _fetch_span(
         self, tr, duration: float, vantage: str, proxy_id: str,

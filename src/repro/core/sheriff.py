@@ -43,17 +43,16 @@ from repro.core.jobapi import SheriffJobs
 from repro.core.jobqueue import QueuedMeasurementTier
 from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.pricecheck import PriceCheckResult
-from repro.core.tagspath import bind_extraction_telemetry
 from repro.core.whitelist import Whitelist
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
-from repro.crypto.secure_kmeans import KMeansCoordinator
+from repro.crypto.secure_kmeans import KMeansCoordinator, crypto_round
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.anonymity import AnonymityNetwork
 from repro.net.events import Clock
 from repro.net.faults import FaultPlan, chaos_plan
 from repro.net.geo import GeoDatabase
 from repro.net.p2p import PeerOverlay, make_peer_id
-from repro.net.transport import SimTransport, Transport
+from repro.net.transport import SimTransport
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.profiles.doppelganger import Doppelganger, DoppelgangerManager
 from repro.storage import ShardedDatabase
@@ -131,7 +130,6 @@ class PriceSheriff:
         overlay: Optional[PeerOverlay] = None,
         faults: Optional[FaultPlan] = None,
         telemetry: Union[Telemetry, bool, None] = None,
-        transport: Union[Transport, str, None] = None,
         **overrides: Any,
     ) -> None:
         """Stand the deployment up from ``config``.
@@ -139,45 +137,42 @@ class PriceSheriff:
         The named keywords are the collaborators — built objects, not
         values; ``overrides`` are :class:`SheriffConfig` fields replaced
         on (a copy of) ``config``, so ``PriceSheriff(world, quorum=2)``
-        needs no config object.  ``telemetry`` / ``transport`` take the
-        ready object or, like any other override, the field's value.
+        needs no config object.  ``telemetry`` takes a ready
+        :class:`Telemetry` or, like any other override, the field's
+        value.  A caller-built ``faults`` plan or shared ``overlay``
+        keeps the telemetry it was built with.
         """
         if telemetry is not None and not isinstance(telemetry, Telemetry):
             overrides["telemetry"], telemetry = telemetry, None
-        if transport is not None and not isinstance(transport, Transport):
-            overrides["transport"], transport = transport, None
         config = dataclasses.replace(
             config if config is not None else SheriffConfig(), **overrides
         ).validate()
         self.world = world
         self.config = config
         #: the observability plane: a metrics registry threaded through
-        #: every hot path plus a sim-clock tracer.  Defaults to the
-        #: null telemetry — all instrument calls become no-ops — and is
-        #: purely observational either way: it never consumes an RNG
-        #: stream or advances a clock, so runs are byte-identical with
-        #: telemetry on or off (tested).
+        #: every hot path plus a sim-clock tracer, handed to every
+        #: component as it is built.  Defaults to the null telemetry —
+        #: all instrument calls become no-ops — and is purely
+        #: observational either way: it never consumes an RNG stream or
+        #: advances a clock, so runs are byte-identical with telemetry
+        #: on or off (tested).
         if telemetry is None:
             telemetry = Telemetry() if config.telemetry else NULL_TELEMETRY
-        self.telemetry = telemetry
-        self.telemetry.bind_clock(world.clock)
-        metrics = self.telemetry.registry
+        self.telemetry = telemetry.bind_clock(world.clock)
         #: the shared pipelined engine: one event loop for the whole
         #: deployment, one bounded worker pool per Measurement server,
         #: and the (default-off) short-TTL page cache
         self.engine = PriceCheckEngine(
             max_workers=config.max_fetch_workers,
-            cache=PageCache(ttl=config.page_cache_ttl),
+            cache=PageCache(ttl=config.page_cache_ttl, telemetry=telemetry),
+            telemetry=telemetry,
         )
-        self.engine.bind_telemetry(self.telemetry)
-        if metrics.enabled:
-            bind_extraction_telemetry(self.telemetry)
         if faults is None and config.chaos_profile is not None:
-            faults = chaos_plan(config.chaos_profile, seed=config.chaos_seed)
+            faults = chaos_plan(
+                config.chaos_profile, seed=config.chaos_seed, telemetry=telemetry
+            )
         #: the chaos schedule every layer below consults (None = clean)
         self.faults = faults
-        if faults is not None and metrics.enabled:
-            faults.bind_telemetry(self.telemetry)
         self.quorum = config.quorum
         if whitelist_domains is None:
             # default: sanction every e-commerce store currently online
@@ -187,39 +182,34 @@ class PriceSheriff:
         #: domain-sharded router over several, on either storage engine
         if config.db_shards > 1:
             self.db = ShardedDatabase(
-                n_shards=config.db_shards, backend=config.db_backend
+                n_shards=config.db_shards, backend=config.db_backend,
+                telemetry=telemetry,
             )
         else:
-            self.db = DatabaseServer(backend=config.db_backend)
-        #: the messaging plane every component speaks (the Transport
-        #: redesign): ``"sim"`` (default — deterministic, in-process),
-        #: ``"socket"`` (real TCP on blocking sockets, mesh-shaped), or a prebuilt
-        #: :class:`~repro.net.transport.Transport` instance.  The sim
-        #: transport owns a private latency RNG stream and carries no
-        #: fault plan, so it never perturbs chaos RNG draws.
-        if transport is not None:
-            self.transport = transport
-        elif config.transport == "socket":
+            self.db = DatabaseServer(backend=config.db_backend, telemetry=telemetry)
+        #: the messaging plane every component speaks: ``"sim"``
+        #: (default — deterministic, in-process) or ``"socket"`` (real
+        #: TCP on blocking sockets, mesh-shaped).  The sim transport
+        #: owns a private latency RNG stream and carries no fault plan,
+        #: so it never perturbs chaos RNG draws.
+        if config.transport == "socket":
             from repro.net.socket_transport import SocketTransport
 
-            self.transport = SocketTransport()
+            self.transport = SocketTransport(telemetry=telemetry)
         else:
-            self.transport = SimTransport()
+            self.transport = SimTransport(telemetry=telemetry)
         self.transport_label = self.transport.label
-        if metrics.enabled:
-            self.transport.bind_telemetry(self.telemetry)
         self.transport.bind("db", database_rpc_handler(self.db))
         self.diffstore = DiffStorage()
         # A crawling back-end can share the PPC network of the live
         # deployment by passing the live overlay (Sect. 7.1).
-        self.overlay = overlay if overlay is not None else PeerOverlay(faults=faults)
-        if self.overlay.faults is None and faults is not None:
-            self.overlay.faults = faults
-        if metrics.enabled:
-            self.db.bind_telemetry(self.telemetry)
-            self.overlay.bind_telemetry(self.telemetry)
+        if overlay is None:
+            overlay = PeerOverlay(faults=faults, telemetry=telemetry)
+        elif overlay.faults is None:
+            overlay.faults = faults
+        self.overlay = overlay
         self.distributor = RequestDistributor(
-            policy=config.dispatch_policy, metrics=metrics
+            policy=config.dispatch_policy, telemetry=telemetry
         )
         self.dopp_manager = DoppelgangerManager(
             internet=world.internet,
@@ -238,15 +228,13 @@ class PriceSheriff:
             max_ppcs_per_request=config.max_ppcs_per_request,
             faults=faults,
             retry_budget=config.retry_budget,
-            metrics=metrics,
+            telemetry=telemetry,
             transport_label=self.transport_label,
         )
-        if metrics.enabled:
-            # full binding (tracer included) so job journeys root at the
-            # Coordinator's assign span
-            self.coordinator.bind_telemetry(self.telemetry)
         self.crypto_group = crypto_group if crypto_group is not None else TEST_GROUP
-        self.aggregator = Aggregator(group=self.crypto_group, rng=world.rng)
+        self.aggregator = Aggregator(
+            group=self.crypto_group, rng=world.rng, telemetry=telemetry
+        )
         # doppelganger state requests are onion-routed (Sect. 3.7)
         self.anonymity = AnonymityNetwork(n_relays=3)
 
@@ -274,7 +262,7 @@ class PriceSheriff:
                 max_depth=config.queue_depth,
                 steal_threshold=config.queue_steal_threshold,
                 backoff=self.coordinator.backoff,
-                telemetry=self.telemetry if metrics.enabled else None,
+                telemetry=telemetry,
                 transport_label=self.transport_label,
             )
         self._jobs_facade: Optional[SheriffJobs] = None
@@ -536,30 +524,30 @@ class PriceSheriff:
         crypto_coordinator = KMeansCoordinator(
             self.crypto_group, m=len(reference_domains),
             value_bound=quantization, rng=self.world.rng, n_workers=n_workers,
+            telemetry=self.telemetry,
         )
-        if self.telemetry.registry.enabled:
-            crypto_coordinator.bind_telemetry(self.telemetry)
-        self.aggregator.begin_collection(crypto_coordinator, n_workers=n_workers)
-        for addon in participants:
-            ciphertext = addon.encrypted_profile(
-                crypto_coordinator.scheme, crypto_coordinator.public_keys,
-                reference_domains, self.world.rng, quantization,
-            )
-            try:
-                self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
-            except ValueError:
-                # a malformed ciphertext costs its sender a cluster, not
-                # everyone else the round
-                continue
+        with crypto_round(self.telemetry):
+            self.aggregator.begin_collection(crypto_coordinator, n_workers=n_workers)
+            for addon in participants:
+                ciphertext = addon.encrypted_profile(
+                    crypto_coordinator.scheme, crypto_coordinator.public_keys,
+                    reference_domains, self.world.rng, quantization,
+                )
+                try:
+                    self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
+                except ValueError:
+                    # a malformed ciphertext costs its sender a cluster,
+                    # not everyone else the round
+                    continue
 
-        if initial_centroids is None:
-            initial_centroids = self._sparse_random_centroids(
-                k, len(reference_domains), quantization
+            if initial_centroids is None:
+                initial_centroids = self._sparse_random_centroids(
+                    k, len(reference_domains), quantization
+                )
+            crypto_coordinator.set_centroids(initial_centroids)
+            mapping = self.aggregator.run_clustering(
+                halt_threshold=halt_threshold, max_iterations=max_iterations
             )
-        crypto_coordinator.set_centroids(initial_centroids)
-        mapping = self.aggregator.run_clustering(
-            halt_threshold=halt_threshold, max_iterations=max_iterations
-        )
 
         centroids = [
             ProfileVector(

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import WorkCounts
 from repro.web.html import (
     Element,
     HTMLParseError,
@@ -86,72 +87,17 @@ class TagsPath:
 # instrumentation
 
 
-class ExtractionStats:
-    """Process-local counters for the extraction path.
-
-    Always maintained (plain int adds); :func:`bind_extraction_telemetry`
-    additionally mirrors each increment into ``sheriff_extract_*``
-    registry counters.  When unbound the mirror is a single ``None``
-    check per site, preserving the telemetry plane's
-    zero-cost-when-disabled property.
-    """
+class ExtractionStats(WorkCounts):
+    """Process-wide counts of the extraction path's work (plain int
+    adds).  A Measurement server adds what they grew by during each of
+    its fan-outs to its own ``sheriff_extract_*`` counters."""
 
     __slots__ = ("pages_parsed", "memo_hits", "candidates_pruned", "lcs_cells")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.pages_parsed = 0
-        self.memo_hits = 0
-        self.candidates_pruned = 0
-        self.lcs_cells = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "pages_parsed": self.pages_parsed,
-            "memo_hits": self.memo_hits,
-            "candidates_pruned": self.candidates_pruned,
-            "lcs_cells": self.lcs_cells,
-        }
 
 
 #: module-wide stats (the extractor is a pure function shared by every
 #: measurement server in the process)
 EXTRACTION_STATS = ExtractionStats()
-
-_m_pages = None
-_m_memo_hits = None
-_m_pruned = None
-_m_lcs_cells = None
-
-
-def bind_extraction_telemetry(telemetry) -> None:
-    """Register the ``sheriff_extract_*`` counters on a telemetry bundle."""
-    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells
-    registry = telemetry.registry
-    _m_pages = registry.counter(
-        "sheriff_extract_pages_parsed_total",
-        "Tag skeletons scanned and matched (extraction memo misses)",
-    )
-    _m_memo_hits = registry.counter(
-        "sheriff_extract_memo_hits_total",
-        "Extraction memo hits (a page whose tag skeleton was seen before)",
-    )
-    _m_pruned = registry.counter(
-        "sheriff_extract_candidates_pruned_total",
-        "Candidates skipped because their shared suffix cannot win",
-    )
-    _m_lcs_cells = registry.counter(
-        "sheriff_extract_lcs_cells_total",
-        "LCS DP cells evaluated after prefix/suffix stripping",
-    )
-
-
-def unbind_extraction_telemetry() -> None:
-    """Drop the registry mirrors (used when a sheriff shuts down)."""
-    global _m_pages, _m_memo_hits, _m_pruned, _m_lcs_cells
-    _m_pages = _m_memo_hits = _m_pruned = _m_lcs_cells = None
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +205,6 @@ def _lcs_length_stripped(
     if not mid_a or not mid_b:
         return prefix + suffix
     EXTRACTION_STATS.lcs_cells += len(mid_a) * len(mid_b)
-    if _m_lcs_cells is not None:
-        _m_lcs_cells.inc(len(mid_a) * len(mid_b))
     return prefix + suffix + _lcs_length(mid_a, mid_b)
 
 
@@ -364,8 +308,6 @@ def _best_span(
         # skipping it cannot change the first-best tie-break either.
         if suffix + 1.0 <= best_score:
             EXTRACTION_STATS.candidates_pruned += 1
-            if _m_pruned is not None:
-                _m_pruned.inc()
             continue
         longest = max(len(recorded), len(candidate_path))
         if longest == 0:
@@ -435,8 +377,6 @@ def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
     plan = _plans.get(key, _MEMO_MISS)
     if plan is _MEMO_MISS:
         EXTRACTION_STATS.pages_parsed += 1
-        if _m_pages is not None:
-            _m_pages.inc()
         plan = _make_plan(tags, path)
         if len(key[0]) <= EXTRACTION_MEMO_PAGE_MAX:
             _plans[key] = plan
@@ -445,8 +385,6 @@ def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
     else:
         _plans.move_to_end(key)
         EXTRACTION_STATS.memo_hits += 1
-        if _m_memo_hits is not None:
-            _m_memo_hits.inc()
     if plan is None:
         return None
     head, tail, lo, hi = plan

@@ -20,8 +20,16 @@ Implements, from scratch:
 * :mod:`repro.crypto.secure_kmeans` — the Coordinator/Aggregator
   two-phase clustering protocol with additive masking, so the
   Coordinator learns only centroids and cluster cardinalities while the
-  Aggregator learns only the client→cluster mapping and distances;
-* :mod:`repro.crypto.obs` — ``sheriff_crypto_*`` telemetry bindings.
+  Aggregator learns only the client→cluster mapping and distances.
+
+``fastexp`` and ``dlog`` cache tables every scheme object in the
+process shares, so they count their work in plain ints
+(``FASTEXP_STATS``, ``DLOG_STATS``); a round runner
+(:func:`run_secure_kmeans`, ``PriceSheriff.run_doppelganger_clustering``)
+adds what those grew by during its round to its own ``sheriff_crypto_*``
+series (:func:`~repro.crypto.secure_kmeans.crypto_round`).  The protocol
+parties take the deployment's telemetry when they are built and record
+the per-phase latencies themselves.
 """
 
 from repro.crypto.group import (
@@ -44,7 +52,6 @@ from repro.crypto.dlog import (
 )
 from repro.crypto.elgamal import Ciphertext, VectorElGamal
 from repro.crypto.fe import InnerProductFE
-from repro.crypto.obs import bind_crypto_telemetry, unbind_crypto_telemetry
 from repro.crypto.secure_kmeans import (
     KMeansAggregator,
     KMeansCoordinator,
@@ -75,7 +82,5 @@ __all__ = [
     "ProfileClient",
     "SecureKMeansResult",
     "WorkerPool",
-    "bind_crypto_telemetry",
     "run_secure_kmeans",
-    "unbind_crypto_telemetry",
 ]

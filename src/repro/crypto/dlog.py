@@ -34,6 +34,7 @@ from typing import Dict
 
 from repro.crypto import fastexp
 from repro.crypto.group import SchnorrGroup
+from repro.obs.metrics import WorkCounts
 
 
 class DiscreteLogError(ValueError):
@@ -63,27 +64,15 @@ class _Entry:
 _TABLE_CACHE: "OrderedDict[Tuple[int, int, int], _Entry]" = OrderedDict()
 
 
-class _Metrics:
-    """Module-level instrument slots, ``None`` until telemetry binds."""
+class DlogStats(WorkCounts):
+    """Process-wide counts of this module's work (plain int adds), for
+    the round runner to add to its telemetry as
+    :class:`~repro.crypto.fastexp.FastexpStats` are."""
 
-    __slots__ = ("cache", "calls", "evictions")
-
-    def __init__(self) -> None:
-        self.cache = None
-        self.calls = None
-        self.evictions = None
+    __slots__ = ("calls", "evictions")
 
 
-_METRICS = _Metrics()
-
-
-def bind_instruments(cache=None, calls=None, evictions=None) -> None:
-    """Attach ``sheriff_crypto_dlog_*`` instruments (see crypto.obs)."""
-    _METRICS.cache = cache
-    _METRICS.calls = calls
-    _METRICS.evictions = evictions
-    if cache is not None:
-        cache.set(len(_TABLE_CACHE))
+DLOG_STATS = DlogStats()
 
 
 def _entry(group: SchnorrGroup, m: int) -> _Entry:
@@ -106,10 +95,7 @@ def _entry(group: SchnorrGroup, m: int) -> _Entry:
     _TABLE_CACHE[key] = entry
     while len(_TABLE_CACHE) > MAX_CACHED_TABLES:
         _TABLE_CACHE.popitem(last=False)
-        if _METRICS.evictions is not None:
-            _METRICS.evictions.inc()
-    if _METRICS.cache is not None:
-        _METRICS.cache.set(len(_TABLE_CACHE))
+        DLOG_STATS.evictions += 1
     return entry
 
 
@@ -139,8 +125,7 @@ def discrete_log(group: SchnorrGroup, element: int, bound: int) -> int:
         raise ValueError("bound must be non-negative")
     m = _stride(bound)
     entry = _entry(group, m)
-    if _METRICS.calls is not None:
-        _METRICS.calls.inc()
+    DLOG_STATS.calls += 1
     table = entry.table
     giant = entry.giant
     p = group.p
@@ -165,5 +150,3 @@ def dlog_cache_info() -> Dict[str, int]:
 def clear_dlog_cache() -> None:
     """Drop all cached baby-step tables (used by memory-sensitive tests)."""
     _TABLE_CACHE.clear()
-    if _METRICS.cache is not None:
-        _METRICS.cache.set(0)

@@ -63,7 +63,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import WorkCounts
+
 __all__ = [
+    "FASTEXP_STATS",
     "FixedBaseTable",
     "SharedExponents",
     "SignedProducts",
@@ -80,29 +83,16 @@ __all__ = [
 MAX_CACHED_TABLES = 256
 
 
-class _Metrics:
-    """Module-level instrument slots, ``None`` until telemetry binds."""
+class FastexpStats(WorkCounts):
+    """Process-wide counts of this module's work (plain int adds).  The
+    tables are shared by every scheme object in the process, so a round
+    runner adds what they grew by during its round to its own
+    ``sheriff_crypto_*`` counters."""
 
-    __slots__ = ("pows", "builds", "tables", "batch_inversions")
-
-    def __init__(self) -> None:
-        self.pows = None
-        self.builds = None
-        self.tables = None
-        self.batch_inversions = None
+    __slots__ = ("pows", "table_builds", "batch_inversions")
 
 
-_METRICS = _Metrics()
-
-
-def bind_instruments(pows=None, builds=None, tables=None, batch_inversions=None) -> None:
-    """Attach ``sheriff_crypto_fastexp_*`` instruments (see crypto.obs)."""
-    _METRICS.pows = pows
-    _METRICS.builds = builds
-    _METRICS.tables = tables
-    _METRICS.batch_inversions = batch_inversions
-    if tables is not None:
-        tables.set(len(_TABLE_CACHE))
+FASTEXP_STATS = FastexpStats()
 
 
 def _default_window(qbits: int) -> int:
@@ -164,8 +154,7 @@ class FixedBaseTable:
                 flat.append(acc)
             b_j = acc * b_j % p  # b_j^(2^w - 1) · b_j = b_j^(2^w)
         self.flat = flat
-        if _METRICS.builds is not None:
-            _METRICS.builds.inc()
+        FASTEXP_STATS.table_builds += 1
 
     @property
     def n_windows(self) -> int:
@@ -178,8 +167,7 @@ class FixedBaseTable:
         result = 1
         for i in positions:
             result = result * flat[i] % p
-        if _METRICS.pows is not None:
-            _METRICS.pows.inc()
+        FASTEXP_STATS.pows += 1
         return result
 
     def pow(self, exponent: int) -> int:
@@ -351,8 +339,6 @@ def fixed_base(p: int, q: int, base: int) -> FixedBaseTable:
     _TABLE_CACHE[key] = table
     while len(_TABLE_CACHE) > MAX_CACHED_TABLES:
         _TABLE_CACHE.popitem(last=False)
-    if _METRICS.tables is not None:
-        _METRICS.tables.set(len(_TABLE_CACHE))
     return table
 
 
@@ -392,8 +378,7 @@ def batch_invert(p: int, values: Sequence[int]) -> List[int]:
     for i in range(n - 1, -1, -1):
         out[i] = prefix[i] * inv_acc % p
         inv_acc = inv_acc * (values[i] % p) % p
-    if _METRICS.batch_inversions is not None:
-        _METRICS.batch_inversions.inc()
+    FASTEXP_STATS.batch_inversions += 1
     return out
 
 
@@ -409,5 +394,3 @@ def fastexp_cache_info() -> Dict[str, int]:
 def clear_fastexp_cache() -> None:
     """Drop all cached fixed-base tables (memory-sensitive tests)."""
     _TABLE_CACHE.clear()
-    if _METRICS.tables is not None:
-        _METRICS.tables.set(0)

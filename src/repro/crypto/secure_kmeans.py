@@ -79,8 +79,9 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto import dlog as _dlog
 from repro.crypto import fastexp
@@ -88,6 +89,7 @@ from repro.crypto.dlog import DiscreteLogError, discrete_log
 from repro.crypto.elgamal import Ciphertext, VectorElGamal
 from repro.crypto.fe import InnerProductFE
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
+from repro.obs import NULL_TELEMETRY
 
 
 def profile_to_plaintext(point: Sequence[int]) -> List[int]:
@@ -173,6 +175,7 @@ class KMeansCoordinator:
         value_bound: int,
         rng: random.Random,
         n_workers: int = 1,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.group = group
         self.m = m
@@ -187,8 +190,12 @@ class KMeansCoordinator:
         #: (the cluster kept its previous centroid that iteration)
         self.centroids_kept = 0
         self.pool = WorkerPool(n_workers)
-        self._m_phase = None
-        self._m_kept = None
+        self._m_phase = _phase_histogram(telemetry.registry)
+        self._m_kept = telemetry.registry.counter(
+            "sheriff_crypto_centroids_kept_total",
+            "Centroid updates whose sums did not decrypt within the bound "
+            "(the cluster kept its previous centroid)",
+        )
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -200,20 +207,6 @@ class KMeansCoordinator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (phase latencies,
-        kept centroids)."""
-        self._m_phase = _phase_histogram(telemetry.registry)
-        self._m_kept = telemetry.registry.counter(
-            "sheriff_crypto_centroids_kept_total",
-            "Centroid updates whose sums did not decrypt within the bound "
-            "(the cluster kept its previous centroid)",
-        )
-
-    def _observe_phase(self, phase: str, seconds: float) -> None:
-        if self._m_phase is not None:
-            self._m_phase.observe(seconds, phase=phase)
 
     # -- centroid state -----------------------------------------------------
     def set_centroids(self, centroids: Sequence[Sequence[int]]) -> None:
@@ -254,7 +247,7 @@ class KMeansCoordinator:
         out: Dict[int, List[int]] = {}
         for partial in partials:
             out.update(partial)
-        self._observe_phase("distance", time.perf_counter() - started)
+        self._m_phase.observe(time.perf_counter() - started, phase="distance")
         return out
 
     # -- update phase (Coordinator side) -----------------------------------
@@ -280,13 +273,12 @@ class KMeansCoordinator:
             )
         except DiscreteLogError:
             self.centroids_kept += 1
-            if self._m_kept is not None:
-                self._m_kept.inc()
+            self._m_kept.inc()
         else:
             self.centroids[cluster_index] = [
                 int(round(s / cardinality)) for s in sums
             ]
-        self._observe_phase("update", time.perf_counter() - started)
+        self._m_phase.observe(time.perf_counter() - started, phase="update")
         return self.centroids[cluster_index]
 
 
@@ -304,6 +296,7 @@ class KMeansAggregator:
         coordinator: KMeansCoordinator,
         rng: random.Random,
         n_workers: int = 1,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.group = group
         self.coordinator = coordinator
@@ -314,7 +307,7 @@ class KMeansAggregator:
         self._order: List[str] = []
         self.assignments: Dict[str, int] = {}
         self.pool = WorkerPool(n_workers)
-        self._m_phase = None
+        self._m_phase = _phase_histogram(telemetry.registry)
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -326,14 +319,6 @@ class KMeansAggregator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (phase latencies)."""
-        self._m_phase = _phase_histogram(telemetry.registry)
-
-    def _observe_phase(self, phase: str, seconds: float) -> None:
-        if self._m_phase is not None:
-            self._m_phase.observe(seconds, phase=phase)
 
     # -- intake ---------------------------------------------------------------
     def submit(self, client_id: str, ciphertext: Ciphertext) -> None:
@@ -394,7 +379,7 @@ class KMeansAggregator:
             masked, _, g_nu = self._mask(self._ciphertexts[client_id])
             masked_batch.append((idx, masked.alpha, masked.betas))
             g_nus.append(g_nu)
-        self._observe_phase("mask", time.perf_counter() - started)
+        self._m_phase.observe(time.perf_counter() - started, phase="mask")
         return masked_batch, g_nus
 
     def choose_clusters(
@@ -442,7 +427,7 @@ class KMeansAggregator:
             self._order.remove(client_id)
             del self._ciphertexts[client_id]
         self.assignments = new_assignments
-        self._observe_phase("unmask", time.perf_counter() - started)
+        self._m_phase.observe(time.perf_counter() - started, phase="unmask")
         return dict(new_assignments), changed
 
     def assign_all(self) -> Tuple[Dict[str, int], int]:
@@ -462,7 +447,7 @@ class KMeansAggregator:
             cluster: (self.scheme.add_many(cts), len(cts))
             for cluster, cts in groups.items()
         }
-        self._observe_phase("aggregate", time.perf_counter() - started)
+        self._m_phase.observe(time.perf_counter() - started, phase="aggregate")
         return out
 
 
@@ -509,6 +494,63 @@ def _phase_histogram(registry):
         buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
                  30.0, 60.0, 120.0),
     )
+
+
+@contextmanager
+def crypto_round(telemetry) -> Iterator[None]:
+    """Count one round's exponentiation and discrete-log work into
+    ``telemetry``.
+
+    :mod:`~repro.crypto.fastexp` and :mod:`~repro.crypto.dlog` keep
+    process-wide plain-int counts; what they grew by inside the block
+    goes to the ``sheriff_crypto_*`` counters of ``telemetry``, and the
+    two table-cache gauges are set from the caches as the block leaves
+    them.  Forked pool workers count into their own copies, so only
+    parent-side work is seen; the phase histograms are recorded
+    parent-side and are complete.
+    """
+    registry = telemetry.registry
+    fastexp_counters = {
+        "pows": registry.counter(
+            "sheriff_crypto_fastexp_pows_total",
+            "Exponentiations served by fixed-base comb tables",
+        ),
+        "table_builds": registry.counter(
+            "sheriff_crypto_fastexp_table_builds_total",
+            "Comb table precomputations (cached and throwaway)",
+        ),
+        "batch_inversions": registry.counter(
+            "sheriff_crypto_batch_inversions_total",
+            "Montgomery batch-inversion passes",
+        ),
+    }
+    dlog_counters = {
+        "calls": registry.counter(
+            "sheriff_crypto_dlog_calls_total",
+            "Bounded discrete-log computations",
+        ),
+        "evictions": registry.counter(
+            "sheriff_crypto_dlog_cache_evictions_total",
+            "Baby-step tables evicted by the LRU size cap",
+        ),
+    }
+    tables = registry.gauge(
+        "sheriff_crypto_fastexp_tables",
+        "Fixed-base comb tables currently in the LRU cache",
+    )
+    dlog_tables = registry.gauge(
+        "sheriff_crypto_dlog_cache",
+        "Baby-step tables currently in the BSGS LRU cache",
+    )
+    fastexp_before = fastexp.FASTEXP_STATS.snapshot()
+    dlog_before = _dlog.DLOG_STATS.snapshot()
+    try:
+        yield
+    finally:
+        fastexp.FASTEXP_STATS.add_since(fastexp_before, fastexp_counters)
+        _dlog.DLOG_STATS.add_since(dlog_before, dlog_counters)
+        tables.set(fastexp.fastexp_cache_info()["entries"])
+        dlog_tables.set(_dlog.dlog_cache_info()["entries"])
 
 
 # -- the protocol loop ---------------------------------------------------------
@@ -575,7 +617,7 @@ def run_secure_kmeans(
     halt_threshold: float = 0.02,
     max_iterations: int = 15,
     n_workers: int = 1,
-    telemetry=None,
+    telemetry=NULL_TELEMETRY,
 ) -> SecureKMeansResult:
     """Run the full protocol over a set of client profiles.
 
@@ -585,7 +627,7 @@ def run_secure_kmeans(
     Aggregator's RNG, mirroring a Forgy initialization.
 
     Pass a :class:`repro.obs.Telemetry` to record the ``sheriff_crypto_*``
-    counters and per-phase latency histograms.
+    counters and per-phase latency histograms of the run.
     """
     if not points:
         raise ValueError("no client points")
@@ -599,37 +641,33 @@ def run_secure_kmeans(
     m = dims.pop()
 
     coordinator = KMeansCoordinator(group, m=m, value_bound=value_bound, rng=rng,
-                                    n_workers=n_workers)
+                                    n_workers=n_workers, telemetry=telemetry)
     aggregator = KMeansAggregator(group, coordinator, rng=rng,
-                                  n_workers=n_workers)
-    if telemetry is not None:
-        from repro.crypto.obs import bind_crypto_telemetry
-
-        bind_crypto_telemetry(telemetry)
-        coordinator.bind_telemetry(telemetry)
-        aggregator.bind_telemetry(telemetry)
-
-    # Clients encrypt and go offline.
-    encrypt_started = time.perf_counter()
-    for client_id, point in points.items():
-        client = ProfileClient(client_id, point, value_bound)
-        aggregator.submit(
-            client_id, client.encrypt_profile(coordinator.scheme,
-                                              coordinator.public_keys, rng)
+                                  n_workers=n_workers, telemetry=telemetry)
+    with crypto_round(telemetry):
+        # Clients encrypt and go offline.
+        encrypt_started = time.perf_counter()
+        for client_id, point in points.items():
+            client = ProfileClient(client_id, point, value_bound)
+            aggregator.submit(
+                client_id, client.encrypt_profile(coordinator.scheme,
+                                                  coordinator.public_keys, rng)
+            )
+        _phase_histogram(telemetry.registry).observe(
+            time.perf_counter() - encrypt_started, phase="encrypt"
         )
-    aggregator._observe_phase("encrypt", time.perf_counter() - encrypt_started)
 
-    if initial_centroids is None:
-        ids = sorted(points)
-        chosen = rng.sample(ids, min(k, len(ids)))
-        initial_centroids = [list(points[c]) for c in chosen]
-        while len(initial_centroids) < k:
-            initial_centroids.append(list(points[rng.choice(ids)]))
-    coordinator.set_centroids(initial_centroids)
+        if initial_centroids is None:
+            ids = sorted(points)
+            chosen = rng.sample(ids, min(k, len(ids)))
+            initial_centroids = [list(points[c]) for c in chosen]
+            while len(initial_centroids) < k:
+                initial_centroids.append(list(points[rng.choice(ids)]))
+        coordinator.set_centroids(initial_centroids)
 
-    converged, iteration_seconds = iterate_until_stable(
-        aggregator, halt_threshold, max_iterations
-    )
+        converged, iteration_seconds = iterate_until_stable(
+            aggregator, halt_threshold, max_iterations
+        )
     return SecureKMeansResult(
         centroids=[list(c) for c in coordinator.centroids],
         assignments=dict(aggregator.assignments),

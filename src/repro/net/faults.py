@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs import NULL_TELEMETRY
+
 #: canonical destination roles used by rule matching when the concrete
 #: host name is opaque (peer IDs are random tokens)
 ROLE_SERVER = "server"  # a Measurement server
@@ -178,6 +180,7 @@ class FaultPlan:
         seed: int = 0,
         rng: Optional[random.Random] = None,
         name: str = "custom",
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.name = name
         self.rules: List[FaultRule] = list(rules)
@@ -186,31 +189,19 @@ class FaultPlan:
         self.events: List[FaultEvent] = []
         self._seq = itertools.count()
         self._flap_until: Dict[str, float] = {}
-        self._m_injected = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Re-emit every injected fault as a kind-labeled counter series.
-
-        The counter is bumped inside :meth:`_record`, the single point
-        every fault flows through, so the metric cannot drift from the
-        event log the determinism tests compare.
-        """
-        self._bind_registry(telemetry.registry)
-
-    def _bind_registry(self, registry) -> None:
-        self._m_injected = registry.counter(
+        #: every injected fault as a kind-labeled counter series, bumped
+        #: in :meth:`_record` — the single point every fault flows
+        #: through — so the metric cannot drift from the event log the
+        #: determinism tests compare
+        self._m_injected = telemetry.registry.counter(
             "sheriff_faults_injected_total",
             "Faults injected, by kind", labelnames=("kind",),
         )
-        for kind, count in self.stats.counts.items():
-            # backfill faults injected before telemetry was attached
-            self._m_injected.inc(count, kind=kind)
 
     # -- event log ---------------------------------------------------------
     def _record(self, kind: str, src: str, dst: str, detail: str = "") -> None:
         self.stats.bump(kind)
-        if self._m_injected is not None:
-            self._m_injected.inc(kind=kind)
+        self._m_injected.inc(kind=kind)
         self.events.append(
             FaultEvent(seq=next(self._seq), kind=kind, src=src, dst=dst,
                        detail=detail)
@@ -346,7 +337,7 @@ CHAOS_PROFILES: Dict[str, Tuple[FaultRule, ...]] = {
 }
 
 
-def chaos_plan(profile: str, seed: int = 0) -> FaultPlan:
+def chaos_plan(profile: str, seed: int = 0, telemetry=NULL_TELEMETRY) -> FaultPlan:
     """Instantiate a named chaos profile with its own seeded RNG."""
     try:
         rules = CHAOS_PROFILES[profile]
@@ -355,4 +346,4 @@ def chaos_plan(profile: str, seed: int = 0) -> FaultPlan:
             f"unknown chaos profile {profile!r}; "
             f"choose from {sorted(CHAOS_PROFILES)}"
         ) from None
-    return FaultPlan(rules, seed=seed, name=profile)
+    return FaultPlan(rules, seed=seed, name=profile, telemetry=telemetry)

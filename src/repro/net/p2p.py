@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.faults import ROLE_PPC, FaultPlan, PeerTimeout
 from repro.net.geo import Location
+from repro.obs import NULL_TELEMETRY
 
 _PEER_ID_ALPHABET = (
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
@@ -108,18 +109,14 @@ class PeerChannel:
 class PeerOverlay:
     """Signaling server + registry for the P2P network of PPCs."""
 
-    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
+    def __init__(
+        self, faults: Optional[FaultPlan] = None, telemetry=NULL_TELEMETRY
+    ) -> None:
         self._peers: Dict[str, PeerRecord] = {}
         self.faults = faults
-        self._m_churn = None
-        self._m_online = None
-        self._m_info = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Churn counters + the presence series the Fig. 16 panel reads."""
-        self._bind_registry(telemetry.registry)
-
-    def _bind_registry(self, registry) -> None:
+        #: telemetry: churn counters + the presence series the Fig. 16
+        #: panel reads
+        registry = telemetry.registry
         self._m_churn = registry.counter(
             "sheriff_peer_churn_total",
             "Peer arrivals and departures", labelnames=("event",),
@@ -132,9 +129,6 @@ class PeerOverlay:
             "1 per online peer, location in the labels (Fig. 16)",
             labelnames=("peer_id", "ip", "country", "region", "city"),
         )
-        for record in self._peers.values():  # backfill pre-bind peers
-            self._sync_peer(record)
-        self._m_online.set(len(self.online_peers()))
 
     def _info_labels(self, record: PeerRecord) -> Dict[str, str]:
         return dict(
@@ -144,11 +138,10 @@ class PeerOverlay:
         )
 
     def _sync_peer(self, record: PeerRecord) -> None:
-        if self._m_info is not None:
-            if record.online:
-                self._m_info.set(1, **self._info_labels(record))
-            else:
-                self._m_info.remove(**self._info_labels(record))
+        if record.online:
+            self._m_info.set(1, **self._info_labels(record))
+        else:
+            self._m_info.remove(**self._info_labels(record))
 
     def register(
         self,
@@ -158,15 +151,14 @@ class PeerOverlay:
     ) -> PeerRecord:
         record = PeerRecord(peer_id=peer_id, location=location, handler=handler)
         self._peers[peer_id] = record
-        if self._m_churn is not None:
-            self._m_churn.inc(event="joined")
-            self._m_online.set(len(self.online_peers()))
+        self._m_churn.inc(event="joined")
+        self._m_online.set(len(self.online_peers()))
         self._sync_peer(record)
         return record
 
     def unregister(self, peer_id: str) -> None:
         record = self._peers.pop(peer_id, None)
-        if record is not None and self._m_churn is not None:
+        if record is not None:
             self._m_churn.inc(event="left")
             self._m_info.remove(**self._info_labels(record))
             self._m_online.set(len(self.online_peers()))
@@ -175,7 +167,7 @@ class PeerOverlay:
         record = self._peers[peer_id]
         was_online = record.online
         record.online = online
-        if self._m_churn is not None and was_online != online:
+        if was_online != online:
             self._m_churn.inc(event="online" if online else "offline")
             self._sync_peer(record)
             self._m_online.set(len(self.online_peers()))

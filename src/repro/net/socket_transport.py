@@ -59,8 +59,10 @@ from repro.net.transport import (
     Handler,
     Transport,
     _raise_error_response,
+    _transport_telemetry,
     serve_request,
 )
+from repro.obs import NULL_TELEMETRY
 
 __all__ = ["SocketTransport"]
 
@@ -124,6 +126,7 @@ class SocketTransport(Transport):
         max_frame_bytes: int = MAX_FRAME_BYTES,
         backoff: Optional[BackoffPolicy] = None,
         reconnect_attempts: int = 3,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.host = host
         self.connect_timeout = connect_timeout
@@ -141,7 +144,7 @@ class SocketTransport(Transport):
         self._lock = threading.Lock()  # guards _conns and _closed
         self._call_ids = itertools.count(1)
         self._closed = False
-        self._telemetry = None
+        self._telemetry = _transport_telemetry(telemetry, self.label)
 
     # -- endpoint management ----------------------------------------------
     def _endpoint(self, name: str) -> _Endpoint:
@@ -300,8 +303,7 @@ class SocketTransport(Transport):
                         break
                     ep.active += 1
                 try:
-                    if self._telemetry:
-                        self._telemetry.received(nbytes)
+                    self._telemetry.received(nbytes)
                     resp = serve_request(ep.handler, envelope)
                     try:
                         frame = pack_frame(resp, self.max_frame_bytes)
@@ -312,8 +314,7 @@ class SocketTransport(Transport):
                         ))
                     sock.settimeout(self.call_timeout)
                     sock.sendall(frame)
-                    if self._telemetry:
-                        self._telemetry.sent(len(frame) - 4)
+                    self._telemetry.sent(len(frame) - 4)
                 finally:
                     with ep.cond:
                         ep.active -= 1
@@ -332,8 +333,7 @@ class SocketTransport(Transport):
         last_error: Optional[BaseException] = None
         for attempt in range(self.reconnect_attempts):
             if attempt > 0:
-                if self._telemetry:
-                    self._telemetry.reconnected()
+                self._telemetry.reconnected()
                 time.sleep(self.backoff.delay(attempt, self._rng))
             if self._closed:
                 raise NetworkError("transport closed mid-call")
@@ -376,8 +376,7 @@ class SocketTransport(Transport):
                 except OSError as exc:
                     conn.drop()
                     if attempt == 0:
-                        if self._telemetry:
-                            self._telemetry.reconnected()
+                        self._telemetry.reconnected()
                         continue
                     raise NetworkError(
                         f"connection {req.src!r} → {req.dst!r} lost: {exc}"
@@ -408,29 +407,23 @@ class SocketTransport(Transport):
         try:
             frame = pack_frame(req, self.max_frame_bytes)
         except FrameTooLarge:
-            if self._telemetry:
-                self._telemetry.failed("frame_too_large")
+            self._telemetry.failed("frame_too_large")
             raise
         deadline = timeout if timeout is not None else self.call_timeout
         started = time.perf_counter()
-        if self._telemetry:
-            self._telemetry.sent(len(frame) - 4)
+        self._telemetry.sent(len(frame) - 4)
         try:
             resp, nbytes = self._round_trip(req, frame, deadline)
         except NetworkTimeout:
-            if self._telemetry:
-                self._telemetry.failed("timeout")
+            self._telemetry.failed("timeout")
             raise
         except NetworkError:
-            if self._telemetry:
-                self._telemetry.failed("network")
+            self._telemetry.failed("network")
             raise
         elapsed = time.perf_counter() - started
-        if self._telemetry:
-            self._telemetry.received(nbytes)
-            self._telemetry.observed_call(method, elapsed)
+        self._telemetry.received(nbytes)
+        self._telemetry.observed_call(method, elapsed)
         if not resp.ok:
-            if self._telemetry:
-                self._telemetry.failed(resp.error_kind or "remote")
+            self._telemetry.failed(resp.error_kind or "remote")
             _raise_error_response(resp)
         return resp.result

@@ -38,6 +38,7 @@ from repro.net.protocol import (
     encode,
 )
 from repro.net.sim import LatencyModel, NetworkError, NetworkTimeout
+from repro.obs import NULL_TELEMETRY
 
 __all__ = [
     "Handler",
@@ -133,6 +134,37 @@ class _TransportTelemetry:
 
     def reconnected(self) -> None:
         self.reconnects.inc(transport=self.label)
+
+
+class _NullTransportTelemetry:
+    """The telemetry-off twin: empty methods, so a frame pays one call
+    and no labelled instrument lookups."""
+
+    def sent(self, nbytes: int) -> None:
+        pass
+
+    def received(self, nbytes: int) -> None:
+        pass
+
+    def observed_call(self, method: str, seconds: float) -> None:
+        pass
+
+    def failed(self, kind: str) -> None:
+        pass
+
+    def reconnected(self) -> None:
+        pass
+
+
+_NULL_TRANSPORT_TELEMETRY = _NullTransportTelemetry()
+
+
+def _transport_telemetry(telemetry, label: str):
+    """The ``sheriff_transport_*`` series of one transport, or the null
+    twin when ``telemetry`` is off."""
+    if not telemetry.registry.enabled:
+        return _NULL_TRANSPORT_TELEMETRY
+    return _TransportTelemetry(telemetry.registry, label)
 
 
 def _raise_error_response(resp: Response) -> None:
@@ -232,10 +264,6 @@ class Transport:
         """Release all endpoints; subsequent calls raise NetworkError."""
         raise NotImplementedError
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention)."""
-        self._telemetry = _TransportTelemetry(telemetry.registry, self.label)
-
 
 class SimTransport(Transport):
     """Deterministic in-process transport.
@@ -255,14 +283,16 @@ class SimTransport(Transport):
 
     label = "sim"
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(
+        self, max_frame_bytes: int = MAX_FRAME_BYTES, telemetry=NULL_TELEMETRY
+    ) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._handlers: Dict[str, Optional[Handler]] = {}
         self._offline: Set[str] = set()
         self._latency = LatencyModel(rng=random.Random("transport:latency"))
         self._call_ids = iter(range(1, 1 << 62))
         self._closed = False
-        self._telemetry: Optional[_TransportTelemetry] = None
+        self._telemetry = _transport_telemetry(telemetry, self.label)
 
     # -- endpoint management ----------------------------------------------
     def _add(self, name: str, handler: Optional[Handler]) -> None:
@@ -335,13 +365,11 @@ class SimTransport(Transport):
         )
         wire = encode(req)
         if len(wire) > self.max_frame_bytes:
-            if self._telemetry:
-                self._telemetry.failed("frame_too_large")
+            self._telemetry.failed("frame_too_large")
             raise FrameTooLarge(
                 f"frame of {len(wire)} bytes exceeds limit {self.max_frame_bytes}"
             )
-        if self._telemetry:
-            self._telemetry.sent(len(wire))
+        self._telemetry.sent(len(wire))
         try:
             self._known(dst)
             self._known(src)
@@ -350,26 +378,21 @@ class SimTransport(Transport):
             rtt = 2.0 * self._latency.latency(_SITE, _SITE)
             raw = self._reply(dst, wire)
         except NetworkError:
-            if self._telemetry:
-                self._telemetry.failed("network")
+            self._telemetry.failed("network")
             raise
         if timeout is not None and rtt > timeout:
-            if self._telemetry:
-                self._telemetry.failed("timeout")
+            self._telemetry.failed("timeout")
             raise NetworkTimeout(
                 f"call {src!r} → {dst!r} {method!r} took {rtt:.3f}s > timeout {timeout:g}s"
             )
         try:
             resp = decode(raw)
         except ProtocolError as exc:
-            if self._telemetry:
-                self._telemetry.failed("protocol")
+            self._telemetry.failed("protocol")
             raise NetworkError(f"corrupt frame from {dst!r}: {exc}") from exc
-        if self._telemetry:
-            self._telemetry.received(len(raw))
-            self._telemetry.observed_call(method, rtt)
+        self._telemetry.received(len(raw))
+        self._telemetry.observed_call(method, rtt)
         if not resp.ok:
-            if self._telemetry:
-                self._telemetry.failed(resp.error_kind or "remote")
+            self._telemetry.failed(resp.error_kind or "remote")
             _raise_error_response(resp)
         return resp.result

@@ -18,15 +18,16 @@ Three layers:
 
 The :class:`Telemetry` facade bundles one registry + one tracer + one
 flight recorder and is what deployments inject
-(``PriceSheriff(world, telemetry=Telemetry())``).  The default
-everywhere is :data:`NULL_TELEMETRY` — disabled, zero-cost, and
-guaranteed not to perturb determinism (which holds with telemetry on,
-too; instrumentation never consumes RNG or advances clocks).
+(``PriceSheriff(world, telemetry=Telemetry())``).  Every instrumented
+component takes it as its ``telemetry=`` constructor keyword and
+declares its instruments in ``__init__``, so an instrument exists
+before any state it counts.  The default everywhere is
+:data:`NULL_TELEMETRY` — disabled, zero-cost, and guaranteed not to
+perturb determinism (which holds with telemetry on, too;
+instrumentation never consumes RNG or advances clocks).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.obs.flightrecorder import (
     FlightEvent,
@@ -42,8 +43,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
-    get_default_registry,
-    set_default_registry,
+    WorkCounts,
 )
 from repro.obs.slo import SLO, SLOEngine, SLOStatus, build_default_slos
 from repro.obs.trace import (
@@ -75,11 +75,10 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
+    "WorkCounts",
     "build_default_slos",
     "critical_path",
-    "get_default_registry",
     "render_trace",
-    "set_default_registry",
 ]
 
 
@@ -88,34 +87,21 @@ class Telemetry:
     disabled twin.
 
     ``Telemetry()`` is enabled with a fresh registry; the tracer and
-    flight recorder are created lazily by :meth:`bind_clock` because
-    both stamp events with the deployment's simulated clock, which the
-    sheriff owns.  Pass ``metrics_only=True`` to keep the registry but
-    skip span and flight recording (benchmarks want counters without
-    the journey log).
+    flight recorder are created by :meth:`bind_clock` because both
+    stamp events with the deployment's simulated clock, which the
+    sheriff owns — so a deployment binds the clock before it builds
+    the components that keep the tracer.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        enabled: bool = True,
-        metrics_only: bool = False,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.metrics_only = metrics_only
+        self.registry = MetricsRegistry() if enabled else NULL_REGISTRY
+        self.tracer = NULL_TRACER
         self.flights = NULL_FLIGHT_RECORDER
-        if not enabled:
-            self.registry = NULL_REGISTRY
-            self.tracer = NULL_TRACER
-        else:
-            self.registry = registry if registry is not None else MetricsRegistry()
-            self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def bind_clock(self, clock) -> "Telemetry":
-        """Attach the sim clock; creates the tracer and flight recorder
-        if they are wanted."""
-        if self.enabled and not self.metrics_only:
+        """Attach the sim clock; creates the tracer and flight recorder."""
+        if self.enabled:
             if self.tracer is NULL_TRACER:
                 self.tracer = Tracer(clock)
             if self.flights is NULL_FLIGHT_RECORDER:

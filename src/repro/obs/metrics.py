@@ -21,9 +21,11 @@ Two properties matter more than features:
   row-identity properties hold with telemetry on or off (pinned by
   ``tests/obs/test_telemetry_determinism.py``).
 
-A process-wide default registry exists for scripts
-(:func:`get_default_registry`); deployments inject their own instance
-so two sheriffs in one process never share series.
+Every deployment builds its own registry, so two sheriffs in one
+process never share series.  Code that every deployment in a process
+shares (the extraction memo, the crypto tables) keeps plain-int
+:class:`WorkCounts` instead, and the component that ran the work adds
+their growth to its own registry.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "get_default_registry",
-    "set_default_registry",
+    "WorkCounts",
 ]
 
 
@@ -511,18 +512,34 @@ class NullRegistry:
 
 NULL_REGISTRY = NullRegistry()
 
-# -- the process-wide default -------------------------------------------------
 
-_default_registry = MetricsRegistry()
+class WorkCounts:
+    """Plain-int counts of work done through process-wide code.
 
+    The extraction memo and the crypto tables serve every deployment in
+    the process, so their work is counted here, in ints, and never into
+    a registry.  The component that ran the work takes a
+    :meth:`snapshot` before it and passes it to :meth:`add_since`
+    after, which adds the growth to that component's own counters: a
+    deployment's registry counts its own work and nothing else.
+    Subclasses name their counts in ``__slots__``.
+    """
 
-def get_default_registry() -> MetricsRegistry:
-    """The process-wide registry scripts fall back to."""
-    return _default_registry
+    __slots__ = ()
 
+    def __init__(self) -> None:
+        self.reset()
 
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default (tests install a fresh one)."""
-    global _default_registry
-    _default_registry = registry
-    return registry
+    def reset(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def snapshot(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def add_since(self, before: Dict[str, int], counters: Dict[str, Counter]) -> None:
+        """Add each count's growth since ``before`` to ``counters[name]``."""
+        for name, counter in counters.items():
+            grown = getattr(self, name) - before[name]
+            if grown:
+                counter.inc(grown)

@@ -21,6 +21,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, IO, List, Optional, Tuple
 
+from repro.obs import NULL_TELEMETRY
+
 __all__ = ["AuditTrail", "OpsEvent"]
 
 
@@ -55,21 +57,18 @@ class AuditTrail:
     the persistence the kill-switch requires.
     """
 
-    def __init__(self, clock, path: Optional[str] = None) -> None:
+    def __init__(
+        self, clock, path: Optional[str] = None, telemetry=NULL_TELEMETRY
+    ) -> None:
         self._clock = clock
         self._path = path
         self._events: List[OpsEvent] = []
-        self._m_events = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Mirror every event into ``sheriff_ops_events_total{kind=}``."""
+        #: every event mirrored into ``sheriff_ops_events_total{kind=}``
         self._m_events = telemetry.registry.counter(
             "sheriff_ops_events_total",
             "Supervisor/kill-switch events, by kind",
             labelnames=("kind",),
         )
-        for event in self._events:  # backfill pre-bind events
-            self._m_events.inc(kind=event.kind)
 
     # -- recording ---------------------------------------------------------
     def record(
@@ -85,8 +84,7 @@ class AuditTrail:
             values=dict(values) if values else {},
         )
         self._events.append(event)
-        if self._m_events is not None:
-            self._m_events.inc(kind=kind)
+        self._m_events.inc(kind=kind)
         if self._path is not None:
             with open(self._path, "a") as fh:
                 fh.write(json.dumps(asdict(event)) + "\n")

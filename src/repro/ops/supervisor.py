@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import NULL_TELEMETRY
 from repro.ops.audit import AuditTrail
 from repro.ops.health import ProbeResult
 from repro.ops.killswitch import KillSwitch
@@ -159,9 +160,12 @@ class Supervisor:
         audit: Optional[AuditTrail] = None,
         notifiers: Sequence[Notifier] = (),
         killswitch: Optional[KillSwitch] = None,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         self.clock = clock
-        self.audit = audit if audit is not None else AuditTrail(clock)
+        self.audit = (
+            audit if audit is not None else AuditTrail(clock, telemetry=telemetry)
+        )
         self.fanout = NotifierFanout(tuple(notifiers))
         self.killswitch = (
             killswitch
@@ -173,19 +177,10 @@ class Supervisor:
         self.ticks = 0
         #: the SLO engine behind any slo/* components (wiring sets it)
         self.slo_engine = None
-        self._m_up = None
-        self._m_restarts = None
         self._halt_logged = False
-
-    # -- telemetry -----------------------------------------------------------
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach the deployment's telemetry plane (unified convention).
-
-        Wires the audit trail's ``sheriff_ops_events_total`` mirror plus
-        the per-component up gauge and restart counter.
-        """
+        #: telemetry: the per-component up gauge and restart counter (a
+        #: caller-built ``audit`` keeps the telemetry it was built with)
         registry = telemetry.registry
-        self.audit.bind_telemetry(telemetry)
         self._m_up = registry.gauge(
             "sheriff_ops_component_up",
             "1 = component healthy, 0 = down/escalated",
@@ -196,14 +191,9 @@ class Supervisor:
             "Supervised restarts executed, per component",
             labelnames=("component",),
         )
-        for component in self.components.values():
-            self._sync_gauge(component)
 
     def _sync_gauge(self, component: Component) -> None:
-        if self._m_up is not None:
-            self._m_up.set(
-                1 if component.state == UP else 0, component=component.name
-            )
+        self._m_up.set(1 if component.state == UP else 0, component=component.name)
 
     # -- registry ------------------------------------------------------------
     def register(
@@ -228,8 +218,7 @@ class Supervisor:
         return component
 
     def unregister(self, name: str) -> None:
-        component = self.components.pop(name, None)
-        if component is not None and self._m_up is not None:
+        if self.components.pop(name, None) is not None:
             self._m_up.remove(component=name)
 
     def component(self, name: str) -> Component:
@@ -352,8 +341,7 @@ class Supervisor:
         # optimistic: the next tick's probes either confirm (healthy,
         # counters reset) or schedule the next, longer-delayed restart
         component.state = UP
-        if self._m_restarts is not None:
-            self._m_restarts.inc(component=component.name)
+        self._m_restarts.inc(component=component.name)
         self._notify(self.audit.record(
             "component_restarted", component.name,
             f"attempt {component.restarts}",

@@ -73,10 +73,10 @@ def build_supervisor(
     are computed from metrics, and a disabled registry has none.
     """
     clock = sheriff.world.clock
-    audit = AuditTrail(clock, path=audit_path)
-    supervisor = Supervisor(clock, audit=audit, notifiers=notifiers)
-    if sheriff.telemetry.registry.enabled:
-        supervisor.bind_telemetry(sheriff.telemetry)
+    audit = AuditTrail(clock, path=audit_path, telemetry=sheriff.telemetry)
+    supervisor = Supervisor(
+        clock, audit=audit, notifiers=notifiers, telemetry=sheriff.telemetry
+    )
     policy = restart_policy if restart_policy is not None else RestartPolicy()
     ms_policy = heartbeat_policy if heartbeat_policy is not None else policy
 

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.errors import ConnectionPoolExhausted
+from repro.obs import NULL_TELEMETRY
 from repro.storage.backend import join_json_arrays
 
 __all__ = ["HashRing", "ShardedDatabase"]
@@ -81,6 +82,7 @@ class ShardedDatabase:
         max_connections: int = 32,
         backend: Union[str, None] = None,
         replicas: int = 64,
+        telemetry=NULL_TELEMETRY,
     ) -> None:
         from repro.core.database import DatabaseServer  # avoid import cycle
 
@@ -91,7 +93,8 @@ class ShardedDatabase:
         ]
         self.shards: Dict[str, DatabaseServer] = {
             name: DatabaseServer(
-                max_connections=max_connections, backend=backend
+                max_connections=max_connections, backend=backend,
+                telemetry=telemetry,
             )
             for name in self.shard_names
         }
@@ -105,15 +108,8 @@ class ShardedDatabase:
         self._job_shard: Dict[str, str] = {}
         #: cross-shard stored procedures that had to scatter-gather
         self.scatter_queries = 0
-        self._m_shard_rows = None
-        self._m_connections = None
-
-    # -- telemetry ----------------------------------------------------------
-    def bind_telemetry(self, telemetry) -> None:
-        """Bind every shard plus the router's own per-shard gauges."""
+        #: telemetry: per-shard occupancy and the router's own pool
         registry = telemetry.registry
-        for shard in self.shards.values():
-            shard.bind_telemetry(telemetry)
         self._m_shard_rows = registry.gauge(
             "sheriff_db_shard_rows",
             "Rows currently held, per shard and table",
@@ -125,7 +121,7 @@ class ShardedDatabase:
         )
 
     def _sync_occupancy(self, shard_name: str, table: str) -> None:
-        if self._m_shard_rows is not None:
+        if self._m_shard_rows.enabled:  # a count is a query: skip it unwatched
             self._m_shard_rows.set(
                 self.shards[shard_name].count(table),
                 shard=shard_name, table=table,
@@ -208,14 +204,12 @@ class ShardedDatabase:
         self.peak_connections = max(
             self.peak_connections, self._connections_in_use
         )
-        if self._m_connections is not None:
-            self._m_connections.set(self._connections_in_use)
+        self._m_connections.set(self._connections_in_use)
         try:
             yield self
         finally:
             self._connections_in_use -= 1
-            if self._m_connections is not None:
-                self._m_connections.set(self._connections_in_use)
+            self._m_connections.set(self._connections_in_use)
 
     # -- generic table access (routed / scattered) ---------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:

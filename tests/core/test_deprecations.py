@@ -4,9 +4,9 @@ PR 4 unified the job-lifecycle and telemetry conventions and left the
 old entry points (``start_price_check``/``handle_price_check`` and the
 ``bind_metrics`` aliases) behind as ``DeprecationWarning`` wrappers.
 This PR removes the wrappers outright — the unified surface
-(:mod:`repro.core.jobapi` and ``bind_telemetry``) is the only one.
-These tests pin the removal: the old names neither exist nor are
-referenced anywhere under ``src/``.
+(:mod:`repro.core.jobapi`) is the only one.  These tests pin the
+removal: the old names neither exist nor are referenced anywhere under
+``src/``.
 
 PR 12 collapsed the price-check mode lattice the same way: the
 ``pipelined`` / ``use_fast_extract`` switches and ``transport="direct"``
@@ -15,7 +15,11 @@ are pinned absent below.  PR 14 did the same to the crypto layer's
 PR 20 retired the rest of the pre-``bench/`` harness: the ``throughput``
 / ``scalebench`` / ``storagebench`` / ``bench`` verbs and their modules.
 ``SimTransport`` then absorbed the ``SimNetwork``/``Host`` carrier, and
-the flight recorder became the queue tier's only event log.
+the flight recorder became the queue tier's only event log.  Last,
+telemetry got one way in — every component takes the deployment's
+``Telemetry`` as its ``telemetry=`` constructor keyword — and the late
+``bind_telemetry`` calls, the ``metrics=`` registries and the
+process-global instrument binders went.
 """
 
 import dataclasses
@@ -269,7 +273,7 @@ class TestSimNetworkSurfaceRetired:
         from repro.net import SimTransport, SocketTransport, Transport
 
         params = inspect.signature(SimTransport.__init__).parameters
-        assert list(params) == ["self", "max_frame_bytes"]
+        assert list(params) == ["self", "max_frame_bytes", "telemetry"]
         assert "rng_seed" not in inspect.signature(SocketTransport).parameters
         for cls in (Transport, SimTransport, SocketTransport):
             for method in (cls.bind, cls.register_client):
@@ -293,3 +297,37 @@ def test_no_simnetwork_import_outside_net_layer():
             if "import" in line and pattern.search(line):
                 offenders.append(f"{path.name}:{i}: {line.strip()}")
     assert offenders == []
+
+
+class TestOneWayInForTelemetry:
+    """Every instrumented component takes ``telemetry=`` when it is
+    built; nothing binds it later, and no module keeps instrument slots
+    of its own."""
+
+    def test_binders_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"def (bind_telemetry|_bind_registry|bind_instruments"
+            r"|bind_extraction_telemetry|unbind_\w*telemetry)\b"
+            r"|\b(get|set)_default_registry\b|\bmetrics_only\b"
+            r"|\bmetrics=None\b|crypto\.obs\b"
+        )) == []
+
+    def test_crypto_obs_module_gone(self):
+        import importlib.util
+
+        import repro.crypto
+
+        assert importlib.util.find_spec("repro.crypto.obs") is None
+        for name in ("bind_crypto_telemetry", "unbind_crypto_telemetry"):
+            assert not hasattr(repro.crypto, name), name
+
+    def test_settable_values_nobody_set_gone(self):
+        import repro.obs
+        from repro.obs import Telemetry
+
+        assert list(inspect.signature(Telemetry).parameters) == ["enabled"]
+        for name in ("get_default_registry", "set_default_registry"):
+            assert not hasattr(repro.obs, name), name
+            assert not hasattr(repro.obs.metrics, name), name
+        # ``transport`` is the config field only: no Transport instance
+        assert "transport" not in inspect.signature(PriceSheriff).parameters

@@ -30,11 +30,9 @@ from repro.core.tagspath import (
     _scan,
     _span_path,
     _text_of,
-    bind_extraction_telemetry,
     build_tags_path,
     clear_extraction_memo,
     extract_price_text,
-    unbind_extraction_telemetry,
 )
 from repro.currency.detect import detect_price
 from repro.currency.rates import ExchangeRateProvider
@@ -208,22 +206,27 @@ class TestMemo:
 
 class TestTelemetry:
     def test_counters_mirror_stats_when_bound(self):
+        """The extractor counts in plain ints; whoever ran the work adds
+        their growth to its own counters (a Measurement server does so
+        once per fan-out)."""
         store, product, path = _recorded_check(layout_seed=11,
                                                product_index=0)
         html = store.fetch(product.path, _ctx(9)).html
-        telemetry = Telemetry()
-        bind_extraction_telemetry(telemetry)
-        try:
-            clear_extraction_memo()
-            extract_price_text(html, path)
-            extract_price_text(html, path)
-            exposition = telemetry.registry.render_exposition()
-            assert "sheriff_extract_pages_parsed_total 1" in exposition
-            assert "sheriff_extract_memo_hits_total 1" in exposition
-            assert "sheriff_extract_candidates_pruned_total" in exposition
-            assert "sheriff_extract_lcs_cells_total" in exposition
-        finally:
-            unbind_extraction_telemetry()
+        registry = Telemetry().registry
+        counters = {
+            name: registry.counter(f"sheriff_extract_{name}_total")
+            for name in EXTRACTION_STATS.__slots__
+        }
+        clear_extraction_memo()
+        before = EXTRACTION_STATS.snapshot()
+        extract_price_text(html, path)
+        extract_price_text(html, path)
+        EXTRACTION_STATS.add_since(before, counters)
+        exposition = registry.render_exposition()
+        assert "sheriff_extract_pages_parsed_total 1" in exposition
+        assert "sheriff_extract_memo_hits_total 1" in exposition
+        assert "sheriff_extract_candidates_pruned_total" in exposition
+        assert "sheriff_extract_lcs_cells_total" in exposition
 
     def test_unbound_extraction_still_counts_stats(self):
         store, product, path = _recorded_check(layout_seed=11,

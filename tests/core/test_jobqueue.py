@@ -260,7 +260,7 @@ class TestDeadLetters:
 
 class TestObservability:
     def test_queue_metrics_and_stats(self, world):
-        telemetry = Telemetry(metrics_only=True)
+        telemetry = Telemetry()
         sheriff = _queued_sheriff(world, telemetry=telemetry, queue_depth=2)
         addon = _addon(world, sheriff)
         urls = _product_urls(world)

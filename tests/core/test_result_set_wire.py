@@ -19,6 +19,7 @@ from repro.net.protocol import RawJSON, Response, decode, encode
 from repro.net.sim import NetworkError
 from repro.net.socket_transport import SocketTransport
 from repro.net.transport import SimTransport
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.storage import ShardedDatabase
 from repro.storage.backend import compact_json
 
@@ -39,10 +40,10 @@ HOSTILE_VALUES = (
 )
 
 
-def make_db(layout, engine):
+def make_db(layout, engine, telemetry=NULL_TELEMETRY):
     if layout == "sharded":
-        return ShardedDatabase(n_shards=4, backend=engine)
-    return DatabaseServer(backend=engine)
+        return ShardedDatabase(n_shards=4, backend=engine, telemetry=telemetry)
+    return DatabaseServer(backend=engine, telemetry=telemetry)
 
 
 def make_transport(kind, max_frame_bytes=None):
@@ -160,11 +161,9 @@ class TestAccountingTwins:
     """The JSON read costs what the list read costs, by every counter."""
 
     @staticmethod
-    def counters(db, read):
-        from repro.obs import Telemetry
-
+    def counters(layout, engine, read):
         telemetry = Telemetry()
-        db.bind_telemetry(telemetry)
+        db = make_db(layout, engine, telemetry)
         for job in range(5):
             record_job(db, job, vantage_rows(job, 3))
         hits = telemetry.registry.get("sheriff_db_index_hits_total")
@@ -175,9 +174,9 @@ class TestAccountingTwins:
         return [b - a for a, b in zip(before, after)]
 
     def test_same_queries_index_hits_and_scatters(self, engine, layout):
-        as_list = self.counters(make_db(layout, engine),
+        as_list = self.counters(layout, engine,
                                 lambda db, job: db.sp_responses_for_job(job))
-        as_json = self.counters(make_db(layout, engine),
+        as_json = self.counters(layout, engine,
                                 lambda db, job: db.sp_responses_for_job_json(job))
         assert as_json == as_list
 

@@ -160,21 +160,11 @@ class TestCache:
         assert entry.giant == TEST_GROUP.inv(TEST_GROUP.gexp(stride))
 
     def test_eviction_metric_fires(self, monkeypatch):
-        class FakeCounter:
-            count = 0
-
-            def inc(self, amount=1):
-                self.count += amount
-
         monkeypatch.setattr(dlog_module, "MAX_CACHED_TABLES", 1)
         floor = dlog_module.BABY_STEPS_FLOOR
-        fake = FakeCounter()
-        dlog_module.bind_instruments(evictions=fake)
-        try:
-            discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=100)
-            discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=10_000)
-            assert fake.count == 0  # same table
-            discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=4 * floor * floor)
-            assert fake.count == 1
-        finally:
-            dlog_module.bind_instruments()
+        evictions = dlog_module.DLOG_STATS.evictions
+        discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=100)
+        discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=10_000)
+        assert dlog_module.DLOG_STATS.evictions == evictions  # same table
+        discrete_log(TEST_GROUP, TEST_GROUP.gexp(3), bound=4 * floor * floor)
+        assert dlog_module.DLOG_STATS.evictions == evictions + 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.crypto import fastexp
 from repro.crypto.elgamal import VectorElGamal
 from repro.crypto.fastexp import (
+    FASTEXP_STATS,
     FixedBaseTable,
     batch_invert,
     cached_table,
@@ -132,49 +133,28 @@ class TestBatchInvert:
             assert v * inv % p == 1
 
 
-class _FakeCounter:
-    def __init__(self):
-        self.count = 0
-
-    def inc(self, amount=1):
-        self.count += amount
-
-
-class _FakeGauge:
-    def __init__(self):
-        self.value = None
-
-    def set(self, value):
-        self.value = value
+def _grown(before):
+    """How much each plain-int fastexp count grew since ``before``."""
+    after = FASTEXP_STATS.snapshot()
+    return {name: after[name] - before[name] for name in after}
 
 
 class TestMetricsBinding:
     def test_counters_fire_when_bound(self):
-        pows, builds, inversions = _FakeCounter(), _FakeCounter(), _FakeCounter()
-        tables = _FakeGauge()
-        fastexp.bind_instruments(
-            pows=pows, builds=builds, tables=tables, batch_inversions=inversions
-        )
-        try:
-            table = fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g)
-            table.pow(5)
-            table.pow(6)
-            batch_invert(TEST_GROUP.p, [3, 5])
-            assert builds.count == 1
-            assert pows.count == 2
-            assert inversions.count == 1
-            assert tables.value == 1
-        finally:
-            fastexp.bind_instruments()
+        before = FASTEXP_STATS.snapshot()
+        table = fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g)
+        table.pow(5)
+        table.pow(6)
+        batch_invert(TEST_GROUP.p, [3, 5])
+        assert _grown(before) == {"pows": 2, "table_builds": 1, "batch_inversions": 1}
+        assert fastexp_cache_info()["entries"] == 1
 
     def test_seeded_round_keeps_the_counters_lit(self):
         """The batch entry points still feed ``sheriff_crypto_fastexp_*``:
         one ``pows`` per comb-table result (t + 1 for an encryption, one
         more for a mask's g^ν, none for a single-digit g^c lookup), one
         ``table_builds`` per table."""
-        from repro.crypto import (
-            clear_dlog_cache, run_secure_kmeans, unbind_crypto_telemetry,
-        )
+        from repro.crypto import clear_dlog_cache, run_secure_kmeans
         from repro.obs import Telemetry
 
         clear_dlog_cache()
@@ -184,13 +164,10 @@ class TestMetricsBinding:
             f"u{i}": [rng.randint(0, bound) for _ in range(m)] for i in range(n)
         }
         telemetry = Telemetry()
-        try:
-            result = run_secure_kmeans(
-                points, k=3, value_bound=bound, rng=random.Random(2017),
-                telemetry=telemetry,
-            )
-        finally:
-            unbind_crypto_telemetry()
+        result = run_secure_kmeans(
+            points, k=3, value_bound=bound, rng=random.Random(2017),
+            telemetry=telemetry,
+        )
         value = lambda name: telemetry.registry.get(name).value()
         t = m + 2
         digit = 1 << fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g).window
@@ -199,25 +176,21 @@ class TestMetricsBinding:
             n * (t + 1) + wide + result.iterations * n * (t + 2)
             + 1  # the giant stride g^m of the one baby-step table
         )
-        # g's table predates the binding (keygen); the h_i are this run's
+        # g's table predates the round (keygen); the h_i are this run's
         assert value("sheriff_crypto_fastexp_table_builds_total") == t
         assert value("sheriff_crypto_fastexp_tables") == t + 1
         assert value("sheriff_crypto_dlog_cache") == 1
         assert value("sheriff_crypto_dlog_calls_total") > result.iterations * n * 3
 
     def test_encrypt_counts_one_pow_per_table(self):
-        pows = _FakeCounter()
         scheme = VectorElGamal(TEST_GROUP, 18)
         _, public = scheme.keygen(random.Random(1))
-        fastexp.bind_instruments(pows=pows)
-        try:
-            scheme.encrypt(public, [3] * 18, random.Random(2))
-            assert pows.count == 19
-            scheme.rerandomize(public, scheme.encrypt(public, [0] * 18, random.Random(3)),
-                               random.Random(4))
-            assert pows.count == 3 * 19
-        finally:
-            fastexp.bind_instruments()
+        before = FASTEXP_STATS.snapshot()
+        scheme.encrypt(public, [3] * 18, random.Random(2))
+        assert _grown(before)["pows"] == 19
+        scheme.rerandomize(public, scheme.encrypt(public, [0] * 18, random.Random(3)),
+                           random.Random(4))
+        assert _grown(before)["pows"] == 3 * 19
 
     def test_unbound_is_silent(self):
         table = fixed_base(TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g)

@@ -15,6 +15,7 @@ from repro.crypto.secure_kmeans import (
     run_secure_kmeans,
 )
 from repro.crypto.group import TEST_GROUP
+from repro.obs import NULL_TELEMETRY
 from repro.profiles.kmeans import lloyd_kmeans
 
 
@@ -206,13 +207,12 @@ class TestSlightlyOutOfRangePeer:
 
     CENTROIDS = [[10, 10, 10], [5, 5, 5]]
 
-    def _parties(self, n_workers, telemetry=None):
+    def _parties(self, n_workers, telemetry=NULL_TELEMETRY):
         rng = random.Random(5)
         coordinator = KMeansCoordinator(
-            TEST_GROUP, m=3, value_bound=10, rng=rng, n_workers=n_workers
+            TEST_GROUP, m=3, value_bound=10, rng=rng, n_workers=n_workers,
+            telemetry=telemetry,
         )
-        if telemetry is not None:
-            coordinator.bind_telemetry(telemetry)
         aggregator = KMeansAggregator(
             TEST_GROUP, coordinator, rng=rng, n_workers=n_workers
         )

@@ -26,6 +26,7 @@ import pytest
 from repro.net.protocol import PROTOCOL_VERSION, Request, Response, pack_frame, read_frame
 from repro.net.sim import NetworkError
 from repro.net.socket_transport import MAX_CONNECTIONS, SocketTransport
+from repro.obs import Telemetry
 
 #: the frame deadline under test
 DEADLINE = 0.3
@@ -39,10 +40,16 @@ def echo(method, payload):
 
 
 @pytest.fixture
-def endpoint(quiet):
+def telemetry():
+    return Telemetry()
+
+
+@pytest.fixture
+def endpoint(quiet, telemetry):
     before = threading.active_count()
     transport = SocketTransport(
-        call_timeout=DEADLINE, connect_timeout=1.0, max_frame_bytes=MAX_FRAME
+        call_timeout=DEADLINE, connect_timeout=1.0, max_frame_bytes=MAX_FRAME,
+        telemetry=telemetry,
     )
     transport.bind("server", echo)
     transport.register_client("honest")
@@ -216,13 +223,8 @@ class TestIdleConnections:
             for sock in silent:
                 sock.close()
 
-    def test_pooled_client_that_idled_past_it_reconnects_once(self, endpoint):
-        from types import SimpleNamespace
-
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        endpoint.bind_telemetry(SimpleNamespace(registry=registry))
+    def test_pooled_client_that_idled_past_it_reconnects_once(self, endpoint, telemetry):
+        registry = telemetry.registry
         assert endpoint.call("honest", "server", "echo", 6) == 6
         time.sleep(DEADLINE + SLACK / 2)  # the server hangs up meanwhile
         assert endpoint.call("honest", "server", "echo", 7) == 7

@@ -216,14 +216,12 @@ class TestSocketByteCounters:
     def test_counters_read_the_frame_lengths(self):
         """Client and server count what was on the wire — the body
         length of each frame, not a second encoding of its envelope."""
-        from types import SimpleNamespace
-
         from repro.net.protocol import Request, Response, encode
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import Telemetry
 
-        registry = MetricsRegistry()
-        transport = SocketTransport()
-        transport.bind_telemetry(SimpleNamespace(registry=registry))
+        telemetry = Telemetry()
+        registry = telemetry.registry
+        transport = SocketTransport(telemetry=telemetry)
         transport.bind("server", conformance_handler)
         transport.register_client("client")
         payload = {"text": "précis " * 40, "rows": [[1, 2.5, None]] * 9}

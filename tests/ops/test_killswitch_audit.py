@@ -84,8 +84,7 @@ class TestAuditTrail:
         assert row["component"] == "error-spike"
 
     def test_metrics_mirror_counts_every_event_once(self, telemetry):
-        audit = AuditTrail(Clock())
-        audit.bind_telemetry(telemetry)
+        audit = AuditTrail(Clock(), telemetry=telemetry)
         audit.record("component_down", "ms-0")
         audit.record("component_down", "ms-1")
         audit.record("killswitch_tripped", "deployment")
@@ -94,15 +93,6 @@ class TestAuditTrail:
         }
         assert audit.counts() == {
             "component_down": 2, "killswitch_tripped": 1,
-        }
-
-    def test_late_bind_backfills_the_counter(self, telemetry):
-        audit = AuditTrail(Clock())
-        audit.record("component_down", "ms-0")
-        audit.bind_telemetry(telemetry)
-        audit.record("component_down", "ms-0")
-        assert _event_counter_values(telemetry.registry) == {
-            "component_down": 2.0,
         }
 
 
@@ -159,8 +149,7 @@ class TestExactlyOnceThroughTheSupervisor:
     ):
         clock = Clock()
         log = LogNotifier()
-        supervisor = Supervisor(clock, notifiers=(log,))
-        supervisor.bind_telemetry(telemetry)
+        supervisor = Supervisor(clock, notifiers=(log,), telemetry=telemetry)
         flaky = FlakyComponent()
         supervisor.register(
             "comp",
@@ -216,8 +205,7 @@ class TestExactlyOnceThroughTheSupervisor:
 
     def test_component_up_gauge_tracks_state(self, telemetry):
         clock = Clock()
-        supervisor = Supervisor(clock)
-        supervisor.bind_telemetry(telemetry)
+        supervisor = Supervisor(clock, telemetry=telemetry)
         flaky = FlakyComponent()
         supervisor.register(
             "comp", probes=(CallableProbe(flaky.probe),),

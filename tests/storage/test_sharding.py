@@ -129,8 +129,7 @@ class TestShardedDatabase:
 
     def test_telemetry_gauges(self):
         telemetry = Telemetry()
-        db = ShardedDatabase(n_shards=2)
-        db.bind_telemetry(telemetry)
+        db = ShardedDatabase(n_shards=2, telemetry=telemetry)
         _populate(db, n_jobs=8, n_domains=4)
         exposition = telemetry.registry.render_exposition()
         assert "sheriff_db_shard_rows" in exposition
