@@ -34,11 +34,10 @@ from repro.core.config import SheriffConfig
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.addon import SheriffAddon
 from repro.core.database import DatabaseServer
-from repro.core.engine import PriceCheckEngine
+from repro.core.engine import JobHandle, PriceCheckEngine
 from repro.core.errors import InvalidConfig, JobDeadLettered, QueueSaturated
-from repro.core.jobapi import JobAPI, SheriffJobs
 from repro.core.jobqueue import QueuedMeasurementTier
-from repro.core.measurement import JobHandle, MeasurementServer, PriceCheckJob
+from repro.core.measurement import MeasurementServer, PriceCheckJob
 from repro.core.pricecheck import PriceCheckResult, ResultRow
 from repro.core.detector import PriceVariationReport, analyze_rows
 from repro.core.watchdog import WatchAlert, Watchdog
@@ -74,14 +73,13 @@ __all__ = [
     "SheriffConfig",
     "SheriffWorld",
     "SheriffAddon",
-    # job lifecycle (the JobAPI protocol and its implementations)
-    "JobAPI",
-    "SheriffJobs",
-    "MeasurementServer",
-    "PriceCheckJob",
+    # job lifecycle: a price check is the JobHandle its entry point (a
+    # MeasurementServer, or the QueuedMeasurementTier) returns
     "JobHandle",
-    "PriceCheckEngine",
+    "MeasurementServer",
     "QueuedMeasurementTier",
+    "PriceCheckJob",
+    "PriceCheckEngine",
     "QueueSaturated",
     "JobDeadLettered",
     "InvalidConfig",

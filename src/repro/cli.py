@@ -340,7 +340,7 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 def _journey_record(run, job_id: str):
     """The JSON-ready journey export for one job."""
-    journey = run.sheriff.jobs.journey(job_id)
+    journey = run.sheriff.journey(job_id)
     return {
         "job_id": job_id,
         "stolen": job_id in run.stolen_job_ids,
@@ -372,7 +372,7 @@ def _cmd_journey(args: argparse.Namespace) -> int:
               f"drill's jobs)")
         return 1
 
-    journey = run.sheriff.jobs.journey(job_id)
+    journey = run.sheriff.journey(job_id)
     stolen = " [stolen]" if job_id in run.stolen_job_ids else ""
     print(f"journey of {job_id}{stolen} "
           f"(steals this run: {sum(run.steals.values())})")
@@ -507,15 +507,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_panel(args: argparse.Namespace) -> int:
     from repro.core.admin import AdminConsole
-    from repro.core.monitoring import peers_panel, pipeline_panel, servers_panel
 
-    sheriff = _telemetry_drill(args).sheriff
-    registry = sheriff.telemetry.registry
+    console = AdminConsole(_telemetry_drill(args).sheriff)
     print("\n\n".join((
-        pipeline_panel(registry),
-        servers_panel(registry),
-        peers_panel(registry),
-        AdminConsole(sheriff).faults_panel(),
+        console.pipeline_panel(),
+        console.servers_panel(),
+        console.peers_panel(),
+        console.faults_panel(),
     )))
     return 0
 

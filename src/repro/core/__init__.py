@@ -18,7 +18,9 @@
 * :mod:`repro.core.detector` — price-variation classification;
 * :mod:`repro.core.monitoring` — the Figs. 7/16 monitoring panels;
 * :mod:`repro.core.engine` — the pipelined price-check engine (worker
-  pools, page cache, job handles);
+  pools, page cache, and the :class:`JobHandle` a price check is);
+* :mod:`repro.core.jobqueue` — the queued measurement tier, the other
+  entry point a handle comes from;
 * :mod:`repro.core.errors` — the typed :class:`SheriffError` hierarchy;
 * :mod:`repro.core.config` — :class:`SheriffConfig`, the one declaration
   of every deployment knob;

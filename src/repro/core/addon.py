@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.browser.browser import Browser
@@ -46,7 +45,7 @@ from repro.core.errors import (
     PriceSelectionError,
 )
 from repro.core.engine import JobHandle
-from repro.core.measurement import MeasurementServer, PriceCheckJob, QuorumNotMet
+from repro.core.measurement import PriceCheckJob, QuorumNotMet
 from repro.core.pricecheck import PriceCheckResult
 from repro.core.tagspath import TagsPath, build_tags_path
 from repro.currency.detect import detect_price
@@ -57,27 +56,10 @@ from repro.web.store import PRICE_CLASSES
 
 __all__ = [
     "ConsentRequired",
-    "PendingCheck",
     "PriceCheckFailed",
     "PriceSelectionError",
     "SheriffAddon",
 ]
-
-
-@dataclass
-class PendingCheck:
-    """An in-flight price check: the handle plus the server holding it.
-
-    Returned by :meth:`SheriffAddon.submit_price_check`; hand it back to
-    :meth:`SheriffAddon.collect` for the result (or the failure).
-    """
-
-    server: MeasurementServer
-    handle: JobHandle
-
-    @property
-    def job_id(self) -> str:
-        return self.handle.job_id
 
 
 class SheriffAddon:
@@ -172,14 +154,15 @@ class SheriffAddon:
 
     def submit_price_check(
         self, url: str, requested_currency: str = "EUR"
-    ) -> PendingCheck:
+    ) -> JobHandle:
         """Steps 1–3 of Fig. 1: admission, navigation, job submission.
 
-        Returns a :class:`PendingCheck` whose fetches are in flight on
-        the engine's simulated timeline; pass it to :meth:`collect` (or
-        poll the server directly) for the rows.  The navigation to the
-        product page is a *real* visit — the user is shopping; only
-        tunneled requests are sandboxed.
+        Returns the job's :class:`JobHandle` — fetches in flight on the
+        engine's simulated timeline, or queued in the queue tier's
+        outbox; pass it to :meth:`collect` (or poll the entry point
+        directly) for the rows.  The navigation to the product page is
+        a *real* visit — the user is shopping; only tunneled requests
+        are sandboxed.
         """
         self._require_consent()
         # Admission first: if the domain is not whitelisted or the URL is
@@ -211,23 +194,22 @@ class SheriffAddon:
         )
         return self._send_job(job, ticket)  # steps 3.1–3.2, with failover
 
-    def collect(self, pending: PendingCheck) -> PriceCheckResult:
+    def collect(self, handle: JobHandle) -> PriceCheckResult:
         """Steps 4–5: wait for the job's terminal state, return the result.
 
+        The job's entry point is looked up by the handle's server name.
         A job that degraded below the result quorum raises
         :class:`PriceCheckFailed` — the server already reported it
         failed to the Coordinator.
         """
         try:
-            result = pending.server.result(pending.handle)
+            result = self._measurement_lookup(handle.server_name).result(handle)
         except QuorumNotMet as exc:
-            raise PriceCheckFailed(pending.job_id, str(exc)) from exc
+            raise PriceCheckFailed(handle.job_id, str(exc)) from exc
         self.checks_initiated += 1
         return result
 
-    def _send_job(
-        self, job: PriceCheckJob, ticket: RequestTicket
-    ) -> PendingCheck:
+    def _send_job(self, job: PriceCheckJob, ticket: RequestTicket) -> JobHandle:
         """Submit the job, failing over dead Measurement servers.
 
         Each attempt may find the assigned server dark (missed
@@ -254,8 +236,7 @@ class SheriffAddon:
                     )
                 )
             if not send_failed:
-                server: MeasurementServer = self._measurement_lookup(server_name)
-                return PendingCheck(server=server, handle=server.submit(job))
+                return self._measurement_lookup(server_name).submit(job)
             coordinator.handle_server_failure(server_name, exclude_job=job.job_id)
             coordinator.next_backoff(attempt)  # accounted, not slept
             attempt += 1

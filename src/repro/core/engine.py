@@ -9,10 +9,13 @@ concurrency model on top of the Measurement server's fan-out:
   :class:`WorkerPool` scheduled on a :class:`repro.net.events.EventLoop`
   dedicated to the engine — the *world* clock stays frozen during a
   check, preserving the "fetch at the same time" property;
-* a :class:`JobHandle` is the single lifecycle object of the unified
-  API (``submit → poll → result``): it tracks which rows have *landed*
-  in simulated time and which were already delivered to the add-on's
-  progressive AJAX polls;
+* a :class:`JobHandle` is the one object a price check is: the entry
+  point that admits the job (a Measurement server, or the queue tier)
+  returns it, and :meth:`PriceCheckEngine.submit` places that same
+  handle on the timeline.  It tracks which rows have *landed* in
+  simulated time and which were already delivered to the add-on's
+  progressive AJAX polls, and the engine is the only place that
+  advances it;
 * a short-TTL :class:`PageCache` keyed by ``(url, vantage,
   client-state)`` lets simultaneous checks of the same product reuse a
   just-fetched page instead of re-fetching it — and, since everything
@@ -32,16 +35,15 @@ only decides *when* each fetch lands on the simulated timeline.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.core.errors import UnknownJob
 from repro.core.pricecheck import PriceCheckResult
 from repro.net.events import Clock, EventLoop
 from repro.obs import NULL_TELEMETRY
 
 __all__ = [
     "CachedPage",
-    "EngineJob",
     "JobHandle",
     "PageCache",
     "PriceCheckEngine",
@@ -51,7 +53,9 @@ __all__ = [
 #: rows handed out per progressive poll (the AJAX page-size)
 POLL_BATCH_ROWS = 8
 
-#: lifecycle states of a JobHandle
+#: lifecycle states of a JobHandle (``queued``: waiting in the queue
+#: tier's outbox, not yet fanned out)
+QUEUED = "queued"
 PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
@@ -63,18 +67,22 @@ CACHE_HIT_SECONDS = 0.005
 
 
 class JobHandle:
-    """The one lifecycle object of the job API (``submit`` returns it).
+    """A price check: what its entry point's ``submit`` returns.
 
     The handle owns everything the caller may ask about a job: its
     terminal result or error, how far the simulated fan-out has
-    progressed (``rows_arrived``), and how many rows the progressive
-    polls already handed out (``rows_delivered``).
+    progressed (``rows_arrived``), how many rows the progressive polls
+    already handed out (``rows_delivered``), and whether the 'request
+    finish' reply (or the job's error) was delivered (``closed``) —
+    after which the job is gone and a further poll raises
+    :class:`UnknownJob`.
     """
 
-    def __init__(self, job_id: str, server_name: str) -> None:
+    def __init__(self, job_id: str, server_name: str, state: str = PENDING) -> None:
         self.job_id = job_id
+        #: the Measurement server that owns (or ran) the job
         self.server_name = server_name
-        self.state = PENDING
+        self.state = state
         #: sum of the simulated durations of every fetch this job made —
         #: the job's cost on a one-fetch-at-a-time (serial) backend
         self.service_seconds = 0.0
@@ -87,6 +95,8 @@ class JobHandle:
         self.rows_arrived = 0
         #: rows already handed to the caller through poll()
         self.rows_delivered = 0
+        #: 'request finish' (or the job's error) was handed out
+        self.closed = False
 
     @property
     def finished(self) -> bool:
@@ -254,24 +264,6 @@ class PageCache:
             pages.popitem(last=False)
 
 
-@dataclass
-class EngineJob:
-    """A fully-executed fan-out handed to the engine for placement.
-
-    The Measurement server performs the fetches eagerly (keeping every
-    RNG stream canonical) and packages what the engine needs to place
-    them on the simulated timeline: one ``(duration, produced_row)``
-    task per fetch, plus the already-computed result or error.  This is
-    the engine's input type for the unified ``submit`` of the job API.
-    """
-
-    job_id: str
-    server_name: str
-    tasks: List[Tuple[float, bool]] = field(default_factory=list)
-    result: Optional[PriceCheckResult] = None
-    error: Optional[BaseException] = None
-
-
 class PriceCheckEngine:
     """Schedules every server's fetches on one shared event loop.
 
@@ -334,23 +326,35 @@ class PriceCheckEngine:
             self._pools[server_name] = pool
         return pool
 
-    # -- the unified job lifecycle (submit → poll → result) ---------------
-    def submit(self, job: EngineJob) -> JobHandle:
-        """Place one executed fan-out on the timeline; return its handle.
+    # -- the job lifecycle (submit → poll → result) -----------------------
+    def submit(
+        self,
+        handle: JobHandle,
+        tasks: List[Tuple[float, bool]],
+        result: Optional[PriceCheckResult] = None,
+        error: Optional[BaseException] = None,
+    ) -> JobHandle:
+        """Place one executed fan-out on the timeline, in ``handle``.
 
-        A job that arrived with an error is terminal immediately — no
-        worker time is spent on a fan-out that already failed.
+        ``tasks`` is the fan-out's fetch timeline (see :meth:`schedule`);
+        exactly one of ``result``/``error`` is its outcome.  A job that
+        arrived with an error is terminal immediately — no worker time
+        is spent on a fan-out that already failed.
         """
-        handle = JobHandle(job.job_id, job.server_name)
-        handle._result = job.result
-        handle.error = job.error
-        handle.service_seconds = sum(d for d, _ in job.tasks)
-        if job.error is not None:
+        handle._result = result
+        handle.error = error
+        handle.service_seconds = sum(d for d, _ in tasks)
+        if error is not None:
             handle.rows_arrived = handle.total_rows
             handle.state = FAILED
             return handle
-        self.schedule(handle, job.tasks)
+        self.schedule(handle, tasks)
         return handle
+
+    @staticmethod
+    def _open(handle: JobHandle) -> None:
+        if handle.closed:
+            raise UnknownJob(f"unknown or finished job {handle.job_id!r}")
 
     def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
         """One progressive poll: (rows landed since last poll, finished).
@@ -358,8 +362,11 @@ class PriceCheckEngine:
         Pumps the loop just far enough for something new to land, then
         hands out at most :data:`POLL_BATCH_ROWS` rows in canonical
         order.  Raises the job's error if it ended in a failure report.
+        The finishing poll (or the error) closes the handle.
         """
+        self._open(handle)
         if handle.error is not None:
+            handle.closed = True
             raise handle.error
         if not handle.finished:
             self.pump(handle)
@@ -370,10 +377,16 @@ class PriceCheckEngine:
         ] if handle._result is not None else []
         handle.rows_delivered += len(batch)
         finished = handle.finished and handle.rows_delivered >= handle.total_rows
+        handle.closed = finished
         return list(batch), finished
 
     def result(self, handle: JobHandle) -> Optional[PriceCheckResult]:
-        """Drive the handle to its terminal state; return (or raise) it."""
+        """Drive the handle to its terminal state; return (or raise) it.
+
+        Either way the handle is closed.
+        """
+        self._open(handle)
+        handle.closed = True
         self.drive(handle)
         handle.rows_delivered = handle.total_rows
         if handle.error is not None:

@@ -28,12 +28,12 @@ servers:
   :class:`DeadLetterStore` for operator inspection and its handle
   fails with :class:`repro.core.errors.JobDeadLettered`; nothing is
   silently dropped.
-* **scatter-gather** — :meth:`QueuedMeasurementTier.gather` collects
-  persisted rows per job through the sharded database's indexed
-  ``sp_responses_for_job``.
 
-The tier implements the :class:`repro.core.jobapi.JobAPI` protocol, so
-the add-on's ``PendingCheck.server`` may be the tier itself — clients
+The tier is the add-on's entry point when it runs: ``submit`` returns
+the job's :class:`~repro.core.engine.JobHandle` in the ``queued`` state,
+and dispatch hands that same handle to the owning server's ``submit``,
+which places it on the engine.  ``poll``/``result`` drain the outbox
+while the handle is still queued, then are the server's — clients
 cannot tell queued dispatch from direct dispatch (except when told to
 back off).
 
@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.coordinator import Coordinator
-from repro.core.engine import JobHandle, PriceCheckEngine
+from repro.core.engine import FAILED, QUEUED, JobHandle, PriceCheckEngine
 from repro.core.errors import (
-    ConfigurationError,
     JobDeadLettered,
     NoServerAvailable,
     QueueSaturated,
@@ -77,13 +76,9 @@ __all__ = [
     "DeadLetter",
     "DeadLetterStore",
     "JobQueue",
-    "QueuedHandle",
     "QueuedJob",
     "QueuedMeasurementTier",
 ]
-
-#: extra lifecycle state of a handle waiting in the queue
-QUEUED = "queued"
 
 
 @dataclass
@@ -92,6 +87,7 @@ class QueuedJob:
 
     seq: int
     job: Any  # a PriceCheckJob
+    handle: JobHandle
     server_name: str
     enqueued_at: float = 0.0
 
@@ -120,9 +116,11 @@ class JobQueue:
             1 for qj in self._jobs.values() if qj.server_name == server_name
         )
 
-    def offer(self, server_name: str, job: Any, now: float = 0.0) -> QueuedJob:
+    def offer(
+        self, server_name: str, job: Any, handle: JobHandle, now: float = 0.0
+    ) -> QueuedJob:
         queued = QueuedJob(
-            seq=next(self._seq), job=job,
+            seq=next(self._seq), job=job, handle=handle,
             server_name=server_name, enqueued_at=now,
         )
         self._jobs[job.job_id] = queued
@@ -192,39 +190,13 @@ class DeadLetterStore:
         return len(self._entries)
 
 
-class QueuedHandle(JobHandle):
-    """Handle of a job admitted to the queue tier.
-
-    Starts in the :data:`QUEUED` state with no server attached; once the
-    outbox drain dispatches the job, :meth:`bind` links the owning
-    Measurement server's inner handle and the outer handle mirrors it.
-    """
-
-    def __init__(self, job_id: str, server_name: str) -> None:
-        super().__init__(job_id, server_name)
-        self.state = QUEUED
-        self.server: Any = None  # the owning MeasurementServer
-        self.inner: Optional[JobHandle] = None
-
-    def bind(self, server: Any, inner: JobHandle) -> None:
-        self.server = server
-        self.inner = inner
-        self.server_name = inner.server_name
-        self.service_seconds = inner.service_seconds
-        self.state = inner.state
-
-    @property
-    def dispatched(self) -> bool:
-        return self.inner is not None
-
-
 class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
 
-    Implements :class:`repro.core.jobapi.JobAPI`: ``submit`` admits (or
-    sheds) a Coordinator-ticketed job; ``poll``/``result`` first drain
-    the whole outbox in admission order, then delegate to the owning
-    server's handle.
+    ``submit`` admits (or sheds) a Coordinator-ticketed job and returns
+    its queued handle; ``poll``/``result`` first drain the whole outbox
+    in admission order if the handle is still queued, then are the
+    owning server's.
     """
 
     def __init__(
@@ -232,7 +204,6 @@ class QueuedMeasurementTier:
         coordinator: Coordinator,
         server_lookup: Callable[[str], Any],
         engine: PriceCheckEngine,
-        db: Any = None,
         max_depth: int = 256,
         steal_threshold: Optional[int] = 16,
         backoff: Optional[BackoffPolicy] = None,
@@ -245,7 +216,6 @@ class QueuedMeasurementTier:
         self._server_lookup = server_lookup
         #: stamped on every journey span (transport parity with mesh runs)
         self.transport_label = transport_label
-        self.db = db
         self.engine = engine
         self.max_depth = max_depth
         self.steal_threshold = steal_threshold
@@ -255,7 +225,6 @@ class QueuedMeasurementTier:
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.queue = JobQueue()
         self.dead_letters = DeadLetterStore()
-        self._handles: Dict[str, QueuedHandle] = {}
         self._shed_streak = 0
         self.shed_total = 0
         self.dispatched_total = 0
@@ -348,7 +317,7 @@ class QueuedMeasurementTier:
             )
         return record.server_name
 
-    def submit(self, job: Any) -> QueuedHandle:
+    def submit(self, job: Any) -> JobHandle:
         """Admit one ticketed job to the outbox, or shed it.
 
         Raises :class:`QueueSaturated` — with the accounting already
@@ -379,9 +348,8 @@ class QueuedMeasurementTier:
                 job.job_id, self.queue.depth, self.max_depth, retry_after
             )
         self._shed_streak = 0
-        queued = self.queue.offer(owner, job, now=self._now())
-        handle = QueuedHandle(job.job_id, owner)
-        self._handles[job.job_id] = handle
+        handle = JobHandle(job.job_id, owner, state=QUEUED)
+        self.queue.offer(owner, job, handle, now=self._now())
         self._m_enqueued.inc(server=owner)
         self.flights.record(job.job_id, "enqueue", server=owner, depth=self.queue.depth)
         self._journey_span(
@@ -440,12 +408,10 @@ class QueuedMeasurementTier:
             server_name=queued.server_name, reason=reason, at=self._now(),
             trace_id=job_id, last_event=last_event,
         ))
-        handle = self._handles.get(job_id)
-        if handle is not None:
-            handle.error = JobDeadLettered(
-                job_id, reason, trace_id=job_id, last_event=last_event,
-            )
-            handle.state = "failed"
+        queued.handle.error = JobDeadLettered(
+            job_id, reason, trace_id=job_id, last_event=last_event,
+        )
+        queued.handle.state = FAILED
         self._m_dlq.inc()
         self.flights.record(job_id, "dead_letter", reason=reason)
         self._journey_span("dead_letter", job_id, reason=reason)
@@ -510,13 +476,10 @@ class QueuedMeasurementTier:
                 parent_id=self._journey_parent(job_id), server=owner,
                 transport=self.transport_label,
             ):
-                inner = server.submit(queued.job)
+                server.submit(queued.job, queued.handle)
             self._journey.pop(job_id, None)
         else:
-            inner = server.submit(queued.job)
-        handle = self._handles.get(job_id)
-        if handle is not None:
-            handle.bind(server, inner)
+            server.submit(queued.job, queued.handle)
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
         self._m_wait.observe(max(0.0, self._now() - queued.enqueued_at))
@@ -537,53 +500,20 @@ class QueuedMeasurementTier:
         return dispatched
 
     # -- poll / result ----------------------------------------------------
-    def _resolve(self, handle: Union[JobHandle, str]) -> QueuedHandle:
-        job_id = handle.job_id if isinstance(handle, JobHandle) else handle
-        found = self._handles.get(job_id)
-        if found is None or (
-            isinstance(handle, JobHandle) and found is not handle
-        ):
-            raise UnknownJob(f"unknown or finished job {job_id!r}")
-        return found
+    def _server_for(self, handle: JobHandle):
+        """The server whose engine calls finish ``handle``, draining the
+        outbox first while the handle is still queued."""
+        if handle.state == QUEUED:
+            self.pump()
+        return self._server_lookup(handle.server_name)
 
-    def poll(self, handle: Union[JobHandle, str]) -> Tuple[List[Any], bool]:
+    def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
         """One progressive poll, draining the outbox first."""
-        h = self._resolve(handle)
-        if not h.dispatched and h.error is None:
-            self.pump()
-        if h.error is not None:
-            self._handles.pop(h.job_id, None)
-            raise h.error
-        try:
-            batch, finished = h.server.poll(h.inner)
-        except Exception:
-            self._handles.pop(h.job_id, None)
-            raise
-        h.state = h.inner.state
-        if finished:
-            self._handles.pop(h.job_id, None)  # 'request finish'
-        return batch, finished
+        return self._server_for(handle).poll(handle)
 
-    def result(self, handle: Union[JobHandle, str]) -> Any:
+    def result(self, handle: JobHandle) -> Any:
         """Drive one job to its terminal state, draining the outbox first."""
-        h = self._resolve(handle)
-        if not h.dispatched and h.error is None:
-            self.pump()
-        self._handles.pop(h.job_id, None)
-        if h.error is not None:
-            raise h.error
-        try:
-            result = h.server.result(h.inner)
-        finally:
-            h.state = h.inner.state
-        return result
-
-    # -- scatter-gather ----------------------------------------------------
-    def gather(self, job_ids: List[str]) -> Dict[str, List[Dict[str, Any]]]:
-        """Persisted response rows per job, through the sharded database."""
-        if self.db is None:
-            raise ConfigurationError("queue tier was built without a database")
-        return {job_id: self.db.sp_responses_for_job(job_id) for job_id in job_ids}
+        return self._server_for(handle).result(handle)
 
     # -- observability -----------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coordinator import Coordinator
 from repro.core.database import DatabaseServer
@@ -38,11 +38,10 @@ from repro.core.diffstorage import DiffStorage
 from repro.core.engine import (
     CACHE_HIT_SECONDS,
     CachedPage,
-    EngineJob,
     JobHandle,
     PriceCheckEngine,
 )
-from repro.core.errors import QuorumNotMet, UnknownJob
+from repro.core.errors import QuorumNotMet
 from repro.core.pricecheck import PriceCheckResult, ResultRow
 from repro.core.tagspath import EXTRACTION_STATS, TagsPath, extract_price_text
 from repro.currency.detect import Confidence, CurrencyDetectionError, detect_price
@@ -204,8 +203,6 @@ class MeasurementServer:
         }
         self.jobs_processed = 0
         self.stats = MeasurementStats()
-        #: live job handles of the unified submit/poll/result API
-        self._handles: Dict[str, JobHandle] = {}
 
     # -- price extraction + conversion on one page -----------------------------
     def _row_from_page(
@@ -408,20 +405,19 @@ class MeasurementServer:
         expected = round(self.rates.to_eur(699.0, "USD", self.clock.now), 2)
         return row.converted_value == expected
 
-    # -- the unified job lifecycle (submit → poll → result) ---------------------
+    # -- the job lifecycle (submit → poll → result) -----------------------------
     #
     # "At this point the browser executes AJAX requests to the
     # Measurement server to receive any result updates until the
     # measurement server replies with a 'request finish' response."
-    # submit() performs the fan-out and returns a JobHandle; poll()
-    # hands back rows that have *landed* on the engine's simulated
-    # timeline since the last poll plus the finished flag; result()
-    # drives the handle to its terminal state and returns (or raises)
-    # the outcome.  The same three methods — the JobAPI protocol
-    # (:mod:`repro.core.jobapi`) — are offered by the engine and the
-    # queued measurement tier.
+    # submit() performs the fan-out and returns the job's JobHandle;
+    # poll() and result() are the engine's: rows that have *landed* on
+    # its simulated timeline since the last poll plus the finished flag,
+    # or the terminal outcome.  The queue tier is the other entry point.
 
-    def submit(self, job: PriceCheckJob) -> JobHandle:
+    def submit(
+        self, job: PriceCheckJob, handle: Optional[JobHandle] = None
+    ) -> JobHandle:
         """Run the fan-out and return the handle tracking its delivery.
 
         The fetches themselves execute eagerly in the canonical serial
@@ -430,51 +426,34 @@ class MeasurementServer:
         to the engine's worker pool (``engine.submit``), so concurrent
         jobs overlap on the simulated timeline.  A fan-out that failed
         (quorum not met) is terminal the moment the engine sees it.
+
+        ``handle`` is the queued handle the queue tier dispatches; it is
+        placed on the engine in place.  Without one, a new handle is made.
         """
+        if handle is None:
+            handle = JobHandle(job.job_id, self.name)
+        handle.server_name = self.name
         result, tasks, error = self._execute(job)
-        handle = self.engine.submit(EngineJob(
-            job_id=job.job_id, server_name=self.name,
-            tasks=tasks, result=result, error=error,
-        ))
-        self._handles[job.job_id] = handle
-        return handle
+        return self.engine.submit(handle, tasks, result, error)
 
-    def _resolve(self, handle: Union[JobHandle, str]) -> JobHandle:
-        job_id = handle.job_id if isinstance(handle, JobHandle) else handle
-        found = self._handles.get(job_id)
-        if found is None or (isinstance(handle, JobHandle) and found is not handle):
-            raise UnknownJob(f"unknown or finished job {job_id!r}")
-        return found
-
-    def poll(self, handle: Union[JobHandle, str]):
+    def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
         """One AJAX poll: (rows landed since last poll, finished flag).
 
         Rows are delivered a few per poll, in canonical row order, as
         their fetches complete on the simulated timeline (IPCs and PPCs
         respond at different speeds).  After the final ('request
         finish') poll the job is gone: further polls raise
-        :class:`UnknownJob`.
+        :class:`~repro.core.errors.UnknownJob`.
         """
-        h = self._resolve(handle)
-        if h.error is not None:
-            self._handles.pop(h.job_id, None)
-            raise h.error
-        batch, finished = self.engine.poll(h)
-        if finished:
-            del self._handles[h.job_id]  # 'request finish'
-        return list(batch), finished
+        return self.engine.poll(handle)
 
-    def result(self, handle: Union[JobHandle, str]) -> PriceCheckResult:
+    def result(self, handle: JobHandle) -> PriceCheckResult:
         """Drive the job to its terminal state and return the outcome.
 
         Raises the job's error (e.g. :class:`QuorumNotMet`) when it
         ended in an explicit failure report.
         """
-        h = self._resolve(handle)
-        self._handles.pop(h.job_id, None)
-        result = self.engine.result(h)
-        assert result is not None
-        return result
+        return self.engine.result(handle)
 
     # -- the fan-out --------------------------------------------------------------
     def _fetch_page_cached(self, job: PriceCheckJob, ipc) -> Tuple[CachedPage, int, bool]:

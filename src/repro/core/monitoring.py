@@ -5,19 +5,15 @@ servers panel (status + pending jobs per server) and the peer-proxy
 panel (peer ID, IP, country, region, city).  These renderers produce the
 same tables for terminals, tests, and the examples.
 
-Every panel renders from either of two sources:
-
-* the live component (a :class:`RequestDistributor`, a
-  :class:`PeerOverlay`, a :class:`FaultPlan`) — handy in tests and
-  small scripts;
-* a :class:`~repro.obs.metrics.MetricsRegistry` snapshot — the
-  ``sheriff_server_*`` and ``sheriff_peer_info`` gauge series carry the
-  panel columns in their labels, so an operator terminal needs nothing
-  but the exposition endpoint.
-
-:func:`pipeline_panel` is registry-only: throughput, check-latency
-percentiles, cache hit rate, and retry-budget burn all come from the
-instruments the engine and Coordinator update in their hot paths.
+Each panel renders from one source.  The servers, peers and faults
+panels read the live component (a :class:`RequestDistributor`, a
+:class:`PeerOverlay`, a :class:`FaultPlan`);
+:class:`~repro.core.admin.AdminConsole` hands them the deployment's.
+:func:`pipeline_panel` reads a
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot: throughput,
+check-latency percentiles, cache hit rate, and retry-budget burn all
+come from the instruments the engine and Coordinator update in their
+hot paths.
 """
 
 from __future__ import annotations
@@ -59,39 +55,11 @@ def render_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> s
 
 # -- Fig. 7: the Measurement-servers panel ------------------------------------
 
-def _server_rows_from_metrics(registry: Registryish) -> List[Dict[str, object]]:
-    """Rebuild the Fig. 7 rows from the ``sheriff_server_*`` gauges."""
-    jobs = registry.get("sheriff_server_pending_jobs")
-    online = registry.get("sheriff_server_online")
-    if jobs is None:
-        return []
-    status: Dict[tuple, float] = {}
-    if online is not None:
-        for labels, state in online.labels_series():
-            status[(labels["server"], labels["url"], labels["port"])] = state[0]
-    rows = []
-    for labels, state in jobs.labels_series():
-        key = (labels["server"], labels["url"], labels["port"])
-        rows.append({
-            "Worker": labels["url"],
-            "Port": labels["port"],
-            "Status": "online" if status.get(key, 1.0) else "offline",
-            "Jobs": int(state[0]),
-        })
-    return rows
-
-
-def servers_panel(source: Union[RequestDistributor, Registryish]) -> str:
-    """The Fig. 7 'Available Sheriff servers and jobs' panel.
-
-    Renders from the live distributor or, given a metrics registry,
-    from the gauge series the distributor keeps in sync.
-    """
-    if isinstance(source, RequestDistributor):
-        rows = source.monitoring_rows()
-    else:
-        rows = _server_rows_from_metrics(source)
-    table = render_table(rows, columns=("Worker", "Port", "Status", "Jobs"))
+def servers_panel(distributor: RequestDistributor) -> str:
+    """The Fig. 7 'Available Sheriff servers and jobs' panel."""
+    table = render_table(
+        distributor.monitoring_rows(), columns=("Worker", "Port", "Status", "Jobs")
+    )
     return "Available Sheriff servers and jobs.\n" + table
 
 
@@ -156,38 +124,10 @@ def ops_panel(source) -> str:
 
 # -- Fig. 16: the peer-proxy panel --------------------------------------------
 
-def _peer_rows_from_metrics(registry: Registryish) -> List[Dict[str, object]]:
-    """Rebuild the Fig. 16 rows from the ``sheriff_peer_info`` series."""
-    info = registry.get("sheriff_peer_info")
-    if info is None:
-        return []
-    return [
-        {
-            "Peer ID": labels["peer_id"],
-            "IP": labels["ip"],
-            "Country": labels["country"],
-            "Region": labels["region"],
-            "City": labels["city"],
-        }
-        for labels, _state in info.labels_series()
-    ]
-
-
-def peers_panel(
-    source: Union[PeerOverlay, Registryish], self_peer_id: str = ""
-) -> str:
-    """The Fig. 16 peer-proxy monitoring panel.
-
-    Renders from the live overlay or from the ``sheriff_peer_info``
-    presence series (one gauge per online peer, location in the
-    labels).
-    """
-    if isinstance(source, PeerOverlay):
-        raw = source.monitoring_rows()
-    else:
-        raw = _peer_rows_from_metrics(source)
+def peers_panel(overlay: PeerOverlay, self_peer_id: str = "") -> str:
+    """The Fig. 16 peer-proxy monitoring panel."""
     rows: List[Dict[str, object]] = []
-    for row in raw:
+    for row in overlay.monitoring_rows():
         row = dict(row)
         row["Select"] = "SELF" if row["Peer ID"] == self_peer_id else ""
         rows.append(row)

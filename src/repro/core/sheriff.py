@@ -39,7 +39,6 @@ from repro.core.database import DatabaseClient, DatabaseServer, database_rpc_han
 from repro.core.diffstorage import DiffStorage
 from repro.core.dispatch import RequestDistributor
 from repro.core.engine import PageCache, PriceCheckEngine
-from repro.core.jobapi import SheriffJobs
 from repro.core.jobqueue import QueuedMeasurementTier
 from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.pricecheck import PriceCheckResult
@@ -258,14 +257,12 @@ class PriceSheriff:
                 coordinator=self.coordinator,
                 server_lookup=self.measurement_server,
                 engine=self.engine,
-                db=self.db,
                 max_depth=config.queue_depth,
                 steal_threshold=config.queue_steal_threshold,
                 backoff=self.coordinator.backoff,
                 telemetry=telemetry,
                 transport_label=self.transport_label,
             )
-        self._jobs_facade: Optional[SheriffJobs] = None
         self.addons: List[SheriffAddon] = []
 
     # -- transport plumbing --------------------------------------------------
@@ -300,19 +297,53 @@ class PriceSheriff:
         """Release transport resources (listeners, serving threads)."""
         self.transport.close()
 
-    @property
-    def jobs(self) -> SheriffJobs:
-        """The deployment's unified :class:`JobAPI` façade."""
-        if self._jobs_facade is None:
-            self._jobs_facade = SheriffJobs(self)
-        return self._jobs_facade
-
     def _job_entrypoint(self, server_name: str):
-        """Where the add-on sends a ticketed job: the queue tier when one
-        is enabled, else the owning Measurement server directly."""
+        """Where the add-on sends a ticketed job and collects its handle:
+        the queue tier when one is enabled, else the owning Measurement
+        server directly."""
         if self.job_queue is not None:
             return self.job_queue
         return self.measurement_server(server_name)
+
+    def journey(self, job_id: str) -> Dict[str, Any]:
+        """Everything recorded about one job's end-to-end journey.
+
+        One lookup joins the three observability planes plus the
+        Coordinator's ticket: the job's span tree (admission → queue →
+        steal/retry → dispatch → fetch/parse/persist), its
+        flight-recorder event log, its dead-letter entry if it has one,
+        and the ticket's terminal state.  ``repro journey <job_id>``
+        renders this; post-mortems read it raw.
+        """
+        dead = None
+        if self.job_queue is not None:
+            entry = self.job_queue.dead_letters.for_job(job_id)
+            if entry is not None:
+                dead = {
+                    "reason": entry.reason,
+                    "server_name": entry.server_name,
+                    "at": entry.at,
+                    "trace_id": entry.trace_id,
+                    "last_event": entry.last_event,
+                }
+        ticket = None
+        record = self.coordinator.jobs.get(job_id)
+        if record is not None:
+            ticket = {
+                "server_name": record.server_name,
+                "attempts": record.attempts,
+                "completed": record.completed,
+                "failed": record.failed,
+                "failure_reason": record.failure_reason,
+                "started_at": record.started_at,
+            }
+        return {
+            "job_id": job_id,
+            "spans": self.telemetry.tracer.spans_for(job_id),
+            "events": self.telemetry.flights.events_for(job_id),
+            "dead_letter": dead,
+            "ticket": ticket,
+        }
 
     # -- elasticity: attach/detach Measurement servers ----------------------
     def build_measurement_server(self, name: str) -> MeasurementServer:

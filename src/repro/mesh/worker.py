@@ -59,8 +59,7 @@ class MeasurementWorker:
         user = int(payload.get("user", index)) % len(self.addons)
         url = self.urls[index % len(self.urls)]
         addon = self.addons[user]
-        pending = addon.submit_price_check(url)
-        result = addon.collect(pending)
+        result = addon.collect(addon.submit_price_check(url))
         self.checks_done += 1
         self.rows_total += len(result.rows)
         digest = hashlib.sha256(

@@ -170,9 +170,9 @@ def run_journey(
             wave.append((addon, addon.submit_price_check(url)))
         if config.disrupt:
             sheriff.distributor.heartbeat("ms-1", world.clock.now)
-        for addon, pending in wave:
-            run.job_ids.append(pending.handle.job_id)
-            result = addon.collect(pending)
+        for addon, handle in wave:
+            run.job_ids.append(handle.job_id)
+            result = addon.collect(handle)
             run.rows += len(result.rows)
         if supervisor is not None:
             supervisor.tick()

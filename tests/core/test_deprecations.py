@@ -3,8 +3,8 @@
 PR 4 unified the job-lifecycle and telemetry conventions and left the
 old entry points (``start_price_check``/``handle_price_check`` and the
 ``bind_metrics`` aliases) behind as ``DeprecationWarning`` wrappers.
-This PR removes the wrappers outright — the unified surface
-(:mod:`repro.core.jobapi`) is the only one.  These tests pin the
+They are removed outright — the unified submit/poll/result surface
+is the only one.  These tests pin the
 removal: the old names neither exist nor are referenced anywhere under
 ``src/``.
 
@@ -19,7 +19,10 @@ the flight recorder became the queue tier's only event log.  Last,
 telemetry got one way in — every component takes the deployment's
 ``Telemetry`` as its ``telemetry=`` constructor keyword — and the late
 ``bind_telemetry`` calls, the ``metrics=`` registries and the
-process-global instrument binders went.
+process-global instrument binders went.  Then a price check became the
+one ``JobHandle`` its entry point returns: the ``JobAPI`` protocol, the
+``sheriff.jobs`` façade, ``PendingCheck``, ``QueuedHandle``,
+``EngineJob``, ``gather`` and the per-component job tables went.
 """
 
 import dataclasses
@@ -331,3 +334,33 @@ class TestOneWayInForTelemetry:
             assert not hasattr(repro.obs.metrics, name), name
         # ``transport`` is the config field only: no Transport instance
         assert "transport" not in inspect.signature(PriceSheriff).parameters
+
+
+class TestOneJobHandle:
+    """A price check is the ``JobHandle`` its entry point returns: no
+    job-API protocol or façade, no mirrored queued handle, no engine
+    envelope and no per-component job table."""
+
+    def test_jobapi_module_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.core.jobapi") is None
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(JobAPI|SheriffJobs|PendingCheck|QueuedHandle|EngineJob)\b"
+            r"|\bdef gather\b|\.gather\(|_handles\b|\bsheriff\.jobs\b"
+        )) == []
+
+    def test_no_jobs_facade_or_job_tables(self):
+        from repro.core.jobqueue import QueuedMeasurementTier
+
+        assert not hasattr(PriceSheriff, "jobs")
+        sheriff = PriceSheriff(
+            SheriffWorld.create(seed=1), whitelist_domains=[], job_queue=True,
+        )
+        assert not hasattr(sheriff, "jobs")
+        for component in (*sheriff.measurement_servers.values(), sheriff.job_queue):
+            assert not hasattr(component, "_handles"), component
+        for cls in (MeasurementServer, QueuedMeasurementTier):
+            assert not hasattr(cls, "gather"), cls

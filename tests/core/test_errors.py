@@ -124,9 +124,14 @@ class TestRaisedAtTheOldCallSites:
         with pytest.raises(UnknownTable):
             DatabaseServer().count("no_such_table")
 
-    def test_measurement_unknown_job(self, sheriff):
-        server = next(iter(sheriff.measurement_servers.values()))
+    def test_measurement_unknown_job(self, world, sheriff, es_user):
+        store = world.internet.site("uniform.example")
+        handle = es_user.submit_price_check(
+            store.product_url(store.catalog.products[0].product_id)
+        )
+        es_user.collect(handle)
+        server = sheriff.measurement_server(handle.server_name)
         with pytest.raises(UnknownJob):
-            server.poll("ghost-job")
+            server.poll(handle)
         with pytest.raises(UnknownJob):
-            server.result("ghost-job")
+            server.result(handle)

@@ -1,12 +1,10 @@
-"""The unified job-lifecycle API: submit → poll → result.
+"""The job lifecycle: submit → poll → result.
 
 ``MeasurementServer.submit`` returns a :class:`JobHandle`; ``poll``
 pumps the engine's simulated timeline and hands out arrived rows in
 progressive batches; ``result`` drives the job to its terminal state.
-The same three-method lifecycle is formalized as the
-:class:`repro.core.jobapi.JobAPI` protocol, which the engine, the
-Measurement servers, and the queued measurement tier all implement
-(protocol conformance is pinned by test_jobapi.py).
+The queued measurement tier is the other entry point offering the same
+three methods (routing is pinned by test_jobapi.py).
 """
 
 import pytest
@@ -21,9 +19,8 @@ def _first_product_url(world, domain="uniform.example"):
 
 class TestSubmitPollResult:
     def test_submit_returns_in_flight_handle(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        handle = pending.handle
-        assert handle.job_id == pending.job_id
+        handle = es_user.submit_price_check(_first_product_url(world))
+        assert handle.job_id in sheriff.coordinator.jobs
         assert handle.state == "running"
         assert not handle.finished
         assert handle.rows_arrived < handle.total_rows
@@ -33,8 +30,8 @@ class TestSubmitPollResult:
         assert handle.total_rows > 1
 
     def test_poll_delivers_progressive_batches(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        server, handle = pending.server, pending.handle
+        handle = es_user.submit_price_check(_first_product_url(world))
+        server = sheriff.measurement_server(handle.server_name)
         delivered = []
         finished = False
         polls = 0
@@ -50,15 +47,9 @@ class TestSubmitPollResult:
         with pytest.raises(UnknownJob):
             server.poll(handle)
 
-    def test_poll_accepts_job_id_or_handle(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        batch, _ = pending.server.poll(pending.job_id)
-        assert len(batch) >= 1
-
     def test_result_drives_to_terminal_state(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        handle = pending.handle
-        result = es_user.collect(pending)
+        handle = es_user.submit_price_check(_first_product_url(world))
+        result = es_user.collect(handle)
         assert handle.state == "done"
         assert handle.finished
         assert handle.rows_arrived == len(result.rows)
@@ -67,7 +58,7 @@ class TestSubmitPollResult:
         # time passed on the engine's loop, not the world clock
         assert sheriff.engine.now > 0.0
         with pytest.raises(UnknownJob):
-            pending.server.result(handle)
+            sheriff.measurement_server(handle.server_name).result(handle)
 
     def test_blocking_wrapper_is_submit_plus_collect(
         self, world, sheriff, es_user, es_peers
@@ -84,9 +75,9 @@ class TestPipelining:
         url = _first_product_url(world)
         start = sheriff.engine.now
         wave = [addon.submit_price_check(url) for addon in (es_user, *es_peers[:1])]
-        serial_cost = sum(p.handle.service_seconds for p in wave)
-        for pending in wave:
-            pending.server.result(pending.handle)
+        serial_cost = sum(h.service_seconds for h in wave)
+        for handle in wave:
+            sheriff.measurement_server(handle.server_name).result(handle)
         makespan = sheriff.engine.now - start
         assert 0.0 < makespan < serial_cost
 

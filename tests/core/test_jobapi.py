@@ -1,19 +1,11 @@
-"""The JobAPI protocol: one lifecycle, three implementations, one façade.
+"""Job entry points: where a price check's handle goes.
 
-``submit → poll → result`` is formalized as
-:class:`repro.core.jobapi.JobAPI`; the engine, the Measurement servers,
-and the queued tier all conform, and ``sheriff.jobs`` routes by
-deployment configuration (queue tier when one runs, owning server
-otherwise) plus the scatter-gather ``gather``.
+``submit → poll → result`` is offered by two entry points: the queued
+measurement tier when the deployment runs one, else the Measurement
+server that owns the job.  ``PriceSheriff._job_entrypoint`` picks it by
+the handle's server name; the add-on submits and collects through it.
 """
 
-import pytest
-
-from repro.core.engine import PriceCheckEngine
-from repro.core.errors import UnknownJob
-from repro.core.jobapi import JobAPI, SheriffJobs
-from repro.core.jobqueue import QueuedMeasurementTier
-from repro.core.measurement import MeasurementServer
 from repro.core.sheriff import PriceSheriff
 
 from .conftest import SMALL_IPC_SITES
@@ -24,47 +16,31 @@ def _first_product_url(world, domain="uniform.example"):
     return store.product_url(store.catalog.products[0].product_id)
 
 
-class TestProtocolConformance:
-    def test_every_layer_implements_jobapi(self, world, sheriff):
-        assert isinstance(sheriff.engine, JobAPI)
-        for server in sheriff.measurement_servers.values():
-            assert isinstance(server, JobAPI)
-        assert isinstance(sheriff.jobs, JobAPI)
-        assert issubclass(PriceCheckEngine, JobAPI)
-        assert issubclass(MeasurementServer, JobAPI)
-        assert issubclass(QueuedMeasurementTier, JobAPI)
-
-    def test_queue_tier_instance_conforms(self, world):
-        queued = PriceSheriff(
-            world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
-            job_queue=True,
-        )
-        assert isinstance(queued.job_queue, JobAPI)
-        assert isinstance(queued.jobs, SheriffJobs)
-
-
 class TestSheriffJobsFacade:
+    """Routing by deployment configuration, through
+    ``PriceSheriff._job_entrypoint``."""
+
     def test_routes_direct_deployment_to_owning_server(
         self, world, sheriff, es_user, es_peers
     ):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        entry = sheriff.jobs._entrypoint_for(pending.job_id)
-        assert entry is pending.server
+        handle = es_user.submit_price_check(_first_product_url(world))
+        entry = sheriff._job_entrypoint(handle.server_name)
+        owner = sheriff.coordinator.jobs[handle.job_id].server_name
+        assert entry is sheriff.measurement_server(owner)
 
         delivered = []
         finished = False
         while not finished:
-            batch, finished = sheriff.jobs.poll(pending.handle)
+            batch, finished = entry.poll(handle)
             delivered.extend(batch)
-        assert len(delivered) == pending.handle.total_rows
+        assert len(delivered) == handle.total_rows
 
     def test_result_and_gather_direct(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        result = sheriff.jobs.result(pending.handle)
+        handle = es_user.submit_price_check(_first_product_url(world))
+        result = sheriff._job_entrypoint(handle.server_name).result(handle)
         assert result.rows
-        gathered = sheriff.jobs.gather([pending.job_id])
-        assert set(gathered) == {pending.job_id}
-        assert len(gathered[pending.job_id]) == len(result.rows)
+        stored = sheriff.db.sp_responses_for_job(handle.job_id)
+        assert len(stored) == len(result.rows)
 
     def test_routes_queued_deployment_through_the_tier(self, world):
         sheriff = PriceSheriff(
@@ -72,22 +48,9 @@ class TestSheriffJobsFacade:
             job_queue=True,
         )
         addon = sheriff.install_addon(world.make_browser("ES", "Madrid"))
-        pending = addon.submit_price_check(_first_product_url(world))
-        assert sheriff.jobs._entrypoint_for(pending.job_id) is sheriff.job_queue
-        result = sheriff.jobs.result(pending.handle)
+        handle = addon.submit_price_check(_first_product_url(world))
+        assert sheriff._job_entrypoint(handle.server_name) is sheriff.job_queue
+        result = sheriff.job_queue.result(handle)
         assert result.rows
-        gathered = sheriff.jobs.gather([pending.job_id])
-        assert len(gathered[pending.job_id]) == len(result.rows)
-
-    def test_poll_accepts_job_id_string(self, world, sheriff, es_user, es_peers):
-        pending = es_user.submit_price_check(_first_product_url(world))
-        batch, _ = sheriff.jobs.poll(pending.job_id)
-        assert batch
-        sheriff.jobs.result(pending.job_id)
-
-    def test_unknown_job_raises(self, sheriff):
-        with pytest.raises(UnknownJob):
-            sheriff.jobs.poll("job-unminted")
-
-    def test_facade_is_cached(self, sheriff):
-        assert sheriff.jobs is sheriff.jobs
+        stored = sheriff.db.sp_responses_for_job(handle.job_id)
+        assert len(stored) == len(result.rows)

@@ -13,7 +13,9 @@ import pytest
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.errors import (
     JobDeadLettered,
+    PriceCheckFailed,
     QueueSaturated,
+    QuorumNotMet,
     UnknownJob,
 )
 from repro.core.measurement import PriceCheckJob
@@ -59,15 +61,15 @@ class TestAdmissionAndDrain:
         wave = [addon.submit_price_check(url) for url in urls[:3]]
         tier = sheriff.job_queue
         assert tier.depth == 3
-        assert all(p.server is tier for p in wave)
-        assert all(p.handle.state == "queued" for p in wave)
+        assert all(sheriff._job_entrypoint(h.server_name) is tier for h in wave)
+        assert all(h.state == "queued" for h in wave)
 
-        batch, _ = tier.poll(wave[0].handle)
+        batch, _ = tier.poll(wave[0])
         assert tier.depth == 0
         assert tier.dispatched_total == 3
         assert batch  # first progressive batch of the first job
-        for pending in wave:
-            result = addon.collect(pending)
+        for handle in wave:
+            result = addon.collect(handle)
             assert result.rows
 
     def test_drain_follows_admission_order(self, world):
@@ -78,7 +80,7 @@ class TestAdmissionAndDrain:
         tier = sheriff.job_queue
         tier.pump()
         dispatches = [e.job_id for e in _flight_events(sheriff, "dispatch")]
-        assert dispatches == [p.handle.job_id for p in wave]
+        assert dispatches == [h.job_id for h in wave]
         enqueues = [e.job_id for e in _flight_events(sheriff, "enqueue")]
         assert enqueues == dispatches
 
@@ -97,10 +99,44 @@ class TestAdmissionAndDrain:
     def test_finished_job_is_forgotten(self, world):
         sheriff = _queued_sheriff(world)
         addon = _addon(world, sheriff)
-        pending = addon.submit_price_check(_product_urls(world)[0])
-        addon.collect(pending)
+        handle = addon.submit_price_check(_product_urls(world)[0])
+        addon.collect(handle)
         with pytest.raises(UnknownJob):
-            sheriff.job_queue.result(pending.handle)
+            sheriff.job_queue.result(handle)
+
+
+class TestHandleDescribesTheJob:
+    """The handle ``submit_price_check`` returns is the job: after
+    ``collect`` it reads the same whether the check was queued or went
+    straight to its server."""
+
+    @pytest.mark.parametrize("job_queue", [True, False], ids=["queued", "direct"])
+    def test_done_handle(self, world, job_queue):
+        sheriff = _queued_sheriff(
+            world, ipc_sites=SMALL_IPC_SITES[:3], job_queue=job_queue
+        )
+        addon = _addon(world, sheriff)
+        handle = addon.submit_price_check(_product_urls(world)[0])
+        result = addon.collect(handle)
+        assert len(result.rows) == 4
+        assert handle.state == "done"
+        assert handle.total_rows == handle.rows_arrived == 4
+        assert handle.result is result
+        assert handle.finished_at is not None and handle.finished_at > 0.0
+        assert handle.error is None
+
+    @pytest.mark.parametrize("job_queue", [True, False], ids=["queued", "direct"])
+    def test_failed_handle(self, world, job_queue):
+        sheriff = _queued_sheriff(
+            world, ipc_sites=SMALL_IPC_SITES[:3], job_queue=job_queue, quorum=10
+        )
+        addon = _addon(world, sheriff)
+        handle = addon.submit_price_check(_product_urls(world)[0])
+        with pytest.raises(PriceCheckFailed):
+            addon.collect(handle)
+        assert handle.state == "failed"
+        assert isinstance(handle.error, QuorumNotMet)
+        assert handle.result is None
 
 
 class TestLoadShedding:
@@ -127,8 +163,8 @@ class TestLoadShedding:
         assert sheriff.coordinator.pending_jobs() == 2
 
         # draining makes room and resets the shed streak
-        for pending in wave:
-            addon.collect(pending)
+        for handle in wave:
+            addon.collect(handle)
         late = addon.submit_price_check(urls[4])
         assert tier._shed_streak == 0
         with pytest.raises(QueueSaturated):
@@ -155,15 +191,15 @@ class TestWorkStealing:
     def test_offline_owner_steal_consumes_retry_budget(self, world):
         sheriff = _queued_sheriff(world, telemetry=Telemetry())
         addon = _addon(world, sheriff)
-        pending = addon.submit_price_check(_product_urls(world)[0])
+        handle = addon.submit_price_check(_product_urls(world)[0])
         tier = sheriff.job_queue
-        owner = pending.handle.server_name
+        owner = handle.server_name
         sheriff.distributor.mark_offline(owner)
 
-        result = addon.collect(pending)
+        result = addon.collect(handle)
         assert result.rows
         assert tier.steals == {"offline": 1}
-        record = sheriff.coordinator.jobs[pending.job_id]
+        record = sheriff.coordinator.jobs[handle.job_id]
         assert record.attempts == 2
         assert record.server_name != owner
         steal = _flight_events(sheriff, "steal")[0]
@@ -180,7 +216,7 @@ class TestWorkStealing:
         # pile every assignment onto ms-0 while ms-1 is down...
         sheriff.distributor.mark_offline("ms-1")
         wave = [addon.submit_price_check(url) for url in urls[:4]]
-        assert all(p.handle.server_name == "ms-0" for p in wave)
+        assert all(h.server_name == "ms-0" for h in wave)
         # ...then bring ms-1 back before the drain
         sheriff.distributor.heartbeat("ms-1", world.clock.now)
 
@@ -193,9 +229,9 @@ class TestWorkStealing:
         ]
         assert stolen and stolen[0].detail["dst"] == "ms-1"
         # a transfer is not a failover: no retry budget was spent
-        for pending in wave:
-            assert sheriff.coordinator.jobs[pending.job_id].attempts == 1
-            assert addon.collect(pending).rows
+        for handle in wave:
+            assert sheriff.coordinator.jobs[handle.job_id].attempts == 1
+            assert addon.collect(handle).rows
 
     def test_stealing_disabled_with_none_threshold(self, world):
         sheriff = _queued_sheriff(world, queue_steal_threshold=None)
@@ -208,8 +244,8 @@ class TestWorkStealing:
         sheriff.distributor.heartbeat("ms-1", world.clock.now)
         sheriff.job_queue.pump()
         assert sheriff.job_queue.steals == {}
-        for pending in wave:
-            addon.collect(pending)
+        for handle in wave:
+            addon.collect(handle)
 
 
 class TestDeadLetters:
@@ -217,33 +253,31 @@ class TestDeadLetters:
         sheriff = _queued_sheriff(world)
         addon = _addon(world, sheriff)
         url = _product_urls(world)[0]
-        pending = addon.submit_price_check(url)
+        handle = addon.submit_price_check(url)
         tier = sheriff.job_queue
         # no server left online: the offline steal finds nowhere to go
         for name in ("ms-0", "ms-1"):
             sheriff.distributor.mark_offline(name)
 
         with pytest.raises(JobDeadLettered) as exc:
-            tier.result(pending.handle)
-        assert exc.value.job_id == pending.job_id
+            tier.result(handle)
+        assert exc.value.job_id == handle.job_id
         assert len(tier.dead_letters) == 1
-        entry = tier.dead_letters.for_job(pending.job_id)
+        entry = tier.dead_letters.for_job(handle.job_id)
         assert entry.url == url
-        assert sheriff.coordinator.jobs[pending.job_id].failed
-        assert [e.job_id for e in tier.dead_letters.entries] == [pending.job_id]
+        assert sheriff.coordinator.jobs[handle.job_id].failed
+        assert [e.job_id for e in tier.dead_letters.entries] == [handle.job_id]
         # the handle is spent: a later poll is an UnknownJob
         with pytest.raises(UnknownJob):
-            tier.poll(pending.handle)
+            tier.poll(handle)
 
     def test_dead_letter_does_not_block_the_queue(self, world):
         sheriff = _queued_sheriff(world)
         addon = _addon(world, sheriff)
         urls = _product_urls(world)
         doomed = addon.submit_price_check(urls[0])
-        sheriff.distributor.mark_offline(doomed.handle.server_name)
-        survivor_name = (
-            "ms-1" if doomed.handle.server_name == "ms-0" else "ms-0"
-        )
+        sheriff.distributor.mark_offline(doomed.server_name)
+        survivor_name = "ms-1" if doomed.server_name == "ms-0" else "ms-0"
         # exhaust the doomed job's budget against a one-server fleet
         record = sheriff.coordinator.jobs[doomed.job_id]
         record.attempts = sheriff.coordinator.retry_budget
@@ -253,7 +287,7 @@ class TestDeadLetters:
         assert result.rows
         assert len(sheriff.job_queue.dead_letters) == 1
         with pytest.raises(JobDeadLettered):
-            sheriff.job_queue.result(doomed.handle)
+            sheriff.job_queue.result(doomed)
         assert sheriff.coordinator.jobs[healthy.job_id].completed
         assert survivor_name  # the fleet kept serving
 
@@ -267,8 +301,8 @@ class TestObservability:
         wave = [addon.submit_price_check(url) for url in urls[:2]]
         with pytest.raises(QueueSaturated):
             addon.submit_price_check(urls[2])
-        for pending in wave:
-            addon.collect(pending)
+        for handle in wave:
+            addon.collect(handle)
 
         registry = telemetry.registry
         assert registry.get("sheriff_queue_enqueued_total").total == 2
@@ -314,10 +348,10 @@ class TestFleetScaling:
                 (addon, addon.submit_price_check(urls[first + u]))
                 for u, addon in enumerate(addons)
             ]
-            for addon, pending in wave:
-                job_ids.append(pending.handle.job_id)
-                rows += len(addon.collect(pending).rows)
-        gathered = sum(len(r) for r in sheriff.jobs.gather(job_ids).values())
+            for addon, handle in wave:
+                job_ids.append(handle.job_id)
+                rows += len(addon.collect(handle).rows)
+        gathered = sum(len(sheriff.db.sp_responses_for_job(j)) for j in job_ids)
         return sheriff.engine.now - start, rows, gathered, sheriff.job_queue.stats()
 
     def test_larger_fleet_is_at_least_as_fast(self):

@@ -43,7 +43,7 @@ class TestStolenJobCausalTree:
 
     def test_causal_chain_is_complete(self, run):
         job_id = run.stolen_job_ids[0]
-        journey = run.sheriff.jobs.journey(job_id)
+        journey = run.sheriff.journey(job_id)
         spans = journey["spans"]
         assert spans and all(s.trace_id == job_id for s in spans)
         by_id = _span_index(spans)
@@ -81,7 +81,7 @@ class TestStolenJobCausalTree:
 
     def test_flight_log_and_ticket_agree(self, run):
         job_id = run.stolen_job_ids[0]
-        journey = run.sheriff.jobs.journey(job_id)
+        journey = run.sheriff.journey(job_id)
         kinds = [e.kind for e in journey["events"]]
         assert kinds.index("enqueue") < kinds.index("steal") < kinds.index(
             "dispatch"

@@ -36,12 +36,12 @@ class TestProgressiveDelivery:
 
     def test_polling_until_finish(self, world, sheriff, es_user, es_peers):
         server, job = self._start_job(world, sheriff, es_user)
-        server.submit(job)
+        handle = server.submit(job)
         all_rows = []
         polls = 0
         finished = False
         while not finished:
-            batch, finished = server.poll(job.job_id)
+            batch, finished = server.poll(handle)
             all_rows.extend(batch)
             polls += 1
             assert polls < 100  # must terminate
@@ -50,25 +50,21 @@ class TestProgressiveDelivery:
 
     def test_finished_job_gone(self, world, sheriff, es_user, es_peers):
         server, job = self._start_job(world, sheriff, es_user)
-        server.submit(job)
+        handle = server.submit(job)
         finished = False
         while not finished:
-            _, finished = server.poll(job.job_id)
+            _, finished = server.poll(handle)
         with pytest.raises(KeyError):
-            server.poll(job.job_id)
-
-    def test_unknown_job(self, sheriff):
-        with pytest.raises(KeyError):
-            sheriff.measurement_server("ms-0").poll("ghost")
+            server.poll(handle)
 
     def test_progressive_matches_blocking(self, world, sheriff, es_user,
                                           es_peers):
         server, job = self._start_job(world, sheriff, es_user)
-        server.submit(job)
+        handle = server.submit(job)
         rows = []
         finished = False
         while not finished:
-            batch, finished = server.poll(job.job_id)
+            batch, finished = server.poll(handle)
             rows.extend(batch)
         kinds = {r.kind for r in rows}
         assert "You" in kinds and "IPC" in kinds
