@@ -213,11 +213,10 @@ class Coordinator:
         if self.tracer.enabled:
             # the journey's root: every later stage (queue admission,
             # steal, dispatch, the fan-out) chains under this span
-            with self.tracer.span(
+            span = self.tracer.record(
                 "assign", trace_id=job_id, server=server.name, url=url,
                 transport=self.transport_label,
-            ) as span:
-                pass
+            )
             self.journey_spans[job_id] = span.span_id
         ppcs = self.select_ppcs(peer_id, location)
         return (
@@ -334,12 +333,11 @@ class Coordinator:
         self._m_recovery.inc(event="reassigned")
         self._m_retry_budget.inc()
         if self.tracer.enabled:
-            with self.tracer.span(
+            span = self.tracer.record(
                 "retry", trace_id=job_id,
                 parent_id=self.journey_spans.get(job_id),
                 attempt=record.attempts, server=server.name,
-            ) as span:
-                pass
+            )
             self.journey_spans[job_id] = span.span_id
         return RequestTicket(
             job_id=job_id,

@@ -15,9 +15,15 @@ and stored procedures.  This module models that server as a *facade*:
   whose acquisition statistics feed the Table-1 performance model,
   query accounting, and the telemetry instruments.
 
+A price check is one write, :meth:`DatabaseServer.sp_record_job`: the
+request row and the job's response rows in one query and one engine
+transaction, keyed on ``job_id`` so a write the transport sent twice is
+stored once.  The server builds each stored row once, from the batch as
+it arrived, and hands it to the engine to keep.
+
 Over a transport (:func:`database_rpc_handler` / :class:`DatabaseClient`)
 the two directions travel differently.  A written batch crosses
-column-wise (:func:`_pack_rows`, write-only).  A read crosses as the
+column-wise (:data:`RowBatch`, write-only).  A read crosses as the
 engine holds it: ``sp_responses_for_job_json`` hands the stored result
 set over as one JSON array, the codec splices it into the reply as
 :class:`~repro.net.protocol.RawJSON`, and the client's ``decode`` is the
@@ -46,10 +52,16 @@ __all__ = [
     "ConnectionPoolExhausted",
     "DatabaseClient",
     "DatabaseServer",
+    "RowBatch",
     "TABLES",
     "UnknownTable",
     "database_rpc_handler",
 ]
+
+#: the response rows a write procedure takes: a list of field dicts, or
+#: the same rows column-wise — ``{"cols": [sorted column names], "rows":
+#: [one value sequence per row]}`` — the form a batch crosses the wire in
+RowBatch = Union[List[Dict[str, Any]], Dict[str, Any]]
 
 
 class DatabaseServer:
@@ -142,8 +154,7 @@ class DatabaseServer:
         """
         self._count_query()
         ids = self.backend.insert_many(table, rows)
-        self.batched_writes += 1
-        self._m_batch_rows.observe(len(rows))
+        self._batch_stored(rows)
         self._note_write_times(rows)
         return ids
 
@@ -201,16 +212,54 @@ class DatabaseServer:
         row.update(fields)
         return self.insert("responses", row)
 
-    def sp_record_responses(
-        self, job_id: str, rows: List[Dict[str, Any]]
+    def _batch_stored(self, rows: Sequence[Dict[str, Any]]) -> None:
+        self.batched_writes += 1
+        self._m_batch_rows.observe(len(rows))
+
+    def sp_record_responses(self, job_id: str, rows: RowBatch) -> List[int]:
+        """Batched variant of :meth:`sp_record_response`: one query,
+        each row built once (:func:`_response_rows`)."""
+        self._count_query()
+        stored = _response_rows(job_id, rows)
+        (ids,) = self.backend.insert_batches([("responses", stored)])
+        self._batch_stored(stored)
+        self._note_write_times(stored)
+        return ids
+
+    def sp_record_job(
+        self,
+        job_id: str,
+        user_id: str,
+        url: str,
+        domain: str,
+        time: float,
+        rows: RowBatch,
     ) -> List[int]:
-        """Batched variant of :meth:`sp_record_response`."""
-        stamped = []
-        for fields in rows:
-            row = {"job_id": job_id}
-            row.update(fields)
-            stamped.append(row)
-        return self.insert_many("responses", stamped)
+        """One price check's write: its request row and its response
+        rows in one query and one engine transaction, whole or not at
+        all.  Returns the ``_id``\\ s, the request's first — the ones
+        :meth:`sp_record_request` then :meth:`sp_record_responses` would
+        have assigned.
+
+        Keyed on ``job_id``: a call for a job whose request is stored
+        (a write the transport sent again after its reply was lost)
+        writes nothing and returns the stored ids.  The job's ``time``
+        is its write time for ``last_write_time``.
+        """
+        self._count_query()
+        stored = self.backend.lookup("requests", "job_id", job_id)
+        if stored:
+            responses = self.backend.lookup("responses", "job_id", job_id)
+            return [stored[0]["_id"], *(row["_id"] for row in responses)]
+        request = {"job_id": job_id, "user_id": user_id, "url": url,
+                   "domain": domain, "time": time}
+        responses = _response_rows(job_id, rows)
+        (request_id,), response_ids = self.backend.insert_batches(
+            [("requests", [request]), ("responses", responses)]
+        )
+        self._batch_stored(responses)
+        self._note_write_times((request,))
+        return [request_id, *response_ids]
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:
         """Index seek on ``responses.job_id`` (was an O(n) scan)."""
@@ -249,19 +298,23 @@ DB_RPC_METHODS = (
     "sp_record_request",
     "sp_record_response",
     "sp_record_responses",
+    "sp_record_job",
     "sp_responses_for_job",
     "count",
     "shard_last_writes",
 )
 
 
-def _pack_rows(rows: Sequence[Dict[str, Any]]) -> Any:
+def _pack_rows(rows: RowBatch) -> RowBatch:
     """A written row batch as it crosses the wire: column-wise — the keys
     once, then one value list per row — when every row has the same
-    string keys, the plain list otherwise.  ``cols`` is sorted because
-    the codec sorts keys, so :func:`_unpack_rows` rebuilds exactly the
-    dicts the plain list would have decoded to.  Reads do not pack: they
-    travel as the stored texts (:class:`~repro.net.protocol.RawJSON`)."""
+    string keys, the plain list otherwise; a batch already column-wise
+    goes as it is.  ``cols`` is sorted because the codec sorts keys, so
+    :func:`_response_rows` builds exactly the rows the plain list would
+    have given.  Reads do not pack: they travel as the stored texts
+    (:class:`~repro.net.protocol.RawJSON`)."""
+    if isinstance(rows, dict):
+        return rows
     rows = list(rows)
     if not rows:
         return rows
@@ -275,12 +328,14 @@ def _pack_rows(rows: Sequence[Dict[str, Any]]) -> Any:
     return {"cols": cols, "rows": list(map(itemgetter(*cols), rows))}
 
 
-def _unpack_rows(batch: Any) -> List[Dict[str, Any]]:
-    """The row dicts of a batch :func:`_pack_rows` sent, either form."""
+def _response_rows(job_id: str, batch: RowBatch) -> List[Dict[str, Any]]:
+    """The stored response rows of a batch, each dict built once:
+    ``job_id`` first, then the row's fields — a column-wise batch's
+    ``cols`` in their (sorted) order."""
     if isinstance(batch, dict):
-        cols = batch["cols"]
-        return [dict(zip(cols, values)) for values in batch["rows"]]
-    return batch
+        keys = ("job_id", *batch["cols"])
+        return [dict(zip(keys, (job_id, *values))) for values in batch["rows"]]
+    return [{"job_id": job_id, **fields} for fields in batch]
 
 
 def database_rpc_handler(db) -> Callable[[str, Any], Any]:
@@ -299,7 +354,8 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
 
     ``sp_responses_for_job`` is answered with the stored result set as
     :class:`~repro.net.protocol.RawJSON`: the codec splices the array
-    into the reply, and the caller's ``decode`` is its only parse.
+    into the reply, and the caller's ``decode`` is its only parse.  A
+    written batch reaches the stored procedure as it crossed the wire.
     """
     serial = threading.Lock()
 
@@ -310,21 +366,9 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
             raise KeyError(f"unknown database method {method!r}")
         kwargs = dict(payload or {})
         with serial, db.connection() as conn:
-            if method == "sp_record_request":
-                return conn.sp_record_request(**kwargs)
-            if method == "sp_record_response":
-                return conn.sp_record_response(**kwargs)
-            if method == "sp_record_responses":
-                return conn.sp_record_responses(
-                    kwargs["job_id"], _unpack_rows(kwargs["rows"])
-                )
             if method == "sp_responses_for_job":
                 return RawJSON(conn.sp_responses_for_job_json(kwargs["job_id"]))
-            if method == "count":
-                return conn.count(kwargs["table"])
-            if method == "shard_last_writes":
-                return conn.shard_last_writes()
-        raise KeyError(f"unhandled database method {method!r}")  # pragma: no cover
+            return getattr(conn, method)(**kwargs)
 
     return handle
 
@@ -378,11 +422,24 @@ class DatabaseClient:
         payload.update(fields)
         return self._call("sp_record_response", payload)
 
-    def sp_record_responses(
-        self, job_id: str, rows: List[Dict[str, Any]]
-    ) -> List[int]:
+    def sp_record_responses(self, job_id: str, rows: RowBatch) -> List[int]:
         return self._call(
             "sp_record_responses", {"job_id": job_id, "rows": _pack_rows(rows)}
+        )
+
+    def sp_record_job(
+        self,
+        job_id: str,
+        user_id: str,
+        url: str,
+        domain: str,
+        time: float,
+        rows: RowBatch,
+    ) -> List[int]:
+        return self._call(
+            "sp_record_job",
+            {"job_id": job_id, "user_id": user_id, "url": url,
+             "domain": domain, "time": time, "rows": _pack_rows(rows)},
         )
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:

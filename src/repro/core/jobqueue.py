@@ -283,11 +283,10 @@ class QueuedMeasurementTier:
         if not self.tracer.enabled:
             return
         attrs.setdefault("transport", self.transport_label)
-        with self.tracer.span(
+        span = self.tracer.record(
             name, trace_id=job_id, parent_id=self._journey_parent(job_id),
             links=links, start=start, **attrs,
-        ) as span:
-            pass
+        )
         self._journey[job_id] = span.span_id
 
     def _journey_parent(self, job_id: str) -> Optional[int]:

@@ -10,8 +10,10 @@ One server handles one price-check job end to end:
 2. run the Tags Path extractor over every returned page;
 3. run the currency detection/conversion algorithm, converting
    everything into the currency requested by the initiating user;
-4. persist the results through the shared Database server, storing the
-   initiator page in full and every other page as a diff (DiffStorage);
+4. persist the results through the shared Database server in one write
+   (``sp_record_job``: the request and every response row, one round
+   trip, one transaction), storing the initiator page in full and every
+   other page as a diff (DiffStorage);
 5. report completion to the Coordinator and return the result rows.
 
 Per the production note in Sect. 5, a per-proxy timeout bounds how long
@@ -76,6 +78,15 @@ PRICE_TEXT_MAX = 256
 #: Longest location or user-agent field of a PPC reply a row may carry:
 #: they too are written to the database as the peer sent them.
 PPC_FIELD_MAX = 64
+
+#: The columns of a stored response row after its ``job_id``, sorted as
+#: the codec sorts a row dict's keys; ``_persist`` writes one value per
+#: column, in this order.
+RESPONSE_COLUMNS = (
+    "amount", "amount_eur", "city", "country", "currency", "error", "kind",
+    "low_confidence", "original_text", "proxy_id", "region", "time",
+    "used_doppelganger",
+)
 
 
 @dataclass
@@ -544,9 +555,8 @@ class MeasurementServer:
         ok: bool, **attrs: Any,
     ) -> None:
         """Record one completed fetch attempt as a zero-body span."""
-        with tr.span("fetch", duration=duration, vantage=vantage,
-                     proxy_id=proxy_id, ok=ok, **attrs):
-            pass
+        tr.record("fetch", duration=duration, vantage=vantage,
+                  proxy_id=proxy_id, ok=ok, **attrs)
 
     def _execute_fanout(
         self, job: PriceCheckJob, tr
@@ -698,39 +708,25 @@ class MeasurementServer:
 
     # -- persistence ---------------------------------------------------------------
     def _persist(self, job: PriceCheckJob, result: PriceCheckResult) -> None:
-        """Land one job's rows in a single batched write.
+        """Land the job in one write: ``sp_record_job`` stores its
+        request row and its response rows in one round trip and one
+        transaction, whole or not at all.
 
-        The connection is held once per job and the responses go out as
-        one multi-row insert — under pipelined load the connection pool
-        is the next bottleneck after the fetches, so a job must not pay
-        one round trip per vantage point.
+        Under pipelined load the connection pool is the next bottleneck
+        after the fetches, so a job must not pay one round trip per
+        vantage point, nor one per table.  The response rows go out
+        column-wise (:data:`RESPONSE_COLUMNS`), one value tuple per
+        :class:`ResultRow`.
         """
+        now = self.clock.now
+        batch = {"cols": RESPONSE_COLUMNS, "rows": [
+            (row.detected_amount, row.amount_eur, row.city, row.country,
+             row.detected_currency, row.error, row.kind, row.low_confidence,
+             row.original_text, row.proxy_id, row.region, now,
+             row.used_doppelganger)
+            for row in result.rows
+        ]}
         with self.db.connection() as db:
-            db.sp_record_request(
-                job_id=job.job_id,
-                user_id=job.initiator_peer_id,
-                url=job.url,
-                domain=result.domain,
-                time=self.clock.now,
-            )
-            db.sp_record_responses(
-                job.job_id,
-                [
-                    dict(
-                        proxy_id=row.proxy_id,
-                        kind=row.kind,
-                        country=row.country,
-                        region=row.region,
-                        city=row.city,
-                        original_text=row.original_text,
-                        amount=row.detected_amount,
-                        currency=row.detected_currency,
-                        amount_eur=row.amount_eur,
-                        low_confidence=row.low_confidence,
-                        used_doppelganger=row.used_doppelganger,
-                        error=row.error,
-                        time=self.clock.now,
-                    )
-                    for row in result.rows
-                ],
+            db.sp_record_job(
+                job.job_id, job.initiator_peer_id, job.url, result.domain, now, batch
             )

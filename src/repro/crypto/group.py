@@ -131,12 +131,9 @@ class SchnorrGroup:
 
 
 #: 64-bit test group (p = 2q+1 safe prime); fast enough for unit tests.
-#: p = 18446744073709550147? — instead generated deterministically below.
-def _make_test_group() -> SchnorrGroup:
-    return SchnorrGroup.generate(64, random.Random(42))
-
-
-TEST_GROUP = _make_test_group()
+#: The result of ``SchnorrGroup.generate(64, random.Random(42))`` pinned
+#: as a constant, so importing the module runs no safe-prime search.
+TEST_GROUP = SchnorrGroup(p=11657315447453796203, q=5828657723726898101, g=4)
 
 #: 256-bit benchmark group: the result of
 #: ``SchnorrGroup.generate(256, random.Random(2017))`` pinned as a

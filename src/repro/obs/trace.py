@@ -14,12 +14,13 @@ Design constraints, mirrored from :mod:`repro.obs.metrics`:
   so traced runs replay byte-identically from a seed;
 * the fan-out *executes* eagerly while the world clock is frozen, so a
   fetch span records its simulated duration explicitly
-  (``span(..., duration=d)``) — its bar on the timeline is the duration
-  the engine later packs onto the worker pool;
+  (``record("fetch", duration=d)``, a span with no body) — its bar on
+  the timeline is the duration the engine later packs onto the worker
+  pool;
 * a parent span's end is stretched over its children, so the root
   ``price_check`` bar always covers the whole fan-out;
-* the disabled twin (:data:`NULL_TRACER`) makes every ``span(…)`` a
-  single no-op call.
+* the disabled twin (:data:`NULL_TRACER`) makes every ``span(…)`` and
+  ``record(…)`` a single no-op call.
 
 Journey tracing (the queue tier) extends the tree across servers: a
 job's trace starts at admission, a retroactive ``queue_wait`` span
@@ -126,10 +127,37 @@ class Tracer:
         in other parts of the tree (a steal links the prior attempt).
         """
         parent = self._stack[-1] if self._stack else None
+        span = self._open(name, parent, trace_id, start, parent_id, links, attrs)
+        self._stack.append(span)
+        try:
+            yield span
+        finally:
+            self._stack.pop()
+            self._close(span, parent, duration, parent_id)
+
+    def record(
+        self,
+        name: str,
+        trace_id: Optional[str] = None,
+        duration: Optional[float] = None,
+        start: Optional[float] = None,
+        parent_id: Optional[int] = None,
+        links: Optional[Sequence[Tuple[str, int]]] = None,
+        **attrs: object,
+    ) -> Span:
+        """Append a span with no body and return it: the span
+        ``with span(…): pass`` records, with the same arguments, id,
+        parent, timestamps and parent stretch."""
+        parent = self._stack[-1] if self._stack else None
+        span = self._open(name, parent, trace_id, start, parent_id, links, attrs)
+        self._close(span, parent, duration, parent_id)
+        return span
+
+    def _open(self, name, parent, trace_id, start, parent_id, links, attrs) -> Span:
         if trace_id is None:
             trace_id = parent.trace_id if parent is not None else ""
         opened = self.clock.now
-        span = Span(
+        return Span(
             trace_id=trace_id or f"trace-{next(self._ids)}",
             span_id=next(self._ids),
             parent_id=(
@@ -140,27 +168,24 @@ class Tracer:
             name=name,
             start=opened if start is None else start,
             end=opened,
-            attrs=dict(attrs),
+            attrs=attrs,
             links=list(links) if links else [],
         )
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
-            if duration is not None:
-                span.end = span.start + duration
-            else:
-                # keep the stretch children already applied: a parent
-                # must never end before its scheduled children do
-                span.end = max(span.end, self.clock.now)
-            if parent is not None and parent_id is None:
-                # a parent covers its children on the timeline
-                parent.end = max(parent.end, span.end)
-                parent.start = min(parent.start, span.start)
-            self.finished.append(span)
-            if len(self.finished) > self.max_spans:
-                self._evict()
+
+    def _close(self, span: Span, parent: Optional[Span], duration, parent_id) -> None:
+        if duration is not None:
+            span.end = span.start + duration
+        else:
+            # keep the stretch children already applied: a parent
+            # must never end before its scheduled children do
+            span.end = max(span.end, self.clock.now)
+        if parent is not None and parent_id is None:
+            # a parent covers its children on the timeline
+            parent.end = max(parent.end, span.end)
+            parent.start = min(parent.start, span.start)
+        self.finished.append(span)
+        if len(self.finished) > self.max_spans:
+            self._evict()
 
     def _evict(self) -> None:
         """Shed the oldest *complete* traces first.
@@ -231,21 +256,34 @@ class Tracer:
         return len(spans)
 
 
+class _NullSpanContext:
+    """The one context manager every disabled ``span(…)`` returns."""
+
+    span = Span(trace_id="", span_id=0, parent_id=None, name="", start=0.0, end=0.0)
+
+    def __enter__(self) -> Span:
+        return self.span
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
 class NullTracer:
-    """The disabled twin: ``span(…)`` costs one call and yields one
-    shared inert span."""
+    """The disabled twin: ``span(…)`` returns one shared inert context
+    manager and ``record(…)`` does nothing."""
 
     enabled = False
     finished: List[Span] = []
 
-    _NULL_SPAN = Span(
-        trace_id="", span_id=0, parent_id=None, name="", start=0.0, end=0.0
-    )
+    _NULL_CONTEXT = _NullSpanContext()
 
-    @contextmanager
     def span(self, name: str, trace_id=None, duration=None, start=None,
-             parent_id=None, links=None, **attrs):
-        yield self._NULL_SPAN
+             parent_id=None, links=None, **attrs) -> _NullSpanContext:
+        return self._NULL_CONTEXT
+
+    def record(self, name: str, trace_id=None, duration=None, start=None,
+               parent_id=None, links=None, **attrs) -> Span:
+        return self._NULL_CONTEXT.span
 
     def trace_ids(self) -> List[str]:
         return []

@@ -15,10 +15,13 @@ Contract notes:
   tables, starting at 1 — exactly the original dict-of-lists behavior;
   an engine whose rows outlive the process (a sqlite file) continues
   after the largest ``_id`` it holds when it is opened again;
-* ``insert_many`` is all-or-nothing on every engine: every row is
-  prepared before the first is stored, so a batch that raises leaves
-  the table, the indexes and the id sequence as they were and a retry
-  cannot store its first rows twice;
+* every write is one ``insert_batches`` call: one or more tables'
+  batches in one transaction, all-or-nothing on every engine — every
+  row is prepared before the first is stored, so a write that raises
+  leaves the tables, the indexes and the id sequence as they were and a
+  retry cannot store its first rows twice.  ``insert_batches`` keeps the
+  dicts it is given as the stored rows (stamping ``_id`` into each);
+  ``insert``/``insert_many`` store copies;
 * ``scan``/``lookup`` return fresh dict copies in insertion order, so
   callers can never mutate stored rows through a result set;
 * ``lookup(table, column, value)`` is the index path: for the declared
@@ -53,9 +56,10 @@ TABLES: Tuple[str, ...] = (
 
 #: the secondary indexes every engine maintains — the hot ``sp_*``
 #: queries resolve through these instead of scanning
+#: (``requests.job_id`` is the key that makes a job write idempotent)
 INDEXED_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "responses": ("job_id",),
-    "requests": ("domain", "user_id"),
+    "requests": ("domain", "user_id", "job_id"),
 }
 
 #: environment variable the CI matrix sets to run the tier-1 suite over
@@ -109,12 +113,26 @@ class StorageBackend:
 
     # -- writes -----------------------------------------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:
-        """Store one row; returns its freshly assigned ``_id``."""
-        raise NotImplementedError
+        """Store a copy of one row; returns its freshly assigned ``_id``."""
+        ((row_id,),) = self.insert_batches([(table, [dict(row)])])
+        return row_id
 
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        """Store a batch of rows in one call, all of them or none;
-        returns their ``_id``\\ s."""
+        """Store copies of a batch of rows in one call, all of them or
+        none; returns their ``_id``\\ s."""
+        (ids,) = self.insert_batches([(table, [dict(row) for row in rows])])
+        return ids
+
+    def insert_batches(
+        self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
+    ) -> List[List[int]]:
+        """Store ``(table, rows)`` batches in one transaction, in order,
+        all of them or none; returns each batch's ``_id``\\ s.
+
+        The row dicts become the stored rows: each gets its ``_id``
+        stamped in and may be kept as it is, so a caller hands over rows
+        built for this write and does not touch them again.
+        """
         raise NotImplementedError
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:

@@ -12,7 +12,9 @@ sqlite engine.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from itertools import groupby
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.backend import (
     INDEXED_COLUMNS,
@@ -45,11 +47,13 @@ class MemoryBackend(StorageBackend):
         self._check_table(table)
         return self._tables[table]
 
-    def _index_row(self, table: str, row: Dict[str, Any]) -> None:
+    def _index_rows(self, table: str, rows: List[Dict[str, Any]]) -> None:
+        """Add ``rows`` to the table's indexes: one list extend per run of
+        consecutive rows that share a value (a job's responses are one)."""
         for column, entries in self._indexes.get(table, {}).items():
-            value = row.get(column)
-            if value is not None and indexable_scalar(value):
-                entries[value].append(row)
+            for value, run in groupby(rows, methodcaller("get", column)):
+                if value is not None and indexable_scalar(value):
+                    entries[value].extend(run)
 
     def _reindex(self, table: str) -> None:
         """Rebuild the table's indexes from scratch (after a delete)."""
@@ -58,33 +62,29 @@ class MemoryBackend(StorageBackend):
         self._indexes[table] = {
             column: defaultdict(list) for column in INDEXED_COLUMNS[table]
         }
-        for row in self._tables[table]:
-            self._index_row(table, row)
+        self._index_rows(table, self._tables[table])
 
     # -- writes -----------------------------------------------------------
-    def insert(self, table: str, row: Dict[str, Any]) -> int:
-        target = self._table(table)
-        row = dict(row)
-        row_id = row["_id"] = self._next_id
-        self._next_id += 1
-        target.append(row)
-        self._index_row(table, row)
-        return row_id
-
-    def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        target = self._table(table)
-        # build, then extend: a row that cannot be copied fails the whole
-        # batch with the table, the indexes and the id sequence untouched
-        fresh: List[Dict[str, Any]] = []
-        for row_id, row in enumerate(rows, self._next_id):
-            row = dict(row)
-            row["_id"] = row_id
-            fresh.append(row)
-        self._next_id += len(fresh)
-        target.extend(fresh)
-        for row in fresh:
-            self._index_row(table, row)
-        return [row["_id"] for row in fresh]
+    def insert_batches(
+        self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
+    ) -> List[List[int]]:
+        # stamp every batch, then land them: a write that names an unknown
+        # table or holds something that is not a row fails with the
+        # tables, the indexes and the id sequence untouched
+        targets = [self._table(table) for table, _ in batches]
+        next_id = self._next_id
+        ids: List[List[int]] = []
+        for _, rows in batches:
+            batch_ids = range(next_id, next_id + len(rows))
+            for row, row_id in zip(rows, batch_ids):
+                row["_id"] = row_id
+            ids.append(list(batch_ids))
+            next_id = batch_ids.stop
+        self._next_id = next_id
+        for target, (table, rows) in zip(targets, batches):
+            target.extend(rows)
+            self._index_rows(table, rows)
+        return ids
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         target = self._table(table)

@@ -18,8 +18,8 @@ horizontally while keeping every caller oblivious:
 
 The router keeps a ``job_id -> shard`` map.  A job's first write pins
 it: the request row's domain shard when the request comes first (the
-Measurement server's write order), the job id's own shard when a
-response does.  Every later write and per-job lookup of the job goes to
+Measurement server's ``sp_record_job`` carries both), the job id's own
+shard when a response does.  Every later write and per-job lookup of the job goes to
 the pinned shard without a scatter, whichever call the writes arrive in.
 """
 
@@ -279,11 +279,22 @@ class ShardedDatabase:
         self._sync_occupancy(shard_name, "responses")
         return row_id
 
-    def sp_record_responses(
-        self, job_id: str, rows: List[Dict[str, Any]]
-    ) -> List[int]:
+    def sp_record_responses(self, job_id: str, rows) -> List[int]:
         shard_name = self._pin(job_id, job_id)
         ids = self.shards[shard_name].sp_record_responses(job_id, rows)
+        self._sync_occupancy(shard_name, "responses")
+        return ids
+
+    def sp_record_job(
+        self, job_id: str, user_id: str, url: str, domain: str, time: float, rows
+    ) -> List[int]:
+        """The whole job on one shard, pinned by domain as
+        :meth:`sp_record_request` pins it."""
+        shard_name = self._pin(job_id, domain)
+        ids = self.shards[shard_name].sp_record_job(
+            job_id, user_id, url, domain, time, rows
+        )
+        self._sync_occupancy(shard_name, "requests")
         self._sync_occupancy(shard_name, "responses")
         return ids
 

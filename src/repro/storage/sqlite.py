@@ -27,10 +27,11 @@ since a stored text already is the wire form of its row; only a text
 that mentions the tag is decoded, restored and re-encoded, so its
 tuples leave as lists.
 
-A write prepares every row of the batch first — copy, ``_id``, index
-values, JSON text — and lands them with one ``executemany`` and one
-``commit``, so a batch is stored whole or not at all and a failed batch
-consumes no ids.
+A write prepares every row of every batch first — ``_id``, index
+values, JSON text (tuples tagged only when the text holds an array) —
+and lands them with one ``executemany`` per table and one ``commit``,
+so a write is stored whole or not at all and a failed write consumes
+no ids.
 
 File-backed databases run in WAL journal mode (readers never block the
 writer — the deployment story of App. 10.2.1); the default is a private
@@ -61,9 +62,6 @@ _TUPLE_TAG = "__tuple__"
 #: rows a ``scan`` decodes per ``json.loads``, so a full-table read never
 #: holds a second copy of the table as one string
 _SCAN_CHUNK = 512
-
-#: the value types the tuple tagging has to look inside
-_CONTAINERS = (tuple, list, dict)
 
 
 def _jsonable(value: Any) -> Any:
@@ -137,7 +135,12 @@ class SqliteBackend(StorageBackend):
                 f"CREATE TABLE IF NOT EXISTS {table} "
                 f"(_id INTEGER PRIMARY KEY{index_cols}, data TEXT NOT NULL)"
             )
+            present = {
+                info[1] for info in self._conn.execute(f"PRAGMA table_info({table})")
+            }
             for column in columns:
+                if column not in present:
+                    self._add_index_column(table, column)
                 self._conn.execute(
                     f"CREATE INDEX IF NOT EXISTS idx_{table}_{column} "
                     f"ON {table}({column})"
@@ -156,44 +159,53 @@ class SqliteBackend(StorageBackend):
         self._next_id = last_id + 1
 
     # -- internals --------------------------------------------------------
+    def _add_index_column(self, table: str, column: str) -> None:
+        """Add an index column a file written before it was declared
+        lacks, filled from the stored rows as :func:`_index_value` fills
+        it: scalars (a boolean as 0/1), NULL for anything else."""
+        self._conn.execute(f"ALTER TABLE {table} ADD COLUMN {column}")
+        self._conn.execute(
+            f"UPDATE {table} SET {column} = json_extract(data, '$.{column}') "
+            f"WHERE json_type(data, '$.{column}') "
+            f"IN ('text', 'integer', 'real', 'true', 'false')"
+        )
+
     def _prepare(
-        self, table: str, rows: Iterable[Dict[str, Any]]
+        self, table: str, rows: List[Dict[str, Any]], first_id: int
     ) -> List[Tuple[Any, ...]]:
         """The INSERT parameters of ``rows`` — ``(_id, index values…,
-        data)`` each, ids counted on from ``_next_id`` — touching neither
-        the sequence nor the database, so a row that cannot be encoded
-        fails its whole batch before the first statement runs."""
+        data)`` each, ids counted on from ``first_id`` and stamped into
+        the rows — touching neither the sequence nor the database, so a
+        row that cannot be encoded fails its write before the first
+        statement runs."""
         self._check_table(table)
         columns = INDEXED_COLUMNS.get(table, ())
         params = []
-        for row_id, row in enumerate(rows, self._next_id):
-            row = dict(row)
+        for row_id, row in enumerate(rows, first_id):
             row["_id"] = row_id
-            indexed = [_index_value(row, column) for column in columns]
-            for value in row.values():
-                # isinstance, so a namedtuple or an OrderedDict is walked too
-                if isinstance(value, _CONTAINERS):
-                    row = _jsonable(row)
-                    break
-            params.append((row_id, *indexed, compact_json(row)))
+            text = compact_json(row)
+            if "[" in text:  # a tuple, somewhere, encodes as an array
+                text = compact_json(_jsonable(row))
+            params.append(
+                (row_id, *[_index_value(row, column) for column in columns], text)
+            )
         return params
 
-    def _store(self, table: str, params: List[Tuple[Any, ...]]) -> None:
-        """One statement, one commit; all of ``params`` or none of it."""
-        with self._conn:  # commits, or rolls back whatever made it leave
-            self._conn.executemany(self._insert_sql[table], params)
-        self._next_id += len(params)
-
     # -- writes -----------------------------------------------------------
-    def insert(self, table: str, row: Dict[str, Any]) -> int:
-        params = self._prepare(table, (row,))
-        self._store(table, params)
-        return params[0][0]
-
-    def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        params = self._prepare(table, rows)
-        self._store(table, params)
-        return [row_params[0] for row_params in params]
+    def insert_batches(
+        self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
+    ) -> List[List[int]]:
+        prepared = []
+        next_id = self._next_id
+        for table, rows in batches:
+            params = self._prepare(table, rows, next_id)
+            prepared.append((self._insert_sql[table], params))
+            next_id += len(params)
+        with self._conn:  # one commit, or a rollback of whatever made it leave
+            for sql, params in prepared:
+                self._conn.executemany(sql, params)
+        self._next_id = next_id
+        return [[row_params[0] for row_params in params] for _, params in prepared]
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         self._check_table(table)

@@ -146,9 +146,10 @@ class TestConnectionPool:
 
 
 class TestRowBatchOnTheWire:
-    """``sp_record_responses`` ships its batch column-wise; what arrives
-    must be what the plain list would have decoded to — values, key
-    order and all.  (Reads cross as the stored text:
+    """``sp_record_responses`` and ``sp_record_job`` ship their batch
+    column-wise; the rows the server builds from what arrives must be
+    the rows the plain list would have given — values, key order and
+    all.  (Reads cross as the stored text:
     ``tests/core/test_result_set_wire.py``.)"""
 
     @staticmethod
@@ -165,15 +166,17 @@ class TestRowBatchOnTheWire:
         ]
 
     def test_uniform_rows_cross_column_wise_and_come_back_identical(self):
-        from repro.core.database import _pack_rows, _unpack_rows
+        from repro.core.database import _pack_rows, _response_rows
 
         packed = _pack_rows(self.rows())
         assert packed["cols"] == sorted(self.rows()[0])
         assert len(packed["rows"]) == 3
-        plain = self.through_codec(self.rows())
-        rebuilt = _unpack_rows(self.through_codec(packed))
+        assert _pack_rows(packed) is packed  # already column-wise
+        plain = _response_rows("j1", self.through_codec(self.rows()))
+        rebuilt = _response_rows("j1", self.through_codec(packed))
         assert rebuilt == plain
         assert [list(row) for row in rebuilt] == [list(row) for row in plain]
+        assert list(rebuilt[0]) == ["job_id", *sorted(self.rows()[0])]
 
     @pytest.mark.parametrize(
         "rows",
@@ -187,10 +190,10 @@ class TestRowBatchOnTheWire:
         ids=["empty", "one-column", "ragged", "other-keys", "non-string-key"],
     )
     def test_anything_else_stays_a_plain_list(self, rows):
-        from repro.core.database import _pack_rows, _unpack_rows
+        from repro.core.database import _pack_rows, _response_rows
 
         assert _pack_rows(rows) == rows
-        assert _unpack_rows(rows) == rows
+        assert _response_rows("j1", rows) == [{"job_id": "j1", **row} for row in rows]
 
     def test_client_and_handler_agree_through_a_transport(self):
         from repro.core.database import DatabaseClient, database_rpc_handler

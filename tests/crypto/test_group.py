@@ -102,6 +102,9 @@ class TestGeneration:
         b = SchnorrGroup.generate(48, random.Random(5))
         assert a.p == b.p
 
+    def test_test_group_is_the_seeded_search_result(self):
+        assert SchnorrGroup.generate(64, random.Random(42)) == TEST_GROUP
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             SchnorrGroup.generate(4)

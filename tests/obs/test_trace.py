@@ -133,6 +133,46 @@ class TestRendering:
         assert render_trace([]) == "(no spans recorded)"
 
 
+def _with_pass(tr, name, **kwargs):
+    with tr.span(name, **kwargs) as span:
+        pass
+    return span
+
+
+def _zero_body_tree(zero_body):
+    """A fan-out, journey stages and a retroactive span, each recorded
+    with no body by ``zero_body(tracer, name, **kwargs)``."""
+    clock = Clock()
+    tr = Tracer(clock)
+    returned = [zero_body(tr, "assign", trace_id="job-1", server="ms-0")]
+    clock.advance(3.0)
+    with tr.span("price_check", trace_id="job-1"):
+        for i, duration in enumerate((0.0, 2.5, 1.0)):
+            returned.append(zero_body(tr, "fetch", duration=duration,
+                                      vantage="IPC", proxy_id=f"ipc-{i}", ok=True))
+        returned.append(zero_body(tr, "steal", parent_id=returned[0].span_id,
+                                  links=[("job-1", 1)], src="ms-0", dst="ms-1"))
+        clock.advance(1.5)
+        returned.append(zero_body(tr, "parse", rows=3))
+    returned.append(zero_body(tr, "queue_wait", trace_id="job-2", start=1.0))
+    returned.append(zero_body(tr, "orphan"))
+    return tr.finished, returned
+
+
+class TestRecord:
+    def test_record_appends_the_span_with_pass_would(self):
+        spans, returned = _zero_body_tree(lambda tr, name, **kw: tr.record(name, **kw))
+        reference, reference_returned = _zero_body_tree(_with_pass)
+        assert [s.to_dict() for s in spans] == [s.to_dict() for s in reference]
+        assert [s.to_dict() for s in returned] == [s.to_dict() for s in reference_returned]
+        root = next(s for s in spans if s.name == "price_check")
+        assert (root.start, root.end) == (3.0, 5.5)  # stretched over the 2.5 s fetch
+
+    def test_null_record_does_nothing(self):
+        NULL_TRACER.record("fetch", duration=1.0, vantage="IPC")
+        assert NULL_TRACER.finished == []
+
+
 class TestNullTracer:
     def test_null_tracer_records_nothing(self):
         with NULL_TRACER.span("anything", trace_id="x", duration=5.0) as s:
@@ -140,3 +180,6 @@ class TestNullTracer:
         assert NULL_TRACER.finished == []
         assert NULL_TRACER.trace_ids() == []
         assert NULL_TRACER.to_jsonl() == ""
+
+    def test_span_is_one_shared_context_manager(self):
+        assert NULL_TRACER.span("a") is NULL_TRACER.span("b", trace_id="x", duration=2.0)

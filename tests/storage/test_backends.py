@@ -144,6 +144,35 @@ class TestAtomicBatch:
         self._fails_whole(backend, {"job_id": 2**70}, OverflowError)
         backend.close()
 
+    def _write_fails_whole(self, backend, bad_batch, error):
+        """``insert_batches`` over two tables: the first batch's rows are
+        stamped (on sqlite, inserted) before the second one fails."""
+        backend.insert("requests", {"job_id": "j0", "domain": "a.example"})
+        before = backend.scan("requests")
+        with pytest.raises(error):
+            backend.insert_batches([
+                ("requests", [{"job_id": "j1", "domain": "b.example"}]),
+                ("responses", bad_batch),
+            ])
+        assert backend.scan("requests") == before
+        assert backend.count("responses") == 0
+        assert backend.lookup("requests", "job_id", "j1") == []
+        assert backend.group_count("requests", "domain") == {"a.example": 1}
+        assert backend.insert_batches([
+            ("requests", [{"job_id": "j1"}]),
+            ("responses", [{"job_id": "j1"}, {"job_id": "j1"}]),
+        ]) == [[2], [3, 4]]
+        assert [r["_id"] for r in backend.lookup("responses", "job_id", "j1")] == [3, 4]
+
+    def test_write_with_something_that_is_not_a_row(self, backend):
+        self._write_fails_whole(backend, [{"job_id": "j1"}, "not a row"], TypeError)
+
+    def test_write_the_statement_refuses_part_way(self):
+        backend = SqliteBackend()
+        self._write_fails_whole(backend, [{"job_id": "j1"}, {"job_id": 2**70}],
+                                OverflowError)
+        backend.close()
+
     def test_empty_batch(self, backend):
         assert backend.insert_many("responses", []) == []
         assert backend.insert("responses", {"job_id": "j"}) == 1
@@ -208,6 +237,31 @@ class TestSqliteEngine:
         assert [r["_id"] for r in reopened.lookup("responses", "job_id", "j")] \
             == [2, 3, 6, 7]
         reopened.close()
+
+
+    def test_a_file_from_before_the_job_index_gets_it_on_opening(self, tmp_path):
+        """A ``requests`` table without the ``job_id`` column (the schema
+        before job writes were keyed) is given it, filled from the rows."""
+        import sqlite3
+
+        path = str(tmp_path / "old.db")
+        old = sqlite3.connect(path)
+        old.execute("CREATE TABLE requests (_id INTEGER PRIMARY KEY, domain, user_id, "
+                    "data TEXT NOT NULL)")
+        for row_id, job_id in ((1, '"j1"'), (2, "7"), (3, "true"), (4, '["j", 4]'),
+                               (5, "null")):
+            old.execute("INSERT INTO requests VALUES (?, 'a.example', 'u', ?)",
+                        (row_id, f'{{"job_id":{job_id},"domain":"a.example","_id":{row_id}}}'))
+        old.commit()
+        old.close()
+        b = SqliteBackend(path=path)
+        assert [r["_id"] for r in b.lookup("requests", "job_id", "j1")] == [1]
+        assert [r["_id"] for r in b.lookup("requests", "job_id", 7)] == [2]
+        assert [r["_id"] for r in b.lookup("requests", "job_id", True)] == [3]
+        assert b.group_count("requests", "job_id") == {"j1": 1, 7: 1, 1: 1}
+        assert b.insert("requests", {"job_id": "j2"}) == 6
+        assert [r["_id"] for r in b.lookup("requests", "job_id", "j2")] == [6]
+        b.close()
 
 
 class TestMakeBackend:

@@ -2,13 +2,13 @@
 file-backed sqlite Database server, reopen the file, carry on.
 
 The child does what a Measurement server does at the end of every check
-— ``sp_record_request``, then one 36-row ``sp_record_responses`` — in a
-loop, with no pause, so the kill lands inside a write more often than
-not.  What must hold of the file afterwards:
+— one ``sp_record_job``: the request and 36 response rows — in a loop,
+with no pause, so the kill lands inside a write more often than not.
+What must hold of the file afterwards:
 
-* whole batches only: every job has 0 or 36 response rows, no
-  ``(job, proxy)`` pair and no request twice, everything the child
-  reported as stored is there;
+* whole jobs only: every job has its request and 36 response rows or
+  nothing, no ``(job, proxy)`` pair and no request twice, everything the
+  child reported as stored is there;
 * the reopened engine continues the one shared ``_id`` sequence, on
   ``requests`` and on ``responses``, through ``insert`` and
   ``insert_many`` — a restarted server takes the next check.
@@ -36,10 +36,8 @@ from repro.storage import SqliteBackend
 db = DatabaseServer(backend=SqliteBackend(sys.argv[1]))
 job = 0
 while True:
-    job_id = f"job-{job}"
-    db.sp_record_request(job_id, "user-1", f"http://shop.example/p/{job}",
-                         "shop.example", float(job))
-    db.sp_record_responses(job_id, [
+    db.sp_record_job(f"job-{job}", "user-1", f"http://shop.example/p/{job}",
+                     "shop.example", float(job), [
         {"proxy_id": f"ipc-{i:02d}", "amount": job + i / 100.0, "currency": "EUR",
          "error": None, "time": float(job)}
         for i in range(%d)
@@ -86,10 +84,9 @@ def test_killed_writer_leaves_whole_batches_and_a_usable_sequence(tmp_path):
     assert max(pairs.values()) == 1
     jobs = [row["job_id"] for row in requests]
     assert len(jobs) == len(set(jobs))
-    # committed means durable; the job in flight may have its request only
+    # committed means durable; the job in flight is whole or absent
     assert set(per_job) >= {f"job-{n}" for n in range(last_reported + 1)}
-    assert set(per_job) <= set(jobs)
-    assert len(jobs) - len(per_job) in (0, 1)
+    assert set(per_job) == set(jobs)
 
     ids = [row["_id"] for row in requests + responses]
     assert len(ids) == len(set(ids))
