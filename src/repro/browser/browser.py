@@ -17,7 +17,6 @@ browse organically and thereby build profiles) and of the $heriff add-on
 from __future__ import annotations
 
 import itertools
-import secrets
 from typing import Dict, Optional
 
 from repro.browser.cookies import CookieJar
@@ -26,11 +25,9 @@ from repro.browser.history import BrowserHistory
 from repro.net.events import Clock
 from repro.net.geo import Location
 from repro.web.internet import Internet, parse_url
-from repro.web.pricing import RequestContext
+from repro.web.pricing import RequestContext, stable_rng
 from repro.web.store import StoreResponse
 from repro.web.trackers import TrackerEcosystem
-
-_browser_counter = itertools.count()
 
 
 class Browser:
@@ -43,14 +40,12 @@ class Browser:
         clock: Clock,
         location: Location,
         agent: Optional[UserAgent] = None,
-        browser_id: Optional[str] = None,
     ) -> None:
         self.internet = internet
         self.ecosystem = ecosystem
         self.clock = clock
         self.location = location
         self.agent = agent if agent is not None else user_agent("Windows 7", "Chrome")
-        self.browser_id = browser_id or f"browser-{next(_browser_counter)}"
         self.cookies = CookieJar()
         self.history = BrowserHistory()
         self.cache: Dict[str, str] = {}
@@ -101,7 +96,7 @@ class Browser:
     # -- account handling --------------------------------------------------
     def login(self, domain: str) -> str:
         """Log into a retailer account (sets the ``account`` cookie)."""
-        token = secrets.token_hex(8)
+        token = stable_rng("account", domain, self.location.ip).randbytes(8).hex()
         self.cookies.set(domain, "account", token)
         return token
 

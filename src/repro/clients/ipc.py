@@ -119,7 +119,6 @@ class InfrastructureProxyClient:
             clock=self._clock,
             location=self.location,
             agent=self._agent,
-            browser_id=f"{self.ipc_id}-fresh-{self.fetch_count}",
         )
         response = browser.visit(url)
         self.fetch_count += 1

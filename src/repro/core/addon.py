@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.browser.browser import Browser
 from repro.browser.fingerprint import parse_user_agent
@@ -50,7 +50,7 @@ from repro.core.pricecheck import PriceCheckResult
 from repro.core.tagspath import TagsPath, build_tags_path
 from repro.currency.detect import detect_price
 from repro.net.faults import ROLE_SERVER
-from repro.net.p2p import PeerOverlay, make_peer_id
+from repro.net.p2p import PeerOverlay
 from repro.web.html import Element, find_all, parse
 from repro.web.store import PRICE_CLASSES
 
@@ -72,8 +72,8 @@ class SheriffAddon:
         aggregator: Aggregator,
         overlay: PeerOverlay,
         measurement_lookup,
+        peer_id: str,
         consent: bool = True,
-        peer_id: Optional[str] = None,
         history_donation_opt_in: bool = False,
         serve_as_ppc: bool = True,
         anonymity=None,
@@ -85,7 +85,7 @@ class SheriffAddon:
         self._measurement_lookup = measurement_lookup
         self.consent = consent
         self.history_donation_opt_in = history_donation_opt_in
-        self.peer_id = peer_id or make_peer_id()
+        self.peer_id = peer_id
         # imported here to avoid a core ↔ clients import cycle
         from repro.clients.ppc import PeerProxyClient
 

@@ -469,7 +469,7 @@ class PriceSheriff:
             consent=consent,
             # minted from the world's seeded RNG so chaos event logs
             # replay identically from the same seed
-            peer_id=peer_id or make_peer_id(rng=self.world.rng),
+            peer_id=peer_id or make_peer_id(self.world.rng),
             history_donation_opt_in=history_donation_opt_in,
             serve_as_ppc=serve_as_ppc,
             anonymity=self.anonymity,

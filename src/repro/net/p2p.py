@@ -14,7 +14,6 @@ associate page requests with the initiator's identity.
 from __future__ import annotations
 
 import random
-import secrets
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -27,20 +26,13 @@ _PEER_ID_ALPHABET = (
 )
 
 
-def make_peer_id(
-    rng_token: Optional[str] = None, rng: Optional[random.Random] = None
-) -> str:
-    """Generate a peerjs-style opaque identifier.
+def make_peer_id(rng: random.Random) -> str:
+    """Generate a peerjs-style opaque identifier from ``rng``.
 
-    Pass a seeded ``rng`` to mint the ID deterministically — simulations
-    route all identity randomness through their injected RNG so that a
-    chaos run's event log replays identically from its seed.
+    Simulations pass their seeded RNG, so a chaos run's event log replays
+    identically from its seed.
     """
-    if rng_token is not None:
-        return rng_token
-    if rng is not None:
-        return "".join(rng.choice(_PEER_ID_ALPHABET) for _ in range(12))
-    return secrets.token_urlsafe(9)
+    return "".join(rng.choice(_PEER_ID_ALPHABET) for _ in range(12))
 
 
 @dataclass

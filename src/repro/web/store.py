@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import secrets
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,6 +165,10 @@ class EStore:
 
         # Page skeletons, compiled at the first request for a product.
         self._pages: Dict[Product, _PageSkeleton] = {}
+
+        # Session ids: a stream named after this store, so no other
+        # store's or tracker's tokens shift them.
+        self._sids = random.Random(f"sid:{domain}")
 
     # -- currency --------------------------------------------------------
     def display_currency(self, ctx: RequestContext) -> str:
@@ -370,7 +373,7 @@ class EStore:
             )
         set_cookies: Dict[str, str] = {}
         if "sid" not in ctx.first_party_cookies:
-            set_cookies["sid"] = secrets.token_hex(8)
+            set_cookies["sid"] = self._sids.randbytes(8).hex()
         if not path.startswith("/product/"):
             return StoreResponse(
                 url=f"http://{self.domain}{path}", status=200, html=self._home_page,

@@ -17,7 +17,7 @@ condition prices on them; the $heriff's job is to catch that.
 
 from __future__ import annotations
 
-import secrets
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -37,13 +37,16 @@ class Tracker:
 
     def __init__(self, domain: str) -> None:
         self.domain = domain
+        # Cookies: a stream named after this tracker, so no other
+        # minter shifts them.
+        self._tids = random.Random(f"tid:{domain}")
         self._profiles: Dict[str, Counter] = {}
         self.visits: List[TrackerVisit] = []
 
     def observe(self, cookie: Optional[str], first_party: str, time: float = 0.0) -> str:
         """Record a page view; returns the (possibly fresh) cookie value."""
         if cookie is None:
-            cookie = secrets.token_hex(8)
+            cookie = self._tids.randbytes(8).hex()
         self._profiles.setdefault(cookie, Counter())[first_party] += 1
         self.visits.append(TrackerVisit(cookie=cookie, first_party=first_party, time=time))
         return cookie

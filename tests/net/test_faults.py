@@ -24,7 +24,7 @@ from repro.net.faults import (
     chaos_plan,
 )
 from repro.net.geo import Location
-from repro.net.p2p import PeerOverlay, make_peer_id
+from repro.net.p2p import PeerOverlay
 
 
 LOC = Location(ip="10.0.0.1", country="ES", region="Madrid", city="Madrid")
@@ -224,7 +224,7 @@ class TestChaosProfiles:
 class TestPeerChannelIntegration:
     def _overlay(self, plan):
         overlay = PeerOverlay(faults=plan)
-        peer_id = make_peer_id("peer-under-test")
+        peer_id = "peer-under-test"
         overlay.register(peer_id, LOC, handler=lambda m: {
             "html": "<html>ok</html>", "country": "ES",
             "region": "Madrid", "city": "Madrid",

@@ -1,5 +1,7 @@
 """Tests for the peer overlay."""
 
+import random
+
 import pytest
 
 from repro.net.geo import GeoDatabase
@@ -62,5 +64,6 @@ class TestChannels:
 
 
 def test_make_peer_id_unique():
-    ids = {make_peer_id() for _ in range(100)}
+    rng = random.Random(0)
+    ids = {make_peer_id(rng) for _ in range(100)}
     assert len(ids) == 100
