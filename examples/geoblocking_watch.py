@@ -18,11 +18,11 @@ Run with:  python examples/geoblocking_watch.py
 
 import random
 
+from repro.core.addon import SheriffAddon
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.extensions.contentdiff import ContentWatch
 from repro.extensions.geoblock import GeoblockScanner
 from repro.web.catalog import make_catalog
-from repro.web.html import find_all, parse
 from repro.web.pricing import CountryMultiplierPricing, UniformPricing
 from repro.web.store import EStore
 
@@ -62,10 +62,8 @@ def main() -> None:
     url = localized.product_url(localized.catalog.products[0].product_id)
     browser = world.make_browser("US", "Tennessee")
     response = browser.visit(url)
-    doc = parse(response.html)
-    product_div = find_all(doc, cls="product")[0]
-    target = find_all(product_div, tag="span", cls=localized.price_class)[0]
-    content_report = watch.check(url, watch.record_path(doc, target))
+    path = watch.record_path(response.html, SheriffAddon.select_price_element)
+    content_report = watch.check(url, path)
     print(content_report.render())
 
 

@@ -29,7 +29,7 @@
 
 from repro.core.errors import SheriffError
 from repro.core.engine import JobHandle, PageCache, PriceCheckEngine
-from repro.core.tagspath import TagsPath, build_tags_path, extract_price_text
+from repro.core.tagspath import TagsPath, extract_price_text, select_tags_path
 from repro.core.whitelist import Whitelist
 from repro.core.database import DatabaseServer
 from repro.core.diffstorage import DiffStorage
@@ -52,8 +52,8 @@ __all__ = [
     "PriceCheckEngine",
     "SheriffError",
     "TagsPath",
-    "build_tags_path",
     "extract_price_text",
+    "select_tags_path",
     "Whitelist",
     "DatabaseServer",
     "DiffStorage",

@@ -17,7 +17,9 @@ Five modules, as in the implementation appendix:
 The human act of highlighting the price is simulated by
 :meth:`SheriffAddon.select_price_element`, which picks the price markup
 inside the product block the way a user's cursor would.  Everything
-downstream of the selection is the real algorithm.
+downstream of the selection is the real algorithm, read off the page's
+tags as the Measurement server reads the vantage pages: no tree is
+built.
 
 Privacy: "No information leaves the browser unless the user explicitly
 opts in" — history donation and profile encryption check the consent
@@ -47,11 +49,10 @@ from repro.core.errors import (
 from repro.core.engine import JobHandle
 from repro.core.measurement import PriceCheckJob, QuorumNotMet
 from repro.core.pricecheck import PriceCheckResult
-from repro.core.tagspath import TagsPath, build_tags_path
+from repro.core.tagspath import PageElement, TagsPath, select_tags_path
 from repro.currency.detect import detect_price
 from repro.net.faults import ROLE_SERVER
 from repro.net.p2p import PeerOverlay
-from repro.web.html import Element, find_all, parse
 from repro.web.store import PRICE_CLASSES
 
 __all__ = [
@@ -116,33 +117,38 @@ class SheriffAddon:
 
     # -- Collector: price selection & tags path --------------------------------
     @staticmethod
-    def select_price_element(root: Element) -> Element:
+    def select_price_element(elements: Sequence[PageElement]) -> PageElement:
         """Simulate the user highlighting the product price.
 
         The cursor lands on the price markup inside the main product
-        block — the first price-classed span within a ``product`` div.
+        block — the first price-classed span within a ``product``
+        element, trying the price classes in order; with no product
+        block, anywhere on the page.
         """
-        products = find_all(root, cls="product")
-        search_roots: Sequence[Element] = products if products else [root]
-        for scope in search_roots:
+        products = [e for e in elements if "product" in e.classes]
+        for scope in products or elements[:1]:
+            spans = [
+                e for e in elements
+                if e.tag == "span" and scope.opened <= e.opened <= scope.closed
+            ]
             for cls in PRICE_CLASSES:
-                spans = find_all(scope, tag="span", cls=cls)
-                if spans:
-                    return spans[0]
+                for span in spans:
+                    if cls in span.classes:
+                        return span
         raise PriceSelectionError("no price element found on the page")
 
     def build_selection(self, html: str) -> Tuple[TagsPath, str]:
-        """Parse the current page, select the price, build the Tags Path.
+        """Select the price on the page's cut and build the Tags Path.
 
+        No tree is built: the selection reads the page's tags, once per
+        tag skeleton (:func:`repro.core.tagspath.select_tags_path`).
         The selected text is validated the way the real add-on validates
         it (length cap, at least one digit, sanitization) — invalid
         selections raise before anything leaves the browser.
         """
-        root = parse(html)
-        element = self.select_price_element(root)
-        text = element.text().strip()
+        path, text = select_tags_path(html, self.select_price_element)
         detect_price(text)  # raises CurrencyDetectionError when invalid
-        return build_tags_path(root, element), text
+        return path, text
 
     # -- Controller: the price check entry points ------------------------------
     def check_price(self, url: str, requested_currency: str = "EUR") -> PriceCheckResult:

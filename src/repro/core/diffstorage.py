@@ -119,7 +119,7 @@ class _OpenJob:
     __slots__ = ("job_id", "tags", "texts", "alignments")
 
     def __init__(self, job_id: str, reference: str) -> None:
-        parts = split_tags(reference)
+        parts = split_tags(reference)[0]
         self.job_id = job_id
         #: a closing sentinel pairs the text after the last tag with the
         #: other page's; no tag is the empty string
@@ -129,10 +129,10 @@ class _OpenJob:
         #: length, the reference's texts there)])``
         self.alignments: Dict[str, Tuple[tuple, list]] = {}
 
-    def align(self, skeleton: str, tags: List[str]) -> Tuple[tuple, list]:
+    def align(self, skeleton: str, parts: List[str]) -> Tuple[tuple, list]:
         alignment = self.alignments.get(skeleton)
         if alignment is None:
-            blocks = _matching_blocks(self.tags, tags + [""])
+            blocks = _matching_blocks(self.tags, parts[1::2] + [""])
             alignment = self.alignments[skeleton] = (
                 tuple((i, n) for i, _, n in blocks),
                 [(i, j, n, self.texts[i:i + n]) for i, j, n in blocks],
@@ -170,10 +170,9 @@ class DiffStorage:
             # cut the reference before the page: the extractor asks for
             # this page's cut next
             job = self._open = _OpenJob(job_id, self._reference[job_id])
-        parts = split_tags(html)
-        tags = parts[1::2]
+        parts, skeleton = split_tags(html)
         texts = parts[::2]
-        runs, aligned = job.align("".join(tags), tags)
+        runs, aligned = job.align(skeleton, parts)
         gaps: List[str] = []
         subs: List[Tuple[int, Union[str, _LineOps]]] = []
         size = end = 0
@@ -233,7 +232,7 @@ class DiffStorage:
             stored = self._diffs.get((job_id, proxy_id))
             if stored is None:
                 raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
-        parts = list(split_tags(ref))
+        parts = list(split_tags(ref)[0])
         for slot, sub in stored.subs:
             if not isinstance(sub, str):
                 old_lines = parts[2 * slot].splitlines(keepends=True)

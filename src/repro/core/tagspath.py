@@ -32,25 +32,28 @@ bottom-up path is two slices), prunes candidates whose shared suffix
 already cannot win and strips the common prefix/suffix before any DP —
 no :class:`Element` is built.  A hit checks *this* page's text outside
 the root and joins the candidate's slots: a handful of C-level calls, no
-per-tag Python.  The tree-walking extractor all this replaced lives on
-as the test oracle ``tests/oracles/tagspath_legacy.py``.
+per-tag Python.
+
+The add-on records the path the same way (:func:`select_tags_path`):
+one scan per new skeleton hands its elements to the user's simulated
+cursor, and the picked element's path is the same two slices a
+candidate's is.  The tree-walking extractor and selection all this
+replaced live on as the test oracle ``tests/oracles/tagspath_legacy.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.metrics import WorkCounts
 from repro.web.html import (
-    Element,
     HTMLParseError,
     SKIP,
     T_CLOSE,
     T_OPEN,
     T_SELF,
-    VOID_TAGS,
     classify,
     clear_token_memo,
     split_tags,
@@ -64,12 +67,9 @@ MAX_PATH_ENTRIES = 400
 _PATH_HEAD = MAX_PATH_ENTRIES // 2
 _PATH_TAIL = MAX_PATH_ENTRIES - _PATH_HEAD
 
-#: bound on the (skeleton, path) → plan extraction memo
+#: bound on each skeleton memo: ``(skeleton, path)`` → extraction plan
+#: and ``(skeleton, selector)`` → the add-on's selection
 EXTRACTION_MEMO_MAX = 256
-
-
-class TagsPathError(ValueError):
-    """Raised when a Tags Path cannot be built for the selection."""
 
 
 @dataclass(frozen=True)
@@ -109,46 +109,6 @@ def _truncate(closings: List[str]) -> List[str]:
     if len(closings) > MAX_PATH_ENTRIES:
         return closings[:_PATH_HEAD] + closings[len(closings) - _PATH_TAIL:]
     return closings
-
-
-def _event_stream(root: Element) -> List[Tuple[str, Element]]:
-    """Flatten the tree into (event, element) pairs in document order."""
-    events: List[Tuple[str, Element]] = []
-
-    def walk(element: Element) -> None:
-        events.append(("open", element))
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child)
-        if element.tag not in VOID_TAGS:
-            events.append(("close", element))
-
-    walk(root)
-    return events
-
-
-def _path_for(root: Element, target: Element) -> Tuple[str, ...]:
-    """Closing-tag signatures after target's open tag, bottom-most first."""
-    events = _event_stream(root)
-    open_index = None
-    for i, (kind, element) in enumerate(events):
-        if kind == "open" and element is target:
-            open_index = i
-            break
-    if open_index is None:
-        raise TagsPathError("selected element is not part of the document")
-    closings = [
-        element.signature()
-        for kind, element in events[open_index + 1:]
-        if kind == "close" and element is not target
-    ]
-    closings.reverse()  # bottom of the document first, like the paper
-    return tuple(_truncate(closings))
-
-
-def build_tags_path(root: Element, target: Element) -> TagsPath:
-    """Record the Tags Path for a user-selected element."""
-    return TagsPath(entries=_path_for(root, target), target=target.signature())
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +179,20 @@ _Span = Tuple[int, Optional[int], int, int]
 
 
 def _scan(
-    tags: Sequence[str], target: str
+    tags: Sequence[str], target: Optional[str]
 ) -> Tuple[List[str], List[_Span], Tuple[int, int]]:
     """One pass over a page's tags; no tree is built.
 
     Returns the signature of every closing event in document order
     (``close_sigs``), one :data:`_Span` per element whose signature
-    equals ``target``, in document (pre-)order so the first best-scoring
-    candidate wins ties, and the tag positions where the root opens and
-    closes.  Raises :class:`HTMLParseError` exactly when :func:`parse`
-    would on a page with these tags and no text outside the root — text
-    is the page's, not the skeleton's, and is checked per page.
+    equals ``target`` (per element when ``target`` is ``None``), in
+    document (pre-)order so the first best-scoring candidate wins ties,
+    and the tag positions where the root opens and closes.  Raises
+    :class:`HTMLParseError` exactly when :func:`parse` would on a page
+    with these tags and no text outside the root — text is the page's,
+    not the skeleton's, and is checked per page.
     """
+    every = target is None
     stack: List[Tuple[str, str]] = []  # (tag, signature) of the open tags
     close_sigs: List[str] = []
     spans: List[Optional[_Span]] = []
@@ -246,7 +208,7 @@ def _scan(
             if not stack or stack[-1][0] != tag:
                 raise HTMLParseError(f"closing </{tag}> does not match the open tag")
             sig = stack.pop()[1]
-            if sig == target:
+            if every or sig == target:
                 slot, start, opened = pending.pop()
                 spans[slot] = (start, len(close_sigs), opened, position)
             close_sigs.append(sig)
@@ -255,7 +217,7 @@ def _scan(
         elif not stack and root is not None:
             raise HTMLParseError("multiple root elements")
         elif kind == T_OPEN:
-            if sig == target:
+            if every or sig == target:
                 pending.append((len(spans), len(close_sigs), position))
                 spans.append(None)  # keeps its pre-order slot until it closes
             if not stack:
@@ -265,7 +227,7 @@ def _scan(
             if not stack:
                 root = (position, position)
             own = len(close_sigs) if kind == T_SELF else None
-            if sig == target:
+            if every or sig == target:
                 spans.append((len(close_sigs), own, position, position))
             if own is not None:
                 close_sigs.append(sig)
@@ -324,12 +286,12 @@ def _best_span(
 # the extraction entry point
 
 #: skeletons longer than this are scanned every time and never memoised,
-#: so the memo holds at most EXTRACTION_MEMO_MAX × this many characters
+#: so each memo holds at most EXTRACTION_MEMO_MAX × this many characters
 #: of (untrusted) page markup
 EXTRACTION_MEMO_PAGE_MAX = 64 * 1024
 
 #: What a skeleton tells about every page that has it, as slice bounds
-#: into that page's :func:`split_tags` list: the text before the root
+#: into that page's :func:`split_tags` parts: the text before the root
 #: opens is ``parts[:head:2]``, the text after it closes
 #: ``parts[tail::2]``, the winning candidate's text ``parts[lo:hi:2]``.
 #: ``None``: the tags do not parse, or no candidate can hold text.
@@ -345,22 +307,43 @@ def _text_of(slots: List[str]) -> str:
     return " ".join(filter(None, map(str.strip, "\n".join(slots).split("\n"))))
 
 
+def _slots(root: Tuple[int, int], span: _Span) -> Tuple[int, int, int, int]:
+    """The root's and one element's tag positions as :data:`_Plan` bounds."""
+    return 2 * root[0] + 1, 2 * root[1] + 2, 2 * span[2] + 2, 2 * span[3] + 1
+
+
+def _text_outside_root(parts: List[str], head: int, tail: int) -> bool:
+    """Text outside the root is a parse error, and it is this page's, not
+    the skeleton's.  A "<" there has no ">" after it and is dropped."""
+    return bool("".join(parts[:head:2] + parts[tail::2]).replace("<", "").strip())
+
+
+def _remember(memo: OrderedDict, key: tuple, value) -> None:
+    """Store a skeleton's entry, unless the skeleton is oversized; evict LRU."""
+    if len(key[0]) <= EXTRACTION_MEMO_PAGE_MAX:
+        memo[key] = value
+        if len(memo) > EXTRACTION_MEMO_MAX:
+            memo.popitem(last=False)
+
+
 def clear_extraction_memo() -> None:
-    """Forget memoized plans and token classifications (benches, tests)."""
+    """Forget memoized plans, selections and token classifications
+    (benches, tests)."""
     _plans.clear()
+    _selections.clear()
     clear_token_memo()
 
 
 def _make_plan(tags: Sequence[str], path: TagsPath) -> _Plan:
     """Scan and match one skeleton (a memo miss)."""
     try:
-        close_sigs, spans, (root_open, root_close) = _scan(tags, path.target)
+        close_sigs, spans, root = _scan(tags, path.target)
     except HTMLParseError:
         return None
     span = _best_span(close_sigs, spans, path.entries)
     if span is None or span[2] == span[3]:
         return None
-    return 2 * root_open + 1, 2 * root_close + 2, 2 * span[2] + 2, 2 * span[3] + 1
+    return _slots(root, span)
 
 
 def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
@@ -371,25 +354,90 @@ def extract_price_text(html: str, path: TagsPath) -> Optional[str]:
     their tags, so all but the first page of a skeleton cost one cut,
     one join, one dict probe and two slices.
     """
-    parts = split_tags(html)
-    tags = parts[1::2]
-    key = ("".join(tags), path)
+    parts, skeleton = split_tags(html)
+    key = (skeleton, path)
     plan = _plans.get(key, _MEMO_MISS)
     if plan is _MEMO_MISS:
         EXTRACTION_STATS.pages_parsed += 1
-        plan = _make_plan(tags, path)
-        if len(key[0]) <= EXTRACTION_MEMO_PAGE_MAX:
-            _plans[key] = plan
-            if len(_plans) > EXTRACTION_MEMO_MAX:
-                _plans.popitem(last=False)
+        plan = _make_plan(parts[1::2], path)
+        _remember(_plans, key, plan)
     else:
         _plans.move_to_end(key)
         EXTRACTION_STATS.memo_hits += 1
     if plan is None:
         return None
     head, tail, lo, hi = plan
-    # Text outside the root is a parse error, and it is this page's, not
-    # the skeleton's.  A "<" there has no ">" after it and is dropped.
-    if "".join(parts[:head:2] + parts[tail::2]).replace("<", "").strip():
+    if _text_outside_root(parts, head, tail):
         return None
     return _text_of(parts[lo:hi:2]) or None
+
+
+# ---------------------------------------------------------------------------
+# the add-on's selection
+
+
+class PageElement(NamedTuple):
+    """One element of a page as a selection sees it: its tag, its
+    classes, and the tag positions where it opens and closes (equal for
+    a leaf), so ``a`` holds ``b`` when ``a.opened <= b.opened <= a.closed``."""
+
+    tag: str
+    classes: Tuple[str, ...]
+    opened: int
+    closed: int
+
+
+#: The user's cursor: given a page's elements in document order, the
+#: root first, the one the user highlights (or it raises).  It reads the
+#: elements alone, so its pick is a function of the page's skeleton.
+Selector = Callable[[List[PageElement]], PageElement]
+
+#: ``(skeleton, selector)`` → the picked element's Tags Path and its
+#: :data:`_Plan` bounds
+_selections: "OrderedDict[Tuple[str, Selector], Tuple[TagsPath, int, int, int, int]]" = (
+    OrderedDict()
+)
+
+
+def _make_selection(
+    parts: List[str], select: Selector
+) -> Tuple[TagsPath, int, int, int, int]:
+    """Scan one skeleton, refuse this page's text outside the root, and
+    record the path to the element ``select`` picks (a memo miss)."""
+    tags = parts[1::2]
+    close_sigs, spans, root = _scan(tags, None)
+    head, tail, _, _ = _slots(root, spans[0])  # the root comes first
+    if _text_outside_root(parts, head, tail):
+        raise HTMLParseError("text outside the document root")
+    tokens = [classify(tags[span[2]]) for span in spans]
+    elements = [
+        PageElement(tag, tuple(attrs.get("class", "").split()), span[2], span[3])
+        for (_, tag, _, attrs), span in zip(tokens, spans)
+    ]
+    index = elements.index(select(elements))
+    path = TagsPath(entries=_span_path(close_sigs, spans[index]), target=tokens[index][2])
+    return (path, *_slots(root, spans[index]))
+
+
+def select_tags_path(html: str, select: Selector) -> Tuple[TagsPath, str]:
+    """The Tags Path and text of the element ``select`` picks on a page.
+
+    The add-on's half of Sect. 3.3, on the same cut and with the same
+    path construction as the extraction it feeds: no :class:`Element`
+    is built.  The pick is memoized per skeleton and selector, so a page
+    whose tags were seen before costs one cut, one join, one dict probe
+    and its text.  Raises :class:`HTMLParseError` where :func:`parse`
+    would, then whatever ``select`` raises.
+    """
+    parts, skeleton = split_tags(html)
+    key = (skeleton, select)
+    selection = _selections.get(key)
+    if selection is None:
+        selection = _make_selection(parts, select)
+        _remember(_selections, key, selection)
+    else:
+        _selections.move_to_end(key)
+        if _text_outside_root(parts, selection[1], selection[2]):
+            raise HTMLParseError("text outside the document root")
+    path, _, _, lo, hi = selection
+    return path, _text_of(parts[lo:hi:2])

@@ -15,8 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.tagspath import TagsPath, build_tags_path, extract_price_text
-from repro.web.html import Element
+from repro.core.tagspath import Selector, TagsPath, extract_price_text, select_tags_path
 
 
 @dataclass
@@ -84,13 +83,13 @@ class ContentWatch:
         self._sheriff = sheriff
 
     @staticmethod
-    def record_path(root: Element, target: Element) -> TagsPath:
+    def record_path(html: str, select: Selector) -> TagsPath:
         """Record the path to a user-selected element (any element).
 
-        ``target`` must be a node of ``root`` — the element the user's
-        cursor landed on in the rendered page.
+        ``select`` is the user's cursor: given the page's elements in
+        document order, the one it lands on.
         """
-        return build_tags_path(root, target)
+        return select_tags_path(html, select)[0]
 
     def check(self, url: str, path: TagsPath) -> ContentVariationReport:
         """Extract the selected element from every IPC's fetch."""

@@ -1,11 +1,11 @@
 """A small HTML document model, serializer, and parser.
 
-The Tags Path machinery (Sect. 3.3) needs to treat pages as tag trees:
-the add-on walks the rendered document bottom-up to record the path to
-the selected price element, and the Measurement server re-walks pages
-fetched by proxies to extract the price.  Stores build
-:class:`Element` trees and serialize them; the Measurement server parses
-the HTML text back — so the parser and serializer must round-trip.
+The Tags Path machinery (Sect. 3.3) treats pages as tag trees: the
+add-on records the bottom-up path to the selected price element, and
+the Measurement server replays it on pages fetched by proxies.  Stores
+build :class:`Element` trees and serialize them; :func:`parse` reads
+HTML text back into a tree — so the parser and serializer must
+round-trip.
 
 The model is deliberately minimal (no entities, no comments inside
 content, no CDATA) because the simulated stores only emit what it
@@ -14,10 +14,10 @@ between fetches.
 
 There is one grammar and one regex.  :func:`split_tags` cuts a page at
 its tags; :func:`tokenize` classifies the pieces for :func:`parse`, and
-the Measurement server's two per-page readers — Tags-Path extraction and
-DiffStorage — take the same cut and work on the tags alone (the page's
-*skeleton*), because the ~35 vantage pages of one check share their tags
-and differ in their text.
+a price check's readers — the add-on's selection, Tags-Path extraction
+and DiffStorage — take the same cut and work on the tags alone (the
+page's *skeleton*), because the ~35 vantage pages of one check share
+their tags and differ in their text.  No price check builds a tree.
 """
 
 from __future__ import annotations
@@ -115,29 +115,33 @@ _TAG_SPLIT = re.compile(r"(<[^>]*>)").split
 _TAG_RE = re.compile(r"^<\s*(/)?\s*([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^>]*?)?)\s*(/)?\s*>$")
 _ATTR_RE = re.compile(r'([a-zA-Z][a-zA-Z0-9_:-]*)\s*=\s*"([^"]*)"')
 
-#: the last page cut and its pieces.  One check hands each vantage page
-#: to DiffStorage and then to the Tags-Path extractor; the second reader
-#: finds the cut already made.  One page, so nothing to bound.
-_last_split: Tuple[str, List[str]] = ("", [""])
+#: the last page cut: the page, its pieces and its skeleton.  One check
+#: hands each vantage page to DiffStorage and then to the Tags-Path
+#: extractor (the initiator's page to the add-on first); the later
+#: readers find the cut already made.  One page, so nothing to bound.
+_last_split: Tuple[str, Tuple[List[str], str]] = ("", ([""], ""))
 
 
-def split_tags(html: str) -> List[str]:
-    """Cut a page at its tags: ``[text, tag, text, …, tag, text]``.
+def split_tags(html: str) -> Tuple[List[str], str]:
+    """Cut a page at its tags: ``(parts, skeleton)``.
 
-    Odd entries are the raw tags in document order, even entries the
-    (possibly empty) text between them, and ``"".join`` of the list is
-    the page.  The odd entries joined are the page's *skeleton*; the
+    ``parts`` is ``[text, tag, text, …, tag, text]``: odd entries are the
+    raw tags in document order, even entries the (possibly empty) text
+    between them, and ``"".join`` of the list is the page.  The odd
+    entries joined are the page's *skeleton*, made once per cut so that
+    every reader keys its memo on the same string (hashed once); the
     join is injective because every tag ends at its only ``>``.  Only
     the last entry can hold a ``<`` (one with no ``>`` after it), which
     the grammar drops.  The list is shared with the next caller that
     asks for the same page: read it, never mutate it.
     """
     global _last_split
-    page, parts = _last_split
+    page, cut = _last_split  # one read: a serving thread may replace it
     if page != html:
         parts = _TAG_SPLIT(html)
-        _last_split = (html, parts)
-    return parts
+        cut = (parts, "".join(parts[1::2]))
+        _last_split = (html, cut)
+    return cut
 
 
 #: kinds of classified token — the first field of a :data:`Token`
@@ -167,7 +171,7 @@ def clear_token_memo() -> None:
     """Forget every memoised token classification and the last page cut."""
     global _last_split
     _token_memo.clear()
-    _last_split = ("", [""])
+    _last_split = ("", ([""], ""))
 
 
 def classify(raw: str) -> Token:
@@ -218,7 +222,7 @@ def tokenize(html: str) -> List[Token]:
     :class:`HTMLParseError` here; balance and root checks are the
     consumer's.
     """
-    parts = split_tags(html)
+    parts = split_tags(html)[0]
     if "<" in parts[-1]:  # a "<" no ">" follows is dropped, not text
         parts = parts[:-1] + [parts[-1].replace("<", "\n")]
     memo_get = _token_memo.get

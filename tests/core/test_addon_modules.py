@@ -5,8 +5,11 @@ import random
 import pytest
 
 from repro.core.addon import PriceSelectionError, SheriffAddon
+from repro.core.tagspath import select_tags_path
 from repro.currency.detect import CurrencyDetectionError
-from repro.web.html import Element, parse, render
+from repro.web.html import Element, render
+
+from tests.oracles import tagspath_legacy
 
 
 def page_with(price_text, cls="price"):
@@ -20,17 +23,25 @@ def page_with(price_text, cls="price"):
     ]))
 
 
+def select(html):
+    """The add-on's pick on the page's cut, checked against the tree."""
+    picked = select_tags_path(html, SheriffAddon.select_price_element)
+    assert picked == tagspath_legacy.build_selection(html)
+    return picked
+
+
 class TestPriceSelection:
     def test_selects_price_in_product_div(self):
-        root = parse(page_with("EUR 12.50"))
-        element = SheriffAddon.select_price_element(root)
-        assert element.text() == "EUR 12.50"
+        path, text = select(page_with("EUR 12.50"))
+        assert text == "EUR 12.50"
+        assert path.target == "span.price"
 
     @pytest.mark.parametrize("cls", ["price", "product-price", "amount",
                                      "sale-price"])
     def test_all_price_classes_supported(self, cls):
-        root = parse(page_with("EUR 5", cls=cls))
-        assert SheriffAddon.select_price_element(root).text() == "EUR 5"
+        path, text = select(page_with("EUR 5", cls=cls))
+        assert text == "EUR 5"
+        assert path.target == f"span.{cls}"
 
     def test_prefers_product_div_over_decoys(self):
         html = render(Element("html", children=[
@@ -44,13 +55,19 @@ class TestPriceSelection:
                 ]),
             ]),
         ]))
-        element = SheriffAddon.select_price_element(parse(html))
-        assert element.text() == "EUR 99"
+        assert select(html)[1] == "EUR 99"
+
+    def test_class_order_beats_document_order(self):
+        html = ('<html><body><div class="product"><span class="amount">EUR 2</span>'
+                '<span class="price">EUR 3</span></div></body></html>')
+        assert select(html)[1] == "EUR 3"
 
     def test_no_price_element(self):
         html = "<html><head><title>t</title></head><body><div>x</div></body></html>"
         with pytest.raises(PriceSelectionError):
-            SheriffAddon.select_price_element(parse(html))
+            select_tags_path(html, SheriffAddon.select_price_element)
+        with pytest.raises(PriceSelectionError):
+            tagspath_legacy.build_selection(html)
 
 
 class TestSelectionValidation:

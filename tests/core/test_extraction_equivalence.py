@@ -25,12 +25,10 @@ from repro.core.tagspath import (
     EXTRACTION_MEMO_MAX,
     EXTRACTION_MEMO_PAGE_MAX,
     EXTRACTION_STATS,
-    _path_for,
     _plans,
     _scan,
     _span_path,
     _text_of,
-    build_tags_path,
     clear_extraction_memo,
     extract_price_text,
 )
@@ -45,6 +43,7 @@ from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
 
 from tests.oracles import tagspath_legacy
+from tests.oracles.tagspath_legacy import _path_for, build_tags_path
 
 _GEODB = GeoDatabase()
 _RATES = ExchangeRateProvider()
@@ -108,7 +107,7 @@ class TestIndex:
         store, product, _ = _recorded_check(layout_seed=7, product_index=2)
         html = store.fetch(product.path, _ctx(3)).html
         root = parse(html)
-        parts = split_tags(html)
+        parts = split_tags(html)[0]
         by_signature = {}
         for element in find_all(root):
             by_signature.setdefault(element.signature(), []).append(element)
@@ -187,12 +186,16 @@ class TestMemo:
     def test_clearing_the_extraction_memo_clears_the_token_memo(self):
         _, _, path = _recorded_check(layout_seed=3, product_index=1)
         page = "<html><body>x</body></html>"
+        clear_extraction_memo()
         extract_price_text(page, path)
         assert html_mod._token_memo and _plans
-        assert html_mod.split_tags(page) is html_mod.split_tags(page)
+        parts, skeleton = html_mod.split_tags(page)
+        assert html_mod.split_tags(page)[0] is parts
+        assert skeleton == "<html><body></body></html>"
+        assert any(key[0] is skeleton for key in _plans)  # keyed on the cut's string
         clear_extraction_memo()
         assert not html_mod._token_memo and not _plans
-        assert html_mod._last_split == ("", [""])
+        assert html_mod._last_split == ("", ([""], ""))
 
     def test_unparseable_page_memoized_as_none(self):
         _, _, path = _recorded_check(layout_seed=3, product_index=1)

@@ -14,7 +14,6 @@ import pytest
 from repro.core.diffstorage import DiffStorage
 from repro.core.engine import PageCache
 from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.web.html import find_all
 from repro.web.pricing import CountryMultiplierPricing, UniformPricing
 
 from .conftest import SMALL_IPC_SITES, _store
@@ -194,8 +193,8 @@ class TestBurst:
     def test_another_tags_path_gets_its_own_row(self, world, monkeypatch):
         burst = Burst(world, monkeypatch)
         odd_one = burst.users[3]  # highlights a related product's price
-        monkeypatch.setattr(odd_one, "select_price_element",
-                            lambda root: find_all(root, tag="span", cls="sale-price")[-1])
+        monkeypatch.setattr(odd_one, "select_price_element", lambda elements: [
+            e for e in elements if e.tag == "span" and "sale-price" in e.classes][-1])
         results = burst.wave("uniform.example")  # every row against a fresh read
         texts = {
             burst.jobs[r.job_id][1].initiator_peer_id: {

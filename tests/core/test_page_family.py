@@ -33,7 +33,6 @@ from repro.core.tagspath import (
     EXTRACTION_STATS,
     TagsPath,
     _plans,
-    build_tags_path,
     clear_extraction_memo,
     extract_price_text,
 )
@@ -49,6 +48,7 @@ from repro.web.pricing import (
 from repro.web.store import PRICE_STYLES, EStore
 
 from tests.oracles import tagspath_legacy
+from tests.oracles.tagspath_legacy import build_tags_path
 from tests.oracles.diffstorage_lines import LineDiffStorage
 
 _GEODB = GeoDatabase()
@@ -59,7 +59,7 @@ PAGES_PER_JOB = 14
 
 
 def _skeleton(html):
-    return "".join(split_tags(html)[1::2])
+    return split_tags(html)[1]
 
 
 def _job(seed):

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.core.tagspath import (
-    MAX_PATH_ENTRIES,
-    TagsPathError,
-    build_tags_path,
-    extract_price_text,
-)
+from repro.core.tagspath import MAX_PATH_ENTRIES, extract_price_text
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.geo import GeoDatabase
 from repro.web.catalog import make_catalog
@@ -18,6 +13,7 @@ from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
 
 from tests.oracles import tagspath_legacy
+from tests.oracles.tagspath_legacy import TagsPathError, build_tags_path
 
 
 def paper_example():

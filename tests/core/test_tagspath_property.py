@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.tagspath import build_tags_path, extract_price_text
+from repro.core.tagspath import extract_price_text
 from repro.currency.detect import detect_price
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.geo import GeoDatabase
@@ -20,6 +20,8 @@ from repro.web.catalog import make_catalog
 from repro.web.html import find_all, parse
 from repro.web.pricing import RequestContext, UniformPricing
 from repro.web.store import EStore
+
+from tests.oracles.tagspath_legacy import build_tags_path
 
 _GEODB = GeoDatabase()
 _RATES = ExchangeRateProvider()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.addon import SheriffAddon
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.extensions.contentdiff import (
     ContentObservation,
@@ -11,7 +12,6 @@ from repro.extensions.contentdiff import (
     ContentWatch,
 )
 from repro.web.catalog import make_catalog
-from repro.web.html import find_all, parse
 from repro.web.pricing import CountryMultiplierPricing, UniformPricing
 from repro.web.store import EStore
 
@@ -49,10 +49,7 @@ def record_price_path(world, store, watch):
     url = store.product_url(product.product_id)
     browser = world.make_browser("US", "Tennessee")
     response = browser.visit(url)
-    doc = parse(response.html)
-    product_div = find_all(doc, cls="product")[0]
-    target = find_all(product_div, tag="span", cls=store.price_class)[0]
-    return url, watch.record_path(doc, target)
+    return url, watch.record_path(response.html, SheriffAddon.select_price_element)
 
 
 class TestContentWatch:

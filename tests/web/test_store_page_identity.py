@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tagspath import build_tags_path, extract_price_text
+from repro.core.tagspath import extract_price_text
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.geo import GeoDatabase
 from repro.web.catalog import Catalog, Product, make_catalog
@@ -23,6 +23,7 @@ from repro.web.pricing import CountryMultiplierPricing, RequestContext, UniformP
 from repro.web.store import PRICE_STYLES, EStore
 from repro.workloads.deployment import DeploymentConfig, LiveDeployment
 from tests.oracles import store_page_tree as oracle
+from tests.oracles.tagspath_legacy import build_tags_path
 
 _GEODB = GeoDatabase()
 _RATES = ExchangeRateProvider()
