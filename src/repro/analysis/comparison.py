@@ -5,17 +5,20 @@ classifies each as: no longer valid, no longer discriminating,
 redirecting by location, or still serving different prices — and for
 the last group compares the median price variation then vs now
 (e.g. luisaviaroma.com ≈1.15 in both).  This module provides the same
-bookkeeping for any pair of (prior report, current results).
+bookkeeping for any pair of (prior report, current results).  A domain
+still discriminates when one of its checks shows a difference by
+:mod:`repro.core.detector`'s rule, and its current ratio is one plus the
+median spread :func:`~repro.analysis.pricediff.domain_diff_stats`
+reports for it.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
-from repro.analysis.pricediff import _quantile
+from repro.analysis.pricediff import domain_diff_stats
 from repro.core.pricecheck import PriceCheckResult
 
 
@@ -77,94 +80,36 @@ class StudyComparison:
                 if c.status is DomainStatus.STILL_DISCRIMINATING]
 
 
-class PriorStudyTracker:
-    """Update-on-write bookkeeping for the Sect. 7.2 comparison.
-
-    The batch :func:`compare_with_prior_study` re-derived every
-    domain's spread distribution from the full result list on each
-    read.  This tracker folds results in as they arrive — one
-    ``bisect.insort`` into the domain's sorted spread list when a check
-    shows a difference — so :meth:`comparison` only walks the prior
-    reports and reads each median at an index.  Classifications and
-    ratios are identical to the batch computation over the same
-    results.
-    """
-
-    __slots__ = ("_prior", "_live", "_tolerance", "_spreads", "_checked")
-
-    def __init__(
-        self,
-        prior: Sequence[PriorReport],
-        live_domains: Iterable[str],
-        tolerance: float = 0.005,
-    ) -> None:
-        self._prior = tuple(prior)
-        self._live = set(live_domains)
-        self._tolerance = tolerance
-        self._spreads: Dict[str, List[float]] = {}
-        self._checked: Set[str] = set()
-
-    def add(self, result: PriceCheckResult) -> None:
-        """Fold one price check into the running comparison."""
-        self._checked.add(result.domain)
-        spread = result.normalized_spread()
-        if spread is not None and spread > self._tolerance:
-            values = self._spreads.get(result.domain)
-            if values is None:
-                values = self._spreads[result.domain] = []
-            insort(values, spread)
-
-    def add_results(self, results: Iterable[PriceCheckResult]) -> None:
-        for result in results:
-            self.add(result)
-
-    def comparison(self) -> StudyComparison:
-        """The Sect. 7.2 verdict over everything streamed so far."""
-        comparisons: List[DomainComparison] = []
-        for report in self._prior:
-            if report.domain not in self._live:
-                comparisons.append(DomainComparison(
-                    domain=report.domain, status=DomainStatus.NO_LONGER_VALID,
-                    prior_ratio=report.median_ratio,
-                ))
-            elif report.domain in self._spreads:
-                comparisons.append(DomainComparison(
-                    domain=report.domain,
-                    status=DomainStatus.STILL_DISCRIMINATING,
-                    prior_ratio=report.median_ratio,
-                    current_ratio=1.0
-                    + _quantile(self._spreads[report.domain], 0.5),
-                ))
-            elif report.domain in self._checked:
-                comparisons.append(DomainComparison(
-                    domain=report.domain,
-                    status=DomainStatus.STOPPED_DISCRIMINATING,
-                    prior_ratio=report.median_ratio,
-                ))
-            else:
-                comparisons.append(DomainComparison(
-                    domain=report.domain, status=DomainStatus.NOT_CHECKED,
-                    prior_ratio=report.median_ratio,
-                ))
-        return StudyComparison(comparisons=comparisons)
-
-
 def compare_with_prior_study(
     results: Sequence[PriceCheckResult],
     prior: Sequence[PriorReport],
     live_domains: Iterable[str],
-    tolerance: float = 0.005,
 ) -> StudyComparison:
     """Classify every prior-study domain against current observations.
 
     ``live_domains`` is the set of domains that still exist (resolve);
     prior domains outside it are "no longer valid".  Domains with
-    current checks are classified by whether any difference persists,
-    and the median max/min ratio is compared when it does.
+    current checks are classified by whether any check still shows a
+    difference, and the median max/min ratio is compared when one does.
     """
-    tracker = PriorStudyTracker(prior, live_domains, tolerance=tolerance)
-    tracker.add_results(results)
-    return tracker.comparison()
+    live = set(live_domains)
+    checked = {result.domain for result in results}
+    medians = {s.domain: s.spread_stats.median for s in domain_diff_stats(results)}
+    comparisons: List[DomainComparison] = []
+    for report in prior:
+        comparison = DomainComparison(
+            domain=report.domain, status=DomainStatus.NOT_CHECKED,
+            prior_ratio=report.median_ratio,
+        )
+        if report.domain not in live:
+            comparison.status = DomainStatus.NO_LONGER_VALID
+        elif report.domain in medians:
+            comparison.status = DomainStatus.STILL_DISCRIMINATING
+            comparison.current_ratio = 1.0 + medians[report.domain]
+        elif report.domain in checked:
+            comparison.status = DomainStatus.STOPPED_DISCRIMINATING
+        comparisons.append(comparison)
+    return StudyComparison(comparisons=comparisons)
 
 
 #: the [24] values the paper quotes in Sect. 7.2 for domains still

@@ -4,6 +4,9 @@ Every function takes plain sequences of
 :class:`~repro.core.pricecheck.PriceCheckResult` (what the live
 deployment and the crawler both produce), so the same analysis code
 serves the live dataset (Sect. 6) and the systematic study (Sect. 7).
+Whether prices differ is :mod:`repro.core.detector`'s rule — the same
+one the add-on's verdict applies — so Figs. 9-11, 13 and Tables 3-5
+move with it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.detector import differs, relative_spread
 from repro.core.pricecheck import PriceCheckResult
-
-DIFFERENCE_TOLERANCE = 0.005
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class DomainDiffStats:
 
 def domain_diff_stats(
     results: Sequence[PriceCheckResult],
-    tolerance: float = DIFFERENCE_TOLERANCE,
     min_diff_requests: int = 1,
 ) -> List[DomainDiffStats]:
     """Per-domain request counts and spread distributions.
@@ -79,7 +80,7 @@ def domain_diff_stats(
     for result in results:
         requests[result.domain] += 1
         spread = result.normalized_spread()
-        if spread is not None and spread > tolerance:
+        if differs(spread):
             spreads[result.domain].append(spread)
     out = []
     for domain, diff_list in spreads.items():
@@ -97,15 +98,9 @@ def domain_diff_stats(
     return out
 
 
-def domains_with_difference(
-    results: Sequence[PriceCheckResult], tolerance: float = DIFFERENCE_TOLERANCE
-) -> List[str]:
+def domains_with_difference(results: Sequence[PriceCheckResult]) -> List[str]:
     """Domains involved in ≥1 price check with a difference (the '76')."""
-    seen = set()
-    for result in results:
-        if result.has_price_difference(tolerance):
-            seen.add(result.domain)
-    return sorted(seen)
+    return sorted({r.domain for r in results if r.has_price_difference()})
 
 
 def ratio_vs_min_price(
@@ -132,7 +127,6 @@ def ratio_vs_min_price(
 
 def country_extremes(
     results: Sequence[PriceCheckResult],
-    tolerance: float = DIFFERENCE_TOLERANCE,
 ) -> Tuple[Counter, Counter]:
     """(most-expensive, cheapest) country counters — Table 4.
 
@@ -142,7 +136,7 @@ def country_extremes(
     expensive: Counter = Counter()
     cheapest: Counter = Counter()
     for result in results:
-        if not result.has_price_difference(tolerance):
+        if not result.has_price_difference():
             continue
         rows = [r for r in result.valid_rows() if r.amount_eur is not None]
         top = max(rows, key=lambda r: r.amount_eur)
@@ -188,12 +182,11 @@ def extreme_differences(
 def within_country_percentages(
     results: Sequence[PriceCheckResult],
     countries: Sequence[str],
-    tolerance: float = DIFFERENCE_TOLERANCE,
 ) -> Dict[str, Dict[str, float]]:
     """domain → country → % of requests with an in-country difference.
 
-    The Table 5 statistic: a request counts when two measurement points
-    *in the given country* disagree beyond the tolerance.
+    The Table 5 statistic: a request counts when the measurement points
+    *in the given country* differ.
     """
     totals: Dict[Tuple[str, str], int] = Counter()
     diffs: Dict[Tuple[str, str], int] = Counter()
@@ -204,9 +197,8 @@ def within_country_percentages(
                 continue
             totals[(result.domain, country)] += 1
             prices = [r.amount_eur for r in rows if r.amount_eur is not None]
-            if len(prices) >= 2 and min(prices) > 0:
-                if (max(prices) - min(prices)) / min(prices) > tolerance:
-                    diffs[(result.domain, country)] += 1
+            if differs(relative_spread(prices)):
+                diffs[(result.domain, country)] += 1
     out: Dict[str, Dict[str, float]] = defaultdict(dict)
     for (domain, country), total in totals.items():
         out[domain][country] = 100.0 * diffs[(domain, country)] / total

@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.pricediff import BoxStats, box_stats
+from repro.core.detector import relative_spread
 from repro.core.pricecheck import PriceCheckResult
 from repro.net.events import SECONDS_PER_DAY
 
@@ -97,15 +98,9 @@ def revenue_delta(trends: Sequence[TemporalTrend]) -> float:
 
 
 def daily_fluctuation(day_prices: Dict[int, List[float]]) -> float:
-    """Mean of (max−min)/min per day — chegg ≈ 8.3 %, jcpenney ≈ 3.7 %."""
-    fluctuations = []
-    for prices in day_prices.values():
-        if len(prices) < 2:
-            continue
-        low = min(prices)
-        if low <= 0:
-            continue
-        fluctuations.append((max(prices) - low) / low)
+    """Mean relative spread per day — chegg ≈ 8.3 %, jcpenney ≈ 3.7 %."""
+    spreads = [relative_spread(prices) for prices in day_prices.values()]
+    fluctuations = [s for s in spreads if s is not None]
     return float(np.mean(fluctuations)) if fluctuations else 0.0
 
 
@@ -114,5 +109,4 @@ def mean_daily_fluctuation(
 ) -> float:
     """Average daily fluctuation across all products of a retailer."""
     values = [daily_fluctuation(day_prices) for day_prices in series.values()]
-    values = [v for v in values if v > 0 or True]
     return float(np.mean(values)) if values else 0.0

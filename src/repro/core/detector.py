@@ -1,33 +1,65 @@
-"""Structural classification of observed price variations (Sect. 2).
+"""The price-difference rule (Sect. 2), decided once.
 
-Given the rows of one or more price checks for a product, this module
-answers the structural questions the paper's taxonomy asks:
+Every judgement the watchdog publishes — the add-on's verdict, the
+Sect. 6 and Sect. 7 tables and figures, the watchlist alerts — asks
+the same question of a set of prices, and this module is the one place
+that answers it:
 
-* is there any price difference at all (beyond a tolerance that absorbs
-  rounding and currency-conversion noise)?
-* is it *cross-border* (location-based PD) or does it appear *within* a
-  single country (candidate PDI-PD or A/B testing)?
-* is an in-country gap exactly explained by the country's VAT scale —
-  the amazon.com signature of Sect. 7.3?
+* :func:`relative_spread` — ``(max − min) / min``, or ``None`` when
+  there is nothing to compare (fewer than two prices, a minimum ≤ 0);
+* :func:`differs` — is a spread beyond :data:`TOLERANCE`, the noise
+  that rounding and currency conversion leave behind?
+* :func:`gap_matches_vat` — does an in-country gap sit on the
+  country's VAT scale (the amazon.com signature of Sect. 7.3, a lawful
+  difference rather than personalised pricing)?
+* :func:`analyze_rows` — the structural verdict over one product's
+  rows: none, location-based, or within one country.
 
 Whether a within-country variation is PDI-PD or A/B testing is a
 *statistical* question answered by :mod:`repro.analysis.stats` over many
-observations; this module handles the per-check structural part.
+observations; this module handles the per-check structural part.  To
+change the rule, change it here: every caller reads these four names.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from statistics import median
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.pricecheck import ResultRow
-from repro.net.geo import GeoDatabase
+if TYPE_CHECKING:
+    from repro.core.pricecheck import ResultRow
+    from repro.net.geo import GeoDatabase
 
-#: spreads below this are treated as noise (rounding, converters).
-DEFAULT_TOLERANCE = 0.005
+#: spreads at or below this are noise (rounding, converters).
+TOLERANCE = 0.005
 #: how close a gap must be to a VAT rate to count as VAT-explained.
 VAT_MATCH_EPSILON = 0.01
+
+
+def relative_spread(prices: Sequence[float]) -> Optional[float]:
+    """``(max − min) / min``; ``None`` for fewer than two prices or a
+    minimum ≤ 0."""
+    if len(prices) < 2:
+        return None
+    low = min(prices)
+    if low <= 0:
+        return None
+    return (max(prices) - low) / low
+
+
+def differs(spread: Optional[float]) -> bool:
+    """Is this spread a price difference, not noise?"""
+    return spread is not None and spread > TOLERANCE
+
+
+def gap_matches_vat(gap: float, country: str, geodb: GeoDatabase) -> bool:
+    """Does a relative price gap sit on one of the country's VAT rates?"""
+    try:
+        rates = geodb.country(country).vat_rates
+    except KeyError:
+        return False
+    return any(rate > 0 and abs(gap - rate) <= VAT_MATCH_EPSILON for rate in rates)
 
 
 @dataclass
@@ -35,148 +67,48 @@ class PriceVariationReport:
     """Structural verdict for one product's observations."""
 
     n_points: int
-    overall_spread: float  # (max-min)/min across all points
-    cross_country_spread: float  # spread of per-country medians
+    overall_spread: float  # relative spread across all points, 0.0 if none
+    cross_country_spread: float  # relative spread of per-country medians
     within_country_spread: Dict[str, float]  # country → in-country spread
     vat_explained: Dict[str, bool]  # country → gap sits on the VAT scale
     classification: str  # "none" | "location" | "within-country"
 
-    def worst_within_country(self) -> Optional[Tuple[str, float]]:
-        if not self.within_country_spread:
-            return None
-        country = max(self.within_country_spread, key=self.within_country_spread.get)
-        return country, self.within_country_spread[country]
 
+def analyze_rows(rows: Iterable[ResultRow], geodb: GeoDatabase) -> PriceVariationReport:
+    """Classify the price variation across a set of measurement points.
 
-def _spread(values: Sequence[float]) -> float:
-    values = [v for v in values if v is not None]
-    if len(values) < 2:
-        return 0.0
-    low = min(values)
-    if low <= 0:
-        return 0.0
-    return (max(values) - low) / low
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def gap_matches_vat(
-    gap: float, country: str, geodb: GeoDatabase, epsilon: float = VAT_MATCH_EPSILON
-) -> bool:
-    """Does a relative price gap sit on one of the country's VAT rates?"""
-    try:
-        rates = geodb.country(country).vat_rates
-    except KeyError:
-        return False
-    return any(rate > 0 and abs(gap - rate) <= epsilon for rate in rates)
-
-
-class VariationAccumulator:
-    """Streaming per-country order statistics for cross-vantage reports.
-
-    The aggregator used to rebuild every per-country list, re-sort for
-    each median, and rescan for min/max on every read.  This accumulator
-    is update-on-write instead: ``add`` maintains one sorted value list
-    per country (``bisect.insort``), so :meth:`report` reads min/max off
-    the list ends and the median at an index — O(countries) per report,
-    however many rows have streamed in.  Countries keep first-seen
-    order, matching the dict the batch code built, so
-    :func:`analyze_rows` on top of it is report-identical to the legacy
-    recompute (pinned by the equivalence tests).
+    ``within-country`` when some country's own points differ, else
+    ``location`` when any two points differ (the medians of countries
+    with several points, or single-point countries), else ``none``.
     """
+    by_country: Dict[str, List[float]] = {}
+    for row in rows:
+        if row.ok and row.amount_eur is not None:
+            by_country.setdefault(row.country, []).append(row.amount_eur)
+    prices = [price for values in by_country.values() for price in values]
+    overall = relative_spread(prices)
+    cross = relative_spread([median(values) for values in by_country.values()])
 
-    __slots__ = ("_by_country", "_n_points")
+    within: Dict[str, float] = {}
+    for country, values in by_country.items():
+        spread = relative_spread(values)
+        if differs(spread):
+            within[country] = spread
 
-    def __init__(self) -> None:
-        self._by_country: Dict[str, List[float]] = {}
-        self._n_points = 0
+    if within:
+        classification = "within-country"
+    elif differs(cross) or differs(overall):
+        # the medians differ, or single-point countries do; the medians
+        # still count when a price ≤ 0 leaves no overall spread
+        classification = "location"
+    else:
+        classification = "none"
 
-    @property
-    def n_points(self) -> int:
-        return self._n_points
-
-    def add(self, row: ResultRow) -> bool:
-        """Fold one measurement row in; returns True if it counted."""
-        if not (row.ok and row.amount_eur is not None):
-            return False
-        values = self._by_country.get(row.country)
-        if values is None:
-            values = self._by_country[row.country] = []
-        insort(values, row.amount_eur)
-        self._n_points += 1
-        return True
-
-    def add_rows(self, rows: Iterable[ResultRow]) -> int:
-        """Fold a batch of rows in; returns how many counted."""
-        return sum(1 for row in rows if self.add(row))
-
-    def _country_spread(self, values: List[float]) -> float:
-        if len(values) < 2 or values[0] <= 0:
-            return 0.0
-        return (values[-1] - values[0]) / values[0]
-
-    def _country_median(self, values: List[float]) -> float:
-        n = len(values)
-        mid = n // 2
-        if n % 2:
-            return values[mid]
-        return (values[mid - 1] + values[mid]) / 2
-
-    def report(
-        self, geodb: GeoDatabase, tolerance: float = DEFAULT_TOLERANCE
-    ) -> PriceVariationReport:
-        """Current structural verdict over everything streamed so far."""
-        lists = self._by_country.values()
-        overall = 0.0
-        if self._n_points >= 2:
-            low = min(v[0] for v in lists)
-            if low > 0:
-                overall = (max(v[-1] for v in lists) - low) / low
-        medians = [self._country_median(v) for v in lists]
-        cross = _spread(medians) if len(medians) >= 2 else 0.0
-
-        within: Dict[str, float] = {}
-        vat_explained: Dict[str, bool] = {}
-        for country, values in self._by_country.items():
-            spread = self._country_spread(values)
-            if spread > tolerance:
-                within[country] = spread
-                vat_explained[country] = gap_matches_vat(spread, country, geodb)
-
-        if within:
-            classification = "within-country"
-        elif cross > tolerance:
-            classification = "location"
-        elif overall > tolerance:
-            # differences exist but only between single-point countries —
-            # still a location effect.
-            classification = "location"
-        else:
-            classification = "none"
-
-        return PriceVariationReport(
-            n_points=self._n_points,
-            overall_spread=overall,
-            cross_country_spread=cross,
-            within_country_spread=within,
-            vat_explained=vat_explained,
-            classification=classification,
-        )
-
-
-def analyze_rows(
-    rows: Iterable[ResultRow],
-    geodb: GeoDatabase,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PriceVariationReport:
-    """Classify the price variation across a set of measurement points."""
-    accumulator = VariationAccumulator()
-    accumulator.add_rows(rows)
-    return accumulator.report(geodb, tolerance)
+    return PriceVariationReport(
+        n_points=len(prices),
+        overall_spread=overall or 0.0,
+        cross_country_spread=cross or 0.0,
+        within_country_spread=within,
+        vat_explained={c: gap_matches_vat(s, c, geodb) for c, s in within.items()},
+        classification=classification,
+    )

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.core.detector import differs, relative_spread
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -85,23 +87,13 @@ class PriceCheckResult:
     def eur_prices(self) -> List[float]:
         return [r.amount_eur for r in self.valid_rows() if r.amount_eur is not None]
 
-    def min_max_eur(self) -> Optional[Tuple[float, float]]:
-        prices = self.eur_prices()
-        if not prices:
-            return None
-        return min(prices), max(prices)
-
     def normalized_spread(self) -> Optional[float]:
-        """(max − min) / min over all valid points, in EUR."""
-        extremes = self.min_max_eur()
-        if extremes is None or extremes[0] <= 0:
-            return None
-        low, high = extremes
-        return (high - low) / low
+        """The relative spread of all valid points, in EUR."""
+        return relative_spread(self.eur_prices())
 
-    def has_price_difference(self, tolerance: float = 0.005) -> bool:
-        spread = self.normalized_spread()
-        return spread is not None and spread > tolerance
+    def has_price_difference(self) -> bool:
+        """The add-on's verdict: do this check's prices differ?"""
+        return differs(self.normalized_spread())
 
     def countries(self) -> List[str]:
         return sorted({r.country for r in self.valid_rows()})

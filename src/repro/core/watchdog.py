@@ -10,9 +10,13 @@ exactly that on top of the price-check pipeline:
 * periodic re-checks (the caller drives cadence via the simulation
   clock, or wall-clock in a real deployment);
 * alerts when a product first shows variation, when its classification
-  changes (e.g. ``none`` → ``within-country``), or when the spread moves
-  by more than a threshold;
+  changes (e.g. ``none`` → ``within-country``), when the spread moves
+  by more than :data:`SPREAD_ALERT_DELTA`, or when a check fails;
 * a per-product history of (time, classification, spread) for audits.
+
+Whether a product's prices differ, and how, is
+:func:`repro.core.detector.analyze_rows` — the add-on's own verdict —
+so an alert fires exactly when the published verdict changes.
 
 Naming note — two watchdogs live in this codebase, and they watch
 different things:
@@ -33,6 +37,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.detector import analyze_rows
+from repro.core.errors import SheriffError
+
+#: a spread that moves by more than this between cycles raises an alert
+SPREAD_ALERT_DELTA = 0.05
 
 
 @dataclass
@@ -41,12 +49,17 @@ class WatchAlert:
 
     url: str
     time: float
-    kind: str  # "variation-detected" | "classification-change" | "spread-change"
+    #: "variation-detected" | "classification-change" | "spread-change"
+    #: | "check-failed"
+    kind: str
     previous_classification: Optional[str]
-    classification: str
-    spread: float
+    classification: Optional[str]
+    spread: Optional[float]
+    error: Optional[str] = None
 
     def describe(self) -> str:
+        if self.kind == "check-failed":
+            return f"[{self.url}] price check failed: {self.error}"
         if self.kind == "variation-detected":
             return (
                 f"[{self.url}] price variation detected: "
@@ -74,17 +87,9 @@ class _WatchState:
 class Watchdog:
     """A watchlist bound to one add-on (the monitoring user)."""
 
-    def __init__(
-        self,
-        addon,
-        geodb,
-        tolerance: float = 0.005,
-        spread_alert_delta: float = 0.05,
-    ) -> None:
+    def __init__(self, addon, geodb) -> None:
         self._addon = addon
         self._geodb = geodb
-        self.tolerance = tolerance
-        self.spread_alert_delta = spread_alert_delta
         self._watches: Dict[str, _WatchState] = {}
 
     # -- watchlist management -----------------------------------------------
@@ -104,12 +109,25 @@ class Watchdog:
 
     # -- one monitoring cycle -----------------------------------------------
     def run_cycle(self) -> List[WatchAlert]:
-        """Re-check every watched product; return the alerts raised."""
+        """Re-check every watched product; return the alerts raised.
+
+        A check that fails with a :class:`SheriffError` raises a
+        ``check-failed`` alert and leaves that product's state and
+        history as they were; the other products are still checked.
+        """
         alerts: List[WatchAlert] = []
         for url, state in self._watches.items():
-            result = self._addon.check_price(url)
-            report = analyze_rows(result.rows, self._geodb,
-                                  tolerance=self.tolerance)
+            try:
+                result = self._addon.check_price(url)
+            except SheriffError as exc:
+                alerts.append(WatchAlert(
+                    url=url, time=self._addon.coordinator.clock.now,
+                    kind="check-failed",
+                    previous_classification=state.last_classification,
+                    classification=None, spread=None, error=str(exc),
+                ))
+                continue
+            report = analyze_rows(result.rows, self._geodb)
             spread = report.overall_spread
             classification = report.classification
             state.history.append((result.time, classification, spread))
@@ -129,7 +147,7 @@ class Watchdog:
                 ))
             elif (
                 state.last_spread is not None
-                and abs(spread - state.last_spread) > self.spread_alert_delta
+                and abs(spread - state.last_spread) > SPREAD_ALERT_DELTA
             ):
                 alerts.append(WatchAlert(
                     url=url, time=result.time, kind="spread-change",

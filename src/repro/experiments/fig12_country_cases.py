@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.reports import format_table
+from repro.core.detector import relative_spread
 from repro.experiments import registry
 
 
@@ -58,14 +59,12 @@ def run(scale: str = "default") -> Fig12Result:
                     r.amount_eur for r in result.rows_in_country(country)
                     if r.amount_eur is not None
                 ]
-                if len(prices) < 2:
+                spread = relative_spread(prices)
+                if spread is None:
                     continue
-                low = min(prices)
-                if low <= 0:
-                    continue
-                url = result.url
+                low, url = min(prices), result.url
                 min_price[url] = min(min_price.get(url, low), low)
-                max_diff[url] = max(max_diff[url], (max(prices) - low) / low)
+                max_diff[url] = max(max_diff[url], spread)
             points = [
                 (min_price[url], max_diff[url]) for url in min_price
             ]

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.analysis.pricediff import peer_bias_distributions
 from repro.analysis.reports import format_table
+from repro.core.detector import differs
 from repro.experiments import registry
 
 
@@ -26,15 +27,15 @@ class Fig13Result:
     @staticmethod
     def biased_peers(distributions: Dict[str, List[float]],
                      min_obs: int = 3) -> Dict[str, str]:
-        """Peers whose observations are consistently high or low."""
+        """Peers whose observations are consistently high or low (no
+        observation differs from the cheapest peer's)."""
         verdicts = {}
         for peer, values in distributions.items():
             if len(values) < min_obs:
                 continue
-            arr = np.asarray(values)
-            if np.all(arr > 0.03):
+            if all(v > 0.03 for v in values):
                 verdicts[peer] = "high"
-            elif np.all(arr < 0.005):
+            elif not any(map(differs, values)):
                 verdicts[peer] = "low"
         return verdicts
 

@@ -89,11 +89,3 @@ class TestCatalogIteration:
         catalog = make_catalog("it.example", size=3, rng=random.Random(0))
         catalog.products.clear()
         assert len(catalog) == 3
-
-
-class TestDetectorMedianPath:
-    def test_even_sample_median(self):
-        from repro.core.detector import _median
-
-        assert _median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        assert _median([5.0]) == 5.0

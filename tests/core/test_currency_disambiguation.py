@@ -71,7 +71,7 @@ class TestDisambiguation:
         result = addon.check_price(
             store.product_url(store.catalog.products[0].product_id)
         )
-        assert not result.has_price_difference(tolerance=0.01)
+        assert result.normalized_spread() <= 0.01
 
     def test_unambiguous_detection_untouched(self, setup):
         world, store, addon = setup

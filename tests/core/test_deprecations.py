@@ -22,12 +22,17 @@ telemetry got one way in — every component takes the deployment's
 process-global instrument binders went.  Then a price check became the
 one ``JobHandle`` its entry point returns: the ``JobAPI`` protocol, the
 ``sheriff.jobs`` façade, ``PendingCheck``, ``QueuedHandle``,
-``EngineJob``, ``gather`` and the per-component job tables went.
+``EngineJob``, ``gather`` and the per-component job tables went.  Last,
+the price-difference rule was decided once, in ``repro.core.detector``:
+the re-declared tolerances, the ``tolerance=`` / ``epsilon=`` /
+``spread_alert_delta=`` parameters and the two streaming classes went.
 """
 
 import dataclasses
+import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -364,3 +369,47 @@ class TestOneJobHandle:
             assert not hasattr(component, "_handles"), component
         for cls in (MeasurementServer, QueuedMeasurementTier):
             assert not hasattr(cls, "gather"), cls
+
+
+class TestOneDifferenceRule:
+    """Whether prices differ is decided once, in ``repro.core.detector``:
+    no second tolerance, no parameter that picks another rule, and no
+    streaming class that re-derived the verdict beside it."""
+
+    RULE_PARAMETERS = {"tolerance", "epsilon", "spread_alert_delta"}
+
+    @staticmethod
+    def _public_callables():
+        import repro.analysis
+
+        modules = ["repro.core.detector", "repro.core.pricecheck",
+                   "repro.core.watchdog"] + [
+            f"repro.analysis.{info.name}"
+            for info in pkgutil.iter_modules(repro.analysis.__path__)
+        ]
+        for name in modules:
+            module = importlib.import_module(name)
+            for attr, obj in vars(module).items():
+                if attr.startswith("_") or getattr(obj, "__module__", None) != name:
+                    continue
+                if inspect.isclass(obj):
+                    yield f"{name}.{attr}", obj
+                    for meth, fn in vars(obj).items():
+                        if inspect.isfunction(fn) and not meth.startswith("_"):
+                            yield f"{name}.{attr}.{meth}", fn
+                elif inspect.isfunction(obj):
+                    yield f"{name}.{attr}", obj
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(VariationAccumulator|PriorStudyTracker|DIFFERENCE_TOLERANCE"
+            r"|DEFAULT_TOLERANCE|_median|worst_within_country|min_max_eur)\b"
+        )) == []
+
+    def test_no_callable_takes_a_rule_parameter(self):
+        offenders = []
+        for qualname, fn in self._public_callables():
+            params = set(inspect.signature(fn).parameters)
+            if params & self.RULE_PARAMETERS:
+                offenders.append(qualname)
+        assert offenders == []

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.detector import analyze_rows, gap_matches_vat
+from repro.core.detector import (
+    TOLERANCE,
+    analyze_rows,
+    differs,
+    gap_matches_vat,
+    relative_spread,
+)
 from repro.core.pricecheck import ResultRow
 from repro.net.geo import GeoDatabase
 
@@ -18,6 +24,22 @@ def row(country, eur, kind="IPC", proxy="p", city="x"):
         original_text=f"{eur} EUR", detected_amount=eur, detected_currency="EUR",
         converted_value=eur, amount_eur=eur,
     )
+
+
+class TestRule:
+    def test_relative_spread(self):
+        assert relative_spread([100.0, 110.0, 105.0]) == pytest.approx(0.1)
+
+    def test_nothing_to_compare(self):
+        assert relative_spread([]) is None
+        assert relative_spread([100.0]) is None
+        assert relative_spread([0.0, 1.0]) is None
+
+    def test_differs_beyond_the_tolerance_only(self):
+        assert TOLERANCE == 0.005
+        assert not differs(None)
+        assert not differs(TOLERANCE)
+        assert differs(0.0051)
 
 
 class TestClassification:
@@ -47,8 +69,9 @@ class TestClassification:
 
     def test_tolerance_absorbs_noise(self, geodb):
         rows = [row("ES", 100.0), row("ES", 100.3)]
-        report = analyze_rows(rows, geodb, tolerance=0.005)
+        report = analyze_rows(rows, geodb)
         assert report.classification == "none"
+        assert report.overall_spread == pytest.approx(0.003)
 
     def test_invalid_rows_ignored(self, geodb):
         bad = ResultRow(
@@ -59,10 +82,26 @@ class TestClassification:
         report = analyze_rows([bad, row("ES", 100.0)], geodb)
         assert report.n_points == 1
 
-    def test_worst_within_country(self, geodb):
+    def test_every_differing_country_reported(self, geodb):
         rows = [row("ES", 100.0), row("ES", 103.0), row("GB", 100.0), row("GB", 107.0)]
         report = analyze_rows(rows, geodb)
-        assert report.worst_within_country() == ("GB", pytest.approx(0.07))
+        assert report.within_country_spread == {
+            "ES": pytest.approx(0.03), "GB": pytest.approx(0.07),
+        }
+
+    def test_even_country_takes_the_middle_pair_as_median(self, geodb):
+        rows = [row("ES", 100.0), row("ES", 100.2), row("ES", 100.4),
+                row("ES", 100.4), row("FR", 110.0)]
+        report = analyze_rows(rows, geodb)
+        assert report.cross_country_spread == pytest.approx(110.0 / 100.3 - 1)
+        assert report.classification == "location"
+
+    def test_zero_price_leaves_the_medians_to_decide(self, geodb):
+        rows = [row("ES", 0.0), row("ES", 100.0), row("ES", 100.0), row("FR", 110.0)]
+        report = analyze_rows(rows, geodb)
+        assert report.overall_spread == 0.0
+        assert report.cross_country_spread == pytest.approx(0.10)
+        assert report.classification == "location"
 
 
 class TestVatMatching:

@@ -49,9 +49,6 @@ class TestRowAccess:
 
 
 class TestSpreads:
-    def test_min_max(self, result):
-        assert result.min_max_eur() == (90.0, 110.0)
-
     def test_normalized_spread(self, result):
         assert result.normalized_spread() == pytest.approx(20.0 / 90.0)
 
@@ -62,7 +59,6 @@ class TestSpreads:
         empty = PriceCheckResult(
             job_id="j", url="u", domain="d", requested_currency="EUR", time=0.0
         )
-        assert empty.min_max_eur() is None
         assert empty.normalized_spread() is None
         assert not empty.has_price_difference()
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.errors import AdmissionDenied
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.watchdog import Watchdog
 from repro.web.catalog import make_catalog
@@ -124,3 +125,59 @@ class TestAlerts:
         assert history[0][1] == "none"
         assert history[1][1] == "location"
         assert history[0][0] < history[1][0]
+
+
+class TestFailedCheck:
+    GONE = "http://gone.example/product/p-1"
+
+    def test_one_failed_check_keeps_the_other_alerts(self, setup):
+        world, _, policy, watchdog, url = setup
+        policy.discriminating = True
+        watchdog.add_watch(url)
+        watchdog.add_watch(self.GONE)
+        alerts = watchdog.run_cycle()
+        assert [(a.url, a.kind) for a in alerts] == [
+            (url, "variation-detected"), (self.GONE, "check-failed"),
+        ]
+        failed = alerts[1]
+        assert failed.error and "price check failed" in failed.describe()
+        assert failed.classification is None and failed.spread is None
+        assert watchdog.history(self.GONE) == []
+        # the discriminating product's alert was raised once, and is not
+        # raised again once the bad URL is gone
+        watchdog.remove_watch(self.GONE)
+        world.clock.advance_days(1)
+        assert watchdog.run_cycle() == []
+
+    def test_failed_check_leaves_state_as_it_was(self, setup):
+        world, _, policy, watchdog, url = setup
+        watchdog.add_watch(url)
+        watchdog.run_cycle()  # baseline: none
+        real_check = watchdog._addon.check_price
+
+        def denied(url):
+            raise AdmissionDenied(url, "not whitelisted")
+
+        watchdog._addon.check_price = denied
+        world.clock.advance_days(1)
+        (alert,) = watchdog.run_cycle()
+        assert alert.kind == "check-failed"
+        assert alert.previous_classification == "none"
+        assert len(watchdog.history(url)) == 1
+        watchdog._addon.check_price = real_check
+        policy.discriminating = True
+        world.clock.advance_days(1)
+        (alert,) = watchdog.run_cycle()
+        assert alert.kind == "classification-change"
+        assert alert.previous_classification == "none"
+
+    def test_other_exceptions_propagate(self, setup):
+        _, _, _, watchdog, url = setup
+        watchdog.add_watch(url)
+
+        def broken(_url):
+            raise RuntimeError("bug")
+
+        watchdog._addon.check_price = broken
+        with pytest.raises(RuntimeError, match="bug"):
+            watchdog.run_cycle()

@@ -83,7 +83,7 @@ def test_full_story(story):
             store.product_url(store.catalog.products[0].product_id)
         )
         results.append(result)
-        assert result.has_price_difference(0.01) == expect_diff
+        assert (result.normalized_spread() > 0.01) == expect_diff
     assert domains_with_difference(results) == ["shady.example"]
     assert sheriff.distributor.pending_jobs == 0
 
