@@ -38,6 +38,10 @@ Frames arrive from peers this process does not control, so
 :class:`ProtocolError` — never ``RecursionError``, ``OverflowError`` or
 the interpreter's int-digit-limit ``ValueError`` — and
 :func:`read_frame` gives a frame a deadline from its first byte.
+Handlers return values this process does not vet either, so
+:func:`encode` likewise answers every envelope with bytes or a
+:class:`ProtocolError`, a result nested past the recursion limit
+included.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ import struct
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Optional, Tuple, Union
+
+from repro._jsontext import compact_encoder
 
 __all__ = [
     "FrameTooLarge",
@@ -76,8 +82,10 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
-#: the canonical text of a JSON-ready value
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: the canonical text of a JSON-ready value; ``RecursionError`` for a
+#: circular or too-deep one (:func:`encode` maps it)
+_canonical = compact_encoder(sort_keys=True)
 
 #: what follows the result of a spliced ``ok`` response
 _RAW_TAIL = f',"type":"response","v":{PROTOCOL_VERSION}}}'
@@ -228,6 +236,11 @@ def encode(msg: Envelope) -> bytes:
     the frame-size check) agree between the sender and any re-encoder.
     A :class:`RawJSON` result goes in as it is, between the sorted
     envelope keys around it.
+
+    A payload or result that is not JSON-representable — not JSON at all,
+    circular, or nested past the recursion limit (``RecursionError``) —
+    raises :class:`ProtocolError`, the one exception a serving thread
+    answers with an error response.
     """
     try:
         if isinstance(msg, Response) and msg.ok and isinstance(msg.result, RawJSON):
@@ -236,7 +249,7 @@ def encode(msg: Envelope) -> bytes:
         else:
             text = _canonical(to_wire(msg))
         return text.encode("utf-8")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"payload is not JSON-representable: {exc}") from exc
 
 

@@ -307,7 +307,7 @@ class SocketTransport(Transport):
                     resp = serve_request(ep.handler, envelope)
                     try:
                         frame = pack_frame(resp, self.max_frame_bytes)
-                    except ProtocolError as exc:  # too large, or not JSON
+                    except ProtocolError as exc:  # too large, not JSON, or nested too deep
                         frame = pack_frame(Response(
                             envelope.call_id, ok=False,
                             error_kind="network", error_message=str(exc),

@@ -337,16 +337,16 @@ class SimTransport(Transport):
             raise NetworkError(f"host {dst} has no handler")
         req = decode(wire)
         resp = serve_request(handler, req)
-        body = encode(resp)
-        if len(body) > self.max_frame_bytes:
-            body = encode(Response(
-                req.call_id,
-                ok=False,
-                error_kind="network",
-                error_message=(
+        try:
+            body = encode(resp)
+            if len(body) > self.max_frame_bytes:
+                raise FrameTooLarge(
                     f"response of {len(body)} bytes exceeds frame limit "
                     f"{self.max_frame_bytes}"
-                ),
+                )
+        except ProtocolError as exc:  # too large, not JSON, or nested too deep
+            body = encode(Response(
+                req.call_id, ok=False, error_kind="network", error_message=str(exc),
             ))
         return body
 

@@ -38,11 +38,11 @@ Contract notes:
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._jsontext import compact_encoder
 from repro.core.errors import UnknownTable
 
 #: the tables of the shared MySQL instance (App. 10.2.1)
@@ -77,9 +77,20 @@ __all__ = [
     "make_backend",
 ]
 
-#: a value as wire-form JSON text: compact separators, ASCII escapes,
-#: keys in their own order
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_encode_compact = compact_encoder(sort_keys=False)
+
+
+def compact_json(value: Any) -> str:
+    """A value as wire-form JSON text: compact separators, ASCII escapes,
+    keys in their own order — ``json.JSONEncoder(separators=(",", ":"))``'s
+    text, from one encoder built at import (the engine encodes every
+    stored row with it).  A value that is not JSON-representable raises
+    ``TypeError``; a circular one, or one nested past the recursion
+    limit, ``ValueError``."""
+    try:
+        return _encode_compact(value)
+    except RecursionError as exc:
+        raise ValueError(f"value nested too deep to encode (circular?): {exc}") from exc
 
 
 def join_json_arrays(arrays: Iterable[str]) -> str:

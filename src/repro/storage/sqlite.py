@@ -29,9 +29,13 @@ tuples leave as lists.
 
 A write prepares every row of every batch first — ``_id``, index
 values, JSON text (tuples tagged only when the text holds an array) —
-and lands them with one ``executemany`` per table and one ``commit``,
-so a write is stored whole or not at all and a failed write consumes
-no ids.
+and lands each table's rows as multi-row ``INSERT … VALUES (…),(…)``
+statements, as many rows to a statement as 999 bound parameters hold
+(SQLite's variable limit before 3.32, so the statements bind on any
+build; a price check's 36 responses are one statement), and one
+``commit``, so a write is stored whole or not at all and a failed write
+consumes no ids.  A delete binds its ids in chunks of the same bound,
+in one transaction.
 
 File-backed databases run in WAL journal mode (readers never block the
 writer — the deployment story of App. 10.2.1); the default is a private
@@ -62,6 +66,10 @@ _TUPLE_TAG = "__tuple__"
 #: rows a ``scan`` decodes per ``json.loads``, so a full-table read never
 #: holds a second copy of the table as one string
 _SCAN_CHUNK = 512
+
+#: parameters one statement binds at most: SQLite's variable limit before
+#: 3.32 (32 766 since), so every statement binds on any build
+_MAX_VARIABLES = 999
 
 
 def _jsonable(value: Any) -> Any:
@@ -99,10 +107,10 @@ def _decode(text: str) -> List[Dict[str, Any]]:
     return rows
 
 
-def _index_value(row: Dict[str, Any], column: str) -> Any:
-    """The native value stored in an index column (NULL when the row
-    has none, or when the value is not an indexable scalar)."""
-    value = row.get(column)
+def _index_value(value: Any) -> Any:
+    """The native value an index column stores for a row's ``value``
+    (NULL when the row has none, or when it is not an indexable scalar;
+    a boolean as 0/1)."""
     if not indexable_scalar(value):
         return None
     if isinstance(value, bool):
@@ -124,9 +132,9 @@ class SqliteBackend(StorageBackend):
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        #: table -> its INSERT statement (one text per table, so sqlite3's
-        #: statement cache compiles each once)
-        self._insert_sql: Dict[str, str] = {}
+        #: table -> (the head of its INSERT statement, one row's marks,
+        #: the parameters a row binds: ``_id``, index values, ``data``)
+        self._insert_sql: Dict[str, Tuple[str, str, int]] = {}
         last_id = 0
         for table in TABLES:
             columns = INDEXED_COLUMNS.get(table, ())
@@ -145,9 +153,11 @@ class SqliteBackend(StorageBackend):
                     f"CREATE INDEX IF NOT EXISTS idx_{table}_{column} "
                     f"ON {table}({column})"
                 )
-            marks = ", ".join("?" * (2 + len(columns)))
+            width = 2 + len(columns)
             self._insert_sql[table] = (
-                f"INSERT INTO {table} (_id{index_cols}, data) VALUES ({marks})"
+                f"INSERT INTO {table} (_id{index_cols}, data) VALUES ",
+                "(" + ",".join("?" * width) + ")",
+                width,
             )
             (stored,) = self._conn.execute(
                 f"SELECT MAX(_id) FROM {table}"
@@ -172,51 +182,63 @@ class SqliteBackend(StorageBackend):
 
     def _prepare(
         self, table: str, rows: List[Dict[str, Any]], first_id: int
-    ) -> List[Tuple[Any, ...]]:
-        """The INSERT parameters of ``rows`` — ``(_id, index values…,
-        data)`` each, ids counted on from ``first_id`` and stamped into
-        the rows — touching neither the sequence nor the database, so a
-        row that cannot be encoded fails its write before the first
-        statement runs."""
+    ) -> List[Any]:
+        """The INSERT parameters of ``rows``, flat — ``_id``, index
+        values, ``data`` for each row in turn — ids counted on from
+        ``first_id`` and stamped into the rows, touching neither the
+        sequence nor the database, so a row that cannot be encoded fails
+        its write before the first statement runs."""
         self._check_table(table)
-        columns = INDEXED_COLUMNS.get(table, ())
-        params = []
-        for row_id, row in enumerate(rows, first_id):
+        ids = range(first_id, first_id + len(rows))
+        texts = []
+        for row_id, row in zip(ids, rows):
             row["_id"] = row_id
             text = compact_json(row)
             if "[" in text:  # a tuple, somewhere, encodes as an array
                 text = compact_json(_jsonable(row))
-            params.append(
-                (row_id, *[_index_value(row, column) for column in columns], text)
-            )
-        return params
+            texts.append(text)
+        columns = [[_index_value(row.get(column)) for row in rows]
+                   for column in INDEXED_COLUMNS.get(table, ())]
+        return list(chain.from_iterable(zip(ids, *columns, texts)))
+
+    def _insert(self, table: str, params: List[Any]) -> None:
+        """Run one table's prepared parameters as multi-row ``INSERT``\\ s,
+        each binding at most :data:`_MAX_VARIABLES` of them."""
+        head, marks, width = self._insert_sql[table]
+        step = _MAX_VARIABLES // width * width
+        for start in range(0, len(params), step):
+            chunk = params[start:start + step]
+            self._conn.execute(head + ",".join([marks] * (len(chunk) // width)), chunk)
 
     # -- writes -----------------------------------------------------------
     def insert_batches(
         self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
     ) -> List[List[int]]:
         prepared = []
+        ids = []
         next_id = self._next_id
         for table, rows in batches:
-            params = self._prepare(table, rows, next_id)
-            prepared.append((self._insert_sql[table], params))
-            next_id += len(params)
+            prepared.append((table, self._prepare(table, rows, next_id)))
+            ids.append(list(range(next_id, next_id + len(rows))))
+            next_id += len(rows)
         with self._conn:  # one commit, or a rollback of whatever made it leave
-            for sql, params in prepared:
-                self._conn.executemany(sql, params)
+            for table, params in prepared:
+                self._insert(table, params)
         self._next_id = next_id
-        return [[row_params[0] for row_params in params] for _, params in prepared]
+        return ids
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         self._check_table(table)
-        if not ids:
-            return 0
-        marks = ", ".join("?" * len(ids))
-        cursor = self._conn.execute(
-            f"DELETE FROM {table} WHERE _id IN ({marks})", list(ids)
-        )
-        self._conn.commit()
-        return cursor.rowcount
+        ids = list(ids)
+        deleted = 0
+        with self._conn:  # one transaction, however many statements
+            for start in range(0, len(ids), _MAX_VARIABLES):
+                chunk = ids[start:start + _MAX_VARIABLES]
+                deleted += self._conn.execute(
+                    f"DELETE FROM {table} WHERE _id IN ({','.join('?' * len(chunk))})",
+                    chunk,
+                ).rowcount
+        return deleted
 
     # -- reads ------------------------------------------------------------
     def scan(

@@ -20,6 +20,15 @@ from repro.net.protocol import (
     split_frame,
     to_wire,
 )
+from repro.net.transport import SimTransport
+
+
+def nested(depth):
+    """A list ``depth`` levels deep — past any recursion limit at 100 000."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def make_request(**overrides):
@@ -178,6 +187,38 @@ class TestEnvelopeFieldTypes:
         assert decode(json.dumps(self.FAILURE)) == Response(
             7, ok=False, error_kind="remote", error_message="boom"
         )
+
+
+class TestValuesTooDeepToEncode:
+    """A value nested past the recursion limit, or a circular one, is not
+    JSON-representable: ``encode`` raises ``ProtocolError`` for it, as
+    ``decode`` does for a frame nested that deep, never ``RecursionError``
+    (which a serving thread does not catch)."""
+
+    def test_deep_payload(self):
+        with pytest.raises(ProtocolError):
+            encode(make_request(payload={"rows": nested(100_000)}))
+
+    def test_deep_result(self):
+        with pytest.raises(ProtocolError):
+            encode(Response(call_id=1, ok=True, result=nested(100_000)))
+
+    def test_circular_payload(self):
+        loop = {"job_id": "j1"}
+        loop["self"] = loop
+        with pytest.raises(ProtocolError):
+            encode(make_request(payload=loop))
+
+    def test_sim_call_with_a_deep_payload_sends_nothing(self):
+        runs = []
+        transport = SimTransport()
+        transport.bind("server", lambda method, payload: runs.append(method))
+        transport.register_client("client")
+        with pytest.raises(ProtocolError):
+            transport.call("client", "server", "echo", nested(100_000))
+        assert runs == []
+        assert transport.call("client", "server", "echo", 1) is None
+        assert runs == ["echo"]
 
 
 class TestFraming:

@@ -13,10 +13,11 @@ import time
 import pytest
 
 from repro.net.faults import BackoffPolicy
-from repro.net.protocol import FrameTooLarge
+from repro.net.protocol import FrameTooLarge, ProtocolError
 from repro.net.sim import NetworkError, NetworkTimeout
 from repro.net.socket_transport import SocketTransport
 from repro.net.transport import RemoteCallError, SimTransport
+from tests.net.test_protocol import nested
 
 #: small frame limit so oversize tests don't shuffle megabytes
 SMALL_FRAME = 64 * 1024
@@ -133,6 +134,42 @@ class TestFrameLimits:
         a truncated result."""
         with pytest.raises(NetworkError):
             transport.call("client", "server", "big_reply")
+
+
+class TestValuesTooDeepToEncode:
+    """A result nested past the recursion limit is answered with an error
+    response: the handler runs once (a transparent resend would repeat a
+    write), no serving thread dies, and the next call is answered.  A
+    payload that deep fails in the caller, before anything is sent."""
+
+    @staticmethod
+    def _bind_counting(transport):
+        runs = []
+
+        def handler(method, payload):
+            runs.append(method)
+            return nested(100_000) if method == "deep" else payload
+
+        transport.bind("deep", handler)
+        return runs
+
+    def test_deep_result_is_an_error_response(self, transport, quiet):
+        runs = self._bind_counting(transport)
+        with pytest.raises(NetworkError) as err:
+            transport.call("client", "deep", "deep")
+        assert not isinstance(err.value, (NetworkTimeout, RemoteCallError))
+        assert runs == ["deep"]
+        assert transport.call("client", "deep", "echo", 7) == 7
+        assert runs == ["deep", "echo"]
+        quiet.check()
+
+    def test_deep_payload_is_refused_before_sending(self, transport, quiet):
+        runs = self._bind_counting(transport)
+        with pytest.raises(ProtocolError):
+            transport.call("client", "deep", "echo", nested(100_000))
+        assert transport.call("client", "deep", "echo", 7) == 7
+        assert runs == ["echo"]
+        quiet.check()
 
 
 class TestOfflinePeers:

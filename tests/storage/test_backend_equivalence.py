@@ -14,16 +14,21 @@ format-stability tests pin the stored ``data`` text itself, so database
 files written before a change to the engine stay readable after it.
 """
 
+import json
 import random
+import sqlite3
 from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import _jsontext
 from repro.core.database import DatabaseServer
+from repro.net import protocol
+from repro.net.protocol import ProtocolError
 from repro.storage import MemoryBackend, SqliteBackend
 from repro.storage import sqlite as sqlite_engine
-from repro.storage.backend import TABLES
+from repro.storage.backend import TABLES, compact_json
 
 
 def _random_value(rng, depth=0):
@@ -272,3 +277,150 @@ def test_stored_text_is_unchanged():
         "SELECT data FROM responses ORDER BY _id")]
     assert stored == [text for _, text in STORED_FORMAT]
     lite.close()
+
+
+# -- the write path ------------------------------------------------------------
+
+#: the compact and the canonical text as ``json`` itself writes them
+REFERENCE_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+REFERENCE_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _held_to_999(lite):
+    """Lower the connection's variable limit to SQLite's pre-3.32 default
+    where Python can (3.11+), so a statement binding more fails here as
+    it would on such a build."""
+    if hasattr(lite._conn, "setlimit"):
+        lite._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+    return lite
+
+
+def _statements(lite):
+    """Every SQL statement the connection runs from here on."""
+    ran = []
+    lite._conn.set_trace_callback(ran.append)
+    return ran
+
+
+class TestWritePath:
+    """A write encodes each row with one encoder built at import and lands
+    each table's rows as multi-row ``INSERT``\\ s of at most 999 bound
+    parameters, in one transaction: the stored texts stay the ones
+    ``json`` writes and the memory engine's rows encode to."""
+
+    #: rows of ``responses`` (``_id``, ``job_id``, ``data``) one INSERT holds
+    CHUNK = sqlite_engine._MAX_VARIABLES // 3
+
+    def _rows(self, n):
+        rows = [dict(STORED_FORMAT[0][0], n=i) for i in range(n)]
+        rows[-2] = dict(STORED_FORMAT[1][0])  # a tagged tuple, in the last chunk
+        return rows
+
+    def test_batch_across_chunks_stores_the_reference_texts(self):
+        n = 2 * self.CHUNK + 3
+        mem, lite = MemoryBackend(), _held_to_999(SqliteBackend())
+        assert mem.insert_many("responses", self._rows(n)) \
+            == lite.insert_many("responses", self._rows(n)) == list(range(1, n + 1))
+        assert repr(mem.scan("responses")) == repr(lite.scan("responses"))
+        assert _typed(mem.lookup("responses", "job_id", "job-7")) \
+            == _typed(lite.lookup("responses", "job_id", "job-7"))
+        stored = [data for (data,) in lite._conn.execute(
+            "SELECT data FROM responses ORDER BY _id")]
+        assert stored == [REFERENCE_COMPACT(sqlite_engine._jsonable(row))
+                          for row in mem.scan("responses")]
+        assert stored[0] == STORED_FORMAT[0][1].replace('"_id":1', '"n":0,"_id":1')
+        assert stored[-2] == STORED_FORMAT[1][1].replace('"_id":2', f'"_id":{n - 1}')
+        lite.close()
+
+    def test_key_conflict_in_the_last_chunk_stores_nothing(self):
+        lite = _held_to_999(SqliteBackend())
+        lite.insert("responses", {"job_id": "j0"})
+        n = 2 * self.CHUNK + 3
+        # a row the engine did not store, on an id the batch's last chunk takes
+        lite._conn.execute("INSERT INTO responses (_id, job_id, data) VALUES (?, ?, ?)",
+                           (n, "x", '{"job_id":"x"}'))
+        lite._conn.commit()
+        before, next_id = lite.scan("responses"), lite._next_id
+        ran = _statements(lite)
+        with pytest.raises(sqlite3.IntegrityError):
+            lite.insert_many("responses", self._rows(n))
+        assert [s.split(" (")[0] for s in ran if s.startswith("INSERT")] \
+            == ["INSERT INTO responses"] * 3  # two chunks went in before the third failed
+        assert lite.scan("responses") == before
+        assert lite._next_id == next_id
+        assert lite.lookup("responses", "job_id", "job-7") == []
+        lite.close()
+
+    def test_a_job_write_is_one_insert_per_table(self):
+        lite = SqliteBackend()
+        ran = _statements(lite)
+        rows = [{"job_id": "j1", "proxy_id": f"ipc-{i}", "amount": 1.5 * i}
+                for i in range(36)]
+        lite.insert_many("responses", rows)
+        assert len([s for s in ran if s.startswith("INSERT")]) == 1
+        ran.clear()
+        lite.insert_batches([("requests", [{"job_id": "j2", "domain": "a.example"}]),
+                             ("responses", [dict(row, job_id="j2") for row in rows])])
+        assert [s.split(" (")[0] for s in ran if s.startswith("INSERT")] \
+            == ["INSERT INTO requests", "INSERT INTO responses"]
+        assert len(lite.lookup("responses", "job_id", "j2")) == 36
+        lite.close()
+
+    def test_delete_across_chunks_matches_the_memory_engine(self):
+        mem, lite = MemoryBackend(), _held_to_999(SqliteBackend())
+        rows = [{"job_id": f"job-{i % 7}", "n": i} for i in range(2500)]
+        assert mem.insert_many("responses", [dict(r) for r in rows]) \
+            == lite.insert_many("responses", [dict(r) for r in rows])
+        doomed = [i for i in range(1, 2600) if i % 3] + [5, 5, 2]  # misses, repeats
+        ran = _statements(lite)
+        assert mem.delete_rows("responses", doomed) \
+            == lite.delete_rows("responses", doomed) == 1667
+        assert len([s for s in ran if s.startswith("DELETE")]) == 2
+        assert repr(mem.scan("responses")) == repr(lite.scan("responses"))
+        assert mem.lookup("responses", "job_id", "job-3") \
+            == lite.lookup("responses", "job_id", "job-3")
+        lite.close()
+
+
+_ENCODER_CASES = [
+    "é€ 𝄞 \"quoted\" \\ \x00", 0.1, -0.0, 1e300, 5e-324, float("inf"),
+    None, True, False, 2**70, (1, (2.5, "x")), [], {}, (),
+    {"b": [None, True, {"z": 1, "a": (0.5,)}], "a": "ü", "": False},
+]
+
+
+class TestOneEncoder:
+    """``compact_json`` and the codec's canonical form write exactly the
+    text ``json.JSONEncoder`` writes, from an encoder built once."""
+
+    @pytest.mark.parametrize("value", _ENCODER_CASES)
+    def test_texts_are_the_json_modules(self, value):
+        assert compact_json(value) == REFERENCE_COMPACT(value)
+        assert protocol._canonical(value) == REFERENCE_CANONICAL(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_values)
+    def test_any_value_encodes_as_the_json_module_does(self, value):
+        assert compact_json(value) == REFERENCE_COMPACT(value)
+        assert protocol._canonical(value) == REFERENCE_CANONICAL(value)
+
+    def test_the_error_of_a_value_that_is_not_json(self):
+        with pytest.raises(TypeError) as ours:
+            compact_json({"bad": {1, 2}})
+        with pytest.raises(TypeError) as theirs:
+            REFERENCE_COMPACT({"bad": {1, 2}})
+        assert str(ours.value) == str(theirs.value)
+
+    def test_a_circular_value_raises(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError):
+            compact_json(loop)
+        with pytest.raises(ProtocolError):
+            protocol.encode(protocol.Response(1, ok=True, result=loop))
+
+    def test_without_the_c_encoder_it_is_the_json_modules(self, monkeypatch):
+        monkeypatch.setattr(_jsontext, "c_make_encoder", None)
+        encode = _jsontext.compact_encoder(sort_keys=True)
+        for value in _ENCODER_CASES:
+            assert encode(value) == REFERENCE_CANONICAL(value)

@@ -138,8 +138,9 @@ class TestAtomicBatch:
         backend.close()
 
     def test_row_the_statement_refuses(self):
-        """Fails inside ``executemany``, after two rows went in: the
-        transaction is rolled back, not left for the next commit."""
+        """Fails as the batch's ``INSERT`` binds its parameters, inside
+        the write's transaction: it is rolled back, not left for the
+        next commit."""
         backend = SqliteBackend()
         self._fails_whole(backend, {"job_id": 2**70}, OverflowError)
         backend.close()

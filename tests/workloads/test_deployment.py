@@ -105,6 +105,36 @@ class TestVerdictAgainstSeededTruth:
             "RegionalPricing"
         }
 
+    #: why the seeded policy priced a missed domain's checks alike: the
+    #: product is outside its coverage although a vantage sits in a
+    #: repriced country, or no vantage sits in one
+    WHY_MISSED = {
+        "aeropostale.com": "product not covered",
+        "macys.com": "product not covered",
+        "pd-store-02.example": "product not covered",
+        "steampowered.com": "no vantage in a repriced country",
+    }
+
+    def test_the_misses_were_never_priced_apart(self, deployment, dataset):
+        """On each of the 16 checks of the missed domains the seeded
+        ``RegionalPricing.factor_for(product, country)`` is 1.0 for every
+        vantage country: the store charged all of them alike, so the
+        detector had no difference to find, and what disagrees is the
+        domain-level truth label ("the policy is not uniform")."""
+        checks = [r for r in dataset.results if r.domain in self.MISSED]
+        assert len(checks) == 16
+        for result in checks:
+            store = deployment.stores[result.domain]
+            pricing = store.pricing
+            product = store.catalog.get(result.url.rsplit("/", 1)[1])
+            countries = {row.country for row in result.rows}
+            assert 5 <= len(countries) <= 6
+            assert {pricing.factor_for(product, c) for c in countries} == {1.0}, \
+                result.url
+            repriced = countries & set(pricing.country_multipliers)
+            why = "product not covered" if repriced else "no vantage in a repriced country"
+            assert why == self.WHY_MISSED[result.domain], result.url
+
 
 class TestConfigs:
     def test_paper_scale_parameters(self):
