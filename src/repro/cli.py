@@ -345,7 +345,6 @@ def _journey_record(run, job_id: str):
         "job_id": job_id,
         "stolen": job_id in run.stolen_job_ids,
         "spans": [span.to_dict() for span in journey["spans"]],
-        "events": [event.to_dict() for event in journey["events"]],
         "dead_letter": journey["dead_letter"],
         "ticket": journey["ticket"],
     }
@@ -379,12 +378,6 @@ def _cmd_journey(args: argparse.Namespace) -> int:
     print()
     print(render_trace(journey["spans"], show_critical_path=True))
     print()
-    print("flight recorder:")
-    for event in journey["events"]:
-        detail = " ".join(
-            f"{k}={v}" for k, v in sorted(event.detail.items())
-        )
-        print(f"  t={event.time:10.3f}  {event.kind:<12} {detail}")
     ticket = journey["ticket"]
     if ticket is not None:
         state = (
@@ -627,7 +620,7 @@ VERBS: Tuple[Verb, ...] = (
               help="list the drill's job ids (stolen ones marked) and exit"),
         *_DRILL_FLAGS,
         _flag("--out", default=None, metavar="JSON",
-              help="also export the journey record (spans, flight events, "
+              help="also export the journey record (spans, dead letter, "
                    "ticket) as JSON"),
     ), _cmd_journey),
     Verb("slo",

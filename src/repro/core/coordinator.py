@@ -37,7 +37,7 @@ from repro.core.whitelist import Whitelist
 from repro.net.faults import ROLE_SERVER, BackoffPolicy, FaultPlan
 from repro.net.geo import GeoDatabase, Location
 from repro.net.p2p import PeerOverlay
-from repro.obs import NULL_TELEMETRY
+from repro.obs import NULL_TELEMETRY, Span
 from repro.profiles.doppelganger import DoppelgangerManager
 from repro.web.internet import parse_url
 
@@ -136,9 +136,9 @@ class Coordinator:
         #: journey spans root here (the tracer is the deployment's once
         #: its clock is bound)
         self.tracer = telemetry.tracer
-        #: job_id -> span_id of the job's latest Coordinator-side journey
-        #: stage (assign / retry); the queue tier roots its chain here
-        self.journey_spans: Dict[str, int] = {}
+        #: job_id -> the job's latest journey span (assign, retry, or a
+        #: queue-tier stage); the next stage chains under it
+        self.journey_spans: Dict[str, Span] = {}
         #: telemetry: recovery counters + the per-server turnaround
         #: histogram (admission → completion report, world clock)
         registry = telemetry.registry
@@ -210,14 +210,12 @@ class Coordinator:
             job_id=job_id, peer_id=peer_id, url=url, domain=domain,
             server_name=server.name, started_at=self.clock.now,
         )
-        if self.tracer.enabled:
-            # the journey's root: every later stage (queue admission,
-            # steal, dispatch, the fan-out) chains under this span
-            span = self.tracer.record(
-                "assign", trace_id=job_id, server=server.name, url=url,
-                transport=self.transport_label,
-            )
-            self.journey_spans[job_id] = span.span_id
+        # the journey's root: every later stage (queue admission,
+        # steal, dispatch, the fan-out) chains under this span
+        self.journey_stage(
+            "assign", job_id, server=server.name, url=url,
+            transport=self.transport_label,
+        )
         ppcs = self.select_ppcs(peer_id, location)
         return (
             RequestTicket(
@@ -228,6 +226,29 @@ class Coordinator:
             ),
             ppcs,
         )
+
+    def journey_stage(
+        self, name: str, job_id: str, **attrs: object
+    ) -> Optional[Span]:
+        """Record one stage of ``job_id``'s journey, chained under the
+        job's latest stage, make it the latest and return it.
+
+        Stages happen outside any ``with`` nesting (assignment and retry
+        here, admission, queue wait and steal in the queue tier), so each
+        names its parent explicitly; the chain makes ``render_trace``
+        show the job's life as one descending path.  ``links=`` and
+        ``start=`` pass through to :meth:`Tracer.record`.  With tracing
+        off it records nothing and returns ``None``.
+        """
+        if not self.tracer.enabled:
+            return None
+        latest = self.journey_spans.get(job_id)
+        span = self.journey_spans[job_id] = self.tracer.record(
+            name, trace_id=job_id,
+            parent_id=latest.span_id if latest is not None else None,
+            **attrs,
+        )
+        return span
 
     def job_completed(self, job_id: str) -> None:
         """Step 4: the Measurement server reports completion.
@@ -332,13 +353,9 @@ class Coordinator:
         self.jobs_reassigned += 1
         self._m_recovery.inc(event="reassigned")
         self._m_retry_budget.inc()
-        if self.tracer.enabled:
-            span = self.tracer.record(
-                "retry", trace_id=job_id,
-                parent_id=self.journey_spans.get(job_id),
-                attempt=record.attempts, server=server.name,
-            )
-            self.journey_spans[job_id] = span.span_id
+        self.journey_stage(
+            "retry", job_id, attempt=record.attempts, server=server.name,
+        )
         return RequestTicket(
             job_id=job_id,
             server_name=server.name,

@@ -164,8 +164,9 @@ class JobDeadLettered(SheriffError, RuntimeError):
     store for operator inspection instead of being silently dropped.
 
     Carries the job's journey context — its ``trace_id`` (the job id,
-    keying the span tree) and the last flight-recorder event before the
-    dead-lettering — so the post-mortem starts from the exception.
+    keying the span tree) and ``last_event``, the name of the job's
+    latest journey span before its ``dead_letter`` span (``""`` with
+    telemetry off) — so the post-mortem starts from the exception.
     """
 
     def __init__(

@@ -39,18 +39,16 @@ back off).
 
 Queue traffic is observable through ``sheriff_queue_*`` metrics
 (depth, enqueued, dispatched, steals by reason, shed, dead-lettered,
-wait-time histogram) and — with telemetry on — two
-per-job records.  The flight recorder (``telemetry.flights``) is the
-tier's one event log: every ``enqueue``/``dispatch``/``steal``/
-``shed``/``dead_letter`` decision, clock-stamped and sequence-numbered,
-for one-lookup post-mortems.  The *job journey* makes every lifecycle
-decision a span in the job's trace (keyed by the job id) chained
-admission → queue_wait → steal/retry → dispatch, where the dispatch
-span parents the owning server's ``price_check`` fan-out, so one trace
-reconstructs the job end to end across servers; a steal span carries a
-*link* to the journey stage it superseded.  All of it is RNG-free and
-clock-neutral: telemetry on or off, the rows are identical
-(property-tested).
+wait-time histogram) and — with telemetry on — the *job journey*: every
+lifecycle decision (``admission``, ``queue_wait``, ``steal``, ``shed``,
+``dead_letter``, ``dispatch``) is a span in the job's trace (keyed by
+the job id), chained through the Coordinator's
+:meth:`~repro.core.coordinator.Coordinator.journey_stage` under the
+job's ``assign`` and ``retry`` spans.  The dispatch span parents the
+owning server's ``price_check`` fan-out, so one trace reconstructs the
+job end to end across servers; a steal span carries a *link* to the
+journey stage it superseded.  All of it is RNG-free and clock-neutral:
+telemetry on or off, the rows are identical (property-tested).
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from repro.core.errors import (
     UnknownServer,
 )
 from repro.net.faults import BackoffPolicy
-from repro.obs import NULL_TELEMETRY
+from repro.obs import NULL_TELEMETRY, Span
 
 __all__ = [
     "DeadLetter",
@@ -154,8 +152,9 @@ class DeadLetter:
     """One job parked for operator inspection instead of silent loss.
 
     ``trace_id`` keys the job's span tree and ``last_event`` names the
-    final flight-recorder event before the dead-lettering, so
-    ``repro journey <job_id>`` works for failed jobs too.
+    job's latest journey span before its ``dead_letter`` span (``""``
+    with telemetry off), so ``repro journey <job_id>`` works for failed
+    jobs too.
     """
 
     job_id: str
@@ -230,10 +229,6 @@ class QueuedMeasurementTier:
         self.dispatched_total = 0
         self.steals: Dict[str, int] = {}
         self.tracer = telemetry.tracer
-        self.flights = telemetry.flights
-        #: job_id -> span_id of the job's latest journey stage, the
-        #: parent the next stage chains under
-        self._journey: Dict[str, int] = {}
         registry = telemetry.registry
         self._m_depth = registry.gauge(
             "sheriff_queue_depth",
@@ -271,31 +266,12 @@ class QueuedMeasurementTier:
         return self.engine.now
 
     def _journey_span(
-        self, name: str, job_id: str, links=None, start=None, **attrs: object
-    ) -> None:
-        """Record one zero-nesting journey stage and advance the chain.
-
-        Journey stages happen outside any ``with`` nesting (admission at
-        submit time, stealing at drain time), so each span names its
-        parent explicitly: the job's previous stage.  The chain makes
-        ``render_trace`` show the lifecycle as one descending path.
-        """
-        if not self.tracer.enabled:
-            return
+        self, name: str, job_id: str, **attrs: object
+    ) -> Optional[Span]:
+        """One journey stage of ``job_id``, stamped with the transport
+        (``None`` with tracing off)."""
         attrs.setdefault("transport", self.transport_label)
-        span = self.tracer.record(
-            name, trace_id=job_id, parent_id=self._journey_parent(job_id),
-            links=links, start=start, **attrs,
-        )
-        self._journey[job_id] = span.span_id
-
-    def _journey_parent(self, job_id: str) -> Optional[int]:
-        """The job's latest journey stage; the Coordinator's ``assign``
-        span roots the chain when the tier has not recorded one yet."""
-        parent = self._journey.get(job_id)
-        if parent is None:
-            parent = getattr(self.coordinator, "journey_spans", {}).get(job_id)
-        return parent
+        return self.coordinator.journey_stage(name, job_id, **attrs)
 
     def _sync_depth(self) -> None:
         snapshot = self.queue.snapshot()
@@ -335,13 +311,10 @@ class QueuedMeasurementTier:
             )
             self.shed_total += 1
             self._m_shed.inc()
-            self.flights.record(job.job_id, "shed", depth=self.queue.depth,
-                                retry_after=retry_after)
             self._journey_span(
                 "shed", job.job_id, depth=self.queue.depth,
                 retry_after=retry_after,
             )
-            self._journey.pop(job.job_id, None)
             self.coordinator.fail_job(job.job_id, "shed: queue saturated")
             raise QueueSaturated(
                 job.job_id, self.queue.depth, self.max_depth, retry_after
@@ -350,7 +323,6 @@ class QueuedMeasurementTier:
         handle = JobHandle(job.job_id, owner, state=QUEUED)
         self.queue.offer(owner, job, handle, now=self._now())
         self._m_enqueued.inc(server=owner)
-        self.flights.record(job.job_id, "enqueue", server=owner, depth=self.queue.depth)
         self._journey_span(
             "admission", job.job_id, server=owner, depth=self.queue.depth,
         )
@@ -397,11 +369,12 @@ class QueuedMeasurementTier:
         job_id = queued.job.job_id
         self.queue.pop(queued)
         reason = str(exc)
+        # the stage *before* the dead-lettering is what the post-mortem
+        # wants: the decision that led here
+        latest = self.coordinator.journey_spans.get(job_id)
+        last_event = latest.name if latest is not None else ""
+        self._journey_span("dead_letter", job_id, reason=reason)
         self.coordinator.fail_job(job_id, reason)
-        # the last flight event *before* the dead-lettering is what the
-        # post-mortem wants: the decision that led here
-        last = self.flights.last_event(job_id)
-        last_event = last.kind if last is not None else ""
         self.dead_letters.add(DeadLetter(
             job_id=job_id, url=queued.job.url,
             server_name=queued.server_name, reason=reason, at=self._now(),
@@ -412,9 +385,6 @@ class QueuedMeasurementTier:
         )
         queued.handle.state = FAILED
         self._m_dlq.inc()
-        self.flights.record(job_id, "dead_letter", reason=reason)
-        self._journey_span("dead_letter", job_id, reason=reason)
-        self._journey.pop(job_id, None)
         self._sync_depth()
 
     def _dispatch_head(self) -> bool:
@@ -425,14 +395,15 @@ class QueuedMeasurementTier:
         job_id = queued.job.job_id
         owner = queued.server_name
         # the outbox dwell, backdated to admission: recorded first so
-        # steals and the dispatch chain under it in journey order
-        self._journey_span(
+        # steals and the dispatch chain under it in journey order; a
+        # steal links back to it, the stage on the owner it leaves
+        wait = self._journey_span(
             "queue_wait", job_id, start=queued.enqueued_at, server=owner,
         )
+        links = [(job_id, wait.span_id)] if wait is not None else None
         record = self._server_record(owner)
         if record is None or not record.online:
             # dead-owner steal: a real failover, through the retry budget
-            prior = self._journey.get(job_id)
             try:
                 ticket = self.coordinator.reassign_job(job_id)
             except (RetryExhausted, NoServerAvailable) as exc:
@@ -440,11 +411,8 @@ class QueuedMeasurementTier:
                 return True
             self.queue.move(queued, ticket.server_name)
             self._count_steal("offline")
-            self.flights.record(job_id, "steal", reason="offline",
-                                src=owner, dst=ticket.server_name)
             self._journey_span(
-                "steal", job_id,
-                links=[(job_id, prior)] if prior is not None else None,
+                "steal", job_id, links=links,
                 reason="offline", src=owner, dst=ticket.server_name,
             )
             owner = ticket.server_name
@@ -452,15 +420,11 @@ class QueuedMeasurementTier:
             target = self._steal_target(owner)
             if target is not None:
                 # load-balancing steal: owner healthy, budget untouched
-                prior = self._journey.get(job_id)
                 self.coordinator.transfer_job(job_id, target)
                 self.queue.move(queued, target)
                 self._count_steal("imbalance")
-                self.flights.record(job_id, "steal", reason="imbalance",
-                                    src=owner, dst=target)
                 self._journey_span(
-                    "steal", job_id,
-                    links=[(job_id, prior)] if prior is not None else None,
+                    "steal", job_id, links=links,
                     reason="imbalance", src=owner, dst=target,
                 )
                 owner = target
@@ -472,17 +436,15 @@ class QueuedMeasurementTier:
             # via the shared tracer's stack — one tree across servers
             with self.tracer.span(
                 "dispatch", trace_id=job_id,
-                parent_id=self._journey_parent(job_id), server=owner,
-                transport=self.transport_label,
+                parent_id=self.coordinator.journey_spans[job_id].span_id,
+                server=owner, transport=self.transport_label,
             ):
                 server.submit(queued.job, queued.handle)
-            self._journey.pop(job_id, None)
         else:
             server.submit(queued.job, queued.handle)
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
         self._m_wait.observe(max(0.0, self._now() - queued.enqueued_at))
-        self.flights.record(job_id, "dispatch", server=owner)
         self._sync_depth()
         return True
 

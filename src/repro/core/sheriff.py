@@ -308,12 +308,11 @@ class PriceSheriff:
     def journey(self, job_id: str) -> Dict[str, Any]:
         """Everything recorded about one job's end-to-end journey.
 
-        One lookup joins the three observability planes plus the
-        Coordinator's ticket: the job's span tree (admission → queue →
-        steal/retry → dispatch → fetch/parse/persist), its
-        flight-recorder event log, its dead-letter entry if it has one,
-        and the ticket's terminal state.  ``repro journey <job_id>``
-        renders this; post-mortems read it raw.
+        One lookup joins the job's span tree (assign → admission → queue
+        wait → steal/retry → dispatch → fetch/parse/persist), its
+        dead-letter entry if it has one, and the Coordinator ticket's
+        terminal state.  ``repro journey <job_id>`` renders this;
+        post-mortems read it raw.
         """
         dead = None
         if self.job_queue is not None:
@@ -340,7 +339,6 @@ class PriceSheriff:
         return {
             "job_id": job_id,
             "spans": self.telemetry.tracer.spans_for(job_id),
-            "events": self.telemetry.flights.events_for(job_id),
             "dead_letter": dead,
             "ticket": ticket,
         }

@@ -1,6 +1,6 @@
 """``repro.obs`` — telemetry for the $heriff pipeline.
 
-Three layers:
+Three layers, and the panels that read them:
 
 * :mod:`repro.obs.metrics` — a labeled metrics registry (Counter /
   Gauge / Histogram) with Prometheus-style text exposition, threaded
@@ -8,16 +8,14 @@ Three layers:
   peer overlay, and the database;
 * :mod:`repro.obs.trace` — span tracing on the simulated clock, so a
   single job's journey (admission → queue → steal/retry → fetch →
-  persist) is inspectable end to end, across servers;
-* :mod:`repro.obs.flightrecorder` — a bounded per-job structured event
-  log (the queue tier's lifecycle decisions), one lookup per job;
+  persist) is inspectable end to end, across servers, as one record;
 * :mod:`repro.obs.slo` — declared latency/availability objectives with
   error-budget accounting on the sim clock;
 * the live operator panels of :mod:`repro.core.monitoring`, which
   render from metrics snapshots.
 
-The :class:`Telemetry` facade bundles one registry + one tracer + one
-flight recorder and is what deployments inject
+The :class:`Telemetry` facade bundles one registry + one tracer and is
+what deployments inject
 (``PriceSheriff(world, telemetry=Telemetry())``).  Every instrumented
 component takes it as its ``telemetry=`` constructor keyword and
 declares its instruments in ``__init__``, so an instrument exists
@@ -29,12 +27,6 @@ instrumentation never consumes RNG or advances clocks).
 
 from __future__ import annotations
 
-from repro.obs.flightrecorder import (
-    FlightEvent,
-    FlightRecorder,
-    NULL_FLIGHT_RECORDER,
-    NullFlightRecorder,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -57,16 +49,12 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "FlightEvent",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_FLIGHT_RECORDER",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
-    "NullFlightRecorder",
     "NullRegistry",
     "NullTracer",
     "SLO",
@@ -83,29 +71,24 @@ __all__ = [
 
 
 class Telemetry:
-    """One deployment's registry + tracer + flight recorder, with a
-    disabled twin.
+    """One deployment's registry + tracer, with a disabled twin.
 
-    ``Telemetry()`` is enabled with a fresh registry; the tracer and
-    flight recorder are created by :meth:`bind_clock` because both
-    stamp events with the deployment's simulated clock, which the
-    sheriff owns — so a deployment binds the clock before it builds
-    the components that keep the tracer.
+    ``Telemetry()`` is enabled with a fresh registry; the tracer is
+    created by :meth:`bind_clock` because it stamps spans with the
+    deployment's simulated clock, which the sheriff owns — so a
+    deployment binds the clock before it builds the components that
+    keep the tracer.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.registry = MetricsRegistry() if enabled else NULL_REGISTRY
         self.tracer = NULL_TRACER
-        self.flights = NULL_FLIGHT_RECORDER
 
     def bind_clock(self, clock) -> "Telemetry":
-        """Attach the sim clock; creates the tracer and flight recorder."""
-        if self.enabled:
-            if self.tracer is NULL_TRACER:
-                self.tracer = Tracer(clock)
-            if self.flights is NULL_FLIGHT_RECORDER:
-                self.flights = FlightRecorder(clock)
+        """Attach the sim clock; creates the tracer."""
+        if self.enabled and self.tracer is NULL_TRACER:
+            self.tracer = Tracer(clock)
         return self
 
 

@@ -15,8 +15,8 @@ This package is the automated operator:
   trip;
 * :mod:`repro.ops.audit` — the persistent, sim-clock-stamped audit
   trail, mirrored 1:1 into ``sheriff_ops_*`` metrics;
-* :mod:`repro.ops.notifiers` — pluggable alert fan-out (log, callback,
-  file, webhook stub);
+* :mod:`repro.ops.notifiers` — pluggable alert fan-out (log,
+  callback);
 * :mod:`repro.ops.wiring` — :func:`build_supervisor`, which registers a
   whole :class:`repro.core.sheriff.PriceSheriff` deployment.
 
@@ -38,11 +38,9 @@ from repro.ops.health import (
 from repro.ops.killswitch import KillSwitch, KillSwitchTripped
 from repro.ops.notifiers import (
     CallbackNotifier,
-    FileNotifier,
     LogNotifier,
     Notifier,
     NotifierFanout,
-    WebhookNotifier,
 )
 from repro.ops.supervisor import (
     Component,
@@ -58,7 +56,6 @@ __all__ = [
     "CallbackNotifier",
     "Component",
     "ErrorRateProbe",
-    "FileNotifier",
     "HealReport",
     "HeartbeatProbe",
     "KillSwitch",
@@ -73,6 +70,5 @@ __all__ = [
     "RestartPolicy",
     "ShardStalenessProbe",
     "Supervisor",
-    "WebhookNotifier",
     "build_supervisor",
 ]

@@ -239,21 +239,21 @@ class DeadLetterProbe:
 
     Delta-style like :class:`ErrorRateProbe`: each check compares the
     dead-letter store's size against the previous tick and flags any
-    growth beyond ``max_delta``.  The first check only establishes the
-    baseline.  Dead letters are terminal — every one is a job whose
-    retry budget ran dry — so the default tolerance is zero.
+    growth beyond ``max_delta``.  The baseline is the store's size when
+    the probe is built, so letters that predate the probe stay quiet
+    while one parked before the first check still alerts.  Dead letters
+    are terminal — every one is a job whose retry budget ran dry — so
+    the default tolerance is zero.
     """
 
     def __init__(self, tier, max_delta: float = 0.0) -> None:
         self.tier = tier
         self.max_delta = max_delta
-        self._last: Optional[int] = None
+        self._last = len(tier.dead_letters)
 
     def check(self, now: float) -> ProbeResult:
         current = len(self.tier.dead_letters)
         previous, self._last = self._last, current
-        if previous is None:
-            return ProbeResult(True, value=0.0)
         delta = current - previous
         snapshot = {"new_dead_letters": float(delta),
                     "total_dead_letters": float(current)}

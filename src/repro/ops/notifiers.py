@@ -6,31 +6,27 @@ someone has to hear about it.  A :class:`Notifier` receives each
 one event to every registered notifier, isolating a broken notifier so
 an alerting failure can never take the healing loop down with it.
 
-Four concrete notifiers ship:
+Two concrete notifiers ship:
 
 * :class:`LogNotifier` — collects human-readable lines (the operator
   console / test assertion surface);
-* :class:`CallbackNotifier` — invokes an arbitrary callable (pager glue);
-* :class:`FileNotifier` — appends JSON lines to a path;
-* :class:`WebhookNotifier` — a *stub*: the simulation has no real HTTP,
-  so it records the POSTs it would have made, payload included.
+* :class:`CallbackNotifier` — invokes an arbitrary callable (pager glue).
+
+A JSON-lines file of every event is the audit trail's own job
+(``AuditTrail(path=…)``, ``repro supervise --audit-out``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.ops.audit import OpsEvent
 
 __all__ = [
     "CallbackNotifier",
-    "FileNotifier",
     "LogNotifier",
     "Notifier",
     "NotifierFanout",
-    "WebhookNotifier",
 ]
 
 
@@ -63,37 +59,6 @@ class CallbackNotifier(Notifier):
 
     def notify(self, event: OpsEvent) -> None:
         self.fn(event)
-
-
-class FileNotifier(Notifier):
-    """Appends one JSON line per event to a file."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def notify(self, event: OpsEvent) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(asdict(event)) + "\n")
-
-
-class WebhookNotifier(Notifier):
-    """Webhook stub: records the deliveries a real one would POST.
-
-    The container has no network and the simulation no HTTP client, so
-    this notifier only builds the payload and remembers it — enough for
-    tests to assert the webhook surface, and for a deployment to swap in
-    a real transport by overriding :meth:`deliver`.
-    """
-
-    def __init__(self, url: str) -> None:
-        self.url = url
-        self.deliveries: List[Tuple[str, Dict[str, object]]] = []
-
-    def deliver(self, url: str, payload: Dict[str, object]) -> None:
-        self.deliveries.append((url, payload))
-
-    def notify(self, event: OpsEvent) -> None:
-        self.deliver(self.url, asdict(event))
 
 
 class NotifierFanout:

@@ -183,11 +183,11 @@ def run_journey(
         if sheriff.job_queue is not None
         else {}
     )
-    flights = sheriff.telemetry.flights
+    tracer = sheriff.telemetry.tracer
     run.stolen_job_ids = [
         job_id
         for job_id in run.job_ids
-        if any(e.kind == "steal" for e in flights.events_for(job_id))
+        if any(span.name == "steal" for span in tracer.spans_for(job_id))
     ]
     return run
 

@@ -26,6 +26,11 @@ one ``JobHandle`` its entry point returns: the ``JobAPI`` protocol, the
 the price-difference rule was decided once, in ``repro.core.detector``:
 the re-declared tolerances, the ``tolerance=`` / ``epsilon=`` /
 ``spread_alert_delta=`` parameters and the two streaming classes went.
+Then a job's journey spans became its one record: the flight recorder
+that logged the same queue decisions beside them went, with
+``Telemetry.flights`` and ``journey()["events"]``, and so did the
+``FileNotifier`` (the audit trail's own JSON lines, again) and the
+``WebhookNotifier`` stub that never delivered.
 """
 
 import dataclasses
@@ -413,3 +418,55 @@ class TestOneDifferenceRule:
             if params & self.RULE_PARAMETERS:
                 offenders.append(qualname)
         assert offenders == []
+
+
+class TestOneJourneyRecord:
+    """A job's life is recorded once, as journey spans chained through
+    the Coordinator: no flight recorder beside the tracer, no second
+    chain in the queue tier, and no notifier that duplicated the audit
+    trail or never delivered."""
+
+    def test_flightrecorder_module_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.obs.flightrecorder") is None
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"flights|FlightRecorder|FlightEvent|FLIGHT_RECORDER"
+            r"|FileNotifier|WebhookNotifier"
+        )) == []
+
+    def test_names_not_exported(self):
+        import repro.obs
+        import repro.ops
+        import repro.ops.notifiers
+
+        for name in ("FlightEvent", "FlightRecorder", "NullFlightRecorder",
+                     "NULL_FLIGHT_RECORDER"):
+            assert not hasattr(repro.obs, name), name
+            assert name not in repro.obs.__all__, name
+        for name in ("FileNotifier", "WebhookNotifier"):
+            assert not hasattr(repro.ops, name), name
+            assert not hasattr(repro.ops.notifiers, name), name
+            assert name not in repro.ops.__all__, name
+
+    def test_telemetry_holds_one_registry_and_one_tracer(self):
+        from repro.net.events import Clock
+        from repro.obs import NULL_TELEMETRY, Telemetry
+
+        for telemetry in (Telemetry().bind_clock(Clock()), NULL_TELEMETRY):
+            assert set(vars(telemetry)) == {"enabled", "registry", "tracer"}
+
+    def test_journey_has_no_events_and_the_tier_no_second_chain(self):
+        from repro.obs import Telemetry
+
+        sheriff = PriceSheriff(
+            SheriffWorld.create(seed=1), whitelist_domains=[],
+            job_queue=True, telemetry=Telemetry(),
+        )
+        assert set(sheriff.journey("job-1")) == {
+            "job_id", "spans", "dead_letter", "ticket",
+        }
+        for name in ("_journey", "_journey_parent", "flights"):
+            assert not hasattr(sheriff.job_queue, name), name

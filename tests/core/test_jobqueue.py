@@ -42,15 +42,11 @@ def _addon(world, sheriff, city="Madrid"):
     return sheriff.install_addon(world.make_browser("ES", city))
 
 
-def _flight_events(sheriff, kind):
-    """The tier's ``kind`` decisions from the flight recorder, in the
-    order they were recorded."""
-    flights = sheriff.telemetry.flights
-    events = [
-        e for job_id in flights.jobs() for e in flights.events_for(job_id)
-        if e.kind == kind
-    ]
-    return sorted(events, key=lambda e: e.seq)
+def _journey_spans(sheriff, name):
+    """The ``name`` journey spans of every job, in the order they were
+    opened."""
+    spans = [s for s in sheriff.telemetry.tracer.finished if s.name == name]
+    return sorted(spans, key=lambda s: s.span_id)
 
 
 class TestAdmissionAndDrain:
@@ -79,10 +75,10 @@ class TestAdmissionAndDrain:
         wave = [addon.submit_price_check(url) for url in urls[:4]]
         tier = sheriff.job_queue
         tier.pump()
-        dispatches = [e.job_id for e in _flight_events(sheriff, "dispatch")]
+        dispatches = [s.trace_id for s in _journey_spans(sheriff, "dispatch")]
         assert dispatches == [h.job_id for h in wave]
-        enqueues = [e.job_id for e in _flight_events(sheriff, "enqueue")]
-        assert enqueues == dispatches
+        admissions = [s.trace_id for s in _journey_spans(sheriff, "admission")]
+        assert admissions == dispatches
 
     def test_submit_without_ticket_is_rejected(self, world):
         sheriff = _queued_sheriff(world)
@@ -202,10 +198,20 @@ class TestWorkStealing:
         record = sheriff.coordinator.jobs[handle.job_id]
         assert record.attempts == 2
         assert record.server_name != owner
-        steal = _flight_events(sheriff, "steal")[0]
-        assert steal.detail == {
+        (steal,) = _journey_spans(sheriff, "steal")
+        assert steal.attrs == {
             "reason": "offline", "src": owner, "dst": record.server_name,
+            "transport": "sim",
         }
+        # one chain: the Coordinator's retry and the tier's steal are
+        # stages of the same journey, each under the one before it
+        spans = sheriff.journey(handle.job_id)["spans"]
+        by_name = {s.name: s for s in spans}
+        chain = ["assign", "admission", "queue_wait", "retry", "steal", "dispatch"]
+        for parent, child in zip(chain, chain[1:]):
+            assert by_name[child].parent_id == by_name[parent].span_id, child
+        # the steal links back to the stage on the dead owner
+        assert steal.links == [(handle.job_id, by_name["queue_wait"].span_id)]
 
     def test_imbalance_transfer_is_budget_free(self, world):
         sheriff = _queued_sheriff(
@@ -224,10 +230,10 @@ class TestWorkStealing:
         tier.pump()
         assert tier.steals.get("imbalance", 0) >= 1
         stolen = [
-            e for e in _flight_events(sheriff, "steal")
-            if e.detail["reason"] == "imbalance"
+            s for s in _journey_spans(sheriff, "steal")
+            if s.attrs["reason"] == "imbalance"
         ]
-        assert stolen and stolen[0].detail["dst"] == "ms-1"
+        assert stolen and stolen[0].attrs["dst"] == "ms-1"
         # a transfer is not a failover: no retry budget was spent
         for handle in wave:
             assert sheriff.coordinator.jobs[handle.job_id].attempts == 1
@@ -249,8 +255,11 @@ class TestWorkStealing:
 
 
 class TestDeadLetters:
-    def test_budget_exhaustion_dead_letters_the_job(self, world):
-        sheriff = _queued_sheriff(world)
+    @pytest.mark.parametrize(
+        "telemetry", [True, False], ids=["telemetry", "no-telemetry"]
+    )
+    def test_budget_exhaustion_dead_letters_the_job(self, world, telemetry):
+        sheriff = _queued_sheriff(world, telemetry=Telemetry(enabled=telemetry))
         addon = _addon(world, sheriff)
         url = _product_urls(world)[0]
         handle = addon.submit_price_check(url)
@@ -264,9 +273,32 @@ class TestDeadLetters:
         assert exc.value.job_id == handle.job_id
         assert len(tier.dead_letters) == 1
         entry = tier.dead_letters.for_job(handle.job_id)
-        assert entry.url == url
+        # the same entry with telemetry on or off
+        assert (entry.url, entry.server_name, entry.reason, entry.trace_id) == (
+            url, handle.server_name, "no online Measurement server",
+            handle.job_id,
+        )
         assert sheriff.coordinator.jobs[handle.job_id].failed
         assert [e.job_id for e in tier.dead_letters.entries] == [handle.job_id]
+        # the post-mortem names the stage before the dead-lettering,
+        # from the exception, the store and the journey alike
+        journey = sheriff.journey(handle.job_id)
+        last_events = {
+            exc.value.last_event, entry.last_event,
+            journey["dead_letter"]["last_event"],
+        }
+        if telemetry:
+            assert last_events == {"queue_wait"}
+            spans = journey["spans"]
+            assert [s.name for s in spans] == [
+                "assign", "admission", "queue_wait", "dead_letter",
+            ]
+            assert [s.parent_id for s in spans] == [None] + [
+                s.span_id for s in spans[:-1]
+            ]
+        else:
+            assert last_events == {""}
+            assert journey["spans"] == []
         # the handle is spent: a later poll is an UnknownJob
         with pytest.raises(UnknownJob):
             tier.poll(handle)

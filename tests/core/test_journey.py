@@ -79,19 +79,20 @@ class TestStolenJobCausalTree:
             (span,) = by_name[stage]
             assert span.parent_id == price_check.span_id
 
-    def test_flight_log_and_ticket_agree(self, run):
+    def test_steal_span_and_ticket_agree(self, run):
         job_id = run.stolen_job_ids[0]
         journey = run.sheriff.journey(job_id)
-        kinds = [e.kind for e in journey["events"]]
-        assert kinds.index("enqueue") < kinds.index("steal") < kinds.index(
+        assert set(journey) == {"job_id", "spans", "dead_letter", "ticket"}
+        names = [s.name for s in journey["spans"]]
+        assert names.index("admission") < names.index("steal") < names.index(
             "dispatch"
         )
-        steal = next(e for e in journey["events"] if e.kind == "steal")
-        assert steal.detail["reason"] == "imbalance"
+        steal = next(s for s in journey["spans"] if s.name == "steal")
+        assert steal.attrs["reason"] == "imbalance"
         assert journey["dead_letter"] is None
         assert journey["ticket"]["completed"] is True
         # the ticket's terminal owner is the steal's destination
-        assert journey["ticket"]["server_name"] == steal.detail["dst"]
+        assert journey["ticket"]["server_name"] == steal.attrs["dst"]
 
 
 class TestDeterminism:

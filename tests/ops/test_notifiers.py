@@ -1,6 +1,5 @@
-"""Notifier fan-out: every alert reaches every channel, broken ones
-cannot take the healing loop down, and the webhook stub records the
-POSTs a real transport would make."""
+"""Notifier fan-out: every alert reaches every channel, and broken ones
+cannot take the healing loop down."""
 
 import json
 
@@ -10,12 +9,10 @@ from repro.net.events import Clock
 from repro.ops import (
     AuditTrail,
     CallbackNotifier,
-    FileNotifier,
     LogNotifier,
     Notifier,
     NotifierFanout,
     OpsEvent,
-    WebhookNotifier,
 )
 
 
@@ -39,25 +36,6 @@ class TestConcreteNotifiers:
         seen = []
         CallbackNotifier(seen.append).notify(event)
         assert seen == [event]
-
-    def test_file_notifier_appends_jsonl(self, event, tmp_path):
-        path = tmp_path / "alerts.jsonl"
-        notifier = FileNotifier(str(path))
-        notifier.notify(event)
-        notifier.notify(event)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 2
-        assert rows[0]["kind"] == "component_restarted"
-        assert rows[0]["component"] == "ms-1"
-
-    def test_webhook_stub_records_deliveries(self, event):
-        hook = WebhookNotifier("https://ops.example/hook")
-        hook.notify(event)
-        assert len(hook.deliveries) == 1
-        url, payload = hook.deliveries[0]
-        assert url == "https://ops.example/hook"
-        assert payload["kind"] == "component_restarted"
-        assert payload["detail"] == "attempt 1"
 
     def test_base_notifier_is_abstract(self, event):
         with pytest.raises(NotImplementedError):
@@ -88,20 +66,19 @@ class TestFanout:
         assert fanout.delivery_failures == 2
 
     def test_audit_driven_fanout_end_to_end(self, tmp_path):
-        """The wiring the supervisor uses: one audit record, fanned to a
-        log, a callback, a file, and a webhook — one delivery each."""
+        """The wiring the supervisor uses: one audit record, persisted as
+        one JSON line by the trail and fanned to a log and a callback —
+        one delivery each."""
         clock = Clock()
-        audit = AuditTrail(clock)
+        path = tmp_path / "audit.jsonl"
+        audit = AuditTrail(clock, path=str(path))
         log = LogNotifier()
         seen = []
-        path = tmp_path / "alerts.jsonl"
-        hook = WebhookNotifier("https://ops.example/hook")
-        fanout = NotifierFanout((
-            log, CallbackNotifier(seen.append), FileNotifier(str(path)), hook,
-        ))
+        fanout = NotifierFanout((log, CallbackNotifier(seen.append)))
         fanout.notify(audit.record("killswitch_tripped", "deployment", "spike"))
         assert len(log.lines) == 1
         assert len(seen) == 1
-        assert len(path.read_text().splitlines()) == 1
-        assert len(hook.deliveries) == 1
-        assert fanout.delivered == 4
+        (row,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert row["kind"] == "killswitch_tripped"
+        assert row["component"] == "deployment"
+        assert fanout.delivered == 2

@@ -11,8 +11,9 @@ import pytest
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.ops import build_supervisor
 from repro.ops.health import DeadLetterProbe, JobQueueBacklogProbe
+from repro.web.pricing import UniformPricing
 
-from ..core.conftest import SMALL_IPC_SITES
+from ..core.conftest import SMALL_IPC_SITES, _store
 
 
 class _StubQueue:
@@ -72,6 +73,16 @@ class TestDeadLetterProbe:
         # the delta resets: a steady count is healthy again
         assert probe.check(2.0).healthy
 
+    def test_letter_parked_before_the_first_check_alerts(self):
+        tier = _StubTier()
+        tier.dead_letters = ["old-1"]
+        probe = DeadLetterProbe(tier)
+        # the baseline is the store at construction, not at first check
+        tier.dead_letters.append("job-early")
+        result = probe.check(0.0)
+        assert not result.healthy
+        assert "1 new dead-lettered" in result.reason
+
 
 class TestSupervisorWiring:
     def _sheriff(self, **kwargs):
@@ -89,6 +100,29 @@ class TestSupervisorWiring:
         assert supervisor.component("jobqueue").restart is None
         assert supervisor.component("jobqueue/dlq").restart is None
         assert supervisor.tick() == []
+
+    def test_dead_letter_before_the_first_tick_alerts(self):
+        world = SheriffWorld.create(seed=11)
+        store = _store(world, "uniform.example", "ES", UniformPricing())
+        sheriff = PriceSheriff(
+            world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
+            job_queue=True,
+        )
+        supervisor = build_supervisor(sheriff)
+        addon = sheriff.install_addon(world.make_browser("ES", "Madrid"))
+        addon.submit_price_check(
+            store.product_url(store.catalog.products[0].product_id)
+        )
+        for name in ("ms-0", "ms-1"):
+            sheriff.distributor.mark_offline(name)
+        sheriff.job_queue.pump()
+        assert len(sheriff.job_queue.dead_letters) == 1
+
+        supervisor.tick()
+        (down,) = supervisor.audit.events(
+            kind="component_down", component="jobqueue/dlq"
+        )
+        assert down.values["new_dead_letters"] == 1.0
 
     def test_direct_sheriff_has_no_queue_components(self):
         supervisor = build_supervisor(self._sheriff())

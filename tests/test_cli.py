@@ -239,14 +239,19 @@ class TestJourney:
         out_file = tmp_path / "journey.json"
         assert main(["journey", "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
-        # the causal chain, the critical path, the flight log, the ticket
+        # the causal chain, the critical path, the ticket
         for needle in ("assign", "admission", "queue_wait", "steal",
                        "dispatch", "price_check", "critical path",
-                       "enqueue", "completed"):
+                       "completed"):
             assert needle in out
+        # the trace is the one record: no second log of the same stages
+        assert "flight recorder" not in out
         import json
 
         journey = json.loads(out_file.read_text())
+        assert set(journey) == {
+            "job_id", "stolen", "spans", "dead_letter", "ticket",
+        }
         assert journey["stolen"] is True
         names = [s["name"] for s in journey["spans"]]
         assert "steal" in names and "persist" in names
