@@ -139,6 +139,10 @@ class Coordinator:
         #: job_id -> the job's latest journey span (assign, retry, or a
         #: queue-tier stage); the next stage chains under it
         self.journey_spans: Dict[str, Span] = {}
+        #: network identities seen on doppelganger state requests — with
+        #: the anonymity channel in place these are exit-relay names,
+        #: never peers
+        self.state_request_sources: List[str] = []
         #: telemetry: recovery counters + the per-server turnaround
         #: histogram (admission → completion report, world clock)
         registry = telemetry.registry
@@ -420,10 +424,6 @@ class Coordinator:
             raise ConfigurationError("no doppelganger manager configured")
         return self.dopp_manager.client_state_for(token)
 
-    #: network identities seen on doppelganger state requests — with the
-    #: anonymity channel in place these are exit-relay names, never peers
-    state_request_sources: List[str]
-
     def handle_anonymous_state_request(self, request) -> Dict[str, Dict[str, str]]:
         """Serve a state request delivered over the anonymity network.
 
@@ -431,8 +431,6 @@ class Coordinator:
         the payload carries only the bearer token.  The source identity
         available to the Coordinator is the exit relay.
         """
-        if not hasattr(self, "state_request_sources"):
-            self.state_request_sources = []
         self.state_request_sources.append(request.exit_relay)
         token = request.payload.decode("utf-8")
         return self.doppelganger_client_state(token)
@@ -462,6 +460,3 @@ class Coordinator:
     # -- monitoring --------------------------------------------------------------
     def pending_jobs(self) -> int:
         return self.distributor.pending_jobs
-
-    def open_jobs(self) -> List[JobRecord]:
-        return [j for j in self.jobs.values() if not j.completed]

@@ -12,8 +12,8 @@ and stored procedures.  This module models that server as a *facade*:
   the canned ``sp_*`` queries the Measurement servers issue are index
   seeks instead of O(n) scans;
 * the facade owns everything operational: the bounded connection pool
-  whose acquisition statistics feed the Table-1 performance model,
-  query accounting, and the telemetry instruments.
+  (its occupancy is the ``sheriff_db_connections_busy`` gauge), query
+  accounting, and the telemetry instruments.
 
 A price check is one write, :meth:`DatabaseServer.sp_record_job`: the
 request row and the job's response rows in one query and one engine
@@ -38,7 +38,6 @@ routes jobs by domain across N of these servers behind the same
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -144,20 +143,6 @@ class DatabaseServer:
         self._note_write_times((row,))
         return row_id
 
-    def insert_many(self, table: str, rows: List[Dict[str, Any]]) -> List[int]:
-        """One round trip for a batch of rows (multi-row ``INSERT``).
-
-        The pipelined engine lands a whole price check's responses in a
-        single query instead of one per vantage point — the connection
-        is held once and ``query_count`` grows by one.  A batch the
-        engine refuses counts as a query but not as a batched write.
-        """
-        self._count_query()
-        ids = self.backend.insert_many(table, rows)
-        self._batch_stored(rows)
-        self._note_write_times(rows)
-        return ids
-
     def scan(
         self, table: str, where: Optional[Callable[[Dict[str, Any]], bool]] = None
     ) -> List[Dict[str, Any]]:
@@ -207,18 +192,14 @@ class DatabaseServer:
              "domain": domain, "time": time},
         )
 
-    def sp_record_response(self, job_id: str, **fields: Any) -> int:
-        row = {"job_id": job_id}
-        row.update(fields)
-        return self.insert("responses", row)
-
     def _batch_stored(self, rows: Sequence[Dict[str, Any]]) -> None:
         self.batched_writes += 1
         self._m_batch_rows.observe(len(rows))
 
     def sp_record_responses(self, job_id: str, rows: RowBatch) -> List[int]:
-        """Batched variant of :meth:`sp_record_response`: one query,
-        each row built once (:func:`_response_rows`)."""
+        """A job's response rows in one query, each row built once
+        (:func:`_response_rows`).  A batch the engine refuses counts as
+        a query but not as a batched write."""
         self._count_query()
         stored = _response_rows(job_id, rows)
         (ids,) = self.backend.insert_batches([("responses", stored)])
@@ -270,22 +251,6 @@ class DatabaseServer:
         the same query, with the rows left as the engine holds them."""
         return self._seek(self.backend.lookup_json, "responses", "job_id", job_id)
 
-    def sp_requests_by_domain(self) -> Counter:
-        self._count_query()
-        self._m_index_hits.inc()
-        return self.backend.group_count("requests", "domain")
-
-    def sp_requests_by_user(self) -> Counter:
-        self._count_query()
-        self._m_index_hits.inc()
-        return self.backend.group_count("requests", "user_id")
-
-    def sp_all_requests(self) -> List[Dict[str, Any]]:
-        return self.scan("requests")
-
-    def sp_all_responses(self) -> List[Dict[str, Any]]:
-        return self.scan("responses")
-
 
 # -- transport surface -------------------------------------------------------
 #
@@ -296,7 +261,6 @@ class DatabaseServer:
 DB_RPC_METHODS = (
     "ping",
     "sp_record_request",
-    "sp_record_response",
     "sp_record_responses",
     "sp_record_job",
     "sp_responses_for_job",
@@ -416,11 +380,6 @@ class DatabaseClient:
             {"job_id": job_id, "user_id": user_id, "url": url,
              "domain": domain, "time": time},
         )
-
-    def sp_record_response(self, job_id: str, **fields: Any) -> int:
-        payload = {"job_id": job_id}
-        payload.update(fields)
-        return self._call("sp_record_response", payload)
 
     def sp_record_responses(self, job_id: str, rows: RowBatch) -> List[int]:
         return self._call(

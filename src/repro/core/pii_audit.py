@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.database import DatabaseServer
 from repro.core.whitelist import Whitelist
+from repro.storage import ShardedDatabase
 from repro.web.internet import parse_url
 
 #: PII signatures the audit looks for in stored text fields.
@@ -81,40 +82,46 @@ def run_pii_audit(
     whitelist: Optional[Whitelist] = None,
     delete: bool = True,
 ) -> PiiAuditReport:
-    """Scan stored requests/responses, delete hits, update the blacklist."""
+    """Scan stored requests/responses, delete hits, update the blacklist.
+
+    A sharded database is audited shard by shard: each shard numbers its
+    rows from 1, so a row is deleted on the shard it was read from (a
+    single server is its own one shard)."""
     findings: List[PiiFinding] = []
-    doomed: Dict[str, List[int]] = {"requests": [], "responses": []}
     new_patterns: List[str] = []
 
-    for row in db.scan("requests"):
-        hit = _scan_text(str(row.get("url", "")))
-        if hit is None:
-            continue
-        kind, excerpt = hit
-        findings.append(PiiFinding("requests", row["_id"], kind, excerpt))
-        doomed["requests"].append(row["_id"])
-        if whitelist is not None:
-            _, path = parse_url(row["url"])
-            fragment = path.split("/")[1] if "/" in path.strip("/") else path
-            pattern = f"/{fragment.split('/')[0]}" if fragment else path
-            if pattern and not whitelist.url_pii_blacklisted(pattern):
-                whitelist._pii_patterns = whitelist._pii_patterns + (pattern,)
-                new_patterns.append(pattern)
-
-    for row in db.scan("responses"):
-        text = str(row.get("original_text") or "")
-        hit = _scan_text(text)
-        if hit is None:
-            continue
-        kind, excerpt = hit
-        findings.append(PiiFinding("responses", row["_id"], kind, excerpt))
-        doomed["responses"].append(row["_id"])
-
     deleted = 0
-    if delete:
-        for table, ids in doomed.items():
-            if ids:
-                deleted += db.delete_rows(table, ids)
+    shards = db.shards.values() if isinstance(db, ShardedDatabase) else (db,)
+    for shard in shards:
+        doomed: Dict[str, List[int]] = {"requests": [], "responses": []}
+        for row in shard.scan("requests"):
+            hit = _scan_text(str(row.get("url", "")))
+            if hit is None:
+                continue
+            kind, excerpt = hit
+            findings.append(PiiFinding("requests", row["_id"], kind, excerpt))
+            doomed["requests"].append(row["_id"])
+            if whitelist is not None:
+                _, path = parse_url(row["url"])
+                fragment = path.split("/")[1] if "/" in path.strip("/") else path
+                pattern = f"/{fragment.split('/')[0]}" if fragment else path
+                if pattern and not whitelist.url_pii_blacklisted(pattern):
+                    whitelist._pii_patterns = whitelist._pii_patterns + (pattern,)
+                    new_patterns.append(pattern)
+
+        for row in shard.scan("responses"):
+            text = str(row.get("original_text") or "")
+            hit = _scan_text(text)
+            if hit is None:
+                continue
+            kind, excerpt = hit
+            findings.append(PiiFinding("responses", row["_id"], kind, excerpt))
+            doomed["responses"].append(row["_id"])
+
+        if delete:
+            for table, ids in doomed.items():
+                if ids:
+                    deleted += shard.delete_rows(table, ids)
 
     return PiiAuditReport(
         findings=findings,

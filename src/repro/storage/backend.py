@@ -33,13 +33,12 @@ Contract notes:
   become lists, compact ASCII text, each row's keys in stored order) —
   what a remote reader receives without the rows being decoded here;
 * rows whose indexed column is missing or ``None`` are reachable by
-  ``scan`` but not by ``lookup``/``group_count`` on that column.
+  ``scan`` but not by ``lookup`` on that column.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._jsontext import compact_encoder
@@ -104,8 +103,8 @@ def indexable_scalar(value: Any) -> bool:
 
     Indexes hold scalars only (strings in practice — job ids, domains,
     user ids); rows carrying anything else in an indexed column stay
-    reachable by ``scan`` but are invisible to ``lookup``/``group_count``
-    on that column, identically across engines.
+    reachable by ``scan`` but are invisible to ``lookup`` on that column,
+    identically across engines.
     """
     return isinstance(value, (str, int, float))
 
@@ -169,11 +168,6 @@ class StorageBackend:
         form; an engine that holds rows as text overrides this to skip
         the decode."""
         return compact_json(self.lookup(table, column, value))
-
-    def group_count(self, table: str, column: str) -> Counter:
-        """``GROUP BY column`` row counts (rows without the column are
-        skipped), served from the index where one exists."""
-        raise NotImplementedError
 
     def count(self, table: str) -> int:
         raise NotImplementedError

@@ -11,7 +11,7 @@ sqlite engine.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import groupby
 from operator import methodcaller
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -117,20 +117,6 @@ class MemoryBackend(StorageBackend):
         if value is None or not indexable_scalar(value):
             return []
         return [dict(r) for r in index.get(value, ())]
-
-    def group_count(self, table: str, column: str) -> Counter:
-        index = self._indexes.get(table, {}).get(column)
-        if index is not None:
-            self._check_table(table)
-            self.index_hits += 1
-            return Counter({value: len(rows) for value, rows in index.items()})
-        self.index_misses += 1
-        counts: Counter = Counter()
-        for row in self._table(table):
-            value = row.get(column)
-            if value is not None:
-                counts[value] += 1
-        return counts
 
     def count(self, table: str) -> int:
         return len(self._table(table))

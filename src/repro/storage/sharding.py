@@ -9,25 +9,27 @@ horizontally while keeping every caller oblivious:
   the classic Karger construction) mapping routing keys to shard
   names, stable under shard-count changes;
 * :class:`ShardedDatabase` — N independent
-  :class:`repro.core.database.DatabaseServer` shards behind the exact
-  ``sp_*`` / ``insert`` / ``scan`` surface of a single server.  Jobs
-  route by *domain* (every row of one price check lands on one shard,
-  so the per-job queries stay single-shard); the cross-shard stored
-  procedures (``sp_requests_by_domain``, ``sp_all_responses``, …)
-  scatter to every shard and merge.
+  :class:`repro.core.database.DatabaseServer` shards behind the same
+  ``sp_*`` write and read procedures as a single server.  Jobs route by
+  *domain* (every row of one price check lands on one shard, so the
+  per-job queries stay single-shard); ``scan``, ``lookup`` and
+  ``count`` scatter to every shard and merge.
 
 The router keeps a ``job_id -> shard`` map.  A job's first write pins
 it: the request row's domain shard when the request comes first (the
 Measurement server's ``sp_record_job`` carries both), the job id's own
 shard when a response does.  Every later write and per-job lookup of the job goes to
 the pinned shard without a scatter, whichever call the writes arrive in.
+
+Each shard numbers ``_id`` on its own, so an ``_id`` names a row only
+together with its shard: a delete goes to the shard the row was read
+from (``shards[name].delete_rows``), never to the router.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -144,22 +146,6 @@ class ShardedDatabase:
             shard_name = self._job_shard[job_id] = self.shard_for(key)
         return shard_name
 
-    def _route_row(self, table: str, row: Dict[str, Any]) -> str:
-        """Routing key precedence: the job's pinned shard (pinned by the
-        row's domain, else the job id), then domain, user id, table."""
-        domain = row.get("domain")
-        if not (isinstance(domain, str) and domain):
-            domain = None
-        job_id = row.get("job_id")
-        if isinstance(job_id, str) and job_id:
-            return self._pin(job_id, domain or job_id)
-        if domain:
-            return self.shard_for(domain)
-        user_id = row.get("user_id")
-        if isinstance(user_id, str) and user_id:
-            return self.shard_for(user_id)
-        return self.shard_for(table)
-
     # -- aggregate accounting ------------------------------------------------
     @property
     def query_count(self) -> int:
@@ -211,29 +197,7 @@ class ShardedDatabase:
             self._connections_in_use -= 1
             self._m_connections.set(self._connections_in_use)
 
-    # -- generic table access (routed / scattered) ---------------------------
-    def insert(self, table: str, row: Dict[str, Any]) -> int:
-        shard_name = self._route_row(table, row)
-        row_id = self.shards[shard_name].insert(table, row)
-        self._sync_occupancy(shard_name, table)
-        return row_id
-
-    def insert_many(self, table: str, rows: List[Dict[str, Any]]) -> List[int]:
-        """Batched insert, routed per row but one round trip per shard."""
-        by_shard: Dict[str, List[Dict[str, Any]]] = {}
-        order: List[str] = []
-        for row in rows:
-            shard_name = self._route_row(table, row)
-            by_shard.setdefault(shard_name, []).append(row)
-            order.append(shard_name)
-        ids_by_shard = {
-            shard_name: iter(self.shards[shard_name].insert_many(table, batch))
-            for shard_name, batch in by_shard.items()
-        }
-        for shard_name in by_shard:
-            self._sync_occupancy(shard_name, table)
-        return [next(ids_by_shard[shard_name]) for shard_name in order]
-
+    # -- reads (scattered) ---------------------------------------------------
     def scan(
         self, table: str, where: Optional[Callable[[Dict[str, Any]], bool]] = None
     ) -> List[Dict[str, Any]]:
@@ -251,14 +215,6 @@ class ShardedDatabase:
             rows.extend(self.shards[name].lookup(table, column, value))
         return rows
 
-    def delete_rows(self, table: str, ids: Sequence[int]) -> int:
-        """Broadcast delete (ids are not routable)."""
-        deleted = 0
-        for name in self.shard_names:
-            deleted += self.shards[name].delete_rows(table, ids)
-            self._sync_occupancy(name, table)
-        return deleted
-
     def count(self, table: str) -> int:
         return sum(s.count(table) for s in self.shards.values())
 
@@ -271,12 +227,6 @@ class ShardedDatabase:
             job_id, user_id, url, domain, time
         )
         self._sync_occupancy(shard_name, "requests")
-        return row_id
-
-    def sp_record_response(self, job_id: str, **fields: Any) -> int:
-        shard_name = self._pin(job_id, job_id)
-        row_id = self.shards[shard_name].sp_record_response(job_id, **fields)
-        self._sync_occupancy(shard_name, "responses")
         return row_id
 
     def sp_record_responses(self, job_id: str, rows) -> List[int]:
@@ -320,23 +270,3 @@ class ShardedDatabase:
             self.shards[name].sp_responses_for_job_json(job_id)
             for name in self.shard_names
         )
-
-    def sp_requests_by_domain(self) -> Counter:
-        self.scatter_queries += 1
-        counts: Counter = Counter()
-        for name in self.shard_names:
-            counts.update(self.shards[name].sp_requests_by_domain())
-        return counts
-
-    def sp_requests_by_user(self) -> Counter:
-        self.scatter_queries += 1
-        counts: Counter = Counter()
-        for name in self.shard_names:
-            counts.update(self.shards[name].sp_requests_by_user())
-        return counts
-
-    def sp_all_requests(self) -> List[Dict[str, Any]]:
-        return self.scan("requests")
-
-    def sp_all_responses(self) -> List[Dict[str, Any]]:
-        return self.scan("responses")

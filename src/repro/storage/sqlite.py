@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from collections import Counter
 from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -283,27 +282,6 @@ class SqliteBackend(StorageBackend):
         if _TUPLE_TAG in text:
             return compact_json(_decode(text))
         return text
-
-    def group_count(self, table: str, column: str) -> Counter:
-        if column not in INDEXED_COLUMNS.get(table, ()):
-            self.index_misses += 1
-            counts: Counter = Counter()
-            for row in self.scan(table):
-                value = row.get(column)
-                if value is not None:
-                    counts[value] += 1
-            return counts
-        self._check_table(table)
-        self.index_hits += 1
-        return Counter(
-            {
-                value: n
-                for value, n in self._conn.execute(
-                    f"SELECT {column}, COUNT(*) FROM {table} "
-                    f"WHERE {column} IS NOT NULL GROUP BY {column}"
-                )
-            }
-        )
 
     def count(self, table: str) -> int:
         self._check_table(table)

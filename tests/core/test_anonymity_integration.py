@@ -3,6 +3,10 @@
 
 
 class TestCoordinatorIntegration:
+    def test_no_state_request_seen_yet(self, sheriff):
+        """The request log exists, empty, before the first request."""
+        assert sheriff.coordinator.state_request_sources == []
+
     def test_state_request_source_is_relay(self, world, sheriff, es_peers):
         """End to end: after a doppelganger swap, the Coordinator's
         request log contains relay names, never peer IDs."""

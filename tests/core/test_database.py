@@ -46,40 +46,45 @@ class TestTables:
 class TestStoredProcedures:
     def test_record_and_fetch_responses(self):
         db = DatabaseServer()
-        db.sp_record_request("j1", "user-1", "http://a.com/p", "a.com", 0.0)
-        db.sp_record_response("j1", proxy_id="ipc-0", amount_eur=10.0)
-        db.sp_record_response("j2", proxy_id="ipc-0", amount_eur=12.0)
-        assert len(db.sp_responses_for_job("j1")) == 1
+        db.sp_record_job("j1", "user-1", "http://a.com/p", "a.com", 0.0,
+                         [{"proxy_id": "ipc-0", "amount_eur": 10.0}])
+        db.sp_record_job("j2", "user-1", "http://a.com/p", "a.com", 0.0,
+                         [{"proxy_id": "ipc-0", "amount_eur": 12.0}])
+        assert [r["amount_eur"] for r in db.sp_responses_for_job("j1")] == [10.0]
 
     def test_requests_by_domain(self):
         db = DatabaseServer()
         for i in range(3):
             db.sp_record_request(f"j{i}", "u", "http://a.com/p", "a.com", 0.0)
         db.sp_record_request("j9", "u", "http://b.com/p", "b.com", 0.0)
-        counts = db.sp_requests_by_domain()
-        assert counts["a.com"] == 3
-        assert counts["b.com"] == 1
+        hits = db.backend.index_hits
+        assert [r["job_id"] for r in db.lookup("requests", "domain", "a.com")] \
+            == ["j0", "j1", "j2"]
+        assert [r["job_id"] for r in db.lookup("requests", "domain", "b.com")] == ["j9"]
+        assert db.backend.index_hits == hits + 2
 
     def test_requests_by_user(self):
         db = DatabaseServer()
         db.sp_record_request("j1", "u1", "http://a.com/p", "a.com", 0.0)
         db.sp_record_request("j2", "u1", "http://a.com/p", "a.com", 0.0)
         db.sp_record_request("j3", "u2", "http://a.com/p", "a.com", 0.0)
-        counts = db.sp_requests_by_user()
-        assert counts["u1"] == 2 and counts["u2"] == 1
+        hits = db.backend.index_hits
+        assert [r["job_id"] for r in db.lookup("requests", "user_id", "u1")] == ["j1", "j2"]
+        assert [r["job_id"] for r in db.lookup("requests", "user_id", "u2")] == ["j3"]
+        assert db.backend.index_hits == hits + 2
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestFailedWrites:
-    """A write the engine refuses leaves ``last_write_time`` and
+    """A refused write leaves ``last_write_time`` and
     ``batched_writes`` where they were — otherwise the staleness probe
     sees a shard whose every write fails as fresh."""
 
     def test_unknown_table(self, backend):
         db = DatabaseServer(backend=backend)
         db.insert("requests", {"time": 10.0})
-        with pytest.raises(KeyError):
-            db.insert_many("nosuch", [{"time": 50.0}])
+        with pytest.raises(TypeError):
+            db.sp_record_responses("j1", [{"time": 50.0}, "not a row"])
         with pytest.raises(KeyError):
             db.insert("nosuch", {"time": 60.0})
         assert db.last_write_time == 10.0
@@ -88,18 +93,19 @@ class TestFailedWrites:
 
     def test_one_max_per_stored_batch(self, backend):
         db = DatabaseServer(backend=backend)
-        db.insert_many("responses", [{"time": 3.0}, {"time": 7}, {"time": "x"}, {}])
+        db.sp_record_responses("j1", [{"time": 3.0}, {"time": 7}, {"time": "x"}, {}])
         assert db.last_write_time == 7.0
         assert db.batched_writes == 1
-        db.insert_many("responses", [{"time": 5.0}])
+        db.sp_record_responses("j2", [{"time": 5.0}])
         assert db.last_write_time == 7.0
 
     def test_sharded_staleness_view(self, backend):
         from repro.storage import ShardedDatabase
 
         db = ShardedDatabase(n_shards=2, backend=backend)
-        with pytest.raises(KeyError):
-            db.insert_many("nosuch", [{"domain": "a.example", "time": 50.0}])
+        with pytest.raises(TypeError):
+            db.sp_record_job("j1", "u", "http://a.example/p", "a.example", 50.0,
+                             [{"time": 50.0}, "not a row"])
         assert db.shard_last_writes() == {"shard-00": None, "shard-01": None}
         assert db.batched_writes == 0
 
@@ -107,8 +113,9 @@ class TestFailedWrites:
 def test_sqlite_batch_with_an_unencodable_value_moves_nothing():
     db = DatabaseServer(backend="sqlite")
     with pytest.raises(TypeError):
-        db.insert_many("responses", [{"time": 70.0}, {"time": 71.0, "bad": object()}])
-    assert db.count("responses") == 0
+        db.sp_record_job("j1", "u", "http://a.example/p", "a.example", 70.0,
+                         [{"time": 70.0}, {"time": 71.0, "bad": object()}])
+    assert db.count("requests") == db.count("responses") == 0
     assert db.last_write_time is None
     assert db.batched_writes == 0
 

@@ -470,3 +470,42 @@ class TestOneJourneyRecord:
         }
         for name in ("_journey", "_journey_parent", "flights"):
             assert not hasattr(sheriff.job_queue, name), name
+
+
+class TestDatabaseSurfaceTrimmed:
+    """The Database tier keeps the procedures the system calls: no
+    per-row response write, no ``scan`` wrappers, no per-domain or
+    per-user counts (nor the engine ``group_count`` under them), no
+    facade or router ``insert_many``, no per-row router write path, and
+    no router delete that sent shard-local ids to every shard."""
+
+    REMOVED = (
+        "sp_record_response", "sp_all_requests", "sp_all_responses",
+        "sp_requests_by_domain", "sp_requests_by_user", "group_count",
+        "_route_row", "open_jobs",
+    )
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(
+            re.compile(r"\b(" + "|".join(self.REMOVED) + r")\b")
+        ) == []
+
+    def test_insert_many_is_the_engines_alone(self):
+        offenders = _source_offenders(re.compile(r"def insert_many\b"))
+        assert [line.split(":")[0] for line in offenders] == ["backend.py"]
+
+    def test_names_gone_from_the_classes(self):
+        from repro.core.coordinator import Coordinator
+        from repro.core.database import DB_RPC_METHODS, DatabaseClient
+        from repro.storage import MemoryBackend, SqliteBackend, StorageBackend
+
+        for cls in (DatabaseServer, DatabaseClient, ShardedDatabase):
+            for name in self.REMOVED[:5]:
+                assert not hasattr(cls, name), (cls.__name__, name)
+        assert not hasattr(DatabaseServer, "insert_many")
+        for name in ("insert", "insert_many", "_route_row", "delete_rows"):
+            assert not hasattr(ShardedDatabase, name), name
+        for cls in (StorageBackend, MemoryBackend, SqliteBackend):
+            assert not hasattr(cls, "group_count"), cls.__name__
+        assert not hasattr(Coordinator, "open_jobs")
+        assert "sp_record_response" not in DB_RPC_METHODS

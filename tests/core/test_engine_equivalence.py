@@ -86,7 +86,7 @@ def _run(max_fetch_workers, chaos_profile=None, seed=7, page_cache_ttl=0.0, repe
     return {
         "outcomes": outcomes,
         "faults": fault_log,
-        "db": sheriff.db.sp_all_responses(),
+        "db": sheriff.db.scan("responses"),
         "cache_hits": sheriff.engine.cache.hits,
         "makespan": sheriff.engine.now,
     }

@@ -97,4 +97,4 @@ class TestBatchedPersistence:
         assert len(stored) == len(result.rows)
         second = es_user.check_price(_first_product_url(world, domain="geo.example"))
         assert sheriff.db.batched_writes == 2
-        assert len(sheriff.db.sp_all_responses()) == len(result.rows) + len(second.rows)
+        assert len(sheriff.db.scan("responses")) == len(result.rows) + len(second.rows)

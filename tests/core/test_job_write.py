@@ -119,8 +119,8 @@ def test_a_live_run_stores_what_the_two_procedures_stored(monkeypatch, engine):
             for row in result.rows
         ])
     db = deployment.sheriff.db
-    assert with_key_order(db.sp_all_requests()) == with_key_order(reference.sp_all_requests())
-    assert with_key_order(db.sp_all_responses()) == with_key_order(reference.sp_all_responses())
+    assert with_key_order(db.scan("requests")) == with_key_order(reference.scan("requests"))
+    assert with_key_order(db.scan("responses")) == with_key_order(reference.scan("responses"))
     assert db.last_write_time == reference.last_write_time
     deployment.sheriff.shutdown()
 
@@ -135,7 +135,7 @@ class TestReplayedJobWrite:
     def assert_stored_once(db, first, again):
         assert again == first
         assert first == list(range(1, 2 + ROWS_PER_JOB))  # the request's id first
-        assert [row["job_id"] for row in db.sp_all_requests()] == ["job-1"]
+        assert [row["job_id"] for row in db.scan("requests")] == ["job-1"]
         assert len(db.sp_responses_for_job("job-1")) == ROWS_PER_JOB
         assert db.count("responses") == ROWS_PER_JOB
 
@@ -180,8 +180,8 @@ def test_a_refused_job_write_stores_nothing_and_consumes_no_id(layout, engine,
     rows.insert(20, bad_row)
     with pytest.raises(error):
         record_job(db, rows=rows)
-    assert db.sp_all_requests() == []
-    assert db.sp_all_responses() == []
+    assert db.scan("requests") == []
+    assert db.scan("responses") == []
     assert db.batched_writes == 0
     assert set(db.shard_last_writes().values()) == {None}
     assert record_job(db) == list(range(1, 2 + ROWS_PER_JOB))
@@ -198,7 +198,7 @@ def test_a_socket_client_writes_a_job_in_one_call():
         transport.close()
     assert ids == list(range(1, 2 + ROWS_PER_JOB))
     assert db.query_count == 1
-    (request,) = db.sp_all_requests()
+    (request,) = db.scan("requests")
     assert list(request) == ["job_id", "user_id", "url", "domain", "time", "_id"]
     assert list(db.sp_responses_for_job("job-1")[0]) == [
         "job_id", *sorted(job_rows()[0]), "_id",

@@ -23,7 +23,7 @@ MEASUREMENT_SPANS = ("price_check", "fetch", "parse", "persist")
 def _rows(sheriff):
     return [
         tuple(sorted((k, v) for k, v in row.items() if k != "_id"))
-        for row in sheriff.db.sp_all_responses()
+        for row in sheriff.db.scan("responses")
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.database import DatabaseServer
 from repro.core.pii_audit import run_pii_audit
 from repro.core.whitelist import Whitelist
+from repro.storage import ShardedDatabase
 
 
 def product_url(world, domain="uniform.example", index=0):
@@ -73,11 +74,10 @@ class TestProgressiveDelivery:
 class TestPiiAudit:
     def _db_with(self, url=None, original_text=None):
         db = DatabaseServer()
-        db.sp_record_request("j1", "u1",
-                             url or "http://shop.com/product/p-1",
-                             "shop.com", 0.0)
-        db.sp_record_response("j1", proxy_id="ipc-0",
-                              original_text=original_text or "EUR100")
+        db.sp_record_job("j1", "u1", url or "http://shop.com/product/p-1",
+                         "shop.com", 0.0,
+                         [{"proxy_id": "ipc-0",
+                           "original_text": original_text or "EUR100"}])
         return db
 
     def test_clean_database(self):
@@ -122,3 +122,24 @@ class TestPiiAudit:
         out = run_pii_audit(db).render()
         assert "email" in out
         assert "deleted" in out
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_sharded_audit_deletes_only_what_it_found(self, backend):
+        """Every shard numbers its rows from 1: a found row is deleted on
+        its own shard, not wherever the same ``_id`` occurs."""
+        db = ShardedDatabase(n_shards=2, backend=backend)
+        other = next(
+            domain for domain in (f"shop-{i}.com" for i in range(100))
+            if db.shard_for(domain) != db.shard_for("shop.com")
+        )
+        db.sp_record_job("job-1", "u1", "http://shop.com/p?mail=jane@example.com",
+                         "shop.com", 0.0, [{"proxy_id": "ipc-0", "original_text": "EUR100"}])
+        db.sp_record_job("job-2", "u2", f"http://{other}/p", other, 1.0,
+                         [{"proxy_id": "ipc-0", "original_text": "+34 600 123 456"}])
+        report = run_pii_audit(db)
+        assert [(f.table, f.row_id, f.kind) for f in report.findings] == [
+            ("requests", 1, "email"), ("responses", 2, "phone"),
+        ]
+        assert report.deleted_rows == 2
+        assert [r["job_id"] for r in db.scan("requests")] == ["job-2"]
+        assert [r["job_id"] for r in db.scan("responses")] == ["job-1"]

@@ -82,7 +82,7 @@ def _run(backend, job_queue, disrupt=False):
 
     rows = [
         tuple(sorted((k, v) for k, v in row.items() if k != "_id"))
-        for row in sheriff.db.sp_all_responses()
+        for row in sheriff.db.scan("responses")
     ]
     stolen = sheriff.job_queue.steals if sheriff.job_queue else {}
     return outcomes, rows, stolen

@@ -42,8 +42,8 @@ def run_workload(transport, db_backend, n_checks=3):
         pending = addon.submit_price_check(urls[i % len(urls)])
         addon.collect(pending)
     rows = {
-        "requests": canonical(sheriff.db.sp_all_requests()),
-        "responses": canonical(sheriff.db.sp_all_responses()),
+        "requests": canonical(sheriff.db.scan("requests")),
+        "responses": canonical(sheriff.db.scan("responses")),
     }
     sheriff.shutdown()
     return rows

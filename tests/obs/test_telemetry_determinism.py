@@ -71,7 +71,7 @@ def _run(telemetry, max_fetch_workers=8, chaos_profile="chaos_monkey", seed=7):
     return sheriff, {
         "outcomes": outcomes,
         "faults": sheriff.faults.event_log() if sheriff.faults else (),
-        "db": sheriff.db.sp_all_responses(),
+        "db": sheriff.db.scan("responses"),
     }
 
 

@@ -116,7 +116,7 @@ def _run(backend, faults=None, supervised=False):
         )
     return {
         "outcomes": outcomes,
-        "db": sheriff.db.sp_all_responses(),
+        "db": sheriff.db.scan("responses"),
         "supervisor": supervisor,
         "heal": heal,
         "faults": faults,

@@ -10,8 +10,8 @@ What must hold of the file afterwards:
   nothing, no ``(job, proxy)`` pair and no request twice, everything the
   child reported as stored is there;
 * the reopened engine continues the one shared ``_id`` sequence, on
-  ``requests`` and on ``responses``, through ``insert`` and
-  ``insert_many`` — a restarted server takes the next check.
+  ``requests`` and on ``responses``, through ``insert`` and a batched
+  write — a restarted server takes the next check.
 """
 
 import os
@@ -75,8 +75,8 @@ def test_killed_writer_leaves_whole_batches_and_a_usable_sequence(tmp_path):
     last_reported = _kill_mid_run(path)
 
     db = DatabaseServer(backend=SqliteBackend(path))
-    requests = db.sp_all_requests()
-    responses = db.sp_all_responses()
+    requests = db.scan("requests")
+    responses = db.scan("responses")
 
     per_job = Counter(row["job_id"] for row in responses)
     assert set(per_job.values()) <= {ROWS_PER_JOB}, "a torn batch survived the kill"
@@ -96,7 +96,8 @@ def test_killed_writer_leaves_whole_batches_and_a_usable_sequence(tmp_path):
     assert db.sp_record_responses(
         "job-after", [{"proxy_id": f"ipc-{i:02d}"} for i in range(ROWS_PER_JOB)]
     ) == list(range(top + 2, top + 2 + ROWS_PER_JOB))
-    assert db.sp_record_response("job-after", proxy_id="you") == top + 2 + ROWS_PER_JOB
+    assert db.insert("responses", {"job_id": "job-after", "proxy_id": "you"}) \
+        == top + 2 + ROWS_PER_JOB
     assert len(db.sp_responses_for_job("job-after")) == ROWS_PER_JOB + 1
     assert len(db.sp_responses_for_job(f"job-{last_reported}")) == ROWS_PER_JOB
     db.backend.close()

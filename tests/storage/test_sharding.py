@@ -83,26 +83,19 @@ class TestShardedDatabase:
         sharded = ShardedDatabase(n_shards=4)
         _populate(single)
         _populate(sharded)
-        assert sharded.sp_requests_by_domain() == single.sp_requests_by_domain()
-        assert sharded.sp_requests_by_user() == single.sp_requests_by_user()
-        assert sharded.count("responses") == single.count("responses")
-        # merged scans carry the same multiset of rows (per-shard id
+        # merged reads carry the same multiset of rows (per-shard id
         # sequences differ, so compare with _id stripped)
         def strip(rows):
             return sorted(
                 sorted((k, repr(v)) for k, v in r.items() if k != "_id")
                 for r in rows
             )
-        assert strip(sharded.sp_all_requests()) == strip(single.sp_all_requests())
-        assert strip(sharded.sp_all_responses()) == strip(single.sp_all_responses())
-
-    def test_insert_many_routes_but_keeps_order(self):
-        db = ShardedDatabase(n_shards=3)
-        rows = [{"domain": f"store-{i % 5}.example", "n": i} for i in range(12)]
-        ids = db.insert_many("requests", rows)
-        assert len(ids) == 12
-        got = sorted(db.scan("requests"), key=lambda r: r["n"])
-        assert [r["n"] for r in got] == list(range(12))
+        for column, value in (("domain", "store-3.example"), ("user_id", "user-5")):
+            assert strip(sharded.lookup("requests", column, value)) \
+                == strip(single.lookup("requests", column, value))
+        assert sharded.count("responses") == single.count("responses")
+        assert strip(sharded.scan("requests")) == strip(single.scan("requests"))
+        assert strip(sharded.scan("responses")) == strip(single.scan("responses"))
 
     def test_occupancy_spreads_over_shards(self):
         db = ShardedDatabase(n_shards=4)
@@ -112,12 +105,24 @@ class TestShardedDatabase:
         assert sum(1 for c in counts.values() if c > 0) >= 3
 
     def test_broadcast_delete(self):
+        """Ids repeat across shards (each numbers its rows from 1), so a
+        delete goes to the shard each row was read from and removes
+        exactly those rows; the router has no ``delete_rows`` that would
+        send every id to every shard."""
         db = ShardedDatabase(n_shards=3)
         _populate(db, n_jobs=6)
-        doomed = [r["_id"] for r in db.sp_all_responses()][:5]
-        # ids repeat across shards; delete only what each shard holds
-        assert db.delete_rows("responses", doomed) >= 5
-        assert db.count("responses") < 18
+        doomed = {
+            name: [r["_id"] for r in shard.scan("responses")][:2]
+            for name, shard in db.shards.items()
+        }
+        deleted = sum(
+            db.shards[name].delete_rows("responses", ids)
+            for name, ids in doomed.items()
+        )
+        assert deleted == sum(len(ids) for ids in doomed.values()) >= 4
+        assert db.count("responses") == 18 - deleted
+        for name, ids in doomed.items():
+            assert not db.shards[name].scan("responses", lambda r: r["_id"] in ids)
 
     def test_router_connection_pool(self):
         db = ShardedDatabase(n_shards=2, max_connections=1)
@@ -146,7 +151,7 @@ class TestShardedDatabase:
         db = ShardedDatabase(n_shards=3)
         _populate(db, n_jobs=5)
         before = db.query_count
-        db.sp_requests_by_domain()
+        db.lookup("requests", "domain", "store-0.example")
         assert db.query_count == before + 3  # one per shard
 
     def test_needs_at_least_one_shard(self):
@@ -166,8 +171,10 @@ class TestShardedDatabase:
         db.sp_record_responses("job-x", [{"proxy_id": "ipc-0"}])
         assert len(db.sp_responses_for_job("job-x")) == 1
         db.sp_record_request("job-x", "user-1", f"http://{domain}/p", domain, 1.0)
-        db.sp_record_response("job-x", proxy_id="ipc-1")
-        db.insert("responses", {"job_id": "job-x", "proxy_id": "ipc-2"})
+        db.sp_record_responses("job-x", [{"proxy_id": "ipc-1"}])
+        db.sp_record_job("job-x", "user-1", f"http://{domain}/p", domain, 1.0,
+                         [{"proxy_id": "ipc-2"}])  # stored already: a no-op
+        db.sp_record_responses("job-x", [{"proxy_id": "ipc-2"}])
         assert db.shard_for_job("job-x") == job_shard
         rows = db.sp_responses_for_job("job-x")
         assert [r["proxy_id"] for r in rows] == ["ipc-0", "ipc-1", "ipc-2"]
