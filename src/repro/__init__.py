@@ -30,87 +30,36 @@ See ``examples/`` for runnable walkthroughs and ``benchmarks/`` for the
 per-table/figure reproduction harnesses.
 """
 
-from repro.core.config import SheriffConfig
-from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.core.addon import SheriffAddon
-from repro.core.database import DatabaseServer
-from repro.core.engine import JobHandle, PriceCheckEngine
-from repro.core.errors import InvalidConfig, JobDeadLettered, QueueSaturated
-from repro.core.jobqueue import QueuedMeasurementTier
-from repro.core.measurement import MeasurementServer, PriceCheckJob
-from repro.core.pricecheck import PriceCheckResult, ResultRow
-from repro.core.detector import PriceVariationReport, analyze_rows
-from repro.core.watchdog import WatchAlert, Watchdog
-from repro.obs import Telemetry
-from repro.ops import (
-    AuditTrail,
-    KillSwitch,
-    LogNotifier,
-    Notifier,
-    OpsEvent,
-    RestartPolicy,
-    Supervisor,
-    build_supervisor,
-)
-from repro.storage import (
-    MemoryBackend,
-    ShardedDatabase,
-    SqliteBackend,
-    StorageBackend,
-    make_backend,
-)
-from repro.workloads.deployment import DeploymentConfig, LiveDeployment
-
-#: ``Sheriff`` is the blessed short name for the deployment facade.
-Sheriff = PriceSheriff
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # deployment facade
-    "PriceSheriff",
-    "Sheriff",
-    "SheriffConfig",
-    "SheriffWorld",
-    "SheriffAddon",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    # deployment facade (``Sheriff`` is the blessed short name)
+    ".core.sheriff": ["PriceSheriff", "Sheriff", "SheriffWorld"],
+    ".core.config": ["SheriffConfig"],
+    ".core.addon": ["SheriffAddon"],
     # job lifecycle: a price check is the JobHandle its entry point (a
     # MeasurementServer, or the QueuedMeasurementTier) returns
-    "JobHandle",
-    "MeasurementServer",
-    "QueuedMeasurementTier",
-    "PriceCheckJob",
-    "PriceCheckEngine",
-    "QueueSaturated",
-    "JobDeadLettered",
-    "InvalidConfig",
+    ".core.engine": ["JobHandle", "PriceCheckEngine"],
+    ".core.measurement": ["MeasurementServer", "PriceCheckJob"],
+    ".core.jobqueue": ["QueuedMeasurementTier"],
+    ".core.errors": ["QueueSaturated", "JobDeadLettered", "InvalidConfig"],
     # results and analysis
-    "PriceCheckResult",
-    "ResultRow",
-    "PriceVariationReport",
-    "analyze_rows",
+    ".core.pricecheck": ["PriceCheckResult", "ResultRow"],
+    ".core.detector": ["PriceVariationReport", "analyze_rows"],
     # storage layer
-    "DatabaseServer",
-    "ShardedDatabase",
-    "StorageBackend",
-    "MemoryBackend",
-    "SqliteBackend",
-    "make_backend",
+    ".core.database": ["DatabaseServer"],
+    ".storage": ["ShardedDatabase", "StorageBackend", "MemoryBackend",
+                 "SqliteBackend", "make_backend"],
     # observability
-    "Telemetry",
+    ".obs": ["Telemetry"],
     # the price watchdog (Sect. 6): watches *products*
-    "Watchdog",
-    "WatchAlert",
+    ".core.watchdog": ["Watchdog", "WatchAlert"],
     # the operations layer: watches *the service itself*
-    "Supervisor",
-    "build_supervisor",
-    "RestartPolicy",
-    "KillSwitch",
-    "AuditTrail",
-    "OpsEvent",
-    "Notifier",
-    "LogNotifier",
+    ".ops": ["Supervisor", "build_supervisor", "RestartPolicy", "KillSwitch",
+             "AuditTrail", "OpsEvent", "Notifier", "LogNotifier"],
     # deployment builders
-    "DeploymentConfig",
-    "LiveDeployment",
-    "__version__",
-]
+    ".workloads.deployment": ["DeploymentConfig", "LiveDeployment"],
+})
+__all__ += ["__version__"]

@@ -14,55 +14,21 @@
   benchmark harnesses.
 """
 
-from repro.analysis.pricediff import (
-    BoxStats,
-    DomainDiffStats,
-    box_stats,
-    country_extremes,
-    domain_diff_stats,
-    extreme_differences,
-    peer_bias_distributions,
-    ratio_vs_min_price,
-    within_country_percentages,
-)
-from repro.analysis.stats import (
-    ABTestVerdict,
-    RandomForest,
-    ab_test_verdict,
-    ks_pairwise,
-    linear_regression,
-    roc_auc,
-)
-from repro.analysis.temporal import (
-    TemporalTrend,
-    daily_fluctuation,
-    daily_series,
-    revenue_delta,
-    trend_for_product,
-)
-from repro.analysis.reports import format_table, format_percent
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoxStats",
-    "DomainDiffStats",
-    "box_stats",
-    "country_extremes",
-    "domain_diff_stats",
-    "extreme_differences",
-    "peer_bias_distributions",
-    "ratio_vs_min_price",
-    "within_country_percentages",
-    "ABTestVerdict",
-    "RandomForest",
-    "ab_test_verdict",
-    "ks_pairwise",
-    "linear_regression",
-    "roc_auc",
-    "TemporalTrend",
-    "daily_fluctuation",
-    "daily_series",
-    "revenue_delta",
-    "trend_for_product",
-    "format_table",
-    "format_percent",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pricediff": [
+        "BoxStats", "DomainDiffStats", "box_stats", "country_extremes",
+        "domain_diff_stats", "extreme_differences", "peer_bias_distributions",
+        "ratio_vs_min_price", "within_country_percentages",
+    ],
+    ".stats": [
+        "ABTestVerdict", "RandomForest", "ab_test_verdict", "ks_pairwise",
+        "linear_regression", "roc_auc",
+    ],
+    ".temporal": [
+        "TemporalTrend", "daily_fluctuation", "daily_series", "revenue_delta",
+        "trend_for_product",
+    ],
+    ".reports": ["format_table", "format_percent"],
+})

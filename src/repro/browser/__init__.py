@@ -9,20 +9,12 @@ cookies set by the page or its trackers, history entries, cache entries —
 is discarded afterwards.
 """
 
-from repro.browser.cookies import CookieJar
-from repro.browser.history import BrowserHistory, HistoryEntry
-from repro.browser.fingerprint import UserAgent, all_user_agents, user_agent
-from repro.browser.browser import Browser
-from repro.browser.sandbox import Sandbox, SandboxedFetchResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CookieJar",
-    "BrowserHistory",
-    "HistoryEntry",
-    "UserAgent",
-    "all_user_agents",
-    "user_agent",
-    "Browser",
-    "Sandbox",
-    "SandboxedFetchResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cookies": ["CookieJar"],
+    ".history": ["BrowserHistory", "HistoryEntry"],
+    ".fingerprint": ["UserAgent", "all_user_agents", "user_agent"],
+    ".browser": ["Browser"],
+    ".sandbox": ["Sandbox", "SandboxedFetchResult"],
+})

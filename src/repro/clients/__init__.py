@@ -11,18 +11,10 @@
   requests).
 """
 
-from repro.clients.ipc import (
-    DEFAULT_IPC_SITES,
-    InfrastructureProxyClient,
-    build_default_ipcs,
-)
-from repro.clients.ppc import PeerProxyClient
-from repro.clients.crawler import SystematicCrawler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_IPC_SITES",
-    "InfrastructureProxyClient",
-    "build_default_ipcs",
-    "PeerProxyClient",
-    "SystematicCrawler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".ipc": ["DEFAULT_IPC_SITES", "InfrastructureProxyClient", "build_default_ipcs"],
+    ".ppc": ["PeerProxyClient"],
+    ".crawler": ["SystematicCrawler"],
+})

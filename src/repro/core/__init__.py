@@ -27,57 +27,25 @@
 * :mod:`repro.core.sheriff` — the facade that wires a full deployment.
 """
 
-from repro.core.errors import SheriffError
-from repro.core.engine import JobHandle, PageCache, PriceCheckEngine
-from repro.core.tagspath import TagsPath, extract_price_text, select_tags_path
-from repro.core.whitelist import Whitelist
-from repro.core.database import DatabaseServer
-from repro.core.diffstorage import DiffStorage
-from repro.core.dispatch import NoServerAvailable, RequestDistributor, ServerRecord
-from repro.core.pricecheck import PriceCheckResult, ResultRow
-from repro.core.coordinator import Coordinator, RequestRejected, RequestTicket
-from repro.core.aggregator import Aggregator
-from repro.core.measurement import MeasurementServer, PriceCheckJob
-from repro.core.addon import SheriffAddon
-from repro.core.detector import PriceVariationReport, analyze_rows
-from repro.core.config import SheriffConfig
-from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.core.admin import AdminConsole, ProbeFailed
-from repro.core.persistence import load_results, save_results
-from repro.core.pii_audit import PiiAuditReport, run_pii_audit
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobHandle",
-    "PageCache",
-    "PriceCheckEngine",
-    "SheriffError",
-    "TagsPath",
-    "extract_price_text",
-    "select_tags_path",
-    "Whitelist",
-    "DatabaseServer",
-    "DiffStorage",
-    "NoServerAvailable",
-    "RequestDistributor",
-    "ServerRecord",
-    "PriceCheckResult",
-    "ResultRow",
-    "Coordinator",
-    "RequestRejected",
-    "RequestTicket",
-    "Aggregator",
-    "MeasurementServer",
-    "PriceCheckJob",
-    "SheriffAddon",
-    "PriceVariationReport",
-    "analyze_rows",
-    "PriceSheriff",
-    "SheriffConfig",
-    "SheriffWorld",
-    "AdminConsole",
-    "ProbeFailed",
-    "load_results",
-    "save_results",
-    "PiiAuditReport",
-    "run_pii_audit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": ["SheriffError"],
+    ".engine": ["JobHandle", "PageCache", "PriceCheckEngine"],
+    ".tagspath": ["TagsPath", "extract_price_text", "select_tags_path"],
+    ".whitelist": ["Whitelist"],
+    ".database": ["DatabaseServer"],
+    ".diffstorage": ["DiffStorage"],
+    ".dispatch": ["NoServerAvailable", "RequestDistributor", "ServerRecord"],
+    ".pricecheck": ["PriceCheckResult", "ResultRow"],
+    ".coordinator": ["Coordinator", "RequestRejected", "RequestTicket"],
+    ".aggregator": ["Aggregator"],
+    ".measurement": ["MeasurementServer", "PriceCheckJob"],
+    ".addon": ["SheriffAddon"],
+    ".detector": ["PriceVariationReport", "analyze_rows"],
+    ".config": ["SheriffConfig"],
+    ".sheriff": ["PriceSheriff", "SheriffWorld"],
+    ".admin": ["AdminConsole", "ProbeFailed"],
+    ".persistence": ["load_results", "save_results"],
+    ".pii_audit": ["PiiAuditReport", "run_pii_audit"],
+})

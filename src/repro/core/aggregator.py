@@ -17,16 +17,14 @@ doppelganger client-side state.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.crypto.elgamal import Ciphertext
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
-from repro.crypto.secure_kmeans import (
-    KMeansAggregator,
-    KMeansCoordinator,
-    iterate_until_stable,
-)
 from repro.obs import NULL_TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.crypto.elgamal import Ciphertext
+    from repro.crypto.secure_kmeans import KMeansAggregator, KMeansCoordinator
 
 
 class NoDoppelgangerAssigned(LookupError):
@@ -51,6 +49,8 @@ class Aggregator:
     def begin_collection(self, crypto_coordinator: KMeansCoordinator,
                          n_workers: int = 1) -> None:
         """Start a clustering round against the given Coordinator role."""
+        from repro.crypto.secure_kmeans import KMeansAggregator
+
         self._kmeans = KMeansAggregator(
             self.group, crypto_coordinator, rng=self._rng, n_workers=n_workers,
             telemetry=self._telemetry,
@@ -79,6 +79,8 @@ class Aggregator:
         """
         if self._kmeans is None or self._kmeans.n_clients == 0:
             raise RuntimeError("no encrypted profiles collected")
+        from repro.crypto.secure_kmeans import iterate_until_stable
+
         iterate_until_stable(self._kmeans, halt_threshold, max_iterations)
         self.peer_cluster = dict(self._kmeans.assignments)
         return dict(self.peer_cluster)

@@ -44,7 +44,6 @@ from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.pricecheck import PriceCheckResult
 from repro.core.whitelist import Whitelist
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
-from repro.crypto.secure_kmeans import KMeansCoordinator, crypto_round
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.anonymity import AnonymityNetwork
 from repro.net.events import Clock
@@ -543,6 +542,8 @@ class PriceSheriff:
         initial_centroids: Optional[Sequence[Sequence[int]]] = None,
     ) -> ClusteringOutcome:
         """One full clustering round + doppelganger (re)build."""
+        from repro.crypto.secure_kmeans import KMeansCoordinator, crypto_round
+
         participants = [a for a in self.addons if a.consent]
         if not participants:
             raise RuntimeError("no consenting add-ons to cluster")
@@ -595,3 +596,7 @@ class PriceSheriff:
             mapping=mapping, doppelgangers=doppelgangers,
             centroids=centroids, k=k,
         )
+
+
+#: ``Sheriff`` is the blessed short name for the deployment facade.
+Sheriff = PriceSheriff

@@ -32,55 +32,20 @@ parties take the deployment's telemetry when they are built and record
 the per-phase latencies themselves.
 """
 
-from repro.crypto.group import (
-    BENCH_GROUP_256,
-    RFC3526_GROUP_2048,
-    SchnorrGroup,
-    TEST_GROUP,
-)
-from repro.crypto.fastexp import (
-    FixedBaseTable,
-    batch_invert,
-    clear_fastexp_cache,
-    fastexp_cache_info,
-)
-from repro.crypto.dlog import (
-    DiscreteLogError,
-    clear_dlog_cache,
-    discrete_log,
-    dlog_cache_info,
-)
-from repro.crypto.elgamal import Ciphertext, VectorElGamal
-from repro.crypto.fe import InnerProductFE
-from repro.crypto.secure_kmeans import (
-    KMeansAggregator,
-    KMeansCoordinator,
-    ProfileClient,
-    SecureKMeansResult,
-    WorkerPool,
-    run_secure_kmeans,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_GROUP_256",
-    "SchnorrGroup",
-    "TEST_GROUP",
-    "RFC3526_GROUP_2048",
-    "DiscreteLogError",
-    "discrete_log",
-    "clear_dlog_cache",
-    "dlog_cache_info",
-    "FixedBaseTable",
-    "batch_invert",
-    "clear_fastexp_cache",
-    "fastexp_cache_info",
-    "Ciphertext",
-    "VectorElGamal",
-    "InnerProductFE",
-    "KMeansAggregator",
-    "KMeansCoordinator",
-    "ProfileClient",
-    "SecureKMeansResult",
-    "WorkerPool",
-    "run_secure_kmeans",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".group": ["BENCH_GROUP_256", "RFC3526_GROUP_2048", "SchnorrGroup", "TEST_GROUP"],
+    ".fastexp": [
+        "FixedBaseTable", "batch_invert", "clear_fastexp_cache", "fastexp_cache_info",
+    ],
+    ".dlog": [
+        "DiscreteLogError", "clear_dlog_cache", "discrete_log", "dlog_cache_info",
+    ],
+    ".elgamal": ["Ciphertext", "VectorElGamal"],
+    ".fe": ["InnerProductFE"],
+    ".secure_kmeans": [
+        "KMeansAggregator", "KMeansCoordinator", "ProfileClient", "SecureKMeansResult",
+        "WorkerPool", "run_secure_kmeans",
+    ],
+})

@@ -151,6 +151,8 @@ BENCH_GROUP_256 = SchnorrGroup(
 
 #: RFC 3526 group 14 (2048-bit MODP).  The modulus is a safe prime; we
 #: use generator 4 so the generator provably has order q.
+#: ``RFC3526_GROUP_2048`` is built, and its generator checked with one
+#: 2048-bit ``pow``, on first access (:func:`__getattr__`).
 _RFC3526_P_2048 = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -163,8 +165,11 @@ _RFC3526_P_2048 = int(
     16,
 )
 
-RFC3526_GROUP_2048 = SchnorrGroup(
-    p=_RFC3526_P_2048,
-    q=(_RFC3526_P_2048 - 1) // 2,
-    g=4,
-)
+
+def __getattr__(name: str) -> SchnorrGroup:
+    if name != "RFC3526_GROUP_2048":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    group = globals()[name] = SchnorrGroup(
+        p=_RFC3526_P_2048, q=(_RFC3526_P_2048 - 1) // 2, g=4,
+    )
+    return group

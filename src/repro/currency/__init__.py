@@ -8,32 +8,16 @@ amount — including the letters/digits split for concatenated words such
 as ``EUR654``.
 """
 
-from repro.currency.codes import (
-    AMBIGUOUS_SYMBOLS,
-    CURRENCIES,
-    CUSTOM_NOTATIONS,
-    Currency,
-    currency_for_code,
-)
-from repro.currency.rates import ExchangeRateProvider
-from repro.currency.detect import (
-    Confidence,
-    CurrencyDetectionError,
-    DetectedPrice,
-    detect_price,
-    format_price,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AMBIGUOUS_SYMBOLS",
-    "CURRENCIES",
-    "CUSTOM_NOTATIONS",
-    "Currency",
-    "currency_for_code",
-    "ExchangeRateProvider",
-    "Confidence",
-    "CurrencyDetectionError",
-    "DetectedPrice",
-    "detect_price",
-    "format_price",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".codes": [
+        "AMBIGUOUS_SYMBOLS", "CURRENCIES", "CUSTOM_NOTATIONS", "Currency",
+        "currency_for_code",
+    ],
+    ".rates": ["ExchangeRateProvider"],
+    ".detect": [
+        "Confidence", "CurrencyDetectionError", "DetectedPrice", "detect_price",
+        "format_price",
+    ],
+})

@@ -14,9 +14,10 @@ temporal study) are built once per process in
 import importlib
 from typing import Callable, Dict
 
-from repro.experiments import registry
+from repro._lazy import lazy_exports
 
-__all__ = ["EXPERIMENTS", "registry"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {".registry": ["registry"]})
+__all__ += ["EXPERIMENTS"]
 
 
 def _runner(module: str, function: str = "run") -> Callable[[str], object]:

@@ -15,15 +15,10 @@ This package applies the same vantage-point machinery to three of those:
   the paper says the $heriff lacks.
 """
 
-from repro.extensions.geoblock import GeoblockReport, GeoblockScanner
-from repro.extensions.contentdiff import ContentVariationReport, ContentWatch
-from repro.extensions.steering import SteeringReport, SteeringWatch
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeoblockReport",
-    "GeoblockScanner",
-    "ContentVariationReport",
-    "ContentWatch",
-    "SteeringReport",
-    "SteeringWatch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".geoblock": ["GeoblockReport", "GeoblockScanner"],
+    ".contentdiff": ["ContentVariationReport", "ContentWatch"],
+    ".steering": ["SteeringReport", "SteeringWatch"],
+})

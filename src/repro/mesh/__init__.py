@@ -20,7 +20,9 @@ actually operated — separate processes speaking the wire protocol of
 fleet's wall-clock checks/sec.
 """
 
-from repro.mesh.launch import MeshLauncher, MeshReport, WorkerSpec
-from repro.mesh.service import MeshService
+from repro._lazy import lazy_exports
 
-__all__ = ["MeshLauncher", "MeshReport", "MeshService", "WorkerSpec"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".launch": ["MeshLauncher", "MeshReport", "WorkerSpec"],
+    ".service": ["MeshService"],
+})

@@ -15,15 +15,17 @@ SIGTERM (the workers' signal handler finishes in-flight work and exits
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import json
 import os
+import queue
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.config import knob
@@ -90,11 +92,48 @@ class MeshReport:
 
 
 class _WorkerProc:
+    """One spawned worker.  A thread per pipe drains it for the worker's
+    whole life: a wait for the ready line can time out, and a chatty
+    worker never blocks on a full pipe."""
+
     def __init__(self, name: str, proc: subprocess.Popen) -> None:
         self.name = name
         self.proc = proc
         self.port: Optional[int] = None
         self.hello: Optional[Dict[str, Any]] = None
+        #: stdout lines as they arrive; ``None`` once stdout closes
+        self.lines: "queue.Queue[Optional[str]]" = queue.Queue()
+        self._err: Deque[str] = collections.deque(maxlen=64)
+        self._readers = [
+            threading.Thread(target=self._drain, args=(proc.stdout, self.lines.put),
+                             daemon=True),
+            threading.Thread(target=self._drain, args=(proc.stderr, self._err.append),
+                             daemon=True),
+        ]
+        for reader in self._readers:
+            reader.start()
+
+    @staticmethod
+    def _drain(stream, sink: Callable[[Optional[str]], None]) -> None:
+        with stream:
+            for line in stream:
+                sink(line)
+        sink(None)
+
+    def stderr_tail(self) -> str:
+        """The last 2000 characters the worker wrote to stderr."""
+        self._readers[1].join(timeout=1.0)
+        return "".join(line for line in self._err if line)[-2000:]
+
+    def reap(self, timeout: float) -> None:
+        """Wait ``timeout`` for the exit, then kill; let the pipes close."""
+        try:
+            self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait(timeout=5.0)
+        for reader in self._readers:
+            reader.join(timeout=1.0)
 
 
 class MeshLauncher:
@@ -136,38 +175,46 @@ class MeshLauncher:
             )
             self.workers.append(_WorkerProc(name, proc))
         hellos = []
-        for worker in self.workers:
-            self._await_ready(worker)
-            self.transport.connect_peer(worker.name, "127.0.0.1", worker.port)
-            worker.hello = self.transport.call(
-                self.CLIENT, worker.name, "mesh.hello",
-                {"protocol": PROTOCOL_VERSION},
-            )
-            hellos.append(worker.hello)
+        try:
+            deadline = time.monotonic() + READY_TIMEOUT_S
+            for worker in self.workers:
+                self._await_ready(worker, deadline)
+                self.transport.connect_peer(worker.name, "127.0.0.1", worker.port)
+                worker.hello = self.transport.call(
+                    self.CLIENT, worker.name, "mesh.hello",
+                    {"protocol": PROTOCOL_VERSION},
+                )
+                hellos.append(worker.hello)
+        except BaseException:
+            # a fleet that did not come up leaves no process behind
+            self.shutdown(graceful=False, timeout=2.0)
+            raise
         return hellos
 
-    def _await_ready(self, worker: _WorkerProc) -> None:
-        deadline = time.monotonic() + READY_TIMEOUT_S
+    @staticmethod
+    def _await_ready(worker: _WorkerProc, deadline: float) -> None:
         while True:
-            if worker.proc.poll() is not None:
-                err = (worker.proc.stderr.read() or "")[-2000:]
+            try:
+                line = worker.lines.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                raise NetworkError(
+                    f"worker {worker.name} not ready within {READY_TIMEOUT_S} s"
+                ) from None
+            if line is None:
+                try:
+                    worker.proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    pass
                 raise NetworkError(
                     f"worker {worker.name} exited rc={worker.proc.returncode} "
-                    f"before ready: {err}"
+                    f"before ready: {worker.stderr_tail()}"
                 )
-            line = worker.proc.stdout.readline()
-            if not line:
-                if time.monotonic() > deadline:
-                    raise NetworkError(f"worker {worker.name} never became ready")
-                continue
             if line.startswith("MESH-READY"):
                 fields = dict(
                     part.split("=", 1) for part in line.split()[1:] if "=" in part
                 )
                 worker.port = int(fields["port"])
                 return
-            if time.monotonic() > deadline:
-                raise NetworkError(f"worker {worker.name} never became ready")
 
     def heartbeat(self) -> Dict[str, Any]:
         """Ping every worker; raises NetworkError if one is gone."""
@@ -242,16 +289,8 @@ class MeshLauncher:
                 worker.proc.terminate()
         deadline = time.monotonic() + timeout
         for worker in self.workers:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                worker.proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                worker.proc.kill()
-                worker.proc.wait(timeout=5.0)
+            worker.reap(timeout=max(0.1, deadline - time.monotonic()))
             codes[worker.name] = worker.proc.returncode
-            for stream in (worker.proc.stdout, worker.proc.stderr):
-                if stream is not None:
-                    stream.close()
         self.transport.close()
         return codes
 

@@ -18,44 +18,17 @@ message; the sim backend holds its endpoints itself and draws each
 call's round trip from :class:`~repro.net.sim.LatencyModel`.
 """
 
-from repro.net.events import Clock, EventLoop
-from repro.net.geo import Country, GeoDatabase, Location
-from repro.net.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameTooLarge,
-    ProtocolError,
-    Request,
-    Response,
-    from_wire,
-    to_wire,
-)
-from repro.net.sim import LatencyModel, NetworkError, NetworkTimeout
-from repro.net.socket_transport import SocketTransport
-from repro.net.transport import RemoteCallError, SimTransport, Transport
-from repro.net.p2p import PeerChannel, PeerOverlay
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Clock",
-    "EventLoop",
-    "Country",
-    "GeoDatabase",
-    "Location",
-    "LatencyModel",
-    "NetworkError",
-    "NetworkTimeout",
-    "RemoteCallError",
-    "FrameTooLarge",
-    "ProtocolError",
-    "Request",
-    "Response",
-    "from_wire",
-    "to_wire",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "Transport",
-    "SimTransport",
-    "SocketTransport",
-    "PeerChannel",
-    "PeerOverlay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ["Clock", "EventLoop"],
+    ".geo": ["Country", "GeoDatabase", "Location"],
+    ".protocol": [
+        "MAX_FRAME_BYTES", "PROTOCOL_VERSION", "FrameTooLarge", "ProtocolError",
+        "Request", "Response", "from_wire", "to_wire",
+    ],
+    ".sim": ["LatencyModel", "NetworkError", "NetworkTimeout"],
+    ".socket_transport": ["SocketTransport"],
+    ".transport": ["RemoteCallError", "SimTransport", "Transport"],
+    ".p2p": ["PeerChannel", "PeerOverlay"],
+})

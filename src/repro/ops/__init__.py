@@ -25,50 +25,16 @@ Sect. 6 product-price watcher — that one watches prices, this package
 watches the service.
 """
 
-from repro.ops.audit import AuditTrail, OpsEvent
-from repro.ops.health import (
-    CallableProbe,
-    ErrorRateProbe,
-    HeartbeatProbe,
-    PollutionBudgetProbe,
-    ProbeResult,
-    QueueDepthProbe,
-    ShardStalenessProbe,
-)
-from repro.ops.killswitch import KillSwitch, KillSwitchTripped
-from repro.ops.notifiers import (
-    CallbackNotifier,
-    LogNotifier,
-    Notifier,
-    NotifierFanout,
-)
-from repro.ops.supervisor import (
-    Component,
-    HealReport,
-    RestartPolicy,
-    Supervisor,
-)
-from repro.ops.wiring import build_supervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuditTrail",
-    "CallableProbe",
-    "CallbackNotifier",
-    "Component",
-    "ErrorRateProbe",
-    "HealReport",
-    "HeartbeatProbe",
-    "KillSwitch",
-    "KillSwitchTripped",
-    "LogNotifier",
-    "Notifier",
-    "NotifierFanout",
-    "OpsEvent",
-    "PollutionBudgetProbe",
-    "ProbeResult",
-    "QueueDepthProbe",
-    "RestartPolicy",
-    "ShardStalenessProbe",
-    "Supervisor",
-    "build_supervisor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".audit": ["AuditTrail", "OpsEvent"],
+    ".health": [
+        "CallableProbe", "ErrorRateProbe", "HeartbeatProbe", "PollutionBudgetProbe",
+        "ProbeResult", "QueueDepthProbe", "ShardStalenessProbe",
+    ],
+    ".killswitch": ["KillSwitch", "KillSwitchTripped"],
+    ".notifiers": ["CallbackNotifier", "LogNotifier", "Notifier", "NotifierFanout"],
+    ".supervisor": ["Component", "HealReport", "RestartPolicy", "Supervisor"],
+    ".wiring": ["build_supervisor"],
+})

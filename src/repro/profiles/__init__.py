@@ -11,27 +11,12 @@ pollution, one tunneled request per 4 organic product views, regenerate
 at 50 % saturation) lives in :mod:`repro.profiles.doppelganger`.
 """
 
-from repro.profiles.vector import ProfileVector, profile_from_counts
-from repro.profiles.kmeans import (
-    KMeansOutcome,
-    lloyd_kmeans,
-    silhouette_score,
-    squared_distance,
-)
-from repro.profiles.doppelganger import (
-    Doppelganger,
-    DoppelgangerManager,
-    PollutionBudget,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProfileVector",
-    "profile_from_counts",
-    "KMeansOutcome",
-    "lloyd_kmeans",
-    "silhouette_score",
-    "squared_distance",
-    "Doppelganger",
-    "DoppelgangerManager",
-    "PollutionBudget",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".vector": ["ProfileVector", "profile_from_counts"],
+    ".kmeans": [
+        "KMeansOutcome", "lloyd_kmeans", "silhouette_score", "squared_distance",
+    ],
+    ".doppelganger": ["Doppelganger", "DoppelgangerManager", "PollutionBudget"],
+})

@@ -29,21 +29,11 @@ db_backend="sqlite", db_shards=4)``), per run
 run the whole suite over both engines).
 """
 
-from repro.storage.backend import (
-    INDEXED_COLUMNS,
-    StorageBackend,
-    make_backend,
-)
-from repro.storage.memory import MemoryBackend
-from repro.storage.sqlite import SqliteBackend
-from repro.storage.sharding import HashRing, ShardedDatabase
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HashRing",
-    "INDEXED_COLUMNS",
-    "MemoryBackend",
-    "ShardedDatabase",
-    "SqliteBackend",
-    "StorageBackend",
-    "make_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": ["INDEXED_COLUMNS", "StorageBackend", "make_backend"],
+    ".memory": ["MemoryBackend"],
+    ".sqlite": ["SqliteBackend"],
+    ".sharding": ["HashRing", "ShardedDatabase"],
+})

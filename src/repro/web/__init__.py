@@ -9,54 +9,21 @@ third-party tracker ecosystem builds the server-side profiles that could
 drive PDI-PD.
 """
 
-from repro.web.html import Element, HTMLParseError, find_all, iter_elements, parse, render, text_of
-from repro.web.catalog import Catalog, Product, make_catalog
-from repro.web.trackers import Tracker, TrackerEcosystem
-from repro.web.pricing import (
-    ABTestPricing,
-    PerCountryABTestPricing,
-    ProductCountryJitterPricing,
-    CompositePricing,
-    CountryMultiplierPricing,
-    PdiPdPricing,
-    PriceQuote,
-    PricingPolicy,
-    RequestContext,
-    TemporalDriftPricing,
-    UniformPricing,
-    VatInclusivePricing,
-)
-from repro.web.store import EStore, StoreResponse
-from repro.web.internet import ContentSite, Internet, parse_url
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Element",
-    "HTMLParseError",
-    "find_all",
-    "iter_elements",
-    "parse",
-    "render",
-    "text_of",
-    "Catalog",
-    "Product",
-    "make_catalog",
-    "Tracker",
-    "TrackerEcosystem",
-    "ABTestPricing",
-    "PerCountryABTestPricing",
-    "ProductCountryJitterPricing",
-    "CompositePricing",
-    "CountryMultiplierPricing",
-    "PdiPdPricing",
-    "PriceQuote",
-    "PricingPolicy",
-    "RequestContext",
-    "TemporalDriftPricing",
-    "UniformPricing",
-    "VatInclusivePricing",
-    "EStore",
-    "StoreResponse",
-    "ContentSite",
-    "Internet",
-    "parse_url",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".html": [
+        "Element", "HTMLParseError", "find_all", "iter_elements", "parse", "render",
+        "text_of",
+    ],
+    ".catalog": ["Catalog", "Product", "make_catalog"],
+    ".trackers": ["Tracker", "TrackerEcosystem"],
+    ".pricing": [
+        "ABTestPricing", "PerCountryABTestPricing", "ProductCountryJitterPricing",
+        "CompositePricing", "CountryMultiplierPricing", "PdiPdPricing", "PriceQuote",
+        "PricingPolicy", "RequestContext", "TemporalDriftPricing", "UniformPricing",
+        "VatInclusivePricing",
+    ],
+    ".store": ["EStore", "StoreResponse"],
+    ".internet": ["ContentSite", "Internet", "parse_url"],
+})

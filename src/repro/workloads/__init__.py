@@ -23,37 +23,15 @@
   admitted, queued, stolen, and persisted under full telemetry.
 """
 
-from repro.workloads.alexa import ContentWeb, build_alexa_ecommerce
-from repro.workloads.population import Population, PopulationConfig
-from repro.workloads.stores import build_named_stores, named_store_specs
-from repro.workloads.deployment import (
-    DeploymentConfig,
-    DeploymentDataset,
-    LiveDeployment,
-    adoption_series,
-)
-from repro.workloads.crawlstudy import (
-    CrawlStudy,
-    four_country_case_study,
-    temporal_study,
-)
-from repro.workloads.perfmodel import PerformanceModel, PerfRow, run_table1
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ContentWeb",
-    "build_alexa_ecommerce",
-    "Population",
-    "PopulationConfig",
-    "build_named_stores",
-    "named_store_specs",
-    "DeploymentConfig",
-    "DeploymentDataset",
-    "LiveDeployment",
-    "adoption_series",
-    "CrawlStudy",
-    "four_country_case_study",
-    "temporal_study",
-    "PerformanceModel",
-    "PerfRow",
-    "run_table1",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".alexa": ["ContentWeb", "build_alexa_ecommerce"],
+    ".population": ["Population", "PopulationConfig"],
+    ".stores": ["build_named_stores", "named_store_specs"],
+    ".deployment": [
+        "DeploymentConfig", "DeploymentDataset", "LiveDeployment", "adoption_series",
+    ],
+    ".crawlstudy": ["CrawlStudy", "four_country_case_study", "temporal_study"],
+    ".perfmodel": ["PerformanceModel", "PerfRow", "run_table1"],
+})

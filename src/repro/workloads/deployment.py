@@ -20,7 +20,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.addon import PriceCheckFailed, PriceSelectionError
@@ -29,7 +29,6 @@ from repro.core.coordinator import RequestRejected
 from repro.core.pricecheck import PriceCheckResult
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.net.events import SECONDS_PER_DAY
-from repro.ops import HealReport, Supervisor, build_supervisor
 from repro.workloads.alexa import ContentWeb
 from repro.workloads.population import Population, PopulationConfig
 from repro.workloads.stores import (
@@ -39,6 +38,9 @@ from repro.workloads.stores import (
     named_store_specs,
     uniform_store_specs,
 )
+
+if TYPE_CHECKING:
+    from repro.ops import HealReport, Supervisor
 
 
 @dataclass
@@ -164,11 +166,11 @@ class LiveDeployment:
         self._store_weights = [s.popularity for s in self.specs]
         #: the self-healing layer — built only when asked for; its ticks
         #: are RNG-free, so rows match an unsupervised run exactly
-        self.supervisor: Optional[Supervisor] = (
-            build_supervisor(self.sheriff, audit_path=cfg.audit_path)
-            if cfg.supervised
-            else None
-        )
+        self.supervisor: Optional[Supervisor] = None
+        if cfg.supervised:
+            from repro.ops import build_supervisor
+
+            self.supervisor = build_supervisor(self.sheriff, audit_path=cfg.audit_path)
 
     # -- request generation ------------------------------------------------
     def _pick_store(self) -> StoreSpec:

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import sys
+import time
 
 import pytest
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.errors import InvalidConfig
+from repro.mesh import launch
 from repro.mesh.launch import MeshLauncher, MeshReport, WorkerSpec
 from repro.mesh.service import MeshService
 from repro.mesh.worker import worker_from_argv
@@ -143,6 +146,44 @@ def test_run_checks_refuses_a_bad_count(kwargs, match):
             launcher.run_checks(**kwargs)
     finally:
         launcher.shutdown()
+
+
+@dataclasses.dataclass
+class _ScriptSpec(WorkerSpec):
+    """A worker that runs ``script`` instead of a measurement cell."""
+
+    script: str = ""
+
+    def argv(self, name):
+        return [sys.executable, "-c", self.script]
+
+
+class TestReadyDeadline:
+    """The launcher waits for a ready line with a bounded wait."""
+
+    def test_a_silent_worker_misses_its_deadline(self, monkeypatch):
+        monkeypatch.setattr(launch, "READY_TIMEOUT_S", 0.5)
+        launcher = MeshLauncher(
+            n_workers=1, spec=_ScriptSpec(script="import time; time.sleep(6)"))
+        started = time.monotonic()
+        with pytest.raises(NetworkError, match="not ready within"):
+            launcher.start()
+        assert time.monotonic() - started < 3.0
+        assert all(w.proc.poll() is not None for w in launcher.workers)
+        launcher.shutdown()
+
+    def test_a_chatty_worker_is_drained(self, monkeypatch):
+        """200 kB of stderr before the exit: more than a pipe holds, so
+        the worker would block on it if nobody read the pipe."""
+        monkeypatch.setattr(launch, "READY_TIMEOUT_S", 10.0)
+        script = ("import sys; sys.stderr.write('x' * 200_000 + 'last words'); "
+                  "sys.exit(3)")
+        launcher = MeshLauncher(n_workers=1, spec=_ScriptSpec(script=script))
+        started = time.monotonic()
+        with pytest.raises(NetworkError, match="rc=3 before ready: x+last words"):
+            launcher.start()
+        assert time.monotonic() - started < 5.0
+        assert all(w.proc.poll() is not None for w in launcher.workers)
 
 
 class TestMeshSmoke:
