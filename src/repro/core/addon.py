@@ -180,9 +180,12 @@ class SheriffAddon:
         try:
             response = self.browser.visit(url)  # step 1: navigate + select
             tags_path, _ = self.build_selection(response.html)
-        except Exception:
-            # release the assigned job so the server's counter stays true
-            self.coordinator.job_completed(ticket.job_id)
+        except Exception as exc:
+            # nothing was sent: report the job failed, so the server's
+            # counter stays true and no completion is counted
+            self.coordinator.fail_job(
+                ticket.job_id, f"page selection failed: {exc}"
+            )
             raise
         os_name, browser_name = parse_user_agent(self.browser.agent.string)
         job = PriceCheckJob(  # step 3

@@ -6,7 +6,10 @@ check request it:
 1. validates the target against the whitelist (and the PII URL
    blacklist), logging rejected requests for manual inspection;
 2. mints a globally unique job ID and assigns the job to the online
-   Measurement server with the fewest pending jobs (Fig. 6);
+   Measurement server with the fewest pending jobs (Fig. 6).  The job's
+   :class:`JobRecord` is the one record of which server holds it: a
+   failover, a steal, a completion or a failure changes it here and
+   moves the server list's pending counts to match;
 3. hands the selected Measurement server the list of PPCs residing in
    the initiator's location (step 1.1 of Fig. 1) — same city first,
    padded with same-country peers, never including the initiator.
@@ -24,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.dispatch import NoServerAvailable, RequestDistributor
+from repro.core.dispatch import NoServerAvailable, RequestDistributor, ServerRecord
 from repro.core.errors import (
     AdmissionDenied,
     ConfigurationError,
@@ -209,7 +212,7 @@ class Coordinator:
             self._m_rejected.inc()
             raise RequestRejected(url, reason)
         job_id = f"job-{next(self._job_seq)}"
-        server = self.distributor.assign_job(job_id)
+        server = self.distributor.take()
         self.jobs[job_id] = JobRecord(
             job_id=job_id, peer_id=peer_id, url=url, domain=domain,
             server_name=server.name, started_at=self.clock.now,
@@ -221,15 +224,29 @@ class Coordinator:
             transport=self.transport_label,
         )
         ppcs = self.select_ppcs(peer_id, location)
-        return (
-            RequestTicket(
-                job_id=job_id,
-                server_name=server.name,
-                server_url=server.url,
-                server_port=server.port,
-            ),
-            ppcs,
-        )
+        return self._ticket(job_id, server), ppcs
+
+    @staticmethod
+    def _ticket(job_id: str, server: ServerRecord) -> RequestTicket:
+        return RequestTicket(job_id, server.name, server.url, server.port)
+
+    def _pending(self, job_id: str) -> JobRecord:
+        """The record of a job that is still pending on its server."""
+        record = self.jobs.get(job_id)
+        if record is None:
+            raise UnknownJob(f"unknown job {job_id!r}")
+        if record.resolved:
+            # the ticket already reached a terminal state; its pending
+            # count was released, so there is nothing left to move
+            raise UnknownJob(f"job {job_id!r} is already resolved")
+        return record
+
+    def jobs_on(self, server_name: str) -> List[str]:
+        """IDs of the jobs pending on one server, in admission order."""
+        return [
+            r.job_id for r in self.jobs.values()
+            if r.server_name == server_name and not r.resolved
+        ]
 
     def journey_stage(
         self, name: str, job_id: str, **attrs: object
@@ -267,7 +284,7 @@ class Coordinator:
         if record.resolved:
             return
         record.completed = True
-        self.distributor.complete_job(job_id)
+        self.distributor.release(record.server_name, "completed")
         self.journey_spans.pop(job_id, None)
         self._m_turnaround.observe(
             self.clock.now - record.started_at, server=record.server_name
@@ -302,8 +319,12 @@ class Coordinator:
             self._requeue_jobs_of(name)
         return expired
 
-    def _requeue_jobs_of(self, server_name: str) -> None:
-        for job_id in self.distributor.jobs_on(server_name):
+    def _requeue_jobs_of(
+        self, server_name: str, exclude_job: Optional[str] = None
+    ) -> None:
+        for job_id in self.jobs_on(server_name):
+            if job_id == exclude_job:
+                continue
             try:
                 self.reassign_job(job_id)
             except (RetryBudgetExhausted, NoServerAvailable) as exc:
@@ -322,16 +343,10 @@ class Coordinator:
         self.failovers += 1
         self._m_recovery.inc(event="failover")
         try:
-            job_ids = self.distributor.mark_offline(server_name)
+            self.distributor.mark_offline(server_name)
         except KeyError:
             return
-        for job_id in job_ids:
-            if job_id == exclude_job:
-                continue
-            try:
-                self.reassign_job(job_id)
-            except (RetryBudgetExhausted, NoServerAvailable) as exc:
-                self.fail_job(job_id, str(exc))
+        self._requeue_jobs_of(server_name, exclude_job)
 
     def reassign_job(self, job_id: str) -> RequestTicket:
         """Move a job to a new Measurement server, within its retry budget.
@@ -342,16 +357,11 @@ class Coordinator:
         (capped exponential, jittered) between attempts —
         :meth:`next_backoff` computes the wait.
         """
-        record = self.jobs.get(job_id)
-        if record is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
-        if record.resolved:
-            # the ticket already reached a terminal state; its pending
-            # count was released, so there is nothing left to move
-            raise UnknownJob(f"job {job_id!r} is already resolved")
+        record = self._pending(job_id)
         if record.attempts >= self.retry_budget:
             raise RetryBudgetExhausted(job_id, record.attempts)
-        server = self.distributor.reassign_job(job_id)
+        server = self.distributor.select_server(exclude=(record.server_name,))
+        self.distributor.move(record.server_name, server.name, "reassigned")
         record.attempts += 1
         record.server_name = server.name
         self.jobs_reassigned += 1
@@ -360,12 +370,7 @@ class Coordinator:
         self.journey_stage(
             "retry", job_id, attempt=record.attempts, server=server.name,
         )
-        return RequestTicket(
-            job_id=job_id,
-            server_name=server.name,
-            server_url=server.url,
-            server_port=server.port,
-        )
+        return self._ticket(job_id, server)
 
     def transfer_job(self, job_id: str, server_name: str) -> RequestTicket:
         """Work stealing: move a queued job onto a less loaded server.
@@ -374,20 +379,15 @@ class Coordinator:
         backlogged — and counted as a ``stolen`` recovery event so the
         queue tier's rebalancing is visible in telemetry.
         """
-        record = self.jobs.get(job_id)
-        if record is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
-        if record.resolved:
-            raise UnknownJob(f"job {job_id!r} is already resolved")
-        server = self.distributor.transfer_job(job_id, server_name)
-        record.server_name = server.name
+        record = self._pending(job_id)
+        server = self.distributor.server(server_name)
+        if not server.online:
+            raise NoServerAvailable(f"steal target {server_name!r} is offline")
+        if server.name != record.server_name:
+            self.distributor.move(record.server_name, server.name, "stolen")
+            record.server_name = server.name
         self._m_recovery.inc(event="stolen")
-        return RequestTicket(
-            job_id=job_id,
-            server_name=server.name,
-            server_url=server.url,
-            server_port=server.port,
-        )
+        return self._ticket(job_id, server)
 
     def next_backoff(self, attempt: int) -> float:
         """Jittered, capped-exponential wait before retry ``attempt``."""
@@ -405,7 +405,7 @@ class Coordinator:
             return
         record.failed = True
         record.failure_reason = reason
-        self.distributor.fail_job(job_id)
+        self.distributor.release(record.server_name, "failed")
         self.journey_spans.pop(job_id, None)
         self.jobs_failed += 1
         self._m_recovery.inc(event="job_failed")

@@ -10,9 +10,14 @@ benchmark.
 
 "Absence of heartbeat messages for a specified time threshold results in
 the Measurement server being marked as offline."  When that happens the
-jobs pending on the dead server are *reassigned* to the survivors (and
-on exhaustion reported failed) rather than silently lost — the
-corrective measures of App. 10.3 made continuous instead of manual.
+Coordinator *reassigns* the jobs pending on the dead server to the
+survivors (and on exhaustion reports them failed) rather than silently
+losing them — the corrective measures of App. 10.3 made continuous
+instead of manual.
+
+The list knows servers, not jobs: it counts each server's pending jobs
+and moves those counts by server name.  Which server holds a job is
+recorded once, in the Coordinator's ``JobRecord.server_name``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from repro.core.errors import (
     DuplicateServer,
     NoServerAvailable,
     ServerBusy,
-    UnknownJob,
     UnknownServer,
 )
 from repro.obs import NULL_TELEMETRY
@@ -80,7 +84,9 @@ class ServerRecord:
 
 
 class RequestDistributor:
-    """Coordinator-side server registry and job assignment."""
+    """The Measurement server list of Fig. 6: registry, heartbeats and
+    per-server pending counts.  No method takes a job id; the
+    Coordinator owns the job → server mapping."""
 
     def __init__(
         self,
@@ -94,11 +100,6 @@ class RequestDistributor:
         self.heartbeat_timeout = heartbeat_timeout
         self._servers: Dict[str, ServerRecord] = {}
         self._rr = itertools.count()
-        self._job_server: Dict[str, str] = {}
-        self.assignments = 0
-        self.completions = 0
-        self.failures = 0
-        self.reassignments = 0
         self.offline_events = 0
         #: telemetry: lifecycle counters plus the per-server gauges the
         #: Fig. 7 panel renders from
@@ -189,15 +190,14 @@ class RequestDistributor:
                 expired.append(record.name)
         return expired
 
-    def mark_offline(self, name: str) -> List[str]:
-        """Declare a server dead (e.g. a send failed); return its jobs."""
+    def mark_offline(self, name: str) -> None:
+        """Declare a server dead (e.g. a send failed)."""
         record = self.server(name)
         if record.online:
             record.online = False
             self.offline_events += 1
             self._m_offline.inc()
             self._sync_gauges(record)
-        return self.jobs_on(name)
 
     # -- assignment ---------------------------------------------------------------
     def _online(self) -> List[ServerRecord]:
@@ -213,100 +213,34 @@ class RequestDistributor:
             return online[next(self._rr) % len(online)]
         return min(online, key=lambda s: s.jobs)
 
-    def assign_job(self, job_id: str) -> ServerRecord:
-        """Pick a server for a new job and bump its pending counter."""
-        record = self.select_server()
+    def _count(self, record: ServerRecord, event: str) -> ServerRecord:
         record.jobs += 1
-        self._job_server[job_id] = record.name
-        self.assignments += 1
-        self._m_lifecycle.inc(event="assigned")
+        self._m_lifecycle.inc(event=event)
         self._sync_gauges(record)
         return record
 
-    def reassign_job(
-        self, job_id: str, exclude: Sequence[str] = ()
-    ) -> ServerRecord:
-        """Move a pending job off its (dead) server onto a survivor.
-
-        Keeps the assignment counter untouched — the job was already
-        counted once — so the conservation invariant becomes
-        ``assignments == completions + failures + pending``.
-        """
-        old_name = self._job_server.get(job_id)
-        if old_name is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
-        exclude = list(exclude)
-        if old_name not in exclude:
-            exclude.append(old_name)
-        record = self.select_server(exclude=exclude)
-        old = self._servers.get(old_name)
-        if old is not None and old.jobs > 0:
-            old.jobs -= 1
-            self._sync_gauges(old)
-        record.jobs += 1
-        self._job_server[job_id] = record.name
-        self.reassignments += 1
-        self._m_lifecycle.inc(event="reassigned")
-        self._sync_gauges(record)
-        return record
-
-    def transfer_job(self, job_id: str, to_name: str) -> ServerRecord:
-        """Work stealing: move a *queued* job to a less loaded server.
-
-        Unlike :meth:`reassign_job` this is not a failure response — the
-        old owner is healthy, just busier — so it consumes no retry
-        budget, picks no server itself (the queue tier already chose the
-        steal target), and is counted as a steal, not a reassignment.
-        """
-        old_name = self._job_server.get(job_id)
-        if old_name is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
-        record = self.server(to_name)
-        if not record.online:
-            raise NoServerAvailable(f"steal target {to_name!r} is offline")
-        if record.name == old_name:
-            return record
-        old = self._servers.get(old_name)
-        if old is not None and old.jobs > 0:
-            old.jobs -= 1
-            self._sync_gauges(old)
-        record.jobs += 1
-        self._job_server[job_id] = record.name
-        self._m_lifecycle.inc(event="stolen")
-        self._sync_gauges(record)
-        return record
-
-    def jobs_on(self, name: str) -> List[str]:
-        """Job IDs currently pending on one server."""
-        return [j for j, s in self._job_server.items() if s == name]
-
-    def _release(self, job_id: str) -> None:
-        name = self._job_server.pop(job_id, None)
-        if name is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
+    def _uncount(self, name: str) -> None:
         record = self._servers.get(name)
         if record is not None and record.jobs > 0:
             record.jobs -= 1
             self._sync_gauges(record)
 
-    def complete_job(self, job_id: str) -> None:
-        """Step 4 of Fig. 6: the server reports the job finished."""
-        self._release(job_id)
-        self.completions += 1
-        self._m_lifecycle.inc(event="completed")
+    def take(self) -> ServerRecord:
+        """Step 2 of Fig. 6: pick a server for a new job and count it."""
+        return self._count(self.select_server(), "assigned")
 
-    def fail_job(self, job_id: str) -> None:
-        """Release a job that is being reported failed (retry budget
-        exhausted / quorum not met) — counted separately so failures are
-        explicit, never silent."""
-        self._release(job_id)
-        self.failures += 1
-        self._m_lifecycle.inc(event="failed")
+    def move(self, src: str, dst: str, event: str) -> None:
+        """Move one pending job's count from ``src`` to ``dst``
+        (``reassigned`` after a failover, ``stolen`` by the queue tier)."""
+        record = self.server(dst)
+        self._uncount(src)
+        self._count(record, event)
 
-    def reconcile_lost_job(self, job_id: str) -> None:
-        """Corrective measure for completion messages lost to the network
-        (App. 10.3): drop the job without a completion report."""
-        self.complete_job(job_id)
+    def release(self, name: str, event: str) -> None:
+        """Step 4 of Fig. 6: a job on ``name`` ended (``completed`` or
+        ``failed``), so the server has one job fewer pending."""
+        self._uncount(name)
+        self._m_lifecycle.inc(event=event)
 
     @property
     def pending_jobs(self) -> int:

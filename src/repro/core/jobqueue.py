@@ -22,7 +22,10 @@ servers:
   is reassigned through the Coordinator (consuming retry budget); a
   job whose owner is merely backlogged beyond ``steal_threshold``
   fetch tasks is *transferred* to the least loaded server, budget-free
-  (``Coordinator.transfer_job``).
+  (``Coordinator.transfer_job``).  The owner is read from the job's
+  Coordinator record at dispatch, never copied into the queue: a job
+  the Coordinator failed over while it waited goes where its record
+  says.
 * **retry → dead letter** — a job whose reassignment exhausts its
   retry budget (or finds no online server) moves to the
   :class:`DeadLetterStore` for operator inspection and its handle
@@ -54,10 +57,11 @@ telemetry on or off, the rows are identical (property-tested).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import Coordinator, JobRecord
 from repro.core.engine import FAILED, QUEUED, JobHandle, PriceCheckEngine
 from repro.core.errors import (
     JobDeadLettered,
@@ -86,15 +90,16 @@ class QueuedJob:
     seq: int
     job: Any  # a PriceCheckJob
     handle: JobHandle
-    server_name: str
+    #: the job's Coordinator record, whose ``server_name`` is the owner
+    record: JobRecord
     enqueued_at: float = 0.0
 
 
 class JobQueue:
     """The bounded outbox: admitted jobs in global admission order.
 
-    Jobs are keyed by owner for depth accounting and stealing, but the
-    drain order is the *global* FIFO of admission sequence numbers —
+    Depth accounting and stealing group jobs by owner, but the drain
+    order is the *global* FIFO of admission sequence numbers —
     that is the order the direct tier would have executed them in, and
     therefore the order that preserves every RNG stream.
     """
@@ -110,16 +115,14 @@ class JobQueue:
         return len(self._jobs)
 
     def depth_on(self, server_name: str) -> int:
-        return sum(
-            1 for qj in self._jobs.values() if qj.server_name == server_name
-        )
+        return sum(qj.record.server_name == server_name for qj in self._jobs.values())
 
     def offer(
-        self, server_name: str, job: Any, handle: JobHandle, now: float = 0.0
+        self, record: JobRecord, job: Any, handle: JobHandle, now: float = 0.0
     ) -> QueuedJob:
         queued = QueuedJob(
             seq=next(self._seq), job=job, handle=handle,
-            server_name=server_name, enqueued_at=now,
+            record=record, enqueued_at=now,
         )
         self._jobs[job.job_id] = queued
         self.enqueued_total += 1
@@ -136,15 +139,9 @@ class JobQueue:
     def pop(self, queued: QueuedJob) -> None:
         del self._jobs[queued.job.job_id]
 
-    def move(self, queued: QueuedJob, to_server: str) -> None:
-        queued.server_name = to_server
-
     def snapshot(self) -> Dict[str, int]:
         """Current per-server depth (gauge input)."""
-        counts: Dict[str, int] = {}
-        for qj in self._jobs.values():
-            counts[qj.server_name] = counts.get(qj.server_name, 0) + 1
-        return counts
+        return dict(Counter(qj.record.server_name for qj in self._jobs.values()))
 
 
 @dataclass(frozen=True)
@@ -283,14 +280,14 @@ class QueuedMeasurementTier:
     def depth(self) -> int:
         return self.queue.depth
 
-    def _owner_of(self, job_id: str) -> str:
+    def _record_of(self, job_id: str) -> JobRecord:
         record = self.coordinator.jobs.get(job_id)
         if record is None:
             raise UnknownJob(
                 f"job {job_id!r} has no Coordinator ticket; the queue tier "
                 "only accepts jobs admitted through Coordinator.new_request"
             )
-        return record.server_name
+        return record
 
     def submit(self, job: Any) -> JobHandle:
         """Admit one ticketed job to the outbox, or shed it.
@@ -302,7 +299,7 @@ class QueuedMeasurementTier:
         persistently saturated tier pushes callers further and further
         back (backpressure) without consuming any randomness.
         """
-        owner = self._owner_of(job.job_id)
+        record = self._record_of(job.job_id)
         if self.queue.depth >= self.max_depth:
             self._shed_streak += 1
             retry_after = min(
@@ -320,8 +317,9 @@ class QueuedMeasurementTier:
                 job.job_id, self.queue.depth, self.max_depth, retry_after
             )
         self._shed_streak = 0
+        owner = record.server_name
         handle = JobHandle(job.job_id, owner, state=QUEUED)
-        self.queue.offer(owner, job, handle, now=self._now())
+        self.queue.offer(record, job, handle, now=self._now())
         self._m_enqueued.inc(server=owner)
         self._journey_span(
             "admission", job.job_id, server=owner, depth=self.queue.depth,
@@ -376,8 +374,8 @@ class QueuedMeasurementTier:
         self._journey_span("dead_letter", job_id, reason=reason)
         self.coordinator.fail_job(job_id, reason)
         self.dead_letters.add(DeadLetter(
-            job_id=job_id, url=queued.job.url,
-            server_name=queued.server_name, reason=reason, at=self._now(),
+            job_id=job_id, url=queued.job.url, reason=reason,
+            server_name=queued.record.server_name, at=self._now(),
             trace_id=job_id, last_event=last_event,
         ))
         queued.handle.error = JobDeadLettered(
@@ -393,7 +391,7 @@ class QueuedMeasurementTier:
         if queued is None:
             return False
         job_id = queued.job.job_id
-        owner = queued.server_name
+        owner = queued.record.server_name
         # the outbox dwell, backdated to admission: recorded first so
         # steals and the dispatch chain under it in journey order; a
         # steal links back to it, the stage on the owner it leaves
@@ -409,7 +407,6 @@ class QueuedMeasurementTier:
             except (RetryExhausted, NoServerAvailable) as exc:
                 self._dead_letter(queued, exc)
                 return True
-            self.queue.move(queued, ticket.server_name)
             self._count_steal("offline")
             self._journey_span(
                 "steal", job_id, links=links,
@@ -421,7 +418,6 @@ class QueuedMeasurementTier:
             if target is not None:
                 # load-balancing steal: owner healthy, budget untouched
                 self.coordinator.transfer_job(job_id, target)
-                self.queue.move(queued, target)
                 self._count_steal("imbalance")
                 self._journey_span(
                     "steal", job_id, links=links,

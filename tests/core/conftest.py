@@ -4,7 +4,12 @@ import random
 
 import pytest
 
+from repro.core.coordinator import Coordinator
 from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.core.whitelist import Whitelist
+from repro.net.events import Clock
+from repro.net.geo import GeoDatabase
+from repro.net.p2p import PeerOverlay
 from repro.web.catalog import make_catalog
 from repro.web.internet import ContentSite
 from repro.web.pricing import (
@@ -27,6 +32,30 @@ SMALL_IPC_SITES = (
     ("JP", "Tokyo", 1.0),
     ("DE", "Berlin", 1.0),
 )
+
+#: the one whitelisted product page of :func:`bare_coordinator`
+SHOP_URL = "http://shop.example/product/1"
+
+
+def bare_coordinator(distributor, **kwargs):
+    """A Coordinator over ``distributor`` alone: no world, no peers, and
+    ``SHOP_URL``'s domain whitelisted."""
+    return Coordinator(
+        Whitelist(["shop.example"]), distributor, PeerOverlay(),
+        GeoDatabase(), Clock(), **kwargs,
+    )
+
+
+def submit_job(coordinator, peer_id="peer-x"):
+    """Admit one request for ``SHOP_URL``; return its ticket."""
+    location = coordinator.geodb.make_location("ES", "Madrid")
+    ticket, _ = coordinator.new_request(peer_id, SHOP_URL, location)
+    return ticket
+
+
+def lifecycle(telemetry, event):
+    """``sheriff_dispatch_jobs_total{event}`` of one deployment."""
+    return telemetry.registry.get("sheriff_dispatch_jobs_total").value(event=event)
 
 
 def _store(world, domain, country, pricing, **kwargs):

@@ -4,27 +4,8 @@ import random
 
 import pytest
 
-from repro.core.dispatch import RequestDistributor
 from repro.currency.detect import detect_price, format_price
 from repro.net.events import EventLoop
-
-
-class TestDispatchReconciliation:
-    def test_reconcile_lost_completion(self):
-        """App. 10.3: corrective measures when step-4 messages are lost."""
-        d = RequestDistributor()
-        d.register_server("ms-0", "10.0.0.1")
-        d.assign_job("j-lost")
-        # the completion message never arrives; the operator reconciles
-        d.reconcile_lost_job("j-lost")
-        assert d.pending_jobs == 0
-        assert d.completions == 1
-
-    def test_reconcile_unknown_job(self):
-        d = RequestDistributor()
-        d.register_server("ms-0", "10.0.0.1")
-        with pytest.raises(KeyError):
-            d.reconcile_lost_job("ghost")
 
 
 class TestEventLoopBounds:

@@ -30,7 +30,10 @@ Then a job's journey spans became its one record: the flight recorder
 that logged the same queue decisions beside them went, with
 ``Telemetry.flights`` and ``journey()["events"]``, and so did the
 ``FileNotifier`` (the audit trail's own JSON lines, again) and the
-``WebhookNotifier`` stub that never delivered.
+``WebhookNotifier`` stub that never delivered.  Last, the Coordinator's
+job record became the one record of which server holds a job: the
+server list's job map, its per-job methods and plain lifecycle ints,
+and the queue tier's copy of the owner went.
 """
 
 import dataclasses
@@ -509,3 +512,45 @@ class TestDatabaseSurfaceTrimmed:
             assert not hasattr(cls, "group_count"), cls.__name__
         assert not hasattr(Coordinator, "open_jobs")
         assert "sp_record_response" not in DB_RPC_METHODS
+
+
+class TestOneOwnerRecordPerJob:
+    """The Coordinator's ``JobRecord.server_name`` is the one record of
+    which Measurement server holds a job: the server list lost its job
+    map, its per-job methods and its plain lifecycle ints, and the queue
+    tier reads the owner from the record instead of keeping a copy."""
+
+    DISTRIBUTOR_REMOVED = (
+        "_job_server", "assign_job", "reassign_job", "transfer_job",
+        "jobs_on", "_release", "complete_job", "fail_job",
+        "reconcile_lost_job", "assignments", "completions", "failures",
+        "reassignments",
+    )
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(_job_server|assign_job|complete_job|reconcile_lost_job)\b"
+        )) == []
+        assert _source_offenders(re.compile(
+            r"distributor\.(" + "|".join(self.DISTRIBUTOR_REMOVED) + r")\b"
+        )) == []
+        assert _source_offenders(re.compile(r"\bqueue\.move\(")) == []
+
+    def test_names_gone_from_the_classes(self):
+        from repro.core.dispatch import RequestDistributor
+        from repro.core.jobqueue import JobQueue, QueuedJob
+
+        distributor = RequestDistributor()
+        for name in self.DISTRIBUTOR_REMOVED:
+            assert not hasattr(distributor, name), name
+        assert "server_name" not in {f.name for f in dataclasses.fields(QueuedJob)}
+        assert not hasattr(JobQueue, "move")
+
+    def test_no_distributor_method_takes_a_job_id(self):
+        from repro.core.dispatch import RequestDistributor
+
+        for name, method in inspect.getmembers(
+            RequestDistributor, inspect.isfunction
+        ):
+            params = inspect.signature(method).parameters
+            assert not any("job" in p for p in params), name

@@ -1,68 +1,93 @@
-"""Tests for the request distribution protocol (Sect. 3.4)."""
+"""Tests for the request distribution protocol (Sect. 3.4).
+
+The Measurement server list picks a server and counts its pending jobs;
+jobs are assigned, completed and failed through the Coordinator, whose
+records say which server holds each job.
+"""
 
 import pytest
 
 from repro.core.dispatch import NoServerAvailable, RequestDistributor
+from repro.obs import Telemetry
+
+from .conftest import bare_coordinator, lifecycle, submit_job
 
 
 @pytest.fixture
-def distributor():
-    d = RequestDistributor()
+def telemetry():
+    return Telemetry()
+
+
+@pytest.fixture
+def distributor(telemetry):
+    d = RequestDistributor(telemetry=telemetry)
     d.register_server("ms-0", "10.0.0.1", 80)
     d.register_server("ms-1", "10.0.0.2", 80)
     d.register_server("ms-2", "10.0.0.3", 80)
     return d
 
 
+@pytest.fixture
+def coordinator(distributor, telemetry):
+    return bare_coordinator(distributor, telemetry=telemetry)
+
+
 class TestAssignment:
-    def test_least_jobs_wins(self, distributor):
+    def test_least_jobs_wins(self, distributor, coordinator):
         distributor.server("ms-0").jobs = 5
         distributor.server("ms-1").jobs = 1
         distributor.server("ms-2").jobs = 3
-        assert distributor.assign_job("j1").name == "ms-1"
+        assert submit_job(coordinator).server_name == "ms-1"
 
-    def test_assign_increments_counter(self, distributor):
-        distributor.assign_job("j1")
+    def test_assign_increments_counter(self, distributor, coordinator):
+        ticket = submit_job(coordinator)
         assert distributor.pending_jobs == 1
+        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
 
-    def test_complete_decrements(self, distributor):
-        server = distributor.assign_job("j1")
-        distributor.complete_job("j1")
-        assert distributor.server(server.name).jobs == 0
+    def test_complete_decrements(self, distributor, coordinator):
+        ticket = submit_job(coordinator)
+        coordinator.job_completed(ticket.job_id)
+        assert distributor.server(ticket.server_name).jobs == 0
+        assert coordinator.jobs_on(ticket.server_name) == []
 
-    def test_complete_unknown_job(self, distributor):
+    def test_complete_unknown_job(self, coordinator):
         with pytest.raises(KeyError):
-            distributor.complete_job("ghost")
+            coordinator.job_completed("ghost")
 
-    def test_offline_server_never_selected(self, distributor):
+    def test_offline_server_never_selected(self, distributor, coordinator):
         distributor.server("ms-0").online = False
         distributor.server("ms-0").jobs = 0
         distributor.server("ms-1").jobs = 10
         distributor.server("ms-2").jobs = 10
-        assert distributor.assign_job("j1").name != "ms-0"
+        assert submit_job(coordinator).server_name != "ms-0"
 
-    def test_no_server_available(self, distributor):
+    def test_no_server_available(self, distributor, coordinator):
         for name in ("ms-0", "ms-1", "ms-2"):
             distributor.server(name).online = False
         with pytest.raises(NoServerAvailable):
-            distributor.assign_job("j1")
+            submit_job(coordinator)
+        assert coordinator.jobs == {}
 
-    def test_counter_conservation_invariant(self, distributor):
-        """increments == completions + pending (DESIGN.md invariant)."""
-        for i in range(20):
-            distributor.assign_job(f"j{i}")
-        for i in range(0, 20, 2):
-            distributor.complete_job(f"j{i}")
-        assert distributor.assignments == distributor.completions + distributor.pending_jobs
+    def test_counter_conservation_invariant(
+        self, distributor, coordinator, telemetry
+    ):
+        """assigned == completed + pending (DESIGN.md invariant)."""
+        tickets = [submit_job(coordinator) for _ in range(20)]
+        for ticket in tickets[::2]:
+            coordinator.job_completed(ticket.job_id)
+        assert lifecycle(telemetry, "assigned") == (
+            lifecycle(telemetry, "completed") + distributor.pending_jobs
+        )
+        completed = sum(r.completed for r in coordinator.jobs.values())
+        assert len(coordinator.jobs) == completed + distributor.pending_jobs
 
-    def test_slow_server_gets_fewer_jobs(self, distributor):
+    def test_slow_server_gets_fewer_jobs(self, distributor, coordinator):
         """The paper's motivation: least-jobs adapts to slow servers."""
-        completed_fast = []
-        for i in range(30):
-            server = distributor.assign_job(f"j{i}")
+        for _ in range(30):
+            ticket = submit_job(coordinator)
             # fast servers (ms-0, ms-1) complete instantly; ms-2 lags
-            if server.name != "ms-2":
-                distributor.complete_job(f"j{i}")
+            if ticket.server_name != "ms-2":
+                coordinator.job_completed(ticket.job_id)
         assert distributor.server("ms-2").jobs <= 2
 
 
@@ -72,7 +97,8 @@ class TestRoundRobinAblation:
         d.register_server("ms-0", "10.0.0.1")
         d.register_server("ms-1", "10.0.0.2")
         d.server("ms-0").jobs = 100
-        names = [d.assign_job(f"j{i}").name for i in range(4)]
+        coordinator = bare_coordinator(d)
+        names = [submit_job(coordinator).server_name for _ in range(4)]
         assert names == ["ms-0", "ms-1", "ms-0", "ms-1"]
 
     def test_unknown_policy(self):
@@ -100,9 +126,8 @@ class TestRegistry:
         with pytest.raises(ValueError):
             distributor.register_server("ms-0", "10.0.0.9")
 
-    def test_remove_with_pending_jobs_refused(self, distributor):
-        distributor.assign_job("j1")
-        busy = [s.name for s in distributor.servers() if s.jobs][0]
+    def test_remove_with_pending_jobs_refused(self, distributor, coordinator):
+        busy = submit_job(coordinator).server_name
         with pytest.raises(RuntimeError):
             distributor.remove_server(busy)
 

@@ -3,49 +3,96 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dispatch import NoServerAvailable, RequestDistributor
+from repro.core.dispatch import RequestDistributor
+from repro.core.errors import SheriffError
+from repro.obs import Telemetry
 
-# an operation stream: assign / complete / toggle-online
+from .conftest import bare_coordinator, lifecycle, submit_job
+
+SERVERS = ("ms-0", "ms-1", "ms-2")
+
+# an operation stream over 3 servers: (op, job index, server index)
 _ops = st.lists(
-    st.one_of(
-        st.just(("assign",)),
-        st.just(("complete",)),
-        st.tuples(st.just("toggle"), st.integers(0, 2)),
+    st.tuples(
+        st.sampled_from((
+            "new", "reassign", "transfer", "failure", "heartbeat",
+            "complete", "fail",
+        )),
+        st.integers(0, 59),
+        st.integers(0, 2),
     ),
+    min_size=20,
     max_size=60,
 )
 
 
+def _step(coordinator, op, job_id, server):
+    if op == "new":
+        # an offline server never receives a job
+        ticket = submit_job(coordinator)
+        assert coordinator.distributor.server(ticket.server_name).online
+    elif op == "reassign":
+        coordinator.reassign_job(job_id)
+    elif op == "transfer":
+        coordinator.transfer_job(job_id, server)
+    elif op == "failure":
+        coordinator.handle_server_failure(server)
+    elif op == "heartbeat":
+        coordinator.distributor.heartbeat(server, coordinator.clock.now)
+    elif op == "complete":
+        coordinator.job_completed(job_id)
+    else:
+        coordinator.fail_job(job_id, "test")
+
+
 @given(ops=_ops)
 @settings(max_examples=100, deadline=None)
-def test_counter_conservation_under_any_schedule(ops):
-    """assignments == completions + pending, whatever happens; counters
-    never go negative; offline servers never receive jobs."""
-    d = RequestDistributor()
-    for i in range(3):
-        d.register_server(f"ms-{i}", f"10.0.0.{i}")
-    open_jobs = []
-    seq = 0
-    for op in ops:
-        if op[0] == "assign":
-            try:
-                job_id = f"j{seq}"
-                server = d.assign_job(job_id)
-                assert server.online
-                open_jobs.append(job_id)
-                seq += 1
-            except NoServerAvailable:
-                assert not any(s.online for s in d.servers())
-        elif op[0] == "complete":
-            if open_jobs:
-                d.complete_job(open_jobs.pop(0))
-        else:
-            record = d.servers()[op[1]]
-            record.online = not record.online
+def test_one_owner_per_job_under_any_schedule(ops):
+    """Whatever happens, the Coordinator's records are the one owner
+    record: each server's pending count is the number of unresolved
+    records naming it, every record is completed, failed or pending on
+    exactly its ``server_name``, no new job lands on an offline server,
+    and assigned == completed + failed + pending."""
+    telemetry = Telemetry()
+    d = RequestDistributor(telemetry=telemetry)
+    for i, name in enumerate(SERVERS):
+        d.register_server(name, f"10.0.0.{i}")
+    coordinator = bare_coordinator(d, telemetry=telemetry)
+    for op, job_index, server_index in ops:
+        # a pending job while there is one, so most steps move something
+        records = coordinator.jobs.values()
+        job_ids = (
+            [r.job_id for r in records if not r.resolved]
+            or list(coordinator.jobs) or ["ghost"]
+        )
+        job_id = job_ids[job_index % len(job_ids)]
+        server = SERVERS[server_index]
+        try:
+            _step(coordinator, op, job_id, server)
+        except SheriffError:
+            pass  # no server, spent budget, resolved job: nothing moved
+        if op == "failure":
+            assert coordinator.jobs_on(server) == []
         # invariants hold at every step
-        assert d.assignments == d.completions + d.pending_jobs
-        assert all(s.jobs >= 0 for s in d.servers())
-    assert d.pending_jobs == len(open_jobs)
+        for record in d.servers():
+            assert record.jobs == len(coordinator.jobs_on(record.name))
+        for record in coordinator.jobs.values():
+            holders = [
+                name for name in SERVERS
+                if record.job_id in coordinator.jobs_on(name)
+            ]
+            if record.resolved:
+                assert record.completed != record.failed
+                assert holders == []
+            else:
+                assert holders == [record.server_name]
+        records = coordinator.jobs.values()
+        completed = sum(r.completed for r in records)
+        failed = sum(r.failed for r in records)
+        assert len(coordinator.jobs) == completed + failed + d.pending_jobs
+        assert lifecycle(telemetry, "assigned") == len(coordinator.jobs)
+        assert lifecycle(telemetry, "completed") == completed
+        assert lifecycle(telemetry, "failed") == failed
 
 
 @given(

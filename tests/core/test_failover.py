@@ -15,9 +15,15 @@ from repro.core.coordinator import RetryBudgetExhausted
 from repro.core.dispatch import NoServerAvailable, RequestDistributor
 from repro.core.sheriff import PriceSheriff
 from repro.net.faults import FaultPlan, FaultRule
+from repro.obs import Telemetry
 from repro.workloads.deployment import DeploymentConfig, LiveDeployment
 
-from tests.core.conftest import SMALL_IPC_SITES
+from tests.core.conftest import (
+    SMALL_IPC_SITES,
+    bare_coordinator,
+    lifecycle,
+    submit_job,
+)
 
 
 # -- satellite regression: the fresh-server staleness bug --------------------
@@ -52,56 +58,75 @@ class TestServerRecordStaleness:
 
 class TestDispatchFailover:
     @pytest.fixture
-    def distributor(self):
-        d = RequestDistributor()
+    def telemetry(self):
+        return Telemetry()
+
+    @pytest.fixture
+    def distributor(self, telemetry):
+        d = RequestDistributor(telemetry=telemetry)
         d.register_server("ms-0", "10.0.0.1")
         d.register_server("ms-1", "10.0.0.2")
         d.register_server("ms-2", "10.0.0.3")
         return d
 
-    def test_mark_offline_returns_pending_jobs(self, distributor):
-        server = distributor.assign_job("j1")
-        jobs = distributor.mark_offline(server.name)
-        assert jobs == ["j1"]
-        assert not distributor.server(server.name).online
+    @pytest.fixture
+    def coordinator(self, distributor, telemetry):
+        return bare_coordinator(distributor, telemetry=telemetry)
 
-    def test_reassign_moves_to_survivor(self, distributor):
-        dead = distributor.assign_job("j1")
-        distributor.mark_offline(dead.name)
-        survivor = distributor.reassign_job("j1")
-        assert survivor.name != dead.name
-        assert distributor.server(dead.name).jobs == 0
-        assert survivor.jobs == 1
+    def test_mark_offline_returns_pending_jobs(self, distributor, coordinator):
+        """The server list only marks the server; its pending jobs are
+        the Coordinator's records that name it."""
+        ticket = submit_job(coordinator)
+        assert distributor.mark_offline(ticket.server_name) is None
+        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
+        assert not distributor.server(ticket.server_name).online
 
-    def test_reassign_excludes_old_server_even_if_online(self, distributor):
-        first = distributor.assign_job("j1")
-        moved = distributor.reassign_job("j1")
-        assert moved.name != first.name
+    def test_reassign_moves_to_survivor(self, distributor, coordinator):
+        dead = submit_job(coordinator)
+        distributor.mark_offline(dead.server_name)
+        survivor = coordinator.reassign_job(dead.job_id)
+        assert survivor.server_name != dead.server_name
+        assert distributor.server(dead.server_name).jobs == 0
+        assert distributor.server(survivor.server_name).jobs == 1
+        assert coordinator.jobs[dead.job_id].server_name == survivor.server_name
 
-    def test_reassign_does_not_inflate_assignments(self, distributor):
-        distributor.assign_job("j1")
-        distributor.reassign_job("j1")
-        assert distributor.assignments == 1
-        assert distributor.reassignments == 1
+    def test_reassign_excludes_old_server_even_if_online(self, coordinator):
+        first = submit_job(coordinator)
+        moved = coordinator.reassign_job(first.job_id)
+        assert moved.server_name != first.server_name
 
-    def test_no_survivor_raises(self, distributor):
-        distributor.assign_job("j1")
+    def test_reassign_does_not_inflate_assignments(self, coordinator, telemetry):
+        ticket = submit_job(coordinator)
+        coordinator.reassign_job(ticket.job_id)
+        assert lifecycle(telemetry, "assigned") == 1
+        assert lifecycle(telemetry, "reassigned") == 1
+        assert coordinator.jobs_reassigned == 1
+
+    def test_no_survivor_raises(self, distributor, coordinator):
+        ticket = submit_job(coordinator)
         for name in ("ms-0", "ms-1", "ms-2"):
             distributor.server(name).online = False
         with pytest.raises(NoServerAvailable):
-            distributor.reassign_job("j1")
+            coordinator.reassign_job(ticket.job_id)
+        # nothing moved: the job is still pending on its first server
+        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
 
-    def test_conservation_with_failures_and_reassignments(self, distributor):
-        for i in range(12):
-            distributor.assign_job(f"j{i}")
-        distributor.mark_offline("ms-0")
-        for job_id in distributor.jobs_on("ms-0"):
-            distributor.reassign_job(job_id)
-        for i in range(0, 12, 3):
-            distributor.complete_job(f"j{i}")
-        distributor.fail_job("j1")
-        assert distributor.assignments == (
-            distributor.completions + distributor.failures
+    def test_conservation_with_failures_and_reassignments(
+        self, distributor, coordinator, telemetry
+    ):
+        tickets = [submit_job(coordinator) for _ in range(12)]
+        coordinator.handle_server_failure("ms-0")
+        assert coordinator.jobs_on("ms-0") == []
+        for ticket in tickets[::3]:
+            coordinator.job_completed(ticket.job_id)
+        coordinator.fail_job(tickets[1].job_id, "test")
+        assert lifecycle(telemetry, "assigned") == (
+            lifecycle(telemetry, "completed") + lifecycle(telemetry, "failed")
+            + distributor.pending_jobs
+        )
+        records = coordinator.jobs.values()
+        assert len(coordinator.jobs) == (
+            sum(r.completed for r in records) + sum(r.failed for r in records)
             + distributor.pending_jobs
         )
 
@@ -158,9 +183,9 @@ class TestCoordinatorFailover:
     def test_fail_job_is_terminal_and_idempotent(self, coordinator, location):
         ticket = self._job(coordinator, location)
         coordinator.fail_job(ticket.job_id, "test reason")
-        failures = coordinator.distributor.failures
+        pending = coordinator.distributor.pending_jobs
         coordinator.fail_job(ticket.job_id, "again")
-        assert coordinator.distributor.failures == failures
+        assert coordinator.distributor.pending_jobs == pending == 0
         assert coordinator.jobs_failed == 1
         assert coordinator.jobs[ticket.job_id].failure_reason == "test reason"
 
@@ -170,8 +195,9 @@ class TestCoordinatorFailover:
         ticket = self._job(coordinator, location)
         coordinator.fail_job(ticket.job_id, "gone")
         coordinator.job_completed(ticket.job_id)
-        assert coordinator.distributor.completions == 0
+        assert coordinator.distributor.pending_jobs == 0
         assert not coordinator.jobs[ticket.job_id].completed
+        assert coordinator.jobs[ticket.job_id].failed
 
     def test_backoff_accumulates_on_counter_not_clock(self, coordinator):
         before = coordinator.clock.now
@@ -253,7 +279,7 @@ class TestChaosPriceChecks:
     def _run(self, world, profile, seed, n_checks=8):
         sheriff = PriceSheriff(
             world, n_measurement_servers=3, ipc_sites=SMALL_IPC_SITES,
-            chaos_profile=profile, chaos_seed=seed,
+            chaos_profile=profile, chaos_seed=seed, telemetry=Telemetry(),
         )
         addon = sheriff.install_addon(world.make_browser("ES", "Madrid"))
         for city in ("Madrid", "Barcelona", "Valencia"):
@@ -279,10 +305,14 @@ class TestChaosPriceChecks:
         assert coordinator.distributor.pending_jobs == 0
         # counted exactly once
         assert ok + failed == len(coordinator.jobs)
-        d = coordinator.distributor
-        assert d.assignments == d.completions + d.failures
-        assert d.completions == ok
-        assert d.failures == failed
+        records = coordinator.jobs.values()
+        assert sum(r.completed for r in records) == ok
+        assert sum(r.failed for r in records) == failed
+        assert coordinator.jobs_failed == failed
+        telemetry = sheriff.telemetry
+        assert lifecycle(telemetry, "assigned") == ok + failed
+        assert lifecycle(telemetry, "completed") == ok
+        assert lifecycle(telemetry, "failed") == failed
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS[:3])
     def test_flaky_peers_degrade_gracefully(self, world, seed):
@@ -326,8 +356,12 @@ class TestLossyDeployment:
             len(dataset.results) + dataset.n_explicit_failures
         )
         # the accounting balances at the dispatch layer too
-        d = dataset.sheriff.distributor
-        assert d.assignments == d.completions + d.failures + d.pending_jobs
+        sheriff = dataset.sheriff
+        records = sheriff.coordinator.jobs.values()
+        assert len(records) == (
+            sum(r.completed for r in records) + sum(r.failed for r in records)
+            + sheriff.distributor.pending_jobs
+        )
 
     def test_same_seed_runs_are_identical(self):
         """Determinism audit: all randomness flows from injected RNGs, so

@@ -11,6 +11,8 @@ from repro.net.faults import FaultPlan, FaultRule
 from repro.net.geo import GeoDatabase
 from repro.net.p2p import PeerOverlay
 
+from .conftest import bare_coordinator, submit_job
+
 
 def test_render_table_alignment():
     rows = [{"A": "x", "B": 1}, {"A": "longer", "B": 22}]
@@ -26,12 +28,13 @@ def test_servers_panel_matches_fig7():
     d.register_server("ms-0", "192.168.1.11", 80)
     d.register_server("ms-1", "192.168.1.12", 80)
     d.server("ms-1").online = False
-    d.assign_job("j1")
+    submit_job(bare_coordinator(d))
     panel = servers_panel(d)
     assert "Available Sheriff servers and jobs." in panel
     assert "192.168.1.11" in panel
     assert "offline" in panel
     assert "online" in panel
+    assert d.server("ms-0").panel_row()["Jobs"] == 1
 
 
 def test_peers_panel_matches_fig16():

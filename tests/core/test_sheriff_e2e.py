@@ -32,7 +32,8 @@ class TestBasicPriceCheck:
     def test_job_completion_reported(self, world, sheriff, es_user, es_peers):
         es_user.check_price(product_url(world, "uniform.example"))
         assert sheriff.distributor.pending_jobs == 0
-        assert sheriff.distributor.completions == 1
+        (record,) = sheriff.coordinator.jobs.values()
+        assert record.completed
 
     def test_results_persisted(self, world, sheriff, es_user, es_peers):
         result = es_user.check_price(product_url(world, "uniform.example"))
@@ -55,8 +56,10 @@ class TestBasicPriceCheck:
         urls = [product_url(world, "uniform.example", i) for i in range(4)]
         for url in urls:
             es_user.check_price(url)
-        # all jobs completed; both servers saw work over the run
-        assert sheriff.distributor.completions == 4
+        # all jobs completed, none left pending on either server
+        records = sheriff.coordinator.jobs.values()
+        assert sum(r.completed for r in records) == 4
+        assert sheriff.distributor.pending_jobs == 0
 
 
 class TestWhitelisting:
