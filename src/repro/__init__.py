@@ -44,7 +44,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".core.engine": ["JobHandle", "PriceCheckEngine"],
     ".core.measurement": ["MeasurementServer", "PriceCheckJob"],
     ".core.jobqueue": ["QueuedMeasurementTier"],
-    ".core.errors": ["QueueSaturated", "JobDeadLettered", "InvalidConfig"],
+    ".core.errors": ["QueueSaturated", "InvalidConfig"],
     # results and analysis
     ".core.pricecheck": ["PriceCheckResult", "ResultRow"],
     ".core.detector": ["PriceVariationReport", "analyze_rows"],

@@ -345,7 +345,6 @@ def _journey_record(run, job_id: str):
         "job_id": job_id,
         "stolen": job_id in run.stolen_job_ids,
         "spans": [span.to_dict() for span in journey["spans"]],
-        "dead_letter": journey["dead_letter"],
         "ticket": journey["ticket"],
     }
 
@@ -387,10 +386,6 @@ def _cmd_journey(args: argparse.Namespace) -> int:
         )
         print(f"ticket: server={ticket['server_name']} "
               f"attempts={ticket['attempts']} {state}")
-    if journey["dead_letter"] is not None:
-        dead = journey["dead_letter"]
-        print(f"dead letter: reason={dead['reason']} "
-              f"last_event={dead['last_event']}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(_journey_record(run, job_id), fh, indent=2)
@@ -620,8 +615,7 @@ VERBS: Tuple[Verb, ...] = (
               help="list the drill's job ids (stolen ones marked) and exit"),
         *_DRILL_FLAGS,
         _flag("--out", default=None, metavar="JSON",
-              help="also export the journey record (spans, dead letter, "
-                   "ticket) as JSON"),
+              help="also export the journey record (spans, ticket) as JSON"),
     ), _cmd_journey),
     Verb("slo",
          "run the drill under armed SLO burn-rate probes and report "

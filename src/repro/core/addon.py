@@ -35,12 +35,7 @@ from typing import Sequence, Tuple
 from repro.browser.browser import Browser
 from repro.browser.fingerprint import parse_user_agent
 from repro.core.aggregator import Aggregator
-from repro.core.coordinator import (
-    Coordinator,
-    RequestTicket,
-    RetryBudgetExhausted,
-)
-from repro.core.dispatch import NoServerAvailable
+from repro.core.coordinator import Coordinator
 from repro.core.errors import (
     ConsentRequired,
     PriceCheckFailed,
@@ -201,7 +196,7 @@ class SheriffAddon:
             ppc_ids=ppc_ids,
             third_party_domains=response.tracker_domains,
         )
-        return self._send_job(job, ticket)  # steps 3.1–3.2, with failover
+        return self._send_job(job, ticket.server_name)  # steps 3.1–3.2, with failover
 
     def collect(self, handle: JobHandle) -> PriceCheckResult:
         """Steps 4–5: wait for the job's terminal state, return the result.
@@ -218,23 +213,24 @@ class SheriffAddon:
         self.checks_initiated += 1
         return result
 
-    def _send_job(self, job: PriceCheckJob, ticket: RequestTicket) -> JobHandle:
+    def _send_job(self, job: PriceCheckJob, server_name: str) -> JobHandle:
         """Submit the job, failing over dead Measurement servers.
 
         Each attempt may find the assigned server dark (missed
         heartbeats, or the send itself is dropped by the fault plan);
-        the add-on then reports the failure, backs off (capped
-        exponential with jitter), asks the Coordinator to reassign
-        within the per-job retry budget, and re-submits.  Exhausting
-        the budget raises :class:`PriceCheckFailed`, never a hang.
+        the add-on then reports the failure to the Coordinator, which
+        moves every job pending on that server to a survivor within its
+        retry budget or fails it, and backs off (capped exponential
+        with jitter).  The job's record says what happened: a failed
+        record raises :class:`PriceCheckFailed`, never a hang; otherwise
+        the add-on re-sends to the server the record names.
         """
         coordinator = self.coordinator
+        record = coordinator.jobs[job.job_id]
         attempt = 0
         while True:
-            server_name = ticket.server_name
-            record = coordinator.distributor.server(server_name)
             faults = coordinator.faults
-            send_failed = not record.online
+            send_failed = not coordinator.distributor.server(server_name).online
             if not send_failed and faults is not None:
                 send_failed = faults.host_down(
                     server_name, coordinator.clock.now, role=ROLE_SERVER
@@ -246,14 +242,12 @@ class SheriffAddon:
                 )
             if not send_failed:
                 return self._measurement_lookup(server_name).submit(job)
-            coordinator.handle_server_failure(server_name, exclude_job=job.job_id)
+            coordinator.handle_server_failure(server_name)
             coordinator.next_backoff(attempt)  # accounted, not slept
             attempt += 1
-            try:
-                ticket = coordinator.reassign_job(job.job_id)
-            except (RetryBudgetExhausted, NoServerAvailable) as exc:
-                coordinator.fail_job(job.job_id, str(exc))
-                raise PriceCheckFailed(job.job_id, str(exc)) from exc
+            if record.failed:
+                raise PriceCheckFailed(job.job_id, record.failure_reason)
+            server_name = record.server_name
 
     # -- history donation (requirement 3 of Sect. 2.2) --------------------------
     def donated_history_counts(self) -> Counter:

@@ -231,8 +231,8 @@ class SheriffConfig(Config):
     #: (1 = the paper's single-server deployment)
     db_shards: int = knob(1, ge=1)
     #: put the queued measurement tier (repro.core.jobqueue) in front of
-    #: the Measurement servers: admission control, work stealing, and
-    #: dead-lettering.  Rows are identical queued or direct (tested).
+    #: the Measurement servers: admission control and work stealing.
+    #: Rows are identical queued or direct (tested).
     job_queue: bool = False
     #: admission limit of the queue tier's outbox (jobs beyond this are
     #: shed with a typed QueueSaturated carrying a retry-after hint)

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.dispatch import NoServerAvailable, RequestDistributor, ServerRecord
+from repro.core.dispatch import NoServerAvailable, RequestDistributor
 from repro.core.errors import (
     AdmissionDenied,
     ConfigurationError,
@@ -224,21 +224,12 @@ class Coordinator:
             transport=self.transport_label,
         )
         ppcs = self.select_ppcs(peer_id, location)
-        return self._ticket(job_id, server), ppcs
+        return RequestTicket(job_id, server.name, server.url, server.port), ppcs
 
-    @staticmethod
-    def _ticket(job_id: str, server: ServerRecord) -> RequestTicket:
-        return RequestTicket(job_id, server.name, server.url, server.port)
-
-    def _pending(self, job_id: str) -> JobRecord:
-        """The record of a job that is still pending on its server."""
+    def _record(self, job_id: str) -> JobRecord:
         record = self.jobs.get(job_id)
         if record is None:
             raise UnknownJob(f"unknown job {job_id!r}")
-        if record.resolved:
-            # the ticket already reached a terminal state; its pending
-            # count was released, so there is nothing left to move
-            raise UnknownJob(f"job {job_id!r} is already resolved")
         return record
 
     def jobs_on(self, server_name: str) -> List[str]:
@@ -278,9 +269,7 @@ class Coordinator:
         already failed over or reported failed — are ignored rather than
         double-counted (App. 10.3's lost-message reconciliation).
         """
-        record = self.jobs.get(job_id)
-        if record is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
+        record = self._record(job_id)
         if record.resolved:
             return
         record.completed = True
@@ -319,26 +308,44 @@ class Coordinator:
             self._requeue_jobs_of(name)
         return expired
 
-    def _requeue_jobs_of(
-        self, server_name: str, exclude_job: Optional[str] = None
-    ) -> None:
+    def _requeue_jobs_of(self, server_name: str) -> None:
+        """Move each job pending on ``server_name`` to a survivor within
+        its retry budget, or fail it.
+
+        The one place a failover is decided: callers read the outcome
+        from the job's record (``server_name``, or ``failed`` with its
+        ``failure_reason``).  Jobs move in admission order.
+        """
         for job_id in self.jobs_on(server_name):
-            if job_id == exclude_job:
-                continue
+            record = self.jobs[job_id]
             try:
-                self.reassign_job(job_id)
-            except (RetryBudgetExhausted, NoServerAvailable) as exc:
+                if record.attempts >= self.retry_budget:
+                    raise RetryBudgetExhausted(job_id, record.attempts)
+                # the dead server is offline by now, so it is never picked
+                server = self.distributor.select_server()
+            except (RetryExhausted, NoServerAvailable) as exc:
                 self.fail_job(job_id, str(exc))
+                continue
+            self.distributor.move(server_name, server.name, "reassigned")
+            record.attempts += 1
+            record.server_name = server.name
+            self.jobs_reassigned += 1
+            self._m_recovery.inc(event="reassigned")
+            self._m_retry_budget.inc()
+            self.journey_stage(
+                "retry", job_id, attempt=record.attempts, server=server.name,
+            )
 
-    def handle_server_failure(
-        self, server_name: str, exclude_job: Optional[str] = None
-    ) -> None:
+    def handle_server_failure(self, server_name: str) -> None:
         """A send to this server failed: mark it offline immediately and
-        move its pending jobs elsewhere (dead-server failover).
+        move each of its pending jobs to a survivor, or fail the jobs
+        whose retry budget is spent or that find no online server
+        (dead-server failover).
 
-        ``exclude_job`` is the job whose send just failed — its owner
-        re-sends via :meth:`reassign_job` itself and must not be moved
-        twice.
+        The add-on and the queue tier call this and then read each job's
+        outcome from its :class:`JobRecord`; the caller backs off
+        (capped exponential, jittered — :meth:`next_backoff`) before it
+        re-sends.
         """
         self.failovers += 1
         self._m_recovery.inc(event="failover")
@@ -346,40 +353,19 @@ class Coordinator:
             self.distributor.mark_offline(server_name)
         except KeyError:
             return
-        self._requeue_jobs_of(server_name, exclude_job)
+        self._requeue_jobs_of(server_name)
 
-    def reassign_job(self, job_id: str) -> RequestTicket:
-        """Move a job to a new Measurement server, within its retry budget.
-
-        Raises :class:`RetryBudgetExhausted` once the job has consumed
-        ``retry_budget`` assignments, or :class:`NoServerAvailable` when
-        no online server remains.  The caller is expected to back off
-        (capped exponential, jittered) between attempts —
-        :meth:`next_backoff` computes the wait.
-        """
-        record = self._pending(job_id)
-        if record.attempts >= self.retry_budget:
-            raise RetryBudgetExhausted(job_id, record.attempts)
-        server = self.distributor.select_server(exclude=(record.server_name,))
-        self.distributor.move(record.server_name, server.name, "reassigned")
-        record.attempts += 1
-        record.server_name = server.name
-        self.jobs_reassigned += 1
-        self._m_recovery.inc(event="reassigned")
-        self._m_retry_budget.inc()
-        self.journey_stage(
-            "retry", job_id, attempt=record.attempts, server=server.name,
-        )
-        return self._ticket(job_id, server)
-
-    def transfer_job(self, job_id: str, server_name: str) -> RequestTicket:
+    def transfer_job(self, job_id: str, server_name: str) -> None:
         """Work stealing: move a queued job onto a less loaded server.
 
         Free of retry-budget charges — the old owner is healthy, merely
         backlogged — and counted as a ``stolen`` recovery event so the
         queue tier's rebalancing is visible in telemetry.
         """
-        record = self._pending(job_id)
+        record = self._record(job_id)
+        if record.resolved:
+            # its pending count was released: there is nothing to move
+            raise UnknownJob(f"job {job_id!r} is already resolved")
         server = self.distributor.server(server_name)
         if not server.online:
             raise NoServerAvailable(f"steal target {server_name!r} is offline")
@@ -387,7 +373,6 @@ class Coordinator:
             self.distributor.move(record.server_name, server.name, "stolen")
             record.server_name = server.name
         self._m_recovery.inc(event="stolen")
-        return self._ticket(job_id, server)
 
     def next_backoff(self, attempt: int) -> float:
         """Jittered, capped-exponential wait before retry ``attempt``."""
@@ -398,9 +383,7 @@ class Coordinator:
 
     def fail_job(self, job_id: str, reason: str) -> None:
         """Terminal failure: report the job failed, exactly once."""
-        record = self.jobs.get(job_id)
-        if record is None:
-            raise UnknownJob(f"unknown job {job_id!r}")
+        record = self._record(job_id)
         if record.resolved:
             return
         record.failed = True
@@ -411,6 +394,8 @@ class Coordinator:
         self._m_recovery.inc(event="job_failed")
 
     def failed_jobs(self) -> List[JobRecord]:
+        """The operator's list of failed jobs, each with its
+        ``failure_reason``."""
         return [j for j in self.jobs.values() if j.failed]
 
     # -- doppelganger state service (steps 3.3/3.4 of Fig. 1) -------------------

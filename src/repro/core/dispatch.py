@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.errors import (
     DispatchConfigError,
@@ -203,10 +203,8 @@ class RequestDistributor:
     def _online(self) -> List[ServerRecord]:
         return [s for s in self._servers.values() if s.online]
 
-    def select_server(
-        self, exclude: Sequence[str] = ()
-    ) -> ServerRecord:
-        online = [s for s in self._online() if s.name not in exclude]
+    def select_server(self) -> ServerRecord:
+        online = self._online()
         if not online:
             raise NoServerAvailable("no online Measurement server")
         if self.policy == "round_robin":

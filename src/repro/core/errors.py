@@ -159,30 +159,6 @@ class QueueSaturated(SheriffError, RuntimeError):
         self.retry_after = retry_after
 
 
-class JobDeadLettered(SheriffError, RuntimeError):
-    """The queued job exhausted its retries and moved to the dead-letter
-    store for operator inspection instead of being silently dropped.
-
-    Carries the job's journey context — its ``trace_id`` (the job id,
-    keying the span tree) and ``last_event``, the name of the job's
-    latest journey span before its ``dead_letter`` span (``""`` with
-    telemetry off) — so the post-mortem starts from the exception.
-    """
-
-    def __init__(
-        self,
-        job_id: str,
-        reason: str,
-        trace_id: str = "",
-        last_event: str = "",
-    ) -> None:
-        super().__init__(f"job {job_id!r} dead-lettered: {reason}")
-        self.job_id = job_id
-        self.reason = reason
-        self.trace_id = trace_id or job_id
-        self.last_event = last_event
-
-
 class InvalidConfig(SheriffError, ValueError):
     """A run configuration has unknown keys or out-of-range values."""
 
@@ -234,7 +210,6 @@ __all__ = [
     "PriceCheckFailed",
     "PriceSelectionError",
     "QueueSaturated",
-    "JobDeadLettered",
     "InvalidConfig",
     "ConnectionPoolExhausted",
     "UnknownTable",

@@ -18,19 +18,21 @@ servers:
   in admission order consumes every RNG stream exactly as the direct
   tier does, which is why queued dispatch stays row-identical to
   direct dispatch (property-tested on both storage backends).
-* **work stealing** — at dispatch time a job whose owner went offline
-  is reassigned through the Coordinator (consuming retry budget); a
-  job whose owner is merely backlogged beyond ``steal_threshold``
-  fetch tasks is *transferred* to the least loaded server, budget-free
-  (``Coordinator.transfer_job``).  The owner is read from the job's
-  Coordinator record at dispatch, never copied into the queue: a job
-  the Coordinator failed over while it waited goes where its record
-  says.
-* **retry → dead letter** — a job whose reassignment exhausts its
-  retry budget (or finds no online server) moves to the
-  :class:`DeadLetterStore` for operator inspection and its handle
-  fails with :class:`repro.core.errors.JobDeadLettered`; nothing is
-  silently dropped.
+* **work stealing** — at dispatch time a job whose owner is merely
+  backlogged beyond ``steal_threshold`` fetch tasks is *transferred* to
+  the least loaded server, budget-free (``Coordinator.transfer_job``).
+  The owner is read from the job's Coordinator record at dispatch,
+  never copied into the queue: a job the Coordinator failed over while
+  it waited goes where its record says.
+* **failover is the Coordinator's** — the tier decides no failover.
+  An owner found offline at dispatch (a caller marked it offline
+  through the distributor alone) is reported with
+  ``Coordinator.handle_server_failure``, which moves the job within its
+  retry budget or fails it.  A job whose record is failed leaves the
+  outbox undispatched and its handle raises
+  :class:`repro.core.errors.PriceCheckFailed` — what a failed sent
+  check raises; ``dead_lettered`` counts them.  The operator's list of
+  failed jobs is ``Coordinator.failed_jobs()``.
 
 The tier is the add-on's entry point when it runs: ``submit`` returns
 the job's :class:`~repro.core.engine.JobHandle` in the ``queued`` state,
@@ -41,11 +43,11 @@ cannot tell queued dispatch from direct dispatch (except when told to
 back off).
 
 Queue traffic is observable through ``sheriff_queue_*`` metrics
-(depth, enqueued, dispatched, steals by reason, shed, dead-lettered,
+(depth, enqueued, dispatched, steals, shed, failed before dispatch,
 wait-time histogram) and — with telemetry on — the *job journey*: every
 lifecycle decision (``admission``, ``queue_wait``, ``steal``, ``shed``,
-``dead_letter``, ``dispatch``) is a span in the job's trace (keyed by
-the job id), chained through the Coordinator's
+``dispatch``) is a span in the job's trace (keyed by the job id),
+chained through the Coordinator's
 :meth:`~repro.core.coordinator.Coordinator.journey_stage` under the
 job's ``assign`` and ``retry`` spans.  The dispatch span parents the
 owning server's ``price_check`` fan-out, so one trace reconstructs the
@@ -63,20 +65,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.coordinator import Coordinator, JobRecord
 from repro.core.engine import FAILED, QUEUED, JobHandle, PriceCheckEngine
-from repro.core.errors import (
-    JobDeadLettered,
-    NoServerAvailable,
-    QueueSaturated,
-    RetryExhausted,
-    UnknownJob,
-    UnknownServer,
-)
+from repro.core.errors import PriceCheckFailed, QueueSaturated, UnknownJob
 from repro.net.faults import BackoffPolicy
 from repro.obs import NULL_TELEMETRY, Span
 
 __all__ = [
-    "DeadLetter",
-    "DeadLetterStore",
     "JobQueue",
     "QueuedJob",
     "QueuedMeasurementTier",
@@ -144,48 +137,6 @@ class JobQueue:
         return dict(Counter(qj.record.server_name for qj in self._jobs.values()))
 
 
-@dataclass(frozen=True)
-class DeadLetter:
-    """One job parked for operator inspection instead of silent loss.
-
-    ``trace_id`` keys the job's span tree and ``last_event`` names the
-    job's latest journey span before its ``dead_letter`` span (``""``
-    with telemetry off), so ``repro journey <job_id>`` works for failed
-    jobs too.
-    """
-
-    job_id: str
-    url: str
-    server_name: str
-    reason: str
-    at: float
-    trace_id: str = ""
-    last_event: str = ""
-
-
-class DeadLetterStore:
-    """Append-only store of jobs that exhausted their corrective budget."""
-
-    def __init__(self) -> None:
-        self._entries: List[DeadLetter] = []
-
-    def add(self, entry: DeadLetter) -> None:
-        self._entries.append(entry)
-
-    @property
-    def entries(self) -> List[DeadLetter]:
-        return list(self._entries)
-
-    def for_job(self, job_id: str) -> Optional[DeadLetter]:
-        for entry in self._entries:
-            if entry.job_id == job_id:
-                return entry
-        return None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
 
@@ -220,7 +171,9 @@ class QueuedMeasurementTier:
         #: the current shed streak
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.queue = JobQueue()
-        self.dead_letters = DeadLetterStore()
+        #: queued jobs whose record the Coordinator failed; their handles
+        #: raise :class:`PriceCheckFailed`
+        self.dead_lettered = 0
         self._shed_streak = 0
         self.shed_total = 0
         self.dispatched_total = 0
@@ -252,7 +205,7 @@ class QueuedMeasurementTier:
         )
         self._m_dlq = registry.counter(
             "sheriff_queue_dlq_total",
-            "Jobs parked in the dead-letter store",
+            "Queued jobs failed before dispatch",
         )
         self._m_wait = registry.histogram(
             "sheriff_queue_wait_seconds",
@@ -328,12 +281,6 @@ class QueuedMeasurementTier:
         return handle
 
     # -- the outbox drain -------------------------------------------------
-    def _server_record(self, name: str):
-        try:
-            return self.coordinator.distributor.server(name)
-        except UnknownServer:
-            return None
-
     def _backlog(self, name: str) -> int:
         """A server's load: engine fetch tasks in flight + queued jobs."""
         pool = self.engine.pool_for(name)
@@ -359,71 +306,48 @@ class QueuedMeasurementTier:
             return best.name
         return None
 
-    def _count_steal(self, reason: str) -> None:
-        self.steals[reason] = self.steals.get(reason, 0) + 1
-        self._m_steals.inc(reason=reason)
-
-    def _dead_letter(self, queued: QueuedJob, exc: Exception) -> None:
-        job_id = queued.job.job_id
-        self.queue.pop(queued)
-        reason = str(exc)
-        # the stage *before* the dead-lettering is what the post-mortem
-        # wants: the decision that led here
-        latest = self.coordinator.journey_spans.get(job_id)
-        last_event = latest.name if latest is not None else ""
-        self._journey_span("dead_letter", job_id, reason=reason)
-        self.coordinator.fail_job(job_id, reason)
-        self.dead_letters.add(DeadLetter(
-            job_id=job_id, url=queued.job.url, reason=reason,
-            server_name=queued.record.server_name, at=self._now(),
-            trace_id=job_id, last_event=last_event,
-        ))
-        queued.handle.error = JobDeadLettered(
-            job_id, reason, trace_id=job_id, last_event=last_event,
-        )
-        queued.handle.state = FAILED
-        self._m_dlq.inc()
-        self._sync_depth()
-
     def _dispatch_head(self) -> bool:
-        """Dispatch the FIFO head (stealing or dead-lettering en route)."""
+        """Dispatch the FIFO head (stealing en route), or fail it if the
+        Coordinator failed its record."""
         queued = self.queue.head()
         if queued is None:
             return False
         job_id = queued.job.job_id
-        owner = queued.record.server_name
-        # the outbox dwell, backdated to admission: recorded first so
-        # steals and the dispatch chain under it in journey order; a
+        record = queued.record
+        distributor = self.coordinator.distributor
+        if not record.failed and not distributor.server(record.server_name).online:
+            # a caller marked the owner offline through the distributor
+            # alone: report it, and the Coordinator moves or fails the job
+            self.coordinator.handle_server_failure(record.server_name)
+        if record.failed:
+            # never dispatched: its handle raises what a failed sent
+            # check raises
+            self.queue.pop(queued)
+            queued.handle.error = PriceCheckFailed(job_id, record.failure_reason)
+            queued.handle.state = FAILED
+            self.dead_lettered += 1
+            self._m_dlq.inc()
+            self._sync_depth()
+            return True
+        owner = record.server_name
+        # the outbox dwell, backdated to admission: recorded first so a
+        # steal and the dispatch chain under it in journey order; a
         # steal links back to it, the stage on the owner it leaves
         wait = self._journey_span(
             "queue_wait", job_id, start=queued.enqueued_at, server=owner,
         )
-        links = [(job_id, wait.span_id)] if wait is not None else None
-        record = self._server_record(owner)
-        if record is None or not record.online:
-            # dead-owner steal: a real failover, through the retry budget
-            try:
-                ticket = self.coordinator.reassign_job(job_id)
-            except (RetryExhausted, NoServerAvailable) as exc:
-                self._dead_letter(queued, exc)
-                return True
-            self._count_steal("offline")
+        target = self._steal_target(owner)
+        if target is not None:
+            # load-balancing steal: owner healthy, budget untouched
+            self.coordinator.transfer_job(job_id, target)
+            self.steals["imbalance"] = self.steals.get("imbalance", 0) + 1
+            self._m_steals.inc(reason="imbalance")
             self._journey_span(
-                "steal", job_id, links=links,
-                reason="offline", src=owner, dst=ticket.server_name,
+                "steal", job_id,
+                links=[(job_id, wait.span_id)] if wait is not None else None,
+                reason="imbalance", src=owner, dst=target,
             )
-            owner = ticket.server_name
-        else:
-            target = self._steal_target(owner)
-            if target is not None:
-                # load-balancing steal: owner healthy, budget untouched
-                self.coordinator.transfer_job(job_id, target)
-                self._count_steal("imbalance")
-                self._journey_span(
-                    "steal", job_id, links=links,
-                    reason="imbalance", src=owner, dst=target,
-                )
-                owner = target
+            owner = target
         self.queue.pop(queued)
         server = self._server_lookup(owner)
         if self.tracer.enabled:
@@ -483,5 +407,5 @@ class QueuedMeasurementTier:
             "dispatched": self.dispatched_total,
             "shed": self.shed_total,
             "steals": dict(self.steals),
-            "dead_letters": len(self.dead_letters),
+            "dead_lettered": self.dead_lettered,
         }

@@ -249,7 +249,7 @@ class PriceSheriff:
             self.add_measurement_server(f"ms-{i}")
         #: the queued measurement tier (None = direct dispatch): a
         #: bounded work-stealing outbox between the Coordinator and the
-        #: Measurement servers, with admission control and dead letters
+        #: Measurement servers, with admission control
         self.job_queue: Optional[QueuedMeasurementTier] = None
         if config.job_queue:
             self.job_queue = QueuedMeasurementTier(
@@ -307,23 +307,12 @@ class PriceSheriff:
     def journey(self, job_id: str) -> Dict[str, Any]:
         """Everything recorded about one job's end-to-end journey.
 
-        One lookup joins the job's span tree (assign → admission → queue
-        wait → steal/retry → dispatch → fetch/parse/persist), its
-        dead-letter entry if it has one, and the Coordinator ticket's
-        terminal state.  ``repro journey <job_id>`` renders this;
-        post-mortems read it raw.
+        One lookup joins the job's span tree (assign → retry → admission
+        → queue wait → steal → dispatch → fetch/parse/persist) and the
+        Coordinator ticket's terminal state (a failed job's ticket
+        carries its ``failure_reason``).  ``repro journey <job_id>``
+        renders this; post-mortems read it raw.
         """
-        dead = None
-        if self.job_queue is not None:
-            entry = self.job_queue.dead_letters.for_job(job_id)
-            if entry is not None:
-                dead = {
-                    "reason": entry.reason,
-                    "server_name": entry.server_name,
-                    "at": entry.at,
-                    "trace_id": entry.trace_id,
-                    "last_event": entry.last_event,
-                }
         ticket = None
         record = self.coordinator.jobs.get(job_id)
         if record is not None:
@@ -338,7 +327,6 @@ class PriceSheriff:
         return {
             "job_id": job_id,
             "spans": self.telemetry.tracer.spans_for(job_id),
-            "dead_letter": dead,
             "ticket": ticket,
         }
 

@@ -235,24 +235,25 @@ class JobQueueBacklogProbe:
 
 
 class DeadLetterProbe:
-    """Did the queue tier dead-letter any jobs since the last check?
+    """Did the queue tier fail any queued jobs since the last check?
 
     Delta-style like :class:`ErrorRateProbe`: each check compares the
-    dead-letter store's size against the previous tick and flags any
-    growth beyond ``max_delta``.  The baseline is the store's size when
-    the probe is built, so letters that predate the probe stay quiet
-    while one parked before the first check still alerts.  Dead letters
-    are terminal — every one is a job whose retry budget ran dry — so
-    the default tolerance is zero.
+    tier's ``dead_lettered`` count (queued jobs whose record the
+    Coordinator failed before dispatch) against the previous tick and
+    flags any growth beyond ``max_delta``.  The baseline is the count
+    when the probe is built, so failures that predate the probe stay
+    quiet while one before the first check still alerts.  Each is
+    terminal — a job whose retry budget ran dry or that found no online
+    server — so the default tolerance is zero.
     """
 
     def __init__(self, tier, max_delta: float = 0.0) -> None:
         self.tier = tier
         self.max_delta = max_delta
-        self._last = len(tier.dead_letters)
+        self._last = tier.dead_lettered
 
     def check(self, now: float) -> ProbeResult:
-        current = len(self.tier.dead_letters)
+        current = self.tier.dead_lettered
         previous, self._last = self._last, current
         delta = current - previous
         snapshot = {"new_dead_letters": float(delta),

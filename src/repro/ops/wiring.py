@@ -49,24 +49,32 @@ from repro.ops.supervisor import RestartPolicy, Supervisor
 
 __all__ = ["build_supervisor"]
 
+#: engine worker-pool backlog (fetch tasks) above which a pool is drained
+MAX_QUEUE_DEPTH = 256
+#: terminal job failures (and IPC / PPC losses) tolerated per tick
+MAX_JOB_FAILURES_PER_TICK = 5.0
+#: simulated seconds a DB shard may go without a write before it alerts
+SHARD_STALENESS = 24 * 3600.0
+#: share of doppelgangers past their pollution budget that trips the
+#: kill-switch
+POLLUTION_MAX_FRACTION = 0.5
+#: share of the queue tier's ``max_depth`` that alerts as backlog
+QUEUE_BACKLOG_FRACTION = 0.9
+
 
 def build_supervisor(
     sheriff,
     notifiers: Sequence[Notifier] = (),
     audit_path: Optional[str] = None,
-    restart_policy: Optional[RestartPolicy] = None,
     heartbeat_policy: Optional[RestartPolicy] = None,
-    max_queue_depth: int = 256,
-    max_job_failures_per_tick: float = 5.0,
-    shard_staleness: float = 24 * 3600.0,
-    pollution_max_fraction: float = 0.5,
-    queue_backlog_fraction: float = 0.9,
     slo_engine: Optional[SLOEngine] = None,
     slo_max_burn_rate: float = 1.0,
 ) -> Supervisor:
     """Stand up the self-healing layer over a live deployment.
 
-    ``slo_engine`` overrides the stock objectives
+    ``heartbeat_policy`` is the Measurement servers' restart policy
+    (the stock :class:`RestartPolicy` by default).  ``slo_engine``
+    overrides the stock objectives
     (:func:`repro.obs.slo.build_default_slos`); pass an engine with your
     own declarations to alert on them instead.  SLO components only
     exist when the sheriff's telemetry registry is enabled — burn rates
@@ -77,7 +85,7 @@ def build_supervisor(
     supervisor = Supervisor(
         clock, audit=audit, notifiers=notifiers, telemetry=sheriff.telemetry
     )
-    policy = restart_policy if restart_policy is not None else RestartPolicy()
+    policy = RestartPolicy()
     ms_policy = heartbeat_policy if heartbeat_policy is not None else policy
 
     # Measurement servers: the restartable, critical fleet.
@@ -96,7 +104,7 @@ def build_supervisor(
         )
         supervisor.register(
             f"{name}/pool",
-            probes=(QueueDepthProbe(sheriff.engine, name, max_queue_depth),),
+            probes=(QueueDepthProbe(sheriff.engine, name, MAX_QUEUE_DEPTH),),
             restart=sheriff.engine.drain,
             policy=policy,
         )
@@ -106,19 +114,19 @@ def build_supervisor(
         supervisor.register(
             f"db/{shard_name}",
             probes=(
-                ShardStalenessProbe(sheriff.db, shard_name, shard_staleness),
+                ShardStalenessProbe(sheriff.db, shard_name, SHARD_STALENESS),
             ),
         )
 
     # Queued measurement tier (when one is deployed): backlog pressure
-    # and dead-letter growth.  Both alert-only — the queue drains itself
-    # and dead letters are terminal; restarting nothing keeps the
-    # supervisor's restart-equivalence property intact.
+    # and queued jobs failed before dispatch.  Both alert-only — the
+    # queue drains itself and a failed job is terminal; restarting
+    # nothing keeps the supervisor's restart-equivalence property intact.
     job_queue = getattr(sheriff, "job_queue", None)
     if job_queue is not None:
         supervisor.register(
             "jobqueue",
-            probes=(JobQueueBacklogProbe(job_queue, queue_backlog_fraction),),
+            probes=(JobQueueBacklogProbe(job_queue, QUEUE_BACKLOG_FRACTION),),
         )
         supervisor.register(
             "jobqueue/dlq",
@@ -131,7 +139,7 @@ def build_supervisor(
         probes=(
             ErrorRateProbe(
                 lambda: sheriff.coordinator.jobs_failed,
-                max_job_failures_per_tick,
+                MAX_JOB_FAILURES_PER_TICK,
                 name="job failures",
             ),
         ),
@@ -143,7 +151,7 @@ def build_supervisor(
         probes=(
             ErrorRateProbe(
                 lambda: sheriff.measurement_stats().ipc_failures,
-                max_job_failures_per_tick,
+                MAX_JOB_FAILURES_PER_TICK,
                 name="IPC fetch failures",
             ),
         ),
@@ -157,7 +165,7 @@ def build_supervisor(
                 lambda: (
                     lambda s: s.ppc_dropped + s.ppc_timeouts + s.ppc_corrupt
                 )(sheriff.measurement_stats()),
-                max_job_failures_per_tick,
+                MAX_JOB_FAILURES_PER_TICK,
                 name="PPC losses",
             ),
         ),
@@ -186,20 +194,20 @@ def build_supervisor(
         "error-spike",
         ErrorRateProbe(
             lambda: sheriff.coordinator.jobs_failed,
-            max(10.0, 3 * max_job_failures_per_tick),
+            max(10.0, 3 * MAX_JOB_FAILURES_PER_TICK),
             name="deployment job failures",
         ),
         action="kill",
     )
     supervisor.add_anomaly_detector(
         "pollution-budget",
-        PollutionBudgetProbe(sheriff.dopp_manager, pollution_max_fraction),
+        PollutionBudgetProbe(sheriff.dopp_manager, POLLUTION_MAX_FRACTION),
         action="kill",
     )
     supervisor.add_anomaly_detector(
         "stale-shards",
         CallableProbe(
-            lambda now, db=sheriff.db, age=shard_staleness: _all_shards_fresh(
+            lambda now, db=sheriff.db, age=SHARD_STALENESS: _all_shards_fresh(
                 db, now, age
             ),
             name="all shards fresh",

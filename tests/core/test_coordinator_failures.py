@@ -2,7 +2,7 @@
 
 The happy path (assign → complete) is pinned all over the suite; these
 tests pin the edges the queue tier leans on — what happens when a job's
-retry budget runs dry, when a reassignment races a terminal state, and
+retry budget runs dry, when a failover races a terminal state, and
 how the backoff schedule grows between attempts.
 """
 
@@ -23,24 +23,35 @@ def _mint_job(world, sheriff, es_user):
     return ticket
 
 
+def _fail_over(world, coordinator, record):
+    """Fail the job's server over, then let that server heartbeat back."""
+    dead = record.server_name
+    coordinator.handle_server_failure(dead)
+    coordinator.distributor.heartbeat(dead, world.clock.now)
+
+
 class TestRetryExhaustion:
     def test_fail_job_after_budget_runs_dry(self, world, sheriff, es_user):
         coordinator = sheriff.coordinator
         ticket = _mint_job(world, sheriff, es_user)
-        # budget is 3 assignments total; the first came with the ticket
-        coordinator.reassign_job(ticket.job_id)
-        coordinator.reassign_job(ticket.job_id)
-        with pytest.raises(RetryBudgetExhausted):
-            coordinator.reassign_job(ticket.job_id)
         record = coordinator.jobs[ticket.job_id]
+        # budget is 3 assignments total; the first came with the ticket,
+        # and each failover of the job's server spends one more
+        _fail_over(world, coordinator, record)
+        _fail_over(world, coordinator, record)
         assert record.attempts == coordinator.retry_budget
         assert not record.resolved
 
-        coordinator.fail_job(ticket.job_id, "retry budget exhausted")
+        coordinator.handle_server_failure(record.server_name)
         assert record.failed
-        assert record.failure_reason == "retry budget exhausted"
+        assert record.failure_reason == str(
+            RetryBudgetExhausted(ticket.job_id, coordinator.retry_budget)
+        )
         assert coordinator.jobs_failed == 1
         assert coordinator.pending_jobs() == 0
+        # a later report changes nothing
+        coordinator.fail_job(ticket.job_id, "retry budget exhausted")
+        assert coordinator.jobs_failed == 1
 
     def test_fail_job_is_idempotent(self, world, sheriff, es_user):
         coordinator = sheriff.coordinator
@@ -67,19 +78,34 @@ class TestRetryExhaustion:
 
 
 class TestReassignResolvedTicket:
+    """A failover moves only pending jobs: a resolved one keeps its
+    server, its attempts and its terminal state."""
+
+    @staticmethod
+    def _assert_not_moved(coordinator, ticket):
+        coordinator.handle_server_failure(ticket.server_name)
+        record = coordinator.jobs[ticket.job_id]
+        assert (record.server_name, record.attempts) == (ticket.server_name, 1)
+        assert coordinator.jobs_reassigned == 0
+        assert coordinator.pending_jobs() == 0
+        with pytest.raises(UnknownJob, match="already resolved"):
+            coordinator.transfer_job(ticket.job_id, ticket.server_name)
+        return record
+
     def test_reassign_completed_job_raises(self, world, sheriff, es_user):
         coordinator = sheriff.coordinator
         ticket = _mint_job(world, sheriff, es_user)
         coordinator.job_completed(ticket.job_id)
-        with pytest.raises(UnknownJob, match="already resolved"):
-            coordinator.reassign_job(ticket.job_id)
+        record = self._assert_not_moved(coordinator, ticket)
+        assert record.completed and not record.failed
 
     def test_reassign_failed_job_raises(self, world, sheriff, es_user):
         coordinator = sheriff.coordinator
         ticket = _mint_job(world, sheriff, es_user)
         coordinator.fail_job(ticket.job_id, "dead")
-        with pytest.raises(UnknownJob, match="already resolved"):
-            coordinator.reassign_job(ticket.job_id)
+        record = self._assert_not_moved(coordinator, ticket)
+        assert record.failed and record.failure_reason == "dead"
+        assert coordinator.jobs_failed == 1
 
     def test_transfer_resolved_or_unknown_job_raises(
         self, world, sheriff, es_user

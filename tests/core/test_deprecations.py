@@ -33,7 +33,10 @@ that logged the same queue decisions beside them went, with
 ``WebhookNotifier`` stub that never delivered.  Last, the Coordinator's
 job record became the one record of which server holds a job: the
 server list's job map, its per-job methods and plain lifecycle ints,
-and the queue tier's copy of the owner went.
+and the queue tier's copy of the owner went.  Then the Coordinator
+became the one place a failover is decided: ``reassign_job``,
+``exclude_job``, the queue tier's offline steal and its dead-letter
+store went, with six ``build_supervisor`` parameters nobody set.
 """
 
 import dataclasses
@@ -469,7 +472,7 @@ class TestOneJourneyRecord:
             job_queue=True, telemetry=Telemetry(),
         )
         assert set(sheriff.journey("job-1")) == {
-            "job_id", "spans", "dead_letter", "ticket",
+            "job_id", "spans", "ticket",
         }
         for name in ("_journey", "_journey_parent", "flights"):
             assert not hasattr(sheriff.job_queue, name), name
@@ -554,3 +557,49 @@ class TestOneOwnerRecordPerJob:
         ):
             params = inspect.signature(method).parameters
             assert not any("job" in p for p in params), name
+
+
+class TestOneFailoverDecision:
+    """The Coordinator is the one place a failover is decided: its
+    ``reassign_job`` left the public surface, ``handle_server_failure``
+    lost ``exclude_job``, and the queue tier's offline steal and
+    dead-letter store went — a failed queued check raises
+    ``PriceCheckFailed`` like a failed sent one."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(reassign_job|exclude_job|DeadLetter|DeadLetterStore"
+            r"|JobDeadLettered|_dead_letter|dead_letters)\b"
+        )) == []
+
+    def test_names_gone(self):
+        import repro
+        import repro.core.errors
+        import repro.core.jobqueue
+        from repro.core.coordinator import Coordinator
+
+        assert not hasattr(Coordinator, "reassign_job")
+        assert "exclude_job" not in inspect.signature(
+            Coordinator.handle_server_failure
+        ).parameters
+        for name in ("DeadLetter", "DeadLetterStore"):
+            assert not hasattr(repro.core.jobqueue, name), name
+        assert not hasattr(repro.core.errors, "JobDeadLettered")
+        assert "JobDeadLettered" not in repro.__all__
+        sheriff = PriceSheriff(
+            SheriffWorld.create(seed=1), whitelist_domains=[], job_queue=True,
+        )
+        assert not hasattr(sheriff.job_queue, "dead_letters")
+        assert sheriff.job_queue.dead_lettered == 0
+        assert "dead_letter" not in sheriff.journey("job-1")
+
+    def test_supervisor_parameters_nobody_set_gone(self):
+        from repro.ops.wiring import build_supervisor
+
+        params = inspect.signature(build_supervisor).parameters
+        for name in (
+            "restart_policy", "max_queue_depth", "max_job_failures_per_tick",
+            "shard_staleness", "pollution_max_fraction",
+            "queue_backlog_fraction",
+        ):
+            assert name not in params, name

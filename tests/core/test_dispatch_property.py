@@ -3,11 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dispatch import RequestDistributor
-from repro.core.errors import SheriffError
+from repro.core.dispatch import DISPATCH_POLICIES, RequestDistributor
+from repro.core.errors import (
+    NoServerAvailable,
+    PriceCheckFailed,
+    QueueSaturated,
+    SheriffError,
+)
+from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.obs import Telemetry
+from repro.workloads.stores import build_named_stores, uniform_store_specs
 
-from .conftest import bare_coordinator, lifecycle, submit_job
+from .conftest import SMALL_IPC_SITES, bare_coordinator, lifecycle, submit_job
 
 SERVERS = ("ms-0", "ms-1", "ms-2")
 
@@ -15,8 +22,7 @@ SERVERS = ("ms-0", "ms-1", "ms-2")
 _ops = st.lists(
     st.tuples(
         st.sampled_from((
-            "new", "reassign", "transfer", "failure", "heartbeat",
-            "complete", "fail",
+            "new", "transfer", "failure", "heartbeat", "complete", "fail",
         )),
         st.integers(0, 59),
         st.integers(0, 2),
@@ -31,8 +37,6 @@ def _step(coordinator, op, job_id, server):
         # an offline server never receives a job
         ticket = submit_job(coordinator)
         assert coordinator.distributor.server(ticket.server_name).online
-    elif op == "reassign":
-        coordinator.reassign_job(job_id)
     elif op == "transfer":
         coordinator.transfer_job(job_id, server)
     elif op == "failure":
@@ -106,3 +110,79 @@ def test_least_jobs_always_picks_minimum(loads):
         d.server(f"ms-{i}").jobs = load
     chosen = d.select_server()
     assert chosen.jobs == min(loads)
+
+
+# a queued deployment's life: (op, server index) over 3 servers
+_queued_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("submit", "failure", "heartbeat", "collect")),
+        st.integers(0, 2),
+    ),
+    min_size=4,
+    max_size=18,
+)
+
+
+def _collect(initiator, handle):
+    """``rows`` or ``"failed"``: the only two ways a check may end."""
+    try:
+        return initiator.collect(handle).rows
+    except PriceCheckFailed:
+        return "failed"
+
+
+@given(policy=st.sampled_from(DISPATCH_POLICIES), ops=_queued_ops)
+@settings(max_examples=60, deadline=None)
+def test_every_queued_check_resolves_once(policy, ops):
+    """Whatever fails over, comes back or is collected in between, every
+    queued check ends once: it returns rows exactly when its record is
+    completed (and only then are rows stored), or raises
+    ``PriceCheckFailed`` because its record failed.  The outbox drains
+    and no server keeps a pending job."""
+    world = SheriffWorld.create(seed=71)
+    (store,) = build_named_stores(world, uniform_store_specs(1, seed=74)).values()
+    urls = [store.product_url(p.product_id) for p in store.catalog.products]
+    sheriff = PriceSheriff(
+        world, n_measurement_servers=3, ipc_sites=SMALL_IPC_SITES[:3],
+        job_queue=True, dispatch_policy=policy, retry_budget=2,
+        queue_steal_threshold=1, queue_depth=4,
+    )
+    for city in ("Madrid", "Barcelona"):
+        sheriff.install_addon(world.make_browser("ES", city))
+    initiator = sheriff.install_addon(
+        world.make_browser("ES", "Madrid"), serve_as_ppc=False
+    )
+    coordinator = sheriff.coordinator
+    handles, outcomes = [], {}
+    for op, index in ops:
+        server = SERVERS[index]
+        if op == "submit":
+            try:
+                handles.append(
+                    initiator.submit_price_check(urls[len(handles) % len(urls)])
+                )
+            except (NoServerAvailable, QueueSaturated):
+                pass
+        elif op == "failure":
+            coordinator.handle_server_failure(server)
+        elif op == "heartbeat":
+            sheriff.distributor.heartbeat(server, world.clock.now)
+        else:
+            pending = [h for h in handles if h.job_id not in outcomes]
+            if pending:
+                handle = pending[index % len(pending)]
+                outcomes[handle.job_id] = _collect(initiator, handle)
+    for handle in handles:
+        if handle.job_id not in outcomes:
+            outcomes[handle.job_id] = _collect(initiator, handle)
+
+    assert sheriff.job_queue.depth == 0
+    assert all(record.resolved for record in coordinator.jobs.values())
+    for handle in handles:
+        record = coordinator.jobs[handle.job_id]
+        returned_rows = outcomes[handle.job_id] != "failed"
+        stored = sheriff.db.sp_responses_for_job(handle.job_id)
+        assert returned_rows == record.completed == bool(stored), handle.job_id
+        if returned_rows:
+            assert outcomes[handle.job_id]
+    assert all(record.jobs == 0 for record in sheriff.distributor.servers())

@@ -83,33 +83,49 @@ class TestDispatchFailover:
 
     def test_reassign_moves_to_survivor(self, distributor, coordinator):
         dead = submit_job(coordinator)
-        distributor.mark_offline(dead.server_name)
-        survivor = coordinator.reassign_job(dead.job_id)
-        assert survivor.server_name != dead.server_name
+        coordinator.handle_server_failure(dead.server_name)
+        survivor = coordinator.jobs[dead.job_id].server_name
+        assert survivor != dead.server_name
         assert distributor.server(dead.server_name).jobs == 0
-        assert distributor.server(survivor.server_name).jobs == 1
-        assert coordinator.jobs[dead.job_id].server_name == survivor.server_name
+        assert distributor.server(survivor).jobs == 1
+        assert coordinator.jobs_on(survivor) == [dead.job_id]
 
-    def test_reassign_excludes_old_server_even_if_online(self, coordinator):
+    def test_reassign_excludes_old_server_even_if_online(
+        self, distributor, coordinator
+    ):
+        """The job never goes back to the server it leaves, and a
+        heartbeat that brings that server back does not move it again."""
         first = submit_job(coordinator)
-        moved = coordinator.reassign_job(first.job_id)
-        assert moved.server_name != first.server_name
+        assert first.server_name == "ms-0"
+        coordinator.handle_server_failure("ms-0")
+        distributor.heartbeat("ms-0", coordinator.clock.now)
+        moved = coordinator.jobs[first.job_id].server_name
+        assert moved != first.server_name
+        assert distributor.server("ms-0").jobs == 0
 
     def test_reassign_does_not_inflate_assignments(self, coordinator, telemetry):
         ticket = submit_job(coordinator)
-        coordinator.reassign_job(ticket.job_id)
+        coordinator.handle_server_failure(ticket.server_name)
         assert lifecycle(telemetry, "assigned") == 1
         assert lifecycle(telemetry, "reassigned") == 1
         assert coordinator.jobs_reassigned == 1
 
     def test_no_survivor_raises(self, distributor, coordinator):
+        """With no online server left the Coordinator fails the job; the
+        caller reads that from the record."""
         ticket = submit_job(coordinator)
-        for name in ("ms-0", "ms-1", "ms-2"):
+        for name in ("ms-1", "ms-2"):
             distributor.server(name).online = False
-        with pytest.raises(NoServerAvailable):
-            coordinator.reassign_job(ticket.job_id)
-        # nothing moved: the job is still pending on its first server
-        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
+        coordinator.handle_server_failure(ticket.server_name)
+        record = coordinator.jobs[ticket.job_id]
+        assert record.failed
+        assert record.failure_reason == str(
+            NoServerAvailable("no online Measurement server")
+        )
+        # nothing moved: the job failed on its first server
+        assert (record.server_name, record.attempts) == (ticket.server_name, 1)
+        assert coordinator.jobs_on(ticket.server_name) == []
+        assert distributor.pending_jobs == 0
 
     def test_conservation_with_failures_and_reassignments(
         self, distributor, coordinator, telemetry
@@ -163,22 +179,32 @@ class TestCoordinatorFailover:
         for record in coordinator.distributor.servers():
             record.online = True
 
-        coordinator.handle_server_failure(t1.server_name, exclude_job=t1.job_id)
+        coordinator.handle_server_failure(t1.server_name)
         assert not coordinator.distributor.server(t1.server_name).online
-        # t2 was moved to a survivor; t1 (the caller's own job) was not
-        assert coordinator.jobs[t2.job_id].server_name != t1.server_name
-        assert coordinator.jobs[t2.job_id].attempts == 2
-        assert coordinator.jobs[t1.job_id].attempts == 1
+        # every job pending on the dead server moved to a survivor,
+        # the caller's own job included: one decision, at the Coordinator
+        for ticket in (t1, t2):
+            record = coordinator.jobs[ticket.job_id]
+            assert record.server_name != t1.server_name
+            assert record.attempts == 2
+        assert coordinator.jobs_on(t1.server_name) == []
 
     def test_retry_budget_exhausts(self, coordinator, location):
         ticket = self._job(coordinator, location)
         record = coordinator.jobs[ticket.job_id]
         budget = coordinator.retry_budget
+        distributor = coordinator.distributor
         for _ in range(budget - 1):
-            coordinator.reassign_job(ticket.job_id)
+            dead = record.server_name
+            coordinator.handle_server_failure(dead)
+            distributor.heartbeat(dead, coordinator.clock.now)
         assert record.attempts == budget
-        with pytest.raises(RetryBudgetExhausted):
-            coordinator.reassign_job(ticket.job_id)
+        assert not record.resolved
+        coordinator.handle_server_failure(record.server_name)
+        assert record.failed
+        assert record.failure_reason == str(
+            RetryBudgetExhausted(ticket.job_id, budget)
+        )
 
     def test_fail_job_is_terminal_and_idempotent(self, coordinator, location):
         ticket = self._job(coordinator, location)

@@ -5,12 +5,14 @@ a dead server's pending jobs to the survivors; the server list counts
 each server's pending jobs and the queue tier reads the owner from the
 job's record.  These tests pin the cases where a second copy of the
 owner went stale: a queued job failed over while it waits in the
-outbox, and a check whose page selection fails before it is sent.
+outbox, and a check whose page selection fails before it is sent.  The
+Coordinator is also the one place a failover is decided: a queued job
+it failed leaves the outbox with its handle failed.
 """
 
 import pytest
 
-from repro.core.errors import PriceSelectionError
+from repro.core.errors import PriceCheckFailed, PriceSelectionError
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.obs import Telemetry
 from repro.workloads.stores import build_named_stores, uniform_store_specs
@@ -18,13 +20,10 @@ from repro.workloads.stores import build_named_stores, uniform_store_specs
 from .conftest import SMALL_IPC_SITES
 
 
-def _queued_outbox():
-    """Two checks queued, one per server, then ``ms-0`` fails over.
-
-    Round robin puts the first check on ``ms-0`` and the second on
-    ``ms-1``; the failure moves the first to ``ms-1`` while both still
-    wait in the outbox.
-    """
+def _queued_deployment():
+    """Two queued round-robin servers with stealing off, two ES peers
+    and one initiator; returns the world, the sheriff, the initiator and
+    a store's product URLs."""
     world = SheriffWorld.create(seed=71)
     stores = build_named_stores(world, uniform_store_specs(3, seed=74))
     sheriff = PriceSheriff(
@@ -42,6 +41,17 @@ def _queued_outbox():
     )
     store = next(iter(stores.values()))
     urls = [store.product_url(p.product_id) for p in store.catalog.products]
+    return world, sheriff, initiator, urls
+
+
+def _queued_outbox():
+    """Two checks queued, one per server, then ``ms-0`` fails over.
+
+    Round robin puts the first check on ``ms-0`` and the second on
+    ``ms-1``; the failure moves the first to ``ms-1`` while both still
+    wait in the outbox.
+    """
+    world, sheriff, initiator, urls = _queued_deployment()
     handles = [initiator.submit_price_check(url) for url in urls[:2]]
     assert [h.server_name for h in handles] == ["ms-0", "ms-1"]
     sheriff.coordinator.handle_server_failure("ms-0")
@@ -65,7 +75,7 @@ class TestQueuedFailoverKeepsNewOwner:
         # MeasurementServer.submit stamps the handle with its own name
         assert moved.server_name == "ms-1"
         assert initiator.collect(other).rows
-        assert len(sheriff.job_queue.dead_letters) == 0
+        assert sheriff.job_queue.dead_lettered == 0
         _assert_settled(sheriff, moved)
 
     def test_owner_comes_back(self):
@@ -78,6 +88,50 @@ class TestQueuedFailoverKeepsNewOwner:
         record = sheriff.coordinator.jobs[moved.job_id]
         assert moved.server_name == record.server_name == "ms-1"
         _assert_settled(sheriff, moved)
+
+
+class TestQueuedJobFailedByTheCoordinator:
+    """A queued job whose servers all failed over is failed by the
+    Coordinator while it waits; the tier fails its handle instead of
+    dispatching it, whatever its server does next."""
+
+    @staticmethod
+    def _failed_in_outbox():
+        world, sheriff, initiator, urls = _queued_deployment()
+        handle = initiator.submit_price_check(urls[0])
+        assert handle.server_name == "ms-0"
+        for name in ("ms-1", "ms-0"):
+            sheriff.coordinator.handle_server_failure(name)
+        record = sheriff.coordinator.jobs[handle.job_id]
+        assert record.failed
+        assert record.failure_reason == "no online Measurement server"
+        return world, sheriff, initiator, urls, handle
+
+    def test_owner_stays_down(self):
+        """The failed job used to wedge the outbox: every later collect
+        raised ``UnknownJob`` ("already resolved")."""
+        world, sheriff, initiator, urls, failed = self._failed_in_outbox()
+        sheriff.distributor.heartbeat("ms-1", world.clock.now)
+        later = initiator.submit_price_check(urls[1])
+        with pytest.raises(PriceCheckFailed, match="no online Measurement server"):
+            initiator.collect(failed)
+        assert initiator.collect(later).rows
+        tier = sheriff.job_queue
+        assert tier.depth == 0
+        assert tier.dead_lettered == 1
+        assert sheriff.db.sp_responses_for_job(failed.job_id) == []
+        assert sheriff.coordinator.jobs[later.job_id].completed
+
+    def test_owner_comes_back(self):
+        """The failed job used to run on the revived ``ms-0`` and store
+        its rows while its record said ``failed``."""
+        world, sheriff, initiator, _, failed = self._failed_in_outbox()
+        sheriff.distributor.heartbeat("ms-0", world.clock.now)
+        with pytest.raises(PriceCheckFailed, match="no online Measurement server"):
+            initiator.collect(failed)
+        assert sheriff.db.sp_responses_for_job(failed.job_id) == []
+        assert sheriff.job_queue.depth == 0
+        assert all(r.jobs == 0 for r in sheriff.distributor.servers())
 
 
 class TestSelectionFailure:

@@ -3,16 +3,16 @@
 Builds sheriffs with ``job_queue=True`` and drives the tier through the
 add-on exactly as clients do — submit enqueues, the first poll/result
 drains the whole outbox in admission order — then pins the failure
-machinery: load shedding with an escalating ``retry_after``, offline-
-owner steals through the retry budget, imbalance transfers outside it,
-and dead-lettering once the budget runs dry.
+machinery: load shedding with an escalating ``retry_after``, an offline
+owner reported to the Coordinator (whose failover spends the retry
+budget), imbalance transfers outside it, and a queued job the
+Coordinator failed leaving the outbox with ``PriceCheckFailed``.
 """
 
 import pytest
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.errors import (
-    JobDeadLettered,
     PriceCheckFailed,
     QueueSaturated,
     QuorumNotMet,
@@ -185,6 +185,10 @@ class TestLoadShedding:
 
 class TestWorkStealing:
     def test_offline_owner_steal_consumes_retry_budget(self, world):
+        """An owner marked offline through the distributor alone is
+        reported to the Coordinator at dispatch; the Coordinator's
+        failover moves the job (through the retry budget) and the tier
+        steals nothing."""
         sheriff = _queued_sheriff(world, telemetry=Telemetry())
         addon = _addon(world, sheriff)
         handle = addon.submit_price_check(_product_urls(world)[0])
@@ -194,24 +198,21 @@ class TestWorkStealing:
 
         result = addon.collect(handle)
         assert result.rows
-        assert tier.steals == {"offline": 1}
+        assert tier.steals == {}
+        assert sheriff.coordinator.failovers == 1
         record = sheriff.coordinator.jobs[handle.job_id]
         assert record.attempts == 2
         assert record.server_name != owner
-        (steal,) = _journey_spans(sheriff, "steal")
-        assert steal.attrs == {
-            "reason": "offline", "src": owner, "dst": record.server_name,
-            "transport": "sim",
-        }
-        # one chain: the Coordinator's retry and the tier's steal are
-        # stages of the same journey, each under the one before it
+        assert _journey_spans(sheriff, "steal") == []
+        # one chain: the Coordinator's retry is a stage of the same
+        # journey, each stage under the one before it
         spans = sheriff.journey(handle.job_id)["spans"]
         by_name = {s.name: s for s in spans}
-        chain = ["assign", "admission", "queue_wait", "retry", "steal", "dispatch"]
+        chain = ["assign", "admission", "retry", "queue_wait", "dispatch"]
         for parent, child in zip(chain, chain[1:]):
             assert by_name[child].parent_id == by_name[parent].span_id, child
-        # the steal links back to the stage on the dead owner
-        assert steal.links == [(handle.job_id, by_name["queue_wait"].span_id)]
+        assert by_name["retry"].attrs["server"] == record.server_name
+        assert by_name["dispatch"].attrs["server"] == record.server_name
 
     def test_imbalance_transfer_is_budget_free(self, world):
         sheriff = _queued_sheriff(
@@ -264,40 +265,31 @@ class TestDeadLetters:
         url = _product_urls(world)[0]
         handle = addon.submit_price_check(url)
         tier = sheriff.job_queue
-        # no server left online: the offline steal finds nowhere to go
+        # no server left online: the Coordinator's failover finds
+        # nowhere to go and fails the job
         for name in ("ms-0", "ms-1"):
             sheriff.distributor.mark_offline(name)
 
-        with pytest.raises(JobDeadLettered) as exc:
+        with pytest.raises(PriceCheckFailed) as exc:
             tier.result(handle)
         assert exc.value.job_id == handle.job_id
-        assert len(tier.dead_letters) == 1
-        entry = tier.dead_letters.for_job(handle.job_id)
-        # the same entry with telemetry on or off
-        assert (entry.url, entry.server_name, entry.reason, entry.trace_id) == (
+        assert "no online Measurement server" in str(exc.value)
+        assert tier.dead_lettered == 1
+        record = sheriff.coordinator.jobs[handle.job_id]
+        # the same record with telemetry on or off
+        assert (record.url, record.server_name, record.failure_reason) == (
             url, handle.server_name, "no online Measurement server",
-            handle.job_id,
         )
-        assert sheriff.coordinator.jobs[handle.job_id].failed
-        assert [e.job_id for e in tier.dead_letters.entries] == [handle.job_id]
-        # the post-mortem names the stage before the dead-lettering,
-        # from the exception, the store and the journey alike
+        assert sheriff.coordinator.failed_jobs() == [record]
+        # the post-mortem reads the reason from the journey's ticket
         journey = sheriff.journey(handle.job_id)
-        last_events = {
-            exc.value.last_event, entry.last_event,
-            journey["dead_letter"]["last_event"],
-        }
+        assert journey["ticket"]["failed"] is True
+        assert journey["ticket"]["failure_reason"] == "no online Measurement server"
         if telemetry:
-            assert last_events == {"queue_wait"}
             spans = journey["spans"]
-            assert [s.name for s in spans] == [
-                "assign", "admission", "queue_wait", "dead_letter",
-            ]
-            assert [s.parent_id for s in spans] == [None] + [
-                s.span_id for s in spans[:-1]
-            ]
+            assert [s.name for s in spans] == ["assign", "admission"]
+            assert [s.parent_id for s in spans] == [None, spans[0].span_id]
         else:
-            assert last_events == {""}
             assert journey["spans"] == []
         # the handle is spent: a later poll is an UnknownJob
         with pytest.raises(UnknownJob):
@@ -317,8 +309,8 @@ class TestDeadLetters:
 
         result = addon.collect(healthy)
         assert result.rows
-        assert len(sheriff.job_queue.dead_letters) == 1
-        with pytest.raises(JobDeadLettered):
+        assert sheriff.job_queue.dead_lettered == 1
+        with pytest.raises(PriceCheckFailed):
             sheriff.job_queue.result(doomed)
         assert sheriff.coordinator.jobs[healthy.job_id].completed
         assert survivor_name  # the fleet kept serving
@@ -352,7 +344,7 @@ class TestObservability:
             "dispatched": 2,
             "shed": 1,
             "steals": {},
-            "dead_letters": 0,
+            "dead_lettered": 0,
         }
 
     def test_tier_rejects_degenerate_depth(self, world):
@@ -393,5 +385,5 @@ class TestFleetScaling:
         assert rows_1 == rows_2 > 0
         # scatter-gather read-back finds every persisted row on any shard count
         assert (gathered_1, gathered_2) == (rows_1, rows_2)
-        assert stats_1["dead_letters"] == stats_2["dead_letters"] == 0
+        assert stats_1["dead_lettered"] == stats_2["dead_lettered"] == 0
         assert stats_1["dispatched"] == stats_2["dispatched"] == 8

@@ -82,14 +82,14 @@ class TestStolenJobCausalTree:
     def test_steal_span_and_ticket_agree(self, run):
         job_id = run.stolen_job_ids[0]
         journey = run.sheriff.journey(job_id)
-        assert set(journey) == {"job_id", "spans", "dead_letter", "ticket"}
+        assert set(journey) == {"job_id", "spans", "ticket"}
         names = [s.name for s in journey["spans"]]
         assert names.index("admission") < names.index("steal") < names.index(
             "dispatch"
         )
         steal = next(s for s in journey["spans"] if s.name == "steal")
         assert steal.attrs["reason"] == "imbalance"
-        assert journey["dead_letter"] is None
+        assert journey["ticket"]["failed"] is False
         assert journey["ticket"]["completed"] is True
         # the ticket's terminal owner is the steal's destination
         assert journey["ticket"]["server_name"] == steal.attrs["dst"]

@@ -1,9 +1,9 @@
 """Property: queued dispatch is row-identical to direct dispatch.
 
 The queue tier defers execution from submit time to drain time, may
-shed, steal, and dead-letter — yet for a fixed seed and server count a
-clean run must produce byte-identical results and database rows to the
-direct tier, on every storage backend.  The tier earns this by draining
+shed, steal, and fail a job the Coordinator failed — yet for a fixed
+seed and server count a clean run must produce byte-identical results
+and database rows to the direct tier, on every storage backend.  The tier earns this by draining
 in global admission order (the order the direct tier executes in) and
 by keeping every scheduling decision RNG-free.
 

@@ -22,12 +22,13 @@ class _StubQueue:
 
 
 class _StubTier:
-    """Just the surface the probes read: depth, limit, dead letters."""
+    """Just the surface the probes read: depth, limit, jobs failed
+    before dispatch."""
 
     def __init__(self, depth=0, max_depth=10):
         self.queue = _StubQueue(depth)
         self.max_depth = max_depth
-        self.dead_letters = []
+        self.dead_lettered = 0
 
 
 class TestJobQueueBacklogProbe:
@@ -55,7 +56,7 @@ class TestJobQueueBacklogProbe:
 class TestDeadLetterProbe:
     def test_first_check_is_a_baseline(self):
         tier = _StubTier()
-        tier.dead_letters = ["old-1", "old-2"]
+        tier.dead_lettered = 2
         probe = DeadLetterProbe(tier)
         result = probe.check(0.0)
         # pre-existing entries are the baseline, not an alert
@@ -66,7 +67,7 @@ class TestDeadLetterProbe:
         tier = _StubTier()
         probe = DeadLetterProbe(tier)
         assert probe.check(0.0).healthy
-        tier.dead_letters.append("job-doomed")
+        tier.dead_lettered += 1
         result = probe.check(1.0)
         assert not result.healthy
         assert "1 new dead-lettered" in result.reason
@@ -75,10 +76,10 @@ class TestDeadLetterProbe:
 
     def test_letter_parked_before_the_first_check_alerts(self):
         tier = _StubTier()
-        tier.dead_letters = ["old-1"]
+        tier.dead_lettered = 1
         probe = DeadLetterProbe(tier)
-        # the baseline is the store at construction, not at first check
-        tier.dead_letters.append("job-early")
+        # the baseline is the count at construction, not at first check
+        tier.dead_lettered += 1
         result = probe.check(0.0)
         assert not result.healthy
         assert "1 new dead-lettered" in result.reason
@@ -116,7 +117,7 @@ class TestSupervisorWiring:
         for name in ("ms-0", "ms-1"):
             sheriff.distributor.mark_offline(name)
         sheriff.job_queue.pump()
-        assert len(sheriff.job_queue.dead_letters) == 1
+        assert sheriff.job_queue.dead_lettered == 1
 
         supervisor.tick()
         (down,) = supervisor.audit.events(

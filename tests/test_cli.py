@@ -250,7 +250,7 @@ class TestJourney:
 
         journey = json.loads(out_file.read_text())
         assert set(journey) == {
-            "job_id", "stolen", "spans", "dead_letter", "ticket",
+            "job_id", "stolen", "spans", "ticket",
         }
         assert journey["stolen"] is True
         names = [s["name"] for s in journey["spans"]]
