@@ -29,18 +29,25 @@ A page the caller knows to be byte-identical to one stored before — a
 page-cache hit, the same IPC page read by several checks of a burst —
 is stored as an *alias* of that earlier diff (:meth:`DiffStorage.
 store_alias`): no cut, no alignment, no diff against its own job's
-reference.  An alias holds the stored diff and the reference it was
+reference.  An alias holds the stored record and the reference it was
 made against, never another alias, so ``restore`` gives the exact page
 even if the target's name is stored again later.  It costs 0 stored
 chars; ``naive_chars_seen`` still counts the page.
+
+A stored page is one immutable in-process record: ``marshal.dumps`` of
+its size and the runs, gaps and substitutions it restores from, one
+``bytes`` object instead of a tree of tuples and strings.  ``marshal``
+is a C codec that round-trips tuples and lone surrogates; a record is
+never loaded from outside the process.
 """
 
 from __future__ import annotations
 
 import difflib
+import marshal
 from itertools import compress
 from operator import ne
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.web.html import split_tags
 
@@ -102,17 +109,6 @@ def _slot_diff(old: str, new: str) -> Tuple[Union[str, _LineOps], int]:
     return new, len(new)
 
 
-class _StoredDiff(NamedTuple):
-    #: ``(reference unit, length)`` of each aligned run — one tuple,
-    #: shared by every page of a skeleton in a job
-    runs: Tuple[Tuple[int, int], ...]
-    #: the page's own units before each run, verbatim
-    gaps: Tuple[str, ...]
-    #: reference slot → what replaces its text
-    subs: Tuple[Tuple[int, Union[str, _LineOps]], ...]
-    size_chars: int
-
-
 class _OpenJob:
     """The reference being diffed against, cut once, and its alignments."""
 
@@ -145,17 +141,21 @@ class DiffStorage:
 
     def __init__(self) -> None:
         self._reference: Dict[str, str] = {}
-        self._diffs: Dict[Tuple[str, str], _StoredDiff] = {}
-        #: ``(job, proxy)`` → ``(reference, stored diff)`` it restores from;
+        #: ``(job, proxy)`` → ``marshal.dumps((size, runs, gaps, subs))``
+        self._diffs: Dict[Tuple[str, str], bytes] = {}
+        #: ``(job, proxy)`` → ``(reference, record)`` it restores from;
         #: a name is in ``_diffs`` or here, never in both
-        self._aliases: Dict[Tuple[str, str], Tuple[str, _StoredDiff]] = {}
+        self._aliases: Dict[Tuple[str, str], Tuple[str, bytes]] = {}
         self._open: Optional[_OpenJob] = None
+        #: the references' lengths plus every record's size
+        self._stored_chars = 0
         #: what storing every page verbatim would have cost (ablation)
         self.naive_chars_seen = 0
 
     # -- writes ----------------------------------------------------------
     def store_reference(self, job_id: str, html: str) -> None:
         """Store the initiator's page verbatim (the diff baseline)."""
+        self._stored_chars += len(html) - len(self._reference.get(job_id, ""))
         self._reference[job_id] = html
         self._open = _OpenJob(job_id, html)
         self.naive_chars_seen += len(html)
@@ -185,10 +185,9 @@ class DiffStorage:
                 size += cost
             end = lo + n
         key = (job_id, proxy_id)
-        self._aliases.pop(key, None)
-        self._diffs[key] = _StoredDiff(
-            runs=runs, gaps=tuple(gaps), subs=tuple(subs), size_chars=size
-        )
+        self._forget(key)
+        self._diffs[key] = marshal.dumps((size, runs, gaps, subs))
+        self._stored_chars += size
         return size
 
     def store_alias(
@@ -205,16 +204,23 @@ class DiffStorage:
             raise KeyError(f"no reference page stored for job {job_id!r}")
         alias = self._aliases.get(target)
         if alias is None:
-            diff = self._diffs.get(target)
-            if diff is None:
+            record = self._diffs.get(target)
+            if record is None:
                 raise KeyError(f"no diff stored for {target!r}")
-            alias = (self._reference[target[0]], diff)
+            alias = (self._reference[target[0]], record)
         self.naive_chars_seen += len(html)
         key = (job_id, proxy_id)
         if self._diffs.get(key) is alias[1]:
             return  # a re-run job reading its own stored page
-        self._diffs.pop(key, None)
+        self._forget(key)
         self._aliases[key] = alias
+
+    def _forget(self, key: Tuple[str, str]) -> None:
+        """Drop what ``key`` names; a diff's size leaves the total."""
+        self._aliases.pop(key, None)
+        record = self._diffs.pop(key, None)
+        if record is not None:
+            self._stored_chars -= marshal.loads(record)[0]
 
     # -- reads --------------------------------------------------------------
     def reference(self, job_id: str) -> Optional[str]:
@@ -227,13 +233,14 @@ class DiffStorage:
             raise KeyError(f"no reference page stored for job {job_id!r}")
         alias = self._aliases.get((job_id, proxy_id))
         if alias is not None:
-            ref, stored = alias
+            ref, record = alias
         else:
-            stored = self._diffs.get((job_id, proxy_id))
-            if stored is None:
+            record = self._diffs.get((job_id, proxy_id))
+            if record is None:
                 raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
+        _, runs, gaps, subs = marshal.loads(record)
         parts = list(split_tags(ref)[0])
-        for slot, sub in stored.subs:
+        for slot, sub in subs:
             if not isinstance(sub, str):
                 old_lines = parts[2 * slot].splitlines(keepends=True)
                 sub = "".join(
@@ -242,7 +249,7 @@ class DiffStorage:
                 )
             parts[2 * slot] = sub
         out: List[str] = []
-        for gap, (ref_lo, n) in zip(stored.gaps, stored.runs):
+        for gap, (ref_lo, n) in zip(gaps, runs):
             out.append(gap)
             out.extend(parts[2 * ref_lo:2 * (ref_lo + n)])
         return "".join(out)
@@ -251,13 +258,7 @@ class DiffStorage:
     def stored_chars(self) -> int:
         """Total characters actually stored (references + diffs; an
         alias stores none)."""
-        return sum(map(len, self._reference.values())) + sum(
-            d.size_chars for d in self._diffs.values()
-        )
-
-    def naive_chars(self, pages: Dict[Tuple[str, str], str]) -> int:
-        """What storing every page verbatim would have cost."""
-        return sum(len(html) for html in pages.values())
+        return self._stored_chars
 
     def diff_count(self) -> int:
         return len(self._diffs)

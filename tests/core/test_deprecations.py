@@ -37,6 +37,8 @@ and the queue tier's copy of the owner went.  Then the Coordinator
 became the one place a failover is decided: ``reassign_job``,
 ``exclude_job``, the queue tier's offline steal and its dead-letter
 store went, with six ``build_supervisor`` parameters nobody set.
+Then a stored page became one immutable record: DiffStorage's
+``_StoredDiff`` tree and its test-only ``naive_chars(pages)`` went.
 """
 
 import dataclasses
@@ -603,3 +605,21 @@ class TestOneFailoverDecision:
             "queue_backlog_fraction",
         ):
             assert name not in params, name
+
+
+class TestOneRecordPerStoredPage:
+    """DiffStorage keeps each stored page as one ``bytes`` record: the
+    ``_StoredDiff`` tree of tuples and strings went, and so did the
+    test-only ``naive_chars(pages)`` (the ablation reads
+    ``naive_chars_seen``)."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(r"\b_StoredDiff\b|\.naive_chars\(")) == []
+
+    def test_names_gone(self):
+        import repro.core.diffstorage
+        from repro.core.diffstorage import DiffStorage
+
+        assert not hasattr(repro.core.diffstorage, "_StoredDiff")
+        assert not hasattr(DiffStorage, "naive_chars")
+        assert DiffStorage().naive_chars_seen == 0
