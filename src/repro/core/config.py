@@ -223,13 +223,11 @@ class SheriffConfig(Config):
     #: enable the telemetry plane (metrics registry + sim-clock tracer);
     #: purely observational — rows are identical either way (tested)
     telemetry: bool = False
-    #: storage engine behind the Database server: "memory" (default),
-    #: "sqlite", or None to defer to the REPRO_DB_BACKEND environment
-    #: variable.  Rows are byte-identical across engines (tested).
-    db_backend: Optional[str] = knob(None, choices=("memory", "sqlite"))
-    #: shard the Database layer by domain across this many servers
-    #: (1 = the paper's single-server deployment)
-    db_shards: int = knob(1, ge=1)
+    #: storage engine behind the one Database server: "sqlite" (an
+    #: in-memory sqlite database) or "memory", the dict-of-lists engine
+    #: kept as the equivalence oracle.  Rows are byte-identical across
+    #: engines (tested).
+    db_backend: str = knob("sqlite", choices=("memory", "sqlite"))
     #: put the queued measurement tier (repro.core.jobqueue) in front of
     #: the Measurement servers: admission control and work stealing.
     #: Rows are identical queued or direct (tested).

@@ -30,9 +30,8 @@ set over as one JSON array, the codec splices it into the reply as
 only parse — the server neither decodes nor re-encodes the rows, and
 they arrive with the key order in-process callers see.
 
-Horizontal scale is one level up: :class:`repro.storage.ShardedDatabase`
-routes jobs by domain across N of these servers behind the same
-``sp_*`` surface.
+A deployment runs one of these servers, on the sqlite engine by
+default, as the paper's $heriff runs one MySQL node.
 """
 
 from __future__ import annotations
@@ -69,11 +68,11 @@ class DatabaseServer:
     def __init__(
         self,
         max_connections: int = 32,
-        backend: Union[StorageBackend, str, None] = None,
+        backend: Union[StorageBackend, str] = "sqlite",
         telemetry=NULL_TELEMETRY,
     ) -> None:
-        #: the storage engine holding the rows ("memory" by default;
-        #: "sqlite" or an engine instance; None consults REPRO_DB_BACKEND)
+        #: the storage engine holding the rows ("sqlite" by default;
+        #: "memory" or an engine instance)
         self.backend = make_backend(backend)
         self.max_connections = max_connections
         self._connections_in_use = 0
@@ -82,7 +81,7 @@ class DatabaseServer:
         self.batched_writes = 0
         #: simulated time of the newest row written, taken from the
         #: rows' own ``time`` fields — no clock plumbing needed.  The
-        #: ops layer's shard-staleness probe reads this.
+        #: ops layer's staleness probe reads this.
         self.last_write_time: Optional[float] = None
         #: telemetry: query counters, the batch-size histogram, pool
         #: occupancy, and the index-hit counter that proves the hot
@@ -171,11 +170,9 @@ class DatabaseServer:
     def count(self, table: str) -> int:
         return self.backend.count(table)
 
-    def shard_last_writes(self) -> Dict[str, Optional[float]]:
-        """Single-server counterpart of
-        :meth:`repro.storage.ShardedDatabase.shard_last_writes`, so the
-        ops staleness probe works against either database layout."""
-        return {"db": self.last_write_time}
+    def close(self) -> None:
+        """Close the storage engine (a sqlite engine's connection)."""
+        self.backend.close()
 
     # -- stored procedures -------------------------------------------------
     def sp_record_request(
@@ -265,7 +262,6 @@ DB_RPC_METHODS = (
     "sp_record_job",
     "sp_responses_for_job",
     "count",
-    "shard_last_writes",
 )
 
 
@@ -408,6 +404,3 @@ class DatabaseClient:
 
     def count(self, table: str) -> int:
         return self._call("count", {"table": table})
-
-    def shard_last_writes(self) -> Dict[str, Optional[float]]:
-        return self._call("shard_last_writes")

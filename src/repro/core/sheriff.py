@@ -53,7 +53,6 @@ from repro.net.p2p import PeerOverlay, make_peer_id
 from repro.net.transport import SimTransport
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.profiles.doppelganger import Doppelganger, DoppelgangerManager
-from repro.storage import ShardedDatabase
 from repro.profiles.vector import ProfileVector
 from repro.web.internet import Internet
 from repro.web.trackers import TrackerEcosystem
@@ -176,15 +175,9 @@ class PriceSheriff:
             # default: sanction every e-commerce store currently online
             whitelist_domains = [s.domain for s in world.internet.stores()]
         self.whitelist = Whitelist(whitelist_domains)
-        #: the Database layer: one server (the paper's deployment) or a
-        #: domain-sharded router over several, on either storage engine
-        if config.db_shards > 1:
-            self.db = ShardedDatabase(
-                n_shards=config.db_shards, backend=config.db_backend,
-                telemetry=telemetry,
-            )
-        else:
-            self.db = DatabaseServer(backend=config.db_backend, telemetry=telemetry)
+        #: the one Database server (Sect. 3.1.1), on the sqlite engine
+        #: unless the config names the memory engine
+        self.db = DatabaseServer(backend=config.db_backend, telemetry=telemetry)
         #: the messaging plane every component speaks: ``"sim"``
         #: (default — deterministic, in-process) or ``"socket"`` (real
         #: TCP on blocking sockets, mesh-shaped).  The sim transport
@@ -293,8 +286,10 @@ class PriceSheriff:
         return DatabaseClient(self.transport, src=client_name, dst="db")
 
     def shutdown(self) -> None:
-        """Release transport resources (listeners, serving threads)."""
+        """Release transport resources (listeners, serving threads), then
+        close the Database server's engine."""
         self.transport.close()
+        self.db.close()
 
     def _job_entrypoint(self, server_name: str):
         """Where the add-on sends a ticketed job and collects its handle:

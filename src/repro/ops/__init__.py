@@ -9,7 +9,7 @@ This package is the automated operator:
   delays and sliding-window restart budgets, escalation when a budget
   runs dry;
 * :mod:`repro.ops.health` — the probe library (heartbeats, queue depth,
-  error rates, shard staleness, pollution budgets), all read-only and
+  error rates, database staleness, pollution budgets), all read-only and
   RNG-free;
 * :mod:`repro.ops.killswitch` — the latched circuit breaker anomalies
   trip;
@@ -30,8 +30,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".audit": ["AuditTrail", "OpsEvent"],
     ".health": [
-        "CallableProbe", "ErrorRateProbe", "HeartbeatProbe", "PollutionBudgetProbe",
-        "ProbeResult", "QueueDepthProbe", "ShardStalenessProbe",
+        "CallableProbe", "DatabaseStalenessProbe", "ErrorRateProbe", "HeartbeatProbe",
+        "PollutionBudgetProbe", "ProbeResult", "QueueDepthProbe",
     ],
     ".killswitch": ["KillSwitch", "KillSwitchTripped"],
     ".notifiers": ["CallbackNotifier", "LogNotifier", "Notifier", "NotifierFanout"],

@@ -2,7 +2,7 @@
 
 Each probe answers one narrow question against live deployment state —
 is this Measurement server heartbeating, is this engine queue bounded,
-is this DB shard still taking writes, is the error rate spiking, are
+is the Database server still taking writes, is the error rate spiking, are
 the doppelgangers polluted past their budget.  Probes are **read-only
 and RNG-free**: they may inspect clocks, metrics, and component state,
 but they never consume a seeded RNG stream or advance simulated time,
@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional
 
 __all__ = [
     "CallableProbe",
+    "DatabaseStalenessProbe",
     "DeadLetterProbe",
     "ErrorRateProbe",
     "HeartbeatProbe",
@@ -30,7 +31,6 @@ __all__ = [
     "ProbeResult",
     "QueueDepthProbe",
     "SLOBurnRateProbe",
-    "ShardStalenessProbe",
 ]
 
 
@@ -146,22 +146,21 @@ class ErrorRateProbe:
         return ProbeResult(True, value=delta, metrics=snapshot)
 
 
-class ShardStalenessProbe:
-    """Has this DB shard taken a write recently enough?
+class DatabaseStalenessProbe:
+    """Has the Database server taken a write recently enough?
 
-    Staleness is measured against the shard's ``last_write_time`` —
+    Staleness is measured against the server's ``last_write_time`` —
     stamped from the rows' own ``time`` fields, so the probe needs no
-    clock plumbing into the storage layer.  A shard that has never been
+    clock plumbing into the storage layer.  A server that has never been
     written is healthy: an empty deployment is not a failing one.
     """
 
-    def __init__(self, db, shard_name: str, max_age: float = 3600.0) -> None:
+    def __init__(self, db, max_age: float = 3600.0) -> None:
         self.db = db
-        self.shard_name = shard_name
         self.max_age = max_age
 
     def check(self, now: float) -> ProbeResult:
-        last = self.db.shard_last_writes().get(self.shard_name)
+        last = self.db.last_write_time
         if last is None:
             return OK
         age = now - last

@@ -1,10 +1,10 @@
 """The deployment kill-switch.
 
 Some anomalies must *stop* the machine, not heal it: an error-rate
-spike across the fleet, shards gone stale together, a pollution-budget
-blowout.  Restarting components through those is how an automated
-operations layer turns one bad input into a measurement-corrupting
-restart storm.  The kill-switch is the circuit breaker: once tripped,
+spike across the fleet, a pollution-budget blowout.  Restarting
+components through those is how an automated operations layer turns
+one bad input into a measurement-corrupting restart storm.  The
+kill-switch is the circuit breaker: once tripped,
 the supervisor stops restarting anything until an operator resets it,
 and both transitions land in the persistent audit trail and every
 registered notifier.

@@ -3,8 +3,8 @@
 The paper's deployment was kept alive by operators applying "corrective
 measures" by hand (App. 10.3).  This module automates the operator: a
 :class:`Supervisor` holds one :class:`Component` per deployment part —
-Measurement servers, the coordinator, DB shards, the IPC/PPC fleets,
-the engine worker pools — each with liveness/health probes
+Measurement servers, the coordinator, the Database server, the IPC/PPC
+fleets, the engine worker pools — each with liveness/health probes
 (:mod:`repro.ops.health`), an optional restart action, and a
 flap-prevention restart policy.
 
@@ -20,8 +20,8 @@ simulated time:
    component that exhausts its budget is **escalated** instead of
    restart-looped, and a critical component's escalation trips the
    deployment kill-switch;
-4. anomaly detectors (error-rate spike, stale shards, pollution-budget
-   blowout) run; firing ones trip the kill-switch or alert, per their
+4. anomaly detectors (error-rate spike, pollution-budget blowout)
+   run; firing ones trip the kill-switch or alert, per their
    configured action.
 
 Determinism: ticking never consumes any seeded RNG stream and never

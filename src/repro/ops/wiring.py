@@ -10,9 +10,9 @@ actions that fit it:
   are the ones with a real restart action and the ``critical`` flag.
 * **Engine worker pools** — queue-depth probe per server; heal action
   is a drain (run the loop dry), not a process restart.
-* **DB shards** — staleness probe per shard (alert-only: the simulated
-  storage engine has no process to bounce, a stale shard needs a
-  human).
+* **Database server** — one staleness probe (alert-only: the
+  simulated storage engine has no process to bounce, a stale database
+  needs a human).
 * **Coordinator** — error-rate probe over its terminal job failures.
 * **IPC fleet / PPC overlay** — fleet-wide error-rate probes
   (alert-only; individual volunteers cannot be restarted by us).
@@ -23,8 +23,7 @@ actions that fit it:
   restarts.
 
 Plus the deployment-wide anomaly detectors: a fleet error-rate spike
-and a pollution-budget blowout trip the kill-switch; stale shards
-alert.
+and a pollution-budget blowout trip the kill-switch.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Optional, Sequence
 from repro.obs.slo import SLOEngine, build_default_slos
 from repro.ops.audit import AuditTrail
 from repro.ops.health import (
-    CallableProbe,
+    DatabaseStalenessProbe,
     DeadLetterProbe,
     ErrorRateProbe,
     HeartbeatProbe,
@@ -42,7 +41,6 @@ from repro.ops.health import (
     PollutionBudgetProbe,
     QueueDepthProbe,
     SLOBurnRateProbe,
-    ShardStalenessProbe,
 )
 from repro.ops.notifiers import Notifier
 from repro.ops.supervisor import RestartPolicy, Supervisor
@@ -53,8 +51,9 @@ __all__ = ["build_supervisor"]
 MAX_QUEUE_DEPTH = 256
 #: terminal job failures (and IPC / PPC losses) tolerated per tick
 MAX_JOB_FAILURES_PER_TICK = 5.0
-#: simulated seconds a DB shard may go without a write before it alerts
-SHARD_STALENESS = 24 * 3600.0
+#: simulated seconds the Database server may go without a write before
+#: it alerts
+DB_STALENESS = 24 * 3600.0
 #: share of doppelgangers past their pollution budget that trips the
 #: kill-switch
 POLLUTION_MAX_FRACTION = 0.5
@@ -109,14 +108,10 @@ def build_supervisor(
             policy=policy,
         )
 
-    # Database shards: staleness is observable, restarts are not ours.
-    for shard_name in sheriff.db.shard_last_writes():
-        supervisor.register(
-            f"db/{shard_name}",
-            probes=(
-                ShardStalenessProbe(sheriff.db, shard_name, SHARD_STALENESS),
-            ),
-        )
+    # The Database server: staleness is observable, restarts are not ours.
+    supervisor.register(
+        "db/db", probes=(DatabaseStalenessProbe(sheriff.db, DB_STALENESS),)
+    )
 
     # Queued measurement tier (when one is deployed): backlog pressure
     # and queued jobs failed before dispatch.  Both alert-only — the
@@ -204,21 +199,4 @@ def build_supervisor(
         PollutionBudgetProbe(sheriff.dopp_manager, POLLUTION_MAX_FRACTION),
         action="kill",
     )
-    supervisor.add_anomaly_detector(
-        "stale-shards",
-        CallableProbe(
-            lambda now, db=sheriff.db, age=SHARD_STALENESS: _all_shards_fresh(
-                db, now, age
-            ),
-            name="all shards fresh",
-        ),
-        action="alert",
-    )
     return supervisor
-
-
-def _all_shards_fresh(db, now: float, max_age: float) -> bool:
-    last_writes = [t for t in db.shard_last_writes().values() if t is not None]
-    if not last_writes:
-        return True
-    return all(now - t <= max_age for t in last_writes)

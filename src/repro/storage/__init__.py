@@ -11,22 +11,21 @@ facade:
   inserts, scans, indexed lookups, grouped counts, deletes, all with a
   single monotonically increasing ``_id`` sequence shared across
   tables;
-* :class:`MemoryBackend` — the original dict-of-lists store, now with
+* :class:`SqliteBackend` — the production engine: real tables, real
+  indexes, WAL journaling, on :mod:`sqlite3` (in-memory by default,
+  file-backed on request);
+* :class:`MemoryBackend` — the original dict-of-lists store with
   secondary indexes on the hot columns (``responses.job_id``,
-  ``requests.domain``, ``requests.user_id``);
-* :class:`SqliteBackend` — real tables, real indexes, WAL journaling,
-  on :mod:`sqlite3` (in-memory by default, file-backed on request);
-  row-identical with the memory engine (pinned by
+  ``requests.domain``, ``requests.user_id``), kept as the sqlite
+  engine's equivalence oracle: the two are row-identical (pinned by
   ``tests/storage/test_backend_equivalence.py``);
 * :class:`ShardedDatabase` — a router that consistent-hashes jobs by
   domain across N :class:`DatabaseServer` shards, with scatter-gather
-  for the cross-shard stored procedures.
+  for the cross-shard stored procedures.  No deployment uses it; the
+  benchmark's ``report_rw`` workload does.
 
-Select an engine per deployment (``PriceSheriff(world,
-db_backend="sqlite", db_shards=4)``), per run
-(``DeploymentConfig.db_backend``), or process-wide with the
-``REPRO_DB_BACKEND`` environment variable (what the CI matrix sets to
-run the whole suite over both engines).
+A deployment runs one Database server on sqlite; ``db_backend="memory"``
+(``PriceSheriff(world, db_backend="memory")``) selects the oracle.
 """
 
 from repro._lazy import lazy_exports

@@ -5,9 +5,8 @@ facade owns everything operational (connection pool, query accounting,
 metrics, the ``sp_*`` stored-procedure surface).  Engines must be
 *row-identical*: the same insert/scan/delete workload against any two
 backends yields byte-identical rows, the same ``_id`` sequence, and the
-same query counts — that contract is what lets a deployment switch
-engines (or the CI run the whole suite over both) without any behavior
-change.
+same query counts — that contract is what lets the memory engine
+stand as the sqlite engine's equivalence oracle.
 
 Contract notes:
 
@@ -38,7 +37,6 @@ Contract notes:
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._jsontext import compact_encoder
@@ -61,12 +59,7 @@ INDEXED_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "requests": ("domain", "user_id", "job_id"),
 }
 
-#: environment variable the CI matrix sets to run the tier-1 suite over
-#: a specific engine ("memory" or "sqlite")
-BACKEND_ENV_VAR = "REPRO_DB_BACKEND"
-
 __all__ = [
-    "BACKEND_ENV_VAR",
     "INDEXED_COLUMNS",
     "StorageBackend",
     "TABLES",
@@ -182,23 +175,20 @@ class StorageBackend:
 
 
 def make_backend(
-    spec: "Optional[StorageBackend | str]" = None,
+    spec: "StorageBackend | str" = "sqlite",
     path: Optional[str] = None,
 ) -> StorageBackend:
     """Resolve a backend spec into an engine instance.
 
-    ``spec`` may be an engine instance (returned as-is), an engine name
-    (``"memory"`` / ``"sqlite"``), or ``None`` — which consults the
-    ``REPRO_DB_BACKEND`` environment variable and defaults to the
-    memory engine.  ``path`` selects a file-backed sqlite database.
+    ``spec`` may be an engine instance (returned as-is) or an engine
+    name: ``"sqlite"`` (the default) or ``"memory"``, the equivalence
+    oracle.  ``path`` selects a file-backed sqlite database.
     """
     from repro.storage.memory import MemoryBackend
     from repro.storage.sqlite import SqliteBackend
 
     if isinstance(spec, StorageBackend):
         return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or "memory"
     spec = spec.lower()
     if spec == "memory":
         return MemoryBackend()

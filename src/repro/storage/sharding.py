@@ -1,5 +1,9 @@
 """Consistent-hash sharding of the Database server.
 
+A deployment runs one Database server; this router stays only because
+the benchmark's ``report_rw`` workload drives a 4-shard instance, until
+that workload moves to the single server.
+
 Table 1 shows the centralized architecture's response time blowing up
 near 10 parallel tasks — the Database node's connection pool and table
 scans are two of the contention points.  This module scales that node
@@ -31,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.errors import ConnectionPoolExhausted
 from repro.obs import NULL_TELEMETRY
@@ -82,7 +86,7 @@ class ShardedDatabase:
         self,
         n_shards: int = 4,
         max_connections: int = 32,
-        backend: Union[str, None] = None,
+        backend: str = "sqlite",
         replicas: int = 64,
         telemetry=NULL_TELEMETRY,
     ) -> None:
@@ -164,18 +168,6 @@ class ShardedDatabase:
         """Occupancy per shard — the balance the ring is supposed to give."""
         return {
             name: shard.count(table) for name, shard in self.shards.items()
-        }
-
-    def shard_last_writes(self) -> Dict[str, Optional[float]]:
-        """Newest row ``time`` written per shard (None = never written).
-
-        The ops layer's shard-staleness probe compares these against
-        the deployment clock: a shard whose neighbours keep taking
-        writes while it sits still is stale, not merely idle.
-        """
-        return {
-            name: shard.last_write_time
-            for name, shard in self.shards.items()
         }
 
     # -- connection pool -----------------------------------------------------

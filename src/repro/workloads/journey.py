@@ -134,11 +134,7 @@ def run_journey(
         if config.latency_fault
         else config.ipc_sites
     )
-    sheriff = PriceSheriff(
-        world, config,
-        ipc_sites=ipc_sites,
-        db_shards=config.n_measurement_servers,
-    )
+    sheriff = PriceSheriff(world, config, ipc_sites=ipc_sites)
     # same-country peers so PPC fan-out has volunteers to ask
     for city in ("Madrid", "Barcelona", "Valencia"):
         sheriff.install_addon(world.make_browser("ES", city))

@@ -30,7 +30,6 @@ ALTERNATIVES = {
     "page_cache_ttl": (12.5, 45.0),
     "telemetry": (True, False),
     "db_backend": ("sqlite", "memory"),
-    "db_shards": (2, 3),
     "job_queue": (True, False),
     "queue_depth": (64, 32),
     "queue_steal_threshold": (4, None),
@@ -62,7 +61,8 @@ def assert_knob_reached(sheriff, name, value):
         "max_fetch_workers": lambda: sheriff.engine.max_workers,
         "page_cache_ttl": lambda: sheriff.engine.cache.ttl,
         "telemetry": lambda: sheriff.telemetry.enabled,
-        "db_shards": lambda: len(sheriff.db.shards),
+        "db_backend": lambda: type(sheriff.db.backend).__name__
+        .removesuffix("Backend").lower(),
         "job_queue": lambda: sheriff.job_queue is not None,
         "transport": lambda: sheriff.transport_label,
     }.get(name)
@@ -129,7 +129,7 @@ class TestSheriffValidatesItsConfig:
     for (these built silently before)."""
 
     @pytest.mark.parametrize(
-        "name", ["n_measurement_servers", "db_shards", "quorum", "max_fetch_workers"]
+        "name", ["n_measurement_servers", "quorum", "max_fetch_workers"]
     )
     def test_degenerate_value_rejected(self, name):
         with pytest.raises(InvalidConfig, match=name):

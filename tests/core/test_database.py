@@ -1,5 +1,7 @@
 """Tests for the shared Database server."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.database import ConnectionPoolExhausted, DatabaseServer
@@ -106,7 +108,7 @@ class TestFailedWrites:
         with pytest.raises(TypeError):
             db.sp_record_job("j1", "u", "http://a.example/p", "a.example", 50.0,
                              [{"time": 50.0}, "not a row"])
-        assert db.shard_last_writes() == {"shard-00": None, "shard-01": None}
+        assert [shard.last_write_time for shard in db.shards.values()] == [None, None]
         assert db.batched_writes == 0
 
 
@@ -118,6 +120,16 @@ def test_sqlite_batch_with_an_unencodable_value_moves_nothing():
     assert db.count("requests") == db.count("responses") == 0
     assert db.last_write_time is None
     assert db.batched_writes == 0
+
+
+def test_sheriff_shutdown_closes_the_database_engine():
+    from repro.core.sheriff import PriceSheriff, SheriffWorld
+
+    sheriff = PriceSheriff(SheriffWorld.create(seed=1), whitelist_domains=[])
+    sheriff.db.insert("requests", {"job_id": "j1"})
+    sheriff.shutdown()
+    with pytest.raises(sqlite3.ProgrammingError):
+        sheriff.db.backend.count("requests")
 
 
 class TestConnectionPool:

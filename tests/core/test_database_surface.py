@@ -40,7 +40,7 @@ def test_the_rpc_table_is_the_clients_procedures():
     assert set(PROCEDURES) == public - {"connection", "ping"}
     assert DB_RPC_METHODS == (
         "ping", "sp_record_request", "sp_record_responses", "sp_record_job",
-        "sp_responses_for_job", "count", "shard_last_writes",
+        "sp_responses_for_job", "count",
     )
 
 

@@ -39,6 +39,9 @@ became the one place a failover is decided: ``reassign_job``,
 store went, with six ``build_supervisor`` parameters nobody set.
 Then a stored page became one immutable record: DiffStorage's
 ``_StoredDiff`` tree and its test-only ``naive_chars(pages)`` went.
+Then a deployment got one Database server on one engine: ``db_shards``,
+``db_backend=None`` with its ``REPRO_DB_BACKEND`` switch, and the
+per-shard staleness plumbing went.
 """
 
 import dataclasses
@@ -623,3 +626,56 @@ class TestOneRecordPerStoredPage:
         assert not hasattr(repro.core.diffstorage, "_StoredDiff")
         assert not hasattr(DiffStorage, "naive_chars")
         assert DiffStorage().naive_chars_seen == 0
+
+
+class TestOneDatabaseServer:
+    """A deployment runs one Database server on the sqlite engine: the
+    ``db_shards`` knob, ``db_backend=None`` and the ``REPRO_DB_BACKEND``
+    switch behind it went, and so did the per-shard staleness plumbing
+    (``shard_last_writes``, the ``stale-shards`` detector)."""
+
+    def test_db_shards_rejected_by_name(self):
+        with pytest.raises(TypeError, match="db_shards"):
+            PriceSheriff(
+                SheriffWorld.create(seed=1), whitelist_domains=[], db_shards=2
+            )
+        with pytest.raises(InvalidConfig, match="db_shards"):
+            SheriffConfig.from_dict({"db_shards": 2})
+
+    def test_db_backend_takes_no_none(self):
+        with pytest.raises(InvalidConfig, match="db_backend"):
+            SheriffConfig(db_backend=None).validate()
+        with pytest.raises(InvalidConfig, match="db_backend"):
+            SheriffConfig.from_dict({"db_backend": None})
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"BACKEND_ENV_VAR|REPRO_DB_BACKEND|shard_last_writes|_all_shards_fresh"
+            r"|ShardStalenessProbe|SHARD_STALENESS|stale-shards"
+        )) == []
+
+    def test_names_gone(self):
+        import repro.ops
+        import repro.ops.wiring
+        import repro.storage.backend
+        from repro.core.database import DB_RPC_METHODS, DatabaseClient
+
+        assert "db_shards" not in {f.name for f in dataclasses.fields(SheriffConfig)}
+        assert not hasattr(repro.storage.backend, "BACKEND_ENV_VAR")
+        for cls in (DatabaseServer, DatabaseClient, ShardedDatabase):
+            assert not hasattr(cls, "shard_last_writes"), cls.__name__
+        assert "shard_last_writes" not in DB_RPC_METHODS
+        assert not hasattr(repro.ops.wiring, "SHARD_STALENESS")
+        assert "ShardStalenessProbe" not in repro.ops.__all__
+
+    def test_default_sheriff_runs_on_sqlite_whatever_the_environment(self, monkeypatch):
+        from repro.storage import SqliteBackend
+
+        monkeypatch.setenv("REPRO_DB_BACKEND", "memory")
+        assert SheriffConfig().db_backend == "sqlite"
+        sheriff = PriceSheriff(SheriffWorld.create(seed=1), whitelist_domains=[])
+        try:
+            assert isinstance(sheriff.db, DatabaseServer)
+            assert isinstance(sheriff.db.backend, SqliteBackend)
+        finally:
+            sheriff.shutdown()

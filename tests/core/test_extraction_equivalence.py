@@ -10,9 +10,8 @@ Three layers of the claim, mirroring the crypto lockstep suite:
   product, or remote nonce produced the page, plan memo warm or cold
   (``tests/core/test_page_family.py`` holds the memo to whole jobs);
 * **rows** — a full deployment produces byte-identical database rows
-  with the oracle patched in for the production extractor (runs on
-  whatever ``REPRO_DB_BACKEND`` the CI matrix selects, and queued as
-  well as direct dispatch).
+  with the oracle patched in for the production extractor (on the
+  default sqlite engine, queued as well as direct dispatch).
 """
 
 import random

@@ -356,11 +356,11 @@ class TestFleetScaling:
     @staticmethod
     def _run(n_servers):
         """The same 8 seeded checks, in waves of 4, through a queued fleet
-        of ``n_servers`` Measurement servers over as many database shards."""
+        of ``n_servers`` Measurement servers."""
         _, sheriff, urls, addons = build_cell(
             CellConfig(
                 job_queue=True, n_measurement_servers=n_servers,
-                db_shards=n_servers, ipc_sites=DEFAULT_IPC_SITES[:6],
+                ipc_sites=DEFAULT_IPC_SITES[:6],
                 n_stores=2,
             ),
             n_users=4,

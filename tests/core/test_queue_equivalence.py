@@ -35,7 +35,6 @@ def _run(backend, job_queue, disrupt=False):
         ipc_sites=SMALL_IPC_SITES,
         dispatch_policy="round_robin",
         db_backend=backend,
-        db_shards=2,
         job_queue=job_queue,
         queue_steal_threshold=1 if disrupt else 16,
     )

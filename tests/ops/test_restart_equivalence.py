@@ -31,7 +31,7 @@ from ..core.conftest import SMALL_IPC_SITES
 N_CHECKS = 4
 WORLD_SEED = 7
 
-#: the storage engines of the CI's REPRO_DB_BACKEND matrix
+#: both storage engines: sqlite, and the memory engine as its oracle
 BACKENDS = ("memory", "sqlite")
 
 

@@ -4,9 +4,9 @@ A randomized, seeded insert/scan/delete/``sp_*`` workload is applied to
 a memory-backed and a sqlite-backed Database server in lockstep; every
 operation must return the same value from both, and the final state
 (every table's rows, the ``_id`` sequence, ``query_count``) must match
-exactly.  This is the contract that makes the storage engine — and the
-CI's ``REPRO_DB_BACKEND`` matrix — a deployment knob instead of a
-behavior change.
+exactly.  This is the contract that makes the memory engine the sqlite
+engine's equivalence oracle: a deployment runs on sqlite, and CI's
+"Storage engines" step runs this suite to hold the two together.
 
 The hypothesis property below it pins the same contract value by value
 (what the sqlite engine's result-set decode must not bend), and the

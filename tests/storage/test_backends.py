@@ -11,7 +11,7 @@ from repro.storage import (
     StorageBackend,
     make_backend,
 )
-from repro.storage.backend import BACKEND_ENV_VAR, TABLES
+from repro.storage.backend import TABLES
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -274,11 +274,12 @@ class TestMakeBackend:
         with pytest.raises(ValueError):
             make_backend("oracle")
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
+    def test_env_var_is_ignored(self, monkeypatch):
+        """sqlite is the default engine; the retired ``REPRO_DB_BACKEND``
+        switch no longer selects one."""
         assert isinstance(make_backend(), SqliteBackend)
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert isinstance(make_backend(), MemoryBackend)
+        monkeypatch.setenv("REPRO_DB_BACKEND", "memory")
+        assert isinstance(make_backend(), SqliteBackend)
 
     def test_subclass_contract(self):
         assert issubclass(MemoryBackend, StorageBackend)
