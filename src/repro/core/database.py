@@ -11,9 +11,11 @@ and stored procedures.  This module models that server as a *facade*:
   (``responses.job_id``, ``requests.domain``, ``requests.user_id``) so
   the canned ``sp_*`` queries the Measurement servers issue are index
   seeks instead of O(n) scans;
-* the facade owns everything operational: the bounded connection pool
-  (its occupancy is the ``sheriff_db_connections_busy`` gauge), query
-  accounting, and the telemetry instruments.
+* the facade owns everything operational: query accounting and the
+  telemetry instruments.  Its callers take turns: the transport
+  handler (:func:`database_rpc_handler`) runs one stored procedure at a
+  time, as the engines — like the single-writer MySQL node they
+  model — expect.
 
 A price check is one write, :meth:`DatabaseServer.sp_record_job`: the
 request row and the job's response rows in one query and one engine
@@ -37,17 +39,15 @@ default, as the paper's $heriff runs one MySQL node.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.errors import ConnectionPoolExhausted, UnknownTable
+from repro.core.errors import UnknownTable
 from repro.net.protocol import RawJSON
 from repro.obs import NULL_TELEMETRY
 from repro.storage.backend import TABLES, StorageBackend, make_backend
 
 __all__ = [
-    "ConnectionPoolExhausted",
     "DatabaseClient",
     "DatabaseServer",
     "RowBatch",
@@ -67,25 +67,21 @@ class DatabaseServer:
 
     def __init__(
         self,
-        max_connections: int = 32,
         backend: Union[StorageBackend, str] = "sqlite",
         telemetry=NULL_TELEMETRY,
     ) -> None:
         #: the storage engine holding the rows ("sqlite" by default;
         #: "memory" or an engine instance)
         self.backend = make_backend(backend)
-        self.max_connections = max_connections
-        self._connections_in_use = 0
-        self.peak_connections = 0
         self.query_count = 0
         self.batched_writes = 0
         #: simulated time of the newest row written, taken from the
         #: rows' own ``time`` fields — no clock plumbing needed.  The
         #: ops layer's staleness probe reads this.
         self.last_write_time: Optional[float] = None
-        #: telemetry: query counters, the batch-size histogram, pool
-        #: occupancy, and the index-hit counter that proves the hot
-        #: ``sp_*`` queries resolve through secondary indexes
+        #: telemetry: query counters, the batch-size histogram and the
+        #: index-hit counter that proves the hot ``sp_*`` queries
+        #: resolve through secondary indexes
         registry = telemetry.registry
         self._m_queries = registry.counter(
             "sheriff_db_queries_total", "Round trips to the Database server"
@@ -95,9 +91,6 @@ class DatabaseServer:
             "Rows per batched insert (sp_record_responses)",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         )
-        self._m_connections = registry.gauge(
-            "sheriff_db_connections_busy", "Connections currently held"
-        )
         self._m_index_hits = registry.counter(
             "sheriff_db_index_hits_total",
             "Stored-procedure queries answered through a secondary index",
@@ -106,22 +99,6 @@ class DatabaseServer:
     def _count_query(self) -> None:
         self.query_count += 1
         self._m_queries.inc()
-
-    # -- connection pool ----------------------------------------------------
-    @contextmanager
-    def connection(self) -> Iterator["DatabaseServer"]:
-        if self._connections_in_use >= self.max_connections:
-            raise ConnectionPoolExhausted(
-                f"all {self.max_connections} connections busy"
-            )
-        self._connections_in_use += 1
-        self.peak_connections = max(self.peak_connections, self._connections_in_use)
-        self._m_connections.set(self._connections_in_use)
-        try:
-            yield self
-        finally:
-            self._connections_in_use -= 1
-            self._m_connections.set(self._connections_in_use)
 
     def _note_write_times(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Advance ``last_write_time`` to the newest ``time`` of rows the
@@ -252,16 +229,15 @@ class DatabaseServer:
 # -- transport surface -------------------------------------------------------
 #
 # The stored procedures a remote caller may invoke over
-# ``Transport.call(src, "db", method, payload)``.  Deliberately the
-# *write/read* subset the Measurement tier uses — generic ``scan`` with a
-# Python predicate cannot cross a process boundary and stays local.
+# ``Transport.call(src, "db", method, payload)``: a Measurement server's
+# job write, and the request/response writes and the per-job read the
+# benchmark's ``report_rw`` times.  Generic ``scan`` with a Python
+# predicate cannot cross a process boundary and stays local.
 DB_RPC_METHODS = (
-    "ping",
     "sp_record_request",
     "sp_record_responses",
     "sp_record_job",
     "sp_responses_for_job",
-    "count",
 )
 
 
@@ -302,10 +278,9 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
     """Expose a database (single server or sharded router) as a
     :class:`~repro.net.transport.Transport` endpoint handler.
 
-    Every call acquires a pool connection, mirroring what a remote
-    client's round trip would cost the real MySQL node.  Unknown
-    methods raise ``UnknownTable``-style ``KeyError`` which the
-    transport maps to a ``RemoteCallError``.
+    It answers the :data:`DB_RPC_METHODS` procedures and nothing else:
+    any other method raises ``KeyError``, which the transport maps to a
+    ``RemoteCallError``.
 
     Calls are serialized by a lock: the socket transport serves every
     connection from its own thread, and the storage engines (like
@@ -320,15 +295,13 @@ def database_rpc_handler(db) -> Callable[[str, Any], Any]:
     serial = threading.Lock()
 
     def handle(method: str, payload: Any) -> Any:
-        if method == "ping":
-            return "pong"
         if method not in DB_RPC_METHODS:
             raise KeyError(f"unknown database method {method!r}")
         kwargs = dict(payload or {})
-        with serial, db.connection() as conn:
+        with serial:
             if method == "sp_responses_for_job":
-                return RawJSON(conn.sp_responses_for_job_json(kwargs["job_id"]))
-            return getattr(conn, method)(**kwargs)
+                return RawJSON(db.sp_responses_for_job_json(kwargs["job_id"]))
+            return getattr(db, method)(**kwargs)
 
     return handle
 
@@ -340,8 +313,7 @@ class DatabaseClient:
     a :meth:`Transport.call` round trip to the ``db`` endpoint instead
     of a direct method call — the same component code persists rows
     whether the database lives in-process (sim) or across a socket
-    (mesh).  ``connection()`` yields ``self``: pool accounting belongs
-    to the server side, where the real pool lives.
+    (mesh).
     """
 
     def __init__(
@@ -360,13 +332,6 @@ class DatabaseClient:
         return self.transport.call(
             self.src, self.dst, method, payload, timeout=self.timeout
         )
-
-    @contextmanager
-    def connection(self) -> Iterator["DatabaseClient"]:
-        yield self
-
-    def ping(self) -> str:
-        return self._call("ping")
 
     def sp_record_request(
         self, job_id: str, user_id: str, url: str, domain: str, time: float
@@ -401,6 +366,3 @@ class DatabaseClient:
         """The rows as the server stored them: each row's keys in stored
         order, tuples as lists."""
         return self._call("sp_responses_for_job", {"job_id": job_id})
-
-    def count(self, table: str) -> int:
-        return self._call("count", {"table": table})

@@ -165,10 +165,6 @@ class InvalidConfig(SheriffError, ValueError):
 
 # -- infrastructure ---------------------------------------------------------
 
-class ConnectionPoolExhausted(SheriffError, RuntimeError):
-    """All pooled Database server connections are in use."""
-
-
 class UnknownTable(SheriffError, KeyError):
     """A query named a table the Database server does not host."""
 
@@ -211,7 +207,6 @@ __all__ = [
     "PriceSelectionError",
     "QueueSaturated",
     "InvalidConfig",
-    "ConnectionPoolExhausted",
     "UnknownTable",
     "StateFetchFailed",
     "ConfigurationError",

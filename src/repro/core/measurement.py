@@ -712,7 +712,7 @@ class MeasurementServer:
         request row and its response rows in one round trip and one
         transaction, whole or not at all.
 
-        Under pipelined load the connection pool is the next bottleneck
+        Under pipelined load the Database server is the next bottleneck
         after the fetches, so a job must not pay one round trip per
         vantage point, nor one per table.  The response rows go out
         column-wise (:data:`RESPONSE_COLUMNS`), one value tuple per
@@ -726,7 +726,6 @@ class MeasurementServer:
              row.used_doppelganger)
             for row in result.rows
         ]}
-        with self.db.connection() as db:
-            db.sp_record_job(
-                job.job_id, job.initiator_peer_id, job.url, result.domain, now, batch
-            )
+        self.db.sp_record_job(
+            job.job_id, job.initiator_peer_id, job.url, result.domain, now, batch
+        )

@@ -258,28 +258,6 @@ class PriceSheriff:
         self.addons: List[SheriffAddon] = []
 
     # -- transport plumbing --------------------------------------------------
-    def _server_rpc(self, name: str):
-        """RPC surface of one Measurement server endpoint.
-
-        Looks the server up at call time so a supervised restart (which
-        replaces the object) needs no re-bind.
-        """
-
-        def handle(method: str, payload):
-            server = self.measurement_servers[name]
-            if method == "ping":
-                return "pong"
-            if method == "stats":
-                stats = server.stats
-                return {
-                    "name": name,
-                    "degraded_jobs": stats.degraded_jobs,
-                    "quorum_failures": stats.quorum_failures,
-                }
-            raise KeyError(f"unknown measurement method {method!r}")
-
-        return handle
-
     def _db_handle_for(self, client_name: str) -> DatabaseClient:
         """What a component holds as "the database": a client that
         reaches the ``db`` endpoint over the transport."""
@@ -349,10 +327,12 @@ class PriceSheriff:
         )
 
     def enlist_measurement_server(self, server: MeasurementServer) -> None:
-        """Bind a built server as a transport endpoint and register it
-        with the request distribution protocol."""
+        """Register a built server as a transport client (it calls the
+        ``db`` endpoint; nothing calls it) and with the request
+        distribution protocol.  A name already in use is refused by the
+        transport before anything else changes."""
         name = server.name
-        self.transport.bind(name, self._server_rpc(name))
+        self.transport.register_client(name)
         self.measurement_servers[name] = server
         self.distributor.register_server(
             name, url=f"10.250.0.{len(self.measurement_servers)}", port=80,
@@ -375,9 +355,9 @@ class PriceSheriff:
         The supervised restart action of :mod:`repro.ops`: jobs still
         pending on the old instance fail over to the survivors, the
         instance is rebuilt from the same wiring (its registration row —
-        URL, port — is kept), any open flap window on the host is closed
-        (the replacement process answers heartbeats), and the first
-        heartbeat lands immediately.
+        URL, port — and its transport client name are kept), any open
+        flap window on the host is closed (the replacement process
+        answers heartbeats), and the first heartbeat lands immediately.
 
         Determinism: rebuilding consumes no world RNG — the replacement's
         latency model is re-seeded from the server *name*, and fetch
@@ -389,7 +369,6 @@ class PriceSheriff:
             self.coordinator.handle_server_failure(name)
         fresh = self.build_measurement_server(name)
         self.measurement_servers[name] = fresh
-        self.transport.restart_endpoint(name)
         if self.faults is not None:
             self.faults.end_flap(name)
         self.distributor.heartbeat(name, self.world.clock.now)

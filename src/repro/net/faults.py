@@ -15,8 +15,7 @@ where the paper's failures happen consult —
 * the add-on's job submission.
 
 The component transport (:mod:`repro.net.transport`) carries no plan: a
-Measurement server goes dark through the Coordinator's flap check, and
-its endpoint through ``take_offline``.
+Measurement server goes dark through the Coordinator's flap check.
 
 Five fault kinds are supported:
 

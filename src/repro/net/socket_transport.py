@@ -66,8 +66,9 @@ from repro.obs import NULL_TELEMETRY
 
 __all__ = ["SocketTransport"]
 
-#: how long ``close()`` (or ``take_offline``/``unbind``/``drain``) waits for
-#: a thread still inside a handler before leaving it to finish as a daemon
+#: how long ``close()`` (or ``unbind``/``drain``) waits for a thread still
+#: inside a handler, or a call still on its pooled connection, before
+#: leaving it to finish as a daemon
 CLOSE_GRACE_SECONDS = 1.0
 
 #: connections one endpoint serves at a time — each costs a thread, so
@@ -111,6 +112,20 @@ def _shutdown(sock: socket.socket) -> None:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass  # already closed or never connected
+
+
+def _hang_up(conns: List[_Conn]) -> None:
+    """Close pooled connections: shut each socket down first, so a call
+    still blocked on one fails as a :class:`NetworkError` and lets go of
+    its lock, then drop it under that lock."""
+    for conn in conns:
+        sock = conn.sock
+        if sock is not None:
+            _shutdown(sock)
+    for conn in conns:
+        if conn.lock.acquire(timeout=CLOSE_GRACE_SECONDS):
+            conn.drop()
+            conn.lock.release()
 
 
 class SocketTransport(Transport):
@@ -161,15 +176,14 @@ class SocketTransport(Transport):
         if name in self._endpoints or name in self._clients:
             raise ValueError(f"duplicate endpoint name {name!r}")
         ep = _Endpoint(name=name, handler=handler)
-        self._listen(ep, port=0)
+        self._listen(ep)
         self._endpoints[name] = ep
         self._peers[name] = (self.host, ep.port)
 
-    def _listen(self, ep: _Endpoint, port: int) -> None:
-        listener = socket.create_server((self.host, port))  # SO_REUSEADDR on POSIX
+    def _listen(self, ep: _Endpoint) -> None:
+        listener = socket.create_server((self.host, 0))
         with ep.cond:
             ep.port = listener.getsockname()[1]
-            ep.draining = False
             ep.listener = listener
             ep.acceptor = threading.Thread(
                 target=self._accept_loop, args=(ep, listener),
@@ -180,7 +194,7 @@ class SocketTransport(Transport):
     def register_client(self, name: str) -> None:
         if self._closed:
             raise NetworkError("transport is closed")
-        if name in self._endpoints:
+        if name in self._endpoints or name in self._clients:
             raise ValueError(f"duplicate endpoint name {name!r}")
         self._clients.add(name)
 
@@ -199,20 +213,17 @@ class SocketTransport(Transport):
         return sorted(set(self._endpoints) | self._clients | set(self._peers))
 
     def unbind(self, name: str) -> None:
+        """Remove ``name`` and hang up every pooled connection it calls
+        from or is called on; the peer's serving thread then reads EOF
+        and ends."""
         ep = self._endpoints.pop(name, None)
         self._clients.discard(name)
         self._peers.pop(name, None)
+        with self._lock:
+            pooled = [self._conns.pop(key) for key in list(self._conns) if name in key]
+        _hang_up(pooled)
         if ep is not None:
             self._join(self._stop(ep))
-
-    def take_offline(self, name: str) -> None:
-        self._join(self._stop(self._endpoint(name)))
-
-    def restart_endpoint(self, name: str) -> None:
-        """Rebind the endpoint's listener on its original port."""
-        ep = self._endpoint(name)
-        if ep.listener is None:
-            self._listen(ep, port=ep.port)
 
     def drain(self, name: str, timeout: float = 10.0) -> None:
         """Graceful shutdown: stop accepting, finish in-flight calls."""
@@ -255,14 +266,7 @@ class SocketTransport(Transport):
         threads = [t for ep in self._endpoints.values() for t in self._stop(ep)]
         # With both ends of every connection shut down, serving threads read
         # EOF and in-flight calls fail as NetworkError by themselves: quietly.
-        for conn in pooled:
-            sock = conn.sock
-            if sock is not None:
-                _shutdown(sock)
-        for conn in pooled:
-            if conn.lock.acquire(timeout=CLOSE_GRACE_SECONDS):
-                conn.drop()
-                conn.lock.release()
+        _hang_up(pooled)
         self._join(threads)
 
     # -- server side -------------------------------------------------------
@@ -272,7 +276,7 @@ class SocketTransport(Transport):
                 sock, _ = listener.accept()
             except OSError:
                 if ep.listener is not listener:
-                    return  # offline, drained, unbound or closed
+                    return  # drained, unbound or closed
                 time.sleep(0.05)  # ECONNABORTED, EMFILE: still listening
                 continue
             with ep.cond:

@@ -25,7 +25,7 @@ Grafana panel reads the same over either backend; only the
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.geo import Location
 from repro.net.protocol import (
@@ -225,11 +225,13 @@ class Transport:
 
     def register_client(self, name: str) -> None:
         """Declare a caller-only endpoint (no inbound handler); refused
-        like :meth:`bind` when ``name`` is bound or the transport closed."""
+        like :meth:`bind` when ``name`` is in use (bound or already a
+        client) or the transport closed."""
         raise NotImplementedError
 
     def unbind(self, name: str) -> None:
-        """Remove an endpoint entirely (decommission, not crash)."""
+        """Remove an endpoint, server or client, with every connection
+        it was a party to (decommission, not crash)."""
         raise NotImplementedError
 
     def call(
@@ -252,14 +254,6 @@ class Transport:
         """Names currently bound (servers and registered clients)."""
         raise NotImplementedError
 
-    def take_offline(self, name: str) -> None:
-        """Simulate/effect an endpoint crash: calls to it start failing."""
-        raise NotImplementedError
-
-    def restart_endpoint(self, name: str) -> None:
-        """Bring a bound endpoint back after :meth:`take_offline`."""
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release all endpoints; subsequent calls raise NetworkError."""
         raise NotImplementedError
@@ -269,13 +263,13 @@ class SimTransport(Transport):
     """Deterministic in-process transport.
 
     Endpoints are a name → handler table (``None`` for a caller-only
-    endpoint) plus the set of names taken offline.  A call encodes its
+    endpoint).  A call encodes its
     request, runs the destination's handler on the caller's thread
     against the decoded copy, and decodes the encoded reply, so payloads
     are normalised by the codec exactly as on a socket.
 
     Each delivered call takes one draw from a private latency stream —
-    after the unknown-endpoint and offline checks, before the handler
+    after the unknown-endpoint checks, before the handler
     runs — as its simulated round trip; ``timeout=`` is checked against
     it.  The stream has its own fixed seed, so a transport never
     perturbs any other component's draws.
@@ -288,7 +282,6 @@ class SimTransport(Transport):
     ) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._handlers: Dict[str, Optional[Handler]] = {}
-        self._offline: Set[str] = set()
         self._latency = LatencyModel(rng=random.Random("transport:latency"))
         self._call_ids = iter(range(1, 1 << 62))
         self._closed = False
@@ -308,23 +301,15 @@ class SimTransport(Transport):
     def register_client(self, name: str) -> None:
         self._add(name, None)
 
-    def _known(self, name: str) -> str:
+    def _known(self, name: str) -> None:
         if name not in self._handlers:
             raise NetworkError(f"unknown host {name!r}")
-        return name
 
     def endpoints(self) -> List[str]:
         return list(self._handlers)
 
     def unbind(self, name: str) -> None:
         self._handlers.pop(name, None)
-        self._offline.discard(name)
-
-    def take_offline(self, name: str) -> None:
-        self._offline.add(self._known(name))
-
-    def restart_endpoint(self, name: str) -> None:
-        self._offline.discard(self._known(name))
 
     def close(self) -> None:
         self._closed = True
@@ -373,8 +358,6 @@ class SimTransport(Transport):
         try:
             self._known(dst)
             self._known(src)
-            if dst in self._offline:
-                raise NetworkError(f"host {dst!r} is offline")
             rtt = 2.0 * self._latency.latency(_SITE, _SITE)
             raw = self._reply(dst, wire)
         except NetworkError:

@@ -1,8 +1,8 @@
 """The storage-engine protocol of the Database server.
 
 A backend owns the rows; the :class:`repro.core.database.DatabaseServer`
-facade owns everything operational (connection pool, query accounting,
-metrics, the ``sp_*`` stored-procedure surface).  Engines must be
+facade owns everything operational (query accounting, metrics, the
+``sp_*`` stored-procedure surface).  Engines must be
 *row-identical*: the same insert/scan/delete workload against any two
 backends yields byte-identical rows, the same ``_id`` sequence, and the
 same query counts — that contract is what lets the memory engine

@@ -5,9 +5,9 @@ the benchmark's ``report_rw`` workload drives a 4-shard instance, until
 that workload moves to the single server.
 
 Table 1 shows the centralized architecture's response time blowing up
-near 10 parallel tasks — the Database node's connection pool and table
-scans are two of the contention points.  This module scales that node
-horizontally while keeping every caller oblivious:
+near 10 parallel tasks — the one Database node is a contention point.
+This module scales that node horizontally while keeping every caller
+oblivious:
 
 * :class:`HashRing` — a consistent-hash ring (virtual nodes on SHA-1,
   the classic Karger construction) mapping routing keys to shard
@@ -34,10 +34,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.errors import ConnectionPoolExhausted
 from repro.obs import NULL_TELEMETRY
 from repro.storage.backend import join_json_arrays
 
@@ -85,7 +83,6 @@ class ShardedDatabase:
     def __init__(
         self,
         n_shards: int = 4,
-        max_connections: int = 32,
         backend: str = "sqlite",
         replicas: int = 64,
         telemetry=NULL_TELEMETRY,
@@ -98,32 +95,19 @@ class ShardedDatabase:
             f"shard-{i:02d}" for i in range(n_shards)
         ]
         self.shards: Dict[str, DatabaseServer] = {
-            name: DatabaseServer(
-                max_connections=max_connections, backend=backend,
-                telemetry=telemetry,
-            )
+            name: DatabaseServer(backend=backend, telemetry=telemetry)
             for name in self.shard_names
         }
         self.ring = HashRing(self.shard_names, replicas=replicas)
-        self.max_connections = max_connections
-        #: router-level pool: one slot held per job write transaction,
-        #: mirroring the facade semantics callers already rely on
-        self._connections_in_use = 0
-        self.peak_connections = 0
         #: job -> shard routing table (set by the job's first write)
         self._job_shard: Dict[str, str] = {}
         #: cross-shard stored procedures that had to scatter-gather
         self.scatter_queries = 0
-        #: telemetry: per-shard occupancy and the router's own pool
-        registry = telemetry.registry
-        self._m_shard_rows = registry.gauge(
+        #: telemetry: per-shard occupancy
+        self._m_shard_rows = telemetry.registry.gauge(
             "sheriff_db_shard_rows",
             "Rows currently held, per shard and table",
             labelnames=("shard", "table"),
-        )
-        self._m_connections = registry.gauge(
-            "sheriff_db_router_connections_busy",
-            "Router-level connections currently held",
         )
 
     def _sync_occupancy(self, shard_name: str, table: str) -> None:
@@ -169,25 +153,6 @@ class ShardedDatabase:
         return {
             name: shard.count(table) for name, shard in self.shards.items()
         }
-
-    # -- connection pool -----------------------------------------------------
-    @contextmanager
-    def connection(self) -> Iterator["ShardedDatabase"]:
-        """One router-level slot; per-shard pools still bound each shard."""
-        if self._connections_in_use >= self.max_connections:
-            raise ConnectionPoolExhausted(
-                f"all {self.max_connections} router connections busy"
-            )
-        self._connections_in_use += 1
-        self.peak_connections = max(
-            self.peak_connections, self._connections_in_use
-        )
-        self._m_connections.set(self._connections_in_use)
-        try:
-            yield self
-        finally:
-            self._connections_in_use -= 1
-            self._m_connections.set(self._connections_in_use)
 
     # -- reads (scattered) ---------------------------------------------------
     def scan(

@@ -3,6 +3,20 @@
 import pytest
 
 from repro.core.admin import AdminConsole, ProbeFailed
+from repro.core.sheriff import PriceSheriff
+from tests.core.conftest import SMALL_IPC_SITES
+
+
+def _write_lands(sheriff, server, job_id):
+    """A job ``server`` writes through its database client is stored on
+    the deployment's Database server."""
+    ids = server.db.sp_record_job(
+        job_id, "peer", "http://uniform.example/p", "uniform.example", 1.0,
+        [{"proxy_id": "ipc-0"}, {"proxy_id": "ipc-1"}],
+    )
+    assert len(ids) == 3
+    rows = sheriff.db.sp_responses_for_job(job_id)
+    assert [row["proxy_id"] for row in rows] == ["ipc-0", "ipc-1"]
 
 
 @pytest.fixture
@@ -40,8 +54,8 @@ class TestAttach:
     def test_attached_server_is_wired_like_a_built_in_one(self, console,
                                                           sheriff):
         """Attach goes through the sheriff's one builder: the server
-        reaches the database over the transport, is a transport
-        endpoint, and the supervisor's heal action can restart it."""
+        reaches the database over the transport as a registered client,
+        and the supervisor's heal action can restart it."""
         from repro.core.database import DatabaseClient
 
         server = console.attach_measurement_server("ms-new")
@@ -50,11 +64,31 @@ class TestAttach:
         assert server.engine is sheriff.engine
         assert "ms-new" in sheriff.transport.endpoints()
         assert sheriff.distributor.server("ms-new").transport == "sim"
+        _write_lands(sheriff, server, "job-attached")
 
         fresh = sheriff.restart_measurement_server("ms-new")
         assert fresh is not server
         assert sheriff.measurement_server("ms-new") is fresh
-        assert sheriff.transport.call("ms-0", "ms-new", "ping") == "pong"
+        _write_lands(sheriff, fresh, "job-restarted")
+
+    @pytest.mark.parametrize("transport", ["sim", "socket"])
+    def test_duplicate_attach_keeps_the_original(self, world, transport):
+        """Attaching a name already enlisted raises before anything
+        changes: the first server keeps its name, its database writes
+        and its dispatch row."""
+        sheriff = PriceSheriff(
+            world, n_measurement_servers=2, ipc_sites=SMALL_IPC_SITES,
+            transport=transport,
+        )
+        try:
+            original = sheriff.measurement_server("ms-0")
+            with pytest.raises(ValueError):
+                AdminConsole(sheriff).attach_measurement_server("ms-0")
+            assert sheriff.measurement_server("ms-0") is original
+            assert len(sheriff.distributor.servers()) == 2
+            _write_lands(sheriff, original, "job-original")
+        finally:
+            sheriff.shutdown()
 
     def test_broken_machine_rejected(self, console, sheriff, monkeypatch):
         """A machine whose extraction pipeline is broken never joins."""

@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from repro.core.database import ConnectionPoolExhausted, DatabaseServer
+from repro.core.database import DatabaseServer
 
 
 class TestTables:
@@ -132,30 +132,7 @@ def test_sheriff_shutdown_closes_the_database_engine():
         sheriff.db.backend.count("requests")
 
 
-class TestConnectionPool:
-    def test_acquire_release(self):
-        db = DatabaseServer(max_connections=1)
-        with db.connection():
-            pass
-        with db.connection():
-            pass
-        assert db.peak_connections == 1
-
-    def test_exhaustion(self):
-        db = DatabaseServer(max_connections=1)
-        with db.connection():
-            with pytest.raises(ConnectionPoolExhausted):
-                with db.connection():
-                    pass
-
-    def test_released_on_exception(self):
-        db = DatabaseServer(max_connections=1)
-        with pytest.raises(RuntimeError):
-            with db.connection():
-                raise RuntimeError("boom")
-        with db.connection():
-            pass  # pool usable again
-
+class TestQueryAccounting:
     def test_query_count_tracks_activity(self):
         db = DatabaseServer()
         before = db.query_count

@@ -19,7 +19,7 @@ from repro.core.database import (
 )
 from repro.storage import ShardedDatabase
 
-PROCEDURES = sorted(set(DB_RPC_METHODS) - {"ping"})
+PROCEDURES = sorted(DB_RPC_METHODS)
 
 
 def _parameters(method):
@@ -37,10 +37,10 @@ def test_the_rpc_table_is_the_clients_procedures():
         if not name.startswith("_")
     }
     assert len(set(DB_RPC_METHODS)) == len(DB_RPC_METHODS)
-    assert set(PROCEDURES) == public - {"connection", "ping"}
+    assert set(PROCEDURES) == public
     assert DB_RPC_METHODS == (
-        "ping", "sp_record_request", "sp_record_responses", "sp_record_job",
-        "sp_responses_for_job", "count",
+        "sp_record_request", "sp_record_responses", "sp_record_job",
+        "sp_responses_for_job",
     )
 
 

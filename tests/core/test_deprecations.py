@@ -41,7 +41,11 @@ Then a stored page became one immutable record: DiffStorage's
 ``_StoredDiff`` tree and its test-only ``naive_chars(pages)`` went.
 Then a deployment got one Database server on one engine: ``db_shards``,
 ``db_backend=None`` with its ``REPRO_DB_BACKEND`` switch, and the
-per-shard staleness plumbing went.
+per-shard staleness plumbing went.  Then the transport came to carry
+only the calls that are made: Measurement servers became database
+clients, and their stub endpoints, ``take_offline`` /
+``restart_endpoint``, the ``ping`` / ``count`` verbs and the connection
+pool that the handler's lock already serialised went.
 """
 
 import dataclasses
@@ -677,5 +681,83 @@ class TestOneDatabaseServer:
         try:
             assert isinstance(sheriff.db, DatabaseServer)
             assert isinstance(sheriff.db.backend, SqliteBackend)
+        finally:
+            sheriff.shutdown()
+
+
+class TestTransportCarriesWhatIsCalled:
+    """A Measurement server is a client of the ``db`` endpoint, the one
+    endpoint a deployment binds.  The transport lost ``take_offline`` /
+    ``restart_endpoint``, the Database endpoint its ``ping`` / ``count``
+    verbs, and the Database server the connection pool its handler's
+    lock already serialised, with ``ConnectionPoolExhausted`` and the
+    ``*_connections_busy`` gauges."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(take_offline|restart_endpoint|ConnectionPoolExhausted"
+            r"|peak_connections|max_connections|_server_rpc)\b"
+            r"|_connections_busy"
+        )) == []
+
+    def test_names_gone(self):
+        import repro.core.database
+        import repro.core.errors
+        from repro.core.database import DB_RPC_METHODS, DatabaseClient
+        from repro.net import SimTransport, SocketTransport, Transport
+
+        for cls in (Transport, SimTransport, SocketTransport):
+            for name in ("take_offline", "restart_endpoint"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+        for name in ("connection", "max_connections", "peak_connections"):
+            assert not hasattr(DatabaseServer(), name), name
+            assert not hasattr(ShardedDatabase(n_shards=1), name), name
+        for name in ("ping", "count", "connection"):
+            assert not hasattr(DatabaseClient, name), name
+        assert DB_RPC_METHODS == (
+            "sp_record_request", "sp_record_responses", "sp_record_job",
+            "sp_responses_for_job",
+        )
+        for module in (repro.core.errors, repro.core.database):
+            assert not hasattr(module, "ConnectionPoolExhausted"), module.__name__
+        assert "ConnectionPoolExhausted" not in repro.core.errors.__all__
+
+    def test_no_connection_gauges_declared(self):
+        from repro.obs import Telemetry
+
+        sheriff = PriceSheriff(
+            SheriffWorld.create(seed=1), whitelist_domains=[], telemetry=True
+        )
+        try:
+            registry = sheriff.telemetry.registry
+            assert registry.enabled
+            sharded = Telemetry()
+            ShardedDatabase(n_shards=2, telemetry=sharded)
+            for name in ("sheriff_db_connections_busy",
+                         "sheriff_db_router_connections_busy"):
+                assert registry.get(name) is None, name
+                assert sharded.registry.get(name) is None, name
+        finally:
+            sheriff.shutdown()
+
+    def test_socket_deployment_listens_on_db_only(self):
+        import threading
+
+        def acceptors():
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith("socket-transport-accept-")
+            }
+
+        before = acceptors()
+        sheriff = PriceSheriff(
+            SheriffWorld.create(seed=1), whitelist_domains=[],
+            transport="socket", n_measurement_servers=4,
+        )
+        try:
+            assert [t.name for t in acceptors() - before] == [
+                "socket-transport-accept-db"
+            ]
+            assert sorted(sheriff.transport._endpoints) == ["db"]
         finally:
             sheriff.shutdown()

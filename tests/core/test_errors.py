@@ -13,7 +13,6 @@ from repro.core import errors
 from repro.core.errors import (
     AdmissionDenied,
     ConfigurationError,
-    ConnectionPoolExhausted,
     ConsentRequired,
     DispatchConfigError,
     DuplicateServer,
@@ -54,7 +53,6 @@ class TestHierarchy:
             (QuorumNotMet, RuntimeError),
             (PriceCheckFailed, RuntimeError),
             (PriceSelectionError, ValueError),
-            (ConnectionPoolExhausted, RuntimeError),
             (UnknownTable, KeyError),
             (StateFetchFailed, ConnectionError),
             (ConfigurationError, RuntimeError),

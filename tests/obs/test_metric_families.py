@@ -18,7 +18,6 @@ FAMILIES: Tuple[Tuple[str, str], ...] = (
     ("sheriff_check_latency_seconds", "histogram"),
     ("sheriff_coordinator_recovery_total", "counter"),
     ("sheriff_db_batch_rows", "histogram"),
-    ("sheriff_db_connections_busy", "gauge"),
     ("sheriff_db_index_hits_total", "counter"),
     ("sheriff_db_queries_total", "counter"),
     ("sheriff_dispatch_jobs_total", "counter"),
@@ -66,4 +65,4 @@ def test_the_metrics_drill_exposes_exactly_these_families(tmp_path, capsys):
     out = tmp_path / "metrics.prom"
     assert main(["metrics", "--requests", "24", "--out", str(out)]) == 0
     assert families(out.read_text()) == list(FAMILIES)
-    assert len(FAMILIES) == 34
+    assert len(FAMILIES) == 33

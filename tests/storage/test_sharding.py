@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.errors import ConnectionPoolExhausted
 from repro.core.database import DatabaseServer
 from repro.obs import Telemetry
 from repro.storage import HashRing, ShardedDatabase
@@ -123,14 +122,6 @@ class TestShardedDatabase:
         assert db.count("responses") == 18 - deleted
         for name, ids in doomed.items():
             assert not db.shards[name].scan("responses", lambda r: r["_id"] in ids)
-
-    def test_router_connection_pool(self):
-        db = ShardedDatabase(n_shards=2, max_connections=1)
-        with db.connection():
-            with pytest.raises(ConnectionPoolExhausted):
-                with db.connection():
-                    pass
-        assert db.peak_connections == 1
 
     def test_telemetry_gauges(self):
         telemetry = Telemetry()
