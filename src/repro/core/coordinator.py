@@ -134,6 +134,8 @@ class Coordinator:
         self.failovers = 0
         self.jobs_failed = 0
         self.jobs_reassigned = 0
+        #: queued jobs the queue tier moved to a less loaded server
+        self.jobs_stolen = 0
         #: total simulated seconds callers were told to back off
         self.backoff_seconds = 0.0
         #: journey spans root here (the tracer is the deployment's once
@@ -146,25 +148,34 @@ class Coordinator:
         #: the anonymity channel in place these are exit-relay names,
         #: never peers
         self.state_request_sources: List[str] = []
-        #: telemetry: recovery counters + the per-server turnaround
-        #: histogram (admission → completion report, world clock)
+        #: telemetry: the recovery counters, read from the fields above,
+        #: and the per-server turnaround histogram (admission →
+        #: completion report, world clock)
         registry = telemetry.registry
-        self._m_recovery = registry.counter(
-            "sheriff_coordinator_recovery_total",
-            "Failover / reassignment / terminal-failure events",
-            labelnames=("event",),
+        registry.sampled(
+            "counter", "sheriff_coordinator_recovery_total",
+            "Failover / reassignment / terminal-failure events", ("event",),
+            lambda: {
+                ("failover",): self.failovers,
+                ("reassigned",): self.jobs_reassigned,
+                ("job_failed",): self.jobs_failed,
+                ("stolen",): self.jobs_stolen,
+            },
         )
-        self._m_rejected = registry.counter(
-            "sheriff_requests_rejected_total",
-            "Price-check requests refused at admission",
+        registry.sampled(
+            "counter", "sheriff_requests_rejected_total",
+            "Price-check requests refused at admission", (),
+            lambda: len(self.whitelist.rejected),
         )
-        self._m_backoff = registry.counter(
-            "sheriff_backoff_seconds_total",
-            "Simulated seconds callers were told to back off",
+        registry.sampled(
+            "counter", "sheriff_backoff_seconds_total",
+            "Simulated seconds callers were told to back off", (),
+            lambda: self.backoff_seconds,
         )
-        self._m_retry_budget = registry.counter(
-            "sheriff_retry_budget_spent_total",
-            "Server assignments consumed beyond each job's first",
+        registry.sampled(
+            "counter", "sheriff_retry_budget_spent_total",
+            "Server assignments consumed beyond each job's first", (),
+            lambda: self.jobs_reassigned,
         )
         self._m_turnaround = registry.histogram(
             "sheriff_job_turnaround_seconds",
@@ -209,7 +220,6 @@ class Coordinator:
         domain, path = parse_url(url)
         allowed, reason = self.whitelist.check(url, domain, path, self.clock.now)
         if not allowed:
-            self._m_rejected.inc()
             raise RequestRejected(url, reason)
         job_id = f"job-{next(self._job_seq)}"
         server = self.distributor.take()
@@ -330,8 +340,6 @@ class Coordinator:
             record.attempts += 1
             record.server_name = server.name
             self.jobs_reassigned += 1
-            self._m_recovery.inc(event="reassigned")
-            self._m_retry_budget.inc()
             self.journey_stage(
                 "retry", job_id, attempt=record.attempts, server=server.name,
             )
@@ -348,7 +356,6 @@ class Coordinator:
         re-sends.
         """
         self.failovers += 1
-        self._m_recovery.inc(event="failover")
         try:
             self.distributor.mark_offline(server_name)
         except KeyError:
@@ -372,13 +379,12 @@ class Coordinator:
         if server.name != record.server_name:
             self.distributor.move(record.server_name, server.name, "stolen")
             record.server_name = server.name
-        self._m_recovery.inc(event="stolen")
+        self.jobs_stolen += 1
 
     def next_backoff(self, attempt: int) -> float:
         """Jittered, capped-exponential wait before retry ``attempt``."""
         delay = self.backoff.delay(attempt, self._backoff_rng)
         self.backoff_seconds += delay
-        self._m_backoff.inc(delay)
         return delay
 
     def fail_job(self, job_id: str, reason: str) -> None:
@@ -391,7 +397,6 @@ class Coordinator:
         self.distributor.release(record.server_name, "failed")
         self.journey_spans.pop(job_id, None)
         self.jobs_failed += 1
-        self._m_recovery.inc(event="job_failed")
 
     def failed_jobs(self) -> List[JobRecord]:
         """The operator's list of failed jobs, each with its

@@ -79,13 +79,12 @@ class DatabaseServer:
         #: rows' own ``time`` fields — no clock plumbing needed.  The
         #: ops layer's staleness probe reads this.
         self.last_write_time: Optional[float] = None
-        #: telemetry: query counters, the batch-size histogram and the
-        #: index-hit counter that proves the hot ``sp_*`` queries
-        #: resolve through secondary indexes
+        #: telemetry: the batch-size histogram and the index-hit counter
+        #: that proves the hot ``sp_*`` queries resolve through secondary
+        #: indexes.  ``query_count`` is scraped by the deployment that
+        #: owns the server (the shards of a sharded database share one
+        #: registry, and a sampled family has one source)
         registry = telemetry.registry
-        self._m_queries = registry.counter(
-            "sheriff_db_queries_total", "Round trips to the Database server"
-        )
         self._m_batch_rows = registry.histogram(
             "sheriff_db_batch_rows",
             "Rows per batched insert (sp_record_responses)",
@@ -95,10 +94,6 @@ class DatabaseServer:
             "sheriff_db_index_hits_total",
             "Stored-procedure queries answered through a secondary index",
         )
-
-    def _count_query(self) -> None:
-        self.query_count += 1
-        self._m_queries.inc()
 
     def _note_write_times(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Advance ``last_write_time`` to the newest ``time`` of rows the
@@ -114,7 +109,7 @@ class DatabaseServer:
 
     # -- generic table access -----------------------------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:
-        self._count_query()
+        self.query_count += 1
         row_id = self.backend.insert(table, row)
         self._note_write_times((row,))
         return row_id
@@ -122,13 +117,13 @@ class DatabaseServer:
     def scan(
         self, table: str, where: Optional[Callable[[Dict[str, Any]], bool]] = None
     ) -> List[Dict[str, Any]]:
-        self._count_query()
+        self.query_count += 1
         return self.backend.scan(table, where)
 
     def _seek(self, read: Callable[[str, str, Any], Any], table: str,
               column: str, value: Any) -> Any:
         """One query through an engine read, counting the index hit."""
-        self._count_query()
+        self.query_count += 1
         hits_before = self.backend.index_hits
         result = read(table, column, value)
         if self.backend.index_hits > hits_before:
@@ -141,7 +136,7 @@ class DatabaseServer:
 
     def delete_rows(self, table: str, ids: Sequence[int]) -> int:
         """Remove rows by ``_id`` (the PII audit's delete path)."""
-        self._count_query()
+        self.query_count += 1
         return self.backend.delete_rows(table, ids)
 
     def count(self, table: str) -> int:
@@ -174,7 +169,7 @@ class DatabaseServer:
         """A job's response rows in one query, each row built once
         (:func:`_response_rows`).  A batch the engine refuses counts as
         a query but not as a batched write."""
-        self._count_query()
+        self.query_count += 1
         stored = _response_rows(job_id, rows)
         (ids,) = self.backend.insert_batches([("responses", stored)])
         self._batch_stored(stored)
@@ -201,7 +196,7 @@ class DatabaseServer:
         writes nothing and returns the stored ids.  The job's ``time``
         is its write time for ``last_write_time``.
         """
-        self._count_query()
+        self.query_count += 1
         stored = self.backend.lookup("requests", "job_id", job_id)
         if stored:
             responses = self.backend.lookup("responses", "job_id", job_id)

@@ -101,33 +101,36 @@ class RequestDistributor:
         self._servers: Dict[str, ServerRecord] = {}
         self._rr = itertools.count()
         self.offline_events = 0
-        #: telemetry: lifecycle counters plus the per-server gauges the
-        #: Fig. 7 panel renders from
+        #: telemetry: the lifecycle counter, plus the offline count and
+        #: the per-server columns of the Fig. 7 panel read from the list
         registry = telemetry.registry
         self._m_lifecycle = registry.counter(
             "sheriff_dispatch_jobs_total",
             "Job lifecycle events seen by the distributor",
             labelnames=("event",),
         )
-        self._m_offline = registry.counter(
-            "sheriff_dispatch_offline_events_total",
-            "Servers marked offline (missed heartbeats or dead sends)",
+        registry.sampled(
+            "counter", "sheriff_dispatch_offline_events_total",
+            "Servers marked offline (missed heartbeats or dead sends)", (),
+            lambda: self.offline_events,
         )
-        self._m_jobs = registry.gauge(
-            "sheriff_server_pending_jobs",
+        registry.sampled(
+            "gauge", "sheriff_server_pending_jobs",
             "Pending jobs per Measurement server (Fig. 7)",
-            labelnames=("server", "url", "port"),
+            ("server", "url", "port"),
+            lambda: {
+                (s.name, s.url, s.port): s.jobs for s in self._servers.values()
+            },
         )
-        self._m_online = registry.gauge(
-            "sheriff_server_online",
+        registry.sampled(
+            "gauge", "sheriff_server_online",
             "1 = server online, 0 = offline (Fig. 7)",
-            labelnames=("server", "url", "port"),
+            ("server", "url", "port"),
+            lambda: {
+                (s.name, s.url, s.port): int(s.online)
+                for s in self._servers.values()
+            },
         )
-
-    def _sync_gauges(self, record: ServerRecord) -> None:
-        labels = dict(server=record.name, url=record.url, port=record.port)
-        self._m_jobs.set(record.jobs, **labels)
-        self._m_online.set(1 if record.online else 0, **labels)
 
     # -- registry ------------------------------------------------------------
     def register_server(
@@ -141,7 +144,6 @@ class RequestDistributor:
             transport=transport,
         )
         self._servers[name] = record
-        self._sync_gauges(record)
         return record
 
     def remove_server(self, name: str) -> None:
@@ -151,10 +153,6 @@ class RequestDistributor:
                 f"server {name!r} still has {record.jobs} pending jobs"
             )
         self._servers.pop(name, None)
-        if record is not None:
-            labels = dict(server=record.name, url=record.url, port=record.port)
-            self._m_jobs.remove(**labels)
-            self._m_online.remove(**labels)
 
     def server(self, name: str) -> ServerRecord:
         try:
@@ -170,7 +168,6 @@ class RequestDistributor:
         record = self.server(name)
         record.timestamp = now
         record.online = True
-        self._sync_gauges(record)
 
     def expire_stale(self, now: float) -> List[str]:
         """Mark servers offline whose heartbeat is older than the timeout.
@@ -185,8 +182,6 @@ class RequestDistributor:
             if record.online and now - record.last_seen > self.heartbeat_timeout:
                 record.online = False
                 self.offline_events += 1
-                self._m_offline.inc()
-                self._sync_gauges(record)
                 expired.append(record.name)
         return expired
 
@@ -196,8 +191,6 @@ class RequestDistributor:
         if record.online:
             record.online = False
             self.offline_events += 1
-            self._m_offline.inc()
-            self._sync_gauges(record)
 
     # -- assignment ---------------------------------------------------------------
     def _online(self) -> List[ServerRecord]:
@@ -214,14 +207,12 @@ class RequestDistributor:
     def _count(self, record: ServerRecord, event: str) -> ServerRecord:
         record.jobs += 1
         self._m_lifecycle.inc(event=event)
-        self._sync_gauges(record)
         return record
 
     def _uncount(self, name: str) -> None:
         record = self._servers.get(name)
         if record is not None and record.jobs > 0:
             record.jobs -= 1
-            self._sync_gauges(record)
 
     def take(self) -> ServerRecord:
         """Step 2 of Fig. 6: pick a server for a new job and count it."""

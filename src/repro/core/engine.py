@@ -125,14 +125,7 @@ class WorkerPool:
     fetcher-thread pool a real Measurement server would run.
     """
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        size: int,
-        name: str,
-        busy_gauge,
-        queue_gauge,
-    ) -> None:
+    def __init__(self, loop: EventLoop, size: int, name: str) -> None:
         if size < 1:
             raise ValueError(f"worker pool needs at least 1 worker, got {size}")
         self.loop = loop
@@ -141,14 +134,8 @@ class WorkerPool:
         self._waiting: Deque[Tuple[float, Callable[[], None]]] = deque()
         self.peak_busy = 0
         self.tasks_run = 0
-        #: telemetry: pool occupancy / queue depth, labeled by server
+        #: the Measurement server the pool works for
         self.name = name
-        self._busy_gauge = busy_gauge
-        self._queue_gauge = queue_gauge
-
-    def _sync_gauges(self) -> None:
-        self._busy_gauge.set(self._busy, server=self.name)
-        self._queue_gauge.set(len(self._waiting), server=self.name)
 
     @property
     def busy(self) -> int:
@@ -175,7 +162,6 @@ class WorkerPool:
                 self._drain()
 
             self.loop.call_later(duration, fire)
-        self._sync_gauges()
 
 
 class CachedPage:
@@ -225,11 +211,13 @@ class PageCache:
         self._pages: "OrderedDict[Tuple[str, str, str], CachedPage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._hit_counter = telemetry.registry.counter(
-            "sheriff_cache_hits_total", "Page-cache hits"
+        telemetry.registry.sampled(
+            "counter", "sheriff_cache_hits_total", "Page-cache hits", (),
+            lambda: self.hits,
         )
-        self._miss_counter = telemetry.registry.counter(
-            "sheriff_cache_misses_total", "Page-cache misses"
+        telemetry.registry.sampled(
+            "counter", "sheriff_cache_misses_total", "Page-cache misses", (),
+            lambda: self.misses,
         )
 
     @property
@@ -242,10 +230,8 @@ class PageCache:
         entry = self._pages.get(key)
         if entry is None or now - entry.stored_at > self.ttl:
             self.misses += 1
-            self._miss_counter.inc()
             return None
         self.hits += 1
-        self._hit_counter.inc()
         return entry
 
     def put(self, key: Tuple[str, str, str], fetch: Any, now: float) -> CachedPage:
@@ -299,13 +285,15 @@ class PriceCheckEngine:
             "Per-check latency on the simulated timeline",
             labelnames=("server",),
         )
-        self._m_busy = registry.gauge(
-            "sheriff_engine_workers_busy",
-            "Fetch workers currently occupied", labelnames=("server",),
+        registry.sampled(
+            "gauge", "sheriff_engine_workers_busy",
+            "Fetch workers currently occupied", ("server",),
+            lambda: {(name,): pool.busy for name, pool in self._pools.items()},
         )
-        self._m_queue = registry.gauge(
-            "sheriff_engine_queue_depth",
-            "Fetch tasks waiting for a worker", labelnames=("server",),
+        registry.sampled(
+            "gauge", "sheriff_engine_queue_depth",
+            "Fetch tasks waiting for a worker", ("server",),
+            lambda: {(name,): pool.queued for name, pool in self._pools.items()},
         )
         self._m_clock = registry.gauge(
             "sheriff_engine_clock_seconds",
@@ -319,12 +307,15 @@ class PriceCheckEngine:
     def pool_for(self, server_name: str) -> WorkerPool:
         pool = self._pools.get(server_name)
         if pool is None:
-            pool = WorkerPool(
-                self.loop, self.max_workers, name=server_name,
-                busy_gauge=self._m_busy, queue_gauge=self._m_queue,
+            pool = self._pools[server_name] = WorkerPool(
+                self.loop, self.max_workers, name=server_name
             )
-            self._pools[server_name] = pool
         return pool
+
+    def drop_pool(self, server_name: str) -> None:
+        """Forget a detached server's pool.  Tasks already on the
+        timeline keep a reference to it, so they still land."""
+        self._pools.pop(server_name, None)
 
     # -- the job lifecycle (submit → poll → result) -----------------------
     def submit(

@@ -59,7 +59,6 @@ telemetry on or off, the rows are identical (property-tested).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -132,10 +131,6 @@ class JobQueue:
     def pop(self, queued: QueuedJob) -> None:
         del self._jobs[queued.job.job_id]
 
-    def snapshot(self) -> Dict[str, int]:
-        """Current per-server depth (gauge input)."""
-        return dict(Counter(qj.record.server_name for qj in self._jobs.values()))
-
 
 class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
@@ -180,10 +175,14 @@ class QueuedMeasurementTier:
         self.steals: Dict[str, int] = {}
         self.tracer = telemetry.tracer
         registry = telemetry.registry
-        self._m_depth = registry.gauge(
-            "sheriff_queue_depth",
+        registry.sampled(
+            "gauge", "sheriff_queue_depth",
             "Jobs waiting in the measurement tier's outbox, per server",
-            labelnames=("server",),
+            ("server",),
+            lambda: {
+                (r.name,): self.queue.depth_on(r.name)
+                for r in self.coordinator.distributor.servers()
+            },
         )
         self._m_enqueued = registry.counter(
             "sheriff_queue_enqueued_total",
@@ -194,18 +193,21 @@ class QueuedMeasurementTier:
             "Jobs drained from the queue to a server",
             labelnames=("server",),
         )
-        self._m_steals = registry.counter(
-            "sheriff_queue_steals_total",
+        registry.sampled(
+            "counter", "sheriff_queue_steals_total",
             "Queued jobs moved off their assigned server, by reason",
-            labelnames=("reason",),
+            ("reason",),
+            lambda: {(reason,): n for reason, n in self.steals.items()},
         )
-        self._m_shed = registry.counter(
-            "sheriff_queue_shed_total",
-            "Jobs refused at admission (queue saturated)",
+        registry.sampled(
+            "counter", "sheriff_queue_shed_total",
+            "Jobs refused at admission (queue saturated)", (),
+            lambda: self.shed_total,
         )
-        self._m_dlq = registry.counter(
-            "sheriff_queue_dlq_total",
-            "Queued jobs failed before dispatch",
+        registry.sampled(
+            "counter", "sheriff_queue_dlq_total",
+            "Queued jobs failed before dispatch", (),
+            lambda: self.dead_lettered,
         )
         self._m_wait = registry.histogram(
             "sheriff_queue_wait_seconds",
@@ -222,11 +224,6 @@ class QueuedMeasurementTier:
         (``None`` with tracing off)."""
         attrs.setdefault("transport", self.transport_label)
         return self.coordinator.journey_stage(name, job_id, **attrs)
-
-    def _sync_depth(self) -> None:
-        snapshot = self.queue.snapshot()
-        for record in self.coordinator.distributor.servers():
-            self._m_depth.set(snapshot.get(record.name, 0), server=record.name)
 
     # -- admission (submit) ----------------------------------------------
     @property
@@ -260,7 +257,6 @@ class QueuedMeasurementTier:
                 self.backoff.base * self.backoff.factor ** (self._shed_streak - 1),
             )
             self.shed_total += 1
-            self._m_shed.inc()
             self._journey_span(
                 "shed", job.job_id, depth=self.queue.depth,
                 retry_after=retry_after,
@@ -277,7 +273,6 @@ class QueuedMeasurementTier:
         self._journey_span(
             "admission", job.job_id, server=owner, depth=self.queue.depth,
         )
-        self._sync_depth()
         return handle
 
     # -- the outbox drain -------------------------------------------------
@@ -326,8 +321,6 @@ class QueuedMeasurementTier:
             queued.handle.error = PriceCheckFailed(job_id, record.failure_reason)
             queued.handle.state = FAILED
             self.dead_lettered += 1
-            self._m_dlq.inc()
-            self._sync_depth()
             return True
         owner = record.server_name
         # the outbox dwell, backdated to admission: recorded first so a
@@ -341,7 +334,6 @@ class QueuedMeasurementTier:
             # load-balancing steal: owner healthy, budget untouched
             self.coordinator.transfer_job(job_id, target)
             self.steals["imbalance"] = self.steals.get("imbalance", 0) + 1
-            self._m_steals.inc(reason="imbalance")
             self._journey_span(
                 "steal", job_id,
                 links=[(job_id, wait.span_id)] if wait is not None else None,
@@ -365,7 +357,6 @@ class QueuedMeasurementTier:
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
         self._m_wait.observe(max(0.0, self._now() - queued.enqueued_at))
-        self._sync_depth()
         return True
 
     def pump(self) -> int:

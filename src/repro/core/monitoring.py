@@ -10,10 +10,10 @@ panels read the live component (a :class:`RequestDistributor`, a
 :class:`PeerOverlay`, a :class:`FaultPlan`);
 :class:`~repro.core.admin.AdminConsole` hands them the deployment's.
 :func:`pipeline_panel` reads a
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot: throughput,
-check-latency percentiles, cache hit rate, and retry-budget burn all
-come from the instruments the engine and Coordinator update in their
-hot paths.
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot: throughput and
+check-latency percentiles come from the engine's event instruments,
+and cache hit rate and retry-budget burn from the sampled views of the
+page cache's and the Coordinator's own counts.
 """
 
 from __future__ import annotations

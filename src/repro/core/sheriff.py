@@ -178,6 +178,11 @@ class PriceSheriff:
         #: the one Database server (Sect. 3.1.1), on the sqlite engine
         #: unless the config names the memory engine
         self.db = DatabaseServer(backend=config.db_backend, telemetry=telemetry)
+        telemetry.registry.sampled(
+            "counter", "sheriff_db_queries_total",
+            "Round trips to the Database server", (),
+            lambda: self.db.query_count,
+        )
         #: the messaging plane every component speaks: ``"sim"``
         #: (default — deterministic, in-process) or ``"socket"`` (real
         #: TCP on blocking sockets, mesh-shaped).  The sim transport
@@ -347,6 +352,7 @@ class PriceSheriff:
     def remove_measurement_server(self, name: str) -> None:
         self.distributor.remove_server(name)  # refuses while jobs pending
         self.measurement_servers.pop(name, None)
+        self.engine.drop_pool(name)
         self.transport.unbind(name)
 
     def restart_measurement_server(self, name: str) -> MeasurementServer:
@@ -390,7 +396,7 @@ class PriceSheriff:
         stats = self.measurement_stats()
         report: Dict[str, object] = {
             "chaos_profile": self.faults.name if self.faults else "none",
-            "faults_injected": self.faults.stats.total if self.faults else 0,
+            "faults_injected": len(self.faults.events) if self.faults else 0,
             "failovers": self.coordinator.failovers,
             "jobs_reassigned": self.coordinator.jobs_reassigned,
             "jobs_failed": self.coordinator.jobs_failed,

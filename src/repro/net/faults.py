@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -122,29 +123,6 @@ class FaultDecision:
 CLEAN = FaultDecision()
 
 
-class FaultStats:
-    """Counters of injected faults, by kind (Fig. 7-style panel input)."""
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def bump(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    def get(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def rows(self) -> List[Dict[str, object]]:
-        return [
-            {"Fault": kind, "Injected": self.counts[kind]}
-            for kind in sorted(self.counts)
-        ]
-
-
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Capped exponential backoff with jitter, for retry loops.
@@ -184,23 +162,19 @@ class FaultPlan:
         self.name = name
         self.rules: List[FaultRule] = list(rules)
         self.rng = rng if rng is not None else random.Random(seed)
-        self.stats = FaultStats()
         self.events: List[FaultEvent] = []
         self._seq = itertools.count()
         self._flap_until: Dict[str, float] = {}
-        #: every injected fault as a kind-labeled counter series, bumped
-        #: in :meth:`_record` — the single point every fault flows
-        #: through — so the metric cannot drift from the event log the
-        #: determinism tests compare
-        self._m_injected = telemetry.registry.counter(
-            "sheriff_faults_injected_total",
-            "Faults injected, by kind", labelnames=("kind",),
+        #: every injected fault as a kind-labeled counter series: the
+        #: tally of the event log the determinism tests compare
+        telemetry.registry.sampled(
+            "counter", "sheriff_faults_injected_total",
+            "Faults injected, by kind", ("kind",),
+            lambda: Counter((e.kind,) for e in self.events),
         )
 
     # -- event log ---------------------------------------------------------
     def _record(self, kind: str, src: str, dst: str, detail: str = "") -> None:
-        self.stats.bump(kind)
-        self._m_injected.inc(kind=kind)
         self.events.append(
             FaultEvent(seq=next(self._seq), kind=kind, src=src, dst=dst,
                        detail=detail)

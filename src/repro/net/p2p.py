@@ -106,34 +106,27 @@ class PeerOverlay:
     ) -> None:
         self._peers: Dict[str, PeerRecord] = {}
         self.faults = faults
-        #: telemetry: churn counters + the presence series the Fig. 16
-        #: panel reads
+        #: telemetry: churn counters, and the Fig. 16 presence series
+        #: sampled from the peer records
         registry = telemetry.registry
         self._m_churn = registry.counter(
             "sheriff_peer_churn_total",
             "Peer arrivals and departures", labelnames=("event",),
         )
-        self._m_online = registry.gauge(
-            "sheriff_peers_online", "Peers currently online"
+        registry.sampled(
+            "gauge", "sheriff_peers_online", "Peers currently online", (),
+            lambda: len(self.online_peers()),
         )
-        self._m_info = registry.gauge(
-            "sheriff_peer_info",
+        registry.sampled(
+            "gauge", "sheriff_peer_info",
             "1 per online peer, location in the labels (Fig. 16)",
-            labelnames=("peer_id", "ip", "country", "region", "city"),
+            ("peer_id", "ip", "country", "region", "city"),
+            lambda: {
+                (p.peer_id, p.location.ip, p.location.country,
+                 p.location.region, p.location.city): 1
+                for p in self.online_peers()
+            },
         )
-
-    def _info_labels(self, record: PeerRecord) -> Dict[str, str]:
-        return dict(
-            peer_id=record.peer_id, ip=record.location.ip,
-            country=record.location.country, region=record.location.region,
-            city=record.location.city,
-        )
-
-    def _sync_peer(self, record: PeerRecord) -> None:
-        if record.online:
-            self._m_info.set(1, **self._info_labels(record))
-        else:
-            self._m_info.remove(**self._info_labels(record))
 
     def register(
         self,
@@ -144,16 +137,12 @@ class PeerOverlay:
         record = PeerRecord(peer_id=peer_id, location=location, handler=handler)
         self._peers[peer_id] = record
         self._m_churn.inc(event="joined")
-        self._m_online.set(len(self.online_peers()))
-        self._sync_peer(record)
         return record
 
     def unregister(self, peer_id: str) -> None:
         record = self._peers.pop(peer_id, None)
         if record is not None:
             self._m_churn.inc(event="left")
-            self._m_info.remove(**self._info_labels(record))
-            self._m_online.set(len(self.online_peers()))
 
     def set_online(self, peer_id: str, online: bool) -> None:
         record = self._peers[peer_id]
@@ -161,8 +150,6 @@ class PeerOverlay:
         record.online = online
         if was_online != online:
             self._m_churn.inc(event="online" if online else "offline")
-            self._sync_peer(record)
-            self._m_online.set(len(self.online_peers()))
 
     def is_online(self, peer_id: str) -> bool:
         record = self._peers.get(peer_id)

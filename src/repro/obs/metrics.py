@@ -5,17 +5,22 @@ paper reasons about per-stage latencies, retry counts, and pollution
 budgets; prior crowd-measurement systems stress that measurement
 *quality* accounting — which vantage answered, how long it took, what
 was dropped — is what makes detection results trustworthy.  This
-module provides the primitive those panels read from: three instrument
-kinds (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) with
-optional labels, collected in a :class:`MetricsRegistry` that renders
-Prometheus-style text exposition.
+module provides the primitive those panels read from: metric families
+with optional labels, collected in a :class:`MetricsRegistry` that
+renders Prometheus-style text exposition.  An **event instrument**
+(:class:`Counter`, :class:`Gauge`, :class:`Histogram`) records what the
+code tells it, for facts no component keeps otherwise (latencies, bytes
+sent); a **sampled view** (:meth:`MetricsRegistry.sampled`) reads a
+count a component already keeps (failovers, queue depth, online peers)
+when scraped, so each fact has one record and a scrape cannot disagree
+with the state it reports.
 
 Two properties matter more than features:
 
 * **zero-cost-when-disabled** — every instrument has a null twin
   (:data:`NULL_REGISTRY` hands them out) whose methods are single-line
   no-ops, so instrumented hot paths pay one attribute call when
-  telemetry is off;
+  telemetry is off, and a sampled view costs nothing at all;
 * **determinism-neutral** — instruments never consult an RNG, never
   read wall clocks, and never change control flow, so the tier-1
   row-identity properties hold with telemetry on or off (pinned by
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -42,6 +47,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
+    "Sampled",
     "WorkCounts",
 ]
 
@@ -91,27 +97,18 @@ def _render_labels(labelnames: Sequence[str], labelvalues: Sequence[object]) -> 
     return "{" + inner + "}"
 
 
-class _Instrument:
-    """Shared label-handling machinery of the three instrument kinds."""
+class _Family:
+    """What every metric family shares: a name, help text and labels."""
 
     kind = "untyped"
+    enabled = True
 
     def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        max_series: int = 4096,
+        self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> None:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.max_series = max_series
-        self._children: Dict[Tuple[str, ...], object] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         if tuple(sorted(labels)) != tuple(sorted(self.labelnames)):
@@ -120,6 +117,36 @@ class _Instrument:
                 f"got {tuple(sorted(labels))}"
             )
         return tuple(str(labels[n]) for n in self.labelnames)
+
+    def labels_series(self) -> List[Tuple[Dict[str, str], object]]:
+        """Like :meth:`series` but with labels as dicts (panel input)."""
+        return [
+            (dict(zip(self.labelnames, key)), state)
+            for key, state in self.series()
+        ]
+
+    def expose(self, lines: List[str]) -> None:
+        """One line per ``(labels, [value])`` series (not a histogram's)."""
+        for key, state in self.series():
+            lines.append(
+                f"{self.name}{_render_labels(self.labelnames, key)} "
+                f"{_fmt(state[0])}"
+            )
+
+
+class _Instrument(_Family):
+    """An event instrument: its series hold what the code recorded."""
+
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        labelnames: Sequence[str] = (),
+        max_series: int = 4096,
+    ) -> None:
+        super().__init__(name, help, labelnames)
+        self.max_series = max_series
+        self._children: Dict[Tuple[str, ...], object] = {}
 
     def _child(self, labels: Dict[str, object]):
         key = self._key(labels)
@@ -137,34 +164,16 @@ class _Instrument:
     def _new_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def remove(self, **labels: object) -> None:
-        """Drop one labeled series (e.g. a detached server's gauges)."""
-        self._children.pop(self._key(labels), None)
-
     def series(self) -> List[Tuple[Tuple[str, ...], object]]:
         """``(labelvalues, state)`` pairs, sorted for stable output."""
         return sorted(self._children.items())
 
-    def labels_series(self) -> List[Tuple[Dict[str, str], object]]:
-        """Like :meth:`series` but with labels as dicts (panel input)."""
-        return [
-            (dict(zip(self.labelnames, key)), state)
-            for key, state in self.series()
-        ]
 
-
-class Counter(_Instrument):
-    """Monotonically increasing count (jobs submitted, faults injected)."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """One number per series (the counter and the gauge)."""
 
     def _new_child(self) -> List[float]:
         return [0.0]
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name!r} cannot decrease")
-        self._child(labels)[0] += amount
 
     def value(self, **labels: object) -> float:
         child = self._children.get(self._key(labels))
@@ -175,21 +184,22 @@ class Counter(_Instrument):
         """Sum over every labeled series."""
         return sum(c[0] for c in self._children.values())
 
-    def expose(self, lines: List[str]) -> None:
-        for key, child in self.series():
-            lines.append(
-                f"{self.name}{_render_labels(self.labelnames, key)} "
-                f"{_fmt(child[0])}"
-            )
+
+class Counter(_Scalar):
+    """Monotonically increasing count (jobs submitted, transport bytes)."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise MetricError(f"counter {self.name!r} cannot decrease")
+        self._child(labels)[0] += amount
 
 
-class Gauge(_Instrument):
-    """A value that goes up and down (queue depth, busy workers)."""
+class Gauge(_Scalar):
+    """A value that goes up and down (the engine clock, shard rows)."""
 
     kind = "gauge"
-
-    def _new_child(self) -> List[float]:
-        return [0.0]
 
     def set(self, value: float, **labels: object) -> None:
         self._child(labels)[0] = float(value)
@@ -200,20 +210,41 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self._child(labels)[0] -= amount
 
+
+class Sampled(_Family):
+    """A counter or gauge read from a count a component already keeps.
+
+    ``read()`` returns the number, or ``{label-values tuple: number}``,
+    each time the family is read or rendered.  A counter series at 0 is
+    not exposed (an event counter has none before its first event).
+    """
+
+    def __init__(self, kind: str, name: str, help: str,
+                 labelnames: Sequence[str], read: Callable[[], object]) -> None:
+        if kind not in ("counter", "gauge"):
+            raise MetricError(f"sampled metric {name!r} cannot be a {kind!r}")
+        super().__init__(name, help, labelnames)
+        self.kind = kind
+        self._read = read
+
+    def _samples(self) -> Dict[Tuple[str, ...], float]:
+        read = self._read()
+        pairs = read.items() if self.labelnames else (((), read),)
+        return {
+            tuple(str(v) for v in key): float(value)
+            for key, value in pairs
+            if value or self.kind == "gauge"
+        }
+
     def value(self, **labels: object) -> float:
-        child = self._children.get(self._key(labels))
-        return child[0] if child is not None else 0.0
+        return self._samples().get(self._key(labels), 0.0)
 
     @property
     def total(self) -> float:
-        return sum(c[0] for c in self._children.values())
+        return sum(self._samples().values())
 
-    def expose(self, lines: List[str]) -> None:
-        for key, child in self.series():
-            lines.append(
-                f"{self.name}{_render_labels(self.labelnames, key)} "
-                f"{_fmt(child[0])}"
-            )
+    def series(self) -> List[Tuple[Tuple[str, ...], List[float]]]:
+        return [(key, [value]) for key, value in sorted(self._samples().items())]
 
 
 class _HistogramState:
@@ -368,7 +399,7 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self, max_series_per_metric: int = 4096) -> None:
-        self._metrics: Dict[str, _Instrument] = {}
+        self._metrics: Dict[str, _Family] = {}
         self.max_series_per_metric = max_series_per_metric
 
     def _declare(self, cls, name: str, help: str, labelnames, **kwargs):
@@ -408,10 +439,25 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._declare(Histogram, name, help, labelnames, buckets=buckets)
 
-    def get(self, name: str) -> Optional[_Instrument]:
+    def sampled(
+        self,
+        kind: str,
+        name: str,
+        help: str,
+        labelnames: Sequence[str],
+        read: Callable[[], object],
+    ) -> Sampled:
+        """A family ``read`` samples when scraped; it has one source, so
+        its name may not be declared again."""
+        if name in self._metrics:
+            raise MetricError(f"metric {name!r} already declared")
+        metric = self._metrics[name] = Sampled(kind, name, help, labelnames, read)
+        return metric
+
+    def get(self, name: str) -> Optional[_Family]:
         return self._metrics.get(name)
 
-    def metrics(self) -> List[_Instrument]:
+    def metrics(self) -> List[_Family]:
         return [self._metrics[name] for name in sorted(self._metrics)]
 
     def render_exposition(self) -> str:
@@ -448,9 +494,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def remove(self, **labels: object) -> None:
         pass
 
     def value(self, **labels: object) -> float:
@@ -500,10 +543,13 @@ class NullRegistry:
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
+    def sampled(self, kind: str, name: str, help: str, labelnames, read) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
     def get(self, name: str) -> None:
         return None
 
-    def metrics(self) -> List[_Instrument]:
+    def metrics(self) -> List[_Family]:
         return []
 
     def render_exposition(self) -> str:

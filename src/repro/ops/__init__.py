@@ -14,7 +14,7 @@ This package is the automated operator:
 * :mod:`repro.ops.killswitch` — the latched circuit breaker anomalies
   trip;
 * :mod:`repro.ops.audit` — the persistent, sim-clock-stamped audit
-  trail, mirrored 1:1 into ``sheriff_ops_*`` metrics;
+  trail, whose event counts ``sheriff_ops_events_total`` samples;
 * :mod:`repro.ops.notifiers` — pluggable alert fan-out (log,
   callback);
 * :mod:`repro.ops.wiring` — :func:`build_supervisor`, which registers a

@@ -9,10 +9,10 @@ machinery did and when, on the simulated clock.
 
 :class:`AuditTrail` is that record.  It is append-only, stamped by the
 injected clock (never wall time, so runs replay identically from their
-seeds), optionally persisted as JSON lines, and mirrored 1:1 into the
-``sheriff_ops_events_total`` metric family — the single
-:meth:`AuditTrail.record` choke point bumps the counter, so the metric
-cannot drift from the log the tests compare.
+seeds), optionally persisted as JSON lines, and read 1:1 by the
+``sheriff_ops_events_total`` metric family: the family samples
+:meth:`AuditTrail.counts` when it is scraped, so the metric cannot
+drift from the log the tests compare.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class AuditTrail:
         self._clock = clock
         self._path = path
         self._events: List[OpsEvent] = []
-        #: every event mirrored into ``sheriff_ops_events_total{kind=}``
-        self._m_events = telemetry.registry.counter(
-            "sheriff_ops_events_total",
-            "Supervisor/kill-switch events, by kind",
-            labelnames=("kind",),
+        #: ``sheriff_ops_events_total{kind=}`` is the trail's tally
+        telemetry.registry.sampled(
+            "counter", "sheriff_ops_events_total",
+            "Supervisor/kill-switch events, by kind", ("kind",),
+            lambda: {(kind,): n for kind, n in self.counts().items()},
         )
 
     # -- recording ---------------------------------------------------------
@@ -84,7 +84,6 @@ class AuditTrail:
             values=dict(values) if values else {},
         )
         self._events.append(event)
-        self._m_events.inc(kind=kind)
         if self._path is not None:
             with open(self._path, "a") as fh:
                 fh.write(json.dumps(asdict(event)) + "\n")

@@ -178,22 +178,22 @@ class Supervisor:
         #: the SLO engine behind any slo/* components (wiring sets it)
         self.slo_engine = None
         self._halt_logged = False
-        #: telemetry: the per-component up gauge and restart counter (a
-        #: caller-built ``audit`` keeps the telemetry it was built with)
+        #: telemetry: the per-component up gauge and restart counter,
+        #: read from the components (a caller-built ``audit`` keeps the
+        #: telemetry it was built with)
         registry = telemetry.registry
-        self._m_up = registry.gauge(
-            "sheriff_ops_component_up",
-            "1 = component healthy, 0 = down/escalated",
-            labelnames=("component",),
+        registry.sampled(
+            "gauge", "sheriff_ops_component_up",
+            "1 = component healthy, 0 = down/escalated", ("component",),
+            lambda: {
+                (c.name,): int(c.state == UP) for c in self.components.values()
+            },
         )
-        self._m_restarts = registry.counter(
-            "sheriff_ops_restarts_total",
-            "Supervised restarts executed, per component",
-            labelnames=("component",),
+        registry.sampled(
+            "counter", "sheriff_ops_restarts_total",
+            "Supervised restarts executed, per component", ("component",),
+            lambda: {(c.name,): c.restarts for c in self.components.values()},
         )
-
-    def _sync_gauge(self, component: Component) -> None:
-        self._m_up.set(1 if component.state == UP else 0, component=component.name)
 
     # -- registry ------------------------------------------------------------
     def register(
@@ -214,12 +214,10 @@ class Supervisor:
             policy=policy if policy is not None else RestartPolicy(),
         )
         self.components[name] = component
-        self._sync_gauge(component)
         return component
 
     def unregister(self, name: str) -> None:
-        if self.components.pop(name, None) is not None:
-            self._m_up.remove(component=name)
+        self.components.pop(name, None)
 
     def component(self, name: str) -> Component:
         return self.components[name]
@@ -277,7 +275,6 @@ class Supervisor:
                 # healing resumed (kill-switch reset) for a component
                 # that went down while the sweep was halted
                 self._schedule_restart(component, now)
-            self._sync_gauge(component)
 
         for detector in self._detectors:
             self._run_detector(detector, now)
@@ -299,7 +296,6 @@ class Supervisor:
             component.consecutive_failures = 0
             component.pending_restart_at = None
             component.last_reason = ""
-        self._sync_gauge(component)
 
     def _on_down(
         self, component: Component, now: float, verdict: ProbeResult,
@@ -341,7 +337,6 @@ class Supervisor:
         # optimistic: the next tick's probes either confirm (healthy,
         # counters reset) or schedule the next, longer-delayed restart
         component.state = UP
-        self._m_restarts.inc(component=component.name)
         self._notify(self.audit.record(
             "component_restarted", component.name,
             f"attempt {component.restarts}",

@@ -45,7 +45,10 @@ per-shard staleness plumbing went.  Then the transport came to carry
 only the calls that are made: Measurement servers became database
 clients, and their stub endpoints, ``take_offline`` /
 ``restart_endpoint``, the ``ping`` / ``count`` verbs and the connection
-pool that the handler's lock already serialised went.
+pool that the handler's lock already serialised went.  Then each count
+got one record: a metric that repeats a component's own field samples
+it when scraped, and ``FaultStats``, ``FaultPlan.stats``, the
+``_sync_*`` helpers and the ``WorkerPool`` gauges went.
 """
 
 import dataclasses
@@ -761,3 +764,71 @@ class TestTransportCarriesWhatIsCalled:
             assert sorted(sheriff.transport._endpoints) == ["db"]
         finally:
             sheriff.shutdown()
+
+
+class TestOneRecordPerFact:
+    """A metric family that repeats a count its component keeps is a
+    sampled view of that count: ``FaultStats`` and ``FaultPlan.stats``,
+    the ``_sync_*`` helpers that copied counts into gauges and
+    ``WorkerPool``'s gauge parameters went."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"_sync_gauges|_sync_depth|_sync_peer|_sync_gauge\b|FaultStats"
+            r"|stats\.bump"
+        )) == []
+
+    def test_names_gone(self):
+        import repro.net.faults
+        from repro.core.engine import WorkerPool
+
+        assert not hasattr(repro.net.faults, "FaultStats")
+        assert not hasattr(chaos_plan("lossy", seed=1), "stats")
+        parameters = inspect.signature(WorkerPool).parameters
+        for name in ("busy_gauge", "queue_gauge"):
+            assert name not in parameters, name
+
+    def test_a_sampled_family_has_one_source(self):
+        from repro.obs import Telemetry
+        from repro.obs.metrics import MetricError, MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.sampled("gauge", "depth", "", (), lambda: 1)
+        with pytest.raises(MetricError):
+            registry.sampled("gauge", "depth", "", (), lambda: 2)
+        with pytest.raises(MetricError):
+            registry.gauge("depth")
+        telemetry = Telemetry()
+        PeerOverlay(telemetry=telemetry)
+        with pytest.raises(MetricError):
+            PeerOverlay(telemetry=telemetry)
+
+    def test_the_null_registry_keeps_no_reader(self):
+        import weakref
+
+        from repro.obs.metrics import NULL_REGISTRY
+
+        def read():
+            return 1
+
+        held = weakref.ref(read)
+        null = NULL_REGISTRY.sampled("counter", "x", "", (), read)
+        assert null is NULL_REGISTRY.counter("x")
+        del read
+        assert held() is None
+
+    def test_telemetry_off_presence_changes_rebuild_no_peer_list(self, monkeypatch):
+        from repro.net.geo import Location
+
+        overlay = PeerOverlay()
+        rebuilt = []
+        monkeypatch.setattr(
+            overlay, "online_peers", lambda: rebuilt.append(1) or []
+        )
+        overlay.register(
+            "p1", Location("ES", "Spain", "Madrid", "10.0.0.1"), lambda m: m
+        )
+        overlay.set_online("p1", False)
+        overlay.set_online("p1", True)
+        overlay.unregister("p1")
+        assert rebuilt == []

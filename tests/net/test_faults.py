@@ -2,7 +2,7 @@
 
 Property-style: fault plans are deterministic under a seed, rules only
 fire on matching edges, and every injected fault is observable in the
-event log and the stats counters — no silent chaos.
+event log and the metric that tallies it — no silent chaos.
 """
 
 import random
@@ -23,6 +23,7 @@ from repro.net.faults import (
     PeerTimeout,
     chaos_plan,
 )
+from repro.obs import Telemetry
 from repro.net.geo import Location
 from repro.net.p2p import PeerOverlay
 
@@ -61,13 +62,13 @@ class TestFaultPlan:
     def test_no_rules_is_clean(self):
         plan = FaultPlan(seed=1)
         assert plan.decide("a", "b") is CLEAN
-        assert plan.stats.total == 0
+        assert plan.events == []
 
     def test_certain_rule_always_fires(self):
         plan = FaultPlan([FaultRule(kind="drop", probability=1.0)], seed=1)
         for _ in range(10):
             assert plan.decide("a", "b").kind == "drop"
-        assert plan.stats.get("drop") == 10
+        assert [e.kind for e in plan.events] == ["drop"] * 10
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
@@ -98,13 +99,17 @@ class TestFaultPlan:
         assert decision.delay_factor == 7.0
 
     def test_events_record_every_fault(self):
-        plan = FaultPlan([FaultRule(kind="drop", probability=1.0)], seed=1)
+        telemetry = Telemetry()
+        plan = FaultPlan(
+            [FaultRule(kind="drop", probability=1.0)], seed=1, telemetry=telemetry
+        )
         plan.decide("a", "b")
         plan.decide("a", "c")
         log = plan.event_log()
         assert [e.seq for e in log] == [0, 1]
         assert {e.dst for e in log} == {"b", "c"}
-        assert plan.stats.total == len(log)
+        injected = telemetry.registry.get("sheriff_faults_injected_total")
+        assert injected.value(kind="drop") == len(log)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -59,13 +59,44 @@ class TestGauge:
         g.inc()
         assert g.value() == 4
 
-    def test_remove_series(self):
-        g = Gauge("online", labelnames=("server",))
-        g.set(1, server="ms-0")
-        g.set(1, server="ms-1")
-        g.remove(server="ms-0")
-        assert g.value(server="ms-0") == 0.0
-        assert g.total == 1
+
+class TestSampled:
+    def test_reads_the_field_when_read(self):
+        registry = MetricsRegistry()
+        state = {"jobs": 0, "steals": {}}
+        jobs = registry.sampled(
+            "gauge", "jobs", "", (), lambda: state["jobs"]
+        )
+        steals = registry.sampled(
+            "counter", "steals_total", "", ("reason",),
+            lambda: {(r,): n for r, n in state["steals"].items()},
+        )
+        state["jobs"] = 3
+        state["steals"] = {"imbalance": 2, "offline": 0}
+        assert jobs.value() == 3.0
+        assert steals.value(reason="imbalance") == 2.0
+        assert steals.total == 2.0
+        assert steals.labels_series() == [({"reason": "imbalance"}, [2.0])]
+        with pytest.raises(MetricError):
+            steals.value(server="ms-0")
+
+    def test_a_counter_at_zero_is_not_exposed_a_gauge_is(self):
+        registry = MetricsRegistry()
+        registry.sampled("counter", "shed_total", "", (), lambda: 0)
+        registry.sampled(
+            "gauge", "depth", "", ("server",),
+            lambda: {("ms-0",): 0, ("ms-1",): 2},
+        )
+        assert registry.render_exposition() == (
+            '# TYPE depth gauge\n'
+            'depth{server="ms-0"} 0\n'
+            'depth{server="ms-1"} 2\n'
+            '# TYPE shed_total counter\n'
+        )
+
+    def test_only_counters_and_gauges_are_sampled(self):
+        with pytest.raises(MetricError):
+            MetricsRegistry().sampled("histogram", "lat", "", (), lambda: 0)
 
 
 class TestHistogramBucketMath:

@@ -106,8 +106,8 @@ def test_metrics_mirror_the_run():
     latency = registry.get("sheriff_check_latency_seconds")
     assert latency.total_count() >= n_ok
 
-    # the fault counter is bumped at the same point the event log is
-    # appended, so the two can never drift
+    # the fault counter is the tally of the event log, so the two can
+    # never drift
     injected = registry.get("sheriff_faults_injected_total")
     assert injected.total == len(run["faults"])
 
