@@ -67,7 +67,7 @@ def main() -> None:
     print()
 
     # bonus: the admin panels of Figs. 7 and 16
-    print(servers_panel(sheriff.distributor))
+    print(servers_panel(sheriff.coordinator))
     print()
     print(peers_panel(sheriff.overlay, self_peer_id=user.peer_id))
 

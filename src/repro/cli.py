@@ -274,7 +274,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
     if config.audit_path:
         print(f"audit trail persisted to {config.audit_path}")
 
-    pending = dataset.sheriff.distributor.pending_jobs
+    pending = dataset.sheriff.coordinator.pending_jobs()
     converged = heal is not None and heal.converged
     print()
     if heal is not None:
@@ -285,7 +285,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
         print(f"FAIL: deployment did not converge (unhealthy: {unhealthy})")
         return 1
     if pending:
-        print(f"FAIL: {pending} job(s) permanently stuck in the distributor")
+        print(f"FAIL: {pending} job(s) permanently stuck at the Coordinator")
         return 1
     print("OK: deployment healed, no jobs lost")
     return 0

@@ -38,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".diffstorage": ["DiffStorage"],
     ".dispatch": ["NoServerAvailable", "RequestDistributor", "ServerRecord"],
     ".pricecheck": ["PriceCheckResult", "ResultRow"],
-    ".coordinator": ["Coordinator", "RequestRejected", "RequestTicket"],
+    ".coordinator": ["Coordinator", "RequestRejected"],
     ".aggregator": ["Aggregator"],
     ".measurement": ["MeasurementServer", "PriceCheckJob"],
     ".addon": ["SheriffAddon"],

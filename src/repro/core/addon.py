@@ -35,7 +35,7 @@ from typing import Sequence, Tuple
 from repro.browser.browser import Browser
 from repro.browser.fingerprint import parse_user_agent
 from repro.core.aggregator import Aggregator
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import Coordinator, JobRecord
 from repro.core.errors import (
     ConsentRequired,
     PriceCheckFailed,
@@ -169,7 +169,7 @@ class SheriffAddon:
         # Admission first: if the domain is not whitelisted or the URL is
         # PII-blacklisted, the system "will not fetch the content"
         # (Sect. 2.3) — nothing is navigated for a rejected request.
-        ticket, ppc_ids = self.coordinator.new_request(  # steps 1.x / 2
+        record, ppc_ids = self.coordinator.new_request(  # steps 1.x / 2
             self.peer_id, url, self.browser.location
         )
         try:
@@ -179,12 +179,12 @@ class SheriffAddon:
             # nothing was sent: report the job failed, so the server's
             # counter stays true and no completion is counted
             self.coordinator.fail_job(
-                ticket.job_id, f"page selection failed: {exc}"
+                record.job_id, f"page selection failed: {exc}"
             )
             raise
         os_name, browser_name = parse_user_agent(self.browser.agent.string)
         job = PriceCheckJob(  # step 3
-            job_id=ticket.job_id,
+            job_id=record.job_id,
             url=url,
             tags_path=tags_path,
             requested_currency=requested_currency,
@@ -196,7 +196,7 @@ class SheriffAddon:
             ppc_ids=ppc_ids,
             third_party_domains=response.tracker_domains,
         )
-        return self._send_job(job, ticket.server_name)  # steps 3.1–3.2, with failover
+        return self._send_job(job, record)  # steps 3.1–3.2, with failover
 
     def collect(self, handle: JobHandle) -> PriceCheckResult:
         """Steps 4–5: wait for the job's terminal state, return the result.
@@ -213,7 +213,7 @@ class SheriffAddon:
         self.checks_initiated += 1
         return result
 
-    def _send_job(self, job: PriceCheckJob, server_name: str) -> JobHandle:
+    def _send_job(self, job: PriceCheckJob, record: JobRecord) -> JobHandle:
         """Submit the job, failing over dead Measurement servers.
 
         Each attempt may find the assigned server dark (missed
@@ -226,9 +226,9 @@ class SheriffAddon:
         the add-on re-sends to the server the record names.
         """
         coordinator = self.coordinator
-        record = coordinator.jobs[job.job_id]
         attempt = 0
         while True:
+            server_name = record.server_name
             faults = coordinator.faults
             send_failed = not coordinator.distributor.server(server_name).online
             if not send_failed and faults is not None:
@@ -247,7 +247,6 @@ class SheriffAddon:
             attempt += 1
             if record.failed:
                 raise PriceCheckFailed(job.job_id, record.failure_reason)
-            server_name = record.server_name
 
     # -- history donation (requirement 3 of Sect. 2.2) --------------------------
     def donated_history_counts(self) -> Counter:

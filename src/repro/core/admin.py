@@ -66,7 +66,7 @@ class AdminConsole:
 
     # -- panels ------------------------------------------------------------------
     def servers_panel(self) -> str:
-        return servers_panel(self._sheriff.distributor)
+        return servers_panel(self._sheriff.coordinator)
 
     def peers_panel(self, self_peer_id: str = "") -> str:
         return peers_panel(self._sheriff.overlay, self_peer_id)

@@ -236,8 +236,8 @@ class SheriffConfig(Config):
     #: shed with a typed QueueSaturated carrying a retry-after hint)
     queue_depth: int = knob(256, ge=1)
     #: backlog imbalance (in jobs) that triggers a work steal between
-    #: Measurement servers; None disables stealing entirely
-    queue_steal_threshold: Optional[int] = knob(16, ge=1)
+    #: Measurement servers
+    queue_steal_threshold: int = knob(16, ge=1)
     #: messaging backend between components: "sim" (deterministic,
     #: in-process — the Tier-1 default) or "socket" (real TCP on the
     #: loopback, blocking sockets and one serving thread per

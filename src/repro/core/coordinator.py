@@ -7,9 +7,10 @@ check request it:
    blacklist), logging rejected requests for manual inspection;
 2. mints a globally unique job ID and assigns the job to the online
    Measurement server with the fewest pending jobs (Fig. 6).  The job's
-   :class:`JobRecord` is the one record of which server holds it: a
-   failover, a steal, a completion or a failure changes it here and
-   moves the server list's pending counts to match;
+   :class:`JobRecord` is the one record of which server holds it and
+   how far its journey has got: a failover or a steal is one assignment
+   to ``record.server_name``, and a server's load is the number of
+   unresolved records that name it;
 3. hands the selected Measurement server the list of PPCs residing in
    the initiator's location (step 1.1 of Fig. 1) — same city first,
    padded with same-country peers, never including the initiator.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -49,20 +51,9 @@ __all__ = [
     "Coordinator",
     "JobRecord",
     "RequestRejected",
-    "RequestTicket",
     "RetryBudgetExhausted",
     "RetryExhausted",
 ]
-
-
-@dataclass(frozen=True)
-class RequestTicket:
-    """What the add-on receives in step 2 of Fig. 6."""
-
-    job_id: str
-    server_name: str
-    server_url: str
-    server_port: int
 
 
 @dataclass
@@ -80,6 +71,10 @@ class JobRecord:
     #: world-clock time the request was admitted (telemetry: the
     #: assign→complete turnaround histogram measures from here)
     started_at: float = 0.0
+    #: the job's latest journey span (assign, retry, or a queue-tier
+    #: stage); the next stage chains under it.  ``None`` with tracing
+    #: off and once the job is resolved.
+    journey: Optional[Span] = None
 
     @property
     def resolved(self) -> bool:
@@ -125,7 +120,11 @@ class Coordinator:
         #: restart-equivalence property tests/ops pins down).
         self._backoff_rng = random.Random(2029)
         self._job_seq = itertools.count(1)
+        #: every record ever admitted, by job id
         self.jobs: Dict[str, JobRecord] = {}
+        #: the unresolved records, in admission order: a server's load
+        #: and the jobs a failover moves are read from here
+        self._pending: Dict[str, JobRecord] = {}
         #: chaos schedule; None means a clean network
         self.faults = faults
         #: how many server assignments one job may consume in total
@@ -141,17 +140,26 @@ class Coordinator:
         #: journey spans root here (the tracer is the deployment's once
         #: its clock is bound)
         self.tracer = telemetry.tracer
-        #: job_id -> the job's latest journey span (assign, retry, or a
-        #: queue-tier stage); the next stage chains under it
-        self.journey_spans: Dict[str, Span] = {}
         #: network identities seen on doppelganger state requests — with
         #: the anonymity channel in place these are exit-relay names,
         #: never peers
         self.state_request_sources: List[str] = []
-        #: telemetry: the recovery counters, read from the fields above,
-        #: and the per-server turnaround histogram (admission →
-        #: completion report, world clock)
+        #: telemetry: the job lifecycle counter, the recovery counters
+        #: and per-server pending jobs, read from the fields above, and
+        #: the per-server turnaround histogram (admission → completion
+        #: report, world clock)
         registry = telemetry.registry
+        self._m_lifecycle = registry.counter(
+            "sheriff_dispatch_jobs_total",
+            "Job lifecycle events seen by the distributor",
+            labelnames=("event",),
+        )
+        registry.sampled(
+            "gauge", "sheriff_server_pending_jobs",
+            "Pending jobs per Measurement server (Fig. 7)",
+            ("server", "url", "port"),
+            self._pending_gauge,
+        )
         registry.sampled(
             "counter", "sheriff_coordinator_recovery_total",
             "Failover / reassignment / terminal-failure events", ("event",),
@@ -209,12 +217,12 @@ class Coordinator:
     # -- the request protocol (Fig. 6) ------------------------------------------
     def new_request(
         self, peer_id: str, url: str, location: Location
-    ) -> Tuple[RequestTicket, List[str]]:
+    ) -> Tuple[JobRecord, List[str]]:
         """Steps 1–2 of the distribution protocol.
 
         Raises :class:`RequestRejected` for non-whitelisted domains or
-        PII-blacklisted URLs.  Returns the ticket plus the PPC list that
-        is forwarded to the selected Measurement server.
+        PII-blacklisted URLs.  Returns the job's record plus the PPC
+        list that is forwarded to the selected Measurement server.
         """
         self.chaos_tick()
         domain, path = parse_url(url)
@@ -222,19 +230,20 @@ class Coordinator:
         if not allowed:
             raise RequestRejected(url, reason)
         job_id = f"job-{next(self._job_seq)}"
-        server = self.distributor.take()
-        self.jobs[job_id] = JobRecord(
+        server = self.distributor.select_server(self.load())
+        record = self.jobs[job_id] = self._pending[job_id] = JobRecord(
             job_id=job_id, peer_id=peer_id, url=url, domain=domain,
             server_name=server.name, started_at=self.clock.now,
         )
+        self._m_lifecycle.inc(event="assigned")
         # the journey's root: every later stage (queue admission,
         # steal, dispatch, the fan-out) chains under this span
         self.journey_stage(
-            "assign", job_id, server=server.name, url=url,
+            "assign", record, server=server.name, url=url,
             transport=self.transport_label,
         )
         ppcs = self.select_ppcs(peer_id, location)
-        return RequestTicket(job_id, server.name, server.url, server.port), ppcs
+        return record, ppcs
 
     def _record(self, job_id: str) -> JobRecord:
         record = self.jobs.get(job_id)
@@ -245,15 +254,28 @@ class Coordinator:
     def jobs_on(self, server_name: str) -> List[str]:
         """IDs of the jobs pending on one server, in admission order."""
         return [
-            r.job_id for r in self.jobs.values()
-            if r.server_name == server_name and not r.resolved
+            r.job_id for r in self._pending.values()
+            if r.server_name == server_name
         ]
 
+    def load(self) -> Dict[str, int]:
+        """``{server: pending jobs}`` — what ``least_jobs`` balances and
+        the Fig. 7 panel shows.  A server with no pending job is absent."""
+        return Counter(r.server_name for r in self._pending.values())
+
+    def _pending_gauge(self) -> Dict[Tuple[str, str, int], int]:
+        load = self.load()
+        return {
+            (s.name, s.url, s.port): load.get(s.name, 0)
+            for s in self.distributor.servers()
+        }
+
     def journey_stage(
-        self, name: str, job_id: str, **attrs: object
+        self, name: str, record: JobRecord, **attrs: object
     ) -> Optional[Span]:
-        """Record one stage of ``job_id``'s journey, chained under the
-        job's latest stage, make it the latest and return it.
+        """Record one stage of the job's journey, chained under the
+        job's latest stage (``record.journey``), make it the latest and
+        return it.
 
         Stages happen outside any ``with`` nesting (assignment and retry
         here, admission, queue wait and steal in the queue tier), so each
@@ -264,13 +286,20 @@ class Coordinator:
         """
         if not self.tracer.enabled:
             return None
-        latest = self.journey_spans.get(job_id)
-        span = self.journey_spans[job_id] = self.tracer.record(
-            name, trace_id=job_id,
+        latest = record.journey
+        span = record.journey = self.tracer.record(
+            name, trace_id=record.job_id,
             parent_id=latest.span_id if latest is not None else None,
             **attrs,
         )
         return span
+
+    def _resolve(self, record: JobRecord, event: str) -> None:
+        """Step 4 of Fig. 6: the job ended (``completed`` or
+        ``failed``), so its server has one job fewer pending."""
+        del self._pending[record.job_id]
+        record.journey = None
+        self._m_lifecycle.inc(event=event)
 
     def job_completed(self, job_id: str) -> None:
         """Step 4: the Measurement server reports completion.
@@ -283,8 +312,7 @@ class Coordinator:
         if record.resolved:
             return
         record.completed = True
-        self.distributor.release(record.server_name, "completed")
-        self.journey_spans.pop(job_id, None)
+        self._resolve(record, "completed")
         self._m_turnaround.observe(
             self.clock.now - record.started_at, server=record.server_name
         )
@@ -332,16 +360,16 @@ class Coordinator:
                 if record.attempts >= self.retry_budget:
                     raise RetryBudgetExhausted(job_id, record.attempts)
                 # the dead server is offline by now, so it is never picked
-                server = self.distributor.select_server()
+                server = self.distributor.select_server(self.load())
             except (RetryExhausted, NoServerAvailable) as exc:
                 self.fail_job(job_id, str(exc))
                 continue
-            self.distributor.move(server_name, server.name, "reassigned")
             record.attempts += 1
             record.server_name = server.name
             self.jobs_reassigned += 1
+            self._m_lifecycle.inc(event="reassigned")
             self.journey_stage(
-                "retry", job_id, attempt=record.attempts, server=server.name,
+                "retry", record, attempt=record.attempts, server=server.name,
             )
 
     def handle_server_failure(self, server_name: str) -> None:
@@ -371,14 +399,13 @@ class Coordinator:
         """
         record = self._record(job_id)
         if record.resolved:
-            # its pending count was released: there is nothing to move
             raise UnknownJob(f"job {job_id!r} is already resolved")
         server = self.distributor.server(server_name)
         if not server.online:
             raise NoServerAvailable(f"steal target {server_name!r} is offline")
         if server.name != record.server_name:
-            self.distributor.move(record.server_name, server.name, "stolen")
             record.server_name = server.name
+            self._m_lifecycle.inc(event="stolen")
         self.jobs_stolen += 1
 
     def next_backoff(self, attempt: int) -> float:
@@ -394,8 +421,7 @@ class Coordinator:
             return
         record.failed = True
         record.failure_reason = reason
-        self.distributor.release(record.server_name, "failed")
-        self.journey_spans.pop(job_id, None)
+        self._resolve(record, "failed")
         self.jobs_failed += 1
 
     def failed_jobs(self) -> List[JobRecord]:
@@ -449,4 +475,4 @@ class Coordinator:
 
     # -- monitoring --------------------------------------------------------------
     def pending_jobs(self) -> int:
-        return self.distributor.pending_jobs
+        return len(self._pending)

@@ -1,9 +1,9 @@
 """The price check request distribution protocol (Sect. 3.4, App. 10.3).
 
 The Coordinator tracks every Measurement server in the *Measurement
-server list* — URL, port, online status, pending-job counter, and a
-heartbeat timestamp — and assigns each new request to the online server
-with the fewest pending jobs.  That beats round robin under
+server list* — URL, port, online status and a heartbeat timestamp — and
+assigns each new request to the online server with the fewest pending
+jobs.  That beats round robin under
 heterogeneous servers, the argument the paper makes via the job-shop
 problem; ``policy="round_robin"`` is retained for the ablation
 benchmark.
@@ -15,9 +15,9 @@ survivors (and on exhaustion reports them failed) rather than silently
 losing them — the corrective measures of App. 10.3 made continuous
 instead of manual.
 
-The list knows servers, not jobs: it counts each server's pending jobs
-and moves those counts by server name.  Which server holds a job is
-recorded once, in the Coordinator's ``JobRecord.server_name``.
+The list knows servers, not jobs.  Which server holds a job is recorded
+once, in the Coordinator's ``JobRecord.server_name``, and a server's
+load is read from those records (``Coordinator.load()``) and passed in.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core.errors import (
     DispatchConfigError,
     DuplicateServer,
     NoServerAvailable,
-    ServerBusy,
     UnknownServer,
 )
 from repro.obs import NULL_TELEMETRY
@@ -59,7 +58,6 @@ class ServerRecord:
     url: str
     port: int
     online: bool = True
-    jobs: int = 0
     timestamp: Optional[float] = None
     registered_at: float = 0.0
     #: which Transport backend serves this endpoint ("sim" or
@@ -72,21 +70,21 @@ class ServerRecord:
         """The time the server last proved it was alive."""
         return self.timestamp if self.timestamp is not None else self.registered_at
 
-    def panel_row(self) -> Dict[str, object]:
+    def panel_row(self, jobs: int) -> Dict[str, object]:
         """One row of the Fig. 7 monitoring panel."""
         return {
             "Worker": self.url,
             "Port": self.port,
             "Status": "online" if self.online else "offline",
-            "Jobs": self.jobs,
+            "Jobs": jobs,
             "Transport": self.transport,
         }
 
 
 class RequestDistributor:
-    """The Measurement server list of Fig. 6: registry, heartbeats and
-    per-server pending counts.  No method takes a job id; the
-    Coordinator owns the job → server mapping."""
+    """The Measurement server list of Fig. 6: registry, heartbeats,
+    online state and the dispatch policy.  It holds no per-job state;
+    the Coordinator owns the job → server mapping."""
 
     def __init__(
         self,
@@ -101,26 +99,13 @@ class RequestDistributor:
         self._servers: Dict[str, ServerRecord] = {}
         self._rr = itertools.count()
         self.offline_events = 0
-        #: telemetry: the lifecycle counter, plus the offline count and
-        #: the per-server columns of the Fig. 7 panel read from the list
+        #: telemetry: the offline count and the online column of the
+        #: Fig. 7 panel, read from the list
         registry = telemetry.registry
-        self._m_lifecycle = registry.counter(
-            "sheriff_dispatch_jobs_total",
-            "Job lifecycle events seen by the distributor",
-            labelnames=("event",),
-        )
         registry.sampled(
             "counter", "sheriff_dispatch_offline_events_total",
             "Servers marked offline (missed heartbeats or dead sends)", (),
             lambda: self.offline_events,
-        )
-        registry.sampled(
-            "gauge", "sheriff_server_pending_jobs",
-            "Pending jobs per Measurement server (Fig. 7)",
-            ("server", "url", "port"),
-            lambda: {
-                (s.name, s.url, s.port): s.jobs for s in self._servers.values()
-            },
         )
         registry.sampled(
             "gauge", "sheriff_server_online",
@@ -147,11 +132,6 @@ class RequestDistributor:
         return record
 
     def remove_server(self, name: str) -> None:
-        record = self._servers.get(name)
-        if record is not None and record.jobs > 0:
-            raise ServerBusy(
-                f"server {name!r} still has {record.jobs} pending jobs"
-            )
         self._servers.pop(name, None)
 
     def server(self, name: str) -> ServerRecord:
@@ -196,45 +176,17 @@ class RequestDistributor:
     def _online(self) -> List[ServerRecord]:
         return [s for s in self._servers.values() if s.online]
 
-    def select_server(self) -> ServerRecord:
+    def select_server(self, load: Dict[str, int]) -> ServerRecord:
+        """Step 2 of Fig. 6: the online server for a new job, given each
+        server's pending jobs (``Coordinator.load()``; ties break in
+        registration order)."""
         online = self._online()
         if not online:
             raise NoServerAvailable("no online Measurement server")
         if self.policy == "round_robin":
             return online[next(self._rr) % len(online)]
-        return min(online, key=lambda s: s.jobs)
+        return min(online, key=lambda s: load.get(s.name, 0))
 
-    def _count(self, record: ServerRecord, event: str) -> ServerRecord:
-        record.jobs += 1
-        self._m_lifecycle.inc(event=event)
-        return record
-
-    def _uncount(self, name: str) -> None:
-        record = self._servers.get(name)
-        if record is not None and record.jobs > 0:
-            record.jobs -= 1
-
-    def take(self) -> ServerRecord:
-        """Step 2 of Fig. 6: pick a server for a new job and count it."""
-        return self._count(self.select_server(), "assigned")
-
-    def move(self, src: str, dst: str, event: str) -> None:
-        """Move one pending job's count from ``src`` to ``dst``
-        (``reassigned`` after a failover, ``stolen`` by the queue tier)."""
-        record = self.server(dst)
-        self._uncount(src)
-        self._count(record, event)
-
-    def release(self, name: str, event: str) -> None:
-        """Step 4 of Fig. 6: a job on ``name`` ended (``completed`` or
-        ``failed``), so the server has one job fewer pending."""
-        self._uncount(name)
-        self._m_lifecycle.inc(event=event)
-
-    @property
-    def pending_jobs(self) -> int:
-        return sum(s.jobs for s in self._servers.values())
-
-    def monitoring_rows(self) -> List[Dict[str, object]]:
+    def monitoring_rows(self, load: Dict[str, int]) -> List[Dict[str, object]]:
         """The Fig. 7 panel: every server with status and pending jobs."""
-        return [s.panel_row() for s in self._servers.values()]
+        return [s.panel_row(load.get(s.name, 0)) for s in self._servers.values()]

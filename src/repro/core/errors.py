@@ -144,7 +144,7 @@ class QueueSaturated(SheriffError, RuntimeError):
     This is the *backpressure* signal of the queue tier — the add-on
     (or any other client) should wait ``retry_after`` simulated seconds
     before resubmitting.  Nothing was fetched for a shed job and its
-    ticket is failed at the Coordinator, so accounting never leaks.
+    record is failed at the Coordinator, so accounting never leaks.
     """
 
     def __init__(self, job_id: str, depth: int, limit: int,

@@ -12,7 +12,7 @@ servers:
   :class:`repro.core.errors.QueueSaturated` carrying a deterministic
   ``retry_after`` (capped exponential in the shed streak) — the
   backpressure signal clients wait on before resubmitting.  A shed
-  job's ticket is failed at the Coordinator so accounting never leaks.
+  job's record is failed at the Coordinator so accounting never leaks.
 * **outbox drain** — enqueued jobs are dispatched lazily, in global
   admission order (FIFO), when a caller polls for results.  Draining
   in admission order consumes every RNG stream exactly as the direct
@@ -58,7 +58,6 @@ telemetry on or off, the rows are identical (property-tested).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -79,26 +78,28 @@ __all__ = [
 class QueuedJob:
     """One admitted-but-not-yet-dispatched job in the outbox."""
 
-    seq: int
     job: Any  # a PriceCheckJob
     handle: JobHandle
     #: the job's Coordinator record, whose ``server_name`` is the owner
     record: JobRecord
+    #: engine-loop time of admission (the queue-wait histogram)
     enqueued_at: float = 0.0
+    #: Coordinator-clock time of admission, the clock the tracer reads
+    #: (the ``queue_wait`` span starts here)
+    admitted_at: float = 0.0
 
 
 class JobQueue:
     """The bounded outbox: admitted jobs in global admission order.
 
     Depth accounting and stealing group jobs by owner, but the drain
-    order is the *global* FIFO of admission sequence numbers —
-    that is the order the direct tier would have executed them in, and
-    therefore the order that preserves every RNG stream.
+    order is the *global* FIFO of admission — that is the order the
+    direct tier would have executed them in, and therefore the order
+    that preserves every RNG stream.
     """
 
     def __init__(self) -> None:
         self._jobs: Dict[str, QueuedJob] = {}  # insertion = admission order
-        self._seq = itertools.count(1)
         self.enqueued_total = 0
         self.max_depth_seen = 0
 
@@ -110,11 +111,12 @@ class JobQueue:
         return sum(qj.record.server_name == server_name for qj in self._jobs.values())
 
     def offer(
-        self, record: JobRecord, job: Any, handle: JobHandle, now: float = 0.0
+        self, record: JobRecord, job: Any, handle: JobHandle,
+        enqueued_at: float = 0.0, admitted_at: float = 0.0,
     ) -> QueuedJob:
         queued = QueuedJob(
-            seq=next(self._seq), job=job, handle=handle,
-            record=record, enqueued_at=now,
+            job=job, handle=handle, record=record,
+            enqueued_at=enqueued_at, admitted_at=admitted_at,
         )
         self._jobs[job.job_id] = queued
         self.enqueued_total += 1
@@ -125,9 +127,6 @@ class JobQueue:
         """The oldest admitted job still queued (global FIFO head)."""
         return next(iter(self._jobs.values()), None)
 
-    def get(self, job_id: str) -> Optional[QueuedJob]:
-        return self._jobs.get(job_id)
-
     def pop(self, queued: QueuedJob) -> None:
         del self._jobs[queued.job.job_id]
 
@@ -135,7 +134,7 @@ class JobQueue:
 class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
 
-    ``submit`` admits (or sheds) a Coordinator-ticketed job and returns
+    ``submit`` admits (or sheds) a Coordinator-admitted job and returns
     its queued handle; ``poll``/``result`` first drain the whole outbox
     in admission order if the handle is still queued, then are the
     owning server's.
@@ -147,7 +146,7 @@ class QueuedMeasurementTier:
         server_lookup: Callable[[str], Any],
         engine: PriceCheckEngine,
         max_depth: int = 256,
-        steal_threshold: Optional[int] = 16,
+        steal_threshold: int = 16,
         backoff: Optional[BackoffPolicy] = None,
         telemetry=NULL_TELEMETRY,
         transport_label: str = "sim",
@@ -218,12 +217,12 @@ class QueuedMeasurementTier:
         return self.engine.now
 
     def _journey_span(
-        self, name: str, job_id: str, **attrs: object
+        self, name: str, record: JobRecord, **attrs: object
     ) -> Optional[Span]:
-        """One journey stage of ``job_id``, stamped with the transport
+        """One journey stage of the job, stamped with the transport
         (``None`` with tracing off)."""
         attrs.setdefault("transport", self.transport_label)
-        return self.coordinator.journey_stage(name, job_id, **attrs)
+        return self.coordinator.journey_stage(name, record, **attrs)
 
     # -- admission (submit) ----------------------------------------------
     @property
@@ -240,7 +239,7 @@ class QueuedMeasurementTier:
         return record
 
     def submit(self, job: Any) -> JobHandle:
-        """Admit one ticketed job to the outbox, or shed it.
+        """Admit one Coordinator-admitted job to the outbox, or shed it.
 
         Raises :class:`QueueSaturated` — with the accounting already
         cleaned up — when the queue is at ``max_depth``.  The exception's
@@ -258,7 +257,7 @@ class QueuedMeasurementTier:
             )
             self.shed_total += 1
             self._journey_span(
-                "shed", job.job_id, depth=self.queue.depth,
+                "shed", record, depth=self.queue.depth,
                 retry_after=retry_after,
             )
             self.coordinator.fail_job(job.job_id, "shed: queue saturated")
@@ -268,10 +267,13 @@ class QueuedMeasurementTier:
         self._shed_streak = 0
         owner = record.server_name
         handle = JobHandle(job.job_id, owner, state=QUEUED)
-        self.queue.offer(record, job, handle, now=self._now())
+        self.queue.offer(
+            record, job, handle, enqueued_at=self._now(),
+            admitted_at=self.coordinator.clock.now,
+        )
         self._m_enqueued.inc(server=owner)
         self._journey_span(
-            "admission", job.job_id, server=owner, depth=self.queue.depth,
+            "admission", record, server=owner, depth=self.queue.depth,
         )
         return handle
 
@@ -287,8 +289,6 @@ class QueuedMeasurementTier:
         Deterministic: loads come from engine pool occupancy and queue
         depths (no RNG), ties break on server name.
         """
-        if self.steal_threshold is None:
-            return None
         online = [
             r for r in self.coordinator.distributor.servers() if r.online
         ]
@@ -327,7 +327,7 @@ class QueuedMeasurementTier:
         # steal and the dispatch chain under it in journey order; a
         # steal links back to it, the stage on the owner it leaves
         wait = self._journey_span(
-            "queue_wait", job_id, start=queued.enqueued_at, server=owner,
+            "queue_wait", record, start=queued.admitted_at, server=owner,
         )
         target = self._steal_target(owner)
         if target is not None:
@@ -335,7 +335,7 @@ class QueuedMeasurementTier:
             self.coordinator.transfer_job(job_id, target)
             self.steals["imbalance"] = self.steals.get("imbalance", 0) + 1
             self._journey_span(
-                "steal", job_id,
+                "steal", record,
                 links=[(job_id, wait.span_id)] if wait is not None else None,
                 reason="imbalance", src=owner, dst=target,
             )
@@ -348,7 +348,7 @@ class QueuedMeasurementTier:
             # via the shared tracer's stack — one tree across servers
             with self.tracer.span(
                 "dispatch", trace_id=job_id,
-                parent_id=self.coordinator.journey_spans[job_id].span_id,
+                parent_id=record.journey.span_id,
                 server=owner, transport=self.transport_label,
             ):
                 server.submit(queued.job, queued.handle)

@@ -6,8 +6,9 @@ panel (peer ID, IP, country, region, city).  These renderers produce the
 same tables for terminals, tests, and the examples.
 
 Each panel renders from one source.  The servers, peers and faults
-panels read the live component (a :class:`RequestDistributor`, a
-:class:`PeerOverlay`, a :class:`FaultPlan`);
+panels read the live component (the :class:`Coordinator`, for its
+server list and pending jobs, a :class:`PeerOverlay`, a
+:class:`FaultPlan`);
 :class:`~repro.core.admin.AdminConsole` hands them the deployment's.
 :func:`pipeline_panel` reads a
 :class:`~repro.obs.metrics.MetricsRegistry` snapshot: throughput and
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter as _TallyCounter
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.dispatch import RequestDistributor
+from repro.core.coordinator import Coordinator
 from repro.net.faults import FaultPlan
 from repro.net.p2p import PeerOverlay
 from repro.obs.metrics import MetricsRegistry, NullRegistry
@@ -55,11 +56,11 @@ def render_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> s
 
 # -- Fig. 7: the Measurement-servers panel ------------------------------------
 
-def servers_panel(distributor: RequestDistributor) -> str:
-    """The Fig. 7 'Available Sheriff servers and jobs' panel."""
-    table = render_table(
-        distributor.monitoring_rows(), columns=("Worker", "Port", "Status", "Jobs")
-    )
+def servers_panel(coordinator: Coordinator) -> str:
+    """The Fig. 7 'Available Sheriff servers and jobs' panel: the
+    server list, with each server's pending jobs from the Coordinator."""
+    rows = coordinator.distributor.monitoring_rows(coordinator.load())
+    table = render_table(rows, columns=("Worker", "Port", "Status", "Jobs"))
     return "Available Sheriff servers and jobs.\n" + table
 
 

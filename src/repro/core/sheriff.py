@@ -39,6 +39,7 @@ from repro.core.database import DatabaseClient, DatabaseServer, database_rpc_han
 from repro.core.diffstorage import DiffStorage
 from repro.core.dispatch import RequestDistributor
 from repro.core.engine import PageCache, PriceCheckEngine
+from repro.core.errors import ServerBusy
 from repro.core.jobqueue import QueuedMeasurementTier
 from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.pricecheck import PriceCheckResult
@@ -275,7 +276,7 @@ class PriceSheriff:
         self.db.close()
 
     def _job_entrypoint(self, server_name: str):
-        """Where the add-on sends a ticketed job and collects its handle:
+        """Where the add-on sends an admitted job and collects its handle:
         the queue tier when one is enabled, else the owning Measurement
         server directly."""
         if self.job_queue is not None:
@@ -287,8 +288,8 @@ class PriceSheriff:
 
         One lookup joins the job's span tree (assign → retry → admission
         → queue wait → steal → dispatch → fetch/parse/persist) and the
-        Coordinator ticket's terminal state (a failed job's ticket
-        carries its ``failure_reason``).  ``repro journey <job_id>``
+        state of its Coordinator record, under the ``ticket`` key (a
+        failed job's carries its ``failure_reason``).  ``repro journey <job_id>``
         renders this; post-mortems read it raw.
         """
         ticket = None
@@ -350,7 +351,14 @@ class PriceSheriff:
         return server
 
     def remove_measurement_server(self, name: str) -> None:
-        self.distributor.remove_server(name)  # refuses while jobs pending
+        """Take a server out of dispatch; refused while it has pending
+        jobs (App. 10.2.1)."""
+        pending = self.coordinator.jobs_on(name)
+        if pending:
+            raise ServerBusy(
+                f"server {name!r} still has {len(pending)} pending jobs"
+            )
+        self.distributor.remove_server(name)
         self.measurement_servers.pop(name, None)
         self.engine.drop_pool(name)
         self.transport.unbind(name)
@@ -370,8 +378,8 @@ class PriceSheriff:
         durations never influence row content — so a healed run stays
         row-identical to a fault-free one (tested in ``tests/ops``).
         """
-        record = self.distributor.server(name)  # raises UnknownServer
-        if record.jobs > 0:
+        self.distributor.server(name)  # raises UnknownServer
+        if self.coordinator.jobs_on(name):
             self.coordinator.handle_server_failure(name)
         fresh = self.build_measurement_server(name)
         self.measurement_servers[name] = fresh

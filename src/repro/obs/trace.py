@@ -24,7 +24,7 @@ Design constraints, mirrored from :mod:`repro.obs.metrics`:
 
 Journey tracing (the queue tier) extends the tree across servers: a
 job's trace starts at admission, a retroactive ``queue_wait`` span
-covers the outbox dwell (``span(..., start=enqueued_at)``), and a
+covers the outbox dwell (``record(..., start=admitted_at)``), and a
 steal/transfer span carries a *link* — a ``(trace_id, span_id)``
 reference to the prior owner's attempt — so the causal chain survives
 the job changing hands.  Links are references, not parentage: the tree

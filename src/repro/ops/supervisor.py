@@ -21,8 +21,7 @@ simulated time:
    restart-looped, and a critical component's escalation trips the
    deployment kill-switch;
 4. anomaly detectors (error-rate spike, pollution-budget blowout)
-   run; firing ones trip the kill-switch or alert, per their
-   configured action.
+   run; a firing one is audited, alerted and trips the kill-switch.
 
 Determinism: ticking never consumes any seeded RNG stream and never
 advances a clock — supervision is pure observation plus explicitly
@@ -133,11 +132,10 @@ class Component:
 
 @dataclass
 class _AnomalyDetector:
-    """A deployment-wide probe wired to the kill-switch or an alert."""
+    """A deployment-wide probe wired to the kill-switch."""
 
     name: str
     probe: object
-    action: str = "kill"  # "kill" | "alert"
     fired: bool = False
 
 
@@ -222,13 +220,10 @@ class Supervisor:
     def component(self, name: str) -> Component:
         return self.components[name]
 
-    def add_anomaly_detector(
-        self, name: str, probe: object, action: str = "kill"
-    ) -> None:
-        """A deployment-wide check; ``action`` is ``kill`` or ``alert``."""
-        if action not in ("kill", "alert"):
-            raise ValueError(f"unknown anomaly action {action!r}")
-        self._detectors.append(_AnomalyDetector(name=name, probe=probe, action=action))
+    def add_anomaly_detector(self, name: str, probe: object) -> None:
+        """A deployment-wide check that trips the kill-switch when it
+        fires."""
+        self._detectors.append(_AnomalyDetector(name=name, probe=probe))
 
     # -- the supervision sweep ----------------------------------------------
     def tick(self) -> List[str]:
@@ -373,11 +368,10 @@ class Supervisor:
             values=verdict.metrics,
         )
         self._notify(event)
-        if detector.action == "kill":
-            self.killswitch.trip(
-                f"anomaly {detector.name}: {verdict.reason}",
-                component=detector.name,
-            )
+        self.killswitch.trip(
+            f"anomaly {detector.name}: {verdict.reason}",
+            component=detector.name,
+        )
 
     # -- convergence ---------------------------------------------------------
     def unhealthy_components(self) -> List[str]:

@@ -192,11 +192,9 @@ def build_supervisor(
             max(10.0, 3 * MAX_JOB_FAILURES_PER_TICK),
             name="deployment job failures",
         ),
-        action="kill",
     )
     supervisor.add_anomaly_detector(
         "pollution-budget",
         PollutionBudgetProbe(sheriff.dopp_manager, POLLUTION_MAX_FRACTION),
-        action="kill",
     )
     return supervisor

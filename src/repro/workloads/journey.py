@@ -71,7 +71,7 @@ class JourneyConfig(SheriffConfig):
     dispatch_policy: str = "round_robin"
     job_queue: bool = True
     #: threshold 1 makes any depth imbalance eligible for a steal
-    queue_steal_threshold: Optional[int] = 1
+    queue_steal_threshold: int = 1
     telemetry: bool = True
     seed: int = 71
     store_seed: int = 74

@@ -39,17 +39,21 @@ class TestAttach:
     def test_attached_server_serves_requests(self, console, world, sheriff,
                                              es_user, es_peers):
         console.attach_measurement_server("ms-new")
-        # force dispatch to prefer the new, empty server
-        for name in ("ms-0", "ms-1"):
-            sheriff.distributor.server(name).jobs = 10
+        # one real pending job on each built-in server, so least-jobs
+        # dispatch prefers the new, empty one
+        location = world.geodb.make_location("ES", "Madrid")
+        url = "http://uniform.example/product/uniform-0000"
+        held = [sheriff.coordinator.new_request("peer-x", url, location)[0]
+                for _ in range(2)]
+        assert {r.server_name for r in held} == {"ms-0", "ms-1"}
         store = world.internet.site("uniform.example")
         result = es_user.check_price(
             store.product_url(store.catalog.products[0].product_id)
         )
         assert result.valid_rows()
         assert sheriff.measurement_server("ms-new").jobs_processed == 1
-        for name in ("ms-0", "ms-1"):
-            sheriff.distributor.server(name).jobs = 0
+        for record in held:
+            sheriff.coordinator.fail_job(record.job_id, "test")
 
     def test_attached_server_is_wired_like_a_built_in_one(self, console,
                                                           sheriff):
@@ -127,12 +131,22 @@ class TestDetach:
         console.detach_measurement_server("ms-tmp")
         assert "ms-tmp" not in sheriff.measurement_servers
 
-    def test_detach_busy_server_refused(self, console, sheriff):
+    def test_detach_busy_server_refused(self, console, world, sheriff):
         console.attach_measurement_server("ms-busy")
-        sheriff.distributor.server("ms-busy").jobs = 1
+        # the built-in servers are offline, so the one job lands on ms-busy
+        for name in ("ms-0", "ms-1"):
+            sheriff.distributor.mark_offline(name)
+        location = world.geodb.make_location("ES", "Madrid")
+        record, _ = sheriff.coordinator.new_request(
+            "peer-x", "http://uniform.example/product/uniform-0000", location
+        )
+        assert record.server_name == "ms-busy"
         with pytest.raises(RuntimeError):
             console.detach_measurement_server("ms-busy")
-        sheriff.distributor.server("ms-busy").jobs = 0
+        assert "ms-busy" in sheriff.measurement_servers
+        sheriff.coordinator.job_completed(record.job_id)
+        console.detach_measurement_server("ms-busy")
+        assert "ms-busy" not in sheriff.measurement_servers
 
 
 class TestPanels:

@@ -32,7 +32,7 @@ ALTERNATIVES = {
     "db_backend": ("sqlite", "memory"),
     "job_queue": (True, False),
     "queue_depth": (64, 32),
-    "queue_steal_threshold": (4, None),
+    "queue_steal_threshold": (4, 32),
     "transport": ("socket", "sim"),
 }
 

@@ -83,13 +83,16 @@ class TestReassignResolvedTicket:
 
     @staticmethod
     def _assert_not_moved(coordinator, ticket):
-        coordinator.handle_server_failure(ticket.server_name)
+        # new_request hands back the job's record itself: note its owner
+        # before the failover that must not move it
+        owner = ticket.server_name
+        coordinator.handle_server_failure(owner)
         record = coordinator.jobs[ticket.job_id]
-        assert (record.server_name, record.attempts) == (ticket.server_name, 1)
+        assert (record.server_name, record.attempts) == (owner, 1)
         assert coordinator.jobs_reassigned == 0
         assert coordinator.pending_jobs() == 0
         with pytest.raises(UnknownJob, match="already resolved"):
-            coordinator.transfer_job(ticket.job_id, ticket.server_name)
+            coordinator.transfer_job(ticket.job_id, owner)
         return record
 
     def test_reassign_completed_job_raises(self, world, sheriff, es_user):

@@ -48,7 +48,12 @@ clients, and their stub endpoints, ``take_offline`` /
 pool that the handler's lock already serialised went.  Then each count
 got one record: a metric that repeats a component's own field samples
 it when scraped, and ``FaultStats``, ``FaultPlan.stats``, the
-``_sync_*`` helpers and the ``WorkerPool`` gauges went.
+``_sync_*`` helpers and the ``WorkerPool`` gauges went.  Then a job got
+one record: a server's load is the Coordinator's pending records, so
+``ServerRecord.jobs``, the distributor's ``take`` / ``move`` /
+``release`` / ``pending_jobs``, ``Coordinator.journey_spans`` and
+``RequestTicket`` went, with ``queue_steal_threshold=None`` and
+``add_anomaly_detector(action=)``.
 """
 
 import dataclasses
@@ -832,3 +837,73 @@ class TestOneRecordPerFact:
         overlay.set_online("p1", True)
         overlay.unregister("p1")
         assert rebuilt == []
+
+
+class TestOneRecordOfAJob:
+    """The Coordinator's ``JobRecord`` is the one record of where a job
+    is and how far it has got: a server's load is the number of pending
+    records naming it, the journey chain lives on the record, and
+    ``RequestTicket``, the distributor's job counts and
+    ``Coordinator.journey_spans`` went."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"RequestTicket|journey_spans|_uncount|\.take\(\)"
+            r"|distributor\.(move|release|pending_jobs)"
+        )) == []
+
+    def test_request_ticket_gone(self):
+        import repro.core
+        import repro.core.coordinator
+
+        for module in (repro.core, repro.core.coordinator):
+            assert not hasattr(module, "RequestTicket"), module.__name__
+            assert "RequestTicket" not in module.__all__, module.__name__
+
+    def test_the_server_list_counts_no_jobs(self):
+        from repro.core.dispatch import RequestDistributor, ServerRecord
+
+        assert "jobs" not in {f.name for f in dataclasses.fields(ServerRecord)}
+        for name in ("take", "move", "release", "pending_jobs"):
+            assert not hasattr(RequestDistributor, name), name
+
+    def test_journey_chain_lives_on_the_record(self):
+        from repro.core.coordinator import Coordinator
+        from repro.core.dispatch import RequestDistributor
+        from repro.core.whitelist import Whitelist
+        from repro.net.events import Clock
+        from repro.net.geo import GeoDatabase
+        from repro.obs import Telemetry
+
+        clock = Clock()
+        distributor = RequestDistributor()
+        distributor.register_server("ms-0", "10.0.0.1")
+        coordinator = Coordinator(
+            Whitelist(["shop.example"]), distributor, PeerOverlay(),
+            GeoDatabase(), clock, telemetry=Telemetry().bind_clock(clock),
+        )
+        assert not hasattr(coordinator, "journey_spans")
+        location = coordinator.geodb.make_location("ES", "Madrid")
+        done, _ = coordinator.new_request(
+            "peer-x", "http://shop.example/product/1", location
+        )
+        failed, _ = coordinator.new_request(
+            "peer-x", "http://shop.example/product/1", location
+        )
+        assert done.journey.name == failed.journey.name == "assign"
+        coordinator.job_completed(done.job_id)
+        coordinator.fail_job(failed.job_id, "test")
+        assert done.journey is None
+        assert failed.journey is None
+
+    def test_anomaly_detectors_take_no_action(self):
+        from repro.ops.supervisor import Supervisor
+
+        parameters = inspect.signature(Supervisor.add_anomaly_detector).parameters
+        assert "action" not in parameters
+
+    def test_steal_threshold_takes_no_none(self):
+        with pytest.raises(InvalidConfig, match="queue_steal_threshold"):
+            SheriffConfig(queue_steal_threshold=None).validate()
+        with pytest.raises(InvalidConfig, match="queue_steal_threshold"):
+            SheriffConfig.from_dict({"queue_steal_threshold": None})

@@ -1,8 +1,9 @@
 """Tests for the request distribution protocol (Sect. 3.4).
 
-The Measurement server list picks a server and counts its pending jobs;
+The Measurement server list picks a server from the load it is given;
 jobs are assigned, completed and failed through the Coordinator, whose
-records say which server holds each job.
+pending records say which server holds each job and so make each
+server's load.
 """
 
 import pytest
@@ -34,31 +35,34 @@ def coordinator(distributor, telemetry):
 
 class TestAssignment:
     def test_least_jobs_wins(self, distributor, coordinator):
-        distributor.server("ms-0").jobs = 5
-        distributor.server("ms-1").jobs = 1
-        distributor.server("ms-2").jobs = 3
+        records = [submit_job(coordinator) for _ in range(6)]
+        assert [r.server_name for r in records] == ["ms-0", "ms-1", "ms-2"] * 2
+        coordinator.transfer_job(records[1].job_id, "ms-0")
+        assert coordinator.load() == {"ms-0": 3, "ms-1": 1, "ms-2": 2}
         assert submit_job(coordinator).server_name == "ms-1"
 
     def test_assign_increments_counter(self, distributor, coordinator):
-        ticket = submit_job(coordinator)
-        assert distributor.pending_jobs == 1
-        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
+        record = submit_job(coordinator)
+        assert coordinator.pending_jobs() == 1
+        assert coordinator.load() == {record.server_name: 1}
+        assert coordinator.jobs_on(record.server_name) == [record.job_id]
 
     def test_complete_decrements(self, distributor, coordinator):
-        ticket = submit_job(coordinator)
-        coordinator.job_completed(ticket.job_id)
-        assert distributor.server(ticket.server_name).jobs == 0
-        assert coordinator.jobs_on(ticket.server_name) == []
+        record = submit_job(coordinator)
+        coordinator.job_completed(record.job_id)
+        assert coordinator.load() == {}
+        assert coordinator.jobs_on(record.server_name) == []
 
     def test_complete_unknown_job(self, coordinator):
         with pytest.raises(KeyError):
             coordinator.job_completed("ghost")
 
     def test_offline_server_never_selected(self, distributor, coordinator):
+        """ms-0 is the least loaded server, but offline."""
         distributor.server("ms-0").online = False
-        distributor.server("ms-0").jobs = 0
-        distributor.server("ms-1").jobs = 10
-        distributor.server("ms-2").jobs = 10
+        for _ in range(4):
+            submit_job(coordinator)
+        assert coordinator.load() == {"ms-1": 2, "ms-2": 2}
         assert submit_job(coordinator).server_name != "ms-0"
 
     def test_no_server_available(self, distributor, coordinator):
@@ -72,23 +76,24 @@ class TestAssignment:
         self, distributor, coordinator, telemetry
     ):
         """assigned == completed + pending (DESIGN.md invariant)."""
-        tickets = [submit_job(coordinator) for _ in range(20)]
-        for ticket in tickets[::2]:
-            coordinator.job_completed(ticket.job_id)
+        records = [submit_job(coordinator) for _ in range(20)]
+        for record in records[::2]:
+            coordinator.job_completed(record.job_id)
         assert lifecycle(telemetry, "assigned") == (
-            lifecycle(telemetry, "completed") + distributor.pending_jobs
+            lifecycle(telemetry, "completed") + coordinator.pending_jobs()
         )
         completed = sum(r.completed for r in coordinator.jobs.values())
-        assert len(coordinator.jobs) == completed + distributor.pending_jobs
+        assert len(coordinator.jobs) == completed + coordinator.pending_jobs()
+        assert sum(coordinator.load().values()) == coordinator.pending_jobs()
 
     def test_slow_server_gets_fewer_jobs(self, distributor, coordinator):
         """The paper's motivation: least-jobs adapts to slow servers."""
         for _ in range(30):
-            ticket = submit_job(coordinator)
+            record = submit_job(coordinator)
             # fast servers (ms-0, ms-1) complete instantly; ms-2 lags
-            if ticket.server_name != "ms-2":
-                coordinator.job_completed(ticket.job_id)
-        assert distributor.server("ms-2").jobs <= 2
+            if record.server_name != "ms-2":
+                coordinator.job_completed(record.job_id)
+        assert len(coordinator.jobs_on("ms-2")) <= 2
 
 
 class TestRoundRobinAblation:
@@ -96,10 +101,13 @@ class TestRoundRobinAblation:
         d = RequestDistributor(policy="round_robin")
         d.register_server("ms-0", "10.0.0.1")
         d.register_server("ms-1", "10.0.0.2")
-        d.server("ms-0").jobs = 100
         coordinator = bare_coordinator(d)
         names = [submit_job(coordinator).server_name for _ in range(4)]
         assert names == ["ms-0", "ms-1", "ms-0", "ms-1"]
+        # ms-0 holds more pending jobs than ms-1, and its turn comes anyway
+        coordinator.job_completed(coordinator.jobs_on("ms-1")[0])
+        assert coordinator.load() == {"ms-0": 2, "ms-1": 1}
+        assert submit_job(coordinator).server_name == "ms-0"
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -126,10 +134,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             distributor.register_server("ms-0", "10.0.0.9")
 
-    def test_remove_with_pending_jobs_refused(self, distributor, coordinator):
-        busy = submit_job(coordinator).server_name
+    def test_remove_with_pending_jobs_refused(self, world, sheriff):
+        """The deployment refuses to remove a server while a pending
+        record names it (App. 10.2.1); the list itself keeps no jobs."""
+        location = world.geodb.make_location("ES", "Madrid")
+        record, _ = sheriff.coordinator.new_request(
+            "peer-x", "http://uniform.example/product/uniform-0000", location
+        )
         with pytest.raises(RuntimeError):
-            distributor.remove_server(busy)
+            sheriff.remove_measurement_server(record.server_name)
+        assert record.server_name in sheriff.measurement_servers
+        assert sheriff.distributor.server(record.server_name)
 
     def test_remove_idle_server(self, distributor):
         distributor.remove_server("ms-2")
@@ -137,7 +152,8 @@ class TestRegistry:
 
     def test_monitoring_rows(self, distributor):
         distributor.server("ms-1").online = False
-        rows = distributor.monitoring_rows()
+        rows = distributor.monitoring_rows({"ms-2": 4})
         assert len(rows) == 3
         statuses = {r["Worker"]: r["Status"] for r in rows}
         assert statuses["10.0.0.2"] == "offline"
+        assert [r["Jobs"] for r in rows] == [0, 0, 4]

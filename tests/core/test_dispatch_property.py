@@ -1,5 +1,7 @@
 """Property tests for the request distribution protocol."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +37,8 @@ _ops = st.lists(
 def _step(coordinator, op, job_id, server):
     if op == "new":
         # an offline server never receives a job
-        ticket = submit_job(coordinator)
-        assert coordinator.distributor.server(ticket.server_name).online
+        record = submit_job(coordinator)
+        assert coordinator.distributor.server(record.server_name).online
     elif op == "transfer":
         coordinator.transfer_job(job_id, server)
     elif op == "failure":
@@ -53,10 +55,10 @@ def _step(coordinator, op, job_id, server):
 @settings(max_examples=100, deadline=None)
 def test_one_owner_per_job_under_any_schedule(ops):
     """Whatever happens, the Coordinator's records are the one owner
-    record: each server's pending count is the number of unresolved
-    records naming it, every record is completed, failed or pending on
-    exactly its ``server_name``, no new job lands on an offline server,
-    and assigned == completed + failed + pending."""
+    record: every record is completed, failed or pending on exactly its
+    ``server_name``, ``load()`` counts the unresolved records naming
+    each server, no new job lands on an offline server, and
+    assigned == completed + failed + pending."""
     telemetry = Telemetry()
     d = RequestDistributor(telemetry=telemetry)
     for i, name in enumerate(SERVERS):
@@ -78,8 +80,6 @@ def test_one_owner_per_job_under_any_schedule(ops):
         if op == "failure":
             assert coordinator.jobs_on(server) == []
         # invariants hold at every step
-        for record in d.servers():
-            assert record.jobs == len(coordinator.jobs_on(record.name))
         for record in coordinator.jobs.values():
             holders = [
                 name for name in SERVERS
@@ -91,9 +91,13 @@ def test_one_owner_per_job_under_any_schedule(ops):
             else:
                 assert holders == [record.server_name]
         records = coordinator.jobs.values()
+        assert coordinator.load() == Counter(
+            r.server_name for r in records if not r.resolved
+        )
         completed = sum(r.completed for r in records)
         failed = sum(r.failed for r in records)
-        assert len(coordinator.jobs) == completed + failed + d.pending_jobs
+        pending = coordinator.pending_jobs()
+        assert len(coordinator.jobs) == completed + failed + pending
         assert lifecycle(telemetry, "assigned") == len(coordinator.jobs)
         assert lifecycle(telemetry, "completed") == completed
         assert lifecycle(telemetry, "failed") == failed
@@ -104,12 +108,13 @@ def test_one_owner_per_job_under_any_schedule(ops):
 )
 @settings(max_examples=80, deadline=None)
 def test_least_jobs_always_picks_minimum(loads):
+    """The least loaded online server wins; ties go to the earliest
+    registered."""
     d = RequestDistributor()
-    for i, load in enumerate(loads):
+    for i in range(len(loads)):
         d.register_server(f"ms-{i}", f"10.0.0.{i}")
-        d.server(f"ms-{i}").jobs = load
-    chosen = d.select_server()
-    assert chosen.jobs == min(loads)
+    chosen = d.select_server({f"ms-{i}": n for i, n in enumerate(loads)})
+    assert chosen.name == f"ms-{loads.index(min(loads))}"
 
 
 # a queued deployment's life: (op, server index) over 3 servers
@@ -185,4 +190,5 @@ def test_every_queued_check_resolves_once(policy, ops):
         assert returned_rows == record.completed == bool(stored), handle.job_id
         if returned_rows:
             assert outcomes[handle.job_id]
-    assert all(record.jobs == 0 for record in sheriff.distributor.servers())
+    assert coordinator.load() == {}
+    assert coordinator.pending_jobs() == 0

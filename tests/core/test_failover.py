@@ -76,19 +76,20 @@ class TestDispatchFailover:
     def test_mark_offline_returns_pending_jobs(self, distributor, coordinator):
         """The server list only marks the server; its pending jobs are
         the Coordinator's records that name it."""
-        ticket = submit_job(coordinator)
-        assert distributor.mark_offline(ticket.server_name) is None
-        assert coordinator.jobs_on(ticket.server_name) == [ticket.job_id]
-        assert not distributor.server(ticket.server_name).online
+        record = submit_job(coordinator)
+        assert distributor.mark_offline(record.server_name) is None
+        assert coordinator.jobs_on(record.server_name) == [record.job_id]
+        assert not distributor.server(record.server_name).online
 
     def test_reassign_moves_to_survivor(self, distributor, coordinator):
-        dead = submit_job(coordinator)
-        coordinator.handle_server_failure(dead.server_name)
-        survivor = coordinator.jobs[dead.job_id].server_name
-        assert survivor != dead.server_name
-        assert distributor.server(dead.server_name).jobs == 0
-        assert distributor.server(survivor).jobs == 1
-        assert coordinator.jobs_on(survivor) == [dead.job_id]
+        record = submit_job(coordinator)
+        dead = record.server_name
+        coordinator.handle_server_failure(dead)
+        survivor = record.server_name
+        assert survivor != dead
+        assert coordinator.load() == {survivor: 1}
+        assert coordinator.jobs_on(dead) == []
+        assert coordinator.jobs_on(survivor) == [record.job_id]
 
     def test_reassign_excludes_old_server_even_if_online(
         self, distributor, coordinator
@@ -99,13 +100,12 @@ class TestDispatchFailover:
         assert first.server_name == "ms-0"
         coordinator.handle_server_failure("ms-0")
         distributor.heartbeat("ms-0", coordinator.clock.now)
-        moved = coordinator.jobs[first.job_id].server_name
-        assert moved != first.server_name
-        assert distributor.server("ms-0").jobs == 0
+        assert coordinator.jobs[first.job_id].server_name != "ms-0"
+        assert coordinator.jobs_on("ms-0") == []
 
     def test_reassign_does_not_inflate_assignments(self, coordinator, telemetry):
-        ticket = submit_job(coordinator)
-        coordinator.handle_server_failure(ticket.server_name)
+        record = submit_job(coordinator)
+        coordinator.handle_server_failure(record.server_name)
         assert lifecycle(telemetry, "assigned") == 1
         assert lifecycle(telemetry, "reassigned") == 1
         assert coordinator.jobs_reassigned == 1
@@ -113,37 +113,37 @@ class TestDispatchFailover:
     def test_no_survivor_raises(self, distributor, coordinator):
         """With no online server left the Coordinator fails the job; the
         caller reads that from the record."""
-        ticket = submit_job(coordinator)
+        record = submit_job(coordinator)
+        assert record.server_name == "ms-0"
         for name in ("ms-1", "ms-2"):
             distributor.server(name).online = False
-        coordinator.handle_server_failure(ticket.server_name)
-        record = coordinator.jobs[ticket.job_id]
+        coordinator.handle_server_failure("ms-0")
         assert record.failed
         assert record.failure_reason == str(
             NoServerAvailable("no online Measurement server")
         )
         # nothing moved: the job failed on its first server
-        assert (record.server_name, record.attempts) == (ticket.server_name, 1)
-        assert coordinator.jobs_on(ticket.server_name) == []
-        assert distributor.pending_jobs == 0
+        assert (record.server_name, record.attempts) == ("ms-0", 1)
+        assert coordinator.jobs_on("ms-0") == []
+        assert coordinator.pending_jobs() == 0
 
     def test_conservation_with_failures_and_reassignments(
         self, distributor, coordinator, telemetry
     ):
-        tickets = [submit_job(coordinator) for _ in range(12)]
+        submitted = [submit_job(coordinator) for _ in range(12)]
         coordinator.handle_server_failure("ms-0")
         assert coordinator.jobs_on("ms-0") == []
-        for ticket in tickets[::3]:
-            coordinator.job_completed(ticket.job_id)
-        coordinator.fail_job(tickets[1].job_id, "test")
+        for record in submitted[::3]:
+            coordinator.job_completed(record.job_id)
+        coordinator.fail_job(submitted[1].job_id, "test")
         assert lifecycle(telemetry, "assigned") == (
             lifecycle(telemetry, "completed") + lifecycle(telemetry, "failed")
-            + distributor.pending_jobs
+            + coordinator.pending_jobs()
         )
         records = coordinator.jobs.values()
         assert len(coordinator.jobs) == (
             sum(r.completed for r in records) + sum(r.failed for r in records)
-            + distributor.pending_jobs
+            + coordinator.pending_jobs()
         )
 
 
@@ -170,24 +170,24 @@ class TestCoordinatorFailover:
         self, coordinator, location
     ):
         t1 = self._job(coordinator, location, "peer-1")
+        dead = t1.server_name
         # land a second job on the same server by taking the other offline
-        for record in coordinator.distributor.servers():
-            if record.name != t1.server_name:
-                record.online = False
+        for server in coordinator.distributor.servers():
+            if server.name != dead:
+                server.online = False
         t2 = self._job(coordinator, location, "peer-2")
-        assert t2.server_name == t1.server_name
-        for record in coordinator.distributor.servers():
-            record.online = True
+        assert t2.server_name == dead
+        for server in coordinator.distributor.servers():
+            server.online = True
 
-        coordinator.handle_server_failure(t1.server_name)
-        assert not coordinator.distributor.server(t1.server_name).online
+        coordinator.handle_server_failure(dead)
+        assert not coordinator.distributor.server(dead).online
         # every job pending on the dead server moved to a survivor,
         # the caller's own job included: one decision, at the Coordinator
-        for ticket in (t1, t2):
-            record = coordinator.jobs[ticket.job_id]
-            assert record.server_name != t1.server_name
+        for record in (t1, t2):
+            assert record.server_name != dead
             assert record.attempts == 2
-        assert coordinator.jobs_on(t1.server_name) == []
+        assert coordinator.jobs_on(dead) == []
 
     def test_retry_budget_exhausts(self, coordinator, location):
         ticket = self._job(coordinator, location)
@@ -209,9 +209,9 @@ class TestCoordinatorFailover:
     def test_fail_job_is_terminal_and_idempotent(self, coordinator, location):
         ticket = self._job(coordinator, location)
         coordinator.fail_job(ticket.job_id, "test reason")
-        pending = coordinator.distributor.pending_jobs
+        pending = coordinator.pending_jobs()
         coordinator.fail_job(ticket.job_id, "again")
-        assert coordinator.distributor.pending_jobs == pending == 0
+        assert coordinator.pending_jobs() == pending == 0
         assert coordinator.jobs_failed == 1
         assert coordinator.jobs[ticket.job_id].failure_reason == "test reason"
 
@@ -221,7 +221,7 @@ class TestCoordinatorFailover:
         ticket = self._job(coordinator, location)
         coordinator.fail_job(ticket.job_id, "gone")
         coordinator.job_completed(ticket.job_id)
-        assert coordinator.distributor.pending_jobs == 0
+        assert coordinator.pending_jobs() == 0
         assert not coordinator.jobs[ticket.job_id].completed
         assert coordinator.jobs[ticket.job_id].failed
 
@@ -328,7 +328,7 @@ class TestChaosPriceChecks:
         coordinator = sheriff.coordinator
         # terminal: every job completed or explicitly failed, none pending
         assert all(j.resolved for j in coordinator.jobs.values())
-        assert coordinator.distributor.pending_jobs == 0
+        assert coordinator.pending_jobs() == 0
         # counted exactly once
         assert ok + failed == len(coordinator.jobs)
         records = coordinator.jobs.values()
@@ -385,7 +385,7 @@ class TestLossyDeployment:
         records = sheriff.coordinator.jobs.values()
         assert len(records) == (
             sum(r.completed for r in records) + sum(r.failed for r in records)
-            + sheriff.distributor.pending_jobs
+            + sheriff.coordinator.pending_jobs()
         )
 
     def test_same_seed_runs_are_identical(self):

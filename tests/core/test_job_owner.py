@@ -1,13 +1,13 @@
 """One owner record per job: the Coordinator's ``JobRecord.server_name``.
 
 The Coordinator decides which Measurement server holds a job and moves
-a dead server's pending jobs to the survivors; the server list counts
-each server's pending jobs and the queue tier reads the owner from the
-job's record.  These tests pin the cases where a second copy of the
-owner went stale: a queued job failed over while it waits in the
-outbox, and a check whose page selection fails before it is sent.  The
-Coordinator is also the one place a failover is decided: a queued job
-it failed leaves the outbox with its handle failed.
+a dead server's pending jobs to the survivors; a server's load is the
+number of unresolved records naming it, and the queue tier reads the
+owner from the job's record.  These tests pin the cases where a second
+copy of the owner went stale: a queued job failed over while it waits
+in the outbox, and a check whose page selection fails before it is
+sent.  The Coordinator is also the one place a failover is decided: a
+queued job it failed leaves the outbox with its handle failed.
 """
 
 import pytest
@@ -21,9 +21,9 @@ from .conftest import SMALL_IPC_SITES
 
 
 def _queued_deployment():
-    """Two queued round-robin servers with stealing off, two ES peers
-    and one initiator; returns the world, the sheriff, the initiator and
-    a store's product URLs."""
+    """Two queued round-robin servers, a steal threshold no backlog here
+    reaches, two ES peers and one initiator; returns the world, the
+    sheriff, the initiator and a store's product URLs."""
     world = SheriffWorld.create(seed=71)
     stores = build_named_stores(world, uniform_store_specs(3, seed=74))
     sheriff = PriceSheriff(
@@ -32,7 +32,7 @@ def _queued_deployment():
         ipc_sites=SMALL_IPC_SITES,
         job_queue=True,
         dispatch_policy="round_robin",
-        queue_steal_threshold=None,
+        queue_steal_threshold=1_000,
     )
     for city in ("Madrid", "Barcelona"):
         sheriff.install_addon(world.make_browser("ES", city))
@@ -61,7 +61,7 @@ def _queued_outbox():
 def _assert_settled(sheriff, moved):
     coordinator = sheriff.coordinator
     assert coordinator.jobs[moved.job_id].attempts == 2
-    assert all(r.jobs == 0 for r in sheriff.distributor.servers())
+    assert coordinator.load() == {}
     assert all(r.completed for r in coordinator.jobs.values())
 
 
@@ -131,7 +131,7 @@ class TestQueuedJobFailedByTheCoordinator:
             initiator.collect(failed)
         assert sheriff.db.sp_responses_for_job(failed.job_id) == []
         assert sheriff.job_queue.depth == 0
-        assert all(r.jobs == 0 for r in sheriff.distributor.servers())
+        assert sheriff.coordinator.load() == {}
 
 
 class TestSelectionFailure:
@@ -161,7 +161,7 @@ class TestSelectionFailure:
         assert (record.completed, record.failed) == (False, True)
         assert "no price element on the page" in record.failure_reason
         assert coordinator.jobs_failed == 1
-        assert sheriff.distributor.server("ms-0").jobs == 0
+        assert coordinator.jobs_on("ms-0") == []
         registry = telemetry.registry
         assert registry.get("sheriff_job_turnaround_seconds").total_count() == 0
         lifecycle = registry.get("sheriff_dispatch_jobs_total")

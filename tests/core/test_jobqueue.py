@@ -240,8 +240,9 @@ class TestWorkStealing:
             assert sheriff.coordinator.jobs[handle.job_id].attempts == 1
             assert addon.collect(handle).rows
 
-    def test_stealing_disabled_with_none_threshold(self, world):
-        sheriff = _queued_sheriff(world, queue_steal_threshold=None)
+    def test_no_steal_below_the_threshold(self, world):
+        """An imbalance no larger than the threshold moves nothing."""
+        sheriff = _queued_sheriff(world, queue_steal_threshold=1_000)
         addon = _addon(world, sheriff)
         sheriff.distributor.mark_offline("ms-1")
         wave = [

@@ -94,6 +94,22 @@ class TestStolenJobCausalTree:
         # the ticket's terminal owner is the steal's destination
         assert journey["ticket"]["server_name"] == steal.attrs["dst"]
 
+    def test_queue_wait_sits_between_admission_and_dispatch(self, run):
+        """Every job's ``queue_wait`` is stamped on the clock its other
+        journey spans read: it starts at or after the job's admission
+        and ends at or before its dispatch starts, in every wave (the
+        engine loop's private clock runs far behind the world clock
+        after the first wave's gap)."""
+        tracer = run.sheriff.telemetry.tracer
+        assert len(run.job_ids) == 9
+        for job_id in run.job_ids:
+            by_name = {s.name: s for s in tracer.spans_for(job_id)}
+            admission = by_name["admission"]
+            queue_wait = by_name["queue_wait"]
+            dispatch = by_name["dispatch"]
+            assert admission.start <= queue_wait.start, job_id
+            assert queue_wait.end <= dispatch.start, job_id
+
 
 class TestDeterminism:
     def test_journey_spans_identical_across_runs(self):

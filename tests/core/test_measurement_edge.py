@@ -64,7 +64,7 @@ class TestExtractionFailures:
         assert result.rows
         assert all(r.error == "price not found on page" for r in result.rows)
         assert result.valid_rows() == []
-        assert sheriff.distributor.pending_jobs == 0
+        assert sheriff.coordinator.pending_jobs() == 0
 
     def test_job_counter_released_on_selection_failure(
         self, world, sheriff, es_user
@@ -75,7 +75,7 @@ class TestExtractionFailures:
 
         with pytest.raises(PriceSelectionError):
             es_user.check_price("http://nopage.example/product/x")
-        assert sheriff.distributor.pending_jobs == 0
+        assert sheriff.coordinator.pending_jobs() == 0
 
 
 class TestResultConsistency:

@@ -28,13 +28,15 @@ def test_servers_panel_matches_fig7():
     d.register_server("ms-0", "192.168.1.11", 80)
     d.register_server("ms-1", "192.168.1.12", 80)
     d.server("ms-1").online = False
-    submit_job(bare_coordinator(d))
-    panel = servers_panel(d)
+    coordinator = bare_coordinator(d)
+    submit_job(coordinator)
+    panel = servers_panel(coordinator)
     assert "Available Sheriff servers and jobs." in panel
     assert "192.168.1.11" in panel
     assert "offline" in panel
     assert "online" in panel
-    assert d.server("ms-0").panel_row()["Jobs"] == 1
+    rows = d.monitoring_rows(coordinator.load())
+    assert [row["Jobs"] for row in rows] == [1, 0]
 
 
 def test_peers_panel_matches_fig16():

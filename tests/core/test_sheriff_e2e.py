@@ -31,7 +31,7 @@ class TestBasicPriceCheck:
 
     def test_job_completion_reported(self, world, sheriff, es_user, es_peers):
         es_user.check_price(product_url(world, "uniform.example"))
-        assert sheriff.distributor.pending_jobs == 0
+        assert sheriff.coordinator.pending_jobs() == 0
         (record,) = sheriff.coordinator.jobs.values()
         assert record.completed
 
@@ -59,7 +59,7 @@ class TestBasicPriceCheck:
         # all jobs completed, none left pending on either server
         records = sheriff.coordinator.jobs.values()
         assert sum(r.completed for r in records) == 4
-        assert sheriff.distributor.pending_jobs == 0
+        assert sheriff.coordinator.pending_jobs() == 0
 
 
 class TestWhitelisting:

@@ -130,8 +130,7 @@ def test_supervised_deployment_heals_every_profile(profile):
 
     # zero permanently lost jobs: every admitted job reached a terminal
     # state, nothing is still parked on a dead server
-    distributor = dataset.sheriff.distributor
-    assert distributor.pending_jobs == 0
+    assert dataset.sheriff.coordinator.pending_jobs() == 0
     # and every attempted check resolved (result page or explicit
     # failure) — chaos may fail checks but may not swallow them
     assert dataset.n_resolved == dataset.n_attempted

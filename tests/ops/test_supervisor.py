@@ -241,8 +241,7 @@ class TestAnomalyDetectors:
         supervisor = Supervisor(clock)
         anomalous = [True]
         supervisor.add_anomaly_detector(
-            "spike", CallableProbe(lambda now: not anomalous[0]),
-            action="alert",
+            "spike", CallableProbe(lambda now: not anomalous[0])
         )
         for _ in range(4):
             supervisor.tick()
@@ -253,21 +252,6 @@ class TestAnomalyDetectors:
         anomalous[0] = True
         supervisor.tick()
         assert len(supervisor.audit.events(kind="anomaly_detected")) == 2
-
-    def test_alert_action_does_not_trip(self, clock):
-        supervisor = Supervisor(clock)
-        supervisor.add_anomaly_detector(
-            "warning", CallableProbe(lambda now: False), action="alert"
-        )
-        supervisor.tick()
-        assert not supervisor.killswitch.tripped
-
-    def test_unknown_action_rejected(self, clock):
-        supervisor = Supervisor(clock)
-        with pytest.raises(ValueError):
-            supervisor.add_anomaly_detector(
-                "bad", CallableProbe(lambda now: True), action="explode"
-            )
 
 
 class TestHeal:

@@ -85,7 +85,7 @@ def test_full_story(story):
         results.append(result)
         assert (result.normalized_spread() > 0.01) == expect_diff
     assert domains_with_difference(results) == ["shady.example"]
-    assert sheriff.distributor.pending_jobs == 0
+    assert sheriff.coordinator.pending_jobs() == 0
 
     # users got profiled by the trackers while browsing
     tid = users[1].browser.cookies.value("doubleclick.net", "tid")

@@ -213,10 +213,10 @@ class TestConfigSerialization:
         cfg = DeploymentConfig.test_scale()
         cfg.job_queue = True
         cfg.queue_depth = 64
-        cfg.queue_steal_threshold = None
+        cfg.queue_steal_threshold = 1_000
         tier = LiveDeployment(cfg).sheriff.job_queue
         assert tier.max_depth == 64
-        assert tier.steal_threshold is None
+        assert tier.steal_threshold == 1_000
 
     def test_direct_deployment_has_no_tier(self, dataset):
         assert dataset.sheriff.job_queue is None
