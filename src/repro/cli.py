@@ -249,6 +249,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
     from repro.core.monitoring import ops_panel
+    from repro.core.pii_audit import run_pii_audit
     from repro.workloads.deployment import LiveDeployment
 
     config = _deployment_config(
@@ -273,8 +274,11 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
         print(f"  {kind:<26} {count}")
     if config.audit_path:
         print(f"audit trail persisted to {config.audit_path}")
+    # Sect. 2.3: the stored data is audited for PII after the run
+    sheriff = dataset.sheriff
+    print(run_pii_audit(sheriff.db, sheriff.whitelist).render().splitlines()[0])
 
-    pending = dataset.sheriff.coordinator.pending_jobs()
+    pending = sheriff.coordinator.pending_jobs()
     converged = heal is not None and heal.converged
     print()
     if heal is not None:

@@ -46,6 +46,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".config": ["SheriffConfig"],
     ".sheriff": ["PriceSheriff", "SheriffWorld"],
     ".admin": ["AdminConsole", "ProbeFailed"],
-    ".persistence": ["load_results", "save_results"],
     ".pii_audit": ["PiiAuditReport", "run_pii_audit"],
 })

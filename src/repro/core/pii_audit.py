@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.database import DatabaseServer
 from repro.core.whitelist import Whitelist
-from repro.storage import ShardedDatabase
 from repro.web.internet import parse_url
 
 #: PII signatures the audit looks for in stored text fields.
@@ -84,44 +83,40 @@ def run_pii_audit(
 ) -> PiiAuditReport:
     """Scan stored requests/responses, delete hits, update the blacklist.
 
-    A sharded database is audited shard by shard: each shard numbers its
-    rows from 1, so a row is deleted on the shard it was read from (a
-    single server is its own one shard)."""
+    A flagged request URL blacklists its first path segment
+    (``/account`` for ``/account/jane``)."""
     findings: List[PiiFinding] = []
     new_patterns: List[str] = []
+    doomed: Dict[str, List[int]] = {"requests": [], "responses": []}
+
+    for row in db.scan("requests"):
+        hit = _scan_text(str(row.get("url", "")))
+        if hit is None:
+            continue
+        kind, excerpt = hit
+        findings.append(PiiFinding("requests", row["_id"], kind, excerpt))
+        doomed["requests"].append(row["_id"])
+        if whitelist is not None:
+            _, path = parse_url(row["url"])
+            segment = path.strip("/").split("/")[0].lower()
+            pattern = f"/{segment}"
+            if segment and not whitelist.url_pii_blacklisted(pattern):
+                whitelist._pii_patterns = whitelist._pii_patterns + (pattern,)
+                new_patterns.append(pattern)
+
+    for row in db.scan("responses"):
+        hit = _scan_text(str(row.get("original_text") or ""))
+        if hit is None:
+            continue
+        kind, excerpt = hit
+        findings.append(PiiFinding("responses", row["_id"], kind, excerpt))
+        doomed["responses"].append(row["_id"])
 
     deleted = 0
-    shards = db.shards.values() if isinstance(db, ShardedDatabase) else (db,)
-    for shard in shards:
-        doomed: Dict[str, List[int]] = {"requests": [], "responses": []}
-        for row in shard.scan("requests"):
-            hit = _scan_text(str(row.get("url", "")))
-            if hit is None:
-                continue
-            kind, excerpt = hit
-            findings.append(PiiFinding("requests", row["_id"], kind, excerpt))
-            doomed["requests"].append(row["_id"])
-            if whitelist is not None:
-                _, path = parse_url(row["url"])
-                fragment = path.split("/")[1] if "/" in path.strip("/") else path
-                pattern = f"/{fragment.split('/')[0]}" if fragment else path
-                if pattern and not whitelist.url_pii_blacklisted(pattern):
-                    whitelist._pii_patterns = whitelist._pii_patterns + (pattern,)
-                    new_patterns.append(pattern)
-
-        for row in shard.scan("responses"):
-            text = str(row.get("original_text") or "")
-            hit = _scan_text(text)
-            if hit is None:
-                continue
-            kind, excerpt = hit
-            findings.append(PiiFinding("responses", row["_id"], kind, excerpt))
-            doomed["responses"].append(row["_id"])
-
-        if delete:
-            for table, ids in doomed.items():
-                if ids:
-                    deleted += shard.delete_rows(table, ids)
+    if delete:
+        for table, ids in doomed.items():
+            if ids:
+                deleted += db.delete_rows(table, ids)
 
     return PiiAuditReport(
         findings=findings,

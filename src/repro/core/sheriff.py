@@ -42,7 +42,6 @@ from repro.core.engine import PageCache, PriceCheckEngine
 from repro.core.errors import ServerBusy
 from repro.core.jobqueue import QueuedMeasurementTier
 from repro.core.measurement import MeasurementServer, MeasurementStats
-from repro.core.pricecheck import PriceCheckResult
 from repro.core.whitelist import Whitelist
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
 from repro.currency.rates import ExchangeRateProvider
@@ -449,11 +448,6 @@ class PriceSheriff:
         )
         self.addons.append(addon)
         return addon
-
-    def check_price(
-        self, addon: SheriffAddon, url: str, requested_currency: str = "EUR"
-    ) -> PriceCheckResult:
-        return addon.check_price(url, requested_currency)
 
     # -- doppelganger clustering (Sect. 3.7/3.8 + Sect. 4) --------------------
     def default_k(self, n_participants: int) -> int:

@@ -7,13 +7,8 @@ measured in seconds since the epoch of the deployment window the paper
 analyzes (August 2015); helpers convert to days for the temporal
 experiments.
 
-The :class:`EventLoop` is a classic heap-driven engine.  Two styles are
-supported:
-
-* callback style — ``loop.call_at(t, fn)`` / ``loop.call_later(dt, fn)``;
-* process style — ``loop.spawn(gen)`` where ``gen`` is a generator that
-  ``yield``-s delays in seconds, which is the natural way to express the
-  client/server processes of the performance model.
+The :class:`EventLoop` is a classic heap-driven engine: callbacks are
+scheduled with ``loop.call_at(t, fn)`` / ``loop.call_later(dt, fn)``.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -107,18 +102,6 @@ class EventLoop:
     def call_later(self, delay: float, fn: Callable[[], None]) -> EventHandle:
         return self.call_at(self.clock.now + max(0.0, delay), fn)
 
-    def spawn(self, process: Generator[float, None, None]) -> None:
-        """Run a generator-style process: each yielded value is a delay."""
-
-        def step() -> None:
-            try:
-                delay = next(process)
-            except StopIteration:
-                return
-            self.call_later(delay, step)
-
-        self.call_later(0.0, step)
-
     # -- execution -------------------------------------------------------
     @property
     def pending(self) -> int:
@@ -186,9 +169,3 @@ class EventLoop:
             self._processed += 1
             event.fn()
             count += 1
-
-
-def daily_ticks(start_day: float, n_days: int) -> Iterable[Tuple[int, float]]:
-    """Yield ``(day_index, absolute_time_seconds)`` for n consecutive days."""
-    for i in range(n_days):
-        yield i, (start_day + i) * SECONDS_PER_DAY

@@ -242,12 +242,6 @@ class Tracer:
         self.finished.clear()
 
     # -- export ------------------------------------------------------------
-    def to_jsonl(self, trace_id: Optional[str] = None) -> str:
-        spans = self.finished if trace_id is None else self.spans_for(trace_id)
-        return "".join(
-            json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in spans
-        )
-
     def export_jsonl(self, fh: TextIO, trace_id: Optional[str] = None) -> int:
         """Write spans as JSON Lines; returns the number written."""
         spans = self.finished if trace_id is None else self.spans_for(trace_id)
@@ -293,9 +287,6 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
-
-    def to_jsonl(self, trace_id: Optional[str] = None) -> str:
-        return ""
 
     def export_jsonl(self, fh: TextIO, trace_id: Optional[str] = None) -> int:
         return 0

@@ -184,15 +184,16 @@ def make_backend(
     name: ``"sqlite"`` (the default) or ``"memory"``, the equivalence
     oracle.  ``path`` selects a file-backed sqlite database.
     """
-    from repro.storage.memory import MemoryBackend
-    from repro.storage.sqlite import SqliteBackend
-
     if isinstance(spec, StorageBackend):
         return spec
     spec = spec.lower()
     if spec == "memory":
+        from repro.storage.memory import MemoryBackend
+
         return MemoryBackend()
     if spec in ("sqlite", "sqlite3"):
+        from repro.storage.sqlite import SqliteBackend
+
         return SqliteBackend(path=path) if path else SqliteBackend()
     raise ValueError(
         f"unknown storage backend {spec!r} (expected 'memory' or 'sqlite')"

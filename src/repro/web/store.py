@@ -401,46 +401,3 @@ class EStore:
 
     def product_url(self, product_id: str) -> str:
         return f"http://{self.domain}/product/{product_id}"
-
-    # -- search & steering ---------------------------------------------------
-    def search(self, query: str, ctx: RequestContext) -> List[Product]:
-        """Rank the catalog for a search query, possibly *steered*.
-
-        Price steering (Sect. 2): "showing different products (or the
-        same products in a different order) to distinct users for the
-        same search query."  With a steering policy configured (see
-        :meth:`enable_steering`), identified high-value visitors get the
-        expensive half of the inventory ranked first; everyone else gets
-        a price-ascending ranking.
-        """
-        matching = [
-            p for p in self.catalog
-            if query.lower() in p.name.lower()
-            or query.lower() in p.category.lower()
-        ] or list(self.catalog)
-        steering = getattr(self, "_steering", None)
-        if steering is not None and steering.steers(ctx):
-            return sorted(matching, key=lambda p: -p.base_price_eur)
-        return sorted(matching, key=lambda p: p.base_price_eur)
-
-    def enable_steering(self, steering: "SteeringPolicy") -> None:
-        self._steering = steering
-
-
-class SteeringPolicy:
-    """Decides which visitors get the steered (expensive-first) ranking.
-
-    Mirrors :class:`repro.web.pricing.PdiPdPricing`: the signal is the
-    tracker-built browsing profile.
-    """
-
-    def __init__(self, ecosystem, trigger_domains: Sequence[str],
-                 min_hits: int = 3) -> None:
-        self._ecosystem = ecosystem
-        self.trigger_domains = tuple(trigger_domains)
-        self.min_hits = min_hits
-
-    def steers(self, ctx: RequestContext) -> bool:
-        profile = self._ecosystem.profile_across_trackers(ctx.tracker_cookies)
-        hits = sum(profile.get(d, 0) for d in self.trigger_domains)
-        return hits >= self.min_hits

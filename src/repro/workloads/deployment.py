@@ -4,8 +4,7 @@
 calibrated retailer roster plus the honest long tail, the 30-node IPC
 fleet, four Measurement servers, a geo-distributed population — and
 replays the deployment window: users issue price checks against stores
-drawn by popularity, the clock advances between requests, and an
-optional clustering round builds doppelgangers part-way through.
+drawn by popularity and the clock advances between requests.
 
 The paper's window runs August 2015 – September 2016 with 1265 users
 and >5700 requests over 1994 domains; the default configuration is a
@@ -56,7 +55,6 @@ class DeploymentConfig(SheriffConfig):
     n_uniform_stores: int = knob(60, ge=0)
     n_content_domains: int = knob(120, ge=1)
     duration_days: float = knob(390.0, gt=0)
-    enable_doppelgangers: bool = False
     population: Optional[PopulationConfig] = None
     #: extra checks of the flagship products users were famously curious
     #: about (the Phase One IQ280 case of Sect. 6.2)
@@ -224,12 +222,6 @@ class LiveDeployment:
                 results.append(result)
                 request_countries[addon.browser.location.country] += 1
                 self._supervision_tick()
-
-        if cfg.enable_doppelgangers:
-            reference = self.content_web.alexa_top(
-                min(50, len(self.content_web.domains))
-            )
-            self.sheriff.run_doppelganger_clustering(reference, max_iterations=4)
 
         # End-of-run convergence: let the supervisor finish healing
         # whatever the chaos schedule left flapped.  All rows are

@@ -53,12 +53,18 @@ one record: a server's load is the Coordinator's pending records, so
 ``ServerRecord.jobs``, the distributor's ``take`` / ``move`` /
 ``release`` / ``pending_jobs``, ``Coordinator.journey_spans`` and
 ``RequestTicket`` went, with ``queue_steal_threshold=None`` and
-``add_anomaly_detector(action=)``.
+``add_anomaly_detector(action=)``.  Then ``src/`` came to hold what a
+verb, an example or a mesh worker runs (``tests/reach_census.py``): the
+search-steering extension with ``EStore.search`` and ``SteeringPolicy``,
+dataset persistence, ``enable_doppelgangers``, ``PriceSheriff.check_price``,
+``EventLoop.spawn``, ``daily_ticks``, ``to_jsonl`` and the PII audit's
+per-shard branch went.
 """
 
 import dataclasses
 import importlib
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -907,3 +913,62 @@ class TestOneRecordOfAJob:
             SheriffConfig(queue_steal_threshold=None).validate()
         with pytest.raises(InvalidConfig, match="queue_steal_threshold"):
             SheriffConfig.from_dict({"queue_steal_threshold": None})
+
+
+class TestWhatNothingReaches:
+    """No verb, example or mesh worker reached these; the reach census
+    (``tests/reach_census.py``) now fails on an unreached module."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"SteeringPolicy|SteeringWatch|enable_steering|enable_doppelgangers"
+            r"|repro\.core\.persistence|save_results|load_results"
+            r"|daily_ticks|\.spawn\(|to_jsonl"
+        )) == []
+
+    def test_modules_gone(self):
+        import importlib.util
+
+        import repro.core
+        import repro.extensions
+
+        for module in ("repro.extensions.steering", "repro.core.persistence"):
+            assert importlib.util.find_spec(module) is None, module
+        assert not {"SteeringReport", "SteeringWatch"} & set(repro.extensions.__all__)
+        assert not {"load_results", "save_results"} & set(repro.core.__all__)
+
+    def test_names_gone(self):
+        import repro.net.events
+        import repro.web.store
+        from repro.net.events import EventLoop
+        from repro.obs.trace import NullTracer, Tracer
+        from repro.web.store import EStore
+
+        for name in ("search", "enable_steering"):
+            assert not hasattr(EStore, name), name
+        assert not hasattr(repro.web.store, "SteeringPolicy")
+        assert not hasattr(PriceSheriff, "check_price")
+        assert not hasattr(EventLoop, "spawn")
+        assert not hasattr(repro.net.events, "daily_ticks")
+        for cls in (Tracer, NullTracer):
+            assert not hasattr(cls, "to_jsonl"), cls.__name__
+
+    def test_enable_doppelgangers_is_an_unknown_key(self, tmp_path, capsys):
+        assert "enable_doppelgangers" not in {
+            f.name for f in dataclasses.fields(DeploymentConfig)
+        }
+        with pytest.raises(InvalidConfig, match="enable_doppelgangers"):
+            DeploymentConfig.from_dict({"enable_doppelgangers": True})
+        path = tmp_path / "cfg.json"
+        config = DeploymentConfig.test_scale().to_dict()
+        path.write_text(json.dumps({**config, "enable_doppelgangers": True}))
+        assert main(["supervise", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: invalid config" in out and "enable_doppelgangers" in out
+
+    def test_the_pii_audit_reads_one_database(self):
+        import repro.core.pii_audit
+
+        source = inspect.getsource(repro.core.pii_audit)
+        assert "repro.storage" not in source
+        assert "shards" not in source

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.events import Clock, EventLoop, SECONDS_PER_DAY, daily_ticks
+from repro.net.events import Clock, EventLoop, SECONDS_PER_DAY
 
 
 class TestClock:
@@ -102,19 +102,6 @@ class TestEventLoop:
         assert seen == ["first", "second"]
         assert loop.clock.now == 2.0
 
-    def test_spawn_process(self):
-        loop = EventLoop()
-        ticks = []
-
-        def process():
-            for _ in range(3):
-                ticks.append(loop.clock.now)
-                yield 2.0
-
-        loop.spawn(process())
-        loop.run()
-        assert ticks == [0.0, 2.0, 4.0]
-
     def test_processed_counter(self):
         loop = EventLoop()
         for t in (1.0, 2.0):
@@ -196,12 +183,3 @@ class TestStepAndPeek:
         assert loop.peek_next() == 4.0
         loop.run()
         assert loop.peek_next() is None
-
-
-def test_daily_ticks():
-    ticks = list(daily_ticks(start_day=2, n_days=3))
-    assert ticks == [
-        (0, 2 * SECONDS_PER_DAY),
-        (1, 3 * SECONDS_PER_DAY),
-        (2, 4 * SECONDS_PER_DAY),
-    ]

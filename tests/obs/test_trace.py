@@ -109,8 +109,11 @@ class TestExport:
         for job in ("job-1", "job-2"):
             with tr.span("price_check", trace_id=job):
                 pass
-        assert len(tr.to_jsonl("job-2").splitlines()) == 1
-        assert len(tr.to_jsonl().splitlines()) == 2
+        job2, every = io.StringIO(), io.StringIO()
+        assert tr.export_jsonl(job2, "job-2") == 1
+        assert tr.export_jsonl(every) == 2
+        assert len(job2.getvalue().splitlines()) == 1
+        assert len(every.getvalue().splitlines()) == 2
 
 
 class TestRendering:
@@ -179,7 +182,9 @@ class TestNullTracer:
             assert s.duration == 0.0
         assert NULL_TRACER.finished == []
         assert NULL_TRACER.trace_ids() == []
-        assert NULL_TRACER.to_jsonl() == ""
+        fh = io.StringIO()
+        assert NULL_TRACER.export_jsonl(fh) == 0
+        assert fh.getvalue() == ""
 
     def test_span_is_one_shared_context_manager(self):
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b", trace_id="x", duration=2.0)

@@ -99,6 +99,18 @@ class TestSupervise:
         assert "Supervised components and healing state." in out
         assert "OK: deployment healed, no jobs lost" in out
 
+    def test_prints_the_pii_audit_of_the_stored_data(self, capsys):
+        """Sect. 2.3's periodic PII audit runs over what the deployment
+        stored; its verdict is one line after the audit trail."""
+        assert main([
+            "supervise", "--chaos", "lossy", "--seed", "3",
+            "--requests", "12", "--users", "8",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        audit = [line for line in lines if line.startswith("PII audit:")]
+        assert audit == ["PII audit: clean — no personally identifiable data stored"]
+        assert lines.index(audit[0]) > lines.index("audit trail:")
+
     def test_clean_profile_runs_silent(self, capsys):
         assert main([
             "supervise", "--chaos", "none",

@@ -53,6 +53,18 @@ def test_database_server_imports_load_no_other_tier():
         assert not {m for m in loaded if m == tier or m.startswith(tier + ".")}, tier
 
 
+def test_a_sqlite_deployment_loads_no_memory_engine():
+    """``make_backend`` imports only the engine it returns: the memory
+    engine is the equivalence oracle, and a sqlite deployment never
+    loads it."""
+    loaded = loaded_after("""
+        from repro.core.sheriff import PriceSheriff, SheriffWorld
+        PriceSheriff(SheriffWorld.create(seed=1), whitelist_domains=[]).shutdown()
+    """)
+    assert "repro.storage.sqlite" in loaded
+    assert "repro.storage.memory" not in loaded
+
+
 def test_an_unsupervised_check_loads_no_optional_tier():
     loaded = loaded_after("""
         import random

@@ -10,8 +10,7 @@ the order the deployed system exercises them:
 4. a peer exhausts its pollution budget and transparently serves as its
    doppelganger, redeeming the bearer token over the anonymity network;
 5. the PII audit finds the database clean;
-6. the watchdog flags the discriminator and keeps an audit trail;
-7. the dataset round-trips through persistence and re-analyzes.
+6. the watchdog flags the discriminator and keeps an audit trail.
 """
 
 import random
@@ -19,7 +18,6 @@ import random
 import pytest
 
 from repro.analysis.pricediff import domains_with_difference
-from repro.core.persistence import load_results, save_results
 from repro.core.pii_audit import run_pii_audit
 from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.core.watchdog import Watchdog
@@ -131,9 +129,3 @@ def test_full_story(story):
     alerts = watchdog.run_cycle()
     assert [a.kind for a in alerts] == ["variation-detected"]
     assert alerts[0].classification == "location"
-
-    # 7. persistence round-trip keeps the analysis identical
-    path = "/tmp/full_story_dataset.json"
-    save_results(results, path)
-    restored = load_results(path)
-    assert domains_with_difference(restored) == ["shady.example"]

@@ -45,19 +45,6 @@ class TestDisplayDecimals:
         assert response.displayed_amount == int(response.displayed_amount)
 
 
-class TestSearchWithoutSteering:
-    def test_search_returns_price_ascending(self, geodb):
-        store = build_store(geodb)
-        results = store.search("", ctx(geodb))
-        prices = [p.base_price_eur for p in results]
-        assert prices == sorted(prices)
-
-    def test_unmatched_query_falls_back_to_catalog(self, geodb):
-        store = build_store(geodb)
-        results = store.search("zzz-no-such-product", ctx(geodb))
-        assert len(results) == len(store.catalog)
-
-
 class TestRequestLog:
     def test_log_records_time_key_product(self, geodb):
         store = build_store(geodb)

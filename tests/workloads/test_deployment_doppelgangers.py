@@ -1,4 +1,8 @@
-"""Integration: a live deployment with the doppelganger pipeline on."""
+"""Integration: a clustering round over a live deployment's population.
+
+The round is trained on the content web's top domains and runs after
+the deployment's checks, so every user has a browsing history to
+cluster."""
 
 import pytest
 
@@ -7,9 +11,13 @@ from repro.workloads.deployment import DeploymentConfig, LiveDeployment
 
 @pytest.fixture(scope="module")
 def dataset():
-    config = DeploymentConfig.test_scale()
-    config.enable_doppelgangers = True
-    return LiveDeployment(config).run()
+    deployment = LiveDeployment(DeploymentConfig.test_scale())
+    dataset = deployment.run()
+    web = deployment.content_web
+    dataset.sheriff.run_doppelganger_clustering(
+        web.alexa_top(min(50, len(web.domains))), max_iterations=4
+    )
+    return dataset
 
 
 class TestDeploymentWithDoppelgangers:
