@@ -106,9 +106,10 @@ class InfrastructureProxyClient:
         self.backoff = backoff if backoff is not None else BackoffPolicy(base=0.25)
         self.retries_total = 0
         self.failures_total = 0
-        #: simulated seconds spent backing off between attempts (the
-        #: shared clock is *not* advanced: all vantage points must fetch
-        #: "at the same time", so waits are accounted, not enacted)
+        #: simulated seconds spent backing off between attempts: the
+        #: fan-out runs at one world instant (every vantage point fetches
+        #: "at the same time"), so a wait is accounted here, not enacted
+        #: on the world clock
         self.backoff_seconds = 0.0
 
     def fetch(self, url: str) -> IpcFetch:

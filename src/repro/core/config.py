@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
-from repro.core.dispatch import DISPATCH_POLICIES
 from repro.core.errors import InvalidConfig
 from repro.net.faults import CHAOS_PROFILES
 
@@ -206,7 +205,6 @@ class SheriffConfig(Config):
     n_measurement_servers: int = knob(2, ge=1)
     #: the IPC fleet every check fans out to: (country, city, slowdown)
     ipc_sites: Tuple[Tuple[str, str, float], ...] = DEFAULT_IPC_SITES
-    dispatch_policy: str = knob("least_jobs", choices=DISPATCH_POLICIES)
     max_ppcs_per_request: int = knob(5, ge=0)
     #: named fault-injection profile from repro.net.faults.CHAOS_PROFILES
     #: (None = clean network) and the seed its RNG runs from

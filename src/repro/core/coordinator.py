@@ -68,6 +68,9 @@ class JobRecord:
     attempts: int = 1
     failed: bool = False
     failure_reason: Optional[str] = None
+    #: its server ran the fan-out and stored the rows; only the
+    #: completion report, due when the last fetch lands, is outstanding
+    running: bool = False
     #: world-clock time the request was admitted (telemetry: the
     #: assign→complete turnaround histogram measures from here)
     started_at: float = 0.0
@@ -271,27 +274,32 @@ class Coordinator:
         }
 
     def journey_stage(
-        self, name: str, record: JobRecord, **attrs: object
+        self, name: str, record: JobRecord, on_path: bool = True,
+        **attrs: object,
     ) -> Optional[Span]:
         """Record one stage of the job's journey, chained under the
-        job's latest stage (``record.journey``), make it the latest and
-        return it.
+        job's latest stage (``record.journey``), and return it.
 
         Stages happen outside any ``with`` nesting (assignment and retry
         here, admission, queue wait and steal in the queue tier), so each
         names its parent explicitly; the chain makes ``render_trace``
-        show the job's life as one descending path.  ``links=`` and
-        ``start=`` pass through to :meth:`Tracer.record`.  With tracing
-        off it records nothing and returns ``None``.
+        show the job's life as one descending path, each stage covering
+        the stages after it.  A stage that ends before the next one
+        starts (the outbox dwell) passes ``on_path=False``: it hangs
+        beside the path as a leaf instead of becoming the latest stage.
+        ``links=`` and ``start=`` pass through to :meth:`Tracer.record`.
+        With tracing off it records nothing and returns ``None``.
         """
         if not self.tracer.enabled:
             return None
         latest = record.journey
-        span = record.journey = self.tracer.record(
+        span = self.tracer.record(
             name, trace_id=record.job_id,
             parent_id=latest.span_id if latest is not None else None,
             **attrs,
         )
+        if on_path:
+            record.journey = span
         return span
 
     def _resolve(self, record: JobRecord, event: str) -> None:
@@ -352,10 +360,14 @@ class Coordinator:
 
         The one place a failover is decided: callers read the outcome
         from the job's record (``server_name``, or ``failed`` with its
-        ``failure_reason``).  Jobs move in admission order.
+        ``failure_reason``).  Jobs move in admission order.  A running
+        job stays: its rows are stored, and its completion is reported
+        when its last fetch lands.
         """
         for job_id in self.jobs_on(server_name):
             record = self.jobs[job_id]
+            if record.running:
+                continue
             try:
                 if record.attempts >= self.retry_budget:
                     raise RetryBudgetExhausted(job_id, record.attempts)

@@ -3,10 +3,10 @@
 The Coordinator tracks every Measurement server in the *Measurement
 server list* — URL, port, online status and a heartbeat timestamp — and
 assigns each new request to the online server with the fewest pending
-jobs.  That beats round robin under
-heterogeneous servers, the argument the paper makes via the job-shop
-problem; ``policy="round_robin"`` is retained for the ablation
-benchmark.
+jobs.  That beats round robin under heterogeneous servers, the argument
+the paper makes via the job-shop problem.  Ties among the least-loaded
+servers rotate from the last pick, so an idle fleet is served in turn
+and a loaded one by load — one policy, with no knob.
 
 "Absence of heartbeat messages for a specified time threshold results in
 the Measurement server being marked as offline."  When that happens the
@@ -22,27 +22,17 @@ load is read from those records (``Coordinator.load()``) and passed in.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.errors import (
-    DispatchConfigError,
-    DuplicateServer,
-    NoServerAvailable,
-    UnknownServer,
-)
+from repro.core.errors import DuplicateServer, NoServerAvailable, UnknownServer
 from repro.obs import NULL_TELEMETRY
 
 __all__ = [
-    "DISPATCH_POLICIES",
     "NoServerAvailable",
     "RequestDistributor",
     "ServerRecord",
 ]
-
-#: how the Coordinator picks a server for a new request
-DISPATCH_POLICIES = ("least_jobs", "round_robin")
 
 
 @dataclass
@@ -83,21 +73,18 @@ class ServerRecord:
 
 class RequestDistributor:
     """The Measurement server list of Fig. 6: registry, heartbeats,
-    online state and the dispatch policy.  It holds no per-job state;
+    online state and server selection.  It holds no per-job state;
     the Coordinator owns the job → server mapping."""
 
     def __init__(
         self,
-        policy: str = "least_jobs",
         heartbeat_timeout: float = 30.0,
         telemetry=NULL_TELEMETRY,
     ) -> None:
-        if policy not in DISPATCH_POLICIES:
-            raise DispatchConfigError(f"unknown dispatch policy {policy!r}")
-        self.policy = policy
         self.heartbeat_timeout = heartbeat_timeout
         self._servers: Dict[str, ServerRecord] = {}
-        self._rr = itertools.count()
+        #: the server picked last; ties rotate on from it
+        self._last_pick: Optional[str] = None
         self.offline_events = 0
         #: telemetry: the offline count and the online column of the
         #: Fig. 7 panel, read from the list
@@ -173,19 +160,24 @@ class RequestDistributor:
             self.offline_events += 1
 
     # -- assignment ---------------------------------------------------------------
-    def _online(self) -> List[ServerRecord]:
-        return [s for s in self._servers.values() if s.online]
-
     def select_server(self, load: Dict[str, int]) -> ServerRecord:
-        """Step 2 of Fig. 6: the online server for a new job, given each
-        server's pending jobs (``Coordinator.load()``; ties break in
-        registration order)."""
-        online = self._online()
+        """Step 2 of Fig. 6: the online server with the fewest pending
+        jobs, given each server's load (``Coordinator.load()``).  Ties
+        go to the first tied server after the last pick, in
+        registration order."""
+        records = list(self._servers.values())
+        after = next(
+            (i + 1 for i, s in enumerate(records) if s.name == self._last_pick), 0
+        )
+        online = [
+            (load.get(s.name, 0), (i - after) % len(records), s)
+            for i, s in enumerate(records) if s.online
+        ]
         if not online:
             raise NoServerAvailable("no online Measurement server")
-        if self.policy == "round_robin":
-            return online[next(self._rr) % len(online)]
-        return min(online, key=lambda s: load.get(s.name, 0))
+        pick = min(online, key=lambda entry: entry[:2])[2]
+        self._last_pick = pick.name
+        return pick
 
     def monitoring_rows(self, load: Dict[str, int]) -> List[Dict[str, object]]:
         """The Fig. 7 panel: every server with status and pending jobs."""

@@ -6,9 +6,12 @@ by how many such fan-outs it can keep in flight.  This module is the
 concurrency model on top of the Measurement server's fan-out:
 
 * every fetch a job performs becomes a task on a bounded per-server
-  :class:`WorkerPool` scheduled on a :class:`repro.net.events.EventLoop`
-  dedicated to the engine — the *world* clock stays frozen during a
-  check, preserving the "fetch at the same time" property;
+  :class:`WorkerPool` scheduled on the world's
+  :class:`repro.net.events.EventLoop` — the one clock every component
+  reads.  The fan-out itself runs at the job's dispatch instant, which
+  is the "same time" of Sect. 3.2; the world clock then advances as
+  the fetches land, and the job is reported complete to the
+  Coordinator when its last fetch lands;
 * a :class:`JobHandle` is the one object a price check is: the entry
   point that admits the job (a Measurement server, or the queue tier)
   returns it, and :meth:`PriceCheckEngine.submit` places that same
@@ -39,7 +42,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import UnknownJob
 from repro.core.pricecheck import PriceCheckResult
-from repro.net.events import Clock, EventLoop
+from repro.net.events import EventLoop
 from repro.obs import NULL_TELEMETRY
 
 __all__ = [
@@ -86,7 +89,8 @@ class JobHandle:
         #: sum of the simulated durations of every fetch this job made —
         #: the job's cost on a one-fetch-at-a-time (serial) backend
         self.service_seconds = 0.0
-        #: engine-loop time the job was submitted / finished
+        #: world-clock time the job was placed on the engine / its last
+        #: fetch landed
         self.submitted_at = 0.0
         self.finished_at: Optional[float] = None
         self.error: Optional[BaseException] = None
@@ -251,7 +255,7 @@ class PageCache:
 
 
 class PriceCheckEngine:
-    """Schedules every server's fetches on one shared event loop.
+    """Schedules every server's fetches on the world's event loop.
 
     One engine per deployment: all Measurement servers share its loop
     (so concurrent jobs on different servers overlap on the timeline)
@@ -260,12 +264,12 @@ class PriceCheckEngine:
 
     def __init__(
         self,
-        loop: Optional[EventLoop] = None,
+        loop: EventLoop,
         max_workers: int = 8,
         cache: Optional[PageCache] = None,
         telemetry=NULL_TELEMETRY,
     ) -> None:
-        self.loop = loop if loop is not None else EventLoop(Clock())
+        self.loop = loop
         self.max_workers = max_workers
         self.cache = cache if cache is not None else PageCache(ttl=0.0)
         self._pools: Dict[str, WorkerPool] = {}
@@ -295,10 +299,6 @@ class PriceCheckEngine:
             "Fetch tasks waiting for a worker", ("server",),
             lambda: {(name,): pool.queued for name, pool in self._pools.items()},
         )
-        self._m_clock = registry.gauge(
-            "sheriff_engine_clock_seconds",
-            "Current engine-loop simulated time",
-        )
 
     @property
     def now(self) -> float:
@@ -324,13 +324,15 @@ class PriceCheckEngine:
         tasks: List[Tuple[float, bool]],
         result: Optional[PriceCheckResult] = None,
         error: Optional[BaseException] = None,
+        on_done: Optional[Callable[[], None]] = None,
     ) -> JobHandle:
         """Place one executed fan-out on the timeline, in ``handle``.
 
         ``tasks`` is the fan-out's fetch timeline (see :meth:`schedule`);
         exactly one of ``result``/``error`` is its outcome.  A job that
         arrived with an error is terminal immediately — no worker time
-        is spent on a fan-out that already failed.
+        is spent on a fan-out that already failed.  ``on_done`` runs
+        when a job without error lands its last fetch.
         """
         handle._result = result
         handle.error = error
@@ -339,7 +341,7 @@ class PriceCheckEngine:
             handle.rows_arrived = handle.total_rows
             handle.state = FAILED
             return handle
-        self.schedule(handle, tasks)
+        self.schedule(handle, tasks, on_done)
         return handle
 
     @staticmethod
@@ -386,7 +388,10 @@ class PriceCheckEngine:
 
     # -- scheduling ------------------------------------------------------
     def schedule(
-        self, handle: JobHandle, tasks: List[Tuple[float, bool]]
+        self,
+        handle: JobHandle,
+        tasks: List[Tuple[float, bool]],
+        on_done: Optional[Callable[[], None]] = None,
     ) -> None:
         """Put one job's fetch timeline on the loop.
 
@@ -396,7 +401,7 @@ class PriceCheckEngine:
         request; a failed fetch occupies a worker for its timeout but
         lands no row).  ``rows_arrived`` counts the row-producing tasks
         as they complete the worker pool, and the last task — row or
-        not — marks the handle finished.
+        not — marks the handle finished and runs ``on_done``.
         """
         handle.submitted_at = self.now
         handle.state = RUNNING
@@ -405,7 +410,7 @@ class PriceCheckEngine:
         pool = self.pool_for(handle.server_name)
         remaining = len(tasks)
         if remaining == 0:
-            self._finish(handle)
+            self._finish(handle, on_done)
             return
 
         def landed(is_row: bool) -> None:
@@ -414,12 +419,14 @@ class PriceCheckEngine:
                 handle.rows_arrived += 1
             remaining -= 1
             if remaining == 0:
-                self._finish(handle)
+                self._finish(handle, on_done)
 
         for duration, is_row in tasks:
             pool.submit(duration, lambda r=is_row: landed(r))
 
-    def _finish(self, handle: JobHandle) -> None:
+    def _finish(
+        self, handle: JobHandle, on_done: Optional[Callable[[], None]]
+    ) -> None:
         handle.finished_at = self.now
         handle.state = FAILED if handle.error is not None else DONE
         self._m_completed.inc(server=handle.server_name, state=handle.state)
@@ -427,7 +434,8 @@ class PriceCheckEngine:
             handle.finished_at - handle.submitted_at,
             server=handle.server_name,
         )
-        self._m_clock.set(self.now)
+        if on_done is not None:
+            on_done()
 
     # -- pumping ---------------------------------------------------------
     def pump(self, handle: JobHandle) -> None:

@@ -64,10 +64,6 @@ class NoServerAvailable(SheriffError, RuntimeError):
     """No online Measurement server can take the job."""
 
 
-class DispatchConfigError(SheriffError, ValueError):
-    """The request distributor was configured with an unknown policy."""
-
-
 class DuplicateServer(SheriffError, ValueError):
     """A Measurement server name was registered twice."""
 
@@ -195,7 +191,6 @@ __all__ = [
     "RequestRejected",
     "ConsentRequired",
     "NoServerAvailable",
-    "DispatchConfigError",
     "DuplicateServer",
     "UnknownServer",
     "ServerBusy",

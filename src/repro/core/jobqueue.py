@@ -82,10 +82,8 @@ class QueuedJob:
     handle: JobHandle
     #: the job's Coordinator record, whose ``server_name`` is the owner
     record: JobRecord
-    #: engine-loop time of admission (the queue-wait histogram)
-    enqueued_at: float = 0.0
-    #: Coordinator-clock time of admission, the clock the tracer reads
-    #: (the ``queue_wait`` span starts here)
+    #: world-clock time of admission: the ``queue_wait`` span and the
+    #: queue-wait histogram measure from here
     admitted_at: float = 0.0
 
 
@@ -112,11 +110,10 @@ class JobQueue:
 
     def offer(
         self, record: JobRecord, job: Any, handle: JobHandle,
-        enqueued_at: float = 0.0, admitted_at: float = 0.0,
+        admitted_at: float = 0.0,
     ) -> QueuedJob:
         queued = QueuedJob(
-            job=job, handle=handle, record=record,
-            enqueued_at=enqueued_at, admitted_at=admitted_at,
+            job=job, handle=handle, record=record, admitted_at=admitted_at,
         )
         self._jobs[job.job_id] = queued
         self.enqueued_total += 1
@@ -213,9 +210,6 @@ class QueuedMeasurementTier:
             "Time jobs spent queued before dispatch",
         )
 
-    def _now(self) -> float:
-        return self.engine.now
-
     def _journey_span(
         self, name: str, record: JobRecord, **attrs: object
     ) -> Optional[Span]:
@@ -268,8 +262,7 @@ class QueuedMeasurementTier:
         owner = record.server_name
         handle = JobHandle(job.job_id, owner, state=QUEUED)
         self.queue.offer(
-            record, job, handle, enqueued_at=self._now(),
-            admitted_at=self.coordinator.clock.now,
+            record, job, handle, admitted_at=self.coordinator.clock.now,
         )
         self._m_enqueued.inc(server=owner)
         self._journey_span(
@@ -323,11 +316,13 @@ class QueuedMeasurementTier:
             self.dead_lettered += 1
             return True
         owner = record.server_name
-        # the outbox dwell, backdated to admission: recorded first so a
-        # steal and the dispatch chain under it in journey order; a
-        # steal links back to it, the stage on the owner it leaves
+        # the outbox dwell, backdated to admission: a leaf beside the
+        # path, recorded first so it precedes a steal and the dispatch in
+        # journey order; a steal links back to it, the stage on the
+        # owner it leaves
         wait = self._journey_span(
-            "queue_wait", record, start=queued.admitted_at, server=owner,
+            "queue_wait", record, on_path=False, start=queued.admitted_at,
+            server=owner,
         )
         target = self._steal_target(owner)
         if target is not None:
@@ -356,7 +351,7 @@ class QueuedMeasurementTier:
             server.submit(queued.job, queued.handle)
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
-        self._m_wait.observe(max(0.0, self._now() - queued.enqueued_at))
+        self._m_wait.observe(self.coordinator.clock.now - queued.admitted_at)
         return True
 
     def pump(self) -> int:

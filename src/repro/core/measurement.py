@@ -14,7 +14,8 @@ One server handles one price-check job end to end:
    (``sp_record_job``: the request and every response row, one round
    trip, one transaction), storing the initiator page in full and every
    other page as a diff (DiffStorage);
-5. report completion to the Coordinator and return the result rows.
+5. report completion to the Coordinator when the job's last fetch
+   lands on the engine, and return the result rows.
 
 Per the production note in Sect. 5, a per-proxy timeout bounds how long
 a slow (PlanetLab) node can hold up a job; in the simulation the
@@ -445,7 +446,10 @@ class MeasurementServer:
             handle = JobHandle(job.job_id, self.name)
         handle.server_name = self.name
         result, tasks, error = self._execute(job)
-        return self.engine.submit(handle, tasks, result, error)
+        return self.engine.submit(
+            handle, tasks, result, error,
+            on_done=lambda: self.coordinator.job_completed(job.job_id),
+        )
 
     def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
         """One AJAX poll: (rows landed since last poll, finished flag).
@@ -533,7 +537,7 @@ class MeasurementServer:
         by the job id.  Child ``fetch`` spans all start at the same
         simulated instant — the paper's "at the same time" requirement —
         and carry their duration explicitly, because the fetches execute
-        eagerly while the world clock is frozen.
+        eagerly at that instant and land on the engine later.
 
         The extractor counts its work in the process-wide
         :data:`~repro.core.tagspath.EXTRACTION_STATS`; what they grew by
@@ -684,7 +688,7 @@ class MeasurementServer:
             )
         with tr.span("persist", rows=len(result.rows)):
             self._persist(job, result)
-        self.coordinator.job_completed(job.job_id)
+        self.coordinator.jobs[job.job_id].running = True
         self.jobs_processed += 1
         return result, tasks, None
 

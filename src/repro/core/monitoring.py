@@ -151,14 +151,12 @@ def _seconds(value: Optional[float]) -> str:
 def pipeline_panel(registry: Registryish) -> str:
     """Engine health at a glance, from a metrics snapshot alone.
 
-    Throughput (completed checks per simulated second), check-latency
-    percentiles, page-cache hit rate, and the retry/backoff budget the
-    recovery machinery has burned.
+    Completed checks, check-latency percentiles, page-cache hit rate,
+    and the retry/backoff budget the recovery machinery has burned.
     """
     if not getattr(registry, "enabled", False):
         return "Pipeline health.\n(telemetry disabled — no metrics to render)"
     completed = registry.get("sheriff_engine_jobs_completed_total")
-    clock = registry.get("sheriff_engine_clock_seconds")
     latency = registry.get("sheriff_check_latency_seconds")
     hits = registry.get("sheriff_cache_hits_total")
     misses = registry.get("sheriff_cache_misses_total")
@@ -166,14 +164,8 @@ def pipeline_panel(registry: Registryish) -> str:
     backoff = registry.get("sheriff_backoff_seconds_total")
 
     done = completed.total if completed is not None else 0.0
-    elapsed = clock.total if clock is not None else 0.0
     rows: List[Dict[str, object]] = [
         {"Metric": "checks_completed", "Value": int(done)},
-        {"Metric": "sim_elapsed_seconds", "Value": f"{elapsed:.3f}"},
-        {
-            "Metric": "throughput_checks_per_sec",
-            "Value": f"{done / elapsed:.3f}" if elapsed > 0 else "n/a",
-        },
     ]
     pcts = (
         latency.percentiles()

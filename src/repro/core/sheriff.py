@@ -46,7 +46,7 @@ from repro.core.whitelist import Whitelist
 from repro.crypto.group import SchnorrGroup, TEST_GROUP
 from repro.currency.rates import ExchangeRateProvider
 from repro.net.anonymity import AnonymityNetwork
-from repro.net.events import Clock
+from repro.net.events import Clock, EventLoop
 from repro.net.faults import FaultPlan, chaos_plan
 from repro.net.geo import GeoDatabase
 from repro.net.p2p import PeerOverlay, make_peer_id
@@ -156,10 +156,11 @@ class PriceSheriff:
         if telemetry is None:
             telemetry = Telemetry() if config.telemetry else NULL_TELEMETRY
         self.telemetry = telemetry.bind_clock(world.clock)
-        #: the shared pipelined engine: one event loop for the whole
-        #: deployment, one bounded worker pool per Measurement server,
+        #: the shared pipelined engine: fetches land on the world clock's
+        #: event loop, one bounded worker pool per Measurement server,
         #: and the (default-off) short-TTL page cache
         self.engine = PriceCheckEngine(
+            EventLoop(world.clock),
             max_workers=config.max_fetch_workers,
             cache=PageCache(ttl=config.page_cache_ttl, telemetry=telemetry),
             telemetry=telemetry,
@@ -204,9 +205,7 @@ class PriceSheriff:
         elif overlay.faults is None:
             overlay.faults = faults
         self.overlay = overlay
-        self.distributor = RequestDistributor(
-            policy=config.dispatch_policy, telemetry=telemetry
-        )
+        self.distributor = RequestDistributor(telemetry=telemetry)
         self.dopp_manager = DoppelgangerManager(
             internet=world.internet,
             ecosystem=world.ecosystem,

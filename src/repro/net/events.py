@@ -59,71 +59,39 @@ class _Event:
     when: float
     seq: int
     fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Handle returned by the scheduling calls; allows cancellation."""
-
-    def __init__(self, event: _Event) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def when(self) -> float:
-        return self._event.when
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
 
 
 class EventLoop:
-    """Heap-based discrete-event loop sharing a :class:`Clock`."""
+    """Heap-based discrete-event loop sharing a :class:`Clock`.
+
+    The clock is shared, so a caller may move it directly
+    (``clock.advance``) while events are pending: an event whose time
+    has already passed lands at the clock's current time, never by
+    rewinding it.
+    """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
         self._heap: List[_Event] = []
         self._seq = itertools.count()
-        self._processed = 0
 
     # -- scheduling ------------------------------------------------------
-    def call_at(self, when: float, fn: Callable[[], None]) -> EventHandle:
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
         if when < self.clock.now:
             raise ValueError(
                 f"cannot schedule event at {when} before now={self.clock.now}"
             )
-        event = _Event(when=when, seq=next(self._seq), fn=fn)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        heapq.heappush(self._heap, _Event(when=when, seq=next(self._seq), fn=fn))
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> EventHandle:
-        return self.call_at(self.clock.now + max(0.0, delay), fn)
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        self.call_at(self.clock.now + max(0.0, delay), fn)
 
     # -- execution -------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    @property
-    def processed(self) -> int:
-        """Number of events executed so far (useful in tests)."""
-        return self._processed
-
-    def _pop(self) -> Optional[_Event]:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_next(self) -> Optional[float]:
-        """Time of the next live event, or None with an empty queue."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].when if self._heap else None
+    def _land(self, event: _Event) -> None:
+        """Run one popped event at ``max(now, when)``."""
+        if event.when > self.clock.now:
+            self.clock.advance_to(event.when)
+        event.fn()
 
     def step(self) -> bool:
         """Execute exactly one event (advancing the clock to it).
@@ -132,40 +100,19 @@ class EventLoop:
         the pipelined price-check engine pumps from ``poll``: advance
         the simulation just far enough for the next fetch to land.
         """
-        event = self._pop()
-        if event is None:
+        if not self._heap:
             return False
-        self.clock.advance_to(event.when)
-        self._processed += 1
-        event.fn()
+        self._land(heapq.heappop(self._heap))
         return True
 
     def run_until(self, deadline: float) -> None:
         """Execute events with ``when <= deadline``; clock ends at deadline."""
-        while True:
-            # peek past cancelled heads: a dead event before the
-            # deadline must not pull a live event from beyond it
-            upcoming = self.peek_next()
-            if upcoming is None or upcoming > deadline:
-                break
-            event = self._pop()
-            if event is None:  # pragma: no cover - peek guarantees one
-                break
-            self.clock.advance_to(event.when)
-            self._processed += 1
-            event.fn()
+        while self._heap and self._heap[0].when <= deadline:
+            self._land(heapq.heappop(self._heap))
         self.clock.advance_to(max(self.clock.now, deadline))
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Drain the queue (optionally bounded by ``max_events``)."""
         count = 0
-        while True:
-            if max_events is not None and count >= max_events:
-                return
-            event = self._pop()
-            if event is None:
-                return
-            self.clock.advance_to(event.when)
-            self._processed += 1
-            event.fn()
+        while (max_events is None or count < max_events) and self.step():
             count += 1

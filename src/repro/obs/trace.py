@@ -12,13 +12,15 @@ Design constraints, mirrored from :mod:`repro.obs.metrics`:
 
 * span IDs come from a per-tracer counter, never a UUID or wall clock,
   so traced runs replay byte-identically from a seed;
-* the fan-out *executes* eagerly while the world clock is frozen, so a
-  fetch span records its simulated duration explicitly
-  (``record("fetch", duration=d)``, a span with no body) — its bar on
-  the timeline is the duration the engine later packs onto the worker
-  pool;
-* a parent span's end is stretched over its children, so the root
-  ``price_check`` bar always covers the whole fan-out;
+* the fan-out *executes* eagerly at its dispatch instant and its
+  fetches land on the world clock later, so a fetch span records its
+  simulated duration explicitly (``record("fetch", duration=d)``, a
+  span with no body) — its bar on the timeline is the duration the
+  engine then packs onto the worker pool;
+* a parent span is stretched over its children — an open ``with``
+  parent and a finished one named by ``parent_id`` alike, up through
+  its ancestors — so every span lies inside its parent and the root
+  bar covers the whole job;
 * the disabled twin (:data:`NULL_TRACER`) makes every ``span(…)`` and
   ``record(…)`` a single no-op call.
 
@@ -100,6 +102,8 @@ class Tracer:
         self.max_spans = max_spans
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
+        #: finished spans by id: a ``parent_id`` names one of these
+        self._by_id: Dict[int, Span] = {}
 
     @contextmanager
     def span(
@@ -117,9 +121,9 @@ class Tracer:
         ``trace_id`` keys the trace (the job id for price checks); a
         nested span inherits its parent's.  ``duration`` stamps an
         explicit simulated duration for work whose cost is *scheduled*
-        rather than lived through (the eager fan-out executes while the
-        world clock is frozen); without it the span ends at whatever
-        the clock reads on exit.  ``start`` backdates the span for work
+        rather than lived through (the eager fan-out executes at one
+        instant, its fetches land later); without it the span ends at
+        whatever the clock reads on exit.  ``start`` backdates the span for work
         that already happened (the queue tier stamps ``queue_wait``
         with the admission time at dispatch); ``parent_id`` overrides
         the stack parent to chain journey stages recorded outside any
@@ -179,11 +183,14 @@ class Tracer:
             # keep the stretch children already applied: a parent
             # must never end before its scheduled children do
             span.end = max(span.end, self.clock.now)
-        if parent is not None and parent_id is None:
-            # a parent covers its children on the timeline
-            parent.end = max(parent.end, span.end)
-            parent.start = min(parent.start, span.start)
+        # a parent covers its children on the timeline: the open parent
+        # on the stack, or a finished one named by parent_id, and then
+        # each finished ancestor above it
+        node, up = span, parent if parent_id is None else self._by_id.get(parent_id)
+        while up is not None and _cover(up, node):
+            node, up = up, self._by_id.get(up.parent_id)
         self.finished.append(span)
+        self._by_id[span.span_id] = span
         if len(self.finished) > self.max_spans:
             self._evict()
 
@@ -226,6 +233,7 @@ class Tracer:
         excess = len(self.finished) - self.max_spans
         if excess > 0:
             del self.finished[:excess]
+        self._by_id = {s.span_id: s for s in self.finished}
 
     # -- reading back ------------------------------------------------------
     def trace_ids(self) -> List[str]:
@@ -240,6 +248,7 @@ class Tracer:
 
     def clear(self) -> None:
         self.finished.clear()
+        self._by_id.clear()
 
     # -- export ------------------------------------------------------------
     def export_jsonl(self, fh: TextIO, trace_id: Optional[str] = None) -> int:
@@ -248,6 +257,15 @@ class Tracer:
         for span in spans:
             fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
         return len(spans)
+
+
+def _cover(parent: Span, child: Span) -> bool:
+    """Stretch ``parent`` over ``child``; whether it had to move."""
+    if parent.start <= child.start and child.end <= parent.end:
+        return False
+    parent.start = min(parent.start, child.start)
+    parent.end = max(parent.end, child.end)
+    return True
 
 
 class _NullSpanContext:

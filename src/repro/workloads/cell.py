@@ -25,11 +25,6 @@ USER_COUNTRIES: Tuple[str, ...] = ("ES", "US", "GB", "DE", "FR", "JP", "CA", "IT
 class CellConfig(SheriffConfig):
     """The deployment knobs plus the seeded world they run over."""
 
-    #: round robin, so a wave of concurrent submissions spreads over
-    #: every Measurement server's worker pool (least-jobs degenerates
-    #: here: the simulated submit reports completion eagerly, so pending
-    #: counts never differentiate the servers)
-    dispatch_policy: str = "round_robin"
     max_fetch_workers: int = 16
     seed: int = 2017
     n_stores: int = knob(8, ge=1)

@@ -4,7 +4,8 @@
 calibrated retailer roster plus the honest long tail, the 30-node IPC
 fleet, four Measurement servers, a geo-distributed population — and
 replays the deployment window: users issue price checks against stores
-drawn by popularity and the clock advances between requests.
+drawn by popularity, arriving at instants drawn ahead of time (open
+loop), so a check's own duration never shifts a later arrival.
 
 The paper's window runs August 2015 – September 2016 with 1265 users
 and >5700 requests over 1994 domains; the default configuration is a
@@ -183,9 +184,18 @@ class LiveDeployment:
         attempted = 0
         explicit_failures = 0
         gap_seconds = cfg.duration_days * SECONDS_PER_DAY / max(1, cfg.n_requests)
+        clock = self.world.clock
+        arrival = clock.now
+
+        def arrive() -> None:
+            # open loop: users arrive on their own schedule, whenever
+            # the checks before them finish
+            nonlocal arrival
+            arrival += gap_seconds * self._rng.uniform(0.5, 1.5)
+            clock.advance_to(max(clock.now, arrival))
 
         for _ in range(cfg.n_requests):
-            self.world.clock.advance(gap_seconds * self._rng.uniform(0.5, 1.5))
+            arrive()
             addon = self.population.pick_user(self._rng)
             spec = self._pick_store()
             store = self.stores[spec.domain]
@@ -209,7 +219,7 @@ class LiveDeployment:
                 continue
             url = store.product_url(product_id)
             for _ in range(cfg.spotlight_checks):
-                self.world.clock.advance(gap_seconds * self._rng.uniform(0.5, 1.5))
+                arrive()
                 addon = self.population.pick_user(self._rng)
                 attempted += 1
                 try:

@@ -68,7 +68,6 @@ class JourneyConfig(SheriffConfig):
     #: ``ms-0`` and ``ms-1``, which the drill takes down and brings back
     n_measurement_servers: int = 2
     ipc_sites: Tuple[Tuple[str, str, float], ...] = JOURNEY_IPC_SITES
-    dispatch_policy: str = "round_robin"
     job_queue: bool = True
     #: threshold 1 makes any depth imbalance eligible for a steal
     queue_steal_threshold: int = 1
@@ -90,7 +89,7 @@ class JourneyConfig(SheriffConfig):
     #: the injected slowdown factor (kept under the Measurement server's
     #: 4.0 proxy-timeout budget so fetches crawl instead of timing out)
     fault_slowdown: float = 3.9
-    #: simulated seconds between waves
+    #: simulated seconds between wave starts
     wave_gap_s: float = 3600.0
 
 
@@ -156,7 +155,8 @@ def run_journey(
     )
     run = JourneyRun(sheriff=sheriff, world=world, supervisor=supervisor)
     index = 0
-    for _ in range(config.waves):
+    start = world.clock.now
+    for wave_no in range(config.waves):
         if config.disrupt:
             sheriff.distributor.mark_offline("ms-1")
         wave = []
@@ -172,7 +172,9 @@ def run_journey(
             run.rows += len(result.rows)
         if supervisor is not None:
             supervisor.tick()
-        world.clock.advance(config.wave_gap_s)
+        # waves arrive on their own schedule, however long this one took
+        next_wave = start + (wave_no + 1) * config.wave_gap_s
+        world.clock.advance_to(max(world.clock.now, next_wave))
 
     run.steals = (
         dict(sheriff.job_queue.steals)

@@ -20,7 +20,6 @@ from repro.core.sheriff import PriceSheriff, SheriffWorld
 ALTERNATIVES = {
     "n_measurement_servers": (3, 5),
     "ipc_sites": (DEFAULT_IPC_SITES[:3], DEFAULT_IPC_SITES[:2]),
-    "dispatch_policy": ("round_robin", "least_jobs"),
     "max_ppcs_per_request": (2, 4),
     "chaos_profile": ("lossy", "flaky_peers"),
     "chaos_seed": (9, 4),
@@ -53,7 +52,6 @@ def assert_knob_reached(sheriff, name, value):
         "ipc_sites": lambda: tuple(
             (i.location.country, i.location.city) for i in sheriff.ipcs
         ),
-        "dispatch_policy": lambda: sheriff.distributor.policy,
         "max_ppcs_per_request": lambda: sheriff.coordinator.max_ppcs_per_request,
         "chaos_profile": lambda: sheriff.faults.name,
         "retry_budget": lambda: sheriff.coordinator.retry_budget,

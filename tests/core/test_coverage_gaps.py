@@ -16,7 +16,8 @@ class TestEventLoopBounds:
             loop.call_at(t, lambda t=t: seen.append(t))
         loop.run(max_events=2)
         assert seen == [1.0, 2.0]
-        assert loop.pending == 1
+        loop.run()
+        assert seen == [1.0, 2.0, 3.0]
 
 
 class TestCurrencySuffixStyles:

@@ -58,7 +58,13 @@ verb, an example or a mesh worker runs (``tests/reach_census.py``): the
 search-steering extension with ``EStore.search`` and ``SteeringPolicy``,
 dataset persistence, ``enable_doppelgangers``, ``PriceSheriff.check_price``,
 ``EventLoop.spawn``, ``daily_ticks``, ``to_jsonl`` and the PII audit's
-per-shard branch went.
+per-shard branch went.  Then the world clock became the one timeline:
+the engine's private clock and ``sheriff_engine_clock_seconds`` went,
+least-jobs became the only dispatch policy (``dispatch_policy``,
+``round_robin``, ``DISPATCH_POLICIES`` and ``DispatchConfigError``
+went), the queue tier kept one admission stamp (``enqueued_at`` went)
+and the event loop lost what only tests reached: ``EventHandle``,
+cancellation, ``peek_next``, ``pending`` and ``processed``.
 """
 
 import dataclasses
@@ -972,3 +978,73 @@ class TestWhatNothingReaches:
         source = inspect.getsource(repro.core.pii_audit)
         assert "repro.storage" not in source
         assert "shards" not in source
+
+
+class TestOneTimeline:
+    """The world's clock is the only timeline and least-jobs the only
+    dispatch policy."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"dispatch_policy|DISPATCH_POLICIES|DispatchConfigError|EventHandle"
+            r"|sheriff_engine_clock_seconds|_m_clock|enqueued_at|peek_next"
+            r"|sim_elapsed_seconds|throughput_checks_per_sec"
+        )) == []
+        # the Table 1 queueing model keeps its own policy for the
+        # dispatch ablation; nothing else names round robin
+        assert [
+            hit for hit in _source_offenders(re.compile(r"round_robin"))
+            if not hit.startswith(("perfmodel.py:", "ablations.py:"))
+        ] == []
+
+    def test_names_gone(self):
+        import repro.core.dispatch
+        import repro.core.errors
+        import repro.net.events
+        from repro.core.dispatch import RequestDistributor
+        from repro.core.jobqueue import QueuedJob
+        from repro.net.events import EventLoop
+
+        assert not hasattr(repro.core.dispatch, "DISPATCH_POLICIES")
+        assert not hasattr(repro.core.errors, "DispatchConfigError")
+        assert "DispatchConfigError" not in repro.core.errors.__all__
+        assert not hasattr(repro.net.events, "EventHandle")
+        for name in ("pending", "processed", "peek_next"):
+            assert not hasattr(EventLoop, name), name
+        assert "policy" not in inspect.signature(RequestDistributor).parameters
+        assert "enqueued_at" not in {f.name for f in dataclasses.fields(QueuedJob)}
+        assert "dispatch_policy" not in {
+            f.name for f in dataclasses.fields(SheriffConfig)
+        }
+
+    def test_the_engine_has_no_clock_of_its_own(self):
+        from repro.core.engine import PriceCheckEngine
+
+        loop = inspect.signature(PriceCheckEngine).parameters["loop"]
+        assert loop.default is inspect.Parameter.empty
+        sheriff = PriceSheriff(SheriffWorld.create(seed=1), telemetry=True)
+        try:
+            assert sheriff.engine.loop.clock is sheriff.world.clock
+            registry = sheriff.telemetry.registry
+            assert registry.get("sheriff_engine_clock_seconds") is None
+        finally:
+            sheriff.shutdown()
+
+    def test_the_event_loop_schedules_without_a_handle(self):
+        from repro.net.events import EventLoop
+
+        loop = EventLoop()
+        assert loop.call_at(1.0, lambda: None) is None
+        assert loop.call_later(1.0, lambda: None) is None
+
+    def test_dispatch_policy_is_an_unknown_key(self, tmp_path, capsys):
+        with pytest.raises(TypeError):
+            SheriffConfig(dispatch_policy="round_robin")
+        with pytest.raises(InvalidConfig, match="dispatch_policy"):
+            DeploymentConfig.from_dict({"dispatch_policy": "least_jobs"})
+        path = tmp_path / "cfg.json"
+        config = DeploymentConfig.test_scale().to_dict()
+        path.write_text(json.dumps({**config, "dispatch_policy": "round_robin"}))
+        assert main(["supervise", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: invalid config" in out and "dispatch_policy" in out

@@ -96,22 +96,39 @@ class TestAssignment:
         assert len(coordinator.jobs_on("ms-2")) <= 2
 
 
-class TestRoundRobinAblation:
-    def test_round_robin_ignores_load(self):
-        d = RequestDistributor(policy="round_robin")
+class TestTiesRotate:
+    def test_an_idle_fleet_is_served_in_turn(self):
+        d = RequestDistributor()
+        for i in range(3):
+            d.register_server(f"ms-{i}", f"10.0.0.{i}")
+        coordinator = bare_coordinator(d)
+        names = []
+        for _ in range(5):
+            record = submit_job(coordinator)
+            names.append(record.server_name)
+            coordinator.job_completed(record.job_id)
+        assert names == ["ms-0", "ms-1", "ms-2", "ms-0", "ms-1"]
+
+    def test_a_loaded_fleet_is_served_by_load(self):
+        d = RequestDistributor()
         d.register_server("ms-0", "10.0.0.1")
         d.register_server("ms-1", "10.0.0.2")
         coordinator = bare_coordinator(d)
         names = [submit_job(coordinator).server_name for _ in range(4)]
         assert names == ["ms-0", "ms-1", "ms-0", "ms-1"]
-        # ms-0 holds more pending jobs than ms-1, and its turn comes anyway
+        # ms-1 frees a slot: it is the least loaded, though ms-0 is next
         coordinator.job_completed(coordinator.jobs_on("ms-1")[0])
         assert coordinator.load() == {"ms-0": 2, "ms-1": 1}
-        assert submit_job(coordinator).server_name == "ms-0"
+        assert submit_job(coordinator).server_name == "ms-1"
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            RequestDistributor(policy="magic")
+    def test_an_offline_server_is_skipped_in_the_rotation(self):
+        d = RequestDistributor()
+        for i in range(3):
+            d.register_server(f"ms-{i}", f"10.0.0.{i}")
+        d.mark_offline("ms-1")
+        assert [d.select_server({}).name for _ in range(3)] == [
+            "ms-0", "ms-2", "ms-0",
+        ]
 
 
 class TestHeartbeats:

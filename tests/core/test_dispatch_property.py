@@ -1,11 +1,13 @@
 """Property tests for the request distribution protocol."""
 
+import pytest
+
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dispatch import DISPATCH_POLICIES, RequestDistributor
+from repro.core.dispatch import RequestDistributor
 from repro.core.errors import (
     NoServerAvailable,
     PriceCheckFailed,
@@ -108,13 +110,131 @@ def test_one_owner_per_job_under_any_schedule(ops):
 )
 @settings(max_examples=80, deadline=None)
 def test_least_jobs_always_picks_minimum(loads):
-    """The least loaded online server wins; ties go to the earliest
-    registered."""
+    """The least loaded online server wins; on a fresh list, with no
+    last pick to rotate from, ties go to the earliest registered."""
     d = RequestDistributor()
     for i in range(len(loads)):
         d.register_server(f"ms-{i}", f"10.0.0.{i}")
     chosen = d.select_server({f"ms-{i}": n for i, n in enumerate(loads)})
     assert chosen.name == f"ms-{loads.index(min(loads))}"
+
+
+# an open-loop arrival schedule: (seconds after the previous arrival,
+# which user arrives); fetches land on the world clock in between
+_arrivals = st.lists(
+    st.tuples(st.floats(0.0, 2.0), st.integers(0, 2)),
+    min_size=2,
+    max_size=10,
+)
+
+
+def _open_loop_deployment():
+    """Three servers, two ES peers and three initiators over one store;
+    returns the sheriff, the initiators and the store's product URLs."""
+    world = SheriffWorld.create(seed=71)
+    (store,) = build_named_stores(world, uniform_store_specs(1, seed=74)).values()
+    sheriff = PriceSheriff(
+        world, n_measurement_servers=3, ipc_sites=SMALL_IPC_SITES[:3],
+        max_fetch_workers=2, telemetry=Telemetry(),
+    )
+    for city in ("Madrid", "Barcelona"):
+        sheriff.install_addon(world.make_browser("ES", city))
+    users = [
+        sheriff.install_addon(world.make_browser("ES", "Madrid"), serve_as_ppc=False)
+        for _ in range(3)
+    ]
+    urls = [store.product_url(p.product_id) for p in store.catalog.products]
+    return sheriff, users, urls
+
+
+def _spy_on(sheriff):
+    """Record every assignment ``(load, online servers, pick)``, every
+    fetch landing ``{job_id: [world time, ...]}``, the order jobs finish
+    in and every turnaround observation ``[(seconds, server)]`` of
+    ``sheriff``."""
+    clock = sheriff.world.clock
+    distributor, engine = sheriff.distributor, sheriff.engine
+    picks, landings, finished, turnarounds = [], {}, [], []
+
+    select = distributor.select_server
+
+    def select_server(load):
+        online = [s.name for s in distributor.servers() if s.online]
+        chosen = select(load)
+        picks.append((dict(load), online, chosen.name))
+        return chosen
+
+    schedule = engine.schedule
+
+    def schedule_recorded(handle, tasks, on_done=None):
+        pool = engine.pool_for(handle.server_name)
+        submit = pool.submit
+
+        def submit_recorded(duration, landed):
+            def land():
+                landings.setdefault(handle.job_id, []).append(clock.now)
+                landed()
+            submit(duration, land)
+
+        def done_recorded():
+            finished.append(handle.job_id)
+            on_done()
+
+        pool.submit = submit_recorded
+        try:
+            schedule(handle, tasks, done_recorded)
+        finally:
+            del pool.submit
+
+    histogram = sheriff.telemetry.registry.get("sheriff_job_turnaround_seconds")
+    observe = histogram.observe
+
+    def observe_recorded(value, **labels):
+        turnarounds.append((value, labels["server"]))
+        observe(value, **labels)
+
+    distributor.select_server = select_server
+    engine.schedule = schedule_recorded
+    histogram.observe = observe_recorded
+    return picks, landings, finished, turnarounds
+
+
+@given(arrivals=_arrivals)
+@settings(max_examples=30, deadline=None)
+def test_least_jobs_over_an_open_loop_schedule(arrivals):
+    """Users arrive on their own schedule while earlier checks' fetches
+    land on the world clock.  At every assignment the chosen server's
+    pending count is the fleet minimum; when the whole fleet is idle the
+    pick is the server after the last pick (rotation); and every job's
+    turnaround is its last fetch landing minus its admission."""
+    sheriff, users, urls = _open_loop_deployment()
+    clock, loop = sheriff.world.clock, sheriff.engine.loop
+    picks, landings, finished, turnarounds = _spy_on(sheriff)
+    handles, arrival = [], 0.0
+    for i, (gap, user) in enumerate(arrivals):
+        arrival += gap
+        loop.run_until(max(clock.now, arrival))  # what lands before the user arrives
+        handles.append(users[user].submit_price_check(urls[i % len(urls)]))
+    loop.run()
+
+    names = [s.name for s in sheriff.distributor.servers()]
+    previous = None
+    for load, online, chosen in picks:
+        assert load.get(chosen, 0) == min(load.get(name, 0) for name in online)
+        if not any(load.get(name, 0) for name in names):
+            after = names.index(previous) + 1 if previous is not None else 0
+            assert chosen == names[after % len(names)]
+        previous = chosen
+
+    jobs = sheriff.coordinator.jobs
+    by_id = {h.job_id: h for h in handles}
+    assert sorted(finished) == sorted(by_id) and len(turnarounds) == len(handles)
+    for job_id, (seconds, server) in zip(finished, turnarounds):
+        handle, record = by_id[job_id], jobs[job_id]
+        assert record.completed and server == record.server_name
+        assert handle.finished_at == max(landings[handle.job_id])
+        assert seconds == pytest.approx(handle.finished_at - record.started_at)
+    assert sheriff.coordinator.load() == {}
 
 
 # a queued deployment's life: (op, server index) over 3 servers
@@ -136,9 +256,9 @@ def _collect(initiator, handle):
         return "failed"
 
 
-@given(policy=st.sampled_from(DISPATCH_POLICIES), ops=_queued_ops)
+@given(ops=_queued_ops)
 @settings(max_examples=60, deadline=None)
-def test_every_queued_check_resolves_once(policy, ops):
+def test_every_queued_check_resolves_once(ops):
     """Whatever fails over, comes back or is collected in between, every
     queued check ends once: it returns rows exactly when its record is
     completed (and only then are rows stored), or raises
@@ -149,7 +269,7 @@ def test_every_queued_check_resolves_once(policy, ops):
     urls = [store.product_url(p.product_id) for p in store.catalog.products]
     sheriff = PriceSheriff(
         world, n_measurement_servers=3, ipc_sites=SMALL_IPC_SITES[:3],
-        job_queue=True, dispatch_policy=policy, retry_budget=2,
+        job_queue=True, retry_budget=2,
         queue_steal_threshold=1, queue_depth=4,
     )
     for city in ("Madrid", "Barcelona"):

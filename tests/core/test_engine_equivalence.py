@@ -74,8 +74,9 @@ def _run(max_fetch_workers, chaos_profile=None, seed=7, page_cache_ttl=0.0, repe
     if repeat:
         urls = urls + urls
     outcomes = []
-    for url in urls:
-        world.clock.advance(60.0)
+    for k, url in enumerate(urls, 1):
+        # checks arrive on a fixed schedule, however long each one took
+        world.clock.advance_to(60.0 * k)
         try:
             result = user.check_price(url)
         except PriceCheckFailed as exc:

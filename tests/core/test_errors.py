@@ -14,7 +14,6 @@ from repro.core.errors import (
     AdmissionDenied,
     ConfigurationError,
     ConsentRequired,
-    DispatchConfigError,
     DuplicateServer,
     NoServerAvailable,
     PriceCheckFailed,
@@ -44,7 +43,6 @@ class TestHierarchy:
         [
             (ConsentRequired, RuntimeError),
             (NoServerAvailable, RuntimeError),
-            (DispatchConfigError, ValueError),
             (DuplicateServer, ValueError),
             (UnknownServer, KeyError),
             (ServerBusy, RuntimeError),
@@ -99,12 +97,6 @@ class TestStructuredFields:
 
 class TestRaisedAtTheOldCallSites:
     """The refactored modules raise the typed classes, not ad-hoc builtins."""
-
-    def test_dispatch_unknown_policy(self):
-        from repro.core.dispatch import RequestDistributor
-
-        with pytest.raises(DispatchConfigError):
-            RequestDistributor(policy="astrology")
 
     def test_dispatch_unknown_server(self):
         from repro.core.dispatch import RequestDistributor

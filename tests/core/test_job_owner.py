@@ -21,7 +21,7 @@ from .conftest import SMALL_IPC_SITES
 
 
 def _queued_deployment():
-    """Two queued round-robin servers, a steal threshold no backlog here
+    """Two queued servers, a steal threshold no backlog here
     reaches, two ES peers and one initiator; returns the world, the
     sheriff, the initiator and a store's product URLs."""
     world = SheriffWorld.create(seed=71)
@@ -31,7 +31,6 @@ def _queued_deployment():
         n_measurement_servers=2,
         ipc_sites=SMALL_IPC_SITES,
         job_queue=True,
-        dispatch_policy="round_robin",
         queue_steal_threshold=1_000,
     )
     for city in ("Madrid", "Barcelona"):
@@ -47,8 +46,8 @@ def _queued_deployment():
 def _queued_outbox():
     """Two checks queued, one per server, then ``ms-0`` fails over.
 
-    Round robin puts the first check on ``ms-0`` and the second on
-    ``ms-1``; the failure moves the first to ``ms-1`` while both still
+    Least jobs puts the first check on ``ms-0`` and the second on the
+    less loaded ``ms-1``; the failure moves the first to ``ms-1`` while both still
     wait in the outbox.
     """
     world, sheriff, initiator, urls = _queued_deployment()

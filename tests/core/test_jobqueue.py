@@ -205,12 +205,14 @@ class TestWorkStealing:
         assert record.server_name != owner
         assert _journey_spans(sheriff, "steal") == []
         # one chain: the Coordinator's retry is a stage of the same
-        # journey, each stage under the one before it
+        # journey, each stage under the one before it; the outbox dwell
+        # hangs beside the path, under the stage it followed
         spans = sheriff.journey(handle.job_id)["spans"]
         by_name = {s.name: s for s in spans}
-        chain = ["assign", "admission", "retry", "queue_wait", "dispatch"]
+        chain = ["assign", "admission", "retry", "dispatch"]
         for parent, child in zip(chain, chain[1:]):
             assert by_name[child].parent_id == by_name[parent].span_id, child
+        assert by_name["queue_wait"].parent_id == by_name["retry"].span_id
         assert by_name["retry"].attrs["server"] == record.server_name
         assert by_name["dispatch"].attrs["server"] == record.server_name
 

@@ -55,12 +55,14 @@ class TestStolenJobCausalTree:
         assert assign.parent_id is None
         (admission,) = by_name["admission"]
         assert admission.parent_id == assign.span_id
-        # the head-of-queue dwell chains under admission; the steal
-        # chains under it and *links* back to the prior owner's attempt
+        # the head-of-queue dwell hangs under admission beside the path;
+        # the steal chains under admission and *links* back to the dwell
+        # on the prior owner
         (queue_wait,) = by_name["queue_wait"]
         assert queue_wait.parent_id == admission.span_id
         (steal,) = by_name["steal"]
-        assert steal.parent_id == queue_wait.span_id
+        assert steal.parent_id == admission.span_id
+        assert steal.links == [(job_id, queue_wait.span_id)]
         assert steal.attrs["reason"] == "imbalance"
         assert steal.attrs["src"] != steal.attrs["dst"]
         assert steal.links
@@ -93,6 +95,23 @@ class TestStolenJobCausalTree:
         assert journey["ticket"]["completed"] is True
         # the ticket's terminal owner is the steal's destination
         assert journey["ticket"]["server_name"] == steal.attrs["dst"]
+
+    def test_every_span_lies_inside_its_parent(self, run):
+        """One clock: in every job's tree (``repro journey`` renders
+        job-1 by default, and job-4 on request) each span starts and
+        ends within its parent — a journey stage covers the stages
+        after it, the dispatch its fan-out."""
+        tracer = run.sheriff.telemetry.tracer
+        assert {"job-1", "job-4"} <= set(run.job_ids)
+        for job_id in run.job_ids:
+            spans = tracer.spans_for(job_id)
+            by_id = _span_index(spans)
+            nested = [s for s in spans if s.parent_id in by_id]
+            assert len(nested) == len(spans) - 1, job_id  # one root
+            for span in nested:
+                parent = by_id[span.parent_id]
+                assert parent.start <= span.start, (job_id, span.name)
+                assert span.end <= parent.end, (job_id, span.name)
 
     def test_queue_wait_sits_between_admission_and_dispatch(self, run):
         """Every job's ``queue_wait`` is stamped on the clock its other

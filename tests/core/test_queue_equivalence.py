@@ -33,7 +33,6 @@ def _run(backend, job_queue, disrupt=False):
         world,
         n_measurement_servers=2,
         ipc_sites=SMALL_IPC_SITES,
-        dispatch_policy="round_robin",
         db_backend=backend,
         job_queue=job_queue,
         queue_steal_threshold=1 if disrupt else 16,
@@ -55,7 +54,7 @@ def _run(backend, job_queue, disrupt=False):
 
     outcomes = []
     index = 0
-    for _ in range(3):
+    for wave_no in range(3):
         if disrupt and job_queue:
             # pile the wave onto ms-0, then resurrect ms-1 before the
             # drain so imbalance steals actually fire
@@ -77,7 +76,8 @@ def _run(backend, job_queue, disrupt=False):
                     tuple(tuple(sorted(vars(row).items())) for row in result.rows),
                 )
             )
-        world.clock.advance(3600.0)
+        # waves arrive on a fixed schedule, however long each one took
+        world.clock.advance_to(3600.0 * (wave_no + 1))
 
     rows = [
         tuple(sorted((k, v) for k, v in row.items() if k != "_id"))

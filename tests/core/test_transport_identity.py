@@ -25,7 +25,6 @@ def run_workload(transport, db_backend, n_checks=3):
         world,
         n_measurement_servers=2,
         ipc_sites=DEFAULT_IPC_SITES[:6],
-        dispatch_policy="round_robin",
         transport=transport,
         db_backend=db_backend,
     )
@@ -38,6 +37,8 @@ def run_workload(transport, db_backend, n_checks=3):
         for product in store.catalog.products:
             urls.append(store.product_url(product.product_id))
     for i in range(n_checks):
+        # checks arrive on a fixed schedule, one a minute
+        world.clock.advance_to(60.0 * i)
         addon = addons[i % len(addons)]
         pending = addon.submit_price_check(urls[i % len(urls)])
         addon.collect(pending)

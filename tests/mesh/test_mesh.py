@@ -87,7 +87,6 @@ class TestWorkerSpec:
         spec = WorkerSpec()
         assert spec.n_measurement_servers == 2
         assert spec.ipc_sites == DEFAULT_IPC_SITES[:10]
-        assert spec.dispatch_policy == "round_robin"
         assert spec.max_fetch_workers == 16
         assert spec.page_cache_ttl == 30.0
 

@@ -66,16 +66,8 @@ class TestEventLoop:
         loop.run_until(5.0)
         assert seen == ["early"]
         assert loop.clock.now == 5.0
-        assert loop.pending == 1
-
-    def test_cancel(self):
-        loop = EventLoop()
-        seen = []
-        handle = loop.call_at(1.0, lambda: seen.append("x"))
-        handle.cancel()
         loop.run()
-        assert seen == []
-        assert handle.cancelled
+        assert seen == ["early", "late"]
 
     def test_cannot_schedule_in_past(self):
         loop = EventLoop(Clock(10.0))
@@ -102,14 +94,6 @@ class TestEventLoop:
         assert seen == ["first", "second"]
         assert loop.clock.now == 2.0
 
-    def test_processed_counter(self):
-        loop = EventLoop()
-        for t in (1.0, 2.0):
-            loop.call_at(t, lambda: None)
-        loop.run()
-        assert loop.processed == 2
-
-
 class TestRunUntilDeadlineBoundary:
     def test_event_exactly_at_deadline_executes(self):
         loop = EventLoop()
@@ -118,7 +102,7 @@ class TestRunUntilDeadlineBoundary:
         loop.run_until(5.0)
         assert seen == ["edge"]
         assert loop.clock.now == 5.0
-        assert loop.pending == 0
+        assert loop.step() is False
 
     def test_event_just_past_deadline_waits(self):
         loop = EventLoop()
@@ -127,7 +111,6 @@ class TestRunUntilDeadlineBoundary:
         loop.run_until(5.0)
         assert seen == []
         assert loop.clock.now == 5.0
-        assert loop.pending == 1
         loop.run_until(6.0)
         assert seen == ["late"]
         assert loop.clock.now == 6.0
@@ -143,18 +126,6 @@ class TestRunUntilDeadlineBoundary:
         loop.call_at(5.0, first)
         loop.run_until(5.0)
         assert seen == ["first", "chained"]
-
-    def test_cancelled_head_does_not_pull_late_events(self):
-        loop = EventLoop()
-        seen = []
-        handle = loop.call_at(1.0, lambda: seen.append("cancelled"))
-        loop.call_at(10.0, lambda: seen.append("late"))
-        handle.cancel()
-        loop.run_until(5.0)
-        assert seen == []
-        assert loop.clock.now == 5.0
-        assert loop.pending == 1
-
 
 class TestStepAndPeek:
     def test_step_executes_exactly_one_event(self):
@@ -174,12 +145,23 @@ class TestStepAndPeek:
         assert loop.step() is False
         assert loop.clock.now == 3.0
 
-    def test_peek_next_skips_cancelled_events(self):
+    def test_an_overdue_event_lands_at_the_current_time(self):
+        """The clock is shared: a direct advance past a pending event
+        lands it at ``now``, never rewinding the clock."""
         loop = EventLoop()
-        handle = loop.call_at(1.0, lambda: None)
-        loop.call_at(4.0, lambda: None)
-        assert loop.peek_next() == 1.0
-        handle.cancel()
-        assert loop.peek_next() == 4.0
+        landed = []
+        loop.call_at(1.0, lambda: landed.append(loop.clock.now))
+        loop.call_at(9.0, lambda: landed.append(loop.clock.now))
+        loop.clock.advance(5.0)
         loop.run()
-        assert loop.peek_next() is None
+        assert landed == [5.0, 9.0]
+        assert loop.clock.now == 9.0
+
+    def test_run_until_lands_overdue_events_at_the_current_time(self):
+        loop = EventLoop()
+        landed = []
+        loop.call_at(1.0, lambda: landed.append(loop.clock.now))
+        loop.clock.advance_to(3.0)
+        loop.run_until(2.0)
+        assert landed == [3.0]
+        assert loop.clock.now == 3.0

@@ -26,7 +26,7 @@ def test_a_detached_server_leaves_every_gauge_and_its_pool_goes():
     world = _build_world(seed=7)
     sheriff = PriceSheriff(
         world, n_measurement_servers=1, ipc_sites=SMALL_IPC_SITES,
-        job_queue=True, dispatch_policy="round_robin", telemetry=Telemetry(),
+        job_queue=True, telemetry=Telemetry(),
     )
     try:
         sheriff.add_measurement_server("ms-9")

@@ -22,7 +22,6 @@ FAMILIES: Tuple[Tuple[str, str], ...] = (
     ("sheriff_db_queries_total", "counter"),
     ("sheriff_dispatch_jobs_total", "counter"),
     ("sheriff_dispatch_offline_events_total", "counter"),
-    ("sheriff_engine_clock_seconds", "gauge"),
     ("sheriff_engine_jobs_completed_total", "counter"),
     ("sheriff_engine_jobs_submitted_total", "counter"),
     ("sheriff_engine_queue_depth", "gauge"),
@@ -65,4 +64,4 @@ def test_the_metrics_drill_exposes_exactly_these_families(tmp_path, capsys):
     out = tmp_path / "metrics.prom"
     assert main(["metrics", "--requests", "24", "--out", str(out)]) == 0
     assert families(out.read_text()) == list(FAMILIES)
-    assert len(FAMILIES) == 33
+    assert len(FAMILIES) == 32

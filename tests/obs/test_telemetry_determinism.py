@@ -60,8 +60,9 @@ def _run(telemetry, max_fetch_workers=8, chaos_profile="chaos_monkey", seed=7):
         store.product_url(p.product_id) for p in store.catalog.products[:N_CHECKS]
     ]
     outcomes = []
-    for url in urls:
-        world.clock.advance(60.0)
+    for k, url in enumerate(urls, 1):
+        # checks arrive on a fixed schedule, however long each one took
+        world.clock.advance_to(60.0 * k)
         try:
             result = user.check_price(url)
         except PriceCheckFailed as exc:

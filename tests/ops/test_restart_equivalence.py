@@ -97,8 +97,9 @@ def _run(backend, faults=None, supervised=False):
         for p in store.catalog.products[:N_CHECKS]
     ]
     outcomes = []
-    for url in urls:
-        world.clock.advance(60.0)
+    for k, url in enumerate(urls, 1):
+        # checks arrive on a fixed schedule, however long each one took
+        world.clock.advance_to(60.0 * k)
         if supervisor is not None:
             sheriff.coordinator.chaos_tick()
             supervisor.tick()

@@ -1,13 +1,15 @@
 """Tests for the live deployment driver and the Fig. 5 adoption model."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
 from repro.analysis.pricediff import domains_with_difference
-from repro.core.detector import analyze_rows
+from repro.core.detector import analyze_rows, differs, relative_spread
 from repro.core.errors import InvalidConfig
 from repro.web.pricing import UniformPricing
+from repro.web.store import EStore
 from repro.workloads.deployment import (
     DeploymentConfig,
     LiveDeployment,
@@ -134,6 +136,43 @@ class TestVerdictAgainstSeededTruth:
             repriced = countries & set(pricing.country_multipliers)
             why = "product not covered" if repriced else "no vantage in a repriced country"
             assert why == self.WHY_MISSED[result.domain], result.url
+
+
+class TestVerdictPerCheckAgainstTheStoresQuotes:
+    """Each check's yes/no verdict against what the stores charged for
+    it: a recorder around :meth:`EStore.fetch` keeps the oracle
+    ``quote.amount_eur`` of every product page served, grouped by check
+    (the fetches of one check share its URL and its fan-out instant),
+    and the add-on must find a difference exactly when those quotes
+    differ by the detector's own rule."""
+
+    @pytest.fixture(scope="class")
+    def checked(self):
+        quotes = defaultdict(list)
+        fetch = EStore.fetch
+
+        def recorded(store, path, ctx):
+            response = fetch(store, path, ctx)
+            if response.quote is not None:
+                quotes[(response.url, ctx.time)].append(response.quote.amount_eur)
+            return response
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EStore, "fetch", recorded)
+            dataset = LiveDeployment(DeploymentConfig.test_scale()).run()
+        return dataset, quotes
+
+    def test_every_verdict_matches_the_quotes(self, checked):
+        dataset, quotes = checked
+        assert len(dataset.results) >= 70
+        for result in dataset.results:
+            charged = quotes[(result.url, result.time)]
+            assert len(charged) >= len(result.rows), result.job_id
+            assert result.has_price_difference() == differs(
+                relative_spread(charged)
+            ), result.job_id
+        # both verdicts occur, so the comparison is not vacuous
+        assert {r.has_price_difference() for r in dataset.results} == {True, False}
 
 
 class TestConfigs:
