@@ -39,9 +39,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".core.sheriff": ["PriceSheriff", "Sheriff", "SheriffWorld"],
     ".core.config": ["SheriffConfig"],
     ".core.addon": ["SheriffAddon"],
-    # job lifecycle: a price check is the JobHandle its entry point (a
-    # MeasurementServer, or the QueuedMeasurementTier) returns
-    ".core.engine": ["JobHandle", "PriceCheckEngine"],
+    # job lifecycle: a price check is the Coordinator's JobRecord, which
+    # its entry point (a MeasurementServer, or the QueuedMeasurementTier)
+    # returns
+    ".core.coordinator": ["JobRecord"],
+    ".core.engine": ["PriceCheckEngine"],
     ".core.measurement": ["MeasurementServer", "PriceCheckJob"],
     ".core.jobqueue": ["QueuedMeasurementTier"],
     ".core.errors": ["QueueSaturated", "InvalidConfig"],

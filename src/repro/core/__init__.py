@@ -10,7 +10,8 @@
 * :mod:`repro.core.dispatch` — the price check request distribution
   protocol (Sect. 3.4);
 * :mod:`repro.core.coordinator` / :mod:`repro.core.aggregator` — the two
-  non-colluding back-end roles;
+  non-colluding back-end roles (the Coordinator mints the
+  :class:`JobRecord` a price check is);
 * :mod:`repro.core.measurement` — the Measurement server;
 * :mod:`repro.core.addon` — the browser add-on (View, Collector, Peer
   handler, Sandbox, Controller modules);
@@ -18,9 +19,9 @@
 * :mod:`repro.core.detector` — price-variation classification;
 * :mod:`repro.core.monitoring` — the Figs. 7/16 monitoring panels;
 * :mod:`repro.core.engine` — the pipelined price-check engine (worker
-  pools, page cache, and the :class:`JobHandle` a price check is);
+  pools and page cache);
 * :mod:`repro.core.jobqueue` — the queued measurement tier, the other
-  entry point a handle comes from;
+  entry point that returns a job's record;
 * :mod:`repro.core.errors` — the typed :class:`SheriffError` hierarchy;
 * :mod:`repro.core.config` — :class:`SheriffConfig`, the one declaration
   of every deployment knob;
@@ -31,14 +32,14 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".errors": ["SheriffError"],
-    ".engine": ["JobHandle", "PageCache", "PriceCheckEngine"],
+    ".engine": ["PageCache", "PriceCheckEngine"],
     ".tagspath": ["TagsPath", "extract_price_text", "select_tags_path"],
     ".whitelist": ["Whitelist"],
     ".database": ["DatabaseServer"],
     ".diffstorage": ["DiffStorage"],
     ".dispatch": ["NoServerAvailable", "RequestDistributor", "ServerRecord"],
     ".pricecheck": ["PriceCheckResult", "ResultRow"],
-    ".coordinator": ["Coordinator", "RequestRejected"],
+    ".coordinator": ["Coordinator", "JobRecord", "RequestRejected"],
     ".aggregator": ["Aggregator"],
     ".measurement": ["MeasurementServer", "PriceCheckJob"],
     ".addon": ["SheriffAddon"],

@@ -41,8 +41,7 @@ from repro.core.errors import (
     PriceCheckFailed,
     PriceSelectionError,
 )
-from repro.core.engine import JobHandle
-from repro.core.measurement import PriceCheckJob, QuorumNotMet
+from repro.core.measurement import PriceCheckJob
 from repro.core.pricecheck import PriceCheckResult
 from repro.core.tagspath import PageElement, TagsPath, select_tags_path
 from repro.currency.detect import detect_price
@@ -155,10 +154,10 @@ class SheriffAddon:
 
     def submit_price_check(
         self, url: str, requested_currency: str = "EUR"
-    ) -> JobHandle:
+    ) -> JobRecord:
         """Steps 1–3 of Fig. 1: admission, navigation, job submission.
 
-        Returns the job's :class:`JobHandle` — fetches in flight on the
+        Returns the job's :class:`JobRecord` — fetches in flight on the
         engine's simulated timeline, or queued in the queue tier's
         outbox; pass it to :meth:`collect` (or poll the entry point
         directly) for the rows.  The navigation to the product page is
@@ -198,22 +197,20 @@ class SheriffAddon:
         )
         return self._send_job(job, record)  # steps 3.1–3.2, with failover
 
-    def collect(self, handle: JobHandle) -> PriceCheckResult:
+    def collect(self, record: JobRecord) -> PriceCheckResult:
         """Steps 4–5: wait for the job's terminal state, return the result.
 
-        The job's entry point is looked up by the handle's server name.
-        A job that degraded below the result quorum raises
-        :class:`PriceCheckFailed` — the server already reported it
-        failed to the Coordinator.
+        The job's entry point is looked up by the record's server name.
+        A job reported failed — below the result quorum, failed over
+        past its retry budget, or dropped from the queue tier's outbox —
+        raises :class:`PriceCheckFailed` with the record's
+        ``failure_reason``.
         """
-        try:
-            result = self._measurement_lookup(handle.server_name).result(handle)
-        except QuorumNotMet as exc:
-            raise PriceCheckFailed(handle.job_id, str(exc)) from exc
+        result = self._measurement_lookup(record.server_name).result(record)
         self.checks_initiated += 1
         return result
 
-    def _send_job(self, job: PriceCheckJob, record: JobRecord) -> JobHandle:
+    def _send_job(self, job: PriceCheckJob, record: JobRecord) -> JobRecord:
         """Submit the job, failing over dead Measurement servers.
 
         Each attempt may find the assigned server dark (missed

@@ -7,9 +7,11 @@ check request it:
    blacklist), logging rejected requests for manual inspection;
 2. mints a globally unique job ID and assigns the job to the online
    Measurement server with the fewest pending jobs (Fig. 6).  The job's
-   :class:`JobRecord` is the one record of which server holds it and
-   how far its journey has got: a failover or a steal is one assignment
-   to ``record.server_name``, and a server's load is the number of
+   :class:`JobRecord` is the price check itself — what the entry point
+   that admits it returns, and the one record of which server holds it,
+   where its lifecycle and journey are, and its rows until they are
+   collected: a failover or a steal is one assignment to
+   ``record.server_name``, and a server's load is the number of
    unresolved records that name it;
 3. hands the selected Measurement server the list of PPCs residing in
    the initiator's location (step 1.1 of Fig. 1) — same city first,
@@ -27,7 +29,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.dispatch import NoServerAvailable, RequestDistributor
 from repro.core.errors import (
@@ -56,33 +58,68 @@ __all__ = [
 ]
 
 
-@dataclass
+#: the lifecycle of a job, the one field ``JobRecord.state`` holds:
+#: admitted and assigned (``pending``: not yet fanned out, or waiting in
+#: the queue tier's outbox), fanned out with its rows stored
+#: (``running``: only the completion report, due when the last fetch
+#: lands, is outstanding), then ``completed`` or ``failed``
+PENDING = "pending"
+RUNNING = "running"
+COMPLETED = "completed"
+FAILED = "failed"
+
+
+@dataclass(slots=True)
 class JobRecord:
+    """One price check, from admission to collection.
+
+    The Coordinator mints it in :meth:`Coordinator.new_request`; the
+    entry point that admits the job (a Measurement server, or the queue
+    tier) returns it from ``submit``, and ``poll``/``result`` take it.
+    """
+
     job_id: str
     peer_id: str
     url: str
     domain: str
     server_name: str
-    completed: bool = False
+    state: str = PENDING
     #: how many servers this job has been assigned to (1 = no failover)
     attempts: int = 1
-    failed: bool = False
     failure_reason: Optional[str] = None
-    #: its server ran the fan-out and stored the rows; only the
-    #: completion report, due when the last fetch lands, is outstanding
-    running: bool = False
     #: world-clock time the request was admitted (telemetry: the
-    #: assign→complete turnaround histogram measures from here)
+    #: assign→complete turnaround and the queue wait measure from here)
     started_at: float = 0.0
-    #: the job's latest journey span (assign, retry, or a queue-tier
-    #: stage); the next stage chains under it.  ``None`` with tracing
-    #: off and once the job is resolved.
+    #: the job's latest journey span (assign, retry, a queue-tier stage,
+    #: or the fan-out); the next stage chains under it.  ``None`` with
+    #: tracing off and once the job is resolved.
     journey: Optional[Span] = None
+    #: what the add-on sent (a ``PriceCheckJob``), held only while the
+    #: job waits in the queue tier's outbox
+    job: Any = None
+    #: the fan-out's ``PriceCheckResult``, held from the fan-out until
+    #: the job is collected
+    result: Any = None
+    #: rows whose fetch has landed on the timeline / rows already handed
+    #: out by progressive polls
+    rows_arrived: int = 0
+    rows_delivered: int = 0
+    #: 'request finish' (or the job's failure) was handed out: a further
+    #: poll raises :class:`UnknownJob`
+    closed: bool = False
+
+    @property
+    def completed(self) -> bool:
+        return self.state == COMPLETED
+
+    @property
+    def failed(self) -> bool:
+        return self.state == FAILED
 
     @property
     def resolved(self) -> bool:
         """Terminal: either completed or explicitly reported failed."""
-        return self.completed or self.failed
+        return self.state in (COMPLETED, FAILED)
 
 
 class Coordinator:
@@ -319,7 +356,7 @@ class Coordinator:
         record = self._record(job_id)
         if record.resolved:
             return
-        record.completed = True
+        record.state = COMPLETED
         self._resolve(record, "completed")
         self._m_turnaround.observe(
             self.clock.now - record.started_at, server=record.server_name
@@ -366,7 +403,7 @@ class Coordinator:
         """
         for job_id in self.jobs_on(server_name):
             record = self.jobs[job_id]
-            if record.running:
+            if record.state == RUNNING:
                 continue
             try:
                 if record.attempts >= self.retry_budget:
@@ -431,7 +468,7 @@ class Coordinator:
         record = self._record(job_id)
         if record.resolved:
             return
-        record.failed = True
+        record.state = FAILED
         record.failure_reason = reason
         self._resolve(record, "failed")
         self.jobs_failed += 1

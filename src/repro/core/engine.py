@@ -12,13 +12,14 @@ concurrency model on top of the Measurement server's fan-out:
   is the "same time" of Sect. 3.2; the world clock then advances as
   the fetches land, and the job is reported complete to the
   Coordinator when its last fetch lands;
-* a :class:`JobHandle` is the one object a price check is: the entry
-  point that admits the job (a Measurement server, or the queue tier)
-  returns it, and :meth:`PriceCheckEngine.submit` places that same
-  handle on the timeline.  It tracks which rows have *landed* in
-  simulated time and which were already delivered to the add-on's
-  progressive AJAX polls, and the engine is the only place that
-  advances it;
+* a price check is the Coordinator's
+  :class:`~repro.core.coordinator.JobRecord`: the entry point that
+  admits the job (a Measurement server, or the queue tier) returns it,
+  and :meth:`PriceCheckEngine.submit` places its fetches on the
+  timeline.  The engine is the only place that advances the record's
+  ``rows_arrived`` (rows *landed* in simulated time) and
+  ``rows_delivered`` (rows the add-on's progressive AJAX polls took),
+  and ``result`` hands out the record's result and drops it;
 * a short-TTL :class:`PageCache` keyed by ``(url, vantage,
   client-state)`` lets simultaneous checks of the same product reuse a
   just-fetched page instead of re-fetching it — and, since everything
@@ -38,87 +39,35 @@ only decides *when* each fetch lands on the simulated timeline.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.errors import UnknownJob
+from repro.core.errors import PriceCheckFailed, UnknownJob
 from repro.core.pricecheck import PriceCheckResult
 from repro.net.events import EventLoop
 from repro.obs import NULL_TELEMETRY
 
+if TYPE_CHECKING:  # the engine runs records; it needs no Coordinator
+    from repro.core.coordinator import JobRecord
+
 __all__ = [
     "CachedPage",
-    "JobHandle",
+    "FetchTask",
     "PageCache",
     "PriceCheckEngine",
     "WorkerPool",
 ]
 
+#: one fetch a job attempted: (simulated duration, produced a row,
+#: vantage kind, proxy id, page-cache hit — ``None`` unless an IPC page
+#: arrived).  The last three only label the fetch's span.
+FetchTask = Tuple[float, bool, str, str, Optional[bool]]
+
 #: rows handed out per progressive poll (the AJAX page-size)
 POLL_BATCH_ROWS = 8
-
-#: lifecycle states of a JobHandle (``queued``: waiting in the queue
-#: tier's outbox, not yet fanned out)
-QUEUED = "queued"
-PENDING = "pending"
-RUNNING = "running"
-DONE = "done"
-FAILED = "failed"
 
 #: simulated cost of serving a page out of the cache (a local lookup,
 #: no network round trip)
 CACHE_HIT_SECONDS = 0.005
-
-
-class JobHandle:
-    """A price check: what its entry point's ``submit`` returns.
-
-    The handle owns everything the caller may ask about a job: its
-    terminal result or error, how far the simulated fan-out has
-    progressed (``rows_arrived``), how many rows the progressive polls
-    already handed out (``rows_delivered``), and whether the 'request
-    finish' reply (or the job's error) was delivered (``closed``) —
-    after which the job is gone and a further poll raises
-    :class:`UnknownJob`.
-    """
-
-    def __init__(self, job_id: str, server_name: str, state: str = PENDING) -> None:
-        self.job_id = job_id
-        #: the Measurement server that owns (or ran) the job
-        self.server_name = server_name
-        self.state = state
-        #: sum of the simulated durations of every fetch this job made —
-        #: the job's cost on a one-fetch-at-a-time (serial) backend
-        self.service_seconds = 0.0
-        #: world-clock time the job was placed on the engine / its last
-        #: fetch landed
-        self.submitted_at = 0.0
-        self.finished_at: Optional[float] = None
-        self.error: Optional[BaseException] = None
-        self._result: Optional[PriceCheckResult] = None
-        #: rows whose fetch has landed on the simulated timeline
-        self.rows_arrived = 0
-        #: rows already handed to the caller through poll()
-        self.rows_delivered = 0
-        #: 'request finish' (or the job's error) was handed out
-        self.closed = False
-
-    @property
-    def finished(self) -> bool:
-        return self.state in (DONE, FAILED)
-
-    @property
-    def total_rows(self) -> int:
-        return len(self._result.rows) if self._result is not None else 0
-
-    @property
-    def result(self) -> Optional[PriceCheckResult]:
-        return self._result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"JobHandle({self.job_id!r}, server={self.server_name!r}, "
-            f"state={self.state!r}, rows={self.rows_arrived}/{self.total_rows})"
-        )
 
 
 class WorkerPool:
@@ -135,7 +84,7 @@ class WorkerPool:
         self.loop = loop
         self.size = size
         self._busy = 0
-        self._waiting: Deque[Tuple[float, Callable[[], None]]] = deque()
+        self._waiting: Deque[Tuple[float, Callable[[float], None]]] = deque()
         self.peak_busy = 0
         self.tasks_run = 0
         #: the Measurement server the pool works for
@@ -149,7 +98,9 @@ class WorkerPool:
     def queued(self) -> int:
         return len(self._waiting)
 
-    def submit(self, duration: float, on_done: Callable[[], None]) -> None:
+    def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
+        """Queue one task; when it lands, ``on_done`` runs with the
+        instant a worker took it."""
         self._waiting.append((duration, on_done))
         self._drain()
 
@@ -158,14 +109,15 @@ class WorkerPool:
             duration, on_done = self._waiting.popleft()
             self._busy += 1
             self.peak_busy = max(self.peak_busy, self._busy)
+            taken = self.loop.clock.now
 
-            def fire(cb: Callable[[], None] = on_done) -> None:
+            def fire(cb: Callable[[float], None] = on_done, taken: float = taken) -> None:
                 self._busy -= 1
                 self.tasks_run += 1
-                cb()
+                cb(taken)
                 self._drain()
 
-            self.loop.call_later(duration, fire)
+            self.loop.call_at(taken + duration, fire)
 
 
 class CachedPage:
@@ -273,7 +225,7 @@ class PriceCheckEngine:
         self.max_workers = max_workers
         self.cache = cache if cache is not None else PageCache(ttl=0.0)
         self._pools: Dict[str, WorkerPool] = {}
-        self.jobs_scheduled = 0
+        self.tracer = telemetry.tracer
         registry = telemetry.registry
         self._m_submitted = registry.counter(
             "sheriff_engine_jobs_submitted_total",
@@ -320,141 +272,126 @@ class PriceCheckEngine:
     # -- the job lifecycle (submit → poll → result) -----------------------
     def submit(
         self,
-        handle: JobHandle,
-        tasks: List[Tuple[float, bool]],
-        result: Optional[PriceCheckResult] = None,
-        error: Optional[BaseException] = None,
+        record: JobRecord,
+        tasks: List[FetchTask],
         on_done: Optional[Callable[[], None]] = None,
-    ) -> JobHandle:
-        """Place one executed fan-out on the timeline, in ``handle``.
+    ) -> JobRecord:
+        """Put one executed fan-out's fetch timeline on the loop.
 
-        ``tasks`` is the fan-out's fetch timeline (see :meth:`schedule`);
-        exactly one of ``result``/``error`` is its outcome.  A job that
-        arrived with an error is terminal immediately — no worker time
-        is spent on a fan-out that already failed.  ``on_done`` runs
-        when a job without error lands its last fetch.
+        ``tasks`` carries one :data:`FetchTask` per fetch the job
+        attempted, in canonical order (the initiator's own page is first
+        and costs nothing — it arrived with the request; a failed fetch
+        occupies a worker for its timeout but lands no row).
+        ``record.rows_arrived`` counts the row-producing tasks as they
+        land, and the last task — row or not — runs ``on_done`` (the
+        completion report).  With tracing on, each task is recorded as a
+        ``fetch`` span under the job's fan-out span when it lands,
+        starting at the instant a worker took it.  A fan-out that failed
+        (its record is failed) is terminal already: no worker time is
+        spent on it.
         """
-        handle._result = result
-        handle.error = error
-        handle.service_seconds = sum(d for d, _ in tasks)
-        if error is not None:
-            handle.rows_arrived = handle.total_rows
-            handle.state = FAILED
-            return handle
-        self.schedule(handle, tasks, on_done)
-        return handle
+        if record.failed:
+            return record
+        server = record.server_name
+        self._m_submitted.inc(server=server)
+        pool = self.pool_for(server)
+        submitted = self.now
+        remaining = len(tasks)
+        root = record.journey  # the fan-out's span; None with tracing off
+
+        def landed(ok: bool) -> None:
+            nonlocal remaining
+            if ok:
+                record.rows_arrived += 1
+            remaining -= 1
+            if remaining == 0:
+                self._m_completed.inc(server=server, state="done")
+                self._m_latency.observe(self.now - submitted, server=server)
+                if on_done is not None:
+                    on_done()
+
+        if root is None:
+            for duration, ok, _vantage, _proxy, _hit in tasks:
+                pool.submit(duration, lambda _taken, ok=ok: landed(ok))
+            return record
+
+        def traced(taken: float, task: FetchTask) -> None:
+            _, ok, vantage, proxy_id, cache_hit = task
+            attrs = {} if cache_hit is None else {"cache_hit": cache_hit}
+            self.tracer.record(
+                "fetch", trace_id=record.job_id, parent_id=root.span_id,
+                start=taken, vantage=vantage, proxy_id=proxy_id, ok=ok,
+                **attrs,
+            )
+            landed(ok)
+
+        for task in tasks:
+            pool.submit(task[0], lambda taken, task=task: traced(taken, task))
+        return record
 
     @staticmethod
-    def _open(handle: JobHandle) -> None:
-        if handle.closed:
-            raise UnknownJob(f"unknown or finished job {handle.job_id!r}")
+    def _open(record: JobRecord) -> None:
+        if record.closed:
+            raise UnknownJob(f"unknown or finished job {record.job_id!r}")
 
-    def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
+    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
         """One progressive poll: (rows landed since last poll, finished).
 
         Pumps the loop just far enough for something new to land, then
         hands out at most :data:`POLL_BATCH_ROWS` rows in canonical
-        order.  Raises the job's error if it ended in a failure report.
-        The finishing poll (or the error) closes the handle.
+        order.  Raises :class:`PriceCheckFailed` if the job's record is
+        failed.  The finishing poll (or the failure) closes the record,
+        and the finishing poll drops its result.
         """
-        self._open(handle)
-        if handle.error is not None:
-            handle.closed = True
-            raise handle.error
-        if not handle.finished:
-            self.pump(handle)
-        available = handle.rows_arrived - handle.rows_delivered
-        batch = handle._result.rows[
-            handle.rows_delivered:
-            handle.rows_delivered + min(POLL_BATCH_ROWS, available)
-        ] if handle._result is not None else []
-        handle.rows_delivered += len(batch)
-        finished = handle.finished and handle.rows_delivered >= handle.total_rows
-        handle.closed = finished
-        return list(batch), finished
+        self._open(record)
+        if not record.resolved:
+            self.pump(record)
+        if record.failed:
+            record.closed = True
+            raise PriceCheckFailed(record.job_id, record.failure_reason)
+        rows = record.result.rows
+        delivered = record.rows_delivered
+        batch = rows[delivered:delivered + min(
+            POLL_BATCH_ROWS, record.rows_arrived - delivered)]
+        record.rows_delivered += len(batch)
+        if record.completed and record.rows_delivered >= len(rows):
+            record.closed = True
+            record.result = None
+            return list(batch), True
+        return list(batch), False
 
-    def result(self, handle: JobHandle) -> Optional[PriceCheckResult]:
-        """Drive the handle to its terminal state; return (or raise) it.
+    def result(self, record: JobRecord) -> PriceCheckResult:
+        """Drive the job to its terminal state; return (or raise) it.
 
-        Either way the handle is closed.
+        Either way the record is closed, and it no longer holds the
+        result.
         """
-        self._open(handle)
-        handle.closed = True
-        self.drive(handle)
-        handle.rows_delivered = handle.total_rows
-        if handle.error is not None:
-            raise handle.error
-        return handle._result
-
-    # -- scheduling ------------------------------------------------------
-    def schedule(
-        self,
-        handle: JobHandle,
-        tasks: List[Tuple[float, bool]],
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Put one job's fetch timeline on the loop.
-
-        ``tasks`` carries one ``(duration, produced_row)`` entry per
-        fetch the job attempted, in canonical order (the initiator's
-        own page is first and costs nothing — it arrived with the
-        request; a failed fetch occupies a worker for its timeout but
-        lands no row).  ``rows_arrived`` counts the row-producing tasks
-        as they complete the worker pool, and the last task — row or
-        not — marks the handle finished and runs ``on_done``.
-        """
-        handle.submitted_at = self.now
-        handle.state = RUNNING
-        self.jobs_scheduled += 1
-        self._m_submitted.inc(server=handle.server_name)
-        pool = self.pool_for(handle.server_name)
-        remaining = len(tasks)
-        if remaining == 0:
-            self._finish(handle, on_done)
-            return
-
-        def landed(is_row: bool) -> None:
-            nonlocal remaining
-            if is_row:
-                handle.rows_arrived += 1
-            remaining -= 1
-            if remaining == 0:
-                self._finish(handle, on_done)
-
-        for duration, is_row in tasks:
-            pool.submit(duration, lambda r=is_row: landed(r))
-
-    def _finish(
-        self, handle: JobHandle, on_done: Optional[Callable[[], None]]
-    ) -> None:
-        handle.finished_at = self.now
-        handle.state = FAILED if handle.error is not None else DONE
-        self._m_completed.inc(server=handle.server_name, state=handle.state)
-        self._m_latency.observe(
-            handle.finished_at - handle.submitted_at,
-            server=handle.server_name,
-        )
-        if on_done is not None:
-            on_done()
+        self._open(record)
+        record.closed = True
+        self.drive(record)
+        if record.failed:
+            raise PriceCheckFailed(record.job_id, record.failure_reason)
+        result, record.result = record.result, None
+        return result
 
     # -- pumping ---------------------------------------------------------
-    def pump(self, handle: JobHandle) -> None:
-        """Advance simulated time until the handle has something new.
+    def pump(self, record: JobRecord) -> None:
+        """Advance simulated time until the job has something new.
 
         Steps the loop until at least one undelivered row has arrived
         or the job reached a terminal state — the discrete-event
         equivalent of one AJAX poll blocking briefly on the server.
         """
         while (
-            not handle.finished
-            and handle.rows_arrived <= handle.rows_delivered
+            not record.resolved
+            and record.rows_arrived <= record.rows_delivered
         ):
             if not self.loop.step():
                 break
 
-    def drive(self, handle: JobHandle) -> None:
-        """Advance simulated time until the handle is terminal."""
-        while not handle.finished:
+    def drive(self, record: JobRecord) -> None:
+        """Advance simulated time until the job is terminal."""
+        while not record.resolved:
             if not self.loop.step():
                 break
 

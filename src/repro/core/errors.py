@@ -8,10 +8,8 @@ messages::
         result = addon.check_price(url)
     except AdmissionDenied:
         ...  # whitelist / PII blacklist said no — nothing was fetched
-    except QuorumNotMet:
-        ...  # too few vantage points; the job was explicitly failed
-    except RetryExhausted:
-        ...  # every Measurement server assignment burned out
+    except PriceCheckFailed as exc:
+        ...  # the job was reported failed; exc.reason says why
     except SheriffError:
         ...  # anything else the system reports
 
@@ -79,7 +77,7 @@ class ServerBusy(SheriffError, RuntimeError):
 # -- the job lifecycle ------------------------------------------------------
 
 class UnknownJob(SheriffError, KeyError):
-    """The job ID (or handle) does not name a live job.
+    """The job ID (or record) does not name a live job.
 
     Raised by ``poll``/``result`` after the 'request finish' response
     (the job is gone) and by the Coordinator for IDs it never minted.
@@ -99,19 +97,6 @@ class RetryExhausted(SheriffError, RuntimeError):
 
 #: legacy name, kept importable from :mod:`repro.core.coordinator`
 RetryBudgetExhausted = RetryExhausted
-
-
-class QuorumNotMet(SheriffError, RuntimeError):
-    """Too few vantage points returned a page to trust the comparison."""
-
-    def __init__(self, job_id: str, got: int, needed: int) -> None:
-        super().__init__(
-            f"job {job_id!r}: only {got} vantage point(s) responded, "
-            f"quorum is {needed}"
-        )
-        self.job_id = job_id
-        self.got = got
-        self.needed = needed
 
 
 class PriceCheckFailed(SheriffError, RuntimeError):
@@ -197,7 +182,6 @@ __all__ = [
     "UnknownJob",
     "RetryExhausted",
     "RetryBudgetExhausted",
-    "QuorumNotMet",
     "PriceCheckFailed",
     "PriceSelectionError",
     "QueueSaturated",

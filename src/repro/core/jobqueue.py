@@ -29,18 +29,19 @@ servers:
   through the distributor alone) is reported with
   ``Coordinator.handle_server_failure``, which moves the job within its
   retry budget or fails it.  A job whose record is failed leaves the
-  outbox undispatched and its handle raises
-  :class:`repro.core.errors.PriceCheckFailed` — what a failed sent
-  check raises; ``dead_lettered`` counts them.  The operator's list of
+  outbox undispatched and collecting it raises
+  :class:`repro.core.errors.PriceCheckFailed` — what every failed check
+  raises; ``dead_lettered`` counts them.  The operator's list of
   failed jobs is ``Coordinator.failed_jobs()``.
 
-The tier is the add-on's entry point when it runs: ``submit`` returns
-the job's :class:`~repro.core.engine.JobHandle` in the ``queued`` state,
-and dispatch hands that same handle to the owning server's ``submit``,
-which places it on the engine.  ``poll``/``result`` drain the outbox
-while the handle is still queued, then are the server's — clients
-cannot tell queued dispatch from direct dispatch (except when told to
-back off).
+The tier is the add-on's entry point when it runs: ``submit`` puts the
+job's payload on its Coordinator
+:class:`~repro.core.coordinator.JobRecord`, appends the record to the
+outbox and returns it; dispatch takes the payload off the record and
+hands it to the owning server's ``submit``, which places the same
+record on the engine.  ``poll``/``result`` drain the outbox while the
+record is still in it, then are the server's — clients cannot tell
+queued dispatch from direct dispatch (except when told to back off).
 
 Queue traffic is observable through ``sheriff_queue_*`` metrics
 (depth, enqueued, dispatched, steals, shed, failed before dispatch,
@@ -58,37 +59,23 @@ telemetry on or off, the rows are identical (property-tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.coordinator import Coordinator, JobRecord
-from repro.core.engine import FAILED, QUEUED, JobHandle, PriceCheckEngine
-from repro.core.errors import PriceCheckFailed, QueueSaturated, UnknownJob
+from repro.core.engine import PriceCheckEngine
+from repro.core.errors import QueueSaturated, UnknownJob
 from repro.net.faults import BackoffPolicy
 from repro.obs import NULL_TELEMETRY, Span
 
 __all__ = [
     "JobQueue",
-    "QueuedJob",
     "QueuedMeasurementTier",
 ]
 
 
-@dataclass
-class QueuedJob:
-    """One admitted-but-not-yet-dispatched job in the outbox."""
-
-    job: Any  # a PriceCheckJob
-    handle: JobHandle
-    #: the job's Coordinator record, whose ``server_name`` is the owner
-    record: JobRecord
-    #: world-clock time of admission: the ``queue_wait`` span and the
-    #: queue-wait histogram measure from here
-    admitted_at: float = 0.0
-
-
 class JobQueue:
-    """The bounded outbox: admitted jobs in global admission order.
+    """The bounded outbox: admitted jobs' records in global admission
+    order, each holding its job's payload until dispatch.
 
     Depth accounting and stealing group jobs by owner, but the drain
     order is the *global* FIFO of admission — that is the order the
@@ -97,44 +84,46 @@ class JobQueue:
     """
 
     def __init__(self) -> None:
-        self._jobs: Dict[str, QueuedJob] = {}  # insertion = admission order
+        self._records: Dict[str, JobRecord] = {}  # insertion = admission order
         self.enqueued_total = 0
         self.max_depth_seen = 0
 
     @property
     def depth(self) -> int:
-        return len(self._jobs)
+        return len(self._records)
+
+    def __contains__(self, record: JobRecord) -> bool:
+        return record.job_id in self._records
 
     def depth_on(self, server_name: str) -> int:
-        return sum(qj.record.server_name == server_name for qj in self._jobs.values())
+        return sum(r.server_name == server_name for r in self._records.values())
 
-    def offer(
-        self, record: JobRecord, job: Any, handle: JobHandle,
-        admitted_at: float = 0.0,
-    ) -> QueuedJob:
-        queued = QueuedJob(
-            job=job, handle=handle, record=record, admitted_at=admitted_at,
-        )
-        self._jobs[job.job_id] = queued
+    def offer(self, record: JobRecord, job: Any) -> None:
+        """Append the record, holding its job's payload until dispatch."""
+        record.job = job
+        self._records[record.job_id] = record
         self.enqueued_total += 1
         self.max_depth_seen = max(self.max_depth_seen, self.depth)
-        return queued
 
-    def head(self) -> Optional[QueuedJob]:
+    def head(self) -> Optional[JobRecord]:
         """The oldest admitted job still queued (global FIFO head)."""
-        return next(iter(self._jobs.values()), None)
+        return next(iter(self._records.values()), None)
 
-    def pop(self, queued: QueuedJob) -> None:
-        del self._jobs[queued.job.job_id]
+    def pop(self, record: JobRecord) -> Any:
+        """Take the record out of the outbox; return the job payload it
+        held, which it no longer does."""
+        del self._records[record.job_id]
+        job, record.job = record.job, None
+        return job
 
 
 class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
 
     ``submit`` admits (or sheds) a Coordinator-admitted job and returns
-    its queued handle; ``poll``/``result`` first drain the whole outbox
-    in admission order if the handle is still queued, then are the
-    owning server's.
+    its record; ``poll``/``result`` first drain the whole outbox in
+    admission order if the record is still in it, then are the owning
+    server's.
     """
 
     def __init__(
@@ -162,14 +151,13 @@ class QueuedMeasurementTier:
         #: the current shed streak
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.queue = JobQueue()
-        #: queued jobs whose record the Coordinator failed; their handles
-        #: raise :class:`PriceCheckFailed`
+        #: queued jobs whose record the Coordinator failed; collecting
+        #: them raises :class:`~repro.core.errors.PriceCheckFailed`
         self.dead_lettered = 0
         self._shed_streak = 0
         self.shed_total = 0
         self.dispatched_total = 0
         self.steals: Dict[str, int] = {}
-        self.tracer = telemetry.tracer
         registry = telemetry.registry
         registry.sampled(
             "gauge", "sheriff_queue_depth",
@@ -232,7 +220,7 @@ class QueuedMeasurementTier:
             )
         return record
 
-    def submit(self, job: Any) -> JobHandle:
+    def submit(self, job: Any) -> JobRecord:
         """Admit one Coordinator-admitted job to the outbox, or shed it.
 
         Raises :class:`QueueSaturated` — with the accounting already
@@ -260,15 +248,12 @@ class QueuedMeasurementTier:
             )
         self._shed_streak = 0
         owner = record.server_name
-        handle = JobHandle(job.job_id, owner, state=QUEUED)
-        self.queue.offer(
-            record, job, handle, admitted_at=self.coordinator.clock.now,
-        )
+        self.queue.offer(record, job)
         self._m_enqueued.inc(server=owner)
         self._journey_span(
             "admission", record, server=owner, depth=self.queue.depth,
         )
-        return handle
+        return record
 
     # -- the outbox drain -------------------------------------------------
     def _backlog(self, name: str) -> int:
@@ -295,24 +280,21 @@ class QueuedMeasurementTier:
         return None
 
     def _dispatch_head(self) -> bool:
-        """Dispatch the FIFO head (stealing en route), or fail it if the
+        """Dispatch the FIFO head (stealing en route), or drop it if the
         Coordinator failed its record."""
-        queued = self.queue.head()
-        if queued is None:
+        record = self.queue.head()
+        if record is None:
             return False
-        job_id = queued.job.job_id
-        record = queued.record
+        job_id = record.job_id
         distributor = self.coordinator.distributor
         if not record.failed and not distributor.server(record.server_name).online:
             # a caller marked the owner offline through the distributor
             # alone: report it, and the Coordinator moves or fails the job
             self.coordinator.handle_server_failure(record.server_name)
         if record.failed:
-            # never dispatched: its handle raises what a failed sent
+            # never dispatched: collecting it raises what a failed sent
             # check raises
-            self.queue.pop(queued)
-            queued.handle.error = PriceCheckFailed(job_id, record.failure_reason)
-            queued.handle.state = FAILED
+            self.queue.pop(record)
             self.dead_lettered += 1
             return True
         owner = record.server_name
@@ -321,7 +303,7 @@ class QueuedMeasurementTier:
         # journey order; a steal links back to it, the stage on the
         # owner it leaves
         wait = self._journey_span(
-            "queue_wait", record, on_path=False, start=queued.admitted_at,
+            "queue_wait", record, on_path=False, start=record.started_at,
             server=owner,
         )
         target = self._steal_target(owner)
@@ -335,23 +317,14 @@ class QueuedMeasurementTier:
                 reason="imbalance", src=owner, dst=target,
             )
             owner = target
-        self.queue.pop(queued)
-        server = self._server_lookup(owner)
-        if self.tracer.enabled:
-            # the dispatch span wraps the server's submit, so the whole
-            # price_check fan-out (fetch/parse/persist) nests under it
-            # via the shared tracer's stack — one tree across servers
-            with self.tracer.span(
-                "dispatch", trace_id=job_id,
-                parent_id=record.journey.span_id,
-                server=owner, transport=self.transport_label,
-            ):
-                server.submit(queued.job, queued.handle)
-        else:
-            server.submit(queued.job, queued.handle)
+        job = self.queue.pop(record)
+        # the dispatch stage parents the server's price_check fan-out,
+        # so one trace holds the job end to end across servers
+        self._journey_span("dispatch", record, server=owner)
+        self._server_lookup(owner).submit(job)
         self.dispatched_total += 1
         self._m_dispatched.inc(server=owner)
-        self._m_wait.observe(self.coordinator.clock.now - queued.admitted_at)
+        self._m_wait.observe(self.coordinator.clock.now - record.started_at)
         return True
 
     def pump(self) -> int:
@@ -367,20 +340,20 @@ class QueuedMeasurementTier:
         return dispatched
 
     # -- poll / result ----------------------------------------------------
-    def _server_for(self, handle: JobHandle):
-        """The server whose engine calls finish ``handle``, draining the
-        outbox first while the handle is still queued."""
-        if handle.state == QUEUED:
+    def _server_for(self, record: JobRecord):
+        """The server whose engine calls finish the job, draining the
+        outbox first while the job is still in it."""
+        if record in self.queue:
             self.pump()
-        return self._server_lookup(handle.server_name)
+        return self._server_lookup(record.server_name)
 
-    def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
+    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
         """One progressive poll, draining the outbox first."""
-        return self._server_for(handle).poll(handle)
+        return self._server_for(record).poll(record)
 
-    def result(self, handle: JobHandle) -> Any:
+    def result(self, record: JobRecord) -> Any:
         """Drive one job to its terminal state, draining the outbox first."""
-        return self._server_for(handle).result(handle)
+        return self._server_for(record).result(record)
 
     # -- observability -----------------------------------------------------
     def stats(self) -> Dict[str, object]:

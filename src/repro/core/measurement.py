@@ -35,16 +35,15 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.coordinator import Coordinator
+from repro.core.coordinator import RUNNING, Coordinator, JobRecord
 from repro.core.database import DatabaseServer
 from repro.core.diffstorage import DiffStorage
 from repro.core.engine import (
     CACHE_HIT_SECONDS,
     CachedPage,
-    JobHandle,
+    FetchTask,
     PriceCheckEngine,
 )
-from repro.core.errors import QuorumNotMet
 from repro.core.pricecheck import PriceCheckResult, ResultRow
 from repro.core.tagspath import EXTRACTION_STATS, TagsPath, extract_price_text
 from repro.currency.detect import Confidence, CurrencyDetectionError, detect_price
@@ -64,11 +63,7 @@ __all__ = [
     "MeasurementServer",
     "MeasurementStats",
     "PriceCheckJob",
-    "QuorumNotMet",
 ]
-
-#: one fetch timeline entry: (simulated duration, produced a result row)
-FetchTask = Tuple[float, bool]
 
 #: Longest extracted price text a row may carry.  A valid selection has
 #: at most ``MAX_SELECTION_LENGTH`` (25) characters; the element a Tags
@@ -422,36 +417,28 @@ class MeasurementServer:
     # "At this point the browser executes AJAX requests to the
     # Measurement server to receive any result updates until the
     # measurement server replies with a 'request finish' response."
-    # submit() performs the fan-out and returns the job's JobHandle;
+    # submit() performs the fan-out and returns the job's JobRecord;
     # poll() and result() are the engine's: rows that have *landed* on
     # its simulated timeline since the last poll plus the finished flag,
     # or the terminal outcome.  The queue tier is the other entry point.
 
-    def submit(
-        self, job: PriceCheckJob, handle: Optional[JobHandle] = None
-    ) -> JobHandle:
-        """Run the fan-out and return the handle tracking its delivery.
+    def submit(self, job: PriceCheckJob) -> JobRecord:
+        """Run the fan-out and return the job's record.
 
         The fetches themselves execute eagerly in the canonical serial
         order — that is what keeps every RNG stream independent of the
         worker-pool size — while the *timing* of each fetch is delegated
         to the engine's worker pool (``engine.submit``), so concurrent
-        jobs overlap on the simulated timeline.  A fan-out that failed
-        (quorum not met) is terminal the moment the engine sees it.
-
-        ``handle`` is the queued handle the queue tier dispatches; it is
-        placed on the engine in place.  Without one, a new handle is made.
+        jobs overlap on the simulated timeline.  A fan-out below the
+        quorum fails the record, which is terminal at once.
         """
-        if handle is None:
-            handle = JobHandle(job.job_id, self.name)
-        handle.server_name = self.name
-        result, tasks, error = self._execute(job)
+        record = self.coordinator.jobs[job.job_id]
         return self.engine.submit(
-            handle, tasks, result, error,
+            record, self._execute(job, record),
             on_done=lambda: self.coordinator.job_completed(job.job_id),
         )
 
-    def poll(self, handle: JobHandle) -> Tuple[List[Any], bool]:
+    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
         """One AJAX poll: (rows landed since last poll, finished flag).
 
         Rows are delivered a few per poll, in canonical row order, as
@@ -460,15 +447,15 @@ class MeasurementServer:
         finish') poll the job is gone: further polls raise
         :class:`~repro.core.errors.UnknownJob`.
         """
-        return self.engine.poll(handle)
+        return self.engine.poll(record)
 
-    def result(self, handle: JobHandle) -> PriceCheckResult:
+    def result(self, record: JobRecord) -> PriceCheckResult:
         """Drive the job to its terminal state and return the outcome.
 
-        Raises the job's error (e.g. :class:`QuorumNotMet`) when it
-        ended in an explicit failure report.
+        Raises :class:`~repro.core.errors.PriceCheckFailed` with the
+        record's ``failure_reason`` when the job was reported failed.
         """
-        return self.engine.result(handle)
+        return self.engine.result(record)
 
     # -- the fan-out --------------------------------------------------------------
     def _fetch_page_cached(self, job: PriceCheckJob, ipc) -> Tuple[CachedPage, int, bool]:
@@ -523,48 +510,46 @@ class MeasurementServer:
             )
         return row
 
-    def _execute(
-        self, job: PriceCheckJob
-    ) -> Tuple[Optional[PriceCheckResult], List[FetchTask], Optional[Exception]]:
-        """The fan-out: returns (result, fetch timeline, error).
+    def _execute(self, job: PriceCheckJob, record: JobRecord) -> List[FetchTask]:
+        """The fan-out: returns its fetch timeline.
 
-        Exactly one of result/error is non-None.  The timeline carries
-        one ``(duration, produced_row)`` entry per fetch attempt — a
-        failed fetch still occupies a worker for its timeout — plus the
-        zero-cost entry for the initiator's own page.
+        The timeline carries one :data:`~repro.core.engine.FetchTask`
+        per fetch attempt — a failed fetch still occupies a worker for
+        its timeout — plus the zero-cost entry for the initiator's own
+        page.  A fan-out that met the quorum leaves its result on the
+        record, which is then ``running``; one below it fails the
+        record.
 
-        The whole fan-out runs under one ``price_check`` root span keyed
-        by the job id.  Child ``fetch`` spans all start at the same
-        simulated instant — the paper's "at the same time" requirement —
-        and carry their duration explicitly, because the fetches execute
-        eagerly at that instant and land on the engine later.
+        The whole fan-out runs under one ``price_check`` span keyed by
+        the job id and chained under the job's latest journey stage (the
+        queue tier's ``dispatch``, else ``assign`` or ``retry``); it
+        becomes the job's latest stage, under which the engine records
+        each ``fetch`` span as its task lands.
 
         The extractor counts its work in the process-wide
         :data:`~repro.core.tagspath.EXTRACTION_STATS`; what they grew by
         during the fan-out is this server's, and goes to its telemetry.
         """
         tr = self.telemetry.tracer
+        latest = record.journey
         before = EXTRACTION_STATS.snapshot()
         try:
             with tr.span(
-                "price_check", trace_id=job.job_id, job_id=job.job_id,
-                url=job.url, server=self.name, transport=self.transport_label,
-            ):
-                return self._execute_fanout(job, tr)
+                "price_check", trace_id=job.job_id,
+                parent_id=latest.span_id if latest is not None else None,
+                job_id=job.job_id, url=job.url, server=self.name,
+                transport=self.transport_label,
+            ) as root:
+                tasks = self._execute_fanout(job, record, tr)
         finally:
             EXTRACTION_STATS.add_since(before, self._m_extract)
-
-    def _fetch_span(
-        self, tr, duration: float, vantage: str, proxy_id: str,
-        ok: bool, **attrs: Any,
-    ) -> None:
-        """Record one completed fetch attempt as a zero-body span."""
-        tr.record("fetch", duration=duration, vantage=vantage,
-                  proxy_id=proxy_id, ok=ok, **attrs)
+        if tr.enabled and record.state == RUNNING:
+            record.journey = root
+        return tasks
 
     def _execute_fanout(
-        self, job: PriceCheckJob, tr
-    ) -> Tuple[Optional[PriceCheckResult], List[FetchTask], Optional[Exception]]:
+        self, job: PriceCheckJob, record: JobRecord, tr
+    ) -> List[FetchTask]:
         domain, _ = parse_url(job.url)
         result = PriceCheckResult(
             job_id=job.job_id,
@@ -588,8 +573,7 @@ class MeasurementServer:
                 ua=(job.initiator_os, job.initiator_browser),
             )
         )
-        tasks.append((0.0, True))
-        self._fetch_span(tr, 0.0, "You", job.initiator_peer_id, ok=True)
+        tasks.append((0.0, True, "You", job.initiator_peer_id, None))
 
         # Step 3.1: all IPCs fetch the page.  Each fetch carries its own
         # bounded retry budget; an IPC that still fails is dropped from
@@ -604,8 +588,7 @@ class MeasurementServer:
                 page, retries, cache_hit = self._fetch_page_cached(job, ipc)
             except ProxyFetchError:
                 self.stats.ipc_failures += 1
-                tasks.append((duration, False))
-                self._fetch_span(tr, duration, "IPC", ipc.ipc_id, ok=False)
+                tasks.append((duration, False, "IPC", ipc.ipc_id, None))
                 continue
             if cache_hit:
                 self.stats.page_cache_hits += 1
@@ -613,9 +596,7 @@ class MeasurementServer:
             self.stats.ipc_fetches += 1
             self.stats.ipc_retries += retries
             result.rows.append(self._read_ipc_page(job, ipc.ipc_id, page))
-            tasks.append((duration, True))
-            self._fetch_span(tr, duration, "IPC", ipc.ipc_id, ok=True,
-                             cache_hit=cache_hit)
+            tasks.append((duration, True, "IPC", ipc.ipc_id, cache_hit))
 
         # Step 3.2: the selected PPCs fetch the page.  Volunteer peers
         # are the least reliable vantage points: a peer may be gone,
@@ -631,23 +612,19 @@ class MeasurementServer:
                 reply = channel.send({"type": "remote_page_request", "url": job.url})
             except PeerTimeout:
                 self.stats.ppc_timeouts += 1
-                tasks.append((duration, False))
-                self._fetch_span(tr, duration, "PPC", peer_id, ok=False)
+                tasks.append((duration, False, "PPC", peer_id, None))
                 continue
             except ConnectionError:
                 self.stats.ppc_dropped += 1
-                tasks.append((duration, False))
-                self._fetch_span(tr, duration, "PPC", peer_id, ok=False)
+                tasks.append((duration, False, "PPC", peer_id, None))
                 continue
             if not self._valid_ppc_reply(reply):
                 self.stats.ppc_corrupt += 1
-                tasks.append((duration, False))
-                self._fetch_span(tr, duration, "PPC", peer_id, ok=False)
+                tasks.append((duration, False, "PPC", peer_id, None))
                 continue
             if "error" in reply:
                 self.stats.ppc_dropped += 1
-                tasks.append((duration, False))
-                self._fetch_span(tr, duration, "PPC", peer_id, ok=False)
+                tasks.append((duration, False, "PPC", peer_id, None))
                 continue
             self.stats.ppc_ok += 1
             self.diffstore.store_response(job.job_id, peer_id, reply["html"])
@@ -661,8 +638,7 @@ class MeasurementServer:
                     used_doppelganger=reply.get("used_doppelganger", False),
                 )
             )
-            tasks.append((duration, True))
-            self._fetch_span(tr, duration, "PPC", peer_id, ok=True)
+            tasks.append((duration, True, "PPC", peer_id, None))
 
         expected = 1 + len(self.ipcs) + len(job.ppc_ids)
         result.vantage_expected = expected
@@ -678,9 +654,7 @@ class MeasurementServer:
                 job.job_id,
                 f"quorum not met ({len(result.rows)}/{self.quorum})",
             )
-            return None, tasks, QuorumNotMet(
-                job.job_id, len(result.rows), self.quorum
-            )
+            return tasks
 
         with tr.span("parse", rows=len(result.rows)):
             result.rows = self._reconcile_ambiguous_rows(
@@ -688,9 +662,10 @@ class MeasurementServer:
             )
         with tr.span("persist", rows=len(result.rows)):
             self._persist(job, result)
-        self.coordinator.jobs[job.job_id].running = True
+        record.result = result
+        record.state = RUNNING
         self.jobs_processed += 1
-        return result, tasks, None
+        return tasks
 
     @staticmethod
     def _valid_ppc_reply(reply) -> bool:

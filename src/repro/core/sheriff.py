@@ -274,7 +274,7 @@ class PriceSheriff:
         self.db.close()
 
     def _job_entrypoint(self, server_name: str):
-        """Where the add-on sends an admitted job and collects its handle:
+        """Where the add-on sends an admitted job and collects its record:
         the queue tier when one is enabled, else the owning Measurement
         server directly."""
         if self.job_queue is not None:

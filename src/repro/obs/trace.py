@@ -13,10 +13,10 @@ Design constraints, mirrored from :mod:`repro.obs.metrics`:
 * span IDs come from a per-tracer counter, never a UUID or wall clock,
   so traced runs replay byte-identically from a seed;
 * the fan-out *executes* eagerly at its dispatch instant and its
-  fetches land on the world clock later, so a fetch span records its
-  simulated duration explicitly (``record("fetch", duration=d)``, a
-  span with no body) — its bar on the timeline is the duration the
-  engine then packs onto the worker pool;
+  fetches land on the world clock later: the engine records each
+  ``fetch`` span (a span with no body) when its task lands, backdated
+  to the instant a worker took it (``record("fetch", start=taken)``),
+  so its bar is the task's time on the worker pool;
 * a parent span is stretched over its children — an open ``with``
   parent and a finished one named by ``parent_id`` alike, up through
   its ancestors — so every span lies inside its parent and the root
@@ -26,7 +26,7 @@ Design constraints, mirrored from :mod:`repro.obs.metrics`:
 
 Journey tracing (the queue tier) extends the tree across servers: a
 job's trace starts at admission, a retroactive ``queue_wait`` span
-covers the outbox dwell (``record(..., start=admitted_at)``), and a
+covers the outbox dwell (``record(..., start=record.started_at)``), and a
 steal/transfer span carries a *link* — a ``(trace_id, span_id)``
 reference to the prior owner's attempt — so the causal chain survives
 the job changing hands.  Links are references, not parentage: the tree
@@ -110,7 +110,6 @@ class Tracer:
         self,
         name: str,
         trace_id: Optional[str] = None,
-        duration: Optional[float] = None,
         start: Optional[float] = None,
         parent_id: Optional[int] = None,
         links: Optional[Sequence[Tuple[str, int]]] = None,
@@ -119,13 +118,11 @@ class Tracer:
         """Open one span; nesting follows the ``with`` structure.
 
         ``trace_id`` keys the trace (the job id for price checks); a
-        nested span inherits its parent's.  ``duration`` stamps an
-        explicit simulated duration for work whose cost is *scheduled*
-        rather than lived through (the eager fan-out executes at one
-        instant, its fetches land later); without it the span ends at
-        whatever the clock reads on exit.  ``start`` backdates the span for work
+        nested span inherits its parent's.  The span ends at whatever
+        the clock reads on exit.  ``start`` backdates the span for work
         that already happened (the queue tier stamps ``queue_wait``
-        with the admission time at dispatch); ``parent_id`` overrides
+        with the admission time at dispatch, the engine a ``fetch``
+        with the instant a worker took it); ``parent_id`` overrides
         the stack parent to chain journey stages recorded outside any
         ``with`` nesting; ``links`` attaches causal references to spans
         in other parts of the tree (a steal links the prior attempt).
@@ -137,13 +134,12 @@ class Tracer:
             yield span
         finally:
             self._stack.pop()
-            self._close(span, parent, duration, parent_id)
+            self._close(span, parent, parent_id)
 
     def record(
         self,
         name: str,
         trace_id: Optional[str] = None,
-        duration: Optional[float] = None,
         start: Optional[float] = None,
         parent_id: Optional[int] = None,
         links: Optional[Sequence[Tuple[str, int]]] = None,
@@ -154,7 +150,7 @@ class Tracer:
         parent, timestamps and parent stretch."""
         parent = self._stack[-1] if self._stack else None
         span = self._open(name, parent, trace_id, start, parent_id, links, attrs)
-        self._close(span, parent, duration, parent_id)
+        self._close(span, parent, parent_id)
         return span
 
     def _open(self, name, parent, trace_id, start, parent_id, links, attrs) -> Span:
@@ -176,13 +172,10 @@ class Tracer:
             links=list(links) if links else [],
         )
 
-    def _close(self, span: Span, parent: Optional[Span], duration, parent_id) -> None:
-        if duration is not None:
-            span.end = span.start + duration
-        else:
-            # keep the stretch children already applied: a parent
-            # must never end before its scheduled children do
-            span.end = max(span.end, self.clock.now)
+    def _close(self, span: Span, parent: Optional[Span], parent_id) -> None:
+        # keep the stretch children already applied: a parent must
+        # never end before its children do
+        span.end = max(span.end, self.clock.now)
         # a parent covers its children on the timeline: the open parent
         # on the stack, or a finished one named by parent_id, and then
         # each finished ancestor above it
@@ -289,11 +282,11 @@ class NullTracer:
 
     _NULL_CONTEXT = _NullSpanContext()
 
-    def span(self, name: str, trace_id=None, duration=None, start=None,
+    def span(self, name: str, trace_id=None, start=None,
              parent_id=None, links=None, **attrs) -> _NullSpanContext:
         return self._NULL_CONTEXT
 
-    def record(self, name: str, trace_id=None, duration=None, start=None,
+    def record(self, name: str, trace_id=None, start=None,
                parent_id=None, links=None, **attrs) -> Span:
         return self._NULL_CONTEXT.span
 

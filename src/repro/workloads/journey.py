@@ -166,9 +166,9 @@ def run_journey(
             wave.append((addon, addon.submit_price_check(url)))
         if config.disrupt:
             sheriff.distributor.heartbeat("ms-1", world.clock.now)
-        for addon, handle in wave:
-            run.job_ids.append(handle.job_id)
-            result = addon.collect(handle)
+        for addon, record in wave:
+            run.job_ids.append(record.job_id)
+            result = addon.collect(record)
             run.rows += len(result.rows)
         if supervisor is not None:
             supervisor.tick()

@@ -64,7 +64,11 @@ least-jobs became the only dispatch policy (``dispatch_policy``,
 ``round_robin``, ``DISPATCH_POLICIES`` and ``DispatchConfigError``
 went), the queue tier kept one admission stamp (``enqueued_at`` went)
 and the event loop lost what only tests reached: ``EventHandle``,
-cancellation, ``peek_next``, ``pending`` and ``processed``.
+cancellation, ``peek_next``, ``pending`` and ``processed``.  Then a
+price check became its Coordinator ``JobRecord``: ``JobHandle`` and the
+engine's state constants, the queue tier's ``QueuedJob`` wrapper and its
+``admitted_at`` stamp, ``QuorumNotMet``, the engine's ``error=``
+parameter and ``jobs_scheduled``, and the tracer's ``duration=`` went.
 """
 
 import dataclasses
@@ -382,9 +386,10 @@ class TestOneWayInForTelemetry:
 
 
 class TestOneJobHandle:
-    """A price check is the ``JobHandle`` its entry point returns: no
-    job-API protocol or façade, no mirrored queued handle, no engine
-    envelope and no per-component job table."""
+    """A price check is the one object its entry point returns (since
+    ISSUE 48 the Coordinator's ``JobRecord``): no job-API protocol or
+    façade, no mirrored queued handle, no engine envelope and no
+    per-component job table."""
 
     def test_jobapi_module_gone(self):
         import importlib.util
@@ -570,12 +575,14 @@ class TestOneOwnerRecordPerJob:
 
     def test_names_gone_from_the_classes(self):
         from repro.core.dispatch import RequestDistributor
-        from repro.core.jobqueue import JobQueue, QueuedJob
+        import repro.core.jobqueue
+        from repro.core.jobqueue import JobQueue
 
         distributor = RequestDistributor()
         for name in self.DISTRIBUTOR_REMOVED:
             assert not hasattr(distributor, name), name
-        assert "server_name" not in {f.name for f in dataclasses.fields(QueuedJob)}
+        # the outbox holds the Coordinator's records, not a copy of them
+        assert not hasattr(repro.core.jobqueue, "QueuedJob")
         assert not hasattr(JobQueue, "move")
 
     def test_no_distributor_method_takes_a_job_id(self):
@@ -856,7 +863,11 @@ class TestOneRecordOfAJob:
     is and how far it has got: a server's load is the number of pending
     records naming it, the journey chain lives on the record, and
     ``RequestTicket``, the distributor's job counts and
-    ``Coordinator.journey_spans`` went."""
+    ``Coordinator.journey_spans`` went.  Then the record became the
+    price check itself: the engine's ``JobHandle`` and its states, the
+    queue tier's ``QueuedJob`` and its ``admitted_at``, ``QuorumNotMet``
+    and the engine's ``error=`` hand-off, ``jobs_scheduled`` and the
+    tracer's ``duration=`` went."""
 
     def test_identifiers_absent_from_source(self):
         assert _source_offenders(re.compile(
@@ -919,6 +930,43 @@ class TestOneRecordOfAJob:
             SheriffConfig(queue_steal_threshold=None).validate()
         with pytest.raises(InvalidConfig, match="queue_steal_threshold"):
             SheriffConfig.from_dict({"queue_steal_threshold": None})
+
+    def test_handle_and_hand_off_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"\b(JobHandle|QueuedJob|QuorumNotMet|admitted_at|jobs_scheduled)\b"
+        )) == []
+
+    def test_handle_and_hand_off_names_gone(self):
+        import repro
+        import repro.core
+        import repro.core.engine
+        import repro.core.errors
+        import repro.core.jobqueue
+        import repro.core.measurement
+        from repro.core.coordinator import JobRecord
+        from repro.core.engine import PriceCheckEngine
+        from repro.obs.trace import NullTracer, Tracer
+
+        for name in ("JobHandle", "QUEUED", "PENDING", "RUNNING", "DONE", "FAILED"):
+            assert not hasattr(repro.core.engine, name), name
+        assert not hasattr(repro.core.jobqueue, "QueuedJob")
+        assert not hasattr(repro.core.errors, "QuorumNotMet")
+        assert not hasattr(repro.core.measurement, "QuorumNotMet")
+        assert "QuorumNotMet" not in repro.core.errors.__all__
+        assert "JobHandle" not in repro.__all__ + repro.core.__all__
+        assert "JobRecord" in repro.__all__ and "JobRecord" in repro.core.__all__
+        fields = {f.name for f in dataclasses.fields(JobRecord)}
+        assert "running" not in fields and "admitted_at" not in fields
+        assert "state" in fields
+        assert "error" not in inspect.signature(PriceCheckEngine.submit).parameters
+        assert not hasattr(PriceCheckEngine, "schedule")
+        for cls in (Tracer, NullTracer):
+            for method in (cls.span, cls.record):
+                assert "duration" not in inspect.signature(method).parameters
+
+    def test_the_engine_keeps_no_job_count(self):
+        sheriff = PriceSheriff(SheriffWorld.create(seed=1))
+        assert not hasattr(sheriff.engine, "jobs_scheduled")
 
 
 class TestWhatNothingReaches:
@@ -1001,8 +1049,8 @@ class TestOneTimeline:
         import repro.core.dispatch
         import repro.core.errors
         import repro.net.events
+        from repro.core.coordinator import JobRecord
         from repro.core.dispatch import RequestDistributor
-        from repro.core.jobqueue import QueuedJob
         from repro.net.events import EventLoop
 
         assert not hasattr(repro.core.dispatch, "DISPATCH_POLICIES")
@@ -1012,7 +1060,7 @@ class TestOneTimeline:
         for name in ("pending", "processed", "peek_next"):
             assert not hasattr(EventLoop, name), name
         assert "policy" not in inspect.signature(RequestDistributor).parameters
-        assert "enqueued_at" not in {f.name for f in dataclasses.fields(QueuedJob)}
+        assert "enqueued_at" not in {f.name for f in dataclasses.fields(JobRecord)}
         assert "dispatch_policy" not in {
             f.name for f in dataclasses.fields(SheriffConfig)
         }

@@ -149,9 +149,9 @@ def _open_loop_deployment():
 
 def _spy_on(sheriff):
     """Record every assignment ``(load, online servers, pick)``, every
-    fetch landing ``{job_id: [world time, ...]}``, the order jobs finish
-    in and every turnaround observation ``[(seconds, server)]`` of
-    ``sheriff``."""
+    fetch landing ``{job_id: [world time, ...]}``, the jobs in the order
+    they finish ``[(job_id, world time)]`` and every turnaround
+    observation ``[(seconds, server)]`` of ``sheriff``."""
     clock = sheriff.world.clock
     distributor, engine = sheriff.distributor, sheriff.engine
     picks, landings, finished, turnarounds = [], {}, [], []
@@ -164,25 +164,25 @@ def _spy_on(sheriff):
         picks.append((dict(load), online, chosen.name))
         return chosen
 
-    schedule = engine.schedule
+    submit_job = engine.submit
 
-    def schedule_recorded(handle, tasks, on_done=None):
-        pool = engine.pool_for(handle.server_name)
+    def submit_recorded(record, tasks, on_done=None):
+        pool = engine.pool_for(record.server_name)
         submit = pool.submit
 
-        def submit_recorded(duration, landed):
-            def land():
-                landings.setdefault(handle.job_id, []).append(clock.now)
-                landed()
+        def submit_task(duration, landed):
+            def land(taken):
+                landings.setdefault(record.job_id, []).append(clock.now)
+                landed(taken)
             submit(duration, land)
 
         def done_recorded():
-            finished.append(handle.job_id)
+            finished.append((record.job_id, clock.now))
             on_done()
 
-        pool.submit = submit_recorded
+        pool.submit = submit_task
         try:
-            schedule(handle, tasks, done_recorded)
+            return submit_job(record, tasks, done_recorded)
         finally:
             del pool.submit
 
@@ -194,7 +194,7 @@ def _spy_on(sheriff):
         observe(value, **labels)
 
     distributor.select_server = select_server
-    engine.schedule = schedule_recorded
+    engine.submit = submit_recorded
     histogram.observe = observe_recorded
     return picks, landings, finished, turnarounds
 
@@ -210,11 +210,11 @@ def test_least_jobs_over_an_open_loop_schedule(arrivals):
     sheriff, users, urls = _open_loop_deployment()
     clock, loop = sheriff.world.clock, sheriff.engine.loop
     picks, landings, finished, turnarounds = _spy_on(sheriff)
-    handles, arrival = [], 0.0
+    records, arrival = [], 0.0
     for i, (gap, user) in enumerate(arrivals):
         arrival += gap
         loop.run_until(max(clock.now, arrival))  # what lands before the user arrives
-        handles.append(users[user].submit_price_check(urls[i % len(urls)]))
+        records.append(users[user].submit_price_check(urls[i % len(urls)]))
     loop.run()
 
     names = [s.name for s in sheriff.distributor.servers()]
@@ -227,13 +227,14 @@ def test_least_jobs_over_an_open_loop_schedule(arrivals):
         previous = chosen
 
     jobs = sheriff.coordinator.jobs
-    by_id = {h.job_id: h for h in handles}
-    assert sorted(finished) == sorted(by_id) and len(turnarounds) == len(handles)
-    for job_id, (seconds, server) in zip(finished, turnarounds):
-        handle, record = by_id[job_id], jobs[job_id]
+    assert sorted(job_id for job_id, _ in finished) == sorted(
+        r.job_id for r in records)
+    assert len(turnarounds) == len(records)
+    for (job_id, finished_at), (seconds, server) in zip(finished, turnarounds):
+        record = jobs[job_id]
         assert record.completed and server == record.server_name
-        assert handle.finished_at == max(landings[handle.job_id])
-        assert seconds == pytest.approx(handle.finished_at - record.started_at)
+        assert finished_at == max(landings[job_id])
+        assert seconds == pytest.approx(finished_at - record.started_at)
     assert sheriff.coordinator.load() == {}
 
 

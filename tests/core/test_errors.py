@@ -19,7 +19,6 @@ from repro.core.errors import (
     PriceCheckFailed,
     PriceSelectionError,
     ProbeFailed,
-    QuorumNotMet,
     RequestRejected,
     RetryBudgetExhausted,
     RetryExhausted,
@@ -48,7 +47,6 @@ class TestHierarchy:
             (ServerBusy, RuntimeError),
             (UnknownJob, KeyError),
             (RetryExhausted, RuntimeError),
-            (QuorumNotMet, RuntimeError),
             (PriceCheckFailed, RuntimeError),
             (PriceSelectionError, ValueError),
             (UnknownTable, KeyError),
@@ -67,7 +65,7 @@ class TestHierarchy:
 
     def test_catching_the_base_catches_everything(self):
         with pytest.raises(SheriffError):
-            raise QuorumNotMet("job-1", got=1, needed=3)
+            raise PriceCheckFailed("job-1", "quorum not met (1/3)")
         with pytest.raises(SheriffError):
             raise UnknownJob("job-1")
 
@@ -84,10 +82,6 @@ class TestStructuredFields:
         assert exc.job_id == "job-7"
         assert exc.attempts == 4
         assert "4" in str(exc)
-
-    def test_quorum_not_met_carries_counts(self):
-        exc = QuorumNotMet("job-9", got=1, needed=2)
-        assert (exc.job_id, exc.got, exc.needed) == ("job-9", 1, 2)
 
     def test_price_check_failed_carries_reason(self):
         exc = PriceCheckFailed("job-3", "no server available")
@@ -116,12 +110,12 @@ class TestRaisedAtTheOldCallSites:
 
     def test_measurement_unknown_job(self, world, sheriff, es_user):
         store = world.internet.site("uniform.example")
-        handle = es_user.submit_price_check(
+        record = es_user.submit_price_check(
             store.product_url(store.catalog.products[0].product_id)
         )
-        es_user.collect(handle)
-        server = sheriff.measurement_server(handle.server_name)
+        es_user.collect(record)
+        server = sheriff.measurement_server(record.server_name)
         with pytest.raises(UnknownJob):
-            server.poll(handle)
+            server.poll(record)
         with pytest.raises(UnknownJob):
-            server.result(handle)
+            server.result(record)

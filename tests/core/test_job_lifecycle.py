@@ -1,6 +1,6 @@
 """The job lifecycle: submit → poll → result.
 
-``MeasurementServer.submit`` returns a :class:`JobHandle`; ``poll``
+``MeasurementServer.submit`` returns the job's :class:`JobRecord`; ``poll``
 pumps the engine's simulated timeline and hands out arrived rows in
 progressive batches; ``result`` drives the job to its terminal state.
 The queued measurement tier is the other entry point offering the same
@@ -19,46 +19,45 @@ def _first_product_url(world, domain="uniform.example"):
 
 class TestSubmitPollResult:
     def test_submit_returns_in_flight_handle(self, world, sheriff, es_user, es_peers):
-        handle = es_user.submit_price_check(_first_product_url(world))
-        assert handle.job_id in sheriff.coordinator.jobs
-        assert handle.state == "running"
-        assert not handle.finished
-        assert handle.rows_arrived < handle.total_rows
-        assert handle.service_seconds > 0.0
+        record = es_user.submit_price_check(_first_product_url(world))
+        assert record is sheriff.coordinator.jobs[record.job_id]
+        assert record.state == "running"
+        assert not record.resolved
         # the fan-out is already decided: the result rows exist, they
         # just have not landed on the simulated timeline yet
-        assert handle.total_rows > 1
+        assert len(record.result.rows) > 1
+        assert record.rows_arrived < len(record.result.rows)
 
     def test_poll_delivers_progressive_batches(self, world, sheriff, es_user, es_peers):
-        handle = es_user.submit_price_check(_first_product_url(world))
-        server = sheriff.measurement_server(handle.server_name)
+        record = es_user.submit_price_check(_first_product_url(world))
+        rows = list(record.result.rows)
+        server = sheriff.measurement_server(record.server_name)
         delivered = []
         finished = False
         polls = 0
         while not finished:
-            batch, finished = server.poll(handle)
+            batch, finished = server.poll(record)
             delivered.extend(batch)
             polls += 1
             assert len(batch) <= 8
             assert polls < 100
-        assert len(delivered) == handle.total_rows
-        assert delivered == list(handle.result.rows)
+        assert delivered == rows
+        assert record.result is None  # the finishing poll dropped it
         # a finished job is forgotten: polling again is an error
         with pytest.raises(UnknownJob):
-            server.poll(handle)
+            server.poll(record)
 
     def test_result_drives_to_terminal_state(self, world, sheriff, es_user, es_peers):
-        handle = es_user.submit_price_check(_first_product_url(world))
-        result = es_user.collect(handle)
-        assert handle.state == "done"
-        assert handle.finished
-        assert handle.rows_arrived == len(result.rows)
-        assert handle.finished_at is not None
-        assert handle.finished_at >= handle.submitted_at
-        # time passed on the engine's loop, not the world clock
-        assert sheriff.engine.now > 0.0
+        record = es_user.submit_price_check(_first_product_url(world))
+        result = es_user.collect(record)
+        assert record.state == "completed"
+        assert record.resolved
+        assert record.rows_arrived == len(result.rows)
+        assert record.result is None  # collected: the record drops it
+        # the fetches took time on the world clock
+        assert sheriff.engine.now > record.started_at
         with pytest.raises(UnknownJob):
-            sheriff.measurement_server(handle.server_name).result(handle)
+            sheriff.measurement_server(record.server_name).result(record)
 
     def test_blocking_wrapper_is_submit_plus_collect(
         self, world, sheriff, es_user, es_peers
@@ -73,11 +72,21 @@ class TestPipelining:
         self, world, sheriff, es_user, es_peers
     ):
         url = _first_product_url(world)
+        # the wave's cost on a one-fetch-at-a-time backend: the sum of
+        # every fetch's simulated duration
+        durations = []
+        submit = sheriff.engine.submit
+
+        def submit_recorded(record, tasks, on_done=None):
+            durations.extend(task[0] for task in tasks)
+            return submit(record, tasks, on_done)
+
+        sheriff.engine.submit = submit_recorded
         start = sheriff.engine.now
         wave = [addon.submit_price_check(url) for addon in (es_user, *es_peers[:1])]
-        serial_cost = sum(h.service_seconds for h in wave)
-        for handle in wave:
-            sheriff.measurement_server(handle.server_name).result(handle)
+        serial_cost = sum(durations)
+        for record in wave:
+            sheriff.measurement_server(record.server_name).result(record)
         makespan = sheriff.engine.now - start
         assert 0.0 < makespan < serial_cost
 

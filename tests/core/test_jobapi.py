@@ -1,9 +1,9 @@
-"""Job entry points: where a price check's handle goes.
+"""Job entry points: where a price check's record goes.
 
 ``submit → poll → result`` is offered by two entry points: the queued
 measurement tier when the deployment runs one, else the Measurement
 server that owns the job.  ``PriceSheriff._job_entrypoint`` picks it by
-the handle's server name; the add-on submits and collects through it.
+the record's server name; the add-on submits and collects through it.
 """
 
 from repro.core.sheriff import PriceSheriff
@@ -23,23 +23,24 @@ class TestSheriffJobsFacade:
     def test_routes_direct_deployment_to_owning_server(
         self, world, sheriff, es_user, es_peers
     ):
-        handle = es_user.submit_price_check(_first_product_url(world))
-        entry = sheriff._job_entrypoint(handle.server_name)
-        owner = sheriff.coordinator.jobs[handle.job_id].server_name
-        assert entry is sheriff.measurement_server(owner)
+        record = es_user.submit_price_check(_first_product_url(world))
+        entry = sheriff._job_entrypoint(record.server_name)
+        assert entry is sheriff.measurement_server(record.server_name)
+        rows = list(record.result.rows)
 
         delivered = []
         finished = False
         while not finished:
-            batch, finished = entry.poll(handle)
+            batch, finished = entry.poll(record)
             delivered.extend(batch)
-        assert len(delivered) == handle.total_rows
+        assert delivered == rows
+        assert record.result is None  # the finishing poll dropped it
 
     def test_result_and_gather_direct(self, world, sheriff, es_user, es_peers):
-        handle = es_user.submit_price_check(_first_product_url(world))
-        result = sheriff._job_entrypoint(handle.server_name).result(handle)
+        record = es_user.submit_price_check(_first_product_url(world))
+        result = sheriff._job_entrypoint(record.server_name).result(record)
         assert result.rows
-        stored = sheriff.db.sp_responses_for_job(handle.job_id)
+        stored = sheriff.db.sp_responses_for_job(record.job_id)
         assert len(stored) == len(result.rows)
 
     def test_routes_queued_deployment_through_the_tier(self, world):
@@ -48,9 +49,9 @@ class TestSheriffJobsFacade:
             job_queue=True,
         )
         addon = sheriff.install_addon(world.make_browser("ES", "Madrid"))
-        handle = addon.submit_price_check(_first_product_url(world))
-        assert sheriff._job_entrypoint(handle.server_name) is sheriff.job_queue
-        result = sheriff.job_queue.result(handle)
+        record = addon.submit_price_check(_first_product_url(world))
+        assert sheriff._job_entrypoint(record.server_name) is sheriff.job_queue
+        result = sheriff.job_queue.result(record)
         assert result.rows
-        stored = sheriff.db.sp_responses_for_job(handle.job_id)
+        stored = sheriff.db.sp_responses_for_job(record.job_id)
         assert len(stored) == len(result.rows)

@@ -15,7 +15,6 @@ from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.errors import (
     PriceCheckFailed,
     QueueSaturated,
-    QuorumNotMet,
     UnknownJob,
 )
 from repro.core.measurement import PriceCheckJob
@@ -58,11 +57,13 @@ class TestAdmissionAndDrain:
         tier = sheriff.job_queue
         assert tier.depth == 3
         assert all(sheriff._job_entrypoint(h.server_name) is tier for h in wave)
-        assert all(h.state == "queued" for h in wave)
+        assert all(r in tier.queue and r.state == "pending" for r in wave)
+        assert all(r.job is not None for r in wave)  # the payload waits with it
 
         batch, _ = tier.poll(wave[0])
         assert tier.depth == 0
         assert tier.dispatched_total == 3
+        assert all(r.job is None for r in wave)  # dropped at dispatch
         assert batch  # first progressive batch of the first job
         for handle in wave:
             result = addon.collect(handle)
@@ -102,9 +103,9 @@ class TestAdmissionAndDrain:
 
 
 class TestHandleDescribesTheJob:
-    """The handle ``submit_price_check`` returns is the job: after
-    ``collect`` it reads the same whether the check was queued or went
-    straight to its server."""
+    """The record ``submit_price_check`` returns is the job: it is the
+    Coordinator's own record, and after ``collect`` it reads the same
+    whether the check was queued or went straight to its server."""
 
     @pytest.mark.parametrize("job_queue", [True, False], ids=["queued", "direct"])
     def test_done_handle(self, world, job_queue):
@@ -112,14 +113,15 @@ class TestHandleDescribesTheJob:
             world, ipc_sites=SMALL_IPC_SITES[:3], job_queue=job_queue
         )
         addon = _addon(world, sheriff)
-        handle = addon.submit_price_check(_product_urls(world)[0])
-        result = addon.collect(handle)
+        record = addon.submit_price_check(_product_urls(world)[0])
+        assert record is sheriff.coordinator.jobs[record.job_id]
+        result = addon.collect(record)
         assert len(result.rows) == 4
-        assert handle.state == "done"
-        assert handle.total_rows == handle.rows_arrived == 4
-        assert handle.result is result
-        assert handle.finished_at is not None and handle.finished_at > 0.0
-        assert handle.error is None
+        assert record.state == "completed"
+        assert record.rows_arrived == 4
+        assert record.closed
+        assert record.result is None and record.job is None  # dropped
+        assert record.failure_reason is None
 
     @pytest.mark.parametrize("job_queue", [True, False], ids=["queued", "direct"])
     def test_failed_handle(self, world, job_queue):
@@ -127,12 +129,13 @@ class TestHandleDescribesTheJob:
             world, ipc_sites=SMALL_IPC_SITES[:3], job_queue=job_queue, quorum=10
         )
         addon = _addon(world, sheriff)
-        handle = addon.submit_price_check(_product_urls(world)[0])
-        with pytest.raises(PriceCheckFailed):
-            addon.collect(handle)
-        assert handle.state == "failed"
-        assert isinstance(handle.error, QuorumNotMet)
-        assert handle.result is None
+        record = addon.submit_price_check(_product_urls(world)[0])
+        with pytest.raises(PriceCheckFailed) as exc:
+            addon.collect(record)
+        assert record.state == "failed"
+        assert exc.value.job_id == record.job_id
+        assert exc.value.reason == record.failure_reason == "quorum not met (4/10)"
+        assert record.result is None and record.job is None
 
 
 class TestLoadShedding:

@@ -41,6 +41,16 @@ def _deployment():
     return sheriff, users, urls
 
 
+def _last_landing(sheriff, *job_ids):
+    """When the last fetch of these jobs landed: the end of their
+    latest ``fetch`` span, recorded as the task landed."""
+    return max(
+        span.end for job_id in job_ids
+        for span in sheriff.telemetry.tracer.spans_for(job_id)
+        if span.name == "fetch"
+    )
+
+
 def _rows(sheriff):
     return [
         tuple(sorted((k, v) for k, v in row.items() if k != "_id"))
@@ -53,29 +63,28 @@ class TestAChecksTimeIsWorldTime:
         sheriff, users, urls = _deployment()
         clock = sheriff.world.clock
         assert sheriff.engine.loop.clock is clock
-        handle = users[0].submit_price_check(urls[0])
-        record = sheriff.coordinator.jobs[handle.job_id]
-        assert clock.now == record.started_at == handle.submitted_at
+        record = users[0].submit_price_check(urls[0])
+        assert record is sheriff.coordinator.jobs[record.job_id]
+        assert clock.now == record.started_at
         # pending until the last fetch lands, not when the fan-out ran
-        assert sheriff.coordinator.load() == {handle.server_name: 1}
-        result = users[0].collect(handle)
+        assert sheriff.coordinator.load() == {record.server_name: 1}
+        result = users[0].collect(record)
         assert result.time == record.started_at  # priced at the fan-out
-        assert clock.now == handle.finished_at > record.started_at
+        assert clock.now == _last_landing(sheriff, record.job_id) > record.started_at
         assert record.completed and sheriff.coordinator.load() == {}
 
     def test_turnaround_is_the_last_landing_minus_the_admission(self):
         sheriff, users, urls = _deployment()
-        handle = users[0].submit_price_check(urls[0])
-        users[0].collect(handle)
-        record = sheriff.coordinator.jobs[handle.job_id]
+        record = users[0].submit_price_check(urls[0])
+        users[0].collect(record)
         turnaround = sheriff.telemetry.registry.get("sheriff_job_turnaround_seconds")
-        assert turnaround.count(server=handle.server_name) == 1
-        expected = handle.finished_at - record.started_at
+        assert turnaround.count(server=record.server_name) == 1
+        expected = _last_landing(sheriff, record.job_id) - record.started_at
         assert expected > 0
         lines = []
         turnaround.expose(lines)
         (total,) = [line for line in lines if line.startswith(
-            f'sheriff_job_turnaround_seconds_sum{{server="{handle.server_name}"}}')]
+            f'sheriff_job_turnaround_seconds_sum{{server="{record.server_name}"}}')]
         assert float(total.split()[-1]) == pytest.approx(expected)
 
 
@@ -85,13 +94,13 @@ class TestARunningJobStays:
         fetches land neither moves nor fails it, and its completion is
         reported when the last fetch lands."""
         sheriff, users, urls = _deployment()
-        handle = users[0].submit_price_check(urls[0])
-        record = sheriff.coordinator.jobs[handle.job_id]
-        assert record.running and not handle.finished
-        sheriff.coordinator.handle_server_failure(handle.server_name)
-        assert (record.server_name, record.attempts) == (handle.server_name, 1)
+        record = users[0].submit_price_check(urls[0])
+        owner = record.server_name
+        assert record.state == "running" and not record.resolved
+        sheriff.coordinator.handle_server_failure(owner)
+        assert (record.server_name, record.attempts) == (owner, 1)
         assert not record.resolved
-        assert users[0].collect(handle).rows
+        assert users[0].collect(record).rows
         assert record.completed
 
 
@@ -101,34 +110,34 @@ class TestDrain:
 
     def _in_flight(self):
         sheriff, users, urls = _deployment()
-        handles = [
+        records = [
             user.submit_price_check(url) for user, url in zip(users, urls)
         ]
-        assert not any(handle.finished for handle in handles)
-        return sheriff, users, handles
+        assert not any(record.resolved for record in records)
+        return sheriff, users, records
 
     def test_drain_lands_every_job_in_flight(self):
-        sheriff, users, handles = self._in_flight()
+        sheriff, users, records = self._in_flight()
         supervisor = build_supervisor(sheriff)
         pool = supervisor.component("ms-0/pool")
         assert pool.restart == sheriff.engine.drain
         pool.restart()
-        assert all(handle.finished for handle in handles)
-        assert all(h.rows_arrived == h.total_rows > 0 for h in handles)
-        assert sheriff.world.clock.now == max(h.finished_at for h in handles)
+        assert all(r.completed for r in records)
+        assert all(r.rows_arrived == len(r.result.rows) > 0 for r in records)
+        assert sheriff.world.clock.now == _last_landing(
+            sheriff, *(r.job_id for r in records))
         assert sheriff.coordinator.load() == {}
-        assert all(sheriff.coordinator.jobs[h.job_id].completed for h in handles)
         assert sheriff.engine.loop.step() is False
 
     def test_drained_rows_equal_an_undrained_run(self):
-        drained, drained_users, drained_handles = self._in_flight()
+        drained, drained_users, drained_records = self._in_flight()
         drained.engine.drain()
         drained_results = [
-            user.collect(handle)
-            for user, handle in zip(drained_users, drained_handles)
+            user.collect(record)
+            for user, record in zip(drained_users, drained_records)
         ]
-        undrained, users, handles = self._in_flight()
-        results = [user.collect(handle) for user, handle in zip(users, handles)]
+        undrained, users, records = self._in_flight()
+        results = [user.collect(record) for user, record in zip(users, records)]
         assert [r.rows for r in drained_results] == [r.rows for r in results]
         assert _rows(drained) == _rows(undrained) != []
         assert drained.world.clock.now == undrained.world.clock.now

@@ -95,7 +95,7 @@ class Burst:
         original_execute = server._execute
         original_reconcile = server._reconcile_ambiguous_rows
 
-        def execute(job):
+        def execute(job, record):
             self.jobs[job.job_id] = (server, job)
 
             def reconcile(rows, currency):
@@ -103,7 +103,7 @@ class Burst:
                 return original_reconcile(rows, currency)
             server._reconcile_ambiguous_rows = reconcile
             try:
-                return original_execute(job)
+                return original_execute(job, record)
             finally:
                 del server._reconcile_ambiguous_rows
         return execute

@@ -15,8 +15,8 @@ class TestSpanNesting:
     def test_children_inherit_trace_and_parent(self):
         tr = _tracer()
         with tr.span("price_check", trace_id="job-1") as root:
-            with tr.span("fetch", duration=2.0) as fetch:
-                pass
+            with tr.span("fetch") as fetch:
+                tr.clock.advance(2.0)
             with tr.span("parse") as parse:
                 pass
         assert fetch.trace_id == "job-1"
@@ -28,8 +28,8 @@ class TestSpanNesting:
     def test_completion_order_is_children_first(self):
         tr = _tracer()
         with tr.span("price_check", trace_id="job-1"):
-            with tr.span("fetch", duration=1.0):
-                pass
+            with tr.span("fetch"):
+                tr.clock.advance(1.0)
             with tr.span("persist"):
                 pass
         assert [s.name for s in tr.finished] == [
@@ -37,16 +37,20 @@ class TestSpanNesting:
         ]
 
     def test_parent_stretches_over_scheduled_children(self):
-        """Fetch spans carry explicit durations (the world clock is
-        frozen during the fan-out); the parent must cover them."""
+        """The fan-out's root closes at its dispatch instant; each fetch
+        span is recorded when its task lands, backdated to when a worker
+        took it, and names the root as its parent.  The root must cover
+        them."""
         tr = _tracer()
         with tr.span("price_check", trace_id="job-1") as root:
-            with tr.span("fetch", duration=3.5):
-                pass
-            with tr.span("fetch", duration=1.0):
-                pass
-        assert root.duration == 3.5
-        assert root.end == root.start + 3.5
+            pass
+        tr.clock.advance(1.0)
+        tr.record("fetch", trace_id="job-1", parent_id=root.span_id, start=0.0)
+        tr.clock.advance(2.5)
+        fetch = tr.record("fetch", trace_id="job-1", parent_id=root.span_id,
+                          start=1.0)
+        assert (fetch.start, fetch.end) == (1.0, 3.5)
+        assert (root.start, root.end) == (0.0, 3.5)
 
     def test_sim_clock_timestamps(self):
         clock = Clock()
@@ -83,8 +87,8 @@ class TestSpanNesting:
 def _run_fixed_tree():
     tr = _tracer()
     with tr.span("root", trace_id="job-1"):
-        with tr.span("fetch", duration=1.0):
-            pass
+        with tr.span("fetch"):
+            tr.clock.advance(1.0)
         with tr.span("parse"):
             pass
     return tr.finished
@@ -94,15 +98,15 @@ class TestExport:
     def test_jsonl_roundtrip(self):
         tr = _tracer()
         with tr.span("price_check", trace_id="job-1", server="ms-0"):
-            with tr.span("fetch", duration=2.0, vantage="IPC", ok=True):
-                pass
+            with tr.span("fetch", vantage="IPC", ok=True):
+                tr.clock.advance(2.0)
         fh = io.StringIO()
         assert tr.export_jsonl(fh) == 2
         lines = [json.loads(line) for line in fh.getvalue().splitlines()]
         assert [line["name"] for line in lines] == ["fetch", "price_check"]
         assert lines[0]["attrs"] == {"vantage": "IPC", "ok": True}
         assert lines[0]["duration"] == 2.0
-        assert lines[1]["duration"] == 2.0  # stretched over the child
+        assert lines[1]["duration"] == 2.0  # covers the child
 
     def test_jsonl_filter_by_trace(self):
         tr = _tracer()
@@ -120,9 +124,8 @@ class TestRendering:
     def test_render_contains_tree_and_summary(self):
         tr = _tracer()
         with tr.span("price_check", trace_id="job-1", server="ms-0"):
-            with tr.span("fetch", duration=2.0, vantage="IPC",
-                         proxy_id="ipc-0"):
-                pass
+            with tr.span("fetch", vantage="IPC", proxy_id="ipc-0"):
+                tr.clock.advance(2.0)
             with tr.span("parse", rows=3):
                 pass
         out = render_trace(tr.spans_for("job-1"))
@@ -149,14 +152,20 @@ def _zero_body_tree(zero_body):
     tr = Tracer(clock)
     returned = [zero_body(tr, "assign", trace_id="job-1", server="ms-0")]
     clock.advance(3.0)
-    with tr.span("price_check", trace_id="job-1"):
-        for i, duration in enumerate((0.0, 2.5, 1.0)):
-            returned.append(zero_body(tr, "fetch", duration=duration,
-                                      vantage="IPC", proxy_id=f"ipc-{i}", ok=True))
+    with tr.span("price_check", trace_id="job-1") as root:
+        returned.append(zero_body(tr, "fetch", vantage="IPC", proxy_id="ipc-0",
+                                  ok=True))
         returned.append(zero_body(tr, "steal", parent_id=returned[0].span_id,
                                   links=[("job-1", 1)], src="ms-0", dst="ms-1"))
         clock.advance(1.5)
         returned.append(zero_body(tr, "parse", rows=3))
+    # fetches that land after the root closed, backdated to when a
+    # worker took them
+    for i, (took, advance) in enumerate(((3.0, 1.0), (4.0, 0.0)), start=1):
+        clock.advance(advance)
+        returned.append(zero_body(tr, "fetch", trace_id="job-1",
+                                  parent_id=root.span_id, start=took,
+                                  vantage="IPC", proxy_id=f"ipc-{i}", ok=True))
     returned.append(zero_body(tr, "queue_wait", trace_id="job-2", start=1.0))
     returned.append(zero_body(tr, "orphan"))
     return tr.finished, returned
@@ -169,16 +178,16 @@ class TestRecord:
         assert [s.to_dict() for s in spans] == [s.to_dict() for s in reference]
         assert [s.to_dict() for s in returned] == [s.to_dict() for s in reference_returned]
         root = next(s for s in spans if s.name == "price_check")
-        assert (root.start, root.end) == (3.0, 5.5)  # stretched over the 2.5 s fetch
+        assert (root.start, root.end) == (3.0, 5.5)  # stretched over the late fetch
 
     def test_null_record_does_nothing(self):
-        NULL_TRACER.record("fetch", duration=1.0, vantage="IPC")
+        NULL_TRACER.record("fetch", start=1.0, vantage="IPC")
         assert NULL_TRACER.finished == []
 
 
 class TestNullTracer:
     def test_null_tracer_records_nothing(self):
-        with NULL_TRACER.span("anything", trace_id="x", duration=5.0) as s:
+        with NULL_TRACER.span("anything", trace_id="x", start=5.0) as s:
             assert s.duration == 0.0
         assert NULL_TRACER.finished == []
         assert NULL_TRACER.trace_ids() == []
@@ -187,4 +196,4 @@ class TestNullTracer:
         assert fh.getvalue() == ""
 
     def test_span_is_one_shared_context_manager(self):
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b", trace_id="x", duration=2.0)
+        assert NULL_TRACER.span("a") is NULL_TRACER.span("b", trace_id="x", start=2.0)

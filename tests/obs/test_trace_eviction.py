@@ -74,18 +74,19 @@ class TestCriticalPath:
         clock = Clock()
         tr = Tracer(clock)
         with tr.span("root", trace_id="j") as root:
-            with tr.span("fast", duration=1.0):
-                pass
-            with tr.span("slow", duration=4.0) as slow:
-                pass
+            pass
+        clock.advance(1.0)
+        tr.record("fast", trace_id="j", parent_id=root.span_id, start=0.0)
+        clock.advance(3.0)
+        slow = tr.record("slow", trace_id="j", parent_id=root.span_id, start=0.0)
         path = critical_path(tr.spans_for("j"))
         assert [s.span_id for s in path] == [root.span_id, slow.span_id]
 
     def test_render_shows_critical_path_section(self):
         tr = Tracer(Clock())
         with tr.span("root", trace_id="j"):
-            with tr.span("slow", duration=4.0, vantage="IPC"):
-                pass
+            with tr.span("slow", vantage="IPC"):
+                tr.clock.advance(4.0)
         out = render_trace(tr.spans_for("j"), show_critical_path=True)
         assert "critical path" in out
         assert "slow IPC" in out
