@@ -53,10 +53,10 @@ class SandboxedFetchResult:
     """Outcome of one sandboxed remote page request."""
 
     response: StoreResponse
-    #: full client-side state at the end of the request — when a
-    #: doppelganger was swapped in, this is its updated state to hand
-    #: back to the Coordinator.
-    client_state_after: ClientState
+    #: the doppelganger's client-side state at the end of the request,
+    #: to hand back to the Coordinator; ``None`` for a real-profile
+    #: fetch, whose end state the sandbox throws away
+    client_state_after: Optional[ClientState]
     used_doppelganger: bool
 
 
@@ -70,14 +70,17 @@ def sandboxed_fetch(
     With ``client_state=None`` the request is sent with the PPC's *own*
     cookies (real-profile measurement point, counted against the
     pollution budget).  Otherwise the jar is replaced by the given
-    doppelganger state for the duration of the request.  Either way the
-    browser's cookies/history/cache are bit-identical afterwards.
+    doppelganger state for the duration of the request, and its end
+    state is returned.  Either way the browser's cookies/history/cache
+    are bit-identical afterwards.
     """
+    state_after = None
     with Sandbox(browser):
         if client_state is not None:
             browser.cookies.restore(client_state)
         response = browser.visit(url)
-        state_after = browser.cookies.snapshot()
+        if client_state is not None:
+            state_after = browser.cookies.snapshot()
     return SandboxedFetchResult(
         response=response,
         client_state_after=state_after,

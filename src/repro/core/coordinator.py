@@ -104,6 +104,9 @@ class JobRecord:
     #: out by progressive polls
     rows_arrived: int = 0
     rows_delivered: int = 0
+    #: the instants its row-producing fetches land, sorted; held from
+    #: the fan-out until the job is resolved
+    landings: Optional[List[float]] = None
     #: 'request finish' (or the job's failure) was handed out: a further
     #: poll raises :class:`UnknownJob`
     closed: bool = False
@@ -245,10 +248,11 @@ class Coordinator:
             for p in self.overlay.peers_in_city(location.country, location.city)
             if p.peer_id != initiator_peer_id
         ]
+        excluded = {initiator_peer_id, *same_city}
         same_country = [
             p.peer_id
             for p in self.overlay.peers_in_country(location.country)
-            if p.peer_id != initiator_peer_id and p.peer_id not in same_city
+            if p.peer_id not in excluded
         ]
         self._rng.shuffle(same_city)
         self._rng.shuffle(same_country)
@@ -343,7 +347,7 @@ class Coordinator:
         """Step 4 of Fig. 6: the job ended (``completed`` or
         ``failed``), so its server has one job fewer pending."""
         del self._pending[record.job_id]
-        record.journey = None
+        record.journey = record.landings = None
         self._m_lifecycle.inc(event=event)
 
     def job_completed(self, job_id: str) -> None:

@@ -6,12 +6,14 @@ by how many such fan-outs it can keep in flight.  This module is the
 concurrency model on top of the Measurement server's fan-out:
 
 * every fetch a job performs becomes a task on a bounded per-server
-  :class:`WorkerPool` scheduled on the world's
-  :class:`repro.net.events.EventLoop` — the one clock every component
-  reads.  The fan-out itself runs at the job's dispatch instant, which
-  is the "same time" of Sect. 3.2; the world clock then advances as
-  the fetches land, and the job is reported complete to the
-  Coordinator when its last fetch lands;
+  :class:`WorkerPool`, placed when the job is submitted: the pool
+  knows when each worker frees, so it knows at once when each task is
+  taken and when it lands.  The fan-out itself runs at the job's
+  dispatch instant, which is the "same time" of Sect. 3.2; the job is
+  then one event on the world's :class:`repro.net.events.EventLoop` —
+  the one clock every component reads — at its last landing, where it
+  is reported complete to the Coordinator.  Polls advance the world
+  clock to the landings of the job's rows;
 * a price check is the Coordinator's
   :class:`~repro.core.coordinator.JobRecord`: the entry point that
   admits the job (a Measurement server, or the queue tier) returns it,
@@ -25,21 +27,30 @@ concurrency model on top of the Measurement server's fan-out:
   just-fetched page instead of re-fetching it — and, since everything
   the $heriff derives from a page is a function of its bytes, reuse
   what the first check derived from it too: each :class:`CachedPage`
-  carries the name of the page's stored diff and the result rows read
-  from it, and they expire with it.  Entries are evicted oldest first
-  as new pages are put, so the cache holds one TTL window of pages.
+  carries the name of the page's stored diff, the result rows read
+  from it and its tag cut, and they expire with it.  Entries are
+  evicted oldest first as new pages are put, so the cache holds one
+  TTL window of pages.
 
 Determinism: the engine never decides *what* is fetched or in which
 order — the Measurement server performs the fan-out eagerly in the
 canonical serial order, so every RNG stream (world, faults, latency) is
 consumed identically however many workers the pools have.  The engine
-only decides *when* each fetch lands on the simulated timeline.
+only decides *when* each fetch lands on the simulated timeline, and it
+decides that in closed form, in submission order: a task is taken at
+``max(now, the earliest instant a worker frees)`` and lands its
+duration later, the schedule of a FIFO pool whose tasks are loop events
+(``tests/core/test_closed_form_pool.py`` holds the two to the same
+instants).  A job's ``fetch`` spans are recorded in landing order, ties
+in task order, when its last fetch lands.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
+from heapq import heapreplace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import PriceCheckFailed, UnknownJob
 from repro.core.pricecheck import PriceCheckResult
@@ -71,11 +82,26 @@ CACHE_HIT_SECONDS = 0.005
 
 
 class WorkerPool:
-    """A bounded pool of fetch workers as a discrete-event resource.
+    """A bounded pool of fetch workers, placed in closed form.
 
-    ``submit`` queues one task; at most ``size`` tasks occupy workers at
-    any simulated instant, the rest wait their turn — exactly the
-    fetcher-thread pool a real Measurement server would run.
+    A FIFO queue waits in front of ``size`` workers.  :meth:`place`
+    gives the next task the worker that frees earliest: the task is
+    taken at ``max(now, earliest free instant)`` and lands ``duration``
+    later.  That is the schedule an event-driven pool produces (the one
+    in ``tests/oracles/event_pool.py``: a task is taken when a running
+    one lands), computed when the task is submitted, so a task costs a
+    heap replace and no loop event.
+
+    The jobs whose fetches are in flight are held (:meth:`hold`) until
+    their last one lands (:meth:`release`); ``busy`` and ``queued`` are
+    read from their instants.  Ties at one instant are ordered as the
+    event-driven pool orders them while the loop runs its events in
+    time order: a task that lands at the instant the clock moved on to
+    has landed, and one taken and landed at the instant its job was
+    placed (a zero-second task) still occupies its worker until the
+    clock moves on.  A caller that moves the clock past a landing
+    without running the loop sees the task landed here, where the
+    event-driven pool still counted it busy.
     """
 
     def __init__(self, loop: EventLoop, size: int, name: str) -> None:
@@ -83,41 +109,64 @@ class WorkerPool:
             raise ValueError(f"worker pool needs at least 1 worker, got {size}")
         self.loop = loop
         self.size = size
-        self._busy = 0
-        self._waiting: Deque[Tuple[float, Callable[[float], None]]] = deque()
+        #: the instant each worker frees, a heap
+        self._free: List[float] = [float("-inf")] * size
+        #: job id -> (instant placed, task takens in placement order,
+        #: task landings sorted)
+        self._in_flight: Dict[str, Tuple[float, List[float], List[float]]] = {}
+        #: the most tasks occupying workers at one instant
         self.peak_busy = 0
         self.tasks_run = 0
         #: the Measurement server the pool works for
         self.name = name
 
+    def place(self, duration: float) -> Tuple[float, float]:
+        """Give one task the earliest-free worker; return ``(taken,
+        landing)``."""
+        free = self._free
+        now = self.loop.clock.now
+        earliest = free[0]
+        taken = earliest if earliest > now else now
+        landing = taken + duration
+        heapreplace(free, landing)
+        self.tasks_run += 1
+        return taken, landing
+
+    def hold(self, job_id: str, placed: List[Tuple[float, float]]) -> None:
+        """Count a job's placed tasks in flight until :meth:`release`."""
+        self._in_flight[job_id] = (
+            self.loop.clock.now,
+            [taken for taken, _ in placed],
+            sorted([landing for _, landing in placed]),
+        )
+        self.peak_busy = max(self.peak_busy, self.busy)
+
+    def release(self, job_id: str) -> None:
+        """The job's last task landed."""
+        del self._in_flight[job_id]
+
+    def _load(self) -> Tuple[int, int]:
+        """``(busy, queued)`` at the clock's instant."""
+        now = self.loop.clock.now
+        unlanded = untaken = 0
+        for placed_at, takens, landings in self._in_flight.values():
+            landed = (bisect_left if now == placed_at else bisect_right)(landings, now)
+            unlanded += len(landings) - landed
+            untaken += len(takens) - bisect_right(takens, now)
+        # a zero-second task frees its worker at the instant it was
+        # placed, and the next task takes the worker at once here; the
+        # event-driven pool queued that task until the first one's
+        # event ran, with every worker busy
+        busy = min(self.size, unlanded - untaken)
+        return busy, unlanded - busy
+
     @property
     def busy(self) -> int:
-        return self._busy
+        return self._load()[0]
 
     @property
     def queued(self) -> int:
-        return len(self._waiting)
-
-    def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
-        """Queue one task; when it lands, ``on_done`` runs with the
-        instant a worker took it."""
-        self._waiting.append((duration, on_done))
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._busy < self.size and self._waiting:
-            duration, on_done = self._waiting.popleft()
-            self._busy += 1
-            self.peak_busy = max(self.peak_busy, self._busy)
-            taken = self.loop.clock.now
-
-            def fire(cb: Callable[[float], None] = on_done, taken: float = taken) -> None:
-                self._busy -= 1
-                self.tasks_run += 1
-                cb(taken)
-                self._drain()
-
-            self.loop.call_at(taken + duration, fire)
+        return self._load()[1]
 
 
 class CachedPage:
@@ -134,15 +183,20 @@ class CachedPage:
     * ``rows`` — ``(path entries, path target, requested currency,
       now) → ResultRow``: a row is a function of the page, the job's
       Tags Path, the requested currency and the rates at ``now``.
+    * ``cut`` — the page's :func:`~repro.web.html.split_tags` cut, as
+      the first reader made it; a later reader whose row key misses
+      extracts from it instead of cutting the page again.  ``None``
+      until a row was read.
     """
 
-    __slots__ = ("stored_at", "fetch", "stored_as", "rows")
+    __slots__ = ("stored_at", "fetch", "stored_as", "rows", "cut")
 
     def __init__(self, stored_at: float, fetch: Any) -> None:
         self.stored_at = stored_at
         self.fetch = fetch
         self.stored_as: Optional[Tuple[Any, Tuple[str, str]]] = None
         self.rows: Dict[Tuple[Tuple[str, ...], str, str, float], Any] = {}
+        self.cut: Optional[Tuple[List[str], str]] = None
 
 
 class PageCache:
@@ -276,17 +330,19 @@ class PriceCheckEngine:
         tasks: List[FetchTask],
         on_done: Optional[Callable[[], None]] = None,
     ) -> JobRecord:
-        """Put one executed fan-out's fetch timeline on the loop.
+        """Place one executed fan-out's fetches on the server's pool.
 
         ``tasks`` carries one :data:`FetchTask` per fetch the job
         attempted, in canonical order (the initiator's own page is first
         and costs nothing — it arrived with the request; a failed fetch
-        occupies a worker for its timeout but lands no row).
-        ``record.rows_arrived`` counts the row-producing tasks as they
-        land, and the last task — row or not — runs ``on_done`` (the
-        completion report).  With tracing on, each task is recorded as a
-        ``fetch`` span under the job's fan-out span when it lands,
-        starting at the instant a worker took it.  A fan-out that failed
+        occupies a worker for its timeout but lands no row).  Every
+        task is placed now; ``record.landings`` holds the instants its
+        rows land, which :meth:`pump` counts ``record.rows_arrived``
+        from, and one loop event at the last landing — row or not —
+        completes the job and runs ``on_done`` (the completion report).
+        With tracing on, that event records each task as a ``fetch``
+        span under the job's fan-out span, in landing order, from the
+        instant a worker took it to its landing.  A fan-out that failed
         (its record is failed) is terminal already: no worker time is
         spent on it.
         """
@@ -295,39 +351,48 @@ class PriceCheckEngine:
         server = record.server_name
         self._m_submitted.inc(server=server)
         pool = self.pool_for(server)
+        place = pool.place
+        placed = [place(task[0]) for task in tasks]
+        pool.hold(record.job_id, placed)
+        rows = record.landings = sorted(
+            [landing for (_, landing), task in zip(placed, tasks) if task[1]]
+        )
         submitted = self.now
-        remaining = len(tasks)
         root = record.journey  # the fan-out's span; None with tracing off
 
-        def landed(ok: bool) -> None:
-            nonlocal remaining
-            if ok:
-                record.rows_arrived += 1
-            remaining -= 1
-            if remaining == 0:
-                self._m_completed.inc(server=server, state="done")
-                self._m_latency.observe(self.now - submitted, server=server)
-                if on_done is not None:
-                    on_done()
+        def complete() -> None:
+            pool.release(record.job_id)
+            record.rows_arrived = len(rows)
+            record.landings = None
+            if root is not None:
+                self._record_fetches(record.job_id, root.span_id, tasks, placed)
+            self._m_completed.inc(server=server, state="done")
+            self._m_latency.observe(self.now - submitted, server=server)
+            if on_done is not None:
+                on_done()
 
-        if root is None:
-            for duration, ok, _vantage, _proxy, _hit in tasks:
-                pool.submit(duration, lambda _taken, ok=ok: landed(ok))
-            return record
-
-        def traced(taken: float, task: FetchTask) -> None:
-            _, ok, vantage, proxy_id, cache_hit = task
-            attrs = {} if cache_hit is None else {"cache_hit": cache_hit}
-            self.tracer.record(
-                "fetch", trace_id=record.job_id, parent_id=root.span_id,
-                start=taken, vantage=vantage, proxy_id=proxy_id, ok=ok,
-                **attrs,
-            )
-            landed(ok)
-
-        for task in tasks:
-            pool.submit(task[0], lambda taken, task=task: traced(taken, task))
+        self.loop.call_at(max([landing for _, landing in placed]), complete)
         return record
+
+    def _record_fetches(
+        self,
+        trace_id: str,
+        parent_id: int,
+        tasks: List[FetchTask],
+        placed: List[Tuple[float, float]],
+    ) -> None:
+        """One ``fetch`` span per task, in landing order (ties in task
+        order, as a worker took them)."""
+        record = self.tracer.record
+        for i in sorted(range(len(tasks)), key=lambda i: placed[i][1]):
+            _, ok, vantage, proxy_id, cache_hit = tasks[i]
+            taken, landing = placed[i]
+            attrs = {} if cache_hit is None else {"cache_hit": cache_hit}
+            record(
+                "fetch", trace_id=trace_id, parent_id=parent_id,
+                start=taken, end=landing, vantage=vantage, proxy_id=proxy_id,
+                ok=ok, **attrs,
+            )
 
     @staticmethod
     def _open(record: JobRecord) -> None:
@@ -378,16 +443,25 @@ class PriceCheckEngine:
     def pump(self, record: JobRecord) -> None:
         """Advance simulated time until the job has something new.
 
-        Steps the loop until at least one undelivered row has arrived
-        or the job reached a terminal state — the discrete-event
-        equivalent of one AJAX poll blocking briefly on the server.
+        Runs the loop to the landing of the job's next undelivered row
+        (every row landing at that instant arrives with it), or to the
+        job's terminal state once every row has arrived — the
+        discrete-event equivalent of one AJAX poll blocking briefly on
+        the server.
         """
-        while (
-            not record.resolved
-            and record.rows_arrived <= record.rows_delivered
+        landings = record.landings
+        if (
+            landings is None
+            or record.resolved
+            or record.rows_arrived > record.rows_delivered
         ):
-            if not self.loop.step():
-                break
+            return
+        if record.rows_delivered == len(landings):
+            self.drive(record)  # only row-less fetches are still out
+            return
+        self.loop.run_until(landings[record.rows_delivered])
+        if record.landings is not None:  # not completed on the way
+            record.rows_arrived = bisect_right(landings, self.now)
 
     def drive(self, record: JobRecord) -> None:
         """Advance simulated time until the job is terminal."""

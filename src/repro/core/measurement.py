@@ -54,6 +54,7 @@ from repro.net.geo import Location
 from repro.net.p2p import PeerOverlay
 from repro.net.sim import LatencyModel, fetch_duration
 from repro.obs import NULL_TELEMETRY
+from repro.web.html import reuse_cut, split_tags
 from repro.web.internet import parse_url
 
 if TYPE_CHECKING:  # avoid a core ↔ clients import cycle at runtime
@@ -486,8 +487,10 @@ class MeasurementServer:
         cache entry; a later reader in the same diff store stores an
         alias of it.  The row is taken from the entry when this job's
         Tags Path, requested currency and ``now`` match an earlier
-        reader's.  A store that raised leaves no name, so the next
-        reader stores the page itself.
+        reader's; otherwise it is read from the page's cut, which the
+        first reader keeps on the entry, so the page is cut once.  A
+        store that raised leaves no name, so the next reader stores the
+        page itself.
         """
         fetch = page.fetch
         stored_as = page.stored_as
@@ -502,6 +505,10 @@ class MeasurementServer:
         key = (path.entries, path.target, job.requested_currency, self.clock.now)
         row = page.rows.get(key)
         if row is None:
+            if page.cut is None:
+                page.cut = split_tags(fetch.html)  # the cut the store made
+            else:
+                reuse_cut(fetch.html, page.cut)
             loc = fetch.location
             row = page.rows[key] = self._row_from_page(
                 job, fetch.html, kind="IPC", proxy_id=proxy_id,

@@ -105,6 +105,9 @@ class PeerOverlay:
         self, faults: Optional[FaultPlan] = None, telemetry=NULL_TELEMETRY
     ) -> None:
         self._peers: Dict[str, PeerRecord] = {}
+        #: country -> its peers, in registration order (the order of
+        #: ``_peers``), so a presence query scans one country
+        self._by_country: Dict[str, Dict[str, PeerRecord]] = {}
         self.faults = faults
         #: telemetry: churn counters, and the Fig. 16 presence series
         #: sampled from the peer records
@@ -135,13 +138,35 @@ class PeerOverlay:
         handler: Callable[[Any], Any],
     ) -> PeerRecord:
         record = PeerRecord(peer_id=peer_id, location=location, handler=handler)
-        self._peers[peer_id] = record
+        previous = self._peers.get(peer_id)
+        self._peers[peer_id] = record  # a re-registered id keeps its place
+        if previous is not None and previous.location.country != location.country:
+            self._index_country(previous.location.country)
+            self._index_country(location.country)
+        else:
+            self._by_country.setdefault(location.country, {})[peer_id] = record
         self._m_churn.inc(event="joined")
         return record
+
+    def _index_country(self, country: str) -> None:
+        """Rebuild one country's index from the registry."""
+        peers = {
+            peer_id: p for peer_id, p in self._peers.items()
+            if p.location.country == country
+        }
+        if peers:
+            self._by_country[country] = peers
+        else:
+            self._by_country.pop(country, None)
 
     def unregister(self, peer_id: str) -> None:
         record = self._peers.pop(peer_id, None)
         if record is not None:
+            country = record.location.country
+            peers = self._by_country[country]
+            del peers[peer_id]
+            if not peers:
+                del self._by_country[country]
             self._m_churn.inc(event="left")
 
     def set_online(self, peer_id: str, online: bool) -> None:
@@ -178,13 +203,15 @@ class PeerOverlay:
         return [p for p in self._peers.values() if p.online]
 
     def peers_in_country(self, country: str) -> List[PeerRecord]:
-        return [p for p in self.online_peers() if p.location.country == country]
+        """The country's online peers, in registration order."""
+        return [p for p in self._by_country.get(country, {}).values() if p.online]
 
     def peers_in_city(self, country: str, city: str) -> List[PeerRecord]:
+        """The city's online peers, in registration order."""
         return [
             p
-            for p in self.online_peers()
-            if p.location.country == country and p.location.city == city
+            for p in self._by_country.get(country, {}).values()
+            if p.online and p.location.city == city
         ]
 
     def monitoring_rows(self) -> List[Dict[str, str]]:

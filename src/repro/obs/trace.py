@@ -143,14 +143,18 @@ class Tracer:
         start: Optional[float] = None,
         parent_id: Optional[int] = None,
         links: Optional[Sequence[Tuple[str, int]]] = None,
+        end: Optional[float] = None,
         **attrs: object,
     ) -> Span:
         """Append a span with no body and return it: the span
         ``with span(…): pass`` records, with the same arguments, id,
-        parent, timestamps and parent stretch."""
+        parent, timestamps and parent stretch.  ``end`` ends it at that
+        instant instead of the clock's (the engine records a job's
+        ``fetch`` spans when its last fetch lands, each ending at its
+        own landing)."""
         parent = self._stack[-1] if self._stack else None
         span = self._open(name, parent, trace_id, start, parent_id, links, attrs)
-        self._close(span, parent, parent_id)
+        self._close(span, parent, parent_id, end)
         return span
 
     def _open(self, name, parent, trace_id, start, parent_id, links, attrs) -> Span:
@@ -172,10 +176,12 @@ class Tracer:
             links=list(links) if links else [],
         )
 
-    def _close(self, span: Span, parent: Optional[Span], parent_id) -> None:
+    def _close(
+        self, span: Span, parent: Optional[Span], parent_id, end: Optional[float] = None
+    ) -> None:
         # keep the stretch children already applied: a parent must
         # never end before its children do
-        span.end = max(span.end, self.clock.now)
+        span.end = max(span.end, self.clock.now) if end is None else end
         # a parent covers its children on the timeline: the open parent
         # on the stack, or a finished one named by parent_id, and then
         # each finished ancestor above it
@@ -287,7 +293,7 @@ class NullTracer:
         return self._NULL_CONTEXT
 
     def record(self, name: str, trace_id=None, start=None,
-               parent_id=None, links=None, **attrs) -> Span:
+               parent_id=None, links=None, end=None, **attrs) -> Span:
         return self._NULL_CONTEXT.span
 
     def trace_ids(self) -> List[str]:

@@ -144,6 +144,15 @@ def split_tags(html: str) -> Tuple[List[str], str]:
     return cut
 
 
+def reuse_cut(html: str, cut: Tuple[List[str], str]) -> None:
+    """Make ``cut`` — what :func:`split_tags` returned for ``html``
+    earlier — the last cut, so the next ``split_tags(html)`` returns it
+    without cutting the page again (a page-cache entry keeps its page's
+    cut for every later reader)."""
+    global _last_split
+    _last_split = (html, cut)
+
+
 #: kinds of classified token — the first field of a :data:`Token`
 T_TEXT, T_OPEN, T_VOID, T_SELF, T_CLOSE = range(5)
 

@@ -79,6 +79,25 @@ class TestSandboxInvariant:
         # the store issued a fresh session to the doppelganger identity
         assert "sid" in result.client_state_after.get("shop.example", {})
 
+    def test_real_profile_fetch_takes_no_end_state_copy(
+        self, browser, store, monkeypatch
+    ):
+        """Only a doppelganger's end state goes back to the Coordinator:
+        a fetch with the PPC's own cookies copies the jar once, for the
+        sandbox to restore, and hands no end state out."""
+        copies = []
+        snapshot = browser.cookies.snapshot
+        monkeypatch.setattr(
+            browser.cookies, "snapshot", lambda: copies.append(1) or snapshot()
+        )
+        url = store.product_url(store.catalog.products[0].product_id)
+        result = sandboxed_fetch(browser, url)
+        assert result.client_state_after is None
+        assert len(copies) == 1
+        result = sandboxed_fetch(browser, url, client_state={})
+        assert result.client_state_after is not None
+        assert len(copies) == 3  # the sandbox's and the doppelganger's end state
+
     def test_tracker_profile_of_user_untouched_with_doppelganger(
         self, browser, store, ecosystem
     ):

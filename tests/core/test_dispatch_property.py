@@ -149,9 +149,10 @@ def _open_loop_deployment():
 
 def _spy_on(sheriff):
     """Record every assignment ``(load, online servers, pick)``, every
-    fetch landing ``{job_id: [world time, ...]}``, the jobs in the order
-    they finish ``[(job_id, world time)]`` and every turnaround
-    observation ``[(seconds, server)]`` of ``sheriff``."""
+    fetch landing ``{job_id: [world time, ...]}`` as its task is placed,
+    the jobs in the order they finish ``[(job_id, world time)]`` and
+    every turnaround observation ``[(seconds, server)]`` of
+    ``sheriff``."""
     clock = sheriff.world.clock
     distributor, engine = sheriff.distributor, sheriff.engine
     picks, landings, finished, turnarounds = [], {}, [], []
@@ -168,23 +169,22 @@ def _spy_on(sheriff):
 
     def submit_recorded(record, tasks, on_done=None):
         pool = engine.pool_for(record.server_name)
-        submit = pool.submit
+        place = pool.place
 
-        def submit_task(duration, landed):
-            def land(taken):
-                landings.setdefault(record.job_id, []).append(clock.now)
-                landed(taken)
-            submit(duration, land)
+        def place_task(duration):
+            taken, landing = place(duration)
+            landings.setdefault(record.job_id, []).append(landing)
+            return taken, landing
 
         def done_recorded():
             finished.append((record.job_id, clock.now))
             on_done()
 
-        pool.submit = submit_task
+        pool.place = place_task
         try:
             return submit_job(record, tasks, done_recorded)
         finally:
-            del pool.submit
+            del pool.place
 
     histogram = sheriff.telemetry.registry.get("sheriff_job_turnaround_seconds")
     observe = histogram.observe

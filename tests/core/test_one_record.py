@@ -9,9 +9,11 @@ check a user got a record for is collected, and then:
   is failed, carrying its ``failure_reason``;
 * otherwise the rows it returns are the rows the Database server
   stored for the job;
-* no record the Coordinator keeps still holds the job's payload or its
-  result — ``Coordinator.jobs`` keeps every record, so a record that
-  held them would keep one result per check alive.
+* no record the Coordinator keeps still holds the job's payload, its
+  result or the landings of its fetches — ``Coordinator.jobs`` keeps
+  every record, so a record that held them would keep one result per
+  check alive — and once the loop has run dry no worker pool holds a
+  job in flight.
 """
 
 import gc
@@ -124,8 +126,26 @@ def test_a_price_check_is_its_record(job_queue, arrivals, chaos_seed, quorum):
     for user, record in open_checks:
         _check_collect(sheriff, user, record)
 
-    payloads = (PriceCheckJob, PriceCheckResult)
+    # the job, its result and its landings (a list of instants)
+    payloads = (PriceCheckJob, PriceCheckResult, list)
     for record in sheriff.coordinator.jobs.values():
         assert record.resolved, record
         held = [x for x in gc.get_referents(record) if isinstance(x, payloads)]
         assert held == [], record.job_id
+    loop.run()  # a job failed in flight still has its fetches out
+    assert [pool._in_flight for pool in sheriff.engine._pools.values()] == [
+        {} for _ in sheriff.engine._pools]
+
+
+def test_a_job_failed_in_flight_drops_its_landings():
+    """A running job the Coordinator fails lets go of its landings at
+    once; its fetches still hold their workers until the last lands."""
+    sheriff, users, urls = _deployment(False, None, 1)
+    record = users[0].submit_price_check(urls[0])
+    assert record.state == "running" and record.landings
+    sheriff.coordinator.fail_job(record.job_id, "failed in flight")
+    assert record.failed and record.landings is None
+    pool = sheriff.engine.pool_for(record.server_name)
+    assert record.job_id in pool._in_flight
+    sheriff.engine.drain()
+    assert pool._in_flight == {}

@@ -9,11 +9,14 @@ reading the served page afresh gives, and hold the cache (with what its
 entries carry) to one TTL window.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.diffstorage import DiffStorage
 from repro.core.engine import PageCache
 from repro.core.sheriff import PriceSheriff, SheriffWorld
+from repro.web import html
 from repro.web.pricing import CountryMultiplierPricing, UniformPricing
 
 from .conftest import SMALL_IPC_SITES, _store
@@ -202,6 +205,39 @@ class TestBurst:
             for r in results
         }
         assert texts[odd_one.peer_id].isdisjoint(texts[burst.users[0].peer_id])
+
+    def test_a_cached_page_is_cut_once(self, world, monkeypatch):
+        """The first reader of a cached page keeps its cut on the entry;
+        a later reader whose row key misses the entry's rows (here: one
+        user asks for USD) reads its row from that cut, so no page is
+        cut twice while its entry lives."""
+        cuts = Counter()  # id of a cut page -> cuts
+        split = html._TAG_SPLIT
+
+        def counting_split(page):
+            cuts[id(page)] += 1
+            return split(page)
+
+        monkeypatch.setattr(html, "_TAG_SPLIT", counting_split)
+        burst = Burst(world, monkeypatch)
+        currencies = ["EUR"] * WAVE
+        currencies[3] = "USD"
+        for domain in PRODUCTS:
+            burst.fetched, burst.n_fetches, url = {}, 0, burst.product(domain)
+            cuts.clear()
+            pending = [
+                (user, user.submit_price_check(url, currency))
+                for user, currency in zip(burst.users, currencies)
+            ]
+            results = [user.collect(check) for user, check in pending]
+            pages = [fetch.html for fetch in burst.fetched.values()]
+            assert len(pages) == len(SMALL_IPC_SITES)
+            assert [cuts[id(page)] for page in pages] == [1] * len(pages)
+            entries = burst.sheriff.engine.cache._pages.values()
+            assert all(len(entry.rows) > 1 for entry in entries)  # rows missed the memo
+            for result in results:  # and were read right
+                burst.assert_rows_read_from_served_pages(result)
+            world.clock.advance(3600.0)
 
     def test_worker_count_changes_no_row(self, monkeypatch):
         def run(workers):
