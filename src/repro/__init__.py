@@ -34,7 +34,7 @@ from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     # deployment facade (``Sheriff`` is the blessed short name)
     ".core.sheriff": ["PriceSheriff", "Sheriff", "SheriffWorld"],
     ".core.config": ["SheriffConfig"],

@@ -16,7 +16,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".pricediff": [
         "BoxStats", "DomainDiffStats", "box_stats", "country_extremes",
         "domain_diff_stats", "extreme_differences", "peer_bias_distributions",
@@ -24,11 +24,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ],
     ".stats": [
         "ABTestVerdict", "RandomForest", "ab_test_verdict", "ks_pairwise",
-        "linear_regression", "roc_auc",
+        "linear_regression",
     ],
     ".temporal": [
         "TemporalTrend", "daily_fluctuation", "daily_series", "revenue_delta",
         "trend_for_product",
     ],
-    ".reports": ["format_table", "format_percent"],
+    ".reports": ["format_table"],
 })

@@ -68,17 +68,6 @@ class StudyComparison:
 
     comparisons: List[DomainComparison]
 
-    def fraction(self, status: DomainStatus) -> float:
-        considered = [c for c in self.comparisons
-                      if c.status is not DomainStatus.NOT_CHECKED]
-        if not considered:
-            return 0.0
-        return sum(1 for c in considered if c.status is status) / len(considered)
-
-    def still_discriminating(self) -> List[DomainComparison]:
-        return [c for c in self.comparisons
-                if c.status is DomainStatus.STILL_DISCRIMINATING]
-
 
 def compare_with_prior_study(
     results: Sequence[PriceCheckResult],

@@ -5,10 +5,6 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 
-def format_percent(value: float, decimals: int = 2) -> str:
-    return f"{value:.{decimals}f}%"
-
-
 def format_table(
     rows: Sequence[Sequence[Any]],
     headers: Sequence[str],
@@ -34,10 +30,3 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(f"{v:<{w}}" for v, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    xs: Sequence[Any], ys: Sequence[Any], x_label: str, y_label: str
-) -> str:
-    """Two-column rendering of a figure's data series."""
-    return format_table(list(zip(xs, ys)), headers=(x_label, y_label))

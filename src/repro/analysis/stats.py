@@ -252,28 +252,6 @@ class RandomForest:
         return 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
 
-def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
-    """Area under the ROC curve (rank statistic formulation)."""
-    pairs = sorted(zip(scores, labels))
-    n_pos = sum(1 for _, label in pairs if label)
-    n_neg = len(pairs) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("roc_auc needs both classes present")
-    # average rank of positives (ties get average rank)
-    rank_sum = 0.0
-    i = 0
-    rank = 1
-    while i < len(pairs):
-        j = i
-        while j < len(pairs) and pairs[j][0] == pairs[i][0]:
-            j += 1
-        avg_rank = (rank + rank + (j - i) - 1) / 2.0
-        rank_sum += sum(avg_rank for k in range(i, j) if pairs[k][1])
-        rank += j - i
-        i = j
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 # -- the combined Sect. 7.5 verdict -------------------------------------------
 
 @dataclass
@@ -289,14 +267,6 @@ class ABTestVerdict:
     forest_max_importance: Optional[float]
     forest_score: Optional[float]
     is_ab_testing: bool
-
-    def summary(self) -> str:
-        verdict = "A/B testing" if self.is_ab_testing else "possible PDI-PD"
-        return (
-            f"verdict={verdict}  min KS p={self.min_ks_p}  "
-            f"R²={self.regression_r2:.3f}  "
-            f"significant={self.significant_features or 'none'}"
-        )
 
 
 def ab_test_verdict(

@@ -11,7 +11,7 @@ is discarded afterwards.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".cookies": ["CookieJar"],
     ".history": ["BrowserHistory", "HistoryEntry"],
     ".fingerprint": ["UserAgent", "all_user_agents", "user_agent"],

@@ -89,19 +89,12 @@ class Browser:
         self.cache[url] = response.html
         return response
 
-    def fetch_raw(self, url: str, ctx: RequestContext) -> StoreResponse:
-        """Fetch without touching any browser state (sandbox internals)."""
-        return self.internet.fetch(url, ctx)
-
     # -- account handling --------------------------------------------------
     def login(self, domain: str) -> str:
         """Log into a retailer account (sets the ``account`` cookie)."""
         token = stable_rng("account", domain, self.location.ip).randbytes(8).hex()
         self.cookies.set(domain, "account", token)
         return token
-
-    def is_logged_in(self, domain: str) -> bool:
-        return self.cookies.value(domain, "account") is not None
 
     # -- profile data -------------------------------------------------------
     def browsing_profile_counts(self):

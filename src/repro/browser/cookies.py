@@ -10,7 +10,7 @@ strings, and both levels are copied each way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 def _copy_state(state: Dict[str, Dict[str, str]]) -> Dict[str, Dict[str, str]]:
@@ -43,39 +43,9 @@ class CookieJar:
         for name, value in cookies.items():
             self.set(domain, name, value)
 
-    def delete(self, domain: str, name: Optional[str] = None) -> None:
-        if name is None:
-            self._jar.pop(domain, None)
-            return
-        cookies = self._jar.get(domain)
-        if cookies is not None:
-            cookies.pop(name, None)
-            if not cookies:
-                self._jar.pop(domain, None)
-
-    def domains(self) -> List[str]:
-        return list(self._jar)
-
-    def __contains__(self, domain: str) -> bool:
-        return domain in self._jar and bool(self._jar[domain])
-
-    def __len__(self) -> int:
-        return sum(len(cookies) for cookies in self._jar.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CookieJar):
-            return NotImplemented
-        return self._jar == other._jar
-
     # -- snapshot / restore ---------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, str]]:
         return _copy_state(self._jar)
 
     def restore(self, state: Dict[str, Dict[str, str]]) -> None:
         self._jar = _copy_state(state)
-
-    def clear(self) -> None:
-        self._jar.clear()
-
-    def copy(self) -> "CookieJar":
-        return CookieJar(self.snapshot())

@@ -44,12 +44,6 @@ class BrowserHistory:
     def add(self, time: float, url: str) -> None:
         self._entries.append(HistoryEntry(time=time, url=url))
 
-    def entries(self) -> List[HistoryEntry]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def domain_counts(self, since: Optional[float] = None) -> Counter:
         """Visits per domain — the donated browsing-profile raw data."""
         counts: Counter = Counter()
@@ -58,9 +52,6 @@ class BrowserHistory:
                 continue
             counts[entry.domain] += 1
         return counts
-
-    def visits_to(self, domain: str) -> int:
-        return sum(1 for e in self._entries if e.domain == domain)
 
     def product_visits_to(self, domain: str) -> int:
         """Visits to product pages of one domain (pollution accounting)."""
@@ -76,6 +67,3 @@ class BrowserHistory:
 
     def restore(self, state: List[HistoryEntry]) -> None:
         self._entries = list(state)
-
-    def clear(self) -> None:
-        self._entries.clear()

@@ -13,7 +13,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".ipc": ["DEFAULT_IPC_SITES", "InfrastructureProxyClient", "build_default_ipcs"],
     ".ppc": ["PeerProxyClient"],
     ".crawler": ["SystematicCrawler"],

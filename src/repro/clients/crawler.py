@@ -17,7 +17,7 @@ only *shares* the live PPC network).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.browser.fingerprint import UserAgent
 from repro.core.addon import SheriffAddon
@@ -87,13 +87,3 @@ class SystematicCrawler:
         self._checks_since_reset += 1
         self.total_checks += 1
         return result
-
-    def run_campaign(
-        self, urls: Sequence[str], repetitions: int = 1
-    ) -> List[PriceCheckResult]:
-        """Check every URL ``repetitions`` times (Sect. 7.1 style)."""
-        results: List[PriceCheckResult] = []
-        for _ in range(repetitions):
-            for url in urls:
-                results.append(self.check(url))
-        return results

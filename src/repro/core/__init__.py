@@ -30,7 +30,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".errors": ["SheriffError"],
     ".engine": ["PageCache", "PriceCheckEngine"],
     ".tagspath": ["TagsPath", "extract_price_text", "select_tags_path"],
@@ -46,6 +46,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".detector": ["PriceVariationReport", "analyze_rows"],
     ".config": ["SheriffConfig"],
     ".sheriff": ["PriceSheriff", "SheriffWorld"],
-    ".admin": ["AdminConsole", "ProbeFailed"],
+    ".admin": ["AdminConsole"],
     ".pii_audit": ["PiiAuditReport", "run_pii_audit"],
 })

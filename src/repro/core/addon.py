@@ -29,7 +29,6 @@ flag, and an add-on installed without consent is not activated at all.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Sequence, Tuple
 
 from repro.browser.browser import Browser
@@ -105,10 +104,6 @@ class SheriffAddon:
                 "the add-on is not activated: the user did not consent"
             )
 
-    def uninstall(self) -> None:
-        self.overlay.unregister(self.peer_id)
-        self.consent = False
-
     # -- Collector: price selection & tags path --------------------------------
     @staticmethod
     def select_price_element(elements: Sequence[PageElement]) -> PageElement:
@@ -159,8 +154,7 @@ class SheriffAddon:
 
         Returns the job's :class:`JobRecord` — fetches in flight on the
         engine's simulated timeline, or queued in the queue tier's
-        outbox; pass it to :meth:`collect` (or poll the entry point
-        directly) for the rows.  The navigation to the product page is
+        outbox; pass it to :meth:`collect` for the rows.  The navigation to the product page is
         a *real* visit — the user is shopping; only tunneled requests
         are sandboxed.
         """
@@ -246,12 +240,6 @@ class SheriffAddon:
                 raise PriceCheckFailed(job.job_id, record.failure_reason)
 
     # -- history donation (requirement 3 of Sect. 2.2) --------------------------
-    def donated_history_counts(self) -> Counter:
-        """Domain-level history sample, only with explicit opt-in."""
-        self._require_consent()
-        if not self.history_donation_opt_in:
-            raise ConsentRequired("the user did not opt in to donate history")
-        return self.browser.browsing_profile_counts()
 
     def encrypted_profile(
         self,

@@ -61,10 +61,6 @@ class Aggregator:
             raise RuntimeError("no clustering round in progress")
         self._kmeans.submit(peer_id, ciphertext)
 
-    @property
-    def n_profiles(self) -> int:
-        return 0 if self._kmeans is None else self._kmeans.n_clients
-
     # -- the two-phase protocol loop -----------------------------------------
     def run_clustering(
         self,

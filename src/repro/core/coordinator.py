@@ -75,7 +75,7 @@ class JobRecord:
 
     The Coordinator mints it in :meth:`Coordinator.new_request`; the
     entry point that admits the job (a Measurement server, or the queue
-    tier) returns it from ``submit``, and ``poll``/``result`` take it.
+    tier) returns it from ``submit``, and ``result`` takes it.
     """
 
     job_id: str
@@ -100,15 +100,8 @@ class JobRecord:
     #: the fan-out's ``PriceCheckResult``, held from the fan-out until
     #: the job is collected
     result: Any = None
-    #: rows whose fetch has landed on the timeline / rows already handed
-    #: out by progressive polls
-    rows_arrived: int = 0
-    rows_delivered: int = 0
-    #: the instants its row-producing fetches land, sorted; held from
-    #: the fan-out until the job is resolved
-    landings: Optional[List[float]] = None
-    #: 'request finish' (or the job's failure) was handed out: a further
-    #: poll raises :class:`UnknownJob`
+    #: the result (or the job's failure) was handed out: a second
+    #: ``result`` raises :class:`UnknownJob`
     closed: bool = False
 
     @property
@@ -347,7 +340,7 @@ class Coordinator:
         """Step 4 of Fig. 6: the job ended (``completed`` or
         ``failed``), so its server has one job fewer pending."""
         del self._pending[record.job_id]
-        record.journey = record.landings = None
+        record.journey = None
         self._m_lifecycle.inc(event=event)
 
     def job_completed(self, job_id: str) -> None:

@@ -223,8 +223,6 @@ class DiffStorage:
             self._stored_chars -= marshal.loads(record)[0]
 
     # -- reads --------------------------------------------------------------
-    def reference(self, job_id: str) -> Optional[str]:
-        return self._reference.get(job_id)
 
     def restore(self, job_id: str, proxy_id: str) -> str:
         """Reconstruct a proxy's full page from its stored diff."""
@@ -259,9 +257,3 @@ class DiffStorage:
         """Total characters actually stored (references + diffs; an
         alias stores none)."""
         return self._stored_chars
-
-    def diff_count(self) -> int:
-        return len(self._diffs)
-
-    def alias_count(self) -> int:
-        return len(self._aliases)

@@ -118,9 +118,6 @@ class RequestDistributor:
         self._servers[name] = record
         return record
 
-    def remove_server(self, name: str) -> None:
-        self._servers.pop(name, None)
-
     def server(self, name: str) -> ServerRecord:
         try:
             return self._servers[name]

@@ -12,16 +12,13 @@ concurrency model on top of the Measurement server's fan-out:
   dispatch instant, which is the "same time" of Sect. 3.2; the job is
   then one event on the world's :class:`repro.net.events.EventLoop` —
   the one clock every component reads — at its last landing, where it
-  is reported complete to the Coordinator.  Polls advance the world
-  clock to the landings of the job's rows;
+  is reported complete to the Coordinator;
 * a price check is the Coordinator's
   :class:`~repro.core.coordinator.JobRecord`: the entry point that
   admits the job (a Measurement server, or the queue tier) returns it,
   and :meth:`PriceCheckEngine.submit` places its fetches on the
-  timeline.  The engine is the only place that advances the record's
-  ``rows_arrived`` (rows *landed* in simulated time) and
-  ``rows_delivered`` (rows the add-on's progressive AJAX polls took),
-  and ``result`` hands out the record's result and drops it;
+  timeline.  ``result`` runs the world clock to the job's last landing,
+  hands out the record's result and drops it;
 * a short-TTL :class:`PageCache` keyed by ``(url, vantage,
   client-state)`` lets simultaneous checks of the same product reuse a
   just-fetched page instead of re-fetching it — and, since everything
@@ -72,9 +69,6 @@ __all__ = [
 #: vantage kind, proxy id, page-cache hit — ``None`` unless an IPC page
 #: arrived).  The last three only label the fetch's span.
 FetchTask = Tuple[float, bool, str, str, Optional[bool]]
-
-#: rows handed out per progressive poll (the AJAX page-size)
-POLL_BATCH_ROWS = 8
 
 #: simulated cost of serving a page out of the cache (a local lookup,
 #: no network round trip)
@@ -318,12 +312,7 @@ class PriceCheckEngine:
             )
         return pool
 
-    def drop_pool(self, server_name: str) -> None:
-        """Forget a detached server's pool.  Tasks already on the
-        timeline keep a reference to it, so they still land."""
-        self._pools.pop(server_name, None)
-
-    # -- the job lifecycle (submit → poll → result) -----------------------
+    # -- the job lifecycle (submit → result) ------------------------------
     def submit(
         self,
         record: JobRecord,
@@ -336,10 +325,9 @@ class PriceCheckEngine:
         attempted, in canonical order (the initiator's own page is first
         and costs nothing — it arrived with the request; a failed fetch
         occupies a worker for its timeout but lands no row).  Every
-        task is placed now; ``record.landings`` holds the instants its
-        rows land, which :meth:`pump` counts ``record.rows_arrived``
-        from, and one loop event at the last landing — row or not —
-        completes the job and runs ``on_done`` (the completion report).
+        task is placed now, and one loop event at the last landing —
+        row or not — completes the job and runs ``on_done`` (the
+        completion report).
         With tracing on, that event records each task as a ``fetch``
         span under the job's fan-out span, in landing order, from the
         instant a worker took it to its landing.  A fan-out that failed
@@ -354,16 +342,11 @@ class PriceCheckEngine:
         place = pool.place
         placed = [place(task[0]) for task in tasks]
         pool.hold(record.job_id, placed)
-        rows = record.landings = sorted(
-            [landing for (_, landing), task in zip(placed, tasks) if task[1]]
-        )
         submitted = self.now
         root = record.journey  # the fan-out's span; None with tracing off
 
         def complete() -> None:
             pool.release(record.job_id)
-            record.rows_arrived = len(rows)
-            record.landings = None
             if root is not None:
                 self._record_fetches(record.job_id, root.span_id, tasks, placed)
             self._m_completed.inc(server=server, state="done")
@@ -394,74 +377,20 @@ class PriceCheckEngine:
                 ok=ok, **attrs,
             )
 
-    @staticmethod
-    def _open(record: JobRecord) -> None:
-        if record.closed:
-            raise UnknownJob(f"unknown or finished job {record.job_id!r}")
-
-    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
-        """One progressive poll: (rows landed since last poll, finished).
-
-        Pumps the loop just far enough for something new to land, then
-        hands out at most :data:`POLL_BATCH_ROWS` rows in canonical
-        order.  Raises :class:`PriceCheckFailed` if the job's record is
-        failed.  The finishing poll (or the failure) closes the record,
-        and the finishing poll drops its result.
-        """
-        self._open(record)
-        if not record.resolved:
-            self.pump(record)
-        if record.failed:
-            record.closed = True
-            raise PriceCheckFailed(record.job_id, record.failure_reason)
-        rows = record.result.rows
-        delivered = record.rows_delivered
-        batch = rows[delivered:delivered + min(
-            POLL_BATCH_ROWS, record.rows_arrived - delivered)]
-        record.rows_delivered += len(batch)
-        if record.completed and record.rows_delivered >= len(rows):
-            record.closed = True
-            record.result = None
-            return list(batch), True
-        return list(batch), False
-
     def result(self, record: JobRecord) -> PriceCheckResult:
         """Drive the job to its terminal state; return (or raise) it.
 
         Either way the record is closed, and it no longer holds the
         result.
         """
-        self._open(record)
+        if record.closed:
+            raise UnknownJob(f"unknown or finished job {record.job_id!r}")
         record.closed = True
         self.drive(record)
         if record.failed:
             raise PriceCheckFailed(record.job_id, record.failure_reason)
         result, record.result = record.result, None
         return result
-
-    # -- pumping ---------------------------------------------------------
-    def pump(self, record: JobRecord) -> None:
-        """Advance simulated time until the job has something new.
-
-        Runs the loop to the landing of the job's next undelivered row
-        (every row landing at that instant arrives with it), or to the
-        job's terminal state once every row has arrived — the
-        discrete-event equivalent of one AJAX poll blocking briefly on
-        the server.
-        """
-        landings = record.landings
-        if (
-            landings is None
-            or record.resolved
-            or record.rows_arrived > record.rows_delivered
-        ):
-            return
-        if record.rows_delivered == len(landings):
-            self.drive(record)  # only row-less fetches are still out
-            return
-        self.loop.run_until(landings[record.rows_delivered])
-        if record.landings is not None:  # not completed on the way
-            record.rows_arrived = bisect_right(landings, self.now)
 
     def drive(self, record: JobRecord) -> None:
         """Advance simulated time until the job is terminal."""

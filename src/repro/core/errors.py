@@ -70,17 +70,13 @@ class UnknownServer(SheriffError, KeyError):
     """The named Measurement server is not in the server list."""
 
 
-class ServerBusy(SheriffError, RuntimeError):
-    """A Measurement server cannot be detached while jobs are pending."""
-
-
 # -- the job lifecycle ------------------------------------------------------
 
 class UnknownJob(SheriffError, KeyError):
     """The job ID (or record) does not name a live job.
 
-    Raised by ``poll``/``result`` after the 'request finish' response
-    (the job is gone) and by the Coordinator for IDs it never minted.
+    Raised by ``result`` once the job's result was handed out (the job
+    is gone) and by the Coordinator for IDs it never minted.
     """
 
 
@@ -158,18 +154,6 @@ class ConfigurationError(SheriffError, RuntimeError):
     """A component was asked for a subsystem it was built without."""
 
 
-class ProbeFailed(SheriffError, RuntimeError):
-    """A machine failed the Measurement server registration self-test."""
-
-
-class KillSwitchTripped(SheriffError, RuntimeError):
-    """The operations kill-switch is latched; supervised actions refuse.
-
-    See :class:`repro.ops.killswitch.KillSwitch` — an operator must
-    reset the switch before the self-healing machinery acts again.
-    """
-
-
 __all__ = [
     "SheriffError",
     "AdmissionDenied",
@@ -178,7 +162,6 @@ __all__ = [
     "NoServerAvailable",
     "DuplicateServer",
     "UnknownServer",
-    "ServerBusy",
     "UnknownJob",
     "RetryExhausted",
     "RetryBudgetExhausted",
@@ -189,6 +172,4 @@ __all__ = [
     "UnknownTable",
     "StateFetchFailed",
     "ConfigurationError",
-    "ProbeFailed",
-    "KillSwitchTripped",
 ]

@@ -14,7 +14,7 @@ servers:
   backpressure signal clients wait on before resubmitting.  A shed
   job's record is failed at the Coordinator so accounting never leaks.
 * **outbox drain** — enqueued jobs are dispatched lazily, in global
-  admission order (FIFO), when a caller polls for results.  Draining
+  admission order (FIFO), when a caller collects a result.  Draining
   in admission order consumes every RNG stream exactly as the direct
   tier does, which is why queued dispatch stays row-identical to
   direct dispatch (property-tested on both storage backends).
@@ -39,8 +39,8 @@ job's payload on its Coordinator
 :class:`~repro.core.coordinator.JobRecord`, appends the record to the
 outbox and returns it; dispatch takes the payload off the record and
 hands it to the owning server's ``submit``, which places the same
-record on the engine.  ``poll``/``result`` drain the outbox while the
-record is still in it, then are the server's — clients cannot tell
+record on the engine.  ``result`` drains the outbox while the record
+is still in it, then is the server's — clients cannot tell
 queued dispatch from direct dispatch (except when told to back off).
 
 Queue traffic is observable through ``sheriff_queue_*`` metrics
@@ -59,7 +59,7 @@ telemetry on or off, the rows are identical (property-tested).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.coordinator import Coordinator, JobRecord
 from repro.core.engine import PriceCheckEngine
@@ -121,9 +121,8 @@ class QueuedMeasurementTier:
     """N Measurement servers behind one bounded work-stealing queue.
 
     ``submit`` admits (or sheds) a Coordinator-admitted job and returns
-    its record; ``poll``/``result`` first drain the whole outbox in
-    admission order if the record is still in it, then are the owning
-    server's.
+    its record; ``result`` first drains the whole outbox in admission
+    order if the record is still in it, then is the owning server's.
     """
 
     def __init__(
@@ -207,9 +206,6 @@ class QueuedMeasurementTier:
         return self.coordinator.journey_stage(name, record, **attrs)
 
     # -- admission (submit) ----------------------------------------------
-    @property
-    def depth(self) -> int:
-        return self.queue.depth
 
     def _record_of(self, job_id: str) -> JobRecord:
         record = self.coordinator.jobs.get(job_id)
@@ -339,21 +335,13 @@ class QueuedMeasurementTier:
             dispatched += 1
         return dispatched
 
-    # -- poll / result ----------------------------------------------------
-    def _server_for(self, record: JobRecord):
-        """The server whose engine calls finish the job, draining the
-        outbox first while the job is still in it."""
+    # -- result -----------------------------------------------------------
+    def result(self, record: JobRecord) -> Any:
+        """Drive one job to its terminal state, draining the outbox first
+        while the job is still in it."""
         if record in self.queue:
             self.pump()
-        return self._server_lookup(record.server_name)
-
-    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
-        """One progressive poll, draining the outbox first."""
-        return self._server_for(record).poll(record)
-
-    def result(self, record: JobRecord) -> Any:
-        """Drive one job to its terminal state, draining the outbox first."""
-        return self._server_for(record).result(record)
+        return self._server_lookup(record.server_name).result(record)
 
     # -- observability -----------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.coordinator import RUNNING, Coordinator, JobRecord
 from repro.core.database import DatabaseServer
@@ -104,12 +104,6 @@ class MeasurementStats:
     def add(self, other: "MeasurementStats") -> None:
         for f in self.__dataclass_fields__:
             setattr(self, f, getattr(self, f) + getattr(other, f))
-
-    def rows(self) -> List[Dict[str, int]]:
-        return [
-            {"Counter": name, "Value": getattr(self, name)}
-            for name in self.__dataclass_fields__
-        ]
 
 
 @dataclass
@@ -375,53 +369,14 @@ class MeasurementServer:
             ))
         return out
 
-    # -- the registration probe (App. 10.2.1) ------------------------------
-    def self_test(self) -> bool:
-        """Prove this machine runs working Measurement server code.
-
-        Runs the two critical pipelines on a canned page with a known
-        answer: Tags Path extraction must find the product price (not
-        the decoy) and currency detection must convert USD 699 into the
-        exact EUR value of the current rate table.
-        """
-        from repro.core.tagspath import TagsPath
-        from repro.net.geo import Location
-
-        html = (
-            "<html><head><title>probe</title></head><body>"
-            '<div class="banner"><span class="price">$9</span></div>'
-            '<div class="product"><span class="price">USD699</span></div>'
-            "</body></html>"
-        )
-        job = PriceCheckJob(
-            job_id="probe", url="http://probe.internal/product/x",
-            tags_path=TagsPath(entries=("html", "body", "div.product"),
-                               target="span.price"),
-            requested_currency="EUR",
-            initiator_peer_id="probe",
-            initiator_html=html,
-            initiator_location=Location(country="ES", region="Spain",
-                                        city="Madrid", ip="10.0.0.1"),
-            initiator_os="Linux", initiator_browser="Firefox",
-        )
-        row = self._row_from_page(
-            job, html, kind="You", proxy_id="probe",
-            location_fields=("ES", "Spain", "Madrid"),
-        )
-        if not row.ok or row.detected_currency != "USD":
-            return False
-        expected = round(self.rates.to_eur(699.0, "USD", self.clock.now), 2)
-        return row.converted_value == expected
-
-    # -- the job lifecycle (submit → poll → result) -----------------------------
+    # -- the job lifecycle (submit → result) ------------------------------------
     #
-    # "At this point the browser executes AJAX requests to the
-    # Measurement server to receive any result updates until the
-    # measurement server replies with a 'request finish' response."
     # submit() performs the fan-out and returns the job's JobRecord;
-    # poll() and result() are the engine's: rows that have *landed* on
-    # its simulated timeline since the last poll plus the finished flag,
-    # or the terminal outcome.  The queue tier is the other entry point.
+    # result() is the engine's: it runs the simulated timeline to the
+    # job's last landing and hands out the terminal outcome.  The paper's
+    # add-on polls for rows as they land (Sect. 3.2); this model hands
+    # them out at once, at the instant the finishing poll would.  The
+    # queue tier is the other entry point.
 
     def submit(self, job: PriceCheckJob) -> JobRecord:
         """Run the fan-out and return the job's record.
@@ -438,17 +393,6 @@ class MeasurementServer:
             record, self._execute(job, record),
             on_done=lambda: self.coordinator.job_completed(job.job_id),
         )
-
-    def poll(self, record: JobRecord) -> Tuple[List[Any], bool]:
-        """One AJAX poll: (rows landed since last poll, finished flag).
-
-        Rows are delivered a few per poll, in canonical row order, as
-        their fetches complete on the simulated timeline (IPCs and PPCs
-        respond at different speeds).  After the final ('request
-        finish') poll the job is gone: further polls raise
-        :class:`~repro.core.errors.UnknownJob`.
-        """
-        return self.engine.poll(record)
 
     def result(self, record: JobRecord) -> PriceCheckResult:
         """Drive the job to its terminal state and return the outcome.

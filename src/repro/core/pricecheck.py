@@ -95,9 +95,6 @@ class PriceCheckResult:
         """The add-on's verdict: do this check's prices differ?"""
         return differs(self.normalized_spread())
 
-    def countries(self) -> List[str]:
-        return sorted({r.country for r in self.valid_rows()})
-
     # -- rendering -------------------------------------------------------------
     def render_result_page(self) -> str:
         """Textual rendering of the Fig. 2 result page."""

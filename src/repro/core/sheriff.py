@@ -39,7 +39,6 @@ from repro.core.database import DatabaseClient, DatabaseServer, database_rpc_han
 from repro.core.diffstorage import DiffStorage
 from repro.core.dispatch import RequestDistributor
 from repro.core.engine import PageCache, PriceCheckEngine
-from repro.core.errors import ServerBusy
 from repro.core.jobqueue import QueuedMeasurementTier
 from repro.core.measurement import MeasurementServer, MeasurementStats
 from repro.core.whitelist import Whitelist
@@ -307,13 +306,12 @@ class PriceSheriff:
             "ticket": ticket,
         }
 
-    # -- elasticity: attach/detach Measurement servers ----------------------
+    # -- the Measurement server fleet ------------------------------------------
     def build_measurement_server(self, name: str) -> MeasurementServer:
         """Construct (but do not enlist) a server wired to this deployment.
 
-        The one place a :class:`MeasurementServer` is built: first
-        start, supervised restart and the admin console's attach all
-        get the same collaborators.
+        The one place a :class:`MeasurementServer` is built: first start
+        and supervised restart get the same collaborators.
         """
         return MeasurementServer(
             name=name,
@@ -347,19 +345,6 @@ class PriceSheriff:
         server = self.build_measurement_server(name)
         self.enlist_measurement_server(server)
         return server
-
-    def remove_measurement_server(self, name: str) -> None:
-        """Take a server out of dispatch; refused while it has pending
-        jobs (App. 10.2.1)."""
-        pending = self.coordinator.jobs_on(name)
-        if pending:
-            raise ServerBusy(
-                f"server {name!r} still has {len(pending)} pending jobs"
-            )
-        self.distributor.remove_server(name)
-        self.measurement_servers.pop(name, None)
-        self.engine.drop_pool(name)
-        self.transport.unbind(name)
 
     def restart_measurement_server(self, name: str) -> MeasurementServer:
         """Replace a Measurement server with a fresh process (self-healing).
@@ -449,43 +434,6 @@ class PriceSheriff:
         return addon
 
     # -- doppelganger clustering (Sect. 3.7/3.8 + Sect. 4) --------------------
-    def default_k(self, n_participants: int) -> int:
-        """k = min(40, 10% of users) — the Sect. 4 operating point."""
-        return max(1, min(40, n_participants // 10 if n_participants >= 10 else 1))
-
-    def choose_k_from_donors(
-        self,
-        reference_domains: Sequence[str],
-        cap: Optional[int] = None,
-    ) -> int:
-        """Pick k by silhouette over *donated* cleartext histories.
-
-        The Sect. 4 evaluation runs on the profiles of users who opted
-        in to donate history — the Coordinator never sees the others'
-        cleartext.  Falls back to the 10%-cap default when too few
-        donors exist.
-        """
-        from repro.profiles.kmeans import choose_k
-        from repro.profiles.vector import profile_from_counts
-
-        participants = [a for a in self.addons if a.consent]
-        if cap is None:
-            cap = self.default_k(len(participants))
-        donors = [
-            a for a in participants if a.history_donation_opt_in
-        ]
-        if len(donors) < 8:
-            return cap
-        points = {
-            a.peer_id: list(
-                profile_from_counts(
-                    a.donated_history_counts(), reference_domains
-                ).frequencies
-            )
-            for a in donors
-        }
-        return choose_k(points, cap=cap)
-
     def _sparse_random_centroids(
         self, k: int, m: int, quantization: int
     ) -> List[List[int]]:
@@ -503,7 +451,7 @@ class PriceSheriff:
     def run_doppelganger_clustering(
         self,
         reference_domains: Sequence[str],
-        k: Optional[int] = None,
+        k: int,
         quantization: int = 100,
         halt_threshold: float = 0.02,
         max_iterations: int = 10,
@@ -516,9 +464,6 @@ class PriceSheriff:
         participants = [a for a in self.addons if a.consent]
         if not participants:
             raise RuntimeError("no consenting add-ons to cluster")
-        if k is None:
-            # silhouette sweep over donated histories, under the 10% cap
-            k = self.choose_k_from_donors(reference_domains)
 
         crypto_coordinator = KMeansCoordinator(
             self.crypto_group, m=len(reference_domains),

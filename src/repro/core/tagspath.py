@@ -79,9 +79,6 @@ class TagsPath:
     entries: Tuple[str, ...]  # closing-tag signatures, bottom-most first
     target: str  # signature of the selected element
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 # ---------------------------------------------------------------------------
 # instrumentation

@@ -97,13 +97,6 @@ class Watchdog:
         if url not in self._watches:
             self._watches[url] = _WatchState(label=label or url)
 
-    def remove_watch(self, url: str) -> None:
-        self._watches.pop(url, None)
-
-    @property
-    def watched_urls(self) -> List[str]:
-        return list(self._watches)
-
     def history(self, url: str) -> List[Tuple[float, str, float]]:
         return list(self._watches[url].history)
 

@@ -49,15 +49,6 @@ class Whitelist:
     def add(self, domain: str) -> None:
         self._domains.add(domain)
 
-    def remove(self, domain: str) -> None:
-        self._domains.discard(domain)
-
-    def __contains__(self, domain: str) -> bool:
-        return domain in self._domains
-
-    def __len__(self) -> int:
-        return len(self._domains)
-
     def allows_domain(self, domain: str) -> bool:
         return domain in self._domains
 

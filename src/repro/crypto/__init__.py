@@ -34,13 +34,13 @@ the per-phase latencies themselves.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".group": ["BENCH_GROUP_256", "RFC3526_GROUP_2048", "SchnorrGroup", "TEST_GROUP"],
     ".fastexp": [
-        "FixedBaseTable", "batch_invert", "clear_fastexp_cache", "fastexp_cache_info",
+        "FixedBaseTable", "batch_invert", "fastexp_cache_info",
     ],
     ".dlog": [
-        "DiscreteLogError", "clear_dlog_cache", "discrete_log", "dlog_cache_info",
+        "DiscreteLogError", "discrete_log", "dlog_cache_info",
     ],
     ".elgamal": ["Ciphertext", "VectorElGamal"],
     ".fe": ["InnerProductFE"],

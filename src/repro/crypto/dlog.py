@@ -145,8 +145,3 @@ def discrete_log(group: SchnorrGroup, element: int, bound: int) -> int:
 def dlog_cache_info() -> Dict[str, int]:
     """Introspection for tests and the telemetry gauge."""
     return {"entries": len(_TABLE_CACHE), "max_entries": MAX_CACHED_TABLES}
-
-
-def clear_dlog_cache() -> None:
-    """Drop all cached baby-step tables (used by memory-sensitive tests)."""
-    _TABLE_CACHE.clear()

@@ -184,6 +184,7 @@ class VectorElGamal:
             betas=tuple(self.group.mul(x, y) for x, y in zip(a.betas, b.betas)),
         )
 
+
     def add_many(self, cts: Sequence[Ciphertext]) -> Ciphertext:
         """Single-pass homomorphic sum of a batch of ciphertexts.
 

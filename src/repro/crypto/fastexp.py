@@ -71,7 +71,6 @@ __all__ = [
     "SharedExponents",
     "SignedProducts",
     "batch_invert",
-    "clear_fastexp_cache",
     "cut_digits",
     "fastexp_cache_info",
     "fixed_base",
@@ -389,8 +388,3 @@ def fastexp_cache_info() -> Dict[str, int]:
         "max_entries": MAX_CACHED_TABLES,
         "windows": sum(t.n_windows for t in _TABLE_CACHE.values()),
     }
-
-
-def clear_fastexp_cache() -> None:
-    """Drop all cached fixed-base tables (memory-sensitive tests)."""
-    _TABLE_CACHE.clear()

@@ -108,10 +108,6 @@ class SchnorrGroup:
 
         return fastexp.fixed_base(self.p, self.q, base)
 
-    @property
-    def bits(self) -> int:
-        return self.p.bit_length()
-
     # -- parameter generation --------------------------------------------
     @staticmethod
     def generate(bits: int, rng: Optional[random.Random] = None) -> "SchnorrGroup":

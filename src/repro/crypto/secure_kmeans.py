@@ -134,12 +134,6 @@ class WorkerPool:
             self._pool.join()
             self._pool = None
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class ProfileClient:
     """A PPC that contributes its encrypted browsing profile."""
@@ -150,10 +144,6 @@ class ProfileClient:
         self.client_id = client_id
         self._point = list(point)
         self.value_bound = value_bound
-
-    @property
-    def dimensions(self) -> int:
-        return len(self._point)
 
     def encrypt_profile(
         self,
@@ -214,10 +204,6 @@ class KMeansCoordinator:
             if len(c) != self.m:
                 raise ValueError("centroid dimensionality mismatch")
         self.centroids = [list(c) for c in centroids]
-
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
 
     def _function_data(self) -> Tuple[List[List[int]], List[int]]:
         s_vectors = [centroid_function_vector(b) for b in self.centroids]
@@ -504,10 +490,10 @@ def crypto_round(telemetry) -> Iterator[None]:
     :mod:`~repro.crypto.fastexp` and :mod:`~repro.crypto.dlog` keep
     process-wide plain-int counts; what they grew by inside the block
     goes to the ``sheriff_crypto_*`` counters of ``telemetry``, and the
-    two table-cache gauges are set from the caches as the block leaves
-    them.  Forked pool workers count into their own copies, so only
-    parent-side work is seen; the phase histograms are recorded
-    parent-side and are complete.
+    two table-cache gauges read the caches' sizes when scraped.  Forked
+    pool workers count into their own copies, so only parent-side work
+    is seen; the phase histograms are recorded parent-side and are
+    complete.
     """
     registry = telemetry.registry
     fastexp_counters = {
@@ -534,14 +520,17 @@ def crypto_round(telemetry) -> Iterator[None]:
             "Baby-step tables evicted by the LRU size cap",
         ),
     }
-    tables = registry.gauge(
-        "sheriff_crypto_fastexp_tables",
-        "Fixed-base comb tables currently in the LRU cache",
-    )
-    dlog_tables = registry.gauge(
-        "sheriff_crypto_dlog_cache",
-        "Baby-step tables currently in the BSGS LRU cache",
-    )
+    if registry.enabled and registry.get("sheriff_crypto_fastexp_tables") is None:
+        registry.sampled(
+            "gauge", "sheriff_crypto_fastexp_tables",
+            "Fixed-base comb tables currently in the LRU cache", (),
+            lambda: fastexp.fastexp_cache_info()["entries"],
+        )
+        registry.sampled(
+            "gauge", "sheriff_crypto_dlog_cache",
+            "Baby-step tables currently in the BSGS LRU cache", (),
+            lambda: _dlog.dlog_cache_info()["entries"],
+        )
     fastexp_before = fastexp.FASTEXP_STATS.snapshot()
     dlog_before = _dlog.DLOG_STATS.snapshot()
     try:
@@ -549,8 +538,6 @@ def crypto_round(telemetry) -> Iterator[None]:
     finally:
         fastexp.FASTEXP_STATS.add_since(fastexp_before, fastexp_counters)
         _dlog.DLOG_STATS.add_since(dlog_before, dlog_counters)
-        tables.set(fastexp.fastexp_cache_info()["entries"])
-        dlog_tables.set(_dlog.dlog_cache_info()["entries"])
 
 
 # -- the protocol loop ---------------------------------------------------------
@@ -601,10 +588,6 @@ class SecureKMeansResult:
     iterations: int
     converged: bool
     iteration_seconds: List[float] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.iteration_seconds)
 
 
 def run_secure_kmeans(

@@ -10,10 +10,9 @@ as ``EUR654``.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".codes": [
         "AMBIGUOUS_SYMBOLS", "CURRENCIES", "CUSTOM_NOTATIONS", "Currency",
-        "currency_for_code",
     ],
     ".rates": ["ExchangeRateProvider"],
     ".detect": [

@@ -10,7 +10,7 @@ empirically built" equivalent for the simulated internet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,3 @@ AMBIGUOUS_SYMBOLS: Dict[str, Tuple[str, ...]] = {
     "R": ("ZAR",),
     "CHF": ("CHF",),
 }
-
-
-def currency_for_code(code: str) -> Optional[Currency]:
-    """Look up a currency by its (upper-cased) ISO code."""
-    return CURRENCIES.get(code.upper())

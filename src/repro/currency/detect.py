@@ -65,11 +65,6 @@ class DetectedPrice:
     confidence: Confidence
     candidates: Tuple[str, ...] = ()
 
-    @property
-    def needs_double_check(self) -> bool:
-        """True when the result page should show the red asterisk."""
-        return self.confidence is Confidence.LOW
-
 
 _WS_RE = re.compile(r"\s+")
 _LETTER_RUN_RE = re.compile(r"[A-Za-z]+")

@@ -16,7 +16,7 @@ from typing import Callable, Dict
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {".registry": ["registry"]})
+__all__, __getattr__ = lazy_exports(__name__, {".registry": ["registry"]})
 __all__ += ["EXPERIMENTS"]
 
 
@@ -56,4 +56,5 @@ EXPERIMENTS: Dict[str, Callable[[str], object]] = {
     "ablation-secure-kmeans": _runner("ablations", "run_secure_kmeans_ablation"),
     "ablation-diffstorage": _runner("ablations", "run_diffstorage_ablation"),
     "sec72": _runner("sec72_prior_study"),
+    "quality": _runner("quality"),
 }

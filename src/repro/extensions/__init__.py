@@ -14,7 +14,7 @@ This package applies the same vantage-point machinery to two of those:
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".geoblock": ["GeoblockReport", "GeoblockScanner"],
     ".contentdiff": ["ContentVariationReport", "ContentWatch"],
 })

@@ -10,7 +10,7 @@ the page is geoblocked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 BLOCK_STATUSES = frozenset({403, 451})
 
@@ -67,6 +67,3 @@ class GeoblockScanner:
                 ipc.location.country, []
             ).append(fetch.status)
         return GeoblockReport(url=url, status_by_country=status_by_country)
-
-    def sweep(self, urls: Sequence[str]) -> List[GeoblockReport]:
-        return [self.scan(url) for url in urls]

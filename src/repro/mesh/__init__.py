@@ -22,7 +22,7 @@ fleet's wall-clock checks/sec.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".launch": ["MeshLauncher", "MeshReport", "WorkerSpec"],
     ".service": ["MeshService"],
 })

@@ -293,10 +293,3 @@ class MeshLauncher:
             codes[worker.name] = worker.proc.returncode
         self.transport.close()
         return codes
-
-    def __enter__(self) -> "MeshLauncher":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(graceful=exc_type is None)

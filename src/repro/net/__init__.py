@@ -20,7 +20,7 @@ call's round trip from :class:`~repro.net.sim.LatencyModel`.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".events": ["Clock", "EventLoop"],
     ".geo": ["Country", "GeoDatabase", "Location"],
     ".protocol": [

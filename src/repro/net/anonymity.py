@@ -80,9 +80,6 @@ class AnonymityNetwork:
             f"relay-{i}": Relay(f"relay-{i}") for i in range(n_relays)
         }
 
-    def relay(self, name: str) -> Relay:
-        return self.relays[name]
-
     def build_circuit(
         self, hops: Optional[Sequence[str]] = None
     ) -> "Circuit":
@@ -102,10 +99,6 @@ class Circuit:
         self.circuit_id = secrets.token_hex(8)
         # telescoping key establishment: the sender shares one pad per hop
         self._pads = [r.establish(self.circuit_id) for r in relays]
-
-    @property
-    def hops(self) -> List[str]:
-        return [r.name for r in self._relays]
 
     def send(
         self,

@@ -31,11 +31,6 @@ class Clock:
     def now(self) -> float:
         return self._now
 
-    @property
-    def day(self) -> float:
-        """Current time expressed in (fractional) days."""
-        return self._now / SECONDS_PER_DAY
-
     def advance(self, seconds: float) -> float:
         """Move the clock forward; negative advances are a bug."""
         if seconds < 0:

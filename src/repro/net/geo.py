@@ -53,12 +53,6 @@ class Location:
     city: str
     ip: str
 
-    def same_country(self, other: "Location") -> bool:
-        return self.country == other.country
-
-    def label(self) -> str:
-        return f"{self.country}/{self.region}/{self.city}"
-
 
 # (code, name, currency, standard VAT, reduced VAT rates, cities, eu)
 _COUNTRY_ROWS: Sequence[Tuple[str, str, str, float, Tuple[float, ...], Tuple[str, ...], bool]] = [
@@ -147,10 +141,6 @@ class GeoDatabase:
         self._next_host: Dict[Tuple[str, str], int] = {}
 
     # -- country metadata ------------------------------------------------
-    @property
-    def countries(self) -> List[Country]:
-        return list(self._countries.values())
-
     def country(self, code: str) -> Country:
         try:
             return self._countries[code]

@@ -74,10 +74,6 @@ class PeerChannel:
         self._faults = faults
         self._src = src
 
-    @property
-    def peer_id(self) -> str:
-        return self._record.peer_id
-
     def send(self, message: Any) -> Any:
         peer_id = self._record.peer_id
         if not self._record.online:
@@ -158,33 +154,6 @@ class PeerOverlay:
             self._by_country[country] = peers
         else:
             self._by_country.pop(country, None)
-
-    def unregister(self, peer_id: str) -> None:
-        record = self._peers.pop(peer_id, None)
-        if record is not None:
-            country = record.location.country
-            peers = self._by_country[country]
-            del peers[peer_id]
-            if not peers:
-                del self._by_country[country]
-            self._m_churn.inc(event="left")
-
-    def set_online(self, peer_id: str, online: bool) -> None:
-        record = self._peers[peer_id]
-        was_online = record.online
-        record.online = online
-        if was_online != online:
-            self._m_churn.inc(event="online" if online else "offline")
-
-    def is_online(self, peer_id: str) -> bool:
-        record = self._peers.get(peer_id)
-        return bool(record and record.online)
-
-    def get(self, peer_id: str) -> PeerRecord:
-        try:
-            return self._peers[peer_id]
-        except KeyError:
-            raise KeyError(f"unknown peer {peer_id!r}") from None
 
     def connect(self, peer_id: str, src: str = "measurement") -> PeerChannel:
         try:

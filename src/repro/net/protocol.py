@@ -331,9 +331,3 @@ def read_frame(
     body = bytearray(split_frame(header, max_frame_bytes))
     _fill(sock, memoryview(body), give_up_at)
     return decode(body), len(body)
-
-
-def frame_sizes(msg: Envelope) -> Tuple[int, int]:
-    """(header+body, body) byte sizes of an envelope — for telemetry."""
-    body = len(encode(msg))
-    return _HEADER.size + body, body

@@ -209,22 +209,6 @@ class SocketTransport(Transport):
         except KeyError:
             raise NetworkError(f"unknown host {name!r}") from None
 
-    def endpoints(self) -> List[str]:
-        return sorted(set(self._endpoints) | self._clients | set(self._peers))
-
-    def unbind(self, name: str) -> None:
-        """Remove ``name`` and hang up every pooled connection it calls
-        from or is called on; the peer's serving thread then reads EOF
-        and ends."""
-        ep = self._endpoints.pop(name, None)
-        self._clients.discard(name)
-        self._peers.pop(name, None)
-        with self._lock:
-            pooled = [self._conns.pop(key) for key in list(self._conns) if name in key]
-        _hang_up(pooled)
-        if ep is not None:
-            self._join(self._stop(ep))
-
     def drain(self, name: str, timeout: float = 10.0) -> None:
         """Graceful shutdown: stop accepting, finish in-flight calls."""
         ep = self._endpoint(name)

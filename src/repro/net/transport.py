@@ -25,7 +25,7 @@ Grafana panel reads the same over either backend; only the
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.net.geo import Location
 from repro.net.protocol import (
@@ -229,11 +229,6 @@ class Transport:
         client) or the transport closed."""
         raise NotImplementedError
 
-    def unbind(self, name: str) -> None:
-        """Remove an endpoint, server or client, with every connection
-        it was a party to (decommission, not crash)."""
-        raise NotImplementedError
-
     def call(
         self,
         src: str,
@@ -248,10 +243,6 @@ class Transport:
         :class:`NetworkTimeout` when the deadline passes, and
         :class:`RemoteCallError` when the remote handler raised.
         """
-        raise NotImplementedError
-
-    def endpoints(self) -> List[str]:
-        """Names currently bound (servers and registered clients)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -304,12 +295,6 @@ class SimTransport(Transport):
     def _known(self, name: str) -> None:
         if name not in self._handlers:
             raise NetworkError(f"unknown host {name!r}")
-
-    def endpoints(self) -> List[str]:
-        return list(self._handlers)
-
-    def unbind(self, name: str) -> None:
-        self._handlers.pop(name, None)
 
     def close(self) -> None:
         self._closed = True

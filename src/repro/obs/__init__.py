@@ -3,7 +3,7 @@
 Three layers, and the panels that read them:
 
 * :mod:`repro.obs.metrics` — a labeled metrics registry (Counter /
-  Gauge / Histogram) with Prometheus-style text exposition, threaded
+  Histogram, and sampled views) with Prometheus-style text exposition, threaded
   through the hot paths of the engine, dispatch, fault injection, the
   peer overlay, and the database;
 * :mod:`repro.obs.trace` — span tracing on the simulated clock, so a
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -49,7 +48,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",

@@ -8,7 +8,7 @@ was dropped — is what makes detection results trustworthy.  This
 module provides the primitive those panels read from: metric families
 with optional labels, collected in a :class:`MetricsRegistry` that
 renders Prometheus-style text exposition.  An **event instrument**
-(:class:`Counter`, :class:`Gauge`, :class:`Histogram`) records what the
+(:class:`Counter`, :class:`Histogram`) records what the
 code tells it, for facts no component keeps otherwise (latencies, bytes
 sent); a **sampled view** (:meth:`MetricsRegistry.sampled`) reads a
 count a component already keeps (failovers, queue depth, online peers)
@@ -41,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
@@ -118,12 +117,11 @@ class _Family:
             )
         return tuple(str(labels[n]) for n in self.labelnames)
 
-    def labels_series(self) -> List[Tuple[Dict[str, str], object]]:
-        """Like :meth:`series` but with labels as dicts (panel input)."""
-        return [
-            (dict(zip(self.labelnames, key)), state)
-            for key, state in self.series()
-        ]
+    def value(self, **labels: object) -> float:
+        """One series' number, 0 when it has none (a counter's or a
+        sampled view's; a histogram's series are not numbers)."""
+        key = self._key(labels)
+        return next((state[0] for k, state in self.series() if k == key), 0.0)
 
     def expose(self, lines: List[str]) -> None:
         """One line per ``(labels, [value])`` series (not a histogram's)."""
@@ -169,46 +167,23 @@ class _Instrument(_Family):
         return sorted(self._children.items())
 
 
-class _Scalar(_Instrument):
-    """One number per series (the counter and the gauge)."""
+class Counter(_Instrument):
+    """Monotonically increasing count (jobs submitted, transport bytes)."""
+
+    kind = "counter"
 
     def _new_child(self) -> List[float]:
         return [0.0]
-
-    def value(self, **labels: object) -> float:
-        child = self._children.get(self._key(labels))
-        return child[0] if child is not None else 0.0
 
     @property
     def total(self) -> float:
         """Sum over every labeled series."""
         return sum(c[0] for c in self._children.values())
 
-
-class Counter(_Scalar):
-    """Monotonically increasing count (jobs submitted, transport bytes)."""
-
-    kind = "counter"
-
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease")
         self._child(labels)[0] += amount
-
-
-class Gauge(_Scalar):
-    """A value that goes up and down (the engine clock, shard rows)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        self._child(labels)[0] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        self._child(labels)[0] += amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self._child(labels)[0] -= amount
 
 
 class Sampled(_Family):
@@ -235,9 +210,6 @@ class Sampled(_Family):
             for key, value in pairs
             if value or self.kind == "gauge"
         }
-
-    def value(self, **labels: object) -> float:
-        return self._samples().get(self._key(labels), 0.0)
 
     @property
     def total(self) -> float:
@@ -317,10 +289,6 @@ class Histogram(_Instrument):
             merged.min = min(merged.min, state.min)
             merged.max = max(merged.max, state.max)
         return merged
-
-    def count(self, **labels: object) -> int:
-        state = self._children.get(self._key(labels))
-        return state.count if state is not None else 0
 
     def total_count(self) -> int:
         return sum(s.count for s in self._children.values())
@@ -425,11 +393,6 @@ class MetricsRegistry:
     ) -> Counter:
         return self._declare(Counter, name, help, labelnames)
 
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self._declare(Gauge, name, help, labelnames)
-
     def histogram(
         self,
         name: str,
@@ -487,38 +450,8 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         pass
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
     def observe(self, value: float, **labels: object) -> None:
         pass
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-    def count(self, **labels: object) -> int:
-        return 0
-
-    def total_count(self) -> int:
-        return 0
-
-    def count_le(self, bound: float, **labels: object) -> int:
-        return 0
-
-    def quantile(self, q: float, **labels: object) -> Optional[float]:
-        return None
-
-    def percentiles(self, ps=(50.0, 95.0, 99.0), **labels: object):
-        return {f"p{p:g}": None for p in ps}
-
-    def series(self) -> List[Tuple[Tuple[str, ...], object]]:
-        return []
-
-    def labels_series(self) -> List[Tuple[Dict[str, str], object]]:
-        return []
 
     def expose(self, lines: List[str]) -> None:
         pass
@@ -535,9 +468,6 @@ class NullRegistry:
     def counter(self, name: str, help: str = "", labelnames=()) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str, help: str = "", labelnames=()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def histogram(
         self, name: str, help: str = "", labelnames=(), buckets=DEFAULT_BUCKETS
     ) -> _NullInstrument:
@@ -545,15 +475,6 @@ class NullRegistry:
 
     def sampled(self, kind: str, name: str, help: str, labelnames, read) -> _NullInstrument:
         return _NULL_INSTRUMENT
-
-    def get(self, name: str) -> None:
-        return None
-
-    def metrics(self) -> List[_Family]:
-        return []
-
-    def render_exposition(self) -> str:
-        return ""
 
 
 NULL_REGISTRY = NullRegistry()

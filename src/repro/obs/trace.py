@@ -245,10 +245,6 @@ class Tracer:
     def spans_for(self, trace_id: str) -> List[Span]:
         return [s for s in self.finished if s.trace_id == trace_id]
 
-    def clear(self) -> None:
-        self.finished.clear()
-        self._by_id.clear()
-
     # -- export ------------------------------------------------------------
     def export_jsonl(self, fh: TextIO, trace_id: Optional[str] = None) -> int:
         """Write spans as JSON Lines; returns the number written."""
@@ -281,7 +277,8 @@ class _NullSpanContext:
 
 class NullTracer:
     """The disabled twin: ``span(…)`` returns one shared inert context
-    manager and ``record(…)`` does nothing."""
+    manager and a trace holds no spans.  Callers check ``enabled``
+    before recording."""
 
     enabled = False
     finished: List[Span] = []
@@ -292,21 +289,8 @@ class NullTracer:
              parent_id=None, links=None, **attrs) -> _NullSpanContext:
         return self._NULL_CONTEXT
 
-    def record(self, name: str, trace_id=None, start=None,
-               parent_id=None, links=None, end=None, **attrs) -> Span:
-        return self._NULL_CONTEXT.span
-
-    def trace_ids(self) -> List[str]:
-        return []
-
     def spans_for(self, trace_id: str) -> List[Span]:
         return []
-
-    def clear(self) -> None:
-        pass
-
-    def export_jsonl(self, fh: TextIO, trace_id: Optional[str] = None) -> int:
-        return 0
 
 
 NULL_TRACER = NullTracer()

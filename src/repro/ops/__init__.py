@@ -27,14 +27,14 @@ watches the service.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".audit": ["AuditTrail", "OpsEvent"],
     ".health": [
-        "CallableProbe", "DatabaseStalenessProbe", "ErrorRateProbe", "HeartbeatProbe",
+        "DatabaseStalenessProbe", "ErrorRateProbe", "HeartbeatProbe",
         "PollutionBudgetProbe", "ProbeResult", "QueueDepthProbe",
     ],
-    ".killswitch": ["KillSwitch", "KillSwitchTripped"],
-    ".notifiers": ["CallbackNotifier", "LogNotifier", "Notifier", "NotifierFanout"],
+    ".killswitch": ["KillSwitch"],
+    ".notifiers": ["LogNotifier", "Notifier", "NotifierFanout"],
     ".supervisor": ["Component", "HealReport", "RestartPolicy", "Supervisor"],
     ".wiring": ["build_supervisor"],
 })

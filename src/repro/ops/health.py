@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 __all__ = [
-    "CallableProbe",
     "DatabaseStalenessProbe",
     "DeadLetterProbe",
     "ErrorRateProbe",
@@ -47,9 +46,6 @@ class ProbeResult:
     reason: str = ""
     value: float = 0.0
     metrics: Dict[str, float] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.healthy
 
 
 OK = ProbeResult(healthy=True)
@@ -318,17 +314,3 @@ class SLOBurnRateProbe:
                 burn, metrics=snapshot,
             )
         return ProbeResult(True, value=burn, metrics=snapshot)
-
-
-class CallableProbe:
-    """Adapts ``fn(now) -> bool | ProbeResult`` into a probe."""
-
-    def __init__(self, fn: Callable[[float], object], name: str = "probe") -> None:
-        self.fn = fn
-        self.name = name
-
-    def check(self, now: float) -> ProbeResult:
-        verdict = self.fn(now)
-        if isinstance(verdict, ProbeResult):
-            return verdict
-        return OK if verdict else ProbeResult(False, f"{self.name} failed")

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.errors import KillSwitchTripped
 from repro.ops.audit import AuditTrail
 from repro.ops.notifiers import NotifierFanout
 
-__all__ = ["KillSwitch", "KillSwitchTripped"]
+__all__ = ["KillSwitch"]
 
 
 class KillSwitch:
@@ -65,11 +64,3 @@ class KillSwitch:
             "killswitch_reset", operator, f"was: {previous}"
         )
         self.fanout.notify(event)
-
-    def check(self) -> None:
-        """Raise :class:`KillSwitchTripped` when the switch is latched —
-        the guard hot paths call before taking supervised actions."""
-        if self._tripped:
-            raise KillSwitchTripped(
-                f"kill-switch tripped: {self.reason or 'unknown reason'}"
-            )

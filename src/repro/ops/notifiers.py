@@ -6,11 +6,8 @@ someone has to hear about it.  A :class:`Notifier` receives each
 one event to every registered notifier, isolating a broken notifier so
 an alerting failure can never take the healing loop down with it.
 
-Two concrete notifiers ship:
-
-* :class:`LogNotifier` — collects human-readable lines (the operator
-  console / test assertion surface);
-* :class:`CallbackNotifier` — invokes an arbitrary callable (pager glue).
+One concrete notifier ships: :class:`LogNotifier`, which collects
+human-readable lines (the operator console / test assertion surface).
 
 A JSON-lines file of every event is the audit trail's own job
 (``AuditTrail(path=…)``, ``repro supervise --audit-out``).
@@ -18,12 +15,11 @@ A JSON-lines file of every event is the audit trail's own job
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from repro.ops.audit import OpsEvent
 
 __all__ = [
-    "CallbackNotifier",
     "LogNotifier",
     "Notifier",
     "NotifierFanout",
@@ -51,16 +47,6 @@ class LogNotifier(Notifier):
             print(f"[ops] {line}")
 
 
-class CallbackNotifier(Notifier):
-    """Hands each event to a callable — the pager/chat-bot adapter."""
-
-    def __init__(self, fn: Callable[[OpsEvent], None]) -> None:
-        self.fn = fn
-
-    def notify(self, event: OpsEvent) -> None:
-        self.fn(event)
-
-
 class NotifierFanout:
     """Delivers each event to every notifier, tolerating broken ones.
 
@@ -73,9 +59,6 @@ class NotifierFanout:
         self.notifiers: List[Notifier] = list(notifiers)
         self.delivered = 0
         self.delivery_failures = 0
-
-    def add(self, notifier: Notifier) -> None:
-        self.notifiers.append(notifier)
 
     def notify(self, event: OpsEvent) -> None:
         for notifier in self.notifiers:

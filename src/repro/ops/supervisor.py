@@ -214,12 +214,6 @@ class Supervisor:
         self.components[name] = component
         return component
 
-    def unregister(self, name: str) -> None:
-        self.components.pop(name, None)
-
-    def component(self, name: str) -> Component:
-        return self.components[name]
-
     def add_anomaly_detector(self, name: str, probe: object) -> None:
         """A deployment-wide check that trips the kill-switch when it
         fires."""

@@ -13,10 +13,10 @@ at 50 % saturation) lives in :mod:`repro.profiles.doppelganger`.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".vector": ["ProfileVector", "profile_from_counts"],
     ".kmeans": [
-        "KMeansOutcome", "lloyd_kmeans", "silhouette_score", "squared_distance",
+        "KMeansOutcome", "lloyd_kmeans", "silhouette_score",
     ],
     ".doppelganger": ["Doppelganger", "DoppelgangerManager", "PollutionBudget"],
 })

@@ -51,9 +51,6 @@ class PollutionBudget:
     def allowance(organic_product_visits: int) -> int:
         return organic_product_visits // VISITS_PER_ALLOWED_REQUEST
 
-    def used(self, domain: str) -> int:
-        return self._used[domain]
-
     def can_use_real_profile(self, domain: str, organic_product_visits: int) -> bool:
         """May the PPC serve this domain with its own client state?
 
@@ -87,11 +84,6 @@ class Doppelganger:
         if self.creation_visits[domain] == 0:
             return False  # never-visited domains don't saturate
         return self.serve_used[domain] >= self.allowance(domain)
-
-    def can_serve(self, domain: str) -> bool:
-        if self.creation_visits[domain] == 0:
-            return True  # state for the domain is simply deleted after
-        return not self.is_saturated(domain)
 
     def record_serve(self, domain: str) -> None:
         self.serve_used[domain] += 1
@@ -193,13 +185,6 @@ class DoppelgangerManager:
     def client_state_for(self, dopp_id: str) -> Dict[str, Dict[str, str]]:
         """Bearer-token state request: only a correct token succeeds."""
         return self.get(dopp_id).client_state
-
-    def all(self) -> List[Doppelganger]:
-        return list(self._doppelgangers.values())
-
-    @property
-    def count(self) -> int:
-        return len(self._doppelgangers)
 
     # -- serving & regeneration ----------------------------------------------
     def record_serve(self, dopp_id: str, domain: str) -> None:

@@ -10,21 +10,17 @@ correctness check of the cryptographic protocol.
 
 :func:`silhouette_score` implements Rousseeuw's silhouette [27], used
 throughout Sect. 4 to pick the profile-domain list and the number of
-doppelgangers.
+doppelgangers (the Fig. 8(a)/(b) sweeps in
+:mod:`repro.experiments.fig8_clustering`; a deployment is given its k).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-
-def squared_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Plain squared Euclidean distance."""
-    return float(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
 @dataclass
@@ -149,64 +145,3 @@ def silhouette_score(
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
-
-
-def choose_k(
-    points: Dict[str, Sequence[float]],
-    cap: int,
-    k_grid: Optional[Sequence[int]] = None,
-    rng_seed: int = 2017,
-) -> int:
-    """Pick k by silhouette, capped (the Sect. 4 procedure).
-
-    The paper sweeps k, takes the silhouette knee, and enforces "an
-    upper threshold for k … the 10% of the number of users independently
-    of the silhouette score" so doppelganger maintenance stays cheap.
-    ``cap`` is that threshold; the sweep never proposes more.
-    """
-    cap = max(1, cap)
-    n = len(points)
-    if n < 4 or cap == 1:
-        return min(cap, max(1, n // 2)) or 1
-    if k_grid is None:
-        k_grid = sorted({2, 4, 8, 12, 20, 30, 40, cap})
-    candidates = [k for k in k_grid if 2 <= k <= min(cap, n - 1)]
-    if not candidates:
-        return cap
-    best_k, best_score = candidates[0], float("-inf")
-    for k, score in best_silhouette(points, candidates, rng_seed=rng_seed):
-        if score == score and score > best_score:  # skip NaN
-            best_k, best_score = k, score
-    return best_k
-
-
-def best_silhouette(
-    points: Dict[str, Sequence[float]],
-    k_values: Sequence[int],
-    rng_seed: int = 2017,
-    quantize: bool = False,
-    n_init: int = 3,
-) -> List[Tuple[int, float]]:
-    """Silhouette score per candidate k (the Fig. 8(b) sweep).
-
-    Lloyd's is sensitive to the random (Forgy) initialization, so each
-    k gets ``n_init`` restarts and keeps its best silhouette.
-    """
-    ids = sorted(points)
-    matrix = [points[i] for i in ids]
-    out: List[Tuple[int, float]] = []
-    for k in k_values:
-        best = float("nan")
-        for restart in range(max(1, n_init)):
-            outcome = lloyd_kmeans(
-                points, k, rng=random.Random(rng_seed + 101 * restart),
-                quantize=quantize,
-            )
-            labels = [outcome.assignments[i] for i in ids]
-            if len(set(labels)) < 2:
-                continue
-            score = silhouette_score(matrix, labels)
-            if best != best or score > best:  # NaN-safe max
-                best = score
-        out.append((k, best))
-    return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,6 @@ class ProfileVector:
     def __post_init__(self) -> None:
         if not (len(self.domains) == len(self.frequencies) == len(self.quantized)):
             raise ValueError("vector component length mismatch")
-
-    @property
-    def m(self) -> int:
-        return len(self.domains)
-
-    def nonzero_domains(self) -> List[str]:
-        return [d for d, f in zip(self.domains, self.frequencies) if f > 0]
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(zip(self.domains, self.frequencies))
 
 
 def profile_from_counts(

@@ -30,7 +30,7 @@ A deployment runs one Database server on sqlite; ``db_backend="memory"``
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".backend": ["INDEXED_COLUMNS", "StorageBackend", "make_backend"],
     ".memory": ["MemoryBackend"],
     ".sqlite": ["SqliteBackend"],

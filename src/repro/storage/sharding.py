@@ -103,28 +103,20 @@ class ShardedDatabase:
         self._job_shard: Dict[str, str] = {}
         #: cross-shard stored procedures that had to scatter-gather
         self.scatter_queries = 0
-        #: telemetry: per-shard occupancy
-        self._m_shard_rows = telemetry.registry.gauge(
-            "sheriff_db_shard_rows",
-            "Rows currently held, per shard and table",
-            labelnames=("shard", "table"),
+        #: telemetry: per-shard occupancy, counted when scraped
+        telemetry.registry.sampled(
+            "gauge", "sheriff_db_shard_rows",
+            "Rows currently held, per shard and table", ("shard", "table"),
+            lambda: {
+                (name, table): self.shards[name].count(table)
+                for name in self.shard_names for table in ("requests", "responses")
+            },
         )
-
-    def _sync_occupancy(self, shard_name: str, table: str) -> None:
-        if self._m_shard_rows.enabled:  # a count is a query: skip it unwatched
-            self._m_shard_rows.set(
-                self.shards[shard_name].count(table),
-                shard=shard_name, table=table,
-            )
 
     # -- routing ------------------------------------------------------------
     def shard_for(self, key: str) -> str:
         """The shard name owning a routing key (a domain)."""
         return self.ring.node_for(key)
-
-    def shard_for_job(self, job_id: str) -> Optional[str]:
-        """Where a known job's rows live (None before its first write)."""
-        return self._job_shard.get(job_id)
 
     def _pin(self, job_id: str, key: str) -> str:
         """The shard the job is pinned to; a job's first write pins it to
@@ -183,13 +175,11 @@ class ShardedDatabase:
         row_id = self.shards[shard_name].sp_record_request(
             job_id, user_id, url, domain, time
         )
-        self._sync_occupancy(shard_name, "requests")
         return row_id
 
     def sp_record_responses(self, job_id: str, rows) -> List[int]:
         shard_name = self._pin(job_id, job_id)
         ids = self.shards[shard_name].sp_record_responses(job_id, rows)
-        self._sync_occupancy(shard_name, "responses")
         return ids
 
     def sp_record_job(
@@ -201,8 +191,6 @@ class ShardedDatabase:
         ids = self.shards[shard_name].sp_record_job(
             job_id, user_id, url, domain, time, rows
         )
-        self._sync_occupancy(shard_name, "requests")
-        self._sync_occupancy(shard_name, "responses")
         return ids
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:

@@ -11,7 +11,7 @@ drive PDI-PD.
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".html": [
         "Element", "HTMLParseError", "find_all", "iter_elements", "parse", "render",
         "text_of",
@@ -19,7 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".catalog": ["Catalog", "Product", "make_catalog"],
     ".trackers": ["Tracker", "TrackerEcosystem"],
     ".pricing": [
-        "ABTestPricing", "PerCountryABTestPricing", "ProductCountryJitterPricing",
+        "ABTestPricing", "PerCountryABTestPricing",
         "CompositePricing", "CountryMultiplierPricing", "PdiPdPricing", "PriceQuote",
         "PricingPolicy", "RequestContext", "TemporalDriftPricing", "UniformPricing",
         "VatInclusivePricing",

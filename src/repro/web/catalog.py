@@ -29,11 +29,6 @@ class Product:
     base_price_eur: float
     popularity: float = 1.0  # relative visit weight
 
-    @property
-    def path(self) -> str:
-        """URL path of the product page on its store."""
-        return f"/product/{self.product_id}"
-
 
 #: category → (min €, max €) price band.
 CATEGORY_PRICE_BANDS: Dict[str, Tuple[float, float]] = {
@@ -90,9 +85,6 @@ class Catalog:
 
     def get(self, product_id: str) -> Optional[Product]:
         return self._by_id.get(product_id)
-
-    def __getitem__(self, product_id: str) -> Product:
-        return self._by_id[product_id]
 
     @property
     def products(self) -> List[Product]:

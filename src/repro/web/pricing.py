@@ -82,9 +82,6 @@ class PriceQuote:
     amount_eur: float
     adjustments: Tuple[Adjustment, ...]
 
-    def factor(self) -> float:
-        return self.amount_eur / self.base_eur if self.base_eur else 1.0
-
 
 def stable_rng(*keys: object) -> random.Random:
     """A deterministic RNG derived from a hash of the given keys."""
@@ -180,32 +177,6 @@ class RegionalPricing(PricingPolicy):
                 multiplier=factor,
             )
         ]
-
-
-class ProductCountryJitterPricing(PricingPolicy):
-    """Per-(product, country) deterministic multiplier jitter.
-
-    Table 3 shows *different* extreme ratios for distinct products of the
-    same retailer (e.g. ×2.32 and ×2.18 on luisaviaroma.com), so
-    cross-border factors cannot be purely per-country.  This policy adds
-    a stable multiplier drawn once per (product, country) pair in
-    ``[1 − spread, 1 + spread]`` — composing it with
-    :class:`CountryMultiplierPricing` yields product-dependent country
-    ratios while staying time- and client-invariant.
-    """
-
-    def __init__(self, spread: float = 0.1, salt: str = "pcjitter") -> None:
-        if not 0 <= spread < 1:
-            raise ValueError("spread must be in [0, 1)")
-        self.spread = spread
-        self.salt = salt
-
-    def adjustments(self, product: Product, ctx: RequestContext) -> List[Adjustment]:
-        if self.spread == 0:
-            return []
-        rng = stable_rng(self.salt, product.product_id, ctx.location.country)
-        factor = 1.0 + rng.uniform(-self.spread, self.spread)
-        return [Adjustment(label=f"pc-jitter:{ctx.location.country}", multiplier=factor)]
 
 
 class PerCountryABTestPricing(PricingPolicy):

@@ -55,9 +55,6 @@ class Tracker:
         """The domain-visit profile the tracker holds for a cookie."""
         return Counter(self._profiles.get(cookie, Counter()))
 
-    def forget(self, cookie: str) -> None:
-        self._profiles.pop(cookie, None)
-
 
 class TrackerEcosystem:
     """The set of trackers active on the simulated internet."""
@@ -77,9 +74,6 @@ class TrackerEcosystem:
     def __init__(self, domains: Sequence[str] = DEFAULT_DOMAINS) -> None:
         self._trackers: Dict[str, Tracker] = {d: Tracker(d) for d in domains}
 
-    def __contains__(self, domain: str) -> bool:
-        return domain in self._trackers
-
     def get(self, domain: str) -> Tracker:
         try:
             return self._trackers[domain]
@@ -88,9 +82,6 @@ class TrackerEcosystem:
 
     def domains(self) -> List[str]:
         return list(self._trackers)
-
-    def trackers(self) -> List[Tracker]:
-        return list(self._trackers.values())
 
     def profile_across_trackers(self, cookies: Dict[str, str]) -> Counter:
         """Union profile for a browser, given its per-tracker cookies.

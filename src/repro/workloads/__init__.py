@@ -25,7 +25,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__ = lazy_exports(__name__, {
     ".alexa": ["ContentWeb", "build_alexa_ecommerce"],
     ".population": ["Population", "PopulationConfig"],
     ".stores": ["build_named_stores", "named_store_specs"],

@@ -119,10 +119,6 @@ class DeploymentDataset:
         return len({r.domain for r in self.results})
 
     @property
-    def n_responses(self) -> int:
-        return sum(len(r.rows) for r in self.results)
-
-    @property
     def n_resolved(self) -> int:
         """Checks that ended in a terminal outcome: a result page or an
         explicit failure report — never a hang or a silent drop."""
@@ -133,9 +129,6 @@ class DeploymentDataset:
         if self.n_attempted == 0:
             return 1.0
         return self.n_resolved / self.n_attempted
-
-    def results_for_domain(self, domain: str) -> List[PriceCheckResult]:
-        return [r for r in self.results if r.domain == domain]
 
 
 class LiveDeployment:
@@ -273,10 +266,6 @@ class AdoptionSeries:
     days: List[int]
     daily_downloads: List[float]
     active_users: List[float]
-
-    @property
-    def total_downloads(self) -> float:
-        return sum(self.daily_downloads)
 
     def spike_days(self, threshold_factor: float = 5.0) -> List[int]:
         """Days whose downloads exceed ``threshold_factor`` × median."""

@@ -156,18 +156,9 @@ class Population:
         return self.addons
 
     # -- queries -------------------------------------------------------------------
-    @property
-    def n_users(self) -> int:
-        return len(self.addons)
-
-    def countries(self) -> List[str]:
-        return sorted(self.by_country)
 
     def donors(self) -> List[SheriffAddon]:
         return [a for a in self.addons if a.history_donation_opt_in]
-
-    def users_in(self, country: str) -> List[SheriffAddon]:
-        return list(self.by_country.get(country, []))
 
     def pick_user(self, rng: random.Random) -> SheriffAddon:
         """Requesters follow the Table 2 mix because users already do."""

@@ -57,7 +57,8 @@ class TestClassification:
 
     def test_current_ratio_computed(self, current_results):
         cmp = compare_with_prior_study(current_results, PRIOR, LIVE)
-        still = next(c for c in cmp.still_discriminating())
+        still = next(c for c in cmp.comparisons
+                     if c.status is DomainStatus.STILL_DISCRIMINATING)
         assert still.current_ratio == pytest.approx(1.15)
 
     def test_relative_change_on_excess(self, current_results):
@@ -70,11 +71,6 @@ class TestClassification:
         (c,) = cmp.comparisons
         assert c.relative_change == pytest.approx((1.18 - 1.48) / 0.48,
                                                   abs=0.01)
-
-    def test_fractions_exclude_unchecked(self, current_results):
-        cmp = compare_with_prior_study(current_results, PRIOR, LIVE)
-        assert cmp.fraction(DomainStatus.NO_LONGER_VALID) == pytest.approx(1 / 3)
-        assert cmp.fraction(DomainStatus.STILL_DISCRIMINATING) == pytest.approx(1 / 3)
 
 
 def test_paper_prior_reports_available():

@@ -1,11 +1,6 @@
 """Tests for report rendering helpers."""
 
-from repro.analysis.reports import format_percent, format_series, format_table
-
-
-def test_format_percent():
-    assert format_percent(38.983) == "38.98%"
-    assert format_percent(0.0) == "0.00%"
+from repro.analysis.reports import format_table
 
 
 def test_format_table_basic():
@@ -25,9 +20,3 @@ def test_format_table_width_alignment():
     out = format_table([("x", 1)], headers=("A", "B"))
     header, sep, row = out.splitlines()
     assert len(sep) == len(header)
-
-
-def test_format_series():
-    out = format_series([1, 2], [10.0, 20.0], "day", "price")
-    assert "day" in out and "price" in out
-    assert "10.00" in out

@@ -27,7 +27,7 @@ def browser(internet, ecosystem, clock, geodb):
 def state_fingerprint(browser):
     return (
         browser.cookies.snapshot(),
-        tuple(browser.history.entries()),
+        tuple(browser.history.snapshot()),
         dict(browser.cache),
     )
 

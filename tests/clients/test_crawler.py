@@ -26,16 +26,17 @@ class TestCrawler:
         crawler.check(shop_url())
         assert crawler.addon is not first_addon  # clean profile swap
         # fresh browser has only the new navigation in history
-        assert len(crawler.addon.browser.history) == 1
+        assert len(crawler.addon.browser.history.snapshot()) == 1
 
     def test_crawler_not_registered_as_ppc(self, world, sheriff, shop_url):
         crawler = SystematicCrawler(sheriff, "ES")
-        assert not sheriff.overlay.is_online(crawler.addon.peer_id)
+        assert sheriff.overlay.location_of(crawler.addon.peer_id) is None
 
     def test_run_campaign(self, world, sheriff, shop_url):
         crawler = SystematicCrawler(sheriff, "FR")
-        results = crawler.run_campaign([shop_url(0), shop_url(1)], repetitions=2)
-        assert len(results) == 4
+        results = [crawler.check(url) for _ in range(2)
+                   for url in (shop_url(0), shop_url(1))]
+        assert all(r.valid_rows() for r in results)
         assert crawler.total_checks == 4
 
     def test_campaign_results_from_requested_country(self, world, sheriff, shop_url):

@@ -40,7 +40,7 @@ class TestRemoteRequests:
         before = peer.browser.cookies.snapshot()
         peer.peer_handler.handle({"type": "remote_page_request", "url": shop_url()})
         assert peer.browser.cookies.snapshot() == before
-        assert len(peer.browser.history) == 0
+        assert len(peer.browser.history.snapshot()) == 0
 
 
 class TestBudgetWithDoppelganger:
@@ -104,6 +104,6 @@ class TestBudgetWithDoppelganger:
         handler = addon.peer_handler
         handler.serve_remote_request(shop_url(4))  # real
         handler.serve_remote_request(shop_url(5))  # doppelganger
-        dopp = sheriff.dopp_manager.all()[0]
+        dopp = sheriff.dopp_manager.doppelgangers()[0]
         # the doppelganger picked up the store session from the request
         assert "shop.example" in dopp.client_state

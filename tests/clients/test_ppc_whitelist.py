@@ -18,7 +18,7 @@ class TestPpcWhitelistGuard:
         assert "error" in reply
         assert "whitelisted" in reply["error"]
         # nothing was fetched, no state was touched
-        assert len(browser.history) == 0
+        assert len(browser.history.snapshot()) == 0
         assert addon.peer_handler.requests_served == 0
 
     def test_whitelisted_domain_served(self, world, sheriff, shop_url):

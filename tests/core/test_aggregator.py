@@ -43,7 +43,7 @@ class TestCollection:
         coordinator, aggregator, rng = roles
         submit_profiles(coordinator, aggregator, rng,
                         {"a": [1, 1, 1, 1], "b": [9, 9, 9, 9]})
-        assert aggregator.n_profiles == 2
+        assert aggregator._kmeans.n_clients == 2
 
     def test_clustering_without_profiles(self, roles):
         coordinator, aggregator, _ = roles
@@ -88,7 +88,7 @@ class TestHostilePeer:
             aggregator.submit_encrypted_profile(
                 "mallory", Ciphertext(alpha=0, betas=(0,) * coordinator.t)
             )
-        assert aggregator.n_profiles == 4
+        assert aggregator._kmeans.n_clients == 4
         coordinator.set_centroids([[0, 0, 0, 0], [10, 10, 10, 10]])
         mapping = aggregator.run_clustering(max_iterations=4)
         assert "mallory" not in mapping

@@ -11,18 +11,14 @@ flight, or the clock moved while the pool is idle — both give:
 * the same ``(taken, landing)`` per task;
 * the same ``busy`` / ``queued`` just before and just after every
   submit, and the same ``peak_busy`` and ``tasks_run``;
-* the same completion instant per job, and at every poll of the job the
-  rows arrived by that instant.
+* the same completion instant per job.
 
 Ties at one instant.  The loop runs events in time order, and at one
 instant in the order they were scheduled.  The closed form counts a
 task whose landing the clock has reached as landed, except a
 zero-second task at the very instant its job was placed: that one still
 occupies its worker until the clock moves on, as its event in the
-event-driven pool has not run yet.  Rows of one job landing at one
-instant arrive together: the poll that reaches the instant counts them
-all, where the event-driven pool let its poll see them one event at a
-time.  The clock is moved the ways the loop moves it (``run_until``),
+event-driven pool has not run yet.  The clock is moved the ways the loop moves it (``run_until``),
 and directly only while nothing is in flight.  Two moves are left out,
 because the closed form cannot see them: running the loop without
 moving the clock, which runs the event-driven pool's zero-second events
@@ -32,7 +28,6 @@ the event-driven pool.  The closed form counts both by the clock alone
 (in flight, and landed); the schedule of every task is the same.
 """
 
-from bisect import bisect_right
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -87,13 +82,11 @@ def test_closed_form_pool_keeps_the_event_pool_schedule(size, steps):
 
     pool.place = place_recorded
     scheduled = []  # the oracle's (taken, landing) per task
-    oracle_rows, oracle_done, done, records = {}, {}, {}, []
+    oracle_done, done, records = {}, {}, []
 
-    def on_land(j, index, ok, left):
+    def on_land(j, index, left):
         def land(taken):
             scheduled[index] = (taken, oracle_loop.clock.now)
-            if ok:
-                oracle_rows[j].append(oracle_loop.clock.now)
             left[0] -= 1
             if left[0] == 0:
                 oracle_done[j] = oracle_loop.clock.now
@@ -122,10 +115,10 @@ def test_closed_form_pool_keeps_the_event_pool_schedule(size, steps):
             record, [(d, ok, "IPC", f"ipc-{i}", None) for i, (d, ok) in enumerate(tasks)],
             on_done=report,
         )
-        oracle_rows[j], left = [], [len(tasks)]
-        for d, ok in tasks:
+        left = [len(tasks)]
+        for d, _ in tasks:
             scheduled.append(None)
-            oracle.submit(d, on_land(j, len(scheduled) - 1, ok, left))
+            oracle.submit(d, on_land(j, len(scheduled) - 1, left))
         assert (pool.busy, pool.queued) == (oracle.busy, oracle.queued)
         assert pool.peak_busy == oracle.peak_busy
 
@@ -133,20 +126,10 @@ def test_closed_form_pool_keeps_the_event_pool_schedule(size, steps):
     assert placed == scheduled
     assert oracle.tasks_run == pool.tasks_run == len(placed)
 
-    # poll every job to its end, in submission order
+    # drive every job to its end, in submission order
     for j, record in enumerate(records):
-        rows = oracle_rows[j]
-        finished = False
-        while not finished:
-            before, delivered = loop.clock.now, record.rows_delivered
-            _, finished = engine.poll(record)
-            now = loop.clock.now
-            # a poll waits for the job's next row, or for its end
-            assert now == before or now in (rows[delivered:delivered + 1] or [oracle_done[j]])
-            assert record.rows_arrived == (
-                len(rows) if record.landings is None else bisect_right(rows, now)
-            )
-        assert record.rows_delivered == len(rows)
+        engine.drive(record)
+        assert done[j] == oracle_done[j]
     loop.run()
     assert done == oracle_done
     assert pool._in_flight == {}

@@ -39,23 +39,6 @@ class TestCurrencySuffixStyles:
         assert (result.currency, result.amount) == ("CZK", 18215.0)
 
 
-class TestBrowserRawFetch:
-    def test_fetch_raw_leaves_state_untouched(self, internet, ecosystem,
-                                              clock, geodb, store):
-        from repro.browser.browser import Browser
-        from repro.web.pricing import RequestContext
-
-        browser = Browser(internet=internet, ecosystem=ecosystem,
-                          clock=clock, location=geodb.make_location("ES"))
-        ctx = RequestContext(time=0.0, location=browser.location)
-        url = store.product_url(store.catalog.products[0].product_id)
-        response = browser.fetch_raw(url, ctx)
-        assert response.status == 200
-        assert len(browser.history) == 0
-        assert len(browser.cookies) == 0
-        assert browser.cache == {}
-
-
 class TestCatalogIteration:
     def test_iter_and_products_agree(self):
         from repro.web.catalog import make_catalog

@@ -821,7 +821,7 @@ class TestOneRecordPerFact:
         with pytest.raises(MetricError):
             registry.sampled("gauge", "depth", "", (), lambda: 2)
         with pytest.raises(MetricError):
-            registry.gauge("depth")
+            registry.counter("depth")
         telemetry = Telemetry()
         PeerOverlay(telemetry=telemetry)
         with pytest.raises(MetricError):
@@ -852,9 +852,8 @@ class TestOneRecordPerFact:
         overlay.register(
             "p1", Location("ES", "Spain", "Madrid", "10.0.0.1"), lambda m: m
         )
-        overlay.set_online("p1", False)
-        overlay.set_online("p1", True)
-        overlay.unregister("p1")
+        overlay._peers["p1"].online = False
+        overlay._peers["p1"].online = True
         assert rebuilt == []
 
 
@@ -960,9 +959,8 @@ class TestOneRecordOfAJob:
         assert "state" in fields
         assert "error" not in inspect.signature(PriceCheckEngine.submit).parameters
         assert not hasattr(PriceCheckEngine, "schedule")
-        for cls in (Tracer, NullTracer):
-            for method in (cls.span, cls.record):
-                assert "duration" not in inspect.signature(method).parameters
+        for method in (Tracer.span, Tracer.record, NullTracer.span):
+            assert "duration" not in inspect.signature(method).parameters
 
     def test_the_engine_keeps_no_job_count(self):
         sheriff = PriceSheriff(SheriffWorld.create(seed=1))
@@ -1096,3 +1094,112 @@ class TestOneTimeline:
         assert main(["supervise", "--config", str(path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL: invalid config" in out and "dispatch_policy" in out
+
+
+class TestWhatNoRunCalls:
+    """The def-level reach gate: progressive polls, automatic k, runtime
+    attach/detach, the product-country jitter policy and the test-only
+    conveniences no verb, example, mesh worker or benchmark workload
+    called are gone from ``src/`` and from their hubs."""
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"POLL_BATCH_ROWS|rows_arrived|rows_delivered|\.landings\b"
+            r"|def poll\b|def pump\(self, record"
+            r"|default_k|choose_k|best_silhouette|squared_distance"
+            r"|attach_measurement_server|detach_measurement_server|def self_test"
+            r"|remove_measurement_server|def remove_server|drop_pool"
+            r"|ProductCountryJitterPricing|ServerBusy|ProbeFailed|KillSwitchTripped"
+            r"|CallableProbe|CallbackNotifier|frame_sizes|currency_for_code"
+            r"|clear_dlog_cache|clear_fastexp_cache|def roc_auc|format_percent"
+        )) == []
+
+    def test_names_gone(self):
+        import repro.analysis.reports
+        import repro.analysis.stats
+        import repro.core.errors
+        import repro.net.protocol
+        import repro.profiles.kmeans
+        import repro.web.pricing
+        from repro.browser.browser import Browser
+        from repro.browser.cookies import CookieJar
+        from repro.browser.history import BrowserHistory
+        from repro.core.admin import AdminConsole
+        from repro.core.coordinator import JobRecord
+        from repro.core.dispatch import RequestDistributor
+        from repro.core.engine import PriceCheckEngine
+        from repro.core.jobqueue import QueuedMeasurementTier
+        from repro.core.whitelist import Whitelist
+        from repro.net.p2p import PeerOverlay
+        from repro.net.socket_transport import SocketTransport
+        from repro.net.transport import SimTransport
+        from repro.obs.metrics import MetricsRegistry, NullRegistry
+        from repro.ops.killswitch import KillSwitch
+        from repro.workloads.population import Population
+
+        for name in ("poll", "pump", "drop_pool"):
+            assert not hasattr(PriceCheckEngine, name), name
+        for cls in (MeasurementServer, QueuedMeasurementTier):
+            assert not hasattr(cls, "poll"), cls.__name__
+        assert not hasattr(MeasurementServer, "self_test")
+        fields = {f.name for f in dataclasses.fields(JobRecord)}
+        assert not fields & {"rows_arrived", "rows_delivered", "landings"}
+        assert "closed" in fields
+        for name in ("default_k", "choose_k_from_donors", "remove_measurement_server"):
+            assert not hasattr(PriceSheriff, name), name
+        for name in ("choose_k", "best_silhouette", "squared_distance"):
+            assert not hasattr(repro.profiles.kmeans, name), name
+        for name in ("attach_measurement_server", "detach_measurement_server",
+                     "probe", "ops_panel"):
+            assert not hasattr(AdminConsole, name), name
+        assert not hasattr(RequestDistributor, "remove_server")
+        assert not hasattr(repro.web.pricing, "ProductCountryJitterPricing")
+        for name in ("ServerBusy", "ProbeFailed", "KillSwitchTripped"):
+            assert not hasattr(repro.core.errors, name), name
+        assert not hasattr(KillSwitch, "check")
+        for cls in (SimTransport, SocketTransport):
+            for name in ("unbind", "endpoints"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+        assert not hasattr(repro.net.protocol, "frame_sizes")
+        assert not hasattr(repro.analysis.stats, "roc_auc")
+        for name in ("format_percent", "format_series"):
+            assert not hasattr(repro.analysis.reports, name), name
+        for cls, names in (
+            (CookieJar, ("delete", "domains", "clear", "copy", "__len__",
+                         "__contains__")),
+            (BrowserHistory, ("entries", "visits_to", "clear", "__len__")),
+            (Browser, ("fetch_raw", "is_logged_in")),
+            (Whitelist, ("remove", "__len__", "__contains__")),
+            (Population, ("users_in", "n_users", "countries")),
+            (PeerOverlay, ("get", "is_online", "set_online", "unregister")),
+            (MetricsRegistry, ("gauge",)),
+            (NullRegistry, ("gauge", "get", "render_exposition")),
+        ):
+            for name in names:
+                assert not hasattr(cls, name), (cls.__name__, name)
+        assert CookieJar.__eq__ is object.__eq__
+
+    def test_hubs_do_not_list_them(self):
+        import repro.analysis
+        import repro.core
+        import repro.crypto
+        import repro.obs
+        import repro.ops
+        import repro.profiles
+        import repro.web
+
+        gone = {
+            repro.profiles: {"squared_distance", "choose_k", "best_silhouette"},
+            repro.web: {"ProductCountryJitterPricing"},
+            repro.core: {"ProbeFailed"},
+            repro.ops: {"CallableProbe", "CallbackNotifier", "KillSwitchTripped"},
+            repro.obs: {"Gauge"},
+            repro.crypto: {"clear_dlog_cache", "clear_fastexp_cache"},
+            repro.analysis: {"roc_auc", "format_percent"},
+        }
+        for hub, names in gone.items():
+            assert not names & set(hub.__all__), hub.__name__
+
+    def test_a_clustering_round_is_given_its_k(self):
+        k = inspect.signature(PriceSheriff.run_doppelganger_clustering).parameters["k"]
+        assert k.default is inspect.Parameter.empty

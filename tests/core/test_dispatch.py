@@ -151,22 +151,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             distributor.register_server("ms-0", "10.0.0.9")
 
-    def test_remove_with_pending_jobs_refused(self, world, sheriff):
-        """The deployment refuses to remove a server while a pending
-        record names it (App. 10.2.1); the list itself keeps no jobs."""
-        location = world.geodb.make_location("ES", "Madrid")
-        record, _ = sheriff.coordinator.new_request(
-            "peer-x", "http://uniform.example/product/uniform-0000", location
-        )
-        with pytest.raises(RuntimeError):
-            sheriff.remove_measurement_server(record.server_name)
-        assert record.server_name in sheriff.measurement_servers
-        assert sheriff.distributor.server(record.server_name)
-
-    def test_remove_idle_server(self, distributor):
-        distributor.remove_server("ms-2")
-        assert len(distributor.servers()) == 2
-
     def test_monitoring_rows(self, distributor):
         distributor.server("ms-1").online = False
         rows = distributor.monitoring_rows({"ms-2": 4})

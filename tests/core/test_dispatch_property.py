@@ -302,7 +302,7 @@ def test_every_queued_check_resolves_once(ops):
         if handle.job_id not in outcomes:
             outcomes[handle.job_id] = _collect(initiator, handle)
 
-    assert sheriff.job_queue.depth == 0
+    assert sheriff.job_queue.queue.depth == 0
     assert all(record.resolved for record in coordinator.jobs.values())
     for handle in handles:
         record = coordinator.jobs[handle.job_id]

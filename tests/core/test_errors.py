@@ -18,11 +18,9 @@ from repro.core.errors import (
     NoServerAvailable,
     PriceCheckFailed,
     PriceSelectionError,
-    ProbeFailed,
     RequestRejected,
     RetryBudgetExhausted,
     RetryExhausted,
-    ServerBusy,
     SheriffError,
     StateFetchFailed,
     UnknownJob,
@@ -44,7 +42,6 @@ class TestHierarchy:
             (NoServerAvailable, RuntimeError),
             (DuplicateServer, ValueError),
             (UnknownServer, KeyError),
-            (ServerBusy, RuntimeError),
             (UnknownJob, KeyError),
             (RetryExhausted, RuntimeError),
             (PriceCheckFailed, RuntimeError),
@@ -52,7 +49,6 @@ class TestHierarchy:
             (UnknownTable, KeyError),
             (StateFetchFailed, ConnectionError),
             (ConfigurationError, RuntimeError),
-            (ProbeFailed, RuntimeError),
         ],
     )
     def test_dual_base_keeps_legacy_except_clauses_working(self, cls, legacy):
@@ -115,7 +111,5 @@ class TestRaisedAtTheOldCallSites:
         )
         es_user.collect(record)
         server = sheriff.measurement_server(record.server_name)
-        with pytest.raises(UnknownJob):
-            server.poll(record)
         with pytest.raises(UnknownJob):
             server.result(record)

@@ -67,7 +67,7 @@ def _recorded_check(layout_seed, product_index):
         layout_seed=layout_seed,
     )
     product = store.catalog.products[product_index]
-    initiator = store.fetch(product.path, _ctx(0))
+    initiator = store.fetch(f"/product/{product.product_id}", _ctx(0))
     doc = parse(initiator.html)
     product_div = find_all(doc, cls="product")[0]
     price_el = find_all(product_div, tag="span", cls=store.price_class)[0]
@@ -84,7 +84,7 @@ def _recorded_check(layout_seed, product_index):
 def test_fast_equals_legacy_across_layouts(layout_seed, product_index,
                                            remote_nonce):
     store, product, path = _recorded_check(layout_seed, product_index)
-    remote = store.fetch(product.path, _ctx(remote_nonce))
+    remote = store.fetch(f"/product/{product.product_id}", _ctx(remote_nonce))
 
     clear_extraction_memo()
     legacy_text = tagspath_legacy.extract_price_text(remote.html, path)
@@ -104,7 +104,7 @@ class TestIndex:
         """The path and text read off a skeleton span == what the tree
         gives, for every element of a page."""
         store, product, _ = _recorded_check(layout_seed=7, product_index=2)
-        html = store.fetch(product.path, _ctx(3)).html
+        html = store.fetch(f"/product/{product.product_id}", _ctx(3)).html
         root = parse(html)
         parts = split_tags(html)[0]
         by_signature = {}
@@ -133,7 +133,7 @@ class TestMemo:
     def test_memo_hit_skips_reparse(self):
         store, product, path = _recorded_check(layout_seed=3,
                                                product_index=1)
-        html = store.fetch(product.path, _ctx(5)).html
+        html = store.fetch(f"/product/{product.product_id}", _ctx(5)).html
         clear_extraction_memo()
         EXTRACTION_STATS.reset()
         first = extract_price_text(html, path)
@@ -213,7 +213,7 @@ class TestTelemetry:
         once per fan-out)."""
         store, product, path = _recorded_check(layout_seed=11,
                                                product_index=0)
-        html = store.fetch(product.path, _ctx(9)).html
+        html = store.fetch(f"/product/{product.product_id}", _ctx(9)).html
         registry = Telemetry().registry
         counters = {
             name: registry.counter(f"sheriff_extract_{name}_total")
@@ -233,7 +233,7 @@ class TestTelemetry:
     def test_unbound_extraction_still_counts_stats(self):
         store, product, path = _recorded_check(layout_seed=11,
                                                product_index=0)
-        html = store.fetch(product.path, _ctx(9)).html
+        html = store.fetch(f"/product/{product.product_id}", _ctx(9)).html
         clear_extraction_memo()
         EXTRACTION_STATS.reset()
         extract_price_text(html, path)

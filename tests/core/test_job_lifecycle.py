@@ -1,10 +1,10 @@
-"""The job lifecycle: submit → poll → result.
+"""The job lifecycle: submit → result.
 
-``MeasurementServer.submit`` returns the job's :class:`JobRecord`; ``poll``
-pumps the engine's simulated timeline and hands out arrived rows in
-progressive batches; ``result`` drives the job to its terminal state.
-The queued measurement tier is the other entry point offering the same
-three methods (routing is pinned by test_jobapi.py).
+``MeasurementServer.submit`` returns the job's :class:`JobRecord`;
+``result`` drives the job to its terminal state on the engine's
+simulated timeline and hands its rows out once.  The queued measurement
+tier is the other entry point offering the same two methods (routing is
+pinned by test_jobapi.py).
 """
 
 import pytest
@@ -26,33 +26,13 @@ class TestSubmitPollResult:
         # the fan-out is already decided: the result rows exist, they
         # just have not landed on the simulated timeline yet
         assert len(record.result.rows) > 1
-        assert record.rows_arrived < len(record.result.rows)
-
-    def test_poll_delivers_progressive_batches(self, world, sheriff, es_user, es_peers):
-        record = es_user.submit_price_check(_first_product_url(world))
-        rows = list(record.result.rows)
-        server = sheriff.measurement_server(record.server_name)
-        delivered = []
-        finished = False
-        polls = 0
-        while not finished:
-            batch, finished = server.poll(record)
-            delivered.extend(batch)
-            polls += 1
-            assert len(batch) <= 8
-            assert polls < 100
-        assert delivered == rows
-        assert record.result is None  # the finishing poll dropped it
-        # a finished job is forgotten: polling again is an error
-        with pytest.raises(UnknownJob):
-            server.poll(record)
 
     def test_result_drives_to_terminal_state(self, world, sheriff, es_user, es_peers):
         record = es_user.submit_price_check(_first_product_url(world))
         result = es_user.collect(record)
         assert record.state == "completed"
         assert record.resolved
-        assert record.rows_arrived == len(result.rows)
+        assert result.rows
         assert record.result is None  # collected: the record drops it
         # the fetches took time on the world clock
         assert sheriff.engine.now > record.started_at

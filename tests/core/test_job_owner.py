@@ -116,7 +116,7 @@ class TestQueuedJobFailedByTheCoordinator:
             initiator.collect(failed)
         assert initiator.collect(later).rows
         tier = sheriff.job_queue
-        assert tier.depth == 0
+        assert tier.queue.depth == 0
         assert tier.dead_lettered == 1
         assert sheriff.db.sp_responses_for_job(failed.job_id) == []
         assert sheriff.coordinator.jobs[later.job_id].completed
@@ -129,7 +129,7 @@ class TestQueuedJobFailedByTheCoordinator:
         with pytest.raises(PriceCheckFailed, match="no online Measurement server"):
             initiator.collect(failed)
         assert sheriff.db.sp_responses_for_job(failed.job_id) == []
-        assert sheriff.job_queue.depth == 0
+        assert sheriff.job_queue.queue.depth == 0
         assert sheriff.coordinator.load() == {}
 
 

@@ -71,7 +71,7 @@ def test_a_persisted_check_is_one_transport_call(transport):
         sheriff.shutdown()  # joins the socket's serving threads: their counts are in
     registry = telemetry.registry
     calls = registry.get("sheriff_transport_call_seconds")
-    assert calls.count(transport=transport, method="sp_record_job") == len(urls)
+    assert dict(calls.series())[(transport, "sp_record_job")].count == len(urls)
     assert calls.total_count() == len(urls)
     # a socket call's request and its reply are both sent in this process
     frames_per_call = {"sim": 1, "socket": 2}[transport]

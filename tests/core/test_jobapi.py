@@ -1,6 +1,6 @@
 """Job entry points: where a price check's record goes.
 
-``submit → poll → result`` is offered by two entry points: the queued
+``submit → result`` is offered by two entry points: the queued
 measurement tier when the deployment runs one, else the Measurement
 server that owns the job.  ``PriceSheriff._job_entrypoint`` picks it by
 the record's server name; the add-on submits and collects through it.
@@ -27,14 +27,8 @@ class TestSheriffJobsFacade:
         entry = sheriff._job_entrypoint(record.server_name)
         assert entry is sheriff.measurement_server(record.server_name)
         rows = list(record.result.rows)
-
-        delivered = []
-        finished = False
-        while not finished:
-            batch, finished = entry.poll(record)
-            delivered.extend(batch)
-        assert delivered == rows
-        assert record.result is None  # the finishing poll dropped it
+        assert entry.result(record).rows == rows
+        assert record.result is None  # handed out: the record dropped it
 
     def test_result_and_gather_direct(self, world, sheriff, es_user, es_peers):
         record = es_user.submit_price_check(_first_product_url(world))

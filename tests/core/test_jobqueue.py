@@ -1,7 +1,7 @@
 """The queued measurement tier: admission, drain order, stealing, DLQ.
 
 Builds sheriffs with ``job_queue=True`` and drives the tier through the
-add-on exactly as clients do — submit enqueues, the first poll/result
+add-on exactly as clients do — submit enqueues, the first result
 drains the whole outbox in admission order — then pins the failure
 machinery: load shedding with an escalating ``retry_after``, an offline
 owner reported to the Coordinator (whose failover spends the retry
@@ -55,17 +55,17 @@ class TestAdmissionAndDrain:
         urls = _product_urls(world)
         wave = [addon.submit_price_check(url) for url in urls[:3]]
         tier = sheriff.job_queue
-        assert tier.depth == 3
+        assert tier.queue.depth == 3
         assert all(sheriff._job_entrypoint(h.server_name) is tier for h in wave)
         assert all(r in tier.queue and r.state == "pending" for r in wave)
         assert all(r.job is not None for r in wave)  # the payload waits with it
 
-        batch, _ = tier.poll(wave[0])
-        assert tier.depth == 0
+        first = tier.result(wave[0])
+        assert tier.queue.depth == 0
         assert tier.dispatched_total == 3
         assert all(r.job is None for r in wave)  # dropped at dispatch
-        assert batch  # first progressive batch of the first job
-        for handle in wave:
+        assert first.rows
+        for handle in wave[1:]:
             result = addon.collect(handle)
             assert result.rows
 
@@ -118,7 +118,6 @@ class TestHandleDescribesTheJob:
         result = addon.collect(record)
         assert len(result.rows) == 4
         assert record.state == "completed"
-        assert record.rows_arrived == 4
         assert record.closed
         assert record.result is None and record.job is None  # dropped
         assert record.failure_reason is None
@@ -297,9 +296,9 @@ class TestDeadLetters:
             assert [s.parent_id for s in spans] == [None, spans[0].span_id]
         else:
             assert journey["spans"] == []
-        # the handle is spent: a later poll is an UnknownJob
+        # the handle is spent: a later result is an UnknownJob
         with pytest.raises(UnknownJob):
-            tier.poll(handle)
+            tier.result(handle)
 
     def test_dead_letter_does_not_block_the_queue(self, world):
         sheriff = _queued_sheriff(world)

@@ -15,7 +15,7 @@ class TestProxyFailures:
     def test_offline_ppc_skipped(self, world, sheriff, es_user, es_peers):
         """A peer that left mid-request just means one fewer point."""
         gone = es_peers[0]
-        sheriff.overlay.set_online(gone.peer_id, False)
+        sheriff.overlay._peers[gone.peer_id].online = False
         result = es_user.check_price(product_url(world))
         assert all(r.proxy_id != gone.peer_id for r in result.rows)
         assert result.valid_rows()
@@ -32,7 +32,7 @@ class TestProxyFailures:
 
     def test_ppc_error_reply_skipped(self, world, sheriff, es_user, es_peers):
         broken = es_peers[1]
-        sheriff.overlay.get(broken.peer_id).handler = (
+        sheriff.overlay._peers[broken.peer_id].handler = (
             lambda message: {"error": "boom"}
         )
         result = es_user.check_price(product_url(world))
@@ -109,7 +109,7 @@ class TestHostilePeerPage:
 
         store = world.internet.site("uniform.example")
         price_span = re.compile(f'(<span class="{store.price_class}">)[^<]*(</span>)')
-        endpoint = sheriff.overlay.get(peer.peer_id)
+        endpoint = sheriff.overlay._peers[peer.peer_id]
         honest_handler = endpoint.handler
 
         def refilled(message):
@@ -182,7 +182,7 @@ class TestHostilePeerReply:
         from repro.core.measurement import PRICE_TEXT_MAX
 
         hostile = es_peers[0]
-        endpoint = sheriff.overlay.get(hostile.peer_id)
+        endpoint = sheriff.overlay._peers[hostile.peer_id]
         honest_handler = endpoint.handler
         endpoint.handler = lambda message: {**honest_handler(message), **forged}
 

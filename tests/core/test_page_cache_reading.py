@@ -168,7 +168,7 @@ class TestBurst:
             burst.wave(domain)
             world.clock.advance(3600.0)
         store = burst.sheriff.diffstore
-        assert store.alias_count() > 0
+        assert len(store._aliases) > 0
         for (job_id, proxy_id), html in burst.given.items():
             assert store.restore(job_id, proxy_id) == html
 
@@ -179,8 +179,8 @@ class TestBurst:
             world.clock.advance(3600.0)
         cache, store = burst.sheriff.engine.cache, burst.sheriff.diffstore
         # fault-free: the first reader of every page stored it
-        assert store.alias_count() == cache.hits
-        assert store.diff_count() == len(burst.given) - cache.hits
+        assert len(store._aliases) == cache.hits
+        assert len(store._diffs) == len(burst.given) - cache.hits
 
     def test_reused_rows_are_the_first_readers_rows(self, world, monkeypatch):
         burst = Burst(world, monkeypatch)
@@ -254,7 +254,7 @@ class TestBurst:
         results = burst.wave("uniform.example")
         assert len(results) == WAVE
         assert burst.n_fetches == WAVE * len(SMALL_IPC_SITES)
-        assert burst.sheriff.diffstore.alias_count() == 0
+        assert len(burst.sheriff.diffstore._aliases) == 0
         assert burst.sheriff.engine.cache._pages == {}
 
     def test_second_currency_gets_its_own_row(self, world, monkeypatch):
@@ -312,7 +312,7 @@ class TestDiffStorageAlias:
             DiffStorage().store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         with pytest.raises(KeyError):  # no reference for the alias's own job
             store.store_alias("j9", "ipc-0", page, ("j1", "ipc-0"))
-        assert store.alias_count() == 0
+        assert len(store._aliases) == 0
 
     def test_alias_of_an_alias_resolves_to_the_original(self):
         store = self._store()
@@ -321,7 +321,7 @@ class TestDiffStorageAlias:
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         store.store_alias("j3", "ipc-0", page, ("j2", "ipc-0"))
         original = store._diffs[("j1", "ipc-0")]
-        assert store._aliases[("j3", "ipc-0")] == (store.reference("j1"), original)
+        assert store._aliases[("j3", "ipc-0")] == (store._reference.get("j1"), original)
         assert store.restore("j3", "ipc-0") == page
 
     def test_aliases_cost_no_stored_chars(self):
@@ -331,7 +331,7 @@ class TestDiffStorageAlias:
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         assert store.stored_chars() == stored
         assert store.naive_chars_seen == naive + len(page)
-        assert (store.diff_count(), store.alias_count()) == (1, 1)
+        assert (len(store._diffs), len(store._aliases)) == (1, 1)
 
     def test_interleaved_jobs_restore_exactly(self):
         store = DiffStorage()
@@ -364,12 +364,12 @@ class TestDiffStorageAlias:
         store = self._store()
         page = _page("$12", "ad-2", "<p>promo</p>")
         store.store_alias("j1", "ipc-0", page, ("j1", "ipc-0"))  # its own page
-        assert (store.diff_count(), store.alias_count()) == (1, 0)
+        assert (len(store._diffs), len(store._aliases)) == (1, 0)
         store.store_response("j2", "ipc-0", _page("$1", "ad"))
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
-        assert (store.diff_count(), store.alias_count()) == (1, 1)
+        assert (len(store._diffs), len(store._aliases)) == (1, 1)
         store.store_response("j2", "ipc-0", _page("$1", "ad"))
-        assert (store.diff_count(), store.alias_count()) == (2, 0)
+        assert (len(store._diffs), len(store._aliases)) == (2, 0)
         assert store.restore("j2", "ipc-0") == _page("$1", "ad")
 
 

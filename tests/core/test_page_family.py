@@ -90,7 +90,7 @@ def _job(seed):
             first_party_cookies={"sid": f"visitor-{nonce}"} if nonce % 2 else {},
             request_nonce=nonce,
         )
-        return store.fetch(product.path, ctx).html
+        return store.fetch(f"/product/{product.product_id}", ctx).html
 
     reference = fetch(0)
     doc = parse(reference)
@@ -296,10 +296,10 @@ class TestDiffStorageFamilies:
         # read back only after every job was stored: nothing a restore
         # needs may live in the open job's state
         for index, (_, _, reference, family) in enumerate(jobs):
-            assert store.reference(f"job-{index}") == reference
+            assert store._reference.get(f"job-{index}") == reference
             for n, page in enumerate(family):
                 assert store.restore(f"job-{index}", f"proxy-{n}") == page
-        assert store.diff_count() == N_JOBS * (PAGES_PER_JOB - 1)
+        assert len(store._diffs) == N_JOBS * (PAGES_PER_JOB - 1)
         assert store.naive_chars_seen == sum(
             len(page) for _, _, reference, family in jobs for page in [reference] + family
         )
@@ -322,7 +322,7 @@ class TestDiffStorageFamilies:
         # the same (job, proxy) again, with another page: the last one counts
         before = store.stored_chars()
         store.store_response("a", "p0", family_a[3])
-        assert store.diff_count() == 2 * len(family_a)
+        assert len(store._diffs) == 2 * len(family_a)
         assert store.stored_chars() == before - sizes["a", 0] + sizes["a", 3]
         assert store.restore("a", "p0") == family_a[3]
         for n, (page_a, page_b) in enumerate(zip(family_a, family_b)):

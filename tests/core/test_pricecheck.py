@@ -44,9 +44,6 @@ class TestRowAccess:
     def test_initiator_row(self, result):
         assert result.initiator_row.kind == "You"
 
-    def test_countries_sorted(self, result):
-        assert result.countries() == ["CA", "ES", "US"]
-
 
 class TestSpreads:
     def test_normalized_spread(self, result):

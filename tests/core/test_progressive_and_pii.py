@@ -1,4 +1,4 @@
-"""Tests for progressive result delivery and the PII audit."""
+"""Tests for result delivery and the PII audit."""
 
 import pytest
 
@@ -13,7 +13,7 @@ def product_url(world, domain="uniform.example", index=0):
 
 
 class TestProgressiveDelivery:
-    """Sect. 3.2: AJAX polls until the 'request finish' response."""
+    """Sect. 3.2's 'request finish': a job's rows are handed out once."""
 
     def _start_job(self, world, sheriff, es_user):
         from repro.core.measurement import PriceCheckJob
@@ -34,40 +34,12 @@ class TestProgressiveDelivery:
         )
         return sheriff.measurement_server(ticket.server_name), job
 
-    def test_polling_until_finish(self, world, sheriff, es_user, es_peers):
-        server, job = self._start_job(world, sheriff, es_user)
-        handle = server.submit(job)
-        all_rows = []
-        polls = 0
-        finished = False
-        while not finished:
-            batch, finished = server.poll(handle)
-            all_rows.extend(batch)
-            polls += 1
-            assert polls < 100  # must terminate
-        assert polls >= 2  # rows arrive over multiple AJAX polls
-        assert len(all_rows) >= 9  # You + IPCs (+ PPCs)
-
     def test_finished_job_gone(self, world, sheriff, es_user, es_peers):
         server, job = self._start_job(world, sheriff, es_user)
         handle = server.submit(job)
-        finished = False
-        while not finished:
-            _, finished = server.poll(handle)
+        assert server.result(handle).rows
         with pytest.raises(KeyError):
-            server.poll(handle)
-
-    def test_progressive_matches_blocking(self, world, sheriff, es_user,
-                                          es_peers):
-        server, job = self._start_job(world, sheriff, es_user)
-        handle = server.submit(job)
-        rows = []
-        finished = False
-        while not finished:
-            batch, finished = server.poll(handle)
-            rows.extend(batch)
-        kinds = {r.kind for r in rows}
-        assert "You" in kinds and "IPC" in kinds
+            server.result(handle)
 
 
 class TestPiiAudit:

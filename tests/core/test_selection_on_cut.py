@@ -61,7 +61,7 @@ def _page(layout_seed, style, product_index, nonce):
         location=_GEODB.make_location(("ES", "US", "GB", "JP")[nonce % 4]),
         request_nonce=nonce,
     )
-    return store.fetch(store.catalog.products[product_index].path, ctx)
+    return store.fetch(f"/product/{store.catalog.products[product_index].product_id}", ctx)
 
 
 def _outcome(select, html):

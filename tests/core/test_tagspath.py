@@ -49,7 +49,7 @@ class TestConstruction:
 
     def test_path_length(self):
         doc, price = paper_example()
-        assert len(build_tags_path(doc, price)) == 3
+        assert len(build_tags_path(doc, price).entries) == 3
 
 
 class TestExtractionOnSamePage:
@@ -101,7 +101,7 @@ class TestExtractionOnVariantStorePages:
     def test_price_recovered_across_variants(self, store):
         store, geodb = store
         product = store.catalog.products[0]
-        initiator = store.fetch(product.path, self._ctx(geodb, 0))
+        initiator = store.fetch(f"/product/{product.product_id}", self._ctx(geodb, 0))
         doc = parse(initiator.html)
         product_div = find_all(doc, cls="product")[0]
         price_el = find_all(product_div, tag="span", cls=store.price_class)[0]
@@ -109,7 +109,7 @@ class TestExtractionOnVariantStorePages:
 
         hits = 0
         for nonce in range(1, 21):
-            remote = store.fetch(product.path, self._ctx(geodb, nonce))
+            remote = store.fetch(f"/product/{product.product_id}", self._ctx(geodb, nonce))
             text = extract_price_text(remote.html, path)
             assert text is not None
             # the extracted text must be the *product* price, not a decoy
@@ -123,7 +123,7 @@ class TestExtractionOnVariantStorePages:
     def test_price_recovered_from_other_locations(self, store):
         store, geodb = store
         product = store.catalog.products[3]
-        initiator = store.fetch(product.path, self._ctx(geodb, 0))
+        initiator = store.fetch(f"/product/{product.product_id}", self._ctx(geodb, 0))
         doc = parse(initiator.html)
         product_div = find_all(doc, cls="product")[0]
         price_el = find_all(product_div, tag="span", cls=store.price_class)[0]
@@ -132,7 +132,7 @@ class TestExtractionOnVariantStorePages:
         from repro.currency.detect import detect_price
 
         for country in ("FR", "US", "JP"):
-            remote = store.fetch(product.path, self._ctx(geodb, 5, country))
+            remote = store.fetch(f"/product/{product.product_id}", self._ctx(geodb, 5, country))
             text = extract_price_text(remote.html, path)
             assert text is not None
             detected = detect_price(text)

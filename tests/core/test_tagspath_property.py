@@ -54,13 +54,13 @@ def test_extraction_across_layouts(layout_seed, product_index, remote_nonce):
     )
     product = store.catalog.products[product_index]
 
-    initiator = store.fetch(product.path, _ctx(0))
+    initiator = store.fetch(f"/product/{product.product_id}", _ctx(0))
     doc = parse(initiator.html)
     product_div = find_all(doc, cls="product")[0]
     price_el = find_all(product_div, tag="span", cls=store.price_class)[0]
     path = build_tags_path(doc, price_el)
 
-    remote = store.fetch(product.path, _ctx(remote_nonce))
+    remote = store.fetch(f"/product/{product.product_id}", _ctx(remote_nonce))
     text = extract_price_text(remote.html, path)
     assert text is not None
     detected = detect_price(text)

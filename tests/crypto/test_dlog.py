@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import dlog as dlog_module
-from repro.crypto import elgamal, secure_kmeans
+from repro.crypto import dlog as _dlog, elgamal, secure_kmeans
 from repro.crypto.dlog import (
     DiscreteLogError,
-    clear_dlog_cache,
     discrete_log,
     dlog_cache_info,
     prewarm,
@@ -44,7 +43,7 @@ class TestDiscreteLog:
 
     def test_cache_cleared(self):
         discrete_log(TEST_GROUP, TEST_GROUP.gexp(5), bound=100)
-        clear_dlog_cache()
+        _dlog._TABLE_CACHE.clear()
         assert discrete_log(TEST_GROUP, TEST_GROUP.gexp(5), bound=100) == 5
 
     @given(x=st.integers(min_value=0, max_value=50_000))
@@ -70,10 +69,10 @@ class TestDiscreteLog:
 
 class TestCache:
     def setup_method(self):
-        clear_dlog_cache()
+        _dlog._TABLE_CACHE.clear()
 
     def teardown_method(self):
-        clear_dlog_cache()
+        _dlog._TABLE_CACHE.clear()
 
     def test_prewarm_populates_cache(self):
         assert dlog_cache_info()["entries"] == 0

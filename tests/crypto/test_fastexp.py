@@ -13,7 +13,6 @@ from repro.crypto.fastexp import (
     FixedBaseTable,
     batch_invert,
     cached_table,
-    clear_fastexp_cache,
     fastexp_cache_info,
     fixed_base,
 )
@@ -22,9 +21,9 @@ from repro.crypto.group import RFC3526_GROUP_2048, TEST_GROUP
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_fastexp_cache()
+    fastexp._TABLE_CACHE.clear()
     yield
-    clear_fastexp_cache()
+    fastexp._TABLE_CACHE.clear()
 
 
 class TestFixedBaseTable:
@@ -154,10 +153,10 @@ class TestMetricsBinding:
         one ``pows`` per comb-table result (t + 1 for an encryption, one
         more for a mask's g^ν, none for a single-digit g^c lookup), one
         ``table_builds`` per table."""
-        from repro.crypto import clear_dlog_cache, run_secure_kmeans
+        from repro.crypto import dlog, run_secure_kmeans
         from repro.obs import Telemetry
 
-        clear_dlog_cache()
+        dlog._TABLE_CACHE.clear()
         rng = random.Random(99)
         n, m, bound = 14, 5, 20
         points = {

@@ -49,7 +49,7 @@ class TestGroupStructure:
 
     def test_rfc3526_parameters_valid(self):
         group = RFC3526_GROUP_2048
-        assert group.bits == 2048
+        assert group.p.bit_length() == 2048
         assert group.p == 2 * group.q + 1
         # constructor already verified g^q == 1
 

@@ -20,9 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregator import Aggregator
 from repro.core.sheriff import PriceSheriff, SheriffWorld
-from repro.crypto.dlog import clear_dlog_cache
+from repro.crypto import dlog, fastexp
 from repro.crypto.elgamal import VectorElGamal
-from repro.crypto.fastexp import clear_fastexp_cache
 from repro.crypto.fe import InnerProductFE
 from repro.crypto.group import BENCH_GROUP_256, TEST_GROUP
 from repro.crypto.secure_kmeans import (
@@ -36,11 +35,11 @@ from tests.oracles import crypto_naive
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_fastexp_cache()
-    clear_dlog_cache()
+    fastexp._TABLE_CACHE.clear()
+    dlog._TABLE_CACHE.clear()
     yield
-    clear_fastexp_cache()
-    clear_dlog_cache()
+    fastexp._TABLE_CACHE.clear()
+    dlog._TABLE_CACHE.clear()
 
 
 def _points(n=14, m=5, bound=20, seed=99):

@@ -313,7 +313,7 @@ class TestProtocol:
             initial_centroids=anchors,
         )
         assert len(result.iteration_seconds) == result.iterations
-        assert result.total_seconds > 0
+        assert sum(result.iteration_seconds) > 0
 
 
 class TestPrivacyBoundaries:

@@ -17,7 +17,6 @@ from repro.crypto.fastexp import (
     FixedBaseTable,
     SharedExponents,
     SignedProducts,
-    clear_fastexp_cache,
     cut_digits,
     fixed_base,
     pow_bases,
@@ -32,9 +31,9 @@ GROUPS = pytest.mark.parametrize(
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_fastexp_cache()
+    fastexp._TABLE_CACHE.clear()
     yield
-    clear_fastexp_cache()
+    fastexp._TABLE_CACHE.clear()
 
 
 def _elements(group, n, seed=0):

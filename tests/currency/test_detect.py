@@ -79,7 +79,7 @@ class TestSymbols:
         assert result.amount == 699.0
         assert result.confidence is Confidence.LOW
         assert "CAD" in result.candidates
-        assert result.needs_double_check
+        assert result.confidence is Confidence.LOW
 
     def test_euro_unambiguous(self):
         result = detect_price("€ 654")

@@ -33,7 +33,3 @@ class TestSpikeDetection:
     def test_no_spikes_in_flat_series(self):
         s = series(range(30), [3.0] * 30, [0.0] * 30)
         assert s.spike_days() == []
-
-    def test_total_downloads(self):
-        s = series(range(4), [1.0, 2.0, 3.0, 4.0], [0.0] * 4)
-        assert s.total_downloads == 10.0

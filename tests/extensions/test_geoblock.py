@@ -44,7 +44,7 @@ class TestStoreBlocking:
         from repro.web.pricing import RequestContext
 
         ctx = RequestContext(time=0.0, location=world.geodb.make_location("DE"))
-        response = blocked.fetch(blocked.catalog.products[0].path, ctx)
+        response = blocked.fetch(f"/product/{blocked.catalog.products[0].product_id}", ctx)
         assert response.status == 451
         assert "not available" in response.html
 
@@ -53,7 +53,7 @@ class TestStoreBlocking:
         from repro.web.pricing import RequestContext
 
         ctx = RequestContext(time=0.0, location=world.geodb.make_location("JP"))
-        response = blocked.fetch(blocked.catalog.products[0].path, ctx)
+        response = blocked.fetch(f"/product/{blocked.catalog.products[0].product_id}", ctx)
         assert response.status == 200
 
 
@@ -82,10 +82,10 @@ class TestScanner:
     def test_sweep(self, setup):
         world, sheriff, blocked, open_store = setup
         scanner = GeoblockScanner(sheriff)
-        reports = scanner.sweep([
+        reports = [scanner.scan(url) for url in (
             blocked.product_url(blocked.catalog.products[0].product_id),
             open_store.product_url(open_store.catalog.products[0].product_id),
-        ])
+        )]
         assert [r.is_geoblocked for r in reports] == [True, False]
 
 

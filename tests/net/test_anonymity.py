@@ -27,13 +27,13 @@ class TestOnionRouting:
         seen = []
         circuit = network.build_circuit()
         circuit.send(b"x1", lambda r: seen.append(r.exit_relay), "peer-A")
-        assert seen == [circuit.hops[-1]]
+        assert seen == [circuit._relays[-1].name]
         assert "peer-A" not in seen
 
     def test_only_entry_relay_sees_sender(self, network):
         circuit = network.build_circuit()
         circuit.send(b"x1", lambda r: None, sender_name="peer-A")
-        entry, middle, exit_ = (network.relay(h) for h in circuit.hops)
+        entry, middle, exit_ = circuit._relays
         assert entry.observations[-1].previous_hop == "peer-A"
         assert middle.observations[-1].previous_hop == entry.name
         assert exit_.observations[-1].previous_hop == middle.name
@@ -44,8 +44,8 @@ class TestOnionRouting:
     def test_no_single_relay_links_sender_to_destination(self, network):
         circuit = network.build_circuit()
         circuit.send(b"x1", lambda r: None, sender_name="peer-A")
-        for name in circuit.hops:
-            obs = network.relay(name).observations[-1]
+        for relay in circuit._relays:
+            obs = relay.observations[-1]
             # nobody sees both endpoints
             assert not (obs.previous_hop == "peer-A"
                         and obs.next_hop == "destination")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.events import Clock, EventLoop, SECONDS_PER_DAY
+from repro.net.events import Clock, EventLoop
 
 
 class TestClock:
@@ -25,12 +25,6 @@ class TestClock:
         clock = Clock(10.0)
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
-
-    def test_day_property(self):
-        clock = Clock()
-        clock.advance_days(2.5)
-        assert clock.day == pytest.approx(2.5)
-        assert clock.now == pytest.approx(2.5 * SECONDS_PER_DAY)
 
 
 class TestEventLoop:

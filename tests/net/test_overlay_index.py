@@ -2,8 +2,8 @@
 
 ``PeerOverlay`` keeps its peers per country, in registration order, so
 a presence query reads one country.  Over random ``register`` /
-``unregister`` / re-``register`` (a known id, possibly somewhere else) /
-``set_online`` sequences, ``peers_in_country`` and ``peers_in_city``
+re-``register`` (a known id, possibly somewhere else) / online-offline
+sequences (a peer record's ``online`` flag), ``peers_in_country`` and ``peers_in_city``
 equal a linear scan of every registered peer, in order, and the
 Coordinator's ``select_ppcs`` returns what the two-tier scan it used to
 run returns for the same seed: same lists, same order, so the same
@@ -27,7 +27,7 @@ PEERS = [f"peer-{i}" for i in range(8)]
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(("register", "unregister", "online", "offline")),
+        st.sampled_from(("register", "online", "offline")),
         st.integers(0, len(PEERS) - 1),
         st.integers(0, len(PLACES) - 1),
     ),
@@ -75,10 +75,8 @@ def test_country_index_equals_a_scan(ops, seed):
         peer_id = PEERS[peer]
         if op == "register":
             overlay.register(peer_id, _location(place), lambda m: m)
-        elif op == "unregister":
-            overlay.unregister(peer_id)
         elif peer_id in overlay._peers:
-            overlay.set_online(peer_id, op == "online")
+            overlay._peers[peer_id].online = op == "online"
         for country, city in PLACES:
             assert [p.peer_id for p in overlay.peers_in_country(country)] == _scan(
                 overlay, country)

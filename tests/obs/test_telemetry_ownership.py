@@ -86,8 +86,7 @@ def test_a_deployments_clustering_round_is_fully_recorded():
     )
     registry = sheriff.telemetry.registry
     phases = {
-        labels["phase"]
-        for labels, _ in registry.get("sheriff_crypto_phase_seconds").labels_series()
+        phase for (phase,), _ in registry.get("sheriff_crypto_phase_seconds").series()
     }
     assert phases == {"mask", "distance", "unmask", "aggregate", "update"}
     for family in (

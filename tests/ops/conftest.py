@@ -3,6 +3,21 @@
 import pytest
 
 from repro.net.events import Clock
+from repro.ops.health import OK, ProbeResult
+
+
+class CallableProbe:
+    """Adapts ``fn(now) -> bool | ProbeResult`` into a probe."""
+
+    def __init__(self, fn, name: str = "probe") -> None:
+        self.fn = fn
+        self.name = name
+
+    def check(self, now: float) -> ProbeResult:
+        verdict = self.fn(now)
+        if isinstance(verdict, ProbeResult):
+            return verdict
+        return OK if verdict else ProbeResult(False, f"{self.name} failed")
 
 
 class FlakyComponent:

@@ -50,7 +50,7 @@ class TestFlapHealing:
         assert "ms-0" in sheriff.faults.flapping_hosts(world.clock.now)
 
         supervisor.tick()                     # detection: one tick, not one timeout
-        comp = supervisor.component("ms-0")
+        comp = supervisor.components["ms-0"]
         assert comp.state == RESTART_PENDING
         assert comp.last_reason == "host flapping"
 
@@ -77,7 +77,7 @@ class TestFlapHealing:
         report = supervisor.heal(max_seconds=HEAL_BOUND, step=5.0)
         assert report.converged
         assert report.elapsed <= HEAL_BOUND
-        assert supervisor.component("ms-0").restarts == 1
+        assert supervisor.components["ms-0"].restarts == 1
 
     def test_persistent_flapping_exhausts_budget_and_trips_killswitch(self):
         """A host that re-flaps after every restart must not be restart-
@@ -96,7 +96,7 @@ class TestFlapHealing:
             pre_tick=sheriff.coordinator.chaos_tick,
         )
         assert not report.converged
-        comp = supervisor.component("ms-0")
+        comp = supervisor.components["ms-0"]
         assert comp.state == ESCALATED
         assert comp.restarts == 2            # the budget, not a loop
         assert supervisor.killswitch.tripped

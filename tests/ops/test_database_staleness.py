@@ -45,7 +45,7 @@ def test_supervisor_watches_the_one_database_server():
     supervisor = build_supervisor(sheriff)
     db_components = [name for name in supervisor.components if name.startswith("db/")]
     assert db_components == ["db/db"]
-    component = supervisor.component("db/db")
+    component = supervisor.components["db/db"]
     assert component.restart is None  # alert-only: no process to bounce
     (probe,) = component.probes
     assert isinstance(probe, DatabaseStalenessProbe)

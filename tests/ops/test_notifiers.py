@@ -8,7 +8,6 @@ import pytest
 from repro.net.events import Clock
 from repro.ops import (
     AuditTrail,
-    CallbackNotifier,
     LogNotifier,
     Notifier,
     NotifierFanout,
@@ -32,11 +31,6 @@ class TestConcreteNotifiers:
         assert "component_restarted" in log.lines[0]
         assert "ms-1" in log.lines[0]
 
-    def test_callback_notifier_invokes_fn(self, event):
-        seen = []
-        CallbackNotifier(seen.append).notify(event)
-        assert seen == [event]
-
     def test_base_notifier_is_abstract(self, event):
         with pytest.raises(NotImplementedError):
             Notifier().notify(event)
@@ -45,8 +39,7 @@ class TestConcreteNotifiers:
 class TestFanout:
     def test_every_notifier_receives_every_event(self, event):
         log_a, log_b = LogNotifier(), LogNotifier()
-        fanout = NotifierFanout((log_a,))
-        fanout.add(log_b)
+        fanout = NotifierFanout((log_a, log_b))
         fanout.notify(event)
         fanout.notify(event)
         assert len(log_a.lines) == len(log_b.lines) == 2
@@ -67,17 +60,16 @@ class TestFanout:
 
     def test_audit_driven_fanout_end_to_end(self, tmp_path):
         """The wiring the supervisor uses: one audit record, persisted as
-        one JSON line by the trail and fanned to a log and a callback —
+        one JSON line by the trail and fanned to two logs —
         one delivery each."""
         clock = Clock()
         path = tmp_path / "audit.jsonl"
         audit = AuditTrail(clock, path=str(path))
-        log = LogNotifier()
-        seen = []
-        fanout = NotifierFanout((log, CallbackNotifier(seen.append)))
+        log, second = LogNotifier(), LogNotifier()
+        fanout = NotifierFanout((log, second))
         fanout.notify(audit.record("killswitch_tripped", "deployment", "spike"))
         assert len(log.lines) == 1
-        assert len(seen) == 1
+        assert len(second.lines) == 1
         (row,) = [json.loads(line) for line in path.read_text().splitlines()]
         assert row["kind"] == "killswitch_tripped"
         assert row["component"] == "deployment"

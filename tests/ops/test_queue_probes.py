@@ -98,8 +98,8 @@ class TestSupervisorWiring:
         assert "jobqueue" in supervisor.components
         assert "jobqueue/dlq" in supervisor.components
         # alert-only: nothing to restart when the queue backs up
-        assert supervisor.component("jobqueue").restart is None
-        assert supervisor.component("jobqueue/dlq").restart is None
+        assert supervisor.components["jobqueue"].restart is None
+        assert supervisor.components["jobqueue/dlq"].restart is None
         assert supervisor.tick() == []
 
     def test_dead_letter_before_the_first_tick_alerts(self):

@@ -11,8 +11,10 @@ reset resumes) healing, and ``heal`` is bounded by construction.
 import pytest
 
 from repro.core.monitoring import ops_panel
-from repro.ops import CallableProbe, RestartPolicy, Supervisor
+from repro.ops import RestartPolicy, Supervisor
 from repro.ops.supervisor import DOWN, ESCALATED, RESTART_PENDING, UP
+
+from .conftest import CallableProbe
 
 
 
@@ -50,14 +52,14 @@ class TestDetectionAndRestart:
         for _ in range(5):
             assert supervisor.tick() == []
             clock.advance(5.0)
-        assert supervisor.component("comp").state == UP
+        assert supervisor.components["comp"].state == UP
         assert len(supervisor.audit) == 0
 
     def test_failure_schedules_restart_after_delay(self, clock, flaky):
         supervisor = _supervise(clock, flaky)
         flaky.fail()
         supervisor.tick()
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         assert comp.state == RESTART_PENDING
         assert comp.pending_restart_at == clock.now + 5.0
         assert supervisor.audit.counts() == {
@@ -85,7 +87,7 @@ class TestDetectionAndRestart:
 
     def test_flap_backoff_doubles_across_consecutive_failures(self, clock, flaky):
         supervisor = _supervise(clock, flaky)
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         flaky.fail(sticky_failures=2)   # two restarts won't stick
         delays = []
         for _ in range(3):
@@ -105,7 +107,7 @@ class TestDetectionAndRestart:
         flaky.healthy = True
         clock.advance(1.0)
         assert supervisor.tick() == []
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         assert comp.state == UP
         assert comp.pending_restart_at is None
         assert flaky.restarts == 0
@@ -118,11 +120,11 @@ class TestDetectionAndRestart:
             "watchable", probes=(CallableProbe(lambda now: healthy[0]),)
         )
         supervisor.tick()
-        assert supervisor.component("watchable").state == DOWN
+        assert supervisor.components["watchable"].state == DOWN
         assert supervisor.unhealthy_components() == ["watchable"]
         healthy[0] = True
         supervisor.tick()
-        assert supervisor.component("watchable").state == UP
+        assert supervisor.components["watchable"].state == UP
 
     def test_duplicate_registration_rejected(self, clock, flaky):
         supervisor = _supervise(clock, flaky)
@@ -136,7 +138,7 @@ class TestBudgetAndEscalation:
             clock, flaky,
             policy=RestartPolicy(delay=1.0, budget=2, window=3600.0),
         )
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         flaky.fail(sticky_failures=10)  # restarts never stick
         for _ in range(12):
             supervisor.tick()
@@ -170,7 +172,7 @@ class TestBudgetAndEscalation:
             clock, flaky,
             policy=RestartPolicy(delay=1.0, budget=1, window=100.0),
         )
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         # restart 1 inside the window
         flaky.fail()
         supervisor.tick()
@@ -194,7 +196,7 @@ class TestKillSwitchHalt:
         supervisor.killswitch.trip("operator says stop")
         flaky.fail()
         supervisor.tick()
-        comp = supervisor.component("comp")
+        comp = supervisor.components["comp"]
         assert comp.state == DOWN          # detected, not scheduled
         clock.advance(600.0)
         assert supervisor.tick() == []
@@ -214,10 +216,10 @@ class TestKillSwitchHalt:
         supervisor.killswitch.trip("stop")
         flaky.fail()
         supervisor.tick()
-        assert supervisor.component("comp").state == DOWN
+        assert supervisor.components["comp"].state == DOWN
         supervisor.killswitch.reset()
         supervisor.tick()                      # reschedules the restart
-        assert supervisor.component("comp").state == RESTART_PENDING
+        assert supervisor.components["comp"].state == RESTART_PENDING
         clock.advance(5.0)
         assert supervisor.tick() == ["comp"]
         assert flaky.healthy
@@ -301,9 +303,3 @@ class TestMonitoring:
         assert "comp" in panel
         assert "restart_pending" in panel
         assert "kill-switch: armed" in panel
-
-    def test_unregister_removes_component(self, clock, flaky):
-        supervisor = _supervise(clock, flaky)
-        supervisor.unregister("comp")
-        assert supervisor.components == {}
-        supervisor.tick()   # no error on an empty registry

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.profiles.kmeans import (
-    best_silhouette,
-    lloyd_kmeans,
-    silhouette_score,
-    squared_distance,
-)
+from repro.profiles.kmeans import lloyd_kmeans, silhouette_score
 
 
 def two_blobs(n=10, seed=0):
@@ -100,9 +95,11 @@ class TestSilhouette:
 class TestBestSilhouette:
     def test_right_k_wins(self):
         points = two_blobs(n=8, seed=7)
-        scores = dict(best_silhouette(points, [2, 4]))
-        assert scores[2] > scores[4]
+        ids = sorted(points)
 
+        def score(k):
+            outcome = lloyd_kmeans(points, k, rng=random.Random(2017))
+            return silhouette_score([points[i] for i in ids],
+                                    [outcome.assignments[i] for i in ids])
 
-def test_squared_distance():
-    assert squared_distance([0, 0], [3, 4]) == 25.0
+        assert score(2) > score(4)

@@ -35,20 +35,6 @@ class TestProfileFromCounts:
         with pytest.raises(ValueError):
             profile_from_counts(Counter(), DOMAINS, quantization=0)
 
-    def test_nonzero_domains(self):
-        counts = Counter({"a.com": 1, "c.com": 4})
-        profile = profile_from_counts(counts, DOMAINS)
-        assert profile.nonzero_domains() == ["a.com", "c.com"]
-
-    def test_as_dict(self):
-        counts = Counter({"b.com": 2})
-        profile = profile_from_counts(counts, DOMAINS)
-        assert profile.as_dict()["b.com"] == 1.0
-
-    def test_m_property(self):
-        profile = profile_from_counts(Counter(), DOMAINS)
-        assert profile.m == 4
-
     def test_component_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ProfileVector(

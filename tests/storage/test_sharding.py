@@ -68,7 +68,7 @@ class TestShardedDatabase:
         rows = db.sp_responses_for_job("job-007")
         assert [r["n"] for r in rows] == [0, 1, 2]
         assert db.scatter_queries == before  # routed, not scattered
-        assert db.shard_for_job("job-007") == db.shard_for("store-7.example")
+        assert db._job_shard["job-007"] == db.shard_for("store-7.example")
 
     def test_unknown_job_scatters(self):
         db = ShardedDatabase(n_shards=3)
@@ -132,9 +132,7 @@ class TestShardedDatabase:
         assert "sheriff_db_index_hits_total" in exposition
         gauge = telemetry.registry.get("sheriff_db_shard_rows")
         total = sum(
-            state[0]
-            for labels, state in gauge.labels_series()
-            if labels.get("table") == "requests"
+            state[0] for (_, table), state in gauge.series() if table == "requests"
         )
         assert total == 8
 
@@ -166,7 +164,7 @@ class TestShardedDatabase:
         db.sp_record_job("job-x", "user-1", f"http://{domain}/p", domain, 1.0,
                          [{"proxy_id": "ipc-2"}])  # stored already: a no-op
         db.sp_record_responses("job-x", [{"proxy_id": "ipc-2"}])
-        assert db.shard_for_job("job-x") == job_shard
+        assert db._job_shard["job-x"] == job_shard
         rows = db.sp_responses_for_job("job-x")
         assert [r["proxy_id"] for r in rows] == ["ipc-0", "ipc-1", "ipc-2"]
         assert len(json.loads(db.sp_responses_for_job_json("job-x"))) == 3
@@ -177,7 +175,7 @@ class TestShardedDatabase:
         db = ShardedDatabase(n_shards=4)
         db.sp_record_request("job-y", "u", "http://a.example/p", "a.example", 0.0)
         db.sp_record_responses("job-y", [{"n": 1}])
-        assert db.shard_for_job("job-y") == db.shard_for("a.example")
+        assert db._job_shard["job-y"] == db.shard_for("a.example")
         assert db.shard_row_counts()[db.shard_for("a.example")] == 1
 
     def test_sharded_on_sqlite(self):

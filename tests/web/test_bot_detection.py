@@ -38,7 +38,7 @@ class TestFrequencyThreshold:
     def test_captcha_after_threshold(self, world):
         store = build_store(world, bot_detection=(3, 3600.0))
         loc = world.geodb.make_location("ES")
-        url_path = store.catalog.products[0].path
+        url_path = f"/product/{store.catalog.products[0].product_id}"
         for i in range(3):
             ctx = RequestContext(time=float(i), location=loc)
             assert store.fetch(url_path, ctx).status == 200
@@ -50,7 +50,7 @@ class TestFrequencyThreshold:
     def test_window_expiry_resets(self, world):
         store = build_store(world, bot_detection=(2, 10.0))
         loc = world.geodb.make_location("ES")
-        path = store.catalog.products[0].path
+        path = f"/product/{store.catalog.products[0].product_id}"
         store.fetch(path, RequestContext(time=0.0, location=loc))
         store.fetch(path, RequestContext(time=1.0, location=loc))
         assert store.fetch(path, RequestContext(time=2.0, location=loc)).status == 429
@@ -59,7 +59,7 @@ class TestFrequencyThreshold:
 
     def test_distinct_ips_independent(self, world):
         store = build_store(world, bot_detection=(2, 3600.0))
-        path = store.catalog.products[0].path
+        path = f"/product/{store.catalog.products[0].product_id}"
         for _ in range(4):
             loc = world.geodb.make_location("ES")  # fresh IP each time
             assert store.fetch(path, RequestContext(time=0.0, location=loc)).status == 200
@@ -68,7 +68,7 @@ class TestFrequencyThreshold:
     def test_disabled_by_default(self, world):
         store = build_store(world, bot_detection=None)
         loc = world.geodb.make_location("ES")
-        path = store.catalog.products[0].path
+        path = f"/product/{store.catalog.products[0].product_id}"
         for i in range(20):
             assert store.fetch(path, RequestContext(time=float(i),
                                                     location=loc)).status == 200

@@ -55,11 +55,6 @@ class TestCatalogAccess:
         assert catalog.get(pid).product_id == pid
         assert catalog.get("missing") is None
 
-    def test_getitem_raises(self):
-        catalog = make_catalog("shop.com", size=5, rng=random.Random(5))
-        with pytest.raises(KeyError):
-            catalog["missing"]
-
     def test_sample_distinct(self):
         catalog = make_catalog("shop.com", size=20, rng=random.Random(6))
         sampled = catalog.sample(random.Random(0), 10)
@@ -69,9 +64,6 @@ class TestCatalogAccess:
         catalog = make_catalog("shop.com", size=3, rng=random.Random(7))
         with pytest.raises(ValueError):
             catalog.sample(random.Random(0), 5)
-
-    def test_product_path(self):
-        assert Product("x-1", "X", "books", 5.0).path == "/product/x-1"
 
 
 def test_flagship_iq280_price():

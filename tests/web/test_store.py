@@ -52,14 +52,14 @@ class TestPageRendering:
     def test_page_parses(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        response = store.fetch(product.path, ctx_for(geodb))
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb))
         doc = parse(response.html)
         assert doc.tag == "html"
 
     def test_product_price_present_and_detectable(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        response = store.fetch(product.path, ctx_for(geodb))
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb))
         doc = parse(response.html)
         product_div = find_all(doc, cls="product")[0]
         spans = find_all(product_div, tag="span", cls=store.price_class)
@@ -71,7 +71,7 @@ class TestPageRendering:
         """Related products create the decoy prices of Sect. 3.3."""
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        response = store.fetch(product.path, ctx_for(geodb))
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb))
         doc = parse(response.html)
         all_prices = find_all(doc, cls=store.price_class)
         assert len(all_prices) >= 3  # product + at least 2 related
@@ -79,21 +79,21 @@ class TestPageRendering:
     def test_page_varies_between_fetches(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        a = store.fetch(product.path, ctx_for(geodb, nonce=0))
-        b = store.fetch(product.path, ctx_for(geodb, nonce=1))
+        a = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, nonce=0))
+        b = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, nonce=1))
         assert a.html != b.html
 
     def test_product_price_stable_across_variants(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        a = store.fetch(product.path, ctx_for(geodb, nonce=0))
-        b = store.fetch(product.path, ctx_for(geodb, nonce=1))
+        a = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, nonce=0))
+        b = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, nonce=1))
         assert a.displayed_amount == b.displayed_amount
 
     def test_trackers_embedded(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        response = store.fetch(product.path, ctx_for(geodb))
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb))
         assert "doubleclick.net" in response.html
         assert response.tracker_domains == ("doubleclick.net",)
 
@@ -112,18 +112,20 @@ class TestPageRendering:
 class TestCurrencyBehaviour:
     def test_local_strategy_uses_store_currency(self, geodb, rates):
         store = build_store(geodb, rates, currency_strategy="local")
-        response = store.fetch(store.catalog.products[0].path, ctx_for(geodb, "US"))
+        product = store.catalog.products[0]
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, "US"))
         assert response.displayed_currency == "EUR"
 
     def test_geo_strategy_uses_client_currency(self, geodb, rates):
         store = build_store(geodb, rates, currency_strategy="geo")
-        response = store.fetch(store.catalog.products[0].path, ctx_for(geodb, "US"))
+        product = store.catalog.products[0]
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, "US"))
         assert response.displayed_currency == "USD"
 
     def test_geo_conversion_value(self, geodb, rates):
         store = build_store(geodb, rates, currency_strategy="geo")
         product = store.catalog.products[0]
-        response = store.fetch(product.path, ctx_for(geodb, "US"))
+        response = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, "US"))
         expected = rates.convert(response.quote.amount_eur, "EUR", "USD")
         assert response.displayed_amount == pytest.approx(expected, abs=0.01)
 
@@ -131,8 +133,8 @@ class TestCurrencyBehaviour:
         plain = build_store(geodb, rates, currency_strategy="geo")
         skewed = build_store(geodb, rates, currency_strategy="geo", converter_skew=1.02)
         product = plain.catalog.products[0]
-        a = plain.fetch(product.path, ctx_for(geodb, "US"))
-        b = skewed.fetch(product.path, ctx_for(geodb, "US"))
+        a = plain.fetch(f"/product/{product.product_id}", ctx_for(geodb, "US"))
+        b = skewed.fetch(f"/product/{product.product_id}", ctx_for(geodb, "US"))
         assert b.displayed_amount == pytest.approx(a.displayed_amount * 1.02, rel=1e-3)
 
 
@@ -141,23 +143,23 @@ class TestServerSideState:
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
         ctx = ctx_for(geodb, cookies={"sid": "user-1"})
-        store.fetch(product.path, ctx)
-        store.fetch(product.path, ctx)
+        store.fetch(f"/product/{product.product_id}", ctx)
+        store.fetch(f"/product/{product.product_id}", ctx)
         assert store.visits_for("user-1")[product.product_id] == 2
 
     def test_anonymous_visit_keyed_by_ip(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
         ctx = ctx_for(geodb)
-        store.fetch(product.path, ctx)
+        store.fetch(f"/product/{product.product_id}", ctx)
         assert store.visits_for(ctx.location.ip)[product.product_id] == 1
 
     def test_session_cookie_issued_once(self, geodb, rates):
         store = build_store(geodb, rates)
         product = store.catalog.products[0]
-        first = store.fetch(product.path, ctx_for(geodb))
+        first = store.fetch(f"/product/{product.product_id}", ctx_for(geodb))
         assert "sid" in first.set_cookies
-        again = store.fetch(product.path, ctx_for(geodb, cookies={"sid": "x"}))
+        again = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, cookies={"sid": "x"}))
         assert "sid" not in again.set_cookies
 
 
@@ -169,6 +171,6 @@ class TestPricingIntegration:
             currency_strategy="local",
         )
         product = store.catalog.products[0]
-        es = store.fetch(product.path, ctx_for(geodb, "ES"))
-        ca = store.fetch(product.path, ctx_for(geodb, "CA"))
+        es = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, "ES"))
+        ca = store.fetch(f"/product/{product.product_id}", ctx_for(geodb, "CA"))
         assert ca.quote.amount_eur == pytest.approx(es.quote.amount_eur * 1.5)

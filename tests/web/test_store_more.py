@@ -34,12 +34,13 @@ def ctx(geodb, country="ES"):
 class TestDisplayDecimals:
     def test_forced_integer_display(self, geodb):
         store = build_store(geodb, display_decimals=0)
-        response = store.fetch(store.catalog.products[0].path, ctx(geodb))
+        response = store.fetch(f"/product/{store.catalog.products[0].product_id}", ctx(geodb))
         assert response.displayed_amount == int(response.displayed_amount)
 
     def test_currency_default_decimals(self, geodb):
         store = build_store(geodb, currency_strategy="geo")
-        response = store.fetch(store.catalog.products[0].path, ctx(geodb, "JP"))
+        product = store.catalog.products[0]
+        response = store.fetch(f"/product/{product.product_id}", ctx(geodb, "JP"))
         # JPY has 0 decimals by default
         assert response.displayed_currency == "JPY"
         assert response.displayed_amount == int(response.displayed_amount)
@@ -50,7 +51,7 @@ class TestRequestLog:
         store = build_store(geodb)
         product = store.catalog.products[0]
         context = ctx(geodb)
-        store.fetch(product.path, context)
+        store.fetch(f"/product/{product.product_id}", context)
         time, key, product_id = store.request_log[-1]
         assert time == 0.0
         assert key == context.location.ip  # anonymous → IP-keyed

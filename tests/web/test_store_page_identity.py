@@ -90,7 +90,7 @@ class TestDeploymentWorld:
             for nonce in range(4):
                 ctx = _ctx("US", time=50.0 * nonce, cookies={"sid": "abc"}, nonce=nonce)
                 expected = oracle.render_product_page(store, product, ctx)
-                response = store.fetch(product.path, ctx)
+                response = store.fetch(f"/product/{product.product_id}", ctx)
                 assert (response.html, response.quote, response.displayed_amount,
                         response.displayed_currency) == expected
 
@@ -128,7 +128,7 @@ def test_any_store_serves_the_oracles_page(
     product = store.catalog.products[product_index % catalog_size]
 
     # the add-on records its path on the initiator's own page …
-    initiator = store.fetch(product.path, _ctx(home))
+    initiator = store.fetch(f"/product/{product.product_id}", _ctx(home))
     doc = parse(initiator.html)
     product_div = find_all(doc, cls="product")[0]
     path = build_tags_path(doc, find_all(product_div, tag="span", cls=store.price_class)[0])
@@ -136,7 +136,7 @@ def test_any_store_serves_the_oracles_page(
     # … and any later page is the oracle's, parses, and yields its own price
     ctx = _ctx(country, time=time, cookies=cookies, nonce=nonce)
     expected = oracle.render_product_page(store, product, ctx)
-    response = store.fetch(product.path, ctx)
+    response = store.fetch(f"/product/{product.product_id}", ctx)
     assert response.html == expected[0]
     assert (response.quote, response.displayed_amount, response.displayed_currency) \
         == expected[1:]
@@ -210,6 +210,6 @@ class TestPerRequestSettings:
         store.fetch("/", _ctx())
         store.fetch("/product/nope", _ctx())
         assert store._pages == {}
-        store.fetch(product.path, _ctx())
-        store.fetch(product.path, _ctx(nonce=1))
+        store.fetch(f"/product/{product.product_id}", _ctx())
+        store.fetch(f"/product/{product.product_id}", _ctx(nonce=1))
         assert list(store._pages) == [product]

@@ -85,7 +85,7 @@ def _deployment(seed):
 def _landed(dep, result):
     """A check's rows and the stored pages they were read from."""
     store = dep.sheriff.diffstore
-    pages = [store.reference(result.job_id)]
+    pages = [store._reference.get(result.job_id)]
     pages += [store.restore(result.job_id, row.proxy_id)
               for row in result.rows if row.kind != "You"]
     return result.rows, pages

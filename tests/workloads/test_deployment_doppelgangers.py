@@ -15,14 +15,14 @@ def dataset():
     dataset = deployment.run()
     web = deployment.content_web
     dataset.sheriff.run_doppelganger_clustering(
-        web.alexa_top(min(50, len(web.domains))), max_iterations=4
+        web.alexa_top(min(50, len(web.domains))), k=4, max_iterations=4
     )
     return dataset
 
 
 class TestDeploymentWithDoppelgangers:
     def test_doppelgangers_built(self, dataset):
-        assert dataset.sheriff.dopp_manager.count >= 1
+        assert len(dataset.sheriff.dopp_manager.doppelgangers()) >= 1
 
     def test_every_user_clustered(self, dataset):
         mapping = dataset.sheriff.aggregator.peer_cluster
@@ -35,13 +35,13 @@ class TestDeploymentWithDoppelgangers:
             assert aggregator.has_doppelganger_for(peer_id)
 
     def test_k_respects_ten_percent_rule(self, dataset):
-        n_users = dataset.population.n_users
-        assert dataset.sheriff.dopp_manager.count <= max(1, min(40, n_users // 10))
+        n_users = len(dataset.population.addons)
+        assert len(dataset.sheriff.dopp_manager.doppelgangers()) <= max(1, min(40, n_users // 10))
 
     def test_doppelganger_profiles_from_content_web(self, dataset):
         """Trained doppelgangers visited real content domains."""
         visited = set()
-        for dopp in dataset.sheriff.dopp_manager.all():
+        for dopp in dataset.sheriff.dopp_manager.doppelgangers():
             visited.update(d for d, v in dopp.creation_visits.items() if v > 0)
         assert all(d.endswith(".web") for d in visited)
 

@@ -23,7 +23,7 @@ class TestPopulation:
         world, web, sheriff = setup
         pop = Population(sheriff, web, PopulationConfig(n_users=60, seed=1))
         pop.build()
-        assert pop.n_users == 60
+        assert len(pop.addons) == 60
         assert len(sheriff.addons) == 60
 
     def test_country_floors_respected(self, setup):
@@ -35,21 +35,21 @@ class TestPopulation:
         pop.build()
         for country, floor in cfg.min_users_per_country.items():
             effective = min(floor, max(2, round(floor * cfg.n_users / 150)))
-            assert len(pop.users_in(country)) >= effective
+            assert len(pop.by_country.get(country, [])) >= effective
 
     def test_spain_dominates(self, setup):
         """Table 2: Spain is the heaviest country by far."""
         world, web, sheriff = setup
         pop = Population(sheriff, web, PopulationConfig(n_users=100, seed=2))
         pop.build()
-        assert len(pop.users_in("ES")) >= len(pop.users_in("DE"))
+        assert len(pop.by_country.get("ES", [])) >= len(pop.by_country.get("DE", []))
 
     def test_users_have_browsing_history(self, setup):
         world, web, sheriff = setup
         pop = Population(sheriff, web, PopulationConfig(n_users=20, seed=3))
         pop.build()
         for addon in pop.addons:
-            assert len(addon.browser.history) >= 15
+            assert len(addon.browser.history.snapshot()) >= 15
 
     def test_donation_fraction(self, setup):
         world, web, sheriff = setup
@@ -67,7 +67,8 @@ class TestPopulation:
         )
         pop.build()
         logged = sum(
-            1 for a in pop.addons if a.browser.is_logged_in("amazon.com")
+            1 for a in pop.addons
+            if a.browser.cookies.value("amazon.com", "account") is not None
         )
         assert logged >= 5
 
@@ -76,7 +77,7 @@ class TestPopulation:
         pop = Population(sheriff, web, PopulationConfig(n_users=10, seed=6))
         pop.build()
         for addon in pop.addons:
-            assert sheriff.overlay.is_online(addon.peer_id)
+            assert sheriff.overlay.location_of(addon.peer_id) is not None
 
     def test_deterministic(self, setup):
         world, web, sheriff = setup

@@ -59,7 +59,7 @@ class TestCrossBorderCalibration:
     def test_digitalrev_iq280_ordering(self, world, stores):
         """Sect. 6.2: EU ~€34.5k < US ~€41k < CA ~€45k < BR ~€46k."""
         store = stores["digitalrev.com"]
-        product = store.catalog["digitalrev-iq280"]
+        product = store.catalog.get("digitalrev-iq280")
         prices = {
             c: store.pricing.quote(product, ctx(world, c)).amount_eur
             for c in ("ES", "US", "CA", "BR")
@@ -159,7 +159,7 @@ class TestWithinCountryCalibration:
 class TestTemporalCalibration:
     def test_jcpenney_prices_move_daily(self, world, stores):
         store = stores["jcpenney.com"]
-        product = store.catalog["jcp-refrigerator"]
+        product = store.catalog.get("jcp-refrigerator")
         prices = {
             store.pricing.quote(
                 product, ctx(world, "US", time=d * SECONDS_PER_DAY)
