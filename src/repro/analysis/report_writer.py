@@ -16,12 +16,11 @@ from typing import Sequence, Tuple, Union
 def write_markdown_report(
     sections: Sequence[Tuple[str, str]],
     path: Union[str, Path],
-    title: str = "Price $heriff reproduction report",
     scale: str = "default",
 ) -> Path:
     """Write ``(section name, rendered text)`` pairs to a markdown file."""
     lines = [
-        f"# {title}",
+        "# Price $heriff reproduction report",
         "",
         f"- scale: `{scale}`",
         f"- python: `{sys.version.split()[0]}` on `{platform.platform()}`",

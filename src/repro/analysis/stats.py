@@ -254,18 +254,25 @@ class RandomForest:
 
 # -- the combined Sect. 7.5 verdict -------------------------------------------
 
+#: a KS pair rejects "same distribution" below this p-value (Bonferroni
+#: corrected over the pairs)
+KS_P_THRESHOLD = 0.05
+#: a regression feature is significant below this p-value, and is
+#: evidence only when the regression explains this much of the prices
+REGRESSION_ALPHA = 0.01
+REGRESSION_R2_FLOOR = 0.3
+
+
 @dataclass
 class ABTestVerdict:
     """Outcome of the A/B-vs-PDI-PD decision procedure."""
 
-    min_ks_d: Optional[float]
     min_ks_p: Optional[float]
     n_ks_pairs: int
     higher_price_probabilities: Dict[str, float]
     regression_r2: float
     significant_features: List[str]
     forest_max_importance: Optional[float]
-    forest_score: Optional[float]
     is_ab_testing: bool
 
 
@@ -274,9 +281,6 @@ def ab_test_verdict(
     features: Optional[Sequence[Sequence[float]]] = None,
     prices: Optional[Sequence[float]] = None,
     feature_names: Optional[Sequence[str]] = None,
-    ks_p_threshold: float = 0.05,
-    regression_alpha: float = 0.01,
-    regression_r2_floor: float = 0.3,
 ) -> ABTestVerdict:
     """Combine the Sect. 7.5 analyses into one verdict.
 
@@ -289,7 +293,6 @@ def ab_test_verdict(
     significant, and (c) no forest feature dominates.
     """
     ks = ks_pairwise(samples)
-    min_d = min((d for d, _ in ks.values()), default=None)
     min_p = min((p for _, p in ks.values()), default=None)
     prob_higher = probability_higher(samples)
 
@@ -301,7 +304,7 @@ def ab_test_verdict(
     if features is not None and prices is not None and len(prices) >= 8:
         regression = linear_regression(features, prices, feature_names)
         r2 = regression.r_squared
-        significant = regression.significant_features(alpha=regression_alpha)
+        significant = regression.significant_features(alpha=REGRESSION_ALPHA)
         forest = RandomForest(n_trees=20, max_depth=5).fit(features, prices)
         assert forest.feature_importances_ is not None
         n_features = len(forest.feature_importances_)
@@ -312,11 +315,11 @@ def ab_test_verdict(
 
     # Bonferroni: with dozens of pairwise KS tests the minimum p-value is
     # small under the null; correct the rejection threshold accordingly
-    effective_ks_threshold = ks_p_threshold / max(1, len(ks))
+    effective_ks_threshold = KS_P_THRESHOLD / max(1, len(ks))
     distributions_agree = min_p is None or min_p > effective_ks_threshold
     # a regression feature only counts as discrimination evidence when it
     # is both significant and actually explains the prices
-    feature_evidence = bool(significant) and r2 >= regression_r2_floor
+    feature_evidence = bool(significant) and r2 >= REGRESSION_R2_FLOOR
     # a "dominant" forest feature is evidence only when the forest truly
     # explains the prices; importances concentrate arbitrarily on noise
     if forest_max is None or n_features == 0 or forest_score is None:
@@ -328,13 +331,11 @@ def ab_test_verdict(
         )
     is_ab = distributions_agree and not feature_evidence and not forest_evidence
     return ABTestVerdict(
-        min_ks_d=min_d,
         min_ks_p=min_p,
         n_ks_pairs=len(ks),
         higher_price_probabilities=prob_higher,
         regression_r2=r2,
         significant_features=significant,
         forest_max_importance=forest_max,
-        forest_score=forest_score,
         is_ab_testing=is_ab,
     )

@@ -65,16 +65,16 @@ def _fit_line(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def trend_for_product(
-    url: str,
-    day_prices: Dict[int, List[float]],
-    flat_epsilon: float = 1e-3,
-) -> TemporalTrend:
+#: a regression slope (€ per day) at most this steep reads as flat
+FLAT_SLOPE = 1e-3
+
+
+def trend_for_product(url: str, day_prices: Dict[int, List[float]]) -> TemporalTrend:
     """Daily boxes + the regression line on daily maxima."""
     days = sorted(day_prices)
     boxes = [box_stats(day_prices[d]) for d in days]
     slope, intercept = _fit_line(days, [b.maximum for b in boxes])
-    if abs(slope) <= flat_epsilon:
+    if abs(slope) <= FLAT_SLOPE:
         direction = "flat"
     else:
         direction = "increasing" if slope > 0 else "decreasing"

@@ -75,7 +75,7 @@ class Browser:
         for tracker_domain in response.tracker_domains:
             tracker = self.ecosystem.get(tracker_domain)
             cookie = self.cookies.value(tracker_domain, "tid")
-            new_cookie = tracker.observe(cookie, first_party, time=self.clock.now)
+            new_cookie = tracker.observe(cookie, first_party)
             self.cookies.set(tracker_domain, "tid", new_cookie)
 
     def visit(self, url: str) -> StoreResponse:

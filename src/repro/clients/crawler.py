@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
-from repro.browser.fingerprint import UserAgent
 from repro.core.addon import SheriffAddon
 from repro.core.pricecheck import PriceCheckResult
 
@@ -39,7 +38,6 @@ class SystematicCrawler:
         reset_every: int = 4,
         min_delay: float = 2.0,
         max_delay: float = 20.0,
-        agent: Optional[UserAgent] = None,
     ) -> None:
         self.sheriff = sheriff
         self.country = country
@@ -48,7 +46,6 @@ class SystematicCrawler:
         self.reset_every = reset_every
         self.min_delay = min_delay
         self.max_delay = max_delay
-        self.agent = agent
         self._checks_since_reset = 0
         self.total_checks = 0
         self._addon: Optional[SheriffAddon] = None
@@ -60,8 +57,7 @@ class SystematicCrawler:
     def _reset_profile(self) -> None:
         """Fresh browser + add-on: the iMacros clean-profile reset."""
         browser = self.sheriff.world.make_browser(
-            self.country, self.city, agent=self.agent,
-            location=self._location,
+            self.country, self.city, location=self._location,
         )
         self._addon = self.sheriff.install_addon(
             browser, consent=True, serve_as_ppc=False

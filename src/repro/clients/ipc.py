@@ -62,6 +62,10 @@ DEFAULT_IPC_SITES: Tuple[Tuple[str, str, float], ...] = (
     ("GR", "Athens", 1.0),
 )
 
+#: retries after a failed fetch attempt, and the waits between them
+MAX_RETRIES = 2
+BACKOFF = BackoffPolicy(base=0.25)
+
 
 @dataclass
 class IpcFetch:
@@ -86,11 +90,7 @@ class InfrastructureProxyClient:
         clock: Clock,
         location: Location,
         slowdown: float = 1.0,
-        os_name: str = "Linux",
-        browser_name: str = "Firefox",
         faults: Optional[FaultPlan] = None,
-        max_retries: int = 2,
-        backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         self.ipc_id = ipc_id
         self._internet = internet
@@ -98,14 +98,10 @@ class InfrastructureProxyClient:
         self._clock = clock
         self.location = location
         self.slowdown = slowdown
-        self._agent = user_agent(os_name, browser_name)
+        self._agent = user_agent("Linux", "Firefox")
         self.fetch_count = 0
         #: chaos schedule consulted per fetch attempt; None = clean node
         self.faults = faults
-        self.max_retries = max_retries
-        self.backoff = backoff if backoff is not None else BackoffPolicy(base=0.25)
-        self.retries_total = 0
-        self.failures_total = 0
         #: simulated seconds spent backing off between attempts: the
         #: fan-out runs at one world instant (every vantage point fetches
         #: "at the same time"), so a wait is accounted here, not enacted
@@ -152,10 +148,9 @@ class InfrastructureProxyClient:
                 f"proxy timeout budget"
             )
         last_error: Optional[ProxyFetchError] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt > 0:
-                self.retries_total += 1
-                self.backoff_seconds += self.backoff.delay(
+                self.backoff_seconds += BACKOFF.delay(
                     attempt - 1,
                     self.faults.rng if self.faults is not None else None,
                 )
@@ -184,7 +179,6 @@ class InfrastructureProxyClient:
             if decision and decision.kind == "corrupt":
                 fetch.html = self.faults.corrupt_text(fetch.html)
             return fetch, attempt
-        self.failures_total += 1
         assert last_error is not None
         raise last_error
 

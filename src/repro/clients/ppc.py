@@ -32,6 +32,10 @@ from repro.web.internet import parse_url
 
 __all__ = ["PeerProxyClient", "StateFetchFailed"]
 
+#: retries after a failed doppelganger state fetch, and the waits between them
+MAX_STATE_RETRIES = 2
+BACKOFF = BackoffPolicy(base=0.25)
+
 
 class PeerProxyClient:
     """The remote-page-request handler living inside one add-on."""
@@ -44,8 +48,6 @@ class PeerProxyClient:
         aggregator: Aggregator,
         anonymity=None,
         faults: Optional[FaultPlan] = None,
-        max_state_retries: int = 2,
-        backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         self.peer_id = peer_id
         self.browser = browser
@@ -58,15 +60,10 @@ class PeerProxyClient:
         #: chaos schedule; the anonymity circuit to the Coordinator is
         #: one more link that can drop requests under chaos
         self.faults = faults
-        self.max_state_retries = max_state_retries
-        self.backoff = backoff if backoff is not None else BackoffPolicy(base=0.25)
         self.budget = PollutionBudget()
         self.requests_served = 0
         self.requests_with_real_profile = 0
         self.requests_with_doppelganger = 0
-        self.state_fetch_retries = 0
-        self.state_fetch_failures = 0
-        self.backoff_seconds = 0.0
 
     # -- the message handler registered with the overlay --------------------
     def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -88,12 +85,11 @@ class PeerProxyClient:
         circuit is one more hop that can drop requests under chaos.
         Raises :class:`StateFetchFailed` once the budget is exhausted.
         """
-        for attempt in range(self.max_state_retries + 1):
+        for attempt in range(MAX_STATE_RETRIES + 1):
             if attempt > 0:
-                self.state_fetch_retries += 1
-                self.backoff_seconds += self.backoff.delay(
-                    attempt - 1, self.faults.rng if self.faults else None
-                )
+                # the wait is not kept, but its jitter draw from the fault
+                # plan's stream is: the chaos replays pin that stream
+                BACKOFF.delay(attempt - 1, self.faults.rng if self.faults else None)
             if self.faults is not None:
                 decision = self.faults.decide(
                     self.peer_id, "coordinator", role=ROLE_STATE
@@ -111,10 +107,9 @@ class PeerProxyClient:
                 )
             finally:
                 circuit.close()
-        self.state_fetch_failures += 1
         raise StateFetchFailed(
             f"peer {self.peer_id}: doppelganger state fetch failed after "
-            f"{self.max_state_retries + 1} attempts"
+            f"{MAX_STATE_RETRIES + 1} attempts"
         )
 
     # -- serving --------------------------------------------------------------

@@ -92,7 +92,6 @@ class SheriffAddon:
             faults=coordinator.faults,
         )
         self.checks_initiated = 0
-        self.serve_as_ppc = serve_as_ppc
         if consent and serve_as_ppc:
             # The add-on announces itself to the Coordinator on startup.
             overlay.register(self.peer_id, browser.location, self.peer_handler.handle)
@@ -261,5 +260,5 @@ class SheriffAddon:
         profile = profile_from_counts(
             self.browser.browsing_profile_counts(), reference_domains, quantization
         )
-        client = ProfileClient(self.peer_id, list(profile.quantized), quantization)
+        client = ProfileClient(list(profile.quantized), quantization)
         return client.encrypt_profile(scheme, public_keys, rng)

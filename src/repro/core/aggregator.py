@@ -26,6 +26,9 @@ if TYPE_CHECKING:
     from repro.crypto.elgamal import Ciphertext
     from repro.crypto.secure_kmeans import KMeansAggregator, KMeansCoordinator
 
+#: a clustering round stops once at most this share of peers changed cluster
+HALT_THRESHOLD = 0.02
+
 
 class NoDoppelgangerAssigned(LookupError):
     """The peer has no cluster / no doppelganger yet."""
@@ -62,11 +65,7 @@ class Aggregator:
         self._kmeans.submit(peer_id, ciphertext)
 
     # -- the two-phase protocol loop -----------------------------------------
-    def run_clustering(
-        self,
-        halt_threshold: float = 0.02,
-        max_iterations: int = 15,
-    ) -> Dict[str, int]:
+    def run_clustering(self, max_iterations: int = 15) -> Dict[str, int]:
         """Iterate assign/update until the mapping stabilizes.
 
         Returns the peer→cluster mapping (which is exactly what the
@@ -77,7 +76,7 @@ class Aggregator:
             raise RuntimeError("no encrypted profiles collected")
         from repro.crypto.secure_kmeans import iterate_until_stable
 
-        iterate_until_stable(self._kmeans, halt_threshold, max_iterations)
+        iterate_until_stable(self._kmeans, HALT_THRESHOLD, max_iterations)
         self.peer_cluster = dict(self._kmeans.assignments)
         return dict(self.peer_cluster)
 

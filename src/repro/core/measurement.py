@@ -90,16 +90,13 @@ RESPONSE_COLUMNS = (
 class MeasurementStats:
     """Per-server retry/degradation counters (Fig. 7-style panel)."""
 
-    ipc_fetches: int = 0
     ipc_failures: int = 0
     ipc_retries: int = 0
-    ppc_ok: int = 0
     ppc_dropped: int = 0
     ppc_timeouts: int = 0
     ppc_corrupt: int = 0
     degraded_jobs: int = 0
     quorum_failures: int = 0
-    page_cache_hits: int = 0
 
     def add(self, other: "MeasurementStats") -> None:
         for f in self.__dataclass_fields__:
@@ -142,7 +139,6 @@ class MeasurementServer:
         engine: PriceCheckEngine,
         diffstore: Optional[DiffStorage] = None,
         quorum: int = 1,
-        latency_model: Optional[LatencyModel] = None,
         telemetry=NULL_TELEMETRY,
         transport_label: str = "sim",
     ) -> None:
@@ -167,11 +163,7 @@ class MeasurementServer:
         #: per-server latency model with a *dedicated* RNG: duration
         #: draws must never perturb the world/fault RNG streams, or the
         #: worker-pool size would shape the rows
-        self._latency = (
-            latency_model
-            if latency_model is not None
-            else LatencyModel(rng=random.Random(f"lat:{name}"))
-        )
+        self._latency = LatencyModel(rng=random.Random(f"lat:{name}"))
         #: where the server machine sits (the paper's back-end ran at
         #: UPC Barcelona); only used to compute fetch round trips
         self.location = Location(
@@ -203,7 +195,6 @@ class MeasurementServer:
                 "LCS DP cells evaluated after prefix/suffix stripping",
             ),
         }
-        self.jobs_processed = 0
         self.stats = MeasurementStats()
 
     # -- price extraction + conversion on one page -----------------------------
@@ -253,10 +244,9 @@ class MeasurementServer:
         if detected.currency is not None:
             try:
                 converted = self.rates.convert(
-                    detected.amount, detected.currency,
-                    job.requested_currency, self.clock.now,
+                    detected.amount, detected.currency, job.requested_currency,
                 )
-                eur = self.rates.to_eur(detected.amount, detected.currency, self.clock.now)
+                eur = self.rates.to_eur(detected.amount, detected.currency)
             except UnknownCurrencyError:
                 pass
         return ResultRow(
@@ -330,9 +320,7 @@ class MeasurementServer:
 
             def eur_for(code: str) -> Optional[float]:
                 try:
-                    return self.rates.to_eur(
-                        row.detected_amount, code, self.clock.now
-                    )
+                    return self.rates.to_eur(row.detected_amount, code)
                 except UnknownCurrencyError:
                     return None
 
@@ -358,9 +346,7 @@ class MeasurementServer:
                 out.append(row)
                 continue
             eur = eur_for(chosen)
-            converted = self.rates.convert(
-                row.detected_amount, chosen, requested_currency, self.clock.now
-            )
+            converted = self.rates.convert(row.detected_amount, chosen, requested_currency)
             out.append(replace(
                 row,
                 detected_currency=chosen,
@@ -542,9 +528,7 @@ class MeasurementServer:
                 tasks.append((duration, False, "IPC", ipc.ipc_id, None))
                 continue
             if cache_hit:
-                self.stats.page_cache_hits += 1
                 duration = CACHE_HIT_SECONDS
-            self.stats.ipc_fetches += 1
             self.stats.ipc_retries += retries
             result.rows.append(self._read_ipc_page(job, ipc.ipc_id, page))
             tasks.append((duration, True, "IPC", ipc.ipc_id, cache_hit))
@@ -577,7 +561,6 @@ class MeasurementServer:
                 self.stats.ppc_dropped += 1
                 tasks.append((duration, False, "PPC", peer_id, None))
                 continue
-            self.stats.ppc_ok += 1
             self.diffstore.store_response(job.job_id, peer_id, reply["html"])
             result.rows.append(
                 self._row_from_page(
@@ -615,7 +598,6 @@ class MeasurementServer:
             self._persist(job, result)
         record.result = result
         record.state = RUNNING
-        self.jobs_processed += 1
         return tasks
 
     @staticmethod

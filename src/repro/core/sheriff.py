@@ -56,6 +56,10 @@ from repro.profiles.vector import ProfileVector
 from repro.web.internet import Internet
 from repro.web.trackers import TrackerEcosystem
 
+#: profile frequencies are quantized to integers in [0, QUANTIZATION]
+#: before they are encrypted for clustering
+QUANTIZATION = 100
+
 
 @dataclass
 class SheriffWorld:
@@ -69,10 +73,10 @@ class SheriffWorld:
     rng: random.Random
 
     @classmethod
-    def create(cls, seed: int = 2017, rate_drift: float = 0.0) -> "SheriffWorld":
+    def create(cls, seed: int = 2017) -> "SheriffWorld":
         return cls(
             geodb=GeoDatabase(),
-            rates=ExchangeRateProvider(drift=rate_drift),
+            rates=ExchangeRateProvider(),
             clock=Clock(),
             ecosystem=TrackerEcosystem(),
             internet=Internet(),
@@ -413,7 +417,6 @@ class PriceSheriff:
         browser: Browser,
         consent: bool = True,
         history_donation_opt_in: bool = False,
-        peer_id: Optional[str] = None,
         serve_as_ppc: bool = True,
     ) -> SheriffAddon:
         addon = SheriffAddon(
@@ -425,7 +428,7 @@ class PriceSheriff:
             consent=consent,
             # minted from the world's seeded RNG so chaos event logs
             # replay identically from the same seed
-            peer_id=peer_id or make_peer_id(self.world.rng),
+            peer_id=make_peer_id(self.world.rng),
             history_donation_opt_in=history_donation_opt_in,
             serve_as_ppc=serve_as_ppc,
             anonymity=self.anonymity,
@@ -434,16 +437,14 @@ class PriceSheriff:
         return addon
 
     # -- doppelganger clustering (Sect. 3.7/3.8 + Sect. 4) --------------------
-    def _sparse_random_centroids(
-        self, k: int, m: int, quantization: int
-    ) -> List[List[int]]:
+    def _sparse_random_centroids(self, k: int, m: int) -> List[List[int]]:
         """Private initialization: the Coordinator cannot sample client
         points (it never sees them), so it draws sparse random profiles."""
         rng = self.world.rng
         centroids = []
         for _ in range(k):
             centroids.append([
-                rng.randint(0, quantization) if rng.random() < 0.25 else 0
+                rng.randint(0, QUANTIZATION) if rng.random() < 0.25 else 0
                 for _ in range(m)
             ])
         return centroids
@@ -452,11 +453,8 @@ class PriceSheriff:
         self,
         reference_domains: Sequence[str],
         k: int,
-        quantization: int = 100,
-        halt_threshold: float = 0.02,
         max_iterations: int = 10,
         n_workers: int = 1,
-        initial_centroids: Optional[Sequence[Sequence[int]]] = None,
     ) -> ClusteringOutcome:
         """One full clustering round + doppelganger (re)build."""
         from repro.crypto.secure_kmeans import KMeansCoordinator, crypto_round
@@ -467,7 +465,7 @@ class PriceSheriff:
 
         crypto_coordinator = KMeansCoordinator(
             self.crypto_group, m=len(reference_domains),
-            value_bound=quantization, rng=self.world.rng, n_workers=n_workers,
+            value_bound=QUANTIZATION, rng=self.world.rng, n_workers=n_workers,
             telemetry=self.telemetry,
         )
         with crypto_round(self.telemetry):
@@ -475,7 +473,7 @@ class PriceSheriff:
             for addon in participants:
                 ciphertext = addon.encrypted_profile(
                     crypto_coordinator.scheme, crypto_coordinator.public_keys,
-                    reference_domains, self.world.rng, quantization,
+                    reference_domains, self.world.rng, QUANTIZATION,
                 )
                 try:
                     self.aggregator.submit_encrypted_profile(addon.peer_id, ciphertext)
@@ -484,21 +482,17 @@ class PriceSheriff:
                     # not everyone else the round
                     continue
 
-            if initial_centroids is None:
-                initial_centroids = self._sparse_random_centroids(
-                    k, len(reference_domains), quantization
-                )
-            crypto_coordinator.set_centroids(initial_centroids)
-            mapping = self.aggregator.run_clustering(
-                halt_threshold=halt_threshold, max_iterations=max_iterations
+            crypto_coordinator.set_centroids(
+                self._sparse_random_centroids(k, len(reference_domains))
             )
+            mapping = self.aggregator.run_clustering(max_iterations=max_iterations)
 
         centroids = [
             ProfileVector(
                 domains=tuple(reference_domains),
-                frequencies=tuple(v / quantization for v in centroid),
+                frequencies=tuple(v / QUANTIZATION for v in centroid),
                 quantized=tuple(centroid),
-                quantization=quantization,
+                quantization=QUANTIZATION,
             )
             for centroid in crypto_coordinator.centroids
         ]

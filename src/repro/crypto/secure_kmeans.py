@@ -138,10 +138,9 @@ class WorkerPool:
 class ProfileClient:
     """A PPC that contributes its encrypted browsing profile."""
 
-    def __init__(self, client_id: str, point: Sequence[int], value_bound: int) -> None:
+    def __init__(self, point: Sequence[int], value_bound: int) -> None:
         if any(a < 0 or a > value_bound for a in point):
             raise ValueError(f"profile coordinates must lie in [0, {value_bound}]")
-        self.client_id = client_id
         self._point = list(point)
         self.value_bound = value_bound
 
@@ -631,7 +630,7 @@ def run_secure_kmeans(
         # Clients encrypt and go offline.
         encrypt_started = time.perf_counter()
         for client_id, point in points.items():
-            client = ProfileClient(client_id, point, value_bound)
+            client = ProfileClient(point, value_bound)
             aggregator.submit(
                 client_id, client.encrypt_profile(coordinator.scheme,
                                                   coordinator.public_keys, rng)

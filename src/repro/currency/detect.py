@@ -59,7 +59,6 @@ class Confidence(enum.Enum):
 class DetectedPrice:
     """Result of running the detection algorithm on a selected string."""
 
-    original: str
     amount: Optional[float]
     currency: Optional[str]
     confidence: Confidence
@@ -238,7 +237,6 @@ def detect_price(text: str) -> DetectedPrice:
         code, confidence, candidates, remainder = _detect_currency(split)
         amount = parse_amount(remainder)
     return DetectedPrice(
-        original=text,
         amount=amount,
         currency=code,
         confidence=confidence,
@@ -246,11 +244,11 @@ def detect_price(text: str) -> DetectedPrice:
     )
 
 
-def _group_thousands(integral: str, sep: str = ",") -> str:
+def _group_thousands(integral: str) -> str:
     out = []
     for i, ch in enumerate(reversed(integral)):
         if i and i % 3 == 0:
-            out.append(sep)
+            out.append(",")
         out.append(ch)
     return "".join(reversed(out))
 
@@ -259,7 +257,6 @@ def format_price(
     amount: float,
     code: str,
     style: str = "symbol",
-    grouping: bool = True,
     decimals: Optional[int] = None,
 ) -> str:
     """Render an amount the way a retailer would (inverse of detection).
@@ -280,8 +277,7 @@ def format_price(
         integral, frac = quantized.split(".")
     else:
         integral, frac = quantized, ""
-    if grouping:
-        integral = _group_thousands(integral)
+    integral = _group_thousands(integral)
     number = integral + ("." + frac if frac else "")
 
     if style == "iso_tight":

@@ -6,19 +6,13 @@ calibrated so that the example result page of Fig. 2 reproduces exactly:
 ``SEK6,283 → €667.37``, ``JPY88,204 → €655.60``, ``CZK18,215 → €662.00``,
 ``KRW829,075 → €668.29`` and ``NZD997 → €668.28``.
 
-The provider can optionally apply a deterministic daily drift so that
-"real time" rates move over the simulated deployment window — this is
-one of the benign causes of unclassified price variation the paper notes
-(divergent currency converters, Sect. 2).
+Rates are fixed over a run: drift between a store's converter and the
+server's is modelled per store (``EStore.converter_skew``), not here.
 """
 
 from __future__ import annotations
 
-import math
-import zlib
 from typing import Dict, Optional
-
-from repro.net.events import SECONDS_PER_DAY
 
 #: Units per EUR, mid-2016 era, tuned to the Fig. 2 conversions.
 DEFAULT_RATES_PER_EUR: Dict[str, float] = {
@@ -68,51 +62,25 @@ class UnknownCurrencyError(KeyError):
 
 
 class ExchangeRateProvider:
-    """Real-time-style exchange-rate source with optional daily drift.
+    """Real-time-style exchange-rate source; its rates do not move."""
 
-    ``drift`` is the peak relative deviation of a rate over its sinusoidal
-    cycle (period 60 simulated days).  With the default ``drift=0.0`` the
-    provider is exact and time-invariant, which keeps unit tests and the
-    Fig. 2 reproduction deterministic.
-    """
-
-    def __init__(
-        self,
-        rates_per_eur: Optional[Dict[str, float]] = None,
-        drift: float = 0.0,
-    ) -> None:
+    def __init__(self, rates_per_eur: Optional[Dict[str, float]] = None) -> None:
         self._rates = dict(DEFAULT_RATES_PER_EUR if rates_per_eur is None else rates_per_eur)
         if "EUR" not in self._rates:
             self._rates["EUR"] = 1.0
-        self._drift = drift
 
-    def rate_per_eur(self, code: str, at_time: float = 0.0) -> float:
-        """Units of ``code`` per one EUR at the given simulated time."""
-        code = code.upper()
+    def rate_per_eur(self, code: str) -> float:
+        """Units of ``code`` per one EUR."""
         try:
-            base = self._rates[code]
+            return self._rates[code.upper()]
         except KeyError:
-            raise UnknownCurrencyError(code) from None
-        if self._drift == 0.0 or code == "EUR":
-            return base
-        # Deterministic pseudo-random phase per currency keeps the drift
-        # reproducible without threading an RNG through every conversion.
-        phase = (zlib.crc32(code.encode()) % 360) * math.pi / 180.0
-        days = at_time / SECONDS_PER_DAY
-        return base * (1.0 + self._drift * math.sin(2.0 * math.pi * days / 60.0 + phase))
+            raise UnknownCurrencyError(code.upper()) from None
 
-    def convert(
-        self,
-        amount: float,
-        from_code: str,
-        to_code: str,
-        at_time: float = 0.0,
-    ) -> float:
-        """Convert ``amount`` between two currencies at the given time."""
+    def convert(self, amount: float, from_code: str, to_code: str) -> float:
+        """Convert ``amount`` between two currencies."""
         if from_code.upper() == to_code.upper():
             return amount
-        eur = amount / self.rate_per_eur(from_code, at_time)
-        return eur * self.rate_per_eur(to_code, at_time)
+        return amount / self.rate_per_eur(from_code) * self.rate_per_eur(to_code)
 
-    def to_eur(self, amount: float, from_code: str, at_time: float = 0.0) -> float:
-        return self.convert(amount, from_code, "EUR", at_time)
+    def to_eur(self, amount: float, from_code: str) -> float:
+        return self.convert(amount, from_code, "EUR")

@@ -52,11 +52,8 @@ class DispatchAblationResult:
         )
 
 
-def run_dispatch_ablation(
-    scale: str = "default", sim_minutes: float = 120.0
-) -> DispatchAblationResult:
-    if scale == "test":
-        sim_minutes = 45.0
+def run_dispatch_ablation(scale: str = "default") -> DispatchAblationResult:
+    sim_minutes = 45.0 if scale == "test" else 120.0
     speeds = [1.0, 1.0, 2.5, 3.0]  # two strong and two weak machines
     rows = {}
     for policy in ("least_jobs", "round_robin"):
@@ -135,15 +132,17 @@ def _pollution_run(use_doppelgangers: bool, n_tunneled: int, seed: int) -> int:
     return sum(store.visits_for(sid).values()) - organic_visits
 
 
-def run_doppelganger_ablation(
-    scale: str = "default", n_tunneled: int = 8
-) -> DoppelgangerAblationResult:
-    without = _pollution_run(use_doppelgangers=False, n_tunneled=n_tunneled,
+#: remote page requests the ablation's peer serves after its organic visits
+TUNNELED_REQUESTS = 8
+
+
+def run_doppelganger_ablation(scale: str = "default") -> DoppelgangerAblationResult:
+    without = _pollution_run(use_doppelgangers=False, n_tunneled=TUNNELED_REQUESTS,
                              seed=51)
-    with_dopp = _pollution_run(use_doppelgangers=True, n_tunneled=n_tunneled,
+    with_dopp = _pollution_run(use_doppelgangers=True, n_tunneled=TUNNELED_REQUESTS,
                                seed=51)
     return DoppelgangerAblationResult(
-        tunneled_requests=n_tunneled,
+        tunneled_requests=TUNNELED_REQUESTS,
         polluting_visits_without=without,
         polluting_visits_with=with_dopp,
     )

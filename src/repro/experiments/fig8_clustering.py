@@ -67,15 +67,14 @@ def _profiles(histories: Sequence[Counter], domains: Sequence[str]):
     }
 
 
-def _max_silhouette(points: Dict[str, List[float]], k_grid: Sequence[int],
-                    seed: int = 11) -> float:
+def _max_silhouette(points: Dict[str, List[float]], k_grid: Sequence[int]) -> float:
     ids = sorted(points)
     matrix = [points[i] for i in ids]
     best = -1.0
     for k in k_grid:
         if k >= len(ids):
             continue
-        outcome = lloyd_kmeans(points, k, rng=random.Random(seed))
+        outcome = lloyd_kmeans(points, k, rng=random.Random(11))
         labels = [outcome.assignments[i] for i in ids]
         if len(set(labels)) < 2:
             continue
@@ -149,10 +148,11 @@ class Fig8bResult:
         )
 
 
-def run_fig8b(scale: str = "default", m: int = 100) -> Fig8bResult:
+def run_fig8b(scale: str = "default") -> Fig8bResult:
     s = registry.scale(scale)
     histories, dataset = donated_histories(scale)
-    m = min(m, max(s.profile_m_grid))
+    # Fig. 8(b) clusters over the top 100 domains
+    m = min(100, max(s.profile_m_grid))
     domains = _alexa_top_domains(dataset, m)
     points = _profiles(histories, domains)
     ids = sorted(points)
@@ -208,22 +208,24 @@ class Fig8cResult:
         )
 
 
-def _time_one_iteration(
-    n_users: int, m: int, k: int, n_workers: int, value_bound: int = 100,
-    seed: int = 3,
-) -> float:
+#: profile coordinates are integers in [0, VALUE_BOUND], as a deployment
+#: quantizes them
+VALUE_BOUND = 100
+
+
+def _time_one_iteration(n_users: int, m: int, k: int, n_workers: int, seed: int) -> float:
     rng = random.Random(seed)
     group = TEST_GROUP
-    with KMeansCoordinator(group, m=m, value_bound=value_bound,
+    with KMeansCoordinator(group, m=m, value_bound=VALUE_BOUND,
                            rng=rng, n_workers=n_workers) as coordinator, \
             KMeansAggregator(group, coordinator, rng=rng,
                              n_workers=n_workers) as aggregator:
         points = {}
         for i in range(n_users):
-            point = [rng.randint(0, value_bound) if rng.random() < 0.3 else 0
+            point = [rng.randint(0, VALUE_BOUND) if rng.random() < 0.3 else 0
                      for _ in range(m)]
             points[f"u{i}"] = point
-            client = ProfileClient(f"u{i}", point, value_bound)
+            client = ProfileClient(point, VALUE_BOUND)
             aggregator.submit(
                 f"u{i}",
                 client.encrypt_profile(coordinator.scheme,
@@ -238,16 +240,16 @@ def _time_one_iteration(
         return time.perf_counter() - started
 
 
-def run_fig8c(scale: str = "default", repeats: int = 2) -> Fig8cResult:
+def run_fig8c(scale: str = "default") -> Fig8cResult:
     """Time every (m, k, workers) configuration.
 
-    Each point keeps the *minimum* over ``repeats`` runs — wall-clock
-    timing on a shared machine is right-skewed by interference, and the
-    minimum is the standard robust estimator for that.
+    Each point keeps the *minimum* over two runs (one at test scale) —
+    wall-clock timing on a shared machine is right-skewed by
+    interference, and the minimum is the standard robust estimator for
+    that.
     """
     s = registry.scale(scale)
-    if scale == "test":
-        repeats = 1
+    repeats = 1 if scale == "test" else 2
     points = []
     for m in s.kmeans_m_values:
         for k in s.kmeans_k_grid:
@@ -257,7 +259,7 @@ def run_fig8c(scale: str = "default", repeats: int = 2) -> Fig8cResult:
                         n_users=s.kmeans_users, m=m, k=k,
                         n_workers=n_workers, seed=3 + r,
                     )
-                    for r in range(max(1, repeats))
+                    for r in range(repeats)
                 )
                 points.append(Fig8cPoint(m=m, k=k, n_workers=n_workers,
                                          seconds=seconds))

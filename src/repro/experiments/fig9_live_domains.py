@@ -60,12 +60,10 @@ class Fig9Result:
         )
 
 
-def run(scale: str = "default", min_diff_requests: int = 2) -> Fig9Result:
+def run(scale: str = "default") -> Fig9Result:
     dataset = registry.live_dataset(scale)
-    if scale == "test":
-        min_diff_requests = 1
     stats = domain_diff_stats(dataset.results,
-                              min_diff_requests=min_diff_requests)
+                              min_diff_requests=1 if scale == "test" else 2)
     return Fig9Result(
         stats=stats,
         n_domains_checked=dataset.n_domains_checked,

@@ -51,7 +51,6 @@ class Scale:
     temporal_days: int
     temporal_checks_per_day: int
     # profile clustering (Fig. 8)
-    profile_users: int
     profile_m_grid: Tuple[int, ...]
     profile_k_grid: Tuple[int, ...]
     # secure k-means timing (Fig. 8(c))
@@ -71,7 +70,7 @@ SCALES: Dict[str, Scale] = {
         crawl_domains=4, crawl_products=3, crawl_repetitions=2,
         case_products=3, case_repetitions=2,
         temporal_products=2, temporal_days=4, temporal_checks_per_day=2,
-        profile_users=40, profile_m_grid=(20, 30, 40),
+        profile_m_grid=(20, 30, 40),
         profile_k_grid=(2, 4, 6, 8),
         kmeans_users=12, kmeans_m_values=(10,), kmeans_k_grid=(3, 5),
         alexa_domains=6, alexa_products=2, alexa_days=2,
@@ -82,7 +81,7 @@ SCALES: Dict[str, Scale] = {
         crawl_domains=24, crawl_products=8, crawl_repetitions=5,
         case_products=8, case_repetitions=6,
         temporal_products=8, temporal_days=20, temporal_checks_per_day=2,
-        profile_users=150, profile_m_grid=(50, 80, 110, 140, 170, 200),
+        profile_m_grid=(50, 80, 110, 140, 170, 200),
         profile_k_grid=(5, 10, 15, 20, 30, 40, 60),
         kmeans_users=120, kmeans_m_values=(50, 100), kmeans_k_grid=(20, 40, 60),
         alexa_domains=40, alexa_products=3, alexa_days=3,
@@ -93,7 +92,7 @@ SCALES: Dict[str, Scale] = {
         crawl_domains=24, crawl_products=30, crawl_repetitions=15,
         case_products=25, case_repetitions=15,
         temporal_products=30, temporal_days=20, temporal_checks_per_day=2,
-        profile_users=500, profile_m_grid=(50, 100, 150, 200),
+        profile_m_grid=(50, 100, 150, 200),
         profile_k_grid=(10, 20, 40, 60, 100, 150, 200),
         kmeans_users=500, kmeans_m_values=(50, 100),
         kmeans_k_grid=(50, 100, 150, 200),

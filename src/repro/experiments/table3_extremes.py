@@ -38,9 +38,9 @@ class Table3Result:
         return out
 
 
-def run(scale: str = "default", top: int = 10) -> Table3Result:
+def run(scale: str = "default") -> Table3Result:
     dataset = registry.live_dataset(scale)
-    rows = extreme_differences(dataset.results, top=top)
+    rows = extreme_differences(dataset.results)
     iq280 = None
     for result in dataset.results:
         if "digitalrev-iq280" in result.url:

@@ -39,10 +39,10 @@ class Table4Result:
         return {c for c, _ in self.expensive} & {c for c, _ in self.cheapest}
 
 
-def run(scale: str = "default", top: int = 10) -> Table4Result:
+def run(scale: str = "default") -> Table4Result:
     dataset = registry.live_dataset(scale)
     expensive, cheapest = country_extremes(dataset.results)
     return Table4Result(
-        expensive=expensive.most_common(top),
-        cheapest=cheapest.most_common(top),
+        expensive=expensive.most_common(10),
+        cheapest=cheapest.most_common(10),
     )

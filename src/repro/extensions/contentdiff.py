@@ -22,7 +22,6 @@ from repro.core.tagspath import Selector, TagsPath, extract_price_text, select_t
 class ContentObservation:
     """One vantage point's view of the selected element."""
 
-    vantage_id: str
     country: str
     text: Optional[str]  # None = element not found / page unavailable
 
@@ -101,7 +100,6 @@ class ContentWatch:
                 if fetch.status == 200 else None
             )
             observations.append(ContentObservation(
-                vantage_id=ipc.ipc_id,
                 country=ipc.location.country,
                 text=text,
             ))

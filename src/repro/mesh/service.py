@@ -87,13 +87,12 @@ class MeshService:
         }
 
     # -- lifecycle ----------------------------------------------------------
-    def serve(self, transport, announce: bool = True) -> int:
+    def serve(self, transport) -> int:
         """Bind on ``transport`` and return the listening port.
 
         Non-blocking — the socket transport serves from its own
         threads; pair with :meth:`wait` to keep the main thread alive.
-        When ``announce`` is true a ready line is printed to stdout for
-        the launcher to parse::
+        A ready line is printed to stdout for the launcher to parse::
 
             MESH-READY name=<name> port=<port> pid=<pid>
         """
@@ -101,9 +100,7 @@ class MeshService:
         transport.bind(self.name, self.handle)
         self.started = True
         port = transport.address_of(self.name)[1]
-        if announce:
-            print(f"MESH-READY name={self.name} port={port} pid={os.getpid()}",
-                  flush=True)
+        print(f"MESH-READY name={self.name} port={port} pid={os.getpid()}", flush=True)
         return port
 
     def begin_drain(self) -> None:

@@ -85,9 +85,9 @@ class MeasurementWorker:
         }
 
     # -- lifecycle ----------------------------------------------------------
-    def serve_forever(self, transport: SocketTransport, announce: bool = True) -> None:
+    def serve_forever(self, transport: SocketTransport) -> None:
         self.service.install_signal_handlers()
-        self.service.serve(transport, announce=announce)
+        self.service.serve(transport)
         self.service.wait()
         self.service.shutdown()
         self.sheriff.shutdown()

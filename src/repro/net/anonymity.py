@@ -87,14 +87,13 @@ class AnonymityNetwork:
             hops = list(self.relays)
         if not hops:
             raise ValueError("empty circuit")
-        return Circuit(self, [self.relays[h] for h in hops])
+        return Circuit([self.relays[h] for h in hops])
 
 
 class Circuit:
     """One sender's onion circuit through an ordered list of relays."""
 
-    def __init__(self, network: AnonymityNetwork, relays: List[Relay]) -> None:
-        self._network = network
+    def __init__(self, relays: List[Relay]) -> None:
         self._relays = relays
         self.circuit_id = secrets.token_hex(8)
         # telescoping key establishment: the sender shares one pad per hop

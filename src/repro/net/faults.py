@@ -155,13 +155,12 @@ class FaultPlan:
         self,
         rules: Iterable[FaultRule] = (),
         seed: int = 0,
-        rng: Optional[random.Random] = None,
         name: str = "custom",
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.name = name
         self.rules: List[FaultRule] = list(rules)
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
         self.events: List[FaultEvent] = []
         self._seq = itertools.count()
         self._flap_until: Dict[str, float] = {}

@@ -37,12 +37,11 @@ def make_peer_id(rng: random.Random) -> str:
 
 @dataclass
 class PeerRecord:
-    """Presence record for one online peer (mirrors the panel in Fig. 16)."""
+    """Presence record for one registered peer (mirrors the panel in Fig. 16)."""
 
     peer_id: str
     location: Location
     handler: Callable[[Any], Any]
-    online: bool = True
 
     def row(self) -> Dict[str, str]:
         """One row of the peer-proxy monitoring panel."""
@@ -76,8 +75,6 @@ class PeerChannel:
 
     def send(self, message: Any) -> Any:
         peer_id = self._record.peer_id
-        if not self._record.online:
-            raise ConnectionError(f"peer {peer_id} is offline")
         decision = (
             self._faults.decide(self._src, peer_id, role=ROLE_PPC)
             if self._faults is not None
@@ -169,18 +166,18 @@ class PeerOverlay:
 
     # -- presence queries (used by the Coordinator) ------------------------
     def online_peers(self) -> List[PeerRecord]:
-        return [p for p in self._peers.values() if p.online]
+        """Every registered peer: a peer is online while it is registered."""
+        return list(self._peers.values())
 
     def peers_in_country(self, country: str) -> List[PeerRecord]:
-        """The country's online peers, in registration order."""
-        return [p for p in self._by_country.get(country, {}).values() if p.online]
+        """The country's peers, in registration order."""
+        return list(self._by_country.get(country, {}).values())
 
     def peers_in_city(self, country: str, city: str) -> List[PeerRecord]:
-        """The city's online peers, in registration order."""
+        """The city's peers, in registration order."""
         return [
-            p
-            for p in self._by_country.get(country, {}).values()
-            if p.online and p.location.city == city
+            p for p in self._by_country.get(country, {}).values()
+            if p.location.city == city
         ]
 
     def monitoring_rows(self) -> List[Dict[str, str]]:

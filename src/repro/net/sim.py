@@ -70,7 +70,6 @@ def fetch_duration(
     src: Location,
     dst: Optional[Location],
     slowdown: float = 1.0,
-    service_seconds: float = FETCH_SERVICE_SECONDS,
 ) -> float:
     """Simulated wall time of one proxied page fetch.
 
@@ -84,4 +83,4 @@ def fetch_duration(
         one_way = model.INTERNATIONAL
     else:
         one_way = model.latency(src, dst)
-    return (2.0 * one_way + service_seconds) * max(1.0, slowdown)
+    return (2.0 * one_way + FETCH_SERVICE_SECONDS) * max(1.0, slowdown)

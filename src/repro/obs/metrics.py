@@ -249,9 +249,8 @@ class Histogram(_Instrument):
         help: str = "",
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_series: int = 4096,
     ) -> None:
-        super().__init__(name, help, labelnames, max_series)
+        super().__init__(name, help, labelnames)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(set(bounds)):
             raise MetricError(
@@ -330,11 +329,9 @@ class Histogram(_Instrument):
             cumulative += in_bucket
         return state.max  # pragma: no cover - rank <= count always lands
 
-    def percentiles(
-        self, ps: Sequence[float] = (50.0, 95.0, 99.0), **labels: object
-    ) -> Dict[str, Optional[float]]:
+    def percentiles(self, **labels: object) -> Dict[str, Optional[float]]:
         """The panel shorthand: ``{"p50": …, "p95": …, "p99": …}``."""
-        return {f"p{p:g}": self.quantile(p / 100.0, **labels) for p in ps}
+        return {f"p{p:g}": self.quantile(p / 100.0, **labels) for p in (50.0, 95.0, 99.0)}
 
     def expose(self, lines: List[str]) -> None:
         names = self.labelnames + ("le",)
@@ -366,9 +363,8 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, max_series_per_metric: int = 4096) -> None:
+    def __init__(self) -> None:
         self._metrics: Dict[str, _Family] = {}
-        self.max_series_per_metric = max_series_per_metric
 
     def _declare(self, cls, name: str, help: str, labelnames, **kwargs):
         existing = self._metrics.get(name)
@@ -381,10 +377,7 @@ class MetricsRegistry:
                     f"{existing.kind} with labels {existing.labelnames}"
                 )
             return existing
-        metric = cls(
-            name, help=help, labelnames=labelnames,
-            max_series=self.max_series_per_metric, **kwargs,
-        )
+        metric = cls(name, help=help, labelnames=labelnames, **kwargs)
         self._metrics[name] = metric
         return metric
 

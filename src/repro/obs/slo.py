@@ -237,16 +237,13 @@ def build_default_slos(
     engine: SLOEngine,
     check_latency_threshold: float = 160.0,
     check_latency_objective: float = 0.90,
-    queue_wait_threshold: float = 40.0,
-    queue_wait_objective: float = 0.90,
-    availability_objective: float = 0.99,
 ) -> SLOEngine:
     """Declare the stock $heriff objectives on ``engine``.
 
-    Thresholds are simulated seconds; the defaults bracket the healthy
-    fleet's fetch fan-out (seconds to a couple of minutes on the sim
-    clock) so a fault-injected latency degradation burns budget while a
-    clean run does not.
+    Thresholds are simulated seconds; they bracket the healthy fleet's
+    fetch fan-out (seconds to a couple of minutes on the sim clock) so
+    a fault-injected latency degradation burns budget while a clean run
+    does not.
     """
     engine.declare_latency(
         "check-latency",
@@ -258,8 +255,8 @@ def build_default_slos(
     engine.declare_latency(
         "queue-wait",
         metric="sheriff_queue_wait_seconds",
-        threshold=queue_wait_threshold,
-        objective=queue_wait_objective,
+        threshold=40.0,
+        objective=0.90,
         description="queued jobs dispatched without excessive outbox dwell",
     )
     engine.declare_availability(
@@ -267,7 +264,7 @@ def build_default_slos(
         good_metric="sheriff_job_turnaround_seconds",
         bad_metric="sheriff_coordinator_recovery_total",
         bad_labels=(("event", "job_failed"),),
-        objective=availability_objective,
+        objective=0.99,
         description="jobs completing rather than failing outright",
     )
     return engine

@@ -351,13 +351,15 @@ def _span_label(span: Span) -> str:
     return " ".join(parts)
 
 
-def render_trace(
-    spans: Sequence[Span], width: int = 40, show_critical_path: bool = False
-) -> str:
+#: characters of a span bar's window in :func:`render_trace`
+BAR_WIDTH = 40
+
+
+def render_trace(spans: Sequence[Span], show_critical_path: bool = False) -> str:
     """Draw one trace as an indented flame view plus a stage summary.
 
     Each line is one span: tree indentation, its label, a bar placed on
-    the trace's ``[t0, t_end]`` window scaled to ``width`` characters,
+    the trace's ``[t0, t_end]`` window scaled to :data:`BAR_WIDTH` characters,
     and the simulated duration.  Journey traces that cross servers
     render as one tree — steal spans carry ``src``/``dst`` and a ``↩``
     link back to the prior owner's attempt.  With
@@ -389,13 +391,13 @@ def render_trace(
     )
 
     def draw(span: Span, depth: int) -> None:
-        offset = int((span.start - t0) / window * width)
-        filled = max(1, int(round(span.duration / window * width)))
-        filled = min(filled, width - offset) or 1
+        offset = int((span.start - t0) / window * BAR_WIDTH)
+        filled = max(1, int(round(span.duration / window * BAR_WIDTH)))
+        filled = min(filled, BAR_WIDTH - offset) or 1
         bar = " " * offset + "█" * filled
         label = "  " * depth + _span_label(span)
         lines.append(
-            f"{label:<{label_width}}  |{bar:<{width}}| {span.duration:8.3f}s"
+            f"{label:<{label_width}}  |{bar:<{BAR_WIDTH}}| {span.duration:8.3f}s"
         )
         for kid in children.get(span.span_id, ()):
             draw(kid, depth + 1)

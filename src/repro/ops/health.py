@@ -235,16 +235,15 @@ class DeadLetterProbe:
     Delta-style like :class:`ErrorRateProbe`: each check compares the
     tier's ``dead_lettered`` count (queued jobs whose record the
     Coordinator failed before dispatch) against the previous tick and
-    flags any growth beyond ``max_delta``.  The baseline is the count
-    when the probe is built, so failures that predate the probe stay
-    quiet while one before the first check still alerts.  Each is
-    terminal — a job whose retry budget ran dry or that found no online
-    server — so the default tolerance is zero.
+    flags any growth.  The baseline is the count when the probe is
+    built, so failures that predate the probe stay quiet while one
+    before the first check still alerts.  Each is terminal — a job
+    whose retry budget ran dry or that found no online server — so no
+    growth is tolerated.
     """
 
-    def __init__(self, tier, max_delta: float = 0.0) -> None:
+    def __init__(self, tier) -> None:
         self.tier = tier
-        self.max_delta = max_delta
         self._last = tier.dead_lettered
 
     def check(self, now: float) -> ProbeResult:
@@ -253,7 +252,7 @@ class DeadLetterProbe:
         delta = current - previous
         snapshot = {"new_dead_letters": float(delta),
                     "total_dead_letters": float(current)}
-        if delta > self.max_delta:
+        if delta > 0:
             return ProbeResult(
                 False,
                 f"{delta} new dead-lettered job(s) this tick",

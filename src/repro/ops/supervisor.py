@@ -157,7 +157,6 @@ class Supervisor:
         clock,
         audit: Optional[AuditTrail] = None,
         notifiers: Sequence[Notifier] = (),
-        killswitch: Optional[KillSwitch] = None,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.clock = clock
@@ -165,11 +164,7 @@ class Supervisor:
             audit if audit is not None else AuditTrail(clock, telemetry=telemetry)
         )
         self.fanout = NotifierFanout(tuple(notifiers))
-        self.killswitch = (
-            killswitch
-            if killswitch is not None
-            else KillSwitch(self.audit, self.fanout)
-        )
+        self.killswitch = KillSwitch(self.audit, self.fanout)
         self.components: Dict[str, Component] = {}
         self._detectors: List[_AnomalyDetector] = []
         self.ticks = 0

@@ -99,6 +99,10 @@ class Doppelganger:
         return self.saturated_fraction() >= REGENERATION_SATURATION
 
 
+#: where the infrastructure browsers that train doppelgangers sit
+INFRA_COUNTRY = "US"
+
+
 def make_dopp_id() -> str:
     """Random, sufficiently long (256-bit) bearer-token identifier."""
     return secrets.token_hex(32)
@@ -115,7 +119,6 @@ class DoppelgangerManager:
         geodb: GeoDatabase,
         rng: Optional[random.Random] = None,
         visits_scale: int = 8,
-        infra_country: str = "US",
     ) -> None:
         self._internet = internet
         self._ecosystem = ecosystem
@@ -123,7 +126,6 @@ class DoppelgangerManager:
         self._geodb = geodb
         self._rng = rng if rng is not None else random.Random(404)
         self.visits_scale = visits_scale
-        self.infra_country = infra_country
         self._doppelgangers: Dict[str, Doppelganger] = {}
         self._by_cluster: Dict[int, str] = {}
 
@@ -134,7 +136,7 @@ class DoppelgangerManager:
             internet=self._internet,
             ecosystem=self._ecosystem,
             clock=self._clock,
-            location=self._geodb.make_location(self.infra_country),
+            location=self._geodb.make_location(INFRA_COUNTRY),
         )
         visits: Counter = Counter()
         for domain, quantized in zip(profile.domains, profile.quantized):

@@ -42,6 +42,10 @@ from repro.storage.backend import join_json_arrays
 __all__ = ["HashRing", "ShardedDatabase"]
 
 
+#: virtual nodes per shard on the hash ring
+REPLICAS = 64
+
+
 class HashRing:
     """Consistent-hash ring with virtual nodes.
 
@@ -50,14 +54,13 @@ class HashRing:
     backend.
     """
 
-    def __init__(self, nodes: Sequence[str], replicas: int = 64) -> None:
+    def __init__(self, nodes: Sequence[str]) -> None:
         if not nodes:
             raise ValueError("hash ring needs at least one node")
-        self.replicas = replicas
         self._points: List[int] = []
         self._owners: Dict[int, str] = {}
         for node in nodes:
-            for i in range(replicas):
+            for i in range(REPLICAS):
                 point = self._hash(f"{node}#{i}")
                 self._points.append(point)
                 self._owners[point] = node
@@ -84,7 +87,6 @@ class ShardedDatabase:
         self,
         n_shards: int = 4,
         backend: str = "sqlite",
-        replicas: int = 64,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         from repro.core.database import DatabaseServer  # avoid import cycle
@@ -98,7 +100,7 @@ class ShardedDatabase:
             name: DatabaseServer(backend=backend, telemetry=telemetry)
             for name in self.shard_names
         }
-        self.ring = HashRing(self.shard_names, replicas=replicas)
+        self.ring = HashRing(self.shard_names)
         #: job -> shard routing table (set by the job's first write)
         self._job_shard: Dict[str, str] = {}
         #: cross-shard stored procedures that had to scatter-gather

@@ -87,10 +87,10 @@ def _render_attrs(attrs: Dict[str, str]) -> str:
     return " " + " ".join(parts)
 
 
-def render(node: Node, indent: int = 0) -> str:
+def render(node: Node) -> str:
     """Serialize a node tree to HTML text (with doctype at the root)."""
-    text = _render_node(node, indent)
-    if isinstance(node, Element) and node.tag == "html" and indent == 0:
+    text = _render_node(node, 0)
+    if isinstance(node, Element) and node.tag == "html":
         return "<!DOCTYPE html>\n" + text
     return text
 

@@ -31,7 +31,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.net.events import SECONDS_PER_DAY
 from repro.net.geo import GeoDatabase, Location
@@ -146,7 +146,6 @@ class RegionalPricing(PricingPolicy):
         country_multipliers: Dict[str, float],
         coverage: float = 0.8,
         magnitude_range: Tuple[float, float] = (0.3, 1.0),
-        default: float = 1.0,
         salt: str = "regional",
     ) -> None:
         if not 0 < coverage <= 1:
@@ -154,11 +153,10 @@ class RegionalPricing(PricingPolicy):
         self.country_multipliers = dict(country_multipliers)
         self.coverage = coverage
         self.magnitude_range = magnitude_range
-        self.default = default
         self.salt = salt
 
     def factor_for(self, product: Product, country: str) -> float:
-        multiplier = self.country_multipliers.get(country, self.default)
+        multiplier = self.country_multipliers.get(country, 1.0)
         if multiplier == 1.0:
             return 1.0
         rng = stable_rng(self.salt, product.product_id)
@@ -189,16 +187,11 @@ class PerCountryABTestPricing(PricingPolicy):
     :class:`ABTestPricing` (or none).
     """
 
-    def __init__(
-        self,
-        per_country: Dict[str, ABTestPricing],
-        default: Optional[ABTestPricing] = None,
-    ) -> None:
+    def __init__(self, per_country: Dict[str, ABTestPricing]) -> None:
         self.per_country = dict(per_country)
-        self.default = default
 
     def adjustments(self, product: Product, ctx: RequestContext) -> List[Adjustment]:
-        policy = self.per_country.get(ctx.location.country, self.default)
+        policy = self.per_country.get(ctx.location.country)
         if policy is None:
             return []
         return policy.adjustments(product, ctx)
@@ -218,8 +211,7 @@ class VatInclusivePricing(PricingPolicy):
     #: categories billed at a reduced rate where one exists.
     REDUCED_CATEGORIES = frozenset({"books", "cosmetics", "games"})
 
-    def __init__(self, geodb: GeoDatabase, coverage: float = 1.0,
-                 salt: str = "vat") -> None:
+    def __init__(self, geodb: GeoDatabase, coverage: float = 1.0) -> None:
         if not 0 < coverage <= 1:
             raise ValueError("coverage must be in (0, 1]")
         self._geodb = geodb
@@ -228,12 +220,11 @@ class VatInclusivePricing(PricingPolicy):
         #: of who is looking (why amazon.com differences are rare,
         #: Table 5: below 14% of requests)
         self.coverage = coverage
-        self.salt = salt
 
     def applies_to(self, product: Product) -> bool:
         if self.coverage >= 1.0:
             return True
-        return stable_rng(self.salt, product.product_id).random() < self.coverage
+        return stable_rng("vat", product.product_id).random() < self.coverage
 
     def rate_for(self, product: Product, country_code: str) -> float:
         country = self._geodb.country(country_code)

@@ -161,7 +161,6 @@ class EStore:
 
         # Server-side state: client identity → product → visit count.
         self.server_state: Dict[str, Counter] = {}
-        self.request_log: List[Tuple[float, str, str]] = []
 
         # Page skeletons, compiled at the first request for a product.
         self._pages: Dict[Product, _PageSkeleton] = {}
@@ -182,7 +181,7 @@ class EStore:
     def displayed_price(self, quote: PriceQuote, ctx: RequestContext) -> Tuple[float, str]:
         """Convert the EUR quote into the currency shown to this client."""
         code = self.display_currency(ctx)
-        amount = self._rates.convert(quote.amount_eur, "EUR", code, ctx.time)
+        amount = self._rates.convert(quote.amount_eur, "EUR", code)
         amount *= self.converter_skew
         decimals = (
             self.display_decimals
@@ -219,7 +218,6 @@ class EStore:
     def record_visit(self, ctx: RequestContext, product_id: str) -> None:
         key = self.tracking_key(ctx)
         self.server_state.setdefault(key, Counter())[product_id] += 1
-        self.request_log.append((ctx.time, key, product_id))
 
     def visits_for(self, client_key: str) -> Counter:
         return Counter(self.server_state.get(client_key, Counter()))

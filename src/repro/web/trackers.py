@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
-@dataclass
-class TrackerVisit:
-    """One observation logged by a tracker."""
-
-    cookie: str
-    first_party: str
-    time: float
+#: The tracker population; `fingerprint.net` marks the rare
+#: fingerprinting-capable tracker the paper's footnote discusses.
+TRACKER_DOMAINS = (
+    "doubleclick.net",
+    "google-analytics.com",
+    "facebook.net",
+    "criteo.com",
+    "addthis.com",
+    "scorecardresearch.com",
+    "fingerprint.net",
+)
 
 
 class Tracker:
@@ -41,14 +44,12 @@ class Tracker:
         # minter shifts them.
         self._tids = random.Random(f"tid:{domain}")
         self._profiles: Dict[str, Counter] = {}
-        self.visits: List[TrackerVisit] = []
 
-    def observe(self, cookie: Optional[str], first_party: str, time: float = 0.0) -> str:
+    def observe(self, cookie: Optional[str], first_party: str) -> str:
         """Record a page view; returns the (possibly fresh) cookie value."""
         if cookie is None:
             cookie = self._tids.randbytes(8).hex()
         self._profiles.setdefault(cookie, Counter())[first_party] += 1
-        self.visits.append(TrackerVisit(cookie=cookie, first_party=first_party, time=time))
         return cookie
 
     def profile(self, cookie: str) -> Counter:
@@ -59,20 +60,8 @@ class Tracker:
 class TrackerEcosystem:
     """The set of trackers active on the simulated internet."""
 
-    #: Default tracker population; `fingerprint.net` marks the rare
-    #: fingerprinting-capable tracker the paper's footnote discusses.
-    DEFAULT_DOMAINS = (
-        "doubleclick.net",
-        "google-analytics.com",
-        "facebook.net",
-        "criteo.com",
-        "addthis.com",
-        "scorecardresearch.com",
-        "fingerprint.net",
-    )
-
-    def __init__(self, domains: Sequence[str] = DEFAULT_DOMAINS) -> None:
-        self._trackers: Dict[str, Tracker] = {d: Tracker(d) for d in domains}
+    def __init__(self) -> None:
+        self._trackers: Dict[str, Tracker] = {d: Tracker(d) for d in TRACKER_DOMAINS}
 
     def get(self, domain: str) -> Tracker:
         try:

@@ -40,7 +40,6 @@ class ContentWeb:
         ecosystem: TrackerEcosystem,
         n_domains: int = 150,
         seed: int = 1,
-        zipf_s: float = 1.1,
     ) -> None:
         rng = random.Random(seed)
         self.domains: List[str] = []
@@ -54,7 +53,8 @@ class ContentWeb:
             )
             internet.register(ContentSite(domain, tracker_domains=trackers))
             self.domains.append(domain)
-            self.popularity[domain] = 1.0 / (rank + 1) ** zipf_s
+            # popularity falls off with rank as a Zipf law, exponent 1.1
+            self.popularity[domain] = 1.0 / (rank + 1) ** 1.1
         self._weights = [self.popularity[d] for d in self.domains]
 
     def alexa_top(self, m: int) -> List[str]:
@@ -82,16 +82,14 @@ def build_alexa_ecommerce(
     geodb,
     rates,
     n: int = 400,
-    seed: int = 7,
     location_pd_fraction: float = 0.05,
-    catalog_size: int = 6,
 ) -> List[EStore]:
     """The Alexa top-400 e-commerce sites (Sect. 7.6).
 
     A small share applies cross-border multipliers (location-based PD is
     common); none varies prices within a country.
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     countries = ["US", "GB", "DE", "FR", "ES", "JP", "CN", "IT", "NL", "CA"]
     stores = []
     for i in range(n):
@@ -108,7 +106,7 @@ def build_alexa_ecommerce(
         store = EStore(
             domain=domain,
             country_code=country,
-            catalog=make_catalog(domain, size=catalog_size, rng=rng),
+            catalog=make_catalog(domain, size=6, rng=rng),
             pricing=pricing,
             geodb=geodb,
             rates=rates,

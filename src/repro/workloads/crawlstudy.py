@@ -31,6 +31,9 @@ from repro.core.sheriff import PriceSheriff, SheriffWorld
 from repro.net.events import SECONDS_PER_DAY
 from repro.web.store import EStore
 
+#: where the crawls ran from: the paper's back-end sat at UPC Barcelona
+CRAWL_COUNTRY = "ES"
+
 
 class CrawlStudy:
     """A crawling back-end attached to an existing deployment.
@@ -43,7 +46,6 @@ class CrawlStudy:
         self,
         world: SheriffWorld,
         live_sheriff: Optional[PriceSheriff] = None,
-        seed: int = 71,
         **overrides: Any,
     ) -> None:
         self.world = world
@@ -53,7 +55,7 @@ class CrawlStudy:
             # the paper's requests reached ~3 PPCs on average (max 5)
             **{"max_ppcs_per_request": 3, **overrides},
         )
-        self._rng = random.Random(seed)
+        self._rng = random.Random(71)
 
     # -- generic sweeps -----------------------------------------------------
     def product_urls(self, domain: str, n_products: int) -> List[str]:
@@ -67,8 +69,7 @@ class CrawlStudy:
         domains: Sequence[str],
         products_per_domain: int = 30,
         repetitions: int = 15,
-        country: str = "ES",
-        city: Optional[str] = None,
+        country: str = CRAWL_COUNTRY,
     ) -> List[PriceCheckResult]:
         """The Sect. 7.1 sweep: every product, ``repetitions`` times, with
         repetitions spread over varying times of day."""
@@ -77,7 +78,7 @@ class CrawlStudy:
             for domain in domains
         }
         crawler = SystematicCrawler(
-            self.backend, country, city, rng=random.Random(self._rng.random())
+            self.backend, country, rng=random.Random(self._rng.random())
         )
         results: List[PriceCheckResult] = []
         for rep in range(repetitions):
@@ -93,7 +94,6 @@ class CrawlStudy:
         domains: Sequence[str],
         products_per_domain: int = 5,
         days: int = 3,
-        country: str = "ES",
     ) -> List[PriceCheckResult]:
         """Sect. 7.6: each site, 5 random products, 3 consecutive days."""
         urls = {
@@ -101,7 +101,7 @@ class CrawlStudy:
             for domain in domains
         }
         crawler = SystematicCrawler(
-            self.backend, country, rng=random.Random(self._rng.random())
+            self.backend, CRAWL_COUNTRY, rng=random.Random(self._rng.random())
         )
         results: List[PriceCheckResult] = []
         for _ in range(days):
@@ -158,7 +158,6 @@ def temporal_study(
     products_per_domain: int = 30,
     days: int = 20,
     checks_per_day: int = 2,
-    country: str = "ES",
 ) -> TemporalStudyResult:
     """The Sect. 7.5 setup: clean-profile PPC fleet + UA matrix.
 
@@ -172,12 +171,12 @@ def temporal_study(
     agents = all_user_agents()
     fleet_sheriff = study.backend
     for agent in agents:
-        browser = study.world.make_browser(country, agent=agent)
+        browser = study.world.make_browser(CRAWL_COUNTRY, agent=agent)
         fleet_sheriff.install_addon(browser)  # clean-profile PPC
 
     urls = {d: study.product_urls(d, products_per_domain) for d in domains}
     crawler = SystematicCrawler(
-        fleet_sheriff, country, rng=random.Random(4242),
+        fleet_sheriff, CRAWL_COUNTRY, rng=random.Random(4242),
         min_delay=1.0, max_delay=5.0,
     )
     results_by_domain: Dict[str, List[PriceCheckResult]] = defaultdict(list)

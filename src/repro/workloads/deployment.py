@@ -20,7 +20,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.clients.ipc import DEFAULT_IPC_SITES
 from repro.core.addon import PriceCheckFailed, PriceSelectionError
@@ -267,43 +267,43 @@ class AdoptionSeries:
     daily_downloads: List[float]
     active_users: List[float]
 
-    def spike_days(self, threshold_factor: float = 5.0) -> List[int]:
-        """Days whose downloads exceed ``threshold_factor`` × median."""
+    def spike_days(self) -> List[int]:
+        """Days whose downloads exceed 5 × median."""
         ordered = sorted(self.daily_downloads)
         median = ordered[len(ordered) // 2]
-        floor = max(1.0, median) * threshold_factor
+        floor = max(1.0, median) * 5.0
         return [d for d, v in zip(self.days, self.daily_downloads) if v > floor]
 
 
 #: (day, amplitude) of the three press events the paper describes —
 #: articles in the popular press and the Swiss national TV documentary.
 PRESS_EVENTS: Tuple[Tuple[int, float], ...] = ((60, 120.0), (180, 310.0), (300, 190.0))
+#: downloads a day without press coverage
+BASE_RATE = 2.0
+#: a press burst's downloads decay with this time constant (days)
+DECAY_DAYS = 6.0
+#: an install is kept this many days on average
+RETENTION_DAYS = 90.0
+#: the share of installs that actually use the add-on
+ACTIVE_FRACTION = 0.35
 
 
-def adoption_series(
-    n_days: int = 420,
-    seed: int = 9,
-    base_rate: float = 2.0,
-    press_events: Sequence[Tuple[int, float]] = PRESS_EVENTS,
-    decay_days: float = 6.0,
-    retention_days: float = 90.0,
-    active_fraction: float = 0.35,
-) -> AdoptionSeries:
+def adoption_series(n_days: int = 420, seed: int = 9) -> AdoptionSeries:
     """Model the Fig. 5 time series: a trickle plus three press spikes.
 
     Downloads: Poisson base rate plus exponentially decaying bursts after
     each press event.  Active users: installs with exponential retention
-    times ``retention_days`` on average, of which ``active_fraction``
+    times ``RETENTION_DAYS`` on average, of which ``ACTIVE_FRACTION``
     actually use the add-on.
     """
     rng = random.Random(seed)
     days = list(range(n_days))
     downloads: List[float] = []
     for day in days:
-        rate = base_rate
-        for event_day, amplitude in press_events:
+        rate = BASE_RATE
+        for event_day, amplitude in PRESS_EVENTS:
             if day >= event_day:
-                rate += amplitude * math.exp(-(day - event_day) / decay_days)
+                rate += amplitude * math.exp(-(day - event_day) / DECAY_DAYS)
         # Poisson draw via the inverse method is overkill; a jittered
         # rate reads the same on the figure
         downloads.append(max(0.0, rng.gauss(rate, math.sqrt(max(rate, 1.0)))))
@@ -311,7 +311,7 @@ def adoption_series(
     active: List[float] = []
     current = 0.0
     for day in days:
-        churn = current / retention_days
-        current = current + active_fraction * downloads[day] - churn
+        churn = current / RETENTION_DAYS
+        current = current + ACTIVE_FRACTION * downloads[day] - churn
         active.append(max(0.0, current))
     return AdoptionSeries(days=days, daily_downloads=downloads, active_users=active)

@@ -193,8 +193,6 @@ def run_journey(
 def run_slo_drill(
     config: Optional[JourneyConfig] = None,
     max_burn_rate: float = 1.0,
-    check_latency_threshold: float = 2.5,
-    check_latency_objective: float = 0.90,
 ):
     """The journey drill under armed SLO burn-rate probes.
 
@@ -216,8 +214,7 @@ def run_slo_drill(
     def factory(sheriff):
         engine = build_default_slos(
             SLOEngine(sheriff.telemetry.registry, sheriff.world.clock),
-            check_latency_threshold=check_latency_threshold,
-            check_latency_objective=check_latency_objective,
+            check_latency_threshold=2.5,
         )
         return build_supervisor(
             sheriff, slo_engine=engine, slo_max_burn_rate=max_burn_rate

@@ -304,7 +304,6 @@ def uniform_store_specs(n: int, seed: int = 32) -> List[StoreSpec]:
 def build_named_stores(
     world: SheriffWorld,
     specs: Optional[Sequence[StoreSpec]] = None,
-    tracker_fraction: float = 0.8,
 ) -> Dict[str, EStore]:
     """Instantiate and register a roster of stores on a world."""
     if specs is None:
@@ -313,9 +312,8 @@ def build_named_stores(
     tracker_domains = world.ecosystem.domains()
     stores: Dict[str, EStore] = {}
     for spec in specs:
-        trackers = tuple(
-            t for t in tracker_domains if rng.random() < tracker_fraction * 0.5
-        )
+        # each tracker is embedded on ~40 % of the stores
+        trackers = tuple(t for t in tracker_domains if rng.random() < 0.4)
         catalog = make_catalog(
             spec.domain, size=spec.catalog_size,
             rng=random.Random(zlib.crc32(spec.domain.encode())),

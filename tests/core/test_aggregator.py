@@ -25,7 +25,7 @@ def roles():
 def submit_profiles(coordinator, aggregator, rng, points):
     aggregator.begin_collection(coordinator)
     for peer_id, point in points.items():
-        client = ProfileClient(peer_id, point, 10)
+        client = ProfileClient(point, 10)
         aggregator.submit_encrypted_profile(
             peer_id,
             client.encrypt_profile(coordinator.scheme,
@@ -158,7 +158,7 @@ class TestHostilePeer:
                   **{f"mid-{i}": [5, 5, 5] for i in range(5)}}
         for peer_id, point in points.items():
             aggregator.submit_encrypted_profile(
-                peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+                peer_id, ProfileClient(point, 10).encrypt_profile(
                     coordinator.scheme, coordinator.public_keys, rng))
         aggregator.submit_encrypted_profile("mallory", coordinator.scheme.encrypt(
             coordinator.public_keys, profile_to_plaintext([11, 10, 10]), rng))

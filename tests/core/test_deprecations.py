@@ -69,6 +69,11 @@ price check became its Coordinator ``JobRecord``: ``JobHandle`` and the
 engine's state constants, the queue tier's ``QueuedJob`` wrapper and its
 ``admitted_at`` stamp, ``QuorumNotMet``, the engine's ``error=``
 parameter and ``jobs_scheduled``, and the tracer's ``duration=`` went.
+Then state nothing read and parameters nothing set went (the reach
+census's two static passes): the trackers' visit log, the stores'
+request log, write-only counters, the peer records' ``online`` flag that
+was never false, exchange-rate drift, and the defaults no call
+overrode, which became constants.
 """
 
 import dataclasses
@@ -852,8 +857,9 @@ class TestOneRecordPerFact:
         overlay.register(
             "p1", Location("ES", "Spain", "Madrid", "10.0.0.1"), lambda m: m
         )
-        overlay._peers["p1"].online = False
-        overlay._peers["p1"].online = True
+        overlay.register(
+            "p1", Location("FR", "France", "Paris", "10.0.0.2"), lambda m: m
+        )
         assert rebuilt == []
 
 
@@ -1203,3 +1209,149 @@ class TestWhatNoRunCalls:
     def test_a_clustering_round_is_given_its_k(self):
         k = inspect.signature(PriceSheriff.run_doppelganger_clustering).parameters["k"]
         assert k.default is inspect.Parameter.empty
+
+
+class TestWhatNothingReadsOrSets:
+    """State the running system wrote and nothing read, and defaulted
+    parameters no call set, are gone; the defaults became constants."""
+
+    @pytest.fixture(scope="class")
+    def sheriff(self):
+        world = SheriffWorld.create(seed=1)
+        sheriff = PriceSheriff(world, n_measurement_servers=1,
+                               ipc_sites=[("ES", "Madrid", 1.0)])
+        sheriff.install_addon(world.make_browser("ES", "Madrid"))
+        yield sheriff
+        sheriff.shutdown()
+
+    def test_identifiers_absent_from_source(self):
+        assert _source_offenders(re.compile(
+            r"TrackerVisit|request_log|retries_total|failures_total"
+            r"|state_fetch_retries|state_fetch_failures|jobs_processed"
+            r"|ipc_fetches|ppc_ok|page_cache_hits|rate_drift|max_series_per_metric"
+        )) == []
+
+    def test_state_gone(self, sheriff):
+        from repro.analysis.stats import ABTestVerdict
+        from repro.core.measurement import MeasurementStats
+        from repro.currency.detect import DetectedPrice
+        from repro.experiments.registry import Scale
+        from repro.extensions.contentdiff import ContentObservation
+        from repro.net.p2p import PeerRecord
+        from repro.storage.sharding import HashRing
+
+        for cls, names in (
+            (ABTestVerdict, {"min_ks_d", "forest_score"}),
+            (MeasurementStats, {"ipc_fetches", "ppc_ok", "page_cache_hits"}),
+            (DetectedPrice, {"original"}),
+            (Scale, {"profile_users"}),
+            (ContentObservation, {"vantage_id"}),
+            (PeerRecord, {"online"}),
+        ):
+            assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        addon = sheriff.addons[0]
+        tracker = sheriff.world.ecosystem.get("doubleclick.net")
+        circuit = sheriff.anonymity.build_circuit()
+        for obj, names in (
+            (tracker, ("visits",)),
+            (sheriff.ipcs[0], ("retries_total", "failures_total", "max_retries", "backoff")),
+            (addon.peer_handler, ("state_fetch_retries", "state_fetch_failures",
+                                  "backoff_seconds", "max_state_retries", "backoff")),
+            (sheriff.measurement_server("ms-0"), ("jobs_processed",)),
+            (addon, ("serve_as_ppc",)),
+            (circuit, ("_network",)),
+            (HashRing(["a"]), ("replicas",)),
+            (sheriff.telemetry.registry, ("max_series_per_metric",)),
+        ):
+            for name in names:
+                assert not hasattr(obj, name), (type(obj).__name__, name)
+        import repro.web.trackers
+
+        assert not hasattr(repro.web.trackers, "TrackerVisit")
+
+    def test_parameters_gone(self):
+        from repro.analysis.report_writer import write_markdown_report
+        from repro.analysis.stats import ab_test_verdict
+        from repro.analysis.temporal import trend_for_product
+        from repro.clients.crawler import SystematicCrawler
+        from repro.clients.ipc import InfrastructureProxyClient
+        from repro.clients.ppc import PeerProxyClient
+        from repro.core.aggregator import Aggregator
+        from repro.crypto.secure_kmeans import ProfileClient
+        from repro.currency.detect import format_price
+        from repro.currency.rates import ExchangeRateProvider
+        from repro.experiments import fig8_clustering
+        from repro.mesh.worker import MeasurementWorker
+        from repro.net.anonymity import Circuit
+        from repro.net.faults import FaultPlan
+        from repro.net.sim import fetch_duration
+        from repro.obs.metrics import Histogram, MetricsRegistry
+        from repro.obs.slo import build_default_slos
+        from repro.obs.trace import render_trace
+        from repro.ops.health import DeadLetterProbe
+        from repro.ops.supervisor import Supervisor
+        from repro.profiles.doppelganger import DoppelgangerManager
+        from repro.web.html import render
+        from repro.web.pricing import PerCountryABTestPricing, RegionalPricing, VatInclusivePricing
+        from repro.workloads.alexa import ContentWeb, build_alexa_ecommerce
+        from repro.workloads.crawlstudy import CrawlStudy, temporal_study
+        from repro.workloads.deployment import AdoptionSeries, adoption_series
+        from repro.workloads.journey import run_slo_drill
+        from repro.workloads.perfmodel import run_table1
+        from repro.workloads.stores import build_named_stores
+
+        for func, names in (
+            (ExchangeRateProvider, ("drift",)),
+            (ExchangeRateProvider.rate_per_eur, ("at_time",)),
+            (ExchangeRateProvider.convert, ("at_time",)),
+            (SheriffWorld.create, ("rate_drift",)),
+            (Supervisor, ("killswitch",)),
+            (FaultPlan, ("rng",)),
+            (MeasurementServer, ("latency_model",)),
+            (PriceSheriff.install_addon, ("peer_id",)),
+            (PriceSheriff.run_doppelganger_clustering,
+             ("initial_centroids", "quantization", "halt_threshold")),
+            (Aggregator.run_clustering, ("halt_threshold",)),
+            (render, ("indent",)),
+            (CrawlStudy, ("seed",)),
+            (CrawlStudy.crawl_domains, ("city",)),
+            (CrawlStudy.alexa_sweep, ("country",)),
+            (temporal_study, ("country",)),
+            (DeadLetterProbe, ("max_delta",)),
+            (InfrastructureProxyClient,
+             ("max_retries", "backoff", "os_name", "browser_name")),
+            (PeerProxyClient, ("max_state_retries", "backoff")),
+            (SystematicCrawler, ("agent",)),
+            (ProfileClient, ("client_id",)),
+            (Circuit, ("network",)),
+            (ShardedDatabase, ("replicas",)),
+            (write_markdown_report, ("title",)),
+            (ab_test_verdict, ("ks_p_threshold", "regression_alpha", "regression_r2_floor")),
+            (trend_for_product, ("flat_epsilon",)),
+            (format_price, ("grouping",)),
+            (fig8_clustering.run_fig8b, ("m",)),
+            (fig8_clustering.run_fig8c, ("repeats",)),
+            (MeasurementWorker.serve_forever, ("announce",)),
+            (fetch_duration, ("service_seconds",)),
+            (Histogram, ("max_series",)),
+            (Histogram.percentiles, ("ps",)),
+            (MetricsRegistry, ("max_series_per_metric",)),
+            (build_default_slos,
+             ("queue_wait_threshold", "queue_wait_objective", "availability_objective")),
+            (render_trace, ("width",)),
+            (DoppelgangerManager, ("infra_country",)),
+            (RegionalPricing, ("default",)),
+            (PerCountryABTestPricing, ("default",)),
+            (VatInclusivePricing, ("salt",)),
+            (ContentWeb, ("zipf_s",)),
+            (build_alexa_ecommerce, ("seed", "catalog_size")),
+            (AdoptionSeries.spike_days, ("threshold_factor",)),
+            (adoption_series, ("base_rate", "press_events", "decay_days",
+                               "retention_days", "active_fraction")),
+            (run_slo_drill, ("check_latency_threshold", "check_latency_objective")),
+            (run_table1, ("seed",)),
+            (build_named_stores, ("tracker_fraction",)),
+        ):
+            parameters = inspect.signature(func).parameters
+            for name in names:
+                assert name not in parameters, (func.__qualname__, name)

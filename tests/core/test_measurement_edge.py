@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.tagspath import TagsPath
+from repro.net.faults import FaultPlan, FaultRule
 from repro.web.internet import ContentSite
 
 
@@ -15,10 +16,13 @@ class TestProxyFailures:
     def test_offline_ppc_skipped(self, world, sheriff, es_user, es_peers):
         """A peer that left mid-request just means one fewer point."""
         gone = es_peers[0]
-        sheriff.overlay._peers[gone.peer_id].online = False
+        sheriff.overlay.faults = FaultPlan(
+            [FaultRule(kind="drop", probability=1.0, dst=gone.peer_id)]
+        )
         result = es_user.check_price(product_url(world))
         assert all(r.proxy_id != gone.peer_id for r in result.rows)
         assert result.valid_rows()
+        assert sheriff.measurement_stats().ppc_dropped == 1
 
     def test_slow_ipc_timed_out(self, world, sheriff, es_user, es_peers):
         """IPCs above the slowdown budget model the 2-minute kill."""

@@ -321,7 +321,7 @@ class TestPoolHygiene:
         for peer_id, point in _points(n=6, m=4).items():
             aggregator.submit_encrypted_profile(
                 peer_id,
-                ProfileClient(peer_id, point, 20).encrypt_profile(
+                ProfileClient(point, 20).encrypt_profile(
                     coordinator.scheme, coordinator.public_keys, rng
                 ),
             )

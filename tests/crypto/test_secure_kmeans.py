@@ -49,11 +49,11 @@ class TestEncodings:
 class TestClientValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ProfileClient("x", [0, 200], value_bound=100)
+            ProfileClient([0, 200], value_bound=100)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            ProfileClient("x", [-1, 0], value_bound=100)
+            ProfileClient([-1, 0], value_bound=100)
 
 
 class TestHostileCiphertexts:
@@ -102,7 +102,7 @@ class TestHostileCiphertexts:
         for peer_id, point in points.items():
             aggregator.submit(
                 peer_id,
-                ProfileClient(peer_id, point, 10).encrypt_profile(
+                ProfileClient(point, 10).encrypt_profile(
                     coordinator.scheme, coordinator.public_keys, rng
                 ),
             )
@@ -150,11 +150,11 @@ class TestUndecryptablePeer:
         )
         peers = list(self.POINTS.items())
         for peer_id, point in peers[:3]:
-            aggregator.submit(peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+            aggregator.submit(peer_id, ProfileClient(point, 10).encrypt_profile(
                 coordinator.scheme, coordinator.public_keys, rng))
         aggregator.submit("mallory", forge(coordinator, rng))  # mid-order
         for peer_id, point in peers[3:]:
-            aggregator.submit(peer_id, ProfileClient(peer_id, point, 10).encrypt_profile(
+            aggregator.submit(peer_id, ProfileClient(point, 10).encrypt_profile(
                 coordinator.scheme, coordinator.public_keys, rng))
         coordinator.set_centroids(self.CENTROIDS)
         return coordinator, aggregator
@@ -218,7 +218,7 @@ class TestSlightlyOutOfRangePeer:
         )
         for i in range(5):
             for name, point in ((f"hi-{i}", [10, 10, 10]), (f"mid-{i}", [5, 5, 5])):
-                aggregator.submit(name, ProfileClient(name, point, 10).encrypt_profile(
+                aggregator.submit(name, ProfileClient(point, 10).encrypt_profile(
                     coordinator.scheme, coordinator.public_keys, rng))
         aggregator.submit("mallory", coordinator.scheme.encrypt(
             coordinator.public_keys, profile_to_plaintext([11, 10, 10]), rng))
@@ -323,7 +323,7 @@ class TestPrivacyBoundaries:
         rng = random.Random(5)
         coordinator = KMeansCoordinator(TEST_GROUP, m=3, value_bound=10, rng=rng)
         aggregator = KMeansAggregator(TEST_GROUP, coordinator, rng=rng)
-        client = ProfileClient("a", [1, 2, 3], value_bound=10)
+        client = ProfileClient([1, 2, 3], value_bound=10)
         aggregator.submit(
             "a", client.encrypt_profile(coordinator.scheme, coordinator.public_keys, rng)
         )

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.currency.rates import ExchangeRateProvider, UnknownCurrencyError
-from repro.net.events import SECONDS_PER_DAY
+from repro.currency.rates import (
+    DEFAULT_RATES_PER_EUR,
+    ExchangeRateProvider,
+    UnknownCurrencyError,
+)
 
 
 @pytest.fixture
@@ -49,28 +52,11 @@ class TestProviderBehaviour:
         assert rates.rate_per_eur("usd") == rates.rate_per_eur("USD")
 
     def test_no_drift_by_default(self, rates):
-        early = rates.rate_per_eur("USD", at_time=0.0)
-        late = rates.rate_per_eur("USD", at_time=300 * SECONDS_PER_DAY)
-        assert early == late
-
-    def test_drift_moves_rates(self):
-        provider = ExchangeRateProvider(drift=0.05)
-        samples = {
-            provider.rate_per_eur("USD", at_time=d * SECONDS_PER_DAY)
-            for d in range(0, 60, 7)
-        }
-        assert len(samples) > 1
-
-    def test_drift_bounded(self):
-        provider = ExchangeRateProvider(drift=0.05)
-        base = ExchangeRateProvider().rate_per_eur("USD")
-        for d in range(0, 120, 3):
-            rate = provider.rate_per_eur("USD", at_time=d * SECONDS_PER_DAY)
-            assert abs(rate - base) / base <= 0.05 + 1e-9
+        """Rates are fixed: a provider reads its table as it is."""
+        assert rates.rate_per_eur("USD") == DEFAULT_RATES_PER_EUR["USD"]
 
     def test_eur_never_drifts(self):
-        provider = ExchangeRateProvider(drift=0.05)
-        assert provider.rate_per_eur("EUR", at_time=12345.0) == 1.0
+        assert ExchangeRateProvider({"USD": 2.0}).rate_per_eur("EUR") == 1.0
 
     def test_custom_rate_table(self):
         provider = ExchangeRateProvider({"USD": 2.0})

@@ -86,25 +86,25 @@ class TestClassificationLogic:
 
     def test_personalized_variation(self):
         report = self._report([
-            ContentObservation("a", "ES", "variant-1"),
-            ContentObservation("b", "ES", "variant-2"),
-            ContentObservation("c", "US", "variant-1"),
+            ContentObservation("ES", "variant-1"),
+            ContentObservation("ES", "variant-2"),
+            ContentObservation("US", "variant-1"),
         ])
         assert report.classification() == "personalized"
         assert not report.location_consistent()
 
     def test_localized_variation(self):
         report = self._report([
-            ContentObservation("a", "ES", "hola"),
-            ContentObservation("b", "ES", "hola"),
-            ContentObservation("c", "US", "hello"),
+            ContentObservation("ES", "hola"),
+            ContentObservation("ES", "hola"),
+            ContentObservation("US", "hello"),
         ])
         assert report.classification() == "localized"
 
     def test_missing_elements_ignored(self):
         report = self._report([
-            ContentObservation("a", "ES", "x1"),
-            ContentObservation("b", "US", None),
+            ContentObservation("ES", "x1"),
+            ContentObservation("US", None),
         ])
         assert report.is_uniform
         assert report.n_variants == 1

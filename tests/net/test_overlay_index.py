@@ -2,12 +2,11 @@
 
 ``PeerOverlay`` keeps its peers per country, in registration order, so
 a presence query reads one country.  Over random ``register`` /
-re-``register`` (a known id, possibly somewhere else) / online-offline
-sequences (a peer record's ``online`` flag), ``peers_in_country`` and ``peers_in_city``
-equal a linear scan of every registered peer, in order, and the
-Coordinator's ``select_ppcs`` returns what the two-tier scan it used to
-run returns for the same seed: same lists, same order, so the same
-shuffles.
+re-``register`` sequences (a known id, possibly somewhere else),
+``peers_in_country`` and ``peers_in_city`` equal a linear scan of every
+registered peer, in order, and the Coordinator's ``select_ppcs`` returns
+what the two-tier scan it used to run returns for the same seed: same
+lists, same order, so the same shuffles.
 """
 
 import random
@@ -26,11 +25,7 @@ PLACES = (("ES", "Madrid"), ("ES", "Barcelona"), ("FR", "Paris"), ("FR", "Lyon")
 PEERS = [f"peer-{i}" for i in range(8)]
 
 _ops = st.lists(
-    st.tuples(
-        st.sampled_from(("register", "online", "offline")),
-        st.integers(0, len(PEERS) - 1),
-        st.integers(0, len(PLACES) - 1),
-    ),
+    st.tuples(st.integers(0, len(PEERS) - 1), st.integers(0, len(PLACES) - 1)),
     max_size=40,
 )
 
@@ -43,7 +38,7 @@ def _location(place):
 def _scan(overlay, country, city=None):
     return [
         p.peer_id for p in overlay._peers.values()
-        if p.online and p.location.country == country
+        if p.location.country == country
         and (city is None or p.location.city == city)
     ]
 
@@ -71,12 +66,9 @@ def test_country_index_equals_a_scan(ops, seed):
         rng=random.Random(seed),
     )
     reference = random.Random(seed)
-    for op, peer, place in ops:
+    for peer, place in ops:
         peer_id = PEERS[peer]
-        if op == "register":
-            overlay.register(peer_id, _location(place), lambda m: m)
-        elif peer_id in overlay._peers:
-            overlay._peers[peer_id].online = op == "online"
+        overlay.register(peer_id, _location(place), lambda m: m)
         for country, city in PLACES:
             assert [p.peer_id for p in overlay.peers_in_country(country)] == _scan(
                 overlay, country)

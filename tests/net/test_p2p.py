@@ -29,10 +29,6 @@ class TestPresence:
     def test_peers_in_city(self, overlay):
         assert [p.peer_id for p in overlay.peers_in_city("ES", "Madrid")] == ["es-1"]
 
-    def test_offline_peers_excluded(self, overlay):
-        overlay._peers["es-1"].online = False
-        assert {p.peer_id for p in overlay.peers_in_country("ES")} == {"es-2"}
-
     def test_monitoring_rows_have_panel_columns(self, overlay):
         rows = overlay.monitoring_rows()
         assert len(rows) == 3
@@ -47,12 +43,6 @@ class TestChannels:
     def test_connect_unknown_peer(self, overlay):
         with pytest.raises(ConnectionError):
             overlay.connect("nope")
-
-    def test_send_to_offline_peer(self, overlay):
-        channel = overlay.connect("es-1")
-        overlay._peers["es-1"].online = False
-        with pytest.raises(ConnectionError):
-            channel.send("hello")
 
 
 def test_make_peer_id_unique():

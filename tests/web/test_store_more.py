@@ -47,12 +47,9 @@ class TestDisplayDecimals:
 
 
 class TestRequestLog:
-    def test_log_records_time_key_product(self, geodb):
+    def test_an_anonymous_request_is_keyed_by_its_ip(self, geodb):
         store = build_store(geodb)
         product = store.catalog.products[0]
         context = ctx(geodb)
         store.fetch(f"/product/{product.product_id}", context)
-        time, key, product_id = store.request_log[-1]
-        assert time == 0.0
-        assert key == context.location.ip  # anonymous → IP-keyed
-        assert product_id == product.product_id
+        assert store.visits_for(context.location.ip) == {product.product_id: 1}
