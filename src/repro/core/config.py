@@ -222,7 +222,7 @@ class SheriffConfig(Config):
     #: purely observational — rows are identical either way (tested)
     telemetry: bool = False
     #: storage engine behind the one Database server: "sqlite" (an
-    #: in-memory sqlite database) or "memory", the dict-of-lists engine
+    #: in-memory sqlite database) or "memory", the value-tuple engine
     #: kept as the equivalence oracle.  Rows are byte-identical across
     #: engines (tested).
     db_backend: str = knob("sqlite", choices=("memory", "sqlite"))

@@ -20,8 +20,10 @@ and stored procedures.  This module models that server as a *facade*:
 A price check is one write, :meth:`DatabaseServer.sp_record_job`: the
 request row and the job's response rows in one query and one engine
 transaction, keyed on ``job_id`` so a write the transport sent twice is
-stored once.  The server builds each stored row once, from the batch as
-it arrived, and hands it to the engine to keep.
+stored once.  The server builds no row dict: it hands the engine the
+batch as it arrived, column-wise, with ``job_id`` in front
+(:func:`_response_batches`); a dict row (``insert``, a batch whose
+rows have different keys) is turned into that form once.
 
 Over a transport (:func:`database_rpc_handler` / :class:`DatabaseClient`)
 the two directions travel differently.  A written batch crosses
@@ -39,13 +41,20 @@ default, as the paper's $heriff runs one MySQL node.
 from __future__ import annotations
 
 import threading
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.errors import UnknownTable
 from repro.net.protocol import RawJSON
 from repro.obs import NULL_TELEMETRY
-from repro.storage.backend import TABLES, StorageBackend, make_backend
+from repro.storage.backend import (
+    TABLES,
+    Batch,
+    StorageBackend,
+    last_position,
+    make_backend,
+)
 
 __all__ = [
     "DatabaseClient",
@@ -60,6 +69,9 @@ __all__ = [
 #: the same rows column-wise — ``{"cols": [sorted column names], "rows":
 #: [one value sequence per row]}`` — the form a batch crosses the wire in
 RowBatch = Union[List[Dict[str, Any]], Dict[str, Any]]
+
+#: a request row's columns, in stored order
+REQUEST_COLUMNS = ("job_id", "user_id", "url", "domain", "time")
 
 
 class DatabaseServer:
@@ -95,13 +107,11 @@ class DatabaseServer:
             "Stored-procedure queries answered through a secondary index",
         )
 
-    def _note_write_times(self, rows: Sequence[Dict[str, Any]]) -> None:
-        """Advance ``last_write_time`` to the newest ``time`` of rows the
-        engine has just stored — never of a write that failed."""
-        stamps = [
-            stamp for stamp in (row.get("time") for row in rows)
-            if isinstance(stamp, (int, float))
-        ]
+    def _note_write_times(self, stamps: Iterable[Any]) -> None:
+        """Advance ``last_write_time`` to the newest of the ``time``
+        values of rows the engine has just stored — never of a write
+        that failed."""
+        stamps = [stamp for stamp in stamps if isinstance(stamp, (int, float))]
         if stamps:
             newest = float(max(stamps))
             if self.last_write_time is None or newest > self.last_write_time:
@@ -111,7 +121,7 @@ class DatabaseServer:
     def insert(self, table: str, row: Dict[str, Any]) -> int:
         self.query_count += 1
         row_id = self.backend.insert(table, row)
-        self._note_write_times((row,))
+        self._note_write_times((row.get("time"),))
         return row_id
 
     def scan(
@@ -161,19 +171,19 @@ class DatabaseServer:
              "domain": domain, "time": time},
         )
 
-    def _batch_stored(self, rows: Sequence[Dict[str, Any]]) -> None:
+    def _batch_stored(self, n_rows: int) -> None:
         self.batched_writes += 1
-        self._m_batch_rows.observe(len(rows))
+        self._m_batch_rows.observe(n_rows)
 
     def sp_record_responses(self, job_id: str, rows: RowBatch) -> List[int]:
-        """A job's response rows in one query, each row built once
-        (:func:`_response_rows`).  A batch the engine refuses counts as
-        a query but not as a batched write."""
+        """A job's response rows in one query, handed to the engine
+        column-wise (:func:`_response_batches`).  A batch the engine
+        refuses counts as a query but not as a batched write."""
         self.query_count += 1
-        stored = _response_rows(job_id, rows)
-        (ids,) = self.backend.insert_batches([("responses", stored)])
-        self._batch_stored(stored)
-        self._note_write_times(stored)
+        batches = _response_batches(job_id, rows)
+        ids = list(chain.from_iterable(self.backend.insert_batches(batches)))
+        self._batch_stored(len(ids))
+        self._note_write_times(_column_values(batches, "time"))
         return ids
 
     def sp_record_job(
@@ -201,14 +211,13 @@ class DatabaseServer:
         if stored:
             responses = self.backend.lookup("responses", "job_id", job_id)
             return [stored[0]["_id"], *(row["_id"] for row in responses)]
-        request = {"job_id": job_id, "user_id": user_id, "url": url,
-                   "domain": domain, "time": time}
-        responses = _response_rows(job_id, rows)
-        (request_id,), response_ids = self.backend.insert_batches(
-            [("requests", [request]), ("responses", responses)]
+        request = ("requests", REQUEST_COLUMNS, [(job_id, user_id, url, domain, time)])
+        (request_id,), *response_ids = self.backend.insert_batches(
+            [request, *_response_batches(job_id, rows)]
         )
-        self._batch_stored(responses)
-        self._note_write_times((request,))
+        response_ids = list(chain.from_iterable(response_ids))
+        self._batch_stored(len(response_ids))
+        self._note_write_times((time,))
         return [request_id, *response_ids]
 
     def sp_responses_for_job(self, job_id: str) -> List[Dict[str, Any]]:
@@ -241,8 +250,8 @@ def _pack_rows(rows: RowBatch) -> RowBatch:
     once, then one value list per row — when every row has the same
     string keys, the plain list otherwise; a batch already column-wise
     goes as it is.  ``cols`` is sorted because the codec sorts keys, so
-    :func:`_response_rows` builds exactly the rows the plain list would
-    have given.  Reads do not pack: they travel as the stored texts
+    the server stores exactly the rows the plain list would have given.
+    Reads do not pack: they travel as the stored texts
     (:class:`~repro.net.protocol.RawJSON`)."""
     if isinstance(rows, dict):
         return rows
@@ -259,14 +268,28 @@ def _pack_rows(rows: RowBatch) -> RowBatch:
     return {"cols": cols, "rows": list(map(itemgetter(*cols), rows))}
 
 
-def _response_rows(job_id: str, batch: RowBatch) -> List[Dict[str, Any]]:
-    """The stored response rows of a batch, each dict built once:
-    ``job_id`` first, then the row's fields — a column-wise batch's
-    ``cols`` in their (sorted) order."""
-    if isinstance(batch, dict):
-        keys = ("job_id", *batch["cols"])
-        return [dict(zip(keys, (job_id, *values))) for values in batch["rows"]]
-    return [{"job_id": job_id, **fields} for fields in batch]
+def _response_batches(job_id: str, rows: RowBatch) -> List[Batch]:
+    """The ``responses`` batches a write hands the engine: the rows
+    column-wise with ``job_id`` in front — a column-wise batch as it
+    arrived (its ``cols`` in their sorted order), dict rows one batch per
+    run of rows with the same keys (as :func:`dict_batches` cuts them) —
+    and no row dict built."""
+    if isinstance(rows, dict):
+        return [("responses", ("job_id", *rows["cols"]),
+                 [(job_id, *values) for values in rows["rows"]])]
+    return [
+        ("responses", ("job_id", *keys), [(job_id, *dict.values(row)) for row in run])
+        for keys, run in groupby(rows, tuple)
+    ]
+
+
+def _column_values(batches: Sequence[Batch], name: str) -> Iterable[Any]:
+    """Every row's value for ``name`` across ``batches`` (rows without
+    such a column give none)."""
+    for _, columns, rows in batches:
+        at = last_position(columns, name)
+        if at is not None:
+            yield from map(itemgetter(at), rows)
 
 
 def database_rpc_handler(db) -> Callable[[str, Any], Any]:

@@ -8,15 +8,16 @@ interchangeable engine behind the :class:`repro.core.database.DatabaseServer`
 facade:
 
 * :class:`StorageBackend` — the protocol every engine implements:
-  inserts, scans, indexed lookups, grouped counts, deletes, all with a
-  single monotonically increasing ``_id`` sequence shared across
-  tables;
+  column-wise batch inserts, scans, indexed lookups, counts, deletes,
+  all with a single monotonically increasing ``_id`` sequence shared
+  across tables;
 * :class:`SqliteBackend` — the production engine: real tables, real
   indexes, WAL journaling, on :mod:`sqlite3` (in-memory by default,
   file-backed on request);
-* :class:`MemoryBackend` — the original dict-of-lists store with
-  secondary indexes on the hot columns (``responses.job_id``,
-  ``requests.domain``, ``requests.user_id``), kept as the sqlite
+* :class:`MemoryBackend` — each row one value tuple under a shared
+  column tuple, repeated strings held once, with secondary indexes on
+  the hot columns (``responses.job_id``, ``requests.domain``,
+  ``requests.user_id``), kept as the sqlite
   engine's equivalence oracle: the two are row-identical (pinned by
   ``tests/storage/test_backend_equivalence.py``);
 * :class:`ShardedDatabase` — a router that consistent-hashes jobs by

@@ -10,17 +10,22 @@ stand as the sqlite engine's equivalence oracle.
 
 Contract notes:
 
+* a write reaches an engine column-wise (:data:`Batch`): the table, the
+  column names once, then one value sequence per row in their order.
+  A row reads back as ``dict(zip(columns, values))`` with ``_id`` last,
+  so a name given twice keeps its first place and its last value, as a
+  dict built from the pairs would;
 * ``_id`` is one monotonically increasing sequence shared by all
-  tables, starting at 1 — exactly the original dict-of-lists behavior;
+  tables, starting at 1;
   an engine whose rows outlive the process (a sqlite file) continues
   after the largest ``_id`` it holds when it is opened again;
 * every write is one ``insert_batches`` call: one or more tables'
   batches in one transaction, all-or-nothing on every engine — every
   row is prepared before the first is stored, so a write that raises
   leaves the tables, the indexes and the id sequence as they were and a
-  retry cannot store its first rows twice.  ``insert_batches`` keeps the
-  dicts it is given as the stored rows (stamping ``_id`` into each);
-  ``insert``/``insert_many`` store copies;
+  retry cannot store its first rows twice.  No engine writes into what
+  it is given: ``insert``/``insert_many`` turn dict rows into batches
+  (:func:`dict_batches`) and the caller's dicts stay as they were;
 * ``scan``/``lookup`` return fresh dict copies in insertion order, so
   callers can never mutate stored rows through a result set;
 * ``lookup(table, column, value)`` is the index path: for the declared
@@ -37,6 +42,7 @@ Contract notes:
 
 from __future__ import annotations
 
+from itertools import chain, groupby
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._jsontext import compact_encoder
@@ -59,13 +65,21 @@ INDEXED_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "requests": ("domain", "user_id", "job_id"),
 }
 
+#: one table's rows as a write hands them to an engine:
+#: ``(table, columns, rows)`` — the column names once, then one value
+#: sequence per row in their order
+Batch = Tuple[str, Sequence[str], Sequence[Sequence[Any]]]
+
 __all__ = [
+    "Batch",
     "INDEXED_COLUMNS",
     "StorageBackend",
     "TABLES",
     "compact_json",
+    "dict_batches",
     "indexable_scalar",
     "join_json_arrays",
+    "last_position",
     "make_backend",
 ]
 
@@ -102,6 +116,27 @@ def indexable_scalar(value: Any) -> bool:
     return isinstance(value, (str, int, float))
 
 
+def dict_batches(table: str, rows: Iterable[Dict[str, Any]]) -> List[Batch]:
+    """Dict rows as column-wise batches of ``table``: one per run of
+    consecutive rows with the same keys in the same order, and one empty
+    batch for no rows, so an empty write still names its table.  A row
+    that is not a dict raises ``TypeError``."""
+    batches: List[Batch] = [
+        (table, keys, list(map(tuple, map(dict.values, run))))
+        for keys, run in groupby(rows, tuple)
+    ]
+    return batches or [(table, (), [])]
+
+
+def last_position(columns: Sequence[str], name: str) -> Optional[int]:
+    """Where a row of ``columns`` holds its value for ``name``: the last
+    place the name takes (the value a dict built from the pairs keeps),
+    or ``None`` when the row has no such column."""
+    if name not in columns:
+        return None
+    return len(columns) - 1 - tuple(reversed(columns)).index(name)
+
+
 class StorageBackend:
     """Base class + protocol of a Database server storage engine."""
 
@@ -116,25 +151,22 @@ class StorageBackend:
 
     # -- writes -----------------------------------------------------------
     def insert(self, table: str, row: Dict[str, Any]) -> int:
-        """Store a copy of one row; returns its freshly assigned ``_id``."""
-        ((row_id,),) = self.insert_batches([(table, [dict(row)])])
+        """Store one row; returns its freshly assigned ``_id``."""
+        ((row_id,),) = self.insert_batches(dict_batches(table, (row,)))
         return row_id
 
     def insert_many(self, table: str, rows: Sequence[Dict[str, Any]]) -> List[int]:
-        """Store copies of a batch of rows in one call, all of them or
-        none; returns their ``_id``\\ s."""
-        (ids,) = self.insert_batches([(table, [dict(row) for row in rows])])
-        return ids
+        """Store a batch of rows in one call, all of them or none;
+        returns their ``_id``\\ s."""
+        return list(chain.from_iterable(self.insert_batches(dict_batches(table, rows))))
 
-    def insert_batches(
-        self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
-    ) -> List[List[int]]:
-        """Store ``(table, rows)`` batches in one transaction, in order,
-        all of them or none; returns each batch's ``_id``\\ s.
+    def insert_batches(self, batches: Sequence[Batch]) -> List[List[int]]:
+        """Store ``(table, columns, rows)`` batches in one transaction, in
+        order, all of them or none; returns each batch's ``_id``\\ s.
 
-        The row dicts become the stored rows: each gets its ``_id``
-        stamped in and may be kept as it is, so a caller hands over rows
-        built for this write and does not touch them again.
+        Each stored row is its values under the batch's columns, then
+        ``_id``.  The engine keeps none of the given sequences and
+        writes into none of them.
         """
         raise NotImplementedError
 
@@ -172,6 +204,19 @@ class StorageBackend:
     def _check_table(self, table: str) -> None:
         if table not in TABLES:
             raise UnknownTable(f"unknown table {table!r}")
+
+    def _check_batch(self, table: str, columns: Sequence[str],
+                     rows: Sequence[Sequence[Any]]) -> None:
+        """Refuse a batch of an unknown table (``UnknownTable``), one with
+        something that is not a value sequence in it (``TypeError``) or
+        one whose rows do not hold one value per column (``ValueError``),
+        before the write stores anything."""
+        self._check_table(table)
+        if rows and set(map(len, rows)) != {len(columns)}:
+            raise ValueError(
+                f"a batch of {table!r} holds a row without one value for each "
+                f"of its {len(columns)} columns"
+            )
 
 
 def make_backend(

@@ -28,7 +28,9 @@ that mentions the tag is decoded, restored and re-encoded, so its
 tuples leave as lists.
 
 A write prepares every row of every batch first — ``_id``, index
-values, JSON text (tuples tagged only when the text holds an array) —
+values, JSON text (the batch's values encoded as one list and each
+value's text spliced after its column's key; tuples tagged only when
+the text holds an array) —
 and lands each table's rows as multi-row ``INSERT … VALUES (…),(…)``
 statements, as many rows to a statement as 999 bound parameters hold
 (SQLite's variable limit before 3.32, so the statements bind on any
@@ -46,15 +48,20 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from itertools import chain
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._jsontext import compact_encoder
 from repro.storage.backend import (
     INDEXED_COLUMNS,
     TABLES,
+    Batch,
     StorageBackend,
     compact_json,
     indexable_scalar,
+    last_position,
 )
 
 __all__ = ["SqliteBackend"]
@@ -69,6 +76,12 @@ _SCAN_CHUNK = 512
 #: parameters one statement binds at most: SQLite's variable limit before
 #: 3.32 (32 766 since), so every statement binds on any build
 _MAX_VARIABLES = 999
+
+#: what :data:`_encode_items` writes between a list's items: NUL, which
+#: every encoded string escapes, so a list of scalars (or of lists and
+#: dicts of one item at most) splits back into one text per item at it
+_ITEM = "\x00"
+_encode_items = compact_encoder(sort_keys=False, item_separator=_ITEM)
 
 
 def _jsonable(value: Any) -> Any:
@@ -104,6 +117,46 @@ def _decode(text: str) -> List[Dict[str, Any]]:
     if _TUPLE_TAG in text:
         return _from_jsonable(rows)
     return rows
+
+
+def _dict_text(columns: Sequence[str], values: Sequence[Any], row_id: int) -> str:
+    """A row's ``data`` text encoded from the dict its values make under
+    ``columns``, ``_id`` last, its tuples tagged if the text holds an
+    array."""
+    row = dict(zip(columns, values))
+    row["_id"] = row_id
+    text = compact_json(row)
+    if "[" in text:  # a tuple, somewhere, encodes as an array
+        text = compact_json(_jsonable(row))
+    return text
+
+
+def _row_texts(
+    columns: Sequence[str], rows: Sequence[Sequence[Any]], ids: Sequence[int]
+) -> List[str]:
+    """Each row's ``data`` text: what :func:`_dict_text` gives, built
+    without the dicts.  Every value of the batch is encoded in one list,
+    which splits at :data:`_ITEM` into one text per value unless a value
+    is a list or a dict of two or more items; each text is spliced after
+    its key.  A batch that does not split so, or whose columns are not
+    distinct strings other than ``_id``, and a row whose text holds an
+    array, take :func:`_dict_text`; so does a one-row batch (a request
+    row), which the split's fixed cost per batch would make slower."""
+    width = len(columns)
+    if (width and len(rows) > 1 and all(type(column) is str for column in columns)
+            and len(set(columns)) == width and "_id" not in columns):
+        try:
+            items = _encode_items(list(chain.from_iterable(rows)))[1:-1].split(_ITEM)
+        except RecursionError as exc:
+            raise ValueError(f"value nested too deep to encode (circular?): {exc}") from exc
+        if len(items) == width * len(rows):
+            heads = ["{" + encode_basestring_ascii(columns[0]) + ":",
+                     *("," + encode_basestring_ascii(column) + ":" for column in columns[1:])]
+            texts = ["".join(map(add, heads, items[at:at + width])) + f',"_id":{row_id}}}'
+                     for at, row_id in zip(range(0, len(items), width), ids)]
+            return [_dict_text(columns, values, row_id) if "[" in text else text
+                    for text, values, row_id in zip(texts, rows, ids)]
+    return list(map(_dict_text, repeat(columns), rows, ids))
 
 
 def _index_value(value: Any) -> Any:
@@ -180,25 +233,24 @@ class SqliteBackend(StorageBackend):
         )
 
     def _prepare(
-        self, table: str, rows: List[Dict[str, Any]], first_id: int
+        self, table: str, columns: Sequence[str], rows: Sequence[Sequence[Any]],
+        first_id: int,
     ) -> List[Any]:
-        """The INSERT parameters of ``rows``, flat — ``_id``, index
+        """The INSERT parameters of one batch, flat — ``_id``, index
         values, ``data`` for each row in turn — ids counted on from
-        ``first_id`` and stamped into the rows, touching neither the
-        sequence nor the database, so a row that cannot be encoded fails
-        its write before the first statement runs."""
-        self._check_table(table)
+        ``first_id``, touching neither the sequence nor the database, so
+        a row that cannot be encoded fails its write before the first
+        statement runs.  A row's ``data`` is the text of its values under
+        ``columns`` with ``_id`` last."""
+        self._check_batch(table, columns, rows)
         ids = range(first_id, first_id + len(rows))
-        texts = []
-        for row_id, row in zip(ids, rows):
-            row["_id"] = row_id
-            text = compact_json(row)
-            if "[" in text:  # a tuple, somewhere, encodes as an array
-                text = compact_json(_jsonable(row))
-            texts.append(text)
-        columns = [[_index_value(row.get(column)) for row in rows]
-                   for column in INDEXED_COLUMNS.get(table, ())]
-        return list(chain.from_iterable(zip(ids, *columns, texts)))
+        texts = _row_texts(columns, rows, ids)
+        index_values = []
+        for column in INDEXED_COLUMNS.get(table, ()):
+            at = last_position(columns, column)
+            index_values.append([None] * len(rows) if at is None else
+                                [_index_value(values[at]) for values in rows])
+        return list(chain.from_iterable(zip(ids, *index_values, texts)))
 
     def _insert(self, table: str, params: List[Any]) -> None:
         """Run one table's prepared parameters as multi-row ``INSERT``\\ s,
@@ -210,19 +262,19 @@ class SqliteBackend(StorageBackend):
             self._conn.execute(head + ",".join([marks] * (len(chunk) // width)), chunk)
 
     # -- writes -----------------------------------------------------------
-    def insert_batches(
-        self, batches: Sequence[Tuple[str, List[Dict[str, Any]]]]
-    ) -> List[List[int]]:
+    def insert_batches(self, batches: Sequence[Batch]) -> List[List[int]]:
         prepared = []
         ids = []
         next_id = self._next_id
-        for table, rows in batches:
-            prepared.append((table, self._prepare(table, rows, next_id)))
+        for table, columns, rows in batches:
+            prepared.append((table, self._prepare(table, columns, rows, next_id)))
             ids.append(list(range(next_id, next_id + len(rows))))
             next_id += len(rows)
         with self._conn:  # one commit, or a rollback of whatever made it leave
-            for table, params in prepared:
-                self._insert(table, params)
+            # a table's consecutive batches (dict rows with different keys)
+            # share its statements
+            for table, run in groupby(prepared, itemgetter(0)):
+                self._insert(table, list(chain.from_iterable(map(itemgetter(1), run))))
         self._next_id = next_id
         return ids
 

@@ -161,18 +161,24 @@ class TestRowBatchOnTheWire:
             for i in range(n)
         ]
 
+    @staticmethod
+    def stored(job_id, rows):
+        """The rows a memory-engine server stores for one written batch."""
+        db = DatabaseServer(backend="memory")
+        db.sp_record_responses(job_id, rows)
+        return db.scan("responses")
+
     def test_uniform_rows_cross_column_wise_and_come_back_identical(self):
-        from repro.core.database import _pack_rows, _response_rows
+        from repro.core.database import _pack_rows
 
         packed = _pack_rows(self.rows())
         assert packed["cols"] == sorted(self.rows()[0])
         assert len(packed["rows"]) == 3
         assert _pack_rows(packed) is packed  # already column-wise
-        plain = _response_rows("j1", self.through_codec(self.rows()))
-        rebuilt = _response_rows("j1", self.through_codec(packed))
-        assert rebuilt == plain
-        assert [list(row) for row in rebuilt] == [list(row) for row in plain]
-        assert list(rebuilt[0]) == ["job_id", *sorted(self.rows()[0])]
+        plain = self.stored("j1", self.through_codec(self.rows()))
+        rebuilt = self.stored("j1", self.through_codec(packed))
+        assert repr(rebuilt) == repr(plain)
+        assert list(rebuilt[0]) == ["job_id", *sorted(self.rows()[0]), "_id"]
 
     @pytest.mark.parametrize(
         "rows",
@@ -186,10 +192,12 @@ class TestRowBatchOnTheWire:
         ids=["empty", "one-column", "ragged", "other-keys", "non-string-key"],
     )
     def test_anything_else_stays_a_plain_list(self, rows):
-        from repro.core.database import _pack_rows, _response_rows
+        from repro.core.database import _pack_rows
 
         assert _pack_rows(rows) == rows
-        assert _response_rows("j1", rows) == [{"job_id": "j1", **row} for row in rows]
+        assert self.stored("j1", rows) == [
+            {"job_id": "j1", **row, "_id": i} for i, row in enumerate(rows, 1)
+        ]
 
     def test_client_and_handler_agree_through_a_transport(self):
         from repro.core.database import DatabaseClient, database_rpc_handler
@@ -210,3 +218,19 @@ class TestRowBatchOnTheWire:
             server.sp_responses_for_job("j1")
         )
         assert client.sp_responses_for_job("no-such-job") == []
+
+    @pytest.mark.parametrize("engine", ["memory", "sqlite"])
+    def test_a_row_short_of_its_columns_stores_nothing(self, engine):
+        """A column-wise batch whose rows do not each hold one value per
+        column (what a hostile or broken writer could send) is refused
+        whole: no request, no response, no id spent."""
+        db = DatabaseServer(backend=engine)
+        batch = {"cols": ["amount", "proxy_id"], "rows": [[1.5, "ipc-0"], ["ipc-1"]]}
+        with pytest.raises(ValueError):
+            db.sp_record_job("j1", "u", "http://a.example/p", "a.example", 1.0, batch)
+        with pytest.raises(ValueError):
+            db.sp_record_responses("j1", batch)
+        assert db.count("requests") == db.count("responses") == 0
+        assert db.sp_record_job("j1", "u", "http://a.example/p", "a.example", 1.0,
+                                {"cols": batch["cols"], "rows": batch["rows"][:1]}) == [1, 2]
+        db.close()

@@ -191,13 +191,31 @@ def _typed(value):
     return (type(value).__name__, repr(value))
 
 
+#: values a write repeats, within a batch and across batches (so the memory
+#: engine's string memo is exercised), among them values that are equal
+#: but not interchangeable: each must read back with its own type and sign
+_repeated = st.sampled_from(
+    ["job-0", "job-1", "EUR", "ipc-03", "1", 1, 1.0, True, 0, 0.0, -0.0, False, None]
+)
+_batches = st.lists(
+    st.sampled_from(["job_id", "value", "other", "__tuple__", "currency"]),
+    max_size=4, unique=True,
+).flatmap(lambda columns: st.tuples(
+    st.just(columns),
+    st.lists(st.lists(st.one_of(_repeated, _values),
+                      min_size=len(columns), max_size=len(columns)), max_size=5),
+))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     single=st.lists(_rows, max_size=4),
-    batch=st.lists(_rows, max_size=6),
-    doomed=st.sets(st.integers(min_value=1, max_value=10), max_size=4),
+    batches=st.lists(_batches, max_size=3),
+    doomed=st.sets(st.integers(min_value=1, max_value=40), max_size=6),
 )
-def test_any_row_reads_back_identically_from_both_engines(single, batch, doomed):
+def test_any_row_reads_back_identically_from_both_engines(single, batches, doomed):
+    """Every batch is written twice on each engine: as dict rows and
+    column-wise."""
     mem, lite = MemoryBackend(), SqliteBackend()
 
     def both(call):
@@ -206,22 +224,52 @@ def test_any_row_reads_back_identically_from_both_engines(single, batch, doomed)
         return out_mem
 
     try:
+        written = []
         for row in single:
             both(lambda b: b.insert("responses", row))
-        ids = both(lambda b: b.insert_many("responses", batch))
-        assert ids == list(range(len(single) + 1, len(single) + len(batch) + 1))
+            written.append(row)
+        for columns, rows in batches:
+            as_dicts = [dict(zip(columns, values)) for values in rows]
+            ids = both(lambda b: b.insert_many("responses", as_dicts))
+            assert ids == list(range(len(written) + 1, len(written) + len(rows) + 1))
+            written += as_dicts
+            (ids,) = both(lambda b: b.insert_batches([("responses", columns, rows)]))
+            assert ids == list(range(len(written) + 1, len(written) + len(rows) + 1))
+            written += as_dicts
         stored = both(lambda b: b.scan("responses"))
-        assert _typed([{**row, "_id": i + 1} for i, row in enumerate(single + batch)]) \
-            == _typed(stored)
-        for job in ("job-0", "job-1", "job-2", "__tuple__"):
-            both(lambda b: b.lookup("responses", "job_id", job))
+        expected = [{**row, "_id": i} for i, row in enumerate(written, 1)]
+        assert _typed(expected) == _typed(stored)
+        assert [data for (data,) in lite._conn.execute(
+            "SELECT data FROM responses ORDER BY _id")] \
+            == [REFERENCE_COMPACT(sqlite_engine._jsonable(row)) for row in expected]
+        for key in ("job-0", "job-1", "job-2", "__tuple__", "1", 1, True, -0.0):
+            both(lambda b: b.lookup("responses", "job_id", key))
+            assert mem.lookup_json("responses", "job_id", key) \
+                == lite.lookup_json("responses", "job_id", key)
         both(lambda b: b.lookup("responses", "value", "__tuple__"))  # off-index
         both(lambda b: b.delete_rows("responses", sorted(doomed)))
         both(lambda b: b.scan("responses"))
+        both(lambda b: b.lookup("responses", "job_id", "job-0"))
         assert both(lambda b: b.insert_many("requests", [])) == []
-        assert both(lambda b: b.insert("requests", {})) == len(single) + len(batch) + 1
+        assert both(lambda b: b.insert("requests", {})) == len(written) + 1
     finally:
         lite.close()
+
+
+@pytest.mark.parametrize("engine", [MemoryBackend, SqliteBackend])
+def test_equal_values_of_other_types_read_back_as_written(engine):
+    """One column holding values equal to each other (``True == 1 ==
+    1.0``, ``0.0 == -0.0``) and an equal-looking string: none stands in
+    for another, whether the write is column-wise or dict rows."""
+    column = [True, 1, 1.0, 0.0, -0.0, False, 0, "1", 1, True, -0.0, "1"]
+    backend = engine()
+    backend.insert_batches([("responses", ("job_id", "v"),
+                             [("j", value) for value in column])])
+    backend.insert_many("responses", [{"job_id": "j", "v": value} for value in column])
+    got = [row["v"] for row in backend.lookup("responses", "job_id", "j")]
+    assert _typed(got) == _typed(column * 2)
+    assert [repr(row["v"]) for row in backend.scan("responses")] == list(map(repr, column * 2))
+    backend.close()
 
 
 def test_scan_decodes_across_the_chunk_boundary():
@@ -364,11 +412,32 @@ class TestWritePath:
         lite.insert_many("responses", rows)
         assert len([s for s in ran if s.startswith("INSERT")]) == 1
         ran.clear()
-        lite.insert_batches([("requests", [{"job_id": "j2", "domain": "a.example"}]),
-                             ("responses", [dict(row, job_id="j2") for row in rows])])
+        lite.insert_batches([("requests", ("job_id", "domain"), [("j2", "a.example")]),
+                             ("responses", ("job_id", "proxy_id", "amount"),
+                              [("j2", row["proxy_id"], row["amount"]) for row in rows])])
         assert [s.split(" (")[0] for s in ran if s.startswith("INSERT")] \
             == ["INSERT INTO requests", "INSERT INTO responses"]
         assert len(lite.lookup("responses", "job_id", "j2")) == 36
+        lite.close()
+
+    @pytest.mark.parametrize("columns, values", [
+        (("a", "b"), ("x\x00y", {"k\x00": ["\x00"]})),
+        (("a", "b", "c"), ([5], {"one": 1}, [])),
+        (("a", "b"), ({"one": 1, "two": 2.5}, "x")),
+        (("a", "a", "b"), (1, 2, 3)),
+        (("_id", "a"), (99, "x")),
+        ((1, "a", None, 2.5, True), ("one", "a", "none", "f", "t")),
+        ((), ()),
+    ], ids=["nul", "one-item", "two-items", "repeated", "own-id", "non-str", "no-columns"])
+    def test_a_row_text_is_its_dicts_json(self, columns, values):
+        """A row's ``data`` is the text ``json`` writes for the dict its
+        values make (``_id`` last, tuples tagged), however the engine built
+        it."""
+        lite = SqliteBackend()
+        lite.insert_batches([("responses", columns, [values])])
+        (stored,) = lite._conn.execute("SELECT data FROM responses").fetchone()
+        row = dict(zip((*columns, "_id"), (*values, 1)))
+        assert stored == REFERENCE_COMPACT(sqlite_engine._jsonable(row))
         lite.close()
 
     def test_delete_across_chunks_matches_the_memory_engine(self):

@@ -1,5 +1,6 @@
 """Unit tests for the storage engines behind the Database server."""
 
+import copy
 
 import pytest
 
@@ -101,15 +102,20 @@ class TestBackendContract:
 class TestAtomicBatch:
     """``insert_many`` stores the whole batch or nothing: a batch that
     fails leaves the table, the indexes and the id sequence exactly as
-    they were, so the caller's retry cannot duplicate its first rows."""
+    they were, so the caller's retry cannot duplicate its first rows.
+    No engine writes into what it is given, whether the write fails or
+    not."""
 
     GOOD = [{"job_id": "j", "n": 1}, {"job_id": "j", "n": 2}]
 
     def _fails_whole(self, backend, bad_row, error):
         backend.insert("responses", {"job_id": "j", "n": 0})
         before = backend.scan("responses")
+        rows = [dict(row) for row in self.GOOD] + [bad_row]
+        given = copy.deepcopy(rows)
         with pytest.raises(error):
-            backend.insert_many("responses", self.GOOD + [bad_row])
+            backend.insert_many("responses", rows)
+        assert rows == given
         # an unrelated write commits whatever the failed batch left open
         assert backend.insert("requests", {"domain": "a.example"}) == 2
         assert backend.count("responses") == 1
@@ -117,7 +123,8 @@ class TestAtomicBatch:
         assert backend.lookup("responses", "job_id", "j") == before
         assert [r["_id"] for r in backend.lookup("requests", "domain", "a.example")] == [2]
         # the retry of the good rows stores each once, on the next ids
-        assert backend.insert_many("responses", self.GOOD) == [3, 4]
+        assert backend.insert_many("responses", rows[:-1]) == [3, 4]
+        assert rows[:-1] == self.GOOD
         assert [r["n"] for r in backend.lookup("responses", "job_id", "j")] \
             == [0, 1, 2]
         assert [r["_id"] for r in backend.scan("responses")] == [1, 3, 4]
@@ -138,34 +145,39 @@ class TestAtomicBatch:
         self._fails_whole(backend, {"job_id": 2**70}, OverflowError)
         backend.close()
 
-    def _write_fails_whole(self, backend, bad_batch, error):
-        """``insert_batches`` over two tables: the first batch's rows are
-        stamped (on sqlite, inserted) before the second one fails."""
+    def _write_fails_whole(self, backend, bad_rows, error):
+        """``insert_batches`` over two tables: the first batch is
+        prepared (on sqlite, inserted) before the second one fails.  The
+        value rows are lists, so an engine writing into them would show."""
         backend.insert("requests", {"job_id": "j0", "domain": "a.example"})
         before = backend.scan("requests")
+        write = [("requests", ["job_id", "domain"], [["j1", "b.example"]]),
+                 ("responses", ["job_id"], bad_rows)]
+        given = copy.deepcopy(write)
         with pytest.raises(error):
-            backend.insert_batches([
-                ("requests", [{"job_id": "j1", "domain": "b.example"}]),
-                ("responses", bad_batch),
-            ])
+            backend.insert_batches(write)
+        assert write == given
         assert backend.scan("requests") == before
         assert backend.count("responses") == 0
         assert backend.lookup("requests", "job_id", "j1") == []
         assert [r["_id"] for r in backend.lookup("requests", "domain", "a.example")] == [1]
         assert backend.lookup("requests", "domain", "b.example") == []
-        assert backend.insert_batches([
-            ("requests", [{"job_id": "j1"}]),
-            ("responses", [{"job_id": "j1"}, {"job_id": "j1"}]),
-        ]) == [[2], [3, 4]]
+        retry = [("requests", ["job_id"], [["j1"]]),
+                 ("responses", ["job_id"], [["j1"], ["j1"]])]
+        given = copy.deepcopy(retry)
+        assert backend.insert_batches(retry) == [[2], [3, 4]]
+        assert retry == given
         assert [r["_id"] for r in backend.lookup("responses", "job_id", "j1")] == [3, 4]
 
     def test_write_with_something_that_is_not_a_row(self, backend):
-        self._write_fails_whole(backend, [{"job_id": "j1"}, "not a row"], TypeError)
+        self._write_fails_whole(backend, [["j1"], None], TypeError)
+
+    def test_write_with_a_row_short_of_its_columns(self, backend):
+        self._write_fails_whole(backend, [["j1"], []], ValueError)
 
     def test_write_the_statement_refuses_part_way(self):
         backend = SqliteBackend()
-        self._write_fails_whole(backend, [{"job_id": "j1"}, {"job_id": 2**70}],
-                                OverflowError)
+        self._write_fails_whole(backend, [["j1"], [2**70]], OverflowError)
         backend.close()
 
     def test_empty_batch(self, backend):
