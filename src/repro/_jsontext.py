@@ -16,8 +16,8 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
 
-def compact_encoder(sort_keys: bool, item_separator: str = ",") -> Callable[[Any], str]:
-    """``json.JSONEncoder(separators=(item_separator, ":"), sort_keys=sort_keys).encode``
+def compact_encoder(sort_keys: bool) -> Callable[[Any], str]:
+    """``json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys).encode``
     with its C encoder built once, here, instead of on every call.
 
     The text is the same byte for byte, and so is the ``TypeError`` of a
@@ -27,7 +27,7 @@ def compact_encoder(sort_keys: bool, item_separator: str = ",") -> Callable[[Any
     caller maps.  Where the C accelerator is missing this is
     ``JSONEncoder.encode`` itself.
     """
-    reference = json.JSONEncoder(separators=(item_separator, ":"), sort_keys=sort_keys)
+    reference = json.JSONEncoder(separators=(",", ":"), sort_keys=sort_keys)
     if c_make_encoder is None:
         return reference.encode
     encoder = c_make_encoder(

@@ -41,7 +41,7 @@ default, as the paper's $heriff runs one MySQL node.
 from __future__ import annotations
 
 import threading
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -52,6 +52,7 @@ from repro.storage.backend import (
     TABLES,
     Batch,
     StorageBackend,
+    dict_batches,
     last_position,
     make_backend,
 )
@@ -271,15 +272,15 @@ def _pack_rows(rows: RowBatch) -> RowBatch:
 def _response_batches(job_id: str, rows: RowBatch) -> List[Batch]:
     """The ``responses`` batches a write hands the engine: the rows
     column-wise with ``job_id`` in front — a column-wise batch as it
-    arrived (its ``cols`` in their sorted order), dict rows one batch per
-    run of rows with the same keys (as :func:`dict_batches` cuts them) —
-    and no row dict built."""
+    arrived (its ``cols`` in their sorted order), dict rows as
+    :func:`dict_batches` cuts them — and no row dict built."""
     if isinstance(rows, dict):
-        return [("responses", ("job_id", *rows["cols"]),
-                 [(job_id, *values) for values in rows["rows"]])]
+        batches = [("responses", rows["cols"], rows["rows"])]
+    else:
+        batches = dict_batches("responses", rows)
     return [
-        ("responses", ("job_id", *keys), [(job_id, *dict.values(row)) for row in run])
-        for keys, run in groupby(rows, tuple)
+        (table, ("job_id", *columns), [(job_id, *values) for values in run])
+        for table, columns, run in batches
     ]
 
 

@@ -107,16 +107,17 @@ class MemoryBackend(StorageBackend):
     def insert_batches(self, batches: Sequence[Batch]) -> List[List[int]]:
         # check every batch, then build and land them: a write that names
         # an unknown table or holds something that is not a row fails with
-        # the tables, the indexes, the memo and the id sequence untouched
-        shapes = []
+        # the tables, the indexes, the shapes, the memo and the id sequence
+        # untouched
         for table, columns, rows in batches:
             self._check_batch(table, columns, rows)
-            shape = (*columns, "_id")
-            shapes.append(self._shapes.setdefault(shape, shape))
         next_id = self._next_id
         ids: List[List[int]] = []
         built: List[List[Row]] = []
-        for (_, _, rows), shape in zip(batches, shapes):
+        for _, columns, rows in batches:
+            shape = (*columns, "_id")
+            if rows:  # the shape table holds the shapes of stored rows only
+                shape = self._shapes.setdefault(shape, shape)
             batch_ids = range(next_id, next_id + len(rows))
             values = zip(*map(self._share, zip(*rows)), batch_ids)
             built.append(list(zip(repeat(shape), values)))

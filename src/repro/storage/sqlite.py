@@ -28,10 +28,9 @@ that mentions the tag is decoded, restored and re-encoded, so its
 tuples leave as lists.
 
 A write prepares every row of every batch first — ``_id``, index
-values, JSON text (the batch's values encoded as one list and each
-value's text spliced after its column's key; tuples tagged only when
-the text holds an array) —
-and lands each table's rows as multi-row ``INSERT … VALUES (…),(…)``
+values, JSON text (the dict its values make under the batch's columns,
+``_id`` last; tuples tagged only when the text holds an array) — and
+lands each table's rows as multi-row ``INSERT … VALUES (…),(…)``
 statements, as many rows to a statement as 999 bound parameters hold
 (SQLite's variable limit before 3.32, so the statements bind on any
 build; a price check's 36 responses are one statement), and one
@@ -49,11 +48,9 @@ from __future__ import annotations
 import json
 import sqlite3
 from itertools import chain, groupby, repeat
-from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro._jsontext import compact_encoder
 from repro.storage.backend import (
     INDEXED_COLUMNS,
     TABLES,
@@ -76,12 +73,6 @@ _SCAN_CHUNK = 512
 #: parameters one statement binds at most: SQLite's variable limit before
 #: 3.32 (32 766 since), so every statement binds on any build
 _MAX_VARIABLES = 999
-
-#: what :data:`_encode_items` writes between a list's items: NUL, which
-#: every encoded string escapes, so a list of scalars (or of lists and
-#: dicts of one item at most) splits back into one text per item at it
-_ITEM = "\x00"
-_encode_items = compact_encoder(sort_keys=False, item_separator=_ITEM)
 
 
 def _jsonable(value: Any) -> Any:
@@ -129,34 +120,6 @@ def _dict_text(columns: Sequence[str], values: Sequence[Any], row_id: int) -> st
     if "[" in text:  # a tuple, somewhere, encodes as an array
         text = compact_json(_jsonable(row))
     return text
-
-
-def _row_texts(
-    columns: Sequence[str], rows: Sequence[Sequence[Any]], ids: Sequence[int]
-) -> List[str]:
-    """Each row's ``data`` text: what :func:`_dict_text` gives, built
-    without the dicts.  Every value of the batch is encoded in one list,
-    which splits at :data:`_ITEM` into one text per value unless a value
-    is a list or a dict of two or more items; each text is spliced after
-    its key.  A batch that does not split so, or whose columns are not
-    distinct strings other than ``_id``, and a row whose text holds an
-    array, take :func:`_dict_text`; so does a one-row batch (a request
-    row), which the split's fixed cost per batch would make slower."""
-    width = len(columns)
-    if (width and len(rows) > 1 and all(type(column) is str for column in columns)
-            and len(set(columns)) == width and "_id" not in columns):
-        try:
-            items = _encode_items(list(chain.from_iterable(rows)))[1:-1].split(_ITEM)
-        except RecursionError as exc:
-            raise ValueError(f"value nested too deep to encode (circular?): {exc}") from exc
-        if len(items) == width * len(rows):
-            heads = ["{" + encode_basestring_ascii(columns[0]) + ":",
-                     *("," + encode_basestring_ascii(column) + ":" for column in columns[1:])]
-            texts = ["".join(map(add, heads, items[at:at + width])) + f',"_id":{row_id}}}'
-                     for at, row_id in zip(range(0, len(items), width), ids)]
-            return [_dict_text(columns, values, row_id) if "[" in text else text
-                    for text, values, row_id in zip(texts, rows, ids)]
-    return list(map(_dict_text, repeat(columns), rows, ids))
 
 
 def _index_value(value: Any) -> Any:
@@ -244,7 +207,7 @@ class SqliteBackend(StorageBackend):
         ``columns`` with ``_id`` last."""
         self._check_batch(table, columns, rows)
         ids = range(first_id, first_id + len(rows))
-        texts = _row_texts(columns, rows, ids)
+        texts = list(map(_dict_text, repeat(columns), rows, ids))
         index_values = []
         for column in INDEXED_COLUMNS.get(table, ()):
             at = last_position(columns, column)

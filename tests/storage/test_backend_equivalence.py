@@ -210,12 +210,15 @@ _batches = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(
     single=st.lists(_rows, max_size=4),
+    mixed=st.lists(_rows, max_size=6),
     batches=st.lists(_batches, max_size=3),
-    doomed=st.sets(st.integers(min_value=1, max_value=40), max_size=6),
+    doomed=st.sets(st.integers(min_value=1, max_value=46), max_size=6),
 )
-def test_any_row_reads_back_identically_from_both_engines(single, batches, doomed):
-    """Every batch is written twice on each engine: as dict rows and
-    column-wise."""
+def test_any_row_reads_back_identically_from_both_engines(single, mixed, batches, doomed):
+    """Single rows, one write of rows with different keys (one batch per
+    run of rows with the same keys, several row shapes in one table),
+    then every column-wise batch written twice on each engine: as dict
+    rows and as it is."""
     mem, lite = MemoryBackend(), SqliteBackend()
 
     def both(call):
@@ -228,6 +231,9 @@ def test_any_row_reads_back_identically_from_both_engines(single, batches, doome
         for row in single:
             both(lambda b: b.insert("responses", row))
             written.append(row)
+        ids = both(lambda b: b.insert_many("responses", mixed))
+        assert ids == list(range(len(written) + 1, len(written) + len(mixed) + 1))
+        written += mixed
         for columns, rows in batches:
             as_dicts = [dict(zip(columns, values)) for values in rows]
             ids = both(lambda b: b.insert_many("responses", as_dicts))
@@ -420,15 +426,29 @@ class TestWritePath:
         assert len(lite.lookup("responses", "job_id", "j2")) == 36
         lite.close()
 
+    def test_rows_with_different_keys_are_one_insert(self):
+        """A dict write whose rows have different keys reaches the engine
+        as one batch per run of rows with the same keys; a table's
+        consecutive batches still share one ``INSERT``."""
+        lite = SqliteBackend()
+        ran = _statements(lite)
+        rows = [{"job_id": "j1", "a": 1}, {"job_id": "j1", "a": 2},
+                {"job_id": "j1", "b": "x"}, {"a": 3, "job_id": "j1"},
+                {"job_id": "j1", "a": 4}]
+        assert lite.insert_many("responses", rows) == [1, 2, 3, 4, 5]
+        assert [s.split(" (")[0] for s in ran if s.startswith("INSERT")] \
+            == ["INSERT INTO responses"]
+        assert lite.scan("responses") == [{**row, "_id": i} for i, row in enumerate(rows, 1)]
+        lite.close()
+
     @pytest.mark.parametrize("columns, values", [
         (("a", "b"), ("x\x00y", {"k\x00": ["\x00"]})),
-        (("a", "b", "c"), ([5], {"one": 1}, [])),
-        (("a", "b"), ({"one": 1, "two": 2.5}, "x")),
+        (("a", "b"), ((1, ("x",)), {"one": 1, "two": 2.5})),
         (("a", "a", "b"), (1, 2, 3)),
         (("_id", "a"), (99, "x")),
         ((1, "a", None, 2.5, True), ("one", "a", "none", "f", "t")),
         ((), ()),
-    ], ids=["nul", "one-item", "two-items", "repeated", "own-id", "non-str", "no-columns"])
+    ], ids=["nul", "nested", "repeated", "own-id", "non-str", "no-columns"])
     def test_a_row_text_is_its_dicts_json(self, columns, values):
         """A row's ``data`` is the text ``json`` writes for the dict its
         values make (``_id`` last, tuples tagged), however the engine built

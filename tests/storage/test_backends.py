@@ -148,15 +148,20 @@ class TestAtomicBatch:
     def _write_fails_whole(self, backend, bad_rows, error):
         """``insert_batches`` over two tables: the first batch is
         prepared (on sqlite, inserted) before the second one fails.  The
-        value rows are lists, so an engine writing into them would show."""
+        value rows are lists, so an engine writing into them would show.
+        The first batch's shape is new to the engine, and the memory
+        engine's shape table and string memo keep nothing of it."""
         backend.insert("requests", {"job_id": "j0", "domain": "a.example"})
         before = backend.scan("requests")
-        write = [("requests", ["job_id", "domain"], [["j1", "b.example"]]),
+        held = (dict(getattr(backend, "_shapes", {})), dict(getattr(backend, "_strings", {})))
+        write = [("requests", ["job_id", "domain", "referrer"],
+                  [["j1", "b.example", "c.example"]]),
                  ("responses", ["job_id"], bad_rows)]
         given = copy.deepcopy(write)
         with pytest.raises(error):
             backend.insert_batches(write)
         assert write == given
+        assert (getattr(backend, "_shapes", {}), getattr(backend, "_strings", {})) == held
         assert backend.scan("requests") == before
         assert backend.count("responses") == 0
         assert backend.lookup("requests", "job_id", "j1") == []
@@ -183,6 +188,9 @@ class TestAtomicBatch:
     def test_empty_batch(self, backend):
         assert backend.insert_many("responses", []) == []
         assert backend.insert("responses", {"job_id": "j"}) == 1
+        held = dict(getattr(backend, "_shapes", {}))
+        assert backend.insert_batches([("responses", ("job_id", "note"), [])]) == [[]]
+        assert getattr(backend, "_shapes", {}) == held  # no row, no shape
         with pytest.raises(UnknownTable):
             backend.insert_many("nope", [])
 
