@@ -19,32 +19,48 @@ against the slot it replaces — so a page without tags costs what a
 line diff of the whole page costs.  Reconstruction is exact, and the
 ablation benchmark reports the saving.
 
-The reference is kept as its page text.  Its cut and the alignments
-live only while its job is the *open* one (the job stored to last):
-jobs may interleave, and losing that state costs a re-alignment, never
-correctness — a stored diff names reference units, which
-``split_tags`` gives again whenever they are needed.
+Only the *open* job — the job stored to last — is held as live
+objects: its reference, its records and its aliases, and, while it
+stays open, the reference's cut and alignments.  Every other job is
+*sealed*: one immutable ``bytes``, ``zlib`` over ``marshal.dumps((
+reference, records, aliases))``, which packs a job's ~35 records and its
+reference page together.  The close step is the next job's
+:meth:`DiffStorage.store_reference`: a check's fan-out stores all of its
+pages inside one ``MeasurementServer._execute``, which opens with its
+job's reference, so a job is written whole before the next one opens.
+A write to a sealed job (a failover re-run, or jobs that interleave)
+reopens it and seals the job that was open: interleaving costs a
+reseal and a re-alignment, never correctness — a stored diff names
+reference units, which ``split_tags`` gives again whenever they are
+needed.  Reads of a sealed job go through a one-job read cache, so the
+readers of one sealed job pay one decompress between them.  A job's
+reference is stored once: storing another page as its reference raises
+:class:`ValueError`, since its records name units of the first.
 
 A page the caller knows to be byte-identical to one stored before — a
 page-cache hit, the same IPC page read by several checks of a burst —
 is stored as an *alias* of that earlier diff (:meth:`DiffStorage.
 store_alias`): no cut, no alignment, no diff against its own job's
-reference.  An alias holds the stored record and the reference it was
-made against, never another alias, so ``restore`` gives the exact page
-even if the target's name is stored again later.  It costs 0 stored
-chars; ``naive_chars_seen`` still counts the page.
+reference.  An alias holds, in its own job, a copy of the stored record
+and of the reference it was made against, never another alias, so every
+sealed job restores on its own and ``restore`` gives the exact page even
+if the target's name is stored again later.  It costs 0 stored chars;
+``naive_chars_seen`` still counts the page.
 
 A stored page is one immutable in-process record: ``marshal.dumps`` of
-its size and the runs, gaps and substitutions it restores from, one
-``bytes`` object instead of a tree of tuples and strings.  ``marshal``
-is a C codec that round-trips tuples and lone surrogates; a record is
-never loaded from outside the process.
+its size, the runs, gaps and substitutions it restores from, and the
+number of the write that made it, one ``bytes`` object instead of a tree
+of tuples and strings; the number tells a page's own record from an
+equal one stored under another name.  ``marshal`` is a C codec that
+round-trips tuples and lone surrogates; neither a record nor a sealed
+job is ever loaded from outside the process.
 """
 
 from __future__ import annotations
 
 import difflib
 import marshal
+import zlib
 from itertools import compress
 from operator import ne
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -57,12 +73,24 @@ from repro.web.html import split_tags
 #: lines cost it a second), and pages come from untrusted peers.
 ALIGN_CELLS_MAX = 250_000
 
+#: the ``zlib`` level a job is sealed at.  On one core of a shared
+#: 2-vCPU VM, level 1 packs a ``live_mix`` job's ~9.9 KB of ``marshal``
+#: into ~2.1 KB in ~95 µs; level 3 packs ~10 % tighter for ~5 % more
+#: time on a ``burst_shared`` job, level 6 ~17 % tighter in twice the time
+SEAL_LEVEL = 1
+
 #: aligned stretches ``(a index, b index, length)``, in order
 _Blocks = List[Tuple[int, int, int]]
 
 #: a multi-line slot against the slot it replaces: ``(lo, hi)`` copies
 #: those lines of the old slot, a string is inserted as it is
 _LineOps = Tuple[Union[Tuple[int, int], str], ...]
+
+#: an alias: the reference and the record it restores from
+_Alias = Tuple[str, bytes]
+
+#: what a job stores: its reference, proxy → record, proxy → alias
+_StoredJob = Tuple[str, Dict[str, bytes], Dict[str, _Alias]]
 
 
 def _mismatch(xs, ys, limit: int) -> int:
@@ -110,20 +138,36 @@ def _slot_diff(old: str, new: str) -> Tuple[Union[str, _LineOps], int]:
 
 
 class _OpenJob:
-    """The reference being diffed against, cut once, and its alignments."""
+    """The job stored to last, as live objects, with its reference's cut
+    and alignments once something asked for them."""
 
-    __slots__ = ("job_id", "tags", "texts", "alignments")
+    __slots__ = ("job_id", "reference", "diffs", "aliases", "tags", "texts", "alignments")
 
-    def __init__(self, job_id: str, reference: str) -> None:
-        parts = split_tags(reference)[0]
+    def __init__(
+        self, job_id: str, reference: str, diffs: Dict[str, bytes],
+        aliases: Dict[str, _Alias],
+    ) -> None:
         self.job_id = job_id
+        self.reference = reference
+        #: proxy → ``marshal.dumps((size, runs, gaps, subs, write))``
+        self.diffs = diffs
+        #: proxy → ``(reference, record)`` it restores from; a proxy is
+        #: in ``diffs`` or here, never in both
+        self.aliases = aliases
+        self.tags: Optional[List[str]] = None
+        self.texts: List[str] = []
+        #: skeleton → ``(runs to store, [(reference unit, page unit,
+        #: length, the reference's texts there)])``
+        self.alignments: Dict[str, Tuple[tuple, list]] = {}
+
+    def cut(self) -> None:
+        """Cut the reference afresh and forget the alignments."""
+        parts = split_tags(self.reference)[0]
         #: a closing sentinel pairs the text after the last tag with the
         #: other page's; no tag is the empty string
         self.tags = parts[1::2] + [""]
         self.texts = parts[::2]
-        #: skeleton → ``(runs to store, [(reference unit, page unit,
-        #: length, the reference's texts there)])``
-        self.alignments: Dict[str, Tuple[tuple, list]] = {}
+        self.alignments = {}
 
     def align(self, skeleton: str, parts: List[str]) -> Tuple[tuple, list]:
         alignment = self.alignments.get(skeleton)
@@ -135,41 +179,95 @@ class _OpenJob:
             )
         return alignment
 
+    def forget(self, proxy_id: str) -> int:
+        """Drop what ``proxy_id`` names; the size of a diff it held."""
+        self.aliases.pop(proxy_id, None)
+        record = self.diffs.pop(proxy_id, None)
+        return 0 if record is None else marshal.loads(record)[0]
+
+    def seal(self) -> bytes:
+        return zlib.compress(
+            marshal.dumps((self.reference, self.diffs, self.aliases)), SEAL_LEVEL
+        )
+
 
 class DiffStorage:
     """Per-job reference page plus per-proxy diffs."""
 
     def __init__(self) -> None:
-        self._reference: Dict[str, str] = {}
-        #: ``(job, proxy)`` → ``marshal.dumps((size, runs, gaps, subs))``
-        self._diffs: Dict[Tuple[str, str], bytes] = {}
-        #: ``(job, proxy)`` → ``(reference, record)`` it restores from;
-        #: a name is in ``_diffs`` or here, never in both
-        self._aliases: Dict[Tuple[str, str], Tuple[str, bytes]] = {}
+        #: the job stored to last, the one held as live objects
         self._open: Optional[_OpenJob] = None
+        #: every other job: ``_OpenJob.seal()`` of it
+        self._sealed: Dict[str, bytes] = {}
+        #: the sealed job read last, decoded: ``(job, stored job)``
+        self._read_cache: Optional[Tuple[str, _StoredJob]] = None
+        #: the number of the last ``store_response``
+        self._writes = 0
         #: the references' lengths plus every record's size
         self._stored_chars = 0
         #: what storing every page verbatim would have cost (ablation)
         self.naive_chars_seen = 0
 
+    # -- jobs -------------------------------------------------------------
+    def _stored(self, job_id: str) -> Optional[_StoredJob]:
+        """What ``job_id`` stores, open or sealed; None for no such job."""
+        job = self._open
+        if job is not None and job.job_id == job_id:
+            return job.reference, job.diffs, job.aliases
+        cached = self._read_cache
+        if cached is None or cached[0] != job_id:
+            sealed = self._sealed.get(job_id)
+            if sealed is None:
+                return None
+            cached = self._read_cache = (job_id, marshal.loads(zlib.decompress(sealed)))
+        return cached[1]
+
+    def _reopen(self, job_id: str) -> _OpenJob:
+        """Make a stored job the open one, sealing the job that was."""
+        job = self._open
+        if job is not None and job.job_id == job_id:
+            return job
+        stored = self._stored(job_id)
+        if stored is None:
+            raise KeyError(f"no reference page stored for job {job_id!r}")
+        self._read_cache = None  # its dicts are the open job's now
+        del self._sealed[job_id]
+        return self._open_next(_OpenJob(job_id, *stored))
+
+    def _open_next(self, job: _OpenJob) -> _OpenJob:
+        """Seal the open job and make ``job`` the open one."""
+        if self._open is not None:
+            self._sealed[self._open.job_id] = self._open.seal()
+        self._open = job
+        return job
+
     # -- writes ----------------------------------------------------------
     def store_reference(self, job_id: str, html: str) -> None:
-        """Store the initiator's page verbatim (the diff baseline)."""
-        self._stored_chars += len(html) - len(self._reference.get(job_id, ""))
-        self._reference[job_id] = html
-        self._open = _OpenJob(job_id, html)
+        """Store the initiator's page verbatim (the diff baseline).
+
+        Storing a job's reference again is a no-op but for
+        ``naive_chars_seen``; another page raises :class:`ValueError`
+        and stores nothing.
+        """
+        stored = self._stored(job_id)
+        if stored is None:
+            job = self._open_next(_OpenJob(job_id, html, {}, {}))
+            self._stored_chars += len(html)
+        elif stored[0] != html:
+            raise ValueError(f"job {job_id!r} has another reference page stored")
+        else:
+            job = self._reopen(job_id)
+        job.cut()
         self.naive_chars_seen += len(html)
 
     def store_response(self, job_id: str, proxy_id: str, html: str) -> int:
         """Store a proxy's page as a diff; returns the stored size (chars)."""
-        if job_id not in self._reference:
-            raise KeyError(f"no reference page stored for job {job_id!r}")
+        job = self._reopen(job_id)
         self.naive_chars_seen += len(html)
-        job = self._open
-        if job is None or job.job_id != job_id:
+        if job.tags is None:
             # cut the reference before the page: the extractor asks for
             # this page's cut next
-            job = self._open = _OpenJob(job_id, self._reference[job_id])
+            job.cut()
         parts, skeleton = split_tags(html)
         texts = parts[::2]
         runs, aligned = job.align(skeleton, parts)
@@ -184,10 +282,9 @@ class DiffStorage:
                 subs.append((ref_lo + k, stored))
                 size += cost
             end = lo + n
-        key = (job_id, proxy_id)
-        self._forget(key)
-        self._diffs[key] = marshal.dumps((size, runs, gaps, subs))
-        self._stored_chars += size
+        self._stored_chars += size - job.forget(proxy_id)
+        self._writes += 1
+        job.diffs[proxy_id] = marshal.dumps((size, runs, gaps, subs, self._writes))
         return size
 
     def store_alias(
@@ -200,43 +297,39 @@ class DiffStorage:
         to the diff it aliases.  Raises :class:`KeyError` when this job
         has no reference or ``target`` is not stored here.
         """
-        if job_id not in self._reference:
-            raise KeyError(f"no reference page stored for job {job_id!r}")
-        alias = self._aliases.get(target)
+        stored = self._stored(target[0])
+        if stored is None:
+            raise KeyError(f"no diff stored for {target!r}")
+        reference, diffs, aliases = stored
+        alias = aliases.get(target[1])
         if alias is None:
-            record = self._diffs.get(target)
+            record = diffs.get(target[1])
             if record is None:
                 raise KeyError(f"no diff stored for {target!r}")
-            alias = (self._reference[target[0]], record)
+            alias = (reference, record)
+        job = self._reopen(job_id)
         self.naive_chars_seen += len(html)
-        key = (job_id, proxy_id)
-        if self._diffs.get(key) is alias[1]:
+        if job.diffs.get(proxy_id) == alias[1]:
             return  # a re-run job reading its own stored page
-        self._forget(key)
-        self._aliases[key] = alias
-
-    def _forget(self, key: Tuple[str, str]) -> None:
-        """Drop what ``key`` names; a diff's size leaves the total."""
-        self._aliases.pop(key, None)
-        record = self._diffs.pop(key, None)
-        if record is not None:
-            self._stored_chars -= marshal.loads(record)[0]
+        self._stored_chars -= job.forget(proxy_id)
+        job.aliases[proxy_id] = alias
 
     # -- reads --------------------------------------------------------------
 
     def restore(self, job_id: str, proxy_id: str) -> str:
         """Reconstruct a proxy's full page from its stored diff."""
-        ref = self._reference.get(job_id)
-        if ref is None:
+        stored = self._stored(job_id)
+        if stored is None:
             raise KeyError(f"no reference page stored for job {job_id!r}")
-        alias = self._aliases.get((job_id, proxy_id))
+        ref, diffs, aliases = stored
+        alias = aliases.get(proxy_id)
         if alias is not None:
             ref, record = alias
         else:
-            record = self._diffs.get((job_id, proxy_id))
+            record = diffs.get(proxy_id)
             if record is None:
                 raise KeyError(f"no diff stored for ({job_id!r}, {proxy_id!r})")
-        _, runs, gaps, subs = marshal.loads(record)
+        _, runs, gaps, subs, _ = marshal.loads(record)
         parts = list(split_tags(ref)[0])
         for slot, sub in subs:
             if not isinstance(sub, str):

@@ -20,6 +20,7 @@ from repro.web import html
 from repro.web.pricing import CountryMultiplierPricing, UniformPricing
 
 from .conftest import SMALL_IPC_SITES, _store
+from .stored_pages import aliases_of, diffs_of, reference_of
 
 TTL = 30.0
 WAVE = 8
@@ -168,7 +169,7 @@ class TestBurst:
             burst.wave(domain)
             world.clock.advance(3600.0)
         store = burst.sheriff.diffstore
-        assert len(store._aliases) > 0
+        assert len(aliases_of(store)) > 0
         for (job_id, proxy_id), html in burst.given.items():
             assert store.restore(job_id, proxy_id) == html
 
@@ -179,8 +180,8 @@ class TestBurst:
             world.clock.advance(3600.0)
         cache, store = burst.sheriff.engine.cache, burst.sheriff.diffstore
         # fault-free: the first reader of every page stored it
-        assert len(store._aliases) == cache.hits
-        assert len(store._diffs) == len(burst.given) - cache.hits
+        assert len(aliases_of(store)) == cache.hits
+        assert len(diffs_of(store)) == len(burst.given) - cache.hits
 
     def test_reused_rows_are_the_first_readers_rows(self, world, monkeypatch):
         burst = Burst(world, monkeypatch)
@@ -254,7 +255,7 @@ class TestBurst:
         results = burst.wave("uniform.example")
         assert len(results) == WAVE
         assert burst.n_fetches == WAVE * len(SMALL_IPC_SITES)
-        assert len(burst.sheriff.diffstore._aliases) == 0
+        assert len(aliases_of(burst.sheriff.diffstore)) == 0
         assert burst.sheriff.engine.cache._pages == {}
 
     def test_second_currency_gets_its_own_row(self, world, monkeypatch):
@@ -312,7 +313,7 @@ class TestDiffStorageAlias:
             DiffStorage().store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         with pytest.raises(KeyError):  # no reference for the alias's own job
             store.store_alias("j9", "ipc-0", page, ("j1", "ipc-0"))
-        assert len(store._aliases) == 0
+        assert len(aliases_of(store)) == 0
 
     def test_alias_of_an_alias_resolves_to_the_original(self):
         store = self._store()
@@ -320,8 +321,8 @@ class TestDiffStorageAlias:
         store.store_reference("j3", _page("€13", "ad-4"))
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         store.store_alias("j3", "ipc-0", page, ("j2", "ipc-0"))
-        original = store._diffs[("j1", "ipc-0")]
-        assert store._aliases[("j3", "ipc-0")] == (store._reference.get("j1"), original)
+        original = diffs_of(store)[("j1", "ipc-0")]
+        assert aliases_of(store)[("j3", "ipc-0")] == (reference_of(store, "j1"), original)
         assert store.restore("j3", "ipc-0") == page
 
     def test_aliases_cost_no_stored_chars(self):
@@ -331,7 +332,7 @@ class TestDiffStorageAlias:
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
         assert store.stored_chars() == stored
         assert store.naive_chars_seen == naive + len(page)
-        assert (len(store._diffs), len(store._aliases)) == (1, 1)
+        assert (len(diffs_of(store)), len(aliases_of(store))) == (1, 1)
 
     def test_interleaved_jobs_restore_exactly(self):
         store = DiffStorage()
@@ -364,12 +365,12 @@ class TestDiffStorageAlias:
         store = self._store()
         page = _page("$12", "ad-2", "<p>promo</p>")
         store.store_alias("j1", "ipc-0", page, ("j1", "ipc-0"))  # its own page
-        assert (len(store._diffs), len(store._aliases)) == (1, 0)
+        assert (len(diffs_of(store)), len(aliases_of(store))) == (1, 0)
         store.store_response("j2", "ipc-0", _page("$1", "ad"))
         store.store_alias("j2", "ipc-0", page, ("j1", "ipc-0"))
-        assert (len(store._diffs), len(store._aliases)) == (1, 1)
+        assert (len(diffs_of(store)), len(aliases_of(store))) == (1, 1)
         store.store_response("j2", "ipc-0", _page("$1", "ad"))
-        assert (len(store._diffs), len(store._aliases)) == (2, 0)
+        assert (len(diffs_of(store)), len(aliases_of(store))) == (2, 0)
         assert store.restore("j2", "ipc-0") == _page("$1", "ad")
 
 

@@ -47,6 +47,7 @@ from repro.web.pricing import (
 )
 from repro.web.store import PRICE_STYLES, EStore
 
+from tests.core.stored_pages import diffs_of, reference_of
 from tests.oracles import tagspath_legacy
 from tests.oracles.tagspath_legacy import build_tags_path
 from tests.oracles.diffstorage_lines import LineDiffStorage
@@ -296,10 +297,10 @@ class TestDiffStorageFamilies:
         # read back only after every job was stored: nothing a restore
         # needs may live in the open job's state
         for index, (_, _, reference, family) in enumerate(jobs):
-            assert store._reference.get(f"job-{index}") == reference
+            assert reference_of(store, f"job-{index}") == reference
             for n, page in enumerate(family):
                 assert store.restore(f"job-{index}", f"proxy-{n}") == page
-        assert len(store._diffs) == N_JOBS * (PAGES_PER_JOB - 1)
+        assert len(diffs_of(store)) == N_JOBS * (PAGES_PER_JOB - 1)
         assert store.naive_chars_seen == sum(
             len(page) for _, _, reference, family in jobs for page in [reference] + family
         )
@@ -322,7 +323,7 @@ class TestDiffStorageFamilies:
         # the same (job, proxy) again, with another page: the last one counts
         before = store.stored_chars()
         store.store_response("a", "p0", family_a[3])
-        assert len(store._diffs) == 2 * len(family_a)
+        assert len(diffs_of(store)) == 2 * len(family_a)
         assert store.stored_chars() == before - sizes["a", 0] + sizes["a", 3]
         assert store.restore("a", "p0") == family_a[3]
         for n, (page_a, page_b) in enumerate(zip(family_a, family_b)):

@@ -6,6 +6,8 @@ from repro.core.coordinator import RequestRejected
 from repro.core.detector import analyze_rows
 from repro.core.addon import ConsentRequired
 
+from tests.core.stored_pages import diffs_of, reference_of
+
 
 def product_url(world, domain, index=0):
     store = world.internet.site(domain)
@@ -42,8 +44,8 @@ class TestBasicPriceCheck:
 
     def test_diffstorage_used(self, world, sheriff, es_user, es_peers):
         result = es_user.check_price(product_url(world, "uniform.example"))
-        assert sheriff.diffstore._reference.get(result.job_id) is not None
-        assert len(sheriff.diffstore._diffs) >= 8
+        assert reference_of(sheriff.diffstore, result.job_id) is not None
+        assert len(diffs_of(sheriff.diffstore)) >= 8
 
     def test_result_page_renders(self, world, sheriff, es_user, es_peers):
         result = es_user.check_price(product_url(world, "uniform.example"))

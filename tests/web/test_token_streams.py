@@ -18,6 +18,8 @@ from repro.web.store import EStore
 from repro.web.trackers import Tracker
 from repro.workloads.deployment import DeploymentConfig, LiveDeployment
 
+from tests.core.stored_pages import reference_of
+
 
 def _store(world, domain):
     return EStore(
@@ -85,7 +87,7 @@ def _deployment(seed):
 def _landed(dep, result):
     """A check's rows and the stored pages they were read from."""
     store = dep.sheriff.diffstore
-    pages = [store._reference.get(result.job_id)]
+    pages = [reference_of(store, result.job_id)]
     pages += [store.restore(result.job_id, row.proxy_id)
               for row in result.rows if row.kind != "You"]
     return result.rows, pages
